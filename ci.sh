@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ci.sh — the checks every PR must keep green.
 #
-#   ./ci.sh        vet + rrlint + build (all packages, including
-#                  cmd/rrserve) + full test suite + fuzz seed corpora
+#   ./ci.sh        vet + gofmt + rrlint + build (all packages, including
+#                  cmd/rrserve) + full test suite + the benchmark
+#                  module's own vet and tests + fuzz seed corpora
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
 #                  + coverage floor + rrbench smoke + bench regression
@@ -17,6 +18,16 @@ COVERAGE_FLOOR=75
 
 echo "== go vet =="
 go vet ./...
+
+# gofmt -l prints the files it would rewrite, over the whole tree
+# (the nested benchmark module and the lint fixtures included); any
+# name is a failure.
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [[ -n "$unformatted" ]]; then
+    printf 'gofmt would rewrite:\n%s\n' "$unformatted" >&2
+    exit 1
+fi
 
 echo "== rrlint =="
 go run ./cmd/rrlint ./...
@@ -45,6 +56,15 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+# benchmark/ is its own module (BENCHMARK.json's command runs it), so
+# ./... above stops at its go.mod. Its tests are the guards on the
+# benchmark itself: a smoke run of all four workloads against their
+# oracles, and the check that every metric name it can print is
+# declared in BENCHMARK.json and the other way round.
+echo "== benchmark module (vet + test) =="
+go -C benchmark vet ./...
+go -C benchmark test ./...
 
 # The fuzz harnesses double as invariant suites: every seed (valid and
 # corrupted index images, parity networks) runs through the deep

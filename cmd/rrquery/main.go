@@ -19,6 +19,13 @@
 //
 //	rrquery -target http://127.0.0.1:18740 -q "42 13.3 52.4 13.5 52.6"
 //	rrquery -target http://127.0.0.1:18740 -trace -q "42 13.3 52.4 13.5 52.6"
+//	rrquery -target http://127.0.0.1:18322 -explain -q "42 13.3 52.4 13.5 52.6"
+//
+// -explain with -target asks an rrserve for the profile (its
+// /v1/explain). That is how to see one query's cost on an updatable
+// index: against rrserve -dynamic, "labels inspected" is the interval
+// count of the vertex's label and "overlay entries" the overlay it
+// scanned.
 //
 // -trace sends a W3C traceparent with the query and prints the stitched
 // cluster trace fetched back from the router's /v1/trace/{id}: one
@@ -34,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -62,7 +70,7 @@ func main() {
 	flag.Parse()
 
 	if *target != "" {
-		runRemote(strings.TrimRight(*target, "/"), *query, *batch, *doTrace)
+		runRemote(strings.TrimRight(*target, "/"), *query, *batch, *doTrace, *explain)
 		return
 	}
 	if *doTrace {
@@ -192,6 +200,7 @@ func printStats(qs rangereach.QueryStats) {
 		{"index nodes", qs.IndexNodes},
 		{"index leaves", qs.IndexLeaves},
 		{"index entries", qs.IndexEntries},
+		{"overlay entries", qs.OverlayEntries},
 		{"candidates", qs.Candidates},
 		{"reach probes", qs.ReachProbes},
 		{"graph visited", qs.GraphVisited},
@@ -262,12 +271,15 @@ type remoteResponse struct {
 }
 
 // runRemote answers -q or -batch against a running server.
-func runRemote(target, query, batch string, doTrace bool) {
+func runRemote(target, query, batch string, doTrace, explain bool) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	run := func(line string) error {
 		v, r, err := parseQuery(line)
 		if err != nil {
 			return err
+		}
+		if explain {
+			return explainRemote(client, target, v, r)
 		}
 		return queryRemote(client, target, v, r, doTrace)
 	}
@@ -367,6 +379,39 @@ func queryRemote(client *http.Client, target string, v int, r rangereach.Rect, d
 	return fmt.Errorf("trace %s not retrievable from %s", tid, target)
 }
 
+// explainRemote asks an rrserve for the query's execution profile
+// (GET /v1/explain) and prints it like a local -explain. Against a
+// -dynamic server the profile is the published snapshot's: its label
+// interval and overlay counts show how far updates have degraded it.
+func explainRemote(client *http.Client, target string, v int, r rangereach.Rect) error {
+	resp, err := client.Get(target + "/v1/explain?" + url.Values{
+		"vertex": {strconv.Itoa(v)},
+		"region": {fmt.Sprintf("%g,%g,%g,%g", r.MinX, r.MinY, r.MaxX, r.MaxY)},
+	}.Encode())
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	_ = resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
+	}
+	var er struct {
+		Reachable bool                  `json:"reachable"`
+		Stats     rangereach.QueryStats `json:"stats"`
+	}
+	if err := json.Unmarshal(data, &er); err != nil {
+		return fmt.Errorf("bad response %q: %v", data, err)
+	}
+	fmt.Printf("RangeReach(%d, [%g,%g]x[%g,%g]) = %v  (%v)\n",
+		v, r.MinX, r.MaxX, r.MinY, r.MaxY, er.Reachable, er.Stats.Duration)
+	printStats(er.Stats)
+	return nil
+}
+
 // fetchTrace pulls /v1/trace/{id}, retrying briefly: early-exit traces
 // are finished asynchronously after the response is written.
 func fetchTrace(client *http.Client, target, id string) (*trace.ClusterTrace, error) {
@@ -446,6 +491,7 @@ func printShardStats(qs rangereach.QueryStats) {
 	}{
 		{"labels", qs.Labels}, {"index_nodes", qs.IndexNodes},
 		{"index_leaves", qs.IndexLeaves}, {"index_entries", qs.IndexEntries},
+		{"overlay_entries", qs.OverlayEntries},
 		{"candidates", qs.Candidates}, {"reach_probes", qs.ReachProbes},
 		{"graph_visited", qs.GraphVisited}, {"enumerated", qs.Enumerated},
 		{"members", qs.Members},

@@ -89,6 +89,26 @@ type UpdateStats struct {
 	FullRebuilds int
 	// Folds counts overlay folds into the base R-tree.
 	Folds int
+	// SplitChecks counts deletes inside a component that ran a local
+	// strong-connectivity probe, whether or not it split.
+	SplitChecks int
+
+	// The rest is current state, not history: what a query pays for.
+	// OverlayLen is the number of venue entries patched beside the base
+	// R-tree and StaleLen the base entries they supersede (tombstones);
+	// every query that misses the base scans the overlay once, and both
+	// return to zero at the next fold.
+	OverlayLen int
+	StaleLen   int
+	// LiveComps and DeadComps count strongly connected components in
+	// use and retired since the last full rebuild; retired ones leave
+	// holes in the post-order numbering, which is what fragments labels.
+	LiveComps int
+	DeadComps int
+	// MaxLabelIntervals is the interval count of the most fragmented
+	// label. It is computed on each call, in time linear in LiveComps +
+	// DeadComps.
+	MaxLabelIntervals int
 }
 
 // UpdateStats returns the index's update-absorption counters. Call it
@@ -102,6 +122,13 @@ func (idx *DynamicIndex) UpdateStats() UpdateStats {
 		RelabeledComps: s.RelabeledComps,
 		FullRebuilds:   s.FullRebuilds,
 		Folds:          s.Folds,
+		SplitChecks:    s.SplitChecks,
+
+		OverlayLen:        s.OverlayLen,
+		StaleLen:          s.StaleLen,
+		LiveComps:         s.LiveComps,
+		DeadComps:         s.DeadComps,
+		MaxLabelIntervals: s.MaxLabelIntervals,
 	}
 }
 
@@ -136,7 +163,11 @@ func (idx *DynamicIndex) Snapshot() *DynamicSnapshot {
 func (s *DynamicSnapshot) NumVertices() int { return s.snap.NumVertices() }
 
 // RangeReach reports whether vertex v reached a spatial vertex inside r
-// at capture time. It panics if v is out of the snapshot's range.
+// at capture time. It panics if v is out of the snapshot's range. The
+// cost is one search of the base R-tree plus at most one pass over the
+// venues patched since the last fold (UpdateStats.OverlayLen), however
+// many intervals updates have split v's label into; Explain reports
+// both per query.
 func (s *DynamicSnapshot) RangeReach(v int, r Rect) bool {
 	return s.snap.RangeReach(v, r.internal())
 }

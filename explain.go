@@ -39,8 +39,15 @@ type QueryStats struct {
 	IndexNodes  int64 `json:"index_nodes,omitempty"`
 	IndexLeaves int64 `json:"index_leaves,omitempty"`
 	// IndexEntries counts leaf entries tested against a query box,
-	// including the dynamic engine's overlay scans.
+	// including the dynamic engine's overlay pass.
 	IndexEntries int64 `json:"index_entries,omitempty"`
+	// OverlayEntries is the part of IndexEntries a dynamic index tested
+	// in its overlay (venues patched since the last fold) instead of in
+	// its R-tree: at most the overlay's size, once per query. Together
+	// with Labels — on a dynamic index, the interval count of the query
+	// vertex's label — it says how far updates have degraded the index
+	// this query ran on.
+	OverlayEntries int64 `json:"overlay_entries,omitempty"`
 	// Candidates is the number of spatial candidates SpaReach pulled
 	// out of its phase-1 range query.
 	Candidates int64 `json:"candidates,omitempty"`
@@ -118,6 +125,8 @@ func statsFromSpan(method string, sp trace.Span, total time.Duration) QueryStats
 		GraphVisited: sp.GraphVisited,
 		Enumerated:   sp.Enumerated,
 		Members:      sp.Members,
+
+		OverlayEntries: sp.Overlay,
 	}
 	for st := trace.Stage(0); st < trace.NumStages; st++ {
 		if d := sp.Durations[st]; d > 0 {
@@ -156,6 +165,7 @@ func (qs QueryStats) String() string {
 	appendCount("nodes", qs.IndexNodes)
 	appendCount("leaves", qs.IndexLeaves)
 	appendCount("entries", qs.IndexEntries)
+	appendCount("overlay", qs.OverlayEntries)
 	appendCount("candidates", qs.Candidates)
 	appendCount("probes", qs.ReachProbes)
 	appendCount("visited", qs.GraphVisited)

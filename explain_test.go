@@ -222,6 +222,12 @@ func TestExplainDynamicParity(t *testing.T) {
 			if qs.Method != "3DReach-Dynamic" {
 				t.Fatalf("%s/snapshot: stats.Method = %q", label, qs.Method)
 			}
+			// One pass over the whole label and at most one over the
+			// overlay, however fragmented the label is.
+			if st := idx.UpdateStats(); qs.Labels > int64(st.MaxLabelIntervals) || qs.OverlayEntries > int64(st.OverlayLen) {
+				t.Fatalf("%s/snapshot: inspected %d label intervals and %d overlay entries; the index holds at most %d and %d",
+					label, qs.Labels, qs.OverlayEntries, st.MaxLabelIntervals, st.OverlayLen)
+			}
 		}
 	}
 
@@ -230,15 +236,49 @@ func TestExplainDynamicParity(t *testing.T) {
 	// keep a non-empty overlay (below the rebuild threshold).
 	rng := rand.New(rand.NewSource(99))
 	space := net.Space()
+	point := func() (x, y float64) {
+		return space.MinX + rng.Float64()*(space.MaxX-space.MinX),
+			space.MinY + rng.Float64()*(space.MaxY-space.MinY)
+	}
+	var added [][2]int
 	for i := 0; i < 40; i++ {
 		u := idx.AddUser()
-		x := space.MinX + rng.Float64()*(space.MaxX-space.MinX)
-		y := space.MinY + rng.Float64()*(space.MaxY-space.MinY)
+		x, y := point()
 		v := idx.AddVenue(x, y)
-		_ = idx.AddEdge(rng.Intn(net.NumVertices()), u)
+		from := rng.Intn(net.NumVertices())
+		_ = idx.AddEdge(from, u)
 		_ = idx.AddEdge(u, v)
+		added = append(added, [2]int{from, u}, [2]int{u, v})
 	}
 	step("after-updates")
+
+	// Shrink it again: most of those edges go, back edges close cycles
+	// that the deletes then break (merges and splits retire posts, which
+	// is what fragments labels), and venues of the original network move
+	// (tombstones in the base tree).
+	for i := 0; i < len(added); i += 2 {
+		_ = idx.AddEdge(added[i][1], added[i][0])
+	}
+	rng.Shuffle(len(added), func(i, j int) { added[i], added[j] = added[j], added[i] })
+	for _, e := range added[:len(added)*3/4] {
+		if err := idx.DeleteEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v, moved := 0, 0; moved < 30; v++ {
+		if net.IsSpatial(v) {
+			x, y := point()
+			if err := idx.MoveVenue(v, x, y); err != nil {
+				t.Fatal(err)
+			}
+			moved++
+		}
+	}
+	step("after-deletes")
+	// (Splits are replayed at the first read after the deletes.)
+	if st := idx.UpdateStats(); st.StaleLen == 0 || st.MaxLabelIntervals < 2 || st.Splits == 0 {
+		t.Fatalf("the delete phase left no tombstones, no fragmented label or no split: %+v", st)
+	}
 }
 
 // TestExplainPanicsOutOfRange mirrors RangeReach's slice semantics.

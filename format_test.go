@@ -354,7 +354,7 @@ func TestOpenMappedAllocs(t *testing.T) {
 	dir := t.TempDir()
 	build := func(n int) (*rangereach.Network, string) {
 		b := rangereach.NewNetworkBuilder(n)
-		for v := 0; v + 1 < n; v++ {
+		for v := 0; v+1 < n; v++ {
 			b.AddEdge(v, v+1)
 			if v%7 == 0 {
 				b.AddEdge(v, (v*13+5)%n)

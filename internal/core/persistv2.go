@@ -41,14 +41,14 @@ import (
 // Section kinds of the v2 image.
 const (
 	secManifest       = 1
-	secLabelPost      = 2 // [n]i32 post-order numbers
-	secLabelOrder     = 3 // [n]i32 inverse permutation
-	secLabelOff       = 4 // [n+1]u64 label-set offsets
-	secLabelData      = 5 // [Σ]Interval concatenated label sets
-	secBFLHash        = 6 // [n]i32
-	secBFLOut         = 7 // [n·words]u64
-	secBFLIn          = 8 // [n·words]u64
-	secBFLDiscover    = 9 // [n]i32
+	secLabelPost      = 2  // [n]i32 post-order numbers
+	secLabelOrder     = 3  // [n]i32 inverse permutation
+	secLabelOff       = 4  // [n+1]u64 label-set offsets
+	secLabelData      = 5  // [Σ]Interval concatenated label sets
+	secBFLHash        = 6  // [n]i32
+	secBFLOut         = 7  // [n·words]u64
+	secBFLIn          = 8  // [n·words]u64
+	secBFLDiscover    = 9  // [n]i32
 	secBFLFinish      = 10 // [n]i32
 	secTreeNodeBounds = 11 // [nodes·2d]f64
 	secTreeNodeMeta   = 12 // [nodes·2]u32

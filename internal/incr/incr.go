@@ -90,6 +90,9 @@ type Stats struct {
 	DeadComps      int // retired component slots since the last rebuild
 	OverlayLen     int // current overlay entries
 	StaleLen       int // current base tombstones
+	// MaxLabelIntervals is the widest live label, the fragmentation the
+	// update stream has caused; Stats computes it, no update maintains it.
+	MaxLabelIntervals int
 }
 
 // Index is the mutable engine. It has a single-writer concurrency
@@ -111,7 +114,7 @@ type Index struct {
 	alive     []bool
 	members   [][]int32
 	outC, inC []map[int32]int32 // DAG adjacency, refcounted by original edges
-	post      []int32 // sparse 1-based post; 0 = retired
+	post      []int32           // sparse 1-based post; 0 = retired
 	labels    []intervals.Set
 	maxPost   int32 //lint:monotonic — retired posts are never reused
 	liveComps int
@@ -202,6 +205,9 @@ func (x *Index) Stats() Stats {
 	s.DeadComps = x.deadComps
 	s.OverlayLen = len(x.overlay)
 	s.StaleLen = len(x.stale)
+	for _, l := range x.labels {
+		s.MaxLabelIntervals = max(s.MaxLabelIntervals, len(l))
+	}
 	return s
 }
 

@@ -22,11 +22,16 @@ type qview struct {
 	grid    *occGrid
 }
 
-// rangeReach is the standard 3DReach evaluation over patched state:
-// the occupancy grid first (a region with no venues anywhere answers
-// false in a few cell reads), then one cuboid search per label
-// interval against the base tree — skipping tombstoned entries — then
-// the bounded overlay scan.
+// rangeReach evaluates 3DReach over patched state at a cost of nodes
+// touched plus overlay entries, however many intervals the label has.
+// The occupancy grid goes first (a region with no venues anywhere
+// answers false in a few cell reads). Then the base tree is searched
+// once for the whole label: a single-interval label — every label
+// until updates fragment it — is the paper's one cuboid; a fragmented
+// one prunes the same descent by "x/y meets r and the z-range overlaps
+// some interval", which expands the union of the nodes the per-interval
+// cuboids would, each once. Tombstoned entries are skipped at the
+// leaves. Then one pass over the bounded overlay.
 func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	if v < 0 || v >= q.n {
 		panic(fmt.Sprintf("incr: vertex %d out of range [0,%d)", v, q.n))
@@ -34,33 +39,40 @@ func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	if !q.grid.maybe(r) {
 		return false
 	}
-	for _, iv := range q.labels[q.comp[v]] {
-		sp.AddLabels(1)
-		box := geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))
-		t := sp.Start()
-		ok := false
-		if len(q.stale) == 0 {
-			_, ok = q.base.SearchAnyTraced(box, sp)
-		} else {
-			q.base.SearchTraced(box, sp, func(e rtree.Entry[geom.Box3]) bool {
-				if _, dead := q.stale[e.ID]; dead {
-					return true
-				}
-				ok = true
-				return false
-			})
-		}
-		if !ok {
-			sp.AddEntries(len(q.overlay))
-			for _, e := range q.overlay {
-				if e.Box.Intersects(box) {
-					ok = true
-					break
-				}
-			}
-		}
-		sp.End(trace.StageSpatial, t)
-		if ok {
+	label := q.labels[q.comp[v]]
+	sp.AddLabels(len(label))
+	t := sp.Start()
+	ok := q.baseAny(r, label, sp) || q.overlayAny(r, label, sp)
+	sp.End(trace.StageSpatial, t)
+	return ok
+}
+
+// meets reports whether b's rectangle intersects r and its z-range
+// overlaps label. Entry z is a component post and node bounds are
+// unions of entries, so the float z bounds convert to posts exactly.
+func meets(b *geom.Box3, r geom.Rect, label intervals.Set) bool {
+	return b.Rect().Intersects(r) && label.OverlapsCanonical(int32(b.Min.Z), int32(b.Max.Z))
+}
+
+// baseAny reports whether a live base entry lies in r × label.
+func (q qview) baseAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	live := func(id int32) bool {
+		_, dead := q.stale[id]
+		return !dead
+	}
+	if len(label) == 1 {
+		box := geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi))
+		return !q.base.SearchTraced(box, sp, func(e rtree.Entry[geom.Box3]) bool { return !live(e.ID) })
+	}
+	return q.base.SearchAnyWhere(sp, func(b *geom.Box3) bool { return meets(b, r, label) }, live)
+}
+
+// overlayAny reports whether an overlay entry lies in r × label,
+// testing each entry once.
+func (q qview) overlayAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	sp.AddOverlay(len(q.overlay))
+	for i := range q.overlay {
+		if meets(&q.overlay[i].Box, r, label) {
 			return true
 		}
 	}

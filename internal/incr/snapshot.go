@@ -56,7 +56,10 @@ func (s *Snapshot) NumVertices() int { return s.q.n }
 // Name matches the owning index's method name.
 func (s *Snapshot) Name() string { return "3DReach-Dynamic" }
 
-// RangeReach answers the query against the captured state.
+// RangeReach answers the query against the captured state: the same
+// evaluation as the live index (qview.rangeReach) — one search of the
+// shared base tree for the whole label, then at most one pass over the
+// captured overlay — without allocating.
 func (s *Snapshot) RangeReach(v int, r geom.Rect) bool {
 	return s.q.rangeReach(v, r, nil)
 }

@@ -7,6 +7,7 @@ package intervals
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -206,6 +207,22 @@ func (s Set) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
+// OverlapsCanonical reports whether the canonical set s shares an
+// integer with [lo, hi], in O(log |s|) without allocating.
+func (s Set) OverlapsCanonical(lo, hi int32) bool {
+	// Binary search for the first interval ending at or after lo; it is
+	// the only one that can start at or before hi.
+	i, j := 0, len(s)
+	for i < j {
+		if m := int(uint(i+j) >> 1); s[m].Hi < lo {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i < len(s) && s[i].Lo <= hi
+}
+
 // CoversCanonical reports whether the canonical set s covers every
 // integer of the canonical set other, in O(|s| + |other|) without
 // allocating. The incremental labeling uses it to prune propagation.
@@ -236,7 +253,7 @@ func MergeCanonical(a, b Set) Set {
 	pushMerged := func(iv Interval) {
 		if len(out) > 0 {
 			last := &out[len(out)-1]
-			if iv.Lo <= last.Hi+1 {
+			if int64(iv.Lo) <= int64(last.Hi)+1 {
 				if iv.Hi > last.Hi {
 					last.Hi = iv.Hi
 				}
@@ -264,11 +281,12 @@ func MergeCanonical(a, b Set) Set {
 }
 
 // MergeManyCanonical merges any number of canonical sets into one new
-// canonical set that aliases none of the inputs. Collecting every
-// interval and sorting once costs O(T log T) for T total intervals;
-// folding MergeCanonical over a long list instead re-scans the growing
-// accumulator on every step, which is quadratic when one vertex has
-// thousands of successors — the hot case in incremental relabeling.
+// canonical set that aliases none of the inputs. Folding MergeCanonical
+// over a long list re-scans the growing accumulator on every step,
+// which is quadratic when one vertex has thousands of successors — the
+// hot case in incremental relabeling — so all intervals are combined in
+// one pass instead: by a coverage sweep when they are dense in the
+// range they span, by one sort otherwise.
 func MergeManyCanonical(sets []Set) Set {
 	switch len(sets) {
 	case 0:
@@ -279,9 +297,64 @@ func MergeManyCanonical(sets []Set) Set {
 		return MergeCanonical(sets[0], sets[1])
 	}
 	total := 0
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for _, s := range sets {
 		total += len(s)
+		if len(s) > 0 {
+			lo, hi = min(lo, s[0].Lo), max(hi, s[len(s)-1].Hi)
+		}
 	}
+	if total == 0 {
+		return nil
+	}
+	// The sweep costs a pass over the spanned range, the sort about a
+	// dozen comparisons per interval: sweep while the range is within a
+	// small multiple of the interval count (a giant component's tens of
+	// thousands of singleton successors span barely more posts than
+	// there are successors), and never for a handful of intervals, where
+	// its scratch array is the larger cost.
+	if span := int64(hi) - int64(lo) + 1; total >= sweepMinIntervals && span <= sweepMaxSpread*int64(total) {
+		return mergeSweep(sets, lo, int(span))
+	}
+	return mergeSort(sets, total)
+}
+
+const (
+	sweepMinIntervals = 64
+	sweepMaxSpread    = 8
+)
+
+// mergeSweep is the dense branch of MergeManyCanonical: every interval
+// adds +1 at its Lo and -1 past its Hi in a delta array over
+// [lo, lo+span), and the runs of positive coverage are the result —
+// overlapping and adjacent intervals fuse without any ordering step.
+func mergeSweep(sets []Set, lo int32, span int) Set {
+	delta := make([]int32, span+1)
+	for _, s := range sets {
+		for _, iv := range s {
+			delta[int64(iv.Lo)-int64(lo)]++
+			delta[int64(iv.Hi)-int64(lo)+1]--
+		}
+	}
+	var out Set
+	cover, start := int32(0), 0
+	for i, d := range delta {
+		if d == 0 {
+			continue
+		}
+		if cover == 0 {
+			start = i
+		}
+		if cover += d; cover == 0 {
+			out = append(out, Interval{Lo: int32(int64(lo) + int64(start)), Hi: int32(int64(lo) + int64(i) - 1)})
+		}
+	}
+	return out
+}
+
+// mergeSort is the sparse branch of MergeManyCanonical: collect all
+// total intervals, sort once, fuse in order — O(total log total).
+func mergeSort(sets []Set, total int) Set {
 	// Pack each interval into one uint64 ordered by (Lo, Hi) — flipping
 	// the sign bits preserves int32 order under unsigned comparison —
 	// so the hot sort runs without a comparator callback.
@@ -298,7 +371,7 @@ func MergeManyCanonical(sets []Set) Set {
 			Lo: int32(uint32(key>>32) ^ 1<<31),
 			Hi: int32(uint32(key) ^ 1<<31),
 		}
-		if n := len(out); n > 0 && iv.Lo <= out[n-1].Hi+1 {
+		if n := len(out); n > 0 && int64(iv.Lo) <= int64(out[n-1].Hi)+1 {
 			if iv.Hi > out[n-1].Hi {
 				out[n-1].Hi = iv.Hi
 			}

@@ -1,6 +1,7 @@
 package intervals
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -224,4 +225,127 @@ func setFromRawInts(rng *rand.Rand, n int) Set {
 		s = s.Add(lo, lo+int32(rng.Intn(20)))
 	}
 	return s
+}
+
+// randomCanonical draws a canonical set inside [base, base+width]:
+// sorted runs separated by gaps of at least one uncovered integer. At
+// least one run in four is a singleton, like a giant component's
+// successor labels; the rest are wider.
+func randomCanonical(rng *rand.Rand, base int64, width int, maxIntervals int) Set {
+	var s Set
+	at := base + int64(rng.Intn(width/4+1))
+	for len(s) < maxIntervals {
+		hi := at + int64(rng.Intn(4)*rng.Intn(width/8+1))
+		if hi > base+int64(width) {
+			break
+		}
+		s = append(s, Interval{Lo: int32(at), Hi: int32(hi)})
+		at = hi + 2 + int64(rng.Intn(width/16+1))
+		if at > base+int64(width) {
+			break
+		}
+	}
+	return s
+}
+
+// TestMergeSweepEqualsSort pins MergeManyCanonical's two branches to
+// each other and to a coverage bitmap, on windows placed at both ends
+// of the int32 range as well as inside it, with empty sets mixed in.
+func TestMergeSweepEqualsSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const width = 1500
+	bases := []int64{math.MinInt32, math.MaxInt32 - width, -width / 2, 1}
+	for trial := 0; trial < 400; trial++ {
+		base := bases[trial%len(bases)]
+		sets := make([]Set, rng.Intn(14))
+		covered := make([]bool, width+1)
+		total := 0
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := range sets {
+			if rng.Intn(5) == 0 {
+				continue // an empty input
+			}
+			sets[i] = randomCanonical(rng, base, width, 1+rng.Intn(200))
+			total += len(sets[i])
+			for _, iv := range sets[i] {
+				lo, hi = min(lo, int64(iv.Lo)), max(hi, int64(iv.Hi))
+				for p := int64(iv.Lo); p <= int64(iv.Hi); p++ {
+					covered[p-base] = true
+				}
+			}
+		}
+		if total == 0 {
+			if got := MergeManyCanonical(sets); len(got) != 0 {
+				t.Fatalf("trial %d: merge of empty sets = %v", trial, got)
+			}
+			continue
+		}
+		var want Set
+		for p := 0; p <= width; p++ {
+			if !covered[p] {
+				continue
+			}
+			q := p
+			for q+1 <= width && covered[q+1] {
+				q++
+			}
+			want = append(want, Interval{Lo: int32(base + int64(p)), Hi: int32(base + int64(q))})
+			p = q
+		}
+		sweep := mergeSweep(sets, int32(lo), int(hi-lo+1))
+		sorted := mergeSort(sets, total)
+		if !sweep.Equal(want) || !sorted.Equal(want) {
+			t.Fatalf("trial %d (base %d): sweep %v, sort %v, want %v", trial, base, sweep, sorted, want)
+		}
+		if got := MergeManyCanonical(sets); !got.Equal(want) {
+			t.Fatalf("trial %d (base %d): MergeManyCanonical = %v, want %v", trial, base, got, want)
+		}
+	}
+}
+
+// TestMergeManyCanonicalNeverAliases overwrites the result of every
+// dispatch case — one set, two, sparse many, dense many — and checks
+// the inputs did not move.
+func TestMergeManyCanonicalNeverAliases(t *testing.T) {
+	dense := make([]Set, 300)
+	for i := range dense {
+		dense[i] = Singleton(int32(2 * i))
+	}
+	for name, sets := range map[string][]Set{
+		"one":    {{{1, 4}, {9, 9}}},
+		"two":    {{{1, 4}}, nil},
+		"sparse": {{{1, 4}}, {{1 << 20, 1 << 21}}, {{-5, -5}}},
+		"dense":  dense,
+	} {
+		before := make([]Set, len(sets))
+		for i, s := range sets {
+			before[i] = s.Clone()
+		}
+		out := MergeManyCanonical(sets)
+		out = out[:cap(out)] // spare capacity must be private too
+		for i := range out {
+			out[i] = Interval{Lo: -99, Hi: -99}
+		}
+		for i := range sets {
+			if !sets[i].Equal(before[i]) {
+				t.Errorf("%s: input %d changed to %v after writing to the result", name, i, sets[i])
+			}
+		}
+	}
+}
+
+func TestOverlapsCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		s := randomCanonical(rng, 1, 400, rng.Intn(40))
+		lo := int32(rng.Intn(420)) - 10
+		hi := lo + int32(rng.Intn(4)*rng.Intn(60))
+		want := false
+		for p := lo; p <= hi; p++ {
+			want = want || s.ContainsCanonical(p)
+		}
+		if got := s.OverlapsCanonical(lo, hi); got != want {
+			t.Fatalf("trial %d: %v.OverlapsCanonical(%d, %d) = %v, want %v", trial, s, lo, hi, got, want)
+		}
+	}
 }

@@ -141,12 +141,12 @@ func TestBucketsMerge(t *testing.T) {
 
 func TestParsePromRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		"rr_x",                      // no value
-		"rr_x{le=\"0.1\" 3",         // unterminated labels
-		"rr_x{le=0.1} 3",            // unquoted label value
-		"rr_x{le=\"0.1\"} notanum",  // bad value
-		"rr_x{le=\"0.1} 3",          // unterminated quote
-		"rr_x{} }",                  // garbage value
+		"rr_x",                     // no value
+		"rr_x{le=\"0.1\" 3",        // unterminated labels
+		"rr_x{le=0.1} 3",           // unquoted label value
+		"rr_x{le=\"0.1\"} notanum", // bad value
+		"rr_x{le=\"0.1} 3",         // unterminated quote
+		"rr_x{} }",                 // garbage value
 	} {
 		if _, err := ParseProm(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseProm(%q) succeeded", bad)

@@ -140,9 +140,19 @@ var wholeSpace = [4]float64{0, 0, 10, 10}
 func TestQueryFirstPositiveCancelsRemaining(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace)
 	rt, install := testCluster(t, m, Config{})
-	canceled := make(chan struct{})
-	install(0, answer(true))
+	started, canceled := make(chan struct{}), make(chan struct{})
+	// The fast shard holds its positive until the slow shard's handler
+	// is running: a cancel that lands before the request is even sent
+	// never reaches a handler, and canceled would never close.
+	install(0, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-started:
+			answer(true)(w, r)
+		case <-r.Context().Done():
+		}
+	})
 	install(1, func(w http.ResponseWriter, r *http.Request) {
+		close(started)
 		// Drain the body first: net/http only watches for client
 		// disconnect (and cancels r.Context) once the request body is
 		// consumed — which rrserve's JSON decode always does. Then park

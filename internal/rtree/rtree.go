@@ -282,6 +282,41 @@ func (t *Tree[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok b
 	return found, ok
 }
 
+// SearchAnyWhere reports whether some entry e has meets(&e.Box) and
+// keep(e.ID), descending only into nodes whose bounds pass meets. It
+// generalises SearchAny from one query box to any region the caller can
+// test a bound against — meets must be monotone (true for a bound
+// whenever it is true for something inside it) — so a union of boxes
+// costs one traversal that expands each qualifying node once instead of
+// one search per box. keep filters witnesses by identifier (the dynamic
+// engine's tombstones). Bounds go to meets by pointer: a copy of a 3D
+// box per node is measurable on this path. Node, leaf and entry counts
+// accumulate into sp exactly as in SearchTraced.
+func (t *Tree[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool {
+	return t.root != nil && meets(&t.root.bounds) && t.root.anyWhere(sp, meets, keep)
+}
+
+// anyWhere expands n, whose bounds the caller has already tested.
+func (n *node[B]) anyWhere(sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool {
+	if n.leaf {
+		sp.IncLeaf()
+		sp.AddEntries(len(n.entries))
+		for i := range n.entries {
+			if e := &n.entries[i]; meets(&e.Box) && keep(e.ID) {
+				return true
+			}
+		}
+		return false
+	}
+	sp.IncNode()
+	for _, c := range n.children {
+		if meets(&c.bounds) && c.anyWhere(sp, meets, keep) {
+			return true
+		}
+	}
+	return false
+}
+
 // Count returns the number of entries intersecting query.
 func (t *Tree[B]) Count(query B) int {
 	count := 0

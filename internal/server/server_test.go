@@ -13,6 +13,7 @@ import (
 	"time"
 
 	rangereach "repro"
+	"repro/internal/metrics"
 )
 
 // testNetwork generates a small synthetic network with a fixed seed.
@@ -402,6 +403,22 @@ func TestDynamicMixedTraffic(t *testing.T) {
 	if !strings.Contains(string(mbody), "rr_snapshot_swaps_total") ||
 		strings.Contains(string(mbody), "rr_snapshot_swaps_total 0\n") {
 		t.Errorf("metrics missing snapshot swaps:\n%s", mbody)
+	}
+	// ... and the state of the index behind the published snapshot: the
+	// stream added venues and never enough to fold them into the base.
+	samples, err := metrics.ParseProm(bytes.NewReader(mbody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, atLeast := range map[string]float64{
+		"rr_incr_overlay_entries":     1,
+		"rr_incr_tombstones":          0,
+		"rr_incr_live_components":     1,
+		"rr_incr_max_label_intervals": 1,
+	} {
+		if v, ok := metrics.Value(samples, name, nil); !ok || v < atLeast {
+			t.Errorf("%s = %v (present %v), want at least %v", name, v, ok, atLeast)
+		}
 	}
 }
 

@@ -21,10 +21,13 @@ var errPublishCheck = errors.New("snapshot failed publish-time validation")
 // publishedSnapshot pairs an immutable index view with the generation
 // it belongs to. Readers load the pair with one atomic pointer load, so
 // a result cached under gen G is always an answer computed against the
-// matching snapshot.
+// matching snapshot. stats is the index's state when the snapshot was
+// taken — only the writer may ask the index, so it asks at publish time
+// and the rr_incr_* gauges read the published copy.
 type publishedSnapshot struct {
-	snap *rangereach.DynamicSnapshot
-	gen  uint64
+	snap  *rangereach.DynamicSnapshot
+	gen   uint64
+	stats rangereach.UpdateStats
 }
 
 // op kinds for updateOp.
@@ -87,7 +90,7 @@ func newUpdater(idx *rangereach.DynamicIndex, swaps *metrics.Counter, snapTime *
 		checkPublish: checkPublish,
 		checkFails:   checkFails,
 	}
-	u.snap.Store(&publishedSnapshot{snap: idx.Snapshot(), gen: 0})
+	u.snap.Store(&publishedSnapshot{snap: idx.Snapshot(), gen: 0, stats: idx.UpdateStats()})
 	go u.loop()
 	return u
 }
@@ -175,7 +178,7 @@ func (u *updater) loop() {
 			}
 		}
 		gen++
-		u.snap.Store(&publishedSnapshot{snap: snap, gen: gen})
+		u.snap.Store(&publishedSnapshot{snap: snap, gen: gen, stats: u.idx.UpdateStats()})
 		u.snapTime.Observe(time.Since(start).Seconds())
 		u.swaps.Inc()
 		// Reply only after the snapshot is published: a client whose

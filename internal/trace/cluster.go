@@ -215,8 +215,8 @@ func (s *Sampler) Keep(elapsed time.Duration, isError, forced bool) (bool, strin
 // not a query path.
 type Ring struct {
 	mu   sync.Mutex
-	buf  []*ClusterTrace //lint:guardedby mu — circular; nil until filled
-	next int             //lint:guardedby mu
+	buf  []*ClusterTrace          //lint:guardedby mu — circular; nil until filled
+	next int                      //lint:guardedby mu
 	byID map[string]*ClusterTrace //lint:guardedby mu
 }
 

@@ -34,6 +34,10 @@ type Counters struct {
 	// IndexEntries is the number of leaf entries tested against the
 	// query box (points, boxes or vertical segments).
 	IndexEntries int64
+	// Overlay is the part of IndexEntries that the dynamic engine tested
+	// in its overlay — venue entries patched beside the base tree since
+	// the last fold — rather than in a tree leaf.
+	Overlay int64
 	// Candidates is the number of candidate vertices produced by the
 	// spatial phase and considered for reachability probing (SpaReach).
 	Candidates int64
@@ -59,6 +63,7 @@ func (c *Counters) Add(other Counters) {
 	c.IndexNodes += other.IndexNodes
 	c.IndexLeaves += other.IndexLeaves
 	c.IndexEntries += other.IndexEntries
+	c.Overlay += other.Overlay
 	c.Candidates += other.Candidates
 	c.ReachProbes += other.ReachProbes
 	c.GraphVisited += other.GraphVisited
@@ -183,6 +188,15 @@ func (s *Span) IncLeaf() {
 func (s *Span) AddEntries(n int) {
 	if s != nil {
 		s.IndexEntries += int64(n)
+	}
+}
+
+// AddOverlay counts n overlay entries tested against the query: into
+// IndexEntries like any tested entry, and into Overlay.
+func (s *Span) AddOverlay(n int) {
+	if s != nil {
+		s.IndexEntries += int64(n)
+		s.Overlay += int64(n)
 	}
 }
 

@@ -35,13 +35,14 @@ func TestSpanCounts(t *testing.T) {
 	sp.IncNode()
 	sp.IncLeaf()
 	sp.AddEntries(5)
+	sp.AddOverlay(3)
 	sp.IncCandidate()
 	sp.IncReachProbe()
 	sp.IncGraphVisited()
 	sp.AddEnumerated(4)
 	sp.IncMember()
 	want := Counters{
-		Labels: 3, IndexNodes: 2, IndexLeaves: 1, IndexEntries: 5,
+		Labels: 3, IndexNodes: 2, IndexLeaves: 1, IndexEntries: 8, Overlay: 3,
 		Candidates: 1, ReachProbes: 1, GraphVisited: 1, Enumerated: 4,
 		Members: 1,
 	}
@@ -75,10 +76,10 @@ func TestSpanStageTiming(t *testing.T) {
 }
 
 func TestCountersAdd(t *testing.T) {
-	a := Counters{Labels: 1, IndexNodes: 2, Members: 3}
-	b := Counters{Labels: 10, Candidates: 5, Members: 1}
+	a := Counters{Labels: 1, IndexNodes: 2, Overlay: 2, Members: 3}
+	b := Counters{Labels: 10, Overlay: 7, Candidates: 5, Members: 1}
 	a.Add(b)
-	if a.Labels != 11 || a.IndexNodes != 2 || a.Candidates != 5 || a.Members != 4 {
+	if a.Labels != 11 || a.IndexNodes != 2 || a.Overlay != 9 || a.Candidates != 5 || a.Members != 4 {
 		t.Errorf("Add produced %+v", a)
 	}
 }
