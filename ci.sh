@@ -2,7 +2,8 @@
 # ci.sh — the checks every PR must keep green.
 #
 #   ./ci.sh        vet + gofmt + rrlint + build (all packages, including
-#                  cmd/rrserve) + full test suite + the benchmark
+#                  cmd/rrserve) + full test suite + the read paths' count
+#                  guards + the benchmark
 #                  module's own vet and tests + fuzz seed corpora
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
@@ -56,6 +57,16 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+# The read paths' zero-tolerance guards, uncached: nodes and entries
+# touched per query (bounded whatever the label's interval count, on the
+# static and the dynamic path), allocations per query (zero, on built,
+# mapped and snapshot indexes), and the pointer and flat trees walking
+# in step. They compare counts that repeat exactly, so a loaded runner
+# cannot blur them the way it blurs the timing gates further down.
+echo "== count guards =="
+go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
+    ./internal/rtree ./internal/core ./internal/incr -count=1
 
 # benchmark/ is its own module (BENCHMARK.json's command runs it), so
 # ./... above stops at its go.mod. Its tests are the guards on the

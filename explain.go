@@ -30,8 +30,9 @@ type QueryStats struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 
 	// Labels is the number of interval labels of the query vertex that
-	// were inspected (3DReach: one cuboid query each; SocReach: one
-	// range scan each; SpaReach-INT/BFL: labels consulted by probes).
+	// were inspected (3DReach: the whole label, searched as one union
+	// of cuboids; SocReach: one range scan each; SpaReach-INT/BFL:
+	// labels consulted by probes).
 	Labels int64 `json:"labels,omitempty"`
 	// IndexNodes and IndexLeaves count the internal and leaf nodes of
 	// the spatial index (R-tree, k-d tree, grid) whose bounds
@@ -44,9 +45,8 @@ type QueryStats struct {
 	// OverlayEntries is the part of IndexEntries a dynamic index tested
 	// in its overlay (venues patched since the last fold) instead of in
 	// its R-tree: at most the overlay's size, once per query. Together
-	// with Labels — on a dynamic index, the interval count of the query
-	// vertex's label — it says how far updates have degraded the index
-	// this query ran on.
+	// with Labels — the interval count of the query vertex's label — it
+	// says how far updates have degraded the index this query ran on.
 	OverlayEntries int64 `json:"overlay_entries,omitempty"`
 	// Candidates is the number of spatial candidates SpaReach pulled
 	// out of its phase-1 range query.

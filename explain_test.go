@@ -160,6 +160,16 @@ func TestExplainStatsSemantics(t *testing.T) {
 			t.Errorf("3DReach reported foreign counters: %+v", qs)
 		}
 	})
+	t.Run("3DReach counts the whole label", func(t *testing.T) {
+		// Vertex 9's label is three intervals, searched as one union:
+		// a hit and a miss both consult all three.
+		idx := net.MustBuild(rangereach.ThreeDReach)
+		for _, r := range []rangereach.Rect{region, rangereach.NewRect(200, 200, 300, 300)} {
+			if ok, qs := idx.Explain(9, r); qs.Labels != 3 {
+				t.Errorf("Explain(9, %+v) = %v with Labels = %d, want 3", r, ok, qs.Labels)
+			}
+		}
+	})
 	check(rangereach.SocReach, func(t *testing.T, qs rangereach.QueryStats) {
 		if qs.Enumerated == 0 {
 			t.Error("SocReach enumerated no descendants")

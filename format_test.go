@@ -2,6 +2,7 @@ package rangereach_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	rangereach "repro"
+	"repro/internal/flatbuf"
 )
 
 // -update-format regenerates the golden fixtures under testdata/format/
@@ -340,6 +342,68 @@ func TestFormatV2CorruptionMapped(t *testing.T) {
 			open(fmt.Sprintf("flip@%d", off), mutant)
 		}
 		open("doubled", append(append([]byte(nil), valid...), valid...))
+	}
+}
+
+// TestLoadRejectsOutOfOrderLabel crafts the one corruption the
+// every-offset flips cannot: a v2 file, valid in every byte, in which
+// two intervals of one vertex's label have changed places. 3DReach
+// binary-searches the label, so the file would answer wrongly; both
+// load paths must refuse it, the mapped one included, which walks the
+// label column on open for this.
+func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
+	net := fuzzNet()
+	idx, err := net.Build(rangereach.ThreeDReach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	img, err := flatbuf.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Root engine, section kinds 4 and 5: the u64 label-set offsets and
+	// the concatenated {lo, hi i32} intervals (DESIGN.md §17).
+	offsets, ok1 := img.Section(0, 4)
+	ivs, ok2 := img.Section(0, 5)
+	if !ok1 || !ok2 {
+		t.Fatal("the 3DReach image has no label sections")
+	}
+	swapped := false
+	for v := 0; 8*(v+2) <= len(offsets); v++ {
+		lo, hi := binary.LittleEndian.Uint64(offsets[8*v:]), binary.LittleEndian.Uint64(offsets[8*v+8:])
+		if hi-lo < 2 {
+			continue
+		}
+		// The sections alias data: this edits the image in place.
+		a, b := ivs[8*lo:8*lo+8], ivs[8*lo+8:8*lo+16]
+		var tmp [8]byte
+		copy(tmp[:], a)
+		copy(a, b)
+		copy(b, tmp[:])
+		swapped = true
+		break
+	}
+	if !swapped {
+		t.Fatal("no vertex of the fixture network has a label of two intervals")
+	}
+	if _, err := net.LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Errorf("LoadIndex: error %v, want the label order refused", err)
+	}
+	path := filepath.Join(t.TempDir(), "swapped.idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := net.OpenMapped(path)
+	if err == nil {
+		_ = mapped.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Errorf("OpenMapped: error %v, want the label order refused", err)
 	}
 }
 

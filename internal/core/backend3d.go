@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/intervals"
 	"repro/internal/kdtree"
+	"repro/internal/labeling"
 	"repro/internal/pool"
 	"repro/internal/rtree"
 	"repro/internal/spatialgrid"
@@ -40,13 +42,46 @@ func (b SpatialBackend) String() string {
 	}
 }
 
-// pointIndex3 abstracts "is there any indexed 3D point inside this box?"
-// — the only primitive point-based 3DReach needs. The span threads the
-// per-backend work counters out; nil disables them.
+// pointIndex3 abstracts the two primitives point-based 3DReach needs:
+// "is there any indexed 3D point inside this box?" for a one-interval
+// label and "inside r × some interval of label?" for a longer one. The
+// span threads the per-backend work counters out; nil disables them.
 type pointIndex3 interface {
 	AnyInBox(q geom.Box3, sp *trace.Span) bool
+	AnyInLabel(r geom.Rect, label intervals.Set, sp *trace.Span) bool
 	MemoryBytes() int64
 }
+
+// anyInBoxes is AnyInLabel as the paper states it, one cuboid query per
+// interval: the form of the backends without a label-pruned traversal.
+func anyInBoxes(idx pointIndex3, r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	for _, iv := range label {
+		if idx.AnyInBox(geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi)), sp) {
+			return true
+		}
+	}
+	return false
+}
+
+// anyInLabel reports whether s holds an entry e inside r × some
+// interval of label with keep(e.ID), in one traversal that expands a
+// node only where its rectangle meets r and its z-range overlaps the
+// label. The call is made on the concrete tree: through the Searcher
+// interface both closures would move to the heap on every query.
+func anyInLabel(s rtree.Searcher[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span, keep func(id int32) bool) bool {
+	meets := func(b *geom.Box3) bool { return labeling.MeetsCuboids(b, r, label) }
+	switch t := s.(type) {
+	case *rtree.Tree[geom.Box3]:
+		return t.SearchAnyWhere(sp, meets, keep)
+	case *rtree.Flat[geom.Box3]:
+		return t.SearchAnyWhere(sp, meets, keep)
+	}
+	panic(fmt.Sprintf("core: no label-pruned search over %T", s))
+}
+
+// anyID accepts every witness: the trees whose hits need no
+// verification.
+func anyID(int32) bool { return true }
 
 // point3 is the backend-neutral input record.
 type point3 struct {
@@ -93,6 +128,10 @@ func (r rtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
 	return ok
 }
 
+func (r rtreeIndex) AnyInLabel(q geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	return anyInLabel(r.t, q, label, sp, anyID)
+}
+
 func (r rtreeIndex) MemoryBytes() int64 { return r.t.MemoryBytes() }
 
 type kdtreeIndex struct{ t *kdtree.Tree }
@@ -101,12 +140,20 @@ func (k kdtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
 	return !k.t.SearchBox3Traced(q, sp, func(kdtree.Point) bool { return false })
 }
 
+func (k kdtreeIndex) AnyInLabel(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	return anyInBoxes(k, r, label, sp)
+}
+
 func (k kdtreeIndex) MemoryBytes() int64 { return k.t.MemoryBytes() }
 
 type gridIndex struct{ g *spatialgrid.Grid }
 
 func (g gridIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
 	return !g.g.SearchBox3Traced(q, sp, func(spatialgrid.Point) bool { return false })
+}
+
+func (g gridIndex) AnyInLabel(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	return anyInBoxes(g, r, label, sp)
 }
 
 func (g gridIndex) MemoryBytes() int64 { return g.g.MemoryBytes() }

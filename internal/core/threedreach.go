@@ -4,6 +4,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/intervals"
 	"repro/internal/labeling"
 	"repro/internal/pool"
 	"repro/internal/rtree"
@@ -17,7 +18,8 @@ import (
 // becomes the 3D point (u.x, u.y, post(u)); a RangeReach(G, v, R) query
 // becomes one 3D range query per label [l, h] ∈ L(v) — the cuboid with
 // base R spanning [l, h] on the third axis. The query is positive iff
-// some cuboid contains a point.
+// some cuboid contains a point. This engine evaluates the union of the
+// cuboids in a single search (see witness).
 type ThreeDReach struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
@@ -127,65 +129,61 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 // Name implements Engine.
 func (e *ThreeDReach) Name() string { return "3DReach" }
 
-// RangeReach implements Engine: one cuboid query per label, stopping at
-// the first witness.
+// RangeReach implements Engine: one 3D search for the whole label,
+// stopping at the first witness.
 func (e *ThreeDReach) RangeReach(v int, r geom.Rect) bool {
 	return e.RangeReachTraced(v, r, nil)
 }
 
-// RangeReachTraced implements Engine: each label of the query vertex
-// counts as inspected, the per-cuboid 3D searches accumulate index-node
-// work into the spatial stage, and MBR-policy member confirmations into
-// the verify stage.
+// RangeReachTraced implements Engine: the label of the query vertex
+// counts as inspected whole, the 3D search accumulates index-node work
+// into the spatial stage, and MBR-policy member confirmations count as
+// members.
 func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
-	src := int(e.prep.CompOf(v))
-	for _, iv := range e.l.Labels[src] {
-		sp.AddLabels(1)
-		q := geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))
-		if e.points != nil {
-			t := sp.Start()
-			hit := e.points.AnyInBox(q, sp)
-			sp.End(trace.StageSpatial, t)
-			if hit {
-				return true
-			}
-			continue
+	label := e.l.Labels[e.prep.CompOf(v)]
+	sp.AddLabels(len(label))
+	t := sp.Start()
+	hit := e.witness(r, label, sp)
+	sp.End(trace.StageSpatial, t)
+	return hit
+}
+
+// witness reports whether the index holds an object inside r × some
+// interval of label. A one-interval label is the paper's single cuboid
+// query. A longer one is not the paper's loop of cuboid queries, which
+// re-descends the tree once per interval: it is one traversal pruned by
+// labeling.MeetsCuboids, which expands the union of the nodes those
+// queries would, each once (see anyInLabel).
+func (e *ThreeDReach) witness(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+	if e.points != nil {
+		if len(label) == 1 {
+			return e.points.AnyInBox(geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi)), sp)
 		}
-		if e.exactBoxes {
-			t := sp.Start()
-			_, ok := e.boxes.SearchAnyTraced(q, sp)
-			sp.End(trace.StageSpatial, t)
-			if ok {
-				return true
-			}
-			continue
+		return e.points.AnyInLabel(r, label, sp)
+	}
+	if e.exactBoxes {
+		if len(label) == 1 {
+			_, ok := e.boxes.SearchAnyTraced(geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi)), sp)
+			return ok
 		}
-		// MBR policy: member confirmation runs inside the R-tree
-		// traversal, so the whole interleaved pass is timed as the
-		// spatial stage (stage timings stay disjoint); the member
-		// counter still records the verification work.
-		hit := false
-		t := sp.Start()
-		e.boxes.SearchTraced(q, sp, func(entry rtree.Entry[geom.Box3]) bool {
-			if r.ContainsRect(entry.Box.Rect()) {
-				hit = true
-				return false
-			}
-			for _, m := range e.prep.SpatialMembers[entry.ID] {
-				sp.IncMember()
-				if e.prep.Witness(m, r) {
-					hit = true
-					break
-				}
-			}
-			return !hit
-		})
-		sp.End(trace.StageSpatial, t)
-		if hit {
+		return anyInLabel(e.boxes, r, label, sp, anyID)
+	}
+	// MBR policy: an entry is a component's MBR, so a hit is confirmed
+	// against the members. That runs inside the traversal, so the whole
+	// interleaved pass is timed as the spatial stage (stage timings
+	// stay disjoint); the member counter still records the work.
+	return anyInLabel(e.boxes, r, label, sp, func(c int32) bool {
+		if r.ContainsRect(e.prep.CompMBR[c]) {
 			return true
 		}
-	}
-	return false
+		for _, m := range e.prep.SpatialMembers[c] {
+			sp.IncMember()
+			if e.prep.Witness(m, r) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // MemoryBytes implements Engine: labeling plus the 3D index.

@@ -1,0 +1,195 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/rtree"
+	"repro/internal/trace"
+)
+
+// fragmentedCase is a 3DReach engine over a yelp-like network — the
+// regime whose labels run to dozens of intervals — as built, and as
+// opened from its own saved file over mapped pages. The seed is one
+// whose post-order interleaves venues with users, so that many of a
+// label's intervals reach into the 3D index (the cost guard checks it).
+type fragmentedCase struct {
+	name          string
+	prep          *dataset.Prepared
+	built, mapped *ThreeDReach
+}
+
+// fragmentedCases covers the three branches of ThreeDReach.witness:
+// Replicate over points, Replicate over extended geometries, and MBR.
+func fragmentedCases(t *testing.T) []fragmentedCase {
+	t.Helper()
+	points := dataset.Prepare(dataset.YelpLike(0.5, 9))
+	cases := []fragmentedCase{
+		{name: "points", prep: points},
+		{name: "extents", prep: dataset.Prepare(withExtents(rand.New(rand.NewSource(4)), dataset.YelpLike(0.5, 9)))},
+		{name: "mbr", prep: points},
+	}
+	for i := range cases {
+		c := &cases[i]
+		opts := BuildOptions{}
+		if c.name == "mbr" {
+			opts.Policy = dataset.MBR
+		}
+		res, err := BuildMethod(c.prep, MethodThreeDReach, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.built = res.Engine.(*ThreeDReach)
+		path := filepath.Join(t.TempDir(), c.name+".idx")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveEngine(f, c.built); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opened, closer, err := OpenMappedEngine(path, c.prep, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = closer.Close() })
+		c.mapped = opened.Engine.(*ThreeDReach)
+	}
+	return cases
+}
+
+// fragmentedQueries draws n queries whose vertex has a label of at
+// least minLabel intervals, over small and large regions.
+func fragmentedQueries(rng *rand.Rand, e *ThreeDReach, n, minLabel int) (vs []int, rs []geom.Rect) {
+	net := e.prep.Net
+	space := net.Space()
+	w, h := space.Max.X-space.Min.X, space.Max.Y-space.Min.Y
+	for len(vs) < n {
+		v := rng.Intn(net.NumVertices())
+		if len(e.l.Labels[e.prep.CompOf(v)]) < minLabel {
+			continue
+		}
+		side := math.Sqrt([]float64{0.0005, 0.01, 0.05, 0.20}[len(vs)%4])
+		x := space.Min.X + rng.Float64()*w*(1-side)
+		y := space.Min.Y + rng.Float64()*h*(1-side)
+		vs = append(vs, v)
+		rs = append(rs, geom.NewRect(x, y, x+side*w, y+side*h))
+	}
+	return vs, rs
+}
+
+// TestStaticFragmentedParity checks the label-pruned search against BFS
+// on every branch, on the pointer tree and on the mapped flat tree,
+// whose trace counters must also agree query by query.
+func TestStaticFragmentedParity(t *testing.T) {
+	for _, c := range fragmentedCases(t) {
+		truth := NewNaiveBFS(c.prep.Net)
+		vs, rs := fragmentedQueries(rand.New(rand.NewSource(11)), c.built, 400, 2)
+		pos := 0
+		for i, v := range vs {
+			want := truth.RangeReach(v, rs[i])
+			if want {
+				pos++
+			}
+			var bs, ms trace.Span
+			if got := c.built.RangeReachTraced(v, rs[i], &bs); got != want {
+				t.Fatalf("%s: built 3DReach(%d, %v) = %v, BFS says %v", c.name, v, rs[i], got, want)
+			}
+			if got := c.mapped.RangeReachTraced(v, rs[i], &ms); got != want {
+				t.Fatalf("%s: mapped 3DReach(%d, %v) = %v, BFS says %v", c.name, v, rs[i], got, want)
+			}
+			if bs.Counters != ms.Counters {
+				t.Fatalf("%s: query (%d, %v) counts %+v built, %+v mapped", c.name, v, rs[i], bs.Counters, ms.Counters)
+			}
+		}
+		if pos < 40 || pos > 360 {
+			t.Errorf("%s: lopsided draw, %d of %d queries positive", c.name, pos, len(vs))
+		}
+	}
+}
+
+// TestStaticProbeCostIndependentOfLabelFragmentation is the count-based
+// guard on the static read path: however many intervals the label has,
+// a query expands each node at most once and only where its rectangle
+// meets the region. The bound is the label-blind search of the region,
+// which expands a superset of the union of what the per-interval cuboid
+// searches do; on a miss the paper's loop of cuboid searches, run here
+// as the reference, is a second bound. That loop expands the root once
+// per interval reaching into the index, so it breaks the first bound on
+// many of the drawn queries. The counts repeat exactly.
+func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
+	for _, c := range fragmentedCases(t) {
+		tree := c.built.boxes
+		if c.built.points != nil {
+			tree = c.built.points.(rtreeIndex).t
+		}
+		vs, rs := fragmentedQueries(rand.New(rand.NewSource(12)), c.built, 200, 16)
+		loopBreaks := 0
+		for i, v := range vs {
+			label := c.built.l.Labels[c.prep.CompOf(v)]
+			var blind, loop trace.Span
+			tree.SearchTraced(geom.Box3FromRect(rs[i], math.Inf(-1), math.Inf(1)), &blind, func(rtree.Entry[geom.Box3]) bool { return true })
+			for _, iv := range label {
+				tree.SearchTraced(geom.Box3FromRect(rs[i], float64(iv.Lo), float64(iv.Hi)), &loop, func(rtree.Entry[geom.Box3]) bool { return true })
+			}
+			if !c.built.RangeReach(v, rs[i]) && loop.IndexNodes > blind.IndexNodes {
+				loopBreaks++
+			}
+			for _, e := range []*ThreeDReach{c.built, c.mapped} {
+				var sp trace.Span
+				hit := e.RangeReachTraced(v, rs[i], &sp)
+				if sp.IndexNodes == 0 || sp.IndexNodes > blind.IndexNodes || sp.IndexLeaves > blind.IndexLeaves || sp.IndexEntries > blind.IndexEntries {
+					t.Fatalf("%s: query (%d, %v) with %d intervals expanded %d nodes + %d leaves and tested %d entries, the label-blind search of the region %d + %d and %d",
+						c.name, v, rs[i], len(label), sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, blind.IndexNodes, blind.IndexLeaves, blind.IndexEntries)
+				}
+				if !hit && (sp.IndexNodes > loop.IndexNodes || sp.IndexLeaves > loop.IndexLeaves || sp.IndexEntries > loop.IndexEntries) {
+					t.Fatalf("%s: miss (%d, %v) expanded %d nodes + %d leaves and tested %d entries, the per-interval searches together %d + %d and %d",
+						c.name, v, rs[i], sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, loop.IndexNodes, loop.IndexLeaves, loop.IndexEntries)
+				}
+				if sp.Labels != int64(len(label)) {
+					t.Fatalf("%s: Labels = %d, want the label's %d intervals", c.name, sp.Labels, len(label))
+				}
+			}
+		}
+		if loopBreaks < len(vs)/8 {
+			t.Errorf("%s: on a miss the per-interval loop breaks the bound on %d of %d queries; the guard is close to vacuous", c.name, loopBreaks, len(vs))
+		}
+	}
+}
+
+// TestStaticRangeReachDoesNotAllocate covers the untraced read path of
+// every branch on both trees: the single cuboid of a one-interval label
+// and the label-pruned traversal of a fragmented one.
+func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
+	for _, c := range fragmentedCases(t) {
+		for _, minLabel := range []int{1, 16} {
+			vs, rs := fragmentedQueries(rand.New(rand.NewSource(13)), c.built, 32, minLabel)
+			if minLabel == 1 {
+				// Venues are sinks: their label is their own post.
+				for i := range vs {
+					for !c.prep.Net.Spatial[vs[i]] {
+						vs[i] = (vs[i] + 1) % c.prep.Net.NumVertices()
+					}
+				}
+			}
+			for name, e := range map[string]*ThreeDReach{"built": c.built, "mapped": c.mapped} {
+				i := 0
+				allocs := testing.AllocsPerRun(len(vs), func() {
+					e.RangeReach(vs[i%len(vs)], rs[i%len(vs)])
+					i++
+				})
+				if allocs != 0 {
+					t.Errorf("%s, %s, labels of at least %d intervals: %v allocs per query, want 0", c.name, name, minLabel, allocs)
+				}
+			}
+		}
+	}
+}

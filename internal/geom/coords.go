@@ -1,9 +1,9 @@
 package geom
 
-// Flat coordinate round-trips for the structure-of-arrays layouts of
-// the flat index format: a bound of d dimensions serializes to 2d
-// float64s, min corner then max corner, axis-major. The generic flat
-// R-tree constrains its bound type to exactly these two methods (see
+// Flat coordinates for the structure-of-arrays layouts of the flat
+// index format: a bound of d dimensions serializes to 2d float64s, min
+// corner then max corner, axis-major — which is also how Rect and Box3
+// lie in memory, so the flat R-tree reads a stored bound in place (see
 // rtree.FlatBound).
 
 // AppendCoords appends r's corners to dst as MinX, MinY, MaxX, MaxY.
@@ -11,27 +11,8 @@ func (r Rect) AppendCoords(dst []float64) []float64 {
 	return append(dst, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
 }
 
-// FromCoords rebuilds a Rect from the first four values of src, the
-// inverse of AppendCoords. The receiver is ignored; it exists so the
-// method is available on a generic zero value.
-func (Rect) FromCoords(src []float64) Rect {
-	return Rect{
-		Min: Point{X: src[0], Y: src[1]},
-		Max: Point{X: src[2], Y: src[3]},
-	}
-}
-
 // AppendCoords appends b's corners to dst as MinX, MinY, MinZ, MaxX,
 // MaxY, MaxZ.
 func (b Box3) AppendCoords(dst []float64) []float64 {
 	return append(dst, b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z)
-}
-
-// FromCoords rebuilds a Box3 from the first six values of src, the
-// inverse of AppendCoords. The receiver is ignored.
-func (Box3) FromCoords(src []float64) Box3 {
-	return Box3{
-		Min: Point3{X: src[0], Y: src[1], Z: src[2]},
-		Max: Point3{X: src[3], Y: src[4], Z: src[5]},
-	}
 }

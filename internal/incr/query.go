@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/intervals"
+	"repro/internal/labeling"
 	"repro/internal/rtree"
 	"repro/internal/trace"
 )
@@ -47,13 +48,6 @@ func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	return ok
 }
 
-// meets reports whether b's rectangle intersects r and its z-range
-// overlaps label. Entry z is a component post and node bounds are
-// unions of entries, so the float z bounds convert to posts exactly.
-func meets(b *geom.Box3, r geom.Rect, label intervals.Set) bool {
-	return b.Rect().Intersects(r) && label.OverlapsCanonical(int32(b.Min.Z), int32(b.Max.Z))
-}
-
 // baseAny reports whether a live base entry lies in r × label.
 func (q qview) baseAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	live := func(id int32) bool {
@@ -64,7 +58,7 @@ func (q qview) baseAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 		box := geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi))
 		return !q.base.SearchTraced(box, sp, func(e rtree.Entry[geom.Box3]) bool { return !live(e.ID) })
 	}
-	return q.base.SearchAnyWhere(sp, func(b *geom.Box3) bool { return meets(b, r, label) }, live)
+	return q.base.SearchAnyWhere(sp, func(b *geom.Box3) bool { return labeling.MeetsCuboids(b, r, label) }, live)
 }
 
 // overlayAny reports whether an overlay entry lies in r × label,
@@ -72,7 +66,7 @@ func (q qview) baseAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 func (q qview) overlayAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	sp.AddOverlay(len(q.overlay))
 	for i := range q.overlay {
-		if meets(&q.overlay[i].Box, r, label) {
+		if labeling.MeetsCuboids(&q.overlay[i].Box, r, label) {
 			return true
 		}
 	}

@@ -119,10 +119,8 @@ func ReadLabeling(r io.Reader) (*Labeling, error) {
 		if err := read(set); err != nil {
 			return nil, fmt.Errorf("labeling: reading labels of %d: %w", v, err)
 		}
-		for _, iv := range set {
-			if iv.Lo < 1 || iv.Hi > int32(n) || iv.Lo > iv.Hi {
-				return nil, fmt.Errorf("labeling: corrupt interval %v", iv)
-			}
+		if err := validSet(set, int(n)); err != nil {
+			return nil, err
 		}
 		l.Labels[v] = set
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/intervals"
 )
 
 func TestLabelingSerializeRoundTrip(t *testing.T) {
@@ -86,5 +88,44 @@ func TestReadLabelingRejectsCorruptInput(t *testing.T) {
 
 	if _, err := ReadLabeling(strings.NewReader("RRLB\x01\xff\xff\xff\xff")); err == nil {
 		t.Error("implausible vertex count accepted")
+	}
+}
+
+// TestLoadRejectsUnorderedLabelSet covers both codecs: a label set
+// whose intervals are swapped or overlap is a load error — the queries
+// binary-search it — while the adjacent, unmerged singletons of the
+// compression ablation still load and still answer.
+func TestLoadRejectsUnorderedLabelSet(t *testing.T) {
+	g := randomDAG(rand.New(rand.NewSource(79)), 40, 90)
+	load := func(l *Labeling) (v1, flat error) {
+		var buf bytes.Buffer
+		if _, err := l.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, v1 = ReadLabeling(&buf)
+		post, order, offsets, data := l.FlatColumns()
+		_, flat = FromFlat(post, order, offsets, data, l.UncompressedCount, l.CompressedCount)
+		return v1, flat
+	}
+
+	raw := Build(g, Options{SkipCompression: true})
+	if v1, flat := load(raw); v1 != nil || flat != nil {
+		t.Fatalf("uncompressed labeling refused: v1 %v, flat %v", v1, flat)
+	}
+
+	l := Build(g, Options{})
+	v := 0
+	for len(l.Labels[v]) < 2 {
+		v++
+	}
+	good := l.Labels[v]
+	for name, bad := range map[string]intervals.Set{
+		"swapped":     append(intervals.Set{good[1], good[0]}, good[2:]...),
+		"overlapping": append(intervals.Set{good[0], {Lo: good[0].Hi, Hi: good[1].Hi}}, good[2:]...),
+	} {
+		l.Labels[v] = bad
+		if v1, flat := load(l); v1 == nil || flat == nil {
+			t.Errorf("%s intervals %v of vertex %d accepted: v1 %v, flat %v", name, bad, v, v1, flat)
+		}
 	}
 }

@@ -19,8 +19,10 @@ const (
 	// WorkCandidates — cost grows with |P ∩ R|: the spatial-first
 	// SpaReach variants probe reachability once per candidate.
 	WorkCandidates
-	// WorkCuboids — cost grows with |L(v)|·log|P|: 3DReach runs one
-	// 3D range query per label interval.
+	// WorkCuboids — cost grows with log|P|·(1 + log|L(v)|): 3DReach
+	// searches the union of its per-interval cuboids in one tree
+	// descent, and each node test on the way binary-searches the label.
+	// A one-interval label is the single cuboid's log|P|.
 	WorkCuboids
 	// WorkPlane — one plane query over the reversed-label segments:
 	// the log|P| tree descent. The query early-exits on the first
@@ -299,7 +301,7 @@ func (p *Planner) EstimateWorks(v int, r geom.Rect, out []float64) []float64 {
 		case WorkCandidates:
 			out[i] = region()
 		case WorkCuboids:
-			out[i] = float64(p.est.LabelCount(v)) * p.est.LogP()
+			out[i] = p.est.LogP() * (1 + math.Log2(float64(max(p.est.LabelCount(v), 1))))
 		case WorkPlane:
 			out[i] = p.est.LogP()
 		}

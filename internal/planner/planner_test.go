@@ -91,6 +91,30 @@ func TestDescendantMassMatchesLabeling(t *testing.T) {
 	}
 }
 
+// TestCuboidWorkIsOneDescent pins 3DReach's work shape: the plane
+// query's single descent for a one-interval label, growing with the
+// logarithm of the label and never with the label itself.
+func TestCuboidWorkIsOneDescent(t *testing.T) {
+	prep, fwd := testPrep(t, 11)
+	est := NewEstimator(prep, fwd)
+	p := New(est, NewModel(1, 0, -1), []Member{{Name: "3DReach", Kind: WorkCuboids}})
+	longest := 0
+	for v := 0; v < prep.Net.NumVertices(); v++ {
+		var buf [MaxMembers]float64
+		n := est.LabelCount(v)
+		longest = max(longest, n)
+		switch w := p.EstimateWorks(v, geom.Rect{}, buf[:])[0]; {
+		case n == 1 && w != est.LogP():
+			t.Fatalf("vertex %d: one interval costs %g, want one descent %g", v, w, est.LogP())
+		case n > 2 && (w <= est.LogP() || w >= float64(n)*est.LogP()):
+			t.Fatalf("vertex %d: %d intervals cost %g, want between one descent %g and one per interval", v, n, w, est.LogP())
+		}
+	}
+	if longest < 8 {
+		t.Fatalf("longest label has %d intervals; the network does not exercise the label term", longest)
+	}
+}
+
 // TestModelConvergence is the feedback-loop test: concurrent observers
 // reporting a fixed per-unit cost must pull the EMA coefficient to it.
 // Run under -race (ci.sh does) to exercise the CAS loop.

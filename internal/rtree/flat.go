@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -17,6 +19,7 @@ type Searcher[B Bound[B]] interface {
 	SearchTraced(query B, sp *trace.Span, fn func(e Entry[B]) bool) bool
 	SearchAny(query B) (Entry[B], bool)
 	SearchAnyTraced(query B, sp *trace.Span) (Entry[B], bool)
+	SearchAnyWhere(sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool
 	Count(query B) int
 	All(fn func(e Entry[B]) bool) bool
 	Bounds() (B, bool)
@@ -24,13 +27,14 @@ type Searcher[B Bound[B]] interface {
 	Validate() error
 }
 
-// FlatBound is the bound constraint of the flat tree: a Bound that can
-// round-trip through a flat float64 coordinate array (2·Dims values per
-// bound; see geom.AppendCoords/FromCoords).
+// FlatBound is the bound constraint of the flat tree: a Bound that
+// serializes to a flat float64 coordinate array (2·Dims values per
+// bound; see geom.AppendCoords) which is also its memory layout — true
+// of geom.Rect and geom.Box3, checked by coordsInPlace — so a stored
+// bound is read, and handed out by pointer, in place.
 type FlatBound[B any] interface {
 	Bound[B]
 	AppendCoords(dst []float64) []float64
-	FromCoords(src []float64) B
 }
 
 // Flat is a read-only R-tree in structure-of-arrays layout, the form
@@ -66,6 +70,9 @@ type Flat[B FlatBound[B]] struct {
 // byte-determinism tests pin.
 func Flatten[B FlatBound[B]](t *Tree[B]) *Flat[B] {
 	var zero B
+	if !coordsInPlace[B]() {
+		panic(fmt.Sprintf("rtree: %T is not laid out as its coordinate array", zero))
+	}
 	f := &Flat[B]{
 		dims:           zero.Dims(),
 		maxEntries:     t.maxEntries,
@@ -138,6 +145,9 @@ func NewFlat[B FlatBound[B]](meta FlatMeta, nodeBounds []float64, nodeMeta []uin
 	var zero B
 	dims := zero.Dims()
 	stride := 2 * dims
+	if !coordsInPlace[B]() {
+		return nil, fmt.Errorf("rtree: %T is not laid out as its coordinate array", zero)
+	}
 	if meta.MaxEntries < 4 || meta.MaxEntries > 1<<20 {
 		return nil, fmt.Errorf("rtree: implausible fan-out %d", meta.MaxEntries)
 	}
@@ -237,19 +247,38 @@ func NewFlat[B FlatBound[B]](meta FlatMeta, nodeBounds []float64, nodeMeta []uin
 	return f, nil
 }
 
-// boundAt decodes node i's bound.
-func (f *Flat[B]) boundAt(i uint32) B {
+// coordsInPlace reports whether a B in memory is exactly its coordinate
+// array, the condition for boundRef and entryRef to point into the
+// arrays.
+func coordsInPlace[B FlatBound[B]]() bool {
 	var zero B
-	return zero.FromCoords(f.nodeBounds[int(i)*2*f.dims:])
+	probe := make([]float64, 2*zero.Dims())
+	for i := range probe {
+		probe[i] = float64(i + 1)
+	}
+	if unsafe.Sizeof(zero) != uintptr(len(probe))*unsafe.Sizeof(probe[0]) {
+		return false
+	}
+	return slices.Equal((*(*B)(unsafe.Pointer(&probe[0]))).AppendCoords(nil), probe)
 }
 
-// entryAt decodes leaf entry j.
+// boundRef returns node i's bound in place (see coordsInPlace): on a
+// mapped index, a pointer into the file's pages.
+func (f *Flat[B]) boundRef(i uint32) *B {
+	return (*B)(unsafe.Pointer(&f.nodeBounds[int(i)*2*f.dims]))
+}
+
+// entryRef returns leaf entry j's bound in place.
+func (f *Flat[B]) entryRef(j uint32) *B {
+	return (*B)(unsafe.Pointer(&f.entryBounds[int(j)*2*f.dims]))
+}
+
+// boundAt returns a copy of node i's bound.
+func (f *Flat[B]) boundAt(i uint32) B { return *f.boundRef(i) }
+
+// entryAt returns a copy of leaf entry j.
 func (f *Flat[B]) entryAt(j uint32) Entry[B] {
-	var zero B
-	return Entry[B]{
-		Box: zero.FromCoords(f.entryBounds[int(j)*2*f.dims:]),
-		ID:  f.entryIDs[j],
-	}
+	return Entry[B]{Box: *f.entryRef(j), ID: f.entryIDs[j]}
 }
 
 // Len implements Searcher.
@@ -324,6 +353,44 @@ func (f *Flat[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok b
 		return false
 	})
 	return found, ok
+}
+
+// SearchAnyWhere implements Searcher with the contract of
+// Tree.SearchAnyWhere: the same explicit-stack DFS as SearchTraced,
+// testing each bound when it is popped, so meets sees the bounds of a
+// flattened tree in the order the pointer tree's recursion presents
+// them and the node, leaf and entry counts are identical. Bounds are
+// passed as pointers into the arrays, so nothing is copied per node.
+func (f *Flat[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool {
+	if len(f.nodeMeta) == 0 {
+		return false
+	}
+	var buf [128]uint32
+	stack := append(buf[:0], 0)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !meets(f.boundRef(i)) {
+			continue
+		}
+		first, meta := f.nodeMeta[2*i], f.nodeMeta[2*i+1]
+		count := meta >> 1
+		if meta&1 == 1 {
+			sp.IncLeaf()
+			sp.AddEntries(int(count))
+			for j := first; j < first+count; j++ {
+				if meets(f.entryRef(j)) && keep(f.entryIDs[j]) {
+					return true
+				}
+			}
+			continue
+		}
+		sp.IncNode()
+		for c := first + count; c > first; c-- {
+			stack = append(stack, c-1)
+		}
+	}
+	return false
 }
 
 // Count implements Searcher.

@@ -83,6 +83,14 @@ func TestFlattenRoundTrip(t *testing.T) {
 				if fs.Counters != ts.Counters {
 					t.Fatalf("n=%d query %v: trace counters %+v, want %+v", n, query, fs.Counters, ts.Counters)
 				}
+				// The 2D instantiation of the predicate search: the bounds
+				// handed out in place must be the bounds stored.
+				meets := func(b *geom.Rect) bool { return b.Intersects(query) }
+				odd := func(id int32) bool { return id%2 == 1 }
+				var fw, tw trace.Span
+				if got, want := f.SearchAnyWhere(&fw, meets, odd), tree.SearchAnyWhere(&tw, meets, odd); got != want || fw.Counters != tw.Counters {
+					t.Fatalf("n=%d query %v: SearchAnyWhere %v with %+v, want %v with %+v", n, query, got, fw.Counters, want, tw.Counters)
+				}
 			}
 		}
 	}

@@ -289,8 +289,9 @@ func (t *Tree[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok b
 // whenever it is true for something inside it) — so a union of boxes
 // costs one traversal that expands each qualifying node once instead of
 // one search per box. keep filters witnesses by identifier (the dynamic
-// engine's tombstones). Bounds go to meets by pointer: a copy of a 3D
-// box per node is measurable on this path. Node, leaf and entry counts
+// engine's tombstones, the MBR policy's member verification). Bounds go
+// to meets by pointer: a copy of a 3D box per node is measurable on
+// this path. Node, leaf and entry counts
 // accumulate into sp exactly as in SearchTraced.
 func (t *Tree[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool {
 	return t.root != nil && meets(&t.root.bounds) && t.root.anyWhere(sp, meets, keep)

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -46,12 +47,31 @@ func labelWithCuts(rng *rand.Rand, cuts []int32, zMax int32, want int) intervals
 	return s
 }
 
+// sameWalk runs SearchAnyWhere on the pointer tree and on its flat form
+// and fails unless the two agree on the answer, on the node, leaf and
+// entry counts, and on the sequence of bounds shown to meets.
+func sameWalk(t *testing.T, tr *Tree[geom.Box3], flat *Flat[geom.Box3], meets func(*geom.Box3) bool, keep func(int32) bool) (bool, trace.Span) {
+	t.Helper()
+	var sp, fsp trace.Span
+	var seen, fseen []geom.Box3
+	got := tr.SearchAnyWhere(&sp, func(b *geom.Box3) bool { seen = append(seen, *b); return meets(b) }, keep)
+	fgot := flat.SearchAnyWhere(&fsp, func(b *geom.Box3) bool { fseen = append(fseen, *b); return meets(b) }, keep)
+	if got != fgot || sp.Counters != fsp.Counters {
+		t.Fatalf("tree answers %v with %+v, its flat form %v with %+v", got, sp.Counters, fgot, fsp.Counters)
+	}
+	if !slices.Equal(seen, fseen) {
+		t.Fatalf("tree tested %d bounds, its flat form %d, or in another order", len(seen), len(fseen))
+	}
+	return got, sp
+}
+
 // TestSearchAnyWhereEqualsPerIntervalSearch checks the label-pruned
 // traversal against the evaluation it replaces: it finds a witness iff
 // some per-interval cuboid SearchAny does, on bulk-loaded and
-// insert-built trees, with no tombstones, with every hit tombstoned,
-// and with all but one; and a miss expands no more nodes than the
-// per-interval searches together, each at most once.
+// insert-built trees and on the flat form of each (same answer, same
+// counts, same visit order), with no tombstones, with every hit
+// tombstoned, and with all but one; and a miss expands no more nodes
+// than the per-interval searches together, each at most once.
 func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const zMax = 4000
@@ -71,6 +91,12 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				tr.Insert(e)
 			}
 		}
+		flattened := Flatten(tr)
+		nb, nm, eb, ids := flattened.Raw()
+		flat, err := NewFlat[geom.Box3](flattened.Meta(), nb, nm, eb, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cuts := leafZBounds(tr.root, nil)
 		for q := 0; q < 40; q++ {
 			r := randomRect(rng)
@@ -88,8 +114,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				})
 			}
 
-			var sp trace.Span
-			got := tr.SearchAnyWhere(&sp, meets, func(int32) bool { return true })
+			got, sp := sameWalk(t, tr, flat, meets, func(int32) bool { return true })
 			if got != (len(hits) > 0) {
 				t.Fatalf("trial %d: SearchAnyWhere = %v with %d per-interval hits (label %v, region %v)", trial, got, len(hits), label, r)
 			}
@@ -105,7 +130,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				continue
 			}
 			found++
-			if tr.SearchAnyWhere(nil, meets, func(id int32) bool { return !hits[id] }) {
+			if all, _ := sameWalk(t, tr, flat, meets, func(id int32) bool { return !hits[id] }); all {
 				t.Fatalf("trial %d: found a witness with every hit tombstoned", trial)
 			}
 			var spared int32
@@ -113,7 +138,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				spared = id
 				break
 			}
-			if !tr.SearchAnyWhere(nil, meets, func(id int32) bool { return id == spared || !hits[id] }) {
+			if one, _ := sameWalk(t, tr, flat, meets, func(id int32) bool { return id == spared || !hits[id] }); !one {
 				t.Fatalf("trial %d: missed entry %d, the one hit not tombstoned", trial, spared)
 			}
 		}
@@ -121,7 +146,8 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 	if found < 100 || missed < 100 {
 		t.Errorf("lopsided draw: %d queries with a witness, %d without", found, missed)
 	}
-	if New[geom.Box3](0).SearchAnyWhere(nil, func(*geom.Box3) bool { return true }, func(int32) bool { return true }) {
+	empty := New[geom.Box3](0)
+	if got, _ := sameWalk(t, empty, Flatten(empty), func(*geom.Box3) bool { return true }, func(int32) bool { return true }); got {
 		t.Error("empty tree produced a witness")
 	}
 }

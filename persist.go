@@ -124,19 +124,23 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 // OpenMapped memory-maps a v2 index file and assembles the index
 // directly over the mapped pages: no decode pass, no per-structure
 // copies, O(1) allocations regardless of index size. Cold start is
-// near-instant — the OS pages in only what queries touch. Call
+// near-instant — beyond the columns the open pass reads (below), the
+// OS pages in only what queries touch. Call
 // Index.Close when done; the index must not be used afterwards. v1
 // files cannot be mapped (re-save them to upgrade); use LoadIndexFile
 // for those.
 //
-// Unlike LoadIndex, OpenMapped skips the deep structural validation
-// pass — walking every label and tree node would fault in the whole
-// image, defeating the point of mapping. The load still verifies
-// everything needed for memory safety (section bounds and alignment,
-// offset tiling, post-order bijection, fan-out and balance, entry-id
-// ranges), so a corrupt file surfaces as a load error or a wrong
-// answer, never a panic. Run Index.Validate explicitly (e.g. rrserve
-// -check) to get the full pass at the cost of paging everything in.
+// Unlike LoadIndex, OpenMapped skips the deep validation pass, which
+// reads every tree bound to check containment and checks every
+// label set against the post-order numbers. The open still makes one
+// linear pass over the label columns and the trees' structure and id
+// columns (not their bounds), verifying everything memory safety and
+// the label searches need: section bounds and alignment, offset tiling,
+// the post-order bijection, each label set in range, ascending and
+// disjoint, fan-out and balance, entry-id ranges. A file corrupt in
+// those ways is a load error; one corrupt only in its bounds or in
+// which posts a label covers can answer wrongly, never panic. Run
+// Index.Validate explicitly (e.g. rrserve -check) to get the full pass.
 func (n *Network) OpenMapped(path string, options ...Option) (*Index, error) {
 	var cfg buildConfig
 	for _, o := range options {
