@@ -153,10 +153,10 @@ func TestOptions(t *testing.T) {
 	if _, err := net.Build(rangereach.GeoReach, rangereach.WithGeoReachParams(0.5, 16, 2)); err != nil {
 		t.Error(err)
 	}
-	// All three spatial backends answer identically.
+	// Both spatial backends answer identically.
 	region := rangereach.NewRect(60, 55, 90, 95)
 	for _, b := range []rangereach.SpatialBackend{
-		rangereach.BackendRTree, rangereach.BackendKDTree, rangereach.BackendGrid,
+		rangereach.BackendRTree, rangereach.BackendGrid,
 	} {
 		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(b))
 		if err != nil {

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # ci.sh — the checks every PR must keep green.
 #
-#   ./ci.sh        vet + gofmt + rrlint + build (all packages, including
-#                  cmd/rrserve) + full test suite + the read paths' count
-#                  guards + the benchmark
-#                  module's own vet and tests + fuzz seed corpora
+#   ./ci.sh        vet + gofmt + rrlint (text, then the -only/-json
+#                  surface) + govulncheck when installed + build (all
+#                  packages and binaries) + full test suite + the read
+#                  paths' count guards + the benchmark module's own vet
+#                  and tests + fuzz seed corpora + format compat
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
-#                  + coverage floor + rrbench smoke + bench regression
-#   ./ci.sh -short skips the race passes, coverage and the bench gate
+#                  + coverage floor + rrbench -json smoke
+#                  + live smokes: sharded serving, cluster trace, update
+#                  churn, rrtop -once
+#   ./ci.sh -short skips the race passes, coverage and the live smokes
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,7 +66,7 @@ go test ./...
 # static and the dynamic path), allocations per query (zero, on built,
 # mapped and snapshot indexes), and the pointer and flat trees walking
 # in step. They compare counts that repeat exactly, so a loaded runner
-# cannot blur them the way it blurs the timing gates further down.
+# cannot blur them the way it blurs a timing.
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
     ./internal/rtree ./internal/core ./internal/incr -count=1
@@ -141,18 +144,6 @@ grep -q '"mode": "decode"' /tmp/rrbench-smoke.json
 # region sweep (the planner's acceptance surface).
 grep -q '"method": "Auto"' /tmp/rrbench-smoke.json
 grep -q '"region_sweep"' /tmp/rrbench-smoke.json
-
-if [[ "${1:-}" != "-short" ]]; then
-    # Two smoke runs, best-of per (dataset, method) p50, against the
-    # committed PR 3 baseline. The 3x factor plus the absolute noise
-    # floor means only order-of-magnitude regressions fail the gate —
-    # shared CI runners jitter far too much for tighter thresholds.
-    echo "== bench regression =="
-    go run ./cmd/rrbench -exp table3 -scale 0.05 -queries 20 \
-        -datasets weeplaces-like -json /tmp/rrbench-smoke2.json >/dev/null
-    go run ./cmd/rrbench -compare BENCH_PR3.json \
-        /tmp/rrbench-smoke.json /tmp/rrbench-smoke2.json
-fi
 
 if [[ "${1:-}" != "-short" ]]; then
     # Sharded-serving smoke: boot a live 2-shard cluster behind

@@ -57,11 +57,10 @@ func p50Table(r compareReport) map[string]float64 {
 // latencies of one or more candidate runs against a committed baseline
 // and fails (exit 1) only on order-of-magnitude regressions — a
 // candidate must exceed factor× the baseline AND the absolute noise
-// floor to count. Taking the min across candidate runs (CI runs the
-// smoke config twice, interleaved) filters one-off scheduler spikes;
-// the floor filters jitter on sub-floor latencies, which dominate
-// small smoke configs. Methods present only on one side are skipped:
-// the gate must survive methods being added or retired.
+// floor to count. Taking the min across candidate runs filters one-off
+// scheduler spikes; the floor filters jitter on sub-floor latencies,
+// which dominate small smoke configs. Methods present only on one side
+// are skipped: the gate must survive methods being added or retired.
 func runCompare(baselinePath string, candidatePaths []string, factor, floorUs float64) int {
 	if len(candidatePaths) == 0 {
 		fmt.Fprintln(os.Stderr, "rrbench: -compare needs candidate report paths as arguments")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rrbench [-exp all|table3|table4|table5|table6|fig5|fig6|fig7|ablation-forest|ablation-compression|ablation-socreach|ablation-spareach|ablation-3d|ablation-streaming|latency|negative|update-churn]
+//	rrbench [-exp all|table3|table4|table5|table6|fig5|fig6|fig7|ablation-forest|ablation-compression|ablation-spareach|ablation-3d|ablation-streaming|latency|negative|update-churn]
 //	        [-scale 1.0] [-queries 200] [-seed 1] [-j N] [-datasets foursquare-like,gowalla-like,...]
 //	        [-csv figures.csv] [-json bench.json]
 //	rrbench -compare baseline.json candidate.json [candidate2.json ...]
@@ -14,10 +14,12 @@
 // percentiles) regardless of -exp; use it to track regressions across
 // commits.
 //
-// -compare switches to the regression-gate mode ci.sh uses: candidate
-// reports are checked against the baseline per (dataset, method) — best
-// p50 across the candidates — and the exit status is 1 only when a row
-// regresses beyond -compare-factor AND the -compare-floor noise floor.
+// -compare checks candidate reports against a baseline per (dataset,
+// method) — best p50 across the candidates — and the exit status is 1
+// only when a row regresses beyond -compare-factor AND the
+// -compare-floor noise floor. ci.sh compares its smoke report with
+// itself: a schema check, plus the mmap-vs-decode load-time gate over
+// the report's own cold-start rows.
 //
 // Absolute latencies depend on the host; the paper's findings are about
 // ordering and trend shapes, which EXPERIMENTS.md records.
@@ -35,7 +37,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: all, table3, table4, table5, table6, fig5, fig6, fig7, ablation-forest, ablation-compression, ablation-socreach, ablation-spareach, ablation-3d, ablation-streaming, latency, negative, update-churn, cold-start")
+		exp      = flag.String("exp", "all", "experiment to run: all, table3, table4, table5, table6, fig5, fig6, fig7, ablation-forest, ablation-compression, ablation-spareach, ablation-3d, ablation-streaming, latency, negative, update-churn, cold-start")
 		scale    = flag.Float64("scale", 1.0, "dataset scale (1.0 ≈ 1% of the paper's sizes)")
 		queries  = flag.Int("queries", 200, "queries averaged per data point (paper: 1000)")
 		seed     = flag.Int64("seed", 1, "random seed for datasets and workloads")
@@ -80,7 +82,7 @@ func main() {
 	known := map[string]bool{
 		"all": true, "table3": true, "table4": true, "table5": true,
 		"table6": true, "fig5": true, "fig6": true, "fig7": true,
-		"ablation-forest": true, "ablation-compression": true, "ablation-socreach": true, "ablation-spareach": true, "ablation-3d": true, "latency": true, "negative": true, "ablation-streaming": true, "update-churn": true, "cold-start": true,
+		"ablation-forest": true, "ablation-compression": true, "ablation-spareach": true, "ablation-3d": true, "latency": true, "negative": true, "ablation-streaming": true, "update-churn": true, "cold-start": true,
 	}
 	if !known[*exp] {
 		fmt.Fprintf(os.Stderr, "rrbench: unknown experiment %q\n", *exp)
@@ -99,7 +101,6 @@ func main() {
 	run("fig7", func() { figures["fig7"] = s.Figure7() })
 	run("ablation-forest", func() { s.AblationForest() })
 	run("ablation-compression", func() { s.AblationCompression() })
-	run("ablation-socreach", func() { s.AblationSocReach() })
 	run("ablation-spareach", func() { s.AblationSpaReach() })
 	run("ablation-3d", func() { s.Ablation3DBackend() })
 	run("ablation-streaming", func() { s.AblationStreaming() })

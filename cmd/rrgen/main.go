@@ -33,6 +33,10 @@ import (
 	"repro/internal/workload"
 )
 
+// indexM is registered at package level so the test can read its help
+// text, which lists indexMethodNames and nothing typed by hand.
+var indexM = flag.String("index", "", "also build and persist an index of this method ("+strings.Join(indexMethodNames(), ", ")+")")
+
 func main() {
 	var (
 		preset   = flag.String("preset", "", "preset: foursquare-like, gowalla-like, weeplaces-like, yelp-like")
@@ -50,7 +54,6 @@ func main() {
 		emitQ    = flag.Int("emit-queries", 0, "also generate this many workload queries (rrquery -batch format)")
 		extent   = flag.Float64("extent", 5, "query-region extent in percent of the space (with -emit-queries)")
 		queriesO = flag.String("queries-o", "", "output file for generated queries (default: stderr-adjacent <o>.queries)")
-		indexM   = flag.String("index", "", "also build and persist an index of this method (3dreach, 3dreach-rev, socreach, spareach-bfl, spareach-int, georeach, auto)")
 		indexO   = flag.String("index-o", "", "output file for the persisted index (default: <o>.idx; requires -o)")
 		buildJ   = flag.Int("j", 0, "worker bound for the -index build (0 = all CPUs, 1 = sequential; output is identical at any setting)")
 		shards   = flag.Int("shards", 0, "also partition into this many shard networks for rrrouter (requires -o)")
@@ -186,8 +189,8 @@ func emitShards(net *dataset.Network, out string, n int, strategyName, indexM st
 // the in-memory network) guarantees the index pairs with exactly the
 // bytes rrserve will load.
 func emitIndex(netPath, methodName, indexPath string, parallelism int) error {
-	m, ok := indexMethodByName(methodName)
-	if !ok {
+	m, ok := rangereach.ParseMethod(methodName)
+	if !ok || !m.Persistable() {
 		return fmt.Errorf("unknown -index method %q", methodName)
 	}
 	if indexPath == "" {
@@ -213,27 +216,16 @@ func emitIndex(netPath, methodName, indexPath string, parallelism int) error {
 	return nil
 }
 
-// indexMethodByName maps the persistable method names (the ones
-// Index.SaveFile supports) to their Method values.
-func indexMethodByName(name string) (rangereach.Method, bool) {
-	switch strings.ToLower(name) {
-	case "3dreach":
-		return rangereach.ThreeDReach, true
-	case "3dreach-rev":
-		return rangereach.ThreeDReachRev, true
-	case "socreach":
-		return rangereach.SocReach, true
-	case "spareach-bfl":
-		return rangereach.SpaReachBFL, true
-	case "spareach-int":
-		return rangereach.SpaReachINT, true
-	case "georeach":
-		return rangereach.GeoReach, true
-	case "auto":
-		return rangereach.MethodAuto, true
-	default:
-		return 0, false
+// indexMethodNames lists the methods -index accepts: the ones
+// Index.SaveFile has a format for.
+func indexMethodNames() []string {
+	var names []string
+	for _, name := range rangereach.MethodNames() {
+		if m, _ := rangereach.ParseMethod(name); m.Persistable() {
+			names = append(names, name)
+		}
 	}
+	return names
 }
 
 // emitQueries writes an rrquery batch file drawn from the paper's

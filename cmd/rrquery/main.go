@@ -52,10 +52,13 @@ import (
 	"repro/internal/trace"
 )
 
+// method is registered at package level so the test can read its help
+// text, which lists rangereach.MethodNames and nothing typed by hand.
+var method = flag.String("method", "3dreach", strings.Join(rangereach.MethodNames(), ", "))
+
 func main() {
 	var (
 		netPath = flag.String("net", "", "network file in geosocial format (required)")
-		method  = flag.String("method", "3dreach", "3dreach, 3dreach-rev, socreach, spareach-bfl, spareach-int, spareach-pll, spareach-feline, spareach-grail, georeach, naive, auto")
 		mbr     = flag.Bool("mbr", false, "use the MBR SCC policy (SpaReach/3DReach only)")
 		query   = flag.String("q", "", "single query: `vertex xmin ymin xmax ymax`")
 		batch   = flag.String("batch", "", "file with one query per line")
@@ -81,7 +84,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rrquery: -net is required")
 		os.Exit(2)
 	}
-	m, ok := methodByName(*method)
+	m, ok := rangereach.ParseMethod(*method)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "rrquery: unknown method %q\n", *method)
 		os.Exit(2)
@@ -225,35 +228,6 @@ func printStats(qs rangereach.QueryStats) {
 		for _, c := range qs.Plan.Candidates {
 			fmt.Printf("    candidate %-16s work=%-10.1f predicted=%v\n", c.Method, c.Work, c.Predicted)
 		}
-	}
-}
-
-func methodByName(name string) (rangereach.Method, bool) {
-	switch strings.ToLower(name) {
-	case "3dreach":
-		return rangereach.ThreeDReach, true
-	case "3dreach-rev":
-		return rangereach.ThreeDReachRev, true
-	case "socreach":
-		return rangereach.SocReach, true
-	case "spareach-bfl":
-		return rangereach.SpaReachBFL, true
-	case "spareach-int":
-		return rangereach.SpaReachINT, true
-	case "georeach":
-		return rangereach.GeoReach, true
-	case "spareach-pll":
-		return rangereach.SpaReachPLL, true
-	case "spareach-feline":
-		return rangereach.SpaReachFeline, true
-	case "spareach-grail":
-		return rangereach.SpaReachGRAIL, true
-	case "naive":
-		return rangereach.Naive, true
-	case "auto":
-		return rangereach.MethodAuto, true
-	default:
-		return 0, false
 	}
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"strings"
 	"testing"
 
 	rangereach "repro"
@@ -35,27 +37,14 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
+// TestMethodByName: the -method help text lists exactly the library's
+// method names, so the flag cannot offer a name it then rejects.
 func TestMethodByName(t *testing.T) {
-	want := map[string]rangereach.Method{
-		"3dreach":         rangereach.ThreeDReach,
-		"3DReach":         rangereach.ThreeDReach, // case-insensitive
-		"3dreach-rev":     rangereach.ThreeDReachRev,
-		"socreach":        rangereach.SocReach,
-		"spareach-bfl":    rangereach.SpaReachBFL,
-		"spareach-int":    rangereach.SpaReachINT,
-		"spareach-pll":    rangereach.SpaReachPLL,
-		"spareach-feline": rangereach.SpaReachFeline,
-		"spareach-grail":  rangereach.SpaReachGRAIL,
-		"georeach":        rangereach.GeoReach,
-		"naive":           rangereach.Naive,
+	got := flag.Lookup("method").Usage
+	if want := strings.Join(rangereach.MethodNames(), ", "); got != want {
+		t.Errorf("-method help is %q, want %q", got, want)
 	}
-	for name, m := range want {
-		got, ok := methodByName(name)
-		if !ok || got != m {
-			t.Errorf("methodByName(%q) = %v,%v", name, got, ok)
-		}
-	}
-	if _, ok := methodByName("quantum"); ok {
-		t.Error("unknown method accepted")
+	if _, ok := rangereach.ParseMethod(flag.Lookup("method").DefValue); !ok {
+		t.Error("the default -method is not a method name")
 	}
 }

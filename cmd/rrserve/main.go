@@ -58,13 +58,16 @@ import (
 	"repro/internal/server"
 )
 
+// method is registered at package level so the test can read its help
+// text, which lists rangereach.MethodNames and nothing typed by hand.
+var method = flag.String("method", "3dreach", strings.Join(rangereach.MethodNames(), ", "))
+
 func main() {
 	var (
 		netPath   = flag.String("net", "", "network file in geosocial format")
 		synthetic = flag.String("synthetic", "", "generate a preset instead: foursquare-like, gowalla-like, weeplaces-like, yelp-like")
 		scale     = flag.Float64("scale", 0.1, "synthetic preset scale")
 		seed      = flag.Int64("seed", 1, "synthetic preset seed")
-		method    = flag.String("method", "3dreach", "3dreach, 3dreach-rev, socreach, spareach-bfl, spareach-int, spareach-pll, spareach-feline, spareach-grail, georeach, naive, auto")
 		dynamic   = flag.Bool("dynamic", false, "serve the updatable 3DReach index (enables /v1/update)")
 		loadIdx   = flag.String("load-index", "", "load a persisted index instead of building (-method is ignored)")
 		mmapIdx   = flag.Bool("mmap", false, "open -load-index by zero-copy mmap instead of decoding (v2 index files only; near-instant cold start)")
@@ -137,7 +140,7 @@ func main() {
 			cfg.Index, err = net.LoadIndexFile(*loadIdx)
 		}
 	default:
-		m, ok := methodByName(*method)
+		m, ok := rangereach.ParseMethod(*method)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "rrserve: unknown method %q\n", *method)
 			os.Exit(2)
@@ -259,34 +262,5 @@ func loadNetwork(path, synthetic string, scale float64, seed int64) (*rangereach
 		}
 	default:
 		return nil, errors.New("need -net or -synthetic")
-	}
-}
-
-func methodByName(name string) (rangereach.Method, bool) {
-	switch strings.ToLower(name) {
-	case "3dreach":
-		return rangereach.ThreeDReach, true
-	case "3dreach-rev":
-		return rangereach.ThreeDReachRev, true
-	case "socreach":
-		return rangereach.SocReach, true
-	case "spareach-bfl":
-		return rangereach.SpaReachBFL, true
-	case "spareach-int":
-		return rangereach.SpaReachINT, true
-	case "georeach":
-		return rangereach.GeoReach, true
-	case "spareach-pll":
-		return rangereach.SpaReachPLL, true
-	case "spareach-feline":
-		return rangereach.SpaReachFeline, true
-	case "spareach-grail":
-		return rangereach.SpaReachGRAIL, true
-	case "naive":
-		return rangereach.Naive, true
-	case "auto":
-		return rangereach.MethodAuto, true
-	default:
-		return 0, false
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"strings"
 	"testing"
 
 	rangereach "repro"
@@ -25,12 +27,14 @@ func TestLoadNetwork(t *testing.T) {
 	}
 }
 
+// TestMethodByName: the -method help text lists exactly the library's
+// method names, so the flag cannot offer a name it then rejects.
 func TestMethodByName(t *testing.T) {
-	got, ok := methodByName("SpaReach-BFL")
-	if !ok || got != rangereach.SpaReachBFL {
-		t.Errorf("methodByName(SpaReach-BFL) = %v,%v", got, ok)
+	got := flag.Lookup("method").Usage
+	if want := strings.Join(rangereach.MethodNames(), ", "); got != want {
+		t.Errorf("-method help is %q, want %q", got, want)
 	}
-	if _, ok := methodByName("quantum"); ok {
-		t.Error("unknown method accepted")
+	if _, ok := rangereach.ParseMethod(flag.Lookup("method").DefValue); !ok {
+		t.Error("the default -method is not a method name")
 	}
 }

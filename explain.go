@@ -55,8 +55,8 @@ type QueryStats struct {
 	// SpaReach issued against its reachability index.
 	ReachProbes int64 `json:"reach_probes,omitempty"`
 	// GraphVisited counts graph vertices expanded by a traversal: the
-	// Naive BFS, GeoReach's SPA-Graph BFS, or a pruned-DFS fallback
-	// inside a BFL/Feline/GRAIL probe.
+	// Naive BFS, GeoReach's SPA-Graph BFS, or the pruned-DFS fallback
+	// inside a BFL probe.
 	GraphVisited int64 `json:"graph_visited,omitempty"`
 	// Enumerated is the number of descendants SocReach enumerated.
 	Enumerated int64 `json:"enumerated,omitempty"`

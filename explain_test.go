@@ -104,11 +104,11 @@ func TestExplainParityAllMethods(t *testing.T) {
 	}
 }
 
-// TestExplainParityBackends covers the alternative 3D point backends.
+// TestExplainParityBackends covers both 3D point backends.
 func TestExplainParityBackends(t *testing.T) {
 	net := explainNetwork(t)
 	queries := explainQueries(net, 40, 11)
-	for _, b := range []rangereach.SpatialBackend{rangereach.BackendKDTree, rangereach.BackendGrid} {
+	for _, b := range []rangereach.SpatialBackend{rangereach.BackendRTree, rangereach.BackendGrid} {
 		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(b))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)

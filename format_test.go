@@ -407,6 +407,98 @@ func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
 	}
 }
 
+// savedBoth returns the v1 stream and the v2 image of a fresh index of
+// method m over the fixture network, with the v2 root manifest (section
+// kind 1; its first bytes are {method u8, policy u8, flags u16},
+// DESIGN.md §17) aliasing the image so a test can edit it in place.
+func savedBoth(t *testing.T, net *rangereach.Network, m rangereach.Method) (v1, v2, manifest []byte) {
+	t.Helper()
+	idx, err := net.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b1, b2 bytes.Buffer
+	if err := idx.SaveV1(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Save(&b2); err != nil {
+		t.Fatal(err)
+	}
+	img, err := flatbuf.Open(b2.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, ok := img.Section(0, 1)
+	if !ok || len(manifest) < 4 {
+		t.Fatal("the image has no root manifest")
+	}
+	return b1.Bytes(), b2.Bytes(), manifest
+}
+
+// TestFormatReservedMethodBytes pins method bytes 7 and 8 as reserved:
+// they named SpaReach-Feline and SpaReach-GRAIL, which are gone, and a
+// file carrying one must be a load error on every path — not a panic,
+// and not an index of whatever method is later given the number.
+func TestFormatReservedMethodBytes(t *testing.T) {
+	net := fuzzNet()
+	v1, v2, manifest := savedBoth(t, net, rangereach.ThreeDReach)
+	path := filepath.Join(t.TempDir(), "reserved.idx")
+	for _, b := range []byte{7, 8} {
+		v1[5] = b // magic[4] | version | method
+		manifest[0] = b
+		for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
+			_, err := net.LoadIndex(bytes.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), ":") {
+				t.Errorf("LoadIndex, %s method byte %d: error %v, want a wrapped load error", name, b, err)
+			}
+		}
+		if err := os.WriteFile(path, v2, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := net.OpenMapped(path)
+		if err == nil {
+			_ = mapped.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), ":") {
+			t.Errorf("OpenMapped, method byte %d: error %v, want a wrapped load error", b, err)
+		}
+	}
+}
+
+// TestFormatSocReachReservedFlag pins bit 0 of SocReach's flags (the v1
+// flags byte, the v2 manifest flags) as reserved and ignored: it once
+// chose the structure the descendant scan ran over, never the answers,
+// so a file that carries it still loads, validates and answers.
+func TestFormatSocReachReservedFlag(t *testing.T) {
+	net := fuzzNet()
+	v1, v2, manifest := savedBoth(t, net, rangereach.SocReach)
+	v1[7] |= 1 // magic[4] | version | method | policy | flags
+	manifest[2] |= 1
+	for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
+		idx, err := net.LoadIndex(bytes.NewReader(data)) // validates
+		if err != nil {
+			t.Fatalf("%s with the reserved bit set: %v", name, err)
+		}
+		if idx.Method() != rangereach.SocReach {
+			t.Errorf("%s decoded as %v", name, idx.Method())
+		}
+		fixtureQueries(t, idx, name+"/reserved-bit")
+	}
+	path := filepath.Join(t.TempDir(), "socreach.idx")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := net.OpenMapped(path)
+	if err != nil {
+		t.Fatalf("mapping with the reserved bit set: %v", err)
+	}
+	defer mapped.Close()
+	if err := mapped.Validate(); err != nil {
+		t.Fatalf("mapped index with the reserved bit set fails validation: %v", err)
+	}
+	fixtureQueries(t, mapped, "mmap/reserved-bit")
+}
+
 // TestOpenMappedAllocs pins the O(1)-allocations property of the
 // mapped load: opening a 4× larger index must not allocate
 // meaningfully more than opening the small one, because every column

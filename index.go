@@ -78,8 +78,6 @@ type SpatialBackend = core.SpatialBackend
 const (
 	// BackendRTree is the paper's choice (default).
 	BackendRTree = core.BackendRTree
-	// BackendKDTree uses a balanced k-d tree.
-	BackendKDTree = core.BackendKDTree
 	// BackendGrid uses a uniform 3D grid.
 	BackendGrid = core.BackendGrid
 )

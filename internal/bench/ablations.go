@@ -29,12 +29,10 @@ func (s *Suite) AblationCompression() {
 
 // AblationSpaReach compares every reachability backend the spatial-first
 // method can probe through: BFL and interval labels (the paper's two),
-// plus PLL and Feline (the variants of [47], §2.2.1) and GRAIL (§7.1).
-// Reported per backend: index size, build time and average query time on
-// the default workload.
+// plus PLL (the 2-hop variant of [47], §2.2.1). Reported per backend:
+// index size, build time and average query time on the default workload.
 func (s *Suite) AblationSpaReach() {
-	methods := append(append([]core.Method(nil),
-		core.MethodSpaReachBFL, core.MethodSpaReachINT), core.ExtendedMethods...)
+	methods := []core.Method{core.MethodSpaReachBFL, core.MethodSpaReachINT, core.MethodSpaReachPLL}
 	s.printf("\n== Ablation: SpaReach reachability backends ==\n")
 	for ds := range s.nets {
 		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
@@ -71,11 +69,11 @@ func (s *Suite) AblationStreaming() {
 	}
 }
 
-// Ablation3DBackend compares the three 3D point indexes 3DReach can run
-// on — R-tree (the paper's choice), k-d tree and uniform grid (§7.2) —
-// by index size, build time and query time on the default workload.
+// Ablation3DBackend compares the two 3D point indexes 3DReach can run
+// on — R-tree (the paper's choice) and uniform grid (§7.2) — by index
+// size, build time and query time on the default workload.
 func (s *Suite) Ablation3DBackend() {
-	backends := []core.SpatialBackend{core.BackendRTree, core.BackendKDTree, core.BackendGrid}
+	backends := []core.SpatialBackend{core.BackendRTree, core.BackendGrid}
 	s.printf("\n== Ablation: 3DReach spatial backend ==\n")
 	for ds := range s.nets {
 		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
@@ -89,23 +87,5 @@ func (s *Suite) Ablation3DBackend() {
 				b.String(), fmtBytes(e.MemoryBytes()), fmtDuration(build),
 				fmtDuration(avgQueryTime(e, qs)))
 		}
-	}
-}
-
-// AblationSocReach compares SocReach's two descendant-scan backends: the
-// plain post-order array (the paper's "simple for loops on the array
-// storing the network vertices in main memory") against the B+-tree over
-// post(v) that §4.1 offers for updatable networks.
-func (s *Suite) AblationSocReach() {
-	s.printf("\n== Ablation: SocReach descendant scan (array vs B+-tree) ==\n")
-	s.printf("%-16s %14s %14s\n", "dataset", "array", "b+tree")
-	for ds := range s.nets {
-		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
-		arr := core.NewSocReach(s.preps[ds], core.SocReachOptions{})
-		bpt := core.NewSocReach(s.preps[ds], core.SocReachOptions{UseBPTree: true})
-		s.printf("%-16s %14s %14s\n",
-			s.nets[ds].Name,
-			fmtDuration(avgQueryTime(arr, qs)),
-			fmtDuration(avgQueryTime(bpt, qs)))
 	}
 }

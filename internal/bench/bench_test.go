@@ -140,9 +140,8 @@ func TestAblationsRun(t *testing.T) {
 	s, buf := tinySuite(t, "weeplaces-like")
 	s.AblationForest()
 	s.AblationCompression()
-	s.AblationSocReach()
 	out := buf.String()
-	for _, want := range []string{"spanning-forest", "compression", "B+-tree"} {
+	for _, want := range []string{"spanning-forest", "compression"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation report missing %q", want)
 		}

@@ -2,9 +2,9 @@
 // data structures: the interval labeling's post-order bijection, label
 // well-formedness and nesting, condensation acyclicity, and the dynamic
 // labeling's consistency with its accumulated graph. The spatial-index
-// validators live with their structures (rtree.Tree.Validate,
-// kdtree.Tree.Validate) because they need node internals; this package
-// holds everything expressible through exported surfaces.
+// validators live with their structures (rtree.Tree.Validate) because
+// they need node internals; this package holds everything expressible
+// through exported surfaces.
 //
 // Validators return nil for a well-formed structure and a descriptive
 // error naming the first violated invariant otherwise. They run in

@@ -149,7 +149,7 @@ func (s *sharedBuild) buildMember(m Method) (Engine, error) {
 func (s *sharedBuild) withPolicy(m Method, policy dataset.SCCPolicy) (Engine, error) {
 	switch m {
 	case MethodSocReach:
-		return NewSocReachWithLabeling(s.prep, s.forward(), s.opts.SocReach), nil
+		return NewSocReachWithLabeling(s.prep, s.forward()), nil
 	case MethodSpaReachINT:
 		so := s.opts.SpaReach
 		so.Policy = policy

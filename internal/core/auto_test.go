@@ -14,11 +14,11 @@ import (
 
 // autoParityMembers are the member sets the parity suite sweeps: the
 // default trio, a spatial-heavy set, and a set including the extended
-// (non-persistable) GRAIL variant.
+// (non-persistable) PLL variant.
 var autoParityMembers = [][]Method{
 	nil, // DefaultAutoMembers
 	{MethodSpaReachBFL, MethodThreeDReach},
-	{MethodSocReach, MethodSpaReachGRAIL, MethodGeoReach},
+	{MethodSocReach, MethodSpaReachPLL, MethodGeoReach},
 }
 
 // TestAutoParity is the planner parity suite: the composite must return
@@ -285,13 +285,13 @@ func TestAutoPersistRoundtrip(t *testing.T) {
 }
 
 // TestAutoPersistNotPersistableMember keeps the ErrNotPersistable
-// semantics: a composite with a GRAIL member cannot be saved, and the
+// semantics: a composite with a PLL member cannot be saved, and the
 // error identifies the member.
 func TestAutoPersistNotPersistableMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	prep := dataset.Prepare(randomNetwork(rng, 15, 10, true))
 	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
-		Members:   []Method{MethodSocReach, MethodSpaReachGRAIL},
+		Members:   []Method{MethodSocReach, MethodSpaReachPLL},
 		Calibrate: -1,
 	}})
 	if err != nil {
@@ -300,7 +300,7 @@ func TestAutoPersistNotPersistableMember(t *testing.T) {
 	var buf bytes.Buffer
 	err = SaveEngine(&buf, auto)
 	if !errors.Is(err, ErrNotPersistable) {
-		t.Fatalf("saving composite with GRAIL member: got %v, want ErrNotPersistable", err)
+		t.Fatalf("saving composite with PLL member: got %v, want ErrNotPersistable", err)
 	}
 }
 

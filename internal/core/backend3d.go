@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/intervals"
-	"repro/internal/kdtree"
 	"repro/internal/labeling"
 	"repro/internal/pool"
 	"repro/internal/rtree"
@@ -16,14 +15,12 @@ import (
 // SpatialBackend selects the 3D point index behind 3DReach (Replicate
 // policy). The paper notes the R-tree "can be replaced by another
 // structure as long as it is able to index the three-dimensional space"
-// (§7.2); rrbench's ablation-3d compares the three.
+// (§7.2); rrbench's ablation-3d compares the two.
 type SpatialBackend int
 
 const (
 	// BackendRTree is the paper's choice: an STR-bulk-loaded 3D R-tree.
 	BackendRTree SpatialBackend = iota
-	// BackendKDTree is a balanced k-d tree (space-oriented partitioning).
-	BackendKDTree
 	// BackendGrid is a uniform 3D grid.
 	BackendGrid
 )
@@ -33,8 +30,6 @@ func (b SpatialBackend) String() string {
 	switch b {
 	case BackendRTree:
 		return "rtree"
-	case BackendKDTree:
-		return "kdtree"
 	case BackendGrid:
 		return "grid"
 	default:
@@ -53,7 +48,7 @@ type pointIndex3 interface {
 }
 
 // anyInBoxes is AnyInLabel as the paper states it, one cuboid query per
-// interval: the form of the backends without a label-pruned traversal.
+// interval: the form of a backend without a label-pruned traversal.
 func anyInBoxes(idx pointIndex3, r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	for _, iv := range label {
 		if idx.AnyInBox(geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi)), sp) {
@@ -90,17 +85,11 @@ type point3 struct {
 }
 
 // buildPointIndex3 constructs the selected backend over the points. A
-// non-sequential pool parallelizes the R-tree STR packing and the k-d
-// subtree builds; the grid build stays sequential (one bucketing pass).
-// The index is identical either way.
+// non-sequential pool parallelizes the R-tree STR packing; the grid
+// build stays sequential (one bucketing pass). The index is identical
+// either way.
 func buildPointIndex3(pts []point3, backend SpatialBackend, fanout int, p *pool.Pool) pointIndex3 {
 	switch backend {
-	case BackendKDTree:
-		kpts := make([]kdtree.Point, len(pts))
-		for i, p := range pts {
-			kpts[i] = kdtree.Point{X: p.x, Y: p.y, Z: p.z, ID: p.id}
-		}
-		return kdtreeIndex{kdtree.BuildPool(kpts, 3, p)}
 	case BackendGrid:
 		gpts := make([]spatialgrid.Point, len(pts))
 		for i, p := range pts {
@@ -133,18 +122,6 @@ func (r rtreeIndex) AnyInLabel(q geom.Rect, label intervals.Set, sp *trace.Span)
 }
 
 func (r rtreeIndex) MemoryBytes() int64 { return r.t.MemoryBytes() }
-
-type kdtreeIndex struct{ t *kdtree.Tree }
-
-func (k kdtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
-	return !k.t.SearchBox3Traced(q, sp, func(kdtree.Point) bool { return false })
-}
-
-func (k kdtreeIndex) AnyInLabel(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
-	return anyInBoxes(k, r, label, sp)
-}
-
-func (k kdtreeIndex) MemoryBytes() int64 { return k.t.MemoryBytes() }
 
 type gridIndex struct{ g *spatialgrid.Grid }
 

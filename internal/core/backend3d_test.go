@@ -13,7 +13,7 @@ func TestThreeDReachBackendsAgree(t *testing.T) {
 		net := randomNetwork(rng, 5+rng.Intn(25), 2+rng.Intn(20), trial%2 == 0)
 		prep := dataset.Prepare(net)
 		truth := NewNaiveBFS(net)
-		backends := []SpatialBackend{BackendRTree, BackendKDTree, BackendGrid}
+		backends := []SpatialBackend{BackendRTree, BackendGrid}
 		engines := make([]*ThreeDReach, len(backends))
 		for i, b := range backends {
 			engines[i] = NewThreeDReach(prep, ThreeDOptions{Backend: b})
@@ -36,8 +36,7 @@ func TestThreeDReachBackendsAgree(t *testing.T) {
 }
 
 func TestSpatialBackendString(t *testing.T) {
-	if BackendRTree.String() != "rtree" || BackendKDTree.String() != "kdtree" ||
-		BackendGrid.String() != "grid" {
+	if BackendRTree.String() != "rtree" || BackendGrid.String() != "grid" {
 		t.Error("backend names wrong")
 	}
 	if SpatialBackend(9).String() == "" {

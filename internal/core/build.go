@@ -12,32 +12,33 @@ import (
 // experimental analysis (§6.1).
 type Method int
 
+// The values are the method byte of the v1 stream header and of the v2
+// manifest, so each is spelled out and never reused: a saved index must
+// keep naming the engine it holds whatever is added or removed here.
 const (
 	// MethodSpaReachBFL is the spatial-first baseline with BFL probes.
-	MethodSpaReachBFL Method = iota
+	MethodSpaReachBFL Method = 0
 	// MethodSpaReachINT is the spatial-first baseline with interval-label probes.
-	MethodSpaReachINT
+	MethodSpaReachINT Method = 1
 	// MethodGeoReach is the SPA-Graph state of the art.
-	MethodGeoReach
+	MethodGeoReach Method = 2
 	// MethodSocReach is the social-first method.
-	MethodSocReach
+	MethodSocReach Method = 3
 	// MethodThreeDReach is the point-based 3D transformation.
-	MethodThreeDReach
+	MethodThreeDReach Method = 4
 	// MethodThreeDReachRev is the line-based variant on reversed labels.
-	MethodThreeDReachRev
+	MethodThreeDReachRev Method = 5
 	// MethodSpaReachPLL is the spatial-first baseline with 2-hop
 	// (pruned landmark labeling) probes, the first variant of [47].
-	MethodSpaReachPLL
-	// MethodSpaReachFeline is the spatial-first baseline with Feline
-	// probes, the second variant of [47].
-	MethodSpaReachFeline
-	// MethodSpaReachGRAIL is the spatial-first baseline with GRAIL
-	// probes (paper §7.1).
-	MethodSpaReachGRAIL
+	MethodSpaReachPLL Method = 6
+	// 7 and 8 are reserved: they named the removed SpaReach-Feline and
+	// SpaReach-GRAIL variants. Both loaders reject them like any other
+	// byte that names no method.
+
 	// MethodAuto is the adaptive composite: a set of complementary
 	// member engines over shared labeling state, with a cost-based
 	// planner routing each query to the predicted-cheapest member.
-	MethodAuto
+	MethodAuto Method = 9
 )
 
 // AllMethods lists the methods of the paper's own evaluation (§6.1), in
@@ -49,15 +50,6 @@ var AllMethods = []Method{
 	MethodSocReach,
 	MethodThreeDReach,
 	MethodThreeDReachRev,
-}
-
-// ExtendedMethods lists the additional spatial-first variants the paper
-// cites from [47] and §7.1 but does not re-evaluate; rrbench's
-// ablation-spareach compares them against the paper's two.
-var ExtendedMethods = []Method{
-	MethodSpaReachPLL,
-	MethodSpaReachFeline,
-	MethodSpaReachGRAIL,
 }
 
 // String implements fmt.Stringer.
@@ -77,10 +69,6 @@ func (m Method) String() string {
 		return "3DReach-Rev"
 	case MethodSpaReachPLL:
 		return "SpaReach-PLL"
-	case MethodSpaReachFeline:
-		return "SpaReach-Feline"
-	case MethodSpaReachGRAIL:
-		return "SpaReach-GRAIL"
 	case MethodAuto:
 		return "Auto"
 	default:
@@ -209,14 +197,6 @@ func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResu
 		so := opts.SpaReach
 		so.Policy = opts.Policy
 		e = NewSpaReachPLL(prep, so)
-	case MethodSpaReachFeline:
-		so := opts.SpaReach
-		so.Policy = opts.Policy
-		e = NewSpaReachFeline(prep, so)
-	case MethodSpaReachGRAIL:
-		so := opts.SpaReach
-		so.Policy = opts.Policy
-		e = NewSpaReachGRAIL(prep, so)
 	case MethodAuto:
 		auto, err := BuildAuto(prep, opts)
 		if err != nil {

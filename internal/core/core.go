@@ -52,8 +52,8 @@ type reachIndex interface {
 }
 
 // tracedReach is the optional traced-probe extension of reachIndex;
-// bfl.Index and labeling.Labeling implement it, the extended SpaReach
-// probes (PLL, Feline, GRAIL) fall back to plain Reach.
+// bfl.Index and labeling.Labeling implement it, the PLL probe falls
+// back to plain Reach.
 type tracedReach interface {
 	ReachTraced(v, u int, sp *trace.Span) bool
 }

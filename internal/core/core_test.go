@@ -93,7 +93,7 @@ func randomRegion(rng *rand.Rand) geom.Rect {
 func buildAll(t *testing.T, prep *dataset.Prepared) []Engine {
 	t.Helper()
 	var engines []Engine
-	for _, m := range append(append([]Method(nil), AllMethods...), ExtendedMethods...) {
+	for _, m := range append(append([]Method(nil), AllMethods...), MethodSpaReachPLL) {
 		policies := []dataset.SCCPolicy{dataset.Replicate}
 		if m.SupportsMBR() {
 			policies = append(policies, dataset.MBR)

@@ -19,8 +19,8 @@ import (
 // an engine (interval labels, BFL filters or the SPA-Graph); LoadEngine
 // rebuilds the full engine over the same prepared network, bulk-loading
 // the spatial structures from the network — which is cheap compared to
-// labeling construction. The Feline/PLL/GRAIL variants are not
-// persisted: their builds are fast relative to loading their state.
+// labeling construction. The PLL variant is not persisted: its build is
+// fast relative to loading its state.
 //
 // Format: magic "RRIX" | version u8 | method u8 | policy u8 | payload.
 // The Auto composite nests: its payload is a member count, the members'
@@ -80,12 +80,10 @@ func saveEngineTo(bw *bufio.Writer, e Engine) error {
 			_, err = eng.rev.WriteTo(bw)
 		}
 	case *SocReach:
-		flags := uint8(0)
-		if eng.post != nil {
-			flags = 1
-		}
 		if err = writeHeader(MethodSocReach, dataset.Replicate); err == nil {
-			if err = binary.Write(bw, binary.LittleEndian, flags); err == nil {
+			// The flags byte is reserved: bit 0 once chose a descendant-scan
+			// structure, which never changed an answer. Written as zero.
+			if err = binary.Write(bw, binary.LittleEndian, uint8(0)); err == nil {
 				_, err = eng.l.WriteTo(bw)
 			}
 		}
@@ -209,8 +207,8 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 		to.Policy = policy
 		e = NewThreeDReachRevWithLabeling(prep, rev, to)
 	case MethodSocReach:
-		var flags uint8
-		if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
+		var reserved uint8 // the flags byte; see saveEngineTo
+		if err := binary.Read(br, binary.LittleEndian, &reserved); err != nil {
 			return BuildResult{}, fmt.Errorf("core: reading flags: %w", err)
 		}
 		l, err := labeling.ReadLabeling(br)
@@ -220,9 +218,7 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 		if err := checkSize(l); err != nil {
 			return BuildResult{}, err
 		}
-		so := opts.SocReach
-		so.UseBPTree = flags&1 != 0
-		e = NewSocReachWithLabeling(prep, l, so)
+		e = NewSocReachWithLabeling(prep, l)
 	case MethodSpaReachINT:
 		l, err := labeling.ReadLabeling(br)
 		if err != nil {

@@ -57,23 +57,6 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSocReachBPTreeFlagSurvives(t *testing.T) {
-	rng := rand.New(rand.NewSource(607))
-	prep := dataset.Prepare(randomNetwork(rng, 20, 10, false))
-	e := NewSocReach(prep, SocReachOptions{UseBPTree: true})
-	var buf bytes.Buffer
-	if err := SaveEngine(&buf, e); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(&buf, prep, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Engine.(*SocReach).post == nil {
-		t.Error("B+-tree flag lost on round trip")
-	}
-}
-
 func TestSaveEngineUnsupported(t *testing.T) {
 	rng := rand.New(rand.NewSource(611))
 	prep := dataset.Prepare(randomNetwork(rng, 10, 5, false))
@@ -81,8 +64,8 @@ func TestSaveEngineUnsupported(t *testing.T) {
 	if err := SaveEngine(&buf, NewNaiveBFS(prep.Net)); err == nil {
 		t.Error("naive save accepted")
 	}
-	if err := SaveEngine(&buf, NewSpaReachFeline(prep, SpaReachOptions{})); err == nil {
-		t.Error("Feline save accepted")
+	if err := SaveEngine(&buf, NewSpaReachPLL(prep, SpaReachOptions{})); err == nil {
+		t.Error("PLL save accepted")
 	}
 }
 

@@ -62,7 +62,9 @@ const (
 
 // Manifest flag bits.
 const (
-	socFlagBPTree = 1 << 0 // SocReach: rebuild the post-order B+-tree
+	// SocReach: bit 0 is reserved. It once chose a descendant-scan
+	// structure, which never changed an answer; it is written as zero
+	// and ignored on load.
 
 	threeDFlagExact   = 1 << 0 // 3DReach: box tree holds exact geometries
 	threeDFlagBoxes   = 1 << 1 // 3DReach: spatial index is the box tree
@@ -193,11 +195,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			return err
 		}
 	case *SocReach:
-		flags := uint16(0)
-		if eng.post != nil {
-			flags |= socFlagBPTree
-		}
-		mustWrite(&man, manifestHeader{Method: uint8(MethodSocReach), Policy: uint8(dataset.Replicate), Flags: flags})
+		mustWrite(&man, manifestHeader{Method: uint8(MethodSocReach), Policy: uint8(dataset.Replicate)})
 		mustWrite(&man, labelingMetaOf(eng.l))
 		fw.Append(owner, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, owner, eng.l); err != nil {
@@ -471,9 +469,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		so := opts.SocReach
-		so.UseBPTree = flags&socFlagBPTree != 0
-		return NewSocReachWithLabeling(prep, l, so), nil
+		return NewSocReachWithLabeling(prep, l), nil
 	case MethodSpaReachINT:
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {

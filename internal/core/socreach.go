@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/bptree"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -18,18 +17,12 @@ import (
 type SocReach struct {
 	prep *dataset.Prepared
 	l    *labeling.Labeling
-	post *bptree.Tree // optional B+-tree over post-order numbers
 }
 
 // SocReachOptions configures NewSocReach.
 type SocReachOptions struct {
 	// Forest is the spanning-forest policy of the labeling.
 	Forest graph.ForestPolicy
-	// UseBPTree evaluates the per-label range scans through a B+-tree
-	// over post(v) instead of the plain post-order array — the
-	// alternative §4.1 describes for networks with gaps in the
-	// post-order domain (rrbench's ablation-socreach compares the two).
-	UseBPTree bool
 	// SkipCompression keeps the labels as descendant singletons, for
 	// the compression ablation.
 	SkipCompression bool
@@ -50,27 +43,13 @@ func NewSocReach(prep *dataset.Prepared, opts SocReachOptions) *SocReach {
 		Parallelism:     opts.Parallelism,
 	})
 	opts.Span.End("labeling", t)
-	return NewSocReachWithLabeling(prep, l, opts)
+	return NewSocReachWithLabeling(prep, l)
 }
 
 // NewSocReachWithLabeling builds the engine around an existing labeling
 // of prep.DAG, e.g. one reloaded from disk.
-func NewSocReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts SocReachOptions) *SocReach {
-	e := &SocReach{
-		prep: prep,
-		l:    l,
-	}
-	if opts.UseBPTree {
-		n := e.l.NumVertices()
-		keys := make([]int32, n)
-		values := make([]int32, n)
-		for p := 1; p <= n; p++ {
-			keys[p-1] = int32(p)
-			values[p-1] = e.l.VertexAt(int32(p))
-		}
-		e.post = bptree.FromSorted(keys, values)
-	}
-	return e
+func NewSocReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling) *SocReach {
+	return &SocReach{prep: prep, l: l}
 }
 
 // Name implements Engine.
@@ -102,25 +81,6 @@ func (e *SocReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 		}
 		return false
 	}
-	if e.post != nil {
-		t := sp.Start()
-		defer sp.End(trace.StageEnumerate, t)
-		for _, iv := range e.l.Labels[src] {
-			sp.AddLabels(1)
-			hit := false
-			e.post.Range(iv.Lo, iv.Hi, func(_, c int32) bool {
-				if test(c) {
-					hit = true
-					return false
-				}
-				return true
-			})
-			if hit {
-				return true
-			}
-		}
-		return false
-	}
 	sp.AddLabels(len(e.l.Labels[src]))
 	found := false
 	t := sp.Start()
@@ -135,15 +95,8 @@ func (e *SocReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	return found
 }
 
-// MemoryBytes implements Engine: the labeling (plus the optional
-// B+-tree) is the whole index.
-func (e *SocReach) MemoryBytes() int64 {
-	total := e.l.MemoryBytes()
-	if e.post != nil {
-		total += e.post.MemoryBytes()
-	}
-	return total
-}
+// MemoryBytes implements Engine: the labeling is the whole index.
+func (e *SocReach) MemoryBytes() int64 { return e.l.MemoryBytes() }
 
 // Labeling exposes the underlying labeling (stats and the Table 6
 // reporting reuse it).

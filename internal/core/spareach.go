@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/bfl"
 	"repro/internal/dataset"
-	"repro/internal/feline"
 	"repro/internal/geom"
-	"repro/internal/grail"
 	"repro/internal/graph"
 	"repro/internal/labeling"
 	"repro/internal/pll"
@@ -96,23 +94,6 @@ func NewSpaReachINTWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 func NewSpaReachPLL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-PLL", prep, opts, "reach", func() reachIndex {
 		return pll.Build(prep.DAG, pll.Options{})
-	})
-}
-
-// NewSpaReachFeline builds the SpaReach-Feline engine, the second
-// spatial-first variant of [47]: reachability probes through Feline's
-// two-topological-order dominance test with pruned-DFS fallback.
-func NewSpaReachFeline(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
-	return newSpaReachPipelined("SpaReach-Feline", prep, opts, "reach", func() reachIndex {
-		return feline.Build(prep.DAG)
-	})
-}
-
-// NewSpaReachGRAIL builds a spatial-first variant probing through GRAIL
-// randomized interval labels (paper §7.1).
-func NewSpaReachGRAIL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
-	return newSpaReachPipelined("SpaReach-GRAIL", prep, opts, "reach", func() reachIndex {
-		return grail.Build(prep.DAG, grail.Options{})
 	})
 }
 

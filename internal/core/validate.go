@@ -74,10 +74,7 @@ func ValidateEngine(e Engine) error {
 
 // validatePointIndex3 dispatches to the concrete 3D point backend.
 func validatePointIndex3(p pointIndex3) error {
-	switch b := p.(type) {
-	case rtreeIndex:
-		return b.t.Validate()
-	case kdtreeIndex:
+	if b, ok := p.(rtreeIndex); ok {
 		return b.t.Validate()
 	}
 	// The grid backend has no ordering invariant to check.

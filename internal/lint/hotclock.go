@@ -16,7 +16,6 @@ import (
 var hotPackages = []string{
 	"repro/internal/core",
 	"repro/internal/rtree",
-	"repro/internal/kdtree",
 	"repro/internal/planner",
 	"repro/internal/labeling",
 	"repro/internal/intervals",
@@ -24,12 +23,9 @@ var hotPackages = []string{
 	"repro/internal/geom",
 	"repro/internal/bfl",
 	"repro/internal/pll",
-	"repro/internal/feline",
-	"repro/internal/grail",
 	"repro/internal/georeach",
 	"repro/internal/grid",
 	"repro/internal/spatialgrid",
-	"repro/internal/bptree",
 }
 
 // HotClock forbids time.Now and time.Since in hot-path packages.

@@ -129,6 +129,21 @@ func TestHotClockColdPath(t *testing.T) {
 	checkFixture(t, "hotclockcold", "repro/internal/server/lintfixture", "hotclock")
 }
 
+// TestHotPackagesExist: every hotPackages entry names a package of the
+// module. A renamed or deleted package would otherwise leave an entry
+// that matches nothing and quietly stops guarding the hot path.
+func TestHotPackagesExist(t *testing.T) {
+	have := make(map[string]bool)
+	for _, pkg := range repoModule(t).Pkgs {
+		have[pkg.Path] = true
+	}
+	for _, hot := range hotPackages {
+		if !have[hot] {
+			t.Errorf("hotPackages lists %s, which is not a package of the module", hot)
+		}
+	}
+}
+
 func TestMathRandFixture(t *testing.T) {
 	checkFixture(t, "mathrand", "repro/internal/lintfixture/mathrand", "mathrand")
 }

@@ -9,10 +9,10 @@ import (
 	"repro/internal/core"
 )
 
-// ErrNotPersistable reports that an index's method has no save format.
-// Persistable methods: ThreeDReach, ThreeDReachRev, SocReach,
-// SpaReachBFL, SpaReachINT and GeoReach — the ones whose index state
-// dominates build time. The rest rebuild quickly from the network.
+// ErrNotPersistable reports that an index's method has no save format
+// (Method.Persistable says which have one): the persistable methods are
+// the ones whose index state dominates build time, the rest rebuild
+// quickly from the network.
 var ErrNotPersistable = core.ErrNotPersistable
 
 // Save writes the index's state to w in the current v2 flat format: a
@@ -95,7 +95,10 @@ func (n *Network) LoadIndex(r io.Reader, options ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := methodFromCore(res.Method)
+	m, err := methodFromCore(res.Method)
+	if err != nil {
+		return nil, err
+	}
 	idx := &Index{
 		net:    n,
 		method: m,
@@ -150,7 +153,11 @@ func (n *Network) OpenMapped(path string, options ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := methodFromCore(res.Method)
+	m, err := methodFromCore(res.Method)
+	if err != nil {
+		_ = closer.Close()
+		return nil, err
+	}
 	return &Index{
 		net:     n,
 		method:  m,
@@ -160,32 +167,4 @@ func (n *Network) OpenMapped(path string, options ...Option) (*Index, error) {
 		mapped:  res.Mapped,
 		mappedB: res.MappedBytes,
 	}, nil
-}
-
-// methodFromCore maps internal method ids back to public ones.
-func methodFromCore(m core.Method) Method {
-	switch m {
-	case core.MethodThreeDReach:
-		return ThreeDReach
-	case core.MethodThreeDReachRev:
-		return ThreeDReachRev
-	case core.MethodSocReach:
-		return SocReach
-	case core.MethodSpaReachBFL:
-		return SpaReachBFL
-	case core.MethodSpaReachINT:
-		return SpaReachINT
-	case core.MethodGeoReach:
-		return GeoReach
-	case core.MethodSpaReachPLL:
-		return SpaReachPLL
-	case core.MethodSpaReachFeline:
-		return SpaReachFeline
-	case core.MethodSpaReachGRAIL:
-		return SpaReachGRAIL
-	case core.MethodAuto:
-		return MethodAuto
-	default:
-		return Naive
-	}
 }

@@ -54,10 +54,10 @@ func TestIndexSaveLoadFile(t *testing.T) {
 
 func TestSaveUnsupportedMethod(t *testing.T) {
 	net := figure1(t)
-	idx := net.MustBuild(rangereach.SpaReachFeline)
+	idx := net.MustBuild(rangereach.SpaReachPLL)
 	var buf bytes.Buffer
 	if err := idx.Save(&buf); err == nil {
-		t.Error("Feline save accepted")
+		t.Error("PLL save accepted")
 	}
 	naive := net.MustBuild(rangereach.Naive)
 	if err := naive.Save(&buf); err == nil {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -45,118 +44,6 @@ func NewRect(x1, y1, x2, y2 float64) Rect {
 
 func (r Rect) internal() geom.Rect {
 	return geom.Rect{Min: geom.Pt(r.MinX, r.MinY), Max: geom.Pt(r.MaxX, r.MaxY)}
-}
-
-// Method selects a RangeReach evaluation method.
-type Method int
-
-// The available methods, named as in the paper.
-const (
-	// ThreeDReach is the paper's primary contribution: spatial vertices
-	// become (x, y, post) points in a 3D R-tree and a query becomes one
-	// 3D range query per reachability label. The fastest method overall.
-	ThreeDReach Method = iota
-	// ThreeDReachRev is the line-based variant: reversed labels turn
-	// spatial vertices into vertical segments and a query into a single
-	// plane-shaped 3D range query.
-	ThreeDReachRev
-	// SocReach is the social-first method: enumerate descendants from
-	// the interval labels, then test their points.
-	SocReach
-	// SpaReachBFL is the strongest spatial-first baseline: 2D R-tree
-	// range query plus BFL reachability probes.
-	SpaReachBFL
-	// SpaReachINT is the spatial-first baseline with interval-label
-	// probes.
-	SpaReachINT
-	// GeoReach is the prior state of the art (Sarwat and Sun's
-	// SPA-Graph).
-	GeoReach
-	// Naive answers queries by plain BFS with no index; useful as a
-	// correctness oracle and for tiny networks.
-	Naive
-	// SpaReachPLL is the spatial-first baseline with 2-hop (pruned
-	// landmark labeling) reachability probes — the first SpaReach
-	// variant of Sarwat and Sun's original paper.
-	SpaReachPLL
-	// SpaReachFeline is the spatial-first baseline with Feline probes —
-	// the second SpaReach variant of Sarwat and Sun's original paper.
-	SpaReachFeline
-	// SpaReachGRAIL is the spatial-first baseline with GRAIL randomized
-	// interval-label probes.
-	SpaReachGRAIL
-	// MethodAuto is the adaptive composite: it builds a small set of
-	// complementary engines (SocReach + 3DReach-Rev + SpaReach-INT by
-	// default, see WithAutoMembers) over shared labeling state and
-	// routes each query to the engine a cost model predicts to be
-	// cheapest, refining the model online from observed latencies.
-	MethodAuto
-)
-
-// Methods lists the indexed methods of the paper's evaluation
-// (excluding Naive and the extended SpaReach variants).
-var Methods = []Method{ThreeDReach, ThreeDReachRev, SocReach, SpaReachBFL, SpaReachINT, GeoReach}
-
-// ExtendedMethods lists the additional SpaReach reachability backends:
-// PLL and Feline (the variants of the original GeoReach paper) and
-// GRAIL.
-var ExtendedMethods = []Method{SpaReachPLL, SpaReachFeline, SpaReachGRAIL}
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case ThreeDReach:
-		return "3DReach"
-	case ThreeDReachRev:
-		return "3DReach-Rev"
-	case SocReach:
-		return "SocReach"
-	case SpaReachBFL:
-		return "SpaReach-BFL"
-	case SpaReachINT:
-		return "SpaReach-INT"
-	case GeoReach:
-		return "GeoReach"
-	case Naive:
-		return "NaiveBFS"
-	case SpaReachPLL:
-		return "SpaReach-PLL"
-	case SpaReachFeline:
-		return "SpaReach-Feline"
-	case SpaReachGRAIL:
-		return "SpaReach-GRAIL"
-	case MethodAuto:
-		return "Auto"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-func (m Method) internal() (core.Method, bool) {
-	switch m {
-	case ThreeDReach:
-		return core.MethodThreeDReach, true
-	case ThreeDReachRev:
-		return core.MethodThreeDReachRev, true
-	case SocReach:
-		return core.MethodSocReach, true
-	case SpaReachBFL:
-		return core.MethodSpaReachBFL, true
-	case SpaReachINT:
-		return core.MethodSpaReachINT, true
-	case GeoReach:
-		return core.MethodGeoReach, true
-	case SpaReachPLL:
-		return core.MethodSpaReachPLL, true
-	case SpaReachFeline:
-		return core.MethodSpaReachFeline, true
-	case SpaReachGRAIL:
-		return core.MethodSpaReachGRAIL, true
-	case MethodAuto:
-		return core.MethodAuto, true
-	default:
-		return 0, false
-	}
 }
 
 // Network is an immutable geosocial network ready for index construction.

@@ -25,7 +25,7 @@ func TestValidateAfterBuild(t *testing.T) {
 			t.Errorf("%v: Validate() = %v", m, err)
 		}
 	}
-	for _, backend := range []rangereach.SpatialBackend{rangereach.BackendKDTree, rangereach.BackendGrid} {
+	for _, backend := range []rangereach.SpatialBackend{rangereach.BackendRTree, rangereach.BackendGrid} {
 		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(backend))
 		if err != nil {
 			t.Fatal(err)
