@@ -64,9 +64,9 @@ go test ./...
 # The read paths' zero-tolerance guards, uncached: nodes and entries
 # touched per query (bounded whatever the label's interval count, on the
 # static and the dynamic path), allocations per query (zero, on built,
-# mapped and snapshot indexes), and the pointer and flat trees walking
-# in step. They compare counts that repeat exactly, so a loaded runner
-# cannot blur them the way it blurs a timing.
+# mapped and snapshot indexes), and the label-pruned traversal against
+# the per-interval searches it replaces. They compare counts that repeat
+# exactly, so a loaded runner cannot blur them the way it blurs a timing.
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
     ./internal/rtree ./internal/core ./internal/incr -count=1
@@ -106,11 +106,13 @@ if [[ "${1:-}" != "-short" ]]; then
     # in ./internal/core), the sharded-serving tier (scatter-gather
     # fan-out, hedging, health mark-down, shard partitioning), and the
     # incremental-maintenance engine (randomized update-stream
-    # equivalence against a from-scratch oracle), and the analysis
-    # engine itself (the whole-module driver type-checks packages that
-    # the analyzers then walk; the suite's own fixtures run under it).
+    # equivalence against a from-scratch oracle), the R-tree bulk load
+    # (parallel STR slabs and leaf bounds, its only concurrency), and
+    # the analysis engine itself (the whole-module driver type-checks
+    # packages that the analyzers then walk; the suite's own fixtures
+    # run under it).
     echo "== go test -race (concurrency surfaces) =="
-    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/planner ./internal/router ./internal/shard ./internal/incr ./internal/lint/... ./internal/flatbuf
+    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/planner ./internal/router ./internal/shard ./internal/incr ./internal/rtree ./internal/lint/... ./internal/flatbuf
 
     # The trace hook sits on every query's hot path; run the overhead
     # benchmark under the race detector so the instrumentation itself is

@@ -2,7 +2,9 @@ package rangereach_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -552,4 +554,73 @@ func TestOpenMappedAllocs(t *testing.T) {
 		t.Errorf("mapped open allocations scale with index size: %v at n=400, %v at n=1600", small, big)
 	}
 	t.Logf("mapped open: %.0f allocs at n=400, %.0f at n=1600", small, big)
+}
+
+// TestFormatLayoutPinned pins the saved bytes of the R-tree-backed
+// images on a network whose trees have three and four levels; the
+// committed fixtures pin the same thing on a network that fits one
+// leaf. The hashes were recorded at commit 8e36155, where a pointer
+// tree was flattened at save time, so they hold the bulk loader to that
+// canonical BFS layout.
+func TestFormatLayoutPinned(t *testing.T) {
+	net := rangereach.GowallaLike(0.1, 7)
+	mbr := []rangereach.Option{rangereach.WithMBRPolicy()}
+	for _, c := range []struct {
+		name string
+		m    rangereach.Method
+		opts []rangereach.Option
+		want string
+	}{
+		{"3dreach", rangereach.ThreeDReach, nil, "1da6ef7d6e889b30f1003d1278dc6fec3483c549acddb23c1a6ea38bcfb7971f"},
+		{"3dreach-mbr", rangereach.ThreeDReach, mbr, "d05cd452a8704a8745b0ae47abf0eb39ffc54714f029416e2ace98e967f9dab7"},
+		{"3dreach-rev-mbr", rangereach.ThreeDReachRev, mbr, "4d44dec91a7d4e75ad2cf9803014aaf5d20f2145d2d61268dbbeb2162b1dced2"},
+		{"spareach-int-mbr", rangereach.SpaReachINT, mbr, "e5201b50503f4088aacb706ca3903083d9f826df1cf786e906c1fe7f8801ade7"},
+	} {
+		idx, err := net.Build(c.m, c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: saved image (%d bytes) hashes to %s, want %s", c.name, buf.Len(), got, c.want)
+		}
+	}
+}
+
+// TestFormatFanoutBuildSaveLoad: whatever fan-out a build accepts, the
+// saved file loads. WithRTreeFanout(1<<21) used to build and save a file
+// that LoadIndex and OpenMapped then rejected as implausible; builder and
+// loader now share one range.
+func TestFormatFanoutBuildSaveLoad(t *testing.T) {
+	net := fuzzNet()
+	for _, fanout := range []int{-1, 0, 1, 4, 16, 1 << 20, 1<<20 + 1, 1 << 21} {
+		for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.ThreeDReachRev, rangereach.SpaReachINT} {
+			name := fmt.Sprintf("%v/fanout=%d", m, fanout)
+			idx, err := net.Build(m, rangereach.WithRTreeFanout(fanout))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			path := filepath.Join(t.TempDir(), "fanout.idx")
+			if err := idx.SaveFile(path); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			loaded, err := net.LoadIndexFile(path)
+			if err != nil {
+				t.Fatalf("%s: load: %v", name, err)
+			}
+			fixtureQueries(t, loaded, name+"/decode")
+			mapped, err := net.OpenMapped(path)
+			if err != nil {
+				t.Fatalf("%s: map: %v", name, err)
+			}
+			fixtureQueries(t, mapped, name+"/mmap")
+			if err := mapped.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

@@ -56,7 +56,9 @@ func WithFullRebuildUpdates() Option {
 	return func(c *buildConfig) { c.dynFullRebuild = true }
 }
 
-// WithRTreeFanout sets the fan-out of the spatial R-trees (default 16).
+// WithRTreeFanout sets the fan-out of the spatial R-trees (default 16;
+// 0 or less selects the default, other values are clamped to [4, 1<<20],
+// the range a saved index may carry).
 func WithRTreeFanout(fanout int) Option {
 	return func(c *buildConfig) {
 		c.opts.SpaReach.Fanout = fanout

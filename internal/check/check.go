@@ -2,7 +2,7 @@
 // data structures: the interval labeling's post-order bijection, label
 // well-formedness and nesting, condensation acyclicity, and the dynamic
 // labeling's consistency with its accumulated graph. The spatial-index
-// validators live with their structures (rtree.Tree.Validate) because
+// validators live with their structures (rtree.Flat.Validate) because
 // they need node internals; this package holds everything expressible
 // through exported surfaces.
 //

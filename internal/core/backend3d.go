@@ -58,20 +58,12 @@ func anyInBoxes(idx pointIndex3, r geom.Rect, label intervals.Set, sp *trace.Spa
 	return false
 }
 
-// anyInLabel reports whether s holds an entry e inside r × some
+// anyInLabel reports whether t holds an entry e inside r × some
 // interval of label with keep(e.ID), in one traversal that expands a
 // node only where its rectangle meets r and its z-range overlaps the
-// label. The call is made on the concrete tree: through the Searcher
-// interface both closures would move to the heap on every query.
-func anyInLabel(s rtree.Searcher[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span, keep func(id int32) bool) bool {
-	meets := func(b *geom.Box3) bool { return labeling.MeetsCuboids(b, r, label) }
-	switch t := s.(type) {
-	case *rtree.Tree[geom.Box3]:
-		return t.SearchAnyWhere(sp, meets, keep)
-	case *rtree.Flat[geom.Box3]:
-		return t.SearchAnyWhere(sp, meets, keep)
-	}
-	panic(fmt.Sprintf("core: no label-pruned search over %T", s))
+// label.
+func anyInLabel(t *rtree.Flat[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span, keep func(id int32) bool) bool {
+	return t.SearchAnyWhere(sp, func(b *geom.Box3) bool { return labeling.MeetsCuboids(b, r, label) }, keep)
 }
 
 // anyID accepts every witness: the trees whose hits need no
@@ -104,13 +96,11 @@ func buildPointIndex3(pts []point3, backend SpatialBackend, fanout int, p *pool.
 				ID:  p.id,
 			}
 		}
-		t := rtree.BulkLoadPool(entries, fanout, p)
-		t.SetLeafBoundBytes(24)
-		return rtreeIndex{t}
+		return rtreeIndex{rtree.BulkLoadPool(entries, fanout, 24, p)}
 	}
 }
 
-type rtreeIndex struct{ t rtree.Searcher[geom.Box3] }
+type rtreeIndex struct{ t *rtree.Flat[geom.Box3] }
 
 func (r rtreeIndex) AnyInBox(q geom.Box3, sp *trace.Span) bool {
 	_, ok := r.t.SearchAnyTraced(q, sp)

@@ -149,21 +149,18 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	switch eng := e.(type) {
 	case *ThreeDReach:
 		flags := uint16(0)
-		var f *rtree.Flat[geom.Box3]
-		if eng.boxes != nil {
-			f = flattenTree(eng.boxes)
+		f := eng.boxes
+		if f != nil {
 			flags |= threeDFlagBoxes | threeDFlagSpatial
 			if eng.exactBoxes {
 				flags |= threeDFlagExact
 			}
 		} else if ri, ok := eng.points.(rtreeIndex); ok {
-			// Only the R-tree point backend persists; the k-d tree and
-			// grid rebuild from the network at load (cheap, and keeps
-			// the format free of backend-specific encodings).
-			f = flattenTree(ri.t)
-			if f != nil {
-				flags |= threeDFlagSpatial
-			}
+			// Only the R-tree point backend persists; the grid rebuilds
+			// from the network at load (cheap, and keeps the format free
+			// of backend-specific encodings).
+			f = ri.t
+			flags |= threeDFlagSpatial
 		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(eng.policy), Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
@@ -180,18 +177,14 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			}
 		}
 	case *ThreeDReachRev:
-		f := flattenTree(eng.tree)
-		if f == nil {
-			return fmt.Errorf("%w: 3DReach-Rev spatial index %T", ErrNotPersistable, eng.tree)
-		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy)})
 		mustWrite(&man, labelingMetaOf(eng.rev))
-		mustWrite(&man, treeMetaOf(f))
+		mustWrite(&man, treeMetaOf(eng.tree))
 		fw.Append(owner, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, owner, eng.rev); err != nil {
 			return err
 		}
-		if err := appendTreeSections(fw, owner, f); err != nil {
+		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
 			return err
 		}
 	case *SocReach:
@@ -223,15 +216,11 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			}
 		}
 	case *SpaReach:
-		f := flattenTree(eng.tree)
-		if f == nil {
-			return fmt.Errorf("%w: SpaReach spatial index %T", ErrNotPersistable, eng.tree)
-		}
 		switch reach := eng.reach.(type) {
 		case *labeling.Labeling:
 			mustWrite(&man, manifestHeader{Method: uint8(MethodSpaReachINT), Policy: uint8(eng.policy)})
 			mustWrite(&man, labelingMetaOf(reach))
-			mustWrite(&man, treeMetaOf(f))
+			mustWrite(&man, treeMetaOf(eng.tree))
 			fw.Append(owner, secManifest, man.Bytes())
 			if err := appendLabelingSections(fw, owner, reach); err != nil {
 				return err
@@ -240,7 +229,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			words, hash, out, in, discover, finish := reach.Flat()
 			mustWrite(&man, manifestHeader{Method: uint8(MethodSpaReachBFL), Policy: uint8(eng.policy)})
 			mustWrite(&man, bflMeta{N: uint32(len(hash)), Words: uint32(words)})
-			mustWrite(&man, treeMetaOf(f))
+			mustWrite(&man, treeMetaOf(eng.tree))
 			fw.Append(owner, secManifest, man.Bytes())
 			for _, s := range []error{
 				flatbuf.AppendSlice(fw, owner, secBFLHash, hash),
@@ -256,7 +245,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 		default:
 			return fmt.Errorf("%w: SpaReach backend %T", ErrNotPersistable, reach)
 		}
-		if err := appendTreeSections(fw, owner, f); err != nil {
+		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
 			return err
 		}
 	default:
@@ -288,7 +277,7 @@ func appendLabelingSections(fw *flatbuf.Writer, owner uint32, l *labeling.Labeli
 	return nil
 }
 
-func treeMetaOf[B rtree.FlatBound[B]](f *rtree.Flat[B]) treeMeta {
+func treeMetaOf[B rtree.Bound[B]](f *rtree.Flat[B]) treeMeta {
 	var zero B
 	m := f.Meta()
 	return treeMeta{
@@ -301,7 +290,7 @@ func treeMetaOf[B rtree.FlatBound[B]](f *rtree.Flat[B]) treeMeta {
 	}
 }
 
-func appendTreeSections[B rtree.FlatBound[B]](fw *flatbuf.Writer, owner uint32, f *rtree.Flat[B]) error {
+func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, owner uint32, f *rtree.Flat[B]) error {
 	nodeBounds, nodeMeta, entryBounds, entryIDs := f.Raw()
 	for _, err := range []error{
 		flatbuf.AppendSlice(fw, owner, secTreeNodeBounds, nodeBounds),
@@ -312,20 +301,6 @@ func appendTreeSections[B rtree.FlatBound[B]](fw *flatbuf.Writer, owner uint32, 
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// flattenTree canonicalizes a Searcher for persistence: pointer trees
-// flatten (deterministic BFS), already-flat trees pass through — which
-// is what makes saving a mapped index re-emit the mapped bytes rather
-// than a stale re-encode. Unknown implementations yield nil.
-func flattenTree[B rtree.FlatBound[B]](s rtree.Searcher[B]) *rtree.Flat[B] {
-	switch t := s.(type) {
-	case *rtree.Tree[B]:
-		return rtree.Flatten(t)
-	case *rtree.Flat[B]:
-		return t
 	}
 	return nil
 }
@@ -611,7 +586,7 @@ func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *da
 // range-checks every entry id against limit — ids index SpatialMembers
 // and the network's vertex tables, so an out-of-range id in a corrupt
 // file would otherwise become a query-time panic.
-func loadFlatTreeV2[B rtree.FlatBound[B]](img *flatbuf.Image, owner uint32, mr *bytes.Reader, wantDims, limit int) (*rtree.Flat[B], error) {
+func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, owner uint32, mr *bytes.Reader, wantDims, limit int) (*rtree.Flat[B], error) {
 	var tm treeMeta
 	if err := readManifest(mr, owner, &tm); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ type SpaReach struct {
 	prep      *dataset.Prepared
 	policy    dataset.SCCPolicy
 	reach     reachIndex
-	tree      rtree.Searcher[geom.Rect]
+	tree      *rtree.Flat[geom.Rect]
 	streaming bool
 
 	// scratch pools the materialized candidate sets so concurrent
@@ -105,7 +105,7 @@ func NewSpaReachPLL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
 func newSpaReachPipelined(name string, prep *dataset.Prepared, opts SpaReachOptions, phase string, build func() reachIndex) *SpaReach {
 	p := pool.New(max(opts.Parallelism, 1))
 	var reach reachIndex
-	var tree *rtree.Tree[geom.Rect]
+	var tree *rtree.Flat[geom.Rect]
 	_ = p.Run(
 		func() error {
 			t := opts.Span.Start()
@@ -130,7 +130,7 @@ func newSpaReach(name string, prep *dataset.Prepared, reach reachIndex, opts Spa
 	return newSpaReachWithTree(name, prep, reach, tree, opts)
 }
 
-func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, tree rtree.Searcher[geom.Rect], opts SpaReachOptions) *SpaReach {
+func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, tree *rtree.Flat[geom.Rect], opts SpaReachOptions) *SpaReach {
 	e := &SpaReach{
 		name: name, prep: prep, policy: opts.Policy,
 		reach: reach, streaming: opts.Streaming, tree: tree,
@@ -144,7 +144,7 @@ func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, 
 // original vertex), or one rectangle per component with spatial members
 // under MBR (entry id = component). A non-sequential pool parallelizes
 // the STR packing; the tree is identical either way.
-func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, fanout int, p *pool.Pool) *rtree.Tree[geom.Rect] {
+func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, fanout int, p *pool.Pool) *rtree.Flat[geom.Rect] {
 	var entries []rtree.Entry[geom.Rect]
 	if policy == dataset.MBR {
 		for c := range prep.Members {
@@ -165,11 +165,11 @@ func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, fanout i
 			}
 		}
 	}
-	t := rtree.BulkLoadPool(entries, fanout, p)
+	leafBoundBytes := 0
 	if policy == dataset.Replicate && !prep.Net.HasExtents() {
-		t.SetLeafBoundBytes(16) // points, not rectangles
+		leafBoundBytes = 16 // points, not rectangles
 	}
-	return t
+	return rtree.BulkLoadPool(entries, fanout, leafBoundBytes, p)
 }
 
 // Name implements Engine.

@@ -30,7 +30,7 @@ type ThreeDReach struct {
 	// the Replicate policy of networks with extended geometries (paper
 	// footnote 1) through the R-tree, the only backend indexing boxes.
 	points pointIndex3
-	boxes  rtree.Searcher[geom.Box3]
+	boxes  *rtree.Flat[geom.Box3]
 	// exactBoxes marks the boxes tree as holding exact per-vertex
 	// geometries: a hit is a witness, no member verification needed.
 	exactBoxes bool
@@ -90,7 +90,7 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 				})
 			}
 		}
-		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, wp)
+		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, 0, wp)
 		return e
 	}
 
@@ -107,7 +107,7 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 				})
 			}
 		}
-		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, wp)
+		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, 0, wp)
 		e.exactBoxes = true
 		return e
 	}

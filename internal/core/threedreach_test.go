@@ -87,8 +87,8 @@ func fragmentedQueries(rng *rand.Rand, e *ThreeDReach, n, minLabel int) (vs []in
 }
 
 // TestStaticFragmentedParity checks the label-pruned search against BFS
-// on every branch, on the pointer tree and on the mapped flat tree,
-// whose trace counters must also agree query by query.
+// on every branch, on the built tree and on the mapped one, whose trace
+// counters must also agree query by query.
 func TestStaticFragmentedParity(t *testing.T) {
 	for _, c := range fragmentedCases(t) {
 		truth := NewNaiveBFS(c.prep.Net)
@@ -166,7 +166,7 @@ func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 }
 
 // TestStaticRangeReachDoesNotAllocate covers the untraced read path of
-// every branch on both trees: the single cuboid of a one-interval label
+// every branch on the built and the mapped index: the single cuboid of a one-interval label
 // and the label-pruned traversal of a fragmented one.
 func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
 	for _, c := range fragmentedCases(t) {

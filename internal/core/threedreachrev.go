@@ -21,7 +21,7 @@ type ThreeDReachRev struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
 	rev    *labeling.Labeling // labeling of the reversed condensed DAG
-	tree   rtree.Searcher[geom.Box3]
+	tree   *rtree.Flat[geom.Box3]
 }
 
 // NewThreeDReachRev builds the line-based 3DReach-Rev engine.
@@ -71,10 +71,10 @@ func NewThreeDReachRevWithLabeling(prep *dataset.Prepared, rev *labeling.Labelin
 			}
 		}
 	}
-	e.tree = rtree.BulkLoadPool(entries, opts.Fanout, pool.New(max(opts.Parallelism, 1)))
 	// Segments and boxes are stored alike (min/max corners), matching the
 	// paper's observation about Boost's R-tree (§6.2): no leaf-payload
 	// override either way.
+	e.tree = rtree.BulkLoadPool(entries, opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
 	return e
 }
 

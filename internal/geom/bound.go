@@ -6,9 +6,6 @@ package geom
 // Dims returns 2, the dimensionality of a Rect.
 func (Rect) Dims() int { return 2 }
 
-// Measure returns the area of r (the generic analogue of volume).
-func (r Rect) Measure() float64 { return r.Area() }
-
 // Contains reports whether s lies entirely inside r (alias of
 // ContainsRect, shared with Box3.Contains for the generic R-tree).
 func (r Rect) Contains(s Rect) bool { return r.ContainsRect(s) }
@@ -24,9 +21,6 @@ func (r Rect) CenterCoord(d int) float64 {
 
 // Dims returns 3, the dimensionality of a Box3.
 func (Box3) Dims() int { return 3 }
-
-// Measure returns the volume of b.
-func (b Box3) Measure() float64 { return b.Volume() }
 
 // Contains reports whether c lies entirely inside b (alias of
 // ContainsBox, shared with Rect.Contains for the generic R-tree).

@@ -7,9 +7,6 @@ func TestBoundInterfaceMethods(t *testing.T) {
 	if r.Dims() != 2 {
 		t.Error("Rect.Dims != 2")
 	}
-	if r.Measure() != r.Area() {
-		t.Error("Rect.Measure != Area")
-	}
 	if !r.Contains(NewRect(1, 1, 2, 2)) || r.Contains(NewRect(3, 1, 5, 2)) {
 		t.Error("Rect.Contains wrong")
 	}
@@ -21,9 +18,6 @@ func TestBoundInterfaceMethods(t *testing.T) {
 	if b.Dims() != 3 {
 		t.Error("Box3.Dims != 3")
 	}
-	if b.Measure() != b.Volume() {
-		t.Error("Box3.Measure != Volume")
-	}
 	if !b.Contains(NewBox3(1, 1, 1, 2, 2, 2)) || b.Contains(NewBox3(1, 1, 5, 2, 2, 7)) {
 		t.Error("Box3.Contains wrong")
 	}
@@ -32,7 +26,7 @@ func TestBoundInterfaceMethods(t *testing.T) {
 	}
 }
 
-func TestBox3FromPointAndEnlargement(t *testing.T) {
+func TestBox3FromPoint(t *testing.T) {
 	p := Pt3(1, 2, 3)
 	b := Box3FromPoint(p)
 	if b.Min != p || b.Max != p {
@@ -40,12 +34,5 @@ func TestBox3FromPointAndEnlargement(t *testing.T) {
 	}
 	if b.Volume() != 0 {
 		t.Error("degenerate box has volume")
-	}
-	base := NewBox3(0, 0, 0, 2, 2, 2)
-	if got := base.Enlargement(NewBox3(1, 1, 1, 2, 2, 2)); got != 0 {
-		t.Errorf("Enlargement(contained) = %g", got)
-	}
-	if got := base.Enlargement(NewBox3(0, 0, 0, 4, 2, 2)); got != 8 {
-		t.Errorf("Enlargement = %g, want 8", got)
 	}
 }

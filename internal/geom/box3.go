@@ -67,12 +67,6 @@ func (b Box3) Volume() float64 {
 	return (b.Max.X - b.Min.X) * (b.Max.Y - b.Min.Y) * (b.Max.Z - b.Min.Z)
 }
 
-// Margin returns the sum of the three edge lengths of b, the 3D analogue
-// of Rect.Margin.
-func (b Box3) Margin() float64 {
-	return (b.Max.X - b.Min.X) + (b.Max.Y - b.Min.Y) + (b.Max.Z - b.Min.Z)
-}
-
 // ContainsPoint reports whether p lies inside b (boundary inclusive).
 func (b Box3) ContainsPoint(p Point3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
@@ -108,11 +102,6 @@ func (b Box3) Union(c Box3) Box3 {
 			math.Max(b.Max.Z, c.Max.Z),
 		},
 	}
-}
-
-// Enlargement returns how much b's volume grows when extended to cover c.
-func (b Box3) Enlargement(c Box3) float64 {
-	return b.Union(c).Volume() - b.Volume()
 }
 
 // String implements fmt.Stringer.

@@ -4,7 +4,7 @@ package geom
 // index format: a bound of d dimensions serializes to 2d float64s, min
 // corner then max corner, axis-major — which is also how Rect and Box3
 // lie in memory, so the flat R-tree reads a stored bound in place (see
-// rtree.FlatBound).
+// rtree.Bound).
 
 // AppendCoords appends r's corners to dst as MinX, MinY, MaxX, MaxY.
 func (r Rect) AppendCoords(dst []float64) []float64 {

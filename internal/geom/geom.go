@@ -96,9 +96,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
 }
 
-// Margin returns half the perimeter of r, a common R-tree split metric.
-func (r Rect) Margin() float64 { return r.Width() + r.Height() }
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g, %g]x[%g, %g]", r.Min.X, r.Max.X, r.Min.Y, r.Max.Y)

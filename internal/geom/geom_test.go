@@ -20,9 +20,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); got != 10 {
 		t.Errorf("Area = %g, want 10", got)
 	}
-	if got := r.Margin(); got != 7 {
-		t.Errorf("Margin = %g, want 7", got)
-	}
 	if got := r.Center(); got != Pt(2, 4.5) {
 		t.Errorf("Center = %v, want (2, 4.5)", got)
 	}
@@ -137,9 +134,6 @@ func TestBox3Basics(t *testing.T) {
 	b := NewBox3(1, 2, 3, 4, 6, 9)
 	if got := b.Volume(); got != 3*4*6 {
 		t.Errorf("Volume = %g, want 72", got)
-	}
-	if got := b.Margin(); got != 3+4+6 {
-		t.Errorf("Margin = %g, want 13", got)
 	}
 	if got := b.Rect(); got != NewRect(1, 2, 4, 6) {
 		t.Errorf("Rect projection = %v", got)

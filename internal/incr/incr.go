@@ -121,7 +121,7 @@ type Index struct {
 	deadComps int
 
 	// Spatial state: immutable base + bounded overlay + tombstones.
-	base       *rtree.Tree[geom.Box3]
+	base       *rtree.Flat[geom.Box3]
 	overlay    []rtree.Entry[geom.Box3]
 	overlayIdx map[int32]int      // venue id → overlay slot
 	stale      map[int32]struct{} // venue ids whose base entry is superseded
@@ -582,10 +582,8 @@ func (x *Index) rebuildDerived() {
 }
 
 // foldBase packs every live venue entry into a fresh base tree and
-// empties the overlay and tombstone set. BulkLoad both reorders its
-// input and aliases it from the leaves, so the entry slice built here
-// is private to the new tree; published snapshots sharing an old base
-// are unaffected.
+// empties the overlay and tombstone set. The old base is left as it
+// was, so published snapshots sharing it are unaffected.
 func (x *Index) foldBase() {
 	var entries []rtree.Entry[geom.Box3]
 	for v := 0; v < x.n; v++ {
@@ -599,11 +597,11 @@ func (x *Index) foldBase() {
 		})
 		x.inBase[v] = true
 	}
-	wp := pool.New(max(x.opts.Parallelism, 1))
-	x.base = rtree.BulkLoadPool(entries, x.opts.Fanout, wp)
+	leafBoundBytes := 0
 	if !x.hasExtents {
-		x.base.SetLeafBoundBytes(24)
+		leafBoundBytes = 24 // points, not boxes
 	}
+	x.base = rtree.BulkLoadPool(entries, x.opts.Fanout, leafBoundBytes, pool.New(max(x.opts.Parallelism, 1)))
 	x.overlay = nil
 	x.overlayIdx = nil
 	x.stale = nil

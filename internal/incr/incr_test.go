@@ -2,6 +2,7 @@ package incr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -477,5 +478,31 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	s.post[s.q.comp[0]] = 0
 	if s.Validate() == nil {
 		t.Error("snapshot post corruption not detected")
+	}
+
+	// Base-tree corruption, geometric and structural, on the index and on
+	// a snapshot sharing the tree (the publish check validates both).
+	for _, c := range []struct {
+		want   string
+		damage func(nodeBounds []float64, nodeMeta []uint32, entryBounds []float64)
+	}{
+		{"does not contain entry", func(_ []float64, _ []uint32, eb []float64) { eb[0] -= 1e9 }},
+		{"does not contain child", func(nb []float64, _ []uint32, eb []float64) { copy(nb[:6], eb) }},
+		{"size says", func(_ []float64, nm []uint32, _ []float64) { nm[len(nm)-1] -= 1 << 1 }},
+		{"not balanced", func(_ []float64, nm []uint32, _ []float64) { nm[len(nm)-1] &^= 1 }},
+		{"fan-out is", func(_ []float64, nm []uint32, _ []float64) { nm[1] = 5 << 1 }},
+	} {
+		x = New(dataset.Prepare(randomNetwork(rand.New(rand.NewSource(17)), 12, 20)), Options{Fanout: 4})
+		if x.base.Height() < 2 {
+			t.Fatal("base tree too shallow for the test")
+		}
+		s = x.Snapshot()
+		nb, nm, eb, _ := x.base.Raw()
+		c.damage(nb, nm, eb)
+		for name, err := range map[string]error{"index": x.Validate(), "snapshot": s.Validate()} {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: want an error containing %q, got %v", name, c.want, err)
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ type qview struct {
 	n       int
 	comp    []int32
 	labels  []intervals.Set
-	base    *rtree.Tree[geom.Box3]
+	base    *rtree.Flat[geom.Box3]
 	overlay []rtree.Entry[geom.Box3]
 	stale   map[int32]struct{}
 	grid    *occGrid

@@ -116,7 +116,7 @@ func (x *Index) Validate() error {
 // overlay — carrying z = post(comp(v)), and that tombstones only cover
 // vertices that do have a base entry.
 func validateSpatial(n int, spatial []bool, comp, post []int32,
-	base *rtree.Tree[geom.Box3], overlay []rtree.Entry[geom.Box3], stale map[int32]struct{}) error {
+	base *rtree.Flat[geom.Box3], overlay []rtree.Entry[geom.Box3], stale map[int32]struct{}) error {
 	liveEntry := make(map[int32]float64, len(overlay))
 	inBase := make(map[int32]bool)
 	ok := true

@@ -2,113 +2,74 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/trace"
 )
 
-// Both implementations must keep satisfying the shared query interface
-// the engines are typed against.
-var (
-	_ Searcher[geom.Rect] = (*Tree[geom.Rect])(nil)
-	_ Searcher[geom.Rect] = (*Flat[geom.Rect])(nil)
-	_ Searcher[geom.Box3] = (*Tree[geom.Box3])(nil)
-	_ Searcher[geom.Box3] = (*Flat[geom.Box3])(nil)
-)
-
-func flatSearch(f *Flat[geom.Rect], q geom.Rect) []int32 {
-	var ids []int32
-	f.Search(q, func(e Entry[geom.Rect]) bool {
-		ids = append(ids, e.ID)
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// TestFlattenRoundTrip checks Flatten → Raw/Meta → NewFlat → queries:
-// the rebuilt flat tree must answer every operation exactly like the
-// pointer tree it came from, including the trace counters — the flat
-// traversal must visit the same nodes in the same order.
+// TestFlattenRoundTrip checks BulkLoad → Raw/Meta → NewFlat → queries:
+// the tree rebuilt from the arrays — what a loaded or mapped index runs
+// on — must answer every operation like the built one, with the same
+// trace counters, and both must agree with the brute-force scan.
 func TestFlattenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
 		entries := randomRectEntries(rng, n)
-		tree := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 16)
-		flat := Flatten(tree)
-		if flat == nil {
-			t.Fatalf("n=%d: Flatten returned nil", n)
-		}
-		nb, nm, eb, ids := flat.Raw()
-		rebuilt, err := NewFlat[geom.Rect](flat.Meta(), nb, nm, eb, ids)
+		built := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 16, 0)
+		nb, nm, eb, ids := built.Raw()
+		rebuilt, err := NewFlat[geom.Rect](built.Meta(), nb, nm, eb, ids)
 		if err != nil {
 			t.Fatalf("n=%d: NewFlat: %v", n, err)
 		}
-		for _, f := range []*Flat[geom.Rect]{flat, rebuilt} {
-			if f.Len() != tree.Len() || f.Height() != tree.Height() {
-				t.Fatalf("n=%d: len/height %d/%d, want %d/%d", n, f.Len(), f.Height(), tree.Len(), tree.Height())
+		if rebuilt.Len() != n || rebuilt.Height() != built.Height() || rebuilt.MemoryBytes() != built.MemoryBytes() {
+			t.Fatalf("n=%d: len/height/bytes %d/%d/%d, want %d/%d/%d", n,
+				rebuilt.Len(), rebuilt.Height(), rebuilt.MemoryBytes(), n, built.Height(), built.MemoryBytes())
+		}
+		if err := rebuilt.Validate(); err != nil {
+			t.Fatalf("n=%d: Validate: %v", n, err)
+		}
+		rb, rok := rebuilt.Bounds()
+		bb, bok := built.Bounds()
+		if rok != bok || rb != bb {
+			t.Fatalf("n=%d: Bounds %v/%v, want %v/%v", n, rb, rok, bb, bok)
+		}
+		var all []int32
+		rebuilt.All(func(e Entry[geom.Rect]) bool { all = append(all, e.ID); return true })
+		if len(all) != n {
+			t.Fatalf("n=%d: All visited %d entries", n, len(all))
+		}
+		for q := 0; q < 50; q++ {
+			query := randomRect(rng)
+			want := bruteSearch(entries, query)
+			if got := treeSearch(rebuilt, query); !equalIDs(got, want) {
+				t.Fatalf("n=%d query %v: rebuilt %v, brute force %v", n, query, got, want)
 			}
-			if err := f.Validate(); err != nil {
-				t.Fatalf("n=%d: Validate: %v", n, err)
+			if got := rebuilt.Count(query); got != len(want) {
+				t.Fatalf("n=%d query %v: Count %d, want %d", n, query, got, len(want))
 			}
-			fb, fok := f.Bounds()
-			tb, tok := tree.Bounds()
-			if fok != tok || (fok && fb != tb) {
-				t.Fatalf("n=%d: Bounds %v/%v, want %v/%v", n, fb, fok, tb, tok)
+			if _, ok := rebuilt.SearchAny(query); ok != (len(want) > 0) {
+				t.Fatalf("n=%d query %v: SearchAny %v with %d matches", n, query, ok, len(want))
 			}
-			var all []int32
-			f.All(func(e Entry[geom.Rect]) bool { all = append(all, e.ID); return true })
-			if len(all) != n {
-				t.Fatalf("n=%d: All visited %d entries", n, len(all))
+			var rs, bs trace.Span
+			rebuilt.SearchTraced(query, &rs, func(Entry[geom.Rect]) bool { return true })
+			built.SearchTraced(query, &bs, func(Entry[geom.Rect]) bool { return true })
+			if rs.Counters != bs.Counters {
+				t.Fatalf("n=%d query %v: trace counters %+v, want %+v", n, query, rs.Counters, bs.Counters)
 			}
-			for q := 0; q < 50; q++ {
-				query := randomRect(rng)
-				want := treeSearch(tree, query)
-				if got := flatSearch(f, query); !equalIDs(got, want) {
-					t.Fatalf("n=%d query %v: flat %v, tree %v", n, query, got, want)
-				}
-				if got, want := f.Count(query), tree.Count(query); got != want {
-					t.Fatalf("n=%d query %v: Count %d, want %d", n, query, got, want)
-				}
-				_, fAny := f.SearchAny(query)
-				_, tAny := tree.SearchAny(query)
-				if fAny != tAny {
-					t.Fatalf("n=%d query %v: SearchAny %v, want %v", n, query, fAny, tAny)
-				}
-				var fs, ts trace.Span
-				f.SearchTraced(query, &fs, func(Entry[geom.Rect]) bool { return true })
-				tree.SearchTraced(query, &ts, func(Entry[geom.Rect]) bool { return true })
-				if fs.Counters != ts.Counters {
-					t.Fatalf("n=%d query %v: trace counters %+v, want %+v", n, query, fs.Counters, ts.Counters)
-				}
-				// The 2D instantiation of the predicate search: the bounds
-				// handed out in place must be the bounds stored.
-				meets := func(b *geom.Rect) bool { return b.Intersects(query) }
-				odd := func(id int32) bool { return id%2 == 1 }
-				var fw, tw trace.Span
-				if got, want := f.SearchAnyWhere(&fw, meets, odd), tree.SearchAnyWhere(&tw, meets, odd); got != want || fw.Counters != tw.Counters {
-					t.Fatalf("n=%d query %v: SearchAnyWhere %v with %+v, want %v with %+v", n, query, got, fw.Counters, want, tw.Counters)
-				}
+			// The 2D instantiation of the predicate search: the bounds
+			// handed out in place must be the bounds stored.
+			meets := func(b *geom.Rect) bool { return b.Intersects(query) }
+			odd := func(id int32) bool { return id%2 == 1 }
+			wantOdd := false
+			for _, id := range want {
+				wantOdd = wantOdd || odd(id)
+			}
+			var rw, bw trace.Span
+			if got, same := rebuilt.SearchAnyWhere(&rw, meets, odd), built.SearchAnyWhere(&bw, meets, odd); got != wantOdd || same != wantOdd || rw.Counters != bw.Counters {
+				t.Fatalf("n=%d query %v: SearchAnyWhere %v with %+v and %v with %+v, want %v", n, query, got, rw.Counters, same, bw.Counters, wantOdd)
 			}
 		}
-	}
-}
-
-// TestFlattenEarlyStop checks that a callback returning false stops the
-// flat traversal like it stops the pointer traversal.
-func TestFlattenEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	entries := randomRectEntries(rng, 200)
-	flat := Flatten(BulkLoad(entries, 16))
-	seen := 0
-	done := flat.Search(geom.NewRect(0, 0, 100, 100), func(Entry[geom.Rect]) bool {
-		seen++
-		return seen < 3
-	})
-	if done || seen != 3 {
-		t.Fatalf("early stop: done=%v seen=%d, want false/3", done, seen)
 	}
 }
 
@@ -117,7 +78,7 @@ func TestFlattenEarlyStop(t *testing.T) {
 // inconsistent tree.
 func TestNewFlatRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	base := Flatten(BulkLoad(randomRectEntries(rng, 300), 16))
+	base := BulkLoad(randomRectEntries(rng, 300), 16, 0)
 
 	check := func(name string, mutate func(meta *FlatMeta, nodeMeta []uint32)) {
 		t.Run(name, func(t *testing.T) {
@@ -164,7 +125,7 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("empty", func(t *testing.T) {
-		empty := Flatten(BulkLoad[geom.Rect](nil, 16))
+		empty := BulkLoad[geom.Rect](nil, 16, 0)
 		nb, nm, eb, ids := empty.Raw()
 		f, err := NewFlat[geom.Rect](empty.Meta(), nb, nm, eb, ids)
 		if err != nil {
@@ -177,14 +138,55 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 			t.Fatal("empty flat tree reported bounds")
 		}
 	})
+
+	// A chain of one-child nodes is balanced and tiles the arrays, so
+	// only the height bound stands between it and a recursion as deep
+	// as the file is long.
+	t.Run("chain", func(t *testing.T) {
+		chain := func(height int) error {
+			nb := make([]float64, 4*height)
+			nm := make([]uint32, 0, 2*height)
+			for i := 1; i < height; i++ {
+				nm = append(nm, uint32(i), 1<<1)
+			}
+			nm = append(nm, 0, 1<<1|1)
+			_, err := NewFlat[geom.Rect](FlatMeta{MaxEntries: 16, Height: height, Size: 1}, nb, nm, make([]float64, 4), []int32{7})
+			return err
+		}
+		if err := chain(maxHeight); err != nil {
+			t.Fatalf("chain of %d levels rejected: %v", maxHeight, err)
+		}
+		if chain(maxHeight+1) == nil {
+			t.Fatalf("chain of %d levels accepted", maxHeight+1)
+		}
+	})
+}
+
+// TestBulkLoadClampsFanout pins the one fan-out range builder and
+// loader share: whatever BulkLoad is asked for, NewFlat takes back.
+func TestBulkLoadClampsFanout(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, c := range []struct{ ask, want int }{
+		{-3, DefaultMaxEntries}, {0, DefaultMaxEntries}, {1, minFanout}, {3, minFanout},
+		{minFanout, minFanout}, {maxFanout, maxFanout}, {maxFanout + 1, maxFanout}, {1 << 21, maxFanout},
+	} {
+		f := BulkLoad(randomRectEntries(rng, 100), c.ask, 0)
+		if got := f.Meta().MaxEntries; got != c.want {
+			t.Errorf("fan-out %d built as %d, want %d", c.ask, got, c.want)
+		}
+		nb, nm, eb, ids := f.Raw()
+		if _, err := NewFlat[geom.Rect](f.Meta(), nb, nm, eb, ids); err != nil {
+			t.Errorf("fan-out %d: built tree does not load: %v", c.ask, err)
+		}
+	}
 }
 
 // TestFlatMemoryBytes sanity-checks the footprint accounting: nonzero,
 // and growing with the entry count.
 func TestFlatMemoryBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	small := Flatten(BulkLoad(randomRectEntries(rng, 50), 16))
-	big := Flatten(BulkLoad(randomRectEntries(rng, 5000), 16))
+	small := BulkLoad(randomRectEntries(rng, 50), 16, 0)
+	big := BulkLoad(randomRectEntries(rng, 5000), 16, 0)
 	if small.MemoryBytes() <= 0 || big.MemoryBytes() <= small.MemoryBytes() {
 		t.Fatalf("MemoryBytes small=%d big=%d", small.MemoryBytes(), big.MemoryBytes())
 	}
@@ -198,10 +200,9 @@ func TestFlattenBox3(t *testing.T) {
 		x, y, z := rng.Float64()*100, rng.Float64()*100, rng.Float64()*100
 		entries[i] = Entry[geom.Box3]{Box: geom.NewBox3(x, y, z, x+1, y+1, z+1), ID: int32(i)}
 	}
-	tree := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 16)
-	flat := Flatten(tree)
-	nb, nm, eb, ids := flat.Raw()
-	rebuilt, err := NewFlat[geom.Box3](flat.Meta(), nb, nm, eb, ids)
+	built := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 16, 0)
+	nb, nm, eb, ids := built.Raw()
+	rebuilt, err := NewFlat[geom.Box3](built.Meta(), nb, nm, eb, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,13 @@ func TestFlattenBox3(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		x, y, z := rng.Float64()*90, rng.Float64()*90, rng.Float64()*90
 		query := geom.NewBox3(x, y, z, x+10, y+10, z+10)
-		if got, want := rebuilt.Count(query), tree.Count(query); got != want {
+		want := 0
+		for _, e := range entries {
+			if e.Box.Intersects(query) {
+				want++
+			}
+		}
+		if got := rebuilt.Count(query); got != want {
 			t.Fatalf("query %d: Count %d, want %d", q, got, want)
 		}
 	}

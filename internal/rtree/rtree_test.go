@@ -43,7 +43,7 @@ func bruteSearch(entries []Entry[geom.Rect], q geom.Rect) []int32 {
 	return ids
 }
 
-func treeSearch(t *Tree[geom.Rect], q geom.Rect) []int32 {
+func treeSearch(t *Flat[geom.Rect], q geom.Rect) []int32 {
 	var ids []int32
 	t.Search(q, func(e Entry[geom.Rect]) bool {
 		ids = append(ids, e.ID)
@@ -70,12 +70,12 @@ func TestBulkLoadSearchAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(500)
 		entries := randomRectEntries(rng, n)
-		tr := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 8)
+		tr := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 8, 0)
 		if tr.Len() != n {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n)
 		}
-		if msg := tr.CheckInvariants(); msg != "" {
-			t.Fatalf("trial %d: %s", trial, msg)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for q := 0; q < 20; q++ {
 			query := randomRect(rng)
@@ -86,55 +86,10 @@ func TestBulkLoadSearchAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertSearchAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 15; trial++ {
-		n := rng.Intn(300)
-		entries := randomRectEntries(rng, n)
-		tr := New[geom.Rect](6)
-		for _, e := range entries {
-			tr.Insert(e)
-		}
-		if tr.Len() != n {
-			t.Fatalf("Len = %d, want %d", tr.Len(), n)
-		}
-		if msg := tr.CheckInvariants(); msg != "" {
-			t.Fatalf("trial %d: %s", trial, msg)
-		}
-		for q := 0; q < 20; q++ {
-			query := randomRect(rng)
-			if !equalIDs(treeSearch(tr, query), bruteSearch(entries, query)) {
-				t.Fatalf("trial %d: search mismatch after inserts", trial)
-			}
-		}
-	}
-}
-
-func TestMixedBulkLoadTheInserts(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	base := randomPointEntries(rng, 200)
-	tr := BulkLoad(append([]Entry[geom.Rect](nil), base...), 8)
-	extra := randomRectEntries(rng, 100)
-	for i := range extra {
-		extra[i].ID += 1000
-		tr.Insert(extra[i])
-	}
-	all := append(append([]Entry[geom.Rect](nil), base...), extra...)
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
-	}
-	for q := 0; q < 40; q++ {
-		query := randomRect(rng)
-		if !equalIDs(treeSearch(tr, query), bruteSearch(all, query)) {
-			t.Fatal("search mismatch after mixed build")
-		}
-	}
-}
-
 func TestSearchAnyAndCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	entries := randomPointEntries(rng, 400)
-	tr := BulkLoad(entries, 0)
+	tr := BulkLoad(entries, 0, 0)
 	for q := 0; q < 50; q++ {
 		query := randomRect(rng)
 		want := bruteSearch(entries, query)
@@ -160,7 +115,7 @@ func TestSearchAnyAndCount(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	tr := BulkLoad[geom.Rect](nil, 0)
+	tr := BulkLoad[geom.Rect](nil, 0, 0)
 	if tr.Len() != 0 || tr.Height() != 0 {
 		t.Error("empty tree stats wrong")
 	}
@@ -171,7 +126,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 		t.Error("empty tree has bounds")
 	}
 
-	tr.Insert(Entry[geom.Rect]{Box: geom.RectFromPoint(geom.Pt(5, 5)), ID: 9})
+	tr = BulkLoad([]Entry[geom.Rect]{{Box: geom.RectFromPoint(geom.Pt(5, 5)), ID: 9}}, 0, 0)
 	if tr.Len() != 1 || tr.Height() != 1 {
 		t.Error("singleton tree stats wrong")
 	}
@@ -188,7 +143,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 func TestAllVisitsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	entries := randomPointEntries(rng, 123)
-	tr := BulkLoad(entries, 4)
+	tr := BulkLoad(entries, 4, 0)
 	seen := make(map[int32]bool)
 	tr.All(func(e Entry[geom.Rect]) bool {
 		seen[e.ID] = true
@@ -220,9 +175,9 @@ func TestBox3Tree(t *testing.T) {
 		seg := geom.VerticalSegment(geom.Pt(rng.Float64()*100, rng.Float64()*100), z, z+float64(rng.Intn(100)))
 		entries = append(entries, Entry[geom.Box3]{Box: seg, ID: int32(i)})
 	}
-	tr := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 8)
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
+	tr := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 8, 0)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	for q := 0; q < 40; q++ {
 		query := geom.Box3FromRect(randomRect(rng), float64(rng.Intn(1000)), float64(rng.Intn(1000)))
@@ -251,9 +206,8 @@ func TestBox3Tree(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	entries := randomPointEntries(rng, 500)
-	full := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 8)
-	asPoints := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 8)
-	asPoints.SetLeafBoundBytes(16)
+	full := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 8, 0)
+	asPoints := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 8, 16)
 	if asPoints.MemoryBytes() >= full.MemoryBytes() {
 		t.Errorf("point accounting %d >= rect accounting %d",
 			asPoints.MemoryBytes(), full.MemoryBytes())
@@ -269,9 +223,9 @@ func TestDuplicatePointsAndDegenerateData(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		entries = append(entries, Entry[geom.Rect]{Box: geom.RectFromPoint(geom.Pt(1, 1)), ID: int32(i)})
 	}
-	tr := BulkLoad(entries, 4)
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatal(msg)
+	tr := BulkLoad(entries, 4, 0)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	if got := tr.Count(geom.NewRect(0, 0, 2, 2)); got != 100 {
 		t.Errorf("Count = %d, want 100", got)
@@ -284,7 +238,7 @@ func TestDuplicatePointsAndDegenerateData(t *testing.T) {
 func TestEarlyTerminationStopsSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	entries := randomPointEntries(rng, 1000)
-	tr := BulkLoad(entries, 8)
+	tr := BulkLoad(entries, 8, 0)
 	visits := 0
 	completed := tr.Search(geom.NewRect(0, 0, 100, 100), func(Entry[geom.Rect]) bool {
 		visits++

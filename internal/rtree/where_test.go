@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -12,12 +11,13 @@ import (
 
 // leafZBounds collects every leaf's z-range, the places where an
 // off-by-one in a z-overlap test would show.
-func leafZBounds(n *node[geom.Box3], out []int32) []int32 {
-	if n.leaf {
-		return append(out, int32(n.bounds.Min.Z), int32(n.bounds.Max.Z))
-	}
-	for _, c := range n.children {
-		out = leafZBounds(c, out)
+func leafZBounds(f *Flat[geom.Box3]) []int32 {
+	var out []int32
+	for i := 0; i < f.NumNodes(); i++ {
+		if f.nodeMeta[2*i+1]&1 == 1 {
+			b := f.boundRef(uint32(i))
+			out = append(out, int32(b.Min.Z), int32(b.Max.Z))
+		}
 	}
 	return out
 }
@@ -47,31 +47,12 @@ func labelWithCuts(rng *rand.Rand, cuts []int32, zMax int32, want int) intervals
 	return s
 }
 
-// sameWalk runs SearchAnyWhere on the pointer tree and on its flat form
-// and fails unless the two agree on the answer, on the node, leaf and
-// entry counts, and on the sequence of bounds shown to meets.
-func sameWalk(t *testing.T, tr *Tree[geom.Box3], flat *Flat[geom.Box3], meets func(*geom.Box3) bool, keep func(int32) bool) (bool, trace.Span) {
-	t.Helper()
-	var sp, fsp trace.Span
-	var seen, fseen []geom.Box3
-	got := tr.SearchAnyWhere(&sp, func(b *geom.Box3) bool { seen = append(seen, *b); return meets(b) }, keep)
-	fgot := flat.SearchAnyWhere(&fsp, func(b *geom.Box3) bool { fseen = append(fseen, *b); return meets(b) }, keep)
-	if got != fgot || sp.Counters != fsp.Counters {
-		t.Fatalf("tree answers %v with %+v, its flat form %v with %+v", got, sp.Counters, fgot, fsp.Counters)
-	}
-	if !slices.Equal(seen, fseen) {
-		t.Fatalf("tree tested %d bounds, its flat form %d, or in another order", len(seen), len(fseen))
-	}
-	return got, sp
-}
-
 // TestSearchAnyWhereEqualsPerIntervalSearch checks the label-pruned
 // traversal against the evaluation it replaces: it finds a witness iff
-// some per-interval cuboid SearchAny does, on bulk-loaded and
-// insert-built trees and on the flat form of each (same answer, same
-// counts, same visit order), with no tombstones, with every hit
-// tombstoned, and with all but one; and a miss expands no more nodes
-// than the per-interval searches together, each at most once.
+// some per-interval cuboid search does, with no tombstones, with every
+// hit tombstoned, and with all but one; it shows meets each bound at
+// most once; and a miss expands no more nodes than the per-interval
+// searches together, each at most once.
 func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const zMax = 4000
@@ -82,22 +63,8 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 			p := geom.Pt3(rng.Float64()*100, rng.Float64()*100, float64(1+rng.Intn(zMax)))
 			entries[i] = Entry[geom.Box3]{Box: geom.Box3FromPoint(p), ID: int32(i)}
 		}
-		var tr *Tree[geom.Box3]
-		if trial%2 == 0 {
-			tr = BulkLoad(append([]Entry[geom.Box3](nil), entries...), 4+rng.Intn(13))
-		} else {
-			tr = New[geom.Box3](4 + rng.Intn(13))
-			for _, e := range entries {
-				tr.Insert(e)
-			}
-		}
-		flattened := Flatten(tr)
-		nb, nm, eb, ids := flattened.Raw()
-		flat, err := NewFlat[geom.Box3](flattened.Meta(), nb, nm, eb, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cuts := leafZBounds(tr.root, nil)
+		tr := BulkLoad(entries, 4+rng.Intn(13), 0)
+		cuts := leafZBounds(tr)
 		for q := 0; q < 40; q++ {
 			r := randomRect(rng)
 			label := labelWithCuts(rng, cuts, zMax, 1+rng.Intn(200))
@@ -114,7 +81,12 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				})
 			}
 
-			got, sp := sameWalk(t, tr, flat, meets, func(int32) bool { return true })
+			var sp trace.Span
+			tested := 0
+			got := tr.SearchAnyWhere(&sp, func(b *geom.Box3) bool { tested++; return meets(b) }, func(int32) bool { return true })
+			if tested > 1+int(sp.IndexNodes)*tr.maxEntries+int(sp.IndexEntries) {
+				t.Fatalf("trial %d: tested %d bounds after expanding %d nodes and %d entries", trial, tested, sp.IndexNodes, sp.IndexEntries)
+			}
 			if got != (len(hits) > 0) {
 				t.Fatalf("trial %d: SearchAnyWhere = %v with %d per-interval hits (label %v, region %v)", trial, got, len(hits), label, r)
 			}
@@ -130,7 +102,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				continue
 			}
 			found++
-			if all, _ := sameWalk(t, tr, flat, meets, func(id int32) bool { return !hits[id] }); all {
+			if tr.SearchAnyWhere(nil, meets, func(id int32) bool { return !hits[id] }) {
 				t.Fatalf("trial %d: found a witness with every hit tombstoned", trial)
 			}
 			var spared int32
@@ -138,7 +110,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				spared = id
 				break
 			}
-			if one, _ := sameWalk(t, tr, flat, meets, func(id int32) bool { return id == spared || !hits[id] }); !one {
+			if !tr.SearchAnyWhere(nil, meets, func(id int32) bool { return id == spared || !hits[id] }) {
 				t.Fatalf("trial %d: missed entry %d, the one hit not tombstoned", trial, spared)
 			}
 		}
@@ -146,8 +118,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 	if found < 100 || missed < 100 {
 		t.Errorf("lopsided draw: %d queries with a witness, %d without", found, missed)
 	}
-	empty := New[geom.Box3](0)
-	if got, _ := sameWalk(t, empty, Flatten(empty), func(*geom.Box3) bool { return true }, func(int32) bool { return true }); got {
+	if BulkLoad[geom.Box3](nil, 0, 0).SearchAnyWhere(nil, func(*geom.Box3) bool { return true }, func(int32) bool { return true }) {
 		t.Error("empty tree produced a witness")
 	}
 }
