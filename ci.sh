@@ -196,6 +196,21 @@ if [[ "${1:-}" != "-short" ]]; then
     # The stitched breakdown of the slowest request (stderr under -json).
     grep -q 'slowest trace .* endpoint=query status=200' "$SMOKE_DIR/load.err"
     grep -q 'span name=shard_call' "$SMOKE_DIR/load.err"
+    # Connection churn: the router should dial each backend once for
+    # the whole run. Measured on the 2-CPU reference box over these 600
+    # requests (7-12 of them early exits): 2 dials at this commit, 8-11
+    # at its parent, which canceled every early-exit straggler and with
+    # it the connection. The bound leaves room for a straggler or two
+    # that a loaded runner holds past its grace, and is half the
+    # parent's best reading.
+    # (bash's /dev/tcp, so the gate needs no curl.)
+    exec 3<>/dev/tcp/127.0.0.1/18740
+    printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+    dials=$(awk '$1 == "rr_router_backend_dials_total" { print $2 }' <&3)
+    exec 3<&-
+    echo "rr_router_backend_dials_total: ${dials:-missing}"
+    [[ -n "$dials" && "$dials" -le 4 ]] \
+        || { echo "router dialed its backends ${dials:-?} times for 600 requests (bound 4)" >&2; exit 1; }
 
     # Distributed-trace smoke: one traced query through the live
     # cluster, stitched by the router and fetched back from

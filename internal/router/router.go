@@ -10,8 +10,17 @@
 //
 //   - Spatial pruning: shards whose venue bounds miss the query region
 //     cannot answer positively and are never called.
-//   - Early exit: the first positive shard answer settles the query;
-//     the remaining in-flight shard calls are canceled.
+//   - Early exit: the first positive shard answer settles the query and
+//     answers the client at once. The shard calls still in flight are
+//     abandoned, not canceled: canceling an HTTP/1.1 request closes its
+//     connection, and the next call to that shard would pay for a dial.
+//     They finish on a context detached from the request, report to
+//     health and the trace as any call does, and hand their connection
+//     back to the pool; only one that outlives a short grace is
+//     canceled (see scatter).
+//   - Pass-through: a query whose region meets one shard's bounds is
+//     that shard's to answer; the router calls it on the handler's
+//     goroutine with the bytes it received.
 //   - Partial failure: a positive from any live shard is exact even if
 //     other shards are down. Only all-negative answers depend on every
 //     shard; the Policy decides whether those fail (PolicyFail) or
@@ -38,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -45,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/httpjson"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -147,6 +158,11 @@ type Router struct {
 	mux       *http.ServeMux
 	client    *http.Client
 	backendOf []string // shard id -> backend base URL
+	// calls counts the shard calls running on goroutines of their own.
+	// An abandoned straggler outlives the request that started it; Close
+	// waits here so nothing of this router's is still talking to a shard
+	// when it returns.
+	calls sync.WaitGroup
 	// bounds is the per-shard venue-bounds view, copy-on-write: readers
 	// atomically load the slice, the update path (under updateMu)
 	// replaces it when a new or moved venue grows a shard's bounds.
@@ -163,6 +179,7 @@ type Router struct {
 	mEarlyExit *metrics.Counter
 	mHedges    *metrics.Counter
 	mPruned    *metrics.Counter
+	mDials     *metrics.Counter // nil when Config.Transport is overridden
 	mInflight  *metrics.Gauge
 	mLatency   *metrics.Histogram
 	mShardReqs []*metrics.Counter
@@ -224,10 +241,19 @@ func New(cfg Config) (*Router, error) {
 	rt.bounds.Store(&bounds)
 	transport := cfg.Transport
 	if transport == nil {
+		rt.mDials = rt.reg.Counter("rr_router_backend_dials_total", "Connections the router opened to its backends; a rate near the query rate means calls are not reusing connections.")
+		var dialer net.Dialer // the zero Dialer is what a Transport without DialContext uses
 		transport = &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				rt.mDials.Inc()
+				return dialer.DialContext(ctx, network, addr)
+			},
 			MaxIdleConns:        4 * n,
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
+			// Shards never compress; this drops the Accept-Encoding header
+			// and the gzip check from every call.
+			DisableCompression: true,
 		}
 	}
 	rt.client = &http.Client{Transport: transport}
@@ -299,14 +325,19 @@ func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 // BackendFor returns the backend base URL shard id is placed on.
 func (rt *Router) BackendFor(id int) string { return rt.backendOf[id] }
 
-// Close stops the federation loop and releases idle backend
-// connections.
+// Close stops the federation loop, waits for the shard calls the router
+// still has in flight and releases idle backend connections. Call it
+// after the HTTP server in front of Handler has drained: the calls left
+// then are early-exit stragglers, each bounded by its grace and by
+// ShardTimeout. When Close returns the router is talking to no shard,
+// so a shard whose handler has answered every call it received is idle.
 func (rt *Router) Close() {
 	if rt.fedStop != nil {
 		close(rt.fedStop)
 		<-rt.fedDone
 		rt.fedStop = nil
 	}
+	rt.calls.Wait()
 	if t, ok := rt.client.Transport.(*http.Transport); ok {
 		t.CloseIdleConnections()
 	}
@@ -378,22 +409,31 @@ func (rt *Router) writeError(w http.ResponseWriter, status int, format string, a
 	rt.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody decodes a JSON request body under the MaxBodyBytes cap,
-// reporting (status, error) on failure.
-func (rt *Router) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	body := r.Body
-	if rt.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
+// appendQueryReply appends resp as encoding/json encodes it, trailing
+// newline included: the 200 of every /v1/query is these scalars, and
+// appending them costs no reflection and no encoder. A trace id is hex
+// (trace.ParseTraceparent, trace.NewTraceID), so it needs no escaping.
+func appendQueryReply(b []byte, resp queryResponse) []byte {
+	b = append(b, `{"reachable":`...)
+	b = strconv.AppendBool(b, resp.Reachable)
+	b = append(b, `,"micros":`...)
+	b = strconv.AppendInt(b, resp.Micros, 10)
+	b = append(b, `,"shards":`...)
+	b = strconv.AppendInt(b, int64(resp.Shards), 10)
+	if resp.Partial {
+		b = append(b, `,"partial":true`...)
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
+	if resp.TraceID != "" {
+		b = append(b, `,"trace_id":"`...)
+		b = append(b, resp.TraceID...)
+		b = append(b, '"')
 	}
-	return 0, nil
+	return append(b, "}\n"...)
+}
+
+func writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, resp queryResponse) {
+	sc.Out = appendQueryReply(sc.Out[:0], resp)
+	sc.Reply(w, http.StatusOK)
 }
 
 // statusWriter captures the response status for the trace and the
@@ -469,8 +509,8 @@ var errShardDown = errors.New("shard marked down")
 // callShard POSTs body to one shard and returns the response bytes.
 // The call carries the per-shard timeout; when hedging is configured a
 // second identical attempt launches after cfg.Hedge and the first
-// answer wins. Cancellation of parent (early exit or client
-// disconnect) is not held against the shard's health.
+// answer wins. Cancellation of parent (a straggler out of grace, or a
+// client disconnect) is not held against the shard's health.
 func (rt *Router) callShard(parent context.Context, sid int, path string, body []byte) ([]byte, error) {
 	h := rt.health[sid]
 	if !h.allow() {
@@ -512,11 +552,16 @@ func (rt *Router) attemptHedged(ctx context.Context, sid int, path string, body 
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
 	ch := make(chan outcome, 2)
+	// A losing attempt outlives this call, so Close waits for it too.
 	launch := func() {
-		data, err := rt.attempt(actx, sid, path, body)
-		ch <- outcome{data, err}
+		rt.calls.Add(1)
+		go func() {
+			defer rt.calls.Done()
+			data, err := rt.attempt(actx, sid, path, body)
+			ch <- outcome{data, err}
+		}()
 	}
-	go launch()
+	launch()
 	hedge := time.NewTimer(rt.cfg.Hedge)
 	defer hedge.Stop()
 	launched, outstanding := 1, 1
@@ -528,7 +573,7 @@ func (rt *Router) attemptHedged(ctx context.Context, sid int, path string, body 
 				launched, outstanding = 2, outstanding+1
 				rt.mHedges.Inc()
 				traceFrom(ctx).event("hedge", trace.TierRouter, sid, map[string]string{"cause": "slow"})
-				go launch()
+				launch()
 			}
 		case out := <-ch:
 			if out.err == nil {
@@ -547,7 +592,7 @@ func (rt *Router) attemptHedged(ctx context.Context, sid int, path string, body 
 				launched, outstanding = 2, outstanding+1
 				rt.mHedges.Inc()
 				traceFrom(ctx).event("hedge", trace.TierRouter, sid, map[string]string{"cause": "fast-fail"})
-				go launch()
+				launch()
 				continue
 			}
 			if outstanding == 0 {
@@ -613,18 +658,17 @@ func firstLine(b []byte) string {
 // immutable — the update path replaces, never mutates, it.
 func (rt *Router) boundsView() []geom.Rect { return *rt.bounds.Load() }
 
-// relevantShards returns the shard ids whose venue bounds intersect the
-// query region, counting the pruned remainder.
-func (rt *Router) relevantShards(region geom.Rect) []int {
+// relevantShards appends to dst the shard ids whose venue bounds
+// intersect the query region, counting the pruned remainder.
+func (rt *Router) relevantShards(dst []int, region geom.Rect) []int {
 	bounds := rt.boundsView()
-	out := make([]int, 0, len(bounds))
 	for sid, b := range bounds {
 		if b.Intersects(region) {
-			out = append(out, sid)
+			dst = append(dst, sid)
 		}
 	}
-	rt.mPruned.Add(int64(len(bounds) - len(out)))
-	return out
+	rt.mPruned.Add(int64(len(bounds) - len(dst)))
+	return dst
 }
 
 func regionRect(r [4]float64) geom.Rect {
@@ -663,25 +707,65 @@ func shardErrString(err error) string {
 	return err.Error()
 }
 
-// finishAsync hands trace completion to a goroutine that waits for the
-// canceled stragglers to record their spans. The trace keeps the
-// latency the client saw, not the straggler drain time.
-func (rt *Router) finishAsync(tb *traceBuilder, wg *sync.WaitGroup, status int) {
-	if tb == nil {
-		return
+// queryShard puts one /v1/query body to shard sid and records the call
+// in ctx's trace.
+func (rt *Router) queryShard(ctx context.Context, sid int, body []byte) shardResult {
+	tb := traceFrom(ctx)
+	cstart := time.Now()
+	data, err := rt.callShard(ctx, sid, "/v1/query", body)
+	var reply shardQueryReply
+	errStr := ""
+	if err != nil {
+		errStr = shardErrString(err)
+	} else if uerr := json.Unmarshal(data, &reply); uerr != nil {
+		err, errStr = fmt.Errorf("shard %d: bad reply: %w", sid, uerr), "bad reply"
 	}
-	tb.beginAsync()
-	elapsed := time.Since(tb.start)
-	go func() {
-		wg.Wait()
-		rt.storeTrace(tb, status, elapsed)
-	}()
+	if tb != nil {
+		attrs := map[string]string{"backend": rt.backendOf[sid]}
+		if err == nil {
+			attrs["reachable"] = strconv.FormatBool(reply.Reachable)
+		}
+		tb.span("shard_call", trace.TierShard, sid, cstart, errStr, attrs, reply.Stats)
+	}
+	return shardResult{sid: sid, reachable: reply.Reachable, err: err}
+}
+
+// batchShard puts the subset of req's queries that meet shard sid's
+// bounds to it as one /v1/batch.
+func (rt *Router) batchShard(ctx context.Context, sid int, req *batchRequest, subset []int) shardResult {
+	tb := traceFrom(ctx)
+	cstart := time.Now()
+	sub := batchRequest{Queries: make([]queryRequest, len(subset)), Parallelism: req.Parallelism}
+	for j, i := range subset {
+		sub.Queries[j] = req.Queries[i]
+	}
+	var reply shardBatchReply
+	errStr := ""
+	body, err := json.Marshal(sub)
+	if err != nil {
+		errStr = err.Error()
+	} else if body, err = rt.callShard(ctx, sid, "/v1/batch", body); err != nil {
+		errStr = shardErrString(err)
+	} else if uerr := json.Unmarshal(body, &reply); uerr != nil {
+		err, errStr = fmt.Errorf("shard %d: bad reply: %w", sid, uerr), "bad reply"
+	} else if len(reply.Results) != len(subset) {
+		err, errStr = fmt.Errorf("shard %d: %d results for %d queries", sid, len(reply.Results), len(subset)), "length mismatch"
+	}
+	if tb != nil {
+		tb.span("shard_call", trace.TierShard, sid, cstart, errStr, map[string]string{
+			"backend": rt.backendOf[sid],
+			"queries": strconv.Itoa(len(subset)),
+		}, nil)
+	}
+	return shardResult{sid: sid, answers: reply.Results, err: err}
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tb := traceFrom(r.Context())
+	sc := httpjson.Get()
+	defer sc.Release()
 	var req queryRequest
-	if status, err := rt.decodeBody(w, r, &req); err != nil {
+	if status, err := sc.Decode(w, r, rt.cfg.MaxBodyBytes, &req); err != nil {
 		rt.writeError(w, status, "%v", err)
 		return
 	}
@@ -690,103 +774,73 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	region := regionRect(req.Region)
-	shards := rt.relevantShards(region)
+	var few [8]int // keeps the usual shard list off the heap
+	shards := rt.relevantShards(few[:0], regionRect(req.Region))
 	rt.placementSpan(tb, start, len(shards))
 	if len(shards) == 0 {
-		rt.writeJSON(w, http.StatusOK, queryResponse{
+		writeQueryReply(w, sc, queryResponse{
 			Reachable: false, Micros: time.Since(start).Microseconds(),
 			TraceID: tb.traceID(),
 		})
 		return
 	}
-	// Re-encode the normalized query once; every shard gets identical
-	// bytes.
-	body, err := json.Marshal(queryRequest{Vertex: req.Vertex, Region: req.Region})
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
-		return
-	}
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	type result struct {
-		sid       int
-		reachable bool
-		err       error
-	}
-	ch := make(chan result, len(shards))
+	// Every shard gets the bytes the client sent: Decode has validated
+	// them, and a shard decodes them by the same rule. They are copied
+	// out of the pooled scratch once, because a shard call can outlive
+	// it — a straggler outlives the handler, and the transport may still
+	// be reading a request body after a canceled call has returned.
+	body := bytes.Clone(sc.Body())
 	fstart := time.Now()
-	var wg sync.WaitGroup
-	for _, sid := range shards {
-		sid := sid
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cstart := time.Now()
-			data, err := rt.callShard(ctx, sid, "/v1/query", body)
-			if err != nil {
-				tb.span("shard_call", trace.TierShard, sid, cstart, shardErrString(err),
-					map[string]string{"backend": rt.backendOf[sid]}, nil)
-				ch <- result{sid: sid, err: err}
-				return
-			}
-			var reply shardQueryReply
-			if err := json.Unmarshal(data, &reply); err != nil {
-				tb.span("shard_call", trace.TierShard, sid, cstart, "bad reply",
-					map[string]string{"backend": rt.backendOf[sid]}, nil)
-				ch <- result{sid: sid, err: fmt.Errorf("shard %d: bad reply: %w", sid, err)}
-				return
-			}
-			tb.span("shard_call", trace.TierShard, sid, cstart, "", map[string]string{
-				"backend":   rt.backendOf[sid],
-				"reachable": strconv.FormatBool(reply.Reachable),
-			}, reply.Stats)
-			ch <- result{sid: sid, reachable: reply.Reachable}
-		}()
-	}
-	var failed []int
-	for i := 0; i < len(shards); i++ {
-		res := <-ch
+	var (
+		reachable, early bool
+		failed           []int
+		sct              *scatter
+	)
+	if len(shards) == 1 {
+		// One shard holds every venue the region can meet: its answer is
+		// the answer, so there is nothing to race or merge.
+		res := rt.queryShard(r.Context(), shards[0], body)
+		reachable = res.reachable
 		if res.err != nil {
-			failed = append(failed, res.sid)
-			continue
+			failed = []int{res.sid}
 		}
-		if res.reachable {
-			// First positive settles the query exactly; cancel the rest.
-			earlyExit := i < len(shards)-1
-			if earlyExit {
-				rt.mEarlyExit.Inc()
-			}
-			cancel()
-			tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
-				fanoutAttrs(len(shards), earlyExit, failed), nil)
-			rt.writeJSON(w, http.StatusOK, queryResponse{
-				Reachable: true, Shards: len(shards),
-				Micros:  time.Since(start).Microseconds(),
-				TraceID: tb.traceID(),
-			})
-			if earlyExit {
-				rt.finishAsync(tb, &wg, http.StatusOK)
-			}
-			return
+	} else {
+		sct = rt.newScatter(r, len(shards))
+		for _, sid := range shards {
+			sid := sid
+			sct.launch(func(ctx context.Context) shardResult { return rt.queryShard(ctx, sid, body) })
 		}
+		// The first positive settles the query exactly.
+		failed, early = sct.gather(func(res shardResult) bool {
+			reachable = res.reachable
+			return reachable
+		})
 	}
-	tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
-		fanoutAttrs(len(shards), false, failed), nil)
-	if len(failed) > 0 && rt.cfg.Policy == PolicyFail {
+	if early {
+		rt.mEarlyExit.Inc()
+	}
+	if tb != nil {
+		tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
+			fanoutAttrs(len(shards), early, failed), nil)
+	}
+	if !reachable && len(failed) > 0 && rt.cfg.Policy == PolicyFail {
 		rt.writeError(w, http.StatusBadGateway, "shards %v unavailable and no live shard answered positively", failed)
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, queryResponse{
-		Reachable: false, Shards: len(shards), Partial: len(failed) > 0,
+	writeQueryReply(w, sc, queryResponse{
+		Reachable: reachable, Shards: len(shards),
+		Partial: !reachable && len(failed) > 0,
 		Micros:  time.Since(start).Microseconds(),
 		TraceID: tb.traceID(),
 	})
+	if early {
+		sct.abandon(tb)
+	}
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if status, err := rt.decodeBody(w, r, &req); err != nil {
+	if status, err := httpjson.Decode(w, r, rt.cfg.MaxBodyBytes, &req); err != nil {
 		rt.writeError(w, status, "%v", err)
 		return
 	}
@@ -836,93 +890,34 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	type result struct {
-		sid     int
-		subset  []int
-		answers []bool
-		err     error
-	}
-	ch := make(chan result, active)
 	fstart := time.Now()
-	var wg sync.WaitGroup
+	sct := rt.newScatter(r, active)
 	for sid, subset := range subsets {
 		if len(subset) == 0 {
 			continue
 		}
 		sid, subset := sid, subset
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cstart := time.Now()
-			attrs := map[string]string{
-				"backend": rt.backendOf[sid],
-				"queries": strconv.Itoa(len(subset)),
-			}
-			sub := batchRequest{Queries: make([]queryRequest, len(subset)), Parallelism: req.Parallelism}
-			for j, i := range subset {
-				sub.Queries[j] = req.Queries[i]
-			}
-			body, err := json.Marshal(sub)
-			if err != nil {
-				tb.span("shard_call", trace.TierShard, sid, cstart, err.Error(), attrs, nil)
-				ch <- result{sid: sid, err: err}
-				return
-			}
-			data, err := rt.callShard(ctx, sid, "/v1/batch", body)
-			if err != nil {
-				tb.span("shard_call", trace.TierShard, sid, cstart, shardErrString(err), attrs, nil)
-				ch <- result{sid: sid, err: err}
-				return
-			}
-			var reply shardBatchReply
-			if err := json.Unmarshal(data, &reply); err != nil {
-				tb.span("shard_call", trace.TierShard, sid, cstart, "bad reply", attrs, nil)
-				ch <- result{sid: sid, err: fmt.Errorf("shard %d: bad reply: %w", sid, err)}
-				return
-			}
-			if len(reply.Results) != len(subset) {
-				tb.span("shard_call", trace.TierShard, sid, cstart, "length mismatch", attrs, nil)
-				ch <- result{sid: sid, err: fmt.Errorf("shard %d: %d results for %d queries", sid, len(reply.Results), len(subset))}
-				return
-			}
-			tb.span("shard_call", trace.TierShard, sid, cstart, "", attrs, nil)
-			ch <- result{sid: sid, subset: subset, answers: reply.Results}
-		}()
+		sct.launch(func(ctx context.Context) shardResult { return rt.batchShard(ctx, sid, &req, subset) })
 	}
+	// Once every query is positive the outstanding shards cannot change
+	// anything.
 	positives := 0
-	var failed []int
-	for done := 0; done < active; done++ {
-		res := <-ch
-		if res.err != nil {
-			failed = append(failed, res.sid)
-			continue
-		}
-		for j, i := range res.subset {
+	failed, early := sct.gather(func(res shardResult) bool {
+		for j, i := range subsets[res.sid] {
 			if res.answers[j] && !results[i] {
 				results[i] = true
 				positives++
 			}
 		}
-		if positives == len(req.Queries) && done < active-1 {
-			// Every query already positive: the outstanding shards
-			// cannot change anything.
-			rt.mEarlyExit.Inc()
-			cancel()
-			tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
-				fanoutAttrs(active, true, failed), nil)
-			rt.writeJSON(w, http.StatusOK, batchResponse{
-				Results: results, Shards: active,
-				Micros:  time.Since(start).Microseconds(),
-				TraceID: tb.traceID(),
-			})
-			rt.finishAsync(tb, &wg, http.StatusOK)
-			return
-		}
+		return positives == len(results)
+	})
+	if early {
+		rt.mEarlyExit.Inc()
 	}
-	tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
-		fanoutAttrs(active, false, failed), nil)
+	if tb != nil {
+		tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
+			fanoutAttrs(active, early, failed), nil)
+	}
 	// A failed shard only makes the answer ambiguous when one of its
 	// queries is still negative; positives from live shards are exact
 	// regardless of what is down.
@@ -947,6 +942,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Micros:  time.Since(start).Microseconds(),
 		TraceID: tb.traceID(),
 	})
+	if early {
+		sct.abandon(tb)
+	}
 }
 
 // healthzResponse reports the router's liveness and cluster view.

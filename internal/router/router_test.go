@@ -62,33 +62,7 @@ func testMap(bounds ...[4]float64) *shard.Map {
 // plus an installer for per-shard behavior.
 func testCluster(t *testing.T, m *shard.Map, cfg Config) (*Router, func(sid int, h http.HandlerFunc)) {
 	t.Helper()
-	n := m.NumShards()
-	swaps := make([]*swapHandler, n)
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		swaps[i] = &swapHandler{}
-		ts := httptest.NewServer(swaps[i])
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-	}
-	cfg.Map = m
-	cfg.Backends = urls
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	byURL := make(map[string]*swapHandler, n)
-	for i, u := range urls {
-		byURL[u] = swaps[i]
-	}
-	install := func(sid int, h http.HandlerFunc) {
-		sw, ok := byURL[rt.BackendFor(sid)]
-		if !ok {
-			t.Fatalf("shard %d placed on unknown backend %q", sid, rt.BackendFor(sid))
-		}
-		sw.set(h)
-	}
+	rt, install, _ := countedCluster(t, m, cfg)
 	return rt, install
 }
 

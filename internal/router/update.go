@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/httpjson"
 )
 
 // updateRequest mirrors internal/server's update wire type.
@@ -168,7 +169,7 @@ func maxGen(results []shardUpdateResult) uint64 {
 
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if status, err := rt.decodeBody(w, r, &req); err != nil {
+	if status, err := httpjson.Decode(w, r, rt.cfg.MaxBodyBytes, &req); err != nil {
 		rt.writeError(w, status, "%v", err)
 		return
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,6 +70,80 @@ func TestCanceledRequestGets499(t *testing.T) {
 		srv.Handler().ServeHTTP(rec, req)
 		if rec.Code != statusClientClosedRequest {
 			t.Fatalf("%s: canceled request got %d, want %d (%s)", path, rec.Code, statusClientClosedRequest, rec.Body.String())
+		}
+	}
+}
+
+// TestQueryReplyWireParity: the appended untraced /v1/query reply is,
+// byte for byte, what encoding/json wrote before.
+func TestQueryReplyWireParity(t *testing.T) {
+	for _, reachable := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			for _, gen := range []uint64{0, 1, 1<<64 - 1} {
+				for _, micros := range []int64{0, 7, 123456789, 1<<63 - 1} {
+					resp := queryResponse{Reachable: reachable, Cached: cached, Gen: gen, Micros: micros}
+					var want bytes.Buffer
+					if err := json.NewEncoder(&want).Encode(resp); err != nil {
+						t.Fatal(err)
+					}
+					if got := appendQueryReply(nil, resp); !bytes.Equal(got, want.Bytes()) {
+						t.Errorf("%+v:\n got %q\nwant %q", resp, got, want.Bytes())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRequestTable pins what a /v1/query body is answered with under a
+// 256-byte cap; internal/router runs the same rows against rrrouter,
+// which forwards to a shard the bytes it accepted. A body is read
+// whole, under the cap, before any JSON work, and must then be exactly
+// one JSON value. Three rows differ from the json.Decoder this
+// replaced, which stopped reading at the end of the first value: it
+// accepted bytes after that value (200), and met the cap only if the
+// first value ran into it.
+func TestRequestTable(t *testing.T) {
+	srv := bodyTestServer(t, Config{MaxBodyBytes: 256})
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"valid", `{"vertex":1,"region":[0,0,1,1]}`, http.StatusOK},
+		{"whitespace", " {\n \"vertex\" : 1 ,\t\"region\" : [ 0 , 0 , 1 , 1 ] } \r\n", http.StatusOK},
+		{"unknown field", `{"vertex":1,"hint":{"a":[1,2]},"region":[0,0,1,1]}`, http.StatusOK},
+		{"wrong type", `{"vertex":"1","region":[0,0,1,1]}`, http.StatusBadRequest},
+		{"not json", `vertex=1`, http.StatusBadRequest},
+		{"truncated", `{"vertex":1,"region":[0,0`, http.StatusBadRequest},
+		{"empty", ``, http.StatusBadRequest},
+		{"second value", `{"vertex":1,"region":[0,0,1,1]} {"vertex":2}`, http.StatusBadRequest}, // was 200
+		{"trailing bytes", `{"vertex":1,"region":[0,0,1,1]}x`, http.StatusBadRequest},           // was 200
+		{"over the cap", `{"vertex":1,"region":[0,0,1,1],"pad":"` + strings.Repeat("x", 300) + `"}`, http.StatusRequestEntityTooLarge},
+		{"over the cap in trailing space", `{"vertex":1,"region":[0,0,1,1]}` + strings.Repeat(" ", 300), http.StatusRequestEntityTooLarge}, // was 200
+		{"over the cap, not json", strings.Repeat("x", 300), http.StatusRequestEntityTooLarge},                                             // was 400
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Errorf("%s: got %d %s, want %d", tc.name, rec.Code, rec.Body.String(), tc.status)
+		}
+		if rec.Code != http.StatusOK {
+			continue
+		}
+		// What the handler wrote is what encoding/json writes for it.
+		var resp queryResponse
+		var again bytes.Buffer
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := json.NewEncoder(&again).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), again.Bytes()) {
+			t.Errorf("%s: handler wrote %q, encoding/json writes %q", tc.name, rec.Body.Bytes(), again.Bytes())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", tc.name, ct)
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	rangereach "repro"
+	"repro/internal/httpjson"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -447,23 +448,39 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 // decodeBody decodes a JSON request body under the configured size cap,
 // answering the error response itself on failure: 413 for oversized
 // bodies (MaxBytesReader poisons the connection anyway, so the precise
-// status matters to the client), 400 for malformed JSON.
+// status matters to the client), 400 for anything but one JSON value.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, body, s.cfg.MaxBodyBytes)
-	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if status, err := httpjson.Decode(w, r, s.cfg.MaxBodyBytes, v); err != nil {
+		s.writeError(w, status, "%v", err)
 		return false
 	}
 	return true
+}
+
+// appendQueryReply appends an untraced resp — the four scalars; Shard,
+// TraceID and Stats ride on traced replies only, which stay on
+// encoding/json — as encoding/json encodes it, trailing newline
+// included.
+func appendQueryReply(b []byte, resp queryResponse) []byte {
+	b = append(b, `{"reachable":`...)
+	b = strconv.AppendBool(b, resp.Reachable)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, resp.Cached)
+	b = append(b, `,"gen":`...)
+	b = strconv.AppendUint(b, resp.Gen, 10)
+	b = append(b, `,"micros":`...)
+	b = strconv.AppendInt(b, resp.Micros, 10)
+	return append(b, "}\n"...)
+}
+
+// writeQueryReply answers a /v1/query with resp.
+func (s *Server) writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, resp queryResponse) {
+	if resp.Stats != nil || resp.Shard != "" || resp.TraceID != "" {
+		s.writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	sc.Out = appendQueryReply(sc.Out[:0], resp)
+	sc.Reply(w, http.StatusOK)
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client
@@ -531,8 +548,11 @@ func (s *Server) methodName() string {
 // ---- handlers ----
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	sc := httpjson.Get()
+	defer sc.Release()
 	var req queryRequest
-	if !s.decodeBody(w, r, &req) {
+	if status, err := sc.Decode(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		s.writeError(w, status, "%v", err)
 		return
 	}
 	start := time.Now()
@@ -596,7 +616,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if traced {
 		resp.Shard, resp.TraceID, resp.Stats = s.cfg.ShardID, traceID, stats
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeQueryReply(w, sc, resp)
 }
 
 type explainResponse struct {
