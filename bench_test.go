@@ -10,11 +10,13 @@
 package rangereach_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/incr"
 	"repro/internal/labeling"
 	"repro/internal/workload"
@@ -121,6 +123,48 @@ func BenchmarkTable5IndexBuild(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkBuildLabeling times the interval labeling alone, forward and
+// reversed, on the fragmented preset whose label merges dominate index
+// construction; intervals/op is the size of what it builds.
+func BenchmarkBuildLabeling(b *testing.B) {
+	dag := dataset.Prepare(dataset.YelpLike(0.5, 1)).DAG
+	for _, dir := range []string{"forward", "reversed"} {
+		b.Run(dir, func(b *testing.B) {
+			g := dag
+			if dir == "reversed" {
+				g = g.Reverse()
+			}
+			var l *labeling.Labeling
+			for i := 0; i < b.N; i++ {
+				l = labeling.Build(g, labeling.Options{})
+			}
+			b.ReportMetric(float64(l.TotalLabels()), "intervals/op")
+		})
+	}
+}
+
+// BenchmarkGraphBuild times graph.Builder on the same preset's edges in
+// shuffled order: AddEdge for each, then Build's ordering, dedup and CSR
+// fill — what every generated, loaded and condensed network pays.
+func BenchmarkGraphBuild(b *testing.B) {
+	src := dataset.YelpLike(0.5, 1).Graph
+	var edges [][2]int
+	src.Edges(func(u, v int) { edges = append(edges, [2]int{u, v}) })
+	rand.New(rand.NewSource(1)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gb := graph.NewBuilder(src.NumVertices())
+		gb.Grow(len(edges))
+		for _, e := range edges {
+			gb.AddEdge(e[0], e[1])
+		}
+		if g := gb.Build(); g.NumEdges() != len(edges) {
+			b.Fatalf("built %d edges, want %d", g.NumEdges(), len(edges))
+		}
+	}
+	b.ReportMetric(float64(len(edges)), "edges/op")
 }
 
 // BenchmarkTable6Labels regenerates Table 6: interval-labeling

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -451,5 +453,68 @@ func TestZipfPickSkew(t *testing.T) {
 	}
 	if counts[0] <= counts[9] {
 		t.Errorf("zipf not skewed: first %d, last %d", counts[0], counts[9])
+	}
+}
+
+// TestSaveBytesPinned pins the text codec's output: the SHA-256 of Save
+// on GowallaLike(0.1, 7), recorded at 6500b4c when every line went
+// through fmt.Fprintf.
+func TestSaveBytesPinned(t *testing.T) {
+	const want = "2a884560490a886b87c4331d0a4d2728e3a941656a32007fbcdfcf4a7033fae9"
+	var buf bytes.Buffer
+	if err := Save(&buf, GowallaLike(0.1, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("Save(GowallaLike(0.1, 7)) hashes to %s, want %s", got, want)
+	}
+}
+
+// TestLoadEdgeLines holds the `e` directive's accept/reject set and
+// error texts where they were before edge lines got their own parser.
+func TestLoadEdgeLines(t *testing.T) {
+	const head = "geosocial 1\nvertices 3\n"
+	rows := []struct {
+		line    string
+		edges   int    // accepted: edges in the loaded graph
+		wantErr string // rejected: the error, after the "dataset: line 3: " prefix
+	}{
+		{line: "e 0 1", edges: 1},
+		{line: "e 2 0", edges: 1},
+		{line: "e 1 1", edges: 0}, // a self-loop parses and is dropped by the graph
+		{line: "e 002 1", edges: 1},
+		{line: "e +0 1", edges: 1},
+		{line: "e  0\t 1", edges: 1},
+		{line: "  e 0 1 \r", edges: 1},
+		{line: "e 0 3", wantErr: "edge (0,3) out of range"},
+		{line: "e 3 0", wantErr: "edge (3,0) out of range"},
+		{line: "e -1 0", wantErr: "edge (-1,0) out of range"},
+		{line: "e 0 99999999999999999999", wantErr: `"99999999999999999999" is not an integer`},
+		{line: "e 0", wantErr: "want `e src dst`"},
+		{line: "e", wantErr: "want `e src dst`"},
+		{line: "e 0 ", wantErr: "want `e src dst`"},
+		{line: "e x 1", wantErr: `"x" is not an integer`},
+		{line: "e 0 1x", wantErr: `"1x" is not an integer`},
+		{line: "e 0 1.0", wantErr: `"1.0" is not an integer`},
+		{line: "e 0 1 2", wantErr: "want `e src dst`"},
+		{line: "e 0 1 # note", wantErr: "want `e src dst`"},
+		{line: "e0 1", wantErr: `unknown directive "e0"`},
+		{line: "edge 0 1", wantErr: `unknown directive "edge"`},
+	}
+	for _, row := range rows {
+		net, err := Load(strings.NewReader(head + row.line + "\n"))
+		switch {
+		case row.wantErr == "" && err != nil:
+			t.Errorf("%q: rejected: %v", row.line, err)
+		case row.wantErr == "" && net.NumEdges() != row.edges:
+			t.Errorf("%q: %d edges, want %d", row.line, net.NumEdges(), row.edges)
+		case row.wantErr != "" && err == nil:
+			t.Errorf("%q: accepted, want error %q", row.line, row.wantErr)
+		case row.wantErr != "" && err.Error() != "dataset: line 3: "+row.wantErr:
+			t.Errorf("%q: error %q, want %q", row.line, err, "dataset: line 3: "+row.wantErr)
+		}
+	}
+	if _, err := Load(strings.NewReader("geosocial 1\ne 0 1\n")); err == nil || err.Error() != "dataset: line 2: e before vertices" {
+		t.Errorf("e before vertices: error %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -46,11 +47,20 @@ func Save(w io.Writer, n *Network) error {
 		}
 		fmt.Fprintf(bw, "p %d %g %g\n", v, n.Points[v].X, n.Points[v].Y)
 	}
+	// Edge lines are most of the file: format them into one reused
+	// buffer rather than through fmt.
 	var err error
+	line := make([]byte, 0, 32)
 	n.Graph.Edges(func(u, v int) {
-		if err == nil {
-			_, err = fmt.Fprintf(bw, "e %d %d\n", u, v)
+		if err != nil {
+			return
 		}
+		line = append(line[:0], 'e', ' ')
+		line = strconv.AppendInt(line, int64(u), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(v), 10)
+		line = append(line, '\n')
+		_, err = bw.Write(line)
 	})
 	if err != nil {
 		return fmt.Errorf("dataset: writing edges: %w", err)
@@ -77,23 +87,25 @@ func Load(r io.Reader) (*Network, error) {
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 
 	line := 0
-	next := func() (string, bool) {
+	// next returns the next directive line, trimmed; it aliases the
+	// scanner's buffer and is valid until the following call.
+	next := func() ([]byte, bool) {
 		for sc.Scan() {
 			line++
-			s := strings.TrimSpace(sc.Text())
-			if s == "" || strings.HasPrefix(s, "#") {
+			s := bytes.TrimSpace(sc.Bytes())
+			if len(s) == 0 || s[0] == '#' {
 				continue
 			}
 			return s, true
 		}
-		return "", false
+		return nil, false
 	}
 
 	header, ok := next()
 	if !ok {
 		return nil, fmt.Errorf("dataset: empty input")
 	}
-	if header != "geosocial 1" {
+	if string(header) != "geosocial 1" {
 		return nil, fmt.Errorf("dataset: line %d: unsupported header %q", line, header)
 	}
 
@@ -104,7 +116,17 @@ func Load(r io.Reader) (*Network, error) {
 		if !ok {
 			break
 		}
-		fields := strings.Fields(s)
+		// Edge lines are most of the file. One written the way Save
+		// writes it is read in place; any other spelling, and every
+		// faulty line, takes the general path below, which owns the
+		// accept/reject rules and the error texts.
+		if b != nil {
+			if src, dst, ok := parseEdgeLine(s, b.NumVertices()); ok {
+				b.AddEdge(src, dst)
+				continue
+			}
+		}
+		fields := strings.Fields(string(s))
 		switch fields[0] {
 		case "name":
 			if len(fields) < 2 {
@@ -218,6 +240,37 @@ func LoadFile(path string) (*Network, error) {
 	}
 	defer f.Close()
 	return Load(f)
+}
+
+// parseEdgeLine reads `e <src> <dst>` in Save's spelling: single spaces,
+// plain decimal digits, both ids inside [0, n). It reports !ok for
+// anything else, valid or not.
+func parseEdgeLine(line []byte, n int) (src, dst int, ok bool) {
+	if len(line) < 2 || line[0] != 'e' || line[1] != ' ' {
+		return 0, 0, false
+	}
+	src, i := parseID(line, 2, n)
+	if i < 0 || i == len(line) || line[i] != ' ' {
+		return 0, 0, false
+	}
+	dst, i = parseID(line, i+1, n)
+	return src, dst, i == len(line)
+}
+
+// parseID reads the decimal digits at line[i:] and returns their value
+// and the index past them, or -1 when there is no digit or the value is
+// not below n.
+func parseID(line []byte, i, n int) (int, int) {
+	v, start := 0, i
+	for ; i < len(line) && '0' <= line[i] && line[i] <= '9'; i++ {
+		if v = v*10 + int(line[i]-'0'); v >= n {
+			return 0, -1
+		}
+	}
+	if i == start {
+		return 0, -1
+	}
+	return v, i
 }
 
 func atoiField(fields []string, i, line int) (int, error) {

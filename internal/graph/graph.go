@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -38,24 +39,33 @@ func (b *Builder) AddEdge(from, to int) {
 // NumVertices returns the number of vertices the builder was created with.
 func (b *Builder) NumVertices() int { return b.n }
 
+// Grow reserves room for m more edges, so a caller that knows its edge
+// count up front pays one allocation instead of AddEdge's doublings.
+func (b *Builder) Grow(m int) {
+	b.edges = slices.Grow(b.edges, m)
+}
+
 // Build finalizes the builder into an immutable Graph in compressed
 // sparse row (CSR) form, for both out- and in-adjacency. Duplicate edges
 // and self-loops are discarded.
 func (b *Builder) Build() *Graph {
 	edges := b.edges
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
+	// Order by (source, target) without comparisons: a radix sort whose
+	// two digits are the vertex ids, least significant first. Each pass
+	// is a stable counting sort, so the pass by source keeps equal
+	// sources in target order — O(V+E) where a comparison sort of the
+	// edge list was most of the cost of building a network.
+	tmp := make([][2]int32, len(edges))
+	pos := make([]int32, b.n+1)
+	countingPass(tmp, edges, 1, pos)
+	countingPass(edges, tmp, 0, pos)
 	// Deduplicate and drop self-loops in place.
 	w := 0
-	for i, e := range edges {
+	for _, e := range edges {
 		if e[0] == e[1] {
 			continue
 		}
-		if i > 0 && w > 0 && edges[w-1] == e {
+		if w > 0 && edges[w-1] == e {
 			continue
 		}
 		edges[w] = e
@@ -78,17 +88,33 @@ func (b *Builder) Build() *Graph {
 		g.outOff[i+1] += g.outOff[i]
 		g.inOff[i+1] += g.inOff[i]
 	}
-	outPos := make([]int32, b.n)
-	inPos := make([]int32, b.n)
-	copy(outPos, g.outOff[:b.n])
-	copy(inPos, g.inOff[:b.n])
-	for _, e := range edges {
-		g.outAdj[outPos[e[0]]] = e[1]
-		outPos[e[0]]++
+	// The edges are grouped by source already, so the out-adjacency is
+	// their targets in order; the in-adjacency scatters each source to
+	// its target's row, which leaves every row ascending too.
+	inPos := pos[:b.n]
+	copy(inPos, g.inOff)
+	for i, e := range edges {
+		g.outAdj[i] = e[1]
 		g.inAdj[inPos[e[1]]] = e[0]
 		inPos[e[1]]++
 	}
 	return g
+}
+
+// countingPass stably sorts src into dst by endpoint key (0 = source,
+// 1 = target). pos is scratch of length n+1 and is overwritten.
+func countingPass(dst, src [][2]int32, key int, pos []int32) {
+	clear(pos)
+	for _, e := range src {
+		pos[e[key]+1]++
+	}
+	for i := 1; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	for _, e := range src {
+		dst[pos[e[key]]] = e
+		pos[e[key]]++
+	}
 }
 
 // Graph is an immutable directed graph in CSR form. Construct one with a

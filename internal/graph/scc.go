@@ -120,6 +120,7 @@ func (g *Graph) Condense() *Condensation {
 	}
 
 	b := NewBuilder(count)
+	b.Grow(g.NumEdges()) // an upper bound: edges inside a component are dropped
 	g.Edges(func(u, v int) {
 		cu, cv := comp[u], comp[v]
 		if cu != cv {

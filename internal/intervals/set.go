@@ -6,6 +6,7 @@
 package intervals
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -129,16 +130,18 @@ func (s Set) Compress() Set {
 	if len(s) <= 1 {
 		return s
 	}
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Lo != s[j].Lo {
-			return s[i].Lo < s[j].Lo
+	slices.SortFunc(s, func(a, b Interval) int {
+		if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+			return c
 		}
-		return s[i].Hi > s[j].Hi
+		return cmp.Compare(b.Hi, a.Hi)
 	})
 	out := s[:1]
 	for _, iv := range s[1:] {
 		last := &out[len(out)-1]
-		if iv.Lo <= last.Hi+1 { // overlapping or adjacent integers
+		// Overlapping or adjacent integers; in int64, so that a run
+		// ending at MaxInt32 still absorbs what follows it.
+		if int64(iv.Lo) <= int64(last.Hi)+1 {
 			if iv.Hi > last.Hi {
 				last.Hi = iv.Hi
 			}
@@ -152,7 +155,7 @@ func (s Set) Compress() Set {
 // IsCanonical reports whether s is sorted, disjoint and non-adjacent.
 func (s Set) IsCanonical() bool {
 	for i := 1; i < len(s); i++ {
-		if s[i].Lo <= s[i-1].Hi+1 {
+		if int64(s[i].Lo) <= int64(s[i-1].Hi)+1 {
 			return false
 		}
 	}

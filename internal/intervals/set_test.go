@@ -50,6 +50,16 @@ func coveredPosts(s Set) map[int32]bool {
 }
 
 func TestCompressProperties(t *testing.T) {
+	// A run ending at MaxInt32 absorbs what sorts after it: the
+	// adjacency test must not wrap.
+	edge := Set{{Lo: 7, Hi: 9}, {Lo: 5, Hi: math.MaxInt32}, {Lo: math.MaxInt32, Hi: math.MaxInt32}}
+	if got, want := edge.Compress(), NewSet(5, math.MaxInt32); !got.Equal(want) || !got.IsCanonical() {
+		t.Fatalf("Compress at MaxInt32 = %v, want %v", got, want)
+	}
+	if (Set{{Lo: 5, Hi: math.MaxInt32}, {Lo: 7, Hi: 9}}).IsCanonical() {
+		t.Fatal("IsCanonical accepts an interval after a run ending at MaxInt32")
+	}
+
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
 		var s Set
@@ -249,7 +259,9 @@ func randomCanonical(rng *rand.Rand, base int64, width int, maxIntervals int) Se
 }
 
 // TestMergeSweepEqualsSort pins MergeManyCanonical's two branches to
-// each other and to a coverage bitmap, on windows placed at both ends
+// each other, to Compress of the concatenated inputs (what the static
+// label builder ran before it called the merge) and to a coverage
+// bitmap, on windows placed at both ends
 // of the int32 range as well as inside it, with empty sets mixed in.
 func TestMergeSweepEqualsSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -262,10 +274,18 @@ func TestMergeSweepEqualsSort(t *testing.T) {
 		total := 0
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for i := range sets {
-			if rng.Intn(5) == 0 {
+			switch rng.Intn(6) {
+			case 0:
 				continue // an empty input
+			case 1:
+				// A run ending at the window's top — MaxInt32 on the
+				// second base — that subsumes what the other sets hold
+				// up there.
+				top := base + width
+				sets[i] = Set{{Lo: int32(top - int64(rng.Intn(width/2))), Hi: int32(top)}}
+			default:
+				sets[i] = randomCanonical(rng, base, width, 1+rng.Intn(200))
 			}
-			sets[i] = randomCanonical(rng, base, width, 1+rng.Intn(200))
 			total += len(sets[i])
 			for _, iv := range sets[i] {
 				lo, hi = min(lo, int64(iv.Lo)), max(hi, int64(iv.Hi))
@@ -299,6 +319,13 @@ func TestMergeSweepEqualsSort(t *testing.T) {
 		}
 		if got := MergeManyCanonical(sets); !got.Equal(want) {
 			t.Fatalf("trial %d (base %d): MergeManyCanonical = %v, want %v", trial, base, got, want)
+		}
+		var concat Set
+		for _, set := range sets {
+			concat = append(concat, set...)
+		}
+		if got := concat.Compress(); !got.Equal(want) {
+			t.Fatalf("trial %d (base %d): Compress of the concatenation = %v, want %v", trial, base, got, want)
 		}
 	}
 }
