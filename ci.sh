@@ -90,14 +90,19 @@ go -C benchmark test ./...
 echo "== fuzz (seed corpus) =="
 go test -run 'Fuzz' .
 
-# The format-compatibility gate: the committed v1 and v2 golden
-# fixtures under testdata/format must keep loading and answering the
-# pinned queries, save(load(v2)) must stay byte-identical, and the
-# mmap path must survive systematic corruption and serve queries in
-# full parity with the decoder. Regenerate fixtures only on deliberate
+# The format-compatibility gate, over the golden fixtures of all seven
+# persistable methods under testdata/format. v2: keep loading, mapping
+# and answering the pinned queries; save(load(v2)) stays byte-identical;
+# the mmap path survives systematic corruption and serves in full parity
+# with the decoder. v1, which nothing can write any more: the fixtures
+# are frozen by hash (TestFormatV1Frozen), each loads, answers and
+# re-saves to its v2 twin byte for byte (TestFormatCompatGolden),
+# survives a truncation and a flip at every offset (TestFormatV1Corrupted)
+# and refuses to map. Regenerate the v2 fixtures only on deliberate
 # format changes: go test -run TestFormatCompatGolden -update-format .
+# .github/workflows/ci.yml's format-compat job runs this same pattern.
 echo "== format compat =="
-go test -run 'TestFormat|TestOpenMapped|TestSaveLoadV2' -count=1 .
+go test -run 'TestFormat|TestOpenMapped|TestSaveLoadV2|TestLoadRejects|TestLoadCorrupted|TestIndexSaveLoad' -count=1 .
 
 if [[ "${1:-}" != "-short" ]]; then
     # The concurrency-sensitive packages: the root package (batch

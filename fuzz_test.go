@@ -37,27 +37,20 @@ func fuzzNet() *rangereach.Network {
 func FuzzPersistRoundtrip(f *testing.F) {
 	net := fuzzNet()
 	region := rangereach.NewRect(60, 55, 90, 95)
-	for _, m := range []rangereach.Method{
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev,
-		rangereach.SocReach, rangereach.SpaReachBFL, rangereach.SpaReachINT,
-		rangereach.GeoReach, rangereach.MethodAuto,
-	} {
-		idx := net.MustBuild(m)
+	for _, fm := range fixtureMethods {
+		idx := net.MustBuild(fm.m)
 		var buf bytes.Buffer
 		if err := idx.Save(&buf); err != nil {
-			f.Fatalf("%v: %v", m, err)
+			f.Fatalf("%v: %v", fm.m, err)
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:len(buf.Bytes())/2])
 		f.Add(buf.Bytes()[:9])
-		// The v1 stream format stays loadable; seed it so both decoders
-		// see corpus mutations.
-		var v1 bytes.Buffer
-		if err := idx.SaveV1(&v1); err != nil {
-			f.Fatalf("%v: %v", m, err)
-		}
-		f.Add(v1.Bytes())
-		f.Add(v1.Bytes()[:len(v1.Bytes())/2])
+		// The v1 stream format stays loadable; seed its frozen fixtures
+		// so both decoders see corpus mutations.
+		v1 := readFixture(f, fm.slug, "v1")
+		f.Add(v1)
+		f.Add(v1[:len(v1)/2])
 	}
 	f.Add([]byte(nil))
 	f.Add([]byte("RRIX"))

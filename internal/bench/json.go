@@ -154,7 +154,7 @@ var sweepMethods = []core.Method{
 }
 
 // sweepReps is the best-of repetition count for sweep timings (see
-// measureLatenciesBest).
+// regionSweep).
 const sweepReps = 3
 
 // regionSweep measures the sweep methods across the paper's region

@@ -46,30 +46,6 @@ func measureLatencies(e core.Engine, qs []workload.Query) LatencyStats {
 	return stats
 }
 
-// measureLatenciesBest times each query reps times and keeps the
-// per-query minimum before computing the distribution. Single-shot
-// timing of sub-microsecond queries is dominated by clock-read overhead
-// and scheduler interference; the minimum over a few repetitions is the
-// standard microbenchmark estimate of the query's intrinsic cost. Used
-// by the region sweep, where methods within tens of nanoseconds of each
-// other are compared; applied identically to every method.
-func measureLatenciesBest(e core.Engine, qs []workload.Query, reps int) LatencyStats {
-	samples := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		best := time.Duration(0)
-		for rep := 0; rep < reps; rep++ {
-			start := time.Now()
-			e.RangeReach(q.Vertex, q.Region)
-			d := time.Since(start)
-			if rep == 0 || d < best {
-				best = d
-			}
-		}
-		samples[i] = best
-	}
-	return statsOf(samples)
-}
-
 // statsOf computes the distribution summary of raw per-query samples.
 // The slice is sorted in place.
 func statsOf(samples []time.Duration) LatencyStats {

@@ -6,9 +6,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Flat-format codec: the five label columns exposed raw so the flat
-// index format can persist them as aligned sections and overlay them
-// back without copying.
+// Flat form: the five label columns exposed raw so the flat index
+// format can persist them as aligned sections and overlay them back
+// without copying.
 
 // Flat returns the label columns and filter width. The slices alias the
 // index's storage and must not be mutated.
@@ -16,18 +16,21 @@ func (idx *Index) Flat() (words int, hash []int32, out, in []uint64, discover, f
 	return idx.words, idx.hash, idx.out, idx.in, idx.discover, idx.finish
 }
 
+// maxWords caps the filter width a file may claim.
+const maxWords = 1024
+
 // FromFlat assembles an index from persisted columns and attaches it to
-// g, applying the same validation as Read: the vertex count must match
-// the graph and every column must have its exact expected length. The
-// slices are adopted, not copied — a mapped load allocates only the
-// Index header. Label *values* need no validation: hashes are only used
-// at build time, and discover/finish/filters are only compared, so
-// corrupt values degrade answers on a mismatched graph but cannot
-// panic (and the flat loader only pairs columns with the graph they
-// were saved with).
+// g. It is the one place outside input is checked, whichever codec
+// decoded it: the vertex count must match the graph and every column
+// must have its exact expected length. The slices are adopted, not
+// copied — a mapped load allocates only the Index header. Label
+// *values* need no validation: hashes are only used at build time, and
+// discover/finish/filters are only compared, so corrupt values degrade
+// answers on a mismatched graph but cannot panic (and the flat loader
+// only pairs columns with the graph they were saved with).
 func FromFlat(g *graph.Graph, words int, hash []int32, out, in []uint64, discover, finish []int32) (*Index, error) {
 	n := g.NumVertices()
-	if words <= 0 || words > 1024 {
+	if words <= 0 || words > maxWords {
 		return nil, fmt.Errorf("bfl: implausible filter width %d words", words)
 	}
 	if len(hash) != n {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/graph"
 )
 
-// Serialization persists the BFL labels so SpaReach-BFL can reload
-// without rebuilding. Queries need the graph for the pruned-DFS
-// fallback, so Read takes the (cheaply reconstructible) DAG. Versioned
-// little-endian binary:
+// The v1 stream: the format BFL labels were saved in before the flat
+// image. Nothing writes it any more; Read keeps old files loadable.
+// Queries need the graph for the pruned-DFS fallback, so Read takes the
+// (cheaply reconstructible) DAG. Versioned little-endian binary:
 //
 //	magic "RRBF" | version u8 | n u32 | words u32 |
 //	hash [n]i32 | out [n*words]u64 | in [n*words]u64 |
@@ -22,32 +22,11 @@ var bflMagic = [4]byte{'R', 'R', 'B', 'F'}
 
 const bflVersion = 1
 
-// WriteTo serializes the index labels. It implements io.WriterTo.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		written += int64(binary.Size(v))
-		return nil
-	}
-	for _, step := range []any{
-		bflMagic, uint8(bflVersion),
-		uint32(len(idx.hash)), uint32(idx.words),
-		idx.hash, idx.out, idx.in, idx.discover, idx.finish,
-	} {
-		if err := write(step); err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
-// Read deserializes an index written by WriteTo and attaches it to g,
-// which must be the same DAG the index was built over (same vertex
-// count; reachability answers are undefined otherwise).
+// Read decodes a v1 BFL stream into the flat columns and returns
+// through FromFlat, which validates them and attaches the index to g —
+// the same DAG the index was built over (reachability answers are
+// undefined otherwise). The checks here are only those that size a
+// read.
 func Read(g *graph.Graph, r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -76,22 +55,18 @@ func Read(g *graph.Graph, r io.Reader) (*Index, error) {
 	if int(n) != g.NumVertices() {
 		return nil, fmt.Errorf("bfl: index has %d vertices, graph has %d", n, g.NumVertices())
 	}
-	if words == 0 || words > 1024 {
+	if words > maxWords {
 		return nil, fmt.Errorf("bfl: implausible filter width %d words", words)
 	}
-	idx := &Index{
-		g:        g,
-		words:    int(words),
-		hash:     make([]int32, n),
-		out:      make([]uint64, int(n)*int(words)),
-		in:       make([]uint64, int(n)*int(words)),
-		discover: make([]int32, n),
-		finish:   make([]int32, n),
-	}
-	for _, step := range []any{idx.hash, idx.out, idx.in, idx.discover, idx.finish} {
-		if err := read(step); err != nil {
+	hash := make([]int32, n)
+	out := make([]uint64, int(n)*int(words))
+	in := make([]uint64, int(n)*int(words))
+	discover := make([]int32, n)
+	finish := make([]int32, n)
+	for _, column := range []any{hash, out, in, discover, finish} {
+		if err := read(column); err != nil {
 			return nil, fmt.Errorf("bfl: reading labels: %w", err)
 		}
 	}
-	return idx, nil
+	return FromFlat(g, int(words), hash, out, in, discover, finish)
 }

@@ -1,10 +1,9 @@
 // Package check implements deep structural validators for the index
 // data structures: the interval labeling's post-order bijection, label
-// well-formedness and nesting, condensation acyclicity, and the dynamic
-// labeling's consistency with its accumulated graph. The spatial-index
-// validators live with their structures (rtree.Flat.Validate) because
-// they need node internals; this package holds everything expressible
-// through exported surfaces.
+// well-formedness and nesting, and condensation acyclicity. The
+// spatial-index validators live with their structures
+// (rtree.Flat.Validate) because they need node internals; this package
+// holds everything expressible through exported surfaces.
 //
 // Validators return nil for a well-formed structure and a descriptive
 // error naming the first violated invariant otherwise. They run in
@@ -116,84 +115,4 @@ func Labeling(g *graph.Graph, l *labeling.Labeling) error {
 		}
 	})
 	return firstErr
-}
-
-// Dynamic validates an updatable labeling against the graph it has
-// absorbed: dense post numbers, well-formed self-containing labels,
-// per-edge nesting, and acyclicity of the accumulated edge set.
-func Dynamic(d *labeling.Dynamic) error {
-	n := d.NumVertices()
-	post := make([]int32, n)
-	order := make([]int32, n)
-	for v := 0; v < n; v++ {
-		p := d.PostOf(v)
-		if p < 1 || int(p) > n {
-			return fmt.Errorf("check: vertex %d has post %d outside [1,%d]", v, p, n)
-		}
-		post[v] = p
-		order[p-1] = int32(v)
-	}
-	if err := Posts(post, order); err != nil {
-		return err
-	}
-	if err := labels(post, d.Labels); err != nil {
-		return err
-	}
-	var firstErr error
-	indeg := make([]int32, n)
-	adj := make([][]int32, n)
-	d.Edges(func(u, v int) {
-		if firstErr == nil {
-			firstErr = edgeNesting(u, v, post, d.Labels)
-		}
-		adj[u] = append(adj[u], int32(v))
-		indeg[v]++
-	})
-	if firstErr != nil {
-		return firstErr
-	}
-	// Kahn's algorithm: the accumulated edge set must still be acyclic
-	// (AddEdge promises to reject cycle-closing edges).
-	queue := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, int32(v))
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, v := range adj[u] {
-			if indeg[v]--; indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if seen != n {
-		return fmt.Errorf("check: dynamic labeling's accumulated graph contains a cycle (%d of %d vertices ordered)", seen, n)
-	}
-	return nil
-}
-
-// View validates a published snapshot of the dynamic labeling. A view
-// carries no edges, so only the shape invariants are checkable: a post
-// bijection and well-formed, self-containing label sets.
-func View(v labeling.View) error {
-	n := v.NumVertices()
-	post := make([]int32, n)
-	order := make([]int32, n)
-	for u := 0; u < n; u++ {
-		p := v.PostOf(u)
-		if p < 1 || int(p) > n {
-			return fmt.Errorf("check: vertex %d has post %d outside [1,%d]", u, p, n)
-		}
-		post[u] = p
-		order[p-1] = int32(u)
-	}
-	if err := Posts(post, order); err != nil {
-		return err
-	}
-	return labels(post, v.Labels)
 }

@@ -134,52 +134,6 @@ func TestLabelingSizeMismatch(t *testing.T) {
 	wantErr(t, check.Labeling(b.Build(), l), "sized")
 }
 
-func TestDynamicValid(t *testing.T) {
-	g := diamond(t)
-	d := labeling.NewDynamic(g, labeling.Options{})
-	if err := check.Dynamic(d); err != nil {
-		t.Fatalf("fresh dynamic labeling rejected: %v", err)
-	}
-	v := d.AddVertex()
-	w := d.AddVertex()
-	if err := d.AddEdge(v, w); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddEdge(0, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := check.Dynamic(d); err != nil {
-		t.Fatalf("updated dynamic labeling rejected: %v", err)
-	}
-}
-
-func TestDynamicCorrupted(t *testing.T) {
-	g := diamond(t)
-	d := labeling.NewDynamic(g, labeling.Options{})
-	// Labels(v) shares its backing array with the labeling; flipping an
-	// interval through it simulates internal corruption.
-	s := d.Labels(0)
-	s[0].Lo, s[0].Hi = s[0].Hi+3, s[0].Lo
-	wantErr(t, check.Dynamic(d), "swapped")
-}
-
-func TestViewValid(t *testing.T) {
-	g := diamond(t)
-	d := labeling.NewDynamic(g, labeling.Options{})
-	if err := check.View(d.View()); err != nil {
-		t.Fatalf("fresh view rejected: %v", err)
-	}
-}
-
-func TestViewCorrupted(t *testing.T) {
-	g := diamond(t)
-	d := labeling.NewDynamic(g, labeling.Options{})
-	v := d.View()
-	s := v.Labels(1)
-	s[0].Lo, s[0].Hi = s[0].Hi+2, s[0].Lo
-	wantErr(t, check.View(v), "swapped")
-}
-
 func TestPostsValid(t *testing.T) {
 	if err := check.Posts([]int32{2, 1, 3}, []int32{1, 0, 2}); err != nil {
 		t.Fatalf("valid posts rejected: %v", err)

@@ -430,9 +430,6 @@ func (a *Auto) MemoryBytes() int64 {
 // Members returns the member engines in routing order.
 func (a *Auto) Members() []Engine { return a.members }
 
-// MemberMethods returns the member methods in routing order.
-func (a *Auto) MemberMethods() []Method { return append([]Method(nil), a.methods...) }
-
 // Choices returns a snapshot of how many queries each member has
 // served, aligned with Members.
 func (a *Auto) Choices() []int64 {

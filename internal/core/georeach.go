@@ -48,7 +48,4 @@ func (e *GeoReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 // MemoryBytes implements Engine.
 func (e *GeoReach) MemoryBytes() int64 { return e.idx.MemoryBytes() }
 
-// Index exposes the SPA-Graph for stats reporting.
-func (e *GeoReach) Index() *georeach.Index { return e.idx }
-
 var _ Engine = (*GeoReach)(nil)

@@ -15,16 +15,22 @@ import (
 	"repro/internal/labeling"
 )
 
-// Engine persistence: SaveEngine serializes the expensive index state of
-// an engine (interval labels, BFL filters or the SPA-Graph); LoadEngine
-// rebuilds the full engine over the same prepared network, bulk-loading
-// the spatial structures from the network — which is cheap compared to
-// labeling construction. The PLL variant is not persisted: its build is
-// fast relative to loading its state.
+// Engine persistence: SaveEngine (persistv2.go) serializes the expensive
+// index state of an engine (interval labels, BFL filters or the
+// SPA-Graph, and the R-tree over them) as a v2 flat image; LoadEngine
+// reads it back over the same prepared network. The PLL variant is not
+// persisted: its build is fast relative to loading its state.
 //
-// Format: magic "RRIX" | version u8 | method u8 | policy u8 | payload.
-// The Auto composite nests: its payload is a member count, the members'
-// own tagged sections (each a complete header + payload, so the loader
+// This file is the v1 side: the streaming format every Save wrote
+// before the flat image. Nothing writes it any more — it is a one-way
+// upgrade, load then save — but LoadEngine reads it forever,
+// bulk-loading the spatial structures v1 never stored from the network.
+//
+// v1 format: magic "RRIX" | version u8 | method u8 | policy u8 | payload.
+// The payload is the method's labeling.ReadLabeling, bfl.Read or
+// georeach.Read stream (SocReach puts a reserved flags byte first). The
+// Auto composite nests: its payload is a member count, the members' own
+// tagged sections (each a complete header + payload, so the loader
 // dispatches on the embedded method byte), and the planner's learned
 // cost coefficients.
 
@@ -34,102 +40,6 @@ const engineVersion = 1
 
 // ErrNotPersistable reports an engine type without a save format.
 var ErrNotPersistable = fmt.Errorf("core: engine is not persistable")
-
-// SaveEngine writes e to w in the current (v2 flat) format. Supported:
-// ThreeDReach, ThreeDReachRev, SocReach, SpaReach-BFL, SpaReach-INT,
-// GeoReach and Auto composites of those; others return
-// ErrNotPersistable. On a big-endian host — which cannot emit the
-// little-endian flat image — it falls back to the v1 stream, which both
-// loaders accept everywhere.
-func SaveEngine(w io.Writer, e Engine) error {
-	if !flatbuf.LittleEndian() {
-		return SaveEngineV1(w, e)
-	}
-	return saveEngineV2(w, e)
-}
-
-// SaveEngineV1 writes e in the legacy streaming format, kept for
-// compatibility fixtures and big-endian hosts. LoadEngine reads both.
-func SaveEngineV1(w io.Writer, e Engine) error {
-	bw := bufio.NewWriter(w)
-	if err := saveEngineTo(bw, e); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// saveEngineTo appends e's tagged section to bw. Composite engines
-// recurse, writing each member as a complete nested section.
-func saveEngineTo(bw *bufio.Writer, e Engine) error {
-	writeHeader := func(m Method, policy dataset.SCCPolicy) error {
-		if err := binary.Write(bw, binary.LittleEndian, engineMagic); err != nil {
-			return err
-		}
-		return binary.Write(bw, binary.LittleEndian,
-			[3]uint8{engineVersion, uint8(m), uint8(policy)})
-	}
-
-	var err error
-	switch eng := e.(type) {
-	case *ThreeDReach:
-		if err = writeHeader(MethodThreeDReach, eng.policy); err == nil {
-			_, err = eng.l.WriteTo(bw)
-		}
-	case *ThreeDReachRev:
-		if err = writeHeader(MethodThreeDReachRev, eng.policy); err == nil {
-			_, err = eng.rev.WriteTo(bw)
-		}
-	case *SocReach:
-		if err = writeHeader(MethodSocReach, dataset.Replicate); err == nil {
-			// The flags byte is reserved: bit 0 once chose a descendant-scan
-			// structure, which never changed an answer. Written as zero.
-			if err = binary.Write(bw, binary.LittleEndian, uint8(0)); err == nil {
-				_, err = eng.l.WriteTo(bw)
-			}
-		}
-	case *GeoReach:
-		if err = writeHeader(MethodGeoReach, dataset.Replicate); err == nil {
-			_, err = eng.idx.WriteTo(bw)
-		}
-	case *SpaReach:
-		switch reach := eng.reach.(type) {
-		case *labeling.Labeling:
-			if err = writeHeader(MethodSpaReachINT, eng.policy); err == nil {
-				_, err = reach.WriteTo(bw)
-			}
-		case *bfl.Index:
-			if err = writeHeader(MethodSpaReachBFL, eng.policy); err == nil {
-				_, err = reach.WriteTo(bw)
-			}
-		default:
-			return fmt.Errorf("%w: SpaReach backend %T", ErrNotPersistable, reach)
-		}
-	case *Auto:
-		if err = writeHeader(MethodAuto, eng.policy); err != nil {
-			break
-		}
-		if err = binary.Write(bw, binary.LittleEndian, uint8(len(eng.members))); err != nil {
-			break
-		}
-		for i, member := range eng.members {
-			if err = saveEngineTo(bw, member); err != nil {
-				return fmt.Errorf("auto member %v: %w", eng.methods[i], err)
-			}
-		}
-		for i := range eng.members {
-			if err = binary.Write(bw, binary.LittleEndian,
-				math.Float64bits(eng.pl.Model().Coef(i))); err != nil {
-				break
-			}
-		}
-	default:
-		return fmt.Errorf("%w: %T", ErrNotPersistable, e)
-	}
-	if err != nil {
-		return fmt.Errorf("core: saving engine: %w", err)
-	}
-	return nil
-}
 
 // LoadEngine reads an engine written by SaveEngine — either format,
 // sniffed from the magic — and attaches it to prep, which must describe
@@ -207,7 +117,9 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 		to.Policy = policy
 		e = NewThreeDReachRevWithLabeling(prep, rev, to)
 	case MethodSocReach:
-		var reserved uint8 // the flags byte; see saveEngineTo
+		// The flags byte is reserved: bit 0 once chose a descendant-scan
+		// structure, which never changed an answer.
+		var reserved uint8
 		if err := binary.Read(br, binary.LittleEndian, &reserved); err != nil {
 			return BuildResult{}, fmt.Errorf("core: reading flags: %w", err)
 		}

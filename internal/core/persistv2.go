@@ -105,8 +105,12 @@ type geoMeta struct {
 	Space  [4]float64
 }
 
-// saveEngineV2 writes e as a v2 flat image.
-func saveEngineV2(w io.Writer, e Engine) error {
+// SaveEngine writes e to w as a v2 flat image. Supported: ThreeDReach,
+// ThreeDReachRev, SocReach, SpaReach-BFL, SpaReach-INT, GeoReach and
+// Auto composites of those; others return ErrNotPersistable. The image
+// is little-endian and cast from memory, so on a big-endian host the
+// error wraps flatbuf.ErrBigEndian.
+func SaveEngine(w io.Writer, e Engine) error {
 	fw := flatbuf.NewWriter()
 	if auto, ok := e.(*Auto); ok {
 		var man bytes.Buffer
@@ -142,7 +146,7 @@ func mustWrite(b *bytes.Buffer, v any) {
 }
 
 // appendEngineSections adds one engine's manifest and columns under the
-// owner id. Composite engines never reach here — saveEngineV2 unrolls
+// owner id. Composite engines never reach here — SaveEngine unrolls
 // Auto itself (and the format forbids nesting).
 func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	var man bytes.Buffer
@@ -541,7 +545,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 }
 
 // loadLabelingV2 reads the labelingMeta record then overlays the four
-// label columns, revalidating exactly what ReadLabeling would.
+// label columns; labeling.FromFlat validates them.
 func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *dataset.Prepared) (*labeling.Labeling, error) {
 	var lm labelingMeta
 	if err := readManifest(mr, owner, &lm); err != nil {

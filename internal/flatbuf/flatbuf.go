@@ -28,8 +28,8 @@
 // as long as the image base itself is at least 8-aligned — which both
 // mmap (page-aligned) and AlignedBytes (uint64-backed) guarantee.
 // Multi-byte values are stored in little-endian host order; the zero-
-// copy casts refuse to run on a big-endian host (see CastSlice), where
-// callers must fall back to the portable v1 stream format.
+// copy casts refuse to run on a big-endian host (see CastSlice), which
+// can therefore neither write nor open an image.
 package flatbuf
 
 import (
@@ -70,8 +70,7 @@ var ErrFormat = errors.New("invalid flat image")
 
 // ErrBigEndian is wrapped by errors reporting that the zero-copy paths
 // are unavailable on this host: the on-disk order is little-endian and
-// the overlay casts never byte-swap. Callers fall back to the portable
-// v1 stream format.
+// the overlay casts never byte-swap.
 var ErrBigEndian = errors.New("flat images require a little-endian host")
 
 // hostLittleEndian caches the byte order probe. It is a variable, not a
@@ -84,11 +83,6 @@ var hostLittleEndian = func() bool {
 
 // align64 rounds n up to the next multiple of Align.
 func align64(n uint64) uint64 { return (n + Align - 1) &^ (Align - 1) }
-
-// LittleEndian reports whether this host can produce and consume flat
-// images. Callers on the (vanishingly rare) big-endian ports fall back
-// to the streaming v1 format.
-func LittleEndian() bool { return hostLittleEndian }
 
 // Writer accumulates sections and emits the image. Sections appear in
 // the table and in the payload in append order, so a fixed emission

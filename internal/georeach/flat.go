@@ -2,54 +2,30 @@ package georeach
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/grid"
 )
 
-// Flat-format codec: the SPA-Graph as four structure-of-arrays columns.
+// Flat form: the SPA-Graph as four structure-of-arrays columns — what
+// Index holds, what the flat index format persists as aligned sections,
+// and what a mapped open overlays without copying.
 //
 //	flags    [2n]u8          — per vertex {kind, geoB}, interleaved
 //	rmbr     [4n]f64         — per vertex MinX, MinY, MaxX, MaxY
 //	gridOff  [n+1]u64        — G-vertex v's keys are gridKeys[off[v]:off[v+1]]
-//	gridKeys [Σ]u64          — sorted cell keys, concatenated by vertex
+//	gridKeys [Σ]u64          — ascending cell keys, concatenated by vertex
 //
-// Keys are sorted per vertex so the columns are canonical (identical
-// SPA-Graphs serialize to identical bytes). Unlike the other engines
-// the query structure itself is a hash set per G-vertex, so FromFlat
-// rehydrates grid.CellSet maps — the one documented exception to the
-// O(1)-allocation mapped load (see DESIGN.md §17).
+// Keys ascend within each vertex's run so the columns are canonical
+// (identical SPA-Graphs serialize to identical bytes) and Validate can
+// binary-search a run; the query only ever scans one.
 
-// FlatColumns returns the SPA-Graph as flat columns. gridOff has
-// NumVertices()+1 entries; non-G vertices have empty key runs.
+// FlatColumns returns the columns the index holds. gridOff has
+// NumVertices()+1 entries; non-G vertices have empty key runs. The
+// slices alias the index's storage and must not be mutated.
 func (idx *Index) FlatColumns() (flags []uint8, rmbr []float64, gridOff []uint64, gridKeys []uint64) {
-	n := len(idx.kind)
-	flags = make([]uint8, 0, 2*n)
-	rmbr = make([]float64, 0, 4*n)
-	gridOff = make([]uint64, n+1)
-	for v := 0; v < n; v++ {
-		geoB := uint8(0)
-		if idx.geoB[v] {
-			geoB = 1
-		}
-		flags = append(flags, uint8(idx.kind[v]), geoB)
-		r := idx.rmbr[v]
-		rmbr = append(rmbr, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
-		gridOff[v] = uint64(len(gridKeys))
-		if idx.kind[v] != GVertex {
-			continue
-		}
-		cells := idx.grids[v]
-		start := len(gridKeys)
-		for key := range cells {
-			gridKeys = append(gridKeys, key)
-		}
-		slices.Sort(gridKeys[start:])
-	}
-	gridOff[n] = uint64(len(gridKeys))
-	return flags, rmbr, gridOff, gridKeys
+	return idx.flags, idx.rmbr, idx.gridOff, idx.gridKeys
 }
 
 // FlatMeta carries the SPA-Graph's scalar shape through a manifest.
@@ -63,10 +39,14 @@ func (idx *Index) FlatMeta() FlatMeta {
 	return FlatMeta{Levels: idx.h.Levels(), Space: idx.h.Space()}
 }
 
-// FromFlat assembles a SPA-Graph from persisted flat columns and
-// attaches it to prep, applying the same validation as Read: vertex
-// count against the network, plausible level count, kinds within range,
-// offsets tiling the key array. Cell sets are rebuilt as maps.
+// FromFlat assembles a SPA-Graph over persisted columns and attaches it
+// to prep. It is the one place outside input is checked, whichever
+// codec decoded it: column lengths against the network, a plausible
+// level count, kinds within range, offsets tiling the key array, keys
+// only under G-vertices and ascending within a run. The slices are
+// adopted, not copied — a mapped open allocates only the Index header
+// and its hierarchy — so they must stay alive, unmodified, as long as
+// the index does.
 func FromFlat(prep *dataset.Prepared, meta FlatMeta, flags []uint8, rmbr []float64, gridOff []uint64, gridKeys []uint64) (*Index, error) {
 	n := prep.NumComponents()
 	if len(flags) != 2*n {
@@ -87,42 +67,29 @@ func FromFlat(prep *dataset.Prepared, meta FlatMeta, flags []uint8, rmbr []float
 	if gridOff[n] != uint64(len(gridKeys)) {
 		return nil, fmt.Errorf("georeach: grid offsets end at %d, keys hold %d", gridOff[n], len(gridKeys))
 	}
-	idx := &Index{
-		prep:  prep,
-		h:     grid.NewHierarchy(meta.Space, meta.Levels),
-		kind:  make([]Kind, n),
-		geoB:  make([]bool, n),
-		rmbr:  make([]geom.Rect, n),
-		grids: make([]grid.CellSet, n),
-	}
 	for v := 0; v < n; v++ {
 		if flags[2*v] > uint8(BVertex) {
 			return nil, fmt.Errorf("georeach: corrupt kind %d", flags[2*v])
-		}
-		idx.kind[v] = Kind(flags[2*v])
-		idx.geoB[v] = flags[2*v+1] != 0
-		idx.rmbr[v] = geom.Rect{
-			Min: geom.Pt(rmbr[4*v], rmbr[4*v+1]),
-			Max: geom.Pt(rmbr[4*v+2], rmbr[4*v+3]),
 		}
 		lo, hi := gridOff[v], gridOff[v+1]
 		if lo > hi || hi > uint64(len(gridKeys)) {
 			return nil, fmt.Errorf("georeach: grid offsets not monotonic at vertex %d", v)
 		}
-		if hi-lo > 1<<24 {
-			return nil, fmt.Errorf("georeach: implausible grid size %d", hi-lo)
+		if Kind(flags[2*v]) != GVertex && lo != hi {
+			return nil, fmt.Errorf("georeach: non-G vertex %d has %d grid keys", v, hi-lo)
 		}
-		if idx.kind[v] != GVertex {
-			if lo != hi {
-				return nil, fmt.Errorf("georeach: non-G vertex %d has %d grid keys", v, hi-lo)
+		for i := lo + 1; i < hi; i++ {
+			if gridKeys[i-1] >= gridKeys[i] {
+				return nil, fmt.Errorf("georeach: grid keys of vertex %d do not ascend", v)
 			}
-			continue
 		}
-		cells := make(grid.CellSet, hi-lo)
-		for _, key := range gridKeys[lo:hi] {
-			cells[key] = struct{}{}
-		}
-		idx.grids[v] = cells
 	}
-	return idx, nil
+	return &Index{
+		prep:     prep,
+		h:        grid.NewHierarchy(meta.Space, meta.Levels),
+		flags:    flags,
+		rmbr:     rmbr,
+		gridOff:  gridOff,
+		gridKeys: gridKeys,
+	}, nil
 }

@@ -24,6 +24,8 @@
 package georeach
 
 import (
+	"slices"
+
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -85,15 +87,33 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Index is the SPA-Graph of a prepared geosocial network.
+// Index is the SPA-Graph of a prepared geosocial network. The four flat
+// columns (flat.go) are the only form it takes in memory: Build freezes
+// into them, Save writes them, a mapped open aliases them.
 type Index struct {
 	prep *dataset.Prepared
 	h    *grid.Hierarchy
 
-	kind  []Kind
-	geoB  []bool         // all kinds: true iff the vertex reaches a spatial vertex
-	rmbr  []geom.Rect    // R-vertices
-	grids []grid.CellSet // G-vertices
+	flags    []uint8   // [2n] per vertex {kind, geoB}
+	rmbr     []float64 // [4n] per vertex MinX, MinY, MaxX, MaxY
+	gridOff  []uint64  // [n+1] G-vertex v's ReachGrid is gridKeys[off[v]:off[v+1]]
+	gridKeys []uint64  // cell keys, ascending within each vertex's run
+}
+
+func (idx *Index) kindOf(v int) Kind { return Kind(idx.flags[2*v]) }
+
+// reaches is GeoB(v): true iff v reaches a spatial vertex.
+func (idx *Index) reaches(v int) bool { return idx.flags[2*v+1] != 0 }
+
+func (idx *Index) rmbrOf(v int) geom.Rect {
+	r := idx.rmbr[4*v : 4*v+4]
+	return geom.Rect{Min: geom.Pt(r[0], r[1]), Max: geom.Pt(r[2], r[3])}
+}
+
+// cells returns the ReachGrid of v as its run of cell keys (empty for
+// R- and B-vertices).
+func (idx *Index) cells(v int) []uint64 {
+	return idx.gridKeys[idx.gridOff[v]:idx.gridOff[v+1]]
 }
 
 // Build constructs the SPA-Graph for the prepared network.
@@ -103,13 +123,15 @@ func Build(prep *dataset.Prepared, params Params) *Index {
 	h := grid.NewHierarchy(space, params.Levels)
 	n := prep.NumComponents()
 	idx := &Index{
-		prep:  prep,
-		h:     h,
-		kind:  make([]Kind, n),
-		geoB:  make([]bool, n),
-		rmbr:  make([]geom.Rect, n),
-		grids: make([]grid.CellSet, n),
+		prep:    prep,
+		h:       h,
+		flags:   make([]uint8, 2*n),
+		rmbr:    make([]float64, 4*n),
+		gridOff: make([]uint64, n+1),
 	}
+	// Construction-time ReachGrids: hash sets while successors are still
+	// being unioned into them, frozen into gridKeys below.
+	grids := make([]grid.CellSet, n)
 	maxArea := params.MaxRMBRFraction * space.Area()
 
 	// classify computes v's class from its own members and its
@@ -130,30 +152,30 @@ func Build(prep *dataset.Prepared, params Params) *Index {
 			mbr = mbr.Union(g)
 			reaches = true
 		}
-		for _, u := range prep.DAG.Out(v) {
-			if !idx.geoB[u] {
+		for _, w := range prep.DAG.Out(v) {
+			u := int(w)
+			if !idx.reaches(u) {
 				continue // successor reaches nothing spatial
 			}
 			reaches = true
-			switch idx.kind[u] {
+			switch idx.kindOf(u) {
 			case GVertex:
 				if kind == GVertex {
-					cells.UnionWith(idx.grids[u])
+					cells.UnionWith(grids[u])
 				}
-				mbr = mbr.Union(idx.rmbr[u])
+				mbr = mbr.Union(idx.rmbrOf(u))
 			case RVertex:
 				if kind == GVertex {
 					kind = RVertex
 				}
-				mbr = mbr.Union(idx.rmbr[u])
+				mbr = mbr.Union(idx.rmbrOf(u))
 			case BVertex:
 				kind = BVertex
 			}
 		}
 
-		idx.geoB[v] = reaches
 		if !reaches {
-			idx.kind[v] = BVertex
+			idx.flags[2*v] = uint8(BVertex)
 			return
 		}
 		if kind == GVertex {
@@ -161,23 +183,16 @@ func Build(prep *dataset.Prepared, params Params) *Index {
 			if cells.Len() > params.MaxReachGrids {
 				kind = RVertex
 			} else {
-				idx.kind[v] = GVertex
-				idx.grids[v] = cells
-				idx.rmbr[v] = mbr // kept for child classification only
-				return
+				grids[v] = cells
 			}
 		}
-		if kind == RVertex {
-			if mbr.Area() > maxArea {
-				kind = BVertex
-			} else {
-				idx.kind[v] = RVertex
-				idx.rmbr[v] = mbr
-				return
-			}
+		if kind == RVertex && mbr.Area() > maxArea {
+			kind = BVertex
 		}
-		idx.kind[v] = BVertex
-		idx.rmbr[v] = mbr // kept for child classification only
+		idx.flags[2*v], idx.flags[2*v+1] = uint8(kind), 1
+		// G- and B-vertices keep their RMBR for the classification of
+		// their parents only; no query reads it.
+		copy(idx.rmbr[4*v:], []float64{mbr.Min.X, mbr.Min.Y, mbr.Max.X, mbr.Max.Y})
 	}
 
 	if p := pool.New(max(params.Parallelism, 1)); !p.Sequential() {
@@ -189,16 +204,32 @@ func Build(prep *dataset.Prepared, params Params) *Index {
 			panic("georeach: condensed graph is not a DAG")
 		}
 		p.Levels(levels, func(v int32) { classify(int(v)) })
-		return idx
+	} else {
+		topo, ok := prep.DAG.TopoOrder()
+		if !ok {
+			panic("georeach: condensed graph is not a DAG")
+		}
+		for i := len(topo) - 1; i >= 0; i-- {
+			classify(int(topo[i]))
+		}
 	}
 
-	topo, ok := prep.DAG.TopoOrder()
-	if !ok {
-		panic("georeach: condensed graph is not a DAG")
+	// Freeze: each ReachGrid becomes an ascending run of keys, so the
+	// columns are canonical — identical SPA-Graphs, however built, hold
+	// and save identical bytes.
+	total := 0
+	for _, cells := range grids {
+		total += cells.Len()
 	}
-	for i := len(topo) - 1; i >= 0; i-- {
-		classify(int(topo[i]))
+	idx.gridKeys = make([]uint64, 0, total)
+	for v, cells := range grids {
+		idx.gridOff[v] = uint64(len(idx.gridKeys))
+		for key := range cells {
+			idx.gridKeys = append(idx.gridKeys, key)
+		}
+		slices.Sort(idx.gridKeys[idx.gridOff[v]:])
 	}
+	idx.gridOff[n] = uint64(len(idx.gridKeys))
 	return idx
 }
 
@@ -216,7 +247,7 @@ func (idx *Index) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	defer sp.End(trace.StageTraverse, t)
 	prep := idx.prep
 	start := int(prep.CompOf(v))
-	if !idx.geoB[start] {
+	if !idx.reaches(start) {
 		return false
 	}
 	n := prep.NumComponents()
@@ -231,22 +262,23 @@ func (idx *Index) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 		sp.IncGraphVisited()
 
 		expand := false
-		switch idx.kind[u] {
+		switch idx.kindOf(u) {
 		case BVertex:
-			if !idx.geoB[u] {
+			if !idx.reaches(u) {
 				continue // prune: reaches nothing spatial
 			}
 			expand = true
 		case RVertex:
-			if !idx.rmbr[u].Intersects(r) {
+			mbr := idx.rmbrOf(u)
+			if !mbr.Intersects(r) {
 				continue // prune: no reachable point can be in R
 			}
-			if r.ContainsRect(idx.rmbr[u]) {
+			if r.ContainsRect(mbr) {
 				return true // every reachable point is in R; RMBR non-empty
 			}
 			expand = true
 		case GVertex:
-			intersects, contained := idx.grids[u].IntersectsRect(idx.h, r)
+			intersects, contained := idx.cellsIntersect(u, r)
 			if contained {
 				return true // a non-empty cell lies fully inside R
 			}
@@ -275,13 +307,29 @@ func (idx *Index) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	return false
 }
 
-// KindOf returns the SPA-Graph class of component c (tests and stats).
-func (idx *Index) KindOf(c int) Kind { return idx.kind[c] }
+// cellsIntersect reports whether any cell of G-vertex v's ReachGrid
+// overlaps r, and whether some overlapping cell lies fully inside r —
+// the two signals of the G-vertex pruning rule. It scans the vertex's
+// key run in place: the rule asks "is there a cell such that", never
+// "is this cell present", so no lookup structure is needed.
+func (idx *Index) cellsIntersect(v int, r geom.Rect) (intersects, contained bool) {
+	for _, k := range idx.cells(v) {
+		cr := idx.h.Rect(grid.CellFromKey(k))
+		if !cr.Intersects(r) {
+			continue
+		}
+		intersects = true
+		if r.ContainsRect(cr) {
+			return true, true
+		}
+	}
+	return intersects, false
+}
 
 // CountKinds returns how many components fall in each class.
 func (idx *Index) CountKinds() (g, r, b int) {
-	for _, k := range idx.kind {
-		switch k {
+	for v := 0; 2*v < len(idx.flags); v++ {
+		switch idx.kindOf(v) {
 		case GVertex:
 			g++
 		case RVertex:
@@ -299,14 +347,6 @@ func (idx *Index) CountKinds() (g, r, b int) {
 // parents are not counted for G/B vertices, matching what GeoReach
 // materializes.
 func (idx *Index) MemoryBytes() int64 {
-	total := int64(2 * len(idx.kind))
-	for v, k := range idx.kind {
-		switch k {
-		case RVertex:
-			total += 32
-		case GVertex:
-			total += idx.grids[v].MemoryBytes()
-		}
-	}
-	return total
+	_, r, _ := idx.CountKinds()
+	return int64(len(idx.flags)) + 32*int64(r) + 8*int64(len(idx.gridKeys))
 }

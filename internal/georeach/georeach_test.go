@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/grid"
 )
 
 // randomNetwork builds a random geosocial network (possibly cyclic).
@@ -183,5 +184,30 @@ func TestPaperExample26(t *testing.T) {
 	}
 	if idx.RangeReach(2, r) {
 		t.Error("RangeReach(G, c, R) = TRUE, want FALSE")
+	}
+}
+
+// TestIntersectsRect pins the two signals of the G-vertex rule on a
+// hand-made ReachGrid.
+func TestIntersectsRect(t *testing.T) {
+	idx := &Index{
+		h:       grid.NewHierarchy(geom.NewRect(0, 0, 100, 100), 4), // level 0 cell = 12.5x12.5
+		gridOff: []uint64{0, 2},
+		gridKeys: []uint64{
+			grid.Cell{Level: 0, X: 0, Y: 0}.Key(), // [0,12.5]x[0,12.5]
+			grid.Cell{Level: 0, X: 7, Y: 7}.Key(), // [87.5,100]^2
+		},
+	}
+	inter, cont := idx.cellsIntersect(0, geom.NewRect(40, 40, 60, 60))
+	if inter || cont {
+		t.Error("disjoint region reported intersecting")
+	}
+	inter, cont = idx.cellsIntersect(0, geom.NewRect(10, 10, 60, 60))
+	if !inter || cont {
+		t.Error("partial overlap misreported")
+	}
+	inter, cont = idx.cellsIntersect(0, geom.NewRect(-1, -1, 50, 50))
+	if !inter || !cont {
+		t.Error("containing region misreported")
 	}
 }

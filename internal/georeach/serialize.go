@@ -9,83 +9,23 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/grid"
 )
 
-// Serialization persists the SPA-Graph — whose construction is the
-// slowest of all indexes in the paper's Table 5 — so GeoReach can reload
-// without rebuilding. Versioned little-endian binary:
+// The v1 stream: the format SPA-Graphs were saved in before the flat
+// image. Nothing writes it any more; Read keeps old files loadable.
+// Versioned little-endian binary:
 //
 //	magic "RRGR" | version u8 | n u32 | levels u8 | space 4×f64 |
-//	kind [n]u8 | geoB [n]u8 | rmbr [n]×4×f64 |
+//	per vertex: kind u8, geoB u8, rmbr 4×f64 |
 //	per G-vertex: count u32, count × key u64
 
 var georeachMagic = [4]byte{'R', 'R', 'G', 'R'}
 
 const georeachVersion = 1
 
-// WriteTo serializes the SPA-Graph. It implements io.WriterTo.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		written += int64(binary.Size(v))
-		return nil
-	}
-	space := idx.h.Space()
-	header := []any{
-		georeachMagic, uint8(georeachVersion),
-		uint32(len(idx.kind)), uint8(idx.h.Levels()),
-		[4]float64{space.Min.X, space.Min.Y, space.Max.X, space.Max.Y},
-	}
-	for _, v := range header {
-		if err := write(v); err != nil {
-			return written, err
-		}
-	}
-	for v := range idx.kind {
-		geoB := uint8(0)
-		if idx.geoB[v] {
-			geoB = 1
-		}
-		r := idx.rmbr[v]
-		if err := write([2]uint8{uint8(idx.kind[v]), geoB}); err != nil {
-			return written, err
-		}
-		if err := write([4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y}); err != nil {
-			return written, err
-		}
-	}
-	for v := range idx.kind {
-		if idx.kind[v] != GVertex {
-			continue
-		}
-		cells := idx.grids[v]
-		if err := write(uint32(cells.Len())); err != nil {
-			return written, err
-		}
-		// Sorted keys make the serialization canonical: identical
-		// SPA-Graphs — however built, sequentially or in parallel —
-		// produce identical bytes. Read is order-agnostic.
-		keys := make([]uint64, 0, cells.Len())
-		for key := range cells {
-			keys = append(keys, key)
-		}
-		slices.Sort(keys)
-		for _, key := range keys {
-			if err := write(key); err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, bw.Flush()
-}
-
-// Read deserializes a SPA-Graph written by WriteTo and attaches it to
-// prep, which must describe the same network.
+// Read decodes a v1 SPA-Graph stream into the flat columns and returns
+// through FromFlat, which validates them and attaches the index to
+// prep. The checks here are only those that size a read.
 func Read(prep *dataset.Prepared, r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -120,38 +60,21 @@ func Read(prep *dataset.Prepared, r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("georeach: index has %d components, network has %d",
 			n, prep.NumComponents())
 	}
-	if levels < 1 || levels > 20 {
-		return nil, fmt.Errorf("georeach: implausible level count %d", levels)
-	}
-	idx := &Index{
-		prep:  prep,
-		h:     grid.NewHierarchy(geom.NewRect(space[0], space[1], space[2], space[3]), int(levels)),
-		kind:  make([]Kind, n),
-		geoB:  make([]bool, n),
-		rmbr:  make([]geom.Rect, n),
-		grids: make([]grid.CellSet, n),
-	}
+	flags := make([]uint8, 2*n)
+	rmbr := make([]float64, 4*n)
 	for v := uint32(0); v < n; v++ {
-		var flags [2]uint8
-		var r [4]float64
-		if err := read(&flags); err != nil {
+		if err := read(flags[2*v : 2*v+2]); err != nil {
 			return nil, fmt.Errorf("georeach: reading vertex %d: %w", v, err)
 		}
-		if err := read(&r); err != nil {
+		if err := read(rmbr[4*v : 4*v+4]); err != nil {
 			return nil, fmt.Errorf("georeach: reading vertex %d: %w", v, err)
 		}
-		if flags[0] > uint8(BVertex) {
-			return nil, fmt.Errorf("georeach: corrupt kind %d", flags[0])
-		}
-		idx.kind[v] = Kind(flags[0])
-		idx.geoB[v] = flags[1] != 0
-		idx.rmbr[v] = geom.Rect{
-			Min: geom.Pt(r[0], r[1]),
-			Max: geom.Pt(r[2], r[3]),
-		}
 	}
+	gridOff := make([]uint64, n+1)
+	var gridKeys []uint64
 	for v := uint32(0); v < n; v++ {
-		if idx.kind[v] != GVertex {
+		gridOff[v] = uint64(len(gridKeys))
+		if Kind(flags[2*v]) != GVertex {
 			continue
 		}
 		var count uint32
@@ -161,15 +84,17 @@ func Read(prep *dataset.Prepared, r io.Reader) (*Index, error) {
 		if count > 1<<24 {
 			return nil, fmt.Errorf("georeach: implausible grid size %d", count)
 		}
-		cells := make(grid.CellSet, count)
-		for i := uint32(0); i < count; i++ {
-			var key uint64
-			if err := read(&key); err != nil {
-				return nil, fmt.Errorf("georeach: reading grid of %d: %w", v, err)
-			}
-			cells[key] = struct{}{}
+		gridKeys = slices.Grow(gridKeys, int(count))[:len(gridKeys)+int(count)]
+		run := gridKeys[gridOff[v]:]
+		if err := read(run); err != nil {
+			return nil, fmt.Errorf("georeach: reading grid of %d: %w", v, err)
 		}
-		idx.grids[v] = cells
+		// v1 promised no key order; the columns want each run ascending.
+		slices.Sort(run)
 	}
-	return idx, nil
+	gridOff[n] = uint64(len(gridKeys))
+	return FromFlat(prep, FlatMeta{
+		Levels: int(levels),
+		Space:  geom.NewRect(space[0], space[1], space[2], space[3]),
+	}, flags, rmbr, gridOff, gridKeys)
 }

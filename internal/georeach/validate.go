@@ -2,6 +2,7 @@ package georeach
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -26,24 +27,26 @@ import (
 // the first violated invariant otherwise.
 func (idx *Index) Validate() error {
 	n := idx.prep.NumComponents()
-	if len(idx.kind) != n || len(idx.geoB) != n || len(idx.rmbr) != n || len(idx.grids) != n {
-		return fmt.Errorf("georeach: annotation slices sized %d/%d/%d/%d for %d components",
-			len(idx.kind), len(idx.geoB), len(idx.rmbr), len(idx.grids), n)
+	if len(idx.flags) != 2*n || len(idx.rmbr) != 4*n || len(idx.gridOff) != n+1 {
+		return fmt.Errorf("georeach: columns sized %d/%d/%d for %d components",
+			len(idx.flags), len(idx.rmbr), len(idx.gridOff), n)
 	}
 	space := idx.h.Space()
 	for v := 0; v < n; v++ {
+		kind, cells := idx.kindOf(v), idx.cells(v)
 		members := idx.prep.SpatialMembers[v]
-		if len(members) > 0 && !idx.geoB[v] {
+		if len(members) > 0 && !idx.reaches(v) {
 			return fmt.Errorf("georeach: component %d has %d spatial members but GeoB unset", v, len(members))
 		}
-		if !idx.geoB[v] && idx.kind[v] != BVertex {
-			return fmt.Errorf("georeach: component %d has kind %d without spatial reach", v, idx.kind[v])
+		if !idx.reaches(v) && kind != BVertex {
+			return fmt.Errorf("georeach: component %d has kind %d without spatial reach", v, kind)
 		}
-		if idx.kind[v] == GVertex {
-			if idx.grids[v].Len() == 0 {
+		if kind == GVertex {
+			if len(cells) == 0 {
 				return fmt.Errorf("georeach: G-vertex %d has an empty ReachGrid", v)
 			}
-			for _, c := range idx.grids[v].Cells() {
+			for _, key := range cells {
+				c := grid.CellFromKey(key)
 				if int(c.Level) >= idx.h.Levels() {
 					return fmt.Errorf("georeach: G-vertex %d cell %v above top level %d", v, c, idx.h.Levels()-1)
 				}
@@ -51,7 +54,7 @@ func (idx *Index) Validate() error {
 					return fmt.Errorf("georeach: G-vertex %d cell %v outside the %d-cell grid", v, c, side)
 				}
 			}
-		} else if idx.grids[v].Len() != 0 {
+		} else if len(cells) != 0 {
 			return fmt.Errorf("georeach: non-G component %d stores a ReachGrid", v)
 		}
 
@@ -61,12 +64,12 @@ func (idx *Index) Validate() error {
 				return fmt.Errorf("georeach: member %d of component %d at %v outside the grid space %v",
 					m, v, g, space)
 			}
-			switch idx.kind[v] {
+			switch kind {
 			case GVertex:
 				uncovered := grid.Cell{}
 				ok := true
 				idx.h.CoverRect(g, 0, func(c grid.Cell) {
-					if ok && !idx.coveredBy(c, idx.grids[v]) {
+					if ok && !idx.coveredBy(c, cells) {
 						ok, uncovered = false, c
 					}
 				})
@@ -75,37 +78,38 @@ func (idx *Index) Validate() error {
 						m, v, uncovered)
 				}
 			case RVertex:
-				if !idx.rmbr[v].ContainsRect(g) {
+				if !idx.rmbrOf(v).ContainsRect(g) {
 					return fmt.Errorf("georeach: member %d of R-vertex %d at %v outside its RMBR %v",
-						m, v, g, idx.rmbr[v])
+						m, v, g, idx.rmbrOf(v))
 				}
 			}
 		}
 
-		for _, u := range idx.prep.DAG.Out(v) {
-			if !idx.geoB[u] {
+		for _, w := range idx.prep.DAG.Out(v) {
+			u := int(w)
+			if !idx.reaches(u) {
 				continue
 			}
-			if !idx.geoB[v] {
+			if !idx.reaches(v) {
 				return fmt.Errorf("georeach: GeoB not monotone: component %d unset with spatial-reaching successor %d", v, u)
 			}
-			switch idx.kind[v] {
+			switch kind {
 			case GVertex:
-				if idx.kind[u] != GVertex {
-					return fmt.Errorf("georeach: G-vertex %d has non-G successor %d (kind %d)", v, u, idx.kind[u])
+				if idx.kindOf(u) != GVertex {
+					return fmt.Errorf("georeach: G-vertex %d has non-G successor %d (kind %d)", v, u, idx.kindOf(u))
 				}
-				for _, c := range idx.grids[u].Cells() {
-					if !idx.coveredBy(c, idx.grids[v]) {
+				for _, key := range idx.cells(u) {
+					if c := grid.CellFromKey(key); !idx.coveredBy(c, cells) {
 						return fmt.Errorf("georeach: successor %d cell %v missing from G-vertex %d's ReachGrid", u, c, v)
 					}
 				}
 			case RVertex:
-				if idx.kind[u] == BVertex {
+				if idx.kindOf(u) == BVertex {
 					return fmt.Errorf("georeach: R-vertex %d has B-vertex successor %d with spatial reach", v, u)
 				}
-				if !idx.rmbr[v].ContainsRect(idx.rmbr[u]) {
+				if !idx.rmbrOf(v).ContainsRect(idx.rmbrOf(u)) {
 					return fmt.Errorf("georeach: successor %d RMBR %v outside R-vertex %d's RMBR %v",
-						u, idx.rmbr[u], v, idx.rmbr[v])
+						u, idx.rmbrOf(u), v, idx.rmbrOf(v))
 				}
 			}
 		}
@@ -113,10 +117,11 @@ func (idx *Index) Validate() error {
 	return nil
 }
 
-// coveredBy reports whether c or one of its coarser ancestors is in s.
-func (idx *Index) coveredBy(c grid.Cell, s grid.CellSet) bool {
+// coveredBy reports whether c or one of its coarser ancestors is in the
+// ascending key run.
+func (idx *Index) coveredBy(c grid.Cell, run []uint64) bool {
 	for {
-		if s.Has(c) {
+		if _, found := slices.BinarySearch(run, c.Key()); found {
 			return true
 		}
 		p, ok := idx.h.Parent(c)

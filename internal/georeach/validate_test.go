@@ -1,8 +1,8 @@
 package georeach
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,11 +35,7 @@ func TestValidateRandomized(t *testing.T) {
 		if err := idx.Validate(); err != nil {
 			t.Fatalf("trial %d: fresh SPA-Graph rejected: %v", trial, err)
 		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Read(prep, &buf)
+		loaded, err := reassembled(prep, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,32 +71,41 @@ func TestValidateCollinearSpace(t *testing.T) {
 	}
 }
 
+// setCells replaces v's key run, retiling the offsets behind it.
+func setCells(idx *Index, v int, run []uint64) {
+	lo, hi := idx.gridOff[v], idx.gridOff[v+1]
+	idx.gridKeys = slices.Concat(idx.gridKeys[:lo], run, idx.gridKeys[hi:])
+	for u := v + 1; u < len(idx.gridOff); u++ {
+		idx.gridOff[u] += uint64(len(run)) - (hi - lo)
+	}
+}
+
+func setRMBR(idx *Index, v int, r geom.Rect) {
+	copy(idx.rmbr[4*v:], []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y})
+}
+
 func TestValidateCorruptions(t *testing.T) {
 	comp := func(idx *Index, orig int) int { return int(idx.prep.CompOf(orig)) }
 
 	t.Run("geoB cleared", func(t *testing.T) {
 		idx := collinearIndex(t)
-		idx.geoB[comp(idx, 3)] = false
+		idx.flags[2*comp(idx, 3)+1] = 0
 		wantValidateErr(t, idx.Validate(), "GeoB unset")
 	})
 	t.Run("geoB not monotone", func(t *testing.T) {
 		idx := collinearIndex(t)
 		v := comp(idx, 1)
-		idx.geoB[v] = false
-		idx.kind[v] = BVertex
-		idx.grids[v] = nil
+		idx.flags[2*v], idx.flags[2*v+1] = uint8(BVertex), 0
+		setCells(idx, v, nil)
 		wantValidateErr(t, idx.Validate(), "not monotone")
 	})
 	t.Run("missing cell", func(t *testing.T) {
 		idx := collinearIndex(t)
 		v := comp(idx, 3)
-		if idx.kind[v] != GVertex {
-			t.Skipf("component is kind %d, not G", idx.kind[v])
+		if idx.kindOf(v) != GVertex {
+			t.Skipf("component is kind %d, not G", idx.kindOf(v))
 		}
-		for k := range idx.grids[v] {
-			delete(idx.grids[v], k)
-			break
-		}
+		setCells(idx, v, idx.cells(v)[1:])
 		wantValidateErr(t, idx.Validate(), "ReachGrid")
 	})
 	t.Run("shrunken RMBR", func(t *testing.T) {
@@ -108,14 +113,14 @@ func TestValidateCorruptions(t *testing.T) {
 		// then shrink one RMBR away from its member.
 		idx := collinearIndex(t)
 		big := geom.NewRect(-100, -100, 100, 100)
-		for v := range idx.kind {
-			if idx.geoB[v] {
-				idx.kind[v] = RVertex
-				idx.grids[v] = nil
-				idx.rmbr[v] = big
+		for v := 0; v < idx.prep.NumComponents(); v++ {
+			if idx.reaches(v) {
+				idx.flags[2*v] = uint8(RVertex)
+				setCells(idx, v, nil)
+				setRMBR(idx, v, big)
 			}
 		}
-		idx.rmbr[comp(idx, 3)] = geom.NewRect(-10, -10, -9, -9)
+		setRMBR(idx, comp(idx, 3), geom.NewRect(-10, -10, -9, -9))
 		wantValidateErr(t, idx.Validate(), "RMBR")
 	})
 }

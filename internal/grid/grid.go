@@ -134,7 +134,9 @@ func (h *Hierarchy) Parent(c Cell) (Cell, bool) {
 	return Cell{Level: c.Level + 1, X: c.X / 2, Y: c.Y / 2}, true
 }
 
-// CellSet is a set of grid cells (a ReachGrid), keyed by Cell.Key.
+// CellSet is a set of grid cells keyed by Cell.Key: a ReachGrid while
+// GeoReach's build is still unioning successors into it (the finished
+// index holds each one as a sorted run of keys instead).
 type CellSet map[uint64]struct{}
 
 // Add inserts c into the set.
@@ -148,24 +150,6 @@ func (s CellSet) Has(c Cell) bool {
 
 // Len returns the number of cells.
 func (s CellSet) Len() int { return len(s) }
-
-// Cells returns the members of the set in unspecified order.
-func (s CellSet) Cells() []Cell {
-	out := make([]Cell, 0, len(s))
-	for k := range s {
-		out = append(out, CellFromKey(k))
-	}
-	return out
-}
-
-// Clone returns a copy of s.
-func (s CellSet) Clone() CellSet {
-	out := make(CellSet, len(s))
-	for k := range s {
-		out[k] = struct{}{}
-	}
-	return out
-}
 
 // UnionWith adds every cell of other to s.
 func (s CellSet) UnionWith(other CellSet) {
@@ -222,23 +206,3 @@ func (s CellSet) Merge(h *Hierarchy, mergeCount int) {
 		}
 	}
 }
-
-// IntersectsRect reports whether any cell of s overlaps r, and whether
-// some overlapping cell is fully contained in r — the two signals
-// GeoReach's pruning uses for G-vertices.
-func (s CellSet) IntersectsRect(h *Hierarchy, r geom.Rect) (intersects, contained bool) {
-	for k := range s {
-		cr := h.Rect(CellFromKey(k))
-		if !cr.Intersects(r) {
-			continue
-		}
-		intersects = true
-		if r.ContainsRect(cr) {
-			return true, true
-		}
-	}
-	return intersects, false
-}
-
-// MemoryBytes returns the footprint of the set (8 bytes per cell key).
-func (s CellSet) MemoryBytes() int64 { return int64(8 * len(s)) }

@@ -25,26 +25,6 @@ func (x *Index) allocComp() int32 {
 	return c
 }
 
-// retire marks component c dead and unlinks it from the DAG. Its post
-// is never reused; label intervals elsewhere may keep covering it,
-// which is harmless because no live venue entry carries a dead z.
-func (x *Index) retire(c int32) {
-	for d := range x.outC[c] {
-		delete(x.inC[d], c)
-	}
-	for d := range x.inC[c] {
-		delete(x.outC[d], c)
-	}
-	x.outC[c] = nil
-	x.inC[c] = nil
-	x.members[c] = nil
-	x.labels[c] = nil
-	x.post[c] = 0
-	x.alive[c] = false
-	x.liveComps--
-	x.deadComps++
-}
-
 // addDAGEdge increments the refcount of DAG edge (cu, cv) — the number
 // of original edges collapsing onto it — and returns the new count.
 func (x *Index) addDAGEdge(cu, cv int32) int32 {
@@ -60,13 +40,12 @@ func (x *Index) addDAGEdge(cu, cv int32) int32 {
 }
 
 // propagate merges add into the labels of the source components and
-// every ancestor, pruning branches whose label already covers add (the
-// same reverse-BFS labeling.Dynamic uses). Labels are replaced with
-// freshly merged sets, never mutated, so published snapshots stay
-// intact. Epoch-stamped marks bound the walk to one visit per
-// component: without them a dense ancestor DAG re-enqueues a component
-// once per path, which made core merges quadratic on fragmented
-// networks.
+// every ancestor, pruning branches whose label already covers add.
+// Labels are replaced with freshly merged sets, never mutated, so
+// published snapshots stay intact. Epoch-stamped marks bound the walk to
+// one visit per component: without them a dense ancestor DAG re-enqueues
+// a component once per path, which made core merges quadratic on
+// fragmented networks.
 func (x *Index) propagate(sources []int32, add intervals.Set) {
 	for len(x.compSeen) < len(x.alive) {
 		x.compSeen = append(x.compSeen, 0)

@@ -6,18 +6,16 @@ import (
 	"repro/internal/intervals"
 )
 
-// Flat-format codec: the labeling as four structure-of-arrays columns
-// that overlay a flat index image with no per-vertex allocation.
+// Flat form: the labeling as four structure-of-arrays columns that
+// overlay a flat index image with no per-vertex allocation.
 //
 //	post    [n]i32      — 1-based post-order numbers
 //	order   [n]i32      — inverse permutation: order[p-1] has post p
 //	offsets [n+1]u64    — label set v is data[offsets[v]:offsets[v+1]]
 //	data    [Σ|L(v)|]Interval — all intervals, concatenated by vertex
 //
-// Unlike the v1 stream (serialize.go), order is persisted rather than
-// recomputed so a mapped load allocates nothing per vertex; FromFlat
-// still cross-checks it against post, so the validation surface is the
-// same as ReadLabeling's.
+// order is persisted rather than recomputed so a mapped load allocates
+// nothing per vertex; FromFlat still cross-checks it against post.
 
 // FlatColumns returns the labeling as flat columns. offsets has
 // NumVertices()+1 entries; the returned slices alias internal storage
@@ -37,16 +35,18 @@ func (l *Labeling) FlatColumns() (post, order []int32, offsets []uint64, data in
 	return l.Post, l.Order, offsets, data
 }
 
-// FromFlat assembles a labeling from persisted flat columns, applying
-// the same validation as ReadLabeling: post must be a bijection onto
-// [1,n] consistent with order, offsets must tile data monotonically,
-// and every label set must pass validSet. The label sets are
-// subslices of data — one allocation for the whole Labels spine, zero
-// per vertex — so data must stay alive (and unmodified) as long as the
-// labeling does.
+// maxVertices caps the vertex count a file may claim.
+const maxVertices = 1 << 30
+
+// FromFlat assembles a labeling from persisted flat columns. It is the
+// one place outside input is checked, whichever codec decoded it: post
+// must be a bijection onto [1,n] consistent with order, offsets must
+// tile data monotonically, and every label set must pass validSet. The
+// label sets are subslices of data — one allocation for the whole
+// Labels spine, zero per vertex — so data must stay alive (and
+// unmodified) as long as the labeling does.
 func FromFlat(post, order []int32, offsets []uint64, data intervals.Set, uncompressed, compressed int64) (*Labeling, error) {
 	n := len(post)
-	const maxVertices = 1 << 30
 	if n > maxVertices {
 		return nil, fmt.Errorf("labeling: implausible vertex count %d", n)
 	}

@@ -3,26 +3,20 @@ package labeling
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 // FuzzReadLabeling hardens the binary deserializer: arbitrary bytes must
 // either be rejected or yield a labeling whose invariants hold (valid
 // dense post numbers, in-range canonical-ish intervals).
 func FuzzReadLabeling(f *testing.F) {
-	// Seed with a few valid serializations and mutations thereof.
-	for _, n := range []int{1, 5, 12} {
-		g := randomDAGForFuzz(n)
-		l := Build(g, Options{})
-		var buf bytes.Buffer
-		if _, err := l.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		if buf.Len() > 10 {
-			f.Add(buf.Bytes()[:buf.Len()/2])
-		}
+	// Seed with the frozen v1 streams — nothing writes the format any
+	// more — and truncations thereof: a forward labeling and a reversed
+	// one (the other fixtures repeat the forward stream).
+	for _, slug := range []string{"3dreach", "3dreach-rev"} {
+		valid := fixtureV1(f, slug)
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(valid[:9]) // header and count, no posts
 	}
 	f.Add([]byte("RRLB"))
 	f.Add([]byte{})
@@ -45,14 +39,4 @@ func FuzzReadLabeling(f *testing.F) {
 			}
 		}
 	})
-}
-
-func randomDAGForFuzz(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v += 1 + u%3 {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.Build()
 }

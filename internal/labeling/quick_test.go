@@ -92,31 +92,3 @@ func TestQuickBuildersEquivalent(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickMonotoneUnderEdgeInsertion: adding an acyclic edge can only
-// grow label coverage (Dynamic path).
-func TestQuickMonotoneUnderEdgeInsertion(t *testing.T) {
-	f := func(s dagSpec, extra []uint16) bool {
-		g := s.graph()
-		n := g.NumVertices()
-		d := NewDynamic(g, Options{})
-		before := make([]int64, n)
-		for v := 0; v < n; v++ {
-			before[v] = d.Labels(v).Cardinality()
-		}
-		for _, p := range extra {
-			u := int(p>>8) % n
-			v := int(p&0xff) % n
-			_ = d.AddEdge(u, v) // cycle rejections are fine
-		}
-		for v := 0; v < n; v++ {
-			if d.Labels(v).Cardinality() < before[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

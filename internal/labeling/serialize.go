@@ -5,13 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/intervals"
 )
 
-// Serialization lets applications persist the labeling — the expensive
-// part of every interval-based index on fragmented networks — and reload
-// it without rebuilding. The format is versioned little-endian binary:
+// The v1 stream: the format labelings were saved in before the flat
+// image. Nothing writes it any more; ReadLabeling keeps old files
+// loadable. Versioned little-endian binary:
 //
 //	magic "RRLB" | version u8 | n u32 | post [n]i32 |
 //	per vertex: count u32, count × (lo i32, hi i32) |
@@ -24,44 +25,10 @@ var labelingMagic = [4]byte{'R', 'R', 'L', 'B'}
 
 const labelingVersion = 1
 
-// WriteTo serializes l. It implements io.WriterTo.
-func (l *Labeling) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-
-	if err := write(labelingMagic); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint8(labelingVersion)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(l.Post))); err != nil {
-		return cw.n, err
-	}
-	if err := write(l.Post); err != nil {
-		return cw.n, err
-	}
-	for _, set := range l.Labels {
-		if err := write(uint32(len(set))); err != nil {
-			return cw.n, err
-		}
-		if len(set) > 0 {
-			if err := write(set); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	if err := write(l.UncompressedCount); err != nil {
-		return cw.n, err
-	}
-	if err := write(l.CompressedCount); err != nil {
-		return cw.n, err
-	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
-}
-
-// ReadLabeling deserializes a labeling written by WriteTo. The result
-// answers queries but carries no spanning forest.
+// ReadLabeling decodes a v1 labeling stream into the flat columns and
+// returns through FromFlat, which validates them. The checks here are
+// only those that size a read. The result answers queries but carries
+// no spanning forest.
 func ReadLabeling(r io.Reader) (*Labeling, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -84,27 +51,24 @@ func ReadLabeling(r io.Reader) (*Labeling, error) {
 	if err := read(&n); err != nil {
 		return nil, fmt.Errorf("labeling: reading size: %w", err)
 	}
-	const maxVertices = 1 << 30
 	if n > maxVertices {
 		return nil, fmt.Errorf("labeling: implausible vertex count %d", n)
 	}
-	l := &Labeling{
-		Post:   make([]int32, n),
-		Order:  make([]int32, n),
-		Labels: make([]intervals.Set, n),
-	}
-	if err := read(l.Post); err != nil {
+	post := make([]int32, n)
+	if err := read(post); err != nil {
 		return nil, fmt.Errorf("labeling: reading posts: %w", err)
 	}
-	seen := make([]bool, n)
-	for v, p := range l.Post {
-		if p < 1 || p > int32(n) || seen[p-1] {
-			return nil, fmt.Errorf("labeling: corrupt post number %d for vertex %d", p, v)
+	// v1 does not store the inverse permutation. A post outside [1,n]
+	// has no slot to fill; FromFlat refuses it, and a duplicate too.
+	order := make([]int32, n)
+	for v, p := range post {
+		if p >= 1 && uint32(p) <= n {
+			order[p-1] = int32(v)
 		}
-		seen[p-1] = true
-		l.Order[p-1] = int32(v)
 	}
-	for v := range l.Labels {
+	offsets := make([]uint64, n+1)
+	var data intervals.Set
+	for v := range post {
 		var count uint32
 		if err := read(&count); err != nil {
 			return nil, fmt.Errorf("labeling: reading label count of %d: %w", v, err)
@@ -112,35 +76,18 @@ func ReadLabeling(r io.Reader) (*Labeling, error) {
 		if count > n {
 			return nil, fmt.Errorf("labeling: implausible label count %d", count)
 		}
-		if count == 0 {
-			continue
-		}
-		set := make(intervals.Set, count)
-		if err := read(set); err != nil {
+		data = slices.Grow(data, int(count))[:len(data)+int(count)]
+		if err := read(data[offsets[v]:]); err != nil {
 			return nil, fmt.Errorf("labeling: reading labels of %d: %w", v, err)
 		}
-		if err := validSet(set, int(n)); err != nil {
-			return nil, err
-		}
-		l.Labels[v] = set
+		offsets[v+1] = uint64(len(data))
 	}
-	if err := read(&l.UncompressedCount); err != nil {
+	var uncompressed, compressed int64
+	if err := read(&uncompressed); err != nil {
 		return nil, fmt.Errorf("labeling: reading stats: %w", err)
 	}
-	if err := read(&l.CompressedCount); err != nil {
+	if err := read(&compressed); err != nil {
 		return nil, fmt.Errorf("labeling: reading stats: %w", err)
 	}
-	return l, nil
-}
-
-// countingWriter tracks bytes written for the io.WriterTo contract.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return FromFlat(post, order, offsets, data, uncompressed, compressed)
 }

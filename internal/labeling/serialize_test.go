@@ -3,12 +3,26 @@ package labeling
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/intervals"
 )
 
+// fixtureV1 returns the labeling stream inside one of the root
+// package's frozen v1 fixtures, behind its 7-byte engine header.
+func fixtureV1(t testing.TB, slug string) []byte {
+	t.Helper()
+	file, err := os.ReadFile("../../testdata/format/" + slug + "-v1.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file[7:]
+}
+
+// TestLabelingSerializeRoundTrip: whatever Build produces, FromFlat
+// accepts as columns, and the reassembled labeling is the same one.
 func TestLabelingSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
@@ -16,15 +30,8 @@ func TestLabelingSerializeRoundTrip(t *testing.T) {
 		g := randomDAG(rng, n, rng.Intn(4*n))
 		l := Build(g, Options{})
 
-		var buf bytes.Buffer
-		written, err := l.WriteTo(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if written != int64(buf.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", written, buf.Len())
-		}
-		got, err := ReadLabeling(&buf)
+		post, order, offsets, data := l.FlatColumns()
+		got, err := FromFlat(post, order, offsets, data, l.UncompressedCount, l.CompressedCount)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,14 +61,15 @@ func TestLabelingSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadLabelingRejectsCorruptInput pins the v1 decoder's own checks
+// — the ones that size its reads — and one hand-off to FromFlat, on the
+// frozen stream. The root package's every-offset corruption pass over
+// the v1 fixtures covers the rest.
 func TestReadLabelingRejectsCorruptInput(t *testing.T) {
-	g := randomDAG(rand.New(rand.NewSource(73)), 10, 20)
-	l := Build(g, Options{})
-	var buf bytes.Buffer
-	if _, err := l.WriteTo(&buf); err != nil {
+	valid := fixtureV1(t, "3dreach")
+	if _, err := ReadLabeling(bytes.NewReader(valid)); err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
 
 	cases := map[string][]byte{
 		"empty":       {},
@@ -91,26 +99,21 @@ func TestReadLabelingRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsUnorderedLabelSet covers both codecs: a label set
-// whose intervals are swapped or overlap is a load error — the queries
-// binary-search it — while the adjacent, unmerged singletons of the
-// compression ablation still load and still answer.
+// TestLoadRejectsUnorderedLabelSet: a label set whose intervals are
+// swapped or overlap is a load error — the queries binary-search it —
+// while the adjacent, unmerged singletons of the compression ablation
+// still load and still answer. Both codecs assemble through FromFlat.
 func TestLoadRejectsUnorderedLabelSet(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(79)), 40, 90)
-	load := func(l *Labeling) (v1, flat error) {
-		var buf bytes.Buffer
-		if _, err := l.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		_, v1 = ReadLabeling(&buf)
+	load := func(l *Labeling) error {
 		post, order, offsets, data := l.FlatColumns()
-		_, flat = FromFlat(post, order, offsets, data, l.UncompressedCount, l.CompressedCount)
-		return v1, flat
+		_, err := FromFlat(post, order, offsets, data, l.UncompressedCount, l.CompressedCount)
+		return err
 	}
 
 	raw := Build(g, Options{SkipCompression: true})
-	if v1, flat := load(raw); v1 != nil || flat != nil {
-		t.Fatalf("uncompressed labeling refused: v1 %v, flat %v", v1, flat)
+	if err := load(raw); err != nil {
+		t.Fatalf("uncompressed labeling refused: %v", err)
 	}
 
 	l := Build(g, Options{})
@@ -124,8 +127,8 @@ func TestLoadRejectsUnorderedLabelSet(t *testing.T) {
 		"overlapping": append(intervals.Set{good[0], {Lo: good[0].Hi, Hi: good[1].Hi}}, good[2:]...),
 	} {
 		l.Labels[v] = bad
-		if v1, flat := load(l); v1 == nil || flat == nil {
-			t.Errorf("%s intervals %v of vertex %d accepted: v1 %v, flat %v", name, bad, v, v1, flat)
+		if load(l) == nil {
+			t.Errorf("%s intervals %v of vertex %d accepted", name, bad, v)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All returns every analyzer of the suite: the eight AST-level checks
+// All returns every analyzer of the suite: the seven AST-level checks
 // plus the six CFG/dataflow-powered concurrency and invariant checks.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -102,7 +102,6 @@ func All() []*Analyzer {
 		HotClock,
 		MathRand,
 		ErrCheck,
-		LockCopy,
 		DeferUnlock,
 		ParityGuard,
 		GuardedField,
@@ -134,17 +133,12 @@ type Timing struct {
 	Duration time.Duration
 }
 
-// Run executes the analyzers over the module and returns the surviving
-// findings sorted by position. Findings on a line carrying (or directly
-// below) a matching //lint:ignore directive are dropped; malformed
-// directives, and directives that suppressed nothing (stale ignores),
-// are themselves reported.
-func Run(mod *Module, analyzers []*Analyzer) []Finding {
-	findings, _ := RunTimed(mod, analyzers)
-	return findings
-}
-
-// RunTimed is Run plus per-analyzer wall time and finding counts.
+// RunTimed executes the analyzers over the module and returns the
+// surviving findings sorted by position, plus per-analyzer wall time
+// and finding counts. Findings on a line carrying (or directly below) a
+// matching //lint:ignore directive are dropped; malformed directives,
+// and directives that suppressed nothing (stale ignores), are
+// themselves reported.
 func RunTimed(mod *Module, analyzers []*Analyzer) ([]Finding, []Timing) {
 	var raw []Finding
 	timings := make([]Timing, len(analyzers))

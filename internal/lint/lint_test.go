@@ -156,10 +156,6 @@ func TestErrCheckFixture(t *testing.T) {
 	checkFixture(t, "errcheck", "repro/internal/lintfixture/errcheck", "errcheck")
 }
 
-func TestLockCopyFixture(t *testing.T) {
-	checkFixture(t, "lockcopy", "repro/internal/lintfixture/lockcopy", "lockcopy")
-}
-
 func TestDeferUnlockFixture(t *testing.T) {
 	checkFixture(t, "deferunlock", "repro/internal/lintfixture/deferunlock", "deferunlock")
 }
@@ -231,7 +227,7 @@ func TestDirectives(t *testing.T) {
 // lint-clean.
 func TestModuleClean(t *testing.T) {
 	m := repoModule(t)
-	findings := Run(m, All())
+	findings, _ := RunTimed(m, All())
 	for _, f := range findings {
 		t.Errorf("%v", f)
 	}

@@ -6,17 +6,6 @@ import (
 	"go/types"
 )
 
-// LockCopy reports locks copied by value: function receivers, params
-// and results whose type (transitively) contains a sync lock but is not
-// a pointer, and assignments that dereference a pointer to such a type.
-// A copied lock is a distinct lock — code that compiles and deadlocks,
-// or worse, silently fails to exclude.
-var LockCopy = &Analyzer{
-	Name: "lockcopy",
-	Doc:  "sync locks must not be copied by value",
-	Run:  runLockCopy,
-}
-
 // DeferUnlock reports mu.Lock() calls in functions with multiple
 // returns that are not paired with a defer mu.Unlock(): any early
 // return between Lock and a hand-rolled Unlock leaks the lock. Single
@@ -26,88 +15,6 @@ var DeferUnlock = &Analyzer{
 	Name: "deferunlock",
 	Doc:  "Lock() in multi-return functions must pair with defer Unlock()",
 	Run:  runDeferUnlock,
-}
-
-// syncLockTypes are the sync types whose by-value copy is a bug.
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "Once": true,
-	"WaitGroup": true, "Cond": true, "Pool": true, "Map": true,
-}
-
-// containsLock reports whether t transitively holds a sync lock by
-// value. seen guards against recursive types.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := types.Unalias(t).(type) {
-	case *types.Named:
-		obj := u.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
-			return true
-		}
-		return containsLock(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
-func runLockCopy(pass *Pass) {
-	info := pass.Pkg.Info
-	checkField := func(f *ast.Field, what string) {
-		tv, ok := info.Types[f.Type]
-		if !ok || tv.Type == nil {
-			return
-		}
-		if _, isPtr := types.Unalias(tv.Type).(*types.Pointer); isPtr {
-			return
-		}
-		if containsLock(tv.Type, map[types.Type]bool{}) {
-			pass.Reportf(f.Type.Pos(), "%s of type %s copies a lock; pass a pointer",
-				what, types.TypeString(tv.Type, types.RelativeTo(pass.Pkg.Types)))
-		}
-	}
-	pass.inspect(func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Recv != nil {
-				for _, f := range d.Recv.List {
-					checkField(f, "receiver")
-				}
-			}
-			if d.Type.Params != nil {
-				for _, f := range d.Type.Params.List {
-					checkField(f, "parameter")
-				}
-			}
-			if d.Type.Results != nil {
-				for _, f := range d.Type.Results.List {
-					checkField(f, "result")
-				}
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range d.Rhs {
-				star, ok := ast.Unparen(rhs).(*ast.StarExpr)
-				if !ok {
-					continue
-				}
-				tv, ok := info.Types[star]
-				if ok && tv.Type != nil && containsLock(tv.Type, map[types.Type]bool{}) {
-					pass.Reportf(rhs.Pos(), "dereference copies %s, which contains a lock",
-						types.TypeString(tv.Type, types.RelativeTo(pass.Pkg.Types)))
-				}
-			}
-		}
-		return true
-	})
 }
 
 // lockCall matches an ExprStmt of the form recv.Lock/RLock/Unlock/RUnlock

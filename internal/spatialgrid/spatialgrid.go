@@ -134,11 +134,6 @@ func (g *Grid) SearchTraced(min, max [3]float64, sp *trace.Span, fn func(p Point
 	return true
 }
 
-// SearchBox3 adapts Search to a geom.Box3 query.
-func (g *Grid) SearchBox3(q geom.Box3, fn func(p Point) bool) bool {
-	return g.SearchBox3Traced(q, nil, fn)
-}
-
 // SearchBox3Traced adapts SearchTraced to a geom.Box3 query.
 func (g *Grid) SearchBox3Traced(q geom.Box3, sp *trace.Span, fn func(p Point) bool) bool {
 	return g.SearchTraced(

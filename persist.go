@@ -21,16 +21,10 @@ var ErrNotPersistable = core.ErrNotPersistable
 // streaming decode (LoadIndex) or zero-copy mmap (OpenMapped). Reload
 // over the same network. Saving an OpenMapped index re-emits the
 // mapped columns themselves, so save(load(file)) reproduces the file
-// byte for byte.
+// byte for byte. The image is little-endian; on a big-endian host Save
+// returns an error.
 func (idx *Index) Save(w io.Writer) error {
 	return core.SaveEngine(w, idx.engine)
-}
-
-// SaveV1 writes the index in the legacy v1 streaming format, which
-// LoadIndex still reads but OpenMapped cannot. It exists for
-// compatibility fixtures and for interchange with older readers.
-func (idx *Index) SaveV1(w io.Writer) error {
-	return core.SaveEngineV1(w, idx.engine)
 }
 
 // SaveFile writes the index to the named file atomically and durably:
@@ -86,6 +80,9 @@ func (idx *Index) SaveFile(path string) error {
 
 // LoadIndex reads an index saved with Index.Save and attaches it to the
 // network, which must be identical to the one the index was built over.
+// Files in the v1 streaming format of earlier releases load too; nothing
+// writes that format any more, so loading one and saving it is the
+// upgrade.
 func (n *Network) LoadIndex(r io.Reader, options ...Option) (*Index, error) {
 	var cfg buildConfig
 	for _, o := range options {

@@ -2,7 +2,6 @@ package rangereach_test
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -162,16 +161,6 @@ func TestLoadCorrupted(t *testing.T) {
 			}
 		}
 
-		for cut := 0; cut < len(valid); cut++ {
-			load(fmt.Sprintf("truncate@%d", cut), valid[:cut])
-		}
-		mutant := make([]byte, len(valid))
-		for off := 0; off < len(valid); off++ {
-			copy(mutant, valid)
-			mutant[off] ^= 0x41
-			load(fmt.Sprintf("flip@%d", off), mutant)
-		}
-		load("empty", nil)
-		load("doubled", append(append([]byte(nil), valid...), valid...))
+		everyOffset(valid, load)
 	}
 }
