@@ -293,6 +293,75 @@ func BenchmarkDynamicUpdates(b *testing.B) {
 	}
 }
 
+// BenchmarkChurnEpoch is one epoch of the repository benchmark's churn
+// workload per iteration — 32 updates in its mix (46 % add_edge, 40 %
+// del_edge of the oldest stream edge once 512 are live, 10 %
+// move_venue, 2 % add_venue, 2 % add_user; one edge endpoint in four a
+// user the stream added, which is what merges and peels) and then
+// Snapshot — on GowallaLike(0.5, 1), so the flush and publish cost shows
+// in ns/op, B/op and allocs/op without the ten-second harness.
+func BenchmarkChurnEpoch(b *testing.B) {
+	net := dataset.GowallaLike(0.5, 1)
+	x := incr.New(dataset.Prepare(net), incr.Options{})
+	rng := rand.New(rand.NewSource(1))
+	var users, venues, added []int
+	for v, spatial := range net.Spatial {
+		if spatial {
+			venues = append(venues, v)
+		} else {
+			users = append(users, v)
+		}
+	}
+	user := func() int {
+		if len(added) > 0 && rng.Intn(4) == 0 {
+			return added[rng.Intn(len(added))]
+		}
+		return users[rng.Intn(len(users))]
+	}
+	space := net.Space()
+	point := func() (float64, float64) {
+		return space.Min.X + rng.Float64()*(space.Max.X-space.Min.X), space.Min.Y + rng.Float64()*(space.Max.Y-space.Min.Y)
+	}
+	live := map[[2]int]bool{}
+	var fifo [][2]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for op := 0; op < 32; op++ {
+			switch k := rng.Intn(100); {
+			case k < 46 || (k < 86 && len(fifo) < 512):
+				e := [2]int{user(), rng.Intn(x.NumVertices())}
+				if rng.Intn(2) == 0 {
+					e[1] = user()
+				}
+				if base := net.NumVertices(); e[0] == e[1] || live[e] || (e[0] < base && e[1] < base && net.Graph.HasEdge(e[0], e[1])) {
+					continue
+				}
+				live[e] = true
+				fifo = append(fifo, e)
+				_ = x.AddEdge(e[0], e[1]) // in range by construction
+			case k < 86:
+				e := fifo[0]
+				fifo = fifo[1:]
+				delete(live, e)
+				if err := x.DeleteEdge(e[0], e[1]); err != nil {
+					b.Fatal(err)
+				}
+			case k < 96:
+				px, py := point()
+				if err := x.MoveVenue(venues[rng.Intn(len(venues))], px, py); err != nil {
+					b.Fatal(err)
+				}
+			case k < 98:
+				venues = append(venues, x.AddVenue(point()))
+			default:
+				added = append(added, x.AddUser())
+			}
+		}
+		x.Snapshot()
+	}
+}
+
 // BenchmarkBatchParallel measures batch-query scaling across goroutines
 // on the fastest engine.
 func BenchmarkBatchParallel(b *testing.B) {

@@ -87,8 +87,11 @@ go -C benchmark test ./...
 # corrupted index images, parity networks) runs through the deep
 # validators and the BFS oracle. This replays the committed corpora —
 # including regression inputs under testdata/fuzz — without fuzzing.
+# ./internal/incr's FuzzUpdateStream replays update streams (the
+# merge-then-peel pattern of the churn benchmark, the bridge cases that
+# defeat the split certificate) against a BFS mirror and a rebuild arm.
 echo "== fuzz (seed corpus) =="
-go test -run 'Fuzz' .
+go test -run 'Fuzz' . ./internal/incr
 
 # The format-compatibility gate, over the golden fixtures of all seven
 # persistable methods under testdata/format. v2: keep loading, mapping

@@ -106,8 +106,8 @@ type UpdateStats struct {
 	LiveComps int
 	DeadComps int
 	// MaxLabelIntervals is the interval count of the most fragmented
-	// label. It is computed on each call, in time linear in LiveComps +
-	// DeadComps.
+	// label. A call re-scans only the pages of labels (256 to a page)
+	// written since the previous call.
 	MaxLabelIntervals int
 }
 
@@ -144,8 +144,10 @@ func (idx *DynamicIndex) MemoryBytes() int64 { return idx.engine.MemoryBytes() }
 // DynamicSnapshot is an immutable point-in-time view of a DynamicIndex.
 // It is safe for concurrent use by any number of goroutines, including
 // while the index it was taken from continues to be updated by its
-// single writer. Taking a snapshot costs O(vertices) slice-header
-// copies; the bulk spatial structure is shared, never copied.
+// single writer. Taking a snapshot costs what the updates since the
+// last one changed, not what the index holds: per-vertex state is
+// shared with the index page by page and the bulk spatial structure by
+// pointer; only the venues patched since the last fold are copied.
 //
 //lint:frozen
 type DynamicSnapshot struct {

@@ -30,8 +30,9 @@ const churnMaxOps = 20000
 // churnPublishEvery is the op-coalescing factor: the writer publishes a
 // fresh snapshot after every batch of this many ops, mirroring rrserve's
 // updater, which snapshots once per pending batch rather than per op.
-// Publication is an O(n) copy, so per-op snapshots would measure the
-// copy, not the maintenance algorithm under test.
+// Publication shares the index's columns page by page, but it also
+// flushes the deferred split checks and relabels, which a batch of
+// deletes shares; per-op snapshots would measure that flush undiluted.
 const churnPublishEvery = 32
 
 // ChurnArm is one mode's measurement under the churn workload.

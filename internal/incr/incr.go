@@ -91,7 +91,8 @@ type Stats struct {
 	OverlayLen     int // current overlay entries
 	StaleLen       int // current base tombstones
 	// MaxLabelIntervals is the widest live label, the fragmentation the
-	// update stream has caused; Stats computes it, no update maintains it.
+	// update stream has caused. Stats refreshes it from the label pages
+	// written since the last call.
 	MaxLabelIntervals int
 }
 
@@ -104,21 +105,24 @@ type Index struct {
 	// Original graph: mutable adjacency over original vertex ids.
 	n          int
 	out, in    [][]int32
-	spatial    []bool
+	spatial    paged[bool]
 	geo        []geom.Rect // venue geometry; zero for social vertices
 	hasExtents bool
 
 	// Live condensation. Component ids index these slices; retired ids
 	// keep alive=false, nil members and post 0 until the next rebuild.
-	comp      []int32
-	alive     []bool
-	members   [][]int32
-	outC, inC []map[int32]int32 // DAG adjacency, refcounted by original edges
-	post      []int32           // sparse 1-based post; 0 = retired
-	labels    []intervals.Set
-	maxPost   int32 //lint:monotonic — retired posts are never reused
-	liveComps int
-	deadComps int
+	// The four columns a snapshot captures (spatial above, comp, post,
+	// labels) are paged and copy-on-write; the rest is the writer's own.
+	comp       paged[int32]
+	alive      []bool
+	members    [][]int32
+	outC, inC  []adjRow     // DAG adjacency, refcounted by original edges
+	post       paged[int32] // sparse 1-based post; 0 = retired
+	labels     paged[intervals.Set]
+	labelWidth labelWidths // the widest label, per page of labels
+	maxPost    int32       //lint:monotonic — retired posts are never reused
+	liveComps  int
+	deadComps  int
 
 	// Spatial state: immutable base + bounded overlay + tombstones.
 	base       *rtree.Flat[geom.Box3]
@@ -141,15 +145,19 @@ type Index struct {
 	pendingSplits [][2]int
 	stats         Stats
 
-	// Scratch for splitCheck's bidirectional probes: epoch-stamped
-	// visited marks (slot visited iff stamp == epoch) avoid clearing or
-	// reallocating per probe. Grown lazily alongside n.
-	fwdSeen, bwdSeen []uint64
-	probeEpoch       uint64 //lint:monotonic — a rewind would resurrect stale visited marks
-	// Scratch for DAG walks over components (propagate), same
-	// epoch-stamp scheme but indexed by component id.
-	compSeen  []uint64
-	compEpoch uint64 //lint:monotonic
+	// Scratch, reused across calls so that no walk allocates per call or
+	// pays for more than it visits. vmark and cmark are the visited
+	// marks of the vertex walks (splitCheck's probes) and the component
+	// walks (propagate, cycleRegion, mergeCycle, relabelCone); peelMark
+	// is a second vertex set for the searches of a peel certificate,
+	// which start afresh per source while vmark's closures persist.
+	vmark, peelMark, cmark flagSet
+	fwd, bwd, peel         closure         // the split probes' searches, kept for their queues
+	restSlot               []int32         // splitCheck: a remainder vertex's index in the local SCC pass
+	sets                   []intervals.Set // relabel merge inputs
+	// probeSteps counts the vertices the split probes have expanded;
+	// the cost guard on peeling reads it.
+	probeSteps int
 }
 
 // New builds an incremental index over the prepared network.
@@ -166,7 +174,7 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 		n:          n,
 		out:        make([][]int32, n),
 		in:         make([][]int32, n),
-		spatial:    append([]bool(nil), prep.Net.Spatial...),
+		spatial:    pagedFrom(slices.Clone(prep.Net.Spatial)),
 		geo:        make([]geom.Rect, n),
 		hasExtents: prep.Net.HasExtents(),
 		inBase:     make([]bool, n),
@@ -176,7 +184,7 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 		if adj := prep.Net.Graph.Out(u); len(adj) > 0 {
 			x.out[u] = append([]int32(nil), adj...)
 		}
-		if x.spatial[u] {
+		if prep.Net.Spatial[u] {
 			x.geo[u] = prep.Net.GeometryOf(u)
 			x.grid.add(x.geo[u])
 		}
@@ -205,17 +213,61 @@ func (x *Index) Stats() Stats {
 	s.DeadComps = x.deadComps
 	s.OverlayLen = len(x.overlay)
 	s.StaleLen = len(x.stale)
-	for _, l := range x.labels {
-		s.MaxLabelIntervals = max(s.MaxLabelIntervals, len(l))
-	}
+	s.MaxLabelIntervals = x.labelWidth.widest(x.labels.column)
 	return s
+}
+
+// setLabel is the one place a component's label is replaced.
+func (x *Index) setLabel(c int32, l intervals.Set) {
+	x.labels.set(c, l)
+	x.labelWidth.touch(int(c >> pageBits))
+}
+
+// labelWidths keeps Stats' MaxLabelIntervals from walking every label
+// on every call (rrserve asks once per publish): it holds the widest
+// label of each page of the labels column and re-scans only the pages
+// written since it was last asked.
+type labelWidths struct {
+	max   []int32 // per page, as of its last scan
+	stale []bool  // page written since then
+}
+
+func (w *labelWidths) touch(page int) {
+	for len(w.max) <= page {
+		w.max = append(w.max, 0)
+		w.stale = append(w.stale, false)
+	}
+	w.stale[page] = true
+}
+
+// reset marks every page of a swapped-in column for scanning.
+func (w *labelWidths) reset(labels column[intervals.Set]) {
+	w.max, w.stale = w.max[:0], w.stale[:0]
+	for k := range labels.pages {
+		w.touch(k)
+	}
+}
+
+func (w *labelWidths) widest(labels column[intervals.Set]) int {
+	widest := int32(0)
+	for k, stale := range w.stale {
+		if stale {
+			w.stale[k], w.max[k] = false, 0
+			// Slots past the column's length are zero, so the whole page scans.
+			for _, l := range labels.pages[k] {
+				w.max[k] = max(w.max[k], int32(len(l)))
+			}
+		}
+		widest = max(widest, w.max[k])
+	}
+	return int(widest)
 }
 
 // MemoryBytes estimates the index footprint.
 func (x *Index) MemoryBytes() int64 {
 	var labelIvs int64
-	for _, s := range x.labels {
-		labelIvs += int64(len(s))
+	for c := 0; c < x.labels.len(); c++ {
+		labelIvs += int64(len(x.labels.at(int32(c))))
 	}
 	edges := 0
 	for _, adj := range x.out {
@@ -224,7 +276,7 @@ func (x *Index) MemoryBytes() int64 {
 	var b int64
 	b += labelIvs * 8
 	b += int64(edges) * 8 // out + in
-	b += int64(len(x.comp))*4 + int64(len(x.post))*4
+	b += int64(x.comp.len())*4 + int64(x.post.len())*4
 	b += x.base.MemoryBytes()
 	b += int64(len(x.overlay)) * 28
 	b += int64(len(x.grid.cells)) * 4
@@ -254,18 +306,18 @@ func (x *Index) addVertex(spatial bool) int {
 	x.n++
 	x.out = append(x.out, nil)
 	x.in = append(x.in, nil)
-	x.spatial = append(x.spatial, spatial)
+	x.spatial.append(spatial)
 	x.geo = append(x.geo, geom.Rect{})
 	x.inBase = append(x.inBase, false)
 	if x.opts.Mode == FullRebuild {
-		x.comp = append(x.comp, 0) // placeholder; rebuilt before use
+		x.comp.append(0) // placeholder; rebuilt before use
 		x.dirty = true
 		return v
 	}
 	c := x.allocComp()
-	x.comp = append(x.comp, c)
+	x.comp.append(c)
 	x.members[c] = []int32{int32(v)}
-	x.labels[c] = intervals.Singleton(x.post[c])
+	x.setLabel(c, intervals.Singleton(x.post.at(c)))
 	return v
 }
 
@@ -294,13 +346,13 @@ func (x *Index) AddEdge(u, v int) error {
 	// replay runs BEFORE (u, v) enters the adjacency — a replayed
 	// split would otherwise re-derive the new edge into the DAG and
 	// the addDAGEdge below would count it twice.
-	cu, cv := x.comp[u], x.comp[v]
+	cu, cv := x.comp.at(int32(u)), x.comp.at(int32(v))
 	var region []int32
-	if cu != cv && x.labels[cv].ContainsCanonical(x.post[cu]) {
+	if cu != cv && x.labels.at(cv).ContainsCanonical(x.post.at(cu)) {
 		x.flushSplits()
 		// Splits and rebuilds reassign component ids; neither can
 		// rejoin u and v, so they are still distinct.
-		cu, cv = x.comp[u], x.comp[v]
+		cu, cv = x.comp.at(int32(u)), x.comp.at(int32(v))
 		region = x.cycleRegion(cu, cv)
 	}
 	x.out[u] = append(x.out[u], int32(v))
@@ -320,7 +372,7 @@ func (x *Index) AddEdge(u, v int) error {
 		// reaches a pending seed": if cv is stale it reaches a seed,
 		// the new edge makes cu and its ancestors reach that seed too,
 		// and the flush cone recomputes them all exactly.
-		x.propagate([]int32{cu}, x.labels[cv])
+		x.propagate([]int32{cu}, x.labels.at(cv))
 	}
 	return nil
 }
@@ -339,7 +391,8 @@ func (x *Index) DeleteEdge(u, v int) error {
 		x.dirty = true
 		return nil
 	}
-	if x.comp[u] == x.comp[v] {
+	cu, cv := x.comp.at(int32(u)), x.comp.at(int32(v))
+	if cu == cv {
 		// Defer the split probe to the next flush: until then the
 		// component is provisionally whole, so labels over-approximate
 		// true reachability — the same safe direction as deferred
@@ -350,20 +403,16 @@ func (x *Index) DeleteEdge(u, v int) error {
 		x.pendingSplits = append(x.pendingSplits, [2]int{u, v})
 		return nil
 	}
-	x.interCompDelete(x.comp[u], x.comp[v])
+	x.interCompDelete(cu, cv)
 	return nil
 }
 
 // interCompDelete retires one refcount of the DAG edge cu→cv after an
 // original edge between the two components was removed.
 func (x *Index) interCompDelete(cu, cv int32) {
-	x.outC[cu][cv]--
-	x.inC[cv][cu]--
-	if x.outC[cu][cv] != 0 {
+	if x.decDAGEdge(cu, cv) != 0 {
 		return
 	}
-	delete(x.outC[cu], cv)
-	delete(x.inC[cv], cu)
 	if len(x.pending) == 0 && len(x.pendingSplits) == 0 && x.coveredElsewhere(cu, cv) {
 		// Some remaining successor's label covers everything the
 		// removed successor contributed, so L(cu) — and therefore
@@ -387,9 +436,9 @@ func (x *Index) interCompDelete(cu, cv int32) {
 // successors may also cover it, which the cone relabel discovers by
 // recomputing and comparing.
 func (x *Index) coveredElsewhere(cu, cv int32) bool {
-	lv := x.labels[cv]
-	for d := range x.outC[cu] {
-		if x.labels[d].CoversCanonical(lv) {
+	lv := x.labels.at(cv)
+	for _, e := range x.outC[cu] {
+		if x.labels.at(e.to).CoversCanonical(lv) {
 			return true
 		}
 	}
@@ -402,7 +451,7 @@ func (x *Index) MoveVenue(v int, px, py float64) error {
 	if v < 0 || v >= x.n {
 		return fmt.Errorf("incr: vertex %d out of range [0,%d)", v, x.n)
 	}
-	if !x.spatial[v] {
+	if !x.spatial.at(int32(v)) {
 		return fmt.Errorf("incr: vertex %d is not a venue", v)
 	}
 	old := x.geo[v]
@@ -511,7 +560,7 @@ func (x *Index) flushSplits() (rebuilt bool) {
 	}
 	for _, e := range ps {
 		x.removeEdge(e[0], e[1])
-		if cu, cv := x.comp[e[0]], x.comp[e[1]]; cu == cv {
+		if cu, cv := x.comp.at(int32(e[0])), x.comp.at(int32(e[1])); cu == cv {
 			// A mid-replay rebuild keeps the state exact — the
 			// not-yet-replayed edges were present in the adjacency
 			// it derived from — so the replay just carries on.
@@ -541,21 +590,29 @@ func (x *Index) fullRebuild() {
 	x.stats.FullRebuilds++
 }
 
-func (x *Index) rebuildDerived() {
+// liveGraph is the current adjacency as an immutable graph.
+func (x *Index) liveGraph() *graph.Graph {
 	b := graph.NewBuilder(x.n)
 	for u, adj := range x.out {
 		for _, v := range adj {
 			b.AddEdge(u, int(v))
 		}
 	}
-	cond := b.Build().Condense()
+	return b.Build()
+}
+
+func (x *Index) rebuildDerived() {
+	cond := x.liveGraph().Condense()
 	nc := len(cond.Members)
 	l := labeling.Build(cond.DAG, labeling.Options{Parallelism: x.opts.Parallelism})
 
-	x.comp = cond.Comp
+	// Whole columns are swapped, not written page by page: snapshots keep
+	// the old ones.
+	x.comp = pagedFrom(cond.Comp)
 	x.members = cond.Members
-	x.post = l.Post
-	x.labels = l.Labels
+	x.post = pagedFrom(l.Post)
+	x.labels = pagedFrom(l.Labels)
+	x.labelWidth.reset(x.labels.column)
 	// A full rebuild re-densifies the post space, so the high-water mark
 	// legitimately drops; snapshots pin the old numbering and never mix
 	// with the new one.
@@ -565,16 +622,7 @@ func (x *Index) rebuildDerived() {
 	for c := range x.alive {
 		x.alive[c] = true
 	}
-	x.outC = make([]map[int32]int32, nc)
-	x.inC = make([]map[int32]int32, nc)
-	for u, adj := range x.out {
-		cu := x.comp[u]
-		for _, v := range adj {
-			if cv := x.comp[v]; cu != cv {
-				x.addDAGEdge(cu, cv)
-			}
-		}
-	}
+	x.buildAdjacency(cond.DAG, cond.Comp)
 	x.liveComps = nc
 	x.deadComps = 0
 	x.foldBase()
@@ -587,10 +635,10 @@ func (x *Index) rebuildDerived() {
 func (x *Index) foldBase() {
 	var entries []rtree.Entry[geom.Box3]
 	for v := 0; v < x.n; v++ {
-		if !x.spatial[v] {
+		if !x.spatial.at(int32(v)) {
 			continue
 		}
-		z := float64(x.post[x.comp[v]])
+		z := float64(x.post.at(x.comp.at(int32(v))))
 		entries = append(entries, rtree.Entry[geom.Box3]{
 			Box: geom.Box3FromRect(x.geo[v], z, z),
 			ID:  int32(v),

@@ -269,7 +269,7 @@ func TestMergeOnCycleClosingInsert(t *testing.T) {
 	if got := x.Stats().Merges; got != before.Merges+1 {
 		t.Fatalf("Merges = %d, want %d", got, before.Merges+1)
 	}
-	if x.comp[0] != x.comp[1] || x.comp[1] != x.comp[2] {
+	if x.comp.at(0) != x.comp.at(1) || x.comp.at(1) != x.comp.at(2) {
 		t.Fatal("cycle members not merged into one component")
 	}
 	if err := x.Validate(); err != nil {
@@ -293,7 +293,7 @@ func TestSplitOnDelete(t *testing.T) {
 		Points:  []geom.Point{{}, {}, geom.Pt(5, 5)},
 	}
 	x := New(dataset.Prepare(net), Options{})
-	if x.comp[0] != x.comp[1] {
+	if x.comp.at(0) != x.comp.at(1) {
 		t.Fatal("0 and 1 should start in one component")
 	}
 	at5 := geom.NewRect(4, 4, 6, 6)
@@ -309,7 +309,7 @@ func TestSplitOnDelete(t *testing.T) {
 	if s.SplitChecks != before.SplitChecks+1 || s.Splits != before.Splits+1 {
 		t.Fatalf("split not taken: %+v", s)
 	}
-	if x.comp[0] == x.comp[1] {
+	if x.comp.at(0) == x.comp.at(1) {
 		t.Fatal("component did not split")
 	}
 	if err := x.Validate(); err != nil {
@@ -438,27 +438,27 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 
 	x = fresh()
-	x.comp[0] = x.comp[1] + 100 // out of any live component
+	x.comp.set(0, x.comp.at(1)+100) // out of any live component
 	if x.Validate() == nil {
 		t.Error("comp corruption not detected")
 	}
 
 	x = fresh()
-	x.post[x.comp[0]] = x.maxPost + 7
+	x.post.set(x.comp.at(0), x.maxPost+7)
 	if x.Validate() == nil {
 		t.Error("post corruption not detected")
 	}
 
 	x = fresh()
-	x.labels[x.comp[0]] = nil
+	x.labels.set(x.comp.at(0), nil)
 	if x.Validate() == nil {
 		t.Error("label corruption not detected")
 	}
 
 	x = fresh()
-	c0 := x.comp[0]
-	for v := 1; v < x.n; v++ {
-		if c := x.comp[v]; c != c0 && !x.labels[c0].ContainsCanonical(x.post[c]) {
+	c0 := x.comp.at(0)
+	for v := int32(1); int(v) < x.n; v++ {
+		if c := x.comp.at(v); c != c0 && !x.labels.at(c0).ContainsCanonical(x.post.at(c)) {
 			// Phantom DAG edge with no original edge backing it: the
 			// refcount cross-check must flag it. (Chosen so it does not
 			// also create a label-nesting violation first.)
@@ -470,12 +470,27 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		}
 	}
 
+	// A partition that is too coarse: two components glued by the
+	// engine's own merge, so refcounts, labels, nesting, acyclicity and
+	// venue keys all stay consistent. Only the comparison with the
+	// graph's strongly connected components can tell.
+	x = fresh()
+	for c, row := range x.outC {
+		if len(row) > 0 {
+			x.mergeCycle([]int32{int32(c), row[0].to})
+			break
+		}
+	}
+	if err := x.Validate(); err == nil || !strings.Contains(err.Error(), "strongly connected") {
+		t.Errorf("glued components: want a partition error, got %v", err)
+	}
+
 	// Snapshot-side corruption.
 	s := fresh().Snapshot()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("fresh snapshot invalid: %v", err)
 	}
-	s.post[s.q.comp[0]] = 0
+	s.post.pages[0][s.q.comp.at(0)] = 0 // the fixture's components fit one page
 	if s.Validate() == nil {
 		t.Error("snapshot post corruption not detected")
 	}

@@ -1,6 +1,8 @@
 package incr
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/intervals"
 )
@@ -19,24 +21,10 @@ func (x *Index) allocComp() int32 {
 	x.members = append(x.members, nil)
 	x.outC = append(x.outC, nil)
 	x.inC = append(x.inC, nil)
-	x.post = append(x.post, x.maxPost)
-	x.labels = append(x.labels, nil)
+	x.post.append(x.maxPost)
+	x.labels.append(nil)
 	x.liveComps++
 	return c
-}
-
-// addDAGEdge increments the refcount of DAG edge (cu, cv) — the number
-// of original edges collapsing onto it — and returns the new count.
-func (x *Index) addDAGEdge(cu, cv int32) int32 {
-	if x.outC[cu] == nil {
-		x.outC[cu] = make(map[int32]int32)
-	}
-	if x.inC[cv] == nil {
-		x.inC[cv] = make(map[int32]int32)
-	}
-	x.outC[cu][cv]++
-	x.inC[cv][cu]++
-	return x.outC[cu][cv]
 }
 
 // propagate merges add into the labels of the source components and
@@ -47,28 +35,23 @@ func (x *Index) addDAGEdge(cu, cv int32) int32 {
 // a component once per path, which made core merges quadratic on
 // fragmented networks.
 func (x *Index) propagate(sources []int32, add intervals.Set) {
-	for len(x.compSeen) < len(x.alive) {
-		x.compSeen = append(x.compSeen, 0)
-	}
-	x.compEpoch++
-	ep := x.compEpoch
+	const seen = 1
+	x.cmark.begin(len(x.alive))
 	queue := make([]int32, 0, len(sources))
 	for _, s := range sources {
-		if x.compSeen[s] != ep {
-			x.compSeen[s] = ep
+		if x.cmark.add(s, seen) {
 			queue = append(queue, s)
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		w := queue[qi]
-		if x.labels[w].CoversCanonical(add) {
+		if x.labels.at(w).CoversCanonical(add) {
 			continue
 		}
-		x.labels[w] = intervals.MergeCanonical(x.labels[w], add)
-		for p := range x.inC[w] {
-			if x.compSeen[p] != ep {
-				x.compSeen[p] = ep
-				queue = append(queue, p)
+		x.setLabel(w, intervals.MergeCanonical(x.labels.at(w), add))
+		for _, p := range x.inC[w] {
+			if x.cmark.add(p.to, seen) {
+				queue = append(queue, p.to)
 			}
 		}
 	}
@@ -83,28 +66,29 @@ func (x *Index) propagate(sources []int32, add intervals.Set) {
 // stale label vouches for a reach it no longer has. It does require
 // an exact condensation: callers must replay deferred splits first.
 func (x *Index) cycleRegion(cu, cv int32) []int32 {
-	toCU := map[int32]bool{cu: true}
+	const toCU, inA = 1, 2
+	x.cmark.begin(len(x.alive))
+	x.cmark.set(cu, toCU)
 	stack := []int32{cu}
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := range x.inC[c] {
-			if !toCU[p] {
-				toCU[p] = true
-				stack = append(stack, p)
+		for _, p := range x.inC[c] {
+			if x.cmark.add(p.to, toCU) {
+				stack = append(stack, p.to)
 			}
 		}
 	}
-	if !toCU[cv] {
+	if !x.cmark.has(cv, toCU) {
 		return nil
 	}
 	affected := []int32{cv}
-	inA := map[int32]bool{cv: true}
+	x.cmark.set(cv, inA)
 	for qi := 0; qi < len(affected); qi++ {
-		for d := range x.outC[affected[qi]] {
-			if !inA[d] && toCU[d] {
-				inA[d] = true
-				affected = append(affected, d)
+		for _, d := range x.outC[affected[qi]] {
+			if f := x.cmark.get(d.to); f&toCU != 0 && f&inA == 0 {
+				x.cmark.set(d.to, inA)
+				affected = append(affected, d.to)
 			}
 		}
 	}
@@ -119,10 +103,12 @@ func (x *Index) cycleRegion(cu, cv int32) []int32 {
 // at the next flush — the merged component inherits its constituents'
 // paths to every pending seed, so it sits inside the eventual cones.
 func (x *Index) mergeCycle(affected []int32) {
-	inA := make(map[int32]bool, len(affected))
+	const merging = 1
+	x.cmark.begin(len(x.alive))
 	for _, c := range affected {
-		inA[c] = true
+		x.cmark.set(c, merging)
 	}
+	inA := func(e dagEdge) bool { return x.cmark.has(e.to, merging) }
 
 	// Survivor: largest member list, so the fewest vertices re-point.
 	r := affected[0]
@@ -133,10 +119,10 @@ func (x *Index) mergeCycle(affected []int32) {
 	}
 
 	sets := make([]intervals.Set, 0, len(affected))
-	sets = append(sets, x.labels[r])
+	sets = append(sets, x.labels.at(r))
 	for _, c := range affected {
 		if c != r {
-			sets = append(sets, x.labels[c])
+			sets = append(sets, x.labels.at(c))
 		}
 	}
 	lbl := intervals.MergeManyCanonical(sets)
@@ -144,31 +130,23 @@ func (x *Index) mergeCycle(affected []int32) {
 	// Rewire DAG adjacency: external edges of absorbed components move
 	// to the survivor (refcounts add); edges internal to the merged
 	// region disappear.
+	x.outC[r] = slices.DeleteFunc(x.outC[r], inA)
+	x.inC[r] = slices.DeleteFunc(x.inC[r], inA)
 	for _, c := range affected {
 		if c == r {
 			continue
 		}
-		for d, cnt := range x.outC[c] {
-			delete(x.inC[d], c)
-			if !inA[d] {
-				x.addDAGEdgeCount(r, d, cnt)
+		for _, e := range x.outC[c] {
+			if !inA(e) {
+				x.inC[e.to] = x.inC[e.to].remove(c)
+				x.addDAGEdgeCount(r, e.to, e.cnt)
 			}
 		}
-		for d, cnt := range x.inC[c] {
-			delete(x.outC[d], c)
-			if !inA[d] {
-				x.addDAGEdgeCount(d, r, cnt)
+		for _, e := range x.inC[c] {
+			if !inA(e) {
+				x.outC[e.to] = x.outC[e.to].remove(c)
+				x.addDAGEdgeCount(e.to, r, e.cnt)
 			}
-		}
-	}
-	for d := range x.outC[r] {
-		if inA[d] {
-			delete(x.outC[r], d)
-		}
-	}
-	for d := range x.inC[r] {
-		if inA[d] {
-			delete(x.inC[r], d)
 		}
 	}
 
@@ -185,25 +163,25 @@ func (x *Index) mergeCycle(affected []int32) {
 			x.pending[r] = true
 		}
 		for _, m := range x.members[c] {
-			x.comp[m] = r
-			if x.spatial[m] {
+			x.comp.set(m, r)
+			if x.spatial.at(m) {
 				moved = append(moved, m)
 			}
 		}
 		x.members[r] = append(x.members[r], x.members[c]...)
 		x.members[c] = nil
-		x.labels[c] = nil
+		x.setLabel(c, nil)
 		x.outC[c] = nil
 		x.inC[c] = nil
-		x.post[c] = 0
+		x.post.set(c, 0)
 		x.alive[c] = false
 		x.liveComps--
 		x.deadComps++
 	}
-	x.labels[r] = lbl
+	x.setLabel(r, lbl)
 	preds := make([]int32, 0, len(x.inC[r]))
-	for p := range x.inC[r] {
-		preds = append(preds, p)
+	for _, p := range x.inC[r] {
+		preds = append(preds, p.to)
 	}
 	x.propagate(preds, lbl)
 	for _, m := range moved {
@@ -211,19 +189,6 @@ func (x *Index) mergeCycle(affected []int32) {
 	}
 	x.stats.Merges++
 	x.maybeCompact()
-}
-
-// addDAGEdgeCount is addDAGEdge with an explicit refcount delta, used
-// when merging adjacency maps.
-func (x *Index) addDAGEdgeCount(cu, cv int32, cnt int32) {
-	if x.outC[cu] == nil {
-		x.outC[cu] = make(map[int32]int32)
-	}
-	if x.inC[cv] == nil {
-		x.inC[cv] = make(map[int32]int32)
-	}
-	x.outC[cu][cv] += cnt
-	x.inC[cv][cu] += cnt
 }
 
 // splitCheck decides whether deleting the intra-component edge (u, v)
@@ -237,46 +202,68 @@ func (x *Index) addDAGEdgeCount(cu, cv int32, cnt int32) {
 //     v cannot use an edge whose head is v. So v's new component is
 //     exactly the set B of vertices that still reach v inside c.
 //
-// A bidirectional probe grows R forward from u and B backward from v
-// in lockstep; the moment they touch, u→v survives and the component
-// is still whole — nearly free in a dense component. On a real split
-// the probes pin down piece(u) and piece(v) exactly, and an SCC pass
-// runs only over the (typically empty) members outside both. The most
-// populous piece keeps c's id, post, and venue keys, and only departed
-// members have their comp ids, DAG edges, and venue entries re-derived:
-// peeling a few vertices off a giant component costs the departed
-// members' degree, not the giant's.
+// probeSplit grows R forward from u and B backward from v in lockstep;
+// the moment they touch, u→v survives and the component is still whole
+// — nearly free in a dense component. On a real split it hands back
+// piece(u) and piece(v), and an SCC pass runs only over the (typically
+// empty) members outside both. The most populous piece keeps c's id,
+// post, and venue keys, and only departed members have their comp ids,
+// DAG edges, and venue entries re-derived: peeling a few vertices off a
+// giant component costs the departed members' degree, not the giant's.
 func (x *Index) splitCheck(c int32, u, v int) {
 	x.stats.SplitChecks++
 	m := x.members[c]
 	if len(m) == 1 || u == v {
 		return
 	}
-	nR, nB, meet := x.bidiProbe(c, u, v)
+	nR, nB, peeled, meet := x.probeSplit(c, int32(u), int32(v))
 	if meet {
 		return // u still reaches v: still strongly connected
 	}
 
 	// Decompose the remainder m∖(R∪B) into SCCs over its induced
-	// subgraph. Pieces: 0 is R, 1 is B, 2+k is remainder SCC k.
-	rest := make([]int32, 0, len(m)-nR-nB)
-	local := make(map[int32]int32)
-	for _, w := range m {
-		if x.fwdSeen[w] != x.probeEpoch && x.bwdSeen[w] != x.probeEpoch {
-			local[w] = int32(len(rest))
-			rest = append(rest, w)
+	// subgraph. Pieces: 0 is R, 1 is B, 2+k is remainder SCC k. After a
+	// certified peel there is no remainder: whatever is outside the
+	// peeled piece is the other endpoint's.
+	var lcomp []int32
+	cnt := 2
+	if peeled == 0 {
+		if grow := x.n - len(x.restSlot); grow > 0 {
+			x.restSlot = append(x.restSlot, make([]int32, grow)...)
 		}
-	}
-	b := graph.NewBuilder(len(rest))
-	for i, w := range rest {
-		for _, y := range x.out[w] {
-			if ly, ok := local[y]; ok {
-				b.AddEdge(i, int(ly))
+		rest := make([]int32, 0, len(m)-nR-nB)
+		for _, w := range m {
+			if x.vmark.get(w)&(inR|inB) == 0 {
+				x.restSlot[w] = int32(len(rest))
+				rest = append(rest, w)
 			}
 		}
+		b := graph.NewBuilder(len(rest))
+		for i, w := range rest {
+			for _, y := range x.out[w] {
+				if x.comp.at(y) == c && x.vmark.get(y)&(inR|inB) == 0 {
+					b.AddEdge(i, int(x.restSlot[y]))
+				}
+			}
+		}
+		var rcnt int
+		lcomp, rcnt = b.Build().SCCs()
+		cnt += rcnt
 	}
-	lcomp, rcnt := b.Build().SCCs()
-	cnt := rcnt + 2
+	pieceOf := func(w int32) int {
+		switch f := x.vmark.get(w); {
+		case f&inR != 0:
+			return 0
+		case f&inB != 0:
+			return 1
+		case peeled == inR:
+			return 1
+		case peeled == inB:
+			return 0
+		default:
+			return 2 + int(lcomp[x.restSlot[w]])
+		}
+	}
 
 	// Piece-count valve: a component shattering into a large fraction of
 	// the live components costs O(pieces × ancestors) in upward label
@@ -292,8 +279,8 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	// The most populous piece inherits c; the rest get fresh ids.
 	sizes := make([]int, cnt)
 	sizes[0], sizes[1] = nR, nB
-	for i := range rest {
-		sizes[2+lcomp[i]]++
+	for _, k := range lcomp {
+		sizes[2+k]++
 	}
 	keep := 0
 	for k, sz := range sizes {
@@ -309,40 +296,46 @@ func (x *Index) splitCheck(c int32, u, v int) {
 			pieceID[k] = x.allocComp()
 		}
 	}
-	departed := make(map[int32]bool, len(m)-sizes[keep])
+	gone := make([]int32, 0, len(m)-sizes[keep])
 	kept := m[:0:0]
 	for _, w := range m {
-		var k int
-		switch {
-		case x.fwdSeen[w] == x.probeEpoch:
-			k = 0
-		case x.bwdSeen[w] == x.probeEpoch:
-			k = 1
-		default:
-			k = 2 + int(lcomp[local[w]])
-		}
-		nc := pieceID[k]
+		nc := pieceID[pieceOf(w)]
 		if nc == c {
 			kept = append(kept, w)
 			continue
 		}
-		departed[w] = true
-		x.comp[w] = nc
+		gone = append(gone, w)
+		x.vmark.set(w, departed)
+		x.comp.set(w, nc)
 		x.members[nc] = append(x.members[nc], w)
 	}
 	x.members[c] = kept
+
+	// Shrinks are deferred: labels above the split may still cover reach
+	// that went only through departed members. The seeds are every piece
+	// plus every external predecessor whose DAG edge is re-pointed off c
+	// below — the flush's change-pruned relabel reacts to successor-label
+	// changes but cannot see successor-set changes, so comps whose edge
+	// sets this split rewired must be recomputed unconditionally. Every
+	// old ancestor of c reaches one of these seeds, so the entire shrink
+	// cone sits inside the next flush.
+	if x.pending == nil {
+		x.pending = make(map[int32]bool)
+	}
+	for _, nc := range pieceID {
+		x.pending[nc] = true
+	}
 
 	// Re-derive only the DAG edges incident to departed members. Edges
 	// between two departed members surface once, through the tail's out
 	// list; edges to or from the kept piece were intra-component and
 	// appear for the first time; edges crossing the old component
 	// boundary move their refcount from c to the departed piece.
-	repointed := make(map[int32]bool)
-	for w := range departed {
-		pw := x.comp[w]
+	for _, w := range gone {
+		pw := x.comp.at(w)
 		for _, y := range x.out[w] {
-			switch cy := x.comp[y]; {
-			case departed[y] || cy == c:
+			switch cy := x.comp.at(y); {
+			case cy == c || x.vmark.has(y, departed):
 				if cy != pw {
 					x.addDAGEdge(pw, cy)
 				}
@@ -352,15 +345,15 @@ func (x *Index) splitCheck(c int32, u, v int) {
 			}
 		}
 		for _, y := range x.in[w] {
-			if departed[y] {
+			if x.vmark.has(y, departed) {
 				continue // covered by y's out list
 			}
-			if cy := x.comp[y]; cy == c {
+			if cy := x.comp.at(y); cy == c {
 				x.addDAGEdge(c, pw)
 			} else {
 				x.decDAGEdge(cy, c)
 				x.addDAGEdge(cy, pw)
-				repointed[cy] = true
+				x.pending[cy] = true
 			}
 		}
 	}
@@ -374,25 +367,22 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	// sibling inherits the sibling's full coverage at compute time.
 	for unlabeled := cnt - 1; unlabeled > 0; {
 		for _, nc := range pieceID {
-			if nc == c || x.labels[nc] != nil {
+			if nc == c || x.labels.at(nc) != nil {
 				continue
 			}
-			ready := true
-			for d := range x.outC[nc] {
-				if x.labels[d] == nil {
-					ready = false
+			sets := append(x.sets[:0], intervals.Singleton(x.post.at(nc)))
+			for _, d := range x.outC[nc] {
+				if x.labels.at(d.to) == nil {
+					sets = nil
 					break
 				}
+				sets = append(sets, x.labels.at(d.to))
 			}
-			if !ready {
-				continue
+			if sets == nil {
+				continue // a successor piece is not labeled yet
 			}
-			sets := make([]intervals.Set, 0, len(x.outC[nc])+1)
-			sets = append(sets, intervals.Singleton(x.post[nc]))
-			for d := range x.outC[nc] {
-				sets = append(sets, x.labels[d])
-			}
-			x.labels[nc] = intervals.MergeManyCanonical(sets)
+			x.setLabel(nc, intervals.MergeManyCanonical(sets))
+			x.releaseSets(sets)
 			unlabeled--
 		}
 	}
@@ -409,33 +399,16 @@ func (x *Index) splitCheck(c int32, u, v int) {
 		if nc == c {
 			continue
 		}
-		fresh = fresh.Add(x.post[nc], x.post[nc])
-		for p := range x.inC[nc] {
-			preds = append(preds, p)
+		fresh = fresh.Add(x.post.at(nc), x.post.at(nc))
+		for _, p := range x.inC[nc] {
+			preds = append(preds, p.to)
 		}
 	}
 	x.propagate(preds, fresh.Compress())
-	// Shrinks are deferred: labels above the split may still cover reach
-	// that went only through departed members. The seeds are every piece
-	// plus every external predecessor whose DAG edge was re-pointed off
-	// c — the flush's change-pruned relabel reacts to successor-label
-	// changes but cannot see successor-set changes, so comps whose edge
-	// sets this split rewired must be recomputed unconditionally. Every
-	// old ancestor of c reaches one of these seeds, so the entire shrink
-	// cone sits inside the next flush.
-	if x.pending == nil {
-		x.pending = make(map[int32]bool)
-	}
-	for _, nc := range pieceID {
-		x.pending[nc] = true
-	}
-	for cy := range repointed {
-		x.pending[cy] = true
-	}
 	// Kept members hold their post (and venue z keys); only departed
 	// venues re-key.
-	for w := range departed {
-		if x.spatial[w] {
+	for _, w := range gone {
+		if x.spatial.at(w) {
 			x.patchVenue(w)
 		}
 	}
@@ -443,71 +416,152 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	x.maybeCompact()
 }
 
-// bidiProbe grows u's forward-reachable set R and v's backward-
-// reachable set B inside component c, alternating one vertex expansion
-// per side. If the probes touch (some vertex is in both, so u→v
-// survives) it reports meet=true immediately. Otherwise it runs both
-// to completion and returns |R| and |B|; membership is readable via
-// fwdSeen/bwdSeen stamped with the current probeEpoch. Once one side
-// exhausts without meeting, the other can never touch it — a vertex in
-// both sets would give a surviving u→v path, contradicting the
-// exhausted search — so no collision checks are needed after that.
-func (x *Index) bidiProbe(c int32, u, v int) (nR, nB int, meet bool) {
-	for len(x.fwdSeen) < x.n {
-		x.fwdSeen = append(x.fwdSeen, 0)
-		x.bwdSeen = append(x.bwdSeen, 0)
-	}
-	x.probeEpoch++
-	ep := x.probeEpoch
-	x.fwdSeen[u] = ep
-	x.bwdSeen[v] = ep
-	fq, bq := []int32{int32(u)}, []int32{int32(v)}
-	nR, nB = 1, 1
-	for len(fq) > 0 || len(bq) > 0 {
-		if len(fq) > 0 {
-			w := fq[0]
-			fq = fq[1:]
-			for _, y := range x.out[w] {
-				if x.comp[y] != c || x.fwdSeen[y] == ep {
-					continue
-				}
-				if x.bwdSeen[y] == ep {
-					return 0, 0, true // u→y and y→v: no split
-				}
-				x.fwdSeen[y] = ep
-				nR++
-				fq = append(fq, y)
-			}
-		}
-		if len(bq) > 0 {
-			w := bq[0]
-			bq = bq[1:]
-			for _, y := range x.in[w] {
-				if x.comp[y] != c || x.bwdSeen[y] == ep {
-					continue
-				}
-				if x.fwdSeen[y] == ep {
-					return 0, 0, true // u→y and y→v: no split
-				}
-				x.bwdSeen[y] = ep
-				nB++
-				bq = append(bq, y)
-			}
-		}
-	}
-	return nR, nB, false
+// releaseSets hands a merge's input list back for the next one, with
+// its references dropped so that it does not pin replaced labels.
+func (x *Index) releaseSets(sets []intervals.Set) {
+	clear(sets)
+	x.sets = sets[:0]
 }
 
-// decDAGEdge removes one refcount from the DAG edge cu→cv, deleting
-// the edge when it reaches zero.
-func (x *Index) decDAGEdge(cu, cv int32) {
-	x.outC[cu][cv]--
-	if x.outC[cu][cv] <= 0 {
-		delete(x.outC[cu], cv)
-		delete(x.inC[cv], cu)
-	} else {
-		x.inC[cv][cu]--
+// Flags in vmark while a split check runs.
+const (
+	inR      uint8 = 1 << iota // u reaches it: R, u's piece
+	inB                        // it reaches v: B, v's piece
+	asked                      // a peel certificate has searched from it
+	departed                   // it leaves c for a fresh piece
+)
+
+// closure is one breadth-first search of a split check: forward over
+// out-edges or backward over in-edges, inside one component.
+type closure struct {
+	adj   [][]int32
+	marks *flagSet
+	bit   uint8
+	q     []int32 // every vertex reached so far, in discovery order
+	head  int     // q[head:] is the frontier
+}
+
+func (s *closure) start(adj [][]int32, marks *flagSet, bit uint8, root int32) {
+	s.adj, s.marks, s.bit = adj, marks, bit
+	s.q, s.head = append(s.q[:0], root), 0
+	marks.set(root, bit)
+}
+
+func (s *closure) exhausted() bool { return s.head == len(s.q) }
+
+// expand visits the next frontier vertex of s: its unreached neighbours
+// inside component c, less those carrying a skip flag in vmark, join s.
+// It reports whether one of them belongs to other — the two searches
+// have touched. The scan always completes, so s stays a well-formed
+// BFS that can carry on after a touch.
+func (x *Index) expand(c int32, s, other *closure, skip uint8) (touched bool) {
+	w := s.q[s.head]
+	s.head++
+	x.probeSteps++
+	for _, y := range s.adj[w] {
+		if x.comp.at(y) != c || s.marks.has(y, s.bit) || x.vmark.has(y, skip) {
+			continue
+		}
+		touched = touched || other.marks.has(y, other.bit)
+		s.marks.set(y, s.bit)
+		s.q = append(s.q, y)
 	}
+	return touched
+}
+
+// probeSplit grows u's forward-reachable set R and v's backward-
+// reachable set B inside component c, alternating one vertex expansion
+// per side. If the probes touch (some vertex is in both, so u→v
+// survives) it reports meet. Otherwise one side runs dry first — and
+// can then never be touched by the other: a vertex in both sets would
+// give a surviving u→v path — so that side is a whole piece S, and what
+// remains is to learn how T = m∖S decomposes. Peeling a vertex or two
+// off a giant component leaves T the giant, so T is not traversed but
+// certified (peelCertificate): on success the pieces are S and T, and
+// peeled names S's flag. Only when the certificate fails, or gives up,
+// does the other side run to completion as well, leaving R and B both
+// readable from vmark and the remainder to splitCheck's SCC pass.
+func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) {
+	x.vmark.begin(x.n)
+	fwd, bwd := &x.fwd, &x.bwd
+	fwd.start(x.out, &x.vmark, inR, u)
+	bwd.start(x.in, &x.vmark, inB, v)
+	whole, part := fwd, bwd
+	for !fwd.exhausted() {
+		if x.expand(c, fwd, bwd, 0) {
+			return 0, 0, 0, true // u→y and y→v: no split
+		}
+		if bwd.exhausted() {
+			whole, part = bwd, fwd
+			break
+		}
+		if x.expand(c, bwd, fwd, 0) {
+			return 0, 0, 0, true
+		}
+	}
+	members := len(x.members[c])
+	if x.peelCertificate(c, whole, part, members) {
+		if whole == fwd {
+			return len(fwd.q), members - len(fwd.q), inR, false
+		}
+		return members - len(bwd.q), len(bwd.q), inB, false
+	}
+	for !part.exhausted() {
+		x.expand(c, part, whole, 0)
+	}
+	return len(fwd.q), len(bwd.q), 0, false
+}
+
+// peelCertificate reports whether T = m∖S is still strongly connected,
+// S being the piece the closure whole has just completed and part the
+// unfinished closure of the other endpoint, which lies in T. It rests
+// on a lemma (DESIGN.md §15, with S = R; S = B is its mirror image):
+//
+//	G'[T] is strongly connected iff every x ∈ T with an edge into R
+//	still reaches v inside T.
+//
+// So for each such border vertex it runs the same lockstep probe, now
+// restricted to T: a fresh search from the border vertex against part,
+// which keeps growing across border vertices — inside T it is exactly
+// the closure it was growing in m, since no path to v passes through
+// the successor-closed R. In the giant component every border vertex
+// meets part within a few expansions. The certificate answers false
+// when a border vertex does not connect (T has split further) or when
+// the searches have expanded more than budget vertices (traversing is
+// then no dearer); the caller falls back to the exhaustive
+// decomposition either way.
+func (x *Index) peelCertificate(c int32, whole, part *closure, budget int) bool {
+	limit := x.probeSteps + budget
+	peel := &x.peel
+	for _, s := range whole.q {
+		for _, y := range part.adj[s] {
+			if x.comp.at(y) != c || x.vmark.get(y)&(whole.bit|asked) != 0 {
+				continue
+			}
+			x.vmark.set(y, asked)
+			if x.vmark.has(y, part.bit) {
+				continue
+			}
+			x.peelMark.begin(x.n)
+			peel.start(whole.adj, &x.peelMark, 1, y)
+			for {
+				if peel.exhausted() || x.probeSteps > limit {
+					return false
+				}
+				if x.expand(c, peel, part, whole.bit) {
+					break
+				}
+				// part exhausted is v's (or u's) whole piece, without y.
+				if part.exhausted() {
+					return false
+				}
+				if x.expand(c, part, peel, 0) {
+					break
+				}
+			}
+		}
+	}
+	return true
 }
 
 // relabelCone recomputes the labels of the seed components and every
@@ -517,17 +571,24 @@ func (x *Index) decDAGEdge(cu, cv int32) {
 // reports it by returning false — when the cone exceeds the dirty
 // fraction of live components.
 func (x *Index) relabelCone(seeds []int32) bool {
-	inCone := make(map[int32]bool, len(seeds))
+	// Flags in cmark: cone membership, the DFS colours (neither flag is
+	// white, entered alone gray, done black), and the recompute's state.
+	const (
+		inCone uint8 = 1 << iota
+		entered
+		done
+		seed
+		changed
+	)
+	x.cmark.begin(len(x.alive))
 	cone := append([]int32(nil), seeds...)
 	for _, s := range seeds {
-		inCone[s] = true
+		x.cmark.set(s, inCone|seed)
 	}
 	for qi := 0; qi < len(cone); qi++ {
-		w := cone[qi]
-		for p := range x.inC[w] {
-			if !inCone[p] {
-				inCone[p] = true
-				cone = append(cone, p)
+		for _, p := range x.inC[cone[qi]] {
+			if x.cmark.add(p.to, inCone) {
+				cone = append(cone, p.to)
 			}
 		}
 	}
@@ -538,31 +599,25 @@ func (x *Index) relabelCone(seeds []int32) bool {
 
 	// Iterative DFS post-order over the cone-restricted DAG: every
 	// cone member finishes after all of its cone successors.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	state := make(map[int32]uint8, len(cone))
-	var order []int32
+	order := make([]int32, 0, len(cone))
 	var stack []int32
 	for _, root := range cone {
-		if state[root] != white {
+		if x.cmark.has(root, entered) {
 			continue
 		}
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			w := stack[len(stack)-1]
-			switch state[w] {
-			case white:
-				state[w] = gray
-				for d := range x.outC[w] {
-					if inCone[d] && state[d] == white {
-						stack = append(stack, d)
+			switch f := x.cmark.get(w); {
+			case f&entered == 0:
+				x.cmark.set(w, entered)
+				for _, d := range x.outC[w] {
+					if g := x.cmark.get(d.to); g&inCone != 0 && g&entered == 0 {
+						stack = append(stack, d.to)
 					}
 				}
-			case gray:
-				state[w] = black
+			case f&done == 0:
+				x.cmark.set(w, done)
 				order = append(order, w)
 				stack = stack[:len(stack)-1]
 			default:
@@ -576,17 +631,12 @@ func (x *Index) relabelCone(seeds []int32) bool {
 	// changed — the recompute frontier stops as soon as fresh labels
 	// equal old ones, so a delete deep in the DAG rarely touches more
 	// than a handful of ancestors even when the cone is large.
-	seedSet := make(map[int32]bool, len(seeds))
-	for _, s := range seeds {
-		seedSet[s] = true
-	}
-	changed := make(map[int32]bool, len(seeds))
 	relabeled := 0
 	for _, c := range order {
-		need := seedSet[c]
+		need := x.cmark.has(c, seed)
 		if !need {
-			for d := range x.outC[c] {
-				if changed[d] {
+			for _, d := range x.outC[c] {
+				if x.cmark.has(d.to, changed) {
 					need = true
 					break
 				}
@@ -595,16 +645,16 @@ func (x *Index) relabelCone(seeds []int32) bool {
 		if !need {
 			continue
 		}
-		sets := make([]intervals.Set, 0, len(x.outC[c])+1)
-		sets = append(sets, intervals.Singleton(x.post[c]))
-		for d := range x.outC[c] {
-			sets = append(sets, x.labels[d])
+		sets := append(x.sets[:0], intervals.Singleton(x.post.at(c)))
+		for _, d := range x.outC[c] {
+			sets = append(sets, x.labels.at(d.to))
 		}
 		lbl := intervals.MergeManyCanonical(sets)
+		x.releaseSets(sets)
 		relabeled++
-		if !lbl.Equal(x.labels[c]) {
-			x.labels[c] = lbl
-			changed[c] = true
+		if !lbl.Equal(x.labels.at(c)) {
+			x.setLabel(c, lbl)
+			x.cmark.set(c, changed)
 		}
 	}
 	x.stats.ConeRelabels++

@@ -15,8 +15,8 @@ import (
 // cannot drift.
 type qview struct {
 	n       int
-	comp    []int32
-	labels  []intervals.Set
+	comp    column[int32]
+	labels  column[intervals.Set]
 	base    *rtree.Flat[geom.Box3]
 	overlay []rtree.Entry[geom.Box3]
 	stale   map[int32]struct{}
@@ -40,7 +40,7 @@ func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	if !q.grid.maybe(r) {
 		return false
 	}
-	label := q.labels[q.comp[v]]
+	label := q.labels.at(q.comp.at(int32(v)))
 	sp.AddLabels(len(label))
 	t := sp.Start()
 	ok := q.baseAny(r, label, sp) || q.overlayAny(r, label, sp)
@@ -76,8 +76,8 @@ func (q qview) overlayAny(r geom.Rect, label intervals.Set, sp *trace.Span) bool
 func (x *Index) view() qview {
 	return qview{
 		n:       x.n,
-		comp:    x.comp,
-		labels:  x.labels,
+		comp:    x.comp.column,
+		labels:  x.labels.column,
 		base:    x.base,
 		overlay: x.overlay,
 		stale:   x.stale,

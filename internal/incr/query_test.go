@@ -39,7 +39,7 @@ func fragmentedIndex(t *testing.T) (x *Index, user int) {
 	x.foldBase()
 	grow(400)
 	for v, moved := 0, 0; moved < 40; v++ {
-		if x.spatial[v] && x.inBase[v] && x.geo[v].Min.X > 60 {
+		if x.spatial.at(int32(v)) && x.inBase[v] && x.geo[v].Min.X > 60 {
 			if err := x.MoveVenue(v, 60+rng.Float64()*40, rng.Float64()*100); err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func fragmentedIndex(t *testing.T) (x *Index, user int) {
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(x.labels[x.comp[user]]); n < 32 {
+	if n := len(x.labels.at(x.comp.at(int32(user)))); n < 32 {
 		t.Fatalf("label has %d intervals, want at least 32", n)
 	}
 	if len(x.overlay) < 256 || len(x.stale) == 0 {
@@ -68,7 +68,7 @@ func fragmentedIndex(t *testing.T) (x *Index, user int) {
 func TestProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 	x, user := fragmentedIndex(t)
 	miss := geom.NewRect(60, 0, 100, 100)
-	label := x.labels[x.comp[user]]
+	label := x.labels.at(x.comp.at(int32(user)))
 
 	var flat trace.Span
 	x.base.SearchTraced(geom.Box3FromRect(miss, math.Inf(-1), math.Inf(1)), &flat, func(rtree.Entry[geom.Box3]) bool { return true })
@@ -108,7 +108,7 @@ func TestProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 func TestSnapshotRangeReachDoesNotAllocate(t *testing.T) {
 	x, user := fragmentedIndex(t)
 	venue := 0
-	for !x.spatial[venue] || len(x.labels[x.comp[venue]]) != 1 {
+	for !x.spatial.at(int32(venue)) || len(x.labels.at(x.comp.at(int32(venue)))) != 1 {
 		venue++
 	}
 	at := x.geo[venue]

@@ -11,12 +11,15 @@ import (
 )
 
 // TestConcurrentQueriesDuringPatching exercises the snapshot contract
-// under the race detector: one writer merges, splits, moves and folds
-// while reader goroutines hammer previously published snapshots. Every
-// reader answer must match the BFS truth of the snapshot it queries.
+// under the race detector: one writer merges, splits, moves, folds,
+// rebuilds and appends across page boundaries (the stream and network
+// of TestSnapshotsSurviveLaterEpochs) while reader goroutines hammer
+// previously published snapshots, which share pages with the writer.
+// Every reader answer must match the BFS truth of the snapshot it
+// queries.
 func TestConcurrentQueriesDuringPatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	net := randomNetwork(rng, 24, 40)
+	net := pagedNetwork(rng)
 	prep := dataset.Prepare(net)
 	x := New(prep, Options{OverlayMin: 8}) // fold aggressively mid-run
 	m := newMirror(net)
@@ -67,9 +70,12 @@ func TestConcurrentQueriesDuringPatching(t *testing.T) {
 		}(int64(100 + g))
 	}
 
-	for step := 0; step < 300; step++ {
+	for step := 0; step < 800; step++ {
 		applyRandomOp(t, rng, x, m, nil)
-		if step%10 == 9 {
+		if step == 500 {
+			x.fullRebuild()
+		}
+		if step%4 == 3 {
 			publish()
 		}
 	}

@@ -2,30 +2,30 @@ package incr
 
 import (
 	"repro/internal/geom"
-	"repro/internal/intervals"
 	"repro/internal/rtree"
 	"repro/internal/trace"
 )
 
 // Snapshot is an immutable point-in-time view of an Index, safe for
 // concurrent use by any number of goroutines while the owning index
-// keeps absorbing updates on its single writer. It costs O(vertices)
-// slice-header copies plus copies of the bounded overlay, tombstone
-// set and occupancy grid; the base R-tree is shared by pointer since
-// it is only ever replaced, never mutated.
+// keeps absorbing updates on its single writer. Taking one costs what
+// the epoch changed, not what the index holds: the per-vertex and
+// per-component columns are shared by page (the writer copies a page
+// before its first write to it afterwards), the base R-tree is shared
+// by pointer since it is only ever replaced, never mutated, and only
+// the bounded overlay, tombstone set and occupancy grid are copied.
 //
 //lint:frozen
 type Snapshot struct {
 	q       qview
-	spatial []bool
-	post    []int32
+	spatial column[bool]
+	post    column[int32]
 }
 
 // Snapshot captures the index's current state. Must be called from the
 // writer; the returned snapshot itself is freely shareable. Label sets
-// are shared by header — patches replace label sets with freshly
-// merged ones rather than mutating them, which is what makes the share
-// safe.
+// are shared — patches replace label sets with freshly merged ones
+// rather than mutating them, which is what makes the share safe.
 func (x *Index) Snapshot() *Snapshot {
 	x.ensure()
 	var stale map[int32]struct{}
@@ -38,15 +38,15 @@ func (x *Index) Snapshot() *Snapshot {
 	return &Snapshot{
 		q: qview{
 			n:       x.n,
-			comp:    append([]int32(nil), x.comp...),
-			labels:  append([]intervals.Set(nil), x.labels...),
+			comp:    x.comp.freeze(),
+			labels:  x.labels.freeze(),
 			base:    x.base,
 			overlay: append([]rtree.Entry[geom.Box3](nil), x.overlay...),
 			stale:   stale,
 			grid:    x.grid.clone(),
 		},
-		spatial: append([]bool(nil), x.spatial...),
-		post:    append([]int32(nil), x.post...),
+		spatial: x.spatial.freeze(),
+		post:    x.post.freeze(),
 	}
 }
 

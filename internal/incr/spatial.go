@@ -13,7 +13,7 @@ import (
 // there and a fresh overlay entry. When overlay plus tombstones grow
 // past the fold threshold, everything is folded into a new base.
 func (x *Index) patchVenue(v int32) {
-	z := float64(x.post[x.comp[v]])
+	z := float64(x.post.at(x.comp.at(v)))
 	entry := rtree.Entry[geom.Box3]{
 		Box: geom.Box3FromRect(x.geo[v], z, z),
 		ID:  v,

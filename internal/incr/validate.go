@@ -10,20 +10,22 @@ import (
 )
 
 // Validate deep-checks every structural invariant of the patched
-// index: the component partition, the sparse post assignment and label
-// nesting, the DAG adjacency's refcount symmetry against the original
-// edges, acyclicity, and the spatial decomposition (each live venue
-// exactly once across base and overlay, at z = post of its component).
-// It runs in O(V + E + labels + venues) and is called by the
-// equivalence harness after every batch and by rrserve -check-publish
-// on every published snapshot (via Snapshot.Validate).
+// index: the component partition (well-formed, and equal to the graph's
+// strongly connected components), the sparse post assignment and label
+// nesting, the DAG adjacency's order and refcount symmetry against the
+// original edges, acyclicity, and the spatial decomposition (each live
+// venue exactly once across base and overlay, at z = post of its
+// component). It runs in O(V + E + labels + venues) and is called by
+// the equivalence harness after every batch and by rrserve
+// -check-publish on every published snapshot (via Snapshot.Validate).
 func (x *Index) Validate() error {
 	x.ensure()
+	comp, post := x.comp.flat(), x.post.flat()
 
 	// Component partition: comp points into live slots, members lists
 	// invert comp, every vertex appears exactly once.
-	if len(x.comp) != x.n {
-		return fmt.Errorf("incr: %d comp slots for %d vertices", len(x.comp), x.n)
+	if len(comp) != x.n {
+		return fmt.Errorf("incr: %d comp slots for %d vertices", len(comp), x.n)
 	}
 	live := 0
 	counted := 0
@@ -42,8 +44,8 @@ func (x *Index) Validate() error {
 			if v < 0 || int(v) >= x.n {
 				return fmt.Errorf("incr: component %d member %d out of range", c, v)
 			}
-			if x.comp[v] != int32(c) {
-				return fmt.Errorf("incr: vertex %d listed in component %d but comp says %d", v, c, x.comp[v])
+			if comp[v] != int32(c) {
+				return fmt.Errorf("incr: vertex %d listed in component %d but comp says %d", v, c, comp[v])
 			}
 			counted++
 		}
@@ -54,61 +56,104 @@ func (x *Index) Validate() error {
 	if counted != x.n {
 		return fmt.Errorf("incr: members cover %d of %d vertices", counted, x.n)
 	}
+	if err := x.validatePartition(comp); err != nil {
+		return err
+	}
 
 	// Posts, labels, edge nesting, acyclicity.
-	if err := check.SparsePosts(x.alive, x.post, x.maxPost); err != nil {
+	if err := check.SparsePosts(x.alive, post, x.maxPost); err != nil {
 		return err
 	}
-	at := func(c int) intervals.Set { return x.labels[c] }
-	if err := check.SparseLabels(x.alive, x.post, at); err != nil {
+	at := func(c int) intervals.Set { return x.labels.at(int32(c)) }
+	if err := check.SparseLabels(x.alive, post, at); err != nil {
 		return err
 	}
-	if err := check.SparseEdges(x.alive, x.post, at, func(fn func(u, v int)) {
-		for c := range x.outC {
-			for d := range x.outC[c] {
-				fn(c, int(d))
+	if err := check.SparseEdges(x.alive, post, at, func(fn func(u, v int)) {
+		for c, row := range x.outC {
+			for _, e := range row {
+				fn(c, int(e.to))
 			}
 		}
 	}); err != nil {
 		return err
 	}
 
-	// DAG refcounts: outC/inC mirror each other and count exactly the
-	// cross-component original edges.
+	// DAG refcounts: outC/inC are sorted rows that mirror each other and
+	// count exactly the cross-component original edges.
 	want := make(map[int64]int32)
 	for u, adj := range x.out {
-		cu := x.comp[u]
+		cu := comp[u]
 		for _, v := range adj {
-			if cv := x.comp[v]; cu != cv {
+			if cv := comp[v]; cu != cv {
 				want[int64(cu)<<32|int64(uint32(cv))]++
 			}
 		}
 	}
-	got := 0
+	got, reverse := 0, 0
 	for c := range x.outC {
-		for d, cnt := range x.outC[c] {
-			if cnt <= 0 {
-				return fmt.Errorf("incr: DAG edge (%d,%d) has refcount %d", c, d, cnt)
+		for _, row := range []adjRow{x.outC[c], x.inC[c]} {
+			for i := 1; i < len(row); i++ {
+				if row[i-1].to >= row[i].to {
+					return fmt.Errorf("incr: DAG adjacency row of component %d is not strictly ascending: %v", c, row)
+				}
 			}
-			if x.inC[d][int32(c)] != cnt {
-				return fmt.Errorf("incr: DAG edge (%d,%d) refcount %d but reverse says %d", c, d, cnt, x.inC[d][int32(c)])
+		}
+		reverse += len(x.inC[c])
+		for _, e := range x.outC[c] {
+			if e.cnt <= 0 {
+				return fmt.Errorf("incr: DAG edge (%d,%d) has refcount %d", c, e.to, e.cnt)
 			}
-			if want[int64(c)<<32|int64(uint32(d))] != cnt {
+			var back int32
+			if j, ok := x.inC[e.to].find(int32(c)); ok {
+				back = x.inC[e.to][j].cnt
+			}
+			if back != e.cnt {
+				return fmt.Errorf("incr: DAG edge (%d,%d) refcount %d but reverse says %d", c, e.to, e.cnt, back)
+			}
+			if w := want[int64(c)<<32|int64(uint32(e.to))]; w != e.cnt {
 				return fmt.Errorf("incr: DAG edge (%d,%d) refcount %d but %d original edges collapse onto it",
-					c, d, cnt, want[int64(c)<<32|int64(uint32(d))])
+					c, e.to, e.cnt, w)
 			}
 			got++
 		}
 	}
-	if got != len(want) {
-		return fmt.Errorf("incr: %d DAG edges present but %d expected from original adjacency", got, len(want))
+	if got != len(want) || reverse != got {
+		return fmt.Errorf("incr: %d DAG edges present (%d in the reverse rows) but %d expected from original adjacency",
+			got, reverse, len(want))
 	}
 
 	// Spatial decomposition.
 	if err := x.base.Validate(); err != nil {
 		return err
 	}
-	return validateSpatial(x.n, x.spatial, x.comp, x.post, x.base, x.overlay, x.stale)
+	return validateSpatial(x.n, x.spatial.flat(), comp, post, x.base, x.overlay, x.stale)
+}
+
+// validatePartition checks comp against the strongly connected
+// components of the live adjacency, computed from scratch, up to
+// renaming. The other checks cannot see a partition that is too coarse
+// — two components glued into one keep consistent refcounts, nested
+// labels and an acyclic DAG while answering with false positives —
+// which is exactly what a wrong split certificate would produce.
+func (x *Index) validatePartition(comp []int32) error {
+	scc, count := x.liveGraph().SCCs()
+	if count != x.liveComps {
+		return fmt.Errorf("incr: %d live components but the graph has %d strongly connected components", x.liveComps, count)
+	}
+	// With equal counts, one consistent direction makes the map a bijection.
+	rename := make([]int32, count)
+	for i := range rename {
+		rename[i] = -1
+	}
+	for v, s := range scc {
+		if rename[s] == -1 {
+			rename[s] = comp[v]
+		} else if rename[s] != comp[v] {
+			return fmt.Errorf("incr: vertices of one strongly connected component lie in components %d and %d (vertex %d)",
+				rename[s], comp[v], v)
+		}
+	}
+	return nil
 }
 
 // validateSpatial checks that every spatial vertex is represented by
@@ -172,19 +217,14 @@ func validateSpatial(n int, spatial []bool, comp, post []int32,
 // and the exactly-once spatial decomposition at capture time.
 func (s *Snapshot) Validate() error {
 	n := s.q.n
-	alive := make([]bool, len(s.post))
+	comp, post := s.q.comp.flat(), s.post.flat()
+	alive := make([]bool, len(post))
 	for v := 0; v < n; v++ {
-		c := s.q.comp[v]
-		if c < 0 || int(c) >= len(s.post) {
-			return fmt.Errorf("incr: snapshot comp[%d] = %d out of range [0,%d)", v, c, len(s.post))
+		c := comp[v]
+		if c < 0 || int(c) >= len(post) {
+			return fmt.Errorf("incr: snapshot comp[%d] = %d out of range [0,%d)", v, c, len(post))
 		}
 		alive[c] = true
-	}
-	maxPost := int32(0)
-	for c, a := range alive {
-		if a && s.post[c] > maxPost {
-			maxPost = s.post[c]
-		}
 	}
 	// A snapshot carries no members or edges; dead slots may retain
 	// posts from before capture, so restrict the post checks to the
@@ -194,7 +234,7 @@ func (s *Snapshot) Validate() error {
 		if !a {
 			continue
 		}
-		p := s.post[c]
+		p := post[c]
 		if p < 1 {
 			return fmt.Errorf("incr: snapshot component %d has post %d", c, p)
 		}
@@ -203,11 +243,11 @@ func (s *Snapshot) Validate() error {
 		}
 		seen[p] = c
 	}
-	if err := check.SparseLabels(alive, s.post, func(c int) intervals.Set { return s.q.labels[c] }); err != nil {
+	if err := check.SparseLabels(alive, post, func(c int) intervals.Set { return s.q.labels.at(int32(c)) }); err != nil {
 		return err
 	}
 	if err := s.q.base.Validate(); err != nil {
 		return err
 	}
-	return validateSpatial(n, s.spatial, s.q.comp, s.post, s.q.base, s.q.overlay, s.q.stale)
+	return validateSpatial(n, s.spatial.flat(), comp, post, s.q.base, s.q.overlay, s.q.stale)
 }
