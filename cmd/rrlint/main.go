@@ -1,24 +1,17 @@
 // Command rrlint runs the project's static-analysis suite
 // (internal/lint) over the whole module: stdlib-only analyzers for
-// 64-bit atomic alignment, nil-safe trace spans, clock-free hot paths,
-// deterministic randomness, checked errors, lock discipline, and
-// engine/persistence parity.
+// nil-safe trace spans, clock-free hot paths, deterministic randomness,
+// checked errors, locks released on every return, and defers in loops.
 //
 // Usage:
 //
 //	go run ./cmd/rrlint ./...
 //	go run ./cmd/rrlint -list
-//	go run ./cmd/rrlint -only lockorder -json ./...
+//	go run ./cmd/rrlint -only errcheck ./...
 //
 // The package pattern argument is accepted for familiarity but the
-// whole module is always analyzed — the cross-package checks
-// (parityguard, lockorder) need every package anyway. Exit status: 0
-// clean, 1 findings, 2 load failure.
-//
-// -json emits the stable rrlint/v1 schema on stdout: findings plus a
-// per-analyzer report (finding count, wall millis), machine-readable
-// for CI and editor integrations. -timing prints the per-analyzer
-// wall-time table to stderr in text mode.
+// whole module is always analyzed. Exit status: 0 clean, 1 findings,
+// 2 load failure.
 //
 // Suppress an individual finding with a justified directive on the
 // offending line or the line above:
@@ -27,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,37 +28,10 @@ import (
 	"repro/internal/lint"
 )
 
-// jsonSchema is the version tag of the -json output. Bump only on
-// incompatible shape changes; additive fields keep v1.
-const jsonSchema = "rrlint/v1"
-
-// jsonReport is the -json output shape.
-type jsonReport struct {
-	Schema    string         `json:"schema"`
-	Findings  []jsonFinding  `json:"findings"`
-	Analyzers []jsonAnalyzer `json:"analyzers"`
-}
-
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-type jsonAnalyzer struct {
-	Name     string  `json:"name"`
-	Findings int     `json:"findings"`
-	Millis   float64 `json:"millis"`
-}
-
 func main() {
 	var (
-		list   = flag.Bool("list", false, "list the analyzers and exit")
-		only   = flag.String("only", "", "run a single analyzer by name")
-		asJSON = flag.Bool("json", false, "emit the rrlint/v1 JSON report on stdout")
-		timing = flag.Bool("timing", false, "print per-analyzer wall time to stderr")
+		list = flag.Bool("list", false, "list the analyzers and exit")
+		only = flag.String("only", "", "run a single analyzer by name")
 	)
 	flag.Parse()
 
@@ -97,50 +62,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrlint: %v\n", err)
 		os.Exit(2)
 	}
-	findings, timings := lint.RunTimed(mod, analyzers)
-
-	if *asJSON {
-		report := jsonReport{
-			Schema:   jsonSchema,
-			Findings: make([]jsonFinding, 0, len(findings)),
-		}
-		for _, f := range findings {
-			report.Findings = append(report.Findings, jsonFinding{
-				File:     f.Pos.Filename,
-				Line:     f.Pos.Line,
-				Col:      f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-		}
-		for _, tm := range timings {
-			report.Analyzers = append(report.Analyzers, jsonAnalyzer{
-				Name:     tm.Name,
-				Findings: tm.Findings,
-				Millis:   float64(tm.Duration.Microseconds()) / 1000,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "rrlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-	}
-	if *timing {
-		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "%-14s %4d finding(s) %8.1fms\n",
-				tm.Name, tm.Findings, float64(tm.Duration.Microseconds())/1000)
-		}
+	findings := lint.Run(mod, analyzers)
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
-		if !*asJSON {
-			fmt.Fprintf(os.Stderr, "rrlint: %d finding(s)\n", len(findings))
-		}
+		fmt.Fprintf(os.Stderr, "rrlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

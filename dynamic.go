@@ -148,8 +148,8 @@ func (idx *DynamicIndex) MemoryBytes() int64 { return idx.engine.MemoryBytes() }
 // last one changed, not what the index holds: per-vertex state is
 // shared with the index page by page and the bulk spatial structure by
 // pointer; only the venues patched since the last fold are copied.
-//
-//lint:frozen
+// Nothing writes through a DynamicSnapshot once it is returned: readers
+// share it without a lock.
 type DynamicSnapshot struct {
 	snap *incr.Snapshot
 }

@@ -143,7 +143,7 @@ func (x *Index) buildAdjacency(dag *graph.Graph, comp []int32) {
 // and counts only while its epoch is the current one.
 type flagSet struct {
 	word  []uint64
-	epoch uint64 //lint:monotonic — a rewind would resurrect stale marks
+	epoch uint64 // only grows: a rewind would resurrect stale marks
 }
 
 // begin starts a fresh, empty set over ids in [0, n).

@@ -120,7 +120,7 @@ type Index struct {
 	post       paged[int32] // sparse 1-based post; 0 = retired
 	labels     paged[intervals.Set]
 	labelWidth labelWidths // the widest label, per page of labels
-	maxPost    int32       //lint:monotonic — retired posts are never reused
+	maxPost    int32       // only grows: retired posts are never reused
 	liveComps  int
 	deadComps  int
 
@@ -616,7 +616,6 @@ func (x *Index) rebuildDerived() {
 	// A full rebuild re-densifies the post space, so the high-water mark
 	// legitimately drops; snapshots pin the old numbering and never mix
 	// with the new one.
-	//lint:ignore epochmono rebuild re-densifies posts; old numbering is pinned by snapshots
 	x.maxPost = int32(nc)
 	x.alive = make([]bool, nc)
 	for c := range x.alive {

@@ -14,8 +14,8 @@ import (
 // before its first write to it afterwards), the base R-tree is shared
 // by pointer since it is only ever replaced, never mutated, and only
 // the bounded overlay, tombstone set and occupancy grid are copied.
-//
-//lint:frozen
+// Nothing writes through a Snapshot once it is returned: readers share
+// it without a lock.
 type Snapshot struct {
 	q       qview
 	spatial column[bool]

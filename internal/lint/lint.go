@@ -2,11 +2,10 @@
 // module, built on go/parser, go/ast and go/types only (no x/tools
 // dependency). It loads every package of the module (stdlib imports are
 // type-checked from source) and runs a set of project-specific
-// analyzers that guard the invariants the reachability engines rely on:
-// 64-bit atomic alignment, nil-safe trace spans, clock-free hot paths,
-// deterministic randomness, checked errors, lock discipline, and
-// engine/persistence parity. cmd/rrlint is the CLI front end and a
-// ci.sh gate.
+// analyzers that guard conventions no test or compiler check pins:
+// nil-safe trace spans, clock-free hot paths, deterministic randomness,
+// checked errors, locks released on every return, and no defers piling
+// up in loops. cmd/rrlint is the CLI front end and a ci.sh gate.
 //
 // Individual findings can be suppressed with a justified directive on
 // the offending line or the line above:
@@ -22,7 +21,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one analyzer report.
@@ -40,8 +38,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Analyzer is one named check. Exactly one of Run (per package) and
-// RunModule (whole module, for cross-package invariants) is set.
+// Analyzer is one named check over one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and ignore directives.
 	Name string
@@ -49,8 +46,6 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes one package.
 	Run func(*Pass)
-	// RunModule analyzes the whole module at once.
-	RunModule func(*ModulePass)
 }
 
 // Pass carries one analyzer's view of one package.
@@ -73,42 +68,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ModulePass carries a module-level analyzer's view of every package.
-type ModulePass struct {
-	// Fset resolves positions.
-	Fset *token.FileSet
-	// Pkgs are the module's packages in dependency order.
-	Pkgs []*Package
-
-	analyzer *Analyzer
-	out      *[]Finding
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.out = append(*p.out, Finding{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// All returns every analyzer of the suite: the seven AST-level checks
-// plus the six CFG/dataflow-powered concurrency and invariant checks.
+// All returns every analyzer of the suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicAlign,
 		TraceSpan,
 		HotClock,
 		MathRand,
 		ErrCheck,
 		DeferUnlock,
-		ParityGuard,
-		GuardedField,
-		LockOrder,
-		SnapshotMut,
-		CtxFlow,
-		EpochMono,
 		DeferInLoop,
 	}
 }
@@ -123,63 +90,29 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Timing is one analyzer's share of a run, for `rrlint -json`.
-type Timing struct {
-	// Name is the analyzer.
-	Name string
-	// Findings counts its surviving (post-directive) findings.
-	Findings int
-	// Duration is the wall time its passes took.
-	Duration time.Duration
+// Run executes the analyzers over every package of the module and
+// returns the surviving findings sorted by position. Findings on a line
+// carrying (or directly below) a matching //lint:ignore directive are
+// dropped; malformed directives, and directives that suppressed nothing
+// (stale ignores), are themselves reported.
+func Run(mod *Module, analyzers []*Analyzer) []Finding {
+	return run(mod.Fset, mod.Pkgs, analyzers)
 }
 
-// RunTimed executes the analyzers over the module and returns the
-// surviving findings sorted by position, plus per-analyzer wall time
-// and finding counts. Findings on a line carrying (or directly below) a
-// matching //lint:ignore directive are dropped; malformed directives,
-// and directives that suppressed nothing (stale ignores), are
-// themselves reported.
-func RunTimed(mod *Module, analyzers []*Analyzer) ([]Finding, []Timing) {
-	var raw []Finding
-	timings := make([]Timing, len(analyzers))
-	for i, a := range analyzers {
-		start := time.Now()
-		if a.Run != nil {
-			for _, pkg := range mod.Pkgs {
-				a.Run(&Pass{Fset: mod.Fset, Pkg: pkg, analyzer: a, out: &raw})
-			}
-		}
-		if a.RunModule != nil {
-			a.RunModule(&ModulePass{Fset: mod.Fset, Pkgs: mod.Pkgs, analyzer: a, out: &raw})
-		}
-		timings[i] = Timing{Name: a.Name, Duration: time.Since(start)}
-	}
-	ig, bad := collectIgnores(mod.Fset, mod.Pkgs)
-	findings := Filter(raw, ig, bad, activeNames(analyzers))
-	counts := make(map[string]int, len(findings))
-	for _, f := range findings {
-		counts[f.Analyzer]++
-	}
-	for i := range timings {
-		timings[i].Findings = counts[timings[i].Name]
-	}
-	return findings, timings
-}
-
-// RunPackage executes per-package analyzers (and module analyzers, over
-// just this package) against a single package — the fixture-test entry
-// point. Directives in the package still apply.
+// RunPackage executes the analyzers against a single package — the
+// fixture-test entry point. Directives in the package still apply.
 func RunPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Finding {
+	return run(fset, []*Package{pkg}, analyzers)
+}
+
+func run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var raw []Finding
 	for _, a := range analyzers {
-		if a.Run != nil {
+		for _, pkg := range pkgs {
 			a.Run(&Pass{Fset: fset, Pkg: pkg, analyzer: a, out: &raw})
 		}
-		if a.RunModule != nil {
-			a.RunModule(&ModulePass{Fset: fset, Pkgs: []*Package{pkg}, analyzer: a, out: &raw})
-		}
 	}
-	ig, bad := collectIgnores(fset, []*Package{pkg})
+	ig, bad := collectIgnores(fset, pkgs)
 	return Filter(raw, ig, bad, activeNames(analyzers))
 }
 

@@ -109,10 +109,6 @@ func checkFixture(t *testing.T, dir, importPath string, analyzers ...string) {
 	}
 }
 
-func TestAtomicAlignFixture(t *testing.T) {
-	checkFixture(t, "atomicalign", "repro/internal/lintfixture/atomicalign", "atomicalign")
-}
-
 func TestTraceSpanFixture(t *testing.T) {
 	checkFixture(t, "tracespan", "repro/internal/lintfixture/tracespan", "tracespan")
 }
@@ -160,30 +156,6 @@ func TestDeferUnlockFixture(t *testing.T) {
 	checkFixture(t, "deferunlock", "repro/internal/lintfixture/deferunlock", "deferunlock")
 }
 
-func TestParityGuardFixture(t *testing.T) {
-	checkFixture(t, "parityguard", "repro/internal/lintfixture/parityguard", "parityguard")
-}
-
-func TestGuardedFieldFixture(t *testing.T) {
-	checkFixture(t, "guardedfield", "repro/internal/lintfixture/guardedfield", "guardedfield")
-}
-
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, "lockorder", "repro/internal/lintfixture/lockorder", "lockorder")
-}
-
-func TestSnapshotMutFixture(t *testing.T) {
-	checkFixture(t, "snapshotmut", "repro/internal/lintfixture/snapshotmut", "snapshotmut")
-}
-
-func TestCtxFlowFixture(t *testing.T) {
-	checkFixture(t, "ctxflow", "repro/internal/lintfixture/ctxflow", "ctxflow")
-}
-
-func TestEpochMonoFixture(t *testing.T) {
-	checkFixture(t, "epochmono", "repro/internal/lintfixture/epochmono", "epochmono")
-}
-
 func TestDeferInLoopFixture(t *testing.T) {
 	checkFixture(t, "deferinloop", "repro/internal/lintfixture/deferinloop", "deferinloop")
 }
@@ -227,7 +199,7 @@ func TestDirectives(t *testing.T) {
 // lint-clean.
 func TestModuleClean(t *testing.T) {
 	m := repoModule(t)
-	findings, _ := RunTimed(m, All())
+	findings := Run(m, All())
 	for _, f := range findings {
 		t.Errorf("%v", f)
 	}

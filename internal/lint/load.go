@@ -13,8 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/cfg"
 )
 
 // Module is a Go module with every package parsed and type-checked,
@@ -48,25 +46,6 @@ type Package struct {
 	Types *types.Package
 	// Info holds the type-checker's fact tables for Files.
 	Info *types.Info
-
-	// cfgs caches control-flow graphs per function body so the
-	// CFG-aware analyzers build each one once. The driver is
-	// single-threaded.
-	cfgs map[*ast.BlockStmt]*cfg.Graph
-}
-
-// CFG returns the control-flow graph of a function body of this
-// package, built on first use and cached.
-func (p *Package) CFG(body *ast.BlockStmt) *cfg.Graph {
-	if g, ok := p.cfgs[body]; ok {
-		return g
-	}
-	if p.cfgs == nil {
-		p.cfgs = make(map[*ast.BlockStmt]*cfg.Graph)
-	}
-	g := cfg.New(body, p.Info)
-	p.cfgs[body] = g
-	return g
 }
 
 // LoadModule parses and type-checks every package under the module
@@ -385,10 +364,8 @@ func (m *Module) typeCheck(pkg *Package) error {
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	tpkg, err := conf.Check(pkg.Path, m.Fset, pkg.Files, info)
 	if len(errs) > 0 {

@@ -1,4 +1,4 @@
-// Fixture for the deferinloop analyzer: defers on a CFG cycle
+// Fixture for the deferinloop analyzer: defers in a loop body
 // accumulate one pending call per iteration.
 package deferinloop
 
@@ -15,6 +15,20 @@ func leak(paths []string) error {
 	return nil
 }
 
+func threeClause(paths []string) error {
+	for i := 0; i < len(paths); i++ {
+		if paths[i] == "" {
+			continue
+		}
+		f, err := os.Open(paths[i])
+		if err != nil {
+			return err
+		}
+		defer f.Close() // want "defer inside a loop"
+	}
+	return nil
+}
+
 func hoisted(paths []string) error {
 	for _, p := range paths {
 		if err := func() error {
@@ -22,7 +36,7 @@ func hoisted(paths []string) error {
 			if err != nil {
 				return err
 			}
-			// The literal's own graph has no loop: the defer releases
+			// The literal is its own function: the defer releases
 			// every iteration.
 			defer f.Close()
 			return nil
@@ -33,6 +47,14 @@ func hoisted(paths []string) error {
 	return nil
 }
 
+func loopInLiteral(paths []string) func() {
+	return func() {
+		for range paths {
+			defer println() // want "defer inside a loop"
+		}
+	}
+}
+
 func topLevel(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -40,16 +62,6 @@ func topLevel(path string) error {
 	}
 	defer f.Close()
 	return nil
-}
-
-func gotoLoop() {
-	i := 0
-retry:
-	defer println(i) // want "defer inside a loop"
-	i++
-	if i < 3 {
-		goto retry
-	}
 }
 
 func afterLoop(paths []string) error {

@@ -54,7 +54,7 @@ type shardScrape struct {
 // cycle; readers take mu only.
 type federator struct {
 	mu    sync.Mutex
-	stats []shardScrape //lint:guardedby mu
+	stats []shardScrape // guarded by mu
 
 	scrapeMu sync.Mutex
 }

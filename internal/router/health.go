@@ -13,10 +13,10 @@ import (
 // outcome either closes the breaker or re-arms the cooldown.
 type health struct {
 	mu        sync.Mutex
-	fails     int       //lint:guardedby mu — consecutive failures
-	downUntil time.Time //lint:guardedby mu — zero when up
-	probing   bool      //lint:guardedby mu — a half-open trial is in flight
-	down      bool      //lint:guardedby mu — currently marked down (for the gauge)
+	fails     int       // guarded by mu — consecutive failures
+	downUntil time.Time // guarded by mu — zero when up
+	probing   bool      // guarded by mu — a half-open trial is in flight
+	down      bool      // guarded by mu — currently marked down (for the gauge)
 
 	downAfter int
 	cooldown  time.Duration

@@ -2,7 +2,9 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/trace"
 )
 
 // swapHandler lets a backend's behavior be installed after its URL is
@@ -134,8 +137,11 @@ func TestQueryFirstPositiveCancelsRemaining(t *testing.T) {
 		// never observes the cancel would hang the full 2s shard
 		// timeout and fail the deadline below.
 		_, _ = io.Copy(io.Discard, r.Body)
-		<-r.Context().Done()
-		close(canceled)
+		select {
+		case <-r.Context().Done():
+			close(canceled)
+		case <-time.After(5 * time.Second): // nobody canceled: the wait below has failed
+		}
 	})
 	start := time.Now()
 	rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace)
@@ -323,12 +329,31 @@ func answerBatch(result bool) http.HandlerFunc {
 	}
 }
 
+// hedgeTraced sends a traced query and checks what a hedged call leaves
+// in the trace: the hedge event with its cause, and the trace id on
+// every attempt (untraced counts the attempts that arrived without it).
+func hedgeTraced(t *testing.T, rt *Router, untraced *atomic.Int32, cause string) (*httptest.ResponseRecorder, queryResponse) {
+	t.Helper()
+	tid := trace.NewTraceID()
+	rec, resp := postTracedQuery(t, rt.Handler(), 1, wholeSpace, trace.FormatTraceparent(tid, trace.NewSpanID()))
+	if n := untraced.Load(); n != 0 {
+		t.Errorf("%d attempts reached the shard without the trace id", n)
+	}
+	if got := spansNamed(getTrace(t, rt.Handler(), tid), "hedge"); len(got) != 1 || got[0].Attrs["cause"] != cause {
+		t.Errorf("hedge spans %+v, want one with cause %q", got, cause)
+	}
+	return rec, resp
+}
+
 func TestHedgedRequestRescuesSlowShard(t *testing.T) {
 	m := testMap(wholeSpace)
 	rt, install := testCluster(t, m, Config{Hedge: 25 * time.Millisecond})
-	var calls atomic.Int32
+	var calls, untraced atomic.Int32
 	install(0, func(w http.ResponseWriter, r *http.Request) {
 		n := calls.Add(1)
+		if r.Header.Get(trace.TraceparentHeader) == "" {
+			untraced.Add(1)
+		}
 		_, _ = io.Copy(io.Discard, r.Body) // unblock disconnect detection
 		if n == 1 {
 			// First attempt stalls well past the hedge delay.
@@ -341,7 +366,7 @@ func TestHedgedRequestRescuesSlowShard(t *testing.T) {
 		answer(true)(w, r)
 	})
 	start := time.Now()
-	rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace)
+	rec, resp := hedgeTraced(t, rt, &untraced, "slow")
 	if rec.Code != http.StatusOK || !resp.Reachable {
 		t.Fatalf("got %d %q", rec.Code, rec.Body.String())
 	}
@@ -359,8 +384,11 @@ func TestHedgedRequestRescuesSlowShard(t *testing.T) {
 func TestHedgeRetriesFastFailure(t *testing.T) {
 	m := testMap(wholeSpace)
 	rt, install := testCluster(t, m, Config{Hedge: 500 * time.Millisecond})
-	var calls atomic.Int32
+	var calls, untraced atomic.Int32
 	install(0, func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(trace.TraceparentHeader) == "" {
+			untraced.Add(1)
+		}
 		if calls.Add(1) == 1 {
 			http.Error(w, "transient", http.StatusInternalServerError)
 			return
@@ -368,13 +396,57 @@ func TestHedgeRetriesFastFailure(t *testing.T) {
 		answer(true)(w, r)
 	})
 	start := time.Now()
-	rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace)
+	rec, resp := hedgeTraced(t, rt, &untraced, "fast-fail")
 	if rec.Code != http.StatusOK || !resp.Reachable {
 		t.Fatalf("got %d %q", rec.Code, rec.Body.String())
 	}
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Fatalf("fast-failure retry waited for the hedge timer: %v", elapsed)
 	}
+}
+
+// parkingTransport answers no call: each attempt fails once release
+// is closed, whatever happens to its context before that.
+type parkingTransport struct {
+	started chan struct{} // one slot: an attempt has begun
+	release chan struct{}
+}
+
+func (p *parkingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	select {
+	case p.started <- struct{}{}:
+	default:
+	}
+	<-p.release
+	return nil, errors.New("parked")
+}
+
+// TestHedgedCallReturnsOnCancel: a hedged call answers its caller's
+// cancellation at once, without waiting for an attempt that has not
+// noticed it yet.
+func TestHedgedCallReturnsOnCancel(t *testing.T) {
+	pt := &parkingTransport{started: make(chan struct{}, 1), release: make(chan struct{})}
+	rt, err := New(Config{Map: testMap(wholeSpace), Backends: []string{"http://a.invalid"}, Hedge: time.Minute, Transport: pt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"vertex":1,"region":[0,0,10,10]}`)).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	<-pt.started
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("the hedged call waited for its attempt after the request was canceled")
+	}
+	close(pt.release)
+	<-done
+	rt.Close()
 }
 
 func TestHealthMarkdownAndRecovery(t *testing.T) {
@@ -459,7 +531,10 @@ func TestCanceledProbeDoesNotStickShardDown(t *testing.T) {
 	install(0, answer(true))
 	install(1, func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
-		<-r.Context().Done()
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second): // nobody canceled: the deadline below fails first
+		}
 	})
 	time.Sleep(80 * time.Millisecond)
 	if rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusOK || !resp.Reachable {
@@ -591,5 +666,18 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	bad.Version = 9
 	if _, err := New(Config{Map: bad, Backends: []string{"http://x"}}); err == nil {
 		t.Fatal("want error for invalid map")
+	}
+}
+
+// TestDialHonorsContext: the pooled transport dials under the call's
+// context, so a call canceled before it has a connection opens none.
+func TestDialHonorsContext(t *testing.T) {
+	rt, _ := testCluster(t, testMap(wholeSpace), Config{})
+	dial := rt.client.Transport.(*http.Transport).DialContext
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if conn, err := dial(ctx, "tcp", strings.TrimPrefix(rt.BackendFor(0), "http://")); err == nil {
+		_ = conn.Close()
+		t.Fatal("dialed a backend under a canceled context")
 	}
 }

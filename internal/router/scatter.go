@@ -45,9 +45,9 @@ type scatter struct {
 	ch     chan shardResult // one slot per call: no sender blocks
 
 	mu      sync.Mutex
-	running int         //lint:guardedby mu — calls not yet finished
-	grace   *time.Timer //lint:guardedby mu — armed by abandon
-	drained func()      //lint:guardedby mu — abandon's hand-over, run by the last call
+	running int         // guarded by mu — calls not yet finished
+	grace   *time.Timer // guarded by mu — armed by abandon
+	drained func()      // guarded by mu — abandon's hand-over, run by the last call
 }
 
 // newScatter prepares a fan-out of n calls for request r.

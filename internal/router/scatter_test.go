@@ -2,7 +2,6 @@ package router
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -268,40 +267,67 @@ func TestCloseWaitsForStragglers(t *testing.T) {
 
 // TestClientDisconnectCancelsScatter: the calls run detached from the
 // request's context, so the router must carry a client's disconnect to
-// them itself.
+// them itself — on every path that calls shards: the scatter, the
+// single-shard pass-through, a traced request, a batch and the three
+// update fan-outs. A canceled call is not held against its shard.
 func TestClientDisconnectCancelsScatter(t *testing.T) {
-	m := testMap(wholeSpace, wholeSpace)
-	rt, install, _ := countedCluster(t, m, Config{})
-	var started sync.WaitGroup
-	started.Add(2)
-	canceled := make(chan struct{}, 2)
-	for sid := 0; sid < 2; sid++ {
-		install(sid, func(w http.ResponseWriter, r *http.Request) {
-			_, _ = io.Copy(io.Discard, r.Body)
-			started.Done()
-			<-r.Context().Done()
-			canceled <- struct{}{}
+	query := func(region [4]float64) string {
+		return fmt.Sprintf(`{"vertex":1,"region":[%g,%g,%g,%g]}`, region[0], region[1], region[2], region[3])
+	}
+	for _, tc := range []struct {
+		name, path, body, header string
+		calls                    int
+	}{
+		{"scatter", "/v1/query", query(wholeSpace), "", 2},
+		{"pass-through", "/v1/query", query([4]float64{0, 0, 1, 1}), "", 1},
+		{"traced", "/v1/query", query(wholeSpace), trace.TraceparentHeader + ": " + trace.FormatTraceparent(trace.NewTraceID(), trace.NewSpanID()) + "\r\n", 2},
+		{"batch", "/v1/batch", `{"queries":[` + query(wholeSpace) + `]}`, "", 2},
+		{"add_user", "/v1/update", `{"op":"add_user"}`, "", 2},
+		{"add_venue", "/v1/update", `{"op":"add_venue","x":1,"y":1}`, "", 2},
+		{"move_venue", "/v1/update", `{"op":"move_venue","vertex":1,"x":1,"y":1}`, "", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMap([4]float64{0, 0, 4, 4}, [4]float64{6, 6, 10, 10})
+			rt, install, _ := countedCluster(t, m, Config{})
+			var started sync.WaitGroup
+			started.Add(tc.calls)
+			canceled := make(chan struct{}, 2)
+			for sid := 0; sid < 2; sid++ {
+				install(sid, func(w http.ResponseWriter, r *http.Request) {
+					_, _ = io.Copy(io.Discard, r.Body)
+					started.Done()
+					select {
+					case <-r.Context().Done():
+						canceled <- struct{}{}
+					case <-time.After(5 * time.Second): // nobody canceled: the wait below has failed
+					}
+				})
+			}
+			front := httptest.NewServer(rt.Handler())
+			defer front.Close()
+			conn, err := net.Dial("tcp", front.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n%sContent-Length: %d\r\n\r\n%s",
+				tc.path, tc.header, len(tc.body), tc.body)
+			started.Wait()
+			_ = conn.Close() // the client walks away with every shard call in flight
+			for i := 0; i < tc.calls; i++ {
+				select {
+				case <-canceled:
+				case <-time.After(time.Second): // far inside the 2 s ShardTimeout
+					t.Fatal("a shard call survived its client's disconnect")
+				}
+			}
+			front.Close()
+			rt.Close()
+			for sid := 0; sid < 2; sid++ {
+				if n := rt.mShardErrs[sid].Value(); n != 0 {
+					t.Errorf("shard %d counted %d errors for calls its client canceled", sid, n)
+				}
+			}
 		})
-	}
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	body, err := json.Marshal(queryRequest{Vertex: 1, Region: wholeSpace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", front.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(conn, "POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-	started.Wait()
-	_ = conn.Close() // the client walks away with both shards mid-call
-	for i := 0; i < 2; i++ {
-		select {
-		case <-canceled:
-		case <-time.After(time.Second): // far inside the 2 s ShardTimeout
-			t.Fatal("a shard call survived its client's disconnect")
-		}
 	}
 }
 

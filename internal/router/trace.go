@@ -44,7 +44,7 @@ type traceBuilder struct {
 	forced bool // client sent traceparent: always retain
 
 	mu sync.Mutex
-	tr *trace.ClusterTrace //lint:guardedby mu
+	tr *trace.ClusterTrace // guarded by mu
 	// async flags that the handler owns completion (early-exit
 	// stragglers). Written and read on the handler goroutine only,
 	// before the straggler drain starts, so it needs no lock.

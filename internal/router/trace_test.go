@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +145,36 @@ func TestTracePropagationAndStitching(t *testing.T) {
 		}
 		if st.Method != "stub" || st.Labels != int64(10+sp.Shard) {
 			t.Fatalf("shard %d stitched stats: %+v", sp.Shard, st)
+		}
+	}
+}
+
+// TestTraceBatchStitching: a traced /v1/batch is stitched like a query —
+// placement, fan-out and one shard_call per shard it sends a subset to.
+func TestTraceBatchStitching(t *testing.T) {
+	m := testMap([4]float64{0, 0, 5, 10}, [4]float64{5, 0, 10, 10})
+	rt, install := testCluster(t, m, Config{})
+	install(0, answerBatch(false))
+	install(1, answerBatch(false))
+	body, err := json.Marshal(batchRequest{Queries: []queryRequest{{Vertex: 1, Region: wholeSpace}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid := trace.NewTraceID()
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+	req.Header.Set(trace.TraceparentHeader, trace.FormatTraceparent(tid, trace.NewSpanID()))
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+	}
+	tr := getTrace(t, rt.Handler(), tid)
+	if tr.Endpoint != "batch" {
+		t.Fatalf("trace envelope: %+v", tr)
+	}
+	for name, want := range map[string]int{"placement": 1, "fanout": 1, "shard_call": 2} {
+		if got := spansNamed(tr, name); len(got) != want {
+			t.Errorf("%d %s spans, want %d: %+v", len(got), name, want, got)
 		}
 	}
 }
@@ -471,6 +502,47 @@ func TestClusterFederation(t *testing.T) {
 	if s.Err == "" {
 		t.Fatal("scrape failure not recorded")
 	}
+}
+
+// TestFederateLoopConcurrentWithReaders: the background loop replaces
+// the federated snapshot, and queries update shard health, while
+// /metrics (the rr_cluster_* funcs) and /v1/cluster read both — the
+// verdict is the race detector's.
+func TestFederateLoopConcurrentWithReaders(t *testing.T) {
+	m := testMap([4]float64{0, 0, 5, 10}, [4]float64{5, 0, 10, 10})
+	rt, install := testCluster(t, m, Config{Federate: time.Millisecond})
+	for sid := 0; sid < 2; sid++ {
+		reg := metrics.NewRegistry()
+		reg.Counter("rr_queries_total", "queries").Add(int64(sid + 1))
+		install(sid, func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/metrics" {
+				_ = reg.WritePrometheus(w)
+				return
+			}
+			answer(false)(w, r)
+		})
+	}
+	var wg sync.WaitGroup
+	for _, path := range []string{"/metrics", "/v1/cluster", "/v1/query"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				req := httptest.NewRequest(http.MethodGet, path, nil)
+				if path == "/v1/query" {
+					req = httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"vertex":1,"region":[0,0,10,10]}`))
+				}
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: %d %s", path, rec.Code, rec.Body.String())
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTraceBuilderIDConcurrentWithSpans: traceID is read by shard-call

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	rangereach "repro"
 )
@@ -56,21 +57,58 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 func TestCanceledRequestGets499(t *testing.T) {
-	srv := bodyTestServer(t, Config{})
+	dynamic, err := New(Config{Dynamic: testNetwork(t).BuildDynamic()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dynamic.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client hung up before the handler ran
 
 	batch := []byte(`{"queries":[{"vertex":1,"region":[0,0,1,1]}]}`)
-	for path, body := range map[string][]byte{
-		"/v1/batch": batch,
-		"/v1/query": []byte(`{"vertex":1,"region":[0,0,1,1]}`),
-	} {
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, req)
-		if rec.Code != statusClientClosedRequest {
-			t.Fatalf("%s: canceled request got %d, want %d (%s)", path, rec.Code, statusClientClosedRequest, rec.Body.String())
+	for mode, srv := range map[string]*Server{"static": bodyTestServer(t, Config{}), "dynamic": dynamic} {
+		for path, body := range map[string][]byte{
+			"/v1/batch": batch,
+			"/v1/query": []byte(`{"vertex":1,"region":[0,0,1,1]}`),
+		} {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			if rec.Code != statusClientClosedRequest {
+				t.Fatalf("%s %s: canceled request got %d, want %d (%s)", mode, path, rec.Code, statusClientClosedRequest, rec.Body.String())
+			}
 		}
+	}
+}
+
+// TestCanceledUpdateNotQueued: an update whose client is gone while the
+// writer's queue is full is answered at once, not queued behind it. A
+// writer that takes nothing stands in for the full queue.
+func TestCanceledUpdateNotQueued(t *testing.T) {
+	srv, err := New(Config{Dynamic: testNetwork(t).BuildDynamic()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.dyn.close()
+	srv.dyn = &updater{ops: make(chan updateOp), quit: make(chan struct{}), done: make(chan struct{})}
+	close(srv.dyn.done)
+	t.Cleanup(srv.Close) // releases a submit that ignored the cancel
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/update", strings.NewReader(`{"op":"add_user"}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Handler().ServeHTTP(rec, req)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a canceled update waited on the writer's queue")
+	}
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("canceled update got %d, want %d (%s)", rec.Code, http.StatusGatewayTimeout, rec.Body.String())
 	}
 }
 

@@ -32,8 +32,8 @@ type queryCache struct {
 
 type cacheShard struct {
 	mu    sync.Mutex
-	m     map[cacheKey]*list.Element //lint:guardedby mu
-	order *list.List                 //lint:guardedby mu — front = most recently used
+	m     map[cacheKey]*list.Element // guarded by mu
+	order *list.List                 // guarded by mu — front = most recently used
 	cap   int                        // immutable after construction
 }
 

@@ -95,6 +95,18 @@ func TestCacheConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
+	// Len on a goroutine of its own: it shares no lock with the workers
+	// but the ones Len itself takes.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if n := c.Len(); n > 256 {
+				t.Errorf("cache holds %d entries mid-churn, cap 256", n)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	if c.Len() > 256 {
 		t.Fatalf("cache grew to %d entries, cap 256", c.Len())

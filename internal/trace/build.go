@@ -24,7 +24,7 @@ type BuildPhase struct {
 // convention.
 type BuildSpan struct {
 	mu     sync.Mutex
-	phases []BuildPhase //lint:guardedby mu
+	phases []BuildPhase // guarded by mu
 }
 
 // Start returns the current time when the span is enabled, the zero

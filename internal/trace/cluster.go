@@ -187,7 +187,7 @@ type Sampler struct {
 	// Zero disables the slow rule.
 	Slow time.Duration
 
-	tick atomic.Uint64 //lint:monotonic
+	tick atomic.Uint64 // only grows: one tick per healthy, fast trace
 }
 
 // Keep decides retention for one finished trace and reports the
@@ -215,9 +215,9 @@ func (s *Sampler) Keep(elapsed time.Duration, isError, forced bool) (bool, strin
 // not a query path.
 type Ring struct {
 	mu   sync.Mutex
-	buf  []*ClusterTrace          //lint:guardedby mu — circular; nil until filled
-	next int                      //lint:guardedby mu
-	byID map[string]*ClusterTrace //lint:guardedby mu
+	buf  []*ClusterTrace          // guarded by mu — circular; nil until filled
+	next int                      // guarded by mu
+	byID map[string]*ClusterTrace // guarded by mu
 }
 
 // NewRing returns a ring holding up to n traces (minimum 1).
