@@ -1,129 +1,23 @@
-// Benchmarks regenerating the paper's evaluation artifacts (one bench
-// per table and figure; see DESIGN.md §4 for the experiment index).
+// Benchmarks of the build path and the dynamic writer that
+// EXPERIMENTS.md cites: the interval labeling alone, graph.Builder, and
+// one epoch of the benchmark module's churn workload.
 //
-// Run all:      go test -bench=. -benchmem
-// One artifact: go test -bench=BenchmarkFig7Methods -benchmem
+//	go test -run '^$' -bench 'BuildLabeling|GraphBuild|ChurnEpoch' -benchmem .
 //
-// The benchmarks run at a reduced dataset scale so `go test -bench=.`
-// stays laptop-friendly; cmd/rrbench runs the same experiments at any
-// scale and prints paper-style tables.
+// cmd/rrbench regenerates the paper's tables and figures; the benchmark
+// module (benchmark/) measures query latency, index size, cold start and
+// batch throughput.
 package rangereach_test
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/incr"
 	"repro/internal/labeling"
-	"repro/internal/workload"
 )
-
-// benchScale keeps `go test -bench=.` in the seconds range per bench.
-const benchScale = 0.25
-
-var (
-	benchOnce  sync.Once
-	benchNets  []*dataset.Network
-	benchPreps []*dataset.Prepared
-	benchGens  []*workload.Generator
-
-	benchEngineMu sync.Mutex
-	benchEngines  = map[string]core.BuildResult{}
-)
-
-func benchSetup() {
-	benchOnce.Do(func() {
-		benchNets = dataset.Presets(benchScale, 1)
-		for _, net := range benchNets {
-			prep := dataset.Prepare(net)
-			benchPreps = append(benchPreps, prep)
-			benchGens = append(benchGens, workload.NewGenerator(net, 99))
-		}
-	})
-}
-
-func benchEngine(b *testing.B, ds int, m core.Method, p dataset.SCCPolicy) core.Engine {
-	b.Helper()
-	benchEngineMu.Lock()
-	defer benchEngineMu.Unlock()
-	key := benchNets[ds].Name + "/" + m.String() + "/" + p.String()
-	if res, ok := benchEngines[key]; ok {
-		return res.Engine
-	}
-	res, err := core.BuildMethod(benchPreps[ds], m, core.BuildOptions{Policy: p})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngines[key] = res
-	return res.Engine
-}
-
-func runQueries(b *testing.B, e core.Engine, qs []workload.Query) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		e.RangeReach(q.Vertex, q.Region)
-	}
-}
-
-// BenchmarkTable3Stats regenerates Table 3: the structural statistics of
-// the four datasets (SCC computation dominates).
-func BenchmarkTable3Stats(b *testing.B) {
-	benchSetup()
-	for ds, net := range benchNets {
-		b.Run(net.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := benchNets[ds].ComputeStats()
-				if st.Vertices == 0 {
-					b.Fatal("empty dataset")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable4IndexSize regenerates Table 4: it builds each index and
-// reports its footprint as the index-bytes metric.
-func BenchmarkTable4IndexSize(b *testing.B) {
-	benchSetup()
-	for ds, net := range benchNets {
-		for _, m := range core.AllMethods {
-			b.Run(net.Name+"/"+m.String(), func(b *testing.B) {
-				var bytes int64
-				for i := 0; i < b.N; i++ {
-					res, err := core.BuildMethod(benchPreps[ds], m, core.BuildOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					bytes = res.Bytes
-				}
-				b.ReportMetric(float64(bytes), "index-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkTable5IndexBuild regenerates Table 5: per-method index
-// construction time (the benchmark time itself is the artifact).
-func BenchmarkTable5IndexBuild(b *testing.B) {
-	benchSetup()
-	for ds, net := range benchNets {
-		for _, m := range core.AllMethods {
-			b.Run(net.Name+"/"+m.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.BuildMethod(benchPreps[ds], m, core.BuildOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkBuildLabeling times the interval labeling alone, forward and
 // reversed, on the fragmented preset whose label merges dominate index
@@ -165,132 +59,6 @@ func BenchmarkGraphBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(edges)), "edges/op")
-}
-
-// BenchmarkTable6Labels regenerates Table 6: interval-labeling
-// construction with the uncompressed and compressed label counts as
-// metrics, for the forward and reversed schemes.
-func BenchmarkTable6Labels(b *testing.B) {
-	benchSetup()
-	for ds, net := range benchNets {
-		for _, dir := range []string{"forward", "reversed"} {
-			b.Run(net.Name+"/"+dir, func(b *testing.B) {
-				g := benchPreps[ds].DAG
-				if dir == "reversed" {
-					g = g.Reverse()
-				}
-				var l *labeling.Labeling
-				for i := 0; i < b.N; i++ {
-					l = labeling.Build(g, labeling.Options{})
-				}
-				b.ReportMetric(float64(l.UncompressedCount), "labels-uncompressed")
-				b.ReportMetric(float64(l.CompressedCount), "labels-compressed")
-			})
-		}
-	}
-}
-
-// BenchmarkFig5MBRPolicy regenerates Figure 5: SpaReach-INT queries
-// under the Replicate (non-MBR) vs MBR SCC policies at the default
-// workload parameters.
-func BenchmarkFig5MBRPolicy(b *testing.B) {
-	benchSetup()
-	for ds, net := range benchNets {
-		qs := benchGens[ds].Batch(256, workload.DefaultExtent, workload.DefaultDegreeBucket)
-		for _, p := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
-			b.Run(net.Name+"/"+p.String(), func(b *testing.B) {
-				runQueries(b, benchEngine(b, ds, core.MethodSpaReachINT, p), qs)
-			})
-		}
-	}
-}
-
-// BenchmarkFig6SpaReach regenerates Figure 6: SpaReach-BFL vs
-// SpaReach-INT across the extent axis.
-func BenchmarkFig6SpaReach(b *testing.B) {
-	benchSetup()
-	for ds, net := range benchNets {
-		for _, extent := range []float64{1, workload.DefaultExtent, 20} {
-			qs := benchGens[ds].Batch(256, extent, workload.DefaultDegreeBucket)
-			for _, m := range []core.Method{core.MethodSpaReachBFL, core.MethodSpaReachINT} {
-				b.Run(net.Name+"/"+m.String()+"/extent-"+pct(extent), func(b *testing.B) {
-					runQueries(b, benchEngine(b, ds, m, dataset.Replicate), qs)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig7Methods regenerates Figure 7: the main method comparison
-// across the extent axis (rrbench -exp fig7 covers the degree and
-// selectivity axes at full resolution).
-func BenchmarkFig7Methods(b *testing.B) {
-	benchSetup()
-	methods := []core.Method{
-		core.MethodSpaReachBFL, core.MethodGeoReach, core.MethodSocReach,
-		core.MethodThreeDReach, core.MethodThreeDReachRev,
-	}
-	for ds, net := range benchNets {
-		for _, extent := range []float64{1, workload.DefaultExtent, 20} {
-			qs := benchGens[ds].Batch(256, extent, workload.DefaultDegreeBucket)
-			for _, m := range methods {
-				b.Run(net.Name+"/"+m.String()+"/extent-"+pct(extent), func(b *testing.B) {
-					runQueries(b, benchEngine(b, ds, m, dataset.Replicate), qs)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig7Selectivity covers Figure 7's selectivity axis for the
-// two ends of the range, where the paper's crossover behaviour shows.
-func BenchmarkFig7Selectivity(b *testing.B) {
-	benchSetup()
-	methods := []core.Method{
-		core.MethodSpaReachBFL, core.MethodSocReach, core.MethodThreeDReach,
-	}
-	for ds, net := range benchNets {
-		for _, sel := range []float64{0.001, 1} {
-			qs := benchGens[ds].SelectivityBatch(128, sel, workload.DefaultDegreeBucket)
-			for _, m := range methods {
-				b.Run(net.Name+"/"+m.String()+"/sel-"+pct(sel), func(b *testing.B) {
-					runQueries(b, benchEngine(b, ds, m, dataset.Replicate), qs)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkDynamicUpdates measures the incremental engine's update
-// throughput (paper §8 future work): alternating edge insertions,
-// deletions and queries on a changing network.
-func BenchmarkDynamicUpdates(b *testing.B) {
-	benchSetup()
-	ds := 2 // weeplaces-like, the smallest preset
-	for _, op := range []string{"add-edge", "del-edge", "add-venue", "query"} {
-		b.Run(benchNets[ds].Name+"/"+op, func(b *testing.B) {
-			e := incr.New(benchPreps[ds], incr.Options{})
-			qs := benchGens[ds].Batch(256, workload.DefaultExtent, workload.DefaultDegreeBucket)
-			n := e.NumVertices()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				switch op {
-				case "add-edge":
-					_ = e.AddEdge(i%n, (i*7+1)%n)
-				case "del-edge":
-					// Insert-then-delete so every iteration has an edge
-					// to remove.
-					_ = e.AddEdge(i%n, (i*11+3)%n)
-					_ = e.DeleteEdge(i%n, (i*11+3)%n)
-				case "add-venue":
-					e.AddVenue(float64(i%100), float64((i*13)%100))
-				default:
-					q := qs[i%len(qs)]
-					e.RangeReach(q.Vertex, q.Region)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkChurnEpoch is one epoch of the repository benchmark's churn
@@ -360,55 +128,4 @@ func BenchmarkChurnEpoch(b *testing.B) {
 		}
 		x.Snapshot()
 	}
-}
-
-// BenchmarkBatchParallel measures batch-query scaling across goroutines
-// on the fastest engine.
-func BenchmarkBatchParallel(b *testing.B) {
-	benchSetup()
-	ds := 1 // gowalla-like
-	e := benchEngine(b, ds, core.MethodThreeDReach, dataset.Replicate)
-	qs := benchGens[ds].Batch(512, workload.DefaultExtent, workload.DefaultDegreeBucket)
-	b.Run("sequential", func(b *testing.B) {
-		runQueries(b, e, qs)
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				q := qs[i%len(qs)]
-				e.RangeReach(q.Vertex, q.Region)
-				i++
-			}
-		})
-	})
-}
-
-func pct(v float64) string {
-	switch {
-	case v >= 1:
-		return itoa(int(v))
-	case v == 0.001:
-		return "0.001"
-	case v == 0.01:
-		return "0.01"
-	case v == 0.1:
-		return "0.1"
-	default:
-		return "x"
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -8,7 +8,7 @@
 #                  and tests + fuzz seed corpora + format compat
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
-#                  + coverage floor + rrbench -json smoke
+#                  + coverage floor + rrbench smoke (every -exp)
 #                  + live smokes: sharded serving, cluster trace, update
 #                  churn, rrtop -once
 #   ./ci.sh -short skips the race passes, coverage and the live smokes
@@ -131,23 +131,19 @@ if [[ "${1:-}" != "-short" ]]; then
         || { echo "coverage ${total}% is below the ${COVERAGE_FLOOR}% floor" >&2; exit 1; }
 fi
 
-echo "== rrbench -json smoke =="
-go run ./cmd/rrbench -exp table3 -scale 0.05 -queries 20 \
-    -datasets weeplaces-like -json /tmp/rrbench-smoke.json >/dev/null
-# Schema and JSON validity via the rrbench checker itself — a report
-# always matches itself, while a truncated or mis-schema'd file fails
-# hard. No python dependency: the old `python3 -c … || grep` fallback
-# silently passed valid-prefix garbage wherever python3 was missing.
-go run ./cmd/rrbench -compare /tmp/rrbench-smoke.json /tmp/rrbench-smoke.json >/dev/null
-grep -q '"schema": "rrbench/v5"' /tmp/rrbench-smoke.json
-# The cold-start section must carry both load modes; the compare call
-# above also enforces the mmap-vs-decode load-time gate over it.
-grep -q '"mode": "mmap"' /tmp/rrbench-smoke.json
-grep -q '"mode": "decode"' /tmp/rrbench-smoke.json
-# The adaptive composite must appear both as a method row and in the
-# region sweep (the planner's acceptance surface).
-grep -q '"method": "Auto"' /tmp/rrbench-smoke.json
-grep -q '"region_sweep"' /tmp/rrbench-smoke.json
+# Every -exp table row end to end on a tiny preset, through the
+# command's flag parsing and output path; an unknown name must exit 2
+# before any dataset is generated.
+# (A built binary, not go run, which reports every failing exit as 1.)
+echo "== rrbench smoke =="
+go build -o /tmp/rrbench-smoke ./cmd/rrbench
+/tmp/rrbench-smoke -exp all -scale 0.05 -queries 20 \
+    -datasets weeplaces-like >/dev/null
+status=0
+/tmp/rrbench-smoke -exp nope 2>/dev/null || status=$?
+rm -f /tmp/rrbench-smoke
+[[ "$status" -eq 2 ]] \
+    || { echo "rrbench -exp nope exited $status, want 2" >&2; exit 1; }
 
 if [[ "${1:-}" != "-short" ]]; then
     # Sharded-serving smoke: boot a live 2-shard cluster behind

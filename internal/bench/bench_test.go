@@ -2,13 +2,13 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/workload"
 )
 
 // tinySuite builds a suite small enough for unit tests.
@@ -160,78 +160,47 @@ func TestPositiveRates(t *testing.T) {
 	}
 }
 
-func TestLatencyProfile(t *testing.T) {
+// TestExperimentsTable runs every row of the -exp table on a tiny suite
+// and checks that each prints its report header, so a row whose
+// experiment panics or prints nothing fails here rather than in a
+// full-scale rrbench run.
+func TestExperimentsTable(t *testing.T) {
 	s, buf := tinySuite(t, "weeplaces-like")
-	out := s.LatencyProfile()
-	stats, ok := out["weeplaces-like"]
-	if !ok {
-		t.Fatal("missing dataset row")
-	}
-	for _, m := range core.AllMethods {
-		st := stats[m]
-		if st.P50 > st.P95 || st.P95 > st.P99 || st.P99 > st.Max {
-			t.Errorf("%v: percentiles not monotone: %+v", m, st)
-		}
-		if st.Avg <= 0 {
-			t.Errorf("%v: avg %v", m, st.Avg)
-		}
-	}
-	if !strings.Contains(buf.String(), "p99") {
-		t.Error("report missing percentiles")
-	}
-}
-
-func TestPerfReport(t *testing.T) {
-	s, _ := tinySuite(t, "weeplaces-like")
-	r := s.PerfReport()
-	if r.Schema != PerfSchema {
-		t.Errorf("schema = %q", r.Schema)
-	}
-	if len(r.Datasets) != 1 {
-		t.Fatalf("%d datasets", len(r.Datasets))
-	}
-	ds := r.Datasets[0]
-	if ds.Name != "weeplaces-like" || ds.Vertices == 0 || ds.Edges == 0 || ds.SCCs == 0 {
-		t.Errorf("dataset stats: %+v", ds)
-	}
-	if len(ds.Methods) != len(core.AllMethods)+1 { // fixed methods + Auto
-		t.Fatalf("%d method rows, want %d", len(ds.Methods), len(core.AllMethods)+1)
-	}
-	if ds.Methods[len(ds.Methods)-1].Method != core.MethodAuto.String() {
-		t.Errorf("last method row = %q, want the Auto composite", ds.Methods[len(ds.Methods)-1].Method)
-	}
-	if len(ds.RegionSweep) == 0 {
-		t.Error("report missing region sweep")
-	}
-	for _, pt := range ds.RegionSweep {
-		if len(pt.Methods) != len(sweepMethods) {
-			t.Errorf("sweep point %v: %d methods, want %d", pt.ExtentPct, len(pt.Methods), len(sweepMethods))
-		}
-		for _, sm := range pt.Methods {
-			if sm.P50Micros <= 0 || sm.P95Micros < sm.P50Micros {
-				t.Errorf("sweep %v %s: stats not sane: %+v", pt.ExtentPct, sm.Method, sm)
+	seen := map[string]bool{}
+	for _, e := range experiments {
+		for _, name := range e.names {
+			if seen[name] || name == "all" {
+				t.Fatalf("experiment name %q listed twice", name)
 			}
+			seen[name] = true
+		}
+		buf.Reset()
+		s.Run(e.names[0])
+		if !strings.Contains(buf.String(), "\n== ") {
+			t.Errorf("experiment %v printed no header:\n%s", e.names, buf.String())
 		}
 	}
-	for _, mr := range ds.Methods {
-		if mr.IndexBytes <= 0 {
-			t.Errorf("%s: index bytes %d", mr.Method, mr.IndexBytes)
+	if got, want := len(ExperimentNames()), len(seen)+1; got != want {
+		t.Errorf("ExperimentNames has %d names, want %d", got, want)
+	}
+	for _, fig := range []string{"fig5", "fig6", "fig7"} {
+		if len(s.Figures()[fig]) == 0 {
+			t.Errorf("Run(%q) recorded no figure series", fig)
 		}
-		if mr.AvgMicros <= 0 || mr.MaxMicros < mr.P99Micros || mr.P99Micros < mr.P50Micros {
-			t.Errorf("%s: latency row not sane: %+v", mr.Method, mr)
-		}
+	}
+	buf.Reset()
+	s.Run("nope")
+	if buf.Len() != 0 {
+		t.Errorf("unknown experiment printed %q", buf.String())
 	}
 
-	var buf bytes.Buffer
-	if err := WritePerfJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	var back PerfReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
-	if back.Datasets[0].Methods[0].Method != ds.Methods[0].Method {
-		t.Error("round-trip lost method names")
+	// The percentile summary behind -exp negative and update-churn.
+	qs := s.gens[0].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
+	for _, m := range core.AllMethods {
+		st := measureLatencies(s.engine(0, m, dataset.Replicate).Engine, qs)
+		if st.Avg <= 0 || st.P50 > st.P95 || st.P95 > st.P99 || st.P99 > st.Max {
+			t.Errorf("%v: latency summary not sane: %+v", m, st)
+		}
 	}
 }
 

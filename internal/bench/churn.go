@@ -37,34 +37,24 @@ const churnPublishEvery = 32
 
 // ChurnArm is one mode's measurement under the churn workload.
 type ChurnArm struct {
-	Mode          string  `json:"mode"`
-	Updates       int     `json:"updates"`
-	Seconds       float64 `json:"seconds"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
+	Mode          string
+	Updates       int
+	UpdatesPerSec float64
 	// Concurrent snapshot-query latencies observed while the writer was
-	// applying updates, in microseconds.
-	Queries        int     `json:"queries"`
-	QueryP50Micros float64 `json:"query_p50_us"`
-	QueryP99Micros float64 `json:"query_p99_us"`
-	// Patch-machinery counters (zero for the full-rebuild arm except
-	// FullRebuilds, which counts every op there).
-	Merges       int `json:"merges"`
-	Splits       int `json:"splits"`
-	ConeRelabels int `json:"cone_relabels"`
-	FullRebuilds int `json:"full_rebuilds"`
+	// applying updates.
+	QueryP50, QueryP99 time.Duration
 }
 
 // ChurnReport is one dataset's incremental-vs-rebuild comparison.
 type ChurnReport struct {
-	Dataset string     `json:"dataset"`
-	Arms    []ChurnArm `json:"arms"`
+	Dataset string
+	Arms    []ChurnArm
 	// SpeedupX is incremental updates/sec over full-rebuild updates/sec.
-	SpeedupX float64 `json:"speedup_x"`
+	SpeedupX float64
 }
 
 // UpdateChurn runs the churn experiment on every configured dataset and
-// prints the comparison. Results are retained on the Suite so a -json
-// report emitted afterwards includes them.
+// prints the comparison.
 func (s *Suite) UpdateChurn() []ChurnReport {
 	s.printf("\n== update churn: incremental vs full-rebuild maintenance ==\n")
 	s.printf("%-18s %-12s %12s %12s %12s %10s\n",
@@ -79,9 +69,7 @@ func (s *Suite) UpdateChurn() []ChurnReport {
 			rep.Arms = append(rep.Arms, arm)
 			s.printf("%-18s %-12s %12.0f %12s %12s %10d\n",
 				s.nets[ds].Name, arm.Mode, arm.UpdatesPerSec,
-				fmtDuration(time.Duration(arm.QueryP50Micros*1e3)),
-				fmtDuration(time.Duration(arm.QueryP99Micros*1e3)),
-				arm.Updates)
+				fmtDuration(arm.QueryP50), fmtDuration(arm.QueryP99), arm.Updates)
 		}
 		if perSec[1] > 0 {
 			rep.SpeedupX = perSec[0] / perSec[1]
@@ -89,7 +77,6 @@ func (s *Suite) UpdateChurn() []ChurnReport {
 		s.printf("%-18s %-12s %11.1fx\n", s.nets[ds].Name, "speedup", rep.SpeedupX)
 		reports = append(reports, rep)
 	}
-	s.churn = reports
 	return reports
 }
 
@@ -138,22 +125,14 @@ func (s *Suite) churnArm(ds int, mode incr.Mode) ChurnArm {
 	close(stop)
 	lats := <-latc
 
-	st := x.Stats()
 	lat := statsOf(lats)
-	arm := ChurnArm{
-		Mode:           modeName(mode),
-		Updates:        applied,
-		Seconds:        elapsed.Seconds(),
-		UpdatesPerSec:  float64(applied) / elapsed.Seconds(),
-		Queries:        len(lats),
-		QueryP50Micros: micros(lat.P50),
-		QueryP99Micros: micros(lat.P99),
-		Merges:         st.Merges,
-		Splits:         st.Splits,
-		ConeRelabels:   st.ConeRelabels,
-		FullRebuilds:   st.FullRebuilds,
+	return ChurnArm{
+		Mode:          modeName(mode),
+		Updates:       applied,
+		UpdatesPerSec: float64(applied) / elapsed.Seconds(),
+		QueryP50:      lat.P50,
+		QueryP99:      lat.P99,
 	}
-	return arm
 }
 
 func modeName(m incr.Mode) string {

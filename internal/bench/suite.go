@@ -3,7 +3,8 @@
 // size and build time), Table 6 (label counts), Figure 5 (SCC spatial
 // policy), Figure 6 (best spatial-first method) and Figure 7 (the main
 // method comparison), plus the ablations DESIGN.md calls out. The
-// cmd/rrbench tool and the root-level Go benchmarks drive it.
+// cmd/rrbench tool drives it through the experiment table in
+// experiments.go.
 package bench
 
 import (
@@ -56,11 +57,9 @@ type Suite struct {
 	gens  []*workload.Generator
 
 	engines map[engineKey]core.BuildResult
-	// churn holds UpdateChurn's results when that experiment ran, so a
-	// -json report emitted afterwards carries them.
-	churn []ChurnReport
-	// cold caches ColdStart's measurements (nil until it runs).
-	cold []ColdStartRow
+	// figures collects the figure series of the experiments run through
+	// Run, keyed by experiment name, for Figures.
+	figures map[string][]FigureResult
 }
 
 type engineKey struct {
@@ -72,7 +71,11 @@ type engineKey struct {
 // NewSuite generates the configured datasets and prepares workloads.
 func NewSuite(cfg Config) *Suite {
 	cfg = cfg.withDefaults()
-	s := &Suite{cfg: cfg, engines: make(map[engineKey]core.BuildResult)}
+	s := &Suite{
+		cfg:     cfg,
+		engines: make(map[engineKey]core.BuildResult),
+		figures: make(map[string][]FigureResult),
+	}
 	for _, net := range dataset.Presets(cfg.Scale, cfg.Seed) {
 		if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, net.Name) {
 			continue
