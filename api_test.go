@@ -2,6 +2,7 @@ package rangereach_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -153,17 +154,15 @@ func TestOptions(t *testing.T) {
 	if _, err := net.Build(rangereach.GeoReach, rangereach.WithGeoReachParams(0.5, 16, 2)); err != nil {
 		t.Error(err)
 	}
-	// Both spatial backends answer identically.
+	// The R-tree fan-out leaves 3DReach's point tiles alone.
 	region := rangereach.NewRect(60, 55, 90, 95)
-	for _, b := range []rangereach.SpatialBackend{
-		rangereach.BackendRTree, rangereach.BackendGrid,
-	} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(b))
+	for _, fanout := range []int{0, 4, 64} {
+		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithRTreeFanout(fanout))
 		if err != nil {
-			t.Fatalf("backend %v: %v", b, err)
+			t.Fatalf("fan-out %d: %v", fanout, err)
 		}
 		if !idx.RangeReach(0, region) || idx.RangeReach(2, region) {
-			t.Errorf("backend %v wrong answers", b)
+			t.Errorf("fan-out %d: wrong answers", fanout)
 		}
 	}
 }
@@ -296,6 +295,48 @@ func TestPublicEnginesAgreeOnSynthetic(t *testing.T) {
 			if got := idx.RangeReach(v, r); got != want {
 				t.Fatalf("%v(%d, %+v) = %v, want %v", idx.Method(), v, r, got, want)
 			}
+		}
+	}
+}
+
+// TestThreeDReachTilesMatchRev checks 3DReach's point tiles against
+// 3DReach-Rev, which shares no spatial structure with them, on networks
+// of thousands of venues — many slabs and cells, which the fuzzed
+// networks of a dozen vertices never leave one of — in the giant-SCC
+// regime and the fragmented one. The queries are lib-query's: a user
+// with an out-edge and a square of 0.05, 1, 5 or 20 % of the space,
+// 2,000 of each size.
+func TestThreeDReachTilesMatchRev(t *testing.T) {
+	for _, net := range []*rangereach.Network{rangereach.GowallaLike(0.1, 1), rangereach.YelpLike(0.1, 1)} {
+		tiles, rev := net.MustBuild(rangereach.ThreeDReach), net.MustBuild(rangereach.ThreeDReachRev)
+		var users []int
+		for v := 0; v < net.NumVertices(); v++ {
+			if !net.IsSpatial(v) && net.OutDegree(v) > 0 {
+				users = append(users, v)
+			}
+		}
+		rng := rand.New(rand.NewSource(17))
+		space := net.Space()
+		w, h := space.MaxX-space.MinX, space.MaxY-space.MinY
+		positive := 0
+		for _, share := range []float64{0.0005, 0.01, 0.05, 0.20} {
+			side := math.Sqrt(share)
+			for q := 0; q < 2000; q++ {
+				v := users[rng.Intn(len(users))]
+				x := space.MinX + rng.Float64()*w*(1-side)
+				y := space.MinY + rng.Float64()*h*(1-side)
+				r := rangereach.NewRect(x, y, x+side*w, y+side*h)
+				want := rev.RangeReach(v, r)
+				if got := tiles.RangeReach(v, r); got != want {
+					t.Fatalf("%s, share %g: 3DReach(%d, %+v) = %v, 3DReach-Rev says %v", net.Name(), share, v, r, got, want)
+				}
+				if want {
+					positive++
+				}
+			}
+		}
+		if positive < 800 || positive > 7200 {
+			t.Errorf("%s: %d of 8000 queries positive; the draw hardly tests one of the answers", net.Name(), positive)
 		}
 	}
 }

@@ -58,12 +58,14 @@ go test ./...
 # mapped and snapshot indexes), and the label-pruned traversal against
 # the per-interval searches it replaces. They compare counts that repeat
 # exactly, so a loaded runner cannot blur them the way it blurs a timing.
+# ./internal/tiles holds 3DReach's point index, whose guard counts slabs,
+# cells and x/y-tested points against the ones the region meets.
 # ./internal/graph is here for the build path's one such guard:
 # Builder.Build allocates the same number of times at 1k and at 100k
 # edges (TestBuildAllocsCostIndependent).
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
-    ./internal/rtree ./internal/core ./internal/incr ./internal/graph -count=1
+    ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles -count=1
 
 # benchmark/ is its own module (BENCHMARK.json's command runs it), so
 # ./... above stops at its go.mod. Its tests are the guards on the
@@ -81,8 +83,12 @@ go -C benchmark test ./...
 # ./internal/incr's FuzzUpdateStream replays update streams (the
 # merge-then-peel pattern of the churn benchmark, the bridge cases that
 # defeat the split certificate) against a BFS mirror and a rebuild arm.
+# ./internal/tiles's FuzzTiles checks 3DReach's point tiles against a
+# scan of their points: sizes around one cell and past many, duplicate
+# locations, one shared x, region edges on points and on cell bounds,
+# labels of 1 to 64 intervals.
 echo "== fuzz (seed corpus) =="
-go test -run 'Fuzz' . ./internal/incr
+go test -run 'Fuzz' . ./internal/incr ./internal/tiles
 
 # The format-compatibility gate, over the golden fixtures of all seven
 # persistable methods under testdata/format. v2: keep loading, mapping

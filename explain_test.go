@@ -104,25 +104,54 @@ func TestExplainParityAllMethods(t *testing.T) {
 	}
 }
 
-// TestExplainParityBackends covers both 3D point backends.
+// TestExplainParityBackends covers both of 3DReach's spatial indexes:
+// the point tiles (Replicate) and the box R-tree (MBR policy).
 func TestExplainParityBackends(t *testing.T) {
 	net := explainNetwork(t)
 	queries := explainQueries(net, 40, 11)
-	for _, b := range []rangereach.SpatialBackend{rangereach.BackendRTree, rangereach.BackendGrid} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(b))
+	for name, opts := range map[string][]rangereach.Option{"tiles": nil, "boxes": {rangereach.WithMBRPolicy()}} {
+		idx, err := net.Build(rangereach.ThreeDReach, opts...)
 		if err != nil {
-			t.Fatalf("%v: %v", b, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		for _, q := range queries {
 			want := idx.RangeReach(q.V, q.R)
 			got, stats := idx.Explain(q.V, q.R)
 			if got != want {
-				t.Fatalf("%v: Explain(%d, %+v) = %v, RangeReach = %v", b, q.V, q.R, got, want)
+				t.Fatalf("%s: Explain(%d, %+v) = %v, RangeReach = %v", name, q.V, q.R, got, want)
 			}
 			if want && stats.Labels == 0 {
-				t.Fatalf("%v: positive query inspected no labels", b)
+				t.Fatalf("%s: positive query inspected no labels", name)
 			}
 		}
+	}
+}
+
+// TestExplainTileCounters pins what 3DReach's point tiles count: a slab
+// visited is a node, a cell whose bounds meet the region a leaf, and a
+// point x/y-tested an entry. A region containing every cell decides each
+// from its posts alone, so it tests no entries; a small region cuts
+// through cells and tests the points whose posts are in the label.
+func TestExplainTileCounters(t *testing.T) {
+	net := explainNetwork(t)
+	idx := net.MustBuild(rangereach.ThreeDReach)
+	space := net.Space()
+	entries := int64(0)
+	for v := 0; v < net.NumVertices(); v++ {
+		ok, qs := idx.Explain(v, space)
+		if qs.IndexNodes == 0 || qs.IndexLeaves == 0 {
+			t.Fatalf("Explain(%d, space) = %v visited %d slabs and %d cells", v, ok, qs.IndexNodes, qs.IndexLeaves)
+		}
+		if qs.IndexEntries != 0 {
+			t.Fatalf("Explain(%d, space) = %v x/y-tested %d points of cells the region contains", v, ok, qs.IndexEntries)
+		}
+		for _, q := range explainQueries(net, 4, int64(v))[:2] {
+			_, qs := idx.Explain(v, q.R)
+			entries += qs.IndexEntries
+		}
+	}
+	if entries == 0 {
+		t.Error("no query on a region cutting through cells x/y-tested a point")
 	}
 }
 

@@ -56,9 +56,11 @@ func WithFullRebuildUpdates() Option {
 	return func(c *buildConfig) { c.dynFullRebuild = true }
 }
 
-// WithRTreeFanout sets the fan-out of the spatial R-trees (default 16;
-// 0 or less selects the default, other values are clamped to [4, 1<<20],
-// the range a saved index may carry).
+// WithRTreeFanout sets the fan-out of the R-trees that index boxes and
+// 2D points: SpaReach's, 3DReach-Rev's, and 3DReach's under the MBR
+// policy or over extended geometries (default 16; 0 or less selects the
+// default, other values are clamped to [4, 1<<20], the range a saved
+// index may carry). 3DReach's point tiles have no fan-out.
 func WithRTreeFanout(fanout int) Option {
 	return func(c *buildConfig) {
 		c.opts.SpaReach.Fanout = fanout
@@ -70,24 +72,6 @@ func WithRTreeFanout(fanout int) Option {
 // (default 256; rounded up to a multiple of 64).
 func WithBFLBits(bits int) Option {
 	return func(c *buildConfig) { c.opts.SpaReach.BFLBits = bits }
-}
-
-// SpatialBackend selects the 3D point index behind ThreeDReach under the
-// default Replicate policy.
-type SpatialBackend = core.SpatialBackend
-
-// The available 3DReach spatial backends.
-const (
-	// BackendRTree is the paper's choice (default).
-	BackendRTree = core.BackendRTree
-	// BackendGrid uses a uniform 3D grid.
-	BackendGrid = core.BackendGrid
-)
-
-// WithSpatialBackend swaps the 3D point index of ThreeDReach; the paper
-// (§7.2) notes the R-tree is replaceable by any 3D-capable structure.
-func WithSpatialBackend(b SpatialBackend) Option {
-	return func(c *buildConfig) { c.opts.ThreeD.Backend = b }
 }
 
 // WithAutoMembers selects the member engines of a MethodAuto composite

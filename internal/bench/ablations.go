@@ -5,6 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/labeling"
+	"repro/internal/rtree"
 	"repro/internal/workload"
 )
 
@@ -69,23 +72,61 @@ func (s *Suite) AblationStreaming() {
 	}
 }
 
-// Ablation3DBackend compares the two 3D point indexes 3DReach can run
-// on — R-tree (the paper's choice) and uniform grid (§7.2) — by index
-// size, build time and query time on the default workload.
-func (s *Suite) Ablation3DBackend() {
-	backends := []core.SpatialBackend{core.BackendRTree, core.BackendGrid}
-	s.printf("\n== Ablation: 3DReach spatial backend ==\n")
+// Ablation3DIndex compares 3DReach's point index with the paper's
+// (§4.2): a 3D R-tree of (x, y, post) points searched once per label
+// interval, against STR tiles in the plane whose cells keep their posts
+// sorted, searched once per label. Both share one labeling; index size
+// and build time are the point index's alone.
+func (s *Suite) Ablation3DIndex() {
+	s.printf("\n== Ablation: 3DReach point index, paper (3D R-tree, one cuboid per interval) vs tiles ==\n")
 	for ds := range s.nets {
 		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
+		l := s.engine(ds, core.MethodThreeDReach, dataset.Replicate).Engine.(*core.ThreeDReach).Labeling()
 		s.printf("\n-- %s --\n", s.nets[ds].Name)
-		s.printf("%-10s %12s %12s %12s\n", "backend", "index", "build", "qtime")
-		for _, b := range backends {
-			start := time.Now()
-			e := core.NewThreeDReach(s.preps[ds], core.ThreeDOptions{Backend: b})
-			build := time.Since(start)
-			s.printf("%-10s %12s %12s %12s\n",
-				b.String(), fmtBytes(e.MemoryBytes()), fmtDuration(build),
-				fmtDuration(avgQueryTime(e, qs)))
+		s.printf("%-22s %12s %12s %12s\n", "index", "bytes", "build", "qtime")
+
+		start := time.Now()
+		paper := newPaperThreeD(s.preps[ds], l)
+		build := time.Since(start)
+		s.printf("%-22s %12s %12s %12s\n", "paper (3D R-tree)",
+			fmtBytes(paper.tree.MemoryBytes()), fmtDuration(build), fmtDuration(avgQueryTime(paper, qs)))
+
+		start = time.Now()
+		tiled := core.NewThreeDReachWithLabeling(s.preps[ds], l, core.ThreeDOptions{})
+		build = time.Since(start)
+		s.printf("%-22s %12s %12s %12s\n", "tiles",
+			fmtBytes(tiled.MemoryBytes()-l.MemoryBytes()), fmtDuration(build), fmtDuration(avgQueryTime(tiled, qs)))
+	}
+}
+
+// paperThreeD is the paper's 3DReach query over point networks, the
+// reference Ablation3DIndex measures the tiles against: an STR 3D R-tree
+// of (x, y, post) points and one cuboid search per interval of L(v). It
+// is not a production path.
+type paperThreeD struct {
+	prep *dataset.Prepared
+	l    *labeling.Labeling
+	tree *rtree.Flat[geom.Box3]
+}
+
+func newPaperThreeD(prep *dataset.Prepared, l *labeling.Labeling) *paperThreeD {
+	var entries []rtree.Entry[geom.Box3]
+	for v, spatial := range prep.Net.Spatial {
+		if spatial {
+			p := prep.Net.Points[v]
+			z := float64(l.PostOf(int(prep.CompOf(v))))
+			entries = append(entries, rtree.Entry[geom.Box3]{Box: geom.Box3FromPoint(geom.Pt3(p.X, p.Y, z)), ID: int32(v)})
 		}
 	}
+	// Point leaves are accounted as 24 bytes, as in the paper's Table 4.
+	return &paperThreeD{prep: prep, l: l, tree: rtree.BulkLoad(entries, 0, 24)}
+}
+
+func (e *paperThreeD) RangeReach(v int, r geom.Rect) bool {
+	for _, iv := range e.l.Labels[e.prep.CompOf(v)] {
+		if _, ok := e.tree.SearchAny(geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))); ok {
+			return true
+		}
+	}
+	return false
 }

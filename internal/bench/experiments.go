@@ -21,7 +21,7 @@ var experiments = []experiment{
 	{[]string{"ablation-forest"}, (*Suite).AblationForest},
 	{[]string{"ablation-compression"}, (*Suite).AblationCompression},
 	{[]string{"ablation-spareach"}, (*Suite).AblationSpaReach},
-	{[]string{"ablation-3d"}, (*Suite).Ablation3DBackend},
+	{[]string{"ablation-3d"}, (*Suite).Ablation3DIndex},
 	{[]string{"ablation-streaming"}, (*Suite).AblationStreaming},
 	{[]string{"negative"}, (*Suite).NegativeProfile},
 	{[]string{"update-churn"}, func(s *Suite) { s.UpdateChurn() }},

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/workload"
 )
 
@@ -115,7 +116,7 @@ func (s *Suite) engine(ds int, m core.Method, p dataset.SCCPolicy) core.BuildRes
 
 // avgQueryTime runs the workload through the engine and returns the
 // average per-query latency.
-func avgQueryTime(e core.Engine, qs []workload.Query) time.Duration {
+func avgQueryTime(e interface{ RangeReach(int, geom.Rect) bool }, qs []workload.Query) time.Duration {
 	start := time.Now()
 	for _, q := range qs {
 		e.RangeReach(q.Vertex, q.Region)

@@ -9,8 +9,9 @@
 //     the descendants of the query vertex, which are then tested against
 //     the region;
 //   - 3DReach — the point-based 3D transformation (§4.2): one 3D range
-//     query (cuboid) per label of the query vertex over an R-tree of
-//     (x, y, post) points;
+//     query (cuboid) per label of the query vertex over the (x, y, post)
+//     points, answered as one walk of STR tiles in the plane whose cells
+//     keep their points sorted by post (internal/tiles);
 //   - 3DReach-Rev — the line-based variant (§4.2): spatial vertices become
 //     vertical segments from the reversed labeling and a query is a single
 //     plane-shaped 3D range query at post(v).

@@ -14,6 +14,7 @@ import (
 	"repro/internal/intervals"
 	"repro/internal/labeling"
 	"repro/internal/rtree"
+	"repro/internal/tiles"
 )
 
 // Format v2: a single relocatable flatbuf image (see internal/flatbuf)
@@ -33,10 +34,11 @@ import (
 // its owner id.
 //
 // Emission order is fixed (manifest, then columns in kind order, owners
-// ascending), columns are canonical (sorted grid keys, BFS tree
-// layout), so identical engines serialize to byte-identical images —
-// save(load(v2)) round-trips exactly, including from a mapped index,
-// whose Save re-encodes from the very slices that alias the map.
+// ascending), columns are canonical (sorted grid keys, BFS tree layout,
+// tiles sorted with ties broken by id), so identical engines serialize
+// to byte-identical images — save(load(v2)) round-trips exactly,
+// including from a mapped index, whose Save re-encodes from the very
+// slices that alias the map.
 
 // Section kinds of the v2 image.
 const (
@@ -58,6 +60,14 @@ const (
 	secGeoRMBR        = 16 // [4n]f64
 	secGeoGridOff     = 17 // [n+1]u64
 	secGeoGridKeys    = 18 // [Σ]u64
+	secTileSlabX      = 19 // [2·slabs]f64 {min x, max x}
+	secTileSlabCells  = 20 // [slabs+1]u32 cell offsets
+	secTileCellMBR    = 21 // [4·cells]f64 {min x, min y, max x, max y}
+	secTileCellPoints = 22 // [cells+1]u32 point offsets
+	secTileX          = 23 // [points]f64
+	secTileY          = 24 // [points]f64
+	secTilePost       = 25 // [points]i32
+	secTileID         = 26 // [points]i32
 )
 
 // Manifest flag bits.
@@ -66,9 +76,13 @@ const (
 	// structure, which never changed an answer; it is written as zero
 	// and ignored on load.
 
-	threeDFlagExact   = 1 << 0 // 3DReach: box tree holds exact geometries
-	threeDFlagBoxes   = 1 << 1 // 3DReach: spatial index is the box tree
-	threeDFlagSpatial = 1 << 2 // 3DReach: spatial sections are present
+	threeDFlagExact = 1 << 0 // 3DReach: box tree holds exact geometries
+	threeDFlagBoxes = 1 << 1 // 3DReach: spatial index is the box tree
+	// threeDFlagSpatial: R-tree sections are present — the box tree, or
+	// in a file written before the tiles, a point tree (a load ignores
+	// its sections and rebuilds the tiles from the network).
+	threeDFlagSpatial = 1 << 2
+	threeDFlagTiles   = 1 << 3 // 3DReach: point tiles sections are present
 )
 
 // Packed little-endian manifest records (binary.Write lays out fields
@@ -152,33 +166,28 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	var man bytes.Buffer
 	switch eng := e.(type) {
 	case *ThreeDReach:
-		flags := uint16(0)
-		f := eng.boxes
-		if f != nil {
-			flags |= threeDFlagBoxes | threeDFlagSpatial
+		flags := uint16(threeDFlagTiles)
+		if eng.boxes != nil {
+			flags = threeDFlagBoxes | threeDFlagSpatial
 			if eng.exactBoxes {
 				flags |= threeDFlagExact
 			}
-		} else if ri, ok := eng.points.(rtreeIndex); ok {
-			// Only the R-tree point backend persists; the grid rebuilds
-			// from the network at load (cheap, and keeps the format free
-			// of backend-specific encodings).
-			f = ri.t
-			flags |= threeDFlagSpatial
 		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(eng.policy), Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
-		if flags&threeDFlagSpatial != 0 {
-			mustWrite(&man, treeMetaOf(f))
+		if eng.boxes != nil {
+			mustWrite(&man, treeMetaOf(eng.boxes))
 		}
 		fw.Append(owner, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, owner, eng.l); err != nil {
 			return err
 		}
-		if flags&threeDFlagSpatial != 0 {
-			if err := appendTreeSections(fw, owner, f); err != nil {
+		if eng.boxes != nil {
+			if err := appendTreeSections(fw, owner, eng.boxes); err != nil {
 				return err
 			}
+		} else if err := appendTileSections(fw, owner, eng.points); err != nil {
+			return err
 		}
 	case *ThreeDReachRev:
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy)})
@@ -309,6 +318,25 @@ func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, owner uint32, f *r
 	return nil
 }
 
+func appendTileSections(fw *flatbuf.Writer, owner uint32, t *tiles.Tiles) error {
+	c := t.Columns()
+	for _, err := range []error{
+		flatbuf.AppendSlice(fw, owner, secTileSlabX, c.SlabX),
+		flatbuf.AppendSlice(fw, owner, secTileSlabCells, c.SlabCells),
+		flatbuf.AppendSlice(fw, owner, secTileCellMBR, c.CellMBR),
+		flatbuf.AppendSlice(fw, owner, secTileCellPoints, c.CellPoints),
+		flatbuf.AppendSlice(fw, owner, secTileX, c.X),
+		flatbuf.AppendSlice(fw, owner, secTileY, c.Y),
+		flatbuf.AppendSlice(fw, owner, secTilePost, c.Post),
+		flatbuf.AppendSlice(fw, owner, secTileID, c.ID),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // loadEngineV2 assembles an engine from an opened image. The image may
 // be a decoded copy or a live mmap; either way the engine's columns
 // alias img's data, which must outlive the engine.
@@ -391,19 +419,42 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err != nil {
 			return nil, err
 		}
-		if flags&threeDFlagSpatial == 0 {
+		hasTree, hasBoxes := flags&threeDFlagSpatial != 0, flags&threeDFlagBoxes != 0
+		exact := flags&threeDFlagExact != 0
+		if flags&threeDFlagTiles != 0 {
+			if hasTree || hasBoxes || exact || policy == dataset.MBR || prep.Net.HasExtents() {
+				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with point tiles under policy %v",
+					flatbuf.ErrFormat, flags, policy)
+			}
+			t, err := loadTilesV2(img, owner, prep)
+			if err != nil {
+				return nil, err
+			}
+			if err := manifestDone(mr, owner); err != nil {
+				return nil, err
+			}
+			return &ThreeDReach{prep: prep, policy: policy, l: l, points: t}, nil
+		}
+		if hasTree && (policy == dataset.MBR) != (hasBoxes && !exact) {
+			return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with policy %v",
+				flatbuf.ErrFormat, flags, policy)
+		}
+		if !hasTree || !hasBoxes {
+			if hasTree {
+				// A point R-tree, written before the tiles replaced it:
+				// skip its manifest record, ignore its sections and
+				// rebuild the tiles from the network.
+				var tm treeMeta
+				if err := readManifest(mr, owner, &tm); err != nil {
+					return nil, err
+				}
+			}
 			if err := manifestDone(mr, owner); err != nil {
 				return nil, err
 			}
 			to := opts.ThreeD
 			to.Policy = policy
 			return NewThreeDReachWithLabeling(prep, l, to), nil
-		}
-		hasBoxes := flags&threeDFlagBoxes != 0
-		exact := flags&threeDFlagExact != 0
-		if (policy == dataset.MBR) != (hasBoxes && !exact) {
-			return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with policy %v",
-				flatbuf.ErrFormat, flags, policy)
 		}
 		limit := prep.Net.NumVertices()
 		if policy == dataset.MBR {
@@ -416,13 +467,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		e := &ThreeDReach{prep: prep, policy: policy, l: l, exactBoxes: exact}
-		if hasBoxes {
-			e.boxes = f
-		} else {
-			e.points = rtreeIndex{f}
-		}
-		return e, nil
+		return &ThreeDReach{prep: prep, policy: policy, l: l, boxes: f, exactBoxes: exact}, nil
 	case MethodThreeDReachRev:
 		rev, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
@@ -635,6 +680,42 @@ func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, owner uint32, mr *byte
 		}
 	}
 	return f, nil
+}
+
+// loadTilesV2 overlays 3DReach's point tiles; tiles.FromColumns checks
+// their offsets and range-checks every id against the network.
+func loadTilesV2(img *flatbuf.Image, owner uint32, prep *dataset.Prepared) (*tiles.Tiles, error) {
+	var c tiles.Columns
+	var err error
+	if c.SlabX, err = castSection[float64](img, owner, secTileSlabX); err != nil {
+		return nil, err
+	}
+	if c.SlabCells, err = castSection[uint32](img, owner, secTileSlabCells); err != nil {
+		return nil, err
+	}
+	if c.CellMBR, err = castSection[float64](img, owner, secTileCellMBR); err != nil {
+		return nil, err
+	}
+	if c.CellPoints, err = castSection[uint32](img, owner, secTileCellPoints); err != nil {
+		return nil, err
+	}
+	if c.X, err = castSection[float64](img, owner, secTileX); err != nil {
+		return nil, err
+	}
+	if c.Y, err = castSection[float64](img, owner, secTileY); err != nil {
+		return nil, err
+	}
+	if c.Post, err = castSection[int32](img, owner, secTilePost); err != nil {
+		return nil, err
+	}
+	if c.ID, err = castSection[int32](img, owner, secTileID); err != nil {
+		return nil, err
+	}
+	t, err := tiles.FromColumns(c, prep.Net.NumVertices())
+	if err != nil {
+		return nil, fmt.Errorf("core: %w: owner %d: %v", flatbuf.ErrFormat, owner, err)
+	}
+	return t, nil
 }
 
 // loadSpaTreeV2 loads SpaReach's 2D tree; entry ids are vertices under

@@ -8,6 +8,7 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/pool"
 	"repro/internal/rtree"
+	"repro/internal/tiles"
 	"repro/internal/trace"
 )
 
@@ -19,17 +20,18 @@ import (
 // becomes one 3D range query per label [l, h] ∈ L(v) — the cuboid with
 // base R spanning [l, h] on the third axis. The query is positive iff
 // some cuboid contains a point. This engine evaluates the union of the
-// cuboids in a single search (see witness).
+// cuboids in a single search (see witness), over STR tiles in the plane
+// whose cells keep their points sorted along the post axis.
 type ThreeDReach struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
 	l      *labeling.Labeling
 
-	// points backs the Replicate policy over point-only networks through
-	// the selected backend; boxes backs the MBR policy and — exactly —
-	// the Replicate policy of networks with extended geometries (paper
-	// footnote 1) through the R-tree, the only backend indexing boxes.
-	points pointIndex3
+	// points backs the Replicate policy over point-only networks; boxes
+	// backs the MBR policy and — exactly — the Replicate policy of
+	// networks with extended geometries (paper footnote 1), whose objects
+	// are boxes, through the R-tree.
+	points *tiles.Tiles
 	boxes  *rtree.Flat[geom.Box3]
 	// exactBoxes marks the boxes tree as holding exact per-vertex
 	// geometries: a hit is a witness, no member verification needed.
@@ -40,16 +42,13 @@ type ThreeDReach struct {
 type ThreeDOptions struct {
 	// Policy selects the SCC spatial policy (default Replicate).
 	Policy dataset.SCCPolicy
-	// Fanout is the R-tree fan-out (0 = rtree.DefaultMaxEntries).
+	// Fanout is the fan-out of the R-trees: the MBR policy's, extended
+	// geometries' and 3DReach-Rev's (0 = rtree.DefaultMaxEntries).
 	Fanout int
 	// Forest is the spanning-forest policy of the labeling.
 	Forest graph.ForestPolicy
-	// Backend selects the 3D point index for the Replicate policy
-	// (default the paper's R-tree). The MBR policy and 3DReach-Rev
-	// index extended objects and always use the R-tree.
-	Backend SpatialBackend
 	// Parallelism bounds the build workers: 0 or 1 builds sequentially,
-	// n > 1 parallelizes the labeling and the spatial bulk load
+	// n > 1 parallelizes the labeling and the R-tree bulk loads
 	// internally. The 3D index depends on the labeling's post-order
 	// numbers, so the two phases chain rather than overlap. The built
 	// engine is identical at any setting.
@@ -68,8 +67,8 @@ func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 
 // NewThreeDReachWithLabeling builds the engine around an existing
 // labeling of prep.DAG — e.g. one reloaded from disk (see LoadEngine) or
-// shared with another engine. The spatial index is rebuilt by bulk load,
-// which is cheap relative to labeling construction.
+// shared with another engine. The spatial index is rebuilt from the
+// network, which is cheap relative to labeling construction.
 func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts ThreeDOptions) *ThreeDReach {
 	e := &ThreeDReach{prep: prep, policy: opts.Policy, l: l}
 	wp := pool.New(max(opts.Parallelism, 1))
@@ -112,17 +111,14 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 		return e
 	}
 
-	var pts []point3
+	var pts []tiles.Point
 	for v, s := range prep.Net.Spatial {
 		if s {
-			c := prep.CompOf(v)
 			p := prep.Net.Points[v]
-			pts = append(pts, point3{
-				x: p.X, y: p.Y, z: float64(l.PostOf(int(c))), id: int32(v),
-			})
+			pts = append(pts, tiles.Point{X: p.X, Y: p.Y, Post: l.PostOf(int(prep.CompOf(v))), ID: int32(v)})
 		}
 	}
-	e.points = buildPointIndex3(pts, opts.Backend, opts.Fanout, wp)
+	e.points = tiles.New(pts)
 	return e
 }
 
@@ -149,17 +145,16 @@ func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool 
 }
 
 // witness reports whether the index holds an object inside r × some
-// interval of label. A one-interval label is the paper's single cuboid
-// query. A longer one is not the paper's loop of cuboid queries, which
-// re-descends the tree once per interval: it is one traversal pruned by
+// interval of label. Over points, that is one walk of the tiles r
+// meets, joining each cell's posts with the label (tiles.Tiles.Any).
+// Over boxes, a one-interval label is the paper's single cuboid query;
+// a longer one is not the paper's loop of cuboid queries, which
+// re-descends the tree once per interval, but one traversal pruned by
 // labeling.MeetsCuboids, which expands the union of the nodes those
 // queries would, each once (see anyInLabel).
 func (e *ThreeDReach) witness(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	if e.points != nil {
-		if len(label) == 1 {
-			return e.points.AnyInBox(geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi)), sp)
-		}
-		return e.points.AnyInLabel(r, label, sp)
+		return e.points.Any(r, label, sp)
 	}
 	if e.exactBoxes {
 		if len(label) == 1 {
@@ -186,7 +181,19 @@ func (e *ThreeDReach) witness(r geom.Rect, label intervals.Set, sp *trace.Span) 
 	})
 }
 
-// MemoryBytes implements Engine: labeling plus the 3D index.
+// anyInLabel reports whether t holds an entry e inside r × some
+// interval of label with keep(e.ID), in one traversal that expands a
+// node only where its rectangle meets r and its z-range overlaps the
+// label.
+func anyInLabel(t *rtree.Flat[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span, keep func(id int32) bool) bool {
+	return t.SearchAnyWhere(sp, func(b *geom.Box3) bool { return labeling.MeetsCuboids(b, r, label) }, keep)
+}
+
+// anyID accepts every witness: the trees whose hits need no
+// verification.
+func anyID(int32) bool { return true }
+
+// MemoryBytes implements Engine: labeling plus the spatial index.
 func (e *ThreeDReach) MemoryBytes() int64 {
 	total := e.l.MemoryBytes()
 	if e.points != nil {

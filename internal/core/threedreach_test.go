@@ -124,12 +124,14 @@ func TestStaticFragmentedParity(t *testing.T) {
 // searches do; on a miss the paper's loop of cuboid searches, run here
 // as the reference, is a second bound. That loop expands the root once
 // per interval reaching into the index, so it breaks the first bound on
-// many of the drawn queries. The counts repeat exactly.
+// many of the drawn queries. The counts repeat exactly. This covers the
+// box trees; the point tiles' guard is internal/tiles'
+// TestAnyCostIndependentOfLabel.
 func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 	for _, c := range fragmentedCases(t) {
 		tree := c.built.boxes
-		if c.built.points != nil {
-			tree = c.built.points.(rtreeIndex).t
+		if tree == nil {
+			continue
 		}
 		vs, rs := fragmentedQueries(rand.New(rand.NewSource(12)), c.built, 200, 16)
 		loopBreaks := 0
@@ -189,6 +191,67 @@ func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
 				if allocs != 0 {
 					t.Errorf("%s, %s, labels of at least %d intervals: %v allocs per query, want 0", c.name, name, minLabel, allocs)
 				}
+			}
+		}
+	}
+}
+
+// TestThreeDReachBackendsAgree checks 3DReach's two spatial indexes —
+// the point tiles of the Replicate policy and the box R-tree of the MBR
+// policy — against BFS on random networks, cyclic and acyclic, some
+// with more venues than one tile holds.
+func TestThreeDReachBackendsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(501))
+	for trial := 0; trial < 12; trial++ {
+		net := randomNetwork(rng, 5+rng.Intn(25), 2+rng.Intn(20)+trial%3*40, trial%2 == 0)
+		prep := dataset.Prepare(net)
+		truth := NewNaiveBFS(net)
+		engines := []*ThreeDReach{
+			NewThreeDReach(prep, ThreeDOptions{}),
+			NewThreeDReach(prep, ThreeDOptions{Policy: dataset.MBR}),
+		}
+		for q := 0; q < 30; q++ {
+			v := rng.Intn(net.NumVertices())
+			r := randomRegion(rng)
+			want := truth.RangeReach(v, r)
+			for i, e := range engines {
+				if got := e.RangeReach(v, r); got != want {
+					t.Fatalf("trial %d engine %d: RangeReach(%d, %v) = %v, want %v", trial, i, v, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMBRPolicyIgnoresBackend pins which index each 3DReach variant
+// gets: the point tiles serve only the Replicate policy over points; the
+// MBR policy indexes component boxes, and extended geometries their
+// exact boxes, in the R-tree.
+func TestMBRPolicyIgnoresBackend(t *testing.T) {
+	rng := rand.New(rand.NewSource(503))
+	points := dataset.Prepare(spatialCycleNetwork(rng, 40))
+	extents := dataset.Prepare(withExtents(rng, spatialCycleNetwork(rng, 40)))
+	for _, c := range []struct {
+		name       string
+		prep       *dataset.Prepared
+		policy     dataset.SCCPolicy
+		tiles      bool
+		exactBoxes bool
+	}{
+		{"points", points, dataset.Replicate, true, false},
+		{"mbr", points, dataset.MBR, false, false},
+		{"extents", extents, dataset.Replicate, false, true},
+	} {
+		e := NewThreeDReach(c.prep, ThreeDOptions{Policy: c.policy})
+		if (e.points != nil) != c.tiles || (e.boxes != nil) == c.tiles || e.exactBoxes != c.exactBoxes {
+			t.Errorf("%s: tiles %v, box tree %v, exact %v", c.name, e.points != nil, e.boxes != nil, e.exactBoxes)
+		}
+		truth := NewNaiveBFS(c.prep.Net)
+		for q := 0; q < 30; q++ {
+			v := rng.Intn(c.prep.Net.NumVertices())
+			r := randomRegion(rng)
+			if e.RangeReach(v, r) != truth.RangeReach(v, r) {
+				t.Fatalf("%s: wrong answer at v=%d", c.name, v)
 			}
 		}
 	}

@@ -10,9 +10,10 @@ import (
 // ValidateEngine deep-checks the structural invariants of an engine:
 // interval labelings (post-order bijection, well-formed and properly
 // nested label sets, acyclic condensation) and spatial indexes (R-tree
-// MBR containment and balance, k-d ordering). It returns nil for a
-// well-formed engine and a descriptive error naming the engine and the
-// first violated invariant otherwise.
+// MBR containment and balance; 3DReach's point tiles, against their own
+// order and bounds and against the network and labeling). It returns
+// nil for a well-formed engine and a descriptive error naming the
+// engine and the first violated invariant otherwise.
 //
 // GeoReach dispatches to the SPA-Graph's own Validate; engines whose
 // internals are opaque at this layer (the non-interval reachability
@@ -24,8 +25,10 @@ func ValidateEngine(e Engine) error {
 		if err := check.Labeling(eng.prep.DAG, eng.l); err != nil {
 			return fmt.Errorf("core: %s labeling: %w", eng.Name(), err)
 		}
-		if err := validatePointIndex3(eng.points); err != nil {
-			return fmt.Errorf("core: %s point index: %w", eng.Name(), err)
+		if eng.points != nil {
+			if err := validateTiles(eng); err != nil {
+				return fmt.Errorf("core: %s point index: %w", eng.Name(), err)
+			}
 		}
 		if eng.boxes != nil {
 			if err := eng.boxes.Validate(); err != nil {
@@ -72,11 +75,35 @@ func ValidateEngine(e Engine) error {
 	return nil
 }
 
-// validatePointIndex3 dispatches to the concrete 3D point backend.
-func validatePointIndex3(p pointIndex3) error {
-	if b, ok := p.(rtreeIndex); ok {
-		return b.t.Validate()
+// validateTiles checks the tiles' own invariants, then that they hold
+// every spatial vertex of the network exactly once, at its network
+// point, with the post of its component.
+func validateTiles(e *ThreeDReach) error {
+	if err := e.points.Validate(); err != nil {
+		return err
 	}
-	// The grid backend has no ordering invariant to check.
+	net := e.prep.Net
+	c := e.points.Columns()
+	seen := make([]bool, net.NumVertices())
+	for k, id := range c.ID {
+		if id < 0 || int(id) >= len(seen) || !net.Spatial[id] {
+			return fmt.Errorf("point %d has id %d, not a spatial vertex", k, id)
+		}
+		if seen[id] {
+			return fmt.Errorf("vertex %d appears twice", id)
+		}
+		seen[id] = true
+		if p := net.Points[id]; c.X[k] != p.X || c.Y[k] != p.Y {
+			return fmt.Errorf("vertex %d is indexed at (%g, %g), the network has it at %v", id, c.X[k], c.Y[k], p)
+		}
+		if want := e.l.PostOf(int(e.prep.CompOf(int(id)))); c.Post[k] != want {
+			return fmt.Errorf("vertex %d is indexed at post %d, its component's is %d", id, c.Post[k], want)
+		}
+	}
+	for v, s := range net.Spatial {
+		if s && !seen[v] {
+			return fmt.Errorf("spatial vertex %d is missing", v)
+		}
+	}
 	return nil
 }

@@ -18,7 +18,6 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 		method Method
 		policy dataset.SCCPolicy
 	}{
-		{"3dreach", MethodThreeDReach, dataset.Replicate},
 		{"3dreach-mbr", MethodThreeDReach, dataset.MBR},
 		{"3dreach-rev", MethodThreeDReachRev, dataset.Replicate},
 		{"spareach-int", MethodSpaReachINT, dataset.Replicate},
@@ -32,12 +31,8 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 		var fanout int
 		switch e := res.Engine.(type) {
 		case *ThreeDReach:
-			tree := e.boxes
-			if e.points != nil {
-				tree = e.points.(rtreeIndex).t
-			}
-			nodeBounds, nodeMeta, entryBounds, _ = tree.Raw()
-			fanout = tree.Meta().MaxEntries
+			nodeBounds, nodeMeta, entryBounds, _ = e.boxes.Raw()
+			fanout = e.boxes.Meta().MaxEntries
 		case *ThreeDReachRev:
 			nodeBounds, nodeMeta, entryBounds, _ = e.tree.Raw()
 			fanout = e.tree.Meta().MaxEntries
@@ -75,5 +70,72 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 		if err := ValidateEngine(res.Engine); err != nil {
 			t.Fatalf("%s: restored engine invalid: %v", c.name, err)
 		}
+	}
+}
+
+// TestValidateEngineRejectsCorruptTiles damages 3DReach's point tiles in
+// place, one invariant at a time: those of the tiles alone (post order
+// within a cell, cell bounds, slab and cell order) and those against the
+// network and labeling (post, location, every spatial vertex once).
+func TestValidateEngineRejectsCorruptTiles(t *testing.T) {
+	prep := dataset.Prepare(dataset.GowallaLike(0.1, 7))
+	res, err := BuildMethod(prep, MethodThreeDReach, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateEngine(res.Engine); err != nil {
+		t.Fatalf("fresh engine invalid: %v", err)
+	}
+	c := res.Engine.(*ThreeDReach).points.Columns()
+	if len(c.SlabX) < 4 || c.SlabCells[1] < 2 {
+		t.Fatalf("%d slabs, %d cells in the first: too small for the test", len(c.SlabX)/2, c.SlabCells[1])
+	}
+	// The first point of the first cell whose posts are not all equal,
+	// the last point of the first cell, a y in that cell's bounds other
+	// than point 0's, and a vertex that is not spatial.
+	k := 0
+	for c.Post[k] == c.Post[k+1] {
+		k++
+	}
+	last := c.CellPoints[1] - 1
+	y := c.CellMBR[1]
+	if y == c.Y[0] {
+		y = c.CellMBR[3]
+	}
+	user := int32(0)
+	for prep.Net.Spatial[user] {
+		user++
+	}
+	for _, d := range []struct {
+		want   string
+		damage func()
+	}{
+		{"out of order", func() { c.Post[k], c.Post[k+1] = c.Post[k+1], c.Post[k] }},
+		{"outside cell", func() { c.X[0] = c.CellMBR[2] + 1 }},
+		{"before slab 0 ends", func() { c.SlabX[2] = c.SlabX[1] - 1 }},
+		{"before cell 0 ends", func() { c.CellMBR[5] = c.CellMBR[3] - 1 }},
+		{"its component's is", func() { c.Post[last]++ }},
+		{"the network has it", func() { c.Y[0] = y }},
+		{"appears twice", func() { c.ID[1] = c.ID[0] }},
+		{"not a spatial vertex", func() { c.ID[0] = user }},
+	} {
+		saved := c
+		saved.SlabX = append([]float64(nil), c.SlabX...)
+		saved.CellMBR = append([]float64(nil), c.CellMBR...)
+		saved.X, saved.Y = append([]float64(nil), c.X...), append([]float64(nil), c.Y...)
+		saved.Post, saved.ID = append([]int32(nil), c.Post...), append([]int32(nil), c.ID...)
+		d.damage()
+		if err := ValidateEngine(res.Engine); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Errorf("want an error containing %q, got %v", d.want, err)
+		}
+		copy(c.SlabX, saved.SlabX)
+		copy(c.CellMBR, saved.CellMBR)
+		copy(c.X, saved.X)
+		copy(c.Y, saved.Y)
+		copy(c.Post, saved.Post)
+		copy(c.ID, saved.ID)
+	}
+	if err := ValidateEngine(res.Engine); err != nil {
+		t.Fatalf("restored engine invalid: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ var hotPackages = []string{
 	"repro/internal/pll",
 	"repro/internal/georeach",
 	"repro/internal/grid",
-	"repro/internal/spatialgrid",
+	"repro/internal/tiles",
 }
 
 // HotClock forbids time.Now and time.Since in hot-path packages.

@@ -133,11 +133,12 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 // Unlike LoadIndex, OpenMapped skips the deep validation pass, which
 // reads every tree bound to check containment and checks every
 // label set against the post-order numbers. The open still makes one
-// linear pass over the label columns and the trees' structure and id
-// columns (not their bounds), verifying everything memory safety and
-// the label searches need: section bounds and alignment, offset tiling,
-// the post-order bijection, each label set in range, ascending and
-// disjoint, fan-out and balance, entry-id ranges. A file corrupt in
+// linear pass over the label columns, the trees' structure and id
+// columns and the point tiles' offset and id columns (not their
+// bounds), verifying everything memory safety and the label searches
+// need: section bounds and alignment, offset tiling, the post-order
+// bijection, each label set in range, ascending and disjoint, fan-out
+// and balance, entry-id ranges. A file corrupt in
 // those ways is a load error; one corrupt only in its bounds or in
 // which posts a label covers can answer wrongly, never panic. Run
 // Index.Validate explicitly (e.g. rrserve -check) to get the full pass.

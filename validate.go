@@ -9,8 +9,9 @@ import (
 // Validate deep-checks the index's structural invariants: the interval
 // labeling's post-order bijection onto 1..n, well-formed (lo ≤ hi,
 // sorted, disjoint) and properly nested label sets, acyclicity of the
-// SCC condensation, and the spatial index's R-tree MBR containment or
-// k-d ordering. It returns nil for a well-formed index and a
+// SCC condensation, and the spatial index: R-tree MBR containment, or
+// the order and bounds of 3DReach's point tiles and their agreement
+// with the network. It returns nil for a well-formed index and a
 // descriptive error naming the first violated invariant otherwise.
 //
 // Validation runs in time linear in the index size. LoadIndex runs it

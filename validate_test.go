@@ -10,7 +10,7 @@ import (
 )
 
 // TestValidateAfterBuild deep-checks every engine the public API can
-// build, over both 3DReach spatial backends.
+// build, 3DReach under both SCC policies.
 func TestValidateAfterBuild(t *testing.T) {
 	net := figure1(t)
 	all := append([]rangereach.Method{rangereach.Naive, rangereach.MethodAuto}, rangereach.Methods...)
@@ -24,14 +24,12 @@ func TestValidateAfterBuild(t *testing.T) {
 			t.Errorf("%v: Validate() = %v", m, err)
 		}
 	}
-	for _, backend := range []rangereach.SpatialBackend{rangereach.BackendRTree, rangereach.BackendGrid} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithSpatialBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.Validate(); err != nil {
-			t.Errorf("backend %v: Validate() = %v", backend, err)
-		}
+	idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithMBRPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Validate(); err != nil {
+		t.Errorf("MBR policy: Validate() = %v", err)
 	}
 }
 
