@@ -62,10 +62,14 @@ go test ./...
 # cells and x/y-tested points against the ones the region meets.
 # ./internal/graph is here for the build path's one such guard:
 # Builder.Build allocates the same number of times at 1k and at 100k
-# edges (TestBuildAllocsCostIndependent).
+# edges (TestBuildAllocsCostIndependent). ./internal/labeling guards
+# 3DReach's rank-keyed labels: chains of users interleaved with the
+# venues leave the stored interval count exactly unchanged
+# (TestRankLabelsCostIndependentOfUsers).
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
-    ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles -count=1
+    ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
+    ./internal/labeling -count=1
 
 # benchmark/ is its own module (BENCHMARK.json's command runs it), so
 # ./... above stops at its go.mod. Its tests are the guards on the

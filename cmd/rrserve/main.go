@@ -202,7 +202,9 @@ func main() {
 		}
 	case <-ctx.Done():
 		// Graceful shutdown: stop accepting, drain in-flight requests,
-		// then stop the update goroutine (srv.Close via defer).
+		// then srv.Close (via defer) waits out any handler Shutdown's
+		// deadline left running and stops the update goroutine, before
+		// the index is unmapped.
 		fmt.Fprintln(os.Stderr, "rrserve: shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -141,9 +141,11 @@ type Index struct {
 
 // Close releases the memory map of an index opened with
 // Network.OpenMapped. The index must not be queried afterwards — its
-// structures overlay the mapped pages. Close is a no-op (and returns
-// nil) for built or stream-loaded indexes, so deferring it
-// unconditionally is safe.
+// structures overlay the mapped pages, and a query running during or
+// after Close faults. Close does not wait for queries: the caller must
+// drain them first (an rrserve server.Server does in its own Close).
+// Close is a no-op (and returns nil) for built or stream-loaded indexes,
+// so deferring it unconditionally is safe.
 func (idx *Index) Close() error {
 	if idx.mapping == nil {
 		return nil

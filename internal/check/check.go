@@ -58,17 +58,18 @@ func Set(v int, s intervals.Set) error {
 // labelSource abstracts the two labeling representations.
 type labelSource func(v int) intervals.Set
 
-// labels validates the per-vertex label sets against the post numbers:
-// well-formed sets, each containing the vertex's own post number (v is
-// its own descendant).
-func labels(post []int32, at labelSource) error {
-	for v := range post {
+// labels validates the per-vertex label sets against their keys (what
+// names the key in messages): well-formed sets, each containing the
+// vertex's own key (v is its own descendant). A key of 0 — a vertex a
+// rank-keyed labeling does not index — requires nothing.
+func labels(keys []int32, what string, at labelSource) error {
+	for v, key := range keys {
 		s := at(v)
 		if err := Set(v, s); err != nil {
 			return err
 		}
-		if !s.ContainsCanonical(post[v]) {
-			return fmt.Errorf("check: vertex %d: label set %v does not contain own post %d", v, s, post[v])
+		if key != 0 && !s.ContainsCanonical(key) {
+			return fmt.Errorf("check: vertex %d: label set %v does not contain own %s %d", v, s, what, key)
 		}
 	}
 	return nil
@@ -76,11 +77,11 @@ func labels(post []int32, at labelSource) error {
 
 // edgeNesting validates Lemma 3.1's closure property over one edge
 // (u, v): since everything v reaches u also reaches, L(u) must cover
-// L(v) — in particular it must contain post(v).
-func edgeNesting(u, v int, post []int32, at labelSource) error {
+// L(v) — in particular it must contain v's key, if v has one.
+func edgeNesting(u, v int, keys []int32, what string, at labelSource) error {
 	lu, lv := at(u), at(v)
-	if !lu.ContainsCanonical(post[v]) {
-		return fmt.Errorf("check: edge (%d,%d): L(%d) does not contain post(%d) = %d", u, v, u, v, post[v])
+	if keys[v] != 0 && !lu.ContainsCanonical(keys[v]) {
+		return fmt.Errorf("check: edge (%d,%d): L(%d) does not contain %s(%d) = %d", u, v, u, what, v, keys[v])
 	}
 	if !lu.CoversCanonical(lv) {
 		return fmt.Errorf("check: edge (%d,%d): L(%d) does not cover L(%d); labels are not properly nested",
@@ -92,12 +93,22 @@ func edgeNesting(u, v int, post []int32, at labelSource) error {
 // Labeling validates l against the condensation DAG it was built over:
 // the DAG is acyclic, post numbers are a bijection onto 1..n, label
 // sets are well-formed and self-containing, and every edge's labels
-// nest properly.
+// nest properly. A rank-keyed labeling is checked over its keys (see
+// labeling.Labeling.Keys): a spatial vertex's label contains its own
+// rank, a vertex that is not spatial needs contain nothing, and L(u)
+// contains rank(v) over an edge (u, v) whenever v is spatial.
 func Labeling(g *graph.Graph, l *labeling.Labeling) error {
 	n := g.NumVertices()
 	if len(l.Post) != n || len(l.Order) != n || len(l.Labels) != n {
 		return fmt.Errorf("check: labeling sized %d/%d/%d for a %d-vertex DAG",
 			len(l.Post), len(l.Order), len(l.Labels), n)
+	}
+	what := "post"
+	if l.Spatial != nil {
+		if len(l.Spatial) != n {
+			return fmt.Errorf("check: rank-keyed labeling marks %d spatial slots for a %d-vertex DAG", len(l.Spatial), n)
+		}
+		what = "rank"
 	}
 	if !g.IsDAG() {
 		return fmt.Errorf("check: condensation contains a cycle")
@@ -105,13 +116,15 @@ func Labeling(g *graph.Graph, l *labeling.Labeling) error {
 	if err := Posts(l.Post, l.Order); err != nil {
 		return err
 	}
-	if err := labels(l.Post, func(v int) intervals.Set { return l.Labels[v] }); err != nil {
+	keys := l.Keys()
+	at := func(v int) intervals.Set { return l.Labels[v] }
+	if err := labels(keys, what, at); err != nil {
 		return err
 	}
 	var firstErr error
 	g.Edges(func(u, v int) {
 		if firstErr == nil {
-			firstErr = edgeNesting(u, v, l.Post, func(w int) intervals.Set { return l.Labels[w] })
+			firstErr = edgeNesting(u, v, keys, what, at)
 		}
 	})
 	return firstErr

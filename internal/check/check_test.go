@@ -39,6 +39,27 @@ func TestLabelingValid(t *testing.T) {
 	}
 }
 
+// TestLabelingRankKeyed checks a rank-keyed labeling over its ranks:
+// valid as built, with the empty labels of vertices that reach nothing
+// spatial; refused when a spatial vertex's rank leaves a predecessor's
+// label, or when the mask does not fit the DAG.
+func TestLabelingRankKeyed(t *testing.T) {
+	g := diamond(t)
+	l := labeling.Build(g, labeling.Options{Spatial: []bool{false, false, true, false, true, false}})
+	if len(l.Labels[5]) != 0 {
+		t.Fatalf("the isolated user's label is %v, want empty", l.Labels[5])
+	}
+	if err := check.Labeling(g, l); err != nil {
+		t.Fatalf("valid rank-keyed labeling rejected: %v", err)
+	}
+	// L(0) holds rank(2) and rank(4): dropping rank(2) breaks the edge (0,2).
+	keys := l.Keys()
+	l.Labels[0] = intervals.Set{{Lo: keys[4], Hi: keys[4]}}
+	wantErr(t, check.Labeling(g, l), "does not contain rank")
+	l.Spatial = l.Spatial[:5]
+	wantErr(t, check.Labeling(g, l), "spatial slots")
+}
+
 func TestLabelingSkipCompressionValid(t *testing.T) {
 	// The compression ablation leaves adjacent singleton labels; they
 	// are well-formed, just not minimal.

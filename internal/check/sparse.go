@@ -78,7 +78,7 @@ func SparseEdges(alive []bool, post []int32, at labelSource, edges func(fn func(
 			firstErr = fmt.Errorf("check: condensation has self-loop on component %d", u)
 			return
 		}
-		firstErr = edgeNesting(u, v, post, at)
+		firstErr = edgeNesting(u, v, post, "post", at)
 		adj[u] = append(adj[u], int32(v))
 		indeg[v]++
 	})

@@ -11,7 +11,9 @@
 //   - 3DReach — the point-based 3D transformation (§4.2): one 3D range
 //     query (cuboid) per label of the query vertex over the (x, y, post)
 //     points, answered as one walk of STR tiles in the plane whose cells
-//     keep their points sorted by post (internal/tiles);
+//     keep their points sorted by post (internal/tiles); the built engine
+//     keys that axis by spatial rank, which stores only what a query can
+//     ask;
 //   - 3DReach-Rev — the line-based variant (§4.2): spatial vertices become
 //     vertical segments from the reversed labeling and a query is a single
 //     plane-shaped 3D range query at post(v).

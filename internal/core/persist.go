@@ -102,9 +102,11 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 		if err := checkSize(l); err != nil {
 			return BuildResult{}, err
 		}
+		// v1 stored no spatial index; the one rebuilt here and the
+		// labels move to ranks, as a fresh build would key them.
 		to := opts.ThreeD
 		to.Policy = policy
-		e = NewThreeDReachWithLabeling(prep, l, to)
+		e = NewThreeDReachWithLabeling(prep, l.Ranked(prep.HasSpatial), to)
 	case MethodThreeDReachRev:
 		rev, err := labeling.ReadLabeling(br)
 		if err != nil {
@@ -216,14 +218,17 @@ func loadAuto(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions, polic
 // harvestForward recovers a forward labeling of prep.DAG for the
 // planner's estimator from one of the loaded members, falling back to a
 // fresh build when no member carries one. ThreeDReachRev is excluded:
-// its labeling is over the reversed DAG.
+// its labeling is over the reversed DAG; so is a rank-keyed ThreeDReach,
+// whose labels hold no user's post.
 func harvestForward(prep *dataset.Prepared, opts BuildOptions, engines []Engine) *labeling.Labeling {
 	for _, e := range engines {
 		switch eng := e.(type) {
 		case *SocReach:
 			return eng.l
 		case *ThreeDReach:
-			return eng.l
+			if eng.l.Spatial == nil {
+				return eng.l
+			}
 		case *SpaReach:
 			if l, ok := eng.reach.(*labeling.Labeling); ok {
 				return l

@@ -83,6 +83,10 @@ const (
 	// its sections and rebuilds the tiles from the network).
 	threeDFlagSpatial = 1 << 2
 	threeDFlagTiles   = 1 << 3 // 3DReach: point tiles sections are present
+	// threeDFlagRanks: the labels, and the tiles' post column or the
+	// boxes' z, hold spatial ranks instead of posts (the layout is the
+	// same). A file without it answers in post space as written.
+	threeDFlagRanks = 1 << 4
 )
 
 // Packed little-endian manifest records (binary.Write lays out fields
@@ -172,6 +176,9 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			if eng.exactBoxes {
 				flags |= threeDFlagExact
 			}
+		}
+		if eng.l.Spatial != nil {
+			flags |= threeDFlagRanks
 		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(eng.policy), Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
@@ -419,6 +426,9 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err != nil {
 			return nil, err
 		}
+		if flags&threeDFlagRanks != 0 {
+			l.Spatial = prep.HasSpatial
+		}
 		hasTree, hasBoxes := flags&threeDFlagSpatial != 0, flags&threeDFlagBoxes != 0
 		exact := flags&threeDFlagExact != 0
 		if flags&threeDFlagTiles != 0 {
@@ -451,6 +461,11 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 			}
 			if err := manifestDone(mr, owner); err != nil {
 				return nil, err
+			}
+			// The tiles are rebuilt anyway, so they and the labels move to
+			// ranks here, as a fresh build would key them.
+			if l.Spatial == nil {
+				l = l.Ranked(prep.HasSpatial)
 			}
 			to := opts.ThreeD
 			to.Policy = policy

@@ -22,6 +22,15 @@ import (
 // some cuboid contains a point. This engine evaluates the union of the
 // cuboids in a single search (see witness), over STR tiles in the plane
 // whose cells keep their points sorted along the post axis.
+//
+// The paper uses post(u) only as the z of a spatial point, so a built
+// engine keys its third axis by spatial rank instead (labeling.Options
+// .Spatial): rank(c) is 1 plus the number of spatial components with a
+// smaller post, L(c) holds the ranks of c's spatial descendants, and a
+// point's or box's z is its component's rank. A run of user posts
+// between two venue runs then costs no interval. The engine takes its
+// keys from its labeling, so one read from a file written before ranks,
+// or shared by Auto, answers in post space through the same code.
 type ThreeDReach struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
@@ -57,32 +66,36 @@ type ThreeDOptions struct {
 	Span *trace.BuildSpan
 }
 
-// NewThreeDReach builds the point-based 3DReach engine.
+// NewThreeDReach builds the point-based 3DReach engine over rank-keyed
+// labels.
 func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 	t := opts.Span.Start()
-	l := labeling.Build(prep.DAG, labeling.Options{Forest: opts.Forest, Parallelism: opts.Parallelism})
+	l := labeling.Build(prep.DAG, labeling.Options{Forest: opts.Forest, Parallelism: opts.Parallelism, Spatial: prep.HasSpatial})
 	opts.Span.End("labeling", t)
 	return NewThreeDReachWithLabeling(prep, l, opts)
 }
 
 // NewThreeDReachWithLabeling builds the engine around an existing
 // labeling of prep.DAG — e.g. one reloaded from disk (see LoadEngine) or
-// shared with another engine. The spatial index is rebuilt from the
-// network, which is cheap relative to labeling construction.
+// shared with another engine — keyed by post or by spatial rank over
+// prep.HasSpatial; the index's z is whichever key the labeling has. The
+// spatial index is rebuilt from the network, which is cheap relative to
+// labeling construction.
 func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts ThreeDOptions) *ThreeDReach {
 	e := &ThreeDReach{prep: prep, policy: opts.Policy, l: l}
 	wp := pool.New(max(opts.Parallelism, 1))
 	t := opts.Span.Start()
 	defer opts.Span.End("spatial", t)
+	keys := l.Keys()
 
 	if opts.Policy == dataset.MBR {
-		// A component's geometry is its member MBR, lifted to its
-		// post-order height: the 3D R-tree indexes boxes instead of
-		// points (paper §6.2's MBR-based variant).
+		// A component's geometry is its member MBR, lifted to its key's
+		// height: the 3D R-tree indexes boxes instead of points (paper
+		// §6.2's MBR-based variant).
 		var entries []rtree.Entry[geom.Box3]
 		for c := range prep.Members {
 			if prep.HasSpatial[c] {
-				z := float64(l.PostOf(c))
+				z := float64(keys[c])
 				entries = append(entries, rtree.Entry[geom.Box3]{
 					Box: geom.Box3FromRect(prep.CompMBR[c], z, z),
 					ID:  int32(c),
@@ -99,7 +112,7 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 		var entries []rtree.Entry[geom.Box3]
 		for v, s := range prep.Net.Spatial {
 			if s {
-				z := float64(l.PostOf(int(prep.CompOf(v))))
+				z := float64(keys[prep.CompOf(v)])
 				entries = append(entries, rtree.Entry[geom.Box3]{
 					Box: geom.Box3FromRect(prep.Net.GeometryOf(v), z, z),
 					ID:  int32(v),
@@ -115,7 +128,7 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 	for v, s := range prep.Net.Spatial {
 		if s {
 			p := prep.Net.Points[v]
-			pts = append(pts, tiles.Point{X: p.X, Y: p.Y, Post: l.PostOf(int(prep.CompOf(v))), ID: int32(v)})
+			pts = append(pts, tiles.Point{X: p.X, Y: p.Y, Post: keys[prep.CompOf(v)], ID: int32(v)})
 		}
 	}
 	e.points = tiles.New(pts)

@@ -5,22 +5,28 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/labeling"
 	"repro/internal/rtree"
 	"repro/internal/trace"
 )
 
 // fragmentedCase is a 3DReach engine over a yelp-like network — the
-// regime whose labels run to dozens of intervals — as built, and as
-// opened from its own saved file over mapped pages. The seed is one
-// whose post-order interleaves venues with users, so that many of a
-// label's intervals reach into the 3D index (the cost guard checks it).
+// regime whose post-keyed labels run to dozens of intervals — as built,
+// and as opened from its own saved file over mapped pages. The seed is
+// one whose post-order interleaves venues with users, so that many of a
+// post-keyed label's intervals reach into the 3D index (the cost guard
+// checks it). Each case comes keyed both ways: by spatial rank, as
+// NewThreeDReach builds it, and by post, as Auto's shared labeling and
+// files written before ranks key it.
 type fragmentedCase struct {
 	name          string
 	prep          *dataset.Prepared
+	posts         bool
 	built, mapped *ThreeDReach
 }
 
@@ -29,23 +35,30 @@ type fragmentedCase struct {
 func fragmentedCases(t *testing.T) []fragmentedCase {
 	t.Helper()
 	points := dataset.Prepare(dataset.YelpLike(0.5, 9))
-	cases := []fragmentedCase{
-		{name: "points", prep: points},
-		{name: "extents", prep: dataset.Prepare(withExtents(rand.New(rand.NewSource(4)), dataset.YelpLike(0.5, 9)))},
-		{name: "mbr", prep: points},
+	extents := dataset.Prepare(withExtents(rand.New(rand.NewSource(4)), dataset.YelpLike(0.5, 9)))
+	var cases []fragmentedCase
+	for _, posts := range []bool{false, true} {
+		keys := "/ranks"
+		if posts {
+			keys = "/posts"
+		}
+		cases = append(cases,
+			fragmentedCase{name: "points" + keys, prep: points, posts: posts},
+			fragmentedCase{name: "extents" + keys, prep: extents, posts: posts},
+			fragmentedCase{name: "mbr" + keys, prep: points, posts: posts})
 	}
 	for i := range cases {
 		c := &cases[i]
-		opts := BuildOptions{}
-		if c.name == "mbr" {
+		opts := ThreeDOptions{}
+		if strings.HasPrefix(c.name, "mbr") {
 			opts.Policy = dataset.MBR
 		}
-		res, err := BuildMethod(c.prep, MethodThreeDReach, opts)
-		if err != nil {
-			t.Fatal(err)
+		if c.posts {
+			c.built = NewThreeDReachWithLabeling(c.prep, labeling.Build(c.prep.DAG, labeling.Options{}), opts)
+		} else {
+			c.built = NewThreeDReach(c.prep, opts)
 		}
-		c.built = res.Engine.(*ThreeDReach)
-		path := filepath.Join(t.TempDir(), c.name+".idx")
+		path := filepath.Join(t.TempDir(), strings.ReplaceAll(c.name, "/", "-")+".idx")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
@@ -125,12 +138,13 @@ func TestStaticFragmentedParity(t *testing.T) {
 // as the reference, is a second bound. That loop expands the root once
 // per interval reaching into the index, so it breaks the first bound on
 // many of the drawn queries. The counts repeat exactly. This covers the
-// box trees; the point tiles' guard is internal/tiles'
-// TestAnyCostIndependentOfLabel.
+// box trees over post-keyed labels, the regime of long labels (keyed by
+// rank, no label of this network reaches 16 intervals); the point
+// tiles' guard is internal/tiles' TestAnyCostIndependentOfLabel.
 func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 	for _, c := range fragmentedCases(t) {
 		tree := c.built.boxes
-		if tree == nil {
+		if tree == nil || !c.posts {
 			continue
 		}
 		vs, rs := fragmentedQueries(rand.New(rand.NewSource(12)), c.built, 200, 16)
@@ -169,10 +183,15 @@ func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 
 // TestStaticRangeReachDoesNotAllocate covers the untraced read path of
 // every branch on the built and the mapped index: the single cuboid of a one-interval label
-// and the label-pruned traversal of a fragmented one.
+// and the label-pruned traversal of a fragmented one (16 intervals and
+// more keyed by post, 2 and more keyed by rank).
 func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
 	for _, c := range fragmentedCases(t) {
-		for _, minLabel := range []int{1, 16} {
+		long := 2
+		if c.posts {
+			long = 16
+		}
+		for _, minLabel := range []int{1, long} {
 			vs, rs := fragmentedQueries(rand.New(rand.NewSource(13)), c.built, 32, minLabel)
 			if minLabel == 1 {
 				// Venues are sinks: their label is their own post.

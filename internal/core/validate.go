@@ -9,7 +9,8 @@ import (
 
 // ValidateEngine deep-checks the structural invariants of an engine:
 // interval labelings (post-order bijection, well-formed and properly
-// nested label sets, acyclic condensation) and spatial indexes (R-tree
+// nested label sets over posts or, for 3DReach, spatial ranks — see
+// check.Labeling — acyclic condensation) and spatial indexes (R-tree
 // MBR containment and balance; 3DReach's point tiles, against their own
 // order and bounds and against the network and labeling). It returns
 // nil for a well-formed engine and a descriptive error naming the
@@ -77,13 +78,15 @@ func ValidateEngine(e Engine) error {
 
 // validateTiles checks the tiles' own invariants, then that they hold
 // every spatial vertex of the network exactly once, at its network
-// point, with the post of its component.
+// point, with its component's key: the post, or the rank when the
+// labels are rank-keyed.
 func validateTiles(e *ThreeDReach) error {
 	if err := e.points.Validate(); err != nil {
 		return err
 	}
 	net := e.prep.Net
 	c := e.points.Columns()
+	keys := e.l.Keys()
 	seen := make([]bool, net.NumVertices())
 	for k, id := range c.ID {
 		if id < 0 || int(id) >= len(seen) || !net.Spatial[id] {
@@ -96,8 +99,8 @@ func validateTiles(e *ThreeDReach) error {
 		if p := net.Points[id]; c.X[k] != p.X || c.Y[k] != p.Y {
 			return fmt.Errorf("vertex %d is indexed at (%g, %g), the network has it at %v", id, c.X[k], c.Y[k], p)
 		}
-		if want := e.l.PostOf(int(e.prep.CompOf(int(id)))); c.Post[k] != want {
-			return fmt.Errorf("vertex %d is indexed at post %d, its component's is %d", id, c.Post[k], want)
+		if want := keys[e.prep.CompOf(int(id))]; c.Post[k] != want {
+			return fmt.Errorf("vertex %d is indexed at key %d, its component's is %d", id, c.Post[k], want)
 		}
 	}
 	for v, s := range net.Spatial {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -70,6 +72,82 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 		if err := ValidateEngine(res.Engine); err != nil {
 			t.Fatalf("%s: restored engine invalid: %v", c.name, err)
 		}
+	}
+}
+
+// TestValidateEngineRejectsCorruptRanks damages the rank keys of a
+// built 3DReach in place: a spatial component's label that drops its own
+// rank, a user's label that no longer nests its successor's, and a tile
+// whose key is its component's rank plus one. A user's empty label is
+// not damage: a component with no spatial descendant has nothing to
+// hold. The network numbers its users first, so a depth-first walk
+// posts users among the venues and no venue's rank is its post.
+func TestValidateEngineRejectsCorruptRanks(t *testing.T) {
+	prep := dataset.Prepare(randomNetwork(rand.New(rand.NewSource(37)), 300, 150, false))
+	res, err := BuildMethod(prep, MethodThreeDReach, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := res.Engine.(*ThreeDReach)
+	if e.l.Spatial == nil {
+		t.Fatal("a built 3DReach is not rank-keyed")
+	}
+	if err := ValidateEngine(e); err != nil {
+		t.Fatalf("fresh engine invalid: %v", err)
+	}
+	moved := 0
+	for c, key := range e.l.Keys() {
+		if key != 0 && key != e.l.Post[c] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every venue's rank equals its post: the test cannot tell the keys apart")
+	}
+	labels := e.l.Labels
+	// A spatial sink (its label is its own rank alone), and an edge from a
+	// user to a component with a non-empty label.
+	sink, user := -1, -1
+	for c := range labels {
+		if sink < 0 && prep.HasSpatial[c] && len(prep.DAG.Out(c)) == 0 {
+			sink = c
+		}
+		if user < 0 && !prep.HasSpatial[c] {
+			for _, d := range prep.DAG.Out(c) {
+				if len(labels[d]) > 0 {
+					user = c
+				}
+			}
+		}
+	}
+	empty := -1
+	for c := range labels {
+		if len(labels[c]) == 0 {
+			empty = c
+		}
+	}
+	if sink < 0 || user < 0 || empty < 0 {
+		t.Fatalf("no spatial sink (%d), user with a labeled successor (%d) or empty label (%d)", sink, user, empty)
+	}
+	tiles := e.points.Columns()
+	last := tiles.CellPoints[1] - 1
+	for _, d := range []struct {
+		want   string
+		damage func()
+	}{
+		{"does not contain own rank", func() { labels[sink] = labels[sink][:0] }},
+		{fmt.Sprintf("L(%d) does not", user), func() { labels[user] = nil }},
+		{"its component's is", func() { tiles.Post[last]++ }},
+	} {
+		savedSink, savedUser, savedKey := labels[sink], labels[user], tiles.Post[last]
+		d.damage()
+		if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Errorf("want an error containing %q, got %v", d.want, err)
+		}
+		labels[sink], labels[user], tiles.Post[last] = savedSink, savedUser, savedKey
+	}
+	if err := ValidateEngine(e); err != nil {
+		t.Fatalf("restored engine invalid: %v", err)
 	}
 }
 

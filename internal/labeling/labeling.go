@@ -20,6 +20,10 @@
 // Both produce identical canonical label sets (the covered post set is
 // the descendant set either way, and compression canonicalizes it);
 // property tests in this package assert the equivalence on random DAGs.
+//
+// Build can also key the labels by spatial rank (Options.Spatial): L(v)
+// then covers only the dense ranks of v's spatial descendants, which is
+// all a RangeReach asks of it (3DReach's labels).
 package labeling
 
 import (
@@ -50,6 +54,11 @@ type Options struct {
 	// At two workers it measures 1.12× on yelp-like's forward labeling
 	// and 1.63× on its reversed one (EXPERIMENTS.md, "Build path").
 	Parallelism int
+	// Spatial, when non-nil, builds a rank-keyed labeling over the
+	// vertices it marks (see Labeling.Spatial): the same merge, in which
+	// a vertex contributes its own singleton only if it is spatial, and
+	// that singleton is its rank instead of its post.
+	Spatial []bool
 }
 
 // Labeling is the interval-based labeling of a DAG.
@@ -62,6 +71,14 @@ type Labeling struct {
 	Labels []intervals.Set
 	// Forest is the spanning forest the numbering came from.
 	Forest *graph.SpanningForest
+	// Spatial, when non-nil, makes the labeling rank-keyed: L(v) holds
+	// the ranks of v's spatial descendants (see Keys) instead of the posts
+	// of all of them. A RangeReach only ever asks a label for a spatial
+	// vertex, so runs of non-spatial posts cost it nothing, and a vertex
+	// with no spatial descendant has an empty label. Reach and Descendants
+	// need every post and refuse such a labeling. Spatial aliases the
+	// caller's mask, indexed by vertex, and MemoryBytes does not count it.
+	Spatial []bool
 
 	// UncompressedCount is the total number of labels before the final
 	// compression pass, i.e. Σ|D(v)| under Algorithm 1's set-union
@@ -85,14 +102,16 @@ func Build(g *graph.Graph, opts Options) *Labeling {
 // ablations compare forest policies on equal footing.
 func BuildWithForest(g *graph.Graph, forest *graph.SpanningForest, opts Options) *Labeling {
 	l := &Labeling{
-		Post:   forest.Post,
-		Order:  forest.Order,
-		Labels: make([]intervals.Set, g.NumVertices()),
-		Forest: forest,
+		Post:    forest.Post,
+		Order:   forest.Order,
+		Labels:  make([]intervals.Set, g.NumVertices()),
+		Forest:  forest,
+		Spatial: opts.Spatial,
 	}
+	keys := l.Keys()
 
 	if p := pool.New(max(opts.Parallelism, 1)); !p.Sequential() {
-		l.mergeParallel(g, p)
+		l.mergeParallel(g, p, keys)
 		l.finishStats(opts)
 		return l
 	}
@@ -106,7 +125,7 @@ func BuildWithForest(g *graph.Graph, forest *graph.SpanningForest, opts Options)
 	var m merger
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
-		l.Labels[v] = m.label(l, g, v)
+		l.Labels[v] = m.label(l, g, v, keys[v])
 	}
 	l.finishStats(opts)
 	return l
@@ -118,7 +137,7 @@ func BuildWithForest(g *graph.Graph, forest *graph.SpanningForest, opts Options)
 // concurrently. Both variants compute a vertex through merger.label, so
 // the resulting labeling — and anything serialized from it — is
 // identical at any worker count.
-func (l *Labeling) mergeParallel(g *graph.Graph, p *pool.Pool) {
+func (l *Labeling) mergeParallel(g *graph.Graph, p *pool.Pool, keys []int32) {
 	levels := graph.LevelsFromSinks(g)
 	if levels == nil {
 		panic("labeling: Build requires a DAG")
@@ -128,7 +147,7 @@ func (l *Labeling) mergeParallel(g *graph.Graph, p *pool.Pool) {
 	scratch := sync.Pool{New: func() any { return new(merger) }}
 	p.Levels(levels, func(v int32) {
 		m := scratch.Get().(*merger)
-		l.Labels[v] = m.label(l, g, v)
+		l.Labels[v] = m.label(l, g, v, keys[v])
 		scratch.Put(m)
 	})
 }
@@ -141,19 +160,25 @@ type merger struct {
 	own  [1]intervals.Interval
 }
 
-// label returns L(v): the vertex's own singleton [post(v), post(v)]
-// united with every successor's label set. The inputs are canonical
-// runs already, so they are merged as such (intervals.MergeManyCanonical:
-// linear for two, one sweep or one key sort for more) instead of being
+// label returns L(v): the vertex's own singleton [key, key] — none when
+// key is 0, a vertex a rank-keyed labeling does not index — united with
+// every successor's label set. The inputs are canonical runs already,
+// so they are merged as such (intervals.MergeManyCanonical: linear for
+// two, one sweep or one key sort for more) instead of being
 // concatenated and comparison-sorted; the canonical form of a union is
 // unique, so the result is the set Compress() of the concatenation
 // would give, interval for interval. It aliases neither the scratch nor
 // a successor's set.
-func (m *merger) label(l *Labeling, g *graph.Graph, v int32) intervals.Set {
-	m.own[0] = intervals.Interval{Lo: l.Post[v], Hi: l.Post[v]}
-	sets := append(m.sets[:0], m.own[:])
+func (m *merger) label(l *Labeling, g *graph.Graph, v, key int32) intervals.Set {
+	sets := m.sets[:0]
+	if key != 0 {
+		m.own[0] = intervals.Interval{Lo: key, Hi: key}
+		sets = append(sets, m.own[:])
+	}
 	for _, u := range g.Out(int(v)) {
-		sets = append(sets, l.Labels[u])
+		if len(l.Labels[u]) > 0 {
+			sets = append(sets, l.Labels[u])
+		}
 	}
 	m.sets = sets
 	set := intervals.MergeManyCanonical(sets)
@@ -191,8 +216,10 @@ func (l *Labeling) finishStats(opts Options) {
 
 // Reach answers the graph reachability query GReach(v, u): it reports
 // whether u is reachable from v, by Lemma 3.1 testing whether some label
-// of v contains post(u). Reach(v, v) is true.
+// of v contains post(u). Reach(v, v) is true. It panics on a rank-keyed
+// labeling, whose labels hold no post.
 func (l *Labeling) Reach(v, u int) bool {
+	l.mustBePostKeyed("Reach")
 	return l.Labels[v].ContainsCanonical(l.Post[u])
 }
 
@@ -200,8 +227,81 @@ func (l *Labeling) Reach(v, u int) bool {
 // is counted as inspected labels (the binary search consults it as a
 // whole). A nil sp makes it exactly Reach.
 func (l *Labeling) ReachTraced(v, u int, sp *trace.Span) bool {
+	l.mustBePostKeyed("ReachTraced")
 	sp.AddLabels(len(l.Labels[v]))
 	return l.Labels[v].ContainsCanonical(l.Post[u])
+}
+
+func (l *Labeling) mustBePostKeyed(op string) {
+	if l.Spatial != nil {
+		panic("labeling: " + op + " on a rank-keyed labeling")
+	}
+}
+
+// Keys returns, per vertex, the number its label sets are keyed by: the
+// post-order number, or in a rank-keyed labeling the spatial rank — 1
+// plus the number of spatial vertices with a smaller post, 0 for a
+// vertex that is not spatial. A post-keyed labeling returns Post itself;
+// a rank-keyed one derives the ranks from Order and Spatial into a new
+// slice, so the ranks are never stored beside the labels.
+func (l *Labeling) Keys() []int32 {
+	if l.Spatial == nil {
+		return l.Post
+	}
+	keys := make([]int32, len(l.Post))
+	rank := int32(0)
+	for _, v := range l.Order {
+		if l.Spatial[v] {
+			rank++
+			keys[v] = rank
+		}
+	}
+	return keys
+}
+
+// Ranked returns the rank-keyed labeling over spatial that l, a
+// post-keyed one, projects to: each interval [lo, hi] becomes the ranks
+// of the spatial vertices whose posts it covers, an empty one is
+// dropped, and neighbours that meet are merged. The map from posts to
+// ranks is monotone, so the result is canonical and equal, set for set,
+// to what Build with Options.Spatial computes directly. Post, Order and
+// Forest are shared with l. It is for labelings read from files written
+// before rank keys; a build should not take this detour.
+func (l *Labeling) Ranked(spatial []bool) *Labeling {
+	l.mustBePostKeyed("Ranked")
+	// below[p] counts the spatial vertices with post ≤ p.
+	below := make([]int32, len(l.Order)+1)
+	for i, v := range l.Order {
+		below[i+1] = below[i]
+		if spatial[v] {
+			below[i+1]++
+		}
+	}
+	out := &Labeling{
+		Post:    l.Post,
+		Order:   l.Order,
+		Labels:  make([]intervals.Set, len(l.Labels)),
+		Forest:  l.Forest,
+		Spatial: spatial,
+	}
+	data := make(intervals.Set, 0, l.TotalLabels())
+	for v, set := range l.Labels {
+		start := len(data)
+		for _, iv := range set {
+			lo, hi := below[iv.Lo-1]+1, below[iv.Hi]
+			if lo > hi {
+				continue
+			}
+			if n := len(data); n > start && data[n-1].Hi+1 >= lo {
+				data[n-1].Hi = hi
+				continue
+			}
+			data = append(data, intervals.Interval{Lo: lo, Hi: hi})
+		}
+		out.Labels[v] = data[start:len(data):len(data)]
+	}
+	out.finishStats(Options{})
+	return out
 }
 
 // PostOf returns the post-order number of v.
@@ -217,7 +317,9 @@ func (l *Labeling) NumVertices() int { return len(l.Post) }
 // itself, by expanding every label interval over the post-order domain
 // (paper §4.1, the SocReach core). fn is called once per descendant; if
 // it returns false the enumeration stops and Descendants returns false.
+// It panics on a rank-keyed labeling, whose labels hold no post.
 func (l *Labeling) Descendants(v int, fn func(u int32) bool) bool {
+	l.mustBePostKeyed("Descendants")
 	for _, iv := range l.Labels[v] {
 		for p := iv.Lo; p <= iv.Hi; p++ {
 			if !fn(l.Order[p-1]) {

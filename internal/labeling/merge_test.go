@@ -96,7 +96,7 @@ func TestMergeLabelEqualsCompress(t *testing.T) {
 		for j, s := range row.succ {
 			before[j] = s.Clone()
 		}
-		got := m.label(l, g, 0)
+		got := m.label(l, g, 0, row.post)
 		want := compressConcat(row.post, row.succ)
 		if !got.Equal(want) {
 			t.Fatalf("row %d (%s): post %d, successors %v: merge = %v, Compress = %v", i, row.name, row.post, row.succ, got, want)

@@ -31,6 +31,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,7 +93,8 @@ type Config struct {
 }
 
 // Server answers RangeReach queries over HTTP. Create with New, expose
-// via Handler, and Close when done to stop the update goroutine.
+// via Handler, and Close when done to drain the handlers and stop the
+// update goroutine.
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
@@ -120,6 +122,13 @@ type Server struct {
 
 	reqID    atomic.Uint64 // request ids for log correlation
 	traceTik atomic.Uint64 // trace-sampling clock
+
+	// drain is held shared by every instrumented handler for its whole
+	// run, and exclusively by Close to set closed: Close returns only
+	// once no handler is inside the index, and a handler that enters
+	// afterwards sees closed and never touches it.
+	drain  sync.RWMutex
+	closed bool
 }
 
 // New builds a Server over the given index.
@@ -256,10 +265,16 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the dynamic updater, failing queued updates with
-// errClosed. In-flight HTTP requests should be drained first
-// (http.Server.Shutdown does).
+// Close drains the server: it waits until no query, batch, update or
+// explain handler is running, and from then on such a request is
+// answered 503 without touching the index. Then it stops the dynamic
+// updater, failing queued updates with errClosed. Once Close returns,
+// the caller may close the index — unmapping an OpenMapped index under
+// a running handler would fault — however the HTTP listener was shut.
 func (s *Server) Close() {
+	s.drain.Lock()
+	s.closed = true
+	s.drain.Unlock()
 	if s.dyn != nil {
 		s.dyn.close()
 	}
@@ -299,11 +314,20 @@ func annotate(w http.ResponseWriter, attrs ...slog.Attr) {
 	}
 }
 
-// instrument wraps a handler with the request counter, the in-flight
-// gauge, the latency histogram, the per-request timeout context, and
-// the structured request log.
+// instrument wraps a handler with the drain (see Close), the request
+// counter, the in-flight gauge, the latency histogram, the per-request
+// timeout context, and the structured request log.
 func (s *Server) instrument(reqs *metrics.Counter, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		// Enter first, then look at the mark: Close sets it only while no
+		// handler is inside, so a handler that sees it clear runs to the
+		// end before Close can return.
+		s.drain.RLock()
+		defer s.drain.RUnlock()
+		if s.closed {
+			s.writeError(w, http.StatusServiceUnavailable, "%v", errClosed)
+			return
+		}
 		reqs.Inc()
 		s.mInflight.Inc()
 		start := time.Now()

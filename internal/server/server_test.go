@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -541,6 +543,79 @@ func TestUpdateAfterClose(t *testing.T) {
 	}
 	if !strings.Contains(body, "closed") {
 		t.Errorf("body %q does not mention closed", body)
+	}
+}
+
+// TestCloseDrainsHandlers pins the server's side of an index's lifetime:
+// Close waits for a handler that is still inside the index, and a
+// request that arrives after Close is answered 503 without reaching it.
+// The last part runs over a mapped index that is unmapped after Close,
+// as rrserve and the cluster harness do: a query that reached the index
+// would fault.
+func TestCloseDrainsHandlers(t *testing.T) {
+	net := testNetwork(t)
+	path := filepath.Join(t.TempDir(), "drain.idx")
+	if err := net.MustBuild(rangereach.ThreeDReach).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := net.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Index: idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A handler blocked inside the index holds Close until it returns.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	h := srv.instrument(srv.mReqQuery, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		w.WriteHeader(http.StatusOK)
+	})
+	query := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodPost, "/v1/query", nil))
+		return rec
+	}
+	go query()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler was still inside the index")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the handler did")
+	}
+
+	// After Close: 503, and the handler never runs.
+	if rec := query(); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "closed") {
+		t.Errorf("request after Close: status %d (%s), want 503", rec.Code, rec.Body)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("handler ran %d times, want only the request before Close", n)
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.NewReader(`{"vertex":0,"region":[0,0,100,100]}`)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", body))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("query on the unmapped index after Close: status %d (%s), want 503", rec.Code, rec.Body)
 	}
 }
 

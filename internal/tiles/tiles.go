@@ -30,8 +30,10 @@ import (
 // CellSize is the number of points in a full cell.
 const CellSize = 32
 
-// Point is one indexed spatial vertex: its location, the post-order
-// number of its component, and its vertex id.
+// Point is one indexed spatial vertex: its location, its component's
+// key on the label axis — the post-order number, or the spatial rank of
+// a rank-keyed labeling; the tiles only need the labels to agree — and
+// its vertex id.
 type Point struct {
 	X, Y     float64
 	Post, ID int32
