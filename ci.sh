@@ -65,7 +65,11 @@ go test ./...
 # edges (TestBuildAllocsCostIndependent). ./internal/labeling guards
 # 3DReach's rank-keyed labels: chains of users interleaved with the
 # venues leave the stored interval count exactly unchanged
-# (TestRankLabelsCostIndependentOfUsers).
+# (TestRankLabelsCostIndependentOfUsers). ./internal/incr guards the
+# split path at 1k and 8k members: the vertices a split visits, for one
+# peel, a second peel and a pivot (TestPeelCostIndependentOfComponentSize),
+# and the components the flush relabels, which leave the giant out
+# unless it lost a successor (TestSplitRelabelCostIndependentOfComponentSize).
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
     ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
@@ -85,8 +89,10 @@ go -C benchmark test ./...
 # validators and the BFS oracle. This replays the committed corpora —
 # including regression inputs under testdata/fuzz — without fuzzing.
 # ./internal/incr's FuzzUpdateStream replays update streams (the
-# merge-then-peel pattern of the churn benchmark, the bridge cases that
-# defeat the split certificate) against a BFS mirror and a rebuild arm.
+# merge-then-peel pattern of the churn benchmark, the bridge cases, and
+# regression inputs for a two-peel split, a pivot split, a peel that
+# loses the giant a successor, and a split into pieces the kept one
+# does not all reach) against a BFS mirror and a rebuild arm.
 # ./internal/tiles's FuzzTiles checks 3DReach's point tiles against a
 # scan of their points: sizes around one cell and past many, duplicate
 # locations, one shared x, region edges on points and on cell bounds,

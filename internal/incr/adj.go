@@ -68,6 +68,31 @@ func (r adjRow) remove(to int32) adjRow {
 	return r
 }
 
+// removeAll deletes the entries for every id in ids that has one: one
+// binary search per id, then one pass that closes the gaps, which moves
+// only the entries after the first one removed.
+func (r adjRow) removeAll(ids []int32) adjRow {
+	var at []int
+	for _, id := range ids {
+		if i, ok := r.find(id); ok {
+			at = append(at, i)
+		}
+	}
+	if len(at) == 0 {
+		return r
+	}
+	slices.Sort(at)
+	w := at[0]
+	for k, i := range at {
+		next := len(r)
+		if k+1 < len(at) {
+			next = at[k+1]
+		}
+		w += copy(r[w:], r[i+1:next])
+	}
+	return r[:w]
+}
+
 // addDAGEdgeCount adds cnt to the refcount of DAG edge (cu, cv) — the
 // number of original edges collapsing onto it — and returns the new
 // count.

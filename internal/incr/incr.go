@@ -150,13 +150,18 @@ type Index struct {
 	// marks of the vertex walks (splitCheck's probes) and the component
 	// walks (propagate, cycleRegion, mergeCycle, relabelCone); peelMark
 	// is a second vertex set for the searches of a peel certificate,
-	// which start afresh per source while vmark's closures persist.
-	vmark, peelMark, cmark flagSet
-	fwd, bwd, peel         closure         // the split probes' searches, kept for their queues
-	restSlot               []int32         // splitCheck: a remainder vertex's index in the local SCC pass
-	sets                   []intervals.Set // relabel merge inputs
-	// probeSteps counts the vertices the split probes have expanded;
-	// the cost guard on peeling reads it.
+	// which start afresh per source while vmark's closures persist;
+	// askMark holds the border vertices one certificate has searched
+	// from, and pivotMark the closure of a pivot certificate's z₀.
+	vmark, peelMark, askMark, pivotMark, cmark flagSet
+	fwd, bwd, peel, pivot                      closure         // the split probes' searches, kept for their queues
+	loose                                      []int32         // the closures certificates peeled off, for the SCC pass
+	restSlot                                   []int32         // splitCheck: a remainder vertex's index in the local SCC pass
+	sets                                       []intervals.Set // relabel merge inputs
+	// probeSteps counts the vertices split checks have visited: each
+	// expansion of a probe or certificate search, and each vertex of a
+	// rest SCC pass. The certificates' budget and the cost guard on
+	// splitting read it.
 	probeSteps int
 }
 

@@ -1,8 +1,6 @@
 package incr
 
 import (
-	"slices"
-
 	"repro/internal/graph"
 	"repro/internal/intervals"
 )
@@ -129,9 +127,11 @@ func (x *Index) mergeCycle(affected []int32) {
 
 	// Rewire DAG adjacency: external edges of absorbed components move
 	// to the survivor (refcounts add); edges internal to the merged
-	// region disappear.
-	x.outC[r] = slices.DeleteFunc(x.outC[r], inA)
-	x.inC[r] = slices.DeleteFunc(x.inC[r], inA)
+	// region disappear. The survivor's own rows lose only the absorbed
+	// ids, found by search: the giant's rows have tens of thousands of
+	// entries, and a region a handful.
+	x.outC[r] = x.outC[r].removeAll(affected)
+	x.inC[r] = x.inC[r].removeAll(affected)
 	for _, c := range affected {
 		if c == r {
 			continue
@@ -205,8 +205,9 @@ func (x *Index) mergeCycle(affected []int32) {
 // probeSplit grows R forward from u and B backward from v in lockstep;
 // the moment they touch, u→v survives and the component is still whole
 // — nearly free in a dense component. On a real split it hands back
-// piece(u) and piece(v), and an SCC pass runs only over the (typically
-// empty) members outside both. The most populous piece keeps c's id,
+// piece(u) and piece(v), certified rather than traversed where one of
+// them is the giant, and an SCC pass runs only over the (typically
+// small) members placed in neither. The most populous piece keeps c's id,
 // post, and venue keys, and only departed members have their comp ids,
 // DAG edges, and venue entries re-derived: peeling a few vertices off a
 // giant component costs the departed members' degree, not the giant's.
@@ -221,47 +222,58 @@ func (x *Index) splitCheck(c int32, u, v int) {
 		return // u still reaches v: still strongly connected
 	}
 
-	// Decompose the remainder m∖(R∪B) into SCCs over its induced
-	// subgraph. Pieces: 0 is R, 1 is B, 2+k is remainder SCC k. After a
-	// certified peel there is no remainder: whatever is outside the
-	// peeled piece is the other endpoint's.
-	var lcomp []int32
-	cnt := 2
+	// Decompose the rest — the members no certificate placed — into SCCs
+	// over its induced subgraph: after a certificate, the closures it
+	// peeled off (x.loose), which are small; without one, everything
+	// outside R and B. Pieces: 0 is R, 1 is B, then the certified
+	// remainder if there is one, then rest SCC k. After a certified peel
+	// the unplaced members are the other endpoint's piece; after a
+	// certified pivot they are one piece of their own.
+	inRest := func(f uint8) bool { return f&loose != 0 || peeled == 0 && f&(inR|inB) == 0 }
+	rest := x.loose
 	if peeled == 0 {
-		if grow := x.n - len(x.restSlot); grow > 0 {
-			x.restSlot = append(x.restSlot, make([]int32, grow)...)
-		}
-		rest := make([]int32, 0, len(m)-nR-nB)
+		rest = make([]int32, 0, len(m)-nR-nB)
 		for _, w := range m {
-			if x.vmark.get(w)&(inR|inB) == 0 {
-				x.restSlot[w] = int32(len(rest))
+			if inRest(x.vmark.get(w)) {
 				rest = append(rest, w)
 			}
 		}
-		b := graph.NewBuilder(len(rest))
-		for i, w := range rest {
-			for _, y := range x.out[w] {
-				if x.comp.at(y) == c && x.vmark.get(y)&(inR|inB) == 0 {
-					b.AddEdge(i, int(x.restSlot[y]))
-				}
+	}
+	if grow := x.n - len(x.restSlot); grow > 0 {
+		x.restSlot = append(x.restSlot, make([]int32, grow)...)
+	}
+	for i, w := range rest {
+		x.restSlot[w] = int32(i)
+	}
+	x.probeSteps += len(rest)
+	b := graph.NewBuilder(len(rest))
+	for i, w := range rest {
+		for _, y := range x.out[w] {
+			if x.comp.at(y) == c && inRest(x.vmark.get(y)) {
+				b.AddEdge(i, int(x.restSlot[y]))
 			}
 		}
-		var rcnt int
-		lcomp, rcnt = b.Build().SCCs()
-		cnt += rcnt
 	}
+	lcomp, rcnt := b.Build().SCCs()
+	first := 2 // the first rest SCC's piece
+	if peeled == inR|inB {
+		first = 3
+	}
+	cnt := first + rcnt
 	pieceOf := func(w int32) int {
 		switch f := x.vmark.get(w); {
 		case f&inR != 0:
 			return 0
 		case f&inB != 0:
 			return 1
+		case inRest(f):
+			return first + int(lcomp[x.restSlot[w]])
 		case peeled == inR:
 			return 1
 		case peeled == inB:
 			return 0
 		default:
-			return 2 + int(lcomp[x.restSlot[w]])
+			return 2
 		}
 	}
 
@@ -279,8 +291,11 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	// The most populous piece inherits c; the rest get fresh ids.
 	sizes := make([]int, cnt)
 	sizes[0], sizes[1] = nR, nB
+	if first == 3 {
+		sizes[2] = len(m) - nR - nB - len(rest)
+	}
 	for _, k := range lcomp {
-		sizes[2+k]++
+		sizes[first+int(k)]++
 	}
 	keep := 0
 	for k, sz := range sizes {
@@ -312,18 +327,27 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	x.members[c] = kept
 
 	// Shrinks are deferred: labels above the split may still cover reach
-	// that went only through departed members. The seeds are every piece
-	// plus every external predecessor whose DAG edge is re-pointed off c
-	// below — the flush's change-pruned relabel reacts to successor-label
-	// changes but cannot see successor-set changes, so comps whose edge
-	// sets this split rewired must be recomputed unconditionally. Every
-	// old ancestor of c reaches one of these seeds, so the entire shrink
-	// cone sits inside the next flush.
+	// that went only through departed members. The seeds are every fresh
+	// piece, the kept piece if it lost a DAG successor, and every
+	// external predecessor whose DAG edge is re-pointed off c below — the
+	// flush's change-pruned relabel reacts to successor-label changes but
+	// cannot see successor-set changes, so comps whose edge sets this
+	// split rewired must be recomputed unconditionally. A kept piece
+	// that lost no successor still has every external successor c had,
+	// and every departed piece's external successors are among them: its
+	// exact label is its old one plus the fresh posts of the pieces it
+	// reaches, which the propagate below adds. So re-deriving it — on
+	// the giant, a merge over tens of thousands of successor labels —
+	// would change nothing. Every old ancestor of c that may shrink
+	// reaches one of these seeds, so the entire shrink cone sits inside
+	// the next flush.
 	if x.pending == nil {
 		x.pending = make(map[int32]bool)
 	}
 	for _, nc := range pieceID {
-		x.pending[nc] = true
+		if nc != c {
+			x.pending[nc] = true
+		}
 	}
 
 	// Re-derive only the DAG edges incident to departed members. Edges
@@ -340,7 +364,9 @@ func (x *Index) splitCheck(c int32, u, v int) {
 					x.addDAGEdge(pw, cy)
 				}
 			default:
-				x.decDAGEdge(c, cy)
+				if x.decDAGEdge(c, cy) == 0 {
+					x.pending[c] = true // the kept piece lost cy
+				}
 				x.addDAGEdge(pw, cy)
 			}
 		}
@@ -386,25 +412,26 @@ func (x *Index) splitCheck(c int32, u, v int) {
 			unlabeled--
 		}
 	}
-	// Every ancestor of a fresh piece must cover the fresh posts; the
-	// rest of a piece's reach was already covered above the split —
-	// any current path into a piece enters through an edge whose tail
-	// reached c before — so the fresh posts are the only new coverage
-	// to push. They are allocated consecutively and compress to one
-	// interval, making the upward walk one cheap merge per ancestor
-	// instead of a full label push per piece.
-	fresh := make(intervals.Set, 0, cnt-1)
-	var preds []int32
+	// Every ancestor of a fresh piece must cover the fresh posts it
+	// reaches; the rest of a piece's reach was already covered above the
+	// split — any current path into a piece enters through an edge whose
+	// tail reached c before — so those are the only new coverage to
+	// push. They must be exactly the ones it reaches: the kept piece is
+	// often no seed, so nothing would heal a fresh post it does not
+	// reach. The fresh posts were allocated consecutively above every
+	// older one, so the ones a piece reaches are the top of its label,
+	// typically one interval: one cheap merge per ancestor.
+	lowest := x.maxPost - int32(cnt-1) + 1
 	for _, nc := range pieceID {
 		if nc == c {
 			continue
 		}
-		fresh = fresh.Add(x.post.at(nc), x.post.at(nc))
+		preds := make([]int32, 0, len(x.inC[nc]))
 		for _, p := range x.inC[nc] {
 			preds = append(preds, p.to)
 		}
+		x.propagate(preds, atOrAbove(x.labels.at(nc), lowest))
 	}
-	x.propagate(preds, fresh.Compress())
 	// Kept members hold their post (and venue z keys); only departed
 	// venues re-key.
 	for _, w := range gone {
@@ -414,6 +441,20 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	}
 	x.stats.Splits++
 	x.maybeCompact()
+}
+
+// atOrAbove returns a copy of the part of the canonical set s at or
+// above lo.
+func atOrAbove(s intervals.Set, lo int32) intervals.Set {
+	i := len(s)
+	for i > 0 && s[i-1].Hi >= lo {
+		i--
+	}
+	top := append(intervals.Set(nil), s[i:]...)
+	if len(top) > 0 {
+		top[0].Lo = max(top[0].Lo, lo)
+	}
+	return top
 }
 
 // releaseSets hands a merge's input list back for the next one, with
@@ -427,7 +468,7 @@ func (x *Index) releaseSets(sets []intervals.Set) {
 const (
 	inR      uint8 = 1 << iota // u reaches it: R, u's piece
 	inB                        // it reaches v: B, v's piece
-	asked                      // a peel certificate has searched from it
+	loose                      // a certificate peeled it with its closure: the SCC pass places it
 	departed                   // it leaves c for a fresh piece
 )
 
@@ -477,12 +518,19 @@ func (x *Index) expand(c int32, s, other *closure, skip uint8) (touched bool) {
 // give a surviving u→v path — so that side is a whole piece S, and what
 // remains is to learn how T = m∖S decomposes. Peeling a vertex or two
 // off a giant component leaves T the giant, so T is not traversed but
-// certified (peelCertificate): on success the pieces are S and T, and
-// peeled names S's flag. Only when the certificate fails, or gives up,
-// does the other side run to completion as well, leaving R and B both
-// readable from vmark and the remainder to splitCheck's SCC pass.
+// certified: every border vertex of S must meet the other endpoint's
+// closure (certify), and if that closure runs dry first, the members in
+// neither closure must form one piece (pivotCertificate). A certificate
+// may peel small closures off T on the way (flagged loose, listed in
+// x.loose), which splitCheck's SCC pass decomposes. On success peeled
+// names the closures that are whole pieces: S's flag, the rest being
+// the other endpoint's piece, or both flags, the rest being one more
+// piece. Only when a certificate fails, or gives up, does the other side
+// run to completion as well, leaving R and B both readable from vmark
+// and everything else to the SCC pass.
 func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) {
 	x.vmark.begin(x.n)
+	x.loose = x.loose[:0]
 	fwd, bwd := &x.fwd, &x.bwd
 	fwd.start(x.out, &x.vmark, inR, u)
 	bwd.start(x.in, &x.vmark, inB, v)
@@ -499,12 +547,18 @@ func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) 
 			return 0, 0, 0, true
 		}
 	}
+	// The certificates share one budget: past |m| expansions, traversing
+	// is no dearer.
 	members := len(x.members[c])
-	if x.peelCertificate(c, whole, part, members) {
-		if whole == fwd {
-			return len(fwd.q), members - len(fwd.q), inR, false
-		}
-		return members - len(bwd.q), len(bwd.q), inB, false
+	limit := x.probeSteps + members
+	ok, dry := x.certify(c, whole.q, whole.adj, part, whole.bit|loose, limit)
+	switch {
+	case ok && whole == fwd:
+		return len(fwd.q), members - len(fwd.q) - len(x.loose), inR, false
+	case ok:
+		return members - len(bwd.q) - len(x.loose), len(bwd.q), inB, false
+	case dry && x.pivotCertificate(c, whole, part, limit):
+		return len(fwd.q), len(bwd.q), inR | inB, false
 	}
 	for !part.exhausted() {
 		x.expand(c, part, whole, 0)
@@ -512,56 +566,117 @@ func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) 
 	return len(fwd.q), len(bwd.q), 0, false
 }
 
-// peelCertificate reports whether T = m∖S is still strongly connected,
-// S being the piece the closure whole has just completed and part the
-// unfinished closure of the other endpoint, which lies in T. It rests
-// on a lemma (DESIGN.md §15, with S = R; S = B is its mirror image):
+// certify is the peel certificate: it reports whether T, the members of
+// c not flagged closed, is still strongly connected, S being the piece
+// whose vertices src lists. It rests on a lemma (DESIGN.md §15, with
+// S = R; S = B is its mirror image):
 //
 //	G'[T] is strongly connected iff every x ∈ T with an edge into R
 //	still reaches v inside T.
 //
-// So for each such border vertex it runs the same lockstep probe, now
-// restricted to T: a fresh search from the border vertex against part,
-// which keeps growing across border vertices — inside T it is exactly
-// the closure it was growing in m, since no path to v passes through
-// the successor-closed R. In the giant component every border vertex
-// meets part within a few expansions. The certificate answers false
-// when a border vertex does not connect (T has split further) or when
-// the searches have expanded more than budget vertices (traversing is
-// then no dearer); the caller falls back to the exhaustive
-// decomposition either way.
-func (x *Index) peelCertificate(c int32, whole, part *closure, budget int) bool {
-	limit := x.probeSteps + budget
+// So for each such border vertex — read along target.adj from S — it
+// runs the split probe's lockstep search again, now restricted to T: a
+// fresh search along search from the border vertex against target, the
+// unfinished closure of the other endpoint, which keeps growing across
+// border vertices (inside T it is exactly the closure it was growing in
+// m, since no path to v passes through the successor-closed R). In the
+// giant component every border vertex meets target within a few
+// expansions.
+//
+// A search that runs dry first has found a closure P that misses v: P
+// is closed as R is, so R ∪ P is successor-closed too, and the lemma
+// holds for it with T∖P, by the same proof. So P is peeled as well —
+// flagged loose and appended to x.loose, which is scanned as sources
+// after src — and the certificate goes on. (A closure peeled to the
+// other side, by an earlier call, has no border in this direction:
+// it is closed the other way, so scanning it finds nothing.)
+// It answers false when the searches have expanded past limit
+// (traversing is then no dearer), and false with dry when target runs
+// dry first: the other endpoint's piece is then complete and small, and
+// pivotCertificate takes over. pivotCertificate also calls certify,
+// with z₀'s closure as target.
+func (x *Index) certify(c int32, src []int32, search [][]int32, target *closure, closed uint8, limit int) (ok, dry bool) {
+	const asked = 1 // a border vertex a search has started from
+	x.askMark.begin(x.n)
 	peel := &x.peel
-	for _, s := range whole.q {
-		for _, y := range part.adj[s] {
-			if x.comp.at(y) != c || x.vmark.get(y)&(whole.bit|asked) != 0 {
-				continue
-			}
-			x.vmark.set(y, asked)
-			if x.vmark.has(y, part.bit) {
+	for i := 0; ; i++ {
+		var s int32
+		switch j := i - len(src); {
+		case j < 0:
+			s = src[i]
+		case j < len(x.loose):
+			s = x.loose[j]
+		default:
+			return true, false
+		}
+		for _, y := range target.adj[s] {
+			if x.comp.at(y) != c || x.vmark.has(y, closed) || !x.askMark.add(y, asked) || target.marks.has(y, target.bit) {
 				continue
 			}
 			x.peelMark.begin(x.n)
-			peel.start(whole.adj, &x.peelMark, 1, y)
+			peel.start(search, &x.peelMark, 1, y)
 			for {
-				if peel.exhausted() || x.probeSteps > limit {
-					return false
+				if x.probeSteps > limit {
+					return false, false
 				}
-				if x.expand(c, peel, part, whole.bit) {
+				if x.expand(c, peel, target, closed) {
 					break
 				}
-				// part exhausted is v's (or u's) whole piece, without y.
-				if part.exhausted() {
-					return false
+				if peel.exhausted() {
+					for _, p := range peel.q {
+						x.vmark.set(p, loose)
+					}
+					x.loose = append(x.loose, peel.q...)
+					break
 				}
-				if x.expand(c, part, peel, 0) {
+				if target.exhausted() {
+					return false, true
+				}
+				if x.expand(c, target, peel, closed) {
 					break
 				}
 			}
 		}
 	}
-	return true
+}
+
+// pivotCertificate handles the shape in which both closures ran dry —
+// typically u and v each a stream vertex, the edge between them the
+// giant's only way through both: R and B are whole pieces, and X, the
+// members in neither and not peeled, is the giant. The lemma (DESIGN.md
+// §15) reads, for any z₀ ∈ X: G'[X] is strongly connected iff every
+// vertex of X with an edge into R reaches z₀ inside X, and z₀ reaches,
+// inside X, every vertex of X that B has an edge to. Two certify calls
+// check the halves, each against z₀'s own closure and each free to
+// peel further; z₀ is taken among the vertices the closure that ran
+// dry second has an edge to (or from), so one of them holds at once.
+func (x *Index) pivotCertificate(c int32, whole, part *closure, limit int) bool {
+	const closed = inR | inB | loose
+	z0 := int32(-1)
+	for _, s := range part.q {
+		for _, y := range whole.adj[s] {
+			if x.comp.at(y) == c && !x.vmark.has(y, closed) {
+				z0 = y
+				break
+			}
+		}
+		if z0 >= 0 {
+			break
+		}
+	}
+	if z0 < 0 {
+		return false
+	}
+	pivot := &x.pivot
+	x.pivotMark.begin(x.n)
+	pivot.start(part.adj, &x.pivotMark, 1, z0)
+	if ok, _ := x.certify(c, whole.q, whole.adj, pivot, closed, limit); !ok {
+		return false
+	}
+	x.pivotMark.begin(x.n)
+	pivot.start(whole.adj, &x.pivotMark, 1, z0)
+	ok, _ := x.certify(c, part.q, part.adj, pivot, closed, limit)
+	return ok
 }
 
 // relabelCone recomputes the labels of the seed components and every

@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -100,35 +101,18 @@ func allocatedBytes(f func()) uint64 {
 // the same number of bytes on a 4k-vertex and on a 64k-vertex index —
 // it shares the columns, it does not copy them — and the writes
 // themselves differ by less than the page tables, the only per-vertex
-// thing a written column still copies (8 bytes per 256 entries).
+// thing a written column still copies (8 bytes per 256 entries). The
+// byte counts are process-wide, so a background allocation (the
+// runtime's, or another test's) can add to one; each measurement is
+// the minimum over five fresh indexes, which no such stray can raise.
 func TestPublishCostIndependentOfVertexCount(t *testing.T) {
-	const touched = 5
+	const touched, repetitions = 5, 5
 	measure := func(n int) (writes, publish uint64) {
-		// n/2 users, n/2 venues, no edges: every vertex its own component.
-		spatial := make([]bool, n)
-		points := make([]geom.Point, n)
-		for v := n / 2; v < n; v++ {
-			spatial[v] = true
-			points[v] = geom.Pt(float64(v%100), float64(v/100%100))
+		writes, publish = math.MaxUint64, math.MaxUint64
+		for range repetitions {
+			w, p := measureOnce(t, n, touched)
+			writes, publish = min(writes, w), min(publish, p)
 		}
-		x := New(dataset.Prepare(&dataset.Network{
-			Name: "flat", Graph: graph.FromEdges(n, nil), Spatial: spatial, Points: points,
-		}), Options{})
-		// One write up front sizes the writer's scratch; after the
-		// snapshot every page is shared.
-		if err := x.AddEdge(n/2-1, n-1); err != nil {
-			t.Fatal(err)
-		}
-		x.Snapshot()
-		writes = allocatedBytes(func() {
-			for i := 0; i < touched; i++ {
-				// More than a page apart, so five pages of labels are copied.
-				if err := x.AddEdge(i*(pageSize+44), n/2+i*(pageSize+44)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		publish = allocatedBytes(func() { x.Snapshot() })
 		return writes, publish
 	}
 	smallWrites, smallPublish := measure(4 << 10)
@@ -142,6 +126,38 @@ func TestPublishCostIndependentOfVertexCount(t *testing.T) {
 		t.Errorf("%d label writes allocated %d bytes on the 4k-vertex index and %d on the 64k-vertex one; want a difference within the page tables' %d",
 			touched, smallWrites, largeWrites, tables)
 	}
+}
+
+// measureOnce builds a fresh n-vertex index and reports the bytes that
+// touched label writes, each on its own page, and then one Snapshot
+// allocate.
+func measureOnce(t *testing.T, n, touched int) (writes, publish uint64) {
+	// n/2 users, n/2 venues, no edges: every vertex its own component.
+	spatial := make([]bool, n)
+	points := make([]geom.Point, n)
+	for v := n / 2; v < n; v++ {
+		spatial[v] = true
+		points[v] = geom.Pt(float64(v%100), float64(v/100%100))
+	}
+	x := New(dataset.Prepare(&dataset.Network{
+		Name: "flat", Graph: graph.FromEdges(n, nil), Spatial: spatial, Points: points,
+	}), Options{})
+	// One write up front sizes the writer's scratch; after the
+	// snapshot every page is shared.
+	if err := x.AddEdge(n/2-1, n-1); err != nil {
+		t.Fatal(err)
+	}
+	x.Snapshot()
+	writes = allocatedBytes(func() {
+		for i := 0; i < touched; i++ {
+			// More than a page apart, so five pages of labels are copied.
+			if err := x.AddEdge(i*(pageSize+44), n/2+i*(pageSize+44)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	publish = allocatedBytes(func() { x.Snapshot() })
+	return writes, publish
 }
 
 // TestMaxLabelIntervalsMatchesWalk pins Stats' page-wise maximum to the
