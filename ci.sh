@@ -119,18 +119,17 @@ if [[ "${1:-}" != "-short" ]]; then
     # work-stealing, dynamic snapshots, parallel-vs-sequential build
     # determinism), the worker pool the parallel build pipeline fans
     # out on, the serving subsystem (snapshot swaps, result cache,
-    # metrics), the adaptive planner (lock-free coefficient EMA,
-    # pin state, concurrent Auto routing — including the parity suite
-    # in ./internal/core), the sharded-serving tier (scatter-gather
-    # fan-out, hedging, health mark-down, shard partitioning), and the
-    # incremental-maintenance engine (randomized update-stream
-    # equivalence against a from-scratch oracle), the R-tree bulk load
-    # (parallel STR slabs and leaf bounds, its only concurrency), the
-    # flat format, and the trace package (the cluster-trace ring, the
-    # build-phase span and the sampler, whose lock discipline only the
-    # race detector checks).
+    # metrics), the engines (Auto's members build concurrently, and
+    # its parity suite runs in ./internal/core), the sharded-serving
+    # tier (scatter-gather fan-out, hedging, health mark-down, shard
+    # partitioning), and the incremental-maintenance engine
+    # (randomized update-stream equivalence against a from-scratch
+    # oracle), the R-tree bulk load (parallel STR slabs and leaf bounds,
+    # its only concurrency), the flat format, and the trace package (the
+    # cluster-trace ring, the build-phase span and the sampler, whose
+    # lock discipline only the race detector checks).
     echo "== go test -race (concurrency surfaces) =="
-    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/planner ./internal/router ./internal/shard ./internal/incr ./internal/rtree ./internal/flatbuf ./internal/trace
+    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/router ./internal/shard ./internal/incr ./internal/rtree ./internal/flatbuf ./internal/trace
 
     # The trace hook sits on every query's hot path; run the overhead
     # benchmark under the race detector so the instrumentation itself is

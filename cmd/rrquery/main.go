@@ -219,15 +219,7 @@ func printStats(qs rangereach.QueryStats) {
 		fmt.Printf("  stage %-10s %v\n", st.Stage, st.Duration)
 	}
 	if qs.Plan != nil {
-		picked := ""
-		if qs.Plan.Explored {
-			picked = "  (exploration)"
-		}
-		fmt.Printf("  plan: routed to %s, predicted %v, actual %v%s\n",
-			qs.Plan.Method, qs.Plan.Predicted, qs.Duration, picked)
-		for _, c := range qs.Plan.Candidates {
-			fmt.Printf("    candidate %-16s work=%-10.1f predicted=%v\n", c.Method, c.Work, c.Predicted)
-		}
+		fmt.Printf("  plan=%s\n", qs.Plan.Method)
 	}
 }
 

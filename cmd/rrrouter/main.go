@@ -22,7 +22,7 @@
 //	POST /v1/update     same wire format as rrserve; routed to the owning shard(s)
 //	GET  /v1/trace/{id} one stitched cluster trace (router + shard spans)
 //	GET  /v1/traces     recent retained traces, newest first
-//	GET  /v1/cluster    federated cluster view (per-shard health, p99, generations, planner mix)
+//	GET  /v1/cluster    federated cluster view (per-shard health, p99, generations)
 //	GET  /healthz       topology + per-shard down list
 //	GET  /metrics       Prometheus text format (per-shard labels + federated rr_cluster_*)
 //

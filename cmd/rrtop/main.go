@@ -2,8 +2,7 @@
 // cluster. It polls a rrrouter's /healthz, /v1/cluster and /v1/traces
 // endpoints and renders one screen per poll: per-shard health, qps
 // (computed from queries_total deltas between polls), latency
-// percentiles, cache hit ratios, planner-choice mix, and the most
-// recently retained traces.
+// percentiles, cache hit ratios, and the most recently retained traces.
 //
 // Usage:
 //
@@ -27,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -48,17 +46,16 @@ type healthz struct {
 }
 
 type shardRow struct {
-	ID              int              `json:"id"`
-	Backend         string           `json:"backend"`
-	Down            bool             `json:"down"`
-	ScrapeError     string           `json:"scrape_error"`
-	ScrapeAgeMillis int64            `json:"scrape_age_ms"`
-	Queries         int64            `json:"queries_total"`
-	Inflight        int64            `json:"inflight"`
-	CacheHitRatio   float64          `json:"cache_hit_ratio"`
-	P50Micros       float64          `json:"p50_micros"`
-	P99Micros       float64          `json:"p99_micros"`
-	Planner         map[string]int64 `json:"planner"`
+	ID              int     `json:"id"`
+	Backend         string  `json:"backend"`
+	Down            bool    `json:"down"`
+	ScrapeError     string  `json:"scrape_error"`
+	ScrapeAgeMillis int64   `json:"scrape_age_ms"`
+	Queries         int64   `json:"queries_total"`
+	Inflight        int64   `json:"inflight"`
+	CacheHitRatio   float64 `json:"cache_hit_ratio"`
+	P50Micros       float64 `json:"p50_micros"`
+	P99Micros       float64 `json:"p99_micros"`
 }
 
 type routerRow struct {
@@ -199,8 +196,8 @@ func render(w io.Writer, base string, prev, cur *snapshot, interval time.Duratio
 
 	// Per-shard table. Columns are fixed-width so live redraws do not
 	// shimmer as values change length.
-	_, _ = fmt.Fprintf(w, "%-5s %-28s %-7s %8s %10s %8s %6s %9s %9s %7s  %s\n",
-		"shard", "backend", "health", "qps", "queries", "inflight", "hit%", "p50", "p99", "age", "planner")
+	_, _ = fmt.Fprintf(w, "%-5s %-28s %-7s %8s %10s %8s %6s %9s %9s %7s\n",
+		"shard", "backend", "health", "qps", "queries", "inflight", "hit%", "p50", "p99", "age")
 	prevQ := map[int]int64{}
 	if prev != nil {
 		for _, s := range prev.Cluster.Shards {
@@ -227,9 +224,9 @@ func render(w io.Writer, base string, prev, cur *snapshot, interval time.Duratio
 		if s.ScrapeAgeMillis >= 0 {
 			age = (time.Duration(s.ScrapeAgeMillis) * time.Millisecond).Truncate(100 * time.Millisecond).String()
 		}
-		_, _ = fmt.Fprintf(w, "%-5d %-28s %-7s %8s %10d %8d %6s %9s %9s %7s  %s\n",
+		_, _ = fmt.Fprintf(w, "%-5d %-28s %-7s %8s %10d %8d %6s %9s %9s %7s\n",
 			s.ID, s.Backend, health, qps, s.Queries, s.Inflight, hit,
-			fmtMicros(s.P50Micros), fmtMicros(s.P99Micros), age, plannerMix(s.Planner))
+			fmtMicros(s.P50Micros), fmtMicros(s.P99Micros), age)
 	}
 
 	_, _ = fmt.Fprintf(w, "\nrecent traces (newest first)\n")
@@ -242,34 +239,6 @@ func render(w io.Writer, base string, prev, cur *snapshot, interval time.Duratio
 			t.Start.Format("15:04:05.000"), t.TraceID, t.Endpoint, t.Status,
 			time.Duration(t.DurationNS).Truncate(time.Microsecond), t.Spans, t.Reason)
 	}
-}
-
-// plannerMix renders a shard's planner-choice counters as a compact
-// "method:share%" list, largest first.
-func plannerMix(counts map[string]int64) string {
-	if len(counts) == 0 {
-		return "-"
-	}
-	var total int64
-	methods := make([]string, 0, len(counts))
-	for m, n := range counts {
-		total += n
-		methods = append(methods, m)
-	}
-	if total == 0 {
-		return "-"
-	}
-	sort.Slice(methods, func(i, j int) bool {
-		if counts[methods[i]] != counts[methods[j]] {
-			return counts[methods[i]] > counts[methods[j]]
-		}
-		return methods[i] < methods[j]
-	})
-	parts := make([]string, len(methods))
-	for i, m := range methods {
-		parts[i] = fmt.Sprintf("%s:%.0f%%", m, 100*float64(counts[m])/float64(total))
-	}
-	return strings.Join(parts, " ")
 }
 
 // fmtMicros renders a microsecond value as a human duration; zero and

@@ -22,8 +22,7 @@ func fixtureRouter(mult int64) http.Handler {
 		fmt.Fprintf(w, `{
 		  "shards":[
 		    {"id":0,"backend":"http://s0","down":false,"scrape_age_ms":150,"queries_total":%d,
-		     "inflight":1,"cache_hit_ratio":0.25,"p50_micros":800,"p99_micros":4200,
-		     "planner":{"3dreach":90,"naive":10}},
+		     "inflight":1,"cache_hit_ratio":0.25,"p50_micros":800,"p99_micros":4200},
 		    {"id":1,"backend":"http://s1","down":true,"scrape_error":"connection refused",
 		     "scrape_age_ms":-1,"queries_total":0,"inflight":0,"cache_hit_ratio":-1,
 		     "p50_micros":0,"p99_micros":0}
@@ -44,9 +43,9 @@ func fixtureRouter(mult int64) http.Handler {
 }
 
 // TestOnceSnapshot: a single poll renders every surface — cluster
-// header, router line, both shard rows with health states, planner
-// mix, and the retained-trace list — with no ANSI escapes, so -once
-// output is grep-safe in CI logs.
+// header, router line, both shard rows with health states, and the
+// retained-trace list — with no ANSI escapes, so -once output is
+// grep-safe in CI logs.
 func TestOnceSnapshot(t *testing.T) {
 	ts := httptest.NewServer(fixtureRouter(1))
 	defer ts.Close()
@@ -64,7 +63,6 @@ func TestOnceSnapshot(t *testing.T) {
 		"reqs=500 errs=3",
 		"cluster_p99=4.5ms",
 		"http://s0",
-		"3dreach:90% naive:10%",
 		"DOWN",
 		"0af7651916cd43dd8448eb211c80319c",
 		"7 spans  slow",
@@ -114,15 +112,5 @@ func TestPollUnreachable(t *testing.T) {
 	dead.Close()
 	if _, err := poll(client, dead.URL, 5); err == nil {
 		t.Fatal("poll of a dead target must error")
-	}
-}
-
-func TestPlannerMix(t *testing.T) {
-	if got := plannerMix(nil); got != "-" {
-		t.Fatalf("empty mix = %q, want -", got)
-	}
-	got := plannerMix(map[string]int64{"a": 1, "b": 3})
-	if got != "b:75% a:25%" {
-		t.Fatalf("mix = %q, want largest first with shares", got)
 	}
 }

@@ -44,18 +44,12 @@ func parallelTestNetwork(t *testing.T, seed int64) *rangereach.Network {
 // TestParallelBuildByteIdentical is the end-to-end determinism gate for
 // the parallel build pipeline: for every persistable method, an index
 // built with 8 workers must serialize to exactly the bytes of the
-// sequential build, and must pass deep validation. Auto runs with
-// calibration disabled — its persisted cost coefficients are
-// timing-derived, the one part of an index that is *meant* to differ
-// between runs.
+// sequential build, and must pass deep validation.
 func TestParallelBuildByteIdentical(t *testing.T) {
 	net := parallelTestNetwork(t, 17)
 	methods := append(append([]rangereach.Method(nil), rangereach.Methods...), rangereach.MethodAuto)
 	for _, m := range methods {
 		opts := []rangereach.Option{rangereach.WithParallelism(1)}
-		if m == rangereach.MethodAuto {
-			opts = append(opts, rangereach.WithAutoCalibration(-1, 0))
-		}
 		seq, err := net.Build(m, opts...)
 		if err != nil {
 			t.Fatalf("%v: sequential build: %v", m, err)

@@ -70,34 +70,15 @@ type QueryStats struct {
 	// means they need not sum exactly to Duration.
 	Stages []StageStat `json:"stages,omitempty"`
 
-	// Plan is the adaptive planner's routing decision — only present on
-	// MethodAuto indexes. Compare Plan.Predicted against Duration to
-	// judge the cost model's accuracy on this query.
+	// Plan names the member that answered — only present on MethodAuto
+	// indexes.
 	Plan *PlanStats `json:"plan,omitempty"`
 }
 
-// PlanStats describes how the adaptive planner routed one query.
+// PlanStats describes how a MethodAuto index routed one query.
 type PlanStats struct {
 	// Method is the member engine the query was routed to.
 	Method string `json:"method"`
-	// Predicted is the cost model's latency prediction for that member.
-	Predicted time.Duration `json:"predicted_ns"`
-	// Explored reports the pick was an exploration tick (round-robin)
-	// rather than the cost-model argmin.
-	Explored bool `json:"explored,omitempty"`
-	// Candidates holds every member's work estimate and prediction, in
-	// routing order.
-	Candidates []PlanCandidate `json:"candidates,omitempty"`
-}
-
-// PlanCandidate is one member engine's entry in a routing decision.
-type PlanCandidate struct {
-	Method string `json:"method"`
-	// Work is the planner's work estimate for this member (descendant
-	// mass, region candidates, cuboid count — per the member's kind).
-	Work float64 `json:"work"`
-	// Predicted is the modeled latency at that work.
-	Predicted time.Duration `json:"predicted_ns"`
 }
 
 // StageStat is one pipeline stage's share of a query's execution.
@@ -133,17 +114,8 @@ func statsFromSpan(method string, sp trace.Span, total time.Duration) QueryStats
 			qs.Stages = append(qs.Stages, StageStat{Stage: st.String(), Duration: d})
 		}
 	}
-	if sp.Plan != nil {
-		ps := &PlanStats{
-			Method:     sp.Plan.Method,
-			Predicted:  sp.Plan.Predicted,
-			Explored:   sp.Plan.Explored,
-			Candidates: make([]PlanCandidate, len(sp.Plan.Candidates)),
-		}
-		for i, c := range sp.Plan.Candidates {
-			ps.Candidates[i] = PlanCandidate{Method: c.Method, Work: c.Work, Predicted: c.Predicted}
-		}
-		qs.Plan = ps
+	if sp.Plan != "" {
+		qs.Plan = &PlanStats{Method: sp.Plan}
 	}
 	return qs
 }
@@ -175,10 +147,7 @@ func (qs QueryStats) String() string {
 		fmt.Fprintf(&b, " %s=%v", st.Stage, st.Duration)
 	}
 	if qs.Plan != nil {
-		fmt.Fprintf(&b, " plan=%s predicted=%v", qs.Plan.Method, qs.Plan.Predicted)
-		if qs.Plan.Explored {
-			b.WriteString(" explored")
-		}
+		fmt.Fprintf(&b, " plan=%s", qs.Plan.Method)
 	}
 	return b.String()
 }

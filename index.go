@@ -15,6 +15,9 @@ type Option func(*buildConfig)
 
 type buildConfig struct {
 	opts core.BuildOptions
+	// autoErr names a WithAutoMembers argument without an engine; a
+	// MethodAuto Build returns it.
+	autoErr error
 	// dynFullRebuild switches BuildDynamic to the old full-rebuild
 	// update path (see WithFullRebuildUpdates).
 	dynFullRebuild bool
@@ -75,41 +78,24 @@ func WithBFLBits(bits int) Option {
 }
 
 // WithAutoMembers selects the member engines of a MethodAuto composite
-// (default: SocReach, ThreeDReachRev, SpaReachINT). Naive and
+// (default: ThreeDReach alone). Every query goes to the member that
+// ranks first in a fixed preference order: ThreeDReach, ThreeDReachRev,
+// SpaReachINT, SpaReachBFL, SpaReachPLL, SocReach, GeoReach. Naive and
 // MethodAuto itself are not valid members; at most eight members are
-// supported. Duplicates and unknown methods surface as a Build error.
+// supported. Duplicates and invalid members surface as a Build error
+// that names them.
 func WithAutoMembers(members ...Method) Option {
 	return func(c *buildConfig) {
 		c.opts.Auto.Members = nil
+		c.autoErr = nil
 		for _, m := range members {
-			if cm, ok := m.internal(); ok {
-				c.opts.Auto.Members = append(c.opts.Auto.Members, cm)
-			} else {
-				// Invalid members become MethodAuto, which BuildAuto
-				// rejects with a clear error instead of silently dropping.
-				c.opts.Auto.Members = append(c.opts.Auto.Members, core.MethodAuto)
+			cm, ok := m.internal()
+			if !ok {
+				c.autoErr = fmt.Errorf("rangereach: auto member %v is not an indexed method", m)
+				return
 			}
+			c.opts.Auto.Members = append(c.opts.Auto.Members, cm)
 		}
-	}
-}
-
-// WithAutoExplore sets MethodAuto's exploration cadence: every Nth
-// query is routed round-robin instead of by predicted cost, so members
-// the model currently disfavors keep their coefficients fresh. n = 0
-// keeps the default (every 64th query); n < 0 disables exploration for
-// fully deterministic routing.
-func WithAutoExplore(n int) Option {
-	return func(c *buildConfig) { c.opts.Auto.Explore = n }
-}
-
-// WithAutoCalibration sets the number of microbenchmark queries run at
-// build time to seed MethodAuto's per-member cost coefficients
-// (default 32). n < 0 skips calibration; seed makes the calibration
-// workload deterministic.
-func WithAutoCalibration(n int, seed int64) Option {
-	return func(c *buildConfig) {
-		c.opts.Auto.Calibrate = n
-		c.opts.Auto.Seed = seed
 	}
 }
 
@@ -211,6 +197,9 @@ func (n *Network) Build(m Method, options ...Option) (*Index, error) {
 	if !ok {
 		return nil, fmt.Errorf("rangereach: unknown method %v", m)
 	}
+	if m == MethodAuto && cfg.autoErr != nil {
+		return nil, cfg.autoErr
+	}
 	res, err := core.BuildMethod(n.prep, cm, cfg.opts)
 	if err != nil {
 		return nil, err
@@ -262,7 +251,7 @@ func (idx *Index) RangeReach(v int, r Rect) bool {
 func (idx *Index) Network() *Network { return idx.net }
 
 // PlannerMembers returns the member engine names of a MethodAuto index
-// in routing order, and nil for fixed-method indexes.
+// in stored order, and nil for fixed-method indexes.
 func (idx *Index) PlannerMembers() []string {
 	auto, ok := idx.engine.(*core.Auto)
 	if !ok {
@@ -274,15 +263,4 @@ func (idx *Index) PlannerMembers() []string {
 		names[i] = e.Name()
 	}
 	return names
-}
-
-// PlannerChoices returns how many queries the planner has routed to
-// each member so far, aligned with PlannerMembers. Nil for fixed-method
-// indexes.
-func (idx *Index) PlannerChoices() []int64 {
-	auto, ok := idx.engine.(*core.Auto)
-	if !ok {
-		return nil
-	}
-	return auto.Choices()
 }

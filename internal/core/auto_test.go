@@ -8,12 +8,11 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/labeling"
 	"repro/internal/trace"
 )
 
 // autoParityMembers are the member sets the parity suite sweeps: the
-// default trio, a spatial-heavy set, and a set including the extended
+// default, a spatial-heavy set, and a set including the extended
 // (non-persistable) PLL variant.
 var autoParityMembers = [][]Method{
 	nil, // DefaultAutoMembers
@@ -21,12 +20,10 @@ var autoParityMembers = [][]Method{
 	{MethodSocReach, MethodSpaReachPLL, MethodGeoReach},
 }
 
-// TestAutoParity is the planner parity suite: the composite must return
-// exactly the ground-truth answer — and therefore agree with every
-// member — across synthetic datasets (cyclic, acyclic, spatial-SCC),
-// region sizes from tiny to everything, both MBR policies, and with the
-// exploration path forced hot (Explore: 2 routes every other query
-// round-robin).
+// TestAutoParity is the composite's parity suite: it must return
+// exactly the ground-truth answer, and so must every member, across
+// synthetic datasets (cyclic, acyclic, spatial-SCC), region sizes from
+// tiny to everything, and both SCC policies.
 func TestAutoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 12; trial++ {
@@ -45,7 +42,7 @@ func TestAutoParity(t *testing.T) {
 			for _, policy := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
 				res, err := BuildMethod(prep, MethodAuto, BuildOptions{
 					Policy: policy,
-					Auto:   AutoOptions{Members: members, Explore: 2, Seed: int64(trial)},
+					Auto:   AutoOptions{Members: members},
 				})
 				if err != nil {
 					t.Fatalf("trial %d members %v policy %v: %v", trial, members, policy, err)
@@ -68,58 +65,8 @@ func TestAutoParity(t *testing.T) {
 						}
 					}
 				}
-				total := int64(0)
-				for _, c := range auto.Choices() {
-					total += c
-				}
-				if total != 30 {
-					t.Fatalf("choice tallies sum to %d, want 30 routed queries", total)
-				}
 			}
 		}
-	}
-}
-
-// TestAutoSharesLabeling checks the core satellite: members that consume
-// a forward labeling receive the *same* labeling object instead of each
-// recomputing SCC condensation + intervals.
-func TestAutoSharesLabeling(t *testing.T) {
-	rng := rand.New(rand.NewSource(223))
-	prep := dataset.Prepare(randomNetwork(rng, 40, 25, true))
-	res, err := BuildMethod(prep, MethodAuto, BuildOptions{
-		Auto: AutoOptions{
-			Members:   []Method{MethodSocReach, MethodSpaReachINT, MethodThreeDReach, MethodThreeDReachRev},
-			Calibrate: -1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto := res.Engine.(*Auto)
-	soc := auto.Members()[0].(*SocReach)
-	spa := auto.Members()[1].(*SpaReach)
-	threeD := auto.Members()[2].(*ThreeDReach)
-	rev := auto.Members()[3].(*ThreeDReachRev)
-	if spa.reach.(*labeling.Labeling) != soc.l {
-		t.Error("SpaReach-INT built its own labeling instead of sharing SocReach's")
-	}
-	if threeD.l != soc.l {
-		t.Error("3DReach built its own labeling instead of sharing SocReach's")
-	}
-	if rev.rev == soc.l {
-		t.Error("3DReach-Rev shares the forward labeling; it needs the reversed one")
-	}
-
-	// The dedup must show up in the accounting: net of the estimator's
-	// own tables, the composite's footprint is smaller than the sum of
-	// its members (three of which would otherwise own a labeling copy).
-	var sum int64
-	for _, e := range auto.Members() {
-		sum += e.MemoryBytes()
-	}
-	engines := auto.MemoryBytes() - auto.Planner().Estimator().MemoryBytes()
-	if engines >= sum {
-		t.Errorf("member bytes %d not deduplicated below member sum %d", engines, sum)
 	}
 }
 
@@ -137,7 +84,7 @@ func TestAutoBuildErrors(t *testing.T) {
 		{"unknown", []Method{Method(99)}},
 	}
 	for _, tc := range cases {
-		if _, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Members: tc.members, Calibrate: -1}}); err == nil {
+		if _, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Members: tc.members}}); err == nil {
 			t.Errorf("%s member set accepted", tc.name)
 		}
 	}
@@ -152,7 +99,7 @@ func TestAutoMBRKeepsNonMBRMembers(t *testing.T) {
 	prep := dataset.Prepare(net)
 	res, err := BuildMethod(prep, MethodAuto, BuildOptions{
 		Policy: dataset.MBR,
-		Auto:   AutoOptions{Members: []Method{MethodSocReach, MethodSpaReachINT}, Calibrate: -1},
+		Auto:   AutoOptions{Members: []Method{MethodSocReach, MethodSpaReachINT}},
 	})
 	if err != nil {
 		t.Fatalf("MBR composite with SocReach member: %v", err)
@@ -167,86 +114,45 @@ func TestAutoMBRKeepsNonMBRMembers(t *testing.T) {
 	}
 }
 
-// TestAutoTracePlan checks the traced path reports the routing decision
-// and per-candidate predictions.
+// TestAutoTracePlan checks that a traced query names the member the
+// preference order ranks first, whatever the stored order.
 func TestAutoTracePlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(233))
 	net := randomNetwork(rng, 30, 20, true)
 	prep := dataset.Prepare(net)
-	auto, err := BuildAuto(prep, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sp trace.Span
-	auto.RangeReachTraced(rng.Intn(net.NumVertices()), randomRegion(rng), &sp)
-	if sp.Plan == nil {
-		t.Fatal("traced auto query left Span.Plan nil")
-	}
-	if len(sp.Plan.Candidates) != len(auto.Members()) {
-		t.Fatalf("plan has %d candidates, want %d", len(sp.Plan.Candidates), len(auto.Members()))
-	}
-	found := false
-	for _, c := range sp.Plan.Candidates {
-		if c.Method == sp.Plan.Method {
-			found = true
-			if c.Predicted != sp.Plan.Predicted {
-				t.Error("chosen candidate's prediction differs from plan prediction")
+	for _, tc := range []struct {
+		members []Method
+		want    string
+	}{
+		{nil, "3DReach"},
+		{[]Method{MethodGeoReach, MethodSocReach, MethodSpaReachBFL}, "SpaReach-BFL"},
+		{[]Method{MethodSocReach, MethodThreeDReachRev, MethodSpaReachINT}, "3DReach-Rev"},
+	} {
+		auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Members: tc.members}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 10; q++ {
+			var sp trace.Span
+			auto.RangeReachTraced(rng.Intn(net.NumVertices()), randomRegion(rng), &sp)
+			if sp.Plan != tc.want {
+				t.Fatalf("members %v: traced plan %q, want %q", tc.members, sp.Plan, tc.want)
 			}
 		}
-		if c.Predicted <= 0 {
-			t.Errorf("candidate %s has non-positive prediction %v", c.Method, c.Predicted)
-		}
-	}
-	if !found {
-		t.Errorf("chosen method %q not among candidates", sp.Plan.Method)
-	}
-
-	// The untraced path must not record a plan anywhere (nil span is
-	// exercised simply by not panicking and answering consistently).
-	if got, want := auto.RangeReach(0, randomRegion(rng)), auto.RangeReach(0, randomRegion(rng)); got != want {
-		_ = got // answers on the same query must be stable
-		t.Error("untraced auto answers unstable")
-	}
-}
-
-// TestAutoCalibrationSeedsCoefs checks the build-time microbenchmark
-// actually moves the coefficients off the uniform prior.
-func TestAutoCalibrationSeedsCoefs(t *testing.T) {
-	rng := rand.New(rand.NewSource(239))
-	prep := dataset.Prepare(randomNetwork(rng, 60, 40, true))
-	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := auto.Planner().Model()
-	moved := false
-	for i := range auto.Members() {
-		c := model.Coef(i)
-		if c <= 0 {
-			t.Fatalf("member %d coefficient %g not positive", i, c)
-		}
-		if c != 1e-7 {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Error("calibration left every coefficient at the prior")
 	}
 }
 
 // TestAutoPersistRoundtrip saves a composite and reloads it: same
-// answers, same member set, and the learned coefficients survive.
+// answers, same member set in the same order, same routed member.
 func TestAutoPersistRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
 	net := spatialCycleNetwork(rng, 80)
 	prep := dataset.Prepare(net)
-	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Seed: 3}})
+	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
+		Members: []Method{MethodSocReach, MethodThreeDReachRev, MethodSpaReachINT},
+	}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Warm the feedback loop so persisted coefficients are learned ones.
-	for q := 0; q < 200; q++ {
-		auto.RangeReach(rng.Intn(net.NumVertices()), randomRegion(rng))
 	}
 
 	var buf bytes.Buffer
@@ -268,11 +174,9 @@ func TestAutoPersistRoundtrip(t *testing.T) {
 		if e.Name() != auto.Members()[i].Name() {
 			t.Fatalf("member %d is %s, want %s", i, e.Name(), auto.Members()[i].Name())
 		}
-		got := loaded.Planner().Model().Coef(i)
-		want := auto.Planner().Model().Coef(i)
-		if got != want {
-			t.Errorf("member %d coefficient %g, want persisted %g", i, got, want)
-		}
+	}
+	if loaded.route.Name() != auto.route.Name() {
+		t.Errorf("loaded composite routes to %s, built one to %s", loaded.route.Name(), auto.route.Name())
 	}
 	truth := NewNaiveBFS(net)
 	for q := 0; q < 50; q++ {
@@ -291,8 +195,7 @@ func TestAutoPersistNotPersistableMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	prep := dataset.Prepare(randomNetwork(rng, 15, 10, true))
 	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
-		Members:   []Method{MethodSocReach, MethodSpaReachPLL},
-		Calibrate: -1,
+		Members: []Method{MethodSocReach, MethodSpaReachPLL},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -305,13 +208,15 @@ func TestAutoPersistNotPersistableMember(t *testing.T) {
 }
 
 // TestAutoConcurrentQueries hammers one composite from several
-// goroutines; run under -race (ci.sh does) to validate the lock-free
-// feedback and tally paths.
+// goroutines; run under -race (ci.sh does) to check that routing shares
+// no mutable state.
 func TestAutoConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(257))
 	net := randomNetwork(rng, 50, 30, true)
 	prep := dataset.Prepare(net)
-	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Explore: 3, Calibrate: -1}})
+	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
+		Members: []Method{MethodSocReach, MethodThreeDReachRev, MethodSpaReachINT},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,13 +252,6 @@ func TestAutoConcurrentQueries(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	var total int64
-	for _, c := range auto.Choices() {
-		total += c
-	}
-	if want := int64(4 * 20 * len(full)); total != want {
-		t.Fatalf("choice tallies sum to %d, want %d", total, want)
 	}
 }
 

@@ -35,9 +35,8 @@ const (
 	// SpaReach-GRAIL variants. Both loaders reject them like any other
 	// byte that names no method.
 
-	// MethodAuto is the adaptive composite: a set of complementary
-	// member engines over shared labeling state, with a cost-based
-	// planner routing each query to the predicted-cheapest member.
+	// MethodAuto is the composite: a set of member engines, of which the
+	// one a fixed preference order ranks first answers every query.
 	MethodAuto Method = 9
 )
 
@@ -113,7 +112,7 @@ type BuildOptions struct {
 	GeoReach GeoReachOptions
 	// SocReach carries the social-first options.
 	SocReach SocReachOptions
-	// Auto carries the adaptive-composite options (MethodAuto only).
+	// Auto carries the composite's options (MethodAuto only).
 	Auto AutoOptions
 }
 

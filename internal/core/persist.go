@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/bfl"
 	"repro/internal/dataset"
@@ -31,8 +30,8 @@ import (
 // georeach.Read stream (SocReach puts a reserved flags byte first). The
 // Auto composite nests: its payload is a member count, the members' own
 // tagged sections (each a complete header + payload, so the loader
-// dispatches on the embedded method byte), and the planner's learned
-// cost coefficients.
+// dispatches on the embedded method byte), and one float64 per member
+// that once held a cost coefficient and is now read and ignored.
 
 var engineMagic = [4]byte{'R', 'R', 'I', 'X'}
 
@@ -176,15 +175,14 @@ func loadEngineFrom(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions)
 }
 
 // loadAuto reads the composite payload: the member sections, then the
-// learned cost coefficients. Calibration is skipped — the persisted
-// coefficients carry what the previous process learned.
+// ignored per-member coefficients.
 func loadAuto(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions, policy dataset.SCCPolicy) (*Auto, error) {
 	var n uint8
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("core: reading auto member count: %w", err)
 	}
-	if n == 0 || int(n) > maxAutoMembers() {
-		return nil, fmt.Errorf("core: auto member count %d out of range [1,%d]", n, maxAutoMembers())
+	if n == 0 || int(n) > maxAutoMembers {
+		return nil, fmt.Errorf("core: auto member count %d out of range [1,%d]", n, maxAutoMembers)
 	}
 	methods := make([]Method, n)
 	engines := make([]Engine, n)
@@ -199,41 +197,8 @@ func loadAuto(br *bufio.Reader, prep *dataset.Prepared, opts BuildOptions, polic
 		methods[i] = res.Method
 		engines[i] = res.Engine
 	}
-	coefs := make([]float64, n)
-	for i := range coefs {
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("core: reading auto coefficients: %w", err)
-		}
-		coefs[i] = math.Float64frombits(bits)
+	if _, err := br.Discard(8 * int(n)); err != nil {
+		return nil, fmt.Errorf("core: reading auto coefficients: %w", err)
 	}
-
-	a := assembleAuto(prep, policy, methods, engines, opts.Auto, harvestForward(prep, opts, engines))
-	for i, c := range coefs {
-		a.pl.Model().SetCoef(i, c)
-	}
-	return a, nil
-}
-
-// harvestForward recovers a forward labeling of prep.DAG for the
-// planner's estimator from one of the loaded members, falling back to a
-// fresh build when no member carries one. ThreeDReachRev is excluded:
-// its labeling is over the reversed DAG; so is a rank-keyed ThreeDReach,
-// whose labels hold no user's post.
-func harvestForward(prep *dataset.Prepared, opts BuildOptions, engines []Engine) *labeling.Labeling {
-	for _, e := range engines {
-		switch eng := e.(type) {
-		case *SocReach:
-			return eng.l
-		case *ThreeDReach:
-			if eng.l.Spatial == nil {
-				return eng.l
-			}
-		case *SpaReach:
-			if l, ok := eng.reach.(*labeling.Labeling); ok {
-				return l
-			}
-		}
-	}
-	return labeling.Build(prep.DAG, labeling.Options{Forest: opts.SocReach.Forest})
+	return newAuto(policy, methods, engines), nil
 }

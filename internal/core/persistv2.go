@@ -29,9 +29,9 @@ import (
 // carries a manifest section (scalar metadata, little-endian packed
 // structs) plus the column sections its method needs. The manifest's
 // first bytes are {method u8, policy u8, flags u16}; the Auto root
-// manifest instead carries the member method list and the planner's
-// learned coefficients, and each member's own manifest follows under
-// its owner id.
+// manifest instead carries the member method list and one f64 per
+// member (a former cost coefficient, written as autoCoef and ignored on
+// load), and each member's own manifest follows under its owner id.
 //
 // Emission order is fixed (manifest, then columns in kind order, owners
 // ascending), columns are canonical (sorted grid keys, BFS tree layout,
@@ -89,6 +89,11 @@ const (
 	threeDFlagRanks = 1 << 4
 )
 
+// autoCoef fills the Auto manifest's per-member coefficient field. The
+// value is the uncalibrated prior of the cost model that once read it,
+// so an index saves to the same bytes it did then.
+const autoCoef = 1e-7
+
 // Packed little-endian manifest records (binary.Write lays out fields
 // in order with no padding).
 type manifestHeader struct {
@@ -137,8 +142,8 @@ func SaveEngine(w io.Writer, e Engine) error {
 		for _, m := range auto.methods {
 			mustWrite(&man, uint8(m))
 		}
-		for i := range auto.members {
-			mustWrite(&man, auto.pl.Model().Coef(i))
+		for range auto.members {
+			mustWrite(&man, autoCoef)
 		}
 		fw.Append(0, secManifest, man.Bytes())
 		for i, member := range auto.members {
@@ -744,16 +749,16 @@ func loadSpaTreeV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, policy da
 }
 
 // loadAutoV2 assembles the composite: the root manifest carries the
-// member list and learned coefficients, each member its own manifest
-// and columns under owner i+1.
+// member list and the ignored coefficients, each member its own
+// manifest and columns under owner i+1.
 func loadAutoV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared, opts BuildOptions, policy dataset.SCCPolicy) (*Auto, error) {
 	var n uint8
 	if err := readManifest(mr, 0, &n); err != nil {
 		return nil, err
 	}
-	if n == 0 || int(n) > maxAutoMembers() {
+	if n == 0 || int(n) > maxAutoMembers {
 		return nil, fmt.Errorf("core: %w: auto member count %d out of range [1,%d]",
-			flatbuf.ErrFormat, n, maxAutoMembers())
+			flatbuf.ErrFormat, n, maxAutoMembers)
 	}
 	methods := make([]Method, n)
 	for i := range methods {
@@ -763,7 +768,7 @@ func loadAutoV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared, op
 		}
 		methods[i] = Method(mb)
 	}
-	coefs := make([]float64, n)
+	coefs := make([]float64, n) // read past, never used
 	if err := readManifest(mr, 0, &coefs); err != nil {
 		return nil, err
 	}
@@ -790,11 +795,7 @@ func loadAutoV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared, op
 		}
 		engines[i] = e
 	}
-	a := assembleAuto(prep, policy, methods, engines, opts.Auto, harvestForward(prep, opts, engines))
-	for i, c := range coefs {
-		a.pl.Model().SetCoef(i, c)
-	}
-	return a, nil
+	return newAuto(policy, methods, engines), nil
 }
 
 // OpenMappedEngine memory-maps a v2 index file and assembles its engine

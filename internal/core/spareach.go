@@ -82,13 +82,6 @@ func NewSpaReachINT(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
 	})
 }
 
-// NewSpaReachINTWithLabeling builds SpaReach-INT around an existing
-// forward labeling of prep.DAG, so composite builds (MethodAuto) can
-// share one labeling across engines instead of recomputing it.
-func NewSpaReachINTWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts SpaReachOptions) *SpaReach {
-	return newSpaReach("SpaReach-INT", prep, l, opts)
-}
-
 // NewSpaReachPLL builds the SpaReach-PLL engine, the 2-hop-labeled
 // spatial-first variant Sarwat and Sun evaluate in [47] (paper §2.2.1).
 func NewSpaReachPLL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {

@@ -29,8 +29,8 @@ import (
 // smaller post, L(c) holds the ranks of c's spatial descendants, and a
 // point's or box's z is its component's rank. A run of user posts
 // between two venue runs then costs no interval. The engine takes its
-// keys from its labeling, so one read from a file written before ranks,
-// or shared by Auto, answers in post space through the same code.
+// keys from its labeling, so one read from a file written before ranks
+// answers in post space through the same code.
 type ThreeDReach struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
@@ -76,8 +76,8 @@ func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 }
 
 // NewThreeDReachWithLabeling builds the engine around an existing
-// labeling of prep.DAG — e.g. one reloaded from disk (see LoadEngine) or
-// shared with another engine — keyed by post or by spatial rank over
+// labeling of prep.DAG — e.g. one reloaded from disk (see LoadEngine) —
+// keyed by post or by spatial rank over
 // prep.HasSpatial; the index's z is whichever key the labeling has. The
 // spatial index is rebuilt from the network, which is cheap relative to
 // labeling construction.

@@ -21,8 +21,8 @@ import (
 // one whose post-order interleaves venues with users, so that many of a
 // post-keyed label's intervals reach into the 3D index (the cost guard
 // checks it). Each case comes keyed both ways: by spatial rank, as
-// NewThreeDReach builds it, and by post, as Auto's shared labeling and
-// files written before ranks key it.
+// NewThreeDReach builds it, and by post, as files written before ranks
+// key it.
 type fragmentedCase struct {
 	name          string
 	prep          *dataset.Prepared

@@ -9,14 +9,13 @@ import (
 // evaluation runs through them, so a stray clock read is pure per-query
 // overhead and skews benchmark numbers. Timing belongs to the trace
 // package's Start/End helpers (nil-safe, free when disabled) or to the
-// callers (rrbench, rrserve). Build-time and calibration code inside
-// these packages escapes with a justified //lint:ignore hotclock.
+// callers (rrbench, rrserve). Build-time code inside these packages
+// escapes with a justified //lint:ignore hotclock.
 // Matching is by path prefix so fixture and future subpackages inherit
 // the rule.
 var hotPackages = []string{
 	"repro/internal/core",
 	"repro/internal/rtree",
-	"repro/internal/planner",
 	"repro/internal/labeling",
 	"repro/internal/intervals",
 	"repro/internal/graph",

@@ -197,9 +197,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for monotonic counts maintained elsewhere (e.g. the planner's
-// per-member routing tallies). fn must be safe for concurrent calls and
-// must never decrease.
+// time — for monotonic counts maintained elsewhere. fn must be safe for
+// concurrent calls and must never decrease.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.register(metric{name: name, help: help, typ: "counter", cf: fn})
 }

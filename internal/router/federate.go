@@ -46,7 +46,6 @@ type shardScrape struct {
 	// generation; 0 for static shards (which never export the gauge).
 	Gen     float64
 	Buckets metrics.Buckets
-	Planner map[string]float64
 }
 
 // federator holds the latest federated snapshot. The scrape path is
@@ -208,16 +207,6 @@ func digestShard(samples []metrics.Sample, now time.Time) shardScrape {
 		s.P50 = b.Quantile(0.5)
 		s.P99 = b.Quantile(0.99)
 	}
-	for _, sm := range samples {
-		if sm.Name == "rr_planner_choice_total" {
-			if m := sm.Label("method"); m != "" {
-				if s.Planner == nil {
-					s.Planner = make(map[string]float64)
-				}
-				s.Planner[m] += sm.Value
-			}
-		}
-	}
 	return s
 }
 
@@ -315,8 +304,7 @@ type clusterShard struct {
 	P99Micros       float64 `json:"p99_micros"`
 	// Gen is the shard's published dynamic snapshot generation; 0 for
 	// static shards.
-	Gen     uint64           `json:"gen"`
-	Planner map[string]int64 `json:"planner,omitempty"`
+	Gen uint64 `json:"gen"`
 }
 
 // clusterRouter is the router's own corner of the /v1/cluster view.
@@ -372,12 +360,6 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 		row.ScrapeAgeMillis = -1
 		if !s.When.IsZero() {
 			row.ScrapeAgeMillis = time.Since(s.When).Milliseconds()
-		}
-		if len(s.Planner) > 0 {
-			row.Planner = make(map[string]int64, len(s.Planner))
-			for m, v := range s.Planner {
-				row.Planner[m] = int64(v)
-			}
 		}
 		for bound, cum := range s.Buckets {
 			merged[bound] += cum

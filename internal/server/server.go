@@ -177,18 +177,6 @@ func New(cfg Config) (*Server, error) {
 				"Index build time attributed to each pipeline phase.", nil)
 			h.Observe(ph.Duration.Seconds())
 		}
-		// MethodAuto indexes expose how the planner routes queries; the
-		// tallies live in the engine, so scrape-time CounterFuncs read
-		// them instead of maintaining parallel counters.
-		if members := cfg.Index.PlannerMembers(); len(members) > 0 {
-			for i, name := range members {
-				i := i
-				s.reg.CounterFunc(
-					fmt.Sprintf("rr_planner_choice_total{method=%q}", name),
-					"Queries the adaptive planner routed to each member engine.",
-					func() int64 { return cfg.Index.PlannerChoices()[i] })
-			}
-		}
 	}
 	s.reg.GaugeFunc("go_goroutines", "Number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })

@@ -115,26 +115,6 @@ func (st Stage) String() string {
 	}
 }
 
-// PlanCandidate is one engine's slice of a routing decision: its work
-// estimate and the cost model's predicted latency.
-type PlanCandidate struct {
-	Method    string
-	Work      float64
-	Predicted time.Duration
-}
-
-// PlanInfo records the adaptive planner's routing decision for one
-// query: the chosen engine, its predicted latency, whether the pick was
-// an exploration tick, and every candidate's estimate. Only the Auto
-// engine populates it, and only on traced queries — the untraced hot
-// path never allocates it.
-type PlanInfo struct {
-	Method     string
-	Predicted  time.Duration
-	Explored   bool
-	Candidates []PlanCandidate
-}
-
 // Span collects the counters and per-stage durations of one query
 // evaluation. The zero value is ready to use; a nil *Span disables
 // collection (every method nil-checks and returns).
@@ -144,15 +124,16 @@ type Span struct {
 	// does not have stay zero. Nested stages are not double-counted:
 	// engines time disjoint phases only.
 	Durations [NumStages]time.Duration
-	// Plan is the adaptive planner's decision, when one was made.
-	Plan *PlanInfo
+	// Plan names the member engine an Auto composite routed the query
+	// to; empty for every other engine.
+	Plan string
 }
 
-// SetPlan attaches the planner decision to the span. A no-op on a nil
-// span, so engines can call it unconditionally.
-func (s *Span) SetPlan(p *PlanInfo) {
+// SetPlan records the routed member's name. A no-op on a nil span, so
+// engines can call it unconditionally.
+func (s *Span) SetPlan(method string) {
 	if s != nil {
-		s.Plan = p
+		s.Plan = method
 	}
 }
 

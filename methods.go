@@ -40,11 +40,9 @@ const (
 	// landmark labeling) reachability probes — the first SpaReach
 	// variant of Sarwat and Sun's original paper.
 	SpaReachPLL
-	// MethodAuto is the adaptive composite: it builds a small set of
-	// complementary engines (SocReach + 3DReach-Rev + SpaReach-INT by
-	// default, see WithAutoMembers) over shared labeling state and
-	// routes each query to the engine a cost model predicts to be
-	// cheapest, refining the model online from observed latencies.
+	// MethodAuto is the composite: it builds a set of member engines
+	// (ThreeDReach alone by default, see WithAutoMembers) and answers
+	// every query with the member a fixed preference order ranks first.
 	MethodAuto
 )
 
