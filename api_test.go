@@ -2,6 +2,7 @@ package rangereach_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -207,6 +208,80 @@ func TestSetRectGeometries(t *testing.T) {
 	}
 	if _, err := rangereach.NewNetworkBuilder(1).SetRect(5, rangereach.NewRect(0, 0, 1, 1)).Build(); err == nil {
 		t.Error("out-of-range SetRect accepted")
+	}
+}
+
+// TestNonFiniteCoordinates: a NaN or infinite coordinate is rejected
+// where it enters — the builder, the text loader, MoveVenue and AddVenue
+// — because no index can place it. A finite venue far outside the
+// initial space still answers a region that reaches to +Inf as Naive
+// does, on every method and on the dynamic index.
+func TestNonFiniteCoordinates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// User 0 checks into venues 100..199, spread over [0, 100]².
+	build := func(set func(b *rangereach.NetworkBuilder)) (*rangereach.Network, error) {
+		b := rangereach.NewNetworkBuilder(200)
+		for v := 100; v < 200; v++ {
+			b.AddEdge(0, v).SetPoint(v, float64(v-100), float64(v%10)*10)
+		}
+		set(b)
+		return b.Build()
+	}
+	for name, set := range map[string]func(b *rangereach.NetworkBuilder){
+		"SetPoint NaN":  func(b *rangereach.NetworkBuilder) { b.SetPoint(150, nan, 5) },
+		"SetPoint +Inf": func(b *rangereach.NetworkBuilder) { b.SetPoint(150, 5, inf) },
+		"SetPoint -Inf": func(b *rangereach.NetworkBuilder) { b.SetPoint(150, -inf, 5) },
+		"SetRect +Inf":  func(b *rangereach.NetworkBuilder) { b.SetRect(150, rangereach.NewRect(0, 0, inf, 5)) },
+		"SetRect NaN":   func(b *rangereach.NetworkBuilder) { b.SetRect(150, rangereach.Rect{MinX: nan, MaxX: 1, MaxY: 1}) },
+	} {
+		if _, err := build(set); err == nil {
+			t.Errorf("%s: Build accepted it", name)
+		}
+	}
+	for _, line := range []string{"p 1 NaN 5", "p 1 5 +Inf", "g 1 0 0 Inf 5"} {
+		_, err := rangereach.ReadNetwork(strings.NewReader("geosocial 1\nvertices 2\n" + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%q: want an error naming line 3, got %v", line, err)
+		}
+	}
+
+	net, err := build(func(*rangereach.NetworkBuilder) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := net.BuildDynamic()
+	if err := dyn.MoveVenue(150, inf, 3); err == nil {
+		t.Error("MoveVenue to +Inf accepted")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "NaN") {
+				t.Errorf("AddVenue(NaN, 5): want a panic naming the coordinates, got %v", r)
+			}
+		}()
+		dyn.AddVenue(nan, 5)
+	}()
+
+	far := rangereach.NewRect(1000, 0, inf, 20)
+	if err := dyn.MoveVenue(150, 2000, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !dyn.RangeReach(0, far) || !dyn.Snapshot().RangeReach(0, far) {
+		t.Error("dynamic index: the venue moved to (2000, 3) is not found in [1000, +Inf] × [0, 20]")
+	}
+	moved, err := build(func(b *rangereach.NetworkBuilder) { b.SetPoint(150, 2000, 3) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append([]rangereach.Method{rangereach.Naive}, rangereach.Methods...)
+	for _, m := range append(all, rangereach.ExtendedMethods...) {
+		idx, err := moved.Build(m)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if !idx.RangeReach(0, far) {
+			t.Errorf("%v: the venue at (2000, 3) is not found in [1000, +Inf] × [0, 20]", m)
+		}
 	}
 }
 

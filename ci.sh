@@ -66,6 +66,12 @@ go test ./...
 # 3DReach's rank-keyed labels: chains of users interleaved with the
 # venues leave the stored interval count exactly unchanged
 # (TestRankLabelsCostIndependentOfUsers). ./internal/incr guards the
+# dynamic read path: a fragmented label's probe visits no more tile
+# slabs, cells and points than the label-blind walk of its region and
+# tests no more overlay entries than the region's grid cells hold
+# (TestProbeCostIndependentOfLabelFragmentation), and tests the same
+# overlay entries whether 1k or 16k lie in other cells
+# (TestOverlayProbeCostIndependentOfOverlaySize). It also guards the
 # split path at 1k and 8k members: the vertices a split visits, for one
 # peel, a second peel and a pivot (TestPeelCostIndependentOfComponentSize),
 # and the components the flush relabels, which leave the giant out
@@ -89,14 +95,18 @@ go -C benchmark test ./...
 # validators and the BFS oracle. This replays the committed corpora —
 # including regression inputs under testdata/fuzz — without fuzzing.
 # ./internal/incr's FuzzUpdateStream replays update streams (the
-# merge-then-peel pattern of the churn benchmark, the bridge cases, and
+# merge-then-peel pattern of the churn benchmark, the bridge cases,
+# venues moved twice in one epoch, moved across grid cells and folded,
+# or added outside the initial space, a network with extents, and
 # regression inputs for a two-peel split, a pivot split, a peel that
 # loses the giant a successor, and a split into pieces the kept one
-# does not all reach) against a BFS mirror and a rebuild arm.
+# does not all reach) against a BFS mirror and a rebuild arm; every
+# publish runs Validate, label exactness on live posts included.
 # ./internal/tiles's FuzzTiles checks 3DReach's point tiles against a
-# scan of their points: sizes around one cell and past many, duplicate
-# locations, one shared x, region edges on points and on cell bounds,
-# labels of 1 to 64 intervals.
+# scan of their points, with and without a tombstone filter: sizes
+# around one cell and past many, duplicate locations, one shared x,
+# region edges on points and on cell bounds, labels of 1 to 64
+# intervals.
 echo "== fuzz (seed corpus) =="
 go test -run 'Fuzz' . ./internal/incr ./internal/tiles
 

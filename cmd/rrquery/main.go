@@ -24,8 +24,8 @@
 // -explain with -target asks an rrserve for the profile (its
 // /v1/explain). That is how to see one query's cost on an updatable
 // index: against rrserve -dynamic, "labels inspected" is the interval
-// count of the vertex's label and "overlay entries" the overlay it
-// scanned.
+// count of the vertex's label and "overlay entries" the overlay
+// entries it tested.
 //
 // -trace sends a W3C traceparent with the query and prints the stitched
 // cluster trace fetched back from the router's /v1/trace/{id}: one

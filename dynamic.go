@@ -27,9 +27,11 @@ type DynamicIndex struct {
 }
 
 // BuildDynamic constructs an updatable 3DReach index over the
-// network's current state. Options that apply to the dynamic engine —
-// WithParallelism, WithRTreeFanout, WithFullRebuildUpdates — take
-// effect; the rest are ignored.
+// network's current state. Two options apply to the dynamic engine:
+// WithParallelism (the workers of its labeling builds) and
+// WithFullRebuildUpdates. The rest, WithRTreeFanout included, are
+// ignored: the dynamic index keeps its venues in the static 3DReach
+// engine's point tiles and a grid-bucketed overlay, not in an R-tree.
 func (n *Network) BuildDynamic(options ...Option) *DynamicIndex {
 	var cfg buildConfig
 	for _, o := range options {
@@ -44,7 +46,6 @@ func (n *Network) BuildDynamic(options ...Option) *DynamicIndex {
 	}
 	return &DynamicIndex{engine: incr.New(n.prep, incr.Options{
 		Mode:        mode,
-		Fanout:      cfg.opts.ThreeD.Fanout,
 		Parallelism: cfg.opts.Parallelism,
 	})}
 }
@@ -56,7 +57,8 @@ func (idx *DynamicIndex) NumVertices() int { return idx.engine.NumVertices() }
 // AddUser appends a social vertex and returns its id.
 func (idx *DynamicIndex) AddUser() int { return idx.engine.AddUser() }
 
-// AddVenue appends a spatial vertex at (x, y) and returns its id.
+// AddVenue appends a spatial vertex at (x, y) and returns its id. It
+// panics, naming the coordinates, if either is NaN or infinite.
 func (idx *DynamicIndex) AddVenue(x, y float64) int { return idx.engine.AddVenue(x, y) }
 
 // AddEdge inserts a follow/check-in edge (from, to). An edge that
@@ -70,8 +72,9 @@ func (idx *DynamicIndex) AddEdge(from, to int) error { return idx.engine.AddEdge
 // out of range or the edge does not exist.
 func (idx *DynamicIndex) DeleteEdge(from, to int) error { return idx.engine.DeleteEdge(from, to) }
 
-// MoveVenue relocates venue v to (x, y). It returns an error if v is
-// out of range or not a venue.
+// MoveVenue relocates venue v to (x, y); a venue with an extent
+// becomes a point. It returns an error if v is out of range or not a
+// venue, or if a coordinate is NaN or infinite.
 func (idx *DynamicIndex) MoveVenue(v int, x, y float64) error { return idx.engine.MoveVenue(v, x, y) }
 
 // UpdateStats reports how the index has absorbed its updates so far.
@@ -87,17 +90,19 @@ type UpdateStats struct {
 	// FullRebuilds counts dirty-fraction fallbacks (in
 	// WithFullRebuildUpdates mode, every absorbed batch).
 	FullRebuilds int
-	// Folds counts overlay folds into the base R-tree.
+	// Folds counts overlay folds into fresh base tiles.
 	Folds int
 	// SplitChecks counts deletes inside a component that ran a local
 	// strong-connectivity probe, whether or not it split.
 	SplitChecks int
 
 	// The rest is current state, not history: what a query pays for.
-	// OverlayLen is the number of venue entries patched beside the base
-	// R-tree and StaleLen the base entries they supersede (tombstones);
-	// every query that misses the base scans the overlay once, and both
-	// return to zero at the next fold.
+	// OverlayLen is the number of venue entries kept beside the base
+	// tiles — venues patched since the last fold, and every venue with
+	// an extent, once per grid cell it covers — and StaleLen the base
+	// entries they supersede (tombstones). A query that misses the base
+	// tests only the overlay entries of the grid cells its region meets.
+	// A fold empties both, extents apart.
 	OverlayLen int
 	StaleLen   int
 	// LiveComps and DeadComps count strongly connected components in
@@ -145,9 +150,9 @@ func (idx *DynamicIndex) MemoryBytes() int64 { return idx.engine.MemoryBytes() }
 // It is safe for concurrent use by any number of goroutines, including
 // while the index it was taken from continues to be updated by its
 // single writer. Taking a snapshot costs what the updates since the
-// last one changed, not what the index holds: per-vertex state is
-// shared with the index page by page and the bulk spatial structure by
-// pointer; only the venues patched since the last fold are copied.
+// last one changed, not what the index holds: per-vertex state and the
+// tombstones are shared with the index page by page, and the base tiles
+// and the overlay by pointer.
 // Nothing writes through a DynamicSnapshot once it is returned: readers
 // share it without a lock.
 type DynamicSnapshot struct {
@@ -166,10 +171,11 @@ func (s *DynamicSnapshot) NumVertices() int { return s.snap.NumVertices() }
 
 // RangeReach reports whether vertex v reached a spatial vertex inside r
 // at capture time. It panics if v is out of the snapshot's range. The
-// cost is one search of the base R-tree plus at most one pass over the
-// venues patched since the last fold (UpdateStats.OverlayLen), however
-// many intervals updates have split v's label into; Explain reports
-// both per query.
+// cost is one walk of the base tiles, as the static 3DReach engine
+// walks them, plus the overlay entries of the grid cells r meets,
+// however many intervals updates have split v's label into and however
+// many venues were patched since the last fold; Explain reports both
+// per query.
 func (s *DynamicSnapshot) RangeReach(v int, r Rect) bool {
 	return s.snap.RangeReach(v, r.internal())
 }

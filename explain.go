@@ -35,8 +35,9 @@ type QueryStats struct {
 	// labels consulted by probes).
 	Labels int64 `json:"labels,omitempty"`
 	// IndexNodes and IndexLeaves count the internal and leaf nodes of
-	// the spatial index (R-tree, k-d tree, grid) whose bounds
-	// intersected a query box and were therefore expanded.
+	// the spatial index whose bounds met the query and were therefore
+	// expanded: R-tree nodes and leaves, or 3DReach's tile slabs and
+	// cells.
 	IndexNodes  int64 `json:"index_nodes,omitempty"`
 	IndexLeaves int64 `json:"index_leaves,omitempty"`
 	// IndexEntries counts leaf entries tested against a query box,
@@ -44,9 +45,10 @@ type QueryStats struct {
 	IndexEntries int64 `json:"index_entries,omitempty"`
 	// OverlayEntries is the part of IndexEntries a dynamic index tested
 	// in its overlay (venues patched since the last fold) instead of in
-	// its R-tree: at most the overlay's size, once per query. Together
-	// with Labels — the interval count of the query vertex's label — it
-	// says how far updates have degraded the index this query ran on.
+	// its base tiles: entries in the grid cells the region cuts whose
+	// post is in the label. Together with Labels — the interval count of
+	// the query vertex's label — it says how far updates have degraded
+	// the index this query ran on.
 	OverlayEntries int64 `json:"overlay_entries,omitempty"`
 	// Candidates is the number of spatial candidates SpaReach pulled
 	// out of its phase-1 range query.

@@ -162,12 +162,12 @@ func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool 
 // meets, joining each cell's posts with the label (tiles.Tiles.Any).
 // Over boxes, a one-interval label is the paper's single cuboid query;
 // a longer one is not the paper's loop of cuboid queries, which
-// re-descends the tree once per interval, but one traversal pruned by
-// labeling.MeetsCuboids, which expands the union of the nodes those
-// queries would, each once (see anyInLabel).
+// re-descends the tree once per interval, but one traversal that
+// expands the union of the nodes those queries would, each once (see
+// anyInLabel).
 func (e *ThreeDReach) witness(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	if e.points != nil {
-		return e.points.Any(r, label, sp)
+		return e.points.Any(r, label, nil, sp)
 	}
 	if e.exactBoxes {
 		if len(label) == 1 {
@@ -197,9 +197,14 @@ func (e *ThreeDReach) witness(r geom.Rect, label intervals.Set, sp *trace.Span) 
 // anyInLabel reports whether t holds an entry e inside r × some
 // interval of label with keep(e.ID), in one traversal that expands a
 // node only where its rectangle meets r and its z-range overlaps the
-// label.
+// label: the union of the cuboids 3DReach queries for L(v) (paper
+// §4.2), tested in O(log |label|) on node bounds and entries alike.
+// Entry z is a post-order number (or rank) and node bounds are unions
+// of entries, so the float z bounds convert exactly.
 func anyInLabel(t *rtree.Flat[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span, keep func(id int32) bool) bool {
-	return t.SearchAnyWhere(sp, func(b *geom.Box3) bool { return labeling.MeetsCuboids(b, r, label) }, keep)
+	return t.SearchAnyWhere(sp, func(b *geom.Box3) bool {
+		return b.Rect().Intersects(r) && label.OverlapsCanonical(int32(b.Min.Z), int32(b.Max.Z))
+	}, keep)
 }
 
 // anyID accepts every witness: the trees whose hits need no

@@ -169,6 +169,9 @@ func Load(r io.Reader) (*Network, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("dataset: line %d: bad coordinates", line)
 			}
+			if !geom.RectFromPoint(geom.Pt(x, y)).Finite() {
+				return nil, fmt.Errorf("dataset: line %d: coordinates (%v, %v) are not finite", line, x, y)
+			}
 			net.Spatial[id] = true
 			net.Points[id] = geom.Pt(x, y)
 		case "g":
@@ -193,6 +196,9 @@ func Load(r io.Reader) (*Network, error) {
 				}
 			}
 			r := geom.NewRect(c[0], c[1], c[2], c[3])
+			if !r.Finite() {
+				return nil, fmt.Errorf("dataset: line %d: coordinates %v are not finite", line, c)
+			}
 			if net.Extents == nil {
 				net.Extents = make([]geom.Rect, b.NumVertices())
 			}

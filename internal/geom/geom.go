@@ -47,6 +47,18 @@ func (r Rect) Valid() bool {
 	return r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y
 }
 
+// Finite reports whether every coordinate of r is a finite number: not
+// NaN and not infinite. Stored geometry must be; a query region need
+// not.
+func (r Rect) Finite() bool {
+	for _, c := range [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Width returns the extent of r along the x axis.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 

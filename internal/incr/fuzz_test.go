@@ -12,9 +12,10 @@ import (
 // bytes each (kind, a, b), applied to an incremental index, to a
 // FullRebuild-mode index and to the BFS mirror alike. At every publish
 // the index and the snapshot must validate — Validate includes "the
-// components are the graph's strongly connected components" — and
-// every vertex must answer a grid of regions as the mirror does, on the
-// live index, the snapshot and the rebuild arm.
+// components are the graph's strongly connected components" and "each
+// label is exact on live posts" — and every vertex must answer a grid
+// of regions as the mirror does, on the live index, the snapshot and
+// the rebuild arm.
 const (
 	fzAddEdge = iota
 	fzDelEdge
@@ -22,12 +23,16 @@ const (
 	fzAddVenue
 	fzMoveVenue
 	fzPublish
+	// fzExtents as the first op gives the base network's venues extents
+	// of up to 25 × 25, a and b setting width and height; elsewhere it
+	// does nothing.
+	fzExtents
 	fzKinds
 )
 
 // fuzzBase is the stream's starting network: two 3-cycles of users, 0–2
 // and 3–5, joined one way by 0 → 3, and four venues checked into from
-// both.
+// both, spanning [5, 95]².
 func fuzzBase() *dataset.Network {
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {0, 3}, {1, 6}, {2, 7}, {4, 8}, {5, 9}}
 	spatial := make([]bool, 10)
@@ -65,10 +70,33 @@ func FuzzUpdateStream(f *testing.F) {
 	// Venues: added, linked, moved, and a user that follows only some.
 	f.Add(stream(op(fzAddVenue, 200, 10), op(fzAddEdge, 2, 10), op(fzMoveVenue, 0, 77), op(fzAddVenue, 10, 250),
 		op(fzPublish, 0, 0), op(fzMoveVenue, 4, 130), op(fzAddUser, 0, 0), op(fzAddEdge, 12, 11), op(fzAddEdge, 11, 12)))
+	// A venue moved twice in one epoch, then back into its old cell.
+	f.Add(stream(op(fzMoveVenue, 1, 20), op(fzMoveVenue, 1, 240), op(fzPublish, 0, 0), op(fzMoveVenue, 1, 100),
+		op(fzMoveVenue, 1, 80), op(fzPublish, 0, 0)))
+	// Venues moved across cells, which passes the fold threshold at the
+	// publish; then a move out of the fresh base and a merge re-keying it.
+	f.Add(stream(op(fzMoveVenue, 0, 250), op(fzMoveVenue, 3, 3), op(fzPublish, 0, 0), op(fzMoveVenue, 2, 128),
+		op(fzAddEdge, 6, 0), op(fzPublish, 0, 0), op(fzDelEdge, 6, 0)))
+	// Venues added outside the initial space, into the border cells, and
+	// reached from both cycles.
+	f.Add(stream(op(fzAddVenue, 0, 0), op(fzAddVenue, 255, 255), op(fzAddVenue, 0, 255), op(fzAddEdge, 1, 10),
+		op(fzAddEdge, 4, 11), op(fzPublish, 0, 0), op(fzMoveVenue, 5, 0), op(fzAddEdge, 5, 12)))
+	// An extent network: extents stay in the overlay, one replica per
+	// grid cell; a move turns one into a point.
+	f.Add(stream(op(fzExtents, 120, 60), op(fzAddVenue, 128, 128), op(fzAddEdge, 0, 10), op(fzPublish, 0, 0),
+		op(fzMoveVenue, 2, 40), op(fzAddEdge, 9, 3), op(fzPublish, 0, 0), op(fzDelEdge, 9, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps, maxVertices = 256, 96
 		net := fuzzBase()
+		if len(data) >= 3 && data[0]%fzKinds == fzExtents {
+			net.Extents = make([]geom.Rect, len(net.Spatial))
+			for v, p := range net.Points {
+				if net.Spatial[v] {
+					net.Extents[v] = geom.NewRect(p.X, p.Y, p.X+float64(data[1])/10, p.Y+float64(data[2])/10)
+				}
+			}
+		}
 		prep := dataset.Prepare(net)
 		x := New(prep, Options{OverlayMin: 4})
 		rebuildArm := New(prep, Options{Mode: FullRebuild})
@@ -139,13 +167,15 @@ func FuzzUpdateStream(f *testing.F) {
 						if k--; k < 0 {
 							p := geom.Pt(coord(byte(b)), coord(byte(b*7)))
 							both(func(ix *Index) error { return ix.MoveVenue(v, p.X, p.Y) })
-							m.points[v] = p
+							m.move(v, p)
 							break
 						}
 					}
 				}
 			case fzPublish:
 				publish(i / 3)
+			case fzExtents:
+				// Decoded above, as the first op.
 			}
 		}
 		publish(len(data) / 3)

@@ -4,18 +4,20 @@
 // the style of DAGGER (Yildirim et al.): cycle-closing inserts merge
 // the affected super-vertices, deletes split lazily with a bounded
 // recompute frontier, and interval labels are re-derived only over the
-// affected ancestor cone. Spatial state follows the same philosophy —
-// venue entries are patched in place through a bounded overlay that is
-// periodically folded into the immutable base R-tree, and a coarse
-// occupancy grid (GeoReach-style) is maintained per mutation as a
-// conservative query prefilter.
+// affected ancestor cone. Spatial state follows the same philosophy
+// (spatial.go): the base is the static engine's point tiles
+// (internal/tiles) keyed by post, superseded entries are tombstoned in
+// a paged column, and patched venues go to an overlay bucketed by the
+// cells of a coarse occupancy grid (GeoReach-style), which is also a
+// conservative query prefilter. The overlay is periodically folded into
+// fresh tiles.
 //
 // The resulting post-order numbering is sparse: merges and splits
 // retire component posts, which are never reused (maxPost only grows).
-// That is safe because no live venue entry ever carries a dead z — a
+// That is safe because no live venue entry ever carries a dead post — a
 // dead post inside a label interval can therefore never produce a
 // false positive — and it is what keeps patches local: live posts stay
-// valid forever, so the base tree never needs re-keying. When the
+// valid forever, so the base never needs re-keying. When the
 // patch frontier would exceed a dirty fraction of the live components,
 // or retired posts outnumber live ones, the engine falls back to a
 // full rebuild, which re-densifies everything.
@@ -30,8 +32,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intervals"
 	"repro/internal/labeling"
-	"repro/internal/pool"
-	"repro/internal/rtree"
+	"repro/internal/tiles"
 )
 
 // Mode selects how the index absorbs updates.
@@ -51,10 +52,8 @@ const (
 type Options struct {
 	// Mode selects incremental patching (default) or full rebuilds.
 	Mode Mode
-	// Fanout is the base R-tree fanout (0 = library default).
-	Fanout int
-	// Parallelism bounds the workers used by full rebuilds and base
-	// folds (0/1 = sequential).
+	// Parallelism bounds the workers used by full rebuilds' labeling
+	// (0/1 = sequential).
 	Parallelism int
 	// DirtyFraction is the patch-frontier threshold: when a relabel
 	// cone (or a split's piece count) exceeds this fraction of the
@@ -66,8 +65,9 @@ type Options struct {
 	// disables the fallback. Set a lower fraction to force rebuilds on
 	// wide cones (useful as an A/B lever). 0 means the default.
 	DirtyFraction float64
-	// OverlayMin is the overlay+tombstone size below which the base is
-	// never folded. 0 means the default of 128.
+	// OverlayMin is the count of foldable overlay entries plus
+	// tombstones below which the base is never folded. 0 means the
+	// default of 128.
 	OverlayMin int
 }
 
@@ -85,10 +85,10 @@ type Stats struct {
 	ConeRelabels   int // bounded ancestor-cone relabel passes
 	RelabeledComps int // total components relabeled by those passes
 	FullRebuilds   int // dirty-fraction (or mode) fallbacks taken
-	Folds          int // overlay folds into the base R-tree
+	Folds          int // overlay folds into fresh base tiles
 	LiveComps      int // current live components
 	DeadComps      int // retired component slots since the last rebuild
-	OverlayLen     int // current overlay entries
+	OverlayLen     int // current overlay entries, an extent's replicas each
 	StaleLen       int // current base tombstones
 	// MaxLabelIntervals is the widest live label, the fragmentation the
 	// update stream has caused. Stats refreshes it from the label pages
@@ -103,11 +103,10 @@ type Index struct {
 	opts Options
 
 	// Original graph: mutable adjacency over original vertex ids.
-	n          int
-	out, in    [][]int32
-	spatial    paged[bool]
-	geo        []geom.Rect // venue geometry; zero for social vertices
-	hasExtents bool
+	n       int
+	out, in [][]int32
+	spatial paged[bool]
+	geo     []geom.Rect // venue geometry; zero for social vertices
 
 	// Live condensation. Component ids index these slices; retired ids
 	// keep alive=false, nil members and post 0 until the next rebuild.
@@ -124,13 +123,17 @@ type Index struct {
 	liveComps  int
 	deadComps  int
 
-	// Spatial state: immutable base + bounded overlay + tombstones.
-	base       *rtree.Flat[geom.Box3]
-	overlay    []rtree.Entry[geom.Box3]
-	overlayIdx map[int32]int      // venue id → overlay slot
-	stale      map[int32]struct{} // venue ids whose base entry is superseded
-	inBase     []bool             // venue present in base (as of last fold)
-	grid       *occGrid
+	// Spatial state (spatial.go): immutable base tiles, their
+	// tombstones, the overlay as of the last flush and the venues queued
+	// for the next.
+	base    *tiles.Tiles
+	basePos []int32     // venue → its position in the base columns; -1 if none
+	dead    paged[bool] // per base position: superseded by an overlay entry
+	tombs   int         // dead base entries
+	ov      *overlay
+	patched []int32 // venues patched since the last flush, in patch order
+	marks   flagSet // the venues a flush enters into the overlay afresh
+	grid    *occGrid
 
 	dirty bool // FullRebuild mode: a mutation is pending
 	// pending holds components whose labels may have shrunk after DAG
@@ -175,15 +178,15 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 	}
 	n := prep.Net.NumVertices()
 	x := &Index{
-		opts:       opts,
-		n:          n,
-		out:        make([][]int32, n),
-		in:         make([][]int32, n),
-		spatial:    pagedFrom(slices.Clone(prep.Net.Spatial)),
-		geo:        make([]geom.Rect, n),
-		hasExtents: prep.Net.HasExtents(),
-		inBase:     make([]bool, n),
-		grid:       newOccGrid(prep.Net.Space()),
+		opts:    opts,
+		n:       n,
+		out:     make([][]int32, n),
+		in:      make([][]int32, n),
+		spatial: pagedFrom(slices.Clone(prep.Net.Spatial)),
+		geo:     make([]geom.Rect, n),
+		basePos: make([]int32, n),
+		ov:      &overlay{},
+		grid:    newOccGrid(prep.Net.Space()),
 	}
 	for u := 0; u < n; u++ {
 		if adj := prep.Net.Graph.Out(u); len(adj) > 0 {
@@ -211,13 +214,16 @@ func (x *Index) Name() string { return "3DReach-Dynamic" }
 // NumVertices returns the current number of vertices.
 func (x *Index) NumVertices() int { return x.n }
 
-// Stats returns operation counters plus current structural sizes.
+// Stats returns operation counters plus current structural sizes. It
+// flushes the venues patched since the last read, so the sizes are
+// those a query would see.
 func (x *Index) Stats() Stats {
+	x.flushSpatial()
 	s := x.stats
 	s.LiveComps = x.liveComps
 	s.DeadComps = x.deadComps
-	s.OverlayLen = len(x.overlay)
-	s.StaleLen = len(x.stale)
+	s.OverlayLen = x.ov.n
+	s.StaleLen = x.tombs
 	s.MaxLabelIntervals = x.labelWidth.widest(x.labels.column)
 	return s
 }
@@ -283,7 +289,8 @@ func (x *Index) MemoryBytes() int64 {
 	b += int64(edges) * 8 // out + in
 	b += int64(x.comp.len())*4 + int64(x.post.len())*4
 	b += x.base.MemoryBytes()
-	b += int64(len(x.overlay)) * 28
+	b += int64(x.dead.len()) // one byte per tombstone flag
+	b += x.ov.memoryBytes()
 	b += int64(len(x.grid.cells)) * 4
 	return b
 }
@@ -294,8 +301,14 @@ func (x *Index) AddUser() int {
 	return v
 }
 
-// AddVenue appends a spatial vertex at (x, y) and returns its id.
+// AddVenue appends a spatial vertex at (x, y) and returns its id. It
+// panics if a coordinate is NaN or infinite, as RangeReach does for an
+// out-of-range vertex: the caller is at fault, and there is no error to
+// return.
 func (x *Index) AddVenue(px, py float64) int {
+	if err := checkFinite(px, py); err != nil {
+		panic(err)
+	}
 	v := x.addVertex(true)
 	x.geo[v] = geom.RectFromPoint(geom.Pt(px, py))
 	x.grid.add(x.geo[v])
@@ -306,6 +319,14 @@ func (x *Index) AddVenue(px, py float64) int {
 	return v
 }
 
+// checkFinite rejects a location the grid and the tiles cannot place.
+func checkFinite(px, py float64) error {
+	if !geom.RectFromPoint(geom.Pt(px, py)).Finite() {
+		return fmt.Errorf("incr: venue location (%v, %v) is not finite", px, py)
+	}
+	return nil
+}
+
 func (x *Index) addVertex(spatial bool) int {
 	v := x.n
 	x.n++
@@ -313,7 +334,7 @@ func (x *Index) addVertex(spatial bool) int {
 	x.in = append(x.in, nil)
 	x.spatial.append(spatial)
 	x.geo = append(x.geo, geom.Rect{})
-	x.inBase = append(x.inBase, false)
+	x.basePos = append(x.basePos, -1)
 	if x.opts.Mode == FullRebuild {
 		x.comp.append(0) // placeholder; rebuilt before use
 		x.dirty = true
@@ -451,13 +472,17 @@ func (x *Index) coveredElsewhere(cu, cv int32) bool {
 }
 
 // MoveVenue relocates venue v to (x, y), patching its spatial entry
-// and the occupancy grid in place.
+// and the occupancy grid in place. A venue with an extent becomes a
+// point. NaN or infinite coordinates are an error.
 func (x *Index) MoveVenue(v int, px, py float64) error {
 	if v < 0 || v >= x.n {
 		return fmt.Errorf("incr: vertex %d out of range [0,%d)", v, x.n)
 	}
 	if !x.spatial.at(int32(v)) {
 		return fmt.Errorf("incr: vertex %d is not a venue", v)
+	}
+	if err := checkFinite(px, py); err != nil {
+		return err
 	}
 	old := x.geo[v]
 	x.geo[v] = geom.RectFromPoint(geom.Pt(px, py))
@@ -501,14 +526,15 @@ func (x *Index) removeEdge(u, v int) bool {
 	return true
 }
 
-// ensure applies any pending FullRebuild-mode mutations. Incremental
-// mode is always clean.
+// ensure applies any pending FullRebuild-mode mutations, then the
+// deferred relabels and the queued venue patches.
 func (x *Index) ensure() {
 	if x.dirty {
 		x.fullRebuild()
 		x.dirty = false
 	}
 	x.flushRelabels()
+	x.flushSpatial()
 }
 
 // flushRelabels resolves the deferred structural work: queued
@@ -631,31 +657,4 @@ func (x *Index) rebuildDerived() {
 	x.deadComps = 0
 	x.foldBase()
 	x.stats.Folds-- // the fold above is part of the rebuild, not a patch-window fold
-}
-
-// foldBase packs every live venue entry into a fresh base tree and
-// empties the overlay and tombstone set. The old base is left as it
-// was, so published snapshots sharing it are unaffected.
-func (x *Index) foldBase() {
-	var entries []rtree.Entry[geom.Box3]
-	for v := 0; v < x.n; v++ {
-		if !x.spatial.at(int32(v)) {
-			continue
-		}
-		z := float64(x.post.at(x.comp.at(int32(v))))
-		entries = append(entries, rtree.Entry[geom.Box3]{
-			Box: geom.Box3FromRect(x.geo[v], z, z),
-			ID:  int32(v),
-		})
-		x.inBase[v] = true
-	}
-	leafBoundBytes := 0
-	if !x.hasExtents {
-		leafBoundBytes = 24 // points, not boxes
-	}
-	x.base = rtree.BulkLoadPool(entries, x.opts.Fanout, leafBoundBytes, pool.New(max(x.opts.Parallelism, 1)))
-	x.overlay = nil
-	x.overlayIdx = nil
-	x.stale = nil
-	x.stats.Folds++
 }

@@ -2,6 +2,7 @@ package incr
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ type mirror struct {
 	edges   map[[2]int]bool
 	spatial []bool
 	points  []geom.Point
+	extents []geom.Rect // nil, or per vertex: zero for a point
 }
 
 func newMirror(net *dataset.Network) *mirror {
@@ -23,6 +25,7 @@ func newMirror(net *dataset.Network) *mirror {
 		edges:   make(map[[2]int]bool),
 		spatial: append([]bool(nil), net.Spatial...),
 		points:  append([]geom.Point(nil), net.Points...),
+		extents: append([]geom.Rect(nil), net.Extents...),
 	}
 	net.Graph.Edges(func(u, v int) { m.edges[[2]int{u, v}] = true })
 	return m
@@ -33,11 +36,17 @@ func (m *mirror) network() *dataset.Network {
 	for e := range m.edges {
 		edges = append(edges, e)
 	}
+	var extents []geom.Rect
+	if m.extents != nil {
+		extents = make([]geom.Rect, len(m.spatial))
+		copy(extents, m.extents)
+	}
 	return &dataset.Network{
 		Name:    "mirror",
 		Graph:   graph.FromEdges(len(m.spatial), edges),
 		Spatial: m.spatial,
 		Points:  m.points,
+		Extents: extents,
 	}
 }
 
@@ -55,7 +64,7 @@ func (m *mirror) reach(v int, r geom.Rect) bool {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		if m.spatial[u] && geom.RectFromPoint(m.points[u]).Intersects(r) {
+		if m.spatial[u] && m.geometry(u).Intersects(r) {
 			return true
 		}
 		for _, w := range adj[u] {
@@ -66,6 +75,21 @@ func (m *mirror) reach(v int, r geom.Rect) bool {
 		}
 	}
 	return false
+}
+
+func (m *mirror) geometry(v int) geom.Rect {
+	if v < len(m.extents) && m.extents[v] != (geom.Rect{}) {
+		return m.extents[v]
+	}
+	return geom.RectFromPoint(m.points[v])
+}
+
+// move places venue v at p, a point.
+func (m *mirror) move(v int, p geom.Point) {
+	m.points[v] = p
+	if v < len(m.extents) {
+		m.extents[v] = geom.Rect{}
+	}
 }
 
 func (m *mirror) randomEdge(rng *rand.Rand) ([2]int, bool) {
@@ -176,7 +200,7 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, x *Index, m *mirror, lockstep *
 		}
 		p := geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		apply(func(ix *Index) error { return ix.MoveVenue(v, p.X, p.Y) })
-		m.points[v] = p
+		m.move(v, p)
 	default: // add edge (cycle-closing ones included)
 		u, v := rng.Intn(len(m.spatial)), rng.Intn(len(m.spatial))
 		if u == v {
@@ -364,7 +388,7 @@ func TestOverlayFoldBounded(t *testing.T) {
 	if s.Folds == 0 {
 		t.Fatalf("no folds after 400 venue adds: %+v", s)
 	}
-	if s.OverlayLen+s.StaleLen >= 16 && (s.OverlayLen+s.StaleLen)*8 >= x.base.Len()+s.OverlayLen {
+	if pending := x.ov.points + s.StaleLen; pending >= 16 && pending*8 >= x.dead.len()+x.ov.points {
 		t.Fatalf("overlay left above the fold threshold: %+v", s)
 	}
 	if err := x.Validate(); err != nil {
@@ -495,29 +519,79 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Error("snapshot post corruption not detected")
 	}
 
-	// Base-tree corruption, geometric and structural, on the index and on
-	// a snapshot sharing the tree (the publish check validates both).
+	firstRow := func(x *Index) *ovRow {
+		for _, row := range x.ov.rows {
+			if row != nil {
+				return row
+			}
+		}
+		return nil
+	}
+	// Spatial corruption — in the base tiles, the tombstones, the
+	// overlay and the occupancy grid — on the index and on a snapshot
+	// sharing the damaged structure (the publish check validates both).
+	// The fixture has a fold behind it, a few tombstones, and overlay
+	// entries in several cells.
 	for _, c := range []struct {
 		want   string
-		damage func(nodeBounds []float64, nodeMeta []uint32, entryBounds []float64)
+		damage func(x *Index)
 	}{
-		{"does not contain entry", func(_ []float64, _ []uint32, eb []float64) { eb[0] -= 1e9 }},
-		{"does not contain child", func(nb []float64, _ []uint32, eb []float64) { copy(nb[:6], eb) }},
-		{"size says", func(_ []float64, nm []uint32, _ []float64) { nm[len(nm)-1] -= 1 << 1 }},
-		{"not balanced", func(_ []float64, nm []uint32, _ []float64) { nm[len(nm)-1] &^= 1 }},
-		{"fan-out is", func(_ []float64, nm []uint32, _ []float64) { nm[1] = 5 << 1 }},
+		{"outside cell", func(x *Index) { x.base.Columns().X[0] -= 1e9 }},
+		{"base entry has post", func(x *Index) {
+			// A live point takes its predecessor's post, or 0 as the
+			// first of its cell: the cell's post order holds.
+			c := x.base.Columns()
+			for k := range c.Post {
+				p := int32(0)
+				if !slices.Contains(c.CellPoints, uint32(k)) {
+					p = c.Post[k-1]
+				}
+				if !x.dead.at(int32(k)) && p != c.Post[k] {
+					c.Post[k] = p
+					return
+				}
+			}
+		}},
+		{"tombstones set", func(x *Index) { x.tombs++ }},
+		{"overlay entry has post", func(x *Index) { firstRow(x).post[0] += 1 << 20 }},
+		{"out of (post, id) order", func(x *Index) {
+			// Two entries of one cell swap places.
+			for _, row := range x.ov.rows {
+				for c := 0; row != nil && c < x.grid.nx; c++ {
+					if k := int(row.start[c]); row.start[c+1]-row.start[c] >= 2 {
+						row.post[k], row.post[k+1] = row.post[k+1], row.post[k]
+						row.id[k], row.id[k+1] = row.id[k+1], row.id[k]
+						return
+					}
+				}
+			}
+		}},
+		{"outside its cell", func(x *Index) { firstRow(x).box[0] = geom.RectFromPoint(geom.Pt(1e9, 1e9)) }},
+		{"cell offsets", func(x *Index) { firstRow(x).start[x.grid.nx]-- }},
+		{"occupancy grid", func(x *Index) { x.grid.cells[0]++ }},
 	} {
-		x = New(dataset.Prepare(randomNetwork(rand.New(rand.NewSource(17)), 12, 20)), Options{Fanout: 4})
-		if x.base.Height() < 2 {
-			t.Fatal("base tree too shallow for the test")
+		x = fresh()
+		for v := 0; v < x.n; v++ {
+			if x.spatial.at(int32(v)) && v%3 == 0 {
+				if err := x.MoveVenue(v, float64(v%10)*10, float64(v%7)*10); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		x.AddVenue(5, 5)
+		x.AddVenue(5.5, 5)
 		s = x.Snapshot()
-		nb, nm, eb, _ := x.base.Raw()
-		c.damage(nb, nm, eb)
+		if x.tombs == 0 || x.ov.n < 2 {
+			t.Fatalf("fixture has %d tombstones and %d overlay entries", x.tombs, x.ov.n)
+		}
+		c.damage(x)
+		s.q.tombs = x.tombs
+		s.q.grid = x.grid
 		for name, err := range map[string]error{"index": x.Validate(), "snapshot": s.Validate()} {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: want an error containing %q, got %v", name, c.want, err)
 			}
 		}
 	}
+
 }

@@ -2,7 +2,6 @@ package incr
 
 import (
 	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/trace"
 )
 
@@ -10,10 +9,10 @@ import (
 // concurrent use by any number of goroutines while the owning index
 // keeps absorbing updates on its single writer. Taking one costs what
 // the epoch changed, not what the index holds: the per-vertex and
-// per-component columns are shared by page (the writer copies a page
-// before its first write to it afterwards), the base R-tree is shared
-// by pointer since it is only ever replaced, never mutated, and only
-// the bounded overlay, tombstone set and occupancy grid are copied.
+// per-component columns and the tombstones are shared by page (the
+// writer copies a page before its first write to it afterwards), the
+// base tiles and the overlay are shared by pointer since they are only
+// ever replaced, never mutated, and only the occupancy grid is copied.
 // Nothing writes through a Snapshot once it is returned: readers share
 // it without a lock.
 type Snapshot struct {
@@ -28,22 +27,16 @@ type Snapshot struct {
 // rather than mutating them, which is what makes the share safe.
 func (x *Index) Snapshot() *Snapshot {
 	x.ensure()
-	var stale map[int32]struct{}
-	if len(x.stale) > 0 {
-		stale = make(map[int32]struct{}, len(x.stale))
-		for v := range x.stale {
-			stale[v] = struct{}{}
-		}
-	}
 	return &Snapshot{
 		q: qview{
-			n:       x.n,
-			comp:    x.comp.freeze(),
-			labels:  x.labels.freeze(),
-			base:    x.base,
-			overlay: append([]rtree.Entry[geom.Box3](nil), x.overlay...),
-			stale:   stale,
-			grid:    x.grid.clone(),
+			n:      x.n,
+			comp:   x.comp.freeze(),
+			labels: x.labels.freeze(),
+			base:   x.base,
+			dead:   x.dead.freeze(),
+			tombs:  x.tombs,
+			ov:     x.ov,
+			grid:   x.grid.clone(),
 		},
 		spatial: x.spatial.freeze(),
 		post:    x.post.freeze(),
@@ -57,9 +50,9 @@ func (s *Snapshot) NumVertices() int { return s.q.n }
 func (s *Snapshot) Name() string { return "3DReach-Dynamic" }
 
 // RangeReach answers the query against the captured state: the same
-// evaluation as the live index (qview.rangeReach) — one search of the
-// shared base tree for the whole label, then at most one pass over the
-// captured overlay — without allocating.
+// evaluation as the live index (qview.rangeReach) — one walk of the
+// shared base tiles for the whole label, then the captured overlay's
+// entries in the region's grid cells — without allocating.
 func (s *Snapshot) RangeReach(v int, r geom.Rect) bool {
 	return s.q.rangeReach(v, r, nil)
 }

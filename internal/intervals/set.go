@@ -85,6 +85,22 @@ func (s Set) ContainsCanonical(p int32) bool {
 	return i < len(s) && s[i].Lo <= p
 }
 
+// FirstEndingAt returns the index of the first interval of the
+// canonical set s that ends at p or later, len(s) if none does: the
+// cursor step of a merge join of s with sorted keys. It is a plain
+// binary search, so it inlines into the join loops.
+func (s Set) FirstEndingAt(p int32) int {
+	i, j := 0, len(s)
+	for i < j {
+		if m := int(uint(i+j) >> 1); s[m].Hi < p {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
 func (s Set) isSorted() bool {
 	for i := 1; i < len(s); i++ {
 		if s[i].Lo < s[i-1].Lo {

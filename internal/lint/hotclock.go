@@ -25,6 +25,7 @@ var hotPackages = []string{
 	"repro/internal/georeach",
 	"repro/internal/grid",
 	"repro/internal/tiles",
+	"repro/internal/incr",
 }
 
 // HotClock forbids time.Now and time.Since in hot-path packages.

@@ -321,8 +321,8 @@ func (f *Flat[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok b
 // test a bound against — meets must be monotone (true for a bound
 // whenever it is true for something inside it) — so a union of boxes
 // costs one traversal that expands each qualifying node once instead of
-// one search per box. keep filters witnesses by identifier (the dynamic
-// engine's tombstones, the MBR policy's member verification). Bounds go
+// one search per box. keep filters witnesses by identifier (the MBR
+// policy's member verification). Bounds go
 // to meets as pointers into the arrays: a copy of a 3D box per node is
 // measurable on this path. Node, leaf and entry counts accumulate into
 // sp exactly as in SearchTraced.

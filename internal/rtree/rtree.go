@@ -9,10 +9,9 @@
 // Sort-Tile-Recursive (STR) bulk loading produces it, the flat index
 // format persists it, and a loaded or memory-mapped index overlays it
 // onto the file, so every serving mode runs the same kernels over the
-// same layout. Nothing is inserted after the load; the dynamic engine
-// (internal/incr) patches beside the tree and bulk-loads a new one when
-// it folds. Search supports early termination, which RangeReach
-// evaluation relies on: a query stops at the first witness.
+// same layout. Nothing is inserted after the load. Search supports
+// early termination, which RangeReach evaluation relies on: a query
+// stops at the first witness.
 package rtree
 
 import (

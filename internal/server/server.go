@@ -225,14 +225,14 @@ func New(cfg Config) (*Server, error) {
 		s.reg.GaugeFunc("rr_generation", "Generation of the currently published snapshot.",
 			func() float64 { return float64(s.dyn.current().gen) })
 		// What a query on the published snapshot pays for beyond a static
-		// index: the overlay it scans, the tombstones it filters, and how
+		// index: the overlay it tests, the tombstones it filters, and how
 		// far the update stream has fragmented the interval labels.
 		incrGauge := func(name, help string, of func(rangereach.UpdateStats) int) {
 			s.reg.GaugeFunc(name, help, func() float64 { return float64(of(s.dyn.current().stats)) })
 		}
-		incrGauge("rr_incr_overlay_entries", "Venue entries patched beside the base R-tree; a query that misses the base scans them once.",
+		incrGauge("rr_incr_overlay_entries", "Venue entries kept beside the base tiles, bucketed by grid cell; a query that misses the base tests those of the cells it meets.",
 			func(st rangereach.UpdateStats) int { return st.OverlayLen })
-		incrGauge("rr_incr_tombstones", "Base R-tree entries superseded by an overlay entry.",
+		incrGauge("rr_incr_tombstones", "Base tile entries superseded by an overlay entry.",
 			func(st rangereach.UpdateStats) int { return st.StaleLen })
 		incrGauge("rr_incr_live_components", "Strongly connected components of the current graph.",
 			func(st rangereach.UpdateStats) int { return st.LiveComps })

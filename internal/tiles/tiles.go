@@ -193,7 +193,13 @@ func (t *Tiles) MemoryBytes() int64 {
 // point whose post is in the label. Per traversal, sp counts a slab
 // visited as a node, a cell whose bounds meet r as a leaf, and each
 // point x/y-tested as an entry.
-func (t *Tiles) Any(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+//
+// dead, when not nil, filters the points by column position: a point k
+// with dead(k) counts as absent. A contained cell then answers with its
+// first live candidate, and a boundary cell tests x and y before
+// liveness. The dynamic index passes its tombstones here; a static
+// index passes nil and pays one nil check per candidate run.
+func (t *Tiles) Any(r geom.Rect, label intervals.Set, dead func(k int) bool, sp *trace.Span) bool {
 	c := &t.c
 	nslabs := len(c.SlabCells) - 1
 	i, j := 0, nslabs
@@ -221,7 +227,7 @@ func (t *Tiles) Any(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 			}
 			sp.IncLeaf()
 			inside := r.Min.X <= box[0] && box[2] <= r.Max.X && r.Min.Y <= box[1] && box[3] <= r.Max.Y
-			if t.cellAny(int(c.CellPoints[cell]), int(c.CellPoints[cell+1]), r, label, inside, sp) {
+			if t.cellAny(int(c.CellPoints[cell]), int(c.CellPoints[cell+1]), r, label, inside, dead, sp) {
 				return true
 			}
 		}
@@ -233,45 +239,71 @@ func (t *Tiles) Any(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 // label: a monotone cursor on each side, each advanced by binary search,
 // after a shortcut for a cell whose posts all fall in one interval (the
 // giant component's label covers most cells so). When inside, the first
-// post in the label is the witness; otherwise each run of points whose
-// posts fall in one interval is x/y-tested against r.
-func (t *Tiles) cellAny(p0, p1 int, r geom.Rect, label intervals.Set, inside bool, sp *trace.Span) bool {
+// live post in the label is the witness; otherwise each run of points
+// whose posts fall in one interval is x/y-tested against r (anyInside,
+// or testLive under a filter).
+func (t *Tiles) cellAny(p0, p1 int, r geom.Rect, label intervals.Set, inside bool, dead func(int) bool, sp *trace.Span) bool {
 	posts := t.c.Post[p0:p1]
-	j := firstEndingAt(label, posts[0])
+	j := label.FirstEndingAt(posts[0])
 	if j == len(label) {
 		return false
 	}
-	if iv := label[j]; iv.Lo <= posts[0] && posts[len(posts)-1] <= iv.Hi {
-		if inside {
-			return true
-		}
-		tested, hit := anyInside(t.c.X[p0:p1], t.c.Y[p0:p1], r)
-		sp.AddEntries(tested)
-		return hit
-	}
+	whole := label[j].Lo <= posts[0] && posts[len(posts)-1] <= label[j].Hi
 	total := 0
-	for k := 0; j < len(label); {
-		iv := label[j]
-		k += lowerBound(posts[k:], iv.Lo)
-		end := k + upperBound(posts[k:], iv.Hi)
+	for k, end := 0, len(posts); ; {
+		if !whole {
+			iv := label[j]
+			k += lowerBound(posts[k:], iv.Lo)
+			end = k + upperBound(posts[k:], iv.Hi)
+		}
 		if k < end {
-			if inside {
-				return true
+			var tested int
+			var hit bool
+			if dead == nil {
+				if inside {
+					return true
+				}
+				tested, hit = anyInside(t.c.X[p0+k:p0+end], t.c.Y[p0+k:p0+end], r)
+			} else {
+				tested, hit = testLive(t.c.X[p0+k:p0+end], t.c.Y[p0+k:p0+end], p0+k, r, inside, dead)
 			}
-			tested, hit := anyInside(t.c.X[p0+k:p0+end], t.c.Y[p0+k:p0+end], r)
 			if total += tested; hit {
 				sp.AddEntries(total)
 				return true
 			}
 		}
-		if end == len(posts) {
+		if whole || end == len(posts) {
 			break
 		}
 		k = end
-		j += 1 + firstEndingAt(label[j+1:], posts[k])
+		if j += 1 + label[j+1:].FirstEndingAt(posts[k]); j == len(label) {
+			break
+		}
 	}
 	sp.AddEntries(total)
 	return false
+}
+
+// testLive is anyInside under a filter, for the points (xs[i], ys[i])
+// at column positions p0, p0+1, ..., whose posts are all in the label:
+// the first live point of a contained cell's run is the witness,
+// untested; a boundary cell's point must lie inside r and be live.
+func testLive(xs, ys []float64, p0 int, r geom.Rect, inside bool, dead func(int) bool) (tested int, hit bool) {
+	if inside {
+		for i := range xs {
+			if !dead(p0 + i) {
+				return 0, true
+			}
+		}
+		return 0, false
+	}
+	ys = ys[:len(xs)]
+	for i, x := range xs {
+		if y := ys[i]; r.Min.X <= x && x <= r.Max.X && r.Min.Y <= y && y <= r.Max.Y && !dead(p0+i) {
+			return i + 1, true
+		}
+	}
+	return len(xs), false
 }
 
 // anyInside reports whether some point (xs[i], ys[i]) lies inside r,
@@ -320,20 +352,6 @@ func upperBound(posts []int32, p int32) int {
 	i, j := 0, len(posts)
 	for i < j {
 		if m := int(uint(i+j) >> 1); posts[m] <= p {
-			i = m + 1
-		} else {
-			j = m
-		}
-	}
-	return i
-}
-
-// firstEndingAt returns the first index of the canonical label whose
-// interval ends at p or later.
-func firstEndingAt(label intervals.Set, p int32) int {
-	i, j := 0, len(label)
-	for i < j {
-		if m := int(uint(i+j) >> 1); label[m].Hi < p {
 			i = m + 1
 		} else {
 			j = m

@@ -74,20 +74,23 @@ func randomRegion(rng *rand.Rand, t *Tiles, pts []Point) geom.Rect {
 	}
 }
 
-func bruteForce(pts []Point, r geom.Rect, label intervals.Set) bool {
+// bruteForce scans the points, skipping those whose id deadID marks
+// (nil marks none).
+func bruteForce(pts []Point, r geom.Rect, label intervals.Set, deadID []bool) bool {
 	for _, p := range pts {
-		if r.ContainsPoint(geom.Pt(p.X, p.Y)) && label.ContainsCanonical(p.Post) {
+		if r.ContainsPoint(geom.Pt(p.X, p.Y)) && label.ContainsCanonical(p.Post) && (deadID == nil || !deadID[p.ID]) {
 			return true
 		}
 	}
 	return false
 }
 
-// FuzzTiles checks Any against a scan of the points, and the built
-// tiles against Validate and FromColumns. The seeds cover 0, 1, 31, 32,
-// 33 and 5,000 points; duplicate locations and a single shared x;
-// regions edged on point coordinates and on cell bounds; labels of 1 to
-// 64 intervals.
+// FuzzTiles checks Any against a scan of the points, without a filter
+// and under tombstones that mark none, half or nearly all of them dead,
+// and the built tiles against Validate and FromColumns. The seeds cover
+// 0, 1, 31, 32, 33 and 5,000 points; duplicate locations and a single
+// shared x; regions edged on point coordinates and on cell bounds;
+// labels of 1 to 64 intervals.
 func FuzzTiles(f *testing.F) {
 	for _, n := range []uint16{0, 1, 31, 32, 33, 5000} {
 		for shape := uint8(0); shape < numShapes; shape++ {
@@ -108,11 +111,21 @@ func FuzzTiles(f *testing.F) {
 		if len(tl.Columns().X) != len(pts) {
 			t.Fatalf("%d points indexed, %d given", len(tl.Columns().X), len(pts))
 		}
+		deadID := make([]bool, len(pts))
+		ids := tl.Columns().ID
+		dead := func(k int) bool { return deadID[ids[k]] }
 		for q := 0; q < 64; q++ {
 			r := randomRegion(rng, tl, pts)
 			label := randomLabel(rng, max(int(maxIntervals)%65, 1), int32(2*len(pts)+1))
-			if got, want := tl.Any(r, label, nil), bruteForce(pts, r, label); got != want {
+			if got, want := tl.Any(r, label, nil, nil), bruteForce(pts, r, label, nil); got != want {
 				t.Fatalf("Any(%v, %v) = %v, the scan says %v", r, label, got, want)
+			}
+			share := []float64{0, 0.5, 0.95}[q%3]
+			for i := range deadID {
+				deadID[i] = rng.Float64() < share
+			}
+			if got, want := tl.Any(r, label, dead, nil), bruteForce(pts, r, label, deadID); got != want {
+				t.Fatalf("Any(%v, %v) over %d%% tombstones = %v, the scan says %v", r, label, int(share*100), got, want)
 			}
 		}
 	})
@@ -165,7 +178,7 @@ func TestAnyCostIndependentOfLabel(t *testing.T) {
 		for _, maxIntervals := range []int{1, 4, 64} {
 			label := randomLabel(rng, maxIntervals, int32(2*len(pts)+1))
 			var sp trace.Span
-			hit := tl.Any(r, label, &sp)
+			hit := tl.Any(r, label, nil, &sp)
 			if sp.IndexNodes > slabs || sp.IndexLeaves > cells || sp.IndexEntries > boundary {
 				t.Fatalf("Any(%v, %d intervals) visited %d slabs and %d cells and tested %d points; r meets %d and %d, with %d points in cells it cuts",
 					r, len(label), sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, slabs, cells, boundary)
@@ -186,7 +199,7 @@ func TestAnyDoesNotAllocate(t *testing.T) {
 	for _, maxIntervals := range []int{1, 64} {
 		label := randomLabel(rng, maxIntervals, int32(2*len(pts)+1))
 		r := geom.NewRect(10, 10, 30, 30)
-		if allocs := testing.AllocsPerRun(100, func() { tl.Any(r, label, nil) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { tl.Any(r, label, nil, nil) }); allocs != 0 {
 			t.Errorf("labels of up to %d intervals: %v allocs per query", maxIntervals, allocs)
 		}
 	}

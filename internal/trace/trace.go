@@ -26,17 +26,17 @@ type Counters struct {
 	// label sets consulted by reachability probes.
 	Labels int64
 	// IndexNodes is the number of internal spatial-index nodes expanded
-	// (R-tree/k-d tree nodes whose bounds intersect the query).
+	// (R-tree nodes whose bounds intersect the query, tile slabs).
 	IndexNodes int64
 	// IndexLeaves is the number of spatial-index leaves expanded (R-tree
-	// leaf nodes, grid buckets).
+	// leaf nodes, tile cells).
 	IndexLeaves int64
 	// IndexEntries is the number of leaf entries tested against the
 	// query box (points, boxes or vertical segments).
 	IndexEntries int64
 	// Overlay is the part of IndexEntries that the dynamic engine tested
-	// in its overlay — venue entries patched beside the base tree since
-	// the last fold — rather than in a tree leaf.
+	// in its overlay — venue entries kept beside the base tiles, bucketed
+	// by grid cell — rather than in a tile cell.
 	Overlay int64
 	// Candidates is the number of candidate vertices produced by the
 	// spatial phase and considered for reachability probing (SpaReach).

@@ -14,8 +14,11 @@ type Method int
 // methodTable, which is the only other place a method is spelled out.
 const (
 	// ThreeDReach is the paper's primary contribution: spatial vertices
-	// become (x, y, post) points in a 3D R-tree and a query becomes one
-	// 3D range query per reachability label. The fastest method overall.
+	// become (x, y, post) points and a query becomes one 3D range query
+	// over the whole reachability label. The points live in tiles (STR
+	// cells in the plane, each sorted by post), so the query is one walk
+	// that joins each cell's posts with the label. The fastest method
+	// overall.
 	ThreeDReach Method = iota
 	// ThreeDReachRev is the line-based variant: reversed labels turn
 	// spatial vertices into vertical segments and a query into a single

@@ -95,13 +95,18 @@ func (b *NetworkBuilder) AddEdge(from, to int) *NetworkBuilder {
 	return b
 }
 
-// SetPoint marks v as a spatial vertex located at (x, y).
+// SetPoint marks v as a spatial vertex located at (x, y). A NaN or
+// infinite coordinate surfaces as an error from Build.
 func (b *NetworkBuilder) SetPoint(v int, x, y float64) *NetworkBuilder {
 	if b.err != nil {
 		return b
 	}
 	if v < 0 || v >= len(b.spatial) {
 		b.err = fmt.Errorf("rangereach: vertex %d out of range [0,%d)", v, len(b.spatial))
+		return b
+	}
+	if !geom.RectFromPoint(geom.Pt(x, y)).Finite() {
+		b.err = fmt.Errorf("rangereach: vertex %d has non-finite location (%v, %v)", v, x, y)
 		return b
 	}
 	b.spatial[v] = true
@@ -111,7 +116,9 @@ func (b *NetworkBuilder) SetPoint(v int, x, y float64) *NetworkBuilder {
 
 // SetRect marks v as a spatial vertex with a rectangular extent — the
 // paper's footnote 1 generalization to arbitrary geometries. An extended
-// vertex witnesses a query when its rectangle intersects the region.
+// vertex witnesses a query when its rectangle intersects the region. An
+// inverted rectangle or a NaN or infinite coordinate surfaces as an
+// error from Build.
 func (b *NetworkBuilder) SetRect(v int, r Rect) *NetworkBuilder {
 	if b.err != nil {
 		return b
@@ -121,7 +128,7 @@ func (b *NetworkBuilder) SetRect(v int, r Rect) *NetworkBuilder {
 		return b
 	}
 	rect := r.internal()
-	if !rect.Valid() {
+	if !rect.Valid() || !rect.Finite() {
 		b.err = fmt.Errorf("rangereach: vertex %d has invalid extent %+v", v, r)
 		return b
 	}
