@@ -6,12 +6,14 @@
 #                  suite + the read paths' count guards
 #                  + the benchmark module's own vet
 #                  and tests + fuzz seed corpora + format compat
+#                  + 30 s of loader fuzzing
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
 #                  + coverage floor + rrbench smoke (every -exp)
 #                  + live smokes: sharded serving, cluster trace, update
 #                  churn, rrtop -once
-#   ./ci.sh -short skips the race passes, coverage and the live smokes
+#   ./ci.sh -short skips the loader fuzzing, the race passes, coverage
+#                  and the live smokes
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -110,19 +112,30 @@ go -C benchmark test ./...
 echo "== fuzz (seed corpus) =="
 go test -run 'Fuzz' . ./internal/incr ./internal/tiles
 
-# The format-compatibility gate, over the golden fixtures of all seven
-# persistable methods under testdata/format. v2: keep loading, mapping
-# and answering the pinned queries; save(load(v2)) stays byte-identical;
-# the mmap path survives systematic corruption and serves in full parity
-# with the decoder. v1, which nothing can write any more: the fixtures
-# are frozen by hash (TestFormatV1Frozen), each loads, answers and
-# re-saves to its v2 twin byte for byte (TestFormatCompatGolden),
-# survives a truncation and a flip at every offset (TestFormatV1Corrupted)
-# and refuses to map. Regenerate the v2 fixtures only on deliberate
-# format changes: go test -run TestFormatCompatGolden -update-format .
+# The format-compatibility gate. The loader reads the layout the writer
+# writes plus the one generation before it (DESIGN.md §16). The golden
+# fixtures of all seven persistable methods under testdata/format, and
+# the older 3DReach generation (3dreach-v2-posts.idx), keep loading,
+# mapping and answering the pinned queries (TestFormatCompatGolden,
+# TestFormatV2PostKeys); save(load(v2)) stays byte-identical; the decode
+# and mmap paths survive a truncation and a flip at every offset of
+# every layout still read (TestLoadCorrupted, TestFormatV2CorruptionMapped)
+# and serve in full parity with a build. The retired files under
+# testdata/format/retired, frozen by hash, are refused by both paths
+# with core.ErrRetiredFormat (TestFormatRetiredRefused). Regenerate the
+# v2 fixtures only on deliberate format changes:
+# go test -run TestFormatCompatGolden -update-format .
 # .github/workflows/ci.yml's format-compat job runs this same pattern.
 echo "== format compat =="
 go test -run 'TestFormat|TestOpenMapped|TestSaveLoadV2|TestLoadRejects|TestLoadCorrupted|TestIndexSaveLoad' -count=1 .
+
+if [[ "${1:-}" != "-short" ]]; then
+    # The loader under real fuzzing, not only its seeds: arbitrary bytes
+    # through LoadIndex must give an error or a validated index. A
+    # failing input is written to testdata/fuzz/FuzzPersistRoundtrip.
+    echo "== loader fuzz (30 s) =="
+    go test -run '^$' -fuzz '^FuzzPersistRoundtrip$' -fuzztime 30s .
+fi
 
 if [[ "${1:-}" != "-short" ]]; then
     # The concurrency-sensitive packages: the root package (batch

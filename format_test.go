@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	rangereach "repro"
+	"repro/internal/core"
 	"repro/internal/flatbuf"
 )
 
@@ -20,28 +22,27 @@ import (
 // testdata/format/ from the current code. Run it only when the format
 // deliberately changes, and commit the new files — the whole point of
 // the fixtures is that unintended byte changes fail
-// TestFormatCompatGolden. The v1 fixtures are frozen: no code writes
-// that format any more (TestFormatV1Frozen).
+// TestFormatCompatGolden. The files under testdata/format/retired are
+// frozen refusal inputs (TestFormatRetiredRefused).
 var updateFormat = flag.Bool("update-format", false, "regenerate the v2 golden fixtures in testdata/format")
 
-// fixtureMethods are the persistable methods, each pinned by a v1 and a
-// v2 golden fixture. Between them they cover every section family:
-// interval labels + 3D segments (3dreach, 3dreach-rev), labels alone
-// (socreach), labels or BFL bitsets + 2D R-tree (spareach-int,
-// spareach-bfl), the SPA-Graph grid columns (georeach) and the
-// composite container (auto).
+// fixtureMethods are the persistable methods, each pinned by a v2
+// golden fixture. Between them they cover every section family:
+// interval labels + point tiles (3dreach), labels + 3D segments
+// (3dreach-rev), labels alone (socreach), labels or BFL bitsets + 2D
+// R-tree (spareach-int, spareach-bfl), the SPA-Graph grid columns
+// (georeach) and the composite container (auto).
 var fixtureMethods = []struct {
 	slug string
 	m    rangereach.Method
-	v1   string // SHA-256 of the frozen v1 fixture
 }{
-	{"3dreach", rangereach.ThreeDReach, "554f394935ac24e09cc48862ce419c5bb0db9a10f8ec0d3f6299c5c273f7a752"},
-	{"3dreach-rev", rangereach.ThreeDReachRev, "e17af5996f062c4442cbff0c5d4407ec2453b81dc3d597b521cc57a4d831c322"},
-	{"socreach", rangereach.SocReach, "60dcd4c9c1680b53bc27d21a12529508769a28b8a970dcade77d979369d092d4"},
-	{"spareach-bfl", rangereach.SpaReachBFL, "6023625bd6a0c67a59672a4bad26b08208d0a9f3d1ae04fc3f1edca17c775a8c"},
-	{"spareach-int", rangereach.SpaReachINT, "1dc9d0f7dd3f15bb69007c6d24d10bd2054cdeffb84ba974a9eb9b091634e1b8"},
-	{"georeach", rangereach.GeoReach, "f992ba79b1f0ae5663115a579dfcf67224bd0088284da9e4b858be57a245f37f"},
-	{"auto", rangereach.MethodAuto, "1546ebd2e0e83191bb01db2b66273017080bfaafe5978f3761986a78509d25d2"},
+	{"3dreach", rangereach.ThreeDReach},
+	{"3dreach-rev", rangereach.ThreeDReachRev},
+	{"socreach", rangereach.SocReach},
+	{"spareach-bfl", rangereach.SpaReachBFL},
+	{"spareach-int", rangereach.SpaReachINT},
+	{"georeach", rangereach.GeoReach},
+	{"auto", rangereach.MethodAuto},
 }
 
 // fixtureOptions rebuild the auto fixtures with the three members they
@@ -92,27 +93,12 @@ func fixtureQueries(t *testing.T, idx *rangereach.Index, name string) {
 	}
 }
 
-// TestFormatV1Frozen pins the v1 fixtures by hash. They were written by
-// the last commit that could write v1 (0a3ffa7); since then a changed
-// v1 fixture is a mistake by definition, and one regenerated by some
-// resurrected writer would make the upgrade test below circular.
-func TestFormatV1Frozen(t *testing.T) {
-	for _, fm := range fixtureMethods {
-		sum := sha256.Sum256(readFixture(t, fm.slug, "v1"))
-		if got := hex.EncodeToString(sum[:]); got != fm.v1 {
-			t.Errorf("%s hashes to %s, want %s", fixturePath(fm.slug, "v1"), got, fm.v1)
-		}
-	}
-}
-
-// TestFormatCompatGolden loads the committed v1 and v2 fixture files
+// TestFormatCompatGolden loads and maps the committed v2 fixture files
 // and checks they still validate and answer the pinned queries. This is
 // the compatibility contract: a change that breaks decoding of
-// yesterday's files fails here, in CI, before it ships. A v1 fixture
-// must also upgrade exactly: loaded and saved, it is its v2 twin byte
-// for byte — v1 stores no R-tree, so this holds the bulk load over the
-// network to the layout the v2 file froze. With -update-format the
-// test first rewrites the v2 fixtures from the current builder.
+// yesterday's files fails here, in CI, before it ships. With
+// -update-format the test first rewrites the fixtures from the current
+// builder.
 func TestFormatCompatGolden(t *testing.T) {
 	net := fuzzNet()
 	if *updateFormat {
@@ -135,88 +121,33 @@ func TestFormatCompatGolden(t *testing.T) {
 		}
 	}
 	for _, fm := range fixtureMethods {
-		for _, version := range []string{"v1", "v2"} {
-			name := fm.slug + "-" + version
-			t.Run(name, func(t *testing.T) {
-				path := fixturePath(fm.slug, version)
-				idx, err := net.LoadIndexFile(path)
-				if err != nil {
-					t.Fatalf("loading golden fixture %s: %v", path, err)
+		name := fm.slug + "-v2"
+		t.Run(name, func(t *testing.T) {
+			path := fixturePath(fm.slug, "v2")
+			idx, err := net.LoadIndexFile(path)
+			if err != nil {
+				t.Fatalf("loading golden fixture %s: %v", path, err)
+			}
+			if idx.Method() != fm.m {
+				t.Fatalf("fixture decoded as %v, want %v", idx.Method(), fm.m)
+			}
+			if fm.m == rangereach.MethodAuto {
+				if _, qs := idx.Explain(0, rangereach.NewRect(60, 55, 90, 95)); qs.Plan == nil || qs.Plan.Method != "3DReach-Rev" {
+					t.Errorf("%s routes to %+v, want 3DReach-Rev", path, qs.Plan)
 				}
-				if idx.Method() != fm.m {
-					t.Fatalf("fixture decoded as %v, want %v", idx.Method(), fm.m)
-				}
-				if fm.m == rangereach.MethodAuto {
-					if _, qs := idx.Explain(0, rangereach.NewRect(60, 55, 90, 95)); qs.Plan == nil || qs.Plan.Method != "3DReach-Rev" {
-						t.Errorf("%s routes to %+v, want 3DReach-Rev", path, qs.Plan)
-					}
-				}
-				if version == "v1" {
-					var upgraded bytes.Buffer
-					if err := idx.Save(&upgraded); err != nil {
-						t.Fatal(err)
-					}
-					if want := readFixture(t, fm.slug, "v2"); !bytes.Equal(upgraded.Bytes(), want) {
-						t.Errorf("save(load(%s)) differs from %s (%d vs %d bytes)",
-							path, fixturePath(fm.slug, "v2"), upgraded.Len(), len(want))
-					}
-				}
-				fixtureQueries(t, idx, name+"/decode")
+			}
+			fixtureQueries(t, idx, name+"/decode")
 
-				if version == "v2" {
-					mapped, err := net.OpenMapped(path)
-					if err != nil {
-						t.Fatalf("mapping golden fixture %s: %v", path, err)
-					}
-					defer mapped.Close()
-					if err := mapped.Validate(); err != nil {
-						t.Fatalf("mapped fixture fails validation: %v", err)
-					}
-					fixtureQueries(t, mapped, name+"/mmap")
-				}
-			})
-		}
-	}
-}
-
-// TestFormatV2RTreePoints pins the last v2 3DReach fixture whose point
-// index is an R-tree (section kinds 11–14), frozen from commit 4a92a61
-// when the point tiles replaced it. It must keep loading, validating,
-// mapping and answering: the loader reads its labels, projects them onto
-// spatial ranks, ignores the tree and rebuilds the tiles from the
-// network, so saving it yields today's 3dreach-v2.idx byte for byte —
-// the same upgrade a v1 file gets.
-func TestFormatV2RTreePoints(t *testing.T) {
-	const want = "8d72b07061bf39bdc8edb03f3214a394af0c792a5c8155aba8b648c5d07a56b9"
-	net := fuzzNet()
-	path := fixturePath("3dreach", "v2-rtree")
-	sum := sha256.Sum256(readFixture(t, "3dreach", "v2-rtree"))
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("%s hashes to %s, want %s", path, got, want)
-	}
-	loaded, err := net.LoadIndexFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := net.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	current := readFixture(t, "3dreach", "v2")
-	for name, idx := range map[string]*rangereach.Index{"decode": loaded, "mmap": mapped} {
-		if err := idx.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		fixtureQueries(t, idx, name)
-		var resaved bytes.Buffer
-		if err := idx.Save(&resaved); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resaved.Bytes(), current) {
-			t.Errorf("%s: save(%s) differs from %s (%d vs %d bytes)",
-				name, path, fixturePath("3dreach", "v2"), resaved.Len(), len(current))
-		}
+			mapped, err := net.OpenMapped(path)
+			if err != nil {
+				t.Fatalf("mapping golden fixture %s: %v", path, err)
+			}
+			defer mapped.Close()
+			if err := mapped.Validate(); err != nil {
+				t.Fatalf("mapped fixture fails validation: %v", err)
+			}
+			fixtureQueries(t, mapped, name+"/mmap")
+		})
 	}
 }
 
@@ -380,21 +311,90 @@ func TestOpenMappedParity(t *testing.T) {
 	}
 }
 
-// TestOpenMappedV1Rejected pins the targeted error for mapping a v1
-// file: the message must name the actual problem (format v1) and the
-// fix (LoadIndex / re-save), not a generic bad-magic complaint.
-func TestOpenMappedV1Rejected(t *testing.T) {
-	net := fuzzNet()
-	path := fixturePath("3dreach", "v1")
-	if _, err := net.LoadIndexFile(path); err != nil {
-		t.Fatalf("v1 file no longer stream-loads: %v", err)
+// retiredFixtures are the files the loader no longer reads (DESIGN.md
+// §16), kept under testdata/format/retired as refusal inputs, each with
+// the SHA-256 it had when it was last read and what the refusal names.
+// The v1 streams were written by the last commit that could write v1
+// (0a3ffa7); the R-tree file is the last v2 3DReach whose point index
+// was an R-tree (4a92a61).
+var retiredFixtures = []struct {
+	name, found, sha string
+}{
+	{"3dreach-v1", "v1 stream", "554f394935ac24e09cc48862ce419c5bb0db9a10f8ec0d3f6299c5c273f7a752"},
+	{"3dreach-rev-v1", "v1 stream", "e17af5996f062c4442cbff0c5d4407ec2453b81dc3d597b521cc57a4d831c322"},
+	{"socreach-v1", "v1 stream", "60dcd4c9c1680b53bc27d21a12529508769a28b8a970dcade77d979369d092d4"},
+	{"spareach-bfl-v1", "v1 stream", "6023625bd6a0c67a59672a4bad26b08208d0a9f3d1ae04fc3f1edca17c775a8c"},
+	{"spareach-int-v1", "v1 stream", "1dc9d0f7dd3f15bb69007c6d24d10bd2054cdeffb84ba974a9eb9b091634e1b8"},
+	{"georeach-v1", "v1 stream", "f992ba79b1f0ae5663115a579dfcf67224bd0088284da9e4b858be57a245f37f"},
+	{"auto-v1", "v1 stream", "1546ebd2e0e83191bb01db2b66273017080bfaafe5978f3761986a78509d25d2"},
+	{"3dreach-v2-rtree", "3DReach point R-tree", "8d72b07061bf39bdc8edb03f3214a394af0c792a5c8155aba8b648c5d07a56b9"},
+}
+
+func retiredPath(name string) string {
+	return filepath.Join("testdata", "format", "retired", name+".idx")
+}
+
+// TestFormatV1Frozen pins the retired fixtures by hash. No code can
+// write them any more, so a changed file is a mistake by definition,
+// and the refusal tests below would no longer test the files that
+// were once read.
+func TestFormatV1Frozen(t *testing.T) {
+	for _, r := range retiredFixtures {
+		data, err := os.ReadFile(retiredPath(r.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != r.sha {
+			t.Errorf("%s hashes to %x, want %s", retiredPath(r.name), sum, r.sha)
+		}
 	}
-	_, err := net.OpenMapped(path)
+}
+
+// TestFormatRetiredRefused: LoadIndexFile and OpenMapped refuse every
+// retired fixture with an error that wraps core.ErrRetiredFormat and
+// names what was found, without panicking and without returning an
+// index.
+func TestFormatRetiredRefused(t *testing.T) {
+	net := fuzzNet()
+	for _, r := range retiredFixtures {
+		t.Run(r.name, func(t *testing.T) {
+			path := retiredPath(r.name)
+			for name, open := range map[string]func(string, ...rangereach.Option) (*rangereach.Index, error){
+				"LoadIndexFile": net.LoadIndexFile,
+				"OpenMapped":    net.OpenMapped,
+			} {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s panicked: %v", name, p)
+						}
+					}()
+					idx, err := open(path)
+					if idx != nil {
+						t.Errorf("%s returned an index", name)
+						_ = idx.Close()
+					}
+					if !errors.Is(err, core.ErrRetiredFormat) || !strings.Contains(err.Error(), r.found) {
+						t.Errorf("%s: error %v, want core.ErrRetiredFormat naming %q", name, err, r.found)
+					}
+				}()
+			}
+		})
+	}
+}
+
+// TestOpenMappedV1Rejected pins the targeted error for mapping a v1
+// file: the message must name the actual problem (a v1 stream) and the
+// fix (the upgrade command), not a generic bad-magic complaint.
+func TestOpenMappedV1Rejected(t *testing.T) {
+	_, err := fuzzNet().OpenMapped(retiredPath("3dreach-v1"))
 	if err == nil {
 		t.Fatal("OpenMapped accepted a v1 file")
 	}
-	if !strings.Contains(err.Error(), "v1") {
-		t.Errorf("v1 mapping error %q does not mention the format version", err)
+	for _, want := range []string{"v1", "-load-index", "-save-index"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("v1 mapping error %q does not mention %q", err, want)
+		}
 	}
 }
 
@@ -414,42 +414,89 @@ func everyOffset(valid []byte, try func(name string, data []byte)) {
 	try("doubled", append(append([]byte(nil), valid...), valid...))
 }
 
+// corruptionInput is a valid image and the network it loads over.
+type corruptionInput struct {
+	name string
+	net  *rangereach.Network
+	data []byte
+}
+
+// savedImage builds m over net and returns the saved bytes.
+func savedImage(t testing.TB, net *rangereach.Network, m rangereach.Method, opts ...rangereach.Option) []byte {
+	t.Helper()
+	idx, err := net.Build(m, opts...)
+	if err != nil {
+		t.Fatalf("%v: %v", m, err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatalf("%v: %v", m, err)
+	}
+	return buf.Bytes()
+}
+
+// layoutInputs are the layouts the loader reads beyond the
+// default-policy saves of fixtureMethods: the older 3DReach generation
+// (labels and tiles over posts), which loads over base, a copy of the
+// running example; the box and MBR trees of
+// WithMBRPolicy over a network with a two-venue component, and the
+// exact boxes of a network with extents.
+func layoutInputs(t testing.TB, base *rangereach.Network) []corruptionInput {
+	t.Helper()
+	cyclic := buildFuzzNet(func(b *rangereach.NetworkBuilder) { b.AddEdge(5, 4) })
+	extents := buildFuzzNet(func(b *rangereach.NetworkBuilder) {
+		b.SetRect(4, rangereach.NewRect(65, 75, 75, 85)).SetRect(8, rangereach.NewRect(15, 85, 25, 95))
+	})
+	mbr := rangereach.WithMBRPolicy()
+	in := []corruptionInput{{"3dreach-v2-posts", base, readFixture(t, "3dreach", "v2-posts")}}
+	for _, c := range []struct {
+		name string
+		net  *rangereach.Network
+		m    rangereach.Method
+		opts []rangereach.Option
+	}{
+		{"3dreach-mbr", cyclic, rangereach.ThreeDReach, []rangereach.Option{mbr}},
+		{"3dreach-rev-mbr", cyclic, rangereach.ThreeDReachRev, []rangereach.Option{mbr}},
+		{"spareach-int-mbr", cyclic, rangereach.SpaReachINT, []rangereach.Option{mbr}},
+		{"spareach-bfl-mbr", cyclic, rangereach.SpaReachBFL, []rangereach.Option{mbr}},
+		{"3dreach-extents", extents, rangereach.ThreeDReach, nil},
+		{"3dreach-rev-extents", extents, rangereach.ThreeDReachRev, nil},
+	} {
+		in = append(in, corruptionInput{c.name, c.net, savedImage(t, c.net, c.m, c.opts...)})
+	}
+	return in
+}
+
 // TestFormatV2CorruptionMapped drives the mmap load path through the
 // same systematic corruption the streaming path faces in
 // TestLoadCorrupted: truncations at every boundary and a byte flip at
-// every offset, each written to a real file and opened via OpenMapped.
-// Every case must fail with a wrapped error or produce an index whose
-// pinned queries can run — never a panic, even though the mapped path
-// skips deep validation.
+// every offset, each written to a real file and opened via OpenMapped,
+// over every method's default save and every other layout still read
+// (layoutInputs). Every case must fail with a wrapped error or produce
+// an index whose pinned queries can run — never a panic, even though the
+// mapped path skips deep validation.
 func TestFormatV2CorruptionMapped(t *testing.T) {
 	net := fuzzNet()
 	region := rangereach.NewRect(60, 55, 90, 95)
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "mutant.idx")
+	var inputs []corruptionInput
 	for _, fm := range fixtureMethods {
-		idx, err := net.Build(fm.m, fixtureOptions()...)
-		if err != nil {
-			t.Fatalf("%s: %v", fm.slug, err)
-		}
-		var buf bytes.Buffer
-		if err := idx.Save(&buf); err != nil {
-			t.Fatalf("%s: %v", fm.slug, err)
-		}
-		valid := buf.Bytes()
-		path := filepath.Join(dir, "mutant.idx")
-
+		inputs = append(inputs, corruptionInput{fm.slug, net, savedImage(t, net, fm.m, fixtureOptions()...)})
+	}
+	for _, in := range append(inputs, layoutInputs(t, net)...) {
 		open := func(name string, data []byte) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("%s/%s: OpenMapped panicked: %v", fm.slug, name, r)
+					t.Errorf("%s/%s: OpenMapped panicked: %v", in.name, name, r)
 				}
 			}()
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			mapped, err := net.OpenMapped(path)
+			mapped, err := in.net.OpenMapped(path)
 			if err != nil {
 				if !strings.Contains(err.Error(), ":") {
-					t.Errorf("%s/%s: unwrapped error %q", fm.slug, name, err)
+					t.Errorf("%s/%s: unwrapped error %q", in.name, name, err)
 				}
 				return
 			}
@@ -459,52 +506,7 @@ func TestFormatV2CorruptionMapped(t *testing.T) {
 			_ = mapped.Close()
 		}
 
-		everyOffset(valid, open)
-	}
-}
-
-// TestFormatV1Corrupted is TestLoadCorrupted for the v1 decoders, over
-// the frozen fixtures of all seven methods: a truncation at every
-// offset and a byte flip at every offset through LoadIndex must each
-// return a wrapped error or a validated index that answers — never
-// panic. The decoders only size their reads; every range, bijection,
-// kind and offset check they rely on is the FromFlat assembler's, the
-// same one the v2 path runs. A v1 file attached to the wrong network is
-// an error too.
-func TestFormatV1Corrupted(t *testing.T) {
-	net := fuzzNet()
-	other, err := rangereach.NewNetworkBuilder(5).AddEdge(0, 1).SetPoint(1, 3, 4).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := rangereach.NewRect(60, 55, 90, 95)
-	for _, fm := range fixtureMethods {
-		valid := readFixture(t, fm.slug, "v1")
-		if _, err := other.LoadIndex(bytes.NewReader(valid)); err == nil {
-			t.Errorf("%s: loaded over a different network", fm.slug)
-		}
-
-		load := func(name string, data []byte) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%s/%s: LoadIndex panicked: %v", fm.slug, name, r)
-				}
-			}()
-			loaded, err := net.LoadIndex(bytes.NewReader(data))
-			if err != nil {
-				if !strings.Contains(err.Error(), ":") {
-					t.Errorf("%s/%s: unwrapped error %q", fm.slug, name, err)
-				}
-				return
-			}
-			if err := loaded.Validate(); err != nil {
-				t.Errorf("%s/%s: accepted index fails validation: %v", fm.slug, name, err)
-			}
-			loaded.RangeReach(0, region)
-			loaded.RangeReach(2, region)
-		}
-
-		everyOffset(valid, load)
+		everyOffset(in.data, open)
 	}
 }
 
@@ -513,8 +515,7 @@ func TestFormatV1Corrupted(t *testing.T) {
 // intervals of one vertex's label have changed places. 3DReach
 // binary-searches the label, so the file would answer wrongly; every
 // load path must refuse it — the mapped one included, which walks the
-// label column on open for this, and the v1 decoder, which hands its
-// columns to the same check.
+// label column on open for this.
 func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
 	net := fuzzNet()
 	idx, err := net.Build(rangereach.ThreeDReach)
@@ -570,36 +571,15 @@ func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
 		t.Errorf("OpenMapped: error %v, want the label order refused", err)
 	}
 
-	// The v1 stream: engine header (7 bytes), "RRLB", version, n u32,
-	// n posts, then per vertex a u32 count and that many {lo, hi i32}.
-	v1 := readFixture(t, "3dreach", "v1")
-	n := int(binary.LittleEndian.Uint32(v1[12:]))
-	swapped = false
-	for at := 16 + 4*n; at+4 <= len(v1) && !swapped; {
-		count := int(binary.LittleEndian.Uint32(v1[at:]))
-		if swapped = count >= 2; swapped {
-			var tmp [8]byte
-			copy(tmp[:], v1[at+4:])
-			copy(v1[at+4:], v1[at+12:at+20])
-			copy(v1[at+12:], tmp[:])
-		}
-		at += 4 + 8*count
-	}
-	if !swapped {
-		t.Fatal("no vertex of the v1 fixture has a label of two intervals")
-	}
-	if _, err := net.LoadIndex(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Errorf("LoadIndex, v1: error %v, want the label order refused", err)
-	}
 }
 
-// savedBoth returns private copies of a method's v1 and v2 fixtures,
-// with the v2 root manifest (section kind 1; its first bytes are
-// {method u8, policy u8, flags u16}, DESIGN.md §16) aliasing the image
-// so a test can edit it in place.
-func savedBoth(t *testing.T, slug string) (v1, v2, manifest []byte) {
+// savedManifest returns a private copy of a method's v2 fixture, with
+// its root manifest (section kind 1; its first bytes are {method u8,
+// policy u8, flags u16}, DESIGN.md §16) aliasing the image so a test can
+// edit it in place.
+func savedManifest(t *testing.T, slug string) (v2, manifest []byte) {
 	t.Helper()
-	v1, v2 = readFixture(t, slug, "v1"), readFixture(t, slug, "v2")
+	v2 = readFixture(t, slug, "v2")
 	img, err := flatbuf.Open(v2)
 	if err != nil {
 		t.Fatal(err)
@@ -608,7 +588,7 @@ func savedBoth(t *testing.T, slug string) (v1, v2, manifest []byte) {
 	if !ok || len(manifest) < 4 {
 		t.Fatal("the image has no root manifest")
 	}
-	return v1, v2, manifest
+	return v2, manifest
 }
 
 // TestFormatReservedMethodBytes pins method bytes 7 and 8 as reserved:
@@ -617,16 +597,13 @@ func savedBoth(t *testing.T, slug string) (v1, v2, manifest []byte) {
 // and not an index of whatever method is later given the number.
 func TestFormatReservedMethodBytes(t *testing.T) {
 	net := fuzzNet()
-	v1, v2, manifest := savedBoth(t, "3dreach")
+	v2, manifest := savedManifest(t, "3dreach")
 	path := filepath.Join(t.TempDir(), "reserved.idx")
 	for _, b := range []byte{7, 8} {
-		v1[5] = b // magic[4] | version | method
 		manifest[0] = b
-		for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
-			_, err := net.LoadIndex(bytes.NewReader(data))
-			if err == nil || !strings.Contains(err.Error(), ":") {
-				t.Errorf("LoadIndex, %s method byte %d: error %v, want a wrapped load error", name, b, err)
-			}
+		_, err := net.LoadIndex(bytes.NewReader(v2))
+		if err == nil || !strings.Contains(err.Error(), ":") {
+			t.Errorf("LoadIndex, method byte %d: error %v, want a wrapped load error", b, err)
 		}
 		if err := os.WriteFile(path, v2, 0o644); err != nil {
 			t.Fatal(err)
@@ -641,25 +618,22 @@ func TestFormatReservedMethodBytes(t *testing.T) {
 	}
 }
 
-// TestFormatSocReachReservedFlag pins bit 0 of SocReach's flags (the v1
-// flags byte, the v2 manifest flags) as reserved and ignored: it once
-// chose the structure the descendant scan ran over, never the answers,
-// so a file that carries it still loads, validates and answers.
+// TestFormatSocReachReservedFlag pins bit 0 of SocReach's manifest flags
+// as reserved and ignored: it once chose the structure the descendant
+// scan ran over, never the answers, so a file that carries it still
+// loads, validates and answers.
 func TestFormatSocReachReservedFlag(t *testing.T) {
 	net := fuzzNet()
-	v1, v2, manifest := savedBoth(t, "socreach")
-	v1[7] |= 1 // magic[4] | version | method | policy | flags
+	v2, manifest := savedManifest(t, "socreach")
 	manifest[2] |= 1
-	for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
-		idx, err := net.LoadIndex(bytes.NewReader(data)) // validates
-		if err != nil {
-			t.Fatalf("%s with the reserved bit set: %v", name, err)
-		}
-		if idx.Method() != rangereach.SocReach {
-			t.Errorf("%s decoded as %v", name, idx.Method())
-		}
-		fixtureQueries(t, idx, name+"/reserved-bit")
+	idx, err := net.LoadIndex(bytes.NewReader(v2)) // validates
+	if err != nil {
+		t.Fatalf("with the reserved bit set: %v", err)
 	}
+	if idx.Method() != rangereach.SocReach {
+		t.Errorf("decoded as %v", idx.Method())
+	}
+	fixtureQueries(t, idx, "decode/reserved-bit")
 	path := filepath.Join(t.TempDir(), "socreach.idx")
 	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)

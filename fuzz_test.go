@@ -2,6 +2,7 @@ package rangereach_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	rangereach "repro"
@@ -9,7 +10,11 @@ import (
 
 // fuzzNet builds the paper's running example without a testing.T, for
 // seeding fuzz corpora from *testing.F.
-func fuzzNet() *rangereach.Network {
+func fuzzNet() *rangereach.Network { return buildFuzzNet(nil) }
+
+// buildFuzzNet builds the running example with extra applied to the
+// builder, when it is not nil, before Build.
+func buildFuzzNet(extra func(*rangereach.NetworkBuilder)) *rangereach.Network {
 	b := rangereach.NewNetworkBuilder(12)
 	for _, e := range [][2]int{
 		{0, 1}, {0, 3}, {0, 9},
@@ -21,6 +26,9 @@ func fuzzNet() *rangereach.Network {
 	}
 	b.SetPoint(4, 70, 80).SetPoint(7, 80, 60).SetPoint(5, 10, 10).
 		SetPoint(8, 20, 90).SetPoint(11, 40, 20)
+	if extra != nil {
+		extra(b)
+	}
 	net, err := b.Build()
 	if err != nil {
 		panic(err)
@@ -33,41 +41,43 @@ func fuzzNet() *rangereach.Network {
 // validated index — it never panics and never accepts a structurally
 // broken index. Seeds are valid saves of each persistable method plus
 // truncated prefixes, so the seed-corpus CI run exercises every
-// section decoder.
+// section decoder; the bare v1 magic, so the refusal is fuzzed; and the
+// other layouts the loader reads, whole and halved. Every input is
+// loaded over each network a seed was built on.
 func FuzzPersistRoundtrip(f *testing.F) {
-	net := fuzzNet()
+	nets := []*rangereach.Network{fuzzNet()}
 	region := rangereach.NewRect(60, 55, 90, 95)
 	for _, fm := range fixtureMethods {
-		idx := net.MustBuild(fm.m)
-		var buf bytes.Buffer
-		if err := idx.Save(&buf); err != nil {
-			f.Fatalf("%v: %v", fm.m, err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:len(buf.Bytes())/2])
-		f.Add(buf.Bytes()[:9])
-		// The v1 stream format stays loadable; seed its frozen fixtures
-		// so both decoders see corpus mutations.
-		v1 := readFixture(f, fm.slug, "v1")
-		f.Add(v1)
-		f.Add(v1[:len(v1)/2])
+		data := savedImage(f, nets[0], fm.m)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:9])
 	}
 	f.Add([]byte(nil))
 	f.Add([]byte("RRIX"))
 	f.Add([]byte("RRX2"))
+	for _, in := range layoutInputs(f, nets[0]) {
+		f.Add(in.data)
+		f.Add(in.data[:len(in.data)/2])
+		if !slices.Contains(nets, in.net) {
+			nets = append(nets, in.net)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := net.LoadIndex(bytes.NewReader(data))
-		if err != nil {
-			return
+		for _, net := range nets {
+			idx, err := net.LoadIndex(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			// An accepted index must be structurally sound and answer
+			// queries without panicking.
+			if err := idx.Validate(); err != nil {
+				t.Fatalf("accepted index fails validation: %v", err)
+			}
+			idx.RangeReach(0, region)
+			idx.RangeReach(2, region)
 		}
-		// An accepted index must be structurally sound and answer
-		// queries without panicking.
-		if err := idx.Validate(); err != nil {
-			t.Fatalf("accepted index fails validation: %v", err)
-		}
-		idx.RangeReach(0, region)
-		idx.RangeReach(2, region)
 	})
 }
 

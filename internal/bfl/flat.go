@@ -20,8 +20,8 @@ func (idx *Index) Flat() (words int, hash []int32, out, in []uint64, discover, f
 const maxWords = 1024
 
 // FromFlat assembles an index from persisted columns and attaches it to
-// g. It is the one place outside input is checked, whichever codec
-// decoded it: the vertex count must match the graph and every column
+// g. It is the one place outside input is checked, whether the columns
+// were decoded or mapped: the vertex count must match the graph and every column
 // must have its exact expected length. The slices are adopted, not
 // copied — a mapped load allocates only the Index header. Label
 // *values* need no validation: hashes are only used at build time, and

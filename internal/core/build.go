@@ -12,9 +12,9 @@ import (
 // experimental analysis (§6.1).
 type Method int
 
-// The values are the method byte of the v1 stream header and of the v2
-// manifest, so each is spelled out and never reused: a saved index must
-// keep naming the engine it holds whatever is added or removed here.
+// The values are the method byte of the v2 manifest, so each is spelled
+// out and never reused: a saved index must keep naming the engine it
+// holds whatever is added or removed here.
 const (
 	// MethodSpaReachBFL is the spatial-first baseline with BFL probes.
 	MethodSpaReachBFL Method = 0

@@ -20,9 +20,9 @@ import (
 // Format v2: a single relocatable flatbuf image (see internal/flatbuf)
 // whose sections are the engines' structure-of-arrays columns at
 // 64-byte-aligned offsets. The same bytes serve two load paths — the
-// portable streaming decode (one aligned buffer, one copy) and the
-// zero-copy mmap overlay (OpenMappedEngine) — because every section is
-// a typed slice cast straight out of the image.
+// portable streaming decode (the stream read into one aligned buffer)
+// and the zero-copy mmap overlay (OpenMappedEngine) — because every
+// section is a typed slice cast straight out of the image.
 //
 // Sections are keyed (owner, kind): owner 0 is the root engine, owners
 // 1..n the members of an Auto composite in position order. Each owner
@@ -78,9 +78,9 @@ const (
 
 	threeDFlagExact = 1 << 0 // 3DReach: box tree holds exact geometries
 	threeDFlagBoxes = 1 << 1 // 3DReach: spatial index is the box tree
-	// threeDFlagSpatial: R-tree sections are present — the box tree, or
-	// in a file written before the tiles, a point tree (a load ignores
-	// its sections and rebuilds the tiles from the network).
+	// threeDFlagSpatial: R-tree sections are present. Set with bit 1,
+	// they are the box tree; without it, a point tree written before the
+	// tiles, which the loader refuses as retired.
 	threeDFlagSpatial = 1 << 2
 	threeDFlagTiles   = 1 << 3 // 3DReach: point tiles sections are present
 	// threeDFlagRanks: the labels, and the tiles' post column or the
@@ -427,6 +427,23 @@ func castSection[T any](img *flatbuf.Image, owner, kind uint32) ([]T, error) {
 func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared, opts BuildOptions) (Engine, error) {
 	switch m {
 	case MethodThreeDReach:
+		hasTree, hasBoxes := flags&threeDFlagSpatial != 0, flags&threeDFlagBoxes != 0
+		exact := flags&threeDFlagExact != 0
+		tiled := flags&threeDFlagTiles != 0
+		switch {
+		case tiled:
+			if hasTree || hasBoxes || exact || policy == dataset.MBR || prep.Net.HasExtents() {
+				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with point tiles under policy %v",
+					flatbuf.ErrFormat, flags, policy)
+			}
+		case !hasTree:
+			return nil, retired("3DReach without spatial sections")
+		case !hasBoxes:
+			return nil, retired("3DReach point R-tree")
+		case (policy == dataset.MBR) == exact:
+			return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with policy %v",
+				flatbuf.ErrFormat, flags, policy)
+		}
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
 			return nil, err
@@ -434,13 +451,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if flags&threeDFlagRanks != 0 {
 			l.Spatial = prep.HasSpatial
 		}
-		hasTree, hasBoxes := flags&threeDFlagSpatial != 0, flags&threeDFlagBoxes != 0
-		exact := flags&threeDFlagExact != 0
-		if flags&threeDFlagTiles != 0 {
-			if hasTree || hasBoxes || exact || policy == dataset.MBR || prep.Net.HasExtents() {
-				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with point tiles under policy %v",
-					flatbuf.ErrFormat, flags, policy)
-			}
+		if tiled {
 			t, err := loadTilesV2(img, owner, prep)
 			if err != nil {
 				return nil, err
@@ -449,32 +460,6 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 				return nil, err
 			}
 			return &ThreeDReach{prep: prep, policy: policy, l: l, points: t}, nil
-		}
-		if hasTree && (policy == dataset.MBR) != (hasBoxes && !exact) {
-			return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with policy %v",
-				flatbuf.ErrFormat, flags, policy)
-		}
-		if !hasTree || !hasBoxes {
-			if hasTree {
-				// A point R-tree, written before the tiles replaced it:
-				// skip its manifest record, ignore its sections and
-				// rebuild the tiles from the network.
-				var tm treeMeta
-				if err := readManifest(mr, owner, &tm); err != nil {
-					return nil, err
-				}
-			}
-			if err := manifestDone(mr, owner); err != nil {
-				return nil, err
-			}
-			// The tiles are rebuilt anyway, so they and the labels move to
-			// ranks here, as a fresh build would key them.
-			if l.Spatial == nil {
-				l = l.Ranked(prep.HasSpatial)
-			}
-			to := opts.ThreeD
-			to.Policy = policy
-			return NewThreeDReachWithLabeling(prep, l, to), nil
 		}
 		limit := prep.Net.NumVertices()
 		if policy == dataset.MBR {
@@ -802,8 +787,8 @@ func loadAutoV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared, op
 // directly over the mapped pages: no decode pass, no per-structure
 // copies — cold-start cost is the page faults queries actually incur.
 // The returned closer owns the mapping; the engine must not be used
-// after Close. Only v2 files can be mapped; a v1 file yields an error
-// directing the caller to the streaming loader.
+// after Close. A retired layout is refused with ErrRetiredFormat, as by
+// LoadEngine.
 func OpenMappedEngine(path string, prep *dataset.Prepared, opts BuildOptions) (BuildResult, io.Closer, error) {
 	m, err := flatbuf.MapFile(path)
 	if err != nil {
@@ -811,11 +796,10 @@ func OpenMappedEngine(path string, prep *dataset.Prepared, opts BuildOptions) (B
 	}
 	img, err := flatbuf.Open(m.Data())
 	if err != nil {
-		isV1 := len(m.Data()) >= 4 && bytes.Equal(m.Data()[:4], engineMagic[:])
-		_ = m.Close()
-		if isV1 {
-			return BuildResult{}, nil, fmt.Errorf("core: %s is a v1 index; load it with LoadEngine or re-save to map it", path)
+		if bytes.HasPrefix(m.Data(), v1Magic) {
+			err = retired(path + ": v1 stream")
 		}
+		_ = m.Close()
 		return BuildResult{}, nil, err
 	}
 	res, err := loadEngineV2(img, prep, opts)

@@ -116,13 +116,6 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts SpaReachOpti
 	return newSpaReachWithTree(name, prep, reach, tree, opts)
 }
 
-func newSpaReach(name string, prep *dataset.Prepared, reach reachIndex, opts SpaReachOptions) *SpaReach {
-	t := opts.Span.Start()
-	tree := buildSpatialTree(prep, opts.Policy, opts.Fanout, pool.New(max(opts.Parallelism, 1)))
-	opts.Span.End("spatial", t)
-	return newSpaReachWithTree(name, prep, reach, tree, opts)
-}
-
 func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, tree *rtree.Flat[geom.Rect], opts SpaReachOptions) *SpaReach {
 	e := &SpaReach{
 		name: name, prep: prep, policy: opts.Policy,

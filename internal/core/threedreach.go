@@ -76,10 +76,9 @@ func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 }
 
 // NewThreeDReachWithLabeling builds the engine around an existing
-// labeling of prep.DAG — e.g. one reloaded from disk (see LoadEngine) —
-// keyed by post or by spatial rank over
+// labeling of prep.DAG, keyed by post or by spatial rank over
 // prep.HasSpatial; the index's z is whichever key the labeling has. The
-// spatial index is rebuilt from the network, which is cheap relative to
+// spatial index is built from the network, which is cheap relative to
 // labeling construction.
 func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts ThreeDOptions) *ThreeDReach {
 	e := &ThreeDReach{prep: prep, policy: opts.Policy, l: l}

@@ -29,15 +29,8 @@ func NewThreeDReachRev(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReachR
 	t := opts.Span.Start()
 	rev := labeling.Build(prep.DAG.Reverse(), labeling.Options{Forest: opts.Forest, Parallelism: opts.Parallelism})
 	opts.Span.End("labeling", t)
-	return NewThreeDReachRevWithLabeling(prep, rev, opts)
-}
-
-// NewThreeDReachRevWithLabeling builds the engine around an existing
-// *reversed* labeling (built over prep.DAG.Reverse()), e.g. one reloaded
-// from disk.
-func NewThreeDReachRevWithLabeling(prep *dataset.Prepared, rev *labeling.Labeling, opts ThreeDOptions) *ThreeDReachRev {
 	e := &ThreeDReachRev{prep: prep, policy: opts.Policy, rev: rev}
-	t := opts.Span.Start()
+	t = opts.Span.Start()
 	defer opts.Span.End("spatial", t)
 
 	var entries []rtree.Entry[geom.Box3]

@@ -268,6 +268,7 @@ func TestLoadRejectsMalformedInput(t *testing.T) {
 		"unknown":           "geosocial 1\nvertices 2\nq 1 2\n",
 		"no-vertices":       "geosocial 1\nname x\n",
 		"negative-count":    "geosocial 1\nvertices -4\n",
+		"huge-count":        "geosocial 1\nvertices 9223372036854775807\n",
 		"name-no-value":     "geosocial 1\nname\nvertices 1\n",
 	}
 	for name, input := range cases {

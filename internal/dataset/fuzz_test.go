@@ -16,6 +16,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add("# comment\n\ngeosocial 1\nvertices 1\np 0 -1e300 1e300\n")
 	f.Add("geosocial 2\n")
 	f.Add("geosocial 1\nvertices -1\n")
+	f.Add("geosocial 1\nvertices 9223372036854775807\n")
 	f.Add("geosocial 1\nvertices 2\ne 0 9\n")
 
 	f.Fuzz(func(t *testing.T, input string) {

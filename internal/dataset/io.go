@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -140,6 +141,10 @@ func Load(r io.Reader) (*Network, error) {
 			}
 			if n < 0 {
 				return nil, fmt.Errorf("dataset: line %d: negative vertex count", line)
+			}
+			// Vertex ids are int32 and the graph's offset column holds n+1.
+			if n > math.MaxInt32-1 {
+				return nil, fmt.Errorf("dataset: line %d: vertex count %d exceeds %d", line, n, math.MaxInt32-1)
 			}
 			b = graph.NewBuilder(n)
 			net.Spatial = make([]bool, n)

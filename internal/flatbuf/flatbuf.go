@@ -381,8 +381,10 @@ func AlignedBytes(n int) []byte {
 }
 
 // ReadImage slurps a streamed image into an aligned buffer and opens
-// it. This is the portable decode path: one buffer allocation and one
-// copy regardless of how many structures the image holds.
+// it. This is the portable decode path: io.ReadAll reads the stream into
+// a buffer it grows as bytes arrive, reallocating and copying as it goes,
+// and the result is copied once more into the aligned buffer. The cost
+// does not depend on how many structures the image holds.
 func ReadImage(r io.Reader) (*Image, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

@@ -40,8 +40,8 @@ func (idx *Index) FlatMeta() FlatMeta {
 }
 
 // FromFlat assembles a SPA-Graph over persisted columns and attaches it
-// to prep. It is the one place outside input is checked, whichever
-// codec decoded it: column lengths against the network, a plausible
+// to prep. It is the one place outside input is checked, whether the
+// columns were decoded or mapped: column lengths against the network, a plausible
 // level count, kinds within range, offsets tiling the key array, keys
 // only under G-vertices and ascending within a run. The slices are
 // adopted, not copied — a mapped open allocates only the Index header

@@ -39,8 +39,8 @@ func (l *Labeling) FlatColumns() (post, order []int32, offsets []uint64, data in
 const maxVertices = 1 << 30
 
 // FromFlat assembles a labeling from persisted flat columns. It is the
-// one place outside input is checked, whichever codec decoded it: post
-// must be a bijection onto [1,n] consistent with order, offsets must
+// one place outside input is checked, whether the columns were decoded
+// or mapped: post must be a bijection onto [1,n] consistent with order, offsets must
 // tile data monotonically, and every label set must pass validSet. The
 // label sets are subslices of data — one allocation for the whole
 // Labels spine, zero per vertex — so data must stay alive (and

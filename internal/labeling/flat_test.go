@@ -1,25 +1,11 @@
 package labeling
 
 import (
-	"bytes"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/intervals"
 )
-
-// fixtureV1 returns the labeling stream inside one of the root
-// package's frozen v1 fixtures, behind its 7-byte engine header.
-func fixtureV1(t testing.TB, slug string) []byte {
-	t.Helper()
-	file, err := os.ReadFile("../../testdata/format/" + slug + "-v1.idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return file[7:]
-}
 
 // TestLabelingSerializeRoundTrip: whatever Build produces, FromFlat
 // accepts as columns, and the reassembled labeling is the same one.
@@ -61,48 +47,10 @@ func TestLabelingSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadLabelingRejectsCorruptInput pins the v1 decoder's own checks
-// — the ones that size its reads — and one hand-off to FromFlat, on the
-// frozen stream. The root package's every-offset corruption pass over
-// the v1 fixtures covers the rest.
-func TestReadLabelingRejectsCorruptInput(t *testing.T) {
-	valid := fixtureV1(t, "3dreach")
-	if _, err := ReadLabeling(bytes.NewReader(valid)); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad-magic":   append([]byte("XXXX"), valid[4:]...),
-		"bad-version": append(append([]byte{}, valid[:4]...), append([]byte{99}, valid[5:]...)...),
-		"truncated":   valid[:len(valid)/2],
-	}
-	for name, input := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadLabeling(bytes.NewReader(input)); err == nil {
-				t.Error("corrupt input accepted")
-			}
-		})
-	}
-
-	// Corrupt post numbers: duplicate posts must be rejected.
-	corrupt := append([]byte{}, valid...)
-	// Posts start after magic(4) + version(1) + n(4) = offset 9; make the
-	// second post equal the first.
-	copy(corrupt[13:17], corrupt[9:13])
-	if _, err := ReadLabeling(bytes.NewReader(corrupt)); err == nil {
-		t.Error("duplicate post numbers accepted")
-	}
-
-	if _, err := ReadLabeling(strings.NewReader("RRLB\x01\xff\xff\xff\xff")); err == nil {
-		t.Error("implausible vertex count accepted")
-	}
-}
-
 // TestLoadRejectsUnorderedLabelSet: a label set whose intervals are
 // swapped or overlap is a load error — the queries binary-search it —
 // while the adjacent, unmerged singletons of the compression ablation
-// still load and still answer. Both codecs assemble through FromFlat.
+// still load and still answer.
 func TestLoadRejectsUnorderedLabelSet(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(79)), 40, 90)
 	load := func(l *Labeling) error {

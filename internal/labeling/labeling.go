@@ -259,51 +259,6 @@ func (l *Labeling) Keys() []int32 {
 	return keys
 }
 
-// Ranked returns the rank-keyed labeling over spatial that l, a
-// post-keyed one, projects to: each interval [lo, hi] becomes the ranks
-// of the spatial vertices whose posts it covers, an empty one is
-// dropped, and neighbours that meet are merged. The map from posts to
-// ranks is monotone, so the result is canonical and equal, set for set,
-// to what Build with Options.Spatial computes directly. Post, Order and
-// Forest are shared with l. It is for labelings read from files written
-// before rank keys; a build should not take this detour.
-func (l *Labeling) Ranked(spatial []bool) *Labeling {
-	l.mustBePostKeyed("Ranked")
-	// below[p] counts the spatial vertices with post ≤ p.
-	below := make([]int32, len(l.Order)+1)
-	for i, v := range l.Order {
-		below[i+1] = below[i]
-		if spatial[v] {
-			below[i+1]++
-		}
-	}
-	out := &Labeling{
-		Post:    l.Post,
-		Order:   l.Order,
-		Labels:  make([]intervals.Set, len(l.Labels)),
-		Forest:  l.Forest,
-		Spatial: spatial,
-	}
-	data := make(intervals.Set, 0, l.TotalLabels())
-	for v, set := range l.Labels {
-		start := len(data)
-		for _, iv := range set {
-			lo, hi := below[iv.Lo-1]+1, below[iv.Hi]
-			if lo > hi {
-				continue
-			}
-			if n := len(data); n > start && data[n-1].Hi+1 >= lo {
-				data[n-1].Hi = hi
-				continue
-			}
-			data = append(data, intervals.Interval{Lo: lo, Hi: hi})
-		}
-		out.Labels[v] = data[start:len(data):len(data)]
-	}
-	out.finishStats(Options{})
-	return out
-}
-
 // PostOf returns the post-order number of v.
 func (l *Labeling) PostOf(v int) int32 { return l.Post[v] }
 

@@ -80,9 +80,10 @@ func (idx *Index) SaveFile(path string) error {
 
 // LoadIndex reads an index saved with Index.Save and attaches it to the
 // network, which must be identical to the one the index was built over.
-// Files in the v1 streaming format of earlier releases load too; nothing
-// writes that format any more, so loading one and saving it is the
-// upgrade.
+// It reads the layout Save writes and the one generation before it
+// (3DReach labels keyed by post). An older file — the v1 stream, or a
+// 3DReach whose points sit in an R-tree — is refused with an error that
+// wraps core.ErrRetiredFormat and names the upgrade.
 func (n *Network) LoadIndex(r io.Reader, options ...Option) (*Index, error) {
 	var cfg buildConfig
 	for _, o := range options {
@@ -126,9 +127,8 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 // copies, O(1) allocations regardless of index size. Cold start is
 // near-instant — beyond the columns the open pass reads (below), the
 // OS pages in only what queries touch. Call
-// Index.Close when done; the index must not be used afterwards. v1
-// files cannot be mapped (re-save them to upgrade); use LoadIndexFile
-// for those.
+// Index.Close when done; the index must not be used afterwards. It
+// maps what LoadIndex reads and refuses what LoadIndex refuses.
 //
 // Unlike LoadIndex, OpenMapped skips the deep validation pass, which
 // reads every tree bound to check containment and checks every

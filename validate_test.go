@@ -123,42 +123,41 @@ func TestDynamicValidateRandomized(t *testing.T) {
 
 // TestLoadCorrupted feeds systematically corrupted index files to
 // LoadIndex: truncations at every byte boundary (covering every
-// section boundary) and single-byte flips at every offset. Every case
-// must return a wrapped error or a fully validated index — never
-// panic.
+// section boundary) and single-byte flips at every offset, over every
+// persistable method's default save and every other layout still read
+// (layoutInputs). Every case must return a wrapped error or a fully
+// validated index — never panic.
 func TestLoadCorrupted(t *testing.T) {
 	net := figure1(t)
+	var inputs []corruptionInput
 	for _, m := range []rangereach.Method{
-		rangereach.ThreeDReach, rangereach.SocReach,
-		rangereach.SpaReachINT, rangereach.GeoReach, rangereach.MethodAuto,
+		rangereach.ThreeDReach, rangereach.ThreeDReachRev, rangereach.SocReach,
+		rangereach.SpaReachBFL, rangereach.SpaReachINT, rangereach.GeoReach,
+		rangereach.MethodAuto,
 	} {
-		idx := net.MustBuild(m)
-		var buf bytes.Buffer
-		if err := idx.Save(&buf); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		valid := buf.Bytes()
-
+		inputs = append(inputs, corruptionInput{m.String(), net, savedImage(t, net, m)})
+	}
+	for _, in := range append(inputs, layoutInputs(t, net)...) {
 		load := func(name string, data []byte) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("%v/%s: LoadIndex panicked: %v", m, name, r)
+					t.Errorf("%s/%s: LoadIndex panicked: %v", in.name, name, r)
 				}
 			}()
-			loaded, err := net.LoadIndex(bytes.NewReader(data))
+			loaded, err := in.net.LoadIndex(bytes.NewReader(data))
 			if err != nil {
 				if !strings.Contains(err.Error(), ":") {
-					t.Errorf("%v/%s: unwrapped error %q", m, name, err)
+					t.Errorf("%s/%s: unwrapped error %q", in.name, name, err)
 				}
 				return
 			}
 			// Corruption that still decodes must yield a structurally
 			// valid index (LoadIndex guarantees it; double-check).
 			if err := loaded.Validate(); err != nil {
-				t.Errorf("%v/%s: accepted index fails validation: %v", m, name, err)
+				t.Errorf("%s/%s: accepted index fails validation: %v", in.name, name, err)
 			}
 		}
 
-		everyOffset(valid, load)
+		everyOffset(in.data, load)
 	}
 }
