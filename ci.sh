@@ -3,7 +3,7 @@
 #
 #   ./ci.sh        vet + gofmt + rrlint + govulncheck when installed
 #                  + build (all packages and binaries) + full test
-#                  suite + the read paths' count guards
+#                  suite + the read paths' count guards + the examples
 #                  + the benchmark module's own vet
 #                  and tests + fuzz seed corpora + format compat
 #                  + 30 s of loader fuzzing
@@ -83,6 +83,16 @@ go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
     ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
     ./internal/labeling -count=1
 
+# The example programs are the public API's end-to-end users; each runs
+# once and exits non-zero on an error or on a wrong answer: epidemic
+# checks 3DReach-Rev, which no other public-API caller builds, against
+# the naive BFS oracle, and poirecommend checks 3DReach against
+# SpaReach-BFL. All five take about 1.3 s.
+echo "== examples =="
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
+
 # benchmark/ is its own module (BENCHMARK.json's command runs it), so
 # ./... above stops at its go.mod. Its tests are the guards on the
 # benchmark itself: a smoke run of all four workloads against their
@@ -115,9 +125,10 @@ go test -run 'Fuzz' . ./internal/incr ./internal/tiles
 # The format-compatibility gate. The loader reads the layout the writer
 # writes plus the one generation before it (DESIGN.md §16). The golden
 # fixtures of all seven persistable methods under testdata/format, and
-# the older 3DReach generation (3dreach-v2-posts.idx), keep loading,
-# mapping and answering the pinned queries (TestFormatCompatGolden,
-# TestFormatV2PostKeys); save(load(v2)) stays byte-identical; the decode
+# the older 3DReach and 3DReach-Rev generations (3dreach-v2-posts.idx,
+# 3dreach-rev-v2-labels.idx), keep loading, mapping and answering the
+# pinned queries (TestFormatCompatGolden, TestFormatV2PostKeys,
+# TestFormatV2RevLabels); save(load(v2)) stays byte-identical; the decode
 # and mmap paths survive a truncation and a flip at every offset of
 # every layout still read (TestLoadCorrupted, TestFormatV2CorruptionMapped)
 # and serve in full parity with a build. The retired files under

@@ -56,9 +56,10 @@ func explainQueries(net *rangereach.Network, n int, seed int64) []struct {
 	return out
 }
 
-// TestExplainParityAllMethods is the PR's central invariant: Explain
+// TestExplainParityAllMethods is Explain's central invariant: it
 // must return exactly the boolean RangeReach returns, for every method
-// (including the extended SpaReach variants) and both SCC policies.
+// (including the extended SpaReach variants) and both SCC policies. It
+// also pins 3DReach-Rev's counters, which count tree nodes, not labels.
 func TestExplainParityAllMethods(t *testing.T) {
 	net := explainNetwork(t)
 	queries := explainQueries(net, 60, 7)
@@ -81,6 +82,11 @@ func TestExplainParityAllMethods(t *testing.T) {
 			}
 			if stats.CacheHit {
 				t.Fatalf("%v: direct Explain reported a cache hit", m)
+			}
+			// 3DReach-Rev reads no label: its one plane query walks the
+			// segment tree (DESIGN.md §9).
+			if m == rangereach.ThreeDReachRev && want && (stats.Labels != 0 || stats.IndexNodes == 0) {
+				t.Fatalf("%v: positive query reports %d labels and %d index nodes, want 0 and > 0", m, stats.Labels, stats.IndexNodes)
 			}
 		}
 	}

@@ -28,7 +28,7 @@ var updateFormat = flag.Bool("update-format", false, "regenerate the v2 golden f
 
 // fixtureMethods are the persistable methods, each pinned by a v2
 // golden fixture. Between them they cover every section family:
-// interval labels + point tiles (3dreach), labels + 3D segments
+// interval labels + point tiles (3dreach), posts + 3D segments
 // (3dreach-rev), labels alone (socreach), labels or BFL bitsets + 2D
 // R-tree (spareach-int, spareach-bfl), the SPA-Graph grid columns
 // (georeach) and the composite container (auto).
@@ -98,7 +98,7 @@ func fixtureQueries(t *testing.T, idx *rangereach.Index, name string) {
 // the compatibility contract: a change that breaks decoding of
 // yesterday's files fails here, in CI, before it ships. With
 // -update-format the test first rewrites the fixtures from the current
-// builder.
+// builder, all but auto-v2.idx.
 func TestFormatCompatGolden(t *testing.T) {
 	net := fuzzNet()
 	if *updateFormat {
@@ -106,6 +106,11 @@ func TestFormatCompatGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fm := range fixtureMethods {
+			if fm.m == rangereach.MethodAuto {
+				// auto-v2.idx stays as written before 3DReach-Rev dropped
+				// its labels: its Rev member is Rev's older generation.
+				continue
+			}
 			idx, err := net.Build(fm.m, fixtureOptions()...)
 			if err != nil {
 				t.Fatalf("%s: %v", fm.slug, err)
@@ -185,6 +190,45 @@ func TestFormatV2PostKeys(t *testing.T) {
 		}
 		if !bytes.Equal(resaved.Bytes(), frozen) {
 			t.Errorf("%s: save(%s) differs from itself (%d vs %d bytes)", name, path, resaved.Len(), len(frozen))
+		}
+	}
+}
+
+// TestFormatV2RevLabels pins the last v2 3DReach-Rev fixture that holds
+// the reversed labeling beside the post column and the segments,
+// frozen from commit 55d06d1 when Rev came to keep only what a query
+// reads (manifest flag bit 0 clear). Its labels load and are dropped, so
+// it must load, validate, map and answer, and re-save to the current
+// 3dreach-rev-v2.idx byte for byte.
+func TestFormatV2RevLabels(t *testing.T) {
+	const want = "d92823477a652c100a1aebf70db749b1cdcc7ff95db9f9d09c20cd829a62023e"
+	net := fuzzNet()
+	path := fixturePath("3dreach-rev", "v2-labels")
+	sum := sha256.Sum256(readFixture(t, "3dreach-rev", "v2-labels"))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("%s hashes to %s, want %s", path, got, want)
+	}
+	current := readFixture(t, "3dreach-rev", "v2")
+	loaded, err := net.LoadIndexFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := net.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for name, idx := range map[string]*rangereach.Index{"decode": loaded, "mmap": mapped} {
+		if err := idx.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		fixtureQueries(t, idx, name)
+		var resaved bytes.Buffer
+		if err := idx.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), current) {
+			t.Errorf("%s: save(%s) differs from 3dreach-rev-v2.idx (%d vs %d bytes)", name, path, resaved.Len(), len(current))
 		}
 	}
 }
@@ -437,8 +481,9 @@ func savedImage(t testing.TB, net *rangereach.Network, m rangereach.Method, opts
 
 // layoutInputs are the layouts the loader reads beyond the
 // default-policy saves of fixtureMethods: the older 3DReach generation
-// (labels and tiles over posts), which loads over base, a copy of the
-// running example; the box and MBR trees of
+// (labels and tiles over posts) and the older 3DReach-Rev generation
+// (reversed labels beside the segments), which load over base, a copy
+// of the running example; the box and MBR trees of
 // WithMBRPolicy over a network with a two-venue component, and the
 // exact boxes of a network with extents.
 func layoutInputs(t testing.TB, base *rangereach.Network) []corruptionInput {
@@ -448,7 +493,10 @@ func layoutInputs(t testing.TB, base *rangereach.Network) []corruptionInput {
 		b.SetRect(4, rangereach.NewRect(65, 75, 75, 85)).SetRect(8, rangereach.NewRect(15, 85, 25, 95))
 	})
 	mbr := rangereach.WithMBRPolicy()
-	in := []corruptionInput{{"3dreach-v2-posts", base, readFixture(t, "3dreach", "v2-posts")}}
+	in := []corruptionInput{
+		{"3dreach-v2-posts", base, readFixture(t, "3dreach", "v2-posts")},
+		{"3dreach-rev-v2-labels", base, readFixture(t, "3dreach-rev", "v2-labels")},
+	}
 	for _, c := range []struct {
 		name string
 		net  *rangereach.Network
@@ -573,6 +621,53 @@ func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
 
 }
 
+// TestLoadRejectsShrunkSegment saves a 3DReach-Rev whose one segment
+// has lost posts from its z-range but still lies inside its leaf's
+// bound, so the tree's containment check passes it while queries at
+// the lost heights miss. LoadIndex must refuse the file; OpenMapped
+// skips the deep pass, so its Validate must.
+func TestLoadRejectsShrunkSegment(t *testing.T) {
+	net := fuzzNet()
+	data := savedImage(t, net, rangereach.ThreeDReachRev)
+	img, err := flatbuf.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Root engine, section kind 13: the leaf entries' {min x, y, z,
+	// max x, y, z} f64 bounds (DESIGN.md §16). The section aliases data.
+	bounds, ok := img.Section(0, 13)
+	if !ok {
+		t.Fatal("the 3DReach-Rev image has no entry bounds")
+	}
+	shrunk := false
+	for off := 0; off+48 <= len(bounds); off += 48 {
+		minZ, maxZ := bounds[off+16:off+24], bounds[off+40:off+48]
+		if !bytes.Equal(minZ, maxZ) {
+			copy(minZ, maxZ)
+			shrunk = true
+			break
+		}
+	}
+	if !shrunk {
+		t.Fatal("no segment of the fixture network spans two posts")
+	}
+	if _, err := net.LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "segment of id") {
+		t.Errorf("LoadIndex: error %v, want the shrunk segment refused", err)
+	}
+	path := filepath.Join(t.TempDir(), "shrunk.idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := net.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if err := mapped.Validate(); err == nil || !strings.Contains(err.Error(), "segment of id") {
+		t.Errorf("mapped Validate: error %v, want the shrunk segment named", err)
+	}
+}
+
 // savedManifest returns a private copy of a method's v2 fixture, with
 // its root manifest (section kind 1; its first bytes are {method u8,
 // policy u8, flags u16}, DESIGN.md §16) aliasing the image so a test can
@@ -654,7 +749,8 @@ func TestFormatSocReachReservedFlag(t *testing.T) {
 // meaningfully more than opening the small one, because every column
 // overlays the mapped pages instead of being decoded into fresh
 // slices — GeoReach's ReachGrids included, which the query scans as the
-// key runs they are stored as.
+// key runs they are stored as, and 3DReach-Rev's posts, which have no
+// label spine beside them.
 func TestOpenMappedAllocs(t *testing.T) {
 	dir := t.TempDir()
 	build := func(m rangereach.Method, n int) (*rangereach.Network, string) {
@@ -691,7 +787,7 @@ func TestOpenMappedAllocs(t *testing.T) {
 			_ = mapped.Close()
 		})
 	}
-	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.GeoReach} {
+	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.ThreeDReachRev, rangereach.GeoReach} {
 		small := measure(build(m, 400))
 		big := measure(build(m, 1600))
 		// The counts need not be exactly equal (map headers, error paths),
@@ -710,8 +806,8 @@ func TestOpenMappedAllocs(t *testing.T) {
 // hashes were recorded at commit 8e36155, where a pointer tree was
 // flattened at save time, so they hold the bulk loader to that
 // canonical BFS layout. The "3dreach" hash was recorded again when the
-// point tiles replaced its point R-tree (TestFormatV2RTreePoints keeps
-// the older layout loading).
+// point tiles replaced its point R-tree; that layout is now retired
+// (testdata/format/retired/3dreach-v2-rtree.idx).
 func TestFormatLayoutPinned(t *testing.T) {
 	net := rangereach.GowallaLike(0.1, 7)
 	mbr := []rangereach.Option{rangereach.WithMBRPolicy()}
@@ -729,7 +825,10 @@ func TestFormatLayoutPinned(t *testing.T) {
 		// hold ranks, so the STR packing sorts the same boxes at new
 		// heights.
 		{"3dreach-mbr", rangereach.ThreeDReach, mbr, "1d4f9ae79f3420b7bfd985050ce3ba0ce250f9ac6d36e60c8a42a8e02fd7e407"},
-		{"3dreach-rev-mbr", rangereach.ThreeDReachRev, mbr, "4d44dec91a7d4e75ad2cf9803014aaf5d20f2145d2d61268dbbeb2162b1dced2"},
+		// Recorded again when 3DReach-Rev dropped its reversed labels
+		// (flag bit 0): the post column and the same tree sections remain
+		// (TestFormatV2RevLabels keeps the labeled file loading).
+		{"3dreach-rev-mbr", rangereach.ThreeDReachRev, mbr, "1d177e6e223dd586e476e4f4f7e43088cdf234b91436853b47d4da97be518ed1"},
 		{"spareach-int-mbr", rangereach.SpaReachINT, mbr, "e5201b50503f4088aacb706ca3903083d9f826df1cf786e906c1fe7f8801ade7"},
 	} {
 		idx, err := net.Build(c.m, c.opts...)

@@ -87,6 +87,11 @@ const (
 	// boxes' z, hold spatial ranks instead of posts (the layout is the
 	// same). A file without it answers in post space as written.
 	threeDFlagRanks = 1 << 4
+
+	// revFlagPosts: 3DReach-Rev's record holds the post column and the
+	// segment tree. Clear, it is the older generation, which also holds
+	// the reversed labels; they load and are dropped but for the posts.
+	revFlagPosts = 1 << 0
 )
 
 // autoCoef fills the Auto manifest's per-member coefficient field. The
@@ -202,11 +207,11 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			return err
 		}
 	case *ThreeDReachRev:
-		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy)})
-		mustWrite(&man, labelingMetaOf(eng.rev))
+		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy), Flags: revFlagPosts})
+		mustWrite(&man, uint32(len(eng.post)))
 		mustWrite(&man, treeMetaOf(eng.tree))
 		fw.Append(owner, secManifest, man.Bytes())
-		if err := appendLabelingSections(fw, owner, eng.rev); err != nil {
+		if err := flatbuf.AppendSlice(fw, owner, secLabelPost, eng.post); err != nil {
 			return err
 		}
 		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
@@ -474,9 +479,22 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		}
 		return &ThreeDReach{prep: prep, policy: policy, l: l, boxes: f, exactBoxes: exact}, nil
 	case MethodThreeDReachRev:
-		rev, err := loadLabelingV2(img, owner, mr, prep)
-		if err != nil {
-			return nil, err
+		var post []int32
+		switch flags {
+		case revFlagPosts:
+			p, err := loadPostsV2(img, owner, mr, prep)
+			if err != nil {
+				return nil, err
+			}
+			post = p
+		case 0:
+			rev, err := loadLabelingV2(img, owner, mr, prep)
+			if err != nil {
+				return nil, err
+			}
+			post = rev.Post
+		default:
+			return nil, fmt.Errorf("core: %w: 3DReach-Rev flags %#x", flatbuf.ErrFormat, flags)
 		}
 		limit := prep.Net.NumVertices()
 		if policy == dataset.MBR {
@@ -489,7 +507,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		return &ThreeDReachRev{prep: prep, policy: policy, rev: rev, tree: f}, nil
+		return &ThreeDReachRev{prep: prep, policy: policy, post: post, tree: f}, nil
 	case MethodSocReach:
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
@@ -634,6 +652,36 @@ func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *da
 			l.NumVertices(), prep.NumComponents())
 	}
 	return l, nil
+}
+
+// loadPostsV2 reads 3DReach-Rev's component count and overlays its post
+// column, which must be a permutation of [1, C]: a query reads its plane
+// height there.
+func loadPostsV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *dataset.Prepared) ([]int32, error) {
+	var n uint32
+	if err := readManifest(mr, owner, &n); err != nil {
+		return nil, err
+	}
+	post, err := castSection[int32](img, owner, secLabelPost)
+	if err != nil {
+		return nil, err
+	}
+	if int(n) != len(post) {
+		return nil, fmt.Errorf("core: %w: manifest says %d components, post column has %d",
+			flatbuf.ErrFormat, n, len(post))
+	}
+	if len(post) != prep.NumComponents() {
+		return nil, fmt.Errorf("core: post column has %d components, network has %d",
+			len(post), prep.NumComponents())
+	}
+	seen := make([]bool, len(post))
+	for c, p := range post {
+		if p < 1 || int(p) > len(post) || seen[p-1] {
+			return nil, fmt.Errorf("core: %w: corrupt post %d for component %d", flatbuf.ErrFormat, p, c)
+		}
+		seen[p-1] = true
+	}
+	return post, nil
 }
 
 // loadFlatTreeV2 reads a treeMeta record, overlays the tree columns and

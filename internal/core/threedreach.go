@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/intervals"
 	"repro/internal/labeling"
 	"repro/internal/pool"
@@ -54,8 +53,6 @@ type ThreeDOptions struct {
 	// Fanout is the fan-out of the R-trees: the MBR policy's, extended
 	// geometries' and 3DReach-Rev's (0 = rtree.DefaultMaxEntries).
 	Fanout int
-	// Forest is the spanning-forest policy of the labeling.
-	Forest graph.ForestPolicy
 	// Parallelism bounds the build workers: 0 or 1 builds sequentially,
 	// n > 1 parallelizes the labeling and the R-tree bulk loads
 	// internally. The 3D index depends on the labeling's post-order
@@ -70,7 +67,7 @@ type ThreeDOptions struct {
 // labels.
 func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 	t := opts.Span.Start()
-	l := labeling.Build(prep.DAG, labeling.Options{Forest: opts.Forest, Parallelism: opts.Parallelism, Spatial: prep.HasSpatial})
+	l := labeling.Build(prep.DAG, labeling.Options{Parallelism: opts.Parallelism, Spatial: prep.HasSpatial})
 	opts.Span.End("labeling", t)
 	return NewThreeDReachWithLabeling(prep, l, opts)
 }

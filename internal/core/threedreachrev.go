@@ -17,24 +17,45 @@ import (
 // line segments, one per reversed label, and RangeReach(G, v, R) becomes
 // a single 3D range query: the plane with base R at height post(v). The
 // answer is positive iff the plane cuts a segment.
+//
+// A query reads post(v) and the segments, so that is all the engine
+// keeps: the reversed labels live on only as the segments' z-ranges.
 type ThreeDReachRev struct {
 	prep   *dataset.Prepared
 	policy dataset.SCCPolicy
-	rev    *labeling.Labeling // labeling of the reversed condensed DAG
+	post   []int32 // post-order number of each component in the reversed labeling
 	tree   *rtree.Flat[geom.Box3]
 }
 
 // NewThreeDReachRev builds the line-based 3DReach-Rev engine.
 func NewThreeDReachRev(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReachRev {
 	t := opts.Span.Start()
-	rev := labeling.Build(prep.DAG.Reverse(), labeling.Options{Forest: opts.Forest, Parallelism: opts.Parallelism})
+	rev := reversedLabeling(prep, opts.Parallelism)
 	opts.Span.End("labeling", t)
-	e := &ThreeDReachRev{prep: prep, policy: opts.Policy, rev: rev}
 	t = opts.Span.Start()
 	defer opts.Span.End("spatial", t)
+	// Segments and boxes are stored alike (min/max corners), matching the
+	// paper's observation about Boost's R-tree (§6.2): no leaf-payload
+	// override either way.
+	tree := rtree.BulkLoadPool(revEntries(prep, opts.Policy, rev), opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
+	return &ThreeDReachRev{prep: prep, policy: opts.Policy, post: rev.Post, tree: tree}
+}
 
+// reversedLabeling builds the labeling of the reversed condensed DAG
+// over the default spanning forest. Its posts and labels depend on the
+// network alone, not on the parallelism, so ValidateEngine rebuilds it
+// to check a Rev against.
+func reversedLabeling(prep *dataset.Prepared, parallelism int) *labeling.Labeling {
+	return labeling.Build(prep.DAG.Reverse(), labeling.Options{Parallelism: parallelism})
+}
+
+// revEntries derives the tree's leaf entries from the reversed
+// labeling: one per reversed label of each spatial component (MBR,
+// id the component) or of each spatial vertex (Replicate, id the
+// vertex), spanning the label's posts in z.
+func revEntries(prep *dataset.Prepared, policy dataset.SCCPolicy, rev *labeling.Labeling) []rtree.Entry[geom.Box3] {
 	var entries []rtree.Entry[geom.Box3]
-	if opts.Policy == dataset.MBR {
+	if policy == dataset.MBR {
 		for c := range prep.Members {
 			if !prep.HasSpatial[c] {
 				continue
@@ -46,29 +67,24 @@ func NewThreeDReachRev(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReachR
 				})
 			}
 		}
-	} else {
-		for v, s := range prep.Net.Spatial {
-			if !s {
-				continue
-			}
-			c := prep.CompOf(v)
-			// Vertical segment for point vertices; for extended
-			// geometries (paper footnote 1) the segment widens to the
-			// box geometry × label range, still exact.
-			g := prep.Net.GeometryOf(v)
-			for _, iv := range rev.Labels[c] {
-				entries = append(entries, rtree.Entry[geom.Box3]{
-					Box: geom.Box3FromRect(g, float64(iv.Lo), float64(iv.Hi)),
-					ID:  int32(v),
-				})
-			}
+		return entries
+	}
+	for v, s := range prep.Net.Spatial {
+		if !s {
+			continue
+		}
+		// Vertical segment for point vertices; for extended geometries
+		// (paper footnote 1) the segment widens to the box geometry ×
+		// label range, still exact.
+		g := prep.Net.GeometryOf(v)
+		for _, iv := range rev.Labels[prep.CompOf(v)] {
+			entries = append(entries, rtree.Entry[geom.Box3]{
+				Box: geom.Box3FromRect(g, float64(iv.Lo), float64(iv.Hi)),
+				ID:  int32(v),
+			})
 		}
 	}
-	// Segments and boxes are stored alike (min/max corners), matching the
-	// paper's observation about Boost's R-tree (§6.2): no leaf-payload
-	// override either way.
-	e.tree = rtree.BulkLoadPool(entries, opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
-	return e
+	return entries
 }
 
 // Name implements Engine.
@@ -85,8 +101,7 @@ func (e *ThreeDReachRev) RangeReach(v int, r geom.Rect) bool {
 // the reversed labels live inside the indexed segments); MBR member
 // confirmations count as member verifications.
 func (e *ThreeDReachRev) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
-	src := int(e.prep.CompOf(v))
-	z := float64(e.rev.PostOf(src))
+	z := float64(e.post[e.prep.CompOf(v)])
 	q := geom.Box3FromRect(r, z, z)
 	if e.policy == dataset.Replicate {
 		t := sp.Start()
@@ -114,13 +129,10 @@ func (e *ThreeDReachRev) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bo
 	return hit
 }
 
-// MemoryBytes implements Engine: reversed labeling plus 3D R-tree.
+// MemoryBytes implements Engine: 4 bytes of post per component plus the
+// 3D R-tree.
 func (e *ThreeDReachRev) MemoryBytes() int64 {
-	return e.rev.MemoryBytes() + e.tree.MemoryBytes()
+	return int64(4*len(e.post)) + e.tree.MemoryBytes()
 }
-
-// Labeling exposes the reversed labeling for stats reporting (Table 6's
-// "reversed" columns).
-func (e *ThreeDReachRev) Labeling() *labeling.Labeling { return e.rev }
 
 var _ Engine = (*ThreeDReachRev)(nil)

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 
 	"repro/internal/check"
+	"repro/internal/geom"
 	"repro/internal/labeling"
+	"repro/internal/rtree"
 )
 
 // ValidateEngine deep-checks the structural invariants of an engine:
@@ -12,7 +17,8 @@ import (
 // nested label sets over posts or, for 3DReach, spatial ranks — see
 // check.Labeling — acyclic condensation) and spatial indexes (R-tree
 // MBR containment and balance; 3DReach's point tiles, against their own
-// order and bounds and against the network and labeling). It returns
+// order and bounds and against the network and labeling; 3DReach-Rev's
+// posts and segments, against its reversed labeling rebuilt). It returns
 // nil for a well-formed engine and a descriptive error naming the
 // engine and the first violated invariant otherwise.
 //
@@ -37,14 +43,8 @@ func ValidateEngine(e Engine) error {
 			}
 		}
 	case *ThreeDReachRev:
-		// The labeling is built over the reversed condensation.
-		if err := check.Labeling(eng.prep.DAG.Reverse(), eng.rev); err != nil {
-			return fmt.Errorf("core: %s labeling: %w", eng.Name(), err)
-		}
-		if eng.tree != nil {
-			if err := eng.tree.Validate(); err != nil {
-				return fmt.Errorf("core: %s segment index: %w", eng.Name(), err)
-			}
+		if err := validateRev(eng); err != nil {
+			return fmt.Errorf("core: %s segment index: %w", eng.Name(), err)
 		}
 	case *SocReach:
 		if err := check.Labeling(eng.prep.DAG, eng.l); err != nil {
@@ -106,6 +106,56 @@ func validateTiles(e *ThreeDReach) error {
 	for v, s := range net.Spatial {
 		if s && !seen[v] {
 			return fmt.Errorf("spatial vertex %d is missing", v)
+		}
+	}
+	return nil
+}
+
+// validateRev checks what a 3DReach-Rev query reads: the tree's
+// structure and bounds, then, against the reversed labeling rebuilt
+// from the network, every component's post and the tree's leaf entries,
+// compared as a multiset because the bulk load reorders them. A segment
+// whose z-range is damaged inside its node's bound passes the first
+// check and fails the last. The rebuild uses every CPU, as a build does
+// by default.
+func validateRev(e *ThreeDReachRev) error {
+	if err := e.tree.Validate(); err != nil {
+		return err
+	}
+	rev := reversedLabeling(e.prep, runtime.NumCPU())
+	if len(e.post) != len(rev.Post) {
+		return fmt.Errorf("%d posts for %d components", len(e.post), len(rev.Post))
+	}
+	for c, p := range rev.Post {
+		if e.post[c] != p {
+			return fmt.Errorf("component %d has post %d, the reversed labeling gives %d", c, e.post[c], p)
+		}
+	}
+	want := revEntries(e.prep, e.policy, rev)
+	if e.tree.Len() != len(want) {
+		return fmt.Errorf("tree holds %d segments, the reversed labeling gives %d", e.tree.Len(), len(want))
+	}
+	got := make([]rtree.Entry[geom.Box3], 0, len(want))
+	e.tree.All(func(en rtree.Entry[geom.Box3]) bool {
+		got = append(got, en)
+		return true
+	})
+	// A component's reversed labels are disjoint, so no two derived
+	// entries share an id and a low z: sorted by those two keys, equal
+	// multisets line up entry for entry. want is derived in that order,
+	// so its sort is one pass.
+	byIDThenZ := func(a, b rtree.Entry[geom.Box3]) int {
+		if a.ID != b.ID {
+			return cmp.Compare(a.ID, b.ID)
+		}
+		return cmp.Compare(a.Box.Min.Z, b.Box.Min.Z)
+	}
+	slices.SortFunc(got, byIDThenZ)
+	slices.SortFunc(want, byIDThenZ)
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("segment of id %d spans %v, the reversed labeling gives id %d %v",
+				got[i].ID, got[i].Box, want[i].ID, want[i].Box)
 		}
 	}
 	return nil

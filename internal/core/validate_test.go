@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/dataset"
 )
 
@@ -215,5 +216,56 @@ func TestValidateEngineRejectsCorruptTiles(t *testing.T) {
 	}
 	if err := ValidateEngine(res.Engine); err != nil {
 		t.Fatalf("restored engine invalid: %v", err)
+	}
+}
+
+// TestValidateEngineRejectsCorruptRev damages what a built 3DReach-Rev
+// query reads, in place: one segment's z-range shrunk inside its leaf's
+// bound, which the tree's containment check cannot see, and two
+// components' posts swapped, which keeps them a permutation. The
+// reversed labeling ValidateEngine rebuilds to compare against is
+// itself checked first.
+func TestValidateEngineRejectsCorruptRev(t *testing.T) {
+	prep := dataset.Prepare(dataset.GowallaLike(0.1, 7))
+	if err := check.Labeling(prep.DAG.Reverse(), reversedLabeling(prep, 2)); err != nil {
+		t.Fatalf("reversed labeling: %v", err)
+	}
+	for _, policy := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
+		res, err := BuildMethod(prep, MethodThreeDReachRev, BuildOptions{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := res.Engine.(*ThreeDReachRev)
+		if err := ValidateEngine(e); err != nil {
+			t.Fatalf("%v: fresh engine invalid: %v", policy, err)
+		}
+		// Entry bounds are {min x, y, z, max x, y, z}: find a segment
+		// over more than one post.
+		_, _, bounds, _ := e.tree.Raw()
+		j := 0
+		for 6*j < len(bounds) && bounds[6*j+2] == bounds[6*j+5] {
+			j++
+		}
+		if 6*j == len(bounds) {
+			t.Fatalf("%v: every segment spans one post", policy)
+		}
+		for _, d := range []struct {
+			want   string
+			damage func()
+		}{
+			{"segment of id", func() { bounds[6*j+2] = bounds[6*j+5] }},
+			{"component 0 has post", func() { e.post[0], e.post[1] = e.post[1], e.post[0] }},
+		} {
+			savedBounds, savedPost := append([]float64(nil), bounds...), append([]int32(nil), e.post...)
+			d.damage()
+			if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
+				t.Errorf("%v: want an error containing %q, got %v", policy, d.want, err)
+			}
+			copy(bounds, savedBounds)
+			copy(e.post, savedPost)
+		}
+		if err := ValidateEngine(e); err != nil {
+			t.Fatalf("%v: restored engine invalid: %v", policy, err)
+		}
 	}
 }

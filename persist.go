@@ -81,7 +81,8 @@ func (idx *Index) SaveFile(path string) error {
 // LoadIndex reads an index saved with Index.Save and attaches it to the
 // network, which must be identical to the one the index was built over.
 // It reads the layout Save writes and the one generation before it
-// (3DReach labels keyed by post). An older file — the v1 stream, or a
+// (3DReach labels keyed by post; 3DReach-Rev with its reversed labels,
+// which are dropped). An older file — the v1 stream, or a
 // 3DReach whose points sit in an R-tree — is refused with an error that
 // wraps core.ErrRetiredFormat and names the upgrade.
 func (n *Network) LoadIndex(r io.Reader, options ...Option) (*Index, error) {
@@ -131,14 +132,15 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 // maps what LoadIndex reads and refuses what LoadIndex refuses.
 //
 // Unlike LoadIndex, OpenMapped skips the deep validation pass, which
-// reads every tree bound to check containment and checks every
-// label set against the post-order numbers. The open still makes one
-// linear pass over the label columns, the trees' structure and id
-// columns and the point tiles' offset and id columns (not their
-// bounds), verifying everything memory safety and the label searches
-// need: section bounds and alignment, offset tiling, the post-order
-// bijection, each label set in range, ascending and disjoint, fan-out
-// and balance, entry-id ranges. A file corrupt in
+// reads every tree bound to check containment, checks every label set
+// against the post-order numbers and, for 3DReach-Rev, rebuilds the
+// reversed labeling to check posts and segments against. The open still
+// makes one linear pass over the label and post columns, the trees'
+// structure and id columns and the point tiles' offset and id columns
+// (not their bounds), verifying everything memory safety and the label
+// searches need: section bounds and alignment, offset tiling, the
+// post-order bijection, each label set in range, ascending and
+// disjoint, fan-out and balance, entry-id ranges. A file corrupt in
 // those ways is a load error; one corrupt only in its bounds or in
 // which posts a label covers can answer wrongly, never panic. Run
 // Index.Validate explicitly (e.g. rrserve -check) to get the full pass.

@@ -11,11 +11,15 @@ import (
 // sorted, disjoint) and properly nested label sets, acyclicity of the
 // SCC condensation, and the spatial index: R-tree MBR containment, or
 // the order and bounds of 3DReach's point tiles and their agreement
-// with the network. It returns nil for a well-formed index and a
-// descriptive error naming the first violated invariant otherwise.
+// with the network. 3DReach-Rev stores no labels, so its posts and
+// segments are checked against its reversed labeling rebuilt from the
+// network. It returns nil for a well-formed index and a descriptive
+// error naming the first violated invariant otherwise.
 //
-// Validation runs in time linear in the index size. LoadIndex runs it
-// automatically; tests and rrserve's -check flag call it directly.
+// Validation runs in time linear in the index size, except for
+// 3DReach-Rev, where the rebuild costs about as much as its build.
+// LoadIndex runs it automatically; tests and rrserve's -check flag call
+// it directly.
 func (idx *Index) Validate() error {
 	if err := core.ValidateEngine(idx.engine); err != nil {
 		return fmt.Errorf("rangereach: %w", err)
