@@ -155,7 +155,7 @@ if [[ "${1:-}" != "-short" ]]; then
     # out on, the serving subsystem (snapshot swaps, result cache,
     # metrics), the engines (Auto's members build concurrently, and
     # its parity suite runs in ./internal/core), the sharded-serving
-    # tier (scatter-gather fan-out, hedging, health mark-down, shard
+    # tier (scatter-gather fan-out, health mark-down, shard
     # partitioning), and the incremental-maintenance engine
     # (randomized update-stream equivalence against a from-scratch
     # oracle), the R-tree bulk load (parallel STR slabs and leaf bounds,
@@ -216,18 +216,24 @@ if [[ "${1:-}" != "-short" ]]; then
         -o "$SMOKE_DIR/smoke.gsn" -shards 2 -index 3dreach 2>/dev/null
     B1=http://127.0.0.1:18741
     B2=http://127.0.0.1:18742
-    # The ring decides which backend serves which shard; boot each
-    # rrserve with the shard file its placement expects, tagged with its
-    # shard id so logs and metrics carry cluster-correlation fields.
-    "$SMOKE_DIR/rrrouter" -shardmap "$SMOKE_DIR/smoke.shardmap.json" \
-        -backends "$B1,$B2" -print-placement | while read -r sid backend; do
-        port=${backend##*:}
+    # A -backends list that does not give each shard a process of its
+    # own is refused before the router listens (124 would mean it
+    # listened until timeout killed it).
+    status=0
+    timeout 10 "$SMOKE_DIR/rrrouter" -shardmap "$SMOKE_DIR/smoke.shardmap.json" \
+        -backends "$B1" -addr 127.0.0.1:18740 -log off 2>/dev/null || status=$?
+    [[ "$status" -ne 0 && "$status" -ne 124 ]] \
+        || { echo "rrrouter with 1 backend for 2 shards exited $status, want a refusal" >&2; exit 1; }
+    # Shard i is served by the i-th backend: boot each rrserve with its
+    # shard file, tagged with its shard id so logs and metrics carry
+    # cluster-correlation fields.
+    for sid in 0 1; do
+        port=$((18741 + sid))
         "$SMOKE_DIR/rrserve" -net "$SMOKE_DIR/smoke.shard$sid.gsn" \
             -load-index "$SMOKE_DIR/smoke.shard$sid.gsn.idx" -mmap \
             -addr "127.0.0.1:$port" -shard "$sid" -log off &
-        echo $! >> "$SMOKE_DIR/pids"
+        SMOKE_PIDS="$SMOKE_PIDS $!"
     done
-    SMOKE_PIDS=$(tr '\n' ' ' < "$SMOKE_DIR/pids")
     # The trace ring must hold every forced trace the load run below
     # generates (rate x duration = 600), or the slowest one may be
     # evicted before rrload fetches its breakdown.

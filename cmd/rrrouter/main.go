@@ -1,19 +1,18 @@
 // Command rrrouter fronts a sharded rrserve cluster: it loads a shard
-// map (written by rrgen -shards), places each shard on a backend via
-// consistent hashing, and serves the same /v1/query and /v1/batch API
-// as rrserve by scatter-gathering over the shards.
+// map (written by rrgen -shards) and serves the same /v1/query and
+// /v1/batch API as rrserve by scatter-gathering over the shards.
 //
 // Usage:
 //
 //	rrrouter -shardmap net.shardmap.json -backends http://127.0.0.1:18741,http://127.0.0.1:18742
-//	rrrouter -shardmap net.shardmap.json -backends ... -partial degrade -hedge 20ms
-//	rrrouter -shardmap net.shardmap.json -backends ... -print-placement
+//	rrrouter -shardmap net.shardmap.json -backends ... -partial degrade
 //
-// -print-placement writes one "shard<TAB>backend" line per shard and
-// exits; launch scripts use it to start each rrserve process with the
-// shard file the ring expects it to hold. -wait-backends polls every
-// backend's /healthz before serving, so the router can be started
-// concurrently with the shards.
+// Shard i is served by the i-th -backends entry, so a launch script
+// starts the rrserve holding net.shard<i>.gsn on the i-th address. A
+// -backends list whose length is not the map's shard count is refused
+// before the router listens. -wait-backends polls every backend's
+// /healthz before serving, so the router can be started concurrently
+// with the shards.
 //
 // Endpoints:
 //
@@ -53,18 +52,15 @@ import (
 func main() {
 	var (
 		mapPath   = flag.String("shardmap", "", "shard map JSON written by rrgen -shards (required)")
-		backends  = flag.String("backends", "", "comma-separated rrserve base URLs (required)")
+		backends  = flag.String("backends", "", "comma-separated rrserve base URLs, the i-th serving shard i (required)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-shard request budget")
-		hedge     = flag.Duration("hedge", 0, "hedge a shard call with a second request after this long (0 disables)")
 		partial   = flag.String("partial", "fail", "partial-failure policy when a shard is unreachable: fail, degrade")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per backend on the placement ring (0 = default)")
 		maxBody   = flag.Int64("max-body", 8<<20, "request body cap in bytes; oversized bodies get 413 (negative disables)")
 		maxBatch  = flag.Int("max-batch", 8192, "queries accepted per batch request")
 		downAfter = flag.Int("down-after", 3, "consecutive failures before a shard is marked down")
 		cooldown  = flag.Duration("down-cooldown", 2*time.Second, "how long a marked-down shard is skipped before a half-open trial")
 		logMode   = flag.String("log", "text", "request log format: text, json, off")
-		printOnly = flag.Bool("print-placement", false, "print shard-to-backend placement and exit")
 		waitFor   = flag.Duration("wait-backends", 0, "poll backend /healthz for up to this long before serving (0 disables)")
 
 		traceSample = flag.Int("trace-sample", 0, "ambient trace collection: keep all slow/error traces plus 1 in N healthy ones (0 = only client-forced traceparent requests)")
@@ -90,14 +86,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *printOnly {
-		placement := router.Placement(len(m.Shards), urls, *vnodes)
-		for sid, backend := range placement {
-			fmt.Printf("%d\t%s\n", sid, backend)
-		}
-		return
-	}
-
 	policy, err := router.ParsePolicy(*partial)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
@@ -109,19 +97,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *waitFor > 0 {
-		if err := waitBackends(urls, *waitFor); err != nil {
-			fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	rt, err := router.New(router.Config{
 		Map:          m,
 		Backends:     urls,
-		VNodes:       *vnodes,
 		ShardTimeout: *timeout,
-		Hedge:        *hedge,
 		Policy:       policy,
 		MaxBatch:     *maxBatch,
 		MaxBodyBytes: *maxBody,
@@ -136,6 +115,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
 		os.Exit(1)
+	}
+	if *waitFor > 0 {
+		if err := waitBackends(urls, *waitFor); err != nil {
+			fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	defer rt.Close()
 
@@ -209,8 +194,7 @@ func waitBackends(urls []string, budget time.Duration) error {
 	return nil
 }
 
-// buildLogger resolves the -log flag; logs go to stderr so stdout stays
-// clean for -print-placement consumers.
+// buildLogger resolves the -log flag; logs go to stderr.
 func buildLogger(mode string) (*slog.Logger, error) {
 	switch strings.ToLower(mode) {
 	case "off", "none", "":

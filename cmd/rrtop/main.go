@@ -61,7 +61,6 @@ type shardRow struct {
 type routerRow struct {
 	Requests   int64   `json:"requests_total"`
 	Errors     int64   `json:"errors_total"`
-	Hedges     int64   `json:"hedges_total"`
 	EarlyExits int64   `json:"early_exits_total"`
 	Pruned     int64   `json:"pruned_shards_total"`
 	Inflight   int64   `json:"inflight"`
@@ -187,10 +186,10 @@ func render(w io.Writer, base string, prev, cur *snapshot, interval time.Duratio
 	_, _ = fmt.Fprintf(w, "rrtop  %s  %s\n", base, cur.At.Format(time.RFC3339))
 	_, _ = fmt.Fprintf(w, "cluster   status=%s shards=%d backends=%d vertices=%d strategy=%s down=%d\n",
 		h.Status, h.Shards, h.Backends, h.Vertices, h.Strategy, len(h.Down))
-	_, _ = fmt.Fprintf(w, "router    reqs=%d errs=%d inflight=%d p50=%s p99=%s hedges=%d early_exit=%d pruned=%d traces=%d kept=%d\n",
+	_, _ = fmt.Fprintf(w, "router    reqs=%d errs=%d inflight=%d p50=%s p99=%s early_exit=%d pruned=%d traces=%d kept=%d\n",
 		c.Router.Requests, c.Router.Errors, c.Router.Inflight,
 		fmtMicros(c.Router.P50Micros), fmtMicros(c.Router.P99Micros),
-		c.Router.Hedges, c.Router.EarlyExits, c.Router.Pruned,
+		c.Router.EarlyExits, c.Router.Pruned,
 		c.Router.Traces, c.Router.TracesKept)
 	_, _ = fmt.Fprintf(w, "merged    cluster_p99=%s\n\n", fmtMicros(c.ClusterP99Micros))
 

@@ -27,7 +27,7 @@ func fixtureRouter(mult int64) http.Handler {
 		     "scrape_age_ms":-1,"queries_total":0,"inflight":0,"cache_hit_ratio":-1,
 		     "p50_micros":0,"p99_micros":0}
 		  ],
-		  "router":{"requests_total":500,"errors_total":3,"hedges_total":7,"early_exits_total":11,
+		  "router":{"requests_total":500,"errors_total":3,"early_exits_total":11,
 		    "pruned_shards_total":40,"inflight":2,"p50_micros":900,"p99_micros":5100,
 		    "traces_total":500,"traces_kept_total":21},
 		  "cluster_p99_micros":4500
@@ -60,7 +60,7 @@ func TestOnceSnapshot(t *testing.T) {
 
 	for _, want := range []string{
 		"status=ok shards=2 backends=2",
-		"reqs=500 errs=3",
+		"reqs=500 errs=3 inflight=2 p50=900µs p99=5.1ms early_exit=11 pruned=40 traces=500 kept=21",
 		"cluster_p99=4.5ms",
 		"http://s0",
 		"DOWN",

@@ -29,8 +29,8 @@ type e2eCluster struct {
 
 // newE2ECluster partitions net into nShards, builds one index per shard
 // network (round-tripped through the on-disk format, exactly as rrgen
-// and rrserve would), places shards on backends via the ring, and
-// returns the cluster.
+// and rrserve would), serves shard i on backend i, and returns the
+// cluster.
 func newE2ECluster(t *testing.T, net *dataset.Network, nShards int, strategy shard.Strategy, method rangereach.Method) *e2eCluster {
 	t.Helper()
 	dir := t.TempDir()
@@ -54,26 +54,10 @@ func newE2ECluster(t *testing.T, net *dataset.Network, nShards int, strategy sha
 	}
 	m := asn.Map(net.Name, net.NumVertices(), net.Space())
 
-	// Backends first (their URLs seed the ring), shard handlers second,
-	// installed wherever the ring placed each shard.
-	swaps := make([]*swapHandler, nShards)
+	// Shard i is served by backend i, so each shard's server is up
+	// before the router that is handed its URL.
 	urls := make([]string, nShards)
-	for i := range swaps {
-		swaps[i] = &swapHandler{}
-		ts := httptest.NewServer(swaps[i])
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-	}
-	rt, err := New(Config{Map: m, Backends: urls, Policy: PolicyFail})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	byURL := make(map[string]*swapHandler, nShards)
-	for i, u := range urls {
-		byURL[u] = swaps[i]
-	}
-	for sid := 0; sid < nShards; sid++ {
+	for sid := range urls {
 		snet, err := asn.ShardNetwork(net, sid)
 		if err != nil {
 			t.Fatal(err)
@@ -95,8 +79,13 @@ func newE2ECluster(t *testing.T, net *dataset.Network, nShards int, strategy sha
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		byURL[rt.BackendFor(sid)].set(srv.Handler())
+		urls[sid] = serveShard(t, srv.Handler())
 	}
+	rt, err := New(Config{Map: m, Backends: urls, Policy: PolicyFail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
 	return &e2eCluster{
 		router:   rt,
 		handler:  rt.Handler(),
@@ -104,6 +93,14 @@ func newE2ECluster(t *testing.T, net *dataset.Network, nShards int, strategy sha
 		vertices: net.NumVertices(),
 		space:    full.Space(),
 	}
+}
+
+// serveShard starts a backend serving h and returns its base URL.
+func serveShard(t *testing.T, h http.Handler) string {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts.URL
 }
 
 // queries draws a randomized suite: vertices uniform over the id space,
@@ -192,8 +189,8 @@ func TestShardedClusterMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedClusterFiveShards stresses the placement and merge paths
-// at a shard count that does not divide the backend count evenly.
+// TestShardedClusterFiveShards stresses the merge path at an odd shard
+// count, over a second engine.
 func TestShardedClusterFiveShards(t *testing.T) {
 	net := e2eNetwork()
 	c := newE2ECluster(t, net, 5, shard.Spatial, rangereach.SocReach)
@@ -248,24 +245,8 @@ func newDynamicE2ECluster(t *testing.T, net *dataset.Network, nShards int, strat
 	}
 	m := asn.Map(net.Name, net.NumVertices(), net.Space())
 
-	swaps := make([]*swapHandler, nShards)
 	urls := make([]string, nShards)
-	for i := range swaps {
-		swaps[i] = &swapHandler{}
-		ts := httptest.NewServer(swaps[i])
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-	}
-	rt, err := New(Config{Map: m, Backends: urls, Policy: PolicyFail})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	byURL := make(map[string]*swapHandler, nShards)
-	for i, u := range urls {
-		byURL[u] = swaps[i]
-	}
-	for sid := 0; sid < nShards; sid++ {
+	for sid := range urls {
 		snet, err := asn.ShardNetwork(net, sid)
 		if err != nil {
 			t.Fatal(err)
@@ -283,8 +264,13 @@ func newDynamicE2ECluster(t *testing.T, net *dataset.Network, nShards int, strat
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		byURL[rt.BackendFor(sid)].set(srv.Handler())
+		urls[sid] = serveShard(t, srv.Handler())
 	}
+	rt, err := New(Config{Map: m, Backends: urls, Policy: PolicyFail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
 	return &e2eCluster{
 		router:   rt,
 		handler:  rt.Handler(),

@@ -136,7 +136,7 @@ func (rt *Router) federateOnce() {
 	}
 	distinct := make([]string, 0, len(rt.cfg.Backends))
 	seen := make(map[string]bool, len(rt.cfg.Backends))
-	for _, url := range rt.backendOf {
+	for _, url := range rt.cfg.Backends {
 		if !seen[url] {
 			seen[url] = true
 			distinct = append(distinct, url)
@@ -159,8 +159,8 @@ func (rt *Router) federateOnce() {
 	wg.Wait()
 
 	now := time.Now()
-	fresh := make([]shardScrape, len(rt.backendOf))
-	for sid, url := range rt.backendOf {
+	fresh := make([]shardScrape, len(rt.cfg.Backends))
+	for sid, url := range rt.cfg.Backends {
 		res := byURL[url]
 		if res.err != nil {
 			fresh[sid] = shardScrape{When: now, Err: res.err.Error(), CacheHitRatio: -1}
@@ -213,7 +213,7 @@ func digestShard(samples []metrics.Sample, now time.Time) shardScrape {
 // registerClusterMetrics publishes the federated rr_cluster_* families
 // on the router registry. All funcs read the cached snapshot only.
 func (rt *Router) registerClusterMetrics() {
-	for i := range rt.backendOf {
+	for i := range rt.cfg.Backends {
 		i := i
 		rt.reg.GaugeFunc(
 			fmt.Sprintf(`rr_cluster_shard_p50_seconds{shard="%d"}`, i),
@@ -311,7 +311,6 @@ type clusterShard struct {
 type clusterRouter struct {
 	Requests   int64   `json:"requests_total"`
 	Errors     int64   `json:"errors_total"`
-	Hedges     int64   `json:"hedges_total"`
 	EarlyExits int64   `json:"early_exits_total"`
 	Pruned     int64   `json:"pruned_shards_total"`
 	Inflight   int64   `json:"inflight"`
@@ -344,7 +343,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	for sid, s := range stats {
 		row := clusterShard{
 			ID:            sid,
-			Backend:       rt.backendOf[sid],
+			Backend:       rt.cfg.Backends[sid],
 			Down:          rt.health[sid].isDown(),
 			ScrapeError:   s.Err,
 			Queries:       int64(s.Queries),
@@ -372,7 +371,6 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	resp.Router = clusterRouter{
 		Requests:   rt.mReqQuery.Value() + rt.mReqBatch.Value(),
 		Errors:     rt.mReqErrs.Value(),
-		Hedges:     rt.mHedges.Value(),
 		EarlyExits: rt.mEarlyExit.Value(),
 		Pruned:     rt.mPruned.Value(),
 		Inflight:   rt.mInflight.Value(),

@@ -26,14 +26,14 @@
 //     shard; the Policy decides whether those fail (PolicyFail) or
 //     degrade to a flagged, possibly-false negative (PolicyDegrade).
 //
-// Placement is by consistent hashing with bounded loads (see Ring);
-// per-shard health is tracked passively with mark-down and half-open
-// recovery (see health); slow shards are hedged with a second request
-// after Config.Hedge.
+// Placement is a rule: shard i is served by Config.Backends[i], one
+// rrserve process per shard, and New refuses a backend list whose length
+// is not the shard count. Per-shard health is tracked passively with
+// mark-down and half-open recovery (see health).
 //
 // When the shards serve dynamic indexes, POST /v1/update routes each
 // mutation to the owning shard(s) — graph ops broadcast to the
-// replicated social graph, venue ops go to their placement owner with
+// replicated social graph, venue ops go to their owning shard with
 // id-space-aligning placeholders elsewhere (see update.go) — and
 // GET /v1/cluster reports each shard's snapshot generation plus the
 // cluster-wide maximum.
@@ -49,6 +49,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -102,18 +103,11 @@ func ParsePolicy(name string) (Policy, error) {
 type Config struct {
 	// Map is the cluster topology (required).
 	Map *shard.Map
-	// Backends are the rrserve base URLs shards are placed on via the
-	// consistent-hash ring (required, at least one).
+	// Backends are the rrserve base URLs, one per shard: Backends[i]
+	// serves shard i (required, exactly Map.NumShards() of them).
 	Backends []string
-	// VNodes is the ring's virtual-node count per backend (0 selects
-	// DefaultVNodes).
-	VNodes int
 	// ShardTimeout bounds each shard call (default 2s).
 	ShardTimeout time.Duration
-	// Hedge launches a second identical shard request when the first
-	// has not answered after this long; the first answer wins. Zero
-	// disables hedging.
-	Hedge time.Duration
 	// Policy is the partial-failure policy (default PolicyFail).
 	Policy Policy
 	// MaxBatch caps the queries accepted per batch request (default
@@ -154,10 +148,9 @@ type Config struct {
 // Router is the scatter-gather front. Create with New, expose via
 // Handler, Close when done to release idle backend connections.
 type Router struct {
-	cfg       Config
-	mux       *http.ServeMux
-	client    *http.Client
-	backendOf []string // shard id -> backend base URL
+	cfg    Config
+	mux    *http.ServeMux
+	client *http.Client
 	// calls counts the shard calls running on goroutines of their own.
 	// An abandoned straggler outlives the request that started it; Close
 	// waits here so nothing of this router's is still talking to a shard
@@ -177,7 +170,6 @@ type Router struct {
 	mUpdates   *metrics.Counter
 	mReqErrs   *metrics.Counter
 	mEarlyExit *metrics.Counter
-	mHedges    *metrics.Counter
 	mPruned    *metrics.Counter
 	mDials     *metrics.Counter // nil when Config.Transport is overridden
 	mInflight  *metrics.Gauge
@@ -206,9 +198,19 @@ func New(cfg Config) (*Router, error) {
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Backends) == 0 {
-		return nil, errors.New("router: Config.Backends must name at least one rrserve base URL")
+	// Every shard needs a process of its own: a shard without one would
+	// never be asked, and its venues' positives would be answered as
+	// negatives.
+	n := cfg.Map.NumShards()
+	if len(cfg.Backends) != n {
+		return nil, fmt.Errorf("router: %d backends for %d shards; shard i is served by the i-th backend, so the counts must match", len(cfg.Backends), n)
 	}
+	for i, b := range cfg.Backends {
+		if j := slices.Index(cfg.Backends[:i], b); j >= 0 {
+			return nil, fmt.Errorf("router: shards %d and %d are both served by %s; each shard needs a backend of its own", j, i, b)
+		}
+	}
+	cfg.Backends = slices.Clone(cfg.Backends) // the caller's slice may change
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 2 * time.Second
 	}
@@ -224,14 +226,12 @@ func New(cfg Config) (*Router, error) {
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 256
 	}
-	n := cfg.Map.NumShards()
 	rt := &Router{
-		cfg:       cfg,
-		backendOf: Placement(n, cfg.Backends, cfg.VNodes),
-		health:    make([]*health, n),
-		reg:       metrics.NewRegistry(),
-		ring:      trace.NewRing(cfg.TraceRing),
-		sampler:   &trace.Sampler{N: cfg.TraceSample, Slow: cfg.TraceSlow},
+		cfg:     cfg,
+		health:  make([]*health, n),
+		reg:     metrics.NewRegistry(),
+		ring:    trace.NewRing(cfg.TraceRing),
+		sampler: &trace.Sampler{N: cfg.TraceSample, Slow: cfg.TraceSlow},
 	}
 	bounds := make([]geom.Rect, n)
 	for i, s := range cfg.Map.Shards {
@@ -264,7 +264,6 @@ func New(cfg Config) (*Router, error) {
 	rt.mUpdates = rt.reg.Counter("rr_router_updates_total", "Cluster updates applied across the shard set.")
 	rt.mReqErrs = rt.reg.Counter("rr_router_request_errors_total", "Router requests answered with a non-2xx status.")
 	rt.mEarlyExit = rt.reg.Counter("rr_router_early_exits_total", "Scatter-gathers settled by a positive before every shard answered.")
-	rt.mHedges = rt.reg.Counter("rr_router_hedged_requests_total", "Hedged second attempts launched against slow shards.")
 	rt.mPruned = rt.reg.Counter("rr_router_pruned_shards_total", "Shard calls skipped because the shard's venue bounds miss the query region.")
 	rt.mInflight = rt.reg.Gauge("rr_router_inflight_requests", "Router requests currently being served.")
 	rt.mLatency = rt.reg.Histogram("rr_router_query_seconds", "End-to-end latency of router query and batch requests.", nil)
@@ -322,8 +321,9 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // Metrics exposes the registry.
 func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 
-// BackendFor returns the backend base URL shard id is placed on.
-func (rt *Router) BackendFor(id int) string { return rt.backendOf[id] }
+// BackendFor returns the backend base URL that serves shard id:
+// Config.Backends[id].
+func (rt *Router) BackendFor(id int) string { return rt.cfg.Backends[id] }
 
 // Close stops the federation loop, waits for the shard calls the router
 // still has in flight and releases idle backend connections. Call it
@@ -507,10 +507,9 @@ func (rt *Router) instrument(endpoint string, reqs *metrics.Counter, h func(http
 var errShardDown = errors.New("shard marked down")
 
 // callShard POSTs body to one shard and returns the response bytes.
-// The call carries the per-shard timeout; when hedging is configured a
-// second identical attempt launches after cfg.Hedge and the first
-// answer wins. Cancellation of parent (a straggler out of grace, or a
-// client disconnect) is not held against the shard's health.
+// The call carries the per-shard timeout. Cancellation of parent (a
+// straggler out of grace, or a client disconnect) is not held against
+// the shard's health.
 func (rt *Router) callShard(parent context.Context, sid int, path string, body []byte) ([]byte, error) {
 	h := rt.health[sid]
 	if !h.allow() {
@@ -521,7 +520,7 @@ func (rt *Router) callShard(parent context.Context, sid int, path string, body [
 	defer cancel()
 
 	start := time.Now()
-	data, err := rt.attemptHedged(ctx, sid, path, body)
+	data, err := rt.attempt(ctx, sid, path, body)
 	if err != nil {
 		if parent.Err() != nil {
 			// The scatter-gather no longer needs this answer; neither an
@@ -539,78 +538,18 @@ func (rt *Router) callShard(parent context.Context, sid int, path string, body [
 	return data, nil
 }
 
-// attemptHedged runs one attempt, or two racing attempts when the
-// first is slower than the hedge delay.
-func (rt *Router) attemptHedged(ctx context.Context, sid int, path string, body []byte) ([]byte, error) {
-	if rt.cfg.Hedge <= 0 {
-		return rt.attempt(ctx, sid, path, body)
-	}
-	type outcome struct {
-		data []byte
-		err  error
-	}
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	ch := make(chan outcome, 2)
-	// A losing attempt outlives this call, so Close waits for it too.
-	launch := func() {
-		rt.calls.Add(1)
-		go func() {
-			defer rt.calls.Done()
-			data, err := rt.attempt(actx, sid, path, body)
-			ch <- outcome{data, err}
-		}()
-	}
-	launch()
-	hedge := time.NewTimer(rt.cfg.Hedge)
-	defer hedge.Stop()
-	launched, outstanding := 1, 1
-	var firstErr error
-	for {
-		select {
-		case <-hedge.C:
-			if launched == 1 {
-				launched, outstanding = 2, outstanding+1
-				rt.mHedges.Inc()
-				traceFrom(ctx).event("hedge", trace.TierRouter, sid, map[string]string{"cause": "slow"})
-				launch()
-			}
-		case out := <-ch:
-			if out.err == nil {
-				acancel() // the loser attempt, if any, is moot
-				return out.data, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			outstanding--
-			if launched == 1 {
-				// The first attempt failed before the hedge fired (e.g.
-				// connection refused): spend the hedge budget on an
-				// immediate retry instead of waiting for the timer.
-				hedge.Stop()
-				launched, outstanding = 2, outstanding+1
-				rt.mHedges.Inc()
-				traceFrom(ctx).event("hedge", trace.TierRouter, sid, map[string]string{"cause": "fast-fail"})
-				launch()
-				continue
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // attempt is one HTTP POST to a shard.
 func (rt *Router) attempt(ctx context.Context, sid int, path string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.backendOf[sid]+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.cfg.Backends[sid]+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	// A query or batch is a read, safe to send twice. The key marks the
+	// POST replayable, so net/http retries it itself when a pooled
+	// connection turns out to be closed (a restarted backend); a nil
+	// value keeps the header off the wire.
+	req.Header["Idempotency-Key"] = nil
 	if tb := traceFrom(ctx); tb != nil {
 		// Same trace id, fresh span id per hop: the shard logs and
 		// traces under the cluster-wide id.
@@ -681,7 +620,7 @@ func regionRect(r [4]float64) geom.Rect {
 func (rt *Router) placementSpan(tb *traceBuilder, pstart time.Time, kept int) {
 	tb.span("placement", trace.TierRouter, trace.NoShard, pstart, "", map[string]string{
 		"shards": strconv.Itoa(kept),
-		"pruned": strconv.Itoa(len(rt.backendOf) - kept),
+		"pruned": strconv.Itoa(len(rt.cfg.Backends) - kept),
 	}, nil)
 }
 
@@ -721,7 +660,7 @@ func (rt *Router) queryShard(ctx context.Context, sid int, body []byte) shardRes
 		err, errStr = fmt.Errorf("shard %d: bad reply: %w", sid, uerr), "bad reply"
 	}
 	if tb != nil {
-		attrs := map[string]string{"backend": rt.backendOf[sid]}
+		attrs := map[string]string{"backend": rt.cfg.Backends[sid]}
 		if err == nil {
 			attrs["reachable"] = strconv.FormatBool(reply.Reachable)
 		}
@@ -753,7 +692,7 @@ func (rt *Router) batchShard(ctx context.Context, sid int, req *batchRequest, su
 	}
 	if tb != nil {
 		tb.span("shard_call", trace.TierShard, sid, cstart, errStr, map[string]string{
-			"backend": rt.backendOf[sid],
+			"backend": rt.cfg.Backends[sid],
 			"queries": strconv.Itoa(len(subset)),
 		}, nil)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,12 +15,10 @@ import (
 	"time"
 
 	"repro/internal/shard"
-	"repro/internal/trace"
 )
 
-// swapHandler lets a backend's behavior be installed after its URL is
-// known — placement maps shards onto backends, so the per-shard stub
-// must follow the ring's choice, not the construction order.
+// swapHandler lets a backend's behavior be installed, and replaced,
+// after the router over it is built.
 type swapHandler struct {
 	mu sync.RWMutex
 	h  http.Handler
@@ -60,9 +57,8 @@ func testMap(bounds ...[4]float64) *shard.Map {
 	return m
 }
 
-// testCluster starts one stub backend per shard, wires each shard's
-// handler to the backend the ring placed it on, and returns the router
-// plus an installer for per-shard behavior.
+// testCluster starts one stub backend per shard, shard i on backend i,
+// and returns the router plus an installer for per-shard behavior.
 func testCluster(t *testing.T, m *shard.Map, cfg Config) (*Router, func(sid int, h http.HandlerFunc)) {
 	t.Helper()
 	rt, install, _ := countedCluster(t, m, cfg)
@@ -329,126 +325,6 @@ func answerBatch(result bool) http.HandlerFunc {
 	}
 }
 
-// hedgeTraced sends a traced query and checks what a hedged call leaves
-// in the trace: the hedge event with its cause, and the trace id on
-// every attempt (untraced counts the attempts that arrived without it).
-func hedgeTraced(t *testing.T, rt *Router, untraced *atomic.Int32, cause string) (*httptest.ResponseRecorder, queryResponse) {
-	t.Helper()
-	tid := trace.NewTraceID()
-	rec, resp := postTracedQuery(t, rt.Handler(), 1, wholeSpace, trace.FormatTraceparent(tid, trace.NewSpanID()))
-	if n := untraced.Load(); n != 0 {
-		t.Errorf("%d attempts reached the shard without the trace id", n)
-	}
-	if got := spansNamed(getTrace(t, rt.Handler(), tid), "hedge"); len(got) != 1 || got[0].Attrs["cause"] != cause {
-		t.Errorf("hedge spans %+v, want one with cause %q", got, cause)
-	}
-	return rec, resp
-}
-
-func TestHedgedRequestRescuesSlowShard(t *testing.T) {
-	m := testMap(wholeSpace)
-	rt, install := testCluster(t, m, Config{Hedge: 25 * time.Millisecond})
-	var calls, untraced atomic.Int32
-	install(0, func(w http.ResponseWriter, r *http.Request) {
-		n := calls.Add(1)
-		if r.Header.Get(trace.TraceparentHeader) == "" {
-			untraced.Add(1)
-		}
-		_, _ = io.Copy(io.Discard, r.Body) // unblock disconnect detection
-		if n == 1 {
-			// First attempt stalls well past the hedge delay.
-			select {
-			case <-time.After(2 * time.Second):
-			case <-r.Context().Done():
-				return
-			}
-		}
-		answer(true)(w, r)
-	})
-	start := time.Now()
-	rec, resp := hedgeTraced(t, rt, &untraced, "slow")
-	if rec.Code != http.StatusOK || !resp.Reachable {
-		t.Fatalf("got %d %q", rec.Code, rec.Body.String())
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not rescue: took %v", elapsed)
-	}
-	if calls.Load() < 2 {
-		t.Fatalf("expected a hedged second attempt, saw %d calls", calls.Load())
-	}
-	if rt.mHedges.Value() == 0 {
-		t.Fatal("hedge counter not incremented")
-	}
-}
-
-func TestHedgeRetriesFastFailure(t *testing.T) {
-	m := testMap(wholeSpace)
-	rt, install := testCluster(t, m, Config{Hedge: 500 * time.Millisecond})
-	var calls, untraced atomic.Int32
-	install(0, func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(trace.TraceparentHeader) == "" {
-			untraced.Add(1)
-		}
-		if calls.Add(1) == 1 {
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		answer(true)(w, r)
-	})
-	start := time.Now()
-	rec, resp := hedgeTraced(t, rt, &untraced, "fast-fail")
-	if rec.Code != http.StatusOK || !resp.Reachable {
-		t.Fatalf("got %d %q", rec.Code, rec.Body.String())
-	}
-	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Fatalf("fast-failure retry waited for the hedge timer: %v", elapsed)
-	}
-}
-
-// parkingTransport answers no call: each attempt fails once release
-// is closed, whatever happens to its context before that.
-type parkingTransport struct {
-	started chan struct{} // one slot: an attempt has begun
-	release chan struct{}
-}
-
-func (p *parkingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	select {
-	case p.started <- struct{}{}:
-	default:
-	}
-	<-p.release
-	return nil, errors.New("parked")
-}
-
-// TestHedgedCallReturnsOnCancel: a hedged call answers its caller's
-// cancellation at once, without waiting for an attempt that has not
-// noticed it yet.
-func TestHedgedCallReturnsOnCancel(t *testing.T) {
-	pt := &parkingTransport{started: make(chan struct{}, 1), release: make(chan struct{})}
-	rt, err := New(Config{Map: testMap(wholeSpace), Backends: []string{"http://a.invalid"}, Hedge: time.Minute, Transport: pt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"vertex":1,"region":[0,0,10,10]}`)).WithContext(ctx)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rt.Handler().ServeHTTP(httptest.NewRecorder(), req)
-	}()
-	<-pt.started
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Error("the hedged call waited for its attempt after the request was canceled")
-	}
-	close(pt.release)
-	<-done
-	rt.Close()
-}
-
 func TestHealthMarkdownAndRecovery(t *testing.T) {
 	m := testMap(wholeSpace)
 	rt, install := testCluster(t, m, Config{
@@ -666,6 +542,62 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	bad.Version = 9
 	if _, err := New(Config{Map: bad, Backends: []string{"http://x"}}); err == nil {
 		t.Fatal("want error for invalid map")
+	}
+}
+
+// backendURLs names n distinct backends.
+func backendURLs(n int) []string {
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://b%d:80", i)
+	}
+	return urls
+}
+
+// TestPlacementCoversEveryShard: a backend list that does not give
+// every shard a process of its own is refused. Fewer backends than
+// shards, or one backend named twice, would put two shards on one
+// process, which serves only one of them; more would leave a backend
+// no shard.
+func TestPlacementCoversEveryShard(t *testing.T) {
+	m := testMap(wholeSpace, wholeSpace, wholeSpace)
+	for _, backends := range []int{2, 4} {
+		_, err := New(Config{Map: m, Backends: backendURLs(backends)})
+		if err == nil {
+			t.Fatalf("3 shards over %d backends: accepted, want an error", backends)
+		}
+		for _, count := range []string{"3 shards", fmt.Sprintf("%d backends", backends)} {
+			if !strings.Contains(err.Error(), count) {
+				t.Errorf("3 shards over %d backends: error %q does not name %q", backends, err, count)
+			}
+		}
+	}
+	twice := backendURLs(3)
+	twice[2] = twice[0]
+	if _, err := New(Config{Map: m, Backends: twice}); err == nil || !strings.Contains(err.Error(), twice[0]) {
+		t.Fatalf("a backend named twice: got %v, want an error naming it", err)
+	}
+}
+
+// TestPlacementPerfectMatchingAtEqualCounts: shard i is served by the
+// i-th backend, so one rrserve process holds one shard index.
+func TestPlacementPerfectMatchingAtEqualCounts(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		bounds := make([][4]float64, n)
+		for i := range bounds {
+			bounds[i] = wholeSpace
+		}
+		backends := backendURLs(n)
+		rt, err := New(Config{Map: testMap(bounds...), Backends: backends})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i, b := range backends {
+			if got := rt.BackendFor(i); got != b {
+				t.Errorf("n=%d: shard %d served by %s, want %s", n, i, got, b)
+			}
+		}
+		rt.Close()
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 	"repro/internal/trace"
 )
 
-// countedCluster starts one stub backend per shard, wires each shard's
-// handler to the backend the ring placed it on, and returns the router,
-// an installer for per-shard behavior and conns(sid): how many
-// connections the backend serving shard sid has accepted.
+// countedCluster starts one stub backend per shard, shard i on backend
+// i, and returns the router, an installer for per-shard behavior and
+// conns(sid): how many connections the backend serving shard sid has
+// accepted.
 func countedCluster(t *testing.T, m *shard.Map, cfg Config) (rt *Router, install func(sid int, h http.HandlerFunc), conns func(sid int) int64) {
 	t.Helper()
 	n := m.NumShards()
@@ -47,17 +47,8 @@ func countedCluster(t *testing.T, m *shard.Map, cfg Config) (rt *Router, install
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	slot := func(sid int) int {
-		for i, u := range urls {
-			if u == rt.BackendFor(sid) {
-				return i
-			}
-		}
-		t.Fatalf("shard %d placed on unknown backend %q", sid, rt.BackendFor(sid))
-		return -1
-	}
-	install = func(sid int, h http.HandlerFunc) { swaps[slot(sid)].set(h) }
-	conns = func(sid int) int64 { return accepted[slot(sid)].Load() }
+	install = func(sid int, h http.HandlerFunc) { swaps[sid].set(h) }
+	conns = func(sid int) int64 { return accepted[sid].Load() }
 	return rt, install, conns
 }
 

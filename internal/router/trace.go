@@ -2,7 +2,7 @@ package router
 
 // Distributed-trace assembly for the scatter-gather tier. Every traced
 // request gets a traceBuilder that collects trace.ClusterSpans from the
-// router's own phases (placement, fan-out, hedge fires) and from each
+// router's own phases (placement, fan-out) and from each
 // shard call's returned QueryStats, then lands the stitched
 // trace.ClusterTrace in the router's ring where GET /v1/trace/{id}
 // serves it.
@@ -26,7 +26,7 @@ import (
 )
 
 // traceCtxKey carries the request's traceBuilder through the
-// scatter-gather contexts into callShard and the hedging loop.
+// scatter-gather contexts into callShard.
 type traceCtxKey struct{}
 
 func traceFrom(ctx context.Context) *traceBuilder {
@@ -95,14 +95,6 @@ func (tb *traceBuilder) span(name, tier string, shard int, start time.Time, err 
 	tb.mu.Lock()
 	tb.tr.Spans = append(tb.tr.Spans, sp)
 	tb.mu.Unlock()
-}
-
-// event records an instantaneous step (a hedge firing).
-func (tb *traceBuilder) event(name, tier string, shard int, attrs map[string]string) {
-	if tb == nil {
-		return
-	}
-	tb.span(name, tier, shard, time.Now(), "", attrs, nil)
 }
 
 // beginAsync transfers completion ownership to the handler: the

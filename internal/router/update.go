@@ -17,8 +17,8 @@ package router
 //
 // All updates serialize on updateMu: the id-alignment step must not
 // interleave with another add, and the copy-on-write bounds view has a
-// single writer. Updates are never hedged — a replayed mutation is not
-// idempotent the way a query is.
+// single writer. Updates are never replayed — a replayed mutation is
+// not idempotent the way a query is.
 
 import (
 	"bytes"
@@ -68,13 +68,13 @@ type shardUpdateResult struct {
 }
 
 // postUpdate sends one update to one shard. Unlike callShard it is
-// never hedged, bypasses the health breaker (an update must reach every
+// not marked replayable, bypasses the health breaker (an update must reach every
 // shard; a down shard simply fails it), and surfaces the HTTP status so
 // callers can tolerate expected rejections (move_venue non-owners).
 func (rt *Router) postUpdate(ctx context.Context, sid int, body []byte) shardUpdateResult {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.backendOf[sid]+"/v1/update", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.cfg.Backends[sid]+"/v1/update", bytes.NewReader(body))
 	if err != nil {
 		return shardUpdateResult{sid: sid, err: err}
 	}
@@ -200,7 +200,7 @@ func (rt *Router) broadcastUpdate(w http.ResponseWriter, ctx context.Context, re
 		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
-	bodies := make([][]byte, len(rt.backendOf))
+	bodies := make([][]byte, len(rt.cfg.Backends))
 	for sid := range bodies {
 		bodies[sid] = body
 	}
@@ -249,7 +249,7 @@ func (rt *Router) placeVenue(w http.ResponseWriter, ctx context.Context, req upd
 		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
-	bodies := make([][]byte, len(rt.backendOf))
+	bodies := make([][]byte, len(rt.cfg.Backends))
 	for sid := range bodies {
 		if sid == owner {
 			bodies[sid] = venueBody
@@ -288,7 +288,7 @@ func (rt *Router) moveVenue(w http.ResponseWriter, ctx context.Context, req upda
 		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
-	bodies := make([][]byte, len(rt.backendOf))
+	bodies := make([][]byte, len(rt.cfg.Backends))
 	for sid := range bodies {
 		bodies[sid] = body
 	}

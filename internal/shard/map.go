@@ -35,7 +35,7 @@ type Map struct {
 
 // MapShard is one shard's entry in the Map.
 type MapShard struct {
-	// ID is the shard id; doubles as the consistent-hash placement key.
+	// ID is the shard id; rrrouter serves it on its ID-th backend.
 	ID int `json:"id"`
 	// Venues counts the spatial vertices owned by the shard.
 	Venues int `json:"venues"`

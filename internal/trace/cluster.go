@@ -1,7 +1,7 @@
 // Cluster-level tracing: the serializable span model that lets the
 // router tier stitch one end-to-end picture of a distributed query out
-// of its own orchestration steps (placement, fan-out, hedges, early
-// exits) and each shard's engine profile.
+// of its own orchestration steps (placement, fan-out, early exits) and
+// each shard's engine profile.
 //
 // The in-process Span stays what it is — an allocation-free counter
 // sink threaded through one engine evaluation. A ClusterSpan is the
@@ -103,14 +103,12 @@ func allZero(s string) bool {
 }
 
 // ClusterSpan is one step of a distributed query: a router
-// orchestration phase (placement, fan-out, a hedge fire) or one shard
-// call. Times are offsets from the owning ClusterTrace's start so a
+// orchestration phase (placement, fan-out) or one shard call. Times are offsets from the owning ClusterTrace's start so a
 // stitched trace is self-contained regardless of clock skew between
 // the processes that contributed to it — only the router's clock is
 // ever read.
 type ClusterSpan struct {
-	// Name identifies the step: "placement", "fanout", "shard_call",
-	// "hedge", ...
+	// Name identifies the step: "placement", "fanout" or "shard_call".
 	Name string `json:"name"`
 	// Tier is TierRouter or TierShard.
 	Tier string `json:"tier"`
@@ -125,7 +123,7 @@ type ClusterSpan struct {
 	// victims); empty on success.
 	Err string `json:"error,omitempty"`
 	// Attrs carries small step-specific facts (backend URL, pruned
-	// counts, hedged flag) as strings.
+	// counts, early-exit flag) as strings.
 	Attrs map[string]string `json:"attrs,omitempty"`
 	// Stats embeds the shard's own QueryStats JSON verbatim for
 	// shard_call spans — the router does not reinterpret it, so the
