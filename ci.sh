@@ -6,13 +6,13 @@
 #                  suite + the read paths' count guards + the examples
 #                  + the benchmark module's own vet
 #                  and tests + fuzz seed corpora + format compat
-#                  + 30 s of loader fuzzing
+#                  + 30 s each of loader and update-stream fuzzing
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
 #                  + coverage floor + rrbench smoke (every -exp)
 #                  + live smokes: sharded serving, cluster trace, update
 #                  churn, rrtop -once
-#   ./ci.sh -short skips the loader fuzzing, the race passes, coverage
+#   ./ci.sh -short skips the fuzzing, the race passes, coverage
 #                  and the live smokes
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -78,6 +78,9 @@ go test ./...
 # peel, a second peel and a pivot (TestPeelCostIndependentOfComponentSize),
 # and the components the flush relabels, which leave the giant out
 # unless it lost a successor (TestSplitRelabelCostIndependentOfComponentSize).
+# A giant that checks into 2k or 16k venues and is a relabel seed is
+# re-derived from its coverage count, reading no successor label at
+# either size (TestGiantRelabelCostIndependentOfOutDegree).
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
     ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
@@ -112,8 +115,10 @@ go -C benchmark test ./...
 # or added outside the initial space, a network with extents, and
 # regression inputs for a two-peel split, a pivot split, a peel that
 # loses the giant a successor, and a split into pieces the kept one
-# does not all reach) against a BFS mirror and a rebuild arm; every
-# publish runs Validate, label exactness on live posts included.
+# does not all reach, and a counted component absorbed by a merge)
+# against a BFS mirror and a rebuild arm, each under the default
+# counting rule and with the counting threshold at 1; every publish runs
+# Validate, label exactness on live posts and the counted label included.
 # ./internal/tiles's FuzzTiles checks 3DReach's point tiles against a
 # scan of their points, with and without a tombstone filter: sizes
 # around one cell and past many, duplicate locations, one shared x,
@@ -146,6 +151,16 @@ if [[ "${1:-}" != "-short" ]]; then
     # failing input is written to testdata/fuzz/FuzzPersistRoundtrip.
     echo "== loader fuzz (30 s) =="
     go test -run '^$' -fuzz '^FuzzPersistRoundtrip$' -fuzztime 30s .
+fi
+
+if [[ "${1:-}" != "-short" ]]; then
+    # The dynamic writer under real fuzzing, not only its seeds: arbitrary
+    # update streams must keep the index and every snapshot valid and
+    # answering as the BFS mirror does, with and without a counted
+    # component. A failing input is written to
+    # internal/incr/testdata/fuzz/FuzzUpdateStream.
+    echo "== update-stream fuzz (30 s) =="
+    go test -run '^$' -fuzz '^FuzzUpdateStream$' -fuzztime 30s ./internal/incr
 fi
 
 if [[ "${1:-}" != "-short" ]]; then

@@ -70,7 +70,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "synthetic preset seed")
 		dynamic   = flag.Bool("dynamic", false, "serve the updatable 3DReach index (enables /v1/update)")
 		loadIdx   = flag.String("load-index", "", "load a persisted index instead of building (-method is ignored)")
-		mmapIdx   = flag.Bool("mmap", false, "open -load-index by zero-copy mmap instead of decoding (v2 index files only; near-instant cold start)")
+		mmapIdx   = flag.Bool("mmap", false, "open -load-index by zero-copy mmap instead of decoding (v2 index files only; the open is one pass over the label and id columns, after -net is loaded and prepared)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheN    = flag.Int("cache", 4096, "result cache entries (negative disables)")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-request budget")

@@ -99,6 +99,7 @@ func (r adjRow) removeAll(ids []int32) adjRow {
 func (x *Index) addDAGEdgeCount(cu, cv, cnt int32) (total int32) {
 	x.outC[cu], total = x.outC[cu].add(cv, cnt)
 	x.inC[cv], _ = x.inC[cv].add(cu, cnt)
+	x.countEdge(cu, cv, true)
 	return total
 }
 
@@ -110,6 +111,9 @@ func (x *Index) addDAGEdge(cu, cv int32) int32 { return x.addDAGEdgeCount(cu, cv
 func (x *Index) decDAGEdge(cu, cv int32) (left int32) {
 	x.outC[cu], left = x.outC[cu].dec(cv)
 	x.inC[cv], _ = x.inC[cv].dec(cu)
+	if left == 0 {
+		x.countEdge(cu, cv, false)
+	}
 	return left
 }
 

@@ -15,7 +15,9 @@ import (
 // components are the graph's strongly connected components" and "each
 // label is exact on live posts" — and every vertex must answer a grid
 // of regions as the mirror does, on the live index, the snapshot and
-// the rebuild arm.
+// the rebuild arm. Every input runs twice: under the default counting
+// rule, which never counts a component of networks this small, and with
+// the threshold at 1, which counts the widest out-row (cover.go).
 const (
 	fzAddEdge = iota
 	fzDelEdge
@@ -85,99 +87,116 @@ func FuzzUpdateStream(f *testing.F) {
 	// grid cell; a move turns one into a point.
 	f.Add(stream(op(fzExtents, 120, 60), op(fzAddVenue, 128, 128), op(fzAddEdge, 0, 10), op(fzPublish, 0, 0),
 		op(fzMoveVenue, 2, 40), op(fzAddEdge, 9, 3), op(fzPublish, 0, 0), op(fzDelEdge, 9, 3)))
+	// With the threshold at 1 the first cycle, whose out-row is the
+	// widest, is counted. The second grows a fourth member through
+	// vertex 10, and 3 → 0 then merges the two with the second as the
+	// survivor: the counted component is absorbed and the survivor
+	// counts itself. Deleting 3 → 0 splits them again; in the second
+	// stream the absorbed component is a pending relabel seed as well.
+	f.Add(stream(op(fzAddUser, 0, 0), op(fzAddEdge, 3, 10), op(fzAddEdge, 10, 4), op(fzPublish, 0, 0),
+		op(fzAddEdge, 3, 0), op(fzPublish, 0, 0), op(fzDelEdge, 3, 0), op(fzPublish, 0, 0), op(fzDelEdge, 4, 8)))
+	f.Add(stream(op(fzPublish, 0, 0), op(fzDelEdge, 1, 6), op(fzAddUser, 0, 0), op(fzAddEdge, 3, 10),
+		op(fzAddEdge, 10, 4), op(fzAddEdge, 3, 0), op(fzPublish, 0, 0), op(fzAddEdge, 0, 6), op(fzDelEdge, 10, 4)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxOps, maxVertices = 256, 96
-		net := fuzzBase()
-		if len(data) >= 3 && data[0]%fzKinds == fzExtents {
-			net.Extents = make([]geom.Rect, len(net.Spatial))
-			for v, p := range net.Points {
-				if net.Spatial[v] {
-					net.Extents[v] = geom.NewRect(p.X, p.Y, p.X+float64(data[1])/10, p.Y+float64(data[2])/10)
-				}
-			}
+		for _, coverMin := range []int{0, 1} {
+			fuzzStream(t, data, coverMin)
 		}
-		prep := dataset.Prepare(net)
-		x := New(prep, Options{OverlayMin: 4})
-		rebuildArm := New(prep, Options{Mode: FullRebuild})
-		m := newMirror(net)
-		both := func(apply func(ix *Index) error) {
-			t.Helper()
-			for _, ix := range []*Index{x, rebuildArm} {
-				if err := apply(ix); err != nil {
-					t.Fatalf("op rejected: %v", err)
-				}
-			}
-		}
-		publish := func(step int) {
-			t.Helper()
-			if err := x.Validate(); err != nil {
-				t.Fatalf("op %d: index: %v", step, err)
-			}
-			snap := x.Snapshot()
-			if err := snap.Validate(); err != nil {
-				t.Fatalf("op %d: snapshot: %v", step, err)
-			}
-			for v := range m.spatial {
-				for cell := 0; cell < 10; cell++ {
-					// Nine cells of a 3×3 grid, then the whole space.
-					r := geom.NewRect(float64(cell%3)*34, float64(cell/3)*34, float64(cell%3)*34+34, float64(cell/3)*34+34)
-					if cell == 9 {
-						r = geom.NewRect(0, 0, 102, 102)
-					}
-					want := m.reach(v, r)
-					if got, s, rb := x.RangeReach(v, r), snap.RangeReach(v, r), rebuildArm.RangeReach(v, r); got != want || s != want || rb != want {
-						t.Fatalf("op %d: RangeReach(%d, %v): index %v, snapshot %v, rebuild arm %v, BFS %v", step, v, r, got, s, rb, want)
-					}
-				}
-			}
-		}
-		coord := func(b byte) float64 { return float64(b) / 255 * 100 }
-		for i := 0; i+3 <= len(data) && i < 3*maxOps; i += 3 {
-			kind, a, b := data[i]%fzKinds, int(data[i+1]), int(data[i+2])
-			n := len(m.spatial)
-			switch kind {
-			case fzAddEdge:
-				if u, v := a%n, b%n; u != v {
-					both(func(ix *Index) error { return ix.AddEdge(u, v) })
-					m.edges[[2]int{u, v}] = true
-				}
-			case fzDelEdge:
-				if e := [2]int{a % n, b % n}; m.edges[e] {
-					both(func(ix *Index) error { return ix.DeleteEdge(e[0], e[1]) })
-					delete(m.edges, e)
-				}
-			case fzAddUser, fzAddVenue:
-				if n == maxVertices {
-					continue
-				}
-				var p geom.Point
-				if kind == fzAddUser {
-					both(func(ix *Index) error { ix.AddUser(); return nil })
-				} else {
-					p = geom.Pt(coord(byte(a)), coord(byte(b)))
-					both(func(ix *Index) error { ix.AddVenue(p.X, p.Y); return nil })
-				}
-				m.spatial = append(m.spatial, kind == fzAddVenue)
-				m.points = append(m.points, p)
-			case fzMoveVenue:
-				// The a-th venue, to a point both coordinates of which b sets.
-				for v, k := 0, a; v < n; v++ {
-					if m.spatial[v] {
-						if k--; k < 0 {
-							p := geom.Pt(coord(byte(b)), coord(byte(b*7)))
-							both(func(ix *Index) error { return ix.MoveVenue(v, p.X, p.Y) })
-							m.move(v, p)
-							break
-						}
-					}
-				}
-			case fzPublish:
-				publish(i / 3)
-			case fzExtents:
-				// Decoded above, as the first op.
-			}
-		}
-		publish(len(data) / 3)
 	})
+}
+
+// fuzzStream applies one fuzz input with the given counting threshold.
+func fuzzStream(t *testing.T, data []byte, coverMin int) {
+	const maxOps, maxVertices = 256, 96
+	net := fuzzBase()
+	if len(data) >= 3 && data[0]%fzKinds == fzExtents {
+		net.Extents = make([]geom.Rect, len(net.Spatial))
+		for v, p := range net.Points {
+			if net.Spatial[v] {
+				net.Extents[v] = geom.NewRect(p.X, p.Y, p.X+float64(data[1])/10, p.Y+float64(data[2])/10)
+			}
+		}
+	}
+	prep := dataset.Prepare(net)
+	x := New(prep, Options{OverlayMin: 4, coverMin: coverMin})
+	rebuildArm := New(prep, Options{Mode: FullRebuild})
+	m := newMirror(net)
+	both := func(apply func(ix *Index) error) {
+		t.Helper()
+		for _, ix := range []*Index{x, rebuildArm} {
+			if err := apply(ix); err != nil {
+				t.Fatalf("op rejected: %v", err)
+			}
+		}
+	}
+	publish := func(step int) {
+		t.Helper()
+		if err := x.Validate(); err != nil {
+			t.Fatalf("coverMin %d, op %d: index: %v", coverMin, step, err)
+		}
+		snap := x.Snapshot()
+		if err := snap.Validate(); err != nil {
+			t.Fatalf("coverMin %d, op %d: snapshot: %v", coverMin, step, err)
+		}
+		for v := range m.spatial {
+			for cell := 0; cell < 10; cell++ {
+				// Nine cells of a 3×3 grid, then the whole space.
+				r := geom.NewRect(float64(cell%3)*34, float64(cell/3)*34, float64(cell%3)*34+34, float64(cell/3)*34+34)
+				if cell == 9 {
+					r = geom.NewRect(0, 0, 102, 102)
+				}
+				want := m.reach(v, r)
+				if got, s, rb := x.RangeReach(v, r), snap.RangeReach(v, r), rebuildArm.RangeReach(v, r); got != want || s != want || rb != want {
+					t.Fatalf("coverMin %d, op %d: RangeReach(%d, %v): index %v, snapshot %v, rebuild arm %v, BFS %v", coverMin, step, v, r, got, s, rb, want)
+				}
+			}
+		}
+	}
+	coord := func(b byte) float64 { return float64(b) / 255 * 100 }
+	for i := 0; i+3 <= len(data) && i < 3*maxOps; i += 3 {
+		kind, a, b := data[i]%fzKinds, int(data[i+1]), int(data[i+2])
+		n := len(m.spatial)
+		switch kind {
+		case fzAddEdge:
+			if u, v := a%n, b%n; u != v {
+				both(func(ix *Index) error { return ix.AddEdge(u, v) })
+				m.edges[[2]int{u, v}] = true
+			}
+		case fzDelEdge:
+			if e := [2]int{a % n, b % n}; m.edges[e] {
+				both(func(ix *Index) error { return ix.DeleteEdge(e[0], e[1]) })
+				delete(m.edges, e)
+			}
+		case fzAddUser, fzAddVenue:
+			if n == maxVertices {
+				continue
+			}
+			var p geom.Point
+			if kind == fzAddUser {
+				both(func(ix *Index) error { ix.AddUser(); return nil })
+			} else {
+				p = geom.Pt(coord(byte(a)), coord(byte(b)))
+				both(func(ix *Index) error { ix.AddVenue(p.X, p.Y); return nil })
+			}
+			m.spatial = append(m.spatial, kind == fzAddVenue)
+			m.points = append(m.points, p)
+		case fzMoveVenue:
+			// The a-th venue, to a point both coordinates of which b sets.
+			for v, k := 0, a; v < n; v++ {
+				if m.spatial[v] {
+					if k--; k < 0 {
+						p := geom.Pt(coord(byte(b)), coord(byte(b*7)))
+						both(func(ix *Index) error { return ix.MoveVenue(v, p.X, p.Y) })
+						m.move(v, p)
+						break
+					}
+				}
+			}
+		case fzPublish:
+			publish(i / 3)
+		case fzExtents:
+			// Decoded above, as the first op.
+		}
+	}
+	publish(len(data) / 3)
 }

@@ -69,6 +69,11 @@ type Options struct {
 	// tombstones below which the base is never folded. 0 means the
 	// default of 128.
 	OverlayMin int
+
+	// coverMin, when positive, replaces the counting rule's threshold
+	// (cover.go), so that tests can run the counted path on small
+	// networks.
+	coverMin int
 }
 
 const (
@@ -148,6 +153,9 @@ type Index struct {
 	pendingSplits [][2]int
 	stats         Stats
 
+	// cov is the counted component's label as a coverage count (cover.go).
+	cov cover
+
 	// Scratch, reused across calls so that no walk allocates per call or
 	// pays for more than it visits. vmark and cmark are the visited
 	// marks of the vertex walks (splitCheck's probes) and the component
@@ -161,11 +169,15 @@ type Index struct {
 	loose                                      []int32         // the closures certificates peeled off, for the SCC pass
 	restSlot                                   []int32         // splitCheck: a remainder vertex's index in the local SCC pass
 	sets                                       []intervals.Set // relabel merge inputs
+	coneSucc                                   []int32         // relabelCone: a cone member's cone successors not yet done
 	// probeSteps counts the vertices split checks have visited: each
 	// expansion of a probe or certificate search, and each vertex of a
 	// rest SCC pass. The certificates' budget and the cost guard on
 	// splitting read it.
 	probeSteps int
+	// relabelReads counts the successor labels relabelCone has gathered
+	// for merges; the cost guard on relabeling the giant reads it.
+	relabelReads int
 }
 
 // New builds an incremental index over the prepared network.
@@ -228,8 +240,13 @@ func (x *Index) Stats() Stats {
 	return s
 }
 
-// setLabel is the one place a component's label is replaced.
+// setLabel is the one place a component's label is replaced. A
+// successor of the counted component moves its label in the count too.
 func (x *Index) setLabel(c int32, l intervals.Set) {
+	if v := &x.cov; v.c >= 0 && v.succ[c] {
+		v.add(x.labels.at(c), -1)
+		v.add(l, 1)
+	}
 	x.labels.set(c, l)
 	x.labelWidth.touch(int(c >> pageBits))
 }
@@ -653,6 +670,7 @@ func (x *Index) rebuildDerived() {
 		x.alive[c] = true
 	}
 	x.buildAdjacency(cond.DAG, cond.Comp)
+	x.countWidest()
 	x.liveComps = nc
 	x.deadComps = 0
 	x.foldBase()

@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -217,13 +218,22 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, x *Index, m *mirror, lockstep *
 // identically to the BFS ground truth, (c) answer identically to a
 // from-scratch build of the same network, and (d) stay in lockstep
 // with a FullRebuild-mode index fed the same ops. Snapshots taken
-// along the way validate and answer identically too.
+// along the way validate and answer identically too. The same trials run
+// twice: under the default counting rule, which never counts a
+// component of networks this small, and with the threshold at 1, which
+// counts the widest out-row (cover.go).
 func TestEquivalenceRandomized(t *testing.T) {
+	for _, coverMin := range []int{0, 1} {
+		t.Run(fmt.Sprintf("coverMin=%d", coverMin), func(t *testing.T) { equivalenceRandomized(t, coverMin) })
+	}
+}
+
+func equivalenceRandomized(t *testing.T, coverMin int) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 10; trial++ {
 		net := randomNetwork(rng, 8+rng.Intn(20), 5+rng.Intn(30))
 		prep := dataset.Prepare(net)
-		x := New(prep, Options{})
+		x := New(prep, Options{coverMin: coverMin})
 		rebuildArm := New(prep, Options{Mode: FullRebuild})
 		m := newMirror(net)
 
@@ -507,6 +517,32 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	if err := x.Validate(); err == nil || !strings.Contains(err.Error(), "strongly connected") {
 		t.Errorf("glued components: want a partition error, got %v", err)
+	}
+
+	// The counted label (cover.go): a coverage count that drifted from
+	// the successors' labels, and a successor the count no longer marks.
+	counted := func() *Index {
+		x := New(dataset.Prepare(randomNetwork(rand.New(rand.NewSource(17)), 12, 20)), Options{coverMin: 1})
+		if x.cov.c < 0 || len(x.outC[x.cov.c]) == 0 {
+			t.Fatal("fixture counts no component")
+		}
+		return x
+	}
+	for _, c := range []struct {
+		want   string
+		damage func(x *Index)
+	}{
+		{"coverage count", func(x *Index) { x.cov.delta[x.post.at(x.cov.c)]++ }},
+		{"successor mark", func(x *Index) { x.cov.succ[x.outC[x.cov.c][0].to] = false }},
+	} {
+		x = counted()
+		if err := x.Validate(); err != nil {
+			t.Fatalf("fresh counted index invalid: %v", err)
+		}
+		c.damage(x)
+		if err := x.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("want an error containing %q, got %v", c.want, err)
+		}
 	}
 
 	// Snapshot-side corruption.

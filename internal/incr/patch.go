@@ -21,6 +21,7 @@ func (x *Index) allocComp() int32 {
 	x.inC = append(x.inC, nil)
 	x.post.append(x.maxPost)
 	x.labels.append(nil)
+	x.cov.grow()
 	x.liveComps++
 	return c
 }
@@ -125,11 +126,21 @@ func (x *Index) mergeCycle(affected []int32) {
 	}
 	lbl := intervals.MergeManyCanonical(sets)
 
+	// An absorbed counted component stops being counted; the survivor
+	// recounts below if its row qualifies.
+	recount := x.cov.c >= 0 && x.cov.c != r && x.cmark.has(x.cov.c, merging)
+	if recount {
+		x.cov.c = -1
+	}
+
 	// Rewire DAG adjacency: external edges of absorbed components move
 	// to the survivor (refcounts add); edges internal to the merged
 	// region disappear. The survivor's own rows lose only the absorbed
 	// ids, found by search: the giant's rows have tens of thousands of
 	// entries, and a region a handful.
+	for _, c := range affected {
+		x.countEdge(r, c, false)
+	}
 	x.outC[r] = x.outC[r].removeAll(affected)
 	x.inC[r] = x.inC[r].removeAll(affected)
 	for _, c := range affected {
@@ -144,6 +155,7 @@ func (x *Index) mergeCycle(affected []int32) {
 		}
 		for _, e := range x.inC[c] {
 			if !inA(e) {
+				x.countEdge(e.to, c, false)
 				x.outC[e.to] = x.outC[e.to].remove(c)
 				x.addDAGEdgeCount(e.to, r, e.cnt)
 			}
@@ -179,6 +191,9 @@ func (x *Index) mergeCycle(affected []int32) {
 		x.deadComps++
 	}
 	x.setLabel(r, lbl)
+	if recount {
+		x.countIfWide(r)
+	}
 	preds := make([]int32, 0, len(x.inC[r]))
 	for _, p := range x.inC[r] {
 		preds = append(preds, p.to)
@@ -337,8 +352,8 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	// and every departed piece's external successors are among them: its
 	// exact label is its old one plus the fresh posts of the pieces it
 	// reaches, which the propagate below adds. So re-deriving it — on
-	// the giant, a merge over tens of thousands of successor labels —
-	// would change nothing. Every old ancestor of c that may shrink
+	// the giant, a sweep over the whole post range — would change
+	// nothing. Every old ancestor of c that may shrink
 	// reaches one of these seeds, so the entire shrink cone sits inside
 	// the next flush.
 	if x.pending == nil {
@@ -686,25 +701,33 @@ func (x *Index) pivotCertificate(c int32, whole, part *closure, limit int) bool 
 // reports it by returning false — when the cone exceeds the dirty
 // fraction of live components.
 func (x *Index) relabelCone(seeds []int32) bool {
-	// Flags in cmark: cone membership, the DFS colours (neither flag is
-	// white, entered alone gray, done black), and the recompute's state.
+	// Flags in cmark: cone membership, and whether the member must be
+	// recomputed — it is a seed, or a cone successor's label changed in
+	// this pass.
 	const (
 		inCone uint8 = 1 << iota
-		entered
-		done
-		seed
-		changed
+		need
 	)
 	x.cmark.begin(len(x.alive))
+	if grow := len(x.alive) - len(x.coneSucc); grow > 0 {
+		x.coneSucc = append(x.coneSucc, make([]int32, grow)...)
+	}
 	cone := append([]int32(nil), seeds...)
 	for _, s := range seeds {
-		x.cmark.set(s, inCone|seed)
+		x.cmark.set(s, inCone|need)
+		x.coneSucc[s] = 0
 	}
+	// The cone is closed under predecessors, so every entry of a member's
+	// in-row is a member too, and counting those entries gives each member
+	// its number of cone successors — without reading any out-row, which
+	// on the giant holds one entry per venue.
 	for qi := 0; qi < len(cone); qi++ {
 		for _, p := range x.inC[cone[qi]] {
 			if x.cmark.add(p.to, inCone) {
+				x.coneSucc[p.to] = 0
 				cone = append(cone, p.to)
 			}
+			x.coneSucc[p.to]++
 		}
 	}
 	if x.tooDirty(len(cone)) {
@@ -712,69 +735,58 @@ func (x *Index) relabelCone(seeds []int32) bool {
 		return false
 	}
 
-	// Iterative DFS post-order over the cone-restricted DAG: every
-	// cone member finishes after all of its cone successors.
-	order := make([]int32, 0, len(cone))
-	var stack []int32
-	for _, root := range cone {
-		if x.cmark.has(root, entered) {
-			continue
-		}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			w := stack[len(stack)-1]
-			switch f := x.cmark.get(w); {
-			case f&entered == 0:
-				x.cmark.set(w, entered)
-				for _, d := range x.outC[w] {
-					if g := x.cmark.get(d.to); g&inCone != 0 && g&entered == 0 {
-						stack = append(stack, d.to)
-					}
-				}
-			case f&done == 0:
-				x.cmark.set(w, done)
-				order = append(order, w)
-				stack = stack[:len(stack)-1]
-			default:
-				stack = stack[:len(stack)-1]
-			}
+	// Change-pruned recompute in Kahn order over the in-rows: a member is
+	// ready once all of its cone successors are done, and it is only
+	// recomputed when it needs to be — the recompute frontier stops as
+	// soon as fresh labels equal old ones, so a delete deep in the DAG
+	// rarely touches more than a handful of ancestors even when the cone
+	// is large.
+	ready := make([]int32, 0, len(cone))
+	for _, c := range cone {
+		if x.coneSucc[c] == 0 {
+			ready = append(ready, c)
 		}
 	}
-
-	// Change-pruned recompute, successors-first: a cone member is only
-	// recomputed when it is a seed or one of its successors actually
-	// changed — the recompute frontier stops as soon as fresh labels
-	// equal old ones, so a delete deep in the DAG rarely touches more
-	// than a handful of ancestors even when the cone is large.
 	relabeled := 0
-	for _, c := range order {
-		need := x.cmark.has(c, seed)
-		if !need {
-			for _, d := range x.outC[c] {
-				if x.cmark.has(d.to, changed) {
-					need = true
-					break
-				}
+	for qi := 0; qi < len(ready); qi++ {
+		c := ready[qi]
+		changed := false
+		if x.cmark.has(c, need) {
+			lbl := x.derive(c)
+			relabeled++
+			if changed = !lbl.Equal(x.labels.at(c)); changed {
+				x.setLabel(c, lbl)
 			}
 		}
-		if !need {
-			continue
-		}
-		sets := append(x.sets[:0], intervals.Singleton(x.post.at(c)))
-		for _, d := range x.outC[c] {
-			sets = append(sets, x.labels.at(d.to))
-		}
-		lbl := intervals.MergeManyCanonical(sets)
-		x.releaseSets(sets)
-		relabeled++
-		if !lbl.Equal(x.labels.at(c)) {
-			x.setLabel(c, lbl)
-			x.cmark.set(c, changed)
+		for _, p := range x.inC[c] {
+			if changed {
+				x.cmark.set(p.to, need)
+			}
+			if x.coneSucc[p.to]--; x.coneSucc[p.to] == 0 {
+				ready = append(ready, p.to)
+			}
 		}
 	}
 	x.stats.ConeRelabels++
 	x.stats.RelabeledComps += relabeled
 	return true
+}
+
+// derive computes {post(c)} ∪ ⋃ L(d) over c's DAG successors d from
+// their stored labels: by a sweep of the count if c is the counted
+// component, by a merge otherwise.
+func (x *Index) derive(c int32) intervals.Set {
+	if c == x.cov.c {
+		return x.cov.label()
+	}
+	sets := append(x.sets[:0], intervals.Singleton(x.post.at(c)))
+	for _, d := range x.outC[c] {
+		sets = append(sets, x.labels.at(d.to))
+	}
+	x.relabelReads += len(x.outC[c])
+	lbl := intervals.MergeManyCanonical(sets)
+	x.releaseSets(sets)
+	return lbl
 }
 
 // minPatchFrontier is an absolute floor under which a patch never

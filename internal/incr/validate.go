@@ -14,10 +14,11 @@ import (
 // index: the component partition (well-formed, and equal to the graph's
 // strongly connected components), the sparse post assignment, label
 // nesting and exactness on live posts, the DAG adjacency's order and
-// refcount symmetry against the original edges, acyclicity, and the
-// spatial decomposition (validateSpatial). Apart from the exactness
-// check, which merges each component's successor labels as a relabel
-// would, it runs in O(V + E + labels + venues). It is called by the
+// refcount symmetry against the original edges, acyclicity, the counted
+// label (validateCover), and the spatial decomposition
+// (validateSpatial). Apart from the exactness check, which merges each
+// component's successor labels as a relabel would, it runs in
+// O(V + E + labels + venues). It is called by the
 // equivalence harness after every batch; rrserve -check-publish runs
 // Snapshot.Validate on every published snapshot.
 func (x *Index) Validate() error {
@@ -80,6 +81,9 @@ func (x *Index) Validate() error {
 		return err
 	}
 	if err := x.validateExactLabels(post); err != nil {
+		return err
+	}
+	if err := x.validateCover(); err != nil {
 		return err
 	}
 
@@ -166,6 +170,57 @@ func (x *Index) validateExactLabels(post []int32) error {
 		if got, want := livePosts(x.labels.at(int32(c))), livePosts(intervals.MergeManyCanonical(sets)); got != want {
 			return fmt.Errorf("incr: component %d's label holds %d live posts, but it reaches %d", c, got, want)
 		}
+	}
+	return nil
+}
+
+// validateCover checks the counted label (cover.go): the successor
+// marks are exactly the counted component's out-row, the count equals
+// one rebuilt from the post and the successors' stored labels, and its
+// sweep equals their merge.
+func (x *Index) validateCover() error {
+	v := &x.cov
+	if v.c < 0 {
+		return nil
+	}
+	c := v.c
+	if !x.alive[c] {
+		return fmt.Errorf("incr: the counted component %d is retired", c)
+	}
+	if len(v.succ) != len(x.alive) || len(v.delta) != int(x.maxPost)+2 {
+		return fmt.Errorf("incr: the count has %d successor marks and %d posts for %d components and %d posts",
+			len(v.succ), len(v.delta)-2, len(x.alive), x.maxPost)
+	}
+	marks := 0
+	for _, on := range v.succ {
+		if on {
+			marks++
+		}
+	}
+	for _, e := range x.outC[c] {
+		if !v.succ[e.to] {
+			return fmt.Errorf("incr: successor %d of the counted component %d carries no successor mark", e.to, c)
+		}
+	}
+	if marks != len(x.outC[c]) {
+		return fmt.Errorf("incr: %d successor marks for the counted component %d's %d successors", marks, c, len(x.outC[c]))
+	}
+	want := cover{delta: make([]int32, len(v.delta))}
+	sets := []intervals.Set{intervals.Singleton(x.post.at(c))}
+	for _, e := range x.outC[c] {
+		sets = append(sets, x.labels.at(e.to))
+	}
+	for _, s := range sets {
+		want.add(s, 1)
+	}
+	for p := range v.delta {
+		if v.delta[p] != want.delta[p] {
+			return fmt.Errorf("incr: the counted component %d's coverage count is %d at post %d, its successors' labels give %d",
+				c, v.delta[p], p, want.delta[p])
+		}
+	}
+	if got, merged := v.label(), intervals.MergeManyCanonical(sets); !got.Equal(merged) {
+		return fmt.Errorf("incr: the counted component %d's coverage count sweeps to %v, its successors' labels merge to %v", c, got, merged)
 	}
 	return nil
 }

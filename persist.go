@@ -125,9 +125,11 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 
 // OpenMapped memory-maps a v2 index file and assembles the index
 // directly over the mapped pages: no decode pass, no per-structure
-// copies, O(1) allocations regardless of index size. Cold start is
-// near-instant — beyond the columns the open pass reads (below), the
-// OS pages in only what queries touch. Call
+// copies, O(1) allocations regardless of index size. The open costs one
+// pass over the label and id columns (below); beyond those the OS pages
+// in only what queries touch. The Network it is called on must already
+// be loaded and prepared, which on a large network takes seconds and
+// dominates a cold start. Call
 // Index.Close when done; the index must not be used afterwards. It
 // maps what LoadIndex reads and refuses what LoadIndex refuses.
 //
