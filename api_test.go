@@ -130,8 +130,7 @@ func TestSaveAndRead(t *testing.T) {
 
 func TestOptions(t *testing.T) {
 	net := figure1(t)
-	for _, m := range []rangereach.Method{rangereach.SpaReachBFL, rangereach.SpaReachINT,
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev} {
+	for _, m := range []rangereach.Method{rangereach.SpaReachBFL, rangereach.SpaReachINT} {
 		idx, err := net.Build(m, rangereach.WithMBRPolicy(), rangereach.WithRTreeFanout(8))
 		if err != nil {
 			t.Fatalf("%v with MBR: %v", m, err)
@@ -140,11 +139,11 @@ func TestOptions(t *testing.T) {
 			t.Errorf("%v/MBR wrong answer", m)
 		}
 	}
-	if _, err := net.Build(rangereach.SocReach, rangereach.WithMBRPolicy()); err == nil {
-		t.Error("SocReach+MBR accepted")
-	}
-	if _, err := net.Build(rangereach.GeoReach, rangereach.WithMBRPolicy()); err == nil {
-		t.Error("GeoReach+MBR accepted")
+	for _, m := range []rangereach.Method{rangereach.SocReach, rangereach.GeoReach,
+		rangereach.ThreeDReach, rangereach.ThreeDReachRev} {
+		if _, err := net.Build(m, rangereach.WithMBRPolicy()); err == nil {
+			t.Errorf("%v+MBR accepted", m)
+		}
 	}
 	if _, err := net.Build(rangereach.Method(99)); err == nil {
 		t.Error("unknown method accepted")

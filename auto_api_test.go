@@ -100,7 +100,12 @@ func TestAutoRule(t *testing.T) {
 				if mbr {
 					opts = append(opts, rangereach.WithMBRPolicy())
 				}
-				alone := net.MustBuild(tc.want, opts...)
+				// 3DReach and 3DReach-Rev have no MBR variant: inside
+				// Auto they run Replicate.
+				alone := net.MustBuild(tc.want)
+				if tc.want == rangereach.SpaReachBFL {
+					alone = net.MustBuild(tc.want, opts...)
+				}
 				if tc.members != nil {
 					opts = append(opts, rangereach.WithAutoMembers(tc.members...))
 				}

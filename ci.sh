@@ -138,7 +138,11 @@ go test -run 'Fuzz' . ./internal/incr ./internal/tiles
 # every layout still read (TestLoadCorrupted, TestFormatV2CorruptionMapped)
 # and serve in full parity with a build. The retired files under
 # testdata/format/retired, frozen by hash, are refused by both paths
-# with core.ErrRetiredFormat (TestFormatRetiredRefused). Regenerate the
+# with core.ErrRetiredFormat, naming what was found and the remedy
+# (TestFormatRetiredRefused): among them 3dreach-mbr-v2.idx and
+# 3dreach-rev-mbr-v2.idx, refused because 3DReach and 3DReach-Rev no
+# longer have an MBR policy; only a rebuild with Replicate replaces
+# them. Regenerate the
 # v2 fixtures only on deliberate format changes:
 # go test -run TestFormatCompatGolden -update-format .
 # .github/workflows/ci.yml's format-compat job runs this same pattern.
@@ -229,6 +233,13 @@ if [[ "${1:-}" != "-short" ]]; then
         ./cmd/rrload ./cmd/rrquery ./cmd/rrtop
     "$SMOKE_DIR/rrgen" -preset gowalla-like -scale 0.2 -seed 3 \
         -o "$SMOKE_DIR/smoke.gsn" -shards 2 -index 3dreach 2>/dev/null
+    # 3DReach has no MBR policy: the build is refused with an error that
+    # names the methods that have one.
+    if "$SMOKE_DIR/rrquery" -net "$SMOKE_DIR/smoke.gsn" -method 3dreach -mbr \
+        -q "0 0 0 50 50" > /dev/null 2> "$SMOKE_DIR/mbr.err"; then
+        echo "rrquery -method 3dreach -mbr exited 0, want a refusal" >&2; exit 1
+    fi
+    grep -q 'SpaReach-BFL, SpaReach-INT and SpaReach-PLL' "$SMOKE_DIR/mbr.err"
     B1=http://127.0.0.1:18741
     B2=http://127.0.0.1:18742
     # A -backends list that does not give each shard a process of its

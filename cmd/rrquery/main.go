@@ -59,7 +59,7 @@ var method = flag.String("method", "3dreach", strings.Join(rangereach.MethodName
 func main() {
 	var (
 		netPath = flag.String("net", "", "network file in geosocial format (required)")
-		mbr     = flag.Bool("mbr", false, "use the MBR SCC policy (SpaReach/3DReach only)")
+		mbr     = flag.Bool("mbr", false, "use the MBR SCC policy (spareach-bfl, spareach-int, spareach-pll and auto only)")
 		query   = flag.String("q", "", "single query: `vertex xmin ymin xmax ymax`")
 		batch   = flag.String("batch", "", "file with one query per line")
 		verbose = flag.Bool("v", false, "print index build stats")

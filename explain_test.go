@@ -92,10 +92,7 @@ func TestExplainParityAllMethods(t *testing.T) {
 	}
 
 	// MBR policy for the methods that support it.
-	for _, m := range []rangereach.Method{
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev,
-		rangereach.SpaReachBFL, rangereach.SpaReachINT,
-	} {
+	for _, m := range []rangereach.Method{rangereach.SpaReachBFL, rangereach.SpaReachINT} {
 		idx, err := net.Build(m, rangereach.WithMBRPolicy())
 		if err != nil {
 			t.Fatalf("%v/MBR: %v", m, err)
@@ -111,12 +108,13 @@ func TestExplainParityAllMethods(t *testing.T) {
 }
 
 // TestExplainParityBackends covers both of 3DReach's spatial indexes:
-// the point tiles (Replicate) and the box R-tree (MBR policy).
+// the point tiles of a point-only network and the box R-tree of one with
+// extents.
 func TestExplainParityBackends(t *testing.T) {
 	net := explainNetwork(t)
 	queries := explainQueries(net, 40, 11)
-	for name, opts := range map[string][]rangereach.Option{"tiles": nil, "boxes": {rangereach.WithMBRPolicy()}} {
-		idx, err := net.Build(rangereach.ThreeDReach, opts...)
+	for name, net := range map[string]*rangereach.Network{"tiles": net, "boxes": withVenueExtents(t, net)} {
+		idx, err := net.Build(rangereach.ThreeDReach)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

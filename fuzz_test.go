@@ -2,6 +2,7 @@ package rangereach_test
 
 import (
 	"bytes"
+	"os"
 	"slices"
 	"testing"
 
@@ -41,8 +42,9 @@ func buildFuzzNet(extra func(*rangereach.NetworkBuilder)) *rangereach.Network {
 // validated index — it never panics and never accepts a structurally
 // broken index. Seeds are valid saves of each persistable method plus
 // truncated prefixes, so the seed-corpus CI run exercises every
-// section decoder; the bare v1 magic, so the refusal is fuzzed; and the
-// other layouts the loader reads, whole and halved. Every input is
+// section decoder; the bare v1 magic and the two retired MBR-policy
+// files, whole and halved, so the refusals are fuzzed; and the other
+// layouts the loader reads, whole and halved. Every input is
 // loaded over each network a seed was built on.
 func FuzzPersistRoundtrip(f *testing.F) {
 	nets := []*rangereach.Network{fuzzNet()}
@@ -56,6 +58,14 @@ func FuzzPersistRoundtrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("RRIX"))
 	f.Add([]byte("RRX2"))
+	for _, name := range []string{"3dreach-mbr-v2", "3dreach-rev-mbr-v2"} {
+		data, err := os.ReadFile(retiredPath(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
 	for _, in := range layoutInputs(f, nets[0]) {
 		f.Add(in.data)
 		f.Add(in.data[:len(in.data)/2])

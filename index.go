@@ -26,8 +26,10 @@ type buildConfig struct {
 // WithMBRPolicy switches the SCC spatial policy from the default
 // Replicate to MBR: every strongly connected component is represented by
 // the bounding rectangle of its member points instead of the points
-// themselves (paper §5). Only SpaReach and 3DReach variants support it;
-// Build returns an error otherwise.
+// themselves (paper §5, measured in its Figure 5). Only the SpaReach
+// methods support it, and MethodAuto, whose members without it run
+// Replicate; Build returns an error otherwise. ThreeDReach and
+// ThreeDReachRev index exact geometries only.
 func WithMBRPolicy() Option {
 	return func(c *buildConfig) { c.opts.Policy = dataset.MBR }
 }
@@ -60,10 +62,10 @@ func WithFullRebuildUpdates() Option {
 }
 
 // WithRTreeFanout sets the fan-out of the R-trees that index boxes and
-// 2D points: SpaReach's, 3DReach-Rev's, and 3DReach's under the MBR
-// policy or over extended geometries (default 16; 0 or less selects the
-// default, other values are clamped to [4, 1<<20], the range a saved
-// index may carry). 3DReach's point tiles have no fan-out.
+// 2D points: SpaReach's, 3DReach-Rev's, and 3DReach's over extended
+// geometries (default 16; 0 or less selects the default, other values
+// are clamped to [4, 1<<20], the range a saved index may carry).
+// 3DReach's point tiles have no fan-out.
 func WithRTreeFanout(fanout int) Option {
 	return func(c *buildConfig) {
 		c.opts.SpaReach.Fanout = fanout

@@ -125,12 +125,12 @@ func TestFiguresProduceSeries(t *testing.T) {
 
 func TestEngineCaching(t *testing.T) {
 	s, _ := tinySuite(t, "weeplaces-like")
-	a := s.engine(0, core.MethodThreeDReach, dataset.Replicate)
-	b := s.engine(0, core.MethodThreeDReach, dataset.Replicate)
+	a := s.engine(0, core.MethodSpaReachINT, dataset.Replicate)
+	b := s.engine(0, core.MethodSpaReachINT, dataset.Replicate)
 	if a.Engine != b.Engine {
 		t.Error("engine not cached")
 	}
-	c := s.engine(0, core.MethodThreeDReach, dataset.MBR)
+	c := s.engine(0, core.MethodSpaReachINT, dataset.MBR)
 	if a.Engine == c.Engine {
 		t.Error("policies share an engine")
 	}

@@ -76,14 +76,17 @@ func (m Method) String() string {
 }
 
 // SupportsMBR reports whether the method has an MBR-policy variant: the
-// paper's §6.2 discussion excludes SocReach (no spatial index) and
-// GeoReach (non-MBR by design).
+// SpaReach methods, where the paper's Figure 5 measures it, and the Auto
+// composite, whose members without one run Replicate. SocReach has no
+// spatial index and GeoReach is non-MBR by design (§6.2); 3DReach and
+// 3DReach-Rev index exact geometries only, because on a network whose
+// spatial components each hold one venue the MBR is that venue's point.
 func (m Method) SupportsMBR() bool {
 	switch m {
-	case MethodSocReach, MethodGeoReach:
-		return false
-	default:
+	case MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL, MethodAuto:
 		return true
+	default:
+		return false
 	}
 }
 
@@ -106,7 +109,7 @@ type BuildOptions struct {
 	Span *trace.BuildSpan
 	// SpaReach carries the spatial-first options (Policy is overridden).
 	SpaReach SpaReachOptions
-	// ThreeD carries the 3DReach options (Policy is overridden).
+	// ThreeD carries the 3DReach and 3DReach-Rev options.
 	ThreeD ThreeDOptions
 	// GeoReach carries the SPA-Graph options.
 	GeoReach GeoReachOptions
@@ -165,7 +168,8 @@ type BuildResult struct {
 // of silently falling back.
 func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResult, error) {
 	if opts.Policy == dataset.MBR && !m.SupportsMBR() {
-		return BuildResult{}, fmt.Errorf("core: %v has no MBR variant", m)
+		return BuildResult{}, fmt.Errorf("core: %v has no MBR variant; only %v, %v and %v do",
+			m, MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL)
 	}
 	opts.propagate()
 	//lint:ignore hotclock build-time measurement, not the query path
@@ -185,13 +189,9 @@ func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResu
 	case MethodSocReach:
 		e = NewSocReach(prep, opts.SocReach)
 	case MethodThreeDReach:
-		to := opts.ThreeD
-		to.Policy = opts.Policy
-		e = NewThreeDReach(prep, to)
+		e = NewThreeDReach(prep, opts.ThreeD)
 	case MethodThreeDReachRev:
-		to := opts.ThreeD
-		to.Policy = opts.Policy
-		e = NewThreeDReachRev(prep, to)
+		e = NewThreeDReachRev(prep, opts.ThreeD)
 	case MethodSpaReachPLL:
 		so := opts.SpaReach
 		so.Policy = opts.Policy

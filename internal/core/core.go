@@ -19,8 +19,9 @@
 //     plane-shaped 3D range query at post(v).
 //
 // Every engine answers queries on the SCC-condensed network (paper §5)
-// under either the Replicate or the MBR spatial policy, and is verified
-// against the NaiveBFS ground truth in the package tests.
+// under the Replicate spatial policy, the SpaReach methods also under
+// MBR, and is verified against the NaiveBFS ground truth in the package
+// tests.
 package core
 
 import (

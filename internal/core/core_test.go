@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -225,6 +226,18 @@ func TestBuildMethodErrors(t *testing.T) {
 	if _, err := BuildMethod(prep, MethodGeoReach, BuildOptions{Policy: dataset.MBR}); err == nil {
 		t.Error("GeoReach+MBR accepted")
 	}
+	for _, m := range []Method{MethodThreeDReach, MethodThreeDReachRev} {
+		_, err := BuildMethod(prep, m, BuildOptions{Policy: dataset.MBR})
+		if err == nil {
+			t.Errorf("%v+MBR accepted", m)
+			continue
+		}
+		for _, want := range []string{"no MBR variant", "SpaReach-BFL", "SpaReach-INT", "SpaReach-PLL"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v+MBR: error %q does not name %q", m, err, want)
+			}
+		}
+	}
 	if _, err := BuildMethod(prep, Method(99), BuildOptions{}); err == nil {
 		t.Error("unknown method accepted")
 	}
@@ -270,8 +283,11 @@ func TestMethodStringAndMBRSupport(t *testing.T) {
 	if MethodSocReach.SupportsMBR() || MethodGeoReach.SupportsMBR() {
 		t.Error("SupportsMBR wrong for SocReach/GeoReach")
 	}
-	if !MethodThreeDReach.SupportsMBR() || !MethodSpaReachBFL.SupportsMBR() {
-		t.Error("SupportsMBR wrong for 3DReach/SpaReach")
+	if MethodThreeDReach.SupportsMBR() || MethodThreeDReachRev.SupportsMBR() {
+		t.Error("SupportsMBR wrong for 3DReach/3DReach-Rev")
+	}
+	if !MethodSpaReachBFL.SupportsMBR() || !MethodSpaReachINT.SupportsMBR() || !MethodSpaReachPLL.SupportsMBR() {
+		t.Error("SupportsMBR wrong for SpaReach")
 	}
 }
 
@@ -282,21 +298,19 @@ func TestMemoryAccountingMBRCostsMore(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	net := spatialCycleNetwork(rng, 200)
 	prep := dataset.Prepare(net)
-	for _, m := range []Method{MethodSpaReachINT, MethodThreeDReach} {
-		rep, err := BuildMethod(prep, m, BuildOptions{Policy: dataset.Replicate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mbr, err := BuildMethod(prep, m, BuildOptions{Policy: dataset.MBR})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Per-entry accounting is richer for boxes; with many replicated
-		// points the MBR variant may store fewer entries, so compare the
-		// per-entry leaf cost instead of absolute totals only when entry
-		// counts match. At minimum both must be positive.
-		if rep.Bytes <= 0 || mbr.Bytes <= 0 {
-			t.Errorf("%v: non-positive index sizes %d / %d", m, rep.Bytes, mbr.Bytes)
-		}
+	rep, err := BuildMethod(prep, MethodSpaReachINT, BuildOptions{Policy: dataset.Replicate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbr, err := BuildMethod(prep, MethodSpaReachINT, BuildOptions{Policy: dataset.MBR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-entry accounting is richer for boxes; with many replicated
+	// points the MBR variant may store fewer entries, so compare the
+	// per-entry leaf cost instead of absolute totals only when entry
+	// counts match. At minimum both must be positive.
+	if rep.Bytes <= 0 || mbr.Bytes <= 0 {
+		t.Errorf("non-positive index sizes %d / %d", rep.Bytes, mbr.Bytes)
 	}
 }

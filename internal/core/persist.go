@@ -26,17 +26,23 @@ import (
 var ErrNotPersistable = fmt.Errorf("core: engine is not persistable")
 
 // ErrRetiredFormat reports an index file in a layout the loader no
-// longer reads: the v1 stream, or a v2 3DReach without tiles or boxes.
-// The error wrapping it names what was found.
-var ErrRetiredFormat = errors.New("retired index format: `rrquery -load-index old.idx -save-index new.idx` built at commit b588fdf upgrades the file")
+// longer reads: the v1 stream, a v2 3DReach without tiles or boxes, or a
+// v2 3DReach or 3DReach-Rev record under the MBR policy. The error
+// wrapping it names what was found and how to replace the file.
+var ErrRetiredFormat = errors.New("retired index format")
+
+// upgradeRemedy replaces a file whose layout an older build still
+// reads and re-saves as the current one.
+const upgradeRemedy = "`rrquery -load-index old.idx -save-index new.idx` built at commit b588fdf upgrades the file"
 
 // v1Magic opens a v1 stream, the format every Save wrote before the flat
 // image; only recognised, to refuse it by name.
 var v1Magic = []byte("RRIX")
 
-// retired wraps ErrRetiredFormat with what the loader found.
-func retired(found string) error {
-	return fmt.Errorf("core: %s: %w", found, ErrRetiredFormat)
+// retired wraps ErrRetiredFormat with what the loader found and the
+// remedy for it.
+func retired(found, remedy string) error {
+	return fmt.Errorf("core: %s: %w; %s", found, ErrRetiredFormat, remedy)
 }
 
 // LoadEngine reads an engine written by SaveEngine and attaches it to
@@ -48,7 +54,7 @@ func retired(found string) error {
 func LoadEngine(r io.Reader, prep *dataset.Prepared, opts BuildOptions) (BuildResult, error) {
 	br := bufio.NewReader(r)
 	if head, err := br.Peek(len(v1Magic)); err == nil && bytes.Equal(head, v1Magic) {
-		return BuildResult{}, retired("v1 stream")
+		return BuildResult{}, retired("v1 stream", upgradeRemedy)
 	}
 	img, err := flatbuf.ReadImage(br)
 	if err != nil {

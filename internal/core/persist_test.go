@@ -20,7 +20,6 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 		policy dataset.SCCPolicy
 	}{
 		{MethodThreeDReach, dataset.Replicate},
-		{MethodThreeDReach, dataset.MBR},
 		{MethodThreeDReachRev, dataset.Replicate},
 		{MethodSocReach, dataset.Replicate},
 		{MethodSpaReachINT, dataset.Replicate},

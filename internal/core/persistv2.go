@@ -76,7 +76,10 @@ const (
 	// structure, which never changed an answer; it is written as zero
 	// and ignored on load.
 
-	threeDFlagExact = 1 << 0 // 3DReach: box tree holds exact geometries
+	// threeDFlagExact: the box tree holds exact geometries. Always
+	// written with bit 1: the box trees without it held the MBR policy's
+	// component boxes, refused by their policy byte.
+	threeDFlagExact = 1 << 0
 	threeDFlagBoxes = 1 << 1 // 3DReach: spatial index is the box tree
 	// threeDFlagSpatial: R-tree sections are present. Set with bit 1,
 	// they are the box tree; without it, a point tree written before the
@@ -182,15 +185,12 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	case *ThreeDReach:
 		flags := uint16(threeDFlagTiles)
 		if eng.boxes != nil {
-			flags = threeDFlagBoxes | threeDFlagSpatial
-			if eng.exactBoxes {
-				flags |= threeDFlagExact
-			}
+			flags = threeDFlagExact | threeDFlagBoxes | threeDFlagSpatial
 		}
 		if eng.l.Spatial != nil {
 			flags |= threeDFlagRanks
 		}
-		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(eng.policy), Flags: flags})
+		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(dataset.Replicate), Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
 		if eng.boxes != nil {
 			mustWrite(&man, treeMetaOf(eng.boxes))
@@ -207,7 +207,7 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			return err
 		}
 	case *ThreeDReachRev:
-		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(eng.policy), Flags: revFlagPosts})
+		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(dataset.Replicate), Flags: revFlagPosts})
 		mustWrite(&man, uint32(len(eng.post)))
 		mustWrite(&man, treeMetaOf(eng.tree))
 		fw.Append(owner, secManifest, man.Bytes())
@@ -430,6 +430,12 @@ func castSection[T any](img *flatbuf.Image, owner, kind uint32) ([]T, error) {
 
 // loadEngineOwnerV2 assembles one engine from its owner's sections.
 func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared, opts BuildOptions) (Engine, error) {
+	if (m == MethodThreeDReach || m == MethodThreeDReachRev) && policy != dataset.Replicate {
+		if policy == dataset.MBR {
+			return nil, retired(m.String()+" MBR policy", "rebuild from the network with Replicate")
+		}
+		return nil, fmt.Errorf("core: %w: %v policy byte %d", flatbuf.ErrFormat, m, policy)
+	}
 	switch m {
 	case MethodThreeDReach:
 		hasTree, hasBoxes := flags&threeDFlagSpatial != 0, flags&threeDFlagBoxes != 0
@@ -437,17 +443,14 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		tiled := flags&threeDFlagTiles != 0
 		switch {
 		case tiled:
-			if hasTree || hasBoxes || exact || policy == dataset.MBR || prep.Net.HasExtents() {
-				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with point tiles under policy %v",
-					flatbuf.ErrFormat, flags, policy)
+			if hasTree || hasBoxes || exact || prep.Net.HasExtents() {
+				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with point tiles",
+					flatbuf.ErrFormat, flags)
 			}
 		case !hasTree:
-			return nil, retired("3DReach without spatial sections")
+			return nil, retired("3DReach without spatial sections", upgradeRemedy)
 		case !hasBoxes:
-			return nil, retired("3DReach point R-tree")
-		case (policy == dataset.MBR) == exact:
-			return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with policy %v",
-				flatbuf.ErrFormat, flags, policy)
+			return nil, retired("3DReach point R-tree", upgradeRemedy)
 		}
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
@@ -464,20 +467,16 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 			if err := manifestDone(mr, owner); err != nil {
 				return nil, err
 			}
-			return &ThreeDReach{prep: prep, policy: policy, l: l, points: t}, nil
+			return &ThreeDReach{prep: prep, l: l, points: t}, nil
 		}
-		limit := prep.Net.NumVertices()
-		if policy == dataset.MBR {
-			limit = prep.NumComponents()
-		}
-		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, limit)
+		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, prep.Net.NumVertices())
 		if err != nil {
 			return nil, err
 		}
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		return &ThreeDReach{prep: prep, policy: policy, l: l, boxes: f, exactBoxes: exact}, nil
+		return &ThreeDReach{prep: prep, l: l, boxes: f}, nil
 	case MethodThreeDReachRev:
 		var post []int32
 		switch flags {
@@ -496,18 +495,14 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		default:
 			return nil, fmt.Errorf("core: %w: 3DReach-Rev flags %#x", flatbuf.ErrFormat, flags)
 		}
-		limit := prep.Net.NumVertices()
-		if policy == dataset.MBR {
-			limit = prep.NumComponents()
-		}
-		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, limit)
+		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, prep.Net.NumVertices())
 		if err != nil {
 			return nil, err
 		}
 		if err := manifestDone(mr, owner); err != nil {
 			return nil, err
 		}
-		return &ThreeDReachRev{prep: prep, policy: policy, post: post, tree: f}, nil
+		return &ThreeDReachRev{prep: prep, post: post, tree: f}, nil
 	case MethodSocReach:
 		l, err := loadLabelingV2(img, owner, mr, prep)
 		if err != nil {
@@ -845,7 +840,7 @@ func OpenMappedEngine(path string, prep *dataset.Prepared, opts BuildOptions) (B
 	img, err := flatbuf.Open(m.Data())
 	if err != nil {
 		if bytes.HasPrefix(m.Data(), v1Magic) {
-			err = retired(path + ": v1 stream")
+			err = retired(path+": v1 stream", upgradeRemedy)
 		}
 		_ = m.Close()
 		return BuildResult{}, nil, err

@@ -31,27 +31,22 @@ import (
 // keys from its labeling, so one read from a file written before ranks
 // answers in post space through the same code.
 type ThreeDReach struct {
-	prep   *dataset.Prepared
-	policy dataset.SCCPolicy
-	l      *labeling.Labeling
+	prep *dataset.Prepared
+	l    *labeling.Labeling
 
-	// points backs the Replicate policy over point-only networks; boxes
-	// backs the MBR policy and — exactly — the Replicate policy of
-	// networks with extended geometries (paper footnote 1), whose objects
-	// are boxes, through the R-tree.
+	// Exactly one is set. points indexes a point-only network; boxes
+	// indexes a network with extended geometries (paper footnote 1),
+	// whose objects are boxes, in the R-tree: one exact box per spatial
+	// vertex, so a hit is a witness.
 	points *tiles.Tiles
 	boxes  *rtree.Flat[geom.Box3]
-	// exactBoxes marks the boxes tree as holding exact per-vertex
-	// geometries: a hit is a witness, no member verification needed.
-	exactBoxes bool
 }
 
-// ThreeDOptions configures NewThreeDReach and NewThreeDReachRev.
+// ThreeDOptions configures NewThreeDReach and NewThreeDReachRev. Both
+// index the Replicate policy only: the MBR policy is SpaReach's.
 type ThreeDOptions struct {
-	// Policy selects the SCC spatial policy (default Replicate).
-	Policy dataset.SCCPolicy
-	// Fanout is the fan-out of the R-trees: the MBR policy's, extended
-	// geometries' and 3DReach-Rev's (0 = rtree.DefaultMaxEntries).
+	// Fanout is the fan-out of the R-trees: extended geometries' and
+	// 3DReach-Rev's (0 = rtree.DefaultMaxEntries).
 	Fanout int
 	// Parallelism bounds the build workers: 0 or 1 builds sequentially,
 	// n > 1 parallelizes the labeling and the R-tree bulk loads
@@ -78,45 +73,13 @@ func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 // spatial index is built from the network, which is cheap relative to
 // labeling construction.
 func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts ThreeDOptions) *ThreeDReach {
-	e := &ThreeDReach{prep: prep, policy: opts.Policy, l: l}
-	wp := pool.New(max(opts.Parallelism, 1))
+	e := &ThreeDReach{prep: prep, l: l}
 	t := opts.Span.Start()
 	defer opts.Span.End("spatial", t)
 	keys := l.Keys()
 
-	if opts.Policy == dataset.MBR {
-		// A component's geometry is its member MBR, lifted to its key's
-		// height: the 3D R-tree indexes boxes instead of points (paper
-		// §6.2's MBR-based variant).
-		var entries []rtree.Entry[geom.Box3]
-		for c := range prep.Members {
-			if prep.HasSpatial[c] {
-				z := float64(keys[c])
-				entries = append(entries, rtree.Entry[geom.Box3]{
-					Box: geom.Box3FromRect(prep.CompMBR[c], z, z),
-					ID:  int32(c),
-				})
-			}
-		}
-		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, 0, wp)
-		return e
-	}
-
 	if prep.Net.HasExtents() {
-		// Extended geometries: every spatial vertex becomes the box
-		// (geometry × post), and an intersecting cuboid is a witness.
-		var entries []rtree.Entry[geom.Box3]
-		for v, s := range prep.Net.Spatial {
-			if s {
-				z := float64(keys[prep.CompOf(v)])
-				entries = append(entries, rtree.Entry[geom.Box3]{
-					Box: geom.Box3FromRect(prep.Net.GeometryOf(v), z, z),
-					ID:  int32(v),
-				})
-			}
-		}
-		e.boxes = rtree.BulkLoadPool(entries, opts.Fanout, 0, wp)
-		e.exactBoxes = true
+		e.boxes = rtree.BulkLoadPool(boxEntries(prep, keys), opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
 		return e
 	}
 
@@ -131,6 +94,22 @@ func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, op
 	return e
 }
 
+// boxEntries derives the box tree's leaf entries: every spatial vertex
+// once, its geometry lifted to its component's key, id the vertex.
+func boxEntries(prep *dataset.Prepared, keys []int32) []rtree.Entry[geom.Box3] {
+	var entries []rtree.Entry[geom.Box3]
+	for v, s := range prep.Net.Spatial {
+		if s {
+			z := float64(keys[prep.CompOf(v)])
+			entries = append(entries, rtree.Entry[geom.Box3]{
+				Box: geom.Box3FromRect(prep.Net.GeometryOf(v), z, z),
+				ID:  int32(v),
+			})
+		}
+	}
+	return entries
+}
+
 // Name implements Engine.
 func (e *ThreeDReach) Name() string { return "3DReach" }
 
@@ -141,9 +120,8 @@ func (e *ThreeDReach) RangeReach(v int, r geom.Rect) bool {
 }
 
 // RangeReachTraced implements Engine: the label of the query vertex
-// counts as inspected whole, the 3D search accumulates index-node work
-// into the spatial stage, and MBR-policy member confirmations count as
-// members.
+// counts as inspected whole, and the 3D search accumulates index-node
+// work into the spatial stage.
 func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	label := e.l.Labels[e.prep.CompOf(v)]
 	sp.AddLabels(len(label))
@@ -160,52 +138,30 @@ func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool 
 // a longer one is not the paper's loop of cuboid queries, which
 // re-descends the tree once per interval, but one traversal that
 // expands the union of the nodes those queries would, each once (see
-// anyInLabel).
+// anyInLabel). Every box is exact, so a hit is a witness.
 func (e *ThreeDReach) witness(r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	if e.points != nil {
 		return e.points.Any(r, label, nil, sp)
 	}
-	if e.exactBoxes {
-		if len(label) == 1 {
-			_, ok := e.boxes.SearchAnyTraced(geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi)), sp)
-			return ok
-		}
-		return anyInLabel(e.boxes, r, label, sp, anyID)
+	if len(label) == 1 {
+		_, ok := e.boxes.SearchAnyTraced(geom.Box3FromRect(r, float64(label[0].Lo), float64(label[0].Hi)), sp)
+		return ok
 	}
-	// MBR policy: an entry is a component's MBR, so a hit is confirmed
-	// against the members. That runs inside the traversal, so the whole
-	// interleaved pass is timed as the spatial stage (stage timings
-	// stay disjoint); the member counter still records the work.
-	return anyInLabel(e.boxes, r, label, sp, func(c int32) bool {
-		if r.ContainsRect(e.prep.CompMBR[c]) {
-			return true
-		}
-		for _, m := range e.prep.SpatialMembers[c] {
-			sp.IncMember()
-			if e.prep.Witness(m, r) {
-				return true
-			}
-		}
-		return false
-	})
+	return anyInLabel(e.boxes, r, label, sp)
 }
 
-// anyInLabel reports whether t holds an entry e inside r × some
-// interval of label with keep(e.ID), in one traversal that expands a
-// node only where its rectangle meets r and its z-range overlaps the
-// label: the union of the cuboids 3DReach queries for L(v) (paper
-// §4.2), tested in O(log |label|) on node bounds and entries alike.
-// Entry z is a post-order number (or rank) and node bounds are unions
-// of entries, so the float z bounds convert exactly.
-func anyInLabel(t *rtree.Flat[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span, keep func(id int32) bool) bool {
+// anyInLabel reports whether t holds an entry inside r × some interval
+// of label, in one traversal that expands a node only where its
+// rectangle meets r and its z-range overlaps the label: the union of
+// the cuboids 3DReach queries for L(v) (paper §4.2), tested in
+// O(log |label|) on node bounds and entries alike. Entry z is a
+// post-order number (or rank) and node bounds are unions of entries, so
+// the float z bounds convert exactly.
+func anyInLabel(t *rtree.Flat[geom.Box3], r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	return t.SearchAnyWhere(sp, func(b *geom.Box3) bool {
 		return b.Rect().Intersects(r) && label.OverlapsCanonical(int32(b.Min.Z), int32(b.Max.Z))
-	}, keep)
+	})
 }
-
-// anyID accepts every witness: the trees whose hits need no
-// verification.
-func anyID(int32) bool { return true }
 
 // MemoryBytes implements Engine: labeling plus the spatial index.
 func (e *ThreeDReach) MemoryBytes() int64 {

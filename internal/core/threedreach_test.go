@@ -30,8 +30,8 @@ type fragmentedCase struct {
 	built, mapped *ThreeDReach
 }
 
-// fragmentedCases covers the three branches of ThreeDReach.witness:
-// Replicate over points, Replicate over extended geometries, and MBR.
+// fragmentedCases covers the two branches of ThreeDReach.witness:
+// points and extended geometries.
 func fragmentedCases(t *testing.T) []fragmentedCase {
 	t.Helper()
 	points := dataset.Prepare(dataset.YelpLike(0.5, 9))
@@ -44,19 +44,14 @@ func fragmentedCases(t *testing.T) []fragmentedCase {
 		}
 		cases = append(cases,
 			fragmentedCase{name: "points" + keys, prep: points, posts: posts},
-			fragmentedCase{name: "extents" + keys, prep: extents, posts: posts},
-			fragmentedCase{name: "mbr" + keys, prep: points, posts: posts})
+			fragmentedCase{name: "extents" + keys, prep: extents, posts: posts})
 	}
 	for i := range cases {
 		c := &cases[i]
-		opts := ThreeDOptions{}
-		if strings.HasPrefix(c.name, "mbr") {
-			opts.Policy = dataset.MBR
-		}
 		if c.posts {
-			c.built = NewThreeDReachWithLabeling(c.prep, labeling.Build(c.prep.DAG, labeling.Options{}), opts)
+			c.built = NewThreeDReachWithLabeling(c.prep, labeling.Build(c.prep.DAG, labeling.Options{}), ThreeDOptions{})
 		} else {
-			c.built = NewThreeDReach(c.prep, opts)
+			c.built = NewThreeDReach(c.prep, ThreeDOptions{})
 		}
 		path := filepath.Join(t.TempDir(), strings.ReplaceAll(c.name, "/", "-")+".idx")
 		f, err := os.Create(path)
@@ -216,54 +211,56 @@ func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
 }
 
 // TestThreeDReachBackendsAgree checks 3DReach's two spatial indexes —
-// the point tiles of the Replicate policy and the box R-tree of the MBR
-// policy — against BFS on random networks, cyclic and acyclic, some
-// with more venues than one tile holds.
+// the point tiles of a point-only network and the box R-tree of one
+// with extents — against BFS on random networks, cyclic and acyclic,
+// some with more venues than one tile holds.
 func TestThreeDReachBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
+	boxed := 0
 	for trial := 0; trial < 12; trial++ {
 		net := randomNetwork(rng, 5+rng.Intn(25), 2+rng.Intn(20)+trial%3*40, trial%2 == 0)
-		prep := dataset.Prepare(net)
-		truth := NewNaiveBFS(net)
+		withExt := *net
 		engines := []*ThreeDReach{
-			NewThreeDReach(prep, ThreeDOptions{}),
-			NewThreeDReach(prep, ThreeDOptions{Policy: dataset.MBR}),
+			NewThreeDReach(dataset.Prepare(net), ThreeDOptions{}),
+			NewThreeDReach(dataset.Prepare(withExtents(rng, &withExt)), ThreeDOptions{}),
+		}
+		if engines[1].boxes != nil {
+			boxed++
 		}
 		for q := 0; q < 30; q++ {
 			v := rng.Intn(net.NumVertices())
 			r := randomRegion(rng)
-			want := truth.RangeReach(v, r)
 			for i, e := range engines {
+				want := NewNaiveBFS(e.prep.Net).RangeReach(v, r)
 				if got := e.RangeReach(v, r); got != want {
 					t.Fatalf("trial %d engine %d: RangeReach(%d, %v) = %v, want %v", trial, i, v, r, got, want)
 				}
 			}
 		}
 	}
+	if boxed < 6 {
+		t.Errorf("only %d of 12 trials built the box tree", boxed)
+	}
 }
 
-// TestMBRPolicyIgnoresBackend pins which index each 3DReach variant
-// gets: the point tiles serve only the Replicate policy over points; the
-// MBR policy indexes component boxes, and extended geometries their
-// exact boxes, in the R-tree.
-func TestMBRPolicyIgnoresBackend(t *testing.T) {
+// TestThreeDReachIndexPerGeometry pins which index 3DReach builds: the
+// point tiles over a point-only network, and the exact boxes in the
+// R-tree over one with extended geometries.
+func TestThreeDReachIndexPerGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	points := dataset.Prepare(spatialCycleNetwork(rng, 40))
 	extents := dataset.Prepare(withExtents(rng, spatialCycleNetwork(rng, 40)))
 	for _, c := range []struct {
-		name       string
-		prep       *dataset.Prepared
-		policy     dataset.SCCPolicy
-		tiles      bool
-		exactBoxes bool
+		name  string
+		prep  *dataset.Prepared
+		tiles bool
 	}{
-		{"points", points, dataset.Replicate, true, false},
-		{"mbr", points, dataset.MBR, false, false},
-		{"extents", extents, dataset.Replicate, false, true},
+		{"points", points, true},
+		{"extents", extents, false},
 	} {
-		e := NewThreeDReach(c.prep, ThreeDOptions{Policy: c.policy})
-		if (e.points != nil) != c.tiles || (e.boxes != nil) == c.tiles || e.exactBoxes != c.exactBoxes {
-			t.Errorf("%s: tiles %v, box tree %v, exact %v", c.name, e.points != nil, e.boxes != nil, e.exactBoxes)
+		e := NewThreeDReach(c.prep, ThreeDOptions{})
+		if (e.points != nil) != c.tiles || (e.boxes != nil) == c.tiles {
+			t.Errorf("%s: tiles %v, box tree %v", c.name, e.points != nil, e.boxes != nil)
 		}
 		truth := NewNaiveBFS(c.prep.Net)
 		for q := 0; q < 30; q++ {

@@ -21,10 +21,9 @@ import (
 // A query reads post(v) and the segments, so that is all the engine
 // keeps: the reversed labels live on only as the segments' z-ranges.
 type ThreeDReachRev struct {
-	prep   *dataset.Prepared
-	policy dataset.SCCPolicy
-	post   []int32 // post-order number of each component in the reversed labeling
-	tree   *rtree.Flat[geom.Box3]
+	prep *dataset.Prepared
+	post []int32 // post-order number of each component in the reversed labeling
+	tree *rtree.Flat[geom.Box3]
 }
 
 // NewThreeDReachRev builds the line-based 3DReach-Rev engine.
@@ -37,8 +36,8 @@ func NewThreeDReachRev(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReachR
 	// Segments and boxes are stored alike (min/max corners), matching the
 	// paper's observation about Boost's R-tree (§6.2): no leaf-payload
 	// override either way.
-	tree := rtree.BulkLoadPool(revEntries(prep, opts.Policy, rev), opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
-	return &ThreeDReachRev{prep: prep, policy: opts.Policy, post: rev.Post, tree: tree}
+	tree := rtree.BulkLoadPool(revEntries(prep, rev), opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
+	return &ThreeDReachRev{prep: prep, post: rev.Post, tree: tree}
 }
 
 // reversedLabeling builds the labeling of the reversed condensed DAG
@@ -50,25 +49,10 @@ func reversedLabeling(prep *dataset.Prepared, parallelism int) *labeling.Labelin
 }
 
 // revEntries derives the tree's leaf entries from the reversed
-// labeling: one per reversed label of each spatial component (MBR,
-// id the component) or of each spatial vertex (Replicate, id the
-// vertex), spanning the label's posts in z.
-func revEntries(prep *dataset.Prepared, policy dataset.SCCPolicy, rev *labeling.Labeling) []rtree.Entry[geom.Box3] {
+// labeling: one per reversed label of each spatial vertex, id the
+// vertex, spanning the label's posts in z.
+func revEntries(prep *dataset.Prepared, rev *labeling.Labeling) []rtree.Entry[geom.Box3] {
 	var entries []rtree.Entry[geom.Box3]
-	if policy == dataset.MBR {
-		for c := range prep.Members {
-			if !prep.HasSpatial[c] {
-				continue
-			}
-			for _, iv := range rev.Labels[c] {
-				entries = append(entries, rtree.Entry[geom.Box3]{
-					Box: geom.Box3FromRect(prep.CompMBR[c], float64(iv.Lo), float64(iv.Hi)),
-					ID:  int32(c),
-				})
-			}
-		}
-		return entries
-	}
 	for v, s := range prep.Net.Spatial {
 		if !s {
 			continue
@@ -98,35 +82,14 @@ func (e *ThreeDReachRev) RangeReach(v int, r geom.Rect) bool {
 
 // RangeReachTraced implements Engine: the single plane query is the
 // spatial stage (3DReach-Rev inspects no label of the query vertex —
-// the reversed labels live inside the indexed segments); MBR member
-// confirmations count as member verifications.
+// the reversed labels live inside the indexed segments). Every segment
+// is a spatial vertex's exact geometry, so a hit is a witness.
 func (e *ThreeDReachRev) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	z := float64(e.post[e.prep.CompOf(v)])
-	q := geom.Box3FromRect(r, z, z)
-	if e.policy == dataset.Replicate {
-		t := sp.Start()
-		_, ok := e.tree.SearchAnyTraced(q, sp)
-		sp.End(trace.StageSpatial, t)
-		return ok
-	}
-	hit := false
 	t := sp.Start()
-	e.tree.SearchTraced(q, sp, func(entry rtree.Entry[geom.Box3]) bool {
-		if r.ContainsRect(entry.Box.Rect()) {
-			hit = true
-			return false
-		}
-		for _, m := range e.prep.SpatialMembers[entry.ID] {
-			sp.IncMember()
-			if e.prep.Witness(m, r) {
-				hit = true
-				return false
-			}
-		}
-		return true
-	})
+	_, ok := e.tree.SearchAnyTraced(geom.Box3FromRect(r, z, z), sp)
 	sp.End(trace.StageSpatial, t)
-	return hit
+	return ok
 }
 
 // MemoryBytes implements Engine: 4 bytes of post per component plus the

@@ -17,8 +17,9 @@ import (
 // nested label sets over posts or, for 3DReach, spatial ranks — see
 // check.Labeling — acyclic condensation) and spatial indexes (R-tree
 // MBR containment and balance; 3DReach's point tiles, against their own
-// order and bounds and against the network and labeling; 3DReach-Rev's
-// posts and segments, against its reversed labeling rebuilt). It returns
+// order and bounds and against the network and labeling; 3DReach's
+// boxes, against the network and labeling; 3DReach-Rev's posts and
+// segments, against its reversed labeling rebuilt). It returns
 // nil for a well-formed engine and a descriptive error naming the
 // engine and the first violated invariant otherwise.
 //
@@ -38,7 +39,7 @@ func ValidateEngine(e Engine) error {
 			}
 		}
 		if eng.boxes != nil {
-			if err := eng.boxes.Validate(); err != nil {
+			if err := validateBoxes(eng); err != nil {
 				return fmt.Errorf("core: %s box index: %w", eng.Name(), err)
 			}
 		}
@@ -111,6 +112,18 @@ func validateTiles(e *ThreeDReach) error {
 	return nil
 }
 
+// validateBoxes checks the box tree's structure and bounds, then that
+// its leaf entries are the network's: every spatial vertex once, its
+// geometry at its component's key. A box whose z-range is swapped with
+// another inside their node's bound passes the first check and fails
+// the second.
+func validateBoxes(e *ThreeDReach) error {
+	if err := e.boxes.Validate(); err != nil {
+		return err
+	}
+	return sameEntries(e.boxes, boxEntries(e.prep, e.l.Keys()), "box", "the network")
+}
+
 // validateRev checks what a 3DReach-Rev query reads: the tree's
 // structure and bounds, then, against the reversed labeling rebuilt
 // from the network, every component's post and the tree's leaf entries,
@@ -131,19 +144,25 @@ func validateRev(e *ThreeDReachRev) error {
 			return fmt.Errorf("component %d has post %d, the reversed labeling gives %d", c, e.post[c], p)
 		}
 	}
-	want := revEntries(e.prep, e.policy, rev)
-	if e.tree.Len() != len(want) {
-		return fmt.Errorf("tree holds %d segments, the reversed labeling gives %d", e.tree.Len(), len(want))
+	return sameEntries(e.tree, revEntries(e.prep, rev), "segment", "the reversed labeling")
+}
+
+// sameEntries compares t's leaf entries with want as multisets, because
+// the bulk load reorders them; what names an entry and source what want
+// was derived from, for the error. No two derived entries share an id
+// and a low z (a vertex has one box, and a component's reversed labels
+// are disjoint), so sorted by those two keys equal multisets line up
+// entry for entry. want is derived in that order, so its sort is one
+// pass.
+func sameEntries(t *rtree.Flat[geom.Box3], want []rtree.Entry[geom.Box3], what, source string) error {
+	if t.Len() != len(want) {
+		return fmt.Errorf("tree holds %d %ss, %s gives %d", t.Len(), what, source, len(want))
 	}
 	got := make([]rtree.Entry[geom.Box3], 0, len(want))
-	e.tree.All(func(en rtree.Entry[geom.Box3]) bool {
+	t.All(func(en rtree.Entry[geom.Box3]) bool {
 		got = append(got, en)
 		return true
 	})
-	// A component's reversed labels are disjoint, so no two derived
-	// entries share an id and a low z: sorted by those two keys, equal
-	// multisets line up entry for entry. want is derived in that order,
-	// so its sort is one pass.
 	byIDThenZ := func(a, b rtree.Entry[geom.Box3]) int {
 		if a.ID != b.ID {
 			return cmp.Compare(a.ID, b.ID)
@@ -154,8 +173,8 @@ func validateRev(e *ThreeDReachRev) error {
 	slices.SortFunc(want, byIDThenZ)
 	for i := range want {
 		if got[i] != want[i] {
-			return fmt.Errorf("segment of id %d spans %v, the reversed labeling gives id %d %v",
-				got[i].ID, got[i].Box, want[i].ID, want[i].Box)
+			return fmt.Errorf("%s of id %d spans %v, %s gives id %d %v",
+				what, got[i].ID, got[i].Box, source, want[i].ID, want[i].Box)
 		}
 	}
 	return nil

@@ -13,19 +13,23 @@ import (
 // TestValidateEngineRejectsCorruptBuiltTree damages the arrays of each
 // built engine's R-tree in place. A built index has no loader in front
 // of it, so ValidateEngine alone stands between such a tree and a query:
-// it must name structural damage as well as a broken containment.
+// it must name structural damage as well as a broken containment, and,
+// for the 3D trees, whose entries it derives from the network, two
+// entries of one leaf that swapped z-ranges, which keeps every bound.
 func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
-	prep := dataset.Prepare(dataset.GowallaLike(0.1, 7))
+	points := dataset.Prepare(dataset.GowallaLike(0.1, 7))
+	extents := dataset.Prepare(withExtents(rand.New(rand.NewSource(4)), dataset.GowallaLike(0.1, 7)))
 	for _, c := range []struct {
 		name   string
+		prep   *dataset.Prepared
 		method Method
-		policy dataset.SCCPolicy
+		entry  string // what ValidateEngine calls a 3D entry; "" for 2D
 	}{
-		{"3dreach-mbr", MethodThreeDReach, dataset.MBR},
-		{"3dreach-rev", MethodThreeDReachRev, dataset.Replicate},
-		{"spareach-int", MethodSpaReachINT, dataset.Replicate},
+		{"3dreach-extents", extents, MethodThreeDReach, "box"},
+		{"3dreach-rev", points, MethodThreeDReachRev, "segment"},
+		{"spareach-int", points, MethodSpaReachINT, ""},
 	} {
-		res, err := BuildMethod(prep, c.method, BuildOptions{Policy: c.policy})
+		res, err := BuildMethod(c.prep, c.method, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,16 +54,35 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 			t.Fatalf("%s: fresh engine invalid: %v", c.name, err)
 		}
 		last, stride := len(nodeMeta)-1, len(nodeBounds)/(len(nodeMeta)/2)
-		for _, d := range []struct {
+		type damage struct {
 			want   string
 			damage func()
-		}{
+		}
+		damages := []damage{
 			{"does not contain entry", func() { entryBounds[0] -= 1e9 }},
 			{"does not contain child", func() { copy(nodeBounds[:stride], entryBounds) }},
 			{"size says", func() { nodeMeta[last] -= 1 << 1 }},
 			{"not balanced", func() { nodeMeta[last] &^= 1 }},
 			{"fan-out is", func() { nodeMeta[1] = uint32(fanout+1) << 1 }},
-		} {
+		}
+		if c.entry != "" {
+			// The last node is a leaf; find two of its entries at
+			// different heights. Bounds are {min x, y, z, max x, y, z}.
+			first, n := int(nodeMeta[last-1]), int(nodeMeta[last]>>1)
+			a, b := first, first+1
+			for b < first+n && entryBounds[6*b+2] == entryBounds[6*a+2] {
+				b++
+			}
+			if b == first+n {
+				t.Fatalf("%s: every entry of the last leaf is at one height", c.name)
+			}
+			damages = append(damages, damage{c.entry + " of id", func() {
+				for _, k := range []int{2, 5} {
+					entryBounds[6*a+k], entryBounds[6*b+k] = entryBounds[6*b+k], entryBounds[6*a+k]
+				}
+			}})
+		}
+		for _, d := range damages {
 			saved := [][]float64{append([]float64(nil), nodeBounds...), append([]float64(nil), entryBounds...)}
 			savedMeta := append([]uint32(nil), nodeMeta...)
 			d.damage()
@@ -230,42 +253,40 @@ func TestValidateEngineRejectsCorruptRev(t *testing.T) {
 	if err := check.Labeling(prep.DAG.Reverse(), reversedLabeling(prep, 2)); err != nil {
 		t.Fatalf("reversed labeling: %v", err)
 	}
-	for _, policy := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
-		res, err := BuildMethod(prep, MethodThreeDReachRev, BuildOptions{Policy: policy})
-		if err != nil {
-			t.Fatal(err)
+	res, err := BuildMethod(prep, MethodThreeDReachRev, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := res.Engine.(*ThreeDReachRev)
+	if err := ValidateEngine(e); err != nil {
+		t.Fatalf("fresh engine invalid: %v", err)
+	}
+	// Entry bounds are {min x, y, z, max x, y, z}: find a segment over
+	// more than one post.
+	_, _, bounds, _ := e.tree.Raw()
+	j := 0
+	for 6*j < len(bounds) && bounds[6*j+2] == bounds[6*j+5] {
+		j++
+	}
+	if 6*j == len(bounds) {
+		t.Fatal("every segment spans one post")
+	}
+	for _, d := range []struct {
+		want   string
+		damage func()
+	}{
+		{"segment of id", func() { bounds[6*j+2] = bounds[6*j+5] }},
+		{"component 0 has post", func() { e.post[0], e.post[1] = e.post[1], e.post[0] }},
+	} {
+		savedBounds, savedPost := append([]float64(nil), bounds...), append([]int32(nil), e.post...)
+		d.damage()
+		if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Errorf("want an error containing %q, got %v", d.want, err)
 		}
-		e := res.Engine.(*ThreeDReachRev)
-		if err := ValidateEngine(e); err != nil {
-			t.Fatalf("%v: fresh engine invalid: %v", policy, err)
-		}
-		// Entry bounds are {min x, y, z, max x, y, z}: find a segment
-		// over more than one post.
-		_, _, bounds, _ := e.tree.Raw()
-		j := 0
-		for 6*j < len(bounds) && bounds[6*j+2] == bounds[6*j+5] {
-			j++
-		}
-		if 6*j == len(bounds) {
-			t.Fatalf("%v: every segment spans one post", policy)
-		}
-		for _, d := range []struct {
-			want   string
-			damage func()
-		}{
-			{"segment of id", func() { bounds[6*j+2] = bounds[6*j+5] }},
-			{"component 0 has post", func() { e.post[0], e.post[1] = e.post[1], e.post[0] }},
-		} {
-			savedBounds, savedPost := append([]float64(nil), bounds...), append([]int32(nil), e.post...)
-			d.damage()
-			if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
-				t.Errorf("%v: want an error containing %q, got %v", policy, d.want, err)
-			}
-			copy(bounds, savedBounds)
-			copy(e.post, savedPost)
-		}
-		if err := ValidateEngine(e); err != nil {
-			t.Fatalf("%v: restored engine invalid: %v", policy, err)
-		}
+		copy(bounds, savedBounds)
+		copy(e.post, savedPost)
+	}
+	if err := ValidateEngine(e); err != nil {
+		t.Fatalf("restored engine invalid: %v", err)
 	}
 }

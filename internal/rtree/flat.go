@@ -315,19 +315,17 @@ func (f *Flat[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok b
 	return found, ok
 }
 
-// SearchAnyWhere reports whether some entry e has meets(&e.Box) and
-// keep(e.ID), descending only into nodes whose bounds pass meets. It
-// generalises SearchAny from one query box to any region the caller can
-// test a bound against — meets must be monotone (true for a bound
-// whenever it is true for something inside it) — so a union of boxes
-// costs one traversal that expands each qualifying node once instead of
-// one search per box. keep filters witnesses by identifier (the MBR
-// policy's member verification). Bounds go
-// to meets as pointers into the arrays: a copy of a 3D box per node is
-// measurable on this path. Node, leaf and entry counts accumulate into
-// sp exactly as in SearchTraced.
-func (f *Flat[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool {
-	return len(f.nodeMeta) != 0 && meets(f.boundRef(0)) && f.anyWhere(0, sp, meets, keep)
+// SearchAnyWhere reports whether some entry e has meets(&e.Box),
+// descending only into nodes whose bounds pass meets. It generalises
+// SearchAny from one query box to any region the caller can test a
+// bound against — meets must be monotone (true for a bound whenever it
+// is true for something inside it) — so a union of boxes costs one
+// traversal that expands each qualifying node once instead of one
+// search per box. Bounds go to meets as pointers into the arrays: a
+// copy of a 3D box per node is measurable on this path. Node, leaf and
+// entry counts accumulate into sp exactly as in SearchTraced.
+func (f *Flat[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool) bool {
+	return len(f.nodeMeta) != 0 && meets(f.boundRef(0)) && f.anyWhere(0, sp, meets)
 }
 
 // anyWhere expands node i, whose bound the caller has already tested.
@@ -336,15 +334,15 @@ func (f *Flat[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool, keep func(
 // stack that tests a bound when it is popped; so did slicing a node's
 // run of bounds once instead of indexing f's arrays per child (8 % of
 // churn's query_p50_us).
-func (f *Flat[B]) anyWhere(i uint32, sp *trace.Span, meets func(*B) bool, keep func(id int32) bool) bool {
+func (f *Flat[B]) anyWhere(i uint32, sp *trace.Span, meets func(*B) bool) bool {
 	first, meta := f.nodeMeta[2*i], f.nodeMeta[2*i+1]
 	count, stride := meta>>1, 2*f.dims
 	if meta&1 == 1 {
 		sp.IncLeaf()
 		sp.AddEntries(int(count))
 		bounds := f.entryBounds[int(first)*stride : int(first+count)*stride]
-		for k, id := range f.entryIDs[first : first+count] {
-			if meets((*B)(unsafe.Pointer(&bounds[k*stride]))) && keep(id) {
+		for k := range int(count) {
+			if meets((*B)(unsafe.Pointer(&bounds[k*stride]))) {
 				return true
 			}
 		}
@@ -353,7 +351,7 @@ func (f *Flat[B]) anyWhere(i uint32, sp *trace.Span, meets func(*B) bool, keep f
 	sp.IncNode()
 	bounds := f.nodeBounds[int(first)*stride : int(first+count)*stride]
 	for k := uint32(0); k < count; k++ {
-		if meets((*B)(unsafe.Pointer(&bounds[int(k)*stride]))) && f.anyWhere(first+k, sp, meets, keep) {
+		if meets((*B)(unsafe.Pointer(&bounds[int(k)*stride]))) && f.anyWhere(first+k, sp, meets) {
 			return true
 		}
 	}

@@ -1,9 +1,9 @@
 // Package rtree implements a read-only in-memory R-tree over 2D
 // rectangles or 3D boxes, replacing the Boost R-tree the paper uses
 // (§6.1). It backs the spatial indexes of the library but one: the 2D
-// point index of SpaReach, the 3D vertical-segment index of 3DReach-Rev,
-// 3DReach's index of extended geometries, and the MBR-based variants of
-// all three (paper §5). 3DReach's point index is internal/tiles.
+// point index of SpaReach and its MBR-based variant (paper §5), the 3D
+// vertical-segment index of 3DReach-Rev, and 3DReach's index of extended
+// geometries. 3DReach's point index is internal/tiles.
 //
 // There is one tree form, Flat: four arrays in canonical BFS order.
 // Sort-Tile-Recursive (STR) bulk loading produces it, the flat index

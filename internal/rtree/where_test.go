@@ -49,8 +49,7 @@ func labelWithCuts(rng *rand.Rand, cuts []int32, zMax int32, want int) intervals
 
 // TestSearchAnyWhereEqualsPerIntervalSearch checks the label-pruned
 // traversal against the evaluation it replaces: it finds a witness iff
-// some per-interval cuboid search does, with no tombstones, with every
-// hit tombstoned, and with all but one; it shows meets each bound at
+// some per-interval cuboid search does; it shows meets each bound at
 // most once; and a miss expands no more nodes than the per-interval
 // searches together, each at most once.
 func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
@@ -83,7 +82,7 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 
 			var sp trace.Span
 			tested := 0
-			got := tr.SearchAnyWhere(&sp, func(b *geom.Box3) bool { tested++; return meets(b) }, func(int32) bool { return true })
+			got := tr.SearchAnyWhere(&sp, func(b *geom.Box3) bool { tested++; return meets(b) })
 			if tested > 1+int(sp.IndexNodes)*tr.maxEntries+int(sp.IndexEntries) {
 				t.Fatalf("trial %d: tested %d bounds after expanding %d nodes and %d entries", trial, tested, sp.IndexNodes, sp.IndexEntries)
 			}
@@ -102,23 +101,12 @@ func TestSearchAnyWhereEqualsPerIntervalSearch(t *testing.T) {
 				continue
 			}
 			found++
-			if tr.SearchAnyWhere(nil, meets, func(id int32) bool { return !hits[id] }) {
-				t.Fatalf("trial %d: found a witness with every hit tombstoned", trial)
-			}
-			var spared int32
-			for id := range hits {
-				spared = id
-				break
-			}
-			if !tr.SearchAnyWhere(nil, meets, func(id int32) bool { return id == spared || !hits[id] }) {
-				t.Fatalf("trial %d: missed entry %d, the one hit not tombstoned", trial, spared)
-			}
 		}
 	}
 	if found < 100 || missed < 100 {
 		t.Errorf("lopsided draw: %d queries with a witness, %d without", found, missed)
 	}
-	if BulkLoad[geom.Box3](nil, 0, 0).SearchAnyWhere(nil, func(*geom.Box3) bool { return true }, func(int32) bool { return true }) {
+	if BulkLoad[geom.Box3](nil, 0, 0).SearchAnyWhere(nil, func(*geom.Box3) bool { return true }) {
 		t.Error("empty tree produced a witness")
 	}
 }

@@ -53,7 +53,8 @@ type Counters struct {
 	Enumerated int64
 	// Members is the number of exact member-geometry verifications —
 	// per-vertex point/rect tests performed after an index or label hit
-	// (MBR-policy confirmation, SocReach/GeoReach witness tests).
+	// (SpaReach's MBR-policy confirmation, SocReach/GeoReach witness
+	// tests).
 	Members int64
 }
 

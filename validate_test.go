@@ -10,7 +10,7 @@ import (
 )
 
 // TestValidateAfterBuild deep-checks every engine the public API can
-// build, 3DReach under both SCC policies.
+// build, 3DReach over both of its spatial indexes.
 func TestValidateAfterBuild(t *testing.T) {
 	net := figure1(t)
 	all := append([]rangereach.Method{rangereach.Naive, rangereach.MethodAuto}, rangereach.Methods...)
@@ -24,12 +24,12 @@ func TestValidateAfterBuild(t *testing.T) {
 			t.Errorf("%v: Validate() = %v", m, err)
 		}
 	}
-	idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithMBRPolicy())
+	idx, err := withVenueExtents(t, net).Build(rangereach.ThreeDReach)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.Validate(); err != nil {
-		t.Errorf("MBR policy: Validate() = %v", err)
+		t.Errorf("extents: Validate() = %v", err)
 	}
 }
 
