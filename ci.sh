@@ -252,20 +252,23 @@ if [[ "${1:-}" != "-short" ]]; then
         || { echo "rrrouter with 1 backend for 2 shards exited $status, want a refusal" >&2; exit 1; }
     # Shard i is served by the i-th backend: boot each rrserve with its
     # shard file, tagged with its shard id so logs and metrics carry
-    # cluster-correlation fields.
+    # cluster-correlation fields. Shard 0 and the router write their
+    # request logs as JSON for the cluster trace smoke to read.
     for sid in 0 1; do
         port=$((18741 + sid))
+        logmode=off; logfile=/dev/stderr
+        if [[ "$sid" -eq 0 ]]; then logmode=json; logfile="$SMOKE_DIR/shard0.log"; fi
         "$SMOKE_DIR/rrserve" -net "$SMOKE_DIR/smoke.shard$sid.gsn" \
             -load-index "$SMOKE_DIR/smoke.shard$sid.gsn.idx" -mmap \
-            -addr "127.0.0.1:$port" -shard "$sid" -log off &
+            -addr "127.0.0.1:$port" -shard "$sid" -log "$logmode" 2> "$logfile" &
         SMOKE_PIDS="$SMOKE_PIDS $!"
     done
     # The trace ring must hold every forced trace the load run below
     # generates (rate x duration = 600), or the slowest one may be
     # evicted before rrload fetches its breakdown.
     "$SMOKE_DIR/rrrouter" -shardmap "$SMOKE_DIR/smoke.shardmap.json" \
-        -backends "$B1,$B2" -addr 127.0.0.1:18740 -log off -wait-backends 30s \
-        -trace-ring 1024 &
+        -backends "$B1,$B2" -addr 127.0.0.1:18740 -log json -wait-backends 30s \
+        -trace-ring 1024 2> "$SMOKE_DIR/router.log" &
     SMOKE_PIDS="$SMOKE_PIDS $!"
     "$SMOKE_DIR/rrload" -target http://127.0.0.1:18740 -rate 200 -duration 3s \
         -wait 30s -fail-on-error -slo 500ms -trace -json \
@@ -303,6 +306,23 @@ if [[ "${1:-}" != "-short" ]]; then
     grep -q 'span name=fanout tier=router' "$SMOKE_DIR/trace.txt"
     grep -q 'span name=shard_call tier=shard shard=0' "$SMOKE_DIR/trace.txt"
     grep -q 'span name=shard_call tier=shard shard=1' "$SMOKE_DIR/trace.txt"
+    # Both tiers write their request log through the one wrapper in
+    # internal/httpjson: shard 0 and the router each hold a record of
+    # that query with the same keys and its trace id. A shard's record
+    # lands when its handler returns, which may trail the router's reply.
+    tid=$(awk '$1 == "trace" { print $2; exit }' "$SMOKE_DIR/trace.txt")
+    for reqlog in "$SMOKE_DIR/shard0.log" "$SMOKE_DIR/router.log"; do
+        found=""
+        for _ in $(seq 50); do
+            if grep -F "\"trace_id\":\"$tid\"" "$reqlog" | grep -F '"req":' | grep -F '"method":' \
+                | grep -F '"path":' | grep -F '"status":' | grep -qF '"elapsed":'; then
+                found=1; break
+            fi
+            sleep 0.1
+        done
+        [[ -n "$tid" && -n "$found" ]] \
+            || { echo "$reqlog holds no request record of trace ${tid:-?} with req, method, path, status and elapsed" >&2; exit 1; }
+    done
 
     # Update-churn smoke: a standalone dynamic rrserve absorbs a mixed
     # closed-loop update stream while queries run. -check-publish

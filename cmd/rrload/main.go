@@ -59,13 +59,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/trace"
 )
-
-type queryBody struct {
-	Vertex int        `json:"vertex"`
-	Region [4]float64 `json:"region"`
-}
 
 // reportSchema names the -json wire format so downstream tooling can
 // reject a report produced by an incompatible rrload.
@@ -280,7 +276,7 @@ func buildPayloads(w workload) [][]byte {
 			x = w.space[0] + rng.Float64()*(width-rw)
 			y = w.space[1] + rng.Float64()*(height-rh)
 		}
-		body, err := json.Marshal(queryBody{
+		body, err := json.Marshal(httpjson.QueryRequest{
 			Vertex: rankToVertex[int(zipf.Uint64())],
 			Region: [4]float64{x, y, x + rw, y + rh},
 		})
@@ -336,9 +332,7 @@ func run(client *http.Client, url string, payloads [][]byte, rate float64, trace
 				results[i].kind, results[i].errMsg = errKind(err), err.Error()
 				return
 			}
-			var qr struct {
-				Reachable bool `json:"reachable"`
-			}
+			var qr httpjson.RouterQueryReply
 			decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&qr)
 			_ = resp.Body.Close()
 			results[i].latency = time.Since(sched)
@@ -397,17 +391,6 @@ func run(client *http.Client, url string, payloads [][]byte, rate float64, trace
 	return rep
 }
 
-// updateBody is the /v1/update wire format shared by rrserve and
-// rrrouter.
-type updateBody struct {
-	Op     string  `json:"op"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	Vertex int     `json:"vertex"`
-}
-
 // updateStats aggregates the closed-loop update stream's outcome.
 type updateStats struct {
 	sent      int
@@ -453,26 +436,26 @@ func runUpdates(client *http.Client, base string, rate float64, nv int, space [4
 		case <-tick.C:
 		}
 
-		var body updateBody
+		var body httpjson.UpdateRequest
 		switch k := rng.Intn(10); {
 		case k < 1:
-			body = updateBody{Op: "add_user"}
+			body = httpjson.UpdateRequest{Op: "add_user"}
 		case k < 3:
 			x, y := randPoint()
-			body = updateBody{Op: "add_venue", X: x, Y: y}
+			body = httpjson.UpdateRequest{Op: "add_venue", X: x, Y: y}
 		case k < 5 && len(edges) > 0:
 			i := rng.Intn(len(edges))
 			e := edges[i]
 			edges[i] = edges[len(edges)-1]
 			edges = edges[:len(edges)-1]
 			delete(edgeSeen, e)
-			body = updateBody{Op: "del_edge", From: e[0], To: e[1]}
+			body = httpjson.UpdateRequest{Op: "del_edge", From: e[0], To: e[1]}
 		case k < 7 && len(venues) > 0:
 			x, y := randPoint()
-			body = updateBody{Op: "move_venue", Vertex: venues[rng.Intn(len(venues))], X: x, Y: y}
+			body = httpjson.UpdateRequest{Op: "move_venue", Vertex: venues[rng.Intn(len(venues))], X: x, Y: y}
 		default:
 			u, v := rng.Intn(nv), rng.Intn(nv)
-			body = updateBody{Op: "add_edge", From: u, To: v}
+			body = httpjson.UpdateRequest{Op: "add_edge", From: u, To: v}
 		}
 
 		st.sent++
@@ -489,10 +472,7 @@ func runUpdates(client *http.Client, base string, rate float64, nv int, space [4
 			}
 			continue
 		}
-		var ur struct {
-			ID  *int   `json:"id"`
-			Gen uint64 `json:"gen"`
-		}
+		var ur httpjson.RouterUpdateReply
 		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ur)
 		_ = resp.Body.Close()
 		switch {
@@ -559,15 +539,7 @@ func errKind(err error) string {
 func printSlowestTrace(client *http.Client, base, id string, w io.Writer) {
 	var ct trace.ClusterTrace
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := client.Get(base + "/v1/trace/" + id)
-		if err == nil {
-			decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ct)
-			_ = resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && decErr == nil {
-				break
-			}
-		}
+	for httpjson.Fetch(client, base+"/v1/trace/"+id, &ct) != nil {
 		if time.Now().After(deadline) {
 			_, _ = fmt.Fprintf(w, "slowest trace %s: not available from %s/v1/trace (target is not rrrouter, or the entry was evicted from the ring)\n", id, base)
 			return
@@ -666,19 +638,9 @@ func discover(client *http.Client, base string, vertices int, spaceStr string) (
 		return vertices, space, nil
 	}
 
-	resp, err := client.Get(base + "/healthz")
-	if err != nil {
-		return 0, space, fmt.Errorf("discover: %v", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return 0, space, fmt.Errorf("discover: healthz status %d", resp.StatusCode)
-	}
-	var hz struct {
-		Vertices int        `json:"vertices"`
-		Space    [4]float64 `json:"space"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hz); err != nil {
+	// rrserve's /healthz has no space; it decodes as zeros.
+	var hz httpjson.RouterHealthz
+	if err := httpjson.Fetch(client, base+"/healthz", &hz); err != nil {
 		return 0, space, fmt.Errorf("discover: %v", err)
 	}
 	if vertices <= 0 {

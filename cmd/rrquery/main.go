@@ -49,6 +49,7 @@ import (
 	"time"
 
 	rangereach "repro"
+	"repro/internal/httpjson"
 	"repro/internal/trace"
 )
 
@@ -225,17 +226,6 @@ func printStats(qs rangereach.QueryStats) {
 
 // ---- remote mode (-target) ----
 
-// remoteResponse covers both rrserve's and rrrouter's /v1/query wire
-// formats.
-type remoteResponse struct {
-	Reachable bool                   `json:"reachable"`
-	Micros    int64                  `json:"micros"`
-	Shards    int                    `json:"shards"`
-	Partial   bool                   `json:"partial,omitempty"`
-	TraceID   string                 `json:"trace_id,omitempty"`
-	Stats     *rangereach.QueryStats `json:"stats,omitempty"`
-}
-
 // runRemote answers -q or -batch against a running server.
 func runRemote(target, query, batch string, doTrace, explain bool) {
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -286,8 +276,8 @@ func runRemote(target, query, batch string, doTrace, explain bool) {
 }
 
 func queryRemote(client *http.Client, target string, v int, r rangereach.Rect, doTrace bool) error {
-	body, err := json.Marshal(map[string]any{
-		"vertex": v, "region": [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY},
+	body, err := json.Marshal(httpjson.QueryRequest{
+		Vertex: v, Region: [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY},
 	})
 	if err != nil {
 		return err
@@ -315,7 +305,8 @@ func queryRemote(client *http.Client, target string, v int, r rangereach.Rect, d
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
 	}
-	var qr remoteResponse
+	// rrrouter's reply; rrserve's decodes into it too, with no shards.
+	var qr httpjson.RouterQueryReply
 	if err := json.Unmarshal(data, &qr); err != nil {
 		return fmt.Errorf("bad response %q: %v", data, err)
 	}
@@ -337,9 +328,11 @@ func queryRemote(client *http.Client, target string, v int, r rangereach.Rect, d
 	}
 	// A single rrserve target has no /v1/trace endpoint but returns its
 	// stats inline on traced requests.
-	if qr.Stats != nil {
+	var sr httpjson.ServerQueryReply
+	var qs rangereach.QueryStats
+	if json.Unmarshal(data, &sr) == nil && sr.Stats != nil && json.Unmarshal(sr.Stats, &qs) == nil {
 		fmt.Printf("trace %s (shard-local stats; target has no /v1/trace)\n", tid)
-		printStats(*qr.Stats)
+		printStats(qs)
 		return nil
 	}
 	return fmt.Errorf("trace %s not retrievable from %s", tid, target)
@@ -350,31 +343,20 @@ func queryRemote(client *http.Client, target string, v int, r rangereach.Rect, d
 // -dynamic server the profile is the published snapshot's: its label
 // interval and overlay counts show how far updates have degraded it.
 func explainRemote(client *http.Client, target string, v int, r rangereach.Rect) error {
-	resp, err := client.Get(target + "/v1/explain?" + url.Values{
+	var er httpjson.ExplainReply
+	var qs rangereach.QueryStats
+	if err := httpjson.Fetch(client, target+"/v1/explain?"+url.Values{
 		"vertex": {strconv.Itoa(v)},
 		"region": {fmt.Sprintf("%g,%g,%g,%g", r.MinX, r.MinY, r.MaxX, r.MaxY)},
-	}.Encode())
-	if err != nil {
+	}.Encode(), &er); err != nil {
 		return err
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	_ = resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	var er struct {
-		Reachable bool                  `json:"reachable"`
-		Stats     rangereach.QueryStats `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &er); err != nil {
-		return fmt.Errorf("bad response %q: %v", data, err)
+	if err := json.Unmarshal(er.Stats, &qs); err != nil {
+		return fmt.Errorf("bad stats %q: %v", er.Stats, err)
 	}
 	fmt.Printf("RangeReach(%d, [%g,%g]x[%g,%g]) = %v  (%v)\n",
-		v, r.MinX, r.MaxX, r.MinY, r.MaxY, er.Reachable, er.Stats.Duration)
-	printStats(er.Stats)
+		v, r.MinX, r.MaxX, r.MinY, r.MaxY, er.Reachable, qs.Duration)
+	printStats(qs)
 	return nil
 }
 
@@ -383,24 +365,13 @@ func explainRemote(client *http.Client, target string, v int, r rangereach.Rect)
 func fetchTrace(client *http.Client, target, id string) (*trace.ClusterTrace, error) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp, err := client.Get(target + "/v1/trace/" + id)
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		_ = resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode == http.StatusOK {
-			var tr trace.ClusterTrace
-			if err := json.Unmarshal(data, &tr); err != nil {
-				return nil, err
-			}
+		var tr trace.ClusterTrace
+		err := httpjson.Fetch(client, target+"/v1/trace/"+id, &tr)
+		if err == nil {
 			return &tr, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
+			return nil, err
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

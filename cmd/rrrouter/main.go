@@ -33,18 +33,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/router"
 	"repro/internal/shard"
 )
@@ -91,7 +87,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
 		os.Exit(2)
 	}
-	logger, err := buildLogger(*logMode)
+	logger, err := httpjson.NewLogger(*logMode, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
 		os.Exit(2)
@@ -124,28 +120,11 @@ func main() {
 	}
 	defer rt.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "rrrouter: routing %q (%d shards, %s partition) across %d backends on %s\n",
+	banner := fmt.Sprintf("rrrouter: routing %q (%d shards, %s partition) across %d backends on %s",
 		m.Name, len(m.Shards), m.Strategy, len(urls), *addr)
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "rrrouter: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "rrrouter: shutdown: %v\n", err)
-		}
+	if err := httpjson.Serve("rrrouter", *addr, rt.Handler(), banner); err != nil {
+		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -192,18 +171,4 @@ func waitBackends(urls []string, budget time.Duration) error {
 		time.Sleep(100 * time.Millisecond)
 	}
 	return nil
-}
-
-// buildLogger resolves the -log flag; logs go to stderr.
-func buildLogger(mode string) (*slog.Logger, error) {
-	switch strings.ToLower(mode) {
-	case "off", "none", "":
-		return nil, nil
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log mode %q (want text, json or off)", mode)
-	}
 }

@@ -40,21 +40,18 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	rangereach "repro"
+	"repro/internal/httpjson"
 	"repro/internal/server"
 )
 
@@ -88,7 +85,7 @@ func main() {
 	)
 	flag.Parse()
 
-	logger, err := buildLogger(*logMode)
+	logger, err := httpjson.NewLogger(*logMode, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
 		os.Exit(2)
@@ -176,10 +173,6 @@ func main() {
 	}
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	if *debugAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, debugMux()); err != nil {
@@ -189,43 +182,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrserve: pprof on %s/debug/pprof/\n", *debugAddr)
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "rrserve: serving %q (%s, |V|=%d |E|=%d |P|=%d) on %s\n",
+	// On SIGINT/SIGTERM Serve drains the requests in flight; srv.Close
+	// (via defer) then waits out any handler the drain's deadline left
+	// running and stops the update goroutine, before the index is
+	// unmapped.
+	banner := fmt.Sprintf("rrserve: serving %q (%s, |V|=%d |E|=%d |P|=%d) on %s",
 		net.Name(), mode, net.NumVertices(), net.NumEdges(), net.NumSpatial(), *addr)
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		// Graceful shutdown: stop accepting, drain in-flight requests,
-		// then srv.Close (via defer) waits out any handler Shutdown's
-		// deadline left running and stops the update goroutine, before
-		// the index is unmapped.
-		fmt.Fprintln(os.Stderr, "rrserve: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "rrserve: shutdown: %v\n", err)
-		}
-	}
-}
-
-// buildLogger resolves the -log flag. Logs go to stderr, keeping stdout
-// free for redirection.
-func buildLogger(mode string) (*slog.Logger, error) {
-	switch strings.ToLower(mode) {
-	case "off", "none", "":
-		return nil, nil
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log mode %q (want text, json or off)", mode)
+	if err := httpjson.Serve("rrserve", *addr, srv.Handler(), banner); err != nil {
+		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
+		os.Exit(1)
 	}
 }
 

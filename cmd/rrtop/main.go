@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,68 +29,16 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/httpjson"
 )
-
-// The decode structs mirror rrrouter's JSON responses field for field;
-// unknown fields are ignored so an older rrtop keeps working against a
-// newer router.
-
-type healthz struct {
-	Status   string `json:"status"`
-	Shards   int    `json:"shards"`
-	Backends int    `json:"backends"`
-	Vertices int    `json:"vertices"`
-	Strategy string `json:"strategy"`
-	Down     []int  `json:"down"`
-}
-
-type shardRow struct {
-	ID              int     `json:"id"`
-	Backend         string  `json:"backend"`
-	Down            bool    `json:"down"`
-	ScrapeError     string  `json:"scrape_error"`
-	ScrapeAgeMillis int64   `json:"scrape_age_ms"`
-	Queries         int64   `json:"queries_total"`
-	Inflight        int64   `json:"inflight"`
-	CacheHitRatio   float64 `json:"cache_hit_ratio"`
-	P50Micros       float64 `json:"p50_micros"`
-	P99Micros       float64 `json:"p99_micros"`
-}
-
-type routerRow struct {
-	Requests   int64   `json:"requests_total"`
-	Errors     int64   `json:"errors_total"`
-	EarlyExits int64   `json:"early_exits_total"`
-	Pruned     int64   `json:"pruned_shards_total"`
-	Inflight   int64   `json:"inflight"`
-	P50Micros  float64 `json:"p50_micros"`
-	P99Micros  float64 `json:"p99_micros"`
-	Traces     int64   `json:"traces_total"`
-	TracesKept int64   `json:"traces_kept_total"`
-}
-
-type clusterView struct {
-	Shards           []shardRow `json:"shards"`
-	Router           routerRow  `json:"router"`
-	ClusterP99Micros float64    `json:"cluster_p99_micros"`
-}
-
-type traceRow struct {
-	TraceID    string    `json:"trace_id"`
-	Endpoint   string    `json:"endpoint"`
-	Start      time.Time `json:"start"`
-	DurationNS int64     `json:"duration_ns"`
-	Status     int       `json:"status"`
-	Reason     string    `json:"reason"`
-	Spans      int       `json:"spans"`
-}
 
 // snapshot is one poll of the whole cluster surface.
 type snapshot struct {
 	At      time.Time
-	Health  healthz
-	Cluster clusterView
-	Traces  []traceRow
+	Health  httpjson.RouterHealthz
+	Cluster httpjson.ClusterReply
+	Traces  []httpjson.TraceSummary
 }
 
 func main() {
@@ -150,32 +97,18 @@ func main() {
 // couple of seconds stale.
 func poll(client *http.Client, base string, nTraces int) (*snapshot, error) {
 	snap := &snapshot{At: time.Now()}
-	if err := getJSON(client, base+"/healthz", &snap.Health); err != nil {
+	if err := httpjson.Fetch(client, base+"/healthz", &snap.Health); err != nil {
 		return nil, err
 	}
-	if err := getJSON(client, base+"/v1/cluster", &snap.Cluster); err != nil {
+	if err := httpjson.Fetch(client, base+"/v1/cluster", &snap.Cluster); err != nil {
 		return nil, err
 	}
-	var tr struct {
-		Traces []traceRow `json:"traces"`
-	}
-	if err := getJSON(client, base+"/v1/traces?n="+strconv.Itoa(nTraces), &tr); err != nil {
+	var tr httpjson.TracesReply
+	if err := httpjson.Fetch(client, base+"/v1/traces?n="+strconv.Itoa(nTraces), &tr); err != nil {
 		return nil, err
 	}
 	snap.Traces = tr.Traces
 	return snap, nil
-}
-
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(out)
 }
 
 // render writes one screenful. prev supplies the queries_total

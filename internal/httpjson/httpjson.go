@@ -1,7 +1,13 @@
-// Package httpjson is the per-request body and reply plumbing rrserve
-// and rrrouter share: a pooled scratch that a handler reads its JSON
-// request into and appends its reply to, so neither tier builds a
-// json.Decoder, a json.Encoder or their buffers per request.
+// Package httpjson is the one front door of rrserve and rrrouter. It
+// declares every JSON body the two tiers read and write, and that
+// rrload, rrquery and rrtop decode (wire.go); the request wrapper both
+// tiers put their handlers behind, with its request log, error replies
+// and 499/504 rule (front.go); the -log flag and the listen, signal and
+// drain loop of both commands (serve.go); and here, a pooled scratch
+// that a handler reads its JSON request into and appends its reply to,
+// so neither tier builds a json.Decoder, a json.Encoder or their
+// buffers per request. It does not import the engine, so the clients
+// that decode its types do not link it.
 package httpjson
 
 import (
@@ -9,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 )
@@ -67,14 +74,6 @@ func (s *Scratch) Decode(w http.ResponseWriter, r *http.Request, max int64, v an
 	return 0, nil
 }
 
-// Decode is Scratch.Decode for a handler that keeps neither the body
-// bytes nor a reply buffer.
-func Decode(w http.ResponseWriter, r *http.Request, max int64, v any) (int, error) {
-	s := Get()
-	defer s.Release()
-	return s.Decode(w, r, max, v)
-}
-
 // Body returns the bytes the last Decode read, valid until Release.
 func (s *Scratch) Body() []byte { return s.body.Bytes() }
 
@@ -88,4 +87,23 @@ func (s *Scratch) Reply(w http.ResponseWriter, status int) {
 	// A write error here means the client went away; the status line is
 	// already committed, so there is nothing left to report.
 	_, _ = w.Write(s.Out)
+}
+
+// Fetch gets url with client and decodes a 200 reply into v, for the
+// clients of both tiers. Another status is an error naming the URL, the
+// status and the reply (a tier's ErrorReply).
+func Fetch(client *http.Client, url string, v any) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(data))
+	}
+	return json.Unmarshal(data, v)
 }

@@ -55,7 +55,9 @@ func TestDecodeStatuses(t *testing.T) {
 	} {
 		var p probe
 		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body))
-		status, err := Decode(httptest.NewRecorder(), r, tc.max, &p)
+		s := Get()
+		status, err := s.Decode(httptest.NewRecorder(), r, tc.max, &p)
+		s.Release()
 		if status != tc.status || (err == nil) != (status == 0) {
 			t.Errorf("%q under %d: got %d %v, want %d", tc.body, tc.max, status, err, tc.status)
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -253,6 +254,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// ServeHTTP serves the registry as a /metrics endpoint. A scrape aborted
+// mid-write is the scraper's problem; the next one gets a fresh render.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = r.WritePrometheus(w)
 }
 
 // writeHistogram renders cumulative buckets plus _sum and _count,

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/metrics"
 )
 
@@ -125,48 +126,32 @@ func (rt *Router) ensureFederated(maxAge time.Duration) {
 	rt.federateOnce()
 }
 
-// federateOnce scrapes every distinct backend once and digests the
+// federateOnce scrapes every shard's backend once and digests the
 // expositions into per-shard stats. Failures are recorded per shard
 // and leave the shard's previous numbers replaced with zeros — the
 // staleness and health gauges, not stale values, tell the story.
 func (rt *Router) federateOnce() {
-	type scraped struct {
-		samples []metrics.Sample
-		err     error
-	}
-	distinct := make([]string, 0, len(rt.cfg.Backends))
-	seen := make(map[string]bool, len(rt.cfg.Backends))
-	for _, url := range rt.cfg.Backends {
-		if !seen[url] {
-			seen[url] = true
-			distinct = append(distinct, url)
-		}
-	}
-	byURL := make(map[string]*scraped, len(distinct))
-	var mu sync.Mutex
+	samples := make([][]metrics.Sample, len(rt.cfg.Backends))
+	errs := make([]error, len(rt.cfg.Backends))
 	var wg sync.WaitGroup
-	for _, url := range distinct {
-		url := url
+	for sid, url := range rt.cfg.Backends {
+		sid, url := sid, url
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			samples, err := rt.scrapeBackend(url)
-			mu.Lock()
-			byURL[url] = &scraped{samples, err}
-			mu.Unlock()
+			samples[sid], errs[sid] = rt.scrapeBackend(url)
 		}()
 	}
 	wg.Wait()
 
 	now := time.Now()
 	fresh := make([]shardScrape, len(rt.cfg.Backends))
-	for sid, url := range rt.cfg.Backends {
-		res := byURL[url]
-		if res.err != nil {
-			fresh[sid] = shardScrape{When: now, Err: res.err.Error(), CacheHitRatio: -1}
+	for sid, err := range errs {
+		if err != nil {
+			fresh[sid] = shardScrape{When: now, Err: err.Error(), CacheHitRatio: -1}
 			continue
 		}
-		fresh[sid] = digestShard(res.samples, now)
+		fresh[sid] = digestShard(samples[sid], now)
 	}
 	rt.fed.mu.Lock()
 	rt.fed.stats = fresh
@@ -287,49 +272,6 @@ func (rt *Router) registerClusterMetrics() {
 
 // ---- /v1/cluster ----
 
-// clusterShard is one shard's row in the /v1/cluster view.
-type clusterShard struct {
-	ID      int    `json:"id"`
-	Backend string `json:"backend"`
-	// Down reflects the router's passive health breaker.
-	Down bool `json:"down"`
-	// ScrapeError is the last federation failure, "" on success.
-	ScrapeError string `json:"scrape_error,omitempty"`
-	// ScrapeAgeMillis is -1 before the first scrape.
-	ScrapeAgeMillis int64   `json:"scrape_age_ms"`
-	Queries         int64   `json:"queries_total"`
-	Inflight        int64   `json:"inflight"`
-	CacheHitRatio   float64 `json:"cache_hit_ratio"`
-	P50Micros       float64 `json:"p50_micros"`
-	P99Micros       float64 `json:"p99_micros"`
-	// Gen is the shard's published dynamic snapshot generation; 0 for
-	// static shards.
-	Gen uint64 `json:"gen"`
-}
-
-// clusterRouter is the router's own corner of the /v1/cluster view.
-type clusterRouter struct {
-	Requests   int64   `json:"requests_total"`
-	Errors     int64   `json:"errors_total"`
-	EarlyExits int64   `json:"early_exits_total"`
-	Pruned     int64   `json:"pruned_shards_total"`
-	Inflight   int64   `json:"inflight"`
-	P50Micros  float64 `json:"p50_micros"`
-	P99Micros  float64 `json:"p99_micros"`
-	Traces     int64   `json:"traces_total"`
-	TracesKept int64   `json:"traces_kept_total"`
-}
-
-type clusterResponse struct {
-	Shards []clusterShard `json:"shards"`
-	Router clusterRouter  `json:"router"`
-	// ClusterP99Micros merges every shard's latency histogram.
-	ClusterP99Micros float64 `json:"cluster_p99_micros"`
-	// MaxGeneration is the highest dynamic snapshot generation across
-	// the shard set — rrload's churn mode watches it advance.
-	MaxGeneration uint64 `json:"max_generation"`
-}
-
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	maxAge := rt.cfg.Federate
 	if maxAge <= 0 {
@@ -338,10 +280,10 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	rt.ensureFederated(maxAge)
 
 	stats := rt.fed.snapshot()
-	resp := clusterResponse{Shards: make([]clusterShard, len(stats))}
+	resp := httpjson.ClusterReply{Shards: make([]httpjson.ClusterShard, len(stats))}
 	merged := make(metrics.Buckets)
 	for sid, s := range stats {
-		row := clusterShard{
+		row := httpjson.ClusterShard{
 			ID:            sid,
 			Backend:       rt.cfg.Backends[sid],
 			Down:          rt.health[sid].isDown(),
@@ -368,7 +310,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if merged.Count() > 0 {
 		resp.ClusterP99Micros = merged.Quantile(0.99) * 1e6
 	}
-	resp.Router = clusterRouter{
+	resp.Router = httpjson.ClusterRouter{
 		Requests:   rt.mReqQuery.Value() + rt.mReqBatch.Value(),
 		Errors:     rt.mReqErrs.Value(),
 		EarlyExits: rt.mEarlyExit.Value(),
@@ -379,7 +321,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Traces:     rt.mTraces.Value(),
 		TracesKept: rt.mTracesKept.Value(),
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	rt.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 func quantileMicros(h *metrics.Histogram, q float64) float64 {

@@ -104,10 +104,10 @@ func TestReplyBytes(t *testing.T) {
 			`{"traces":[{"trace_id":"0af7651916cd43dd8448eb211c80319c","endpoint":"batch","start":"","duration_ns":0,"status":200,"reason":"forced","spans":4},{"trace_id":"0af7651916cd43dd8448eb211c80319c","endpoint":"query","start":"","duration_ns":0,"status":200,"reason":"forced","spans":4}]}` + "\n"},
 		{"cluster", c.handler, "GET", "/v1/cluster", ``, false, false, 200,
 			`{"shards":[{"id":0,"backend":"http://backend","down":false,"scrape_age_ms":0,"queries_total":6,"inflight":0,"cache_hit_ratio":0.3333333333333333,"p50_micros":0,"p99_micros":0,"gen":5},{"id":1,"backend":"http://backend","down":false,"scrape_age_ms":0,"queries_total":3,"inflight":0,"cache_hit_ratio":0.5,"p50_micros":0,"p99_micros":0,"gen":5}],"router":{"requests_total":7,"errors_total":5,"early_exits_total":0,"pruned_shards_total":1,"inflight":0,"p50_micros":0,"p99_micros":0,"traces_total":2,"traces_kept_total":2},"cluster_p99_micros":0,"max_generation":5}` + "\n"},
-		{"query hang-up", hung.Handler(), "POST", "/v1/query", `{"vertex":1,"region":[0,0,1,1]}`, false, true, 502,
-			`{"error":"shards [0] unavailable and no live shard answered positively"}` + "\n"},
-		{"batch hang-up", hung.Handler(), "POST", "/v1/batch", `{"queries":[{"vertex":1,"region":[0,0,1,1]}]}`, false, true, 502,
-			`{"error":"shards [0] unavailable and some of their queries have no positive from a live shard"}` + "\n"},
+		{"query hang-up", hung.Handler(), "POST", "/v1/query", `{"vertex":1,"region":[0,0,1,1]}`, false, true, 499,
+			`{"error":"query: context canceled"}` + "\n"},
+		{"batch hang-up", hung.Handler(), "POST", "/v1/batch", `{"queries":[{"vertex":1,"region":[0,0,1,1]}]}`, false, true, 499,
+			`{"error":"batch: context canceled"}` + "\n"},
 	} {
 		req := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
 		if tc.traced {

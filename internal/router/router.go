@@ -25,6 +25,14 @@
 //     other shards are down. Only all-negative answers depend on every
 //     shard; the Policy decides whether those fail (PolicyFail) or
 //     degrade to a flagged, possibly-false negative (PolicyDegrade).
+//   - Hang-ups: a client that goes away while its shards are asked is
+//     answered 499 (httpjson.CancelStatus) under either policy; the
+//     calls it cancels are not shard failures.
+//
+// The router speaks the httpjson wire types: Router* replies to its
+// clients, and the Server* types to decode its shards. Its query, batch
+// and update handlers run behind the httpjson.Front rrserve shares,
+// with the cluster trace as the front's trace hook.
 //
 // Placement is a rule: shard i is served by Config.Backends[i], one
 // rrserve process per shard, and New refuses a backend list whose length
@@ -187,7 +195,7 @@ type Router struct {
 	fedStop chan struct{}
 	fedDone chan struct{}
 
-	reqID atomic.Uint64
+	front *httpjson.Front
 }
 
 // New builds a Router over the shard map and backend set.
@@ -297,15 +305,19 @@ func New(cfg Config) (*Router, error) {
 	rt.fed = newFederator(n)
 	rt.registerClusterMetrics()
 
+	rt.front = &httpjson.Front{
+		Inflight: rt.mInflight, Latency: rt.mLatency, Errors: rt.mReqErrs,
+		MaxBody: cfg.MaxBodyBytes, Logger: cfg.Logger, Trace: rt.startTrace,
+	}
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /v1/query", rt.instrument("query", rt.mReqQuery, rt.handleQuery))
-	rt.mux.HandleFunc("POST /v1/batch", rt.instrument("batch", rt.mReqBatch, rt.handleBatch))
-	rt.mux.HandleFunc("POST /v1/update", rt.instrument("update", rt.mReqUpdate, rt.handleUpdate))
+	rt.mux.HandleFunc("POST /v1/query", rt.front.Wrap("query", rt.mReqQuery, rt.handleQuery))
+	rt.mux.HandleFunc("POST /v1/batch", rt.front.Wrap("batch", rt.mReqBatch, rt.handleBatch))
+	rt.mux.HandleFunc("POST /v1/update", rt.front.Wrap("update", rt.mReqUpdate, rt.handleUpdate))
 	rt.mux.HandleFunc("GET /v1/trace/{id}", rt.handleTrace)
 	rt.mux.HandleFunc("GET /v1/traces", rt.handleTraces)
 	rt.mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	rt.mux.Handle("GET /metrics", rt.reg)
 
 	if cfg.Federate > 0 {
 		rt.fedStop = make(chan struct{})
@@ -343,163 +355,10 @@ func (rt *Router) Close() {
 	}
 }
 
-// ---- wire types (mirroring internal/server) ----
-
-type queryRequest struct {
-	Vertex int        `json:"vertex"`
-	Region [4]float64 `json:"region"`
-}
-
-type queryResponse struct {
-	Reachable bool  `json:"reachable"`
-	Micros    int64 `json:"micros"`
-	// Shards counts the shard calls the scatter-gather attempted (after
-	// pruning).
-	Shards int `json:"shards"`
-	// Partial marks a degraded negative: some shard was unreachable and
-	// PolicyDegrade treated it as negative.
-	Partial bool `json:"partial,omitempty"`
-	// TraceID names the cluster trace this request collected, fetchable
-	// from /v1/trace/{id} while it stays in the ring.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-type batchRequest struct {
-	Queries     []queryRequest `json:"queries"`
-	Parallelism int            `json:"parallelism"`
-}
-
-type batchResponse struct {
-	Results []bool `json:"results"`
-	Micros  int64  `json:"micros"`
-	Shards  int    `json:"shards"`
-	Partial bool   `json:"partial,omitempty"`
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// shardQueryReply is the subset of rrserve's /v1/query response the
-// router consumes. Stats is the shard's own QueryStats, present only
-// on traced requests; the router stitches it into the cluster trace
-// without interpreting it.
-type shardQueryReply struct {
-	Reachable bool            `json:"reachable"`
-	Stats     json.RawMessage `json:"stats"`
-}
-
-// shardBatchReply is the subset of rrserve's /v1/batch response the
-// router consumes.
-type shardBatchReply struct {
-	Results []bool `json:"results"`
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	if status >= 400 {
-		rt.mReqErrs.Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	rt.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// appendQueryReply appends resp as encoding/json encodes it, trailing
-// newline included: the 200 of every /v1/query is these scalars, and
-// appending them costs no reflection and no encoder. A trace id is hex
-// (trace.ParseTraceparent, trace.NewTraceID), so it needs no escaping.
-func appendQueryReply(b []byte, resp queryResponse) []byte {
-	b = append(b, `{"reachable":`...)
-	b = strconv.AppendBool(b, resp.Reachable)
-	b = append(b, `,"micros":`...)
-	b = strconv.AppendInt(b, resp.Micros, 10)
-	b = append(b, `,"shards":`...)
-	b = strconv.AppendInt(b, int64(resp.Shards), 10)
-	if resp.Partial {
-		b = append(b, `,"partial":true`...)
-	}
-	if resp.TraceID != "" {
-		b = append(b, `,"trace_id":"`...)
-		b = append(b, resp.TraceID...)
-		b = append(b, '"')
-	}
-	return append(b, "}\n"...)
-}
-
-func writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, resp queryResponse) {
-	sc.Out = appendQueryReply(sc.Out[:0], resp)
+// writeQueryReply answers a /v1/query with resp.
+func writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, resp httpjson.RouterQueryReply) {
+	sc.Out = resp.AppendJSON(sc.Out[:0])
 	sc.Reply(w, http.StatusOK)
-}
-
-// statusWriter captures the response status for the trace and the
-// request log.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-// instrument wraps a handler with counters, the in-flight gauge, the
-// latency histogram, the trace lifecycle and the request log. With
-// tracing off and no logger the wrapper stays on the untraced fast
-// path: the two atomics plus one histogram observe, and a single
-// traceparent header lookup.
-func (rt *Router) instrument(endpoint string, reqs *metrics.Counter, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
-		rt.mInflight.Inc()
-		start := time.Now()
-		tb, r := rt.startTrace(r, endpoint, start)
-		var sw *statusWriter
-		if tb != nil || rt.cfg.Logger != nil {
-			sw = &statusWriter{ResponseWriter: w}
-			w = sw
-		}
-		h(w, r)
-		elapsed := time.Since(start)
-		rt.mLatency.Observe(elapsed.Seconds())
-		rt.mInflight.Dec()
-		if tb != nil && !tb.isAsync() {
-			rt.storeTrace(tb, sw.status(), elapsed)
-		}
-		if rt.cfg.Logger != nil {
-			attrs := []slog.Attr{
-				slog.Uint64("req", rt.reqID.Add(1)),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", sw.status()),
-				slog.Duration("elapsed", elapsed),
-			}
-			if tb != nil {
-				attrs = append(attrs, slog.String("trace_id", tb.traceID()))
-			}
-			rt.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
-		}
-	}
 }
 
 // ---- shard calls ----
@@ -568,18 +427,6 @@ func (rt *Router) attempt(ctx context.Context, sid int, path string, body []byte
 		return nil, fmt.Errorf("shard %d: %s: %s", sid, resp.Status, firstLine(data))
 	}
 	return data, nil
-}
-
-// parsePositiveInt parses a strictly positive integer query parameter.
-func parsePositiveInt(s string) (int, error) {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("not positive: %d", v)
-	}
-	return v, nil
 }
 
 // firstLine trims an error body for log-friendly messages.
@@ -652,7 +499,7 @@ func (rt *Router) queryShard(ctx context.Context, sid int, body []byte) shardRes
 	tb := traceFrom(ctx)
 	cstart := time.Now()
 	data, err := rt.callShard(ctx, sid, "/v1/query", body)
-	var reply shardQueryReply
+	var reply httpjson.ServerQueryReply
 	errStr := ""
 	if err != nil {
 		errStr = shardErrString(err)
@@ -671,14 +518,14 @@ func (rt *Router) queryShard(ctx context.Context, sid int, body []byte) shardRes
 
 // batchShard puts the subset of req's queries that meet shard sid's
 // bounds to it as one /v1/batch.
-func (rt *Router) batchShard(ctx context.Context, sid int, req *batchRequest, subset []int) shardResult {
+func (rt *Router) batchShard(ctx context.Context, sid int, req *httpjson.BatchRequest, subset []int) shardResult {
 	tb := traceFrom(ctx)
 	cstart := time.Now()
-	sub := batchRequest{Queries: make([]queryRequest, len(subset)), Parallelism: req.Parallelism}
+	sub := httpjson.BatchRequest{Queries: make([]httpjson.QueryRequest, len(subset)), Parallelism: req.Parallelism}
 	for j, i := range subset {
 		sub.Queries[j] = req.Queries[i]
 	}
-	var reply shardBatchReply
+	var reply httpjson.ServerBatchReply
 	errStr := ""
 	body, err := json.Marshal(sub)
 	if err != nil {
@@ -699,17 +546,30 @@ func (rt *Router) batchShard(ctx context.Context, sid int, req *batchRequest, su
 	return shardResult{sid: sid, answers: reply.Results, err: err}
 }
 
+// hungUp answers a request whose client went away while its shards
+// were being asked, under either policy: the calls that ended with the
+// client are canceled, not failed, so the shards are not blamed with a
+// 502 and no answer is degraded. A scatter an early positive settled is
+// exact, and is answered as one.
+func (rt *Router) hungUp(w http.ResponseWriter, r *http.Request, early bool, what string) bool {
+	err := r.Context().Err()
+	if err == nil || early {
+		return false
+	}
+	rt.front.WriteError(w, httpjson.CancelStatus(err), "%s: %v", what, err)
+	return true
+}
+
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tb := traceFrom(r.Context())
 	sc := httpjson.Get()
 	defer sc.Release()
-	var req queryRequest
-	if status, err := sc.Decode(w, r, rt.cfg.MaxBodyBytes, &req); err != nil {
-		rt.writeError(w, status, "%v", err)
+	var req httpjson.QueryRequest
+	if !rt.front.Decode(w, r, sc, &req) {
 		return
 	}
 	if req.Vertex < 0 || req.Vertex >= rt.cfg.Map.Vertices {
-		rt.writeError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", req.Vertex, rt.cfg.Map.Vertices)
+		rt.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", req.Vertex, rt.cfg.Map.Vertices)
 		return
 	}
 	start := time.Now()
@@ -717,7 +577,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	shards := rt.relevantShards(few[:0], regionRect(req.Region))
 	rt.placementSpan(tb, start, len(shards))
 	if len(shards) == 0 {
-		writeQueryReply(w, sc, queryResponse{
+		writeQueryReply(w, sc, httpjson.RouterQueryReply{
 			Reachable: false, Micros: time.Since(start).Microseconds(),
 			TraceID: tb.traceID(),
 		})
@@ -762,11 +622,14 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
 			fanoutAttrs(len(shards), early, failed), nil)
 	}
-	if !reachable && len(failed) > 0 && rt.cfg.Policy == PolicyFail {
-		rt.writeError(w, http.StatusBadGateway, "shards %v unavailable and no live shard answered positively", failed)
+	if rt.hungUp(w, r, early, "query") {
 		return
 	}
-	writeQueryReply(w, sc, queryResponse{
+	if !reachable && len(failed) > 0 && rt.cfg.Policy == PolicyFail {
+		rt.front.WriteError(w, http.StatusBadGateway, "shards %v unavailable and no live shard answered positively", failed)
+		return
+	}
+	writeQueryReply(w, sc, httpjson.RouterQueryReply{
 		Reachable: reachable, Shards: len(shards),
 		Partial: !reachable && len(failed) > 0,
 		Micros:  time.Since(start).Microseconds(),
@@ -778,24 +641,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if status, err := httpjson.Decode(w, r, rt.cfg.MaxBodyBytes, &req); err != nil {
-		rt.writeError(w, status, "%v", err)
+	var req httpjson.BatchRequest
+	if !rt.front.Decode(w, r, nil, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		rt.writeError(w, http.StatusBadRequest, "empty batch")
+	if err := req.Check(rt.cfg.MaxBatch, rt.cfg.Map.Vertices); err != nil {
+		rt.front.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if len(req.Queries) > rt.cfg.MaxBatch {
-		rt.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), rt.cfg.MaxBatch)
-		return
-	}
-	for i, q := range req.Queries {
-		if q.Vertex < 0 || q.Vertex >= rt.cfg.Map.Vertices {
-			rt.writeError(w, http.StatusBadRequest, "query %d: vertex %d out of range [0,%d)", i, q.Vertex, rt.cfg.Map.Vertices)
-			return
-		}
 	}
 	tb := traceFrom(r.Context())
 	start := time.Now()
@@ -823,7 +675,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.placementSpan(tb, start, active)
 	results := make([]bool, len(req.Queries))
 	if active == 0 {
-		rt.writeJSON(w, http.StatusOK, batchResponse{
+		rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterBatchReply{
 			Results: results, Micros: time.Since(start).Microseconds(),
 			TraceID: tb.traceID(),
 		})
@@ -857,6 +709,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tb.span("fanout", trace.TierRouter, trace.NoShard, fstart, "",
 			fanoutAttrs(active, early, failed), nil)
 	}
+	if rt.hungUp(w, r, early, "batch") {
+		return
+	}
 	// A failed shard only makes the answer ambiguous when one of its
 	// queries is still negative; positives from live shards are exact
 	// regardless of what is down.
@@ -873,10 +728,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if ambiguous && rt.cfg.Policy == PolicyFail {
-		rt.writeError(w, http.StatusBadGateway, "shards %v unavailable and some of their queries have no positive from a live shard", failed)
+		rt.front.WriteError(w, http.StatusBadGateway, "shards %v unavailable and some of their queries have no positive from a live shard", failed)
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, batchResponse{
+	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterBatchReply{
 		Results: results, Shards: active, Partial: ambiguous,
 		Micros:  time.Since(start).Microseconds(),
 		TraceID: tb.traceID(),
@@ -886,19 +741,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// healthzResponse reports the router's liveness and cluster view.
-type healthzResponse struct {
-	Status   string     `json:"status"`
-	Shards   int        `json:"shards"`
-	Backends int        `json:"backends"`
-	Vertices int        `json:"vertices"`
-	Space    [4]float64 `json:"space"`
-	Strategy string     `json:"strategy"`
-	Down     []int      `json:"down,omitempty"`
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := healthzResponse{
+	resp := httpjson.RouterHealthz{
 		Status:   "ok",
 		Shards:   rt.cfg.Map.NumShards(),
 		Backends: len(rt.cfg.Backends),
@@ -911,10 +755,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Down = append(resp.Down, sid)
 		}
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = rt.reg.WritePrometheus(w)
+	rt.front.WriteJSON(w, http.StatusOK, resp)
 }

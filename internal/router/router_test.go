@@ -14,7 +14,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/shard"
+)
+
+// The tests name the httpjson wire types by short local names.
+type (
+	queryRequest    = httpjson.QueryRequest
+	queryResponse   = httpjson.RouterQueryReply
+	batchRequest    = httpjson.BatchRequest
+	batchResponse   = httpjson.RouterBatchReply
+	updateRequest   = httpjson.UpdateRequest
+	updateResponse  = httpjson.RouterUpdateReply
+	healthzResponse = httpjson.RouterHealthz
+	clusterResponse = httpjson.ClusterReply
+	shardBatchReply = httpjson.ServerBatchReply
 )
 
 // swapHandler lets a backend's behavior be installed, and replaced,

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
@@ -319,6 +321,44 @@ func TestClientDisconnectCancelsScatter(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClientHangUpIs499: a client that hangs up while both of its shard
+// calls are in flight is answered 499, as rrserve answers it, on both
+// endpoints and under both policies — not 502, and not a degraded
+// negative. The calls it canceled are not counted against the shards.
+func TestClientHangUpIs499(t *testing.T) {
+	for _, policy := range []Policy{PolicyFail, PolicyDegrade} {
+		for _, tc := range []struct{ path, body string }{
+			{"/v1/query", `{"vertex":1,"region":[0,0,10,10]}`},
+			{"/v1/batch", `{"queries":[{"vertex":1,"region":[0,0,10,10]}]}`},
+		} {
+			m := testMap([4]float64{0, 0, 4, 4}, [4]float64{6, 6, 10, 10})
+			rt, install := testCluster(t, m, Config{Policy: policy})
+			for sid := 0; sid < 2; sid++ {
+				install(sid, func(w http.ResponseWriter, r *http.Request) {
+					_, _ = io.Copy(io.Discard, r.Body) // the server notices a hang-up only once the body is read
+					<-r.Context().Done()
+				})
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, req)
+			if rec.Code != httpjson.StatusClientClosedRequest {
+				t.Errorf("%v %s: hang-up answered %d %s, want 499", policy, tc.path, rec.Code, rec.Body)
+			}
+			for sid := 0; sid < 2; sid++ {
+				if n := rt.mShardErrs[sid].Value(); n != 0 {
+					t.Errorf("%v %s: shard %d counted %d errors for a call its client canceled", policy, tc.path, sid, n)
+				}
+				if rt.health[sid].isDown() {
+					t.Errorf("%v %s: shard %d marked down", policy, tc.path, sid)
+				}
+			}
+		}
 	}
 }
 

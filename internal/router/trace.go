@@ -19,9 +19,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/trace"
 )
 
@@ -97,10 +99,10 @@ func (tb *traceBuilder) span(name, tier string, shard int, start time.Time, err 
 	tb.mu.Unlock()
 }
 
-// beginAsync transfers completion ownership to the handler: the
-// instrument middleware will not store the trace, the handler's
-// straggler-drain goroutine will. Called on the handler goroutine
-// before it returns, so the instrument read needs no lock.
+// beginAsync transfers completion ownership to the handler: the front
+// will not store the trace, the handler's straggler-drain goroutine
+// will. Called on the handler goroutine before it returns, so the
+// front's read needs no lock.
 func (tb *traceBuilder) beginAsync() {
 	if tb != nil {
 		tb.async = true
@@ -109,21 +111,28 @@ func (tb *traceBuilder) beginAsync() {
 
 func (tb *traceBuilder) isAsync() bool { return tb != nil && tb.async }
 
-// startTrace decides whether this request collects a trace. A valid
-// client traceparent always traces (and pins the trace id the client
-// already knows); otherwise ambient collection requires TraceSample >
-// 0. The returned request carries the builder in its context.
-func (rt *Router) startTrace(r *http.Request, endpoint string, start time.Time) (*traceBuilder, *http.Request) {
+// startTrace is the front's trace hook: it decides whether this request
+// collects a trace. A valid client traceparent always traces (and pins
+// the trace id the client already knows); otherwise ambient collection
+// requires TraceSample > 0. A traced request carries the builder in its
+// context, and the trace is stored when the front ends it — unless the
+// handler took completion over for its stragglers (beginAsync).
+func (rt *Router) startTrace(r *http.Request, endpoint string, start time.Time) (*http.Request, string, func(int, time.Duration)) {
 	traceID, _, forced := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader))
 	if !forced {
 		if rt.cfg.TraceSample <= 0 {
-			return nil, r
+			return r, "", nil
 		}
 		traceID = trace.NewTraceID()
 	}
 	tb := newTraceBuilder(traceID, endpoint, forced, start)
 	rt.mTraces.Inc()
-	return tb, r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tb))
+	end := func(status int, elapsed time.Duration) {
+		if !tb.isAsync() {
+			rt.storeTrace(tb, status, elapsed)
+		}
+	}
+	return r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tb)), traceID, end
 }
 
 // storeTrace runs the tail-sampling decision and retains the finished
@@ -148,42 +157,25 @@ func (rt *Router) storeTrace(tb *traceBuilder, status int, elapsed time.Duration
 
 // ---- retrieval endpoints ----
 
-// traceSummary is one /v1/traces row.
-type traceSummary struct {
-	TraceID    string    `json:"trace_id"`
-	Endpoint   string    `json:"endpoint"`
-	Start      time.Time `json:"start"`
-	DurationNS int64     `json:"duration_ns"`
-	Status     int       `json:"status"`
-	Reason     string    `json:"reason"`
-	Spans      int       `json:"spans"`
-}
-
-type tracesResponse struct {
-	Traces []traceSummary `json:"traces"`
-}
-
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tr := rt.ring.Get(id)
 	if tr == nil {
-		rt.writeError(w, http.StatusNotFound, "trace %q not found (never sampled, or evicted from the ring)", id)
+		rt.front.WriteError(w, http.StatusNotFound, "trace %q not found (never sampled, or evicted from the ring)", id)
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, tr)
+	rt.front.WriteJSON(w, http.StatusOK, tr)
 }
 
 func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 	n := 20
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := parsePositiveInt(q); err == nil {
-			n = v
-		}
+	if v, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && v > 0 {
+		n = v
 	}
 	recent := rt.ring.Recent(n)
-	resp := tracesResponse{Traces: make([]traceSummary, len(recent))}
+	resp := httpjson.TracesReply{Traces: make([]httpjson.TraceSummary, len(recent))}
 	for i, tr := range recent {
-		resp.Traces[i] = traceSummary{
+		resp.Traces[i] = httpjson.TraceSummary{
 			TraceID:    tr.TraceID,
 			Endpoint:   tr.Endpoint,
 			Start:      tr.Start,
@@ -193,5 +185,5 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 			Spans:      len(tr.Spans),
 		}
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	rt.front.WriteJSON(w, http.StatusOK, resp)
 }

@@ -33,37 +33,11 @@ import (
 	"repro/internal/httpjson"
 )
 
-// updateRequest mirrors internal/server's update wire type.
-type updateRequest struct {
-	Op     string  `json:"op"` // add_user | add_venue | add_edge | del_edge | move_venue
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	Vertex int     `json:"vertex"`
-}
-
-// updateResponse is the router's answer: the new vertex id (adds), the
-// owning shard for venue ops, and the maximum generation the update
-// reached across the touched shards.
-type updateResponse struct {
-	ID    *int   `json:"id,omitempty"`
-	Owner *int   `json:"owner,omitempty"`
-	Gen   uint64 `json:"gen"`
-}
-
-// shardUpdateReply is the subset of rrserve's /v1/update response the
-// router consumes.
-type shardUpdateReply struct {
-	ID  *int   `json:"id"`
-	Gen uint64 `json:"gen"`
-}
-
 // shardUpdateResult is one shard's outcome in a fan-out.
 type shardUpdateResult struct {
 	sid    int
 	status int
-	reply  shardUpdateReply
+	reply  httpjson.ServerUpdateReply
 	err    error
 }
 
@@ -168,9 +142,8 @@ func maxGen(results []shardUpdateResult) uint64 {
 }
 
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req updateRequest
-	if status, err := httpjson.Decode(w, r, rt.cfg.MaxBodyBytes, &req); err != nil {
-		rt.writeError(w, status, "%v", err)
+	var req httpjson.UpdateRequest
+	if !rt.front.Decode(w, r, nil, &req) {
 		return
 	}
 	rt.updateMu.Lock()
@@ -183,7 +156,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	case "move_venue":
 		rt.moveVenue(w, r.Context(), req)
 	default:
-		rt.writeError(w, http.StatusBadRequest,
+		rt.front.WriteError(w, http.StatusBadRequest,
 			"unknown op %q (want add_user, add_venue, add_edge, del_edge or move_venue)", req.Op)
 	}
 }
@@ -194,10 +167,10 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // the failed shard is back (shard updates are idempotent: duplicate
 // edges and deletes of missing edges are the only effects of a replay,
 // and both are handled).
-func (rt *Router) broadcastUpdate(w http.ResponseWriter, ctx context.Context, req updateRequest) {
+func (rt *Router) broadcastUpdate(w http.ResponseWriter, ctx context.Context, req httpjson.UpdateRequest) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
+		rt.front.WriteError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
 	bodies := make([][]byte, len(rt.cfg.Backends))
@@ -212,9 +185,9 @@ func (rt *Router) broadcastUpdate(w http.ResponseWriter, ctx context.Context, re
 			// edge) is deterministic across the replicated graph, so the
 			// first one speaks for the cluster; transport failures are 502.
 			if res.status == http.StatusConflict {
-				rt.writeError(w, http.StatusConflict, "%v", res.err)
+				rt.front.WriteError(w, http.StatusConflict, "%v", res.err)
 			} else {
-				rt.writeError(w, http.StatusBadGateway, "%v", res.err)
+				rt.front.WriteError(w, http.StatusBadGateway, "%v", res.err)
 			}
 			return
 		}
@@ -222,31 +195,31 @@ func (rt *Router) broadcastUpdate(w http.ResponseWriter, ctx context.Context, re
 			ids = append(ids, *res.reply.ID)
 		}
 	}
-	resp := updateResponse{Gen: maxGen(results)}
+	resp := httpjson.RouterUpdateReply{Gen: maxGen(results)}
 	if req.Op == "add_user" {
 		if len(ids) != len(results) || !allEqual(ids) {
-			rt.writeError(w, http.StatusInternalServerError,
+			rt.front.WriteError(w, http.StatusInternalServerError,
 				"cluster id space diverged: add_user returned ids %v", ids)
 			return
 		}
 		resp.ID = &ids[0]
 	}
 	rt.mUpdates.Inc()
-	rt.writeJSON(w, http.StatusOK, resp)
+	rt.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // placeVenue routes add_venue to its owner shard and aligns the id
 // space everywhere else with add_user placeholders.
-func (rt *Router) placeVenue(w http.ResponseWriter, ctx context.Context, req updateRequest) {
+func (rt *Router) placeVenue(w http.ResponseWriter, ctx context.Context, req httpjson.UpdateRequest) {
 	owner := rt.ownerFor(geom.Pt(req.X, req.Y))
-	venueBody, err := json.Marshal(updateRequest{Op: "add_venue", X: req.X, Y: req.Y})
+	venueBody, err := json.Marshal(httpjson.UpdateRequest{Op: "add_venue", X: req.X, Y: req.Y})
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
+		rt.front.WriteError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
-	userBody, err := json.Marshal(updateRequest{Op: "add_user"})
+	userBody, err := json.Marshal(httpjson.UpdateRequest{Op: "add_user"})
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
+		rt.front.WriteError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
 	bodies := make([][]byte, len(rt.cfg.Backends))
@@ -261,31 +234,31 @@ func (rt *Router) placeVenue(w http.ResponseWriter, ctx context.Context, req upd
 	var ids []int
 	for _, res := range results {
 		if res.err != nil {
-			rt.writeError(w, http.StatusBadGateway, "%v", res.err)
+			rt.front.WriteError(w, http.StatusBadGateway, "%v", res.err)
 			return
 		}
 		if res.reply.ID == nil {
-			rt.writeError(w, http.StatusInternalServerError, "shard %d: add returned no id", res.sid)
+			rt.front.WriteError(w, http.StatusInternalServerError, "shard %d: add returned no id", res.sid)
 			return
 		}
 		ids = append(ids, *res.reply.ID)
 	}
 	if !allEqual(ids) {
-		rt.writeError(w, http.StatusInternalServerError,
+		rt.front.WriteError(w, http.StatusInternalServerError,
 			"cluster id space diverged: add_venue returned ids %v", ids)
 		return
 	}
 	rt.growBounds(owner, geom.Pt(req.X, req.Y))
 	rt.mUpdates.Inc()
-	rt.writeJSON(w, http.StatusOK, updateResponse{ID: &ids[0], Owner: &owner, Gen: maxGen(results)})
+	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterUpdateReply{ID: &ids[0], Owner: &owner, Gen: maxGen(results)})
 }
 
 // moveVenue broadcasts move_venue; only the owner holds the vertex as a
 // venue, the replicas answer 409 which is expected and ignored.
-func (rt *Router) moveVenue(w http.ResponseWriter, ctx context.Context, req updateRequest) {
+func (rt *Router) moveVenue(w http.ResponseWriter, ctx context.Context, req httpjson.UpdateRequest) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
+		rt.front.WriteError(w, http.StatusInternalServerError, "encoding shard request: %v", err)
 		return
 	}
 	bodies := make([][]byte, len(rt.cfg.Backends))
@@ -301,17 +274,17 @@ func (rt *Router) moveVenue(w http.ResponseWriter, ctx context.Context, req upda
 		case res.status == http.StatusConflict:
 			// Not a venue on this shard: the expected non-owner answer.
 		default:
-			rt.writeError(w, http.StatusBadGateway, "%v", res.err)
+			rt.front.WriteError(w, http.StatusBadGateway, "%v", res.err)
 			return
 		}
 	}
 	if owner < 0 {
-		rt.writeError(w, http.StatusConflict, "vertex %d is not a venue on any shard", req.Vertex)
+		rt.front.WriteError(w, http.StatusConflict, "vertex %d is not a venue on any shard", req.Vertex)
 		return
 	}
 	rt.growBounds(owner, geom.Pt(req.X, req.Y))
 	rt.mUpdates.Inc()
-	rt.writeJSON(w, http.StatusOK, updateResponse{Owner: &owner, Gen: maxGen(results)})
+	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterUpdateReply{Owner: &owner, Gen: maxGen(results)})
 }
 
 func allEqual(ids []int) bool {

@@ -29,7 +29,7 @@ func TestQueryReplyWireParity(t *testing.T) {
 						if err := json.NewEncoder(&want).Encode(resp); err != nil {
 							t.Fatal(err)
 						}
-						if got := appendQueryReply(nil, resp); !bytes.Equal(got, want.Bytes()) {
+						if got := resp.AppendJSON(nil); !bytes.Equal(got, want.Bytes()) {
 							t.Errorf("%+v:\n got %q\nwant %q", resp, got, want.Bytes())
 						}
 					}

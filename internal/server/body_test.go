@@ -11,6 +11,7 @@ import (
 	"time"
 
 	rangereach "repro"
+	"repro/internal/httpjson"
 )
 
 func bodyTestServer(t *testing.T, cfg Config) *Server {
@@ -74,8 +75,8 @@ func TestCanceledRequestGets499(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, req)
-			if rec.Code != statusClientClosedRequest {
-				t.Fatalf("%s %s: canceled request got %d, want %d (%s)", mode, path, rec.Code, statusClientClosedRequest, rec.Body.String())
+			if rec.Code != httpjson.StatusClientClosedRequest {
+				t.Fatalf("%s %s: canceled request got %d, want %d (%s)", mode, path, rec.Code, httpjson.StatusClientClosedRequest, rec.Body.String())
 			}
 		}
 	}
@@ -119,12 +120,12 @@ func TestQueryReplyWireParity(t *testing.T) {
 		for _, cached := range []bool{false, true} {
 			for _, gen := range []uint64{0, 1, 1<<64 - 1} {
 				for _, micros := range []int64{0, 7, 123456789, 1<<63 - 1} {
-					resp := queryResponse{Reachable: reachable, Cached: cached, Gen: gen, Micros: micros}
+					resp := httpjson.ServerQueryReply{Reachable: reachable, Cached: cached, Gen: gen, Micros: micros}
 					var want bytes.Buffer
 					if err := json.NewEncoder(&want).Encode(resp); err != nil {
 						t.Fatal(err)
 					}
-					if got := appendQueryReply(nil, resp); !bytes.Equal(got, want.Bytes()) {
+					if got := resp.AppendJSON(nil); !bytes.Equal(got, want.Bytes()) {
 						t.Errorf("%+v:\n got %q\nwant %q", resp, got, want.Bytes())
 					}
 				}
@@ -169,7 +170,7 @@ func TestRequestTable(t *testing.T) {
 			continue
 		}
 		// What the handler wrote is what encoding/json writes for it.
-		var resp queryResponse
+		var resp httpjson.ServerQueryReply
 		var again bytes.Buffer
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -11,6 +11,14 @@
 //	GET  /healthz    liveness + mode + index info
 //	GET  /metrics    Prometheus text exposition
 //
+// The bodies are the httpjson wire types (Server* for the replies),
+// and the query, batch, update and explain handlers run behind an
+// httpjson.Front, which rrrouter shares: the request counters, the
+// latency histogram, the request log, the per-request QueryTimeout and
+// the drain Close waits on. A request whose client has gone is answered
+// 499, one past its deadline 504 (httpjson.CancelStatus). /metrics is
+// the registry itself.
+//
 // Static indexes serve reads lock-free — every static Index is safe for
 // concurrent queries by construction. Dynamic mode uses a single-writer
 // snapshot-swap design (see updater): mutations serialize onto one
@@ -31,7 +39,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,6 +108,12 @@ type Server struct {
 	cache *queryCache
 	dyn   *updater // nil in static mode
 
+	// front wraps the query, batch, update and explain handlers. Close
+	// closes it: it returns only once no handler is inside the index,
+	// and a request that arrives afterwards is answered 503 without
+	// touching it.
+	front *httpjson.Front
+
 	reg         *metrics.Registry
 	mReqQuery   *metrics.Counter
 	mReqBatch   *metrics.Counter
@@ -109,26 +122,16 @@ type Server struct {
 	mQueries    *metrics.Counter
 	mUpdates    *metrics.Counter
 	mUpdErrs    *metrics.Counter
-	mReqErrs    *metrics.Counter
 	mHits       *metrics.Counter
 	mMisses     *metrics.Counter
 	mSwaps      *metrics.Counter
 	mTraced     *metrics.Counter
 	mInflight   *metrics.Gauge
-	mLatency    *metrics.Histogram
 	mStages     map[string]*metrics.Histogram
 	mSnapBuild  *metrics.Histogram
 	mCheckFails *metrics.Counter
 
-	reqID    atomic.Uint64 // request ids for log correlation
 	traceTik atomic.Uint64 // trace-sampling clock
-
-	// drain is held shared by every instrumented handler for its whole
-	// run, and exclusively by Close to set closed: Close returns only
-	// once no handler is inside the index, and a handler that enters
-	// afterwards sees closed and never touches it.
-	drain  sync.RWMutex
-	closed bool
 }
 
 // New builds a Server over the given index.
@@ -152,14 +155,14 @@ func New(cfg Config) (*Server, error) {
 	s.mQueries = s.reg.Counter("rr_queries_total", "RangeReach queries evaluated, including batch members.")
 	s.mUpdates = s.reg.Counter("rr_updates_total", "Accepted network updates.")
 	s.mUpdErrs = s.reg.Counter("rr_update_errors_total", "Rejected network updates (bad input, missing edges).")
-	s.mReqErrs = s.reg.Counter("rr_request_errors_total", "Requests answered with a non-2xx status.")
+	reqErrs := s.reg.Counter("rr_request_errors_total", "Requests answered with a non-2xx status.")
 	s.mHits = s.reg.Counter("rr_cache_hits_total", "Result cache hits.")
 	s.mMisses = s.reg.Counter("rr_cache_misses_total", "Result cache misses.")
 	s.mSwaps = s.reg.Counter("rr_snapshot_swaps_total", "Snapshots published by the dynamic updater.")
 	s.mReqExplain = s.reg.Counter(`rr_requests_total{endpoint="explain"}`, "HTTP requests by endpoint.")
 	s.mTraced = s.reg.Counter("rr_traced_queries_total", "Queries executed through the tracing path.")
 	s.mInflight = s.reg.Gauge("rr_inflight_requests", "Requests currently being served.")
-	s.mLatency = s.reg.Histogram("rr_query_seconds", "End-to-end latency of query and batch requests.", nil)
+	latency := s.reg.Histogram("rr_query_seconds", "End-to-end latency of query and batch requests.", nil)
 	s.mStages = make(map[string]*metrics.Histogram, trace.NumStages)
 	for st := trace.Stage(0); st < trace.NumStages; st++ {
 		name := st.String()
@@ -240,13 +243,23 @@ func New(cfg Config) (*Server, error) {
 			func(st rangereach.UpdateStats) int { return st.MaxLabelIntervals })
 	}
 
+	s.front = &httpjson.Front{
+		Inflight: s.mInflight, Latency: latency, Errors: reqErrs,
+		MaxBody: cfg.MaxBodyBytes, Logger: cfg.Logger, Slow: cfg.SlowQuery,
+		Deadline: cfg.QueryTimeout, Closed: errClosed,
+	}
+	if cfg.ShardID != "" {
+		// The shard joins this process's records to the router's cluster
+		// view.
+		s.front.LogAttrs = []slog.Attr{slog.String("shard", cfg.ShardID)}
+	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/query", s.instrument(s.mReqQuery, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument(s.mReqBatch, s.handleBatch))
-	s.mux.HandleFunc("POST /v1/update", s.instrument(s.mReqUpdate, s.handleUpdate))
-	s.mux.HandleFunc("GET /v1/explain", s.instrument(s.mReqExplain, s.handleExplain))
+	s.mux.HandleFunc("POST /v1/query", s.front.Wrap("query", s.mReqQuery, s.handleQuery))
+	s.mux.HandleFunc("POST /v1/batch", s.front.Wrap("batch", s.mReqBatch, s.handleBatch))
+	s.mux.HandleFunc("POST /v1/update", s.front.Wrap("update", s.mReqUpdate, s.handleUpdate))
+	s.mux.HandleFunc("GET /v1/explain", s.front.Wrap("explain", s.mReqExplain, s.handleExplain))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.reg)
 	return s, nil
 }
 
@@ -260,9 +273,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // the caller may close the index — unmapping an OpenMapped index under
 // a running handler would fault — however the HTTP listener was shut.
 func (s *Server) Close() {
-	s.drain.Lock()
-	s.closed = true
-	s.drain.Unlock()
+	s.front.Close()
 	if s.dyn != nil {
 		s.dyn.close()
 	}
@@ -270,104 +281,6 @@ func (s *Server) Close() {
 
 // Metrics exposes the registry (for embedding rrserve elsewhere).
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// statusWriter captures the response status for the request log and
-// carries handler-attached log attributes (a handler runs on one
-// goroutine, so plain appends are safe).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	attrs  []slog.Attr
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// annotate attaches attributes to the request's log record; a no-op
-// outside the instrument middleware (e.g. under httptest direct calls).
-func annotate(w http.ResponseWriter, attrs ...slog.Attr) {
-	if sw, ok := w.(*statusWriter); ok {
-		sw.attrs = append(sw.attrs, attrs...)
-	}
-}
-
-// instrument wraps a handler with the drain (see Close), the request
-// counter, the in-flight gauge, the latency histogram, the per-request
-// timeout context, and the structured request log.
-func (s *Server) instrument(reqs *metrics.Counter, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		// Enter first, then look at the mark: Close sets it only while no
-		// handler is inside, so a handler that sees it clear runs to the
-		// end before Close can return.
-		s.drain.RLock()
-		defer s.drain.RUnlock()
-		if s.closed {
-			s.writeError(w, http.StatusServiceUnavailable, "%v", errClosed)
-			return
-		}
-		reqs.Inc()
-		s.mInflight.Inc()
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-		h(sw, r.WithContext(ctx))
-		cancel()
-		elapsed := time.Since(start)
-		s.mLatency.Observe(elapsed.Seconds())
-		s.mInflight.Dec()
-		s.logRequest(r, sw, elapsed)
-	}
-}
-
-// logRequest emits one record per request. Requests at least SlowQuery
-// slow are elevated to Warn as "slow request" so they stand out of an
-// Info-level stream without a separate sink.
-func (s *Server) logRequest(r *http.Request, sw *statusWriter, elapsed time.Duration) {
-	if s.cfg.Logger == nil {
-		return
-	}
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	level, msg := slog.LevelInfo, "request"
-	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
-		level, msg = slog.LevelWarn, "slow request"
-	}
-	if !s.cfg.Logger.Enabled(context.Background(), level) {
-		return
-	}
-	attrs := make([]slog.Attr, 0, 7+len(sw.attrs))
-	attrs = append(attrs,
-		slog.Uint64("req", s.reqID.Add(1)),
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", status),
-		slog.Duration("elapsed", elapsed),
-	)
-	// The cluster-correlation fields: the shard this process serves and
-	// the distributed trace id the router (or client) stamped on the
-	// request, so a slow-query WARN greps straight to its cluster trace.
-	if s.cfg.ShardID != "" {
-		attrs = append(attrs, slog.String("shard", s.cfg.ShardID))
-	}
-	if id, _, ok := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader)); ok {
-		attrs = append(attrs, slog.String("trace_id", id))
-	}
-	attrs = append(attrs, sw.attrs...)
-	s.cfg.Logger.LogAttrs(context.Background(), level, msg, attrs...)
-}
 
 // shouldTrace implements the sampling clock: true for every
 // TraceSample-th engine evaluation.
@@ -387,126 +300,14 @@ func (s *Server) observeStages(qs rangereach.QueryStats) {
 	}
 }
 
-// ---- wire types ----
-
-// queryRequest is one RangeReach query: a vertex and a region given as
-// [xmin, ymin, xmax, ymax] (corners in any order).
-type queryRequest struct {
-	Vertex int        `json:"vertex"`
-	Region [4]float64 `json:"region"`
-}
-
-type queryResponse struct {
-	Reachable bool   `json:"reachable"`
-	Cached    bool   `json:"cached"`
-	Gen       uint64 `json:"gen"`
-	Micros    int64  `json:"micros"`
-	// Shard echoes Config.ShardID on traced responses so the router can
-	// attribute the stats without trusting its own placement view.
-	Shard string `json:"shard,omitempty"`
-	// TraceID echoes the incoming traceparent's trace id; set only on
-	// traced requests.
-	TraceID string `json:"trace_id,omitempty"`
-	// Stats is the query's execution profile; present only when the
-	// request carried a traceparent header (the distributed-trace path).
-	Stats *rangereach.QueryStats `json:"stats,omitempty"`
-}
-
-type batchRequest struct {
-	Queries     []queryRequest `json:"queries"`
-	Parallelism int            `json:"parallelism"`
-}
-
-type batchResponse struct {
-	Results []bool `json:"results"`
-	Gen     uint64 `json:"gen"`
-	Micros  int64  `json:"micros"`
-}
-
-type updateRequest struct {
-	Op     string  `json:"op"` // add_user | add_venue | add_edge | del_edge | move_venue
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	Vertex int     `json:"vertex"` // move_venue: the venue to relocate
-}
-
-type updateResponse struct {
-	// ID is the new vertex id for add_user/add_venue; absent for edges.
-	ID  *int   `json:"id,omitempty"`
-	Gen uint64 `json:"gen"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	if status >= 400 {
-		s.mReqErrs.Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// A write error here means the client went away; the status line is
-	// already committed, so there is nothing left to report.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody decodes a JSON request body under the configured size cap,
-// answering the error response itself on failure: 413 for oversized
-// bodies (MaxBytesReader poisons the connection anyway, so the precise
-// status matters to the client), 400 for anything but one JSON value.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if status, err := httpjson.Decode(w, r, s.cfg.MaxBodyBytes, v); err != nil {
-		s.writeError(w, status, "%v", err)
-		return false
-	}
-	return true
-}
-
-// appendQueryReply appends an untraced resp — the four scalars; Shard,
-// TraceID and Stats ride on traced replies only, which stay on
-// encoding/json — as encoding/json encodes it, trailing newline
-// included.
-func appendQueryReply(b []byte, resp queryResponse) []byte {
-	b = append(b, `{"reachable":`...)
-	b = strconv.AppendBool(b, resp.Reachable)
-	b = append(b, `,"cached":`...)
-	b = strconv.AppendBool(b, resp.Cached)
-	b = append(b, `,"gen":`...)
-	b = strconv.AppendUint(b, resp.Gen, 10)
-	b = append(b, `,"micros":`...)
-	b = strconv.AppendInt(b, resp.Micros, 10)
-	return append(b, "}\n"...)
-}
-
 // writeQueryReply answers a /v1/query with resp.
-func (s *Server) writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, resp queryResponse) {
+func (s *Server) writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, resp httpjson.ServerQueryReply) {
 	if resp.Stats != nil || resp.Shard != "" || resp.TraceID != "" {
-		s.writeJSON(w, http.StatusOK, resp)
+		s.front.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	sc.Out = appendQueryReply(sc.Out[:0], resp)
+	sc.Out = resp.AppendJSON(sc.Out[:0])
 	sc.Reply(w, http.StatusOK)
-}
-
-// statusClientClosedRequest is nginx's non-standard 499: the client
-// disconnected before the response was written. The status never
-// reaches that client; it exists for the request log and error metrics
-// to distinguish hang-ups from server-side timeouts (504).
-const statusClientClosedRequest = 499
-
-// cancelStatus maps a context error to the response status.
-func cancelStatus(err error) int {
-	if errors.Is(err, context.Canceled) {
-		return statusClientClosedRequest
-	}
-	return http.StatusGatewayTimeout
 }
 
 // view resolves the read path once per request: the engine to query,
@@ -548,6 +349,12 @@ func (v view) explain(vertex int, r rangereach.Rect) (bool, rangereach.QueryStat
 	return v.static.Explain(vertex, r)
 }
 
+// rawStats encodes a query's profile for a reply.
+func rawStats(qs rangereach.QueryStats) json.RawMessage {
+	b, _ := json.Marshal(qs) // a QueryStats always encodes
+	return b
+}
+
 // methodName is the engine name for cache-hit stats, which never reach
 // an engine.
 func (s *Server) methodName() string {
@@ -562,15 +369,14 @@ func (s *Server) methodName() string {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sc := httpjson.Get()
 	defer sc.Release()
-	var req queryRequest
-	if status, err := sc.Decode(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		s.writeError(w, status, "%v", err)
+	var req httpjson.QueryRequest
+	if !s.front.Decode(w, r, sc, &req) {
 		return
 	}
 	start := time.Now()
 	v := s.currentView()
 	if req.Vertex < 0 || req.Vertex >= v.numVertices() {
-		s.writeError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", req.Vertex, v.numVertices())
+		s.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", req.Vertex, v.numVertices())
 		return
 	}
 	// A valid traceparent (stamped by rrrouter's scatter-gather or a
@@ -583,15 +389,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		if val, ok := s.cache.Get(key, v.gen); ok {
 			s.mHits.Inc()
-			resp := queryResponse{
+			resp := httpjson.ServerQueryReply{
 				Reachable: val, Cached: true, Gen: v.gen,
 				Micros: time.Since(start).Microseconds(),
 			}
 			if traced {
 				resp.Shard, resp.TraceID = s.cfg.ShardID, traceID
-				resp.Stats = &rangereach.QueryStats{Method: s.methodName(), CacheHit: true}
+				resp.Stats = rawStats(rangereach.QueryStats{Method: s.methodName(), CacheHit: true})
 			}
-			s.writeJSON(w, http.StatusOK, resp)
+			s.front.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		s.mMisses.Inc()
@@ -600,18 +406,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// point is before it: a request that died while queued (client gone,
 	// deadline passed) should not reach the engine at all.
 	if err := r.Context().Err(); err != nil {
-		s.writeError(w, cancelStatus(err), "query: %v", err)
+		s.front.WriteError(w, httpjson.CancelStatus(err), "query: %v", err)
 		return
 	}
 	var ans bool
-	var stats *rangereach.QueryStats
+	var stats json.RawMessage
 	if traced || s.shouldTrace() {
 		var qs rangereach.QueryStats
 		ans, qs = v.explain(req.Vertex, rect)
 		s.observeStages(qs)
-		annotate(w, slog.String("trace", qs.String()))
+		httpjson.Annotate(w, slog.String("trace", qs.String()))
 		if traced {
-			stats = &qs
+			stats = rawStats(qs)
 		}
 	} else {
 		ans = v.rangeReach(req.Vertex, rect)
@@ -620,8 +426,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.Put(key, v.gen, ans)
 	}
-	annotate(w, slog.Int("vertex", req.Vertex), slog.Bool("reachable", ans))
-	resp := queryResponse{
+	httpjson.Annotate(w, slog.Int("vertex", req.Vertex), slog.Bool("reachable", ans))
+	resp := httpjson.ServerQueryReply{
 		Reachable: ans, Gen: v.gen,
 		Micros: time.Since(start).Microseconds(),
 	}
@@ -629,12 +435,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Shard, resp.TraceID, resp.Stats = s.cfg.ShardID, traceID, stats
 	}
 	s.writeQueryReply(w, sc, resp)
-}
-
-type explainResponse struct {
-	Reachable bool                  `json:"reachable"`
-	Gen       uint64                `json:"gen"`
-	Stats     rangereach.QueryStats `json:"stats"`
 }
 
 // handleExplain answers GET /v1/explain?vertex=V&region=xmin,ymin,xmax,ymax
@@ -645,24 +445,24 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	vertex, err := strconv.Atoi(q.Get("vertex"))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad vertex %q: %v", q.Get("vertex"), err)
+		s.front.WriteError(w, http.StatusBadRequest, "bad vertex %q: %v", q.Get("vertex"), err)
 		return
 	}
 	parts := strings.Split(q.Get("region"), ",")
 	if len(parts) != 4 {
-		s.writeError(w, http.StatusBadRequest, "bad region %q: want xmin,ymin,xmax,ymax", q.Get("region"))
+		s.front.WriteError(w, http.StatusBadRequest, "bad region %q: want xmin,ymin,xmax,ymax", q.Get("region"))
 		return
 	}
 	var coords [4]float64
 	for i, p := range parts {
 		if coords[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad region %q: %v", q.Get("region"), err)
+			s.front.WriteError(w, http.StatusBadRequest, "bad region %q: %v", q.Get("region"), err)
 			return
 		}
 	}
 	v := s.currentView()
 	if vertex < 0 || vertex >= v.numVertices() {
-		s.writeError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", vertex, v.numVertices())
+		s.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", vertex, v.numVertices())
 		return
 	}
 	rect := rangereach.NewRect(coords[0], coords[1], coords[2], coords[3])
@@ -670,10 +470,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		if val, ok := s.cache.Get(key, v.gen); ok {
 			s.mHits.Inc()
-			annotate(w, slog.Bool("cached", true))
-			s.writeJSON(w, http.StatusOK, explainResponse{
+			httpjson.Annotate(w, slog.Bool("cached", true))
+			s.front.WriteJSON(w, http.StatusOK, httpjson.ExplainReply{
 				Reachable: val, Gen: v.gen,
-				Stats: rangereach.QueryStats{Method: s.methodName(), CacheHit: true},
+				Stats: rawStats(rangereach.QueryStats{Method: s.methodName(), CacheHit: true}),
 			})
 			return
 		}
@@ -685,32 +485,23 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.Put(key, v.gen, ans)
 	}
-	annotate(w, slog.String("trace", qs.String()))
-	s.writeJSON(w, http.StatusOK, explainResponse{Reachable: ans, Gen: v.gen, Stats: qs})
+	httpjson.Annotate(w, slog.String("trace", qs.String()))
+	s.front.WriteJSON(w, http.StatusOK, httpjson.ExplainReply{Reachable: ans, Gen: v.gen, Stats: rawStats(qs)})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch)
+	var req httpjson.BatchRequest
+	if !s.front.Decode(w, r, nil, &req) {
 		return
 	}
 	start := time.Now()
 	v := s.currentView()
-	n := v.numVertices()
+	if err := req.Check(s.cfg.MaxBatch, v.numVertices()); err != nil {
+		s.front.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	queries := make([]rangereach.Query, len(req.Queries))
 	for i, q := range req.Queries {
-		if q.Vertex < 0 || q.Vertex >= n {
-			s.writeError(w, http.StatusBadRequest, "query %d: vertex %d out of range [0,%d)", i, q.Vertex, n)
-			return
-		}
 		queries[i] = rangereach.Query{
 			Vertex: q.Vertex,
 			Region: rangereach.NewRect(q.Region[0], q.Region[1], q.Region[2], q.Region[3]),
@@ -718,11 +509,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.evalBatch(r.Context(), v, queries, req.Parallelism)
 	if err != nil {
-		s.writeError(w, cancelStatus(err), "batch: %v", err)
+		s.front.WriteError(w, httpjson.CancelStatus(err), "batch: %v", err)
 		return
 	}
 	s.mQueries.Add(int64(len(queries)))
-	s.writeJSON(w, http.StatusOK, batchResponse{
+	s.front.WriteJSON(w, http.StatusOK, httpjson.ServerBatchReply{
 		Results: results, Gen: v.gen,
 		Micros: time.Since(start).Microseconds(),
 	})
@@ -758,11 +549,11 @@ func (s *Server) evalBatch(ctx context.Context, v view, queries []rangereach.Que
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.dyn == nil {
-		s.writeError(w, http.StatusNotImplemented, "updates require dynamic mode (rrserve -dynamic)")
+		s.front.WriteError(w, http.StatusNotImplemented, "updates require dynamic mode (rrserve -dynamic)")
 		return
 	}
-	var req updateRequest
-	if !s.decodeBody(w, r, &req) {
+	var req httpjson.UpdateRequest
+	if !s.front.Decode(w, r, nil, &req) {
 		return
 	}
 	var op updateOp
@@ -778,7 +569,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	case "move_venue":
 		op = updateOp{kind: opMoveVenue, vertex: req.Vertex, x: req.X, y: req.Y}
 	default:
-		s.writeError(w, http.StatusBadRequest,
+		s.front.WriteError(w, http.StatusBadRequest,
 			"unknown op %q (want add_user, add_venue, add_edge, del_edge or move_venue)", req.Op)
 		return
 	}
@@ -794,40 +585,24 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
 			status = http.StatusGatewayTimeout
 		}
-		s.writeError(w, status, "%v", res.err)
+		s.front.WriteError(w, status, "%v", res.err)
 		return
 	}
 	s.mUpdates.Inc()
-	resp := updateResponse{Gen: s.dyn.current().gen}
+	resp := httpjson.ServerUpdateReply{Gen: s.dyn.current().gen}
 	if op.kind == opAddUser || op.kind == opAddVenue {
 		resp.ID = &res.id
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// healthzResponse reports liveness plus basic index facts.
-type healthzResponse struct {
-	Status   string `json:"status"`
-	Mode     string `json:"mode"`
-	Method   string `json:"method"`
-	Vertices int    `json:"vertices"`
-	Gen      uint64 `json:"gen"`
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	v := s.currentView()
-	resp := healthzResponse{Status: "ok", Vertices: v.numVertices(), Gen: v.gen}
+	resp := httpjson.ServerHealthz{Status: "ok", Vertices: v.numVertices(), Gen: v.gen}
 	if s.dyn != nil {
 		resp.Mode, resp.Method = "dynamic", "3DReach-Dynamic"
 	} else {
 		resp.Mode, resp.Method = "static", s.cfg.Index.Method().String()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// A scrape aborted mid-write is the scraper's problem; the next one
-	// gets a fresh snapshot.
-	_ = s.reg.WritePrometheus(w)
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }

@@ -15,8 +15,30 @@ import (
 	"time"
 
 	rangereach "repro"
+	"repro/internal/httpjson"
 	"repro/internal/metrics"
 )
+
+// The tests name the httpjson wire types by short local names; the two
+// replies that carry a query profile decode it typed.
+type (
+	queryRequest    = httpjson.QueryRequest
+	batchRequest    = httpjson.BatchRequest
+	batchResponse   = httpjson.ServerBatchReply
+	updateRequest   = httpjson.UpdateRequest
+	updateResponse  = httpjson.ServerUpdateReply
+	healthzResponse = httpjson.ServerHealthz
+)
+
+type queryResponse struct {
+	httpjson.ServerQueryReply
+	Stats *rangereach.QueryStats `json:"stats,omitempty"`
+}
+
+type explainResponse struct {
+	httpjson.ExplainReply
+	Stats rangereach.QueryStats `json:"stats"`
+}
 
 // testNetwork generates a small synthetic network with a fixed seed.
 func testNetwork(t *testing.T) *rangereach.Network {
@@ -570,7 +592,7 @@ func TestCloseDrainsHandlers(t *testing.T) {
 	// A handler blocked inside the index holds Close until it returns.
 	entered, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int64
-	h := srv.instrument(srv.mReqQuery, func(w http.ResponseWriter, r *http.Request) {
+	h := srv.front.Wrap("query", srv.mReqQuery, func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-release
