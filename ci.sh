@@ -252,23 +252,22 @@ if [[ "${1:-}" != "-short" ]]; then
         || { echo "rrrouter with 1 backend for 2 shards exited $status, want a refusal" >&2; exit 1; }
     # Shard i is served by the i-th backend: boot each rrserve with its
     # shard file, tagged with its shard id so logs and metrics carry
-    # cluster-correlation fields. Shard 0 and the router write their
-    # request logs as JSON for the cluster trace smoke to read.
+    # cluster-correlation fields.
     for sid in 0 1; do
         port=$((18741 + sid))
-        logmode=off; logfile=/dev/stderr
-        if [[ "$sid" -eq 0 ]]; then logmode=json; logfile="$SMOKE_DIR/shard0.log"; fi
         "$SMOKE_DIR/rrserve" -net "$SMOKE_DIR/smoke.shard$sid.gsn" \
             -load-index "$SMOKE_DIR/smoke.shard$sid.gsn.idx" -mmap \
-            -addr "127.0.0.1:$port" -shard "$sid" -log "$logmode" 2> "$logfile" &
+            -addr "127.0.0.1:$port" -shard "$sid" -log off &
         SMOKE_PIDS="$SMOKE_PIDS $!"
+        [[ "$sid" -eq 0 ]] && SHARD0_PID=$!
     done
     # The trace ring must hold every forced trace the load run below
     # generates (rate x duration = 600), or the slowest one may be
     # evicted before rrload fetches its breakdown.
     "$SMOKE_DIR/rrrouter" -shardmap "$SMOKE_DIR/smoke.shardmap.json" \
-        -backends "$B1,$B2" -addr 127.0.0.1:18740 -log json -wait-backends 30s \
-        -trace-ring 1024 2> "$SMOKE_DIR/router.log" &
+        -backends "$B1,$B2" -addr 127.0.0.1:18740 -log off -wait-backends 30s \
+        -trace-ring 1024 &
+    ROUTER_PID=$!
     SMOKE_PIDS="$SMOKE_PIDS $!"
     "$SMOKE_DIR/rrload" -target http://127.0.0.1:18740 -rate 200 -duration 3s \
         -wait 30s -fail-on-error -slo 500ms -trace -json \
@@ -299,7 +298,27 @@ if [[ "${1:-}" != "-short" ]]; then
     # /v1/trace/{id}. A whole-space region touches every shard, so the
     # trace must contain the router's own orchestration spans plus one
     # shard_call span per shard.
+    #
+    # Shard 0 and the router are restarted with -log json first, so the
+    # query is also written to both tiers' request logs. (The load run
+    # above keeps -log off: its dial bound was measured without
+    # request logging.)
     echo "== cluster trace smoke =="
+    kill "$SHARD0_PID" "$ROUTER_PID"
+    wait "$SHARD0_PID" "$ROUTER_PID" 2>/dev/null || true
+    "$SMOKE_DIR/rrserve" -net "$SMOKE_DIR/smoke.shard0.gsn" \
+        -load-index "$SMOKE_DIR/smoke.shard0.gsn.idx" -mmap \
+        -addr 127.0.0.1:18741 -shard 0 -log json 2> "$SMOKE_DIR/shard0.log" &
+    SMOKE_PIDS="$SMOKE_PIDS $!"
+    "$SMOKE_DIR/rrrouter" -shardmap "$SMOKE_DIR/smoke.shardmap.json" \
+        -backends "$B1,$B2" -addr 127.0.0.1:18740 -log json -wait-backends 30s \
+        2> "$SMOKE_DIR/router.log" &
+    SMOKE_PIDS="$SMOKE_PIDS $!"
+    # The router listens once both backends answer /healthz.
+    for _ in $(seq 300); do
+        (exec 3<>/dev/tcp/127.0.0.1/18740) 2>/dev/null && break
+        sleep 0.1
+    done
     "$SMOKE_DIR/rrquery" -target http://127.0.0.1:18740 -trace \
         -q "0 -180 -90 180 90" > "$SMOKE_DIR/trace.txt"
     grep -q 'span name=placement tier=router' "$SMOKE_DIR/trace.txt"

@@ -147,7 +147,7 @@ func main() {
 	}
 
 	if *wait > 0 {
-		if err := waitHealthy(client, base, *wait); err != nil {
+		if err := httpjson.WaitHealthy(client, *wait, base); err != nil {
 			fmt.Fprintf(os.Stderr, "rrload: %v\n", err)
 			os.Exit(1)
 		}
@@ -656,21 +656,4 @@ func discover(client *http.Client, base string, vertices int, spaceStr string) (
 		return 0, space, fmt.Errorf("target did not report a usable space extent; pass -space")
 	}
 	return vertices, space, nil
-}
-
-func waitHealthy(client *http.Client, base string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for {
-		resp, err := client.Get(base + "/healthz")
-		if err == nil {
-			_ = resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("target not healthy after %v", budget)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }

@@ -113,7 +113,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *waitFor > 0 {
-		if err := waitBackends(urls, *waitFor); err != nil {
+		if err := httpjson.WaitHealthy(&http.Client{Timeout: time.Second}, *waitFor, urls...); err != nil {
 			fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
 			os.Exit(1)
 		}
@@ -136,39 +136,4 @@ func splitBackends(s string) []string {
 		}
 	}
 	return urls
-}
-
-// waitBackends polls every backend's /healthz until all answer 200 or
-// the deadline passes, so `rrrouter -wait-backends 30s` can be launched
-// in the same breath as its shards.
-func waitBackends(urls []string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	client := &http.Client{Timeout: time.Second}
-	pending := make(map[string]bool, len(urls))
-	for _, u := range urls {
-		pending[u] = true
-	}
-	for len(pending) > 0 {
-		for u := range pending {
-			resp, err := client.Get(u + "/healthz")
-			if err == nil {
-				_ = resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					delete(pending, u)
-				}
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			var left []string
-			for u := range pending {
-				left = append(left, u)
-			}
-			return fmt.Errorf("backends not healthy after %s: %s", budget, strings.Join(left, ", "))
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package httpjson
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -51,10 +51,7 @@ func Serve(name, addr string, h http.Handler, banner string) error {
 	fmt.Fprintln(os.Stderr, banner)
 
 	select {
-	case err := <-errc:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
+	case err := <-errc: // before a signal, Serve returns only when the listener fails
 		return err
 	case <-ctx.Done():
 		fmt.Fprintf(os.Stderr, "%s: shutting down\n", name)
@@ -64,5 +61,30 @@ func Serve(name, addr string, h http.Handler, banner string) error {
 			fmt.Fprintf(os.Stderr, "%s: shutdown: %v\n", name, err)
 		}
 		return nil
+	}
+}
+
+// WaitHealthy polls each base URL's /healthz until every one has
+// answered 200, or fails naming those that had not within budget, so a
+// client or a router can be started in the same breath as its servers.
+func WaitHealthy(client *http.Client, budget time.Duration, bases ...string) error {
+	deadline := time.Now().Add(budget)
+	pending := slices.Clone(bases)
+	for {
+		pending = slices.DeleteFunc(pending, func(base string) bool {
+			resp, err := client.Get(base + "/healthz")
+			if err != nil {
+				return false
+			}
+			_ = resp.Body.Close()
+			return resp.StatusCode == http.StatusOK
+		})
+		if len(pending) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("not healthy after %s: %s", budget, strings.Join(pending, ", "))
+		}
+		time.Sleep(100 * time.Millisecond)
 	}
 }
