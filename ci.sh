@@ -124,8 +124,14 @@ go -C benchmark test ./...
 # around one cell and past many, duplicate locations, one shared x,
 # region edges on points and on cell bounds, labels of 1 to 64
 # intervals.
+# ./internal/router's FuzzPruneKeepsHolders checks that the router never
+# prunes a shard holding a venue in the query region: random networks
+# with points and extents (a collinear space too), both partitioners,
+# 1-5 shards, regions that are points, on cell edges, past the space or
+# the whole of it, on the query and the batch path, and after venues are
+# added and moved outside the map's space through the update path.
 echo "== fuzz (seed corpus) =="
-go test -run 'Fuzz' . ./internal/incr ./internal/tiles
+go test -run 'Fuzz' . ./internal/incr ./internal/tiles ./internal/router
 
 # The format-compatibility gate. The loader reads the layout the writer
 # writes plus the one generation before it (DESIGN.md §16). The golden
@@ -233,6 +239,11 @@ if [[ "${1:-}" != "-short" ]]; then
         ./cmd/rrload ./cmd/rrquery ./cmd/rrtop
     "$SMOKE_DIR/rrgen" -preset gowalla-like -scale 0.2 -seed 3 \
         -o "$SMOKE_DIR/smoke.gsn" -shards 2 -index 3dreach 2>/dev/null
+    # The shard map carries each shard's occupancy cells, which the
+    # router prunes by; a map without them would fall back to bounds.
+    cells=$(grep -c '"cells": \[' "$SMOKE_DIR/smoke.shardmap.json" || true)
+    [[ "$cells" -eq 2 ]] \
+        || { echo "smoke.shardmap.json carries cells for $cells of 2 shards" >&2; exit 1; }
     # 3DReach has no MBR policy: the build is refused with an error that
     # names the methods that have one.
     if "$SMOKE_DIR/rrquery" -net "$SMOKE_DIR/smoke.gsn" -method 3dreach -mbr \
@@ -274,9 +285,15 @@ if [[ "${1:-}" != "-short" ]]; then
         > "$SMOKE_DIR/load.json" 2> "$SMOKE_DIR/load.err"
     grep -q '"schema": "rrload/v1"' "$SMOKE_DIR/load.json"
     grep -q '"slowest_trace_id"' "$SMOKE_DIR/load.json"
-    # The stitched breakdown of the slowest request (stderr under -json).
+    # The stitched breakdown of the slowest request (stderr under -json):
+    # the router's placement span, and a shard_call span whenever
+    # placement kept a shard. A region of this load that meets no
+    # shard's occupied cells is answered with no shard call, so the
+    # slowest request may have none.
     grep -q 'slowest trace .* endpoint=query status=200' "$SMOKE_DIR/load.err"
-    grep -q 'span name=shard_call' "$SMOKE_DIR/load.err"
+    grep -q 'span name=placement' "$SMOKE_DIR/load.err"
+    grep -q 'span name=placement .* shards=0$' "$SMOKE_DIR/load.err" \
+        || grep -q 'span name=shard_call' "$SMOKE_DIR/load.err"
     # Connection churn: the router should dial each backend once for
     # the whole run. Measured on the 2-CPU reference box over these 600
     # requests (7-12 of them early exits): 2 dials at this commit, 8-11

@@ -221,3 +221,56 @@ func TestCellSetOps(t *testing.T) {
 		t.Error("empty String")
 	}
 }
+
+// TestBitmapMeetsWhatItMarks: a bitmap marked with a geometry meets
+// every region holding a point of it — on a regular, a collinear and an
+// empty space, with geometries and regions inside, on the edges of and
+// past the space.
+func TestBitmapMeetsWhatItMarks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	coord := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return float64(rng.Intn(65)) * 100 / Side // a cell edge
+		case 1:
+			return rng.Float64()*400 - 150 // often past the space
+		}
+		return rng.Float64() * 100
+	}
+	for _, space := range []geom.Rect{geom.NewRect(0, 0, 100, 100), geom.NewRect(5, 0, 5, 100), geom.EmptyRect()} {
+		u := NewUniform(space)
+		for i := 0; i < 2000; i++ {
+			g := geom.NewRect(coord(), coord(), coord(), coord())
+			if rng.Intn(2) == 0 {
+				g = geom.RectFromPoint(g.Min)
+			}
+			var b Bitmap
+			b.Mark(u, g)
+			if b.Empty() {
+				t.Fatalf("space %v: marking %v marked nothing", space, g)
+			}
+			p := geom.Pt(g.Min.X+rng.Float64()*g.Width(), g.Min.Y+rng.Float64()*g.Height())
+			r := geom.NewRect(p.X, p.Y, p.X+rng.Float64()*10, p.Y-rng.Float64()*10)
+			if !b.Meets(u, r) || !b.Meets(u, geom.RectFromPoint(p)) {
+				t.Fatalf("space %v: %v marked, region %v holds its point %v, but Meets is false", space, g, r, p)
+			}
+		}
+	}
+	var b Bitmap
+	u := NewUniform(geom.NewRect(0, 0, 64, 64))
+	b.Mark(u, geom.NewRect(10.5, 3, 12, 3))
+	for _, c := range []struct {
+		r    geom.Rect
+		want bool
+	}{
+		{geom.NewRect(0, 0, 10, 64), true},    // reaches cell 10 at x = 10
+		{geom.NewRect(0, 0, 9.99, 64), false}, // stops in cell 9
+		{geom.NewRect(13, 0, 64, 64), false},
+		{geom.NewRect(12, 3.5, 12, 3.5), true}, // same cell (12, 3)
+		{geom.NewRect(12, 4, 12, 4), false},
+	} {
+		if got := b.Meets(u, c.r); got != c.want {
+			t.Errorf("Meets(%v) = %v, want %v", c.r, got, c.want)
+		}
+	}
+}

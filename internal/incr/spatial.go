@@ -2,10 +2,10 @@ package incr
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/intervals"
 	"repro/internal/tiles"
 	"repro/internal/trace"
@@ -309,66 +309,24 @@ func (x *Index) foldBase() {
 // venue inflates border counts, and a query reaching past the border
 // clamps onto those same cells.
 type occGrid struct {
-	min    geom.Point
-	cw, ch float64 // cell width and height
+	u      grid.Uniform
 	nx, ny int
 	cells  []int32
 	total  int
 }
 
-const occGridDim = 64
-
 func newOccGrid(space geom.Rect) *occGrid {
-	w := space.Max.X - space.Min.X
-	h := space.Max.Y - space.Min.Y
-	// A degenerate axis (all venues collinear, or an empty network) gets
-	// unit extent so cell sizes stay positive, and one wider than the
-	// float range so they stay finite.
-	if !(w > 0 && w <= math.MaxFloat64) {
-		w = 1
+	return &occGrid{
+		u:     grid.NewUniform(space),
+		nx:    grid.Side,
+		ny:    grid.Side,
+		cells: make([]int32, grid.Side*grid.Side),
 	}
-	if !(h > 0 && h <= math.MaxFloat64) {
-		h = 1
-	}
-	if space.IsEmpty() {
-		space.Min = geom.Point{}
-	}
-	g := &occGrid{
-		min: space.Min,
-		nx:  occGridDim,
-		ny:  occGridDim,
-	}
-	g.cw = w / float64(g.nx)
-	g.ch = h / float64(g.ny)
-	g.cells = make([]int32, g.nx*g.ny)
-	return g
 }
 
-// cellRange returns the clamped cell-index range covered by r. The
-// mapping from a coordinate to its cell never decreases, infinities
-// included, so a cell strictly between r's first and last lies inside
-// r on that axis.
-func (g *occGrid) cellRange(r geom.Rect) (x0, y0, x1, y1 int) {
-	x0 = cellOf((r.Min.X-g.min.X)/g.cw, g.nx)
-	x1 = cellOf((r.Max.X-g.min.X)/g.cw, g.nx)
-	y0 = cellOf((r.Min.Y-g.min.Y)/g.ch, g.ny)
-	y1 = cellOf((r.Max.Y-g.min.Y)/g.ch, g.ny)
-	return
-}
-
-// cellOf clamps the cell coordinate t into [0, n) before converting it:
-// a float-to-int conversion of an infinity or of a value past the int
-// range is implementation-defined in Go. NaN, which no stored venue
-// has, clamps to 0.
-func cellOf(t float64, n int) int {
-	if !(t >= 0) {
-		return 0
-	}
-	if t >= float64(n) {
-		return n - 1
-	}
-	return int(t)
-}
+// cellRange returns the clamped cell-index range covered by r, by the
+// mapping the shard map's cells use (grid.Uniform).
+func (g *occGrid) cellRange(r geom.Rect) (x0, y0, x1, y1 int) { return g.u.Range(r) }
 
 func (g *occGrid) add(r geom.Rect) {
 	x0, y0, x1, y1 := g.cellRange(r)

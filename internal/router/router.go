@@ -8,8 +8,10 @@
 // scatter-gather combine is exact: a query is positive iff some shard
 // answers positively. That shape drives the whole design:
 //
-//   - Spatial pruning: shards whose venue bounds miss the query region
-//     cannot answer positively and are never called.
+//   - Spatial pruning: a shard is called only if its venue bounds meet
+//     the query region and so does one of its occupied cells (the shard
+//     map's 64×64 bitmap). A shard with no venue in the region cannot
+//     answer positively.
 //   - Early exit: the first positive shard answer settles the query and
 //     answers the client at once. The shard calls still in flight are
 //     abandoned, not canceled: canceling an HTTP/1.1 request closes its
@@ -18,9 +20,9 @@
 //     health and the trace as any call does, and hand their connection
 //     back to the pool; only one that outlives a short grace is
 //     canceled (see scatter).
-//   - Pass-through: a query whose region meets one shard's bounds is
-//     that shard's to answer; the router calls it on the handler's
-//     goroutine with the bytes it received.
+//   - Pass-through: a query whose region only one shard can hold a
+//     venue in is that shard's to answer; the router calls it on the
+//     handler's goroutine with the bytes it received.
 //   - Partial failure: a positive from any live shard is exact even if
 //     other shards are down. Only all-negative answers depend on every
 //     shard; the Policy decides whether those fail (PolicyFail) or
@@ -64,6 +66,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/httpjson"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -164,10 +167,12 @@ type Router struct {
 	// waits here so nothing of this router's is still talking to a shard
 	// when it returns.
 	calls sync.WaitGroup
-	// bounds is the per-shard venue-bounds view, copy-on-write: readers
-	// atomically load the slice, the update path (under updateMu)
-	// replaces it when a new or moved venue grows a shard's bounds.
-	bounds   atomic.Pointer[[]geom.Rect]
+	// grid maps coordinates to the cells of the shard map's bitmaps.
+	grid grid.Uniform
+	// view is the per-shard pruning view, copy-on-write: readers
+	// atomically load it, the update path (under updateMu) replaces it
+	// when a new or moved venue grows a shard's bounds or cells.
+	view     atomic.Pointer[placement]
 	updateMu sync.Mutex
 	health   []*health
 
@@ -241,12 +246,13 @@ func New(cfg Config) (*Router, error) {
 		ring:    trace.NewRing(cfg.TraceRing),
 		sampler: &trace.Sampler{N: cfg.TraceSample, Slow: cfg.TraceSlow},
 	}
-	bounds := make([]geom.Rect, n)
+	rt.grid = cfg.Map.Grid()
+	view := &placement{bounds: make([]geom.Rect, n), cells: make([]grid.Bitmap, n)}
 	for i, s := range cfg.Map.Shards {
-		bounds[i] = s.BoundsRect()
+		view.bounds[i], view.cells[i] = s.BoundsRect(), cfg.Map.Cells(i)
 		rt.health[i] = newHealth(cfg.DownAfter, cfg.DownCooldown, nil)
 	}
-	rt.bounds.Store(&bounds)
+	rt.view.Store(view)
 	transport := cfg.Transport
 	if transport == nil {
 		rt.mDials = rt.reg.Counter("rr_router_backend_dials_total", "Connections the router opened to its backends; a rate near the query rate means calls are not reusing connections.")
@@ -272,7 +278,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mUpdates = rt.reg.Counter("rr_router_updates_total", "Cluster updates applied across the shard set.")
 	rt.mReqErrs = rt.reg.Counter("rr_router_request_errors_total", "Router requests answered with a non-2xx status.")
 	rt.mEarlyExit = rt.reg.Counter("rr_router_early_exits_total", "Scatter-gathers settled by a positive before every shard answered.")
-	rt.mPruned = rt.reg.Counter("rr_router_pruned_shards_total", "Shard calls skipped because the shard's venue bounds miss the query region.")
+	rt.mPruned = rt.reg.Counter("rr_router_pruned_shards_total", "Shard calls skipped because the shard holds no venue the query region can meet: its venue bounds, or every occupied cell of its shard-map bitmap, miss the region.")
 	rt.mInflight = rt.reg.Gauge("rr_router_inflight_requests", "Router requests currently being served.")
 	rt.mLatency = rt.reg.Histogram("rr_router_query_seconds", "End-to-end latency of router query and batch requests.", nil)
 	rt.mShardReqs = make([]*metrics.Counter, n)
@@ -440,21 +446,56 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
-// boundsView returns the current per-shard venue bounds. The slice is
-// immutable — the update path replaces, never mutates, it.
-func (rt *Router) boundsView() []geom.Rect { return *rt.bounds.Load() }
+// placement is the router's per-shard pruning view: each shard's venue
+// bounds and occupied cells. It is immutable — the update path replaces,
+// never mutates, it.
+type placement struct {
+	bounds []geom.Rect
+	cells  []grid.Bitmap
+}
 
-// relevantShards appends to dst the shard ids whose venue bounds
-// intersect the query region, counting the pruned remainder.
+// meets reports whether shard sid may hold a venue in region: its bounds
+// meet the region and so does one of its marked cells. False is exact.
+func (p *placement) meets(g grid.Uniform, sid int, region geom.Rect) bool {
+	return p.bounds[sid].Intersects(region) && p.cells[sid].Meets(g, region)
+}
+
+// relevantShards appends to dst the shard ids that may hold a venue in
+// the query region, counting the pruned remainder.
 func (rt *Router) relevantShards(dst []int, region geom.Rect) []int {
-	bounds := rt.boundsView()
-	for sid, b := range bounds {
-		if b.Intersects(region) {
+	view := rt.view.Load()
+	for sid := range view.bounds {
+		if view.meets(rt.grid, sid, region) {
 			dst = append(dst, sid)
 		}
 	}
-	rt.mPruned.Add(int64(len(bounds) - len(dst)))
+	rt.mPruned.Add(int64(len(view.bounds) - len(dst)))
 	return dst
+}
+
+// batchSubsets returns, per shard, the positions of the queries it may
+// hold a venue for, and how many shards have any; a query no shard can
+// answer stays negative without a network call. It counts the shards
+// pruned outright.
+func (rt *Router) batchSubsets(queries []httpjson.QueryRequest) (subsets [][]int, active int) {
+	view := rt.view.Load()
+	subsets = make([][]int, len(view.bounds))
+	regions := make([]geom.Rect, len(queries))
+	for i, q := range queries {
+		regions[i] = regionRect(q.Region)
+	}
+	for sid := range subsets {
+		for i, region := range regions {
+			if view.meets(rt.grid, sid, region) {
+				subsets[sid] = append(subsets[sid], i)
+			}
+		}
+		if len(subsets[sid]) > 0 {
+			active++
+		}
+	}
+	rt.mPruned.Add(int64(len(subsets) - active))
+	return subsets, active
 }
 
 func regionRect(r [4]float64) geom.Rect {
@@ -516,8 +557,8 @@ func (rt *Router) queryShard(ctx context.Context, sid int, body []byte) shardRes
 	return shardResult{sid: sid, reachable: reply.Reachable, err: err}
 }
 
-// batchShard puts the subset of req's queries that meet shard sid's
-// bounds to it as one /v1/batch.
+// batchShard puts the subset of req's queries that shard sid may hold
+// a venue for to it as one /v1/batch.
 func (rt *Router) batchShard(ctx context.Context, sid int, req *httpjson.BatchRequest, subset []int) shardResult {
 	tb := traceFrom(ctx)
 	cstart := time.Now()
@@ -651,27 +692,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tb := traceFrom(r.Context())
 	start := time.Now()
-	// Per-shard subsets: each shard sees only the queries whose region
-	// intersects its venue bounds; a query intersecting no shard stays
-	// negative without any network call.
-	bounds := rt.boundsView()
-	subsets := make([][]int, len(bounds))
-	regions := make([]geom.Rect, len(req.Queries))
-	for i, q := range req.Queries {
-		regions[i] = regionRect(q.Region)
-	}
-	active := 0
-	for sid, b := range bounds {
-		for i := range req.Queries {
-			if b.Intersects(regions[i]) {
-				subsets[sid] = append(subsets[sid], i)
-			}
-		}
-		if len(subsets[sid]) > 0 {
-			active++
-		}
-	}
-	rt.mPruned.Add(int64(len(bounds) - active))
+	subsets, active := rt.batchSubsets(req.Queries)
 	rt.placementSpan(tb, start, active)
 	results := make([]bool, len(req.Queries))
 	if active == 0 {

@@ -16,7 +16,7 @@ package router
 //     the router tolerates; at least one success is required.
 //
 // All updates serialize on updateMu: the id-alignment step must not
-// interleave with another add, and the copy-on-write bounds view has a
+// interleave with another add, and the copy-on-write pruning view has a
 // single writer. Updates are never replayed — a replayed mutation is
 // not idempotent the way a query is.
 
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -95,9 +96,8 @@ func (rt *Router) fanoutUpdate(ctx context.Context, bodies [][]byte) []shardUpda
 // smaller bounds, then the lower id) — the R-tree ChooseSubtree rule
 // applied to shard placement.
 func (rt *Router) ownerFor(p geom.Point) int {
-	bounds := rt.boundsView()
 	best, bestEnl, bestArea := 0, -1.0, -1.0
-	for sid, b := range bounds {
+	for sid, b := range rt.view.Load().bounds {
 		pr := geom.RectFromPoint(p)
 		var enl, area float64
 		if b.IsEmpty() {
@@ -114,20 +114,23 @@ func (rt *Router) ownerFor(p geom.Point) int {
 	return best
 }
 
-// growBounds extends shard sid's bounds view to cover p. Copy-on-write
-// under updateMu: readers keep whatever slice they loaded.
-func (rt *Router) growBounds(sid int, p geom.Point) {
-	old := rt.boundsView()
-	if !old[sid].IsEmpty() && old[sid].ContainsPoint(p) {
+// grow extends shard sid's pruning view to a venue at p: its bounds
+// cover p and its cells mark p's cell, which a p outside the map's
+// space clamps onto the border, as a query reaching p does.
+// Copy-on-write under updateMu: readers keep whatever view they loaded.
+func (rt *Router) grow(sid int, p geom.Point) {
+	old, pr := rt.view.Load(), geom.RectFromPoint(p)
+	if old.bounds[sid].ContainsPoint(p) && old.cells[sid].Meets(rt.grid, pr) {
 		return
 	}
-	fresh := append([]geom.Rect(nil), old...)
-	if fresh[sid].IsEmpty() {
-		fresh[sid] = geom.RectFromPoint(p)
+	fresh := &placement{bounds: slices.Clone(old.bounds), cells: slices.Clone(old.cells)}
+	if fresh.bounds[sid].IsEmpty() {
+		fresh.bounds[sid] = pr // an inverted on-disk rectangle is empty, not a corner
 	} else {
-		fresh[sid] = fresh[sid].UnionPoint(p)
+		fresh.bounds[sid] = fresh.bounds[sid].Union(pr)
 	}
-	rt.bounds.Store(&fresh)
+	fresh.cells[sid].Mark(rt.grid, pr)
+	rt.view.Store(fresh)
 }
 
 // maxGen folds the generation high-water mark over successful results.
@@ -248,7 +251,7 @@ func (rt *Router) placeVenue(w http.ResponseWriter, ctx context.Context, req htt
 			"cluster id space diverged: add_venue returned ids %v", ids)
 		return
 	}
-	rt.growBounds(owner, geom.Pt(req.X, req.Y))
+	rt.grow(owner, geom.Pt(req.X, req.Y))
 	rt.mUpdates.Inc()
 	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterUpdateReply{ID: &ids[0], Owner: &owner, Gen: maxGen(results)})
 }
@@ -282,7 +285,7 @@ func (rt *Router) moveVenue(w http.ResponseWriter, ctx context.Context, req http
 		rt.front.WriteError(w, http.StatusConflict, "vertex %d is not a venue on any shard", req.Vertex)
 		return
 	}
-	rt.growBounds(owner, geom.Pt(req.X, req.Y))
+	rt.grow(owner, geom.Pt(req.X, req.Y))
 	rt.mUpdates.Inc()
 	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterUpdateReply{Owner: &owner, Gen: maxGen(results)})
 }

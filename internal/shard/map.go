@@ -3,19 +3,22 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
+	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // MapVersion is the current shard-map format version.
 const MapVersion = 1
 
 // Map is the serialized cluster topology: everything the router tier
-// needs to fan a query out — shard count, per-shard venue bounds for
-// spatial pruning, and the global vertex-id space for validation. It is
-// emitted by `rrgen -shards` next to the per-shard network files and
-// consumed by rrrouter.
+// needs to fan a query out — shard count, per-shard venue bounds and
+// occupancy cells for spatial pruning, and the global vertex-id space
+// for validation. It is emitted by `rrgen -shards` next to the
+// per-shard network files and consumed by rrrouter.
 type Map struct {
 	// Version is the format version (MapVersion).
 	Version int `json:"version"`
@@ -27,7 +30,7 @@ type Map struct {
 	// space, so the router validates query vertices against it.
 	Vertices int `json:"vertices"`
 	// Space is the bounding rectangle of the whole network's venues as
-	// [xmin, ymin, xmax, ymax].
+	// [xmin, ymin, xmax, ymax]; the shards' cells are gridded over it.
 	Space [4]float64 `json:"space"`
 	// Shards lists every shard, ordered by id 0..n-1.
 	Shards []MapShard `json:"shards"`
@@ -43,6 +46,12 @@ type MapShard struct {
 	// [xmin, ymin, xmax, ymax]. A shard with no venues carries an
 	// inverted (empty) rectangle and is never consulted.
 	Bounds [4]float64 `json:"bounds"`
+	// Cells is the shard's occupancy bitmap over grid.Uniform(Space),
+	// one uint64 per row (grid.Bitmap): bit x of row y is set when one
+	// of the shard's venue geometries meets cell (x, y). Absent means
+	// derived from Bounds: every cell the bounds cover, which prunes
+	// exactly as the bounds do.
+	Cells []uint64 `json:"cells,omitempty"`
 }
 
 // BoundsRect returns the shard's bounds as a geom.Rect without
@@ -57,7 +66,31 @@ func (s MapShard) BoundsRect() geom.Rect {
 // NumShards returns the shard count.
 func (m *Map) NumShards() int { return len(m.Shards) }
 
-// Map summarizes the assignment as a serializable shard map.
+// Grid returns the grid the shards' cells are read over: grid.Uniform
+// over Space, without normalizing it.
+func (m *Map) Grid() grid.Uniform {
+	return grid.NewUniform(geom.Rect{
+		Min: geom.Pt(m.Space[0], m.Space[1]),
+		Max: geom.Pt(m.Space[2], m.Space[3]),
+	})
+}
+
+// Cells returns shard i's occupancy bitmap: the stored one, or, for a
+// shard written without cells, every cell its bounds cover.
+func (m *Map) Cells(i int) grid.Bitmap {
+	var b grid.Bitmap
+	if s := m.Shards[i]; len(s.Cells) == grid.Side {
+		copy(b[:], s.Cells)
+	} else {
+		b.Mark(m.Grid(), s.BoundsRect())
+	}
+	return b
+}
+
+// Map summarizes the assignment as a serializable shard map. The cells
+// are written only when space is the assignment's Space, the space they
+// were gridded over; over any other space the map carries none, and its
+// reader derives them from the bounds.
 func (a *Assignment) Map(name string, vertices int, space geom.Rect) *Map {
 	m := &Map{
 		Version:  MapVersion,
@@ -72,6 +105,9 @@ func (a *Assignment) Map(name string, vertices int, space geom.Rect) *Map {
 			ID:     info.ID,
 			Venues: info.Venues,
 			Bounds: [4]float64{info.Bounds.Min.X, info.Bounds.Min.Y, info.Bounds.Max.X, info.Bounds.Max.Y},
+		}
+		if space == a.Space {
+			m.Shards[i].Cells = slices.Clone(info.Cells[:])
 		}
 	}
 	return m
@@ -103,10 +139,40 @@ func (m *Map) Validate() error {
 		if s.Venues > 0 && s.BoundsRect().IsEmpty() {
 			return fmt.Errorf("shard: shard %d holds %d venues but empty bounds", i, s.Venues)
 		}
+		if err := m.validateCells(i); err != nil {
+			return err
+		}
 		total += s.Venues
 	}
 	if total == 0 {
 		return fmt.Errorf("shard: map assigns no venues to any shard")
+	}
+	return nil
+}
+
+// validateCells checks shard i's stored cells, if any: Side rows,
+// marked iff the shard holds venues, and only where its bounds reach.
+func (m *Map) validateCells(i int) error {
+	s := m.Shards[i]
+	if s.Cells == nil {
+		return nil
+	}
+	if len(s.Cells) != grid.Side {
+		return fmt.Errorf("shard: shard %d has %d cell rows (want %d)", i, len(s.Cells), grid.Side)
+	}
+	cells := m.Cells(i)
+	switch {
+	case s.Venues > 0 && cells.Empty():
+		return fmt.Errorf("shard: shard %d holds %d venues but marks no cell", i, s.Venues)
+	case s.Venues == 0 && !cells.Empty():
+		return fmt.Errorf("shard: shard %d holds no venues but marks cells", i)
+	}
+	var reach grid.Bitmap
+	reach.Mark(m.Grid(), s.BoundsRect())
+	for y, row := range cells {
+		if extra := row &^ reach[y]; extra != 0 {
+			return fmt.Errorf("shard: shard %d marks cell (%d, %d) outside its bounds %v", i, bits.TrailingZeros64(extra), y, s.Bounds)
+		}
 	}
 	return nil
 }

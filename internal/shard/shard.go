@@ -10,7 +10,11 @@
 //
 // holds for any assignment of venues to shards — the router tier
 // (internal/router) needs no vertex translation and can OR-combine
-// shard answers with early exit on the first positive.
+// shard answers with early exit on the first positive. A shard with no
+// venue in R answers negatively, so the router need not ask it: each
+// shard's entry in the Map carries its venue bounds and a 64×64
+// occupancy bitmap over the network's space (grid.Uniform), and a
+// region that misses either is pruned.
 //
 // Two partitioners are provided:
 //
@@ -19,16 +23,16 @@
 //     GeoReach's SPA-Graph partitions the space with — and split into
 //     contiguous runs of equal venue count. Contiguous Z-order runs
 //     correspond to unions of quad-tree subtrees, so each shard covers
-//     a compact region and the router can prune shards whose bounds
-//     miss the query region entirely.
+//     a compact region and most query regions meet few shards' cells.
 //
 //   - Social: venues are grouped by their strongly-connected-component
 //     id in the condensation DAG (the DAGGER view of the graph) and the
 //     groups are balanced across shards largest-first. Venues that are
 //     socially entangled land on the same shard, which concentrates a
 //     query's positive evidence on few shards for community-local
-//     workloads; there is no spatial pruning, since component bounds
-//     overlap heavily.
+//     workloads. Component bounds overlap heavily, so its shards'
+//     bounds are about the whole space; their cells still prune a
+//     region that holds none of a shard's venues.
 package shard
 
 import (
@@ -86,6 +90,11 @@ type Info struct {
 	// A query region that does not intersect Bounds cannot be answered
 	// positively by this shard.
 	Bounds geom.Rect
+	// Cells marks every cell of the Assignment's grid (grid.Uniform over
+	// Space) that one of the shard's venue geometries meets. A query
+	// region that meets no marked cell cannot be answered positively by
+	// this shard either.
+	Cells grid.Bitmap
 }
 
 // Assignment is a complete venue partitioning of a network.
@@ -100,6 +109,9 @@ type Assignment struct {
 	ShardOf []int32
 	// Shards holds per-shard summaries, indexed by shard id.
 	Shards []Info
+	// Space is the bounding rectangle of the network's venues, the space
+	// the shards' Cells are gridded over.
+	Space geom.Rect
 }
 
 // zorderLevel is the hierarchy level venues are linearized at: 512
@@ -126,6 +138,7 @@ func Partition(net *dataset.Network, n int, strategy Strategy) (*Assignment, err
 		NumShards: n,
 		ShardOf:   make([]int32, net.NumVertices()),
 		Shards:    make([]Info, n),
+		Space:     net.Space(), // O(|V|): computed once
 	}
 	for i := range a.ShardOf {
 		a.ShardOf[i] = -1
@@ -141,10 +154,12 @@ func Partition(net *dataset.Network, n int, strategy Strategy) (*Assignment, err
 	default:
 		return nil, fmt.Errorf("shard: unknown strategy %v", strategy)
 	}
+	u := grid.NewUniform(a.Space)
 	for _, v := range venues {
-		s := a.ShardOf[v]
-		a.Shards[s].Venues++
-		a.Shards[s].Bounds = a.Shards[s].Bounds.Union(net.GeometryOf(int(v)))
+		s, g := &a.Shards[a.ShardOf[v]], net.GeometryOf(int(v))
+		s.Venues++
+		s.Bounds = s.Bounds.Union(g)
+		s.Cells.Mark(u, g)
 	}
 	return a, nil
 }
@@ -153,7 +168,7 @@ func Partition(net *dataset.Network, n int, strategy Strategy) (*Assignment, err
 // level-zorderLevel grid cell and cuts the sequence into n runs of
 // near-equal venue count (sizes differ by at most one).
 func partitionSpatial(net *dataset.Network, venues []int32, a *Assignment) {
-	h := grid.NewHierarchy(net.Space(), zorderLevel+1)
+	h := grid.NewHierarchy(a.Space, zorderLevel+1)
 	keys := make([]uint64, len(venues))
 	for i, v := range venues {
 		c := h.CellAt(net.Points[v], 0)

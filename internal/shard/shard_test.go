@@ -2,10 +2,12 @@ package shard
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 func testNetwork(t *testing.T) *dataset.Network {
@@ -46,6 +48,9 @@ func checkPartition(t *testing.T, net *dataset.Network, a *Assignment) {
 		counts[s]++
 		if !a.Shards[s].Bounds.ContainsRect(net.GeometryOf(v)) {
 			t.Fatalf("venue %d outside shard %d bounds %v", v, s, a.Shards[s].Bounds)
+		}
+		if !a.Shards[s].Cells.Meets(grid.NewUniform(a.Space), net.GeometryOf(v)) {
+			t.Fatalf("venue %d in no marked cell of shard %d", v, s)
 		}
 	}
 	total := 0
@@ -204,9 +209,23 @@ func TestMapRoundTrip(t *testing.T) {
 	if got.NumShards() != m.NumShards() || got.Vertices != m.Vertices || got.Strategy != m.Strategy {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, m)
 	}
+	if got.Space != m.Space {
+		t.Fatalf("space round trip mismatch: %v vs %v", got.Space, m.Space)
+	}
 	for i := range m.Shards {
-		if got.Shards[i] != m.Shards[i] {
+		if !reflect.DeepEqual(got.Shards[i], m.Shards[i]) {
 			t.Fatalf("shard %d round trip mismatch: %+v vs %+v", i, got.Shards[i], m.Shards[i])
+		}
+		if len(got.Shards[i].Cells) != grid.Side || got.Cells(i) != a.Shards[i].Cells {
+			t.Fatalf("shard %d cells did not round trip: %v", i, got.Shards[i].Cells)
+		}
+	}
+	// Over any space but the one the cells were gridded over, the map
+	// carries none.
+	other := a.Map(net.Name, net.NumVertices(), geom.NewRect(0, 0, 1, 1))
+	for i, s := range other.Shards {
+		if s.Cells != nil {
+			t.Fatalf("shard %d carries cells gridded over another space", i)
 		}
 	}
 }
@@ -217,6 +236,7 @@ func TestMapValidateRejects(t *testing.T) {
 			Version:  MapVersion,
 			Strategy: "spatial",
 			Vertices: 10,
+			Space:    [4]float64{0, 0, 2, 1},
 			Shards: []MapShard{
 				{ID: 0, Venues: 3, Bounds: [4]float64{0, 0, 1, 1}},
 				{ID: 1, Venues: 2, Bounds: [4]float64{1, 0, 2, 1}},
@@ -234,6 +254,18 @@ func TestMapValidateRejects(t *testing.T) {
 		{"no vertices", func(m *Map) { m.Vertices = 0 }},
 		{"venues with empty bounds", func(m *Map) { m.Shards[0].Bounds = [4]float64{1, 1, 0, 0} }},
 		{"no venues anywhere", func(m *Map) { m.Shards[0].Venues, m.Shards[1].Venues = 0, 0 }},
+		{"cells not 64 rows", func(m *Map) { m.Shards[0].Cells = cellsAt(0, 0)[:63] }},
+		{"venues but no marked cell", func(m *Map) { m.Shards[0].Cells = make([]uint64, grid.Side) }},
+		{"no venues but a marked cell", func(m *Map) { m.Shards[1].Venues, m.Shards[1].Cells = 0, cellsAt(40, 0) }},
+		{"marked cell outside bounds", func(m *Map) { m.Shards[0].Cells = cellsAt(63, 0) }},
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("base map rejected: %v", err)
+	}
+	withCells := base()
+	withCells.Shards[0].Cells, withCells.Shards[1].Cells = cellsAt(0, 0), cellsAt(63, 63)
+	if err := withCells.Validate(); err != nil {
+		t.Fatalf("map with cells inside its bounds rejected: %v", err)
 	}
 	for _, tc := range cases {
 		m := base()
@@ -242,4 +274,11 @@ func TestMapValidateRejects(t *testing.T) {
 			t.Errorf("%s: Validate accepted %+v", tc.name, m)
 		}
 	}
+}
+
+// cellsAt returns a stored bitmap marking the one cell (x, y).
+func cellsAt(x, y int) []uint64 {
+	c := make([]uint64, grid.Side)
+	c[y] = 1 << x
+	return c
 }
