@@ -10,8 +10,8 @@
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
 #                  + coverage floor + rrbench smoke (every -exp)
-#                  + live smokes: sharded serving, cluster trace, update
-#                  churn, rrtop -once
+#                  + live smokes: sharded serving, cluster breaker,
+#                  cluster trace, update churn, rrtop -once
 #   ./ci.sh -short skips the fuzzing, the race passes, coverage
 #                  and the live smokes
 set -euo pipefail
@@ -126,7 +126,8 @@ go -C benchmark test ./...
 # intervals.
 # ./internal/router's FuzzPruneKeepsHolders checks that the router never
 # prunes a shard holding a venue in the query region: random networks
-# with points and extents (a collinear space too), both partitioners,
+# with points and extents (a collinear space too), Spatial's shards and
+# round-robin shards whose venues interleave over the whole space,
 # 1-5 shards, regions that are points, on cell edges, past the space or
 # the whole of it, on the query and the batch path, and after venues are
 # added and moved outside the map's space through the update path.
@@ -310,6 +311,40 @@ if [[ "${1:-}" != "-short" ]]; then
     [[ -n "$dials" && "$dials" -le 4 ]] \
         || { echo "router dialed its backends ${dials:-?} times for 600 requests (bound 4)" >&2; exit 1; }
 
+    # The breaker, live: shard 0 dies while the router is up. A
+    # whole-space query needs it, so each is answered a 502, or a 200
+    # when live shard 1 answers positively, and never a 200 marked
+    # partial. Once shard 0 has failed 3 calls /healthz lists it down.
+    # (bash's /dev/tcp again: router_http prints the raw reply.)
+    echo "== cluster breaker smoke =="
+    router_http() {
+        local method=$1 path=$2 body=${3:-}
+        exec 3<>/dev/tcp/127.0.0.1/18740
+        printf '%s %s HTTP/1.0\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s' \
+            "$method" "$path" "${#body}" "$body" >&3
+        cat <&3
+        exec 3<&-
+    }
+    kill "$SHARD0_PID"
+    wait "$SHARD0_PID" 2>/dev/null || true
+    marked=""
+    for i in $(seq 30); do
+        reply=$(router_http POST /v1/query '{"vertex":0,"region":[-180,-90,180,90]}')
+        status=$(head -n1 <<<"$reply" | awk '{ print $2 }')
+        if [[ "$status" != 502 && ( "$status" != 200 || "$reply" == *'"partial"'* ) ]]; then
+            echo "whole-space query $i with shard 0 dead: $reply" >&2; exit 1
+        fi
+        errs=$(router_http GET /metrics | awk '$1 == "rr_router_shard_errors_total{shard=\"0\"}" { print $2 }')
+        if [[ "${errs:-0}" -ge 3 ]]; then
+            healthz=$(router_http GET /healthz)
+            [[ "$healthz" == *'"down":[0]'* ]] \
+                || { echo "shard 0 failed $errs calls, /healthz: $healthz" >&2; exit 1; }
+            marked=$i; break
+        fi
+    done
+    [[ -n "$marked" ]] || { echo "shard 0 failed ${errs:-?} calls in 30 whole-space queries, want 3" >&2; exit 1; }
+    echo "shard 0 marked down after $marked whole-space queries"
+
     # Distributed-trace smoke: one traced query through the live
     # cluster, stitched by the router and fetched back from
     # /v1/trace/{id}. A whole-space region touches every shard, so the
@@ -321,8 +356,8 @@ if [[ "${1:-}" != "-short" ]]; then
     # above keeps -log off: its dial bound was measured without
     # request logging.)
     echo "== cluster trace smoke =="
-    kill "$SHARD0_PID" "$ROUTER_PID"
-    wait "$SHARD0_PID" "$ROUTER_PID" 2>/dev/null || true
+    kill "$ROUTER_PID"
+    wait "$ROUTER_PID" 2>/dev/null || true
     "$SMOKE_DIR/rrserve" -net "$SMOKE_DIR/smoke.shard0.gsn" \
         -load-index "$SMOKE_DIR/smoke.shard0.gsn.idx" -mmap \
         -addr 127.0.0.1:18741 -shard 0 -log json 2> "$SMOKE_DIR/shard0.log" &

@@ -57,7 +57,6 @@ func main() {
 		indexO   = flag.String("index-o", "", "output file for the persisted index (default: <o>.idx; requires -o)")
 		buildJ   = flag.Int("j", 0, "worker bound for the -index build (0 = all CPUs, 1 = sequential; output is identical at any setting)")
 		shards   = flag.Int("shards", 0, "also partition into this many shard networks for rrrouter (requires -o)")
-		shardBy  = flag.String("shard-strategy", "spatial", "shard partitioner: spatial (z-order grid runs), social (SCC components)")
 	)
 	flag.Parse()
 
@@ -136,7 +135,7 @@ func main() {
 		}
 	}
 	if *shards > 0 {
-		if err := emitShards(net, *out, *shards, *shardBy, *indexM, *buildJ); err != nil {
+		if err := emitShards(net, *out, *shards, *indexM, *buildJ); err != nil {
 			fmt.Fprintf(os.Stderr, "rrgen: %v\n", err)
 			os.Exit(1)
 		}
@@ -149,12 +148,8 @@ func main() {
 // describing the topology for rrrouter. With -index, each shard also
 // gets a prebuilt <stem>.shard<i>.gsn.idx so the serving processes
 // skip their startup builds.
-func emitShards(net *dataset.Network, out string, n int, strategyName, indexM string, buildJ int) error {
-	strategy, err := shard.ParseStrategy(strategyName)
-	if err != nil {
-		return err
-	}
-	asn, err := shard.Partition(net, n, strategy)
+func emitShards(net *dataset.Network, out string, n int, indexM string, buildJ int) error {
+	asn, err := shard.Partition(net, n, shard.Spatial)
 	if err != nil {
 		return err
 	}
@@ -180,7 +175,7 @@ func emitShards(net *dataset.Network, out string, n int, strategyName, indexM st
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "rrgen: %d %s shards written to %s.shard*.gsn, map %s\n",
-		n, strategy, stem, mapPath)
+		n, asn.Strategy, stem, mapPath)
 	return nil
 }
 

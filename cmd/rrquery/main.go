@@ -314,9 +314,6 @@ func queryRemote(client *http.Client, target string, v int, r rangereach.Rect, d
 	if qr.Shards > 0 {
 		extra = fmt.Sprintf("  [%d shards]", qr.Shards)
 	}
-	if qr.Partial {
-		extra += "  [partial]"
-	}
 	fmt.Printf("RangeReach(%d, [%g,%g]x[%g,%g]) = %v  (%v)%s\n",
 		v, r.MinX, r.MaxX, r.MinY, r.MaxY, qr.Reachable, time.Since(start).Round(time.Microsecond), extra)
 	if !doTrace {

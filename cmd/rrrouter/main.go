@@ -5,7 +5,6 @@
 // Usage:
 //
 //	rrrouter -shardmap net.shardmap.json -backends http://127.0.0.1:18741,http://127.0.0.1:18742
-//	rrrouter -shardmap net.shardmap.json -backends ... -partial degrade
 //
 // Shard i is served by the i-th -backends entry, so a launch script
 // starts the rrserve holding net.shard<i>.gsn on the i-th address. A
@@ -14,16 +13,22 @@
 // /healthz before serving, so the router can be started concurrently
 // with the shards.
 //
+// A query whose answer needs a shard the router cannot reach, and that
+// no live shard answers positively, gets a 502: every 200 is exact. A
+// shard that fails 3 calls in a row is marked down and skipped for 2s,
+// then given one trial call (see /healthz's down list and
+// rr_router_shard_down).
+//
 // Endpoints:
 //
 //	POST /v1/query      same wire format as rrserve
-//	POST /v1/batch      same wire format as rrserve (plus "partial" flag)
+//	POST /v1/batch      same wire format as rrserve
 //	POST /v1/update     same wire format as rrserve; routed to the owning shard(s)
 //	GET  /v1/trace/{id} one stitched cluster trace (router + shard spans)
 //	GET  /v1/traces     recent retained traces, newest first
-//	GET  /v1/cluster    federated cluster view (per-shard health, p99, generations)
+//	GET  /v1/cluster    cluster view scraped from the shards (per-shard health, p99, generations)
 //	GET  /healthz       topology + per-shard down list
-//	GET  /metrics       Prometheus text format (per-shard labels + federated rr_cluster_*)
+//	GET  /metrics       Prometheus text format (rr_router_*, per-shard labels)
 //
 // A request carrying a W3C traceparent header is always traced: the
 // router propagates the trace id to every shard call, stitches the
@@ -47,22 +52,18 @@ import (
 
 func main() {
 	var (
-		mapPath   = flag.String("shardmap", "", "shard map JSON written by rrgen -shards (required)")
-		backends  = flag.String("backends", "", "comma-separated rrserve base URLs, the i-th serving shard i (required)")
-		addr      = flag.String("addr", ":8080", "listen address")
-		timeout   = flag.Duration("timeout", 2*time.Second, "per-shard request budget")
-		partial   = flag.String("partial", "fail", "partial-failure policy when a shard is unreachable: fail, degrade")
-		maxBody   = flag.Int64("max-body", 8<<20, "request body cap in bytes; oversized bodies get 413 (negative disables)")
-		maxBatch  = flag.Int("max-batch", 8192, "queries accepted per batch request")
-		downAfter = flag.Int("down-after", 3, "consecutive failures before a shard is marked down")
-		cooldown  = flag.Duration("down-cooldown", 2*time.Second, "how long a marked-down shard is skipped before a half-open trial")
-		logMode   = flag.String("log", "text", "request log format: text, json, off")
-		waitFor   = flag.Duration("wait-backends", 0, "poll backend /healthz for up to this long before serving (0 disables)")
+		mapPath  = flag.String("shardmap", "", "shard map JSON written by rrgen -shards (required)")
+		backends = flag.String("backends", "", "comma-separated rrserve base URLs, the i-th serving shard i (required)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		timeout  = flag.Duration("timeout", 2*time.Second, "per-shard request budget")
+		maxBody  = flag.Int64("max-body", 8<<20, "request body cap in bytes; oversized bodies get 413 (negative disables)")
+		maxBatch = flag.Int("max-batch", 8192, "queries accepted per batch request")
+		logMode  = flag.String("log", "text", "request log format: text, json, off")
+		waitFor  = flag.Duration("wait-backends", 0, "poll backend /healthz for up to this long before serving (0 disables)")
 
 		traceSample = flag.Int("trace-sample", 0, "ambient trace collection: keep all slow/error traces plus 1 in N healthy ones (0 = only client-forced traceparent requests)")
 		traceSlow   = flag.Duration("trace-slow", 100*time.Millisecond, "latency at which a collected trace is always retained")
 		traceRing   = flag.Int("trace-ring", 256, "retained traces served by /v1/trace/{id}")
-		federate    = flag.Duration("federate", 0, "scrape shard /metrics into rr_cluster_* on this interval (0 = on demand when /v1/cluster is hit)")
 	)
 	flag.Parse()
 
@@ -82,11 +83,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	policy, err := router.ParsePolicy(*partial)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
-		os.Exit(2)
-	}
 	logger, err := httpjson.NewLogger(*logMode, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)
@@ -97,16 +93,12 @@ func main() {
 		Map:          m,
 		Backends:     urls,
 		ShardTimeout: *timeout,
-		Policy:       policy,
 		MaxBatch:     *maxBatch,
 		MaxBodyBytes: *maxBody,
-		DownAfter:    *downAfter,
-		DownCooldown: *cooldown,
 		Logger:       logger,
 		TraceSample:  *traceSample,
 		TraceSlow:    *traceSlow,
 		TraceRing:    *traceRing,
-		Federate:     *federate,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrrouter: %v\n", err)

@@ -92,9 +92,8 @@ func main() {
 }
 
 // poll fetches one consistent-enough snapshot: three GETs back to
-// back. /v1/cluster triggers the router's on-demand federation scrape
-// when no -federate loop is running, so the shard rows are at most a
-// couple of seconds stale.
+// back. /v1/cluster scrapes the shards on demand when its snapshot is
+// older than two seconds, so the shard rows are at most that stale.
 func poll(client *http.Client, base string, nTraces int) (*snapshot, error) {
 	snap := &snapshot{At: time.Now()}
 	if err := httpjson.Fetch(client, base+"/healthz", &snap.Health); err != nil {

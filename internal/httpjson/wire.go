@@ -87,10 +87,8 @@ func (q ServerQueryReply) AppendJSON(b []byte) []byte {
 type RouterQueryReply struct {
 	Reachable bool  `json:"reachable"`
 	Micros    int64 `json:"micros"`
-	// Shards counts the shard calls made after pruning. Partial marks a
-	// degraded negative: an unreachable shard was taken as negative.
-	Shards  int  `json:"shards"`
-	Partial bool `json:"partial,omitempty"`
+	// Shards counts the shard calls made after pruning.
+	Shards int `json:"shards"`
 	// TraceID names the cluster trace the request collected.
 	TraceID string `json:"trace_id,omitempty"`
 }
@@ -104,9 +102,6 @@ func (q RouterQueryReply) AppendJSON(b []byte) []byte {
 	b = strconv.AppendInt(b, q.Micros, 10)
 	b = append(b, `,"shards":`...)
 	b = strconv.AppendInt(b, int64(q.Shards), 10)
-	if q.Partial {
-		b = append(b, `,"partial":true`...)
-	}
 	if q.TraceID != "" {
 		b = append(b, `,"trace_id":"`...)
 		b = append(b, q.TraceID...)
@@ -125,7 +120,6 @@ type RouterBatchReply struct {
 	Results []bool `json:"results"`
 	Micros  int64  `json:"micros"`
 	Shards  int    `json:"shards"`
-	Partial bool   `json:"partial,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -181,7 +175,7 @@ type ClusterShard struct {
 	ID      int    `json:"id"`
 	Backend string `json:"backend"`
 	Down    bool   `json:"down"` // the router's passive health breaker
-	// ScrapeError is the last federation failure; ScrapeAgeMillis is -1
+	// ScrapeError is the last scrape's failure; ScrapeAgeMillis is -1
 	// before the first scrape.
 	ScrapeError     string  `json:"scrape_error,omitempty"`
 	ScrapeAgeMillis int64   `json:"scrape_age_ms"`

@@ -152,7 +152,6 @@ type metric struct {
 	g    *Gauge
 	h    *Histogram
 	gf   func() float64
-	cf   func() int64
 }
 
 // A Registry holds named metrics and renders them. Registration is
@@ -197,13 +196,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(metric{name: name, help: help, typ: "gauge", gf: fn})
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — for monotonic counts maintained elsewhere. fn must be safe for
-// concurrent calls and must never decrease.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(metric{name: name, help: help, typ: "counter", cf: fn})
-}
-
 // Histogram registers and returns a histogram over the given bounds
 // (nil selects DefBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -246,8 +238,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.g.Value())
 		case m.gf != nil:
 			fmt.Fprintf(&b, "%s %s\n", m.name, strconv.FormatFloat(m.gf(), 'g', -1, 64))
-		case m.cf != nil:
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.cf())
 		case m.h != nil:
 			writeHistogram(&b, m.name, m.h)
 		}

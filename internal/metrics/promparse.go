@@ -1,9 +1,9 @@
 // Prometheus text-format parsing — the consumer side of the registry.
-// The router tier federates its shards' /metrics into one cluster view
-// (rr_cluster_* families) and rrtop turns scrapes into a dashboard;
-// both need to read back exactly the exposition WritePrometheus
-// renders, so the parser lives next to the writer and is tested as its
-// round-trip inverse.
+// The router tier digests its shards' /metrics into one cluster view
+// (GET /v1/cluster) and rrtop turns scrapes into a dashboard; both need
+// to read back exactly the exposition WritePrometheus renders, so the
+// parser lives next to the writer and is tested as its round-trip
+// inverse.
 package metrics
 
 import (

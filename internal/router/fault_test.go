@@ -2,16 +2,19 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/shard"
 )
 
@@ -131,43 +134,35 @@ func faultShapes() []faultShape {
 var endpoints = []string{"query", "batch"}
 
 // ask sends vertex 1 over region to the endpoint, "query" or "batch",
-// and returns the status plus, on a 200, the answer and its partial
-// flag.
-func ask(t *testing.T, h http.Handler, endpoint string, region [4]float64) (code int, reachable, partial bool) {
+// and returns the status plus, on a 200, the answer.
+func ask(t *testing.T, h http.Handler, endpoint string, region [4]float64) (code int, reachable bool) {
 	t.Helper()
 	if endpoint == "batch" {
 		rec, resp := postBatch(t, h, []queryRequest{{Vertex: 1, Region: region}})
 		if rec.Code != http.StatusOK {
-			return rec.Code, false, false
+			return rec.Code, false
 		}
-		return rec.Code, resp.Results[0], resp.Partial
+		return rec.Code, resp.Results[0]
 	}
 	rec, resp := postQuery(t, h, 1, region)
-	return rec.Code, resp.Reachable, resp.Partial
+	return rec.Code, resp.Reachable
 }
 
 // wantAnswer checks one outcome against the truth, which is positive:
-// the faulty shard holds the positive. A live positive is exact; without
-// one the answer is a 502 under PolicyFail and a flagged negative under
-// PolicyDegrade. A 200 negative without the flag would be wrong.
-func wantAnswer(t *testing.T, policy Policy, livePositive bool, code int, reachable, partial bool) {
+// the faulty shard holds the positive. A live positive is exact;
+// without one the answer is a 502. A 200 negative would be wrong.
+func wantAnswer(t *testing.T, livePositive bool, code int, reachable bool) {
 	t.Helper()
-	if code == http.StatusOK && !reachable && !partial {
-		t.Fatal("wrong 200: a negative not flagged partial, while the faulty shard holds a positive")
+	if code == http.StatusOK && !reachable {
+		t.Fatal("wrong 200: a negative, while the faulty shard holds a positive")
 	}
 	switch {
 	case livePositive:
-		if code != http.StatusOK || !reachable || partial {
-			t.Fatalf("got %d reachable=%v partial=%v, want an exact positive 200", code, reachable, partial)
+		if code != http.StatusOK {
+			t.Fatalf("got %d, want an exact positive 200", code)
 		}
-	case policy == PolicyFail:
-		if code != http.StatusBadGateway {
-			t.Fatalf("got %d reachable=%v, want 502", code, reachable)
-		}
-	default:
-		if code != http.StatusOK || reachable || !partial {
-			t.Fatalf("got %d reachable=%v partial=%v, want a partial negative 200", code, reachable, partial)
-		}
+	case code != http.StatusBadGateway:
+		t.Fatalf("got %d reachable=%v, want 502", code, reachable)
 	}
 }
 
@@ -176,21 +171,161 @@ func wantAnswer(t *testing.T, policy Policy, livePositive bool, code int, reacha
 func TestFaultBlackHole(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	for _, shape := range faultShapes() {
-		for _, policy := range []Policy{PolicyFail, PolicyDegrade} {
-			for _, ep := range endpoints {
-				t.Run(fmt.Sprintf("%s/%v/%s", shape.name, policy, ep), func(t *testing.T) {
-					rt, ft := faultCluster(t, shape.m, Config{Policy: policy, ShardTimeout: timeout},
-						answerEither(true), answerEither(false))
-					ft.set(rt.BackendFor(0), blackHole)
-					start := time.Now()
-					code, reachable, partial := ask(t, rt.Handler(), ep, shape.region)
-					if elapsed := time.Since(start); elapsed < timeout || elapsed > 20*timeout {
-						t.Errorf("answered after %v, want about the shard timeout %v", elapsed, timeout)
-					}
-					wantAnswer(t, policy, false, code, reachable, partial)
-				})
-			}
+		for _, ep := range endpoints {
+			t.Run(fmt.Sprintf("%s/fail/%s", shape.name, ep), func(t *testing.T) {
+				rt, ft := faultCluster(t, shape.m, Config{ShardTimeout: timeout},
+					answerEither(true), answerEither(false))
+				ft.set(rt.BackendFor(0), blackHole)
+				start := time.Now()
+				code, reachable := ask(t, rt.Handler(), ep, shape.region)
+				if elapsed := time.Since(start); elapsed < timeout || elapsed > 20*timeout {
+					t.Errorf("answered after %v, want about the shard timeout %v", elapsed, timeout)
+				}
+				wantAnswer(t, false, code, reachable)
+			})
 		}
+	}
+}
+
+// TestFaultBlackHoleRepeated is the breaker's first rule row: a
+// black-holed shard costs the first downAfter requests their
+// ShardTimeout each, and is then marked down. For the rest of the
+// cooldown (the injected clock never moves) it is sent no call, and a
+// request that needs it is answered at once. Without the breaker every
+// request would wait out the timeout, and the shard would be sent a
+// call per request.
+func TestFaultBlackHoleRepeated(t *testing.T) {
+	const (
+		timeout  = 100 * time.Millisecond
+		requests = 10
+		fast     = 50 * time.Millisecond
+	)
+	for _, shape := range faultShapes() {
+		for _, ep := range endpoints {
+			t.Run(shape.name+"/"+ep, func(t *testing.T) {
+				rt, ft := faultCluster(t, shape.m, Config{ShardTimeout: timeout},
+					answerEither(true), answerEither(false))
+				withClock(rt)
+				ft.set(rt.BackendFor(0), blackHole)
+				for i := 0; i < requests; i++ {
+					start := time.Now()
+					code, reachable := ask(t, rt.Handler(), ep, shape.region)
+					elapsed := time.Since(start)
+					wantAnswer(t, false, code, reachable)
+					if i >= downAfter && elapsed >= fast {
+						t.Fatalf("request %d took %v with shard 0 marked down, want under %v", i+1, elapsed, fast)
+					}
+				}
+				if got := ft.callsTo(rt.BackendFor(0)); got != downAfter {
+					t.Fatalf("the black-holed shard was sent %d calls for %d requests, want %d", got, requests, downAfter)
+				}
+			})
+		}
+	}
+}
+
+// TestFaultFlapping is the breaker's second rule row: a shard that
+// fails, keeps failing its trials, then recovers is walked through the
+// breaker on an injected clock. Each cooldown ends in exactly one
+// half-open probe, also when a second request arrives while the probe
+// is in flight; a failed probe re-arms the cooldown; a successful probe
+// closes the breaker, and the answers after it are exact.
+// rr_router_shard_down and /healthz's down list follow every step.
+func TestFaultFlapping(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	scatter := faultShapes()[1]
+	for _, ep := range endpoints {
+		t.Run(ep, func(t *testing.T) {
+			rt, ft := faultCluster(t, scatter.m, Config{ShardTimeout: timeout},
+				answerEither(true), answerEither(false))
+			clk := withClock(rt)
+			shard0 := rt.BackendFor(0)
+			calls := 0 // what shard 0 must have been sent so far
+			// step sends one request and checks its answer, the calls shard
+			// 0 has been sent and what an operator sees of its breaker.
+			step := func(what string, positive, down bool) {
+				t.Helper()
+				code, reachable := ask(t, rt.Handler(), ep, scatter.region)
+				wantAnswer(t, positive, code, reachable)
+				if got := ft.callsTo(shard0); got != calls {
+					t.Fatalf("%s: shard 0 was sent %d calls, want %d", what, got, calls)
+				}
+				wantDown(t, rt, what, down)
+			}
+
+			ft.set(shard0, resetAfterWrite)
+			for i := 1; i <= downAfter; i++ {
+				calls++
+				step(fmt.Sprintf("failure %d", i), false, i == downAfter)
+			}
+			for probe := 1; probe <= 2; probe++ {
+				clk.advance(cooldown - time.Millisecond)
+				step(fmt.Sprintf("inside cooldown %d", probe), false, true)
+				clk.advance(time.Millisecond)
+				calls++
+				step(fmt.Sprintf("failed probe %d", probe), false, true)
+				step(fmt.Sprintf("after failed probe %d", probe), false, true)
+			}
+
+			// A probe in flight holds the shard's one trial: a request that
+			// arrives meanwhile is not sent to it.
+			clk.advance(cooldown)
+			ft.set(shard0, blackHole)
+			calls++
+			path, body := "/v1/query", `{"vertex":1,"region":[0,0,10,10]}`
+			if ep == "batch" {
+				path, body = "/v1/batch", `{"queries":[`+body+`]}`
+			}
+			done := make(chan int)
+			go func() {
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				done <- rec.Code
+			}()
+			<-ft.entered
+			step("beside the probe in flight", false, true)
+			if code := <-done; code != http.StatusBadGateway {
+				t.Fatalf("black-holed probe: got %d, want 502", code)
+			}
+			wantDown(t, rt, "after the black-holed probe", true)
+
+			clk.advance(cooldown)
+			ft.set(shard0, healthy)
+			calls++
+			step("successful probe", true, false)
+			for i := 1; i <= 3; i++ {
+				calls++
+				step(fmt.Sprintf("closed, request %d", i), true, false)
+			}
+		})
+	}
+}
+
+// wantDown checks shard 0's breaker as an operator sees it: the
+// rr_router_shard_down gauge and /healthz's down list.
+func wantDown(t *testing.T, rt *Router, what string, down bool) {
+	t.Helper()
+	var mb strings.Builder
+	if err := rt.Metrics().WritePrometheus(&mb); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseProm(strings.NewReader(mb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge, _ := metrics.Value(samples, "rr_router_shard_down", map[string]string{"shard": "0"})
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var hz healthzResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
+		t.Fatalf("%s: /healthz %q: %v", what, rec.Body, err)
+	}
+	var wantList []int
+	if down {
+		wantList = []int{0}
+	}
+	if (gauge == 1) != down || !slices.Equal(hz.Down, wantList) {
+		t.Fatalf("%s: rr_router_shard_down{shard=0} %v, /healthz down %v; want down=%v", what, gauge, hz.Down, down)
 	}
 }
 
@@ -223,20 +358,18 @@ func TestFaultBlackHoleCancel(t *testing.T) {
 
 // TestFaultResetMidScatter: a shard that takes the request and drops
 // the connection before replying fails its call; the answer is exact
-// when the live shard is positive and never a bare negative otherwise.
+// when the live shard is positive and a 502 otherwise.
 func TestFaultResetMidScatter(t *testing.T) {
 	scatter := faultShapes()[1]
 	for _, live := range []bool{false, true} {
-		for _, policy := range []Policy{PolicyFail, PolicyDegrade} {
-			for _, ep := range endpoints {
-				t.Run(fmt.Sprintf("live-%v/%v/%s", live, policy, ep), func(t *testing.T) {
-					rt, ft := faultCluster(t, scatter.m, Config{Policy: policy},
-						answerEither(true), answerEither(live))
-					ft.set(rt.BackendFor(0), resetAfterWrite)
-					code, reachable, partial := ask(t, rt.Handler(), ep, scatter.region)
-					wantAnswer(t, policy, live, code, reachable, partial)
-				})
-			}
+		for _, ep := range endpoints {
+			t.Run(fmt.Sprintf("live-%v/fail/%s", live, ep), func(t *testing.T) {
+				rt, ft := faultCluster(t, scatter.m, Config{},
+					answerEither(true), answerEither(live))
+				ft.set(rt.BackendFor(0), resetAfterWrite)
+				code, reachable := ask(t, rt.Handler(), ep, scatter.region)
+				wantAnswer(t, live, code, reachable)
+			})
 		}
 	}
 }
@@ -252,9 +385,9 @@ func TestFaultSlowShard(t *testing.T) {
 				rt, ft := faultCluster(t, scatter.m, Config{}, answerEither(slowAnswer), answerEither(false))
 				ft.set(rt.BackendFor(0), slowed)
 				for i := 0; i < requests; i++ {
-					code, reachable, partial := ask(t, rt.Handler(), ep, scatter.region)
-					if code != http.StatusOK || reachable != slowAnswer || partial {
-						t.Fatalf("request %d: got %d reachable=%v partial=%v, want an exact 200 %v", i, code, reachable, partial, slowAnswer)
+					code, reachable := ask(t, rt.Handler(), ep, scatter.region)
+					if code != http.StatusOK || reachable != slowAnswer {
+						t.Fatalf("request %d: got %d reachable=%v, want an exact 200 %v", i, code, reachable, slowAnswer)
 					}
 				}
 				if got := ft.callsTo(rt.BackendFor(0)); got != requests {
@@ -279,14 +412,14 @@ func TestFaultRestartStaleConnection(t *testing.T) {
 				t.Cleanup(ts.Close)
 				urls[i] = ts.URL
 			}
-			rt, err := New(Config{Map: testMap(wholeSpace, wholeSpace), Backends: urls, Policy: PolicyFail})
+			rt, err := New(Config{Map: testMap(wholeSpace, wholeSpace), Backends: urls})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(rt.Close)
 			for i := 0; i < rounds; i++ {
-				if code, reachable, partial := ask(t, rt.Handler(), ep, wholeSpace); code != http.StatusOK || reachable || partial {
-					t.Fatalf("round %d: got %d reachable=%v partial=%v, want an exact negative 200", i, code, reachable, partial)
+				if code, reachable := ask(t, rt.Handler(), ep, wholeSpace); code != http.StatusOK || reachable {
+					t.Fatalf("round %d: got %d reachable=%v, want an exact negative 200", i, code, reachable)
 				}
 				for _, ts := range servers {
 					ts.CloseClientConnections()

@@ -1,17 +1,14 @@
 package router
 
-// Metrics federation: the router scrapes its shards' /metrics
-// expositions and aggregates them into rr_cluster_* families on its
-// own registry, so one scrape of the router answers cluster-wide
-// questions — per-shard p99 (merged from the shards' cumulative
-// histogram buckets), scrape staleness, health — without a separate
-// metrics pipeline. The same federated snapshot backs GET /v1/cluster,
-// the JSON view rrtop polls.
+// Cluster view: GET /v1/cluster scrapes every shard's /metrics
+// exposition and digests it into one JSON view — per shard its queries,
+// in-flight requests, cache hit ratio, p50 and p99, snapshot generation
+// and scrape age or error, plus a cluster p99 merged bucket-for-bucket
+// from the shards' cumulative histograms. rrtop polls it.
 //
-// The rr_cluster_* gauge funcs only read the cached snapshot; network
-// scraping never runs inside a registry render. Freshness comes from
-// the background loop (Config.Federate > 0) or on demand when
-// /v1/cluster finds the snapshot stale.
+// The scrape runs on demand: a snapshot younger than onDemandMaxAge is
+// served as it is, an older one is refreshed first, and concurrent hits
+// share one scrape cycle. Nothing scrapes while nobody asks.
 
 import (
 	"context"
@@ -25,11 +22,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// onDemandMaxAge is the staleness /v1/cluster tolerates before
-// triggering a synchronous scrape when no background loop runs.
+// onDemandMaxAge is the staleness /v1/cluster tolerates before it
+// scrapes the shards again.
 const onDemandMaxAge = 2 * time.Second
 
-// scrapeTimeout bounds one federation cycle's shard scrapes.
+// scrapeTimeout bounds one scrape cycle's shard scrapes.
 const scrapeTimeout = 2 * time.Second
 
 // shardScrape is one shard's digested /metrics exposition.
@@ -49,7 +46,7 @@ type shardScrape struct {
 	Buckets metrics.Buckets
 }
 
-// federator holds the latest federated snapshot. The scrape path is
+// federator holds the latest scraped snapshot. The scrape path is
 // serialized by scrapeMu so concurrent /v1/cluster hits share one
 // cycle; readers take mu only.
 type federator struct {
@@ -61,13 +58,6 @@ type federator struct {
 
 func newFederator(n int) *federator {
 	return &federator{stats: make([]shardScrape, n)}
-}
-
-// get returns shard sid's latest digest.
-func (f *federator) get(sid int) shardScrape {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats[sid]
 }
 
 // snapshot copies all digests.
@@ -96,25 +86,9 @@ func (f *federator) age() time.Duration {
 	return oldest
 }
 
-// federateLoop runs background scrape cycles until Close.
-func (rt *Router) federateLoop() {
-	defer close(rt.fedDone)
-	t := time.NewTicker(rt.cfg.Federate)
-	defer t.Stop()
-	rt.federateOnce()
-	for {
-		select {
-		case <-t.C:
-			rt.federateOnce()
-		case <-rt.fedStop:
-			return
-		}
-	}
-}
-
-// ensureFederated refreshes the snapshot if it is older than maxAge
-// (or was never taken). Concurrent callers share one scrape cycle.
-func (rt *Router) ensureFederated(maxAge time.Duration) {
+// ensureFresh refreshes the snapshot if it is older than maxAge (or was
+// never taken). Concurrent callers share one scrape cycle.
+func (rt *Router) ensureFresh(maxAge time.Duration) {
 	if a := rt.fed.age(); a >= 0 && a <= maxAge {
 		return
 	}
@@ -129,7 +103,7 @@ func (rt *Router) ensureFederated(maxAge time.Duration) {
 // federateOnce scrapes every shard's backend once and digests the
 // expositions into per-shard stats. Failures are recorded per shard
 // and leave the shard's previous numbers replaced with zeros — the
-// staleness and health gauges, not stale values, tell the story.
+// row's scrape error, not stale values, tells the story.
 func (rt *Router) federateOnce() {
 	samples := make([][]metrics.Sample, len(rt.cfg.Backends))
 	errs := make([]error, len(rt.cfg.Backends))
@@ -195,89 +169,10 @@ func digestShard(samples []metrics.Sample, now time.Time) shardScrape {
 	return s
 }
 
-// registerClusterMetrics publishes the federated rr_cluster_* families
-// on the router registry. All funcs read the cached snapshot only.
-func (rt *Router) registerClusterMetrics() {
-	for i := range rt.cfg.Backends {
-		i := i
-		rt.reg.GaugeFunc(
-			fmt.Sprintf(`rr_cluster_shard_p50_seconds{shard="%d"}`, i),
-			"Median shard query latency from the last federated scrape.",
-			func() float64 { return rt.fed.get(i).P50 })
-		rt.reg.GaugeFunc(
-			fmt.Sprintf(`rr_cluster_shard_p99_seconds{shard="%d"}`, i),
-			"99th-percentile shard query latency from the last federated scrape.",
-			func() float64 { return rt.fed.get(i).P99 })
-		rt.reg.CounterFunc(
-			fmt.Sprintf(`rr_cluster_shard_queries_total{shard="%d"}`, i),
-			"Shard-reported queries evaluated, from the last federated scrape.",
-			func() int64 { return int64(rt.fed.get(i).Queries) })
-		rt.reg.GaugeFunc(
-			fmt.Sprintf(`rr_cluster_shard_cache_hit_ratio{shard="%d"}`, i),
-			"Shard result-cache hit ratio from the last federated scrape; -1 without a cache.",
-			func() float64 { return rt.fed.get(i).CacheHitRatio })
-		rt.reg.GaugeFunc(
-			fmt.Sprintf(`rr_cluster_shard_generation{shard="%d"}`, i),
-			"Shard-reported dynamic snapshot generation from the last federated scrape; 0 for static shards.",
-			func() float64 { return rt.fed.get(i).Gen })
-		rt.reg.GaugeFunc(
-			fmt.Sprintf(`rr_cluster_shard_staleness_seconds{shard="%d"}`, i),
-			"Age of the shard's last federated scrape; -1 before the first one.",
-			func() float64 {
-				when := rt.fed.get(i).When
-				if when.IsZero() {
-					return -1
-				}
-				return time.Since(when).Seconds()
-			})
-		rt.reg.GaugeFunc(
-			fmt.Sprintf(`rr_cluster_shard_health{shard="%d"}`, i),
-			"1 when the shard scrapes cleanly and is not marked down, 0 otherwise.",
-			func() float64 {
-				s := rt.fed.get(i)
-				if s.When.IsZero() || s.Err != "" || rt.health[i].isDown() {
-					return 0
-				}
-				return 1
-			})
-	}
-	rt.reg.GaugeFunc(
-		"rr_cluster_max_generation",
-		"Highest dynamic snapshot generation across all shards in the last federated scrape.",
-		func() float64 {
-			var g float64
-			for _, s := range rt.fed.snapshot() {
-				if s.Gen > g {
-					g = s.Gen
-				}
-			}
-			return g
-		})
-	rt.reg.GaugeFunc(
-		"rr_cluster_query_p99_seconds",
-		"99th-percentile shard query latency across the whole cluster, merged bucket-for-bucket from every shard's histogram.",
-		func() float64 {
-			merged := make(metrics.Buckets)
-			for _, s := range rt.fed.snapshot() {
-				for bound, cum := range s.Buckets {
-					merged[bound] += cum
-				}
-			}
-			if merged.Count() == 0 {
-				return 0
-			}
-			return merged.Quantile(0.99)
-		})
-}
-
 // ---- /v1/cluster ----
 
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
-	maxAge := rt.cfg.Federate
-	if maxAge <= 0 {
-		maxAge = onDemandMaxAge
-	}
-	rt.ensureFederated(maxAge)
+	rt.ensureFresh(onDemandMaxAge)
 
 	stats := rt.fed.snapshot()
 	resp := httpjson.ClusterReply{Shards: make([]httpjson.ClusterShard, len(stats))}

@@ -5,12 +5,20 @@ import (
 	"time"
 )
 
+// downAfter consecutive failed calls mark a shard down.
+const downAfter = 3
+
+// cooldown is how long a marked-down shard is skipped before a
+// half-open trial.
+const cooldown = 2 * time.Second
+
 // health tracks one shard's availability from the router's own traffic
-// (passive health checking): DownAfter consecutive failures mark the
-// shard down for Cooldown. While down, calls are not attempted — the
-// partial-failure policy decides what the caller sees instead. After
-// the cooldown one trial request is let through (half-open); its
-// outcome either closes the breaker or re-arms the cooldown.
+// (passive health checking): downAfter consecutive failures mark the
+// shard down for cooldown. While down, calls are not attempted, so a
+// request that needs the shard fails at once instead of waiting out
+// its ShardTimeout. After the cooldown one trial request is let through
+// (half-open); its outcome either closes the breaker or re-arms the
+// cooldown.
 type health struct {
 	mu        sync.Mutex
 	fails     int       // guarded by mu — consecutive failures
@@ -18,22 +26,14 @@ type health struct {
 	probing   bool      // guarded by mu — a half-open trial is in flight
 	down      bool      // guarded by mu — currently marked down (for the gauge)
 
-	downAfter int
-	cooldown  time.Duration
-	now       func() time.Time // injectable clock for tests
+	now func() time.Time // injectable clock for tests
 }
 
-func newHealth(downAfter int, cooldown time.Duration, now func() time.Time) *health {
-	if downAfter <= 0 {
-		downAfter = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
+func newHealth(now func() time.Time) *health {
 	if now == nil {
 		now = time.Now
 	}
-	return &health{downAfter: downAfter, cooldown: cooldown, now: now}
+	return &health{now: now}
 }
 
 // allow reports whether a request to the shard may proceed. A shard in
@@ -66,9 +66,9 @@ func (h *health) report(ok bool) {
 		return
 	}
 	h.fails++
-	if h.fails >= h.downAfter {
+	if h.fails >= downAfter {
 		h.down = true
-		h.downUntil = h.now().Add(h.cooldown)
+		h.downUntil = h.now().Add(cooldown)
 	}
 }
 

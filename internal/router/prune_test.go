@@ -57,6 +57,40 @@ func pruneNet(rng *rand.Rand, collinear bool) *dataset.Network {
 	return net
 }
 
+// roundRobin deals net's venues to n shards in id order, the k-th venue
+// to shard k mod n, and summarizes the shards as Partition does: bounds
+// as the union of their venues' geometries, cells marked over the
+// network's space. Its shards interleave over the whole space, which
+// Spatial's compact runs never do.
+func roundRobin(net *dataset.Network, n int) *shard.Assignment {
+	a := &shard.Assignment{
+		Strategy:  shard.Spatial, // the only name a map may carry
+		NumShards: n,
+		ShardOf:   make([]int32, net.NumVertices()),
+		Shards:    make([]shard.Info, n),
+		Space:     net.Space(),
+	}
+	for i := range a.Shards {
+		a.Shards[i] = shard.Info{ID: i, Bounds: geom.EmptyRect()}
+	}
+	u := grid.NewUniform(a.Space)
+	k := 0
+	for v := range a.ShardOf {
+		a.ShardOf[v] = -1
+		if !net.Spatial[v] {
+			continue
+		}
+		sid, g := k%n, net.GeometryOf(v)
+		a.ShardOf[v] = int32(sid)
+		s := &a.Shards[sid]
+		s.Venues++
+		s.Bounds = s.Bounds.Union(g)
+		s.Cells.Mark(u, g)
+		k++
+	}
+	return a
+}
+
 // venueSet is the brute-force truth: every venue's owning shard and
 // current geometry.
 type venueSet struct {
@@ -217,24 +251,26 @@ func applyUpdate(t *testing.T, rt *Router, vs *venueSet, u httpjson.UpdateReques
 
 // FuzzPruneKeepsHolders: the router never prunes a shard that holds a
 // venue in the query region — on random networks with points and
-// extents (a collinear space too), under both partitioners and one to
-// five shards, on the query and the batch path, and after venues are
-// added and moved, outside the map's space too, through the router's
-// update path.
+// extents (a collinear space too), over Spatial's shards and over
+// round-robin shards whose venues interleave, one to five shards, on
+// the query and the batch path, and after venues are added and moved,
+// outside the map's space too, through the router's update path.
 func FuzzPruneKeepsHolders(f *testing.F) {
 	for seed := int64(1); seed <= 10; seed++ {
 		f.Add(seed, uint8(seed), seed%2 == 0, seed%3 == 0)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shards uint8, social, collinear bool) {
+	f.Fuzz(func(t *testing.T, seed int64, shards uint8, interleave, collinear bool) {
 		rng := rand.New(rand.NewSource(seed))
 		net := pruneNet(rng, collinear)
-		strategy := shard.Spatial
-		if social {
-			strategy = shard.Social
-		}
-		a, err := shard.Partition(net, 1+int(shards)%5, strategy)
-		if err != nil {
-			t.Fatal(err)
+		n := 1 + int(shards)%5
+		var a *shard.Assignment
+		if interleave {
+			a = roundRobin(net, n)
+		} else {
+			var err error
+			if a, err = shard.Partition(net, n, shard.Spatial); err != nil {
+				t.Fatal(err)
+			}
 		}
 		m := a.Map(net.Name, net.NumVertices(), net.Space())
 		stubs := newStubShards(m, a)

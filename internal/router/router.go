@@ -23,13 +23,13 @@
 //   - Pass-through: a query whose region only one shard can hold a
 //     venue in is that shard's to answer; the router calls it on the
 //     handler's goroutine with the bytes it received.
-//   - Partial failure: a positive from any live shard is exact even if
-//     other shards are down. Only all-negative answers depend on every
-//     shard; the Policy decides whether those fail (PolicyFail) or
-//     degrade to a flagged, possibly-false negative (PolicyDegrade).
+//   - Failed shards: a positive from any live shard is exact even if
+//     other shards are down. Only a negative depends on every shard it
+//     asked, so a negative with a failed shard behind it is answered
+//     502, never 200: every 200 the router sends is exact.
 //   - Hang-ups: a client that goes away while its shards are asked is
-//     answered 499 (httpjson.CancelStatus) under either policy; the
-//     calls it cancels are not shard failures.
+//     answered 499 (httpjson.CancelStatus); the calls it cancels are not
+//     shard failures.
 //
 // The router speaks the httpjson wire types: Router* replies to its
 // clients, and the Server* types to decode its shards. Its query, batch
@@ -73,43 +73,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Policy selects what an all-negative answer with failed shards
-// becomes.
-type Policy int
-
-const (
-	// PolicyFail answers 502 when a needed shard cannot be reached and
-	// no live shard answered positively. Never returns a wrong answer.
-	PolicyFail Policy = iota
-	// PolicyDegrade treats unreachable shards as negative and flags the
-	// response partial — availability over completeness.
-	PolicyDegrade
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case PolicyFail:
-		return "fail"
-	case PolicyDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves the textual policy names used by flags.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "fail":
-		return PolicyFail, nil
-	case "degrade":
-		return PolicyDegrade, nil
-	default:
-		return 0, fmt.Errorf("router: unknown partial-failure policy %q (want fail or degrade)", name)
-	}
-}
-
 // Config assembles a Router.
 type Config struct {
 	// Map is the cluster topology (required).
@@ -119,20 +82,12 @@ type Config struct {
 	Backends []string
 	// ShardTimeout bounds each shard call (default 2s).
 	ShardTimeout time.Duration
-	// Policy is the partial-failure policy (default PolicyFail).
-	Policy Policy
 	// MaxBatch caps the queries accepted per batch request (default
 	// 8192).
 	MaxBatch int
 	// MaxBodyBytes caps request bodies; oversized bodies get 413
 	// (default 8 MiB, negative disables).
 	MaxBodyBytes int64
-	// DownAfter marks a shard down after this many consecutive
-	// failures (default 3).
-	DownAfter int
-	// DownCooldown is how long a marked-down shard is skipped before a
-	// half-open trial (default 2s).
-	DownCooldown time.Duration
 	// Logger receives one structured record per request. Nil disables.
 	Logger *slog.Logger
 	// TraceSample enables ambient trace collection: every request
@@ -147,10 +102,6 @@ type Config struct {
 	// TraceRing caps the retained-trace ring served by /v1/trace/{id}
 	// (default 256).
 	TraceRing int
-	// Federate is the background interval for scraping shard /metrics
-	// into the rr_cluster_* families. Zero scrapes on demand when
-	// /v1/cluster is hit with a stale view.
-	Federate time.Duration
 	// Transport overrides the outbound HTTP transport (tests); nil
 	// selects a pooled transport with per-backend connection reuse.
 	Transport http.RoundTripper
@@ -196,9 +147,7 @@ type Router struct {
 	ring        *trace.Ring
 	sampler     *trace.Sampler
 
-	fed     *federator
-	fedStop chan struct{}
-	fedDone chan struct{}
+	fed *federator
 
 	front *httpjson.Front
 }
@@ -250,7 +199,7 @@ func New(cfg Config) (*Router, error) {
 	view := &placement{bounds: make([]geom.Rect, n), cells: make([]grid.Bitmap, n)}
 	for i, s := range cfg.Map.Shards {
 		view.bounds[i], view.cells[i] = s.BoundsRect(), cfg.Map.Cells(i)
-		rt.health[i] = newHealth(cfg.DownAfter, cfg.DownCooldown, nil)
+		rt.health[i] = newHealth(nil)
 	}
 	rt.view.Store(view)
 	transport := cfg.Transport
@@ -309,7 +258,6 @@ func New(cfg Config) (*Router, error) {
 	rt.mTraces = rt.reg.Counter("rr_router_traces_total", "Requests that collected a cluster trace.")
 	rt.mTracesKept = rt.reg.Counter("rr_router_traces_kept_total", "Cluster traces retained by tail sampling.")
 	rt.fed = newFederator(n)
-	rt.registerClusterMetrics()
 
 	rt.front = &httpjson.Front{
 		Inflight: rt.mInflight, Latency: rt.mLatency, Errors: rt.mReqErrs,
@@ -324,12 +272,6 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.Handle("GET /metrics", rt.reg)
-
-	if cfg.Federate > 0 {
-		rt.fedStop = make(chan struct{})
-		rt.fedDone = make(chan struct{})
-		go rt.federateLoop()
-	}
 	return rt, nil
 }
 
@@ -343,18 +285,12 @@ func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 // Config.Backends[id].
 func (rt *Router) BackendFor(id int) string { return rt.cfg.Backends[id] }
 
-// Close stops the federation loop, waits for the shard calls the router
-// still has in flight and releases idle backend connections. Call it
-// after the HTTP server in front of Handler has drained: the calls left
-// then are early-exit stragglers, each bounded by its grace and by
-// ShardTimeout. When Close returns the router is talking to no shard,
+// Close waits for the shard calls the router still has in flight and
+// releases idle backend connections. Call it after the HTTP server in
+// front of Handler has drained: the calls left then are early-exit
+// stragglers, each bounded by its grace and by ShardTimeout. When Close returns the router is talking to no shard,
 // so a shard whose handler has answered every call it received is idle.
 func (rt *Router) Close() {
-	if rt.fedStop != nil {
-		close(rt.fedStop)
-		<-rt.fedDone
-		rt.fedStop = nil
-	}
 	rt.calls.Wait()
 	if t, ok := rt.client.Transport.(*http.Transport); ok {
 		t.CloseIdleConnections()
@@ -588,10 +524,9 @@ func (rt *Router) batchShard(ctx context.Context, sid int, req *httpjson.BatchRe
 }
 
 // hungUp answers a request whose client went away while its shards
-// were being asked, under either policy: the calls that ended with the
-// client are canceled, not failed, so the shards are not blamed with a
-// 502 and no answer is degraded. A scatter an early positive settled is
-// exact, and is answered as one.
+// were being asked: the calls that ended with the client are canceled,
+// not failed, so the shards are not blamed with a 502. A scatter an
+// early positive settled is exact, and is answered as one.
 func (rt *Router) hungUp(w http.ResponseWriter, r *http.Request, early bool, what string) bool {
 	err := r.Context().Err()
 	if err == nil || early {
@@ -666,13 +601,12 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if rt.hungUp(w, r, early, "query") {
 		return
 	}
-	if !reachable && len(failed) > 0 && rt.cfg.Policy == PolicyFail {
+	if !reachable && len(failed) > 0 {
 		rt.front.WriteError(w, http.StatusBadGateway, "shards %v unavailable and no live shard answered positively", failed)
 		return
 	}
 	writeQueryReply(w, sc, httpjson.RouterQueryReply{
 		Reachable: reachable, Shards: len(shards),
-		Partial: !reachable && len(failed) > 0,
 		Micros:  time.Since(start).Microseconds(),
 		TraceID: tb.traceID(),
 	})
@@ -748,12 +682,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	if ambiguous && rt.cfg.Policy == PolicyFail {
+	if ambiguous {
 		rt.front.WriteError(w, http.StatusBadGateway, "shards %v unavailable and some of their queries have no positive from a live shard", failed)
 		return
 	}
 	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterBatchReply{
-		Results: results, Shards: active, Partial: ambiguous,
+		Results: results, Shards: active,
 		Micros:  time.Since(start).Microseconds(),
 		TraceID: tb.traceID(),
 	})

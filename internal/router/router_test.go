@@ -189,29 +189,22 @@ func TestQueryAllNegativeWaitsForAllShards(t *testing.T) {
 	if got := completed.Load(); got != 3 {
 		t.Fatalf("router answered after %d of 3 shards", got)
 	}
-	if resp.Partial {
-		t.Fatal("clean all-negative flagged partial")
-	}
 }
 
+// TestQueryShardDownPolicies: with one shard failing, a live positive
+// is exact and answered 200; a live negative cannot settle the query,
+// so it is a 502, never a 200 negative.
 func TestQueryShardDownPolicies(t *testing.T) {
 	for _, tc := range []struct {
-		policy     Policy
 		liveAnswer bool
 		wantCode   int
-		wantReach  bool
-		wantPart   bool
 	}{
-		// A live positive is exact no matter what failed.
-		{PolicyFail, true, http.StatusOK, true, false},
-		{PolicyDegrade, true, http.StatusOK, true, false},
-		// All-negative with a dead shard: fail vs degrade.
-		{PolicyFail, false, http.StatusBadGateway, false, false},
-		{PolicyDegrade, false, http.StatusOK, false, true},
+		{true, http.StatusOK},
+		{false, http.StatusBadGateway},
 	} {
-		t.Run(fmt.Sprintf("%v-live-%v", tc.policy, tc.liveAnswer), func(t *testing.T) {
+		t.Run(fmt.Sprintf("fail-live-%v", tc.liveAnswer), func(t *testing.T) {
 			m := testMap(wholeSpace, wholeSpace)
-			rt, install := testCluster(t, m, Config{Policy: tc.policy})
+			rt, install := testCluster(t, m, Config{})
 			install(0, answer(tc.liveAnswer))
 			install(1, func(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, "boom", http.StatusInternalServerError)
@@ -220,8 +213,8 @@ func TestQueryShardDownPolicies(t *testing.T) {
 			if rec.Code != tc.wantCode {
 				t.Fatalf("got %d %q, want %d", rec.Code, rec.Body.String(), tc.wantCode)
 			}
-			if rec.Code == http.StatusOK && (resp.Reachable != tc.wantReach || resp.Partial != tc.wantPart) {
-				t.Fatalf("got reachable=%v partial=%v, want %v/%v", resp.Reachable, resp.Partial, tc.wantReach, tc.wantPart)
+			if rec.Code == http.StatusOK && !resp.Reachable {
+				t.Fatal("a 200 negative while a shard failed")
 			}
 		})
 	}
@@ -304,21 +297,12 @@ func TestBatchShardDownPolicies(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace)
 	queries := []queryRequest{{Vertex: 1, Region: wholeSpace}}
 	t.Run("fail", func(t *testing.T) {
-		rt, install := testCluster(t, m, Config{Policy: PolicyFail})
+		rt, install := testCluster(t, m, Config{})
 		install(0, answerBatch(false))
 		install(1, http.NotFound)
 		rec, _ := postBatch(t, rt.Handler(), queries)
 		if rec.Code != http.StatusBadGateway {
 			t.Fatalf("got %d %q, want 502", rec.Code, rec.Body.String())
-		}
-	})
-	t.Run("degrade", func(t *testing.T) {
-		rt, install := testCluster(t, m, Config{Policy: PolicyDegrade})
-		install(0, answerBatch(false))
-		install(1, http.NotFound)
-		rec, resp := postBatch(t, rt.Handler(), queries)
-		if rec.Code != http.StatusOK || !resp.Partial {
-			t.Fatalf("got %d partial=%v, want 200 partial", rec.Code, resp.Partial)
 		}
 	})
 }
@@ -341,11 +325,8 @@ func answerBatch(result bool) http.HandlerFunc {
 
 func TestHealthMarkdownAndRecovery(t *testing.T) {
 	m := testMap(wholeSpace)
-	rt, install := testCluster(t, m, Config{
-		Policy:       PolicyFail,
-		DownAfter:    2,
-		DownCooldown: 60 * time.Millisecond,
-	})
+	rt, install := testCluster(t, m, Config{})
+	clk := withClock(rt)
 	var calls atomic.Int32
 	var healthy atomic.Bool
 	install(0, func(w http.ResponseWriter, r *http.Request) {
@@ -356,14 +337,14 @@ func TestHealthMarkdownAndRecovery(t *testing.T) {
 		}
 		answer(true)(w, r)
 	})
-	// Two failures cross DownAfter.
-	for i := 0; i < 2; i++ {
+	// downAfter failures mark the shard down.
+	for i := 0; i < downAfter; i++ {
 		if rec, _ := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusBadGateway {
 			t.Fatalf("failure %d: got %d", i, rec.Code)
 		}
 	}
 	if !rt.health[0].isDown() {
-		t.Fatal("shard not marked down after DownAfter failures")
+		t.Fatal("shard not marked down after downAfter failures")
 	}
 	// While down, requests short-circuit without touching the backend.
 	before := calls.Load()
@@ -383,7 +364,7 @@ func TestHealthMarkdownAndRecovery(t *testing.T) {
 	// After the cooldown a half-open trial against a recovered backend
 	// closes the breaker.
 	healthy.Store(true)
-	time.Sleep(80 * time.Millisecond)
+	clk.advance(cooldown + time.Millisecond)
 	rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace)
 	if rec.Code != http.StatusOK || !resp.Reachable {
 		t.Fatalf("recovery query: got %d %q", rec.Code, rec.Body.String())
@@ -399,18 +380,17 @@ func TestHealthMarkdownAndRecovery(t *testing.T) {
 // so the shard can still recover on a later request.
 func TestCanceledProbeDoesNotStickShardDown(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace)
-	rt, install := testCluster(t, m, Config{
-		Policy:       PolicyDegrade,
-		DownAfter:    1,
-		DownCooldown: 50 * time.Millisecond,
-	})
+	rt, install := testCluster(t, m, Config{})
+	clk := withClock(rt)
 	// Mark shard 1 down.
 	install(0, answer(false))
 	install(1, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusInternalServerError)
 	})
-	if rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusOK || !resp.Partial {
-		t.Fatalf("mark-down query: got %d %q", rec.Code, rec.Body.String())
+	for i := 0; i < downAfter; i++ {
+		if rec, _ := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusBadGateway {
+			t.Fatalf("mark-down query %d: got %d %q", i, rec.Code, rec.Body.String())
+		}
 	}
 	if !rt.health[1].isDown() {
 		t.Fatal("shard 1 not marked down")
@@ -423,28 +403,22 @@ func TestCanceledProbeDoesNotStickShardDown(t *testing.T) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		select {
 		case <-r.Context().Done():
-		case <-time.After(5 * time.Second): // nobody canceled: the deadline below fails first
+		case <-time.After(5 * time.Second): // nobody canceled: the check below fails
 		}
 	})
-	time.Sleep(80 * time.Millisecond)
+	clk.advance(cooldown + time.Millisecond)
 	if rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusOK || !resp.Reachable {
 		t.Fatalf("early-exit query: got %d %q", rec.Code, rec.Body.String())
 	}
-	// Shard 1 is healthy again; the router must eventually grant it a
-	// fresh trial. With the probe leaked, every query below would stay
-	// a degraded negative forever.
+	// The canceled probe is over once the router has no call left in
+	// flight. Shard 1 is healthy again; with the probe released the very
+	// next query is its fresh trial. With the probe leaked, it would be
+	// refused, and the query a 502, forever.
+	rt.calls.Wait()
 	install(0, answer(false))
 	install(1, answer(true))
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, resp := postQuery(t, rt.Handler(), 1, wholeSpace)
-		if resp.Reachable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("recovered shard never probed again: canceled trial leaked the probe")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusOK || !resp.Reachable {
+		t.Fatalf("recovered shard not probed again: got %d %q", rec.Code, rec.Body.String())
 	}
 	if rt.health[1].isDown() {
 		t.Fatal("shard 1 still marked down after successful trial")
@@ -453,13 +427,12 @@ func TestCanceledProbeDoesNotStickShardDown(t *testing.T) {
 
 // TestBatchFailedShardExactPositives: a failed shard whose queries all
 // have positives from live shards does not make the batch ambiguous —
-// the result is exact, so PolicyFail must not answer 502 and the
-// response is not partial.
+// the result is exact, so the router must not answer 502.
 func TestBatchFailedShardExactPositives(t *testing.T) {
 	left := [4]float64{0, 0, 4, 10}
 	right := [4]float64{6, 0, 10, 10}
 	m := testMap(left, right)
-	rt, install := testCluster(t, m, Config{Policy: PolicyFail})
+	rt, install := testCluster(t, m, Config{})
 	// Left answers after the right shard's failure has already landed,
 	// so the all-settled state is only reached on the final shard result
 	// (the early-exit branch is skipped).
@@ -490,9 +463,6 @@ func TestBatchFailedShardExactPositives(t *testing.T) {
 	}
 	if !resp.Results[0] || resp.Results[1] {
 		t.Fatalf("results %v, want [true false]", resp.Results)
-	}
-	if resp.Partial {
-		t.Fatal("exact result flagged partial")
 	}
 }
 

@@ -156,13 +156,13 @@ func TestEarlyExitKeepsConnections(t *testing.T) {
 // success reaches the shard's health record.
 func TestEarlyExitTracedStragglerReportsAnswer(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace)
-	rt, install, _ := countedCluster(t, m, Config{Policy: PolicyDegrade})
+	rt, install, _ := countedCluster(t, m, Config{})
 	// One failure on record, so a later success is visible as the reset.
 	install(0, answer(false))
 	install(1, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
-	if rec, resp := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusOK || !resp.Partial {
+	if rec, _ := postQuery(t, rt.Handler(), 1, wholeSpace); rec.Code != http.StatusBadGateway {
 		t.Fatalf("failing query: %d %s", rec.Code, rec.Body.String())
 	}
 	fails := func() int {
@@ -326,37 +326,35 @@ func TestClientDisconnectCancelsScatter(t *testing.T) {
 
 // TestClientHangUpIs499: a client that hangs up while both of its shard
 // calls are in flight is answered 499, as rrserve answers it, on both
-// endpoints and under both policies — not 502, and not a degraded
-// negative. The calls it canceled are not counted against the shards.
+// endpoints — not 502. The calls it canceled are not counted against
+// the shards.
 func TestClientHangUpIs499(t *testing.T) {
-	for _, policy := range []Policy{PolicyFail, PolicyDegrade} {
-		for _, tc := range []struct{ path, body string }{
-			{"/v1/query", `{"vertex":1,"region":[0,0,10,10]}`},
-			{"/v1/batch", `{"queries":[{"vertex":1,"region":[0,0,10,10]}]}`},
-		} {
-			m := testMap([4]float64{0, 0, 4, 4}, [4]float64{6, 6, 10, 10})
-			rt, install := testCluster(t, m, Config{Policy: policy})
-			for sid := 0; sid < 2; sid++ {
-				install(sid, func(w http.ResponseWriter, r *http.Request) {
-					_, _ = io.Copy(io.Discard, r.Body) // the server notices a hang-up only once the body is read
-					<-r.Context().Done()
-				})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", `{"vertex":1,"region":[0,0,10,10]}`},
+		{"/v1/batch", `{"queries":[{"vertex":1,"region":[0,0,10,10]}]}`},
+	} {
+		m := testMap([4]float64{0, 0, 4, 4}, [4]float64{6, 6, 10, 10})
+		rt, install := testCluster(t, m, Config{})
+		for sid := 0; sid < 2; sid++ {
+			install(sid, func(w http.ResponseWriter, r *http.Request) {
+				_, _ = io.Copy(io.Discard, r.Body) // the server notices a hang-up only once the body is read
+				<-r.Context().Done()
+			})
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		if rec.Code != httpjson.StatusClientClosedRequest {
+			t.Errorf("%s: hang-up answered %d %s, want 499", tc.path, rec.Code, rec.Body)
+		}
+		for sid := 0; sid < 2; sid++ {
+			if n := rt.mShardErrs[sid].Value(); n != 0 {
+				t.Errorf("%s: shard %d counted %d errors for a call its client canceled", tc.path, sid, n)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(50*time.Millisecond, cancel)
-			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
-			rec := httptest.NewRecorder()
-			rt.Handler().ServeHTTP(rec, req)
-			if rec.Code != httpjson.StatusClientClosedRequest {
-				t.Errorf("%v %s: hang-up answered %d %s, want 499", policy, tc.path, rec.Code, rec.Body)
-			}
-			for sid := 0; sid < 2; sid++ {
-				if n := rt.mShardErrs[sid].Value(); n != 0 {
-					t.Errorf("%v %s: shard %d counted %d errors for a call its client canceled", policy, tc.path, sid, n)
-				}
-				if rt.health[sid].isDown() {
-					t.Errorf("%v %s: shard %d marked down", policy, tc.path, sid)
-				}
+			if rt.health[sid].isDown() {
+				t.Errorf("%s: shard %d marked down", tc.path, sid)
 			}
 		}
 	}

@@ -7,14 +7,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	rangereach "repro"
+	"repro/internal/httpjson"
 	"repro/internal/metrics"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -410,8 +413,8 @@ func TestTraceParityWithShardExplain(t *testing.T) {
 }
 
 // TestClusterFederation: the router scrapes real shard registries into
-// /v1/cluster and the rr_cluster_* families, with per-shard quantiles
-// recovered from the scraped histogram buckets.
+// /v1/cluster, with per-shard quantiles recovered from the scraped
+// histogram buckets.
 func TestClusterFederation(t *testing.T) {
 	m := testMap([4]float64{0, 0, 5, 10}, [4]float64{5, 0, 10, 10})
 	rt, install := testCluster(t, m, Config{})
@@ -437,16 +440,7 @@ func TestClusterFederation(t *testing.T) {
 		})
 	}
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/cluster", nil)
-	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/cluster: %d %s", rec.Code, rec.Body.String())
-	}
-	var cl clusterResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &cl); err != nil {
-		t.Fatal(err)
-	}
+	cl := getCluster(t, rt)
 	if len(cl.Shards) != 2 {
 		t.Fatalf("cluster shards: %+v", cl.Shards)
 	}
@@ -465,48 +459,80 @@ func TestClusterFederation(t *testing.T) {
 		t.Errorf("cluster p99 missing: %+v", cl)
 	}
 
-	// The same snapshot feeds the rr_cluster_* exposition.
-	mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	mrec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(mrec, mreq)
-	samples, err := metrics.ParseProm(mrec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := metrics.Value(samples, "rr_cluster_shard_queries_total", map[string]string{"shard": "1"}); !ok || v != 200 {
-		t.Errorf("rr_cluster_shard_queries_total{shard=1}: (%v, %v)", v, ok)
-	}
-	if v, ok := metrics.Value(samples, "rr_cluster_shard_p99_seconds", map[string]string{"shard": "0"}); !ok || v <= 0 {
-		t.Errorf("rr_cluster_shard_p99_seconds{shard=0}: (%v, %v)", v, ok)
-	}
-	if v, ok := metrics.Value(samples, "rr_cluster_shard_health", map[string]string{"shard": "0"}); !ok || v != 1 {
-		t.Errorf("rr_cluster_shard_health{shard=0}: (%v, %v)", v, ok)
-	}
-	if v, ok := metrics.Value(samples, "rr_cluster_shard_staleness_seconds", map[string]string{"shard": "0"}); !ok || v < 0 {
-		t.Errorf("rr_cluster_shard_staleness_seconds{shard=0}: (%v, %v)", v, ok)
-	}
-	if v, ok := metrics.Value(samples, "rr_cluster_query_p99_seconds", nil); !ok || v <= 0 {
-		t.Errorf("rr_cluster_query_p99_seconds: (%v, %v)", v, ok)
-	}
-
-	// A dead shard turns unhealthy but /v1/cluster still answers.
+	// A dead shard's scrape failure is recorded, and /v1/cluster still
+	// answers.
 	install(0, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	})
 	rt.federateOnce()
-	s := rt.fed.get(0)
-	if s.Err == "" {
+	if s := rt.fed.snapshot()[0]; s.Err == "" {
 		t.Fatal("scrape failure not recorded")
 	}
 }
 
-// TestFederateLoopConcurrentWithReaders: the background loop replaces
-// the federated snapshot, and queries update shard health, while
-// /metrics (the rr_cluster_* funcs) and /v1/cluster read both — the
-// verdict is the race detector's.
-func TestFederateLoopConcurrentWithReaders(t *testing.T) {
+// getCluster GETs the router's /v1/cluster and decodes it.
+func getCluster(t *testing.T, rt *Router) clusterResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/cluster: %d %s", rec.Code, rec.Body.String())
+	}
+	var cl clusterResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &cl); err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// TestClusterStaleGeneration: two dynamic shards at different
+// generations — an edge is added on one shard directly, past the
+// router — each show their own gen in /v1/cluster, and max_generation
+// is the higher one.
+func TestClusterStaleGeneration(t *testing.T) {
+	net := e2eNetwork()
+	c, _ := newDynamicE2ECluster(t, net, 2, shard.Spatial)
+	to := 1
+	for slices.Contains(net.Graph.Out(0), int32(to)) {
+		to++
+	}
+	body := fmt.Sprintf(`{"op":"add_edge","from":0,"to":%d}`, to)
+	resp, err := http.Post(c.router.BackendFor(1)+"/v1/update", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("add_edge on shard 1: %s", resp.Status)
+	}
+	gens := make([]uint64, 2)
+	for sid := range gens {
+		var hz httpjson.ServerHealthz
+		if err := httpjson.Fetch(http.DefaultClient, c.router.BackendFor(sid)+"/healthz", &hz); err != nil {
+			t.Fatal(err)
+		}
+		gens[sid] = hz.Gen
+	}
+	if gens[1] <= gens[0] {
+		t.Fatalf("shard generations %v: the edge did not move shard 1 ahead", gens)
+	}
+	cl := getCluster(t, c.router)
+	for sid, row := range cl.Shards {
+		if row.ScrapeError != "" || row.Gen != gens[sid] {
+			t.Errorf("shard %d row %+v, want gen %d", sid, row, gens[sid])
+		}
+	}
+	if cl.MaxGeneration != gens[1] {
+		t.Errorf("max_generation %d, want shard 1's %d", cl.MaxGeneration, gens[1])
+	}
+}
+
+// TestClusterScrapeConcurrentWithReaders: scrape cycles replace the
+// cluster snapshot, and queries update shard health, while /v1/cluster
+// and /metrics read them — the verdict is the race detector's.
+func TestClusterScrapeConcurrentWithReaders(t *testing.T) {
 	m := testMap([4]float64{0, 0, 5, 10}, [4]float64{5, 0, 10, 10})
-	rt, install := testCluster(t, m, Config{Federate: time.Millisecond})
+	rt, install := testCluster(t, m, Config{})
 	for sid := 0; sid < 2; sid++ {
 		reg := metrics.NewRegistry()
 		reg.Counter("rr_queries_total", "queries").Add(int64(sid + 1))
@@ -518,12 +544,28 @@ func TestFederateLoopConcurrentWithReaders(t *testing.T) {
 			answer(false)(w, r)
 		})
 	}
+	// The readers run until the last scrape cycle is in, so they overlap
+	// every write of it also when the goroutines share one CPU.
+	done := make(chan struct{})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			rt.federateOnce()
+		}
+	}()
 	for _, path := range []string{"/metrics", "/v1/cluster", "/v1/query"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
 				req := httptest.NewRequest(http.MethodGet, path, nil)
 				if path == "/v1/query" {
 					req = httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"vertex":1,"region":[0,0,10,10]}`))
@@ -534,7 +576,6 @@ func TestFederateLoopConcurrentWithReaders(t *testing.T) {
 					t.Errorf("%s: %d %s", path, rec.Code, rec.Body.String())
 					return
 				}
-				time.Sleep(100 * time.Microsecond)
 			}
 		}()
 	}

@@ -24,7 +24,7 @@ type Map struct {
 	Version int `json:"version"`
 	// Name labels the source network.
 	Name string `json:"name"`
-	// Strategy names the partitioner ("spatial" or "social").
+	// Strategy names the partitioner; "spatial" is the only one.
 	Strategy string `json:"strategy"`
 	// Vertices is the global vertex count; every shard shares this id
 	// space, so the router validates query vertices against it.
@@ -125,8 +125,8 @@ func (m *Map) Validate() error {
 	if m.Vertices <= 0 {
 		return fmt.Errorf("shard: map reports %d vertices", m.Vertices)
 	}
-	if _, err := ParseStrategy(m.Strategy); err != nil {
-		return err
+	if m.Strategy != Spatial.String() {
+		return fmt.Errorf("shard: map strategy %q is not spatial; regenerate the map with rrgen -shards", m.Strategy)
 	}
 	total := 0
 	for i, s := range m.Shards {

@@ -16,23 +16,12 @@
 // occupancy bitmap over the network's space (grid.Uniform), and a
 // region that misses either is pruned.
 //
-// Two partitioners are provided:
-//
-//   - Spatial: venues are sorted along a Z-order (Morton) curve over
-//     the level-0 cells of a grid.Hierarchy — the same quad-hierarchy
-//     GeoReach's SPA-Graph partitions the space with — and split into
-//     contiguous runs of equal venue count. Contiguous Z-order runs
-//     correspond to unions of quad-tree subtrees, so each shard covers
-//     a compact region and most query regions meet few shards' cells.
-//
-//   - Social: venues are grouped by their strongly-connected-component
-//     id in the condensation DAG (the DAGGER view of the graph) and the
-//     groups are balanced across shards largest-first. Venues that are
-//     socially entangled land on the same shard, which concentrates a
-//     query's positive evidence on few shards for community-local
-//     workloads. Component bounds overlap heavily, so its shards'
-//     bounds are about the whole space; their cells still prune a
-//     region that holds none of a shard's venues.
+// The partitioner is Spatial: venues are sorted along a Z-order
+// (Morton) curve over the level-0 cells of a grid.Hierarchy — the same
+// quad-hierarchy GeoReach's SPA-Graph partitions the space with — and
+// split into contiguous runs of equal venue count. Contiguous Z-order
+// runs correspond to unions of quad-tree subtrees, so each shard covers
+// a compact region and most query regions meet few shards' cells.
 package shard
 
 import (
@@ -44,39 +33,18 @@ import (
 	"repro/internal/grid"
 )
 
-// Strategy selects the venue-assignment rule.
+// Strategy selects the venue-assignment rule. Spatial is the only one.
 type Strategy int
 
-const (
-	// Spatial assigns venues by grid-hierarchy Z-order runs.
-	Spatial Strategy = iota
-	// Social assigns venues by condensation-DAG component.
-	Social
-)
+// Spatial assigns venues by grid-hierarchy Z-order runs.
+const Spatial Strategy = 0
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
-	switch s {
-	case Spatial:
+	if s == Spatial {
 		return "spatial"
-	case Social:
-		return "social"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
-}
-
-// ParseStrategy resolves the textual strategy names used by flags and
-// the shard-map file.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "spatial":
-		return Spatial, nil
-	case "social":
-		return Social, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown strategy %q (want spatial or social)", name)
-	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
 // Info describes one shard of an Assignment.
@@ -119,8 +87,12 @@ type Assignment struct {
 const zorderLevel = 10
 
 // Partition assigns the venues of net to n shards under the given
-// strategy. The assignment is deterministic for a given network.
+// strategy, which must be Spatial. The assignment is deterministic for
+// a given network.
 func Partition(net *dataset.Network, n int, strategy Strategy) (*Assignment, error) {
+	if strategy != Spatial {
+		return nil, fmt.Errorf("shard: unknown strategy %v (want spatial)", strategy)
+	}
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
@@ -146,14 +118,7 @@ func Partition(net *dataset.Network, n int, strategy Strategy) (*Assignment, err
 	for i := range a.Shards {
 		a.Shards[i] = Info{ID: i, Bounds: geom.EmptyRect()}
 	}
-	switch strategy {
-	case Spatial:
-		partitionSpatial(net, venues, a)
-	case Social:
-		partitionSocial(net, venues, a)
-	default:
-		return nil, fmt.Errorf("shard: unknown strategy %v", strategy)
-	}
+	partitionSpatial(net, venues, a)
 	u := grid.NewUniform(a.Space)
 	for _, v := range venues {
 		s, g := &a.Shards[a.ShardOf[v]], net.GeometryOf(int(v))
@@ -213,42 +178,6 @@ func spread(v uint32) uint64 {
 	x = (x | x<<2) & 0x3333333333333333
 	x = (x | x<<1) & 0x5555555555555555
 	return x
-}
-
-// partitionSocial groups venues by their condensation-DAG component and
-// balances the groups over shards largest-first (LPT scheduling): each
-// group goes to the currently lightest shard, ties broken by shard id.
-func partitionSocial(net *dataset.Network, venues []int32, a *Assignment) {
-	cond := net.Graph.Condense()
-	groups := make(map[int32][]int32)
-	for _, v := range venues {
-		c := cond.Comp[v]
-		groups[c] = append(groups[c], v)
-	}
-	comps := make([]int32, 0, len(groups))
-	for c := range groups {
-		comps = append(comps, c)
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		gi, gj := groups[comps[i]], groups[comps[j]]
-		if len(gi) != len(gj) {
-			return len(gi) > len(gj)
-		}
-		return comps[i] < comps[j]
-	})
-	load := make([]int, a.NumShards)
-	for _, c := range comps {
-		best := 0
-		for s := 1; s < a.NumShards; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		for _, v := range groups[c] {
-			a.ShardOf[v] = int32(best)
-		}
-		load[best] += len(groups[c])
-	}
 }
 
 // ShardNetwork derives shard i's serving network: the full graph and

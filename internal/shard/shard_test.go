@@ -3,6 +3,7 @@ package shard
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -87,43 +88,19 @@ func TestPartitionSpatial(t *testing.T) {
 	}
 }
 
-func TestPartitionSocialGroupsComponents(t *testing.T) {
+func TestPartitionDeterministic(t *testing.T) {
 	net := testNetwork(t)
-	a, err := Partition(net, 3, Social)
+	a1, err := Partition(net, 5, Spatial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPartition(t, net, a)
-	// Venues of one condensation component never split across shards.
-	cond := net.Graph.Condense()
-	compShard := make(map[int32]int32)
-	for v, s := range net.Spatial {
-		if !s {
-			continue
-		}
-		c := cond.Comp[v]
-		if prev, ok := compShard[c]; ok && prev != a.ShardOf[v] {
-			t.Fatalf("component %d split across shards %d and %d", c, prev, a.ShardOf[v])
-		}
-		compShard[c] = a.ShardOf[v]
+	a2, err := Partition(net, 5, Spatial)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPartitionDeterministic(t *testing.T) {
-	net := testNetwork(t)
-	for _, strat := range []Strategy{Spatial, Social} {
-		a1, err := Partition(net, 5, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := Partition(net, 5, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range a1.ShardOf {
-			if a1.ShardOf[v] != a2.ShardOf[v] {
-				t.Fatalf("%v: vertex %d assigned to %d then %d", strat, v, a1.ShardOf[v], a2.ShardOf[v])
-			}
+	for v := range a1.ShardOf {
+		if a1.ShardOf[v] != a2.ShardOf[v] {
+			t.Fatalf("vertex %d assigned to %d then %d", v, a1.ShardOf[v], a2.ShardOf[v])
 		}
 	}
 }
@@ -132,6 +109,9 @@ func TestPartitionErrors(t *testing.T) {
 	net := testNetwork(t)
 	if _, err := Partition(net, 0, Spatial); err == nil {
 		t.Fatal("want error for 0 shards")
+	}
+	if _, err := Partition(net, 2, Spatial+1); err == nil {
+		t.Fatal("want error for a strategy other than Spatial")
 	}
 	empty := &dataset.Network{
 		Name:    "novenues",
@@ -250,6 +230,7 @@ func TestMapValidateRejects(t *testing.T) {
 		{"bad version", func(m *Map) { m.Version = 99 }},
 		{"no shards", func(m *Map) { m.Shards = nil }},
 		{"bad strategy", func(m *Map) { m.Strategy = "astral" }},
+		{"social", func(m *Map) { m.Strategy = "social" }},
 		{"non-dense ids", func(m *Map) { m.Shards[1].ID = 5 }},
 		{"no vertices", func(m *Map) { m.Vertices = 0 }},
 		{"venues with empty bounds", func(m *Map) { m.Shards[0].Bounds = [4]float64{1, 1, 0, 0} }},
@@ -273,6 +254,11 @@ func TestMapValidateRejects(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, m)
 		}
+	}
+	m := base()
+	m.Strategy = "social"
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "rrgen -shards") {
+		t.Errorf("a social map's error %v does not name rrgen -shards", err)
 	}
 }
 
