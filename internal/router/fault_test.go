@@ -133,19 +133,44 @@ func faultShapes() []faultShape {
 
 var endpoints = []string{"query", "batch"}
 
+// shardDownRows name the two rows of each failed-shard scenario. The
+// fail row checks the decoded answer. The degrade row replays the
+// scenario the removed -partial degrade policy answered with a 200
+// flagged partial: it checks the same answer, and reads the reply at the
+// wire, where no "partial" key may appear again.
+var shardDownRows = []string{"fail", "degrade"}
+
 // ask sends vertex 1 over region to the endpoint, "query" or "batch",
 // and returns the status plus, on a 200, the answer.
 func ask(t *testing.T, h http.Handler, endpoint string, region [4]float64) (code int, reachable bool) {
 	t.Helper()
+	code, reachable, _ = askWire(t, h, endpoint, region)
+	return code, reachable
+}
+
+// askWire is ask that also returns the reply body as it was sent.
+func askWire(t *testing.T, h http.Handler, endpoint string, region [4]float64) (code int, reachable bool, body []byte) {
+	t.Helper()
 	if endpoint == "batch" {
 		rec, resp := postBatch(t, h, []queryRequest{{Vertex: 1, Region: region}})
 		if rec.Code != http.StatusOK {
-			return rec.Code, false
+			return rec.Code, false, rec.Body.Bytes()
 		}
-		return rec.Code, resp.Results[0]
+		return rec.Code, resp.Results[0], rec.Body.Bytes()
 	}
 	rec, resp := postQuery(t, h, 1, region)
-	return rec.Code, resp.Reachable
+	return rec.Code, resp.Reachable, rec.Body.Bytes()
+}
+
+// checkRow checks one failed-shard outcome for its row of shardDownRows:
+// wantAnswer for both, and for the degrade row no "partial" key in the
+// reply.
+func checkRow(t *testing.T, row string, livePositive bool, code int, reachable bool, body []byte) {
+	t.Helper()
+	wantAnswer(t, livePositive, code, reachable)
+	if row == "degrade" {
+		wantNoPartial(t, code, body)
+	}
 }
 
 // wantAnswer checks one outcome against the truth, which is positive:
@@ -171,18 +196,20 @@ func wantAnswer(t *testing.T, livePositive bool, code int, reachable bool) {
 func TestFaultBlackHole(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	for _, shape := range faultShapes() {
-		for _, ep := range endpoints {
-			t.Run(fmt.Sprintf("%s/fail/%s", shape.name, ep), func(t *testing.T) {
-				rt, ft := faultCluster(t, shape.m, Config{ShardTimeout: timeout},
-					answerEither(true), answerEither(false))
-				ft.set(rt.BackendFor(0), blackHole)
-				start := time.Now()
-				code, reachable := ask(t, rt.Handler(), ep, shape.region)
-				if elapsed := time.Since(start); elapsed < timeout || elapsed > 20*timeout {
-					t.Errorf("answered after %v, want about the shard timeout %v", elapsed, timeout)
-				}
-				wantAnswer(t, false, code, reachable)
-			})
+		for _, row := range shardDownRows {
+			for _, ep := range endpoints {
+				t.Run(fmt.Sprintf("%s/%s/%s", shape.name, row, ep), func(t *testing.T) {
+					rt, ft := faultCluster(t, shape.m, Config{ShardTimeout: timeout},
+						answerEither(true), answerEither(false))
+					ft.set(rt.BackendFor(0), blackHole)
+					start := time.Now()
+					code, reachable, body := askWire(t, rt.Handler(), ep, shape.region)
+					if elapsed := time.Since(start); elapsed < timeout || elapsed > 20*timeout {
+						t.Errorf("answered after %v, want about the shard timeout %v", elapsed, timeout)
+					}
+					checkRow(t, row, false, code, reachable, body)
+				})
+			}
 		}
 	}
 }
@@ -362,14 +389,16 @@ func TestFaultBlackHoleCancel(t *testing.T) {
 func TestFaultResetMidScatter(t *testing.T) {
 	scatter := faultShapes()[1]
 	for _, live := range []bool{false, true} {
-		for _, ep := range endpoints {
-			t.Run(fmt.Sprintf("live-%v/fail/%s", live, ep), func(t *testing.T) {
-				rt, ft := faultCluster(t, scatter.m, Config{},
-					answerEither(true), answerEither(live))
-				ft.set(rt.BackendFor(0), resetAfterWrite)
-				code, reachable := ask(t, rt.Handler(), ep, scatter.region)
-				wantAnswer(t, live, code, reachable)
-			})
+		for _, row := range shardDownRows {
+			for _, ep := range endpoints {
+				t.Run(fmt.Sprintf("live-%v/%s/%s", live, row, ep), func(t *testing.T) {
+					rt, ft := faultCluster(t, scatter.m, Config{},
+						answerEither(true), answerEither(live))
+					ft.set(rt.BackendFor(0), resetAfterWrite)
+					code, reachable, body := askWire(t, rt.Handler(), ep, scatter.region)
+					checkRow(t, row, live, code, reachable, body)
+				})
+			}
 		}
 	}
 }

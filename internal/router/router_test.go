@@ -193,16 +193,21 @@ func TestQueryAllNegativeWaitsForAllShards(t *testing.T) {
 
 // TestQueryShardDownPolicies: with one shard failing, a live positive
 // is exact and answered 200; a live negative cannot settle the query,
-// so it is a 502, never a 200 negative.
+// so it is a 502, never a 200 negative. The degrade rows, where the
+// removed degrade policy answered a 200 flagged partial, also check the
+// reply at the wire.
 func TestQueryShardDownPolicies(t *testing.T) {
 	for _, tc := range []struct {
+		row        string
 		liveAnswer bool
 		wantCode   int
 	}{
-		{true, http.StatusOK},
-		{false, http.StatusBadGateway},
+		{"fail", true, http.StatusOK},
+		{"degrade", true, http.StatusOK},
+		{"fail", false, http.StatusBadGateway},
+		{"degrade", false, http.StatusBadGateway},
 	} {
-		t.Run(fmt.Sprintf("fail-live-%v", tc.liveAnswer), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-live-%v", tc.row, tc.liveAnswer), func(t *testing.T) {
 			m := testMap(wholeSpace, wholeSpace)
 			rt, install := testCluster(t, m, Config{})
 			install(0, answer(tc.liveAnswer))
@@ -215,6 +220,9 @@ func TestQueryShardDownPolicies(t *testing.T) {
 			}
 			if rec.Code == http.StatusOK && !resp.Reachable {
 				t.Fatal("a 200 negative while a shard failed")
+			}
+			if tc.row == "degrade" {
+				wantNoPartial(t, rec.Code, rec.Body.Bytes())
 			}
 		})
 	}
@@ -296,15 +304,30 @@ func TestBatchSubsetsAndMerge(t *testing.T) {
 func TestBatchShardDownPolicies(t *testing.T) {
 	m := testMap(wholeSpace, wholeSpace)
 	queries := []queryRequest{{Vertex: 1, Region: wholeSpace}}
-	t.Run("fail", func(t *testing.T) {
-		rt, install := testCluster(t, m, Config{})
-		install(0, answerBatch(false))
-		install(1, http.NotFound)
-		rec, _ := postBatch(t, rt.Handler(), queries)
-		if rec.Code != http.StatusBadGateway {
-			t.Fatalf("got %d %q, want 502", rec.Code, rec.Body.String())
-		}
-	})
+	for _, row := range []string{"fail", "degrade"} {
+		t.Run(row, func(t *testing.T) {
+			rt, install := testCluster(t, m, Config{})
+			install(0, answerBatch(false))
+			install(1, http.NotFound)
+			rec, _ := postBatch(t, rt.Handler(), queries)
+			if rec.Code != http.StatusBadGateway {
+				t.Fatalf("got %d %q, want 502", rec.Code, rec.Body.String())
+			}
+			if row == "degrade" {
+				wantNoPartial(t, rec.Code, rec.Body.Bytes())
+			}
+		})
+	}
+}
+
+// wantNoPartial checks a reply as it was sent, in a scenario the
+// removed degrade policy answered with a 200 flagged partial: no reply,
+// a 200 or an error, may carry a "partial" key again.
+func wantNoPartial(t *testing.T, code int, body []byte) {
+	t.Helper()
+	if bytes.Contains(body, []byte(`"partial"`)) {
+		t.Fatalf("a %d reply carries a partial flag: %s", code, body)
+	}
 }
 
 func answerBatch(result bool) http.HandlerFunc {
