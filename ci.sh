@@ -395,21 +395,34 @@ if [[ "${1:-}" != "-short" ]]; then
             || { echo "$reqlog holds no request record of trace ${tid:-?} with req, method, path, status and elapsed" >&2; exit 1; }
     done
 
-    # Update-churn smoke: a standalone dynamic rrserve absorbs a mixed
-    # closed-loop update stream while queries run. -check-publish
-    # deep-validates every published snapshot, so an incremental-
-    # maintenance bug surfaces as a 5xx that -fail-on-error turns into
-    # a CI failure; rrload independently fails the run when the index
-    # generation ever regresses across update responses.
+    # Update-churn smoke: a standalone dynamic rrserve, over the whole
+    # network rrgen wrote above, absorbs a mixed closed-loop update
+    # stream while queries run. -check-publish deep-validates every
+    # published snapshot, so an incremental-maintenance bug surfaces as
+    # a 5xx that -fail-on-error turns into a CI failure; rrload
+    # independently fails the run when the index generation ever
+    # regresses across update responses.
     echo "== update churn =="
-    "$SMOKE_DIR/rrserve" -synthetic gowalla-like -scale 0.2 -seed 3 \
-        -dynamic -check-publish -addr 127.0.0.1:18750 -log off &
+    "$SMOKE_DIR/rrserve" -net "$SMOKE_DIR/smoke.gsn" -dynamic -check-publish \
+        -addr 127.0.0.1:18750 -log off &
     SMOKE_PIDS="$SMOKE_PIDS $!"
     "$SMOKE_DIR/rrload" -target http://127.0.0.1:18750 -rate 150 \
         -update-rate 50 -duration 3s -wait 30s -fail-on-error \
         -space 0,0,100,100 -json > "$SMOKE_DIR/churn.json"
     grep -q '"gen_monotonic": true' "$SMOKE_DIR/churn.json"
     ! grep -q '"update_errors"' "$SMOKE_DIR/churn.json"
+    # The server's own account of the run (bash's /dev/tcp, as the dials
+    # gate reads the router): no snapshot failed publish-time
+    # validation, and the updates were published.
+    exec 3<>/dev/tcp/127.0.0.1/18750
+    printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+    churn_metrics=$(cat <&3)
+    exec 3<&-
+    checkfails=$(awk '$1 == "rr_publish_check_failures_total" { print $2 }' <<< "$churn_metrics")
+    gen=$(awk '$1 == "rr_generation" { print $2 }' <<< "$churn_metrics")
+    echo "rr_publish_check_failures_total: ${checkfails:-missing}, rr_generation: ${gen:-missing}"
+    [[ "$checkfails" == "0" && -n "$gen" && "$gen" -gt 0 ]] \
+        || { echo "churn rrserve reports ${checkfails:-?} publish-check failures at generation ${gen:-?}, want 0 failures and a generation above 0" >&2; exit 1; }
 
     # Live inspector in its script mode: one ANSI-free snapshot whose
     # shard table shows both shards scraped and healthy.

@@ -57,7 +57,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		timeout  = flag.Duration("timeout", 2*time.Second, "per-shard request budget")
 		maxBody  = flag.Int64("max-body", 8<<20, "request body cap in bytes; oversized bodies get 413 (negative disables)")
-		maxBatch = flag.Int("max-batch", 8192, "queries accepted per batch request")
 		logMode  = flag.String("log", "text", "request log format: text, json, off")
 		waitFor  = flag.Duration("wait-backends", 0, "poll backend /healthz for up to this long before serving (0 disables)")
 
@@ -93,7 +92,6 @@ func main() {
 		Map:          m,
 		Backends:     urls,
 		ShardTimeout: *timeout,
-		MaxBatch:     *maxBatch,
 		MaxBodyBytes: *maxBody,
 		Logger:       logger,
 		TraceSample:  *traceSample,

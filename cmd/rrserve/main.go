@@ -1,13 +1,14 @@
 // Command rrserve is a long-lived RangeReach query server: it loads a
-// geosocial network (or generates a synthetic preset), builds an index
-// — or loads a persisted one — and answers queries over an HTTP/JSON
-// API until terminated.
+// geosocial network (written by rrgen, or any file in the geosocial
+// format), builds an index — or loads a persisted one — and answers
+// queries over an HTTP/JSON API until terminated.
 //
 // Usage:
 //
-//	rrserve -net foursquare.gsn -method 3dreach -addr :8080
-//	rrserve -net foursquare.gsn -load-index foursquare.idx
-//	rrserve -synthetic gowalla-like -scale 0.5 -dynamic
+//	rrgen -preset gowalla-like -scale 0.5 -o gowalla.gsn
+//	rrserve -net gowalla.gsn -method 3dreach -addr :8080
+//	rrserve -net gowalla.gsn -load-index gowalla.idx
+//	rrserve -net gowalla.gsn -dynamic
 //
 // Endpoints:
 //
@@ -32,19 +33,17 @@
 // switches the dynamic index to the full-rebuild reference arm (A/B
 // against incremental patching).
 //
-// Observability: -log picks the request-log format (text, json, off),
-// -slow-query elevates slow requests to warnings, -trace-sample N runs
-// every Nth query through the tracing path (feeding the
-// rr_stage_seconds histograms on /metrics), and -debug-addr exposes
-// net/http/pprof on a separate listener that should stay private.
+// Observability: -log picks the request-log format (text, json, off)
+// and -slow-query elevates slow requests to warnings. A request with a
+// traceparent header, or a GET /v1/explain, runs through the tracing
+// path: its per-stage profile rides back in the reply and lands in the
+// request log. DESIGN.md §8's census table gives the reason each flag
+// and /metrics family is kept.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -61,27 +60,20 @@ var method = flag.String("method", "3dreach", strings.Join(rangereach.MethodName
 
 func main() {
 	var (
-		netPath   = flag.String("net", "", "network file in geosocial format")
-		synthetic = flag.String("synthetic", "", "generate a preset instead: foursquare-like, gowalla-like, weeplaces-like, yelp-like")
-		scale     = flag.Float64("scale", 0.1, "synthetic preset scale")
-		seed      = flag.Int64("seed", 1, "synthetic preset seed")
-		dynamic   = flag.Bool("dynamic", false, "serve the updatable 3DReach index (enables /v1/update)")
-		loadIdx   = flag.String("load-index", "", "load a persisted index instead of building (-method is ignored)")
-		mmapIdx   = flag.Bool("mmap", false, "open -load-index by zero-copy mmap instead of decoding (v2 index files only; the open is one pass over the label and id columns, after -net is loaded and prepared)")
-		addr      = flag.String("addr", ":8080", "listen address")
-		cacheN    = flag.Int("cache", 4096, "result cache entries (negative disables)")
-		timeout   = flag.Duration("timeout", 2*time.Second, "per-request budget")
-		par       = flag.Int("parallelism", 0, "static batch fan-out (0 = GOMAXPROCS)")
-		maxBody   = flag.Int64("max-body", 8<<20, "request body cap in bytes; oversized bodies get 413 (negative disables)")
-		buildJ    = flag.Int("j", 0, "worker bound for the index build (0 = all CPUs, 1 = sequential; the built index is identical at any setting)")
-		logMode   = flag.String("log", "text", "request log format: text, json, off")
-		slowQ     = flag.Duration("slow-query", 250*time.Millisecond, "elevate slower requests to warnings (0 disables)")
-		traceN    = flag.Int("trace-sample", 0, "trace every Nth query into the rr_stage_seconds histograms (0 disables)")
-		debugAddr = flag.String("debug-addr", "", "listen address for net/http/pprof (empty disables; keep private)")
-		checkIdx  = flag.Bool("check", false, "deep-validate index invariants before serving; refuse to start on failure")
-		checkPub  = flag.Bool("check-publish", false, "deep-validate every dynamic snapshot before publishing it (requires -dynamic); failing batches get 500 and readers keep the last good snapshot")
-		fullRB    = flag.Bool("full-rebuild-updates", false, "absorb dynamic updates by full rebuild instead of incremental patching (requires -dynamic); the A/B reference arm")
-		shardID   = flag.Int("shard", -1, "shard id this process serves in a cluster; tags logs and metrics (-1 = standalone)")
+		netPath  = flag.String("net", "", "network file in geosocial format, as rrgen -o writes it (required)")
+		dynamic  = flag.Bool("dynamic", false, "serve the updatable 3DReach index (enables /v1/update)")
+		loadIdx  = flag.String("load-index", "", "load a persisted index instead of building (-method is ignored)")
+		mmapIdx  = flag.Bool("mmap", false, "open -load-index by zero-copy mmap instead of decoding (v2 index files only; the open is one pass over the label and id columns, after -net is loaded and prepared)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		cacheN   = flag.Int("cache", 4096, "result cache entries (negative disables)")
+		timeout  = flag.Duration("timeout", 2*time.Second, "per-request budget")
+		maxBody  = flag.Int64("max-body", 8<<20, "request body cap in bytes; oversized bodies get 413 (negative disables)")
+		logMode  = flag.String("log", "text", "request log format: text, json, off")
+		slowQ    = flag.Duration("slow-query", 250*time.Millisecond, "elevate slower requests to warnings (0 disables)")
+		checkIdx = flag.Bool("check", false, "deep-validate index invariants before serving; refuse to start on failure")
+		checkPub = flag.Bool("check-publish", false, "deep-validate every dynamic snapshot before publishing it (requires -dynamic); failing batches get 500 and readers keep the last good snapshot")
+		fullRB   = flag.Bool("full-rebuild-updates", false, "absorb dynamic updates by full rebuild instead of incremental patching (requires -dynamic); the A/B reference arm")
+		shardID  = flag.Int("shard", -1, "shard id this process serves in a cluster; tags its request log and traced replies (-1 = standalone)")
 	)
 	flag.Parse()
 
@@ -91,7 +83,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	net, err := loadNetwork(*netPath, *synthetic, *scale, *seed)
+	if *netPath == "" {
+		fmt.Fprintln(os.Stderr, "rrserve: need -net (write a network with rrgen -preset <name> -o <file>)")
+		os.Exit(2)
+	}
+	net, err := rangereach.LoadNetwork(*netPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
 		os.Exit(2)
@@ -100,11 +96,9 @@ func main() {
 	cfg := server.Config{
 		CacheEntries: *cacheN,
 		QueryTimeout: *timeout,
-		Parallelism:  *par,
 		MaxBodyBytes: *maxBody,
 		Logger:       logger,
 		SlowQuery:    *slowQ,
-		TraceSample:  *traceN,
 	}
 	if *shardID >= 0 {
 		cfg.ShardID = strconv.Itoa(*shardID)
@@ -119,17 +113,14 @@ func main() {
 	}
 	cfg.CheckPublish = *checkPub
 	mode := "static"
-	var buildOpts []rangereach.Option
-	if *buildJ > 0 {
-		buildOpts = append(buildOpts, rangereach.WithParallelism(*buildJ))
-	}
 	switch {
 	case *dynamic:
 		mode = "dynamic"
+		var opts []rangereach.Option
 		if *fullRB {
-			buildOpts = append(buildOpts, rangereach.WithFullRebuildUpdates())
+			opts = append(opts, rangereach.WithFullRebuildUpdates())
 		}
-		cfg.Dynamic = net.BuildDynamic(buildOpts...)
+		cfg.Dynamic = net.BuildDynamic(opts...)
 	case *loadIdx != "":
 		if *mmapIdx {
 			cfg.Index, err = net.OpenMapped(*loadIdx)
@@ -142,7 +133,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rrserve: unknown method %q\n", *method)
 			os.Exit(2)
 		}
-		cfg.Index, err = net.Build(m, buildOpts...)
+		cfg.Index, err = net.Build(m)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
@@ -173,15 +164,6 @@ func main() {
 	}
 	defer srv.Close()
 
-	if *debugAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, debugMux()); err != nil {
-				fmt.Fprintf(os.Stderr, "rrserve: debug listener: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "rrserve: pprof on %s/debug/pprof/\n", *debugAddr)
-	}
-
 	// On SIGINT/SIGTERM Serve drains the requests in flight; srv.Close
 	// (via defer) then waits out any handler the drain's deadline left
 	// running and stops the update goroutine, before the index is
@@ -191,43 +173,5 @@ func main() {
 	if err := httpjson.Serve("rrserve", *addr, srv.Handler(), banner); err != nil {
 		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-// debugMux serves net/http/pprof on its own mux: the profiling surface
-// never touches the query listener, so -addr can stay public while
-// -debug-addr binds to localhost.
-func debugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// loadNetwork resolves -net / -synthetic into a network.
-func loadNetwork(path, synthetic string, scale float64, seed int64) (*rangereach.Network, error) {
-	switch {
-	case path != "" && synthetic != "":
-		return nil, errors.New("-net and -synthetic are mutually exclusive")
-	case path != "":
-		return rangereach.LoadNetwork(path)
-	case synthetic != "":
-		switch strings.ToLower(synthetic) {
-		case "foursquare-like":
-			return rangereach.FoursquareLike(scale, seed), nil
-		case "gowalla-like":
-			return rangereach.GowallaLike(scale, seed), nil
-		case "weeplaces-like":
-			return rangereach.WeeplacesLike(scale, seed), nil
-		case "yelp-like":
-			return rangereach.YelpLike(scale, seed), nil
-		default:
-			return nil, fmt.Errorf("unknown preset %q", synthetic)
-		}
-	default:
-		return nil, errors.New("need -net or -synthetic")
 	}
 }

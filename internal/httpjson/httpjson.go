@@ -1,6 +1,7 @@
 // Package httpjson is the one front door of rrserve and rrrouter. It
 // declares every JSON body the two tiers read and write, and that
-// rrload, rrquery and rrtop decode (wire.go); the request wrapper both
+// rrload, rrquery and rrtop decode, with the batch cap both tiers check
+// (wire.go); the request wrapper both
 // tiers put their handlers behind, with its request log, error replies
 // and 499/504 rule (front.go); the -log flag and the listen, signal and
 // drain loop of both commands (serve.go); and here, a pooled scratch

@@ -20,19 +20,23 @@ type QueryRequest struct {
 	Region [4]float64 `json:"region"`
 }
 
+// MaxBatch caps the queries of one batch request on both tiers. It is
+// one constant so that no batch the router accepts can be refused by
+// the shard it forwards that batch to.
+const MaxBatch = 8192
+
 type BatchRequest struct {
-	Queries     []QueryRequest `json:"queries"`
-	Parallelism int            `json:"parallelism"`
+	Queries []QueryRequest `json:"queries"`
 }
 
-// Check refuses a batch of no queries, of more than max, or with a
+// Check refuses a batch of no queries, of more than MaxBatch, or with a
 // vertex outside [0, vertices), with the error both tiers answer 400.
-func (b *BatchRequest) Check(max, vertices int) error {
+func (b *BatchRequest) Check(vertices int) error {
 	if len(b.Queries) == 0 {
 		return errors.New("empty batch")
 	}
-	if len(b.Queries) > max {
-		return fmt.Errorf("batch of %d exceeds limit %d", len(b.Queries), max)
+	if len(b.Queries) > MaxBatch {
+		return fmt.Errorf("batch of %d exceeds limit %d", len(b.Queries), MaxBatch)
 	}
 	for i, q := range b.Queries {
 		if q.Vertex < 0 || q.Vertex >= vertices {

@@ -12,6 +12,7 @@ import (
 
 	rangereach "repro"
 	"repro/internal/dataset"
+	"repro/internal/httpjson"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -207,6 +208,32 @@ func TestShardedClusterFiveShards(t *testing.T) {
 	for i, q := range queries {
 		want := c.oracle.RangeReach(q.Vertex, rangereach.NewRect(q.Region[0], q.Region[1], q.Region[2], q.Region[3]))
 		if batch.Results[i] != want {
+			t.Fatalf("query %d: sharded=%v unsharded=%v", i, batch.Results[i], want)
+		}
+	}
+}
+
+// TestBatchAtTheCap: a batch of exactly httpjson.MaxBatch queries, all
+// of them held by one shard, is forwarded to that shard whole and
+// answered 200, because both tiers check the one cap.
+func TestBatchAtTheCap(t *testing.T) {
+	net := e2eNetwork()
+	asn, err := shard.Partition(net, 1, shard.Spatial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newE2ECluster(t, net, asn, rangereach.ThreeDReach)
+	whole := [4]float64{c.space.MinX, c.space.MinY, c.space.MaxX, c.space.MaxY}
+	queries := make([]queryRequest, httpjson.MaxBatch)
+	for i := range queries {
+		queries[i] = queryRequest{Vertex: i % c.vertices, Region: whole}
+	}
+	rec, batch := postBatch(t, c.handler, queries)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch of %d: status %d: %.200s", len(queries), rec.Code, rec.Body.String())
+	}
+	for i, q := range queries {
+		if want := c.oracle.RangeReach(q.Vertex, rangereach.NewRect(whole[0], whole[1], whole[2], whole[3])); batch.Results[i] != want {
 			t.Fatalf("query %d: sharded=%v unsharded=%v", i, batch.Results[i], want)
 		}
 	}

@@ -82,9 +82,6 @@ type Config struct {
 	Backends []string
 	// ShardTimeout bounds each shard call (default 2s).
 	ShardTimeout time.Duration
-	// MaxBatch caps the queries accepted per batch request (default
-	// 8192).
-	MaxBatch int
 	// MaxBodyBytes caps request bodies; oversized bodies get 413
 	// (default 8 MiB, negative disables).
 	MaxBodyBytes int64
@@ -175,9 +172,6 @@ func New(cfg Config) (*Router, error) {
 	cfg.Backends = slices.Clone(cfg.Backends) // the caller's slice may change
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 2 * time.Second
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8192
 	}
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = 8 << 20
@@ -498,7 +492,7 @@ func (rt *Router) queryShard(ctx context.Context, sid int, body []byte) shardRes
 func (rt *Router) batchShard(ctx context.Context, sid int, req *httpjson.BatchRequest, subset []int) shardResult {
 	tb := traceFrom(ctx)
 	cstart := time.Now()
-	sub := httpjson.BatchRequest{Queries: make([]httpjson.QueryRequest, len(subset)), Parallelism: req.Parallelism}
+	sub := httpjson.BatchRequest{Queries: make([]httpjson.QueryRequest, len(subset))}
 	for j, i := range subset {
 		sub.Queries[j] = req.Queries[i]
 	}
@@ -620,7 +614,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !rt.front.Decode(w, r, nil, &req) {
 		return
 	}
-	if err := req.Check(rt.cfg.MaxBatch, rt.cfg.Map.Vertices); err != nil {
+	if err := req.Check(rt.cfg.Map.Vertices); err != nil {
 		rt.front.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

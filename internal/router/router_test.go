@@ -491,7 +491,7 @@ func TestBatchFailedShardExactPositives(t *testing.T) {
 
 func TestRouterValidation(t *testing.T) {
 	m := testMap(wholeSpace)
-	rt, install := testCluster(t, m, Config{MaxBodyBytes: 256, MaxBatch: 4})
+	rt, install := testCluster(t, m, Config{MaxBodyBytes: 256})
 	install(0, answer(false))
 
 	rec, _ := postQuery(t, rt.Handler(), 100, wholeSpace)
@@ -502,7 +502,11 @@ func TestRouterValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty batch: got %d", rec.Code)
 	}
-	rec, _ = postBatch(t, rt.Handler(), make([]queryRequest, 5))
+	// The batch cap is httpjson.MaxBatch, which the shards share; the
+	// oversized batch needs the default body cap to reach it.
+	uncapped, installUncapped := testCluster(t, m, Config{})
+	installUncapped(0, answer(false))
+	rec, _ = postBatch(t, uncapped.Handler(), make([]queryRequest, httpjson.MaxBatch+1))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch: got %d", rec.Code)
 	}

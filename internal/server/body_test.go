@@ -185,4 +185,12 @@ func TestRequestTable(t *testing.T) {
 			t.Errorf("%s: Content-Type %q", tc.name, ct)
 		}
 	}
+	// A batch that still carries the removed "parallelism" field is
+	// answered like one without it: unknown fields are ignored.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch",
+		strings.NewReader(`{"queries":[{"vertex":1,"region":[0,0,1,1]}],"parallelism":4}`)))
+	if rec.Code != http.StatusOK {
+		t.Errorf("batch with parallelism: got %d %s, want 200", rec.Code, rec.Body.String())
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	rangereach "repro"
+	"repro/internal/trace"
 )
 
 func getJSON(t *testing.T, client *http.Client, url string, out any) (int, string) {
@@ -148,67 +149,85 @@ func TestExplainDynamic(t *testing.T) {
 	}
 }
 
-// TestObservabilityMetricFamilies asserts the new metric families all
-// render in the Prometheus text exposition: per-stage histograms, the
-// runtime gauges, and the explain endpoint counter.
-func TestObservabilityMetricFamilies(t *testing.T) {
-	net := testNetwork(t)
-	srv, err := New(Config{Index: net.MustBuild(rangereach.ThreeDReach), TraceSample: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// One traced query (TraceSample=1) and one explain populate the
-	// stage histograms.
-	space := net.Space()
-	region := [4]float64{space.MinX, space.MinY, space.MaxX, space.MaxY}
-	if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/query",
-		queryRequest{Vertex: 0, Region: region}, nil); status != http.StatusOK {
-		t.Fatalf("query status %d: %s", status, body)
-	}
-	if status, body := getJSON(t, ts.Client(), explainURL(ts.URL, 1, region), nil); status != http.StatusOK {
-		t.Fatalf("explain status %d: %s", status, body)
-	}
-
-	mresp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	for _, want := range []string{
-		"# TYPE rr_stage_seconds histogram",
-		`rr_stage_seconds_bucket{stage="spatial",le="+Inf"}`,
-		`rr_stage_seconds_bucket{stage="reach",le="+Inf"}`,
-		`rr_stage_seconds_count{stage="spatial"}`,
-		`rr_requests_total{endpoint="explain"} 1`,
-		"rr_traced_queries_total 2",
-		"# TYPE go_goroutines gauge",
-		"go_goroutines ",
-		"go_memstats_heap_alloc_bytes ",
-		"go_memstats_heap_objects ",
-		"go_memstats_gc_cycles ",
-	} {
-		if !strings.Contains(string(mbody), want) {
-			t.Errorf("metrics missing %q", want)
+// metricFamilies scrapes h's /metrics and returns the family names its
+// "# TYPE" lines declare, with the whole exposition.
+func metricFamilies(t *testing.T, h http.Handler) (map[string]bool, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	fams := make(map[string]bool)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			fams[f[2]] = true
 		}
 	}
-	// The traced 3DReach queries spent time in the spatial stage.
-	if strings.Contains(string(mbody), `rr_stage_seconds_count{stage="spatial"} 0`) {
-		t.Error("spatial stage histogram has no observations despite traced queries")
+	return fams, rec.Body.String()
+}
+
+// TestObservabilityMetricFamilies pins rrserve's /metrics census: a
+// static server with a shard id and a dynamic server together expose
+// exactly the 17 families DESIGN.md §8 gives a reader, and none of the
+// ones the census removed.
+func TestObservabilityMetricFamilies(t *testing.T) {
+	net := testNetwork(t)
+	static, err := New(Config{Index: net.MustBuild(rangereach.ThreeDReach), ShardID: "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer static.Close()
+	dynamic, err := New(Config{Dynamic: net.BuildDynamic()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dynamic.Close()
+
+	// One explain lands in the request counter of its endpoint.
+	space := net.Space()
+	region := [4]float64{space.MinX, space.MinY, space.MaxX, space.MaxY}
+	rec := httptest.NewRecorder()
+	static.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, explainURL("", 1, region), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("explain status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	got, staticBody := metricFamilies(t, static.Handler())
+	dynFams, _ := metricFamilies(t, dynamic.Handler())
+	for f := range dynFams {
+		got[f] = true
+	}
+	want := []string{
+		"rr_requests_total", "rr_request_errors_total", "rr_queries_total",
+		"rr_inflight_requests", "rr_query_seconds",
+		"rr_cache_hits_total", "rr_cache_misses_total", "rr_cache_hit_ratio",
+		"rr_build_seconds", "rr_generation", "rr_publish_check_failures_total",
+		"rr_incr_overlay_entries", "rr_incr_tombstones",
+		"rr_incr_live_components", "rr_incr_max_label_intervals",
+		"go_goroutines", "go_memstats_heap_alloc_bytes",
+	}
+	// The set is exact: a family the census removed, or one added
+	// without a reader, fails here.
+	for _, f := range want {
+		if !got[f] {
+			t.Errorf("metrics missing family %s", f)
+		}
+		delete(got, f)
+	}
+	for f := range got {
+		t.Errorf("metrics expose %s, which has no reader in the census", f)
+	}
+	if !strings.Contains(staticBody, `rr_requests_total{endpoint="explain"} 1`) {
+		t.Error("the explain request is not counted")
 	}
 	// Runtime gauges carry live values, not zeros.
-	if strings.Contains(string(mbody), "go_goroutines 0\n") {
+	if strings.Contains(staticBody, "go_goroutines 0\n") {
 		t.Error("go_goroutines reads 0")
 	}
 }
 
 // TestRequestLogging captures the structured log stream: every request
-// yields one record with correlation fields, traced queries attach the
-// profile, and slow requests elevate to Warn.
+// yields one record with correlation fields, a traced query (one with a
+// traceparent header) attaches its profile, and slow requests elevate
+// to Warn.
 func TestRequestLogging(t *testing.T) {
 	net := testNetwork(t)
 	var buf bytes.Buffer
@@ -216,7 +235,6 @@ func TestRequestLogging(t *testing.T) {
 	srv, err := New(Config{
 		Index:        net.MustBuild(rangereach.ThreeDReach),
 		Logger:       logger,
-		TraceSample:  1,
 		CacheEntries: -1,
 	})
 	if err != nil {
@@ -228,9 +246,22 @@ func TestRequestLogging(t *testing.T) {
 
 	space := net.Space()
 	region := [4]float64{space.MinX, space.MinY, space.MaxX, space.MaxY}
-	if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/query",
-		queryRequest{Vertex: 0, Region: region}, nil); status != http.StatusOK {
-		t.Fatalf("query status %d: %s", status, body)
+	body, err := json.Marshal(queryRequest{Vertex: 0, Region: region})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(trace.TraceparentHeader, fixedTraceparent)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced query status %d", resp.StatusCode)
 	}
 	if status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/query",
 		queryRequest{Vertex: -1, Region: region}, nil); status != http.StatusBadRequest {
@@ -294,42 +325,12 @@ func TestRequestLogging(t *testing.T) {
 	}
 }
 
-// TestTraceSampling verifies the 1-in-N clock: with TraceSample=4 only
-// a quarter of the evaluated queries go through the tracing path.
-func TestTraceSampling(t *testing.T) {
-	net := testNetwork(t)
-	srv, err := New(Config{
-		Index:        net.MustBuild(rangereach.ThreeDReach),
-		TraceSample:  4,
-		CacheEntries: -1, // every query evaluates
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	space := net.Space()
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 40; i++ {
-		req := queryRequest{Vertex: rng.Intn(net.NumVertices()), Region: randRegion(rng, space)}
-		if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", req, nil); status != http.StatusOK {
-			t.Fatalf("query status %d: %s", status, body)
-		}
-	}
-	if got := srv.mTraced.Value(); got != 10 {
-		t.Errorf("traced %d of 40 queries, want 10", got)
-	}
-}
-
 // TestShardObservability covers the cluster-facing surface a single
 // rrserve exposes when it runs as one shard: a traced request echoes
 // the shard id, trace id and execution stats for the router to stitch;
 // the slow-query warning carries both correlation fields so a WARN
 // greps straight to its cluster trace; and /metrics exports the cache
-// hit ratio plus the shard-labeled in-flight gauge the router's
-// federation layer scrapes.
+// hit ratio that the router's /v1/cluster view scrapes.
 func TestShardObservability(t *testing.T) {
 	net := testNetwork(t)
 	var buf bytes.Buffer
@@ -413,9 +414,8 @@ func TestShardObservability(t *testing.T) {
 		}
 	}
 
-	// The federation-facing families are present: the hit ratio
-	// reflects the 1-hit/2-lookup history and the in-flight gauge is
-	// labeled with this shard's id.
+	// The hit ratio /v1/cluster reads reflects the 1-hit/2-lookup
+	// history.
 	mresp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,6 @@ func TestShardObservability(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE rr_cache_hit_ratio gauge",
 		"rr_cache_hit_ratio 0.5",
-		`rr_shard_inflight{shard="3"}`,
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("metrics missing %q", want)

@@ -5,7 +5,7 @@
 // Endpoints:
 //
 //	POST /v1/query   one RangeReach query
-//	POST /v1/batch   a batch, fanned out over RangeReachBatch
+//	POST /v1/batch   a batch of at most httpjson.MaxBatch, fanned out over RangeReachBatch
 //	POST /v1/update  add_user / add_venue / add_edge / del_edge / move_venue (dynamic mode)
 //	GET  /v1/explain one query with its execution profile (EXPLAIN)
 //	GET  /healthz    liveness + mode + index info
@@ -17,7 +17,10 @@
 // latency histogram, the request log, the per-request QueryTimeout and
 // the drain Close waits on. A request whose client has gone is answered
 // 499, one past its deadline 504 (httpjson.CancelStatus). /metrics is
-// the registry itself.
+// the registry itself; each family it exposes has the reader that
+// DESIGN.md §8's census names. A query is traced only when its request
+// asks (a traceparent header, or /v1/explain): the profile rides back
+// in the reply and lands in the request log.
 //
 // Static indexes serve reads lock-free — every static Index is safe for
 // concurrent queries by construction. Dynamic mode uses a single-writer
@@ -39,7 +42,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	rangereach "repro"
@@ -69,11 +71,6 @@ type Config struct {
 	CacheEntries int
 	// QueryTimeout bounds each request (default 2s).
 	QueryTimeout time.Duration
-	// Parallelism is the static batch fan-out (0 = GOMAXPROCS).
-	Parallelism int
-	// MaxBatch caps the queries accepted per batch request (default
-	// 8192).
-	MaxBatch int
 	// MaxBodyBytes caps request bodies; oversized bodies are refused
 	// with 413 before any JSON decoding happens (default 8 MiB,
 	// negative disables the cap).
@@ -86,16 +83,10 @@ type Config struct {
 	// "slow request" record, making them greppable without lowering the
 	// log level. Zero disables the elevation.
 	SlowQuery time.Duration
-	// TraceSample traces every Nth engine-evaluated query (1 = all)
-	// through the Explain path, feeding the rr_stage_seconds histograms
-	// and attaching the profile to the request log. Zero disables
-	// sampling; cache hits are never traced (no engine work to profile).
-	TraceSample int
 	// ShardID labels this process with its shard id when it serves one
 	// partition of a cluster (rrserve -shard). It tags the request log,
-	// the slow-query warnings and a shard-labeled in-flight gauge so
-	// single-tier logs and metrics join the router's cluster view.
-	// Empty means standalone.
+	// the slow-query warnings and traced replies, so single-tier logs
+	// join the router's cluster traces. Empty means standalone.
 	ShardID string
 }
 
@@ -120,18 +111,11 @@ type Server struct {
 	mReqUpdate  *metrics.Counter
 	mReqExplain *metrics.Counter
 	mQueries    *metrics.Counter
-	mUpdates    *metrics.Counter
-	mUpdErrs    *metrics.Counter
 	mHits       *metrics.Counter
 	mMisses     *metrics.Counter
-	mSwaps      *metrics.Counter
-	mTraced     *metrics.Counter
 	mInflight   *metrics.Gauge
-	mStages     map[string]*metrics.Histogram
 	mSnapBuild  *metrics.Histogram
 	mCheckFails *metrics.Counter
-
-	traceTik atomic.Uint64 // trace-sampling clock
 }
 
 // New builds a Server over the given index.
@@ -142,9 +126,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = 2 * time.Second
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8192
-	}
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -153,23 +134,12 @@ func New(cfg Config) (*Server, error) {
 	s.mReqBatch = s.reg.Counter(`rr_requests_total{endpoint="batch"}`, "HTTP requests by endpoint.")
 	s.mReqUpdate = s.reg.Counter(`rr_requests_total{endpoint="update"}`, "HTTP requests by endpoint.")
 	s.mQueries = s.reg.Counter("rr_queries_total", "RangeReach queries evaluated, including batch members.")
-	s.mUpdates = s.reg.Counter("rr_updates_total", "Accepted network updates.")
-	s.mUpdErrs = s.reg.Counter("rr_update_errors_total", "Rejected network updates (bad input, missing edges).")
 	reqErrs := s.reg.Counter("rr_request_errors_total", "Requests answered with a non-2xx status.")
 	s.mHits = s.reg.Counter("rr_cache_hits_total", "Result cache hits.")
 	s.mMisses = s.reg.Counter("rr_cache_misses_total", "Result cache misses.")
-	s.mSwaps = s.reg.Counter("rr_snapshot_swaps_total", "Snapshots published by the dynamic updater.")
 	s.mReqExplain = s.reg.Counter(`rr_requests_total{endpoint="explain"}`, "HTTP requests by endpoint.")
-	s.mTraced = s.reg.Counter("rr_traced_queries_total", "Queries executed through the tracing path.")
 	s.mInflight = s.reg.Gauge("rr_inflight_requests", "Requests currently being served.")
 	latency := s.reg.Histogram("rr_query_seconds", "End-to-end latency of query and batch requests.", nil)
-	s.mStages = make(map[string]*metrics.Histogram, trace.NumStages)
-	for st := trace.Stage(0); st < trace.NumStages; st++ {
-		name := st.String()
-		s.mStages[name] = s.reg.Histogram(
-			fmt.Sprintf("rr_stage_seconds{stage=%q}", name),
-			"Engine time per pipeline stage, over traced queries.", nil)
-	}
 	if cfg.Index != nil {
 		// Build-phase durations are known at construction; publish them as
 		// one-observation histograms so dashboards see where offline time
@@ -185,10 +155,6 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	s.reg.GaugeFunc("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.",
 		func() float64 { var m runtime.MemStats; runtime.ReadMemStats(&m); return float64(m.HeapAlloc) })
-	s.reg.GaugeFunc("go_memstats_heap_objects", "Number of allocated heap objects.",
-		func() float64 { var m runtime.MemStats; runtime.ReadMemStats(&m); return float64(m.HeapObjects) })
-	s.reg.GaugeFunc("go_memstats_gc_cycles", "Completed GC cycles.",
-		func() float64 { var m runtime.MemStats; runtime.ReadMemStats(&m); return float64(m.NumGC) })
 
 	if cfg.CacheEntries >= 0 {
 		n := cfg.CacheEntries
@@ -207,21 +173,13 @@ func New(cfg Config) (*Server, error) {
 				return hits / (hits + misses)
 			})
 	}
-	if cfg.ShardID != "" {
-		// A shard-labeled mirror of the in-flight gauge, so the federated
-		// cluster view can attribute load per shard without label rewrites.
-		s.reg.GaugeFunc(
-			fmt.Sprintf("rr_shard_inflight{shard=%q}", cfg.ShardID),
-			"Requests currently in flight on this shard.",
-			func() float64 { return float64(s.mInflight.Value()) })
-	}
 	if cfg.Dynamic != nil {
 		s.mSnapBuild = s.reg.Histogram(
 			`rr_build_seconds{phase="snapshot"}`,
 			"Index build time attributed to each pipeline phase.", nil)
 		s.mCheckFails = s.reg.Counter("rr_publish_check_failures_total",
 			"Snapshots rejected by publish-time validation (-check-publish).")
-		s.dyn = newUpdater(cfg.Dynamic, s.mSwaps, s.mSnapBuild, cfg.CheckPublish, s.mCheckFails)
+		s.dyn = newUpdater(cfg.Dynamic, s.mSnapBuild, cfg.CheckPublish, s.mCheckFails)
 		// The generation advances monotonically with every published
 		// snapshot; rrload's churn mode and the router's cluster view
 		// watch it to confirm updates are flowing.
@@ -276,27 +234,6 @@ func (s *Server) Close() {
 	s.front.Close()
 	if s.dyn != nil {
 		s.dyn.close()
-	}
-}
-
-// Metrics exposes the registry (for embedding rrserve elsewhere).
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// shouldTrace implements the sampling clock: true for every
-// TraceSample-th engine evaluation.
-func (s *Server) shouldTrace() bool {
-	n := s.cfg.TraceSample
-	return n > 0 && s.traceTik.Add(1)%uint64(n) == 0
-}
-
-// observeStages feeds a traced query's profile into the per-stage
-// latency histograms.
-func (s *Server) observeStages(qs rangereach.QueryStats) {
-	s.mTraced.Inc()
-	for _, st := range qs.Stages {
-		if h, ok := s.mStages[st.Stage]; ok {
-			h.Observe(st.Duration.Seconds())
-		}
 	}
 }
 
@@ -397,7 +334,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				resp.Shard, resp.TraceID = s.cfg.ShardID, traceID
 				resp.Stats = rawStats(rangereach.QueryStats{Method: s.methodName(), CacheHit: true})
 			}
-			s.front.WriteJSON(w, http.StatusOK, resp)
+			s.writeQueryReply(w, sc, resp)
 			return
 		}
 		s.mMisses.Inc()
@@ -411,14 +348,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var ans bool
 	var stats json.RawMessage
-	if traced || s.shouldTrace() {
+	if traced {
 		var qs rangereach.QueryStats
 		ans, qs = v.explain(req.Vertex, rect)
-		s.observeStages(qs)
 		httpjson.Annotate(w, slog.String("trace", qs.String()))
-		if traced {
-			stats = rawStats(qs)
-		}
+		stats = rawStats(qs)
 	} else {
 		ans = v.rangeReach(req.Vertex, rect)
 	}
@@ -481,7 +415,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	ans, qs := v.explain(vertex, rect)
 	s.mQueries.Inc()
-	s.observeStages(qs)
 	if s.cache != nil {
 		s.cache.Put(key, v.gen, ans)
 	}
@@ -496,7 +429,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	v := s.currentView()
-	if err := req.Check(s.cfg.MaxBatch, v.numVertices()); err != nil {
+	if err := req.Check(v.numVertices()); err != nil {
 		s.front.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -507,7 +440,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Region: rangereach.NewRect(q.Region[0], q.Region[1], q.Region[2], q.Region[3]),
 		}
 	}
-	results, err := s.evalBatch(r.Context(), v, queries, req.Parallelism)
+	results, err := s.evalBatch(r.Context(), v, queries)
 	if err != nil {
 		s.front.WriteError(w, httpjson.CancelStatus(err), "batch: %v", err)
 		return
@@ -523,12 +456,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // thread the request context into the evaluation itself, so a client
 // disconnect or deadline stops the in-flight work (workers exit at the
 // next chunk boundary) instead of abandoning it to finish unobserved.
-func (s *Server) evalBatch(ctx context.Context, v view, queries []rangereach.Query, parallelism int) ([]bool, error) {
+func (s *Server) evalBatch(ctx context.Context, v view, queries []rangereach.Query) ([]bool, error) {
 	if v.static != nil {
-		if parallelism <= 0 {
-			parallelism = s.cfg.Parallelism
-		}
-		return v.static.RangeReachBatchContext(ctx, queries, parallelism)
+		return v.static.RangeReachBatchContext(ctx, queries, 0) // GOMAXPROCS workers
 	}
 	out := make([]bool, len(queries))
 	const chunk = 64
@@ -575,7 +505,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	res := s.dyn.submit(r.Context(), op)
 	if res.err != nil {
-		s.mUpdErrs.Inc()
 		status := http.StatusConflict // out-of-range / missing-edge rejections
 		switch {
 		case errors.Is(res.err, errClosed):
@@ -588,7 +517,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.front.WriteError(w, status, "%v", res.err)
 		return
 	}
-	s.mUpdates.Inc()
 	resp := httpjson.ServerUpdateReply{Gen: s.dyn.current().gen}
 	if op.kind == opAddUser || op.kind == opAddVenue {
 		resp.ID = &res.id

@@ -67,7 +67,6 @@ type updater struct {
 	ops      chan updateOp
 	quit     chan struct{}
 	done     chan struct{}
-	swaps    *metrics.Counter
 	snapTime *metrics.Histogram // rr_build_seconds{phase="snapshot"}
 
 	// checkPublish validates every snapshot before it is published
@@ -79,13 +78,12 @@ type updater struct {
 	checkFails   *metrics.Counter
 }
 
-func newUpdater(idx *rangereach.DynamicIndex, swaps *metrics.Counter, snapTime *metrics.Histogram, checkPublish bool, checkFails *metrics.Counter) *updater {
+func newUpdater(idx *rangereach.DynamicIndex, snapTime *metrics.Histogram, checkPublish bool, checkFails *metrics.Counter) *updater {
 	u := &updater{
 		idx:          idx,
 		ops:          make(chan updateOp, 256),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
-		swaps:        swaps,
 		snapTime:     snapTime,
 		checkPublish: checkPublish,
 		checkFails:   checkFails,
@@ -180,7 +178,6 @@ func (u *updater) loop() {
 		gen++
 		u.snap.Store(&publishedSnapshot{snap: snap, gen: gen, stats: u.idx.UpdateStats()})
 		u.snapTime.Observe(time.Since(start).Seconds())
-		u.swaps.Inc()
 		// Reply only after the snapshot is published: a client whose
 		// update returned 200 is guaranteed to observe it in subsequent
 		// queries (read-your-writes).
