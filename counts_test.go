@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,7 +26,8 @@ var updateCounts = flag.Bool("update-counts", false, "re-record the work-count g
 const countsGolden = "testdata/counts.golden"
 
 // TestWorkCounts holds the work counts that performance claims rest on
-// to a golden file. An allocation row is an average, so the golden
+// to a golden file: rrserve's per-request allocations and 3DReach's
+// mapped open and query. An allocation row is an average, so the golden
 // stores it as a ceiling and the test fails above it; allocation rows
 // skip under -race, whose instrumentation allocates.
 func TestWorkCounts(t *testing.T) {
@@ -36,6 +38,9 @@ func TestWorkCounts(t *testing.T) {
 		t.Skip("allocation rows skip under -race")
 	}
 	got := rrserveAllocRows(t)
+	for name, v := range threeDReachAllocRows(t) {
+		got[name] = v
+	}
 
 	if *updateCounts {
 		data, err := json.MarshalIndent(got, "", "  ") // a map marshals with sorted keys
@@ -133,6 +138,40 @@ func rrserveAllocRows(t *testing.T) map[string]float64 {
 			t.Fatalf("%s: got %d %s", row.name, last.Code, reply)
 		}
 	}
+	return rows
+}
+
+// threeDReachAllocRows measures the library path under the served
+// engine: Network.OpenMapped (and Close) of a saved 3DReach file, and
+// one RangeReach on the mapped index over a region a fifth of the
+// space on a side, which answers from the tiles.
+func threeDReachAllocRows(t *testing.T) map[string]float64 {
+	t.Helper()
+	net := rangereach.GowallaLike(0.02, 1)
+	built, err := net.Build(rangereach.ThreeDReach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "3dreach.idx")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *rangereach.Index {
+		idx, err := net.OpenMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	rows := map[string]float64{
+		"3dreach.open_mapped.allocs": testing.AllocsPerRun(20, func() { _ = open().Close() }),
+	}
+	mapped := open()
+	t.Cleanup(func() { _ = mapped.Close() })
+	space := net.Space()
+	w, h := (space.MaxX-space.MinX)/5, (space.MaxY-space.MinY)/5
+	region := rangereach.NewRect(space.MinX+2*w, space.MinY+2*h, space.MinX+3*w, space.MinY+3*h)
+	rows["3dreach.range_reach.allocs"] = testing.AllocsPerRun(200, func() { mapped.RangeReach(1, region) })
 	return rows
 }
 
