@@ -3,8 +3,6 @@ package rangereach_test
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -206,33 +204,5 @@ func TestAutoPublicExplain(t *testing.T) {
 	_, qs = net.MustBuild(rangereach.SocReach).Explain(3, rangereach.NewRect(10, 10, 60, 60))
 	if qs.Plan != nil {
 		t.Error("SocReach Explain reported a plan")
-	}
-}
-
-func TestAutoPublicPersistRoundtrip(t *testing.T) {
-	net := autoNet()
-	idx := net.MustBuild(rangereach.MethodAuto)
-	path := filepath.Join(t.TempDir(), "auto.idx")
-	if err := idx.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := net.LoadIndexFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Method() != rangereach.MethodAuto {
-		t.Fatalf("loaded method %v", loaded.Method())
-	}
-	rng := rand.New(rand.NewSource(23))
-	for q := 0; q < 40; q++ {
-		v := rng.Intn(net.NumVertices())
-		r := rangereach.NewRect(rng.Float64()*50, rng.Float64()*50,
-			50+rng.Float64()*50, 50+rng.Float64()*50)
-		if loaded.RangeReach(v, r) != idx.RangeReach(v, r) {
-			t.Fatalf("loaded Auto disagrees at (%d, %+v)", v, r)
-		}
 	}
 }

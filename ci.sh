@@ -135,22 +135,22 @@ echo "== fuzz (seed corpus) =="
 go test -run 'Fuzz' . ./internal/incr ./internal/tiles ./internal/router
 
 # The format-compatibility gate. The loader reads the layout the writer
-# writes plus the one generation before it (DESIGN.md §16). The golden
-# fixtures of all seven persistable methods under testdata/format, and
-# the older 3DReach and 3DReach-Rev generations (3dreach-v2-posts.idx,
-# 3dreach-rev-v2-labels.idx), keep loading, mapping and answering the
-# pinned queries (TestFormatCompatGolden, TestFormatV2PostKeys,
-# TestFormatV2RevLabels); save(load(v2)) stays byte-identical; the decode
-# and mmap paths survive a truncation and a flip at every offset of
-# every layout still read (TestLoadCorrupted, TestFormatV2CorruptionMapped)
-# and serve in full parity with a build. The retired files under
-# testdata/format/retired, frozen by hash, are refused by both paths
-# with core.ErrRetiredFormat, naming what was found and the remedy
-# (TestFormatRetiredRefused): among them 3dreach-mbr-v2.idx and
-# 3dreach-rev-mbr-v2.idx, refused because 3DReach and 3DReach-Rev no
-# longer have an MBR policy; only a rebuild with Replicate replaces
-# them. Regenerate the
-# v2 fixtures only on deliberate format changes:
+# writes plus the one generation before it (DESIGN.md §16), for the two
+# persistable methods, 3DReach and GeoReach. Their golden fixtures under
+# testdata/format, and the older 3DReach generation
+# (3dreach-v2-posts.idx), keep loading, mapping and answering the
+# pinned queries (TestFormatCompatGolden, TestFormatV2PostKeys);
+# save(load(v2)) stays byte-identical; the decode and mmap paths survive
+# a truncation and a flip at every offset of every layout still read
+# (TestLoadCorrupted, TestFormatV2CorruptionMapped) and serve in full
+# parity with a build. The retired files under testdata/format/retired,
+# frozen by hash, are refused by both paths with core.ErrRetiredFormat,
+# naming what was found and the remedy (TestFormatRetiredRefused): among
+# them 3dreach-mbr-v2.idx and 3dreach-rev-mbr-v2.idx, refused because
+# 3DReach and 3DReach-Rev no longer have an MBR policy, and the v2
+# records of 3DReach-Rev, SocReach, SpaReach-BFL, SpaReach-INT and Auto,
+# methods that no longer save; only a rebuild from the network replaces
+# those. Regenerate the v2 fixtures only on deliberate format changes:
 # go test -run TestFormatCompatGolden -update-format .
 # .github/workflows/ci.yml's format-compat job runs this same pattern.
 echo "== format compat =="

@@ -90,6 +90,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrquery: unknown method %q\n", *method)
 		os.Exit(2)
 	}
+	if *saveIdx != "" && *loadIdx == "" {
+		if err := checkSaveMethod(m); err != nil {
+			fmt.Fprintf(os.Stderr, "rrquery: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	net, err := rangereach.LoadNetwork(*netPath)
 	if err != nil {
@@ -190,6 +196,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rrquery: need -q or -batch")
 		os.Exit(2)
 	}
+}
+
+// checkSaveMethod refuses -save-index for a method Index.SaveFile has
+// no format for, before the network is read or an index built. A
+// -load-index file needs no check: the loader opens only methods that
+// save.
+func checkSaveMethod(m rangereach.Method) error {
+	if m.Persistable() {
+		return nil
+	}
+	var saveable []string
+	for _, name := range rangereach.MethodNames() {
+		if p, _ := rangereach.ParseMethod(name); p.Persistable() {
+			saveable = append(saveable, name)
+		}
+	}
+	return fmt.Errorf("-save-index: %v has no save format (saveable methods: %s)", m, strings.Join(saveable, ", "))
 }
 
 // printStats pretty-prints the EXPLAIN profile: the method, the

@@ -48,3 +48,32 @@ func TestMethodByName(t *testing.T) {
 		t.Error("the default -method is not a method name")
 	}
 }
+
+// TestSaveIndexMethods: -save-index accepts exactly the persistable
+// methods, and checkSaveMethod turns the others down by name, listing
+// the saveable ones, before main reads or builds anything.
+func TestSaveIndexMethods(t *testing.T) {
+	var saveable []string
+	for _, name := range rangereach.MethodNames() {
+		if m, _ := rangereach.ParseMethod(name); m.Persistable() {
+			saveable = append(saveable, name)
+		}
+	}
+	if len(saveable) == 0 {
+		t.Fatal("no method is persistable")
+	}
+	list := "(saveable methods: " + strings.Join(saveable, ", ") + ")"
+	for _, name := range rangereach.MethodNames() {
+		m, _ := rangereach.ParseMethod(name)
+		err := checkSaveMethod(m)
+		if m.Persistable() {
+			if err != nil {
+				t.Errorf("-save-index with %s: %v", name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), m.String()) || !strings.HasSuffix(err.Error(), list) {
+			t.Errorf("-save-index with %s: error %v, want %v refused and the list %s", name, err, m, list)
+		}
+	}
+}

@@ -41,14 +41,22 @@ func parallelTestNetwork(t *testing.T, seed int64) *rangereach.Network {
 	return net
 }
 
+// allMethods lists every indexed method: the paper's, the extended
+// SpaReach variant and the composite.
+func allMethods() []rangereach.Method {
+	return append(append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...), rangereach.ExtendedMethods...)
+}
+
 // TestParallelBuildByteIdentical is the end-to-end determinism gate for
 // the parallel build pipeline: for every persistable method, an index
 // built with 8 workers must serialize to exactly the bytes of the
 // sequential build, and must pass deep validation.
 func TestParallelBuildByteIdentical(t *testing.T) {
 	net := parallelTestNetwork(t, 17)
-	methods := append(append([]rangereach.Method(nil), rangereach.Methods...), rangereach.MethodAuto)
-	for _, m := range methods {
+	for _, m := range allMethods() {
+		if !m.Persistable() {
+			continue
+		}
 		opts := []rangereach.Option{rangereach.WithParallelism(1)}
 		seq, err := net.Build(m, opts...)
 		if err != nil {
@@ -81,11 +89,17 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 
 // TestParallelBuildAnswersMatch cross-checks parallel-built indexes of
 // the non-persistable methods (no bytes to compare) against their
-// sequential builds on a query workload.
+// sequential builds on a query workload, after deep validation. The
+// structures they share with no file (labelings, BFL filters, R-trees)
+// are held byte-identical across worker counts by their packages'
+// TestParallelBuildIdentical and rtree's TestBulkLoadPoolIdentical.
 func TestParallelBuildAnswersMatch(t *testing.T) {
 	net := parallelTestNetwork(t, 23)
 	rng := rand.New(rand.NewSource(29))
-	for _, m := range rangereach.ExtendedMethods {
+	for _, m := range allMethods() {
+		if m.Persistable() {
+			continue
+		}
 		seq, err := net.Build(m, rangereach.WithParallelism(1))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -93,6 +107,9 @@ func TestParallelBuildAnswersMatch(t *testing.T) {
 		par, err := net.Build(m, rangereach.WithParallelism(8))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
+		}
+		if err := par.Validate(); err != nil {
+			t.Fatalf("%v par 8: validation: %v", m, err)
 		}
 		for q := 0; q < 200; q++ {
 			v := rng.Intn(net.NumVertices())

@@ -28,28 +28,15 @@ import (
 var updateFormat = flag.Bool("update-format", false, "regenerate the v2 golden fixtures in testdata/format")
 
 // fixtureMethods are the persistable methods, each pinned by a v2
-// golden fixture. Between them they cover every section family:
-// interval labels + point tiles (3dreach), posts + 3D segments
-// (3dreach-rev), labels alone (socreach), labels or BFL bitsets + 2D
-// R-tree (spareach-int, spareach-bfl), the SPA-Graph grid columns
-// (georeach) and the composite container (auto).
+// golden fixture: interval labels + point tiles (3dreach) and the
+// SPA-Graph grid columns (georeach). 3DReach's box tree, the layout of
+// networks with extents, is pinned by TestFormatLayoutPinned.
 var fixtureMethods = []struct {
 	slug string
 	m    rangereach.Method
 }{
 	{"3dreach", rangereach.ThreeDReach},
-	{"3dreach-rev", rangereach.ThreeDReachRev},
-	{"socreach", rangereach.SocReach},
-	{"spareach-bfl", rangereach.SpaReachBFL},
-	{"spareach-int", rangereach.SpaReachINT},
 	{"georeach", rangereach.GeoReach},
-	{"auto", rangereach.MethodAuto},
-}
-
-// fixtureOptions rebuild the auto fixtures with the three members they
-// were written with, which route every query to 3DReach-Rev.
-func fixtureOptions() []rangereach.Option {
-	return []rangereach.Option{rangereach.WithAutoMembers(rangereach.SocReach, rangereach.ThreeDReachRev, rangereach.SpaReachINT)}
 }
 
 func fixturePath(slug, version string) string {
@@ -99,7 +86,7 @@ func fixtureQueries(t *testing.T, idx *rangereach.Index, name string) {
 // the compatibility contract: a change that breaks decoding of
 // yesterday's files fails here, in CI, before it ships. With
 // -update-format the test first rewrites the fixtures from the current
-// builder, all but auto-v2.idx.
+// builder.
 func TestFormatCompatGolden(t *testing.T) {
 	net := fuzzNet()
 	if *updateFormat {
@@ -107,12 +94,7 @@ func TestFormatCompatGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fm := range fixtureMethods {
-			if fm.m == rangereach.MethodAuto {
-				// auto-v2.idx stays as written before 3DReach-Rev dropped
-				// its labels: its Rev member is Rev's older generation.
-				continue
-			}
-			idx, err := net.Build(fm.m, fixtureOptions()...)
+			idx, err := net.Build(fm.m)
 			if err != nil {
 				t.Fatalf("%s: %v", fm.slug, err)
 			}
@@ -136,11 +118,6 @@ func TestFormatCompatGolden(t *testing.T) {
 			}
 			if idx.Method() != fm.m {
 				t.Fatalf("fixture decoded as %v, want %v", idx.Method(), fm.m)
-			}
-			if fm.m == rangereach.MethodAuto {
-				if _, qs := idx.Explain(0, rangereach.NewRect(60, 55, 90, 95)); qs.Plan == nil || qs.Plan.Method != "3DReach-Rev" {
-					t.Errorf("%s routes to %+v, want 3DReach-Rev", path, qs.Plan)
-				}
 			}
 			fixtureQueries(t, idx, name+"/decode")
 
@@ -195,45 +172,6 @@ func TestFormatV2PostKeys(t *testing.T) {
 	}
 }
 
-// TestFormatV2RevLabels pins the last v2 3DReach-Rev fixture that holds
-// the reversed labeling beside the post column and the segments,
-// frozen from commit 55d06d1 when Rev came to keep only what a query
-// reads (manifest flag bit 0 clear). Its labels load and are dropped, so
-// it must load, validate, map and answer, and re-save to the current
-// 3dreach-rev-v2.idx byte for byte.
-func TestFormatV2RevLabels(t *testing.T) {
-	const want = "d92823477a652c100a1aebf70db749b1cdcc7ff95db9f9d09c20cd829a62023e"
-	net := fuzzNet()
-	path := fixturePath("3dreach-rev", "v2-labels")
-	sum := sha256.Sum256(readFixture(t, "3dreach-rev", "v2-labels"))
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("%s hashes to %s, want %s", path, got, want)
-	}
-	current := readFixture(t, "3dreach-rev", "v2")
-	loaded, err := net.LoadIndexFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := net.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	for name, idx := range map[string]*rangereach.Index{"decode": loaded, "mmap": mapped} {
-		if err := idx.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		fixtureQueries(t, idx, name)
-		var resaved bytes.Buffer
-		if err := idx.Save(&resaved); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resaved.Bytes(), current) {
-			t.Errorf("%s: save(%s) differs from 3dreach-rev-v2.idx (%d vs %d bytes)", name, path, resaved.Len(), len(current))
-		}
-	}
-}
-
 // TestSaveLoadV2ByteIdentical pins the no-stale-re-encode property:
 // saving an index loaded (or mapped) from a v2 file reproduces the
 // file byte for byte. Save re-emits the index's own columns — which
@@ -243,7 +181,7 @@ func TestSaveLoadV2ByteIdentical(t *testing.T) {
 	net := fuzzNet()
 	dir := t.TempDir()
 	for _, fm := range fixtureMethods {
-		idx, err := net.Build(fm.m, fixtureOptions()...)
+		idx, err := net.Build(fm.m)
 		if err != nil {
 			t.Fatalf("%s: %v", fm.slug, err)
 		}
@@ -290,8 +228,7 @@ func TestSaveLoadV2ByteIdentical(t *testing.T) {
 
 // TestOpenMappedParity checks full query parity between a built index,
 // its streaming-decoded load and its zero-copy mapped open, across
-// every persistable method, both of 3DReach's spatial indexes, SpaReach's
-// MBR policy and the composite.
+// every persistable method and both of 3DReach's spatial indexes.
 func TestOpenMappedParity(t *testing.T) {
 	points, extents := fuzzNet(), fuzzExtentsNet()
 	dir := t.TempDir()
@@ -299,22 +236,15 @@ func TestOpenMappedParity(t *testing.T) {
 		name string
 		net  *rangereach.Network
 		m    rangereach.Method
-		opts []rangereach.Option
 	}{
-		{"3dreach", points, rangereach.ThreeDReach, nil},
-		{"3dreach-extents", extents, rangereach.ThreeDReach, nil},
-		{"3dreach-rev", points, rangereach.ThreeDReachRev, nil},
-		{"socreach", points, rangereach.SocReach, nil},
-		{"spareach-bfl", points, rangereach.SpaReachBFL, nil},
-		{"spareach-bfl-mbr", points, rangereach.SpaReachBFL, []rangereach.Option{rangereach.WithMBRPolicy()}},
-		{"spareach-int", points, rangereach.SpaReachINT, nil},
-		{"georeach", points, rangereach.GeoReach, nil},
-		{"auto", points, rangereach.MethodAuto, fixtureOptions()},
+		{"3dreach", points, rangereach.ThreeDReach},
+		{"3dreach-extents", extents, rangereach.ThreeDReach},
+		{"georeach", points, rangereach.GeoReach},
 	}
 	for _, c := range configs {
 		net := c.net
 		t.Run(c.name, func(t *testing.T) {
-			built, err := net.Build(c.m, c.opts...)
+			built, err := net.Build(c.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,11 +252,11 @@ func TestOpenMappedParity(t *testing.T) {
 			if err := built.SaveFile(path); err != nil {
 				t.Fatal(err)
 			}
-			decoded, err := net.LoadIndexFile(path, c.opts...)
+			decoded, err := net.LoadIndexFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapped, err := net.OpenMapped(path, c.opts...)
+			mapped, err := net.OpenMapped(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +296,11 @@ func TestOpenMappedParity(t *testing.T) {
 // commit that could write v1 (0a3ffa7); the R-tree file is the last v2
 // 3DReach whose point index was an R-tree (4a92a61); the MBR files are
 // the last v2 3DReach and 3DReach-Rev built under the MBR policy
-// (0ea6a8a), which only a rebuild replaces.
+// (0ea6a8a), which only a rebuild replaces. The last six are the golden
+// v2 records of the methods that no longer save, moved byte for byte
+// from testdata/format when their records retired: each of those
+// engines is rebuilt from the network wherever it is used, and no
+// workload, smoke or document opened a saved one.
 var retiredFixtures = []struct {
 	name, found, remedy, sha string
 }{
@@ -380,6 +314,22 @@ var retiredFixtures = []struct {
 	{"3dreach-v2-rtree", "3DReach point R-tree", "-save-index", "8d72b07061bf39bdc8edb03f3214a394af0c792a5c8155aba8b648c5d07a56b9"},
 	{"3dreach-mbr-v2", "3DReach MBR policy", "rebuild", "d4a5f390c11e9ca482456040716b98f6f5cfdf1eecd5e1ee7d95e4c050f67011"},
 	{"3dreach-rev-mbr-v2", "3DReach-Rev MBR policy", "rebuild", "d501f1d8faadc610e0cff663fd9657786bc6042eb89c5972995a94758b168a59"},
+	// SocReach's labels alone: a rebuild is one labeling pass.
+	{"socreach-v2", "SocReach record", "rebuild", "a9b17b293a00080da7362e70db4eb0b5a2258e4a826dfc62b83e74cc75827a10"},
+	// SpaReach-BFL's filters and 2D tree, the only reader of section
+	// kinds 6–10.
+	{"spareach-bfl-v2", "SpaReach-BFL record", "rebuild", "430354c05bc6b508ae1b934f88394dceb7095c44a31f37dd123c157d05076d82"},
+	// SpaReach-INT's labels and 2D tree; its MBR-policy tree went with it.
+	{"spareach-int-v2", "SpaReach-INT record", "rebuild", "74dc48c7c095592163bc80518b0959478cbba99ba0b5579dd98bf648e9320fa6"},
+	// 3DReach-Rev's posts and segments (flag bit 0), the last layout
+	// Rev's writer wrote.
+	{"3dreach-rev-v2", "3DReach-Rev record", "rebuild", "fedd8e160508ca6741f161b345b3ac4f6c23d09cf67d1fb1b36c5764a98543d0"},
+	// 3DReach-Rev's older generation with its reversed labels (bit 0
+	// clear), frozen from commit 55d06d1.
+	{"3dreach-rev-v2-labels", "3DReach-Rev record", "rebuild", "d92823477a652c100a1aebf70db749b1cdcc7ff95db9f9d09c20cd829a62023e"},
+	// The Auto composite with members SocReach, the older Rev and
+	// SpaReach-INT nested under owners 1..3.
+	{"auto-v2", "Auto record", "rebuild", "1f95e47b1dfa55593e0910dfe9bdb59777515edcf563f3ef64d7d33b8d399da0"},
 }
 
 func retiredPath(name string) string {
@@ -411,7 +361,7 @@ func TestFormatRetiredRefused(t *testing.T) {
 	for _, r := range retiredFixtures {
 		t.Run(r.name, func(t *testing.T) {
 			path := retiredPath(r.name)
-			for name, open := range map[string]func(string, ...rangereach.Option) (*rangereach.Index, error){
+			for name, open := range map[string]func(string) (*rangereach.Index, error){
 				"LoadIndexFile": net.LoadIndexFile,
 				"OpenMapped":    net.OpenMapped,
 			} {
@@ -474,9 +424,9 @@ type corruptionInput struct {
 }
 
 // savedImage builds m over net and returns the saved bytes.
-func savedImage(t testing.TB, net *rangereach.Network, m rangereach.Method, opts ...rangereach.Option) []byte {
+func savedImage(t testing.TB, net *rangereach.Network, m rangereach.Method) []byte {
 	t.Helper()
-	idx, err := net.Build(m, opts...)
+	idx, err := net.Build(m)
 	if err != nil {
 		t.Fatalf("%v: %v", m, err)
 	}
@@ -494,36 +444,17 @@ func fuzzExtentsNet() *rangereach.Network {
 	})
 }
 
-// layoutInputs are the layouts the loader reads beyond the
-// default-policy saves of fixtureMethods: the older 3DReach generation
-// (labels and tiles over posts) and the older 3DReach-Rev generation
-// (reversed labels beside the segments), which load over base, a copy
-// of the running example; SpaReach's MBR trees of WithMBRPolicy over a
-// network with a two-venue component, and the exact boxes of a network
-// with extents.
+// layoutInputs are the layouts the loader reads beyond the saves of
+// fixtureMethods: the older 3DReach generation (labels and tiles over
+// posts), which loads over base, a copy of the running example, and the
+// exact boxes of a network with extents.
 func layoutInputs(t testing.TB, base *rangereach.Network) []corruptionInput {
 	t.Helper()
-	cyclic := buildFuzzNet(func(b *rangereach.NetworkBuilder) { b.AddEdge(5, 4) })
 	extents := fuzzExtentsNet()
-	mbr := rangereach.WithMBRPolicy()
-	in := []corruptionInput{
+	return []corruptionInput{
 		{"3dreach-v2-posts", base, readFixture(t, "3dreach", "v2-posts")},
-		{"3dreach-rev-v2-labels", base, readFixture(t, "3dreach-rev", "v2-labels")},
+		{"3dreach-extents", extents, savedImage(t, extents, rangereach.ThreeDReach)},
 	}
-	for _, c := range []struct {
-		name string
-		net  *rangereach.Network
-		m    rangereach.Method
-		opts []rangereach.Option
-	}{
-		{"spareach-int-mbr", cyclic, rangereach.SpaReachINT, []rangereach.Option{mbr}},
-		{"spareach-bfl-mbr", cyclic, rangereach.SpaReachBFL, []rangereach.Option{mbr}},
-		{"3dreach-extents", extents, rangereach.ThreeDReach, nil},
-		{"3dreach-rev-extents", extents, rangereach.ThreeDReachRev, nil},
-	} {
-		in = append(in, corruptionInput{c.name, c.net, savedImage(t, c.net, c.m, c.opts...)})
-	}
-	return in
 }
 
 // TestFormatV2CorruptionMapped drives the mmap load path through the
@@ -540,7 +471,7 @@ func TestFormatV2CorruptionMapped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mutant.idx")
 	var inputs []corruptionInput
 	for _, fm := range fixtureMethods {
-		inputs = append(inputs, corruptionInput{fm.slug, net, savedImage(t, net, fm.m, fixtureOptions()...)})
+		inputs = append(inputs, corruptionInput{fm.slug, net, savedImage(t, net, fm.m)})
 	}
 	for _, in := range append(inputs, layoutInputs(t, net)...) {
 		open := func(name string, data []byte) {
@@ -632,53 +563,6 @@ func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
 
 }
 
-// TestLoadRejectsShrunkSegment saves a 3DReach-Rev whose one segment
-// has lost posts from its z-range but still lies inside its leaf's
-// bound, so the tree's containment check passes it while queries at
-// the lost heights miss. LoadIndex must refuse the file; OpenMapped
-// skips the deep pass, so its Validate must.
-func TestLoadRejectsShrunkSegment(t *testing.T) {
-	net := fuzzNet()
-	data := savedImage(t, net, rangereach.ThreeDReachRev)
-	img, err := flatbuf.Open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Root engine, section kind 13: the leaf entries' {min x, y, z,
-	// max x, y, z} f64 bounds (DESIGN.md §16). The section aliases data.
-	bounds, ok := img.Section(0, 13)
-	if !ok {
-		t.Fatal("the 3DReach-Rev image has no entry bounds")
-	}
-	shrunk := false
-	for off := 0; off+48 <= len(bounds); off += 48 {
-		minZ, maxZ := bounds[off+16:off+24], bounds[off+40:off+48]
-		if !bytes.Equal(minZ, maxZ) {
-			copy(minZ, maxZ)
-			shrunk = true
-			break
-		}
-	}
-	if !shrunk {
-		t.Fatal("no segment of the fixture network spans two posts")
-	}
-	if _, err := net.LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "segment of id") {
-		t.Errorf("LoadIndex: error %v, want the shrunk segment refused", err)
-	}
-	path := filepath.Join(t.TempDir(), "shrunk.idx")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := net.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if err := mapped.Validate(); err == nil || !strings.Contains(err.Error(), "segment of id") {
-		t.Errorf("mapped Validate: error %v, want the shrunk segment named", err)
-	}
-}
-
 // savedManifest returns a private copy of a method's v2 fixture, with
 // its root manifest (section kind 1; its first bytes are {method u8,
 // policy u8, flags u16}, DESIGN.md §16) aliasing the image so a test can
@@ -724,44 +608,12 @@ func TestFormatReservedMethodBytes(t *testing.T) {
 	}
 }
 
-// TestFormatSocReachReservedFlag pins bit 0 of SocReach's manifest flags
-// as reserved and ignored: it once chose the structure the descendant
-// scan ran over, never the answers, so a file that carries it still
-// loads, validates and answers.
-func TestFormatSocReachReservedFlag(t *testing.T) {
-	net := fuzzNet()
-	v2, manifest := savedManifest(t, "socreach")
-	manifest[2] |= 1
-	idx, err := net.LoadIndex(bytes.NewReader(v2)) // validates
-	if err != nil {
-		t.Fatalf("with the reserved bit set: %v", err)
-	}
-	if idx.Method() != rangereach.SocReach {
-		t.Errorf("decoded as %v", idx.Method())
-	}
-	fixtureQueries(t, idx, "decode/reserved-bit")
-	path := filepath.Join(t.TempDir(), "socreach.idx")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := net.OpenMapped(path)
-	if err != nil {
-		t.Fatalf("mapping with the reserved bit set: %v", err)
-	}
-	defer mapped.Close()
-	if err := mapped.Validate(); err != nil {
-		t.Fatalf("mapped index with the reserved bit set fails validation: %v", err)
-	}
-	fixtureQueries(t, mapped, "mmap/reserved-bit")
-}
-
 // TestOpenMappedAllocs pins the O(1)-allocations property of the
 // mapped load: opening a 4× larger index must not allocate
 // meaningfully more than opening the small one, because every column
 // overlays the mapped pages instead of being decoded into fresh
 // slices — GeoReach's ReachGrids included, which the query scans as the
-// key runs they are stored as, and 3DReach-Rev's posts, which have no
-// label spine beside them.
+// key runs they are stored as.
 func TestOpenMappedAllocs(t *testing.T) {
 	dir := t.TempDir()
 	build := func(m rangereach.Method, n int) (*rangereach.Network, string) {
@@ -798,7 +650,7 @@ func TestOpenMappedAllocs(t *testing.T) {
 			_ = mapped.Close()
 		})
 	}
-	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.ThreeDReachRev, rangereach.GeoReach} {
+	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.GeoReach} {
 		small := measure(build(m, 400))
 		big := measure(build(m, 1600))
 		// The counts need not be exactly equal (map headers, error paths),
@@ -841,38 +693,30 @@ func withVenueExtents(t testing.TB, net *rangereach.Network) *rangereach.Network
 	return ext
 }
 
-// TestFormatLayoutPinned pins the saved bytes of the R-tree-backed
-// images on a network whose trees have three and four levels, and of
-// 3DReach's point tiles on one with 10 slabs; the committed fixtures pin
-// the same thing on a network that fits one leaf or one cell. The
-// "spareach-int-mbr" hash was recorded at commit 8e36155, where a
-// pointer tree was flattened at save time, so it holds the bulk loader
-// to that canonical BFS layout. The "3dreach" hash was recorded again
-// when the point tiles replaced its point R-tree; that layout is now
-// retired (testdata/format/retired/3dreach-v2-rtree.idx).
+// TestFormatLayoutPinned pins the saved bytes of 3DReach's box tree on
+// a network whose tree has several levels, and of its point tiles on
+// one with 10 slabs; the committed fixtures pin the same thing on a
+// network that fits one leaf or one cell. The "3dreach" hash was
+// recorded again when the point tiles replaced its point R-tree; that
+// layout is now retired (testdata/format/retired/3dreach-v2-rtree.idx).
 func TestFormatLayoutPinned(t *testing.T) {
 	net := rangereach.GowallaLike(0.1, 7)
 	extents := withVenueExtents(t, net)
 	for _, c := range []struct {
 		name string
 		net  *rangereach.Network
-		m    rangereach.Method
-		opts []rangereach.Option
 		want string
 	}{
 		// Recorded again when 3DReach's labels and tile column moved from
 		// posts to spatial ranks (flag bit 4): same sections, new values
 		// (TestFormatV2PostKeys keeps the post-keyed file loading).
-		{"3dreach", net, rangereach.ThreeDReach, nil, "e1f123f14bb3ba8c0025e97f53f3bf9493894daf66d64b103d80be33e6005df3"},
-		{"spareach-int-mbr", net, rangereach.SpaReachINT, []rangereach.Option{rangereach.WithMBRPolicy()}, "e5201b50503f4088aacb706ca3903083d9f826df1cf786e906c1fe7f8801ade7"},
-		// The box trees of extended geometries: 3DReach's exact boxes and
-		// 3DReach-Rev's widened segments. Recorded over the code of commit
-		// 0ea6a8a, when they replaced the MBR policy's pins, and unchanged
-		// when that policy left both engines.
-		{"3dreach-extents", extents, rangereach.ThreeDReach, nil, "77e4e3f0862c25d2db55fe9a4cfa20f140760324cda927c2ba092c6304c1da97"},
-		{"3dreach-rev-extents", extents, rangereach.ThreeDReachRev, nil, "0c08abff3f54c8c84026a960acdc86ace7905a2f90e9a1eac54fd5ec7e479a30"},
+		{"3dreach", net, "e1f123f14bb3ba8c0025e97f53f3bf9493894daf66d64b103d80be33e6005df3"},
+		// The box tree of extended geometries, 3DReach's exact boxes.
+		// Recorded over the code of commit 0ea6a8a, when it replaced the
+		// MBR policy's pin, and unchanged when that policy left 3DReach.
+		{"3dreach-extents", extents, "77e4e3f0862c25d2db55fe9a4cfa20f140760324cda927c2ba092c6304c1da97"},
 	} {
-		idx, err := c.net.Build(c.m, c.opts...)
+		idx, err := c.net.Build(rangereach.ThreeDReach)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -890,33 +734,32 @@ func TestFormatLayoutPinned(t *testing.T) {
 // TestFormatFanoutBuildSaveLoad: whatever fan-out a build accepts, the
 // saved file loads. WithRTreeFanout(1<<21) used to build and save a file
 // that LoadIndex and OpenMapped then rejected as implausible; builder and
-// loader now share one range.
+// loader now share one range. The saved tree is 3DReach's box tree, so
+// the network has extents (over points 3DReach keeps tiles).
 func TestFormatFanoutBuildSaveLoad(t *testing.T) {
-	net := fuzzNet()
+	net := fuzzExtentsNet()
 	for _, fanout := range []int{-1, 0, 1, 4, 16, 1 << 20, 1<<20 + 1, 1 << 21} {
-		for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.ThreeDReachRev, rangereach.SpaReachINT} {
-			name := fmt.Sprintf("%v/fanout=%d", m, fanout)
-			idx, err := net.Build(m, rangereach.WithRTreeFanout(fanout))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			path := filepath.Join(t.TempDir(), "fanout.idx")
-			if err := idx.SaveFile(path); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			loaded, err := net.LoadIndexFile(path)
-			if err != nil {
-				t.Fatalf("%s: load: %v", name, err)
-			}
-			fixtureQueries(t, loaded, name+"/decode")
-			mapped, err := net.OpenMapped(path)
-			if err != nil {
-				t.Fatalf("%s: map: %v", name, err)
-			}
-			fixtureQueries(t, mapped, name+"/mmap")
-			if err := mapped.Close(); err != nil {
-				t.Fatal(err)
-			}
+		name := fmt.Sprintf("fanout=%d", fanout)
+		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithRTreeFanout(fanout))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "fanout.idx")
+		if err := idx.SaveFile(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		loaded, err := net.LoadIndexFile(path)
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		fixtureQueries(t, loaded, name+"/decode")
+		mapped, err := net.OpenMapped(path)
+		if err != nil {
+			t.Fatalf("%s: map: %v", name, err)
+		}
+		fixtureQueries(t, mapped, name+"/mmap")
+		if err := mapped.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

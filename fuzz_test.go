@@ -42,10 +42,10 @@ func buildFuzzNet(extra func(*rangereach.NetworkBuilder)) *rangereach.Network {
 // validated index — it never panics and never accepts a structurally
 // broken index. Seeds are valid saves of each persistable method plus
 // truncated prefixes, so the seed-corpus CI run exercises every
-// section decoder; the bare v1 magic and the two retired MBR-policy
-// files, whole and halved, so the refusals are fuzzed; and the other
-// layouts the loader reads, whole and halved. Every input is
-// loaded over each network a seed was built on.
+// section decoder; the bare magics and every retired fixture, whole
+// and halved, so the refusals are fuzzed; and the other layouts the
+// loader reads, whole and halved. Every input is loaded over each
+// network a seed was built on.
 func FuzzPersistRoundtrip(f *testing.F) {
 	nets := []*rangereach.Network{fuzzNet()}
 	region := rangereach.NewRect(60, 55, 90, 95)
@@ -58,8 +58,8 @@ func FuzzPersistRoundtrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("RRIX"))
 	f.Add([]byte("RRX2"))
-	for _, name := range []string{"3dreach-mbr-v2", "3dreach-rev-mbr-v2"} {
-		data, err := os.ReadFile(retiredPath(name))
+	for _, r := range retiredFixtures {
+		data, err := os.ReadFile(retiredPath(r.name))
 		if err != nil {
 			f.Fatal(err)
 		}

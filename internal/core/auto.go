@@ -29,8 +29,7 @@ var autoPreference = []Method{
 	MethodGeoReach,
 }
 
-// maxAutoMembers bounds the composite; both loaders validate a saved
-// member count against it.
+// maxAutoMembers bounds the composite.
 const maxAutoMembers = 8
 
 // AutoOptions configures the MethodAuto composite.
@@ -41,11 +40,9 @@ type AutoOptions struct {
 }
 
 // Auto is the MethodAuto engine: a set of member engines of which one,
-// fixed when the composite is built or loaded, answers every query.
-// Safe for concurrent queries.
+// fixed when the composite is built, answers every query. Safe for
+// concurrent queries.
 type Auto struct {
-	policy  dataset.SCCPolicy
-	methods []Method
 	members []Engine
 	route   Engine // the member autoPreference ranks first
 }
@@ -92,24 +89,13 @@ func BuildAuto(prep *dataset.Prepared, opts BuildOptions) (*Auto, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return newAuto(opts.Policy, methods, engines), nil
-}
-
-// newAuto fixes the route over already-built members; both the build
-// path and the loaders funnel through here.
-func newAuto(policy dataset.SCCPolicy, methods []Method, engines []Engine) *Auto {
 	route := 0
 	for i, m := range methods {
 		if slices.Index(autoPreference, m) < slices.Index(autoPreference, methods[route]) {
 			route = i
 		}
 	}
-	return &Auto{
-		policy:  policy,
-		methods: append([]Method(nil), methods...),
-		members: engines,
-		route:   engines[route],
-	}
+	return &Auto{members: engines, route: engines[route]}, nil
 }
 
 // Name implements Engine.

@@ -142,68 +142,22 @@ func TestAutoTracePlan(t *testing.T) {
 	}
 }
 
-// TestAutoPersistRoundtrip saves a composite and reloads it: same
-// answers, same member set in the same order, same routed member.
-func TestAutoPersistRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(241))
-	net := spatialCycleNetwork(rng, 80)
-	prep := dataset.Prepare(net)
-	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
-		Members: []Method{MethodSocReach, MethodThreeDReachRev, MethodSpaReachINT},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := SaveEngine(&buf, auto); err != nil {
-		t.Fatalf("SaveEngine: %v", err)
-	}
-	res, err := LoadEngine(&buf, prep, BuildOptions{})
-	if err != nil {
-		t.Fatalf("LoadEngine: %v", err)
-	}
-	if res.Method != MethodAuto {
-		t.Fatalf("loaded method %v, want MethodAuto", res.Method)
-	}
-	loaded := res.Engine.(*Auto)
-	if len(loaded.Members()) != len(auto.Members()) {
-		t.Fatalf("loaded %d members, want %d", len(loaded.Members()), len(auto.Members()))
-	}
-	for i, e := range loaded.Members() {
-		if e.Name() != auto.Members()[i].Name() {
-			t.Fatalf("member %d is %s, want %s", i, e.Name(), auto.Members()[i].Name())
-		}
-	}
-	if loaded.route.Name() != auto.route.Name() {
-		t.Errorf("loaded composite routes to %s, built one to %s", loaded.route.Name(), auto.route.Name())
-	}
-	truth := NewNaiveBFS(net)
-	for q := 0; q < 50; q++ {
-		v := rng.Intn(net.NumVertices())
-		r := randomRegion(rng)
-		if got, want := loaded.RangeReach(v, r), truth.RangeReach(v, r); got != want {
-			t.Fatalf("loaded Auto(%d, %v) = %v, want %v", v, r, got, want)
-		}
-	}
-}
-
 // TestAutoPersistNotPersistableMember keeps the ErrNotPersistable
-// semantics: a composite with a PLL member cannot be saved, and the
-// error identifies the member.
+// semantics: a composite has no save format, whether or not its members
+// have one, so one with a PLL member and the default one (3DReach
+// alone) are both refused.
 func TestAutoPersistNotPersistableMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	prep := dataset.Prepare(randomNetwork(rng, 15, 10, true))
-	auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{
-		Members: []Method{MethodSocReach, MethodSpaReachPLL},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err = SaveEngine(&buf, auto)
-	if !errors.Is(err, ErrNotPersistable) {
-		t.Fatalf("saving composite with PLL member: got %v, want ErrNotPersistable", err)
+	for _, members := range [][]Method{{MethodSocReach, MethodSpaReachPLL}, nil} {
+		auto, err := BuildAuto(prep, BuildOptions{Auto: AutoOptions{Members: members}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveEngine(&buf, auto); !errors.Is(err, ErrNotPersistable) || buf.Len() != 0 {
+			t.Errorf("saving composite of %v: got %v and %d bytes, want ErrNotPersistable and none", members, err, buf.Len())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,11 +21,6 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 		policy dataset.SCCPolicy
 	}{
 		{MethodThreeDReach, dataset.Replicate},
-		{MethodThreeDReachRev, dataset.Replicate},
-		{MethodSocReach, dataset.Replicate},
-		{MethodSpaReachINT, dataset.Replicate},
-		{MethodSpaReachINT, dataset.MBR},
-		{MethodSpaReachBFL, dataset.Replicate},
 		{MethodGeoReach, dataset.Replicate},
 	}
 	for _, tc := range persistable {
@@ -36,7 +32,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 		if err := SaveEngine(&buf, res.Engine); err != nil {
 			t.Fatalf("%v/%v: save: %v", tc.method, tc.policy, err)
 		}
-		loaded, err := LoadEngine(&buf, prep, BuildOptions{})
+		loaded, err := LoadEngine(&buf, prep)
 		if err != nil {
 			t.Fatalf("%v/%v: load: %v", tc.method, tc.policy, err)
 		}
@@ -56,6 +52,8 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveEngineUnsupported: every engine but 3DReach and GeoReach is
+// refused with ErrNotPersistable before a byte is written.
 func TestSaveEngineUnsupported(t *testing.T) {
 	rng := rand.New(rand.NewSource(611))
 	prep := dataset.Prepare(randomNetwork(rng, 10, 5, false))
@@ -63,8 +61,14 @@ func TestSaveEngineUnsupported(t *testing.T) {
 	if err := SaveEngine(&buf, NewNaiveBFS(prep.Net)); err == nil {
 		t.Error("naive save accepted")
 	}
-	if err := SaveEngine(&buf, NewSpaReachPLL(prep, SpaReachOptions{})); err == nil {
-		t.Error("PLL save accepted")
+	for _, m := range []Method{MethodThreeDReachRev, MethodSocReach, MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL, MethodAuto} {
+		res, err := BuildMethod(prep, m, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveEngine(&buf, res.Engine); !errors.Is(err, ErrNotPersistable) || buf.Len() != 0 {
+			t.Errorf("%v: save returned %v and wrote %d bytes, want ErrNotPersistable and none", m, err, buf.Len())
+		}
 	}
 }
 
@@ -79,7 +83,7 @@ func TestLoadEngineRejectsCorruptInput(t *testing.T) {
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := LoadEngine(strings.NewReader(input), prep, BuildOptions{}); err == nil {
+			if _, err := LoadEngine(strings.NewReader(input), prep); err == nil {
 				t.Error("corrupt input accepted")
 			}
 		})
@@ -95,7 +99,7 @@ func TestLoadEngineRejectsWrongNetwork(t *testing.T) {
 	if err := SaveEngine(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEngine(&buf, prepB, BuildOptions{}); err == nil {
+	if _, err := LoadEngine(&buf, prepB); err == nil {
 		t.Error("engine accepted against a different network")
 	}
 }

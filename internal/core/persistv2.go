@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bfl"
 	"repro/internal/dataset"
 	"repro/internal/flatbuf"
 	"repro/internal/geom"
@@ -24,34 +23,28 @@ import (
 // and the zero-copy mmap overlay (OpenMappedEngine) — because every
 // section is a typed slice cast straight out of the image.
 //
-// Sections are keyed (owner, kind): owner 0 is the root engine, owners
-// 1..n the members of an Auto composite in position order. Each owner
-// carries a manifest section (scalar metadata, little-endian packed
+// Sections are keyed (owner, kind); an engine's sections are all under
+// owner 0: a manifest section (scalar metadata, little-endian packed
 // structs) plus the column sections its method needs. The manifest's
-// first bytes are {method u8, policy u8, flags u16}; the Auto root
-// manifest instead carries the member method list and one f64 per
-// member (a former cost coefficient, written as autoCoef and ignored on
-// load), and each member's own manifest follows under its owner id.
+// first bytes are {method u8, policy u8, flags u16}. Two methods write
+// a record, 3DReach and GeoReach; a record of any other method is
+// refused as retired (DESIGN.md §16).
 //
-// Emission order is fixed (manifest, then columns in kind order, owners
-// ascending), columns are canonical (sorted grid keys, BFS tree layout,
-// tiles sorted with ties broken by id), so identical engines serialize
+// Emission order is fixed (manifest, then columns in kind order),
+// columns are canonical (sorted grid keys, BFS tree layout, tiles
+// sorted with ties broken by id), so identical engines serialize
 // to byte-identical images — save(load(v2)) round-trips exactly,
 // including from a mapped index, whose Save re-encodes from the very
 // slices that alias the map.
 
-// Section kinds of the v2 image.
+// Section kinds of the v2 image. Kinds 6–10 held SpaReach-BFL's
+// filters, whose records are retired.
 const (
 	secManifest       = 1
 	secLabelPost      = 2  // [n]i32 post-order numbers
 	secLabelOrder     = 3  // [n]i32 inverse permutation
 	secLabelOff       = 4  // [n+1]u64 label-set offsets
 	secLabelData      = 5  // [Σ]Interval concatenated label sets
-	secBFLHash        = 6  // [n]i32
-	secBFLOut         = 7  // [n·words]u64
-	secBFLIn          = 8  // [n·words]u64
-	secBFLDiscover    = 9  // [n]i32
-	secBFLFinish      = 10 // [n]i32
 	secTreeNodeBounds = 11 // [nodes·2d]f64
 	secTreeNodeMeta   = 12 // [nodes·2]u32
 	secTreeEntryBound = 13 // [size·2d]f64
@@ -70,37 +63,23 @@ const (
 	secTileID         = 26 // [points]i32
 )
 
-// Manifest flag bits.
+// 3DReach's manifest flag bits.
 const (
-	// SocReach: bit 0 is reserved. It once chose a descendant-scan
-	// structure, which never changed an answer; it is written as zero
-	// and ignored on load.
-
 	// threeDFlagExact: the box tree holds exact geometries. Always
 	// written with bit 1: the box trees without it held the MBR policy's
 	// component boxes, refused by their policy byte.
 	threeDFlagExact = 1 << 0
-	threeDFlagBoxes = 1 << 1 // 3DReach: spatial index is the box tree
+	threeDFlagBoxes = 1 << 1 // spatial index is the box tree
 	// threeDFlagSpatial: R-tree sections are present. Set with bit 1,
 	// they are the box tree; without it, a point tree written before the
 	// tiles, which the loader refuses as retired.
 	threeDFlagSpatial = 1 << 2
-	threeDFlagTiles   = 1 << 3 // 3DReach: point tiles sections are present
+	threeDFlagTiles   = 1 << 3 // point tiles sections are present
 	// threeDFlagRanks: the labels, and the tiles' post column or the
 	// boxes' z, hold spatial ranks instead of posts (the layout is the
 	// same). A file without it answers in post space as written.
 	threeDFlagRanks = 1 << 4
-
-	// revFlagPosts: 3DReach-Rev's record holds the post column and the
-	// segment tree. Clear, it is the older generation, which also holds
-	// the reversed labels; they load and are dropped but for the posts.
-	revFlagPosts = 1 << 0
 )
-
-// autoCoef fills the Auto manifest's per-member coefficient field. The
-// value is the uncalibrated prior of the cost model that once read it,
-// so an index saves to the same bytes it did then.
-const autoCoef = 1e-7
 
 // Packed little-endian manifest records (binary.Write lays out fields
 // in order with no padding).
@@ -125,41 +104,19 @@ type treeMeta struct {
 	Dims           uint8
 }
 
-type bflMeta struct {
-	N     uint32
-	Words uint32
-}
-
 type geoMeta struct {
 	N      uint32
 	Levels uint8
 	Space  [4]float64
 }
 
-// SaveEngine writes e to w as a v2 flat image. Supported: ThreeDReach,
-// ThreeDReachRev, SocReach, SpaReach-BFL, SpaReach-INT, GeoReach and
-// Auto composites of those; others return ErrNotPersistable. The image
-// is little-endian and cast from memory, so on a big-endian host the
-// error wraps flatbuf.ErrBigEndian.
+// SaveEngine writes e to w as a v2 flat image. Supported: ThreeDReach
+// and GeoReach; others return ErrNotPersistable. The image is
+// little-endian and cast from memory, so on a big-endian host the error
+// wraps flatbuf.ErrBigEndian.
 func SaveEngine(w io.Writer, e Engine) error {
 	fw := flatbuf.NewWriter()
-	if auto, ok := e.(*Auto); ok {
-		var man bytes.Buffer
-		mustWrite(&man, manifestHeader{Method: uint8(MethodAuto), Policy: uint8(auto.policy)})
-		mustWrite(&man, uint8(len(auto.members)))
-		for _, m := range auto.methods {
-			mustWrite(&man, uint8(m))
-		}
-		for range auto.members {
-			mustWrite(&man, autoCoef)
-		}
-		fw.Append(0, secManifest, man.Bytes())
-		for i, member := range auto.members {
-			if err := appendEngineSections(fw, uint32(i+1), member); err != nil {
-				return fmt.Errorf("auto member %v: %w", auto.methods[i], err)
-			}
-		}
-	} else if err := appendEngineSections(fw, 0, e); err != nil {
+	if err := appendEngineSections(fw, 0, e); err != nil {
 		return err
 	}
 	if _, err := fw.WriteTo(w); err != nil {
@@ -177,8 +134,7 @@ func mustWrite(b *bytes.Buffer, v any) {
 }
 
 // appendEngineSections adds one engine's manifest and columns under the
-// owner id. Composite engines never reach here — SaveEngine unrolls
-// Auto itself (and the format forbids nesting).
+// owner id.
 func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 	var man bytes.Buffer
 	switch eng := e.(type) {
@@ -206,24 +162,6 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 		} else if err := appendTileSections(fw, owner, eng.points); err != nil {
 			return err
 		}
-	case *ThreeDReachRev:
-		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReachRev), Policy: uint8(dataset.Replicate), Flags: revFlagPosts})
-		mustWrite(&man, uint32(len(eng.post)))
-		mustWrite(&man, treeMetaOf(eng.tree))
-		fw.Append(owner, secManifest, man.Bytes())
-		if err := flatbuf.AppendSlice(fw, owner, secLabelPost, eng.post); err != nil {
-			return err
-		}
-		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
-			return err
-		}
-	case *SocReach:
-		mustWrite(&man, manifestHeader{Method: uint8(MethodSocReach), Policy: uint8(dataset.Replicate)})
-		mustWrite(&man, labelingMetaOf(eng.l))
-		fw.Append(owner, secManifest, man.Bytes())
-		if err := appendLabelingSections(fw, owner, eng.l); err != nil {
-			return err
-		}
 	case *GeoReach:
 		gm := eng.idx.FlatMeta()
 		space := gm.Space
@@ -244,39 +182,6 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			if err != nil {
 				return err
 			}
-		}
-	case *SpaReach:
-		switch reach := eng.reach.(type) {
-		case *labeling.Labeling:
-			mustWrite(&man, manifestHeader{Method: uint8(MethodSpaReachINT), Policy: uint8(eng.policy)})
-			mustWrite(&man, labelingMetaOf(reach))
-			mustWrite(&man, treeMetaOf(eng.tree))
-			fw.Append(owner, secManifest, man.Bytes())
-			if err := appendLabelingSections(fw, owner, reach); err != nil {
-				return err
-			}
-		case *bfl.Index:
-			words, hash, out, in, discover, finish := reach.Flat()
-			mustWrite(&man, manifestHeader{Method: uint8(MethodSpaReachBFL), Policy: uint8(eng.policy)})
-			mustWrite(&man, bflMeta{N: uint32(len(hash)), Words: uint32(words)})
-			mustWrite(&man, treeMetaOf(eng.tree))
-			fw.Append(owner, secManifest, man.Bytes())
-			for _, s := range []error{
-				flatbuf.AppendSlice(fw, owner, secBFLHash, hash),
-				flatbuf.AppendSlice(fw, owner, secBFLOut, out),
-				flatbuf.AppendSlice(fw, owner, secBFLIn, in),
-				flatbuf.AppendSlice(fw, owner, secBFLDiscover, discover),
-				flatbuf.AppendSlice(fw, owner, secBFLFinish, finish),
-			} {
-				if s != nil {
-					return s
-				}
-			}
-		default:
-			return fmt.Errorf("%w: SpaReach backend %T", ErrNotPersistable, reach)
-		}
-		if err := appendTreeSections(fw, owner, eng.tree); err != nil {
-			return err
 		}
 	default:
 		return fmt.Errorf("%w: %T", ErrNotPersistable, e)
@@ -357,19 +262,14 @@ func appendTileSections(fw *flatbuf.Writer, owner uint32, t *tiles.Tiles) error 
 // loadEngineV2 assembles an engine from an opened image. The image may
 // be a decoded copy or a live mmap; either way the engine's columns
 // alias img's data, which must outlive the engine.
-func loadEngineV2(img *flatbuf.Image, prep *dataset.Prepared, opts BuildOptions) (BuildResult, error) {
+func loadEngineV2(img *flatbuf.Image, prep *dataset.Prepared) (BuildResult, error) {
 	mr, h, err := openManifest(img, 0)
 	if err != nil {
 		return BuildResult{}, err
 	}
 	m := Method(h.Method)
 	policy := dataset.SCCPolicy(h.Policy)
-	var e Engine
-	if m == MethodAuto {
-		e, err = loadAutoV2(img, mr, prep, opts, policy)
-	} else {
-		e, err = loadEngineOwnerV2(img, 0, mr, m, policy, h.Flags, prep, opts)
-	}
+	e, err := loadEngineOwnerV2(img, 0, mr, m, policy, h.Flags, prep)
 	if err != nil {
 		return BuildResult{}, err
 	}
@@ -428,8 +328,10 @@ func castSection[T any](img *flatbuf.Image, owner, kind uint32) ([]T, error) {
 	return v, nil
 }
 
-// loadEngineOwnerV2 assembles one engine from its owner's sections.
-func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared, opts BuildOptions) (Engine, error) {
+// loadEngineOwnerV2 assembles one engine from its owner's sections. A
+// record of a method that no longer saves is refused as retired, after
+// the MBR-policy check that names the older refusal.
+func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared) (Engine, error) {
 	if (m == MethodThreeDReach || m == MethodThreeDReachRev) && policy != dataset.Replicate {
 		if policy == dataset.MBR {
 			return nil, retired(m.String()+" MBR policy", "rebuild from the network with Replicate")
@@ -477,99 +379,6 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 			return nil, err
 		}
 		return &ThreeDReach{prep: prep, l: l, boxes: f}, nil
-	case MethodThreeDReachRev:
-		var post []int32
-		switch flags {
-		case revFlagPosts:
-			p, err := loadPostsV2(img, owner, mr, prep)
-			if err != nil {
-				return nil, err
-			}
-			post = p
-		case 0:
-			rev, err := loadLabelingV2(img, owner, mr, prep)
-			if err != nil {
-				return nil, err
-			}
-			post = rev.Post
-		default:
-			return nil, fmt.Errorf("core: %w: 3DReach-Rev flags %#x", flatbuf.ErrFormat, flags)
-		}
-		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, prep.Net.NumVertices())
-		if err != nil {
-			return nil, err
-		}
-		if err := manifestDone(mr, owner); err != nil {
-			return nil, err
-		}
-		return &ThreeDReachRev{prep: prep, post: post, tree: f}, nil
-	case MethodSocReach:
-		l, err := loadLabelingV2(img, owner, mr, prep)
-		if err != nil {
-			return nil, err
-		}
-		if err := manifestDone(mr, owner); err != nil {
-			return nil, err
-		}
-		return NewSocReachWithLabeling(prep, l), nil
-	case MethodSpaReachINT:
-		l, err := loadLabelingV2(img, owner, mr, prep)
-		if err != nil {
-			return nil, err
-		}
-		f, err := loadSpaTreeV2(img, owner, mr, policy, prep)
-		if err != nil {
-			return nil, err
-		}
-		if err := manifestDone(mr, owner); err != nil {
-			return nil, err
-		}
-		so := opts.SpaReach
-		so.Policy = policy
-		return newSpaReachWithTree("SpaReach-INT", prep, l, f, so), nil
-	case MethodSpaReachBFL:
-		var bm bflMeta
-		if err := readManifest(mr, owner, &bm); err != nil {
-			return nil, err
-		}
-		if int(bm.N) != prep.DAG.NumVertices() {
-			return nil, fmt.Errorf("core: %w: BFL has %d vertices, DAG has %d",
-				flatbuf.ErrFormat, bm.N, prep.DAG.NumVertices())
-		}
-		hash, err := castSection[int32](img, owner, secBFLHash)
-		if err != nil {
-			return nil, err
-		}
-		out, err := castSection[uint64](img, owner, secBFLOut)
-		if err != nil {
-			return nil, err
-		}
-		in, err := castSection[uint64](img, owner, secBFLIn)
-		if err != nil {
-			return nil, err
-		}
-		discover, err := castSection[int32](img, owner, secBFLDiscover)
-		if err != nil {
-			return nil, err
-		}
-		finish, err := castSection[int32](img, owner, secBFLFinish)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := bfl.FromFlat(prep.DAG, int(bm.Words), hash, out, in, discover, finish)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w: %v", flatbuf.ErrFormat, err)
-		}
-		f, err := loadSpaTreeV2(img, owner, mr, policy, prep)
-		if err != nil {
-			return nil, err
-		}
-		if err := manifestDone(mr, owner); err != nil {
-			return nil, err
-		}
-		so := opts.SpaReach
-		so.Policy = policy
-		return newSpaReachWithTree("SpaReach-BFL", prep, idx, f, so), nil
 	case MethodGeoReach:
 		var gm geoMeta
 		if err := readManifest(mr, owner, &gm); err != nil {
@@ -602,6 +411,8 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 			return nil, fmt.Errorf("core: %w: %v", flatbuf.ErrFormat, err)
 		}
 		return &GeoReach{idx: idx}, nil
+	case MethodThreeDReachRev, MethodSocReach, MethodSpaReachBFL, MethodSpaReachINT, MethodAuto:
+		return nil, retired(m.String()+" record", "rebuild from the network")
 	default:
 		return nil, fmt.Errorf("core: %w: method %v is not loadable from a flat image", flatbuf.ErrFormat, m)
 	}
@@ -647,36 +458,6 @@ func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *da
 			l.NumVertices(), prep.NumComponents())
 	}
 	return l, nil
-}
-
-// loadPostsV2 reads 3DReach-Rev's component count and overlays its post
-// column, which must be a permutation of [1, C]: a query reads its plane
-// height there.
-func loadPostsV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *dataset.Prepared) ([]int32, error) {
-	var n uint32
-	if err := readManifest(mr, owner, &n); err != nil {
-		return nil, err
-	}
-	post, err := castSection[int32](img, owner, secLabelPost)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) != len(post) {
-		return nil, fmt.Errorf("core: %w: manifest says %d components, post column has %d",
-			flatbuf.ErrFormat, n, len(post))
-	}
-	if len(post) != prep.NumComponents() {
-		return nil, fmt.Errorf("core: post column has %d components, network has %d",
-			len(post), prep.NumComponents())
-	}
-	seen := make([]bool, len(post))
-	for c, p := range post {
-		if p < 1 || int(p) > len(post) || seen[p-1] {
-			return nil, fmt.Errorf("core: %w: corrupt post %d for component %d", flatbuf.ErrFormat, p, c)
-		}
-		seen[p-1] = true
-	}
-	return post, nil
 }
 
 // loadFlatTreeV2 reads a treeMeta record, overlays the tree columns and
@@ -766,73 +547,13 @@ func loadTilesV2(img *flatbuf.Image, owner uint32, prep *dataset.Prepared) (*til
 	return t, nil
 }
 
-// loadSpaTreeV2 loads SpaReach's 2D tree; entry ids are vertices under
-// Replicate, components under MBR.
-func loadSpaTreeV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, policy dataset.SCCPolicy, prep *dataset.Prepared) (*rtree.Flat[geom.Rect], error) {
-	limit := prep.Net.NumVertices()
-	if policy == dataset.MBR {
-		limit = prep.NumComponents()
-	}
-	return loadFlatTreeV2[geom.Rect](img, owner, mr, 2, limit)
-}
-
-// loadAutoV2 assembles the composite: the root manifest carries the
-// member list and the ignored coefficients, each member its own
-// manifest and columns under owner i+1.
-func loadAutoV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared, opts BuildOptions, policy dataset.SCCPolicy) (*Auto, error) {
-	var n uint8
-	if err := readManifest(mr, 0, &n); err != nil {
-		return nil, err
-	}
-	if n == 0 || int(n) > maxAutoMembers {
-		return nil, fmt.Errorf("core: %w: auto member count %d out of range [1,%d]",
-			flatbuf.ErrFormat, n, maxAutoMembers)
-	}
-	methods := make([]Method, n)
-	for i := range methods {
-		var mb uint8
-		if err := readManifest(mr, 0, &mb); err != nil {
-			return nil, err
-		}
-		methods[i] = Method(mb)
-	}
-	coefs := make([]float64, n) // read past, never used
-	if err := readManifest(mr, 0, &coefs); err != nil {
-		return nil, err
-	}
-	if err := manifestDone(mr, 0); err != nil {
-		return nil, err
-	}
-	engines := make([]Engine, n)
-	for i := range engines {
-		owner := uint32(i + 1)
-		mmr, mh, err := openManifest(img, owner)
-		if err != nil {
-			return nil, fmt.Errorf("core: auto member %d: %w", i, err)
-		}
-		if Method(mh.Method) != methods[i] {
-			return nil, fmt.Errorf("core: %w: auto member %d manifest says %v, root says %v",
-				flatbuf.ErrFormat, i, Method(mh.Method), methods[i])
-		}
-		if Method(mh.Method) == MethodAuto {
-			return nil, fmt.Errorf("core: %w: auto member %d is itself an auto composite", flatbuf.ErrFormat, i)
-		}
-		e, err := loadEngineOwnerV2(img, owner, mmr, methods[i], dataset.SCCPolicy(mh.Policy), mh.Flags, prep, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: auto member %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-	return newAuto(policy, methods, engines), nil
-}
-
 // OpenMappedEngine memory-maps a v2 index file and assembles its engine
 // directly over the mapped pages: no decode pass, no per-structure
 // copies — cold-start cost is the page faults queries actually incur.
 // The returned closer owns the mapping; the engine must not be used
 // after Close. A retired layout is refused with ErrRetiredFormat, as by
 // LoadEngine.
-func OpenMappedEngine(path string, prep *dataset.Prepared, opts BuildOptions) (BuildResult, io.Closer, error) {
+func OpenMappedEngine(path string, prep *dataset.Prepared) (BuildResult, io.Closer, error) {
 	m, err := flatbuf.MapFile(path)
 	if err != nil {
 		return BuildResult{}, nil, err
@@ -845,7 +566,7 @@ func OpenMappedEngine(path string, prep *dataset.Prepared, opts BuildOptions) (B
 		_ = m.Close()
 		return BuildResult{}, nil, err
 	}
-	res, err := loadEngineV2(img, prep, opts)
+	res, err := loadEngineV2(img, prep)
 	if err != nil {
 		_ = m.Close()
 		return BuildResult{}, nil, err

@@ -43,12 +43,6 @@ func NewSocReach(prep *dataset.Prepared, opts SocReachOptions) *SocReach {
 		Parallelism:     opts.Parallelism,
 	})
 	opts.Span.End("labeling", t)
-	return NewSocReachWithLabeling(prep, l)
-}
-
-// NewSocReachWithLabeling builds the engine around an existing labeling
-// of prep.DAG, e.g. one reloaded from disk.
-func NewSocReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling) *SocReach {
 	return &SocReach{prep: prep, l: l}
 }
 

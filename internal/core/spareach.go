@@ -113,10 +113,6 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts SpaReachOpti
 			return nil
 		},
 	)
-	return newSpaReachWithTree(name, prep, reach, tree, opts)
-}
-
-func newSpaReachWithTree(name string, prep *dataset.Prepared, reach reachIndex, tree *rtree.Flat[geom.Rect], opts SpaReachOptions) *SpaReach {
 	e := &SpaReach{
 		name: name, prep: prep, policy: opts.Policy,
 		reach: reach, streaming: opts.Streaming, tree: tree,

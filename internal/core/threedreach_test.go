@@ -64,7 +64,7 @@ func fragmentedCases(t *testing.T) []fragmentedCase {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		opened, closer, err := OpenMappedEngine(path, c.prep, BuildOptions{})
+		opened, closer, err := OpenMappedEngine(path, c.prep)
 		if err != nil {
 			t.Fatal(err)
 		}

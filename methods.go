@@ -74,14 +74,14 @@ var methodTable = [...]struct {
 	persistable bool
 }{
 	ThreeDReach:    {core.MethodThreeDReach, "3DReach", "3dreach", true},
-	ThreeDReachRev: {core.MethodThreeDReachRev, "3DReach-Rev", "3dreach-rev", true},
-	SocReach:       {core.MethodSocReach, "SocReach", "socreach", true},
-	SpaReachBFL:    {core.MethodSpaReachBFL, "SpaReach-BFL", "spareach-bfl", true},
-	SpaReachINT:    {core.MethodSpaReachINT, "SpaReach-INT", "spareach-int", true},
+	ThreeDReachRev: {core.MethodThreeDReachRev, "3DReach-Rev", "3dreach-rev", false},
+	SocReach:       {core.MethodSocReach, "SocReach", "socreach", false},
+	SpaReachBFL:    {core.MethodSpaReachBFL, "SpaReach-BFL", "spareach-bfl", false},
+	SpaReachINT:    {core.MethodSpaReachINT, "SpaReach-INT", "spareach-int", false},
 	GeoReach:       {core.MethodGeoReach, "GeoReach", "georeach", true},
 	Naive:          {noCore, "NaiveBFS", "naive", false},
 	SpaReachPLL:    {core.MethodSpaReachPLL, "SpaReach-PLL", "spareach-pll", false},
-	MethodAuto:     {core.MethodAuto, "Auto", "auto", true},
+	MethodAuto:     {core.MethodAuto, "Auto", "auto", false},
 }
 
 func (m Method) known() bool { return m >= 0 && int(m) < len(methodTable) }
@@ -95,8 +95,9 @@ func (m Method) String() string {
 }
 
 // Persistable reports whether an index of this method can be saved
-// (Index.Save returns ErrNotPersistable otherwise). A MethodAuto index
-// is persistable when all its members are, as the default ones are.
+// (Index.Save returns ErrNotPersistable otherwise): true for
+// ThreeDReach and GeoReach alone. The other methods are rebuilt from
+// the network, and their saved records are refused as retired.
 func (m Method) Persistable() bool { return m.known() && methodTable[m].persistable }
 
 // ParseMethod resolves a method name as the command-line tools spell it

@@ -10,9 +10,9 @@ import (
 )
 
 // ErrNotPersistable reports that an index's method has no save format
-// (Method.Persistable says which have one): the persistable methods are
-// the ones whose index state dominates build time, the rest rebuild
-// quickly from the network.
+// (Method.Persistable says which have one): 3DReach, the engine that is
+// served from a file, and GeoReach have one; every other method is
+// rebuilt from the network wherever it is used.
 var ErrNotPersistable = core.ErrNotPersistable
 
 // Save writes the index's state to w in the current v2 flat format: a
@@ -22,7 +22,9 @@ var ErrNotPersistable = core.ErrNotPersistable
 // over the same network. Saving an OpenMapped index re-emits the
 // mapped columns themselves, so save(load(file)) reproduces the file
 // byte for byte. The image is little-endian; on a big-endian host Save
-// returns an error.
+// returns an error. Only ThreeDReach and GeoReach indexes save
+// (Method.Persistable); any other returns ErrNotPersistable before
+// writing a byte.
 func (idx *Index) Save(w io.Writer) error {
 	return core.SaveEngine(w, idx.engine)
 }
@@ -81,16 +83,13 @@ func (idx *Index) SaveFile(path string) error {
 // LoadIndex reads an index saved with Index.Save and attaches it to the
 // network, which must be identical to the one the index was built over.
 // It reads the layout Save writes and the one generation before it
-// (3DReach labels keyed by post; 3DReach-Rev with its reversed labels,
-// which are dropped). An older file — the v1 stream, or a
+// (3DReach labels keyed by post). An older file — the v1 stream, or a
 // 3DReach whose points sit in an R-tree — is refused with an error that
-// wraps core.ErrRetiredFormat and names the upgrade.
-func (n *Network) LoadIndex(r io.Reader, options ...Option) (*Index, error) {
-	var cfg buildConfig
-	for _, o := range options {
-		o(&cfg)
-	}
-	res, err := core.LoadEngine(r, n.prep, cfg.opts)
+// wraps core.ErrRetiredFormat and names the upgrade; so is the record
+// of a method that no longer saves (3DReach-Rev, SocReach, SpaReach,
+// Auto), whose remedy is a rebuild from the network.
+func (n *Network) LoadIndex(r io.Reader) (*Index, error) {
+	res, err := core.LoadEngine(r, n.prep)
 	if err != nil {
 		return nil, err
 	}
@@ -114,13 +113,13 @@ func (n *Network) LoadIndex(r io.Reader, options ...Option) (*Index, error) {
 }
 
 // LoadIndexFile reads an index from the named file.
-func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) {
+func (n *Network) LoadIndexFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("rangereach: %w", err)
 	}
 	defer f.Close()
-	return n.LoadIndex(f, options...)
+	return n.LoadIndex(f)
 }
 
 // OpenMapped memory-maps a v2 index file and assembles the index
@@ -134,9 +133,8 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 // maps what LoadIndex reads and refuses what LoadIndex refuses.
 //
 // Unlike LoadIndex, OpenMapped skips the deep validation pass, which
-// reads every tree bound to check containment, checks every label set
-// against the post-order numbers and, for 3DReach-Rev, rebuilds the
-// reversed labeling to check posts and segments against. The open still
+// reads every tile point and tree bound to check containment and checks
+// every label set against the post-order numbers. The open still
 // makes one linear pass over the label and post columns, the trees'
 // structure and id columns and the point tiles' offset and id columns
 // (not their bounds), verifying everything memory safety and the label
@@ -146,12 +144,8 @@ func (n *Network) LoadIndexFile(path string, options ...Option) (*Index, error) 
 // those ways is a load error; one corrupt only in its bounds or in
 // which posts a label covers can answer wrongly, never panic. Run
 // Index.Validate explicitly (e.g. rrserve -check) to get the full pass.
-func (n *Network) OpenMapped(path string, options ...Option) (*Index, error) {
-	var cfg buildConfig
-	for _, o := range options {
-		o(&cfg)
-	}
-	res, closer, err := core.OpenMappedEngine(path, n.prep, cfg.opts)
+func (n *Network) OpenMapped(path string) (*Index, error) {
+	res, closer, err := core.OpenMappedEngine(path, n.prep)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,9 @@ package rangereach_test
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	rangereach "repro"
@@ -10,11 +13,7 @@ import (
 func TestIndexSaveLoad(t *testing.T) {
 	net := figure1(t)
 	region := rangereach.NewRect(60, 55, 90, 95)
-	for _, m := range []rangereach.Method{
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev,
-		rangereach.SocReach, rangereach.SpaReachBFL, rangereach.SpaReachINT,
-		rangereach.GeoReach,
-	} {
+	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.GeoReach} {
 		idx := net.MustBuild(m)
 		var buf bytes.Buffer
 		if err := idx.Save(&buf); err != nil {
@@ -52,15 +51,27 @@ func TestIndexSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestSaveUnsupportedMethod: every method but 3DReach and GeoReach is
+// refused by Save with ErrNotPersistable, and SaveFile leaves no file,
+// temporary or final, behind.
 func TestSaveUnsupportedMethod(t *testing.T) {
 	net := figure1(t)
-	idx := net.MustBuild(rangereach.SpaReachPLL)
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err == nil {
-		t.Error("PLL save accepted")
+	dir := t.TempDir()
+	for _, name := range rangereach.MethodNames() {
+		m, _ := rangereach.ParseMethod(name)
+		if m.Persistable() {
+			continue
+		}
+		idx := net.MustBuild(m)
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); !errors.Is(err, rangereach.ErrNotPersistable) || buf.Len() != 0 {
+			t.Errorf("%v: Save returned %v and wrote %d bytes, want ErrNotPersistable and none", m, err, buf.Len())
+		}
+		if err := idx.SaveFile(filepath.Join(dir, name+".idx")); !errors.Is(err, rangereach.ErrNotPersistable) {
+			t.Errorf("%v: SaveFile returned %v, want ErrNotPersistable", m, err)
+		}
 	}
-	naive := net.MustBuild(rangereach.Naive)
-	if err := naive.Save(&buf); err == nil {
-		t.Error("naive save accepted")
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("SaveFile of unsaveable methods left %v (%v)", left, err)
 	}
 }

@@ -37,11 +37,7 @@ func TestValidateAfterBuild(t *testing.T) {
 // Validate internally, and the loaded index passes an explicit call.
 func TestValidateAfterRoundtrip(t *testing.T) {
 	net := figure1(t)
-	for _, m := range []rangereach.Method{
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev,
-		rangereach.SocReach, rangereach.SpaReachBFL, rangereach.SpaReachINT,
-		rangereach.GeoReach, rangereach.MethodAuto,
-	} {
+	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.GeoReach} {
 		idx := net.MustBuild(m)
 		var buf bytes.Buffer
 		if err := idx.Save(&buf); err != nil {
@@ -130,11 +126,7 @@ func TestDynamicValidateRandomized(t *testing.T) {
 func TestLoadCorrupted(t *testing.T) {
 	net := figure1(t)
 	var inputs []corruptionInput
-	for _, m := range []rangereach.Method{
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev, rangereach.SocReach,
-		rangereach.SpaReachBFL, rangereach.SpaReachINT, rangereach.GeoReach,
-		rangereach.MethodAuto,
-	} {
+	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.GeoReach} {
 		inputs = append(inputs, corruptionInput{m.String(), net, savedImage(t, net, m)})
 	}
 	for _, in := range append(inputs, layoutInputs(t, net)...) {
