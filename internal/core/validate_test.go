@@ -272,19 +272,23 @@ func TestValidateEngineRejectsCorruptRev(t *testing.T) {
 		t.Fatal("every segment spans one post")
 	}
 	for _, d := range []struct {
-		want   string
-		damage func()
+		name, want string
+		damage     func()
 	}{
-		{"segment of id", func() { bounds[6*j+2] = bounds[6*j+5] }},
-		{"component 0 has post", func() { e.post[0], e.post[1] = e.post[1], e.post[0] }},
+		{"shrunk-segment", "segment of id", func() { bounds[6*j+2] = bounds[6*j+5] }},
+		{"swapped-posts", "component 0 has post", func() { e.post[0], e.post[1] = e.post[1], e.post[0] }},
 	} {
-		savedBounds, savedPost := append([]float64(nil), bounds...), append([]int32(nil), e.post...)
-		d.damage()
-		if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
-			t.Errorf("want an error containing %q, got %v", d.want, err)
-		}
-		copy(bounds, savedBounds)
-		copy(e.post, savedPost)
+		t.Run(d.name, func(t *testing.T) {
+			savedBounds, savedPost := append([]float64(nil), bounds...), append([]int32(nil), e.post...)
+			defer func() {
+				copy(bounds, savedBounds)
+				copy(e.post, savedPost)
+			}()
+			d.damage()
+			if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
+				t.Errorf("want an error containing %q, got %v", d.want, err)
+			}
+		})
 	}
 	if err := ValidateEngine(e); err != nil {
 		t.Fatalf("restored engine invalid: %v", err)
