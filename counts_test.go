@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,20 +28,23 @@ var updateCounts = flag.Bool("update-counts", false, "re-record the work-count g
 const countsGolden = "testdata/counts.golden"
 
 // TestWorkCounts holds the work counts that performance claims rest on
-// to a golden file: rrserve's per-request allocations and 3DReach's
-// mapped open and query. An allocation row is an average, so the golden
-// stores it as a ceiling and the test fails above it; allocation rows
-// skip under -race, whose instrumentation allocates.
+// to a golden file: every indexed method's summed query work over a
+// fixed pool, rrserve's per-request allocations and 3DReach's mapped
+// open and query. A work row is exact and must match. An allocation
+// row (name ending in ".allocs") is an average, so the golden stores it
+// as a ceiling and the test fails above it; allocation rows skip under
+// -race, whose instrumentation allocates.
 func TestWorkCounts(t *testing.T) {
-	if raceEnabled {
-		if *updateCounts {
-			t.Fatal("-update-counts needs a build without -race")
-		}
-		t.Skip("allocation rows skip under -race")
+	if raceEnabled && *updateCounts {
+		t.Fatal("-update-counts needs a build without -race")
 	}
-	got := rrserveAllocRows(t)
-	for name, v := range threeDReachAllocRows(t) {
-		got[name] = v
+	got := methodWorkRows(t)
+	if !raceEnabled {
+		for _, rows := range []map[string]float64{rrserveAllocRows(t), threeDReachAllocRows(t)} {
+			for name, v := range rows {
+				got[name] = v
+			}
+		}
 	}
 
 	if *updateCounts {
@@ -50,30 +55,120 @@ func TestWorkCounts(t *testing.T) {
 		if err := os.WriteFile(countsGolden, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s: %v", countsGolden, got)
+		t.Logf("wrote %s: %d rows", countsGolden, len(got))
 	}
 	data, err := os.ReadFile(countsGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ceiling map[string]float64
-	if err := json.Unmarshal(data, &ceiling); err != nil {
+	var golden map[string]float64
+	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatalf("%s: %v", countsGolden, err)
 	}
 	for name, v := range got {
-		c, ok := ceiling[name]
+		g, ok := golden[name]
 		switch {
 		case !ok:
 			t.Errorf("%s: %v, not in %s (re-record with -update-counts)", name, v, countsGolden)
-		case v > c:
-			t.Errorf("%s: %v, above its ceiling %v", name, v, c)
+		case isAllocRow(name) && v > g:
+			t.Errorf("%s: %v, above its ceiling %v", name, v, g)
+		case !isAllocRow(name) && v != g:
+			t.Errorf("%s: %v, want exactly %v", name, v, g)
 		}
 	}
-	for name := range ceiling {
-		if _, ok := got[name]; !ok {
+	for name := range golden {
+		if _, ok := got[name]; !ok && !(raceEnabled && isAllocRow(name)) {
 			t.Errorf("%s: in %s but no longer measured", name, countsGolden)
 		}
 	}
+}
+
+func isAllocRow(name string) bool { return strings.HasSuffix(name, ".allocs") }
+
+// workRegionShares are the query-region areas, as a share of the
+// space, of the benchmark's query pool, drawn in equal parts.
+var workRegionShares = [...]float64{0.0005, 0.01, 0.05, 0.20}
+
+// workPool draws n distinct queries the way the benchmark's pool does:
+// the vertex uniform over users with an out-edge, the region a square
+// of one of workRegionShares placed uniformly inside the space.
+func workPool(net *rangereach.Network, n int, seed int64) []rangereach.Query {
+	rng := rand.New(rand.NewSource(seed))
+	var users []int
+	for v := 0; v < net.NumVertices(); v++ {
+		if !net.IsSpatial(v) && net.OutDegree(v) >= 1 {
+			users = append(users, v)
+		}
+	}
+	sp := net.Space()
+	w, h := sp.MaxX-sp.MinX, sp.MaxY-sp.MinY
+	qs := make([]rangereach.Query, 0, n)
+	seen := make(map[rangereach.Query]bool, n)
+	for len(qs) < n {
+		side := math.Min(math.Sqrt(workRegionShares[len(qs)%len(workRegionShares)]*w*h), math.Min(w, h))
+		x := sp.MinX + rng.Float64()*(w-side)
+		y := sp.MinY + rng.Float64()*(h-side)
+		q := rangereach.Query{Vertex: users[rng.Intn(len(users))], Region: rangereach.NewRect(x, y, x+side, y+side)}
+		if !seen[q] {
+			seen[q] = true
+			qs = append(qs, q)
+		}
+	}
+	return qs
+}
+
+// methodWorkRows builds every method of Methods, SpaReach-PLL and
+// MethodAuto over a gowalla-like and a yelp-like network and explains
+// a fixed pool on each. Per method it records the pool's sum of every
+// nonzero QueryStats counter, its positive count and Stats().Bytes, as
+// "work.<network>.<method>.<counter>". Every row is exact: the pool,
+// the index and the work each query does are fixed by the seed.
+func methodWorkRows(t *testing.T) map[string]float64 {
+	t.Helper()
+	methods := append(append(slices.Clone(rangereach.Methods), rangereach.ExtendedMethods...), rangereach.MethodAuto)
+	names := rangereach.MethodNames()
+	rows := make(map[string]float64)
+	for _, net := range []*rangereach.Network{rangereach.GowallaLike(0.05, 1), rangereach.YelpLike(0.05, 1)} {
+		pool := workPool(net, 200, 1)
+		for _, m := range methods {
+			idx, err := net.Build(m)
+			if err != nil {
+				t.Fatalf("%s %v: %v", net.Name(), m, err)
+			}
+			prefix := "work." + net.Name() + "." + names[m] + "."
+			var sum rangereach.QueryStats
+			positives := 0
+			for _, q := range pool {
+				ok, qs := idx.Explain(q.Vertex, q.Region)
+				if ok {
+					positives++
+				}
+				sum.Labels += qs.Labels
+				sum.IndexNodes += qs.IndexNodes
+				sum.IndexLeaves += qs.IndexLeaves
+				sum.IndexEntries += qs.IndexEntries
+				sum.OverlayEntries += qs.OverlayEntries
+				sum.Candidates += qs.Candidates
+				sum.ReachProbes += qs.ReachProbes
+				sum.GraphVisited += qs.GraphVisited
+				sum.Enumerated += qs.Enumerated
+				sum.Members += qs.Members
+			}
+			for counter, v := range map[string]int64{
+				"labels": sum.Labels, "index_nodes": sum.IndexNodes, "index_leaves": sum.IndexLeaves,
+				"index_entries": sum.IndexEntries, "overlay_entries": sum.OverlayEntries,
+				"candidates": sum.Candidates, "reach_probes": sum.ReachProbes,
+				"graph_visited": sum.GraphVisited, "enumerated": sum.Enumerated, "members": sum.Members,
+			} {
+				if v != 0 {
+					rows[prefix+counter] = float64(v)
+				}
+			}
+			rows[prefix+"positives"] = float64(positives)
+			rows[prefix+"bytes"] = float64(idx.Stats().Bytes)
+		}
+	}
+	return rows
 }
 
 // rrserveAllocRows measures allocations per request through rrserve's
