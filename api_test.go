@@ -3,8 +3,13 @@ package rangereach_test
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,7 +136,7 @@ func TestSaveAndRead(t *testing.T) {
 func TestOptions(t *testing.T) {
 	net := figure1(t)
 	for _, m := range []rangereach.Method{rangereach.SpaReachBFL, rangereach.SpaReachINT} {
-		idx, err := net.Build(m, rangereach.WithMBRPolicy(), rangereach.WithRTreeFanout(8))
+		idx, err := net.Build(m, rangereach.WithMBRPolicy())
 		if err != nil {
 			t.Fatalf("%v with MBR: %v", m, err)
 		}
@@ -148,22 +153,44 @@ func TestOptions(t *testing.T) {
 	if _, err := net.Build(rangereach.Method(99)); err == nil {
 		t.Error("unknown method accepted")
 	}
-	if _, err := net.Build(rangereach.SpaReachBFL, rangereach.WithBFLBits(64)); err != nil {
-		t.Error(err)
+}
+
+// TestOptionCensus pins the package's build options: the exported
+// functions of its non-test files that return an Option must be
+// exactly these three, each set by a command or the benchmark. An
+// option added without such a caller, or one the census removed, fails
+// here.
+func TestOptionCensus(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := net.Build(rangereach.GeoReach, rangereach.WithGeoReachParams(0.5, 16, 2)); err != nil {
-		t.Error(err)
-	}
-	// The R-tree fan-out leaves 3DReach's point tiles alone.
-	region := rangereach.NewRect(60, 55, 90, 95)
-	for _, fanout := range []int{0, 4, 64} {
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithRTreeFanout(fanout))
+	var got []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			t.Fatalf("fan-out %d: %v", fanout, err)
+			t.Fatal(err)
 		}
-		if !idx.RangeReach(0, region) || idx.RangeReach(2, region) {
-			t.Errorf("fan-out %d: wrong answers", fanout)
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			for _, res := range fn.Type.Results.List {
+				if id, ok := res.Type.(*ast.Ident); ok && id.Name == "Option" {
+					got = append(got, fn.Name.Name)
+					break
+				}
+			}
 		}
+	}
+	slices.Sort(got)
+	if want := []string{"WithFullRebuildUpdates", "WithMBRPolicy", "WithParallelism"}; !slices.Equal(got, want) {
+		t.Errorf("exported Option constructors = %v, want %v", got, want)
 	}
 }
 

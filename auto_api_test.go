@@ -70,60 +70,33 @@ func TestAutoDefaultIsThreeDReach(t *testing.T) {
 }
 
 // TestAutoRule checks the rule on the benchmark's networks and region
-// shares: PlannerMembers lists the members as given, every query is
-// routed to the member the preference order ranks first, and the
-// answers are that member's, built alone.
+// shares, under either policy: every query is routed to 3DReach, and
+// the answers are 3DReach's, built alone (it has no MBR variant, so
+// inside Auto it runs Replicate).
 func TestAutoRule(t *testing.T) {
 	nets := []*rangereach.Network{rangereach.GowallaLike(0.1, 1), rangereach.YelpLike(0.1, 1)}
-	cases := []struct {
-		members []rangereach.Method // nil: the default
-		names   []string
-		want    rangereach.Method
-	}{
-		{nil, []string{"3DReach"}, rangereach.ThreeDReach},
-		{
-			[]rangereach.Method{rangereach.SocReach, rangereach.ThreeDReachRev, rangereach.SpaReachINT},
-			[]string{"SocReach", "3DReach-Rev", "SpaReach-INT"}, rangereach.ThreeDReachRev,
-		},
-		{
-			[]rangereach.Method{rangereach.SocReach, rangereach.SpaReachBFL},
-			[]string{"SocReach", "SpaReach-BFL"}, rangereach.SpaReachBFL,
-		},
-	}
 	for _, net := range nets {
 		queries := autoRuleQueries(net)
+		alone := net.MustBuild(rangereach.ThreeDReach)
 		for _, mbr := range []bool{false, true} {
-			for _, tc := range cases {
-				var opts []rangereach.Option
-				if mbr {
-					opts = append(opts, rangereach.WithMBRPolicy())
+			var opts []rangereach.Option
+			if mbr {
+				opts = append(opts, rangereach.WithMBRPolicy())
+			}
+			auto, err := net.Build(rangereach.MethodAuto, opts...)
+			if err != nil {
+				t.Fatalf("%s mbr=%v: %v", net.Name(), mbr, err)
+			}
+			if got := auto.PlannerMembers(); !slices.Equal(got, []string{"3DReach"}) {
+				t.Errorf("%s mbr=%v: PlannerMembers = %v, want [3DReach]", net.Name(), mbr, got)
+			}
+			for _, q := range queries {
+				got, qs := auto.Explain(q.Vertex, q.Region)
+				if qs.Plan == nil || qs.Plan.Method != "3DReach" {
+					t.Fatalf("%s mbr=%v: query %+v routed to %+v, want 3DReach", net.Name(), mbr, q, qs.Plan)
 				}
-				// 3DReach and 3DReach-Rev have no MBR variant: inside
-				// Auto they run Replicate.
-				alone := net.MustBuild(tc.want)
-				if tc.want == rangereach.SpaReachBFL {
-					alone = net.MustBuild(tc.want, opts...)
-				}
-				if tc.members != nil {
-					opts = append(opts, rangereach.WithAutoMembers(tc.members...))
-				}
-				auto, err := net.Build(rangereach.MethodAuto, opts...)
-				if err != nil {
-					t.Fatalf("%s mbr=%v %v: %v", net.Name(), mbr, tc.names, err)
-				}
-				if got := auto.PlannerMembers(); !slices.Equal(got, tc.names) {
-					t.Errorf("%s mbr=%v: PlannerMembers = %v, want %v", net.Name(), mbr, got, tc.names)
-				}
-				for _, q := range queries {
-					got, qs := auto.Explain(q.Vertex, q.Region)
-					if qs.Plan == nil || qs.Plan.Method != tc.want.String() {
-						t.Fatalf("%s mbr=%v %v: query %+v routed to %+v, want %v",
-							net.Name(), mbr, tc.names, q, qs.Plan, tc.want)
-					}
-					if want := alone.RangeReach(q.Vertex, q.Region); got != want {
-						t.Fatalf("%s mbr=%v %v: query %+v = %v, %v alone says %v",
-							net.Name(), mbr, tc.names, q, got, tc.want, want)
-					}
+				if want := alone.RangeReach(q.Vertex, q.Region); got != want {
+					t.Fatalf("%s mbr=%v: query %+v = %v, 3DReach alone says %v", net.Name(), mbr, q, got, want)
 				}
 			}
 		}
@@ -156,37 +129,6 @@ func autoRuleQueries(net *rangereach.Network) []rangereach.Query {
 		}
 	}
 	return qs
-}
-
-func TestAutoPublicOptions(t *testing.T) {
-	net := autoNet()
-	idx, err := net.Build(rangereach.MethodAuto,
-		rangereach.WithAutoMembers(rangereach.SpaReachBFL, rangereach.ThreeDReach))
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := idx.PlannerMembers()
-	if len(members) != 2 || members[0] != "SpaReach-BFL" || members[1] != "3DReach" {
-		t.Errorf("PlannerMembers = %v", members)
-	}
-
-	// Auto composes with the MBR policy (members without an MBR variant
-	// run Replicate internally).
-	if _, err := net.Build(rangereach.MethodAuto, rangereach.WithMBRPolicy(),
-		rangereach.WithAutoMembers(rangereach.SocReach, rangereach.ThreeDReach)); err != nil {
-		t.Errorf("Auto+MBR: %v", err)
-	}
-
-	// Invalid members surface as build errors that name the method the
-	// caller passed, not silent drops.
-	for _, m := range []rangereach.Method{rangereach.MethodAuto, rangereach.Naive, rangereach.Method(99)} {
-		_, err := net.Build(rangereach.MethodAuto, rangereach.WithAutoMembers(rangereach.SocReach, m))
-		if err == nil {
-			t.Errorf("member %v accepted", m)
-		} else if !strings.Contains(err.Error(), m.String()) {
-			t.Errorf("member %v: error %q does not name it", m, err)
-		}
-	}
 }
 
 func TestAutoPublicExplain(t *testing.T) {

@@ -185,8 +185,11 @@ func emitShards(net *dataset.Network, out string, n int, indexM string, buildJ i
 // bytes rrserve will load.
 func emitIndex(netPath, methodName, indexPath string, parallelism int) error {
 	m, ok := rangereach.ParseMethod(methodName)
-	if !ok || !m.Persistable() {
+	if !ok {
 		return fmt.Errorf("unknown -index method %q", methodName)
+	}
+	if !m.Persistable() {
+		return fmt.Errorf("-index: %v has no save format (saveable methods: %s)", m, strings.Join(indexMethodNames(), ", "))
 	}
 	if indexPath == "" {
 		indexPath = netPath + ".idx"

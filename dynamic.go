@@ -29,9 +29,9 @@ type DynamicIndex struct {
 // BuildDynamic constructs an updatable 3DReach index over the
 // network's current state. Two options apply to the dynamic engine:
 // WithParallelism (the workers of its labeling builds) and
-// WithFullRebuildUpdates. The rest, WithRTreeFanout included, are
-// ignored: the dynamic index keeps its venues in the static 3DReach
-// engine's point tiles and a grid-bucketed overlay, not in an R-tree.
+// WithFullRebuildUpdates. WithMBRPolicy is ignored: the dynamic index
+// keeps its venues exactly, in the static 3DReach engine's point tiles
+// and a grid-bucketed overlay.
 func (n *Network) BuildDynamic(options ...Option) *DynamicIndex {
 	var cfg buildConfig
 	for _, o := range options {

@@ -730,36 +730,3 @@ func TestFormatLayoutPinned(t *testing.T) {
 		}
 	}
 }
-
-// TestFormatFanoutBuildSaveLoad: whatever fan-out a build accepts, the
-// saved file loads. WithRTreeFanout(1<<21) used to build and save a file
-// that LoadIndex and OpenMapped then rejected as implausible; builder and
-// loader now share one range. The saved tree is 3DReach's box tree, so
-// the network has extents (over points 3DReach keeps tiles).
-func TestFormatFanoutBuildSaveLoad(t *testing.T) {
-	net := fuzzExtentsNet()
-	for _, fanout := range []int{-1, 0, 1, 4, 16, 1 << 20, 1<<20 + 1, 1 << 21} {
-		name := fmt.Sprintf("fanout=%d", fanout)
-		idx, err := net.Build(rangereach.ThreeDReach, rangereach.WithRTreeFanout(fanout))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		path := filepath.Join(t.TempDir(), "fanout.idx")
-		if err := idx.SaveFile(path); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		loaded, err := net.LoadIndexFile(path)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		fixtureQueries(t, loaded, name+"/decode")
-		mapped, err := net.OpenMapped(path)
-		if err != nil {
-			t.Fatalf("%s: map: %v", name, err)
-		}
-		fixtureQueries(t, mapped, name+"/mmap")
-		if err := mapped.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

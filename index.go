@@ -15,9 +15,6 @@ type Option func(*buildConfig)
 
 type buildConfig struct {
 	opts core.BuildOptions
-	// autoErr names a WithAutoMembers argument without an engine; a
-	// MethodAuto Build returns it.
-	autoErr error
 	// dynFullRebuild switches BuildDynamic to the old full-rebuild
 	// update path (see WithFullRebuildUpdates).
 	dynFullRebuild bool
@@ -27,17 +24,16 @@ type buildConfig struct {
 // Replicate to MBR: every strongly connected component is represented by
 // the bounding rectangle of its member points instead of the points
 // themselves (paper §5, measured in its Figure 5). Only the SpaReach
-// methods support it, and MethodAuto, whose members without it run
-// Replicate; Build returns an error otherwise. ThreeDReach and
+// methods support it, and MethodAuto, whose 3DReach runs Replicate
+// under it; Build returns an error otherwise. ThreeDReach and
 // ThreeDReachRev index exact geometries only.
 func WithMBRPolicy() Option {
 	return func(c *buildConfig) { c.opts.Policy = dataset.MBR }
 }
 
 // WithParallelism bounds the number of workers the build pipeline may
-// use: independent phases (labeling vs. spatial bulk load, Auto
-// members) run concurrently and the index structures parallelize
-// internally. The default is runtime.NumCPU(); 1 forces the exact
+// use: independent phases (labeling vs. spatial bulk load) run
+// concurrently and the index structures parallelize internally. The default is runtime.NumCPU(); 1 forces the exact
 // sequential code path. Parallel construction is deterministic — the
 // built index, and its SaveFile bytes, are identical at any setting
 // (see DESIGN.md §12).
@@ -59,58 +55,6 @@ func WithParallelism(n int) Option {
 // Static Build ignores it.
 func WithFullRebuildUpdates() Option {
 	return func(c *buildConfig) { c.dynFullRebuild = true }
-}
-
-// WithRTreeFanout sets the fan-out of the R-trees that index boxes and
-// 2D points: SpaReach's, 3DReach-Rev's, and 3DReach's over extended
-// geometries (default 16; 0 or less selects the default, other values
-// are clamped to [4, 1<<20], the range a saved index may carry).
-// 3DReach's point tiles have no fan-out.
-func WithRTreeFanout(fanout int) Option {
-	return func(c *buildConfig) {
-		c.opts.SpaReach.Fanout = fanout
-		c.opts.ThreeD.Fanout = fanout
-	}
-}
-
-// WithBFLBits sets the Bloom-filter width of SpaReach-BFL in bits
-// (default 256; rounded up to a multiple of 64).
-func WithBFLBits(bits int) Option {
-	return func(c *buildConfig) { c.opts.SpaReach.BFLBits = bits }
-}
-
-// WithAutoMembers selects the member engines of a MethodAuto composite
-// (default: ThreeDReach alone). Every query goes to the member that
-// ranks first in a fixed preference order: ThreeDReach, ThreeDReachRev,
-// SpaReachINT, SpaReachBFL, SpaReachPLL, SocReach, GeoReach. Naive and
-// MethodAuto itself are not valid members; at most eight members are
-// supported. Duplicates and invalid members surface as a Build error
-// that names them.
-func WithAutoMembers(members ...Method) Option {
-	return func(c *buildConfig) {
-		c.opts.Auto.Members = nil
-		c.autoErr = nil
-		for _, m := range members {
-			cm, ok := m.internal()
-			if !ok {
-				c.autoErr = fmt.Errorf("rangereach: auto member %v is not an indexed method", m)
-				return
-			}
-			c.opts.Auto.Members = append(c.opts.Auto.Members, cm)
-		}
-	}
-}
-
-// WithGeoReachParams tunes the SPA-Graph construction: maxRMBR is the
-// maximum RMBR extent as a fraction of the space, maxReachGrids the
-// ReachGrid cardinality limit, and mergeCount the sibling-merge
-// threshold (paper §2.2.2). Zero values keep the defaults.
-func WithGeoReachParams(maxRMBR float64, maxReachGrids, mergeCount int) Option {
-	return func(c *buildConfig) {
-		c.opts.GeoReach.Params.MaxRMBRFraction = maxRMBR
-		c.opts.GeoReach.Params.MaxReachGrids = maxReachGrids
-		c.opts.GeoReach.Params.MergeCount = mergeCount
-	}
 }
 
 // Index answers RangeReach queries for one network with one method.
@@ -199,9 +143,6 @@ func (n *Network) Build(m Method, options ...Option) (*Index, error) {
 	if !ok {
 		return nil, fmt.Errorf("rangereach: unknown method %v", m)
 	}
-	if m == MethodAuto && cfg.autoErr != nil {
-		return nil, cfg.autoErr
-	}
 	res, err := core.BuildMethod(n.prep, cm, cfg.opts)
 	if err != nil {
 		return nil, err
@@ -252,17 +193,12 @@ func (idx *Index) RangeReach(v int, r Rect) bool {
 // Network returns the network the index was built over.
 func (idx *Index) Network() *Network { return idx.net }
 
-// PlannerMembers returns the member engine names of a MethodAuto index
-// in stored order, and nil for fixed-method indexes.
+// PlannerMembers returns the engine names of a MethodAuto index, which
+// are ["3DReach"], and nil for fixed-method indexes.
 func (idx *Index) PlannerMembers() []string {
 	auto, ok := idx.engine.(*core.Auto)
 	if !ok {
 		return nil
 	}
-	members := auto.Members()
-	names := make([]string, len(members))
-	for i, e := range members {
-		names[i] = e.Name()
-	}
-	return names
+	return []string{auto.Member().Name()}
 }

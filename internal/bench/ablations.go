@@ -21,8 +21,8 @@ func (s *Suite) AblationCompression() {
 		"dataset", "compressed", "qtime", "uncompressed", "qtime")
 	for ds := range s.nets {
 		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
-		withC := core.NewSocReach(s.preps[ds], core.SocReachOptions{})
-		withoutC := core.NewSocReach(s.preps[ds], core.SocReachOptions{SkipCompression: true})
+		withC := core.NewSocReach(s.preps[ds], core.BuildOptions{})
+		withoutC := core.NewSocReach(s.preps[ds], core.BuildOptions{SocReach: core.SocReachOptions{SkipCompression: true}})
 		s.printf("%-16s %14s %14s %14s %14s\n",
 			s.nets[ds].Name,
 			fmtBytes(withC.MemoryBytes()), fmtDuration(avgQueryTime(withC, qs)),
@@ -60,7 +60,7 @@ func (s *Suite) AblationStreaming() {
 		"dataset", "5% extent", "(streaming)", "20% extent", "(streaming)")
 	for ds := range s.nets {
 		faithful := s.engine(ds, core.MethodSpaReachBFL, dataset.Replicate).Engine
-		streaming := core.NewSpaReachBFL(s.preps[ds], core.SpaReachOptions{Streaming: true})
+		streaming := core.NewSpaReachBFL(s.preps[ds], core.BuildOptions{SpaReach: core.SpaReachOptions{Streaming: true}})
 		row := []string{s.nets[ds].Name}
 		for _, extent := range []float64{workload.DefaultExtent, 20} {
 			qs := s.gens[ds].Batch(s.cfg.Queries, extent, workload.DefaultDegreeBucket)
@@ -92,7 +92,7 @@ func (s *Suite) Ablation3DIndex() {
 			fmtBytes(paper.l.MemoryBytes()+paper.tree.MemoryBytes()), fmtDuration(build), fmtDuration(avgQueryTime(paper, qs)))
 
 		start = time.Now()
-		tiled := core.NewThreeDReach(s.preps[ds], core.ThreeDOptions{})
+		tiled := core.NewThreeDReach(s.preps[ds], core.BuildOptions{})
 		build = time.Since(start)
 		s.printf("%-22s %12d %12s %12s %12s\n", "ranks + tiles", tiled.Labeling().TotalLabels(),
 			fmtBytes(tiled.MemoryBytes()), fmtDuration(build), fmtDuration(avgQueryTime(tiled, qs)))

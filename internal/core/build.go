@@ -35,8 +35,8 @@ const (
 	// SpaReach-GRAIL variants. Both loaders reject them like any other
 	// byte that names no method.
 
-	// MethodAuto is the composite: a set of member engines, of which the
-	// one a fixed preference order ranks first answers every query.
+	// MethodAuto is the planner's method: one 3DReach, named Auto, that
+	// reports 3DReach as the plan of every traced query.
 	MethodAuto Method = 9
 )
 
@@ -75,9 +75,9 @@ func (m Method) String() string {
 	}
 }
 
-// SupportsMBR reports whether the method has an MBR-policy variant: the
-// SpaReach methods, where the paper's Figure 5 measures it, and the Auto
-// composite, whose members without one run Replicate. SocReach has no
+// SupportsMBR reports whether the method accepts the MBR policy: the
+// SpaReach methods, where the paper's Figure 5 measures it, and Auto,
+// whose 3DReach runs Replicate under it. SocReach has no
 // spatial index and GeoReach is non-MBR by design (§6.2); 3DReach and
 // 3DReach-Rev index exact geometries only, because on a network whose
 // spatial components each hold one venue the MBR is that venue's point.
@@ -90,58 +90,28 @@ func (m Method) SupportsMBR() bool {
 	}
 }
 
-// BuildOptions bundles the per-method knobs for BuildMethod.
+// BuildOptions is the one set of build options every constructor
+// reads: the build-wide policy, parallelism and span, plus the two
+// ablation switches rrbench runs at both values.
 type BuildOptions struct {
-	// Policy is the SCC spatial policy for the methods that support it.
+	// Policy is the SCC spatial policy of the SpaReach methods; the
+	// others index Replicate whatever it says.
 	Policy dataset.SCCPolicy
 	// Parallelism bounds the worker count of the build pipeline: 0 or 1
 	// builds exactly as the sequential code path, n > 1 lets independent
-	// phases (labeling vs. spatial tree, Auto members) and
-	// level-parallel index construction fan out across up to n workers.
-	// Results are identical at any setting — parallel construction is
-	// deterministic by design (see DESIGN.md §12). It is propagated into
-	// every sub-option that has its own Parallelism knob, unless that
-	// knob is already set.
+	// phases (labeling vs. spatial tree) and level-parallel index
+	// construction fan out across up to n workers. Results are
+	// identical at any setting — parallel construction is deterministic
+	// by design (see DESIGN.md §12).
 	Parallelism int
 	// Span, when non-nil, accumulates named per-phase build durations.
 	// BuildMethod allocates one itself when nil, so BuildResult.Phases
 	// is always populated.
 	Span *trace.BuildSpan
-	// SpaReach carries the spatial-first options (Policy is overridden).
+	// SpaReach carries the spatial-first ablation switch.
 	SpaReach SpaReachOptions
-	// ThreeD carries the 3DReach and 3DReach-Rev options.
-	ThreeD ThreeDOptions
-	// GeoReach carries the SPA-Graph options.
-	GeoReach GeoReachOptions
-	// SocReach carries the social-first options.
+	// SocReach carries the social-first ablation switch.
 	SocReach SocReachOptions
-	// Auto carries the composite's options (MethodAuto only).
-	Auto AutoOptions
-}
-
-// propagate copies the build-wide Parallelism and Span into each
-// sub-option so constructors see them regardless of which entry point
-// the build came through. Per-method Parallelism overrides win.
-func (o *BuildOptions) propagate() {
-	if o.Span == nil {
-		o.Span = &trace.BuildSpan{}
-	}
-	if o.SpaReach.Parallelism == 0 {
-		o.SpaReach.Parallelism = o.Parallelism
-	}
-	if o.ThreeD.Parallelism == 0 {
-		o.ThreeD.Parallelism = o.Parallelism
-	}
-	if o.SocReach.Parallelism == 0 {
-		o.SocReach.Parallelism = o.Parallelism
-	}
-	if o.GeoReach.Params.Parallelism == 0 {
-		o.GeoReach.Params.Parallelism = o.Parallelism
-	}
-	o.SpaReach.Span = o.Span
-	o.ThreeD.Span = o.Span
-	o.SocReach.Span = o.Span
-	o.GeoReach.Span = o.Span
 }
 
 // BuildResult is a constructed engine plus its offline costs, the raw
@@ -171,37 +141,29 @@ func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResu
 		return BuildResult{}, fmt.Errorf("core: %v has no MBR variant; only %v, %v and %v do",
 			m, MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL)
 	}
-	opts.propagate()
+	if opts.Span == nil {
+		opts.Span = &trace.BuildSpan{}
+	}
 	//lint:ignore hotclock build-time measurement, not the query path
 	start := time.Now()
 	var e Engine
 	switch m {
 	case MethodSpaReachBFL:
-		so := opts.SpaReach
-		so.Policy = opts.Policy
-		e = NewSpaReachBFL(prep, so)
+		e = NewSpaReachBFL(prep, opts)
 	case MethodSpaReachINT:
-		so := opts.SpaReach
-		so.Policy = opts.Policy
-		e = NewSpaReachINT(prep, so)
+		e = NewSpaReachINT(prep, opts)
 	case MethodGeoReach:
-		e = NewGeoReach(prep, opts.GeoReach)
+		e = NewGeoReach(prep, opts)
 	case MethodSocReach:
-		e = NewSocReach(prep, opts.SocReach)
+		e = NewSocReach(prep, opts)
 	case MethodThreeDReach:
-		e = NewThreeDReach(prep, opts.ThreeD)
+		e = NewThreeDReach(prep, opts)
 	case MethodThreeDReachRev:
-		e = NewThreeDReachRev(prep, opts.ThreeD)
+		e = NewThreeDReachRev(prep, opts)
 	case MethodSpaReachPLL:
-		so := opts.SpaReach
-		so.Policy = opts.Policy
-		e = NewSpaReachPLL(prep, so)
+		e = NewSpaReachPLL(prep, opts)
 	case MethodAuto:
-		auto, err := BuildAuto(prep, opts)
-		if err != nil {
-			return BuildResult{}, err
-		}
-		e = auto
+		e = NewAuto(prep, opts)
 	default:
 		return BuildResult{}, fmt.Errorf("core: unknown method %d", int(m))
 	}

@@ -203,8 +203,8 @@ func TestStreamingSpaReachAgrees(t *testing.T) {
 		prep := dataset.Prepare(net)
 		truth := NewNaiveBFS(net)
 		for _, policy := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
-			faithful := NewSpaReachBFL(prep, SpaReachOptions{Policy: policy})
-			streaming := NewSpaReachBFL(prep, SpaReachOptions{Policy: policy, Streaming: true})
+			faithful := NewSpaReachBFL(prep, BuildOptions{Policy: policy})
+			streaming := NewSpaReachBFL(prep, BuildOptions{Policy: policy, SpaReach: SpaReachOptions{Streaming: true}})
 			for q := 0; q < 25; q++ {
 				v := rng.Intn(net.NumVertices())
 				r := randomRegion(rng)

@@ -14,21 +14,12 @@ type GeoReach struct {
 	idx *georeach.Index
 }
 
-// GeoReachOptions configures NewGeoReach.
-type GeoReachOptions struct {
-	// Params are the SPA-Graph construction parameters; zero values
-	// select the documented defaults. Params.Parallelism bounds the
-	// classification workers.
-	Params georeach.Params
-	// Span, when non-nil, accumulates named per-phase build durations.
-	Span *trace.BuildSpan
-}
-
-// NewGeoReach builds the GeoReach engine.
-func NewGeoReach(prep *dataset.Prepared, opts GeoReachOptions) *GeoReach {
+// NewGeoReach builds the GeoReach engine at the SPA-Graph's default
+// thresholds; opts.Parallelism bounds the classification workers.
+func NewGeoReach(prep *dataset.Prepared, opts BuildOptions) *GeoReach {
 	t := opts.Span.Start()
 	defer opts.Span.End("spagraph", t)
-	return &GeoReach{idx: georeach.Build(prep, opts.Params)}
+	return &GeoReach{idx: georeach.Build(prep, georeach.Params{Parallelism: opts.Parallelism})}
 }
 
 // Name implements Engine.

@@ -94,7 +94,7 @@ func TestLoadEngineRejectsWrongNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(617))
 	prepA := dataset.Prepare(randomNetwork(rng, 30, 20, false))
 	prepB := dataset.Prepare(randomNetwork(rng, 10, 5, false))
-	e := NewThreeDReach(prepA, ThreeDOptions{})
+	e := NewThreeDReach(prepA, BuildOptions{})
 	var buf bytes.Buffer
 	if err := SaveEngine(&buf, e); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ type geoMeta struct {
 // wraps flatbuf.ErrBigEndian.
 func SaveEngine(w io.Writer, e Engine) error {
 	fw := flatbuf.NewWriter()
-	if err := appendEngineSections(fw, 0, e); err != nil {
+	if err := appendEngineSections(fw, e); err != nil {
 		return err
 	}
 	if _, err := fw.WriteTo(w); err != nil {
@@ -133,9 +133,8 @@ func mustWrite(b *bytes.Buffer, v any) {
 	}
 }
 
-// appendEngineSections adds one engine's manifest and columns under the
-// owner id.
-func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
+// appendEngineSections adds one engine's manifest and columns.
+func appendEngineSections(fw *flatbuf.Writer, e Engine) error {
 	var man bytes.Buffer
 	switch eng := e.(type) {
 	case *ThreeDReach:
@@ -151,15 +150,15 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 		if eng.boxes != nil {
 			mustWrite(&man, treeMetaOf(eng.boxes))
 		}
-		fw.Append(owner, secManifest, man.Bytes())
-		if err := appendLabelingSections(fw, owner, eng.l); err != nil {
+		fw.Append(0, secManifest, man.Bytes())
+		if err := appendLabelingSections(fw, eng.l); err != nil {
 			return err
 		}
 		if eng.boxes != nil {
-			if err := appendTreeSections(fw, owner, eng.boxes); err != nil {
+			if err := appendTreeSections(fw, eng.boxes); err != nil {
 				return err
 			}
-		} else if err := appendTileSections(fw, owner, eng.points); err != nil {
+		} else if err := appendTileSections(fw, eng.points); err != nil {
 			return err
 		}
 	case *GeoReach:
@@ -172,12 +171,12 @@ func appendEngineSections(fw *flatbuf.Writer, owner uint32, e Engine) error {
 			Levels: uint8(gm.Levels),
 			Space:  [4]float64{space.Min.X, space.Min.Y, space.Max.X, space.Max.Y},
 		})
-		fw.Append(owner, secManifest, man.Bytes())
-		fw.Append(owner, secGeoFlags, gflags)
+		fw.Append(0, secManifest, man.Bytes())
+		fw.Append(0, secGeoFlags, gflags)
 		for _, err := range []error{
-			flatbuf.AppendSlice(fw, owner, secGeoRMBR, rmbr),
-			flatbuf.AppendSlice(fw, owner, secGeoGridOff, gridOff),
-			flatbuf.AppendSlice(fw, owner, secGeoGridKeys, gridKeys),
+			flatbuf.AppendSlice(fw, 0, secGeoRMBR, rmbr),
+			flatbuf.AppendSlice(fw, 0, secGeoGridOff, gridOff),
+			flatbuf.AppendSlice(fw, 0, secGeoGridKeys, gridKeys),
 		} {
 			if err != nil {
 				return err
@@ -197,13 +196,13 @@ func labelingMetaOf(l *labeling.Labeling) labelingMeta {
 	}
 }
 
-func appendLabelingSections(fw *flatbuf.Writer, owner uint32, l *labeling.Labeling) error {
+func appendLabelingSections(fw *flatbuf.Writer, l *labeling.Labeling) error {
 	post, order, off, data := l.FlatColumns()
 	for _, err := range []error{
-		flatbuf.AppendSlice(fw, owner, secLabelPost, post),
-		flatbuf.AppendSlice(fw, owner, secLabelOrder, order),
-		flatbuf.AppendSlice(fw, owner, secLabelOff, off),
-		flatbuf.AppendSlice(fw, owner, secLabelData, data),
+		flatbuf.AppendSlice(fw, 0, secLabelPost, post),
+		flatbuf.AppendSlice(fw, 0, secLabelOrder, order),
+		flatbuf.AppendSlice(fw, 0, secLabelOff, off),
+		flatbuf.AppendSlice(fw, 0, secLabelData, data),
 	} {
 		if err != nil {
 			return err
@@ -225,13 +224,13 @@ func treeMetaOf[B rtree.Bound[B]](f *rtree.Flat[B]) treeMeta {
 	}
 }
 
-func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, owner uint32, f *rtree.Flat[B]) error {
+func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, f *rtree.Flat[B]) error {
 	nodeBounds, nodeMeta, entryBounds, entryIDs := f.Raw()
 	for _, err := range []error{
-		flatbuf.AppendSlice(fw, owner, secTreeNodeBounds, nodeBounds),
-		flatbuf.AppendSlice(fw, owner, secTreeNodeMeta, nodeMeta),
-		flatbuf.AppendSlice(fw, owner, secTreeEntryBound, entryBounds),
-		flatbuf.AppendSlice(fw, owner, secTreeEntryIDs, entryIDs),
+		flatbuf.AppendSlice(fw, 0, secTreeNodeBounds, nodeBounds),
+		flatbuf.AppendSlice(fw, 0, secTreeNodeMeta, nodeMeta),
+		flatbuf.AppendSlice(fw, 0, secTreeEntryBound, entryBounds),
+		flatbuf.AppendSlice(fw, 0, secTreeEntryIDs, entryIDs),
 	} {
 		if err != nil {
 			return err
@@ -240,17 +239,17 @@ func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, owner uint32, f *r
 	return nil
 }
 
-func appendTileSections(fw *flatbuf.Writer, owner uint32, t *tiles.Tiles) error {
+func appendTileSections(fw *flatbuf.Writer, t *tiles.Tiles) error {
 	c := t.Columns()
 	for _, err := range []error{
-		flatbuf.AppendSlice(fw, owner, secTileSlabX, c.SlabX),
-		flatbuf.AppendSlice(fw, owner, secTileSlabCells, c.SlabCells),
-		flatbuf.AppendSlice(fw, owner, secTileCellMBR, c.CellMBR),
-		flatbuf.AppendSlice(fw, owner, secTileCellPoints, c.CellPoints),
-		flatbuf.AppendSlice(fw, owner, secTileX, c.X),
-		flatbuf.AppendSlice(fw, owner, secTileY, c.Y),
-		flatbuf.AppendSlice(fw, owner, secTilePost, c.Post),
-		flatbuf.AppendSlice(fw, owner, secTileID, c.ID),
+		flatbuf.AppendSlice(fw, 0, secTileSlabX, c.SlabX),
+		flatbuf.AppendSlice(fw, 0, secTileSlabCells, c.SlabCells),
+		flatbuf.AppendSlice(fw, 0, secTileCellMBR, c.CellMBR),
+		flatbuf.AppendSlice(fw, 0, secTileCellPoints, c.CellPoints),
+		flatbuf.AppendSlice(fw, 0, secTileX, c.X),
+		flatbuf.AppendSlice(fw, 0, secTileY, c.Y),
+		flatbuf.AppendSlice(fw, 0, secTilePost, c.Post),
+		flatbuf.AppendSlice(fw, 0, secTileID, c.ID),
 	} {
 		if err != nil {
 			return err
@@ -263,13 +262,13 @@ func appendTileSections(fw *flatbuf.Writer, owner uint32, t *tiles.Tiles) error 
 // be a decoded copy or a live mmap; either way the engine's columns
 // alias img's data, which must outlive the engine.
 func loadEngineV2(img *flatbuf.Image, prep *dataset.Prepared) (BuildResult, error) {
-	mr, h, err := openManifest(img, 0)
+	mr, h, err := openManifest(img)
 	if err != nil {
 		return BuildResult{}, err
 	}
 	m := Method(h.Method)
 	policy := dataset.SCCPolicy(h.Policy)
-	e, err := loadEngineOwnerV2(img, 0, mr, m, policy, h.Flags, prep)
+	e, err := loadRecordV2(img, mr, m, policy, h.Flags, prep)
 	if err != nil {
 		return BuildResult{}, err
 	}
@@ -281,25 +280,25 @@ func loadEngineV2(img *flatbuf.Image, prep *dataset.Prepared) (BuildResult, erro
 	}, nil
 }
 
-// openManifest reads an owner's manifest header and returns a reader
+// openManifest reads the manifest header and returns a reader
 // positioned at the method-specific payload.
-func openManifest(img *flatbuf.Image, owner uint32) (*bytes.Reader, manifestHeader, error) {
+func openManifest(img *flatbuf.Image) (*bytes.Reader, manifestHeader, error) {
 	var h manifestHeader
-	man, ok := img.Section(owner, secManifest)
+	man, ok := img.Section(0, secManifest)
 	if !ok {
-		return nil, h, fmt.Errorf("core: %w: missing manifest for owner %d", flatbuf.ErrFormat, owner)
+		return nil, h, fmt.Errorf("core: %w: missing manifest", flatbuf.ErrFormat)
 	}
 	mr := bytes.NewReader(man)
 	if err := binary.Read(mr, binary.LittleEndian, &h); err != nil {
-		return nil, h, fmt.Errorf("core: %w: manifest of owner %d: %v", flatbuf.ErrFormat, owner, err)
+		return nil, h, fmt.Errorf("core: %w: manifest: %v", flatbuf.ErrFormat, err)
 	}
 	return mr, h, nil
 }
 
 // readManifest decodes one packed record from the manifest reader.
-func readManifest(mr *bytes.Reader, owner uint32, v any) error {
+func readManifest(mr *bytes.Reader, v any) error {
 	if err := binary.Read(mr, binary.LittleEndian, v); err != nil {
-		return fmt.Errorf("core: %w: manifest of owner %d: %v", flatbuf.ErrFormat, owner, err)
+		return fmt.Errorf("core: %w: manifest: %v", flatbuf.ErrFormat, err)
 	}
 	return nil
 }
@@ -307,31 +306,30 @@ func readManifest(mr *bytes.Reader, owner uint32, v any) error {
 // manifestDone rejects trailing manifest bytes — a manifest longer than
 // its method's record set is corruption, not forward compatibility
 // (that is what the version field is for).
-func manifestDone(mr *bytes.Reader, owner uint32) error {
+func manifestDone(mr *bytes.Reader) error {
 	if mr.Len() != 0 {
-		return fmt.Errorf("core: %w: %d trailing manifest bytes for owner %d",
-			flatbuf.ErrFormat, mr.Len(), owner)
+		return fmt.Errorf("core: %w: %d trailing manifest bytes", flatbuf.ErrFormat, mr.Len())
 	}
 	return nil
 }
 
-// castSection overlays a typed slice on an owner's section.
-func castSection[T any](img *flatbuf.Image, owner, kind uint32) ([]T, error) {
-	b, ok := img.Section(owner, kind)
+// castSection overlays a typed slice on a section.
+func castSection[T any](img *flatbuf.Image, kind uint32) ([]T, error) {
+	b, ok := img.Section(0, kind)
 	if !ok {
-		return nil, fmt.Errorf("core: %w: missing section owner=%d kind=%d", flatbuf.ErrFormat, owner, kind)
+		return nil, fmt.Errorf("core: %w: missing section kind=%d", flatbuf.ErrFormat, kind)
 	}
 	v, err := flatbuf.CastSlice[T](b)
 	if err != nil {
-		return nil, fmt.Errorf("core: section owner=%d kind=%d: %w", owner, kind, err)
+		return nil, fmt.Errorf("core: section kind=%d: %w", kind, err)
 	}
 	return v, nil
 }
 
-// loadEngineOwnerV2 assembles one engine from its owner's sections. A
-// record of a method that no longer saves is refused as retired, after
-// the MBR-policy check that names the older refusal.
-func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared) (Engine, error) {
+// loadRecordV2 assembles the engine from its sections. A record of a
+// method that no longer saves is refused as retired, after the
+// MBR-policy check that names the older refusal.
+func loadRecordV2(img *flatbuf.Image, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared) (Engine, error) {
 	if (m == MethodThreeDReach || m == MethodThreeDReachRev) && policy != dataset.Replicate {
 		if policy == dataset.MBR {
 			return nil, retired(m.String()+" MBR policy", "rebuild from the network with Replicate")
@@ -354,7 +352,7 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 		case !hasBoxes:
 			return nil, retired("3DReach point R-tree", upgradeRemedy)
 		}
-		l, err := loadLabelingV2(img, owner, mr, prep)
+		l, err := loadLabelingV2(img, mr, prep)
 		if err != nil {
 			return nil, err
 		}
@@ -362,44 +360,44 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 			l.Spatial = prep.HasSpatial
 		}
 		if tiled {
-			t, err := loadTilesV2(img, owner, prep)
+			t, err := loadTilesV2(img, prep)
 			if err != nil {
 				return nil, err
 			}
-			if err := manifestDone(mr, owner); err != nil {
+			if err := manifestDone(mr); err != nil {
 				return nil, err
 			}
 			return &ThreeDReach{prep: prep, l: l, points: t}, nil
 		}
-		f, err := loadFlatTreeV2[geom.Box3](img, owner, mr, 3, prep.Net.NumVertices())
+		f, err := loadFlatTreeV2[geom.Box3](img, mr, 3, prep.Net.NumVertices())
 		if err != nil {
 			return nil, err
 		}
-		if err := manifestDone(mr, owner); err != nil {
+		if err := manifestDone(mr); err != nil {
 			return nil, err
 		}
 		return &ThreeDReach{prep: prep, l: l, boxes: f}, nil
 	case MethodGeoReach:
 		var gm geoMeta
-		if err := readManifest(mr, owner, &gm); err != nil {
+		if err := readManifest(mr, &gm); err != nil {
 			return nil, err
 		}
-		if err := manifestDone(mr, owner); err != nil {
+		if err := manifestDone(mr); err != nil {
 			return nil, err
 		}
-		gflags, ok := img.Section(owner, secGeoFlags)
+		gflags, ok := img.Section(0, secGeoFlags)
 		if !ok {
-			return nil, fmt.Errorf("core: %w: missing section owner=%d kind=%d", flatbuf.ErrFormat, owner, secGeoFlags)
+			return nil, fmt.Errorf("core: %w: missing section kind=%d", flatbuf.ErrFormat, secGeoFlags)
 		}
-		rmbr, err := castSection[float64](img, owner, secGeoRMBR)
+		rmbr, err := castSection[float64](img, secGeoRMBR)
 		if err != nil {
 			return nil, err
 		}
-		gridOff, err := castSection[uint64](img, owner, secGeoGridOff)
+		gridOff, err := castSection[uint64](img, secGeoGridOff)
 		if err != nil {
 			return nil, err
 		}
-		gridKeys, err := castSection[uint64](img, owner, secGeoGridKeys)
+		gridKeys, err := castSection[uint64](img, secGeoGridKeys)
 		if err != nil {
 			return nil, err
 		}
@@ -420,24 +418,24 @@ func loadEngineOwnerV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, m Met
 
 // loadLabelingV2 reads the labelingMeta record then overlays the four
 // label columns; labeling.FromFlat validates them.
-func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *dataset.Prepared) (*labeling.Labeling, error) {
+func loadLabelingV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared) (*labeling.Labeling, error) {
 	var lm labelingMeta
-	if err := readManifest(mr, owner, &lm); err != nil {
+	if err := readManifest(mr, &lm); err != nil {
 		return nil, err
 	}
-	post, err := castSection[int32](img, owner, secLabelPost)
+	post, err := castSection[int32](img, secLabelPost)
 	if err != nil {
 		return nil, err
 	}
-	order, err := castSection[int32](img, owner, secLabelOrder)
+	order, err := castSection[int32](img, secLabelOrder)
 	if err != nil {
 		return nil, err
 	}
-	off, err := castSection[uint64](img, owner, secLabelOff)
+	off, err := castSection[uint64](img, secLabelOff)
 	if err != nil {
 		return nil, err
 	}
-	data, err := castSection[intervals.Interval](img, owner, secLabelData)
+	data, err := castSection[intervals.Interval](img, secLabelData)
 	if err != nil {
 		return nil, err
 	}
@@ -464,28 +462,28 @@ func loadLabelingV2(img *flatbuf.Image, owner uint32, mr *bytes.Reader, prep *da
 // range-checks every entry id against limit — ids index SpatialMembers
 // and the network's vertex tables, so an out-of-range id in a corrupt
 // file would otherwise become a query-time panic.
-func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, owner uint32, mr *bytes.Reader, wantDims, limit int) (*rtree.Flat[B], error) {
+func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, mr *bytes.Reader, wantDims, limit int) (*rtree.Flat[B], error) {
 	var tm treeMeta
-	if err := readManifest(mr, owner, &tm); err != nil {
+	if err := readManifest(mr, &tm); err != nil {
 		return nil, err
 	}
 	if int(tm.Dims) != wantDims {
-		return nil, fmt.Errorf("core: %w: tree of owner %d has %d dims, want %d",
-			flatbuf.ErrFormat, owner, tm.Dims, wantDims)
+		return nil, fmt.Errorf("core: %w: tree has %d dims, want %d",
+			flatbuf.ErrFormat, tm.Dims, wantDims)
 	}
-	nodeBounds, err := castSection[float64](img, owner, secTreeNodeBounds)
+	nodeBounds, err := castSection[float64](img, secTreeNodeBounds)
 	if err != nil {
 		return nil, err
 	}
-	nodeMeta, err := castSection[uint32](img, owner, secTreeNodeMeta)
+	nodeMeta, err := castSection[uint32](img, secTreeNodeMeta)
 	if err != nil {
 		return nil, err
 	}
-	entryBounds, err := castSection[float64](img, owner, secTreeEntryBound)
+	entryBounds, err := castSection[float64](img, secTreeEntryBound)
 	if err != nil {
 		return nil, err
 	}
-	entryIDs, err := castSection[int32](img, owner, secTreeEntryIDs)
+	entryIDs, err := castSection[int32](img, secTreeEntryIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +498,7 @@ func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, owner uint32, mr *byte
 		LeafBoundBytes: int(tm.LeafBoundBytes),
 	}, nodeBounds, nodeMeta, entryBounds, entryIDs)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w: owner %d: %v", flatbuf.ErrFormat, owner, err)
+		return nil, fmt.Errorf("core: %w: %v", flatbuf.ErrFormat, err)
 	}
 	for _, id := range entryIDs {
 		if id < 0 || int(id) >= limit {
@@ -513,36 +511,36 @@ func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, owner uint32, mr *byte
 
 // loadTilesV2 overlays 3DReach's point tiles; tiles.FromColumns checks
 // their offsets and range-checks every id against the network.
-func loadTilesV2(img *flatbuf.Image, owner uint32, prep *dataset.Prepared) (*tiles.Tiles, error) {
+func loadTilesV2(img *flatbuf.Image, prep *dataset.Prepared) (*tiles.Tiles, error) {
 	var c tiles.Columns
 	var err error
-	if c.SlabX, err = castSection[float64](img, owner, secTileSlabX); err != nil {
+	if c.SlabX, err = castSection[float64](img, secTileSlabX); err != nil {
 		return nil, err
 	}
-	if c.SlabCells, err = castSection[uint32](img, owner, secTileSlabCells); err != nil {
+	if c.SlabCells, err = castSection[uint32](img, secTileSlabCells); err != nil {
 		return nil, err
 	}
-	if c.CellMBR, err = castSection[float64](img, owner, secTileCellMBR); err != nil {
+	if c.CellMBR, err = castSection[float64](img, secTileCellMBR); err != nil {
 		return nil, err
 	}
-	if c.CellPoints, err = castSection[uint32](img, owner, secTileCellPoints); err != nil {
+	if c.CellPoints, err = castSection[uint32](img, secTileCellPoints); err != nil {
 		return nil, err
 	}
-	if c.X, err = castSection[float64](img, owner, secTileX); err != nil {
+	if c.X, err = castSection[float64](img, secTileX); err != nil {
 		return nil, err
 	}
-	if c.Y, err = castSection[float64](img, owner, secTileY); err != nil {
+	if c.Y, err = castSection[float64](img, secTileY); err != nil {
 		return nil, err
 	}
-	if c.Post, err = castSection[int32](img, owner, secTilePost); err != nil {
+	if c.Post, err = castSection[int32](img, secTilePost); err != nil {
 		return nil, err
 	}
-	if c.ID, err = castSection[int32](img, owner, secTileID); err != nil {
+	if c.ID, err = castSection[int32](img, secTileID); err != nil {
 		return nil, err
 	}
 	t, err := tiles.FromColumns(c, prep.Net.NumVertices())
 	if err != nil {
-		return nil, fmt.Errorf("core: %w: owner %d: %v", flatbuf.ErrFormat, owner, err)
+		return nil, fmt.Errorf("core: %w: %v", flatbuf.ErrFormat, err)
 	}
 	return t, nil
 }

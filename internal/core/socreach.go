@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/labeling"
 	"repro/internal/trace"
 )
@@ -19,27 +18,19 @@ type SocReach struct {
 	l    *labeling.Labeling
 }
 
-// SocReachOptions configures NewSocReach.
+// SocReachOptions is the social-first engine's ablation switch.
 type SocReachOptions struct {
-	// Forest is the spanning-forest policy of the labeling.
-	Forest graph.ForestPolicy
 	// SkipCompression keeps the labels as descendant singletons, for
 	// the compression ablation.
 	SkipCompression bool
-	// Parallelism bounds the build workers of the labeling: 0 or 1
-	// builds sequentially, n > 1 merges label sets level-parallel. The
-	// labeling is identical at any setting.
-	Parallelism int
-	// Span, when non-nil, accumulates named per-phase build durations.
-	Span *trace.BuildSpan
 }
 
-// NewSocReach builds the SocReach engine.
-func NewSocReach(prep *dataset.Prepared, opts SocReachOptions) *SocReach {
+// NewSocReach builds the SocReach engine; opts.Parallelism merges label
+// sets level-parallel, to the same labeling at any setting.
+func NewSocReach(prep *dataset.Prepared, opts BuildOptions) *SocReach {
 	t := opts.Span.Start()
 	l := labeling.Build(prep.DAG, labeling.Options{
-		Forest:          opts.Forest,
-		SkipCompression: opts.SkipCompression,
+		SkipCompression: opts.SocReach.SkipCompression,
 		Parallelism:     opts.Parallelism,
 	})
 	opts.Span.End("labeling", t)

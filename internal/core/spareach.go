@@ -6,7 +6,6 @@ import (
 	"repro/internal/bfl"
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/labeling"
 	"repro/internal/pll"
 	"repro/internal/pool"
@@ -38,18 +37,8 @@ type spaScratch struct {
 	candBoxes  []geom.Rect
 }
 
-// SpaReachOptions configures NewSpaReachBFL / NewSpaReachINT.
+// SpaReachOptions is the spatial-first engines' ablation switch.
 type SpaReachOptions struct {
-	// Policy selects the SCC spatial policy (default Replicate, the
-	// winner of Figure 5).
-	Policy dataset.SCCPolicy
-	// Fanout is the R-tree fan-out (0 = rtree.DefaultMaxEntries).
-	Fanout int
-	// BFLBits is the Bloom filter width for SpaReach-BFL (0 = default).
-	BFLBits int
-	// Forest is the spanning-forest policy for SpaReach-INT (the zero
-	// value is the DFS default).
-	Forest graph.ForestPolicy
 	// Streaming interleaves the two phases: reachability probes run
 	// inside the R-tree traversal and the query stops at the first
 	// witness instead of materializing the full candidate set. This is
@@ -58,33 +47,26 @@ type SpaReachOptions struct {
 	// sensitive to spatial selectivity); rrbench's ablation-streaming
 	// quantifies the difference. Default false = faithful.
 	Streaming bool
-	// Parallelism bounds the build workers: 0 or 1 builds sequentially,
-	// n > 1 constructs the reachability index and the 2D R-tree
-	// concurrently and parallelizes each internally where the structure
-	// allows. The built engine is identical at any setting.
-	Parallelism int
-	// Span, when non-nil, accumulates named per-phase build durations.
-	Span *trace.BuildSpan
 }
 
-// NewSpaReachBFL builds the SpaReach-BFL engine.
-func NewSpaReachBFL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
+// NewSpaReachBFL builds the SpaReach-BFL engine over opts.Policy.
+func NewSpaReachBFL(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-BFL", prep, opts, "reach", func() reachIndex {
-		return bfl.Build(prep.DAG, bfl.Options{Bits: opts.BFLBits, Parallelism: opts.Parallelism})
+		return bfl.Build(prep.DAG, bfl.Options{Parallelism: opts.Parallelism})
 	})
 }
 
 // NewSpaReachINT builds the SpaReach-INT engine, which uses the paper's
 // interval-based labeling for the reachability probes.
-func NewSpaReachINT(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
+func NewSpaReachINT(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-INT", prep, opts, "labeling", func() reachIndex {
-		return labeling.Build(prep.DAG, labeling.Options{Forest: opts.Forest, Parallelism: opts.Parallelism})
+		return labeling.Build(prep.DAG, labeling.Options{Parallelism: opts.Parallelism})
 	})
 }
 
 // NewSpaReachPLL builds the SpaReach-PLL engine, the 2-hop-labeled
 // spatial-first variant Sarwat and Sun evaluate in [47] (paper §2.2.1).
-func NewSpaReachPLL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
+func NewSpaReachPLL(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-PLL", prep, opts, "reach", func() reachIndex {
 		return pll.Build(prep.DAG, pll.Options{})
 	})
@@ -92,10 +74,11 @@ func NewSpaReachPLL(prep *dataset.Prepared, opts SpaReachOptions) *SpaReach {
 
 // newSpaReachPipelined assembles a SpaReach engine whose two independent
 // build phases — the reachability index and the 2D R-tree — run
-// concurrently when opts.Parallelism allows (they only read prep). On a
-// sequential pool Run degrades to two inline calls, so the 0/1 setting
-// is exactly the old code path.
-func newSpaReachPipelined(name string, prep *dataset.Prepared, opts SpaReachOptions, phase string, build func() reachIndex) *SpaReach {
+// concurrently when opts.Parallelism allows (they only read prep), each
+// parallelized internally where the structure allows. On a sequential
+// pool Run degrades to two inline calls, so the 0/1 setting is exactly
+// the old code path.
+func newSpaReachPipelined(name string, prep *dataset.Prepared, opts BuildOptions, phase string, build func() reachIndex) *SpaReach {
 	p := pool.New(max(opts.Parallelism, 1))
 	var reach reachIndex
 	var tree *rtree.Flat[geom.Rect]
@@ -108,14 +91,14 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts SpaReachOpti
 		},
 		func() error {
 			t := opts.Span.Start()
-			tree = buildSpatialTree(prep, opts.Policy, opts.Fanout, p)
+			tree = buildSpatialTree(prep, opts.Policy, p)
 			opts.Span.End("spatial", t)
 			return nil
 		},
 	)
 	e := &SpaReach{
 		name: name, prep: prep, policy: opts.Policy,
-		reach: reach, streaming: opts.Streaming, tree: tree,
+		reach: reach, streaming: opts.SpaReach.Streaming, tree: tree,
 	}
 	e.scratch.New = func() any { return &spaScratch{} }
 	return e
@@ -126,7 +109,7 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts SpaReachOpti
 // original vertex), or one rectangle per component with spatial members
 // under MBR (entry id = component). A non-sequential pool parallelizes
 // the STR packing; the tree is identical either way.
-func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, fanout int, p *pool.Pool) *rtree.Flat[geom.Rect] {
+func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, p *pool.Pool) *rtree.Flat[geom.Rect] {
 	var entries []rtree.Entry[geom.Rect]
 	if policy == dataset.MBR {
 		for c := range prep.Members {
@@ -151,7 +134,7 @@ func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, fanout i
 	if policy == dataset.Replicate && !prep.Net.HasExtents() {
 		leafBoundBytes = 16 // points, not rectangles
 	}
-	return rtree.BulkLoadPool(entries, fanout, leafBoundBytes, p)
+	return rtree.BulkLoadPool(entries, rtree.DefaultMaxEntries, leafBoundBytes, p)
 }
 
 // Name implements Engine.

@@ -42,25 +42,13 @@ type ThreeDReach struct {
 	boxes  *rtree.Flat[geom.Box3]
 }
 
-// ThreeDOptions configures NewThreeDReach and NewThreeDReachRev. Both
-// index the Replicate policy only: the MBR policy is SpaReach's.
-type ThreeDOptions struct {
-	// Fanout is the fan-out of the R-trees: extended geometries' and
-	// 3DReach-Rev's (0 = rtree.DefaultMaxEntries).
-	Fanout int
-	// Parallelism bounds the build workers: 0 or 1 builds sequentially,
-	// n > 1 parallelizes the labeling and the R-tree bulk loads
-	// internally. The 3D index depends on the labeling's post-order
-	// numbers, so the two phases chain rather than overlap. The built
-	// engine is identical at any setting.
-	Parallelism int
-	// Span, when non-nil, accumulates named per-phase build durations.
-	Span *trace.BuildSpan
-}
-
 // NewThreeDReach builds the point-based 3DReach engine over rank-keyed
-// labels.
-func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
+// labels. It indexes the Replicate policy whatever opts.Policy says:
+// the MBR policy is SpaReach's. opts.Parallelism parallelizes the
+// labeling and the box tree's bulk load internally; the 3D index
+// depends on the labeling's keys, so the two phases chain rather than
+// overlap.
+func NewThreeDReach(prep *dataset.Prepared, opts BuildOptions) *ThreeDReach {
 	t := opts.Span.Start()
 	l := labeling.Build(prep.DAG, labeling.Options{Parallelism: opts.Parallelism, Spatial: prep.HasSpatial})
 	opts.Span.End("labeling", t)
@@ -72,14 +60,14 @@ func NewThreeDReach(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReach {
 // prep.HasSpatial; the index's z is whichever key the labeling has. The
 // spatial index is built from the network, which is cheap relative to
 // labeling construction.
-func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts ThreeDOptions) *ThreeDReach {
+func NewThreeDReachWithLabeling(prep *dataset.Prepared, l *labeling.Labeling, opts BuildOptions) *ThreeDReach {
 	e := &ThreeDReach{prep: prep, l: l}
 	t := opts.Span.Start()
 	defer opts.Span.End("spatial", t)
 	keys := l.Keys()
 
 	if prep.Net.HasExtents() {
-		e.boxes = rtree.BulkLoadPool(boxEntries(prep, keys), opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
+		e.boxes = rtree.BulkLoadPool(boxEntries(prep, keys), rtree.DefaultMaxEntries, 0, pool.New(max(opts.Parallelism, 1)))
 		return e
 	}
 

@@ -49,9 +49,9 @@ func fragmentedCases(t *testing.T) []fragmentedCase {
 	for i := range cases {
 		c := &cases[i]
 		if c.posts {
-			c.built = NewThreeDReachWithLabeling(c.prep, labeling.Build(c.prep.DAG, labeling.Options{}), ThreeDOptions{})
+			c.built = NewThreeDReachWithLabeling(c.prep, labeling.Build(c.prep.DAG, labeling.Options{}), BuildOptions{})
 		} else {
-			c.built = NewThreeDReach(c.prep, ThreeDOptions{})
+			c.built = NewThreeDReach(c.prep, BuildOptions{})
 		}
 		path := filepath.Join(t.TempDir(), strings.ReplaceAll(c.name, "/", "-")+".idx")
 		f, err := os.Create(path)
@@ -221,8 +221,8 @@ func TestThreeDReachBackendsAgree(t *testing.T) {
 		net := randomNetwork(rng, 5+rng.Intn(25), 2+rng.Intn(20)+trial%3*40, trial%2 == 0)
 		withExt := *net
 		engines := []*ThreeDReach{
-			NewThreeDReach(dataset.Prepare(net), ThreeDOptions{}),
-			NewThreeDReach(dataset.Prepare(withExtents(rng, &withExt)), ThreeDOptions{}),
+			NewThreeDReach(dataset.Prepare(net), BuildOptions{}),
+			NewThreeDReach(dataset.Prepare(withExtents(rng, &withExt)), BuildOptions{}),
 		}
 		if engines[1].boxes != nil {
 			boxed++
@@ -258,7 +258,7 @@ func TestThreeDReachIndexPerGeometry(t *testing.T) {
 		{"points", points, true},
 		{"extents", extents, false},
 	} {
-		e := NewThreeDReach(c.prep, ThreeDOptions{})
+		e := NewThreeDReach(c.prep, BuildOptions{})
 		if (e.points != nil) != c.tiles || (e.boxes != nil) == c.tiles {
 			t.Errorf("%s: tiles %v, box tree %v", c.name, e.points != nil, e.boxes != nil)
 		}

@@ -26,8 +26,9 @@ type ThreeDReachRev struct {
 	tree *rtree.Flat[geom.Box3]
 }
 
-// NewThreeDReachRev builds the line-based 3DReach-Rev engine.
-func NewThreeDReachRev(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReachRev {
+// NewThreeDReachRev builds the line-based 3DReach-Rev engine. Like
+// 3DReach it indexes the Replicate policy whatever opts.Policy says.
+func NewThreeDReachRev(prep *dataset.Prepared, opts BuildOptions) *ThreeDReachRev {
 	t := opts.Span.Start()
 	rev := reversedLabeling(prep, opts.Parallelism)
 	opts.Span.End("labeling", t)
@@ -36,7 +37,7 @@ func NewThreeDReachRev(prep *dataset.Prepared, opts ThreeDOptions) *ThreeDReachR
 	// Segments and boxes are stored alike (min/max corners), matching the
 	// paper's observation about Boost's R-tree (§6.2): no leaf-payload
 	// override either way.
-	tree := rtree.BulkLoadPool(revEntries(prep, rev), opts.Fanout, 0, pool.New(max(opts.Parallelism, 1)))
+	tree := rtree.BulkLoadPool(revEntries(prep, rev), rtree.DefaultMaxEntries, 0, pool.New(max(opts.Parallelism, 1)))
 	return &ThreeDReachRev{prep: prep, post: rev.Post, tree: tree}
 }
 

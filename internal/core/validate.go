@@ -67,10 +67,8 @@ func ValidateEngine(e Engine) error {
 			return fmt.Errorf("core: %s SPA-Graph: %w", eng.Name(), err)
 		}
 	case *Auto:
-		for _, m := range eng.members {
-			if err := ValidateEngine(m); err != nil {
-				return fmt.Errorf("core: Auto member: %w", err)
-			}
+		if err := ValidateEngine(eng.route); err != nil {
+			return fmt.Errorf("core: Auto member: %w", err)
 		}
 	}
 	// NaiveBFS and unknown engines: nothing checkable here.

@@ -43,9 +43,9 @@ const (
 	// landmark labeling) reachability probes — the first SpaReach
 	// variant of Sarwat and Sun's original paper.
 	SpaReachPLL
-	// MethodAuto is the composite: it builds a set of member engines
-	// (ThreeDReach alone by default, see WithAutoMembers) and answers
-	// every query with the member a fixed preference order ranks first.
+	// MethodAuto is the planner's method: it builds one ThreeDReach,
+	// which answers every query, and names it as the plan of every
+	// explained one (QueryStats.Plan, Index.PlannerMembers).
 	MethodAuto
 )
 
