@@ -33,8 +33,9 @@ func WithMBRPolicy() Option {
 
 // WithParallelism bounds the number of workers the build pipeline may
 // use: independent phases (labeling vs. spatial bulk load) run
-// concurrently and the index structures parallelize internally. The default is runtime.NumCPU(); 1 forces the exact
-// sequential code path. Parallel construction is deterministic — the
+// concurrently and the index structures parallelize internally. The
+// default is runtime.NumCPU(); 1 forces the exact sequential code
+// path. Parallel construction is deterministic — the
 // built index, and its SaveFile bytes, are identical at any setting
 // (see DESIGN.md §12).
 func WithParallelism(n int) Option {
