@@ -6,7 +6,8 @@
 #                  suite + the read paths' count guards + the examples
 #                  + the benchmark module's own vet
 #                  and tests + fuzz seed corpora + format compat
-#                  + 30 s each of loader and update-stream fuzzing
+#                  + 30 s each of index-loader, network-loader and
+#                  update-stream fuzzing
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
 #                  + coverage floor + rrbench smoke (every -exp)
@@ -131,8 +132,12 @@ go -C benchmark test ./...
 # 1-5 shards, regions that are points, on cell edges, past the space or
 # the whole of it, on the query and the batch path, and after venues are
 # added and moved outside the map's space through the update path.
+# ./internal/dataset's FuzzLoad reads a network, writes it with Save and
+# reads it again, and wants the two loads equal: name, check-ins, spatial
+# flags, points and extents bit for bit, and every out-row. Its seeds
+# give Builder.Build sorted, unsorted, repeated and looping edges.
 echo "== fuzz (seed corpus) =="
-go test -run 'Fuzz' . ./internal/incr ./internal/tiles ./internal/router
+go test -run 'Fuzz' . ./internal/incr ./internal/tiles ./internal/router ./internal/dataset
 
 # The format-compatibility gate. The loader reads the layout the writer
 # writes plus the one generation before it (DESIGN.md §16), for the two
@@ -162,6 +167,16 @@ if [[ "${1:-}" != "-short" ]]; then
     # failing input is written to testdata/fuzz/FuzzPersistRoundtrip.
     echo "== loader fuzz (30 s) =="
     go test -run '^$' -fuzz '^FuzzPersistRoundtrip$' -fuzztime 30s .
+fi
+
+if [[ "${1:-}" != "-short" ]]; then
+    # The network parser under real fuzzing: arbitrary bytes through
+    # dataset.Load must give an error or a valid network that survives
+    # Save and Load unchanged, through the in-place point and edge
+    # readers and both of Build's paths. A failing input is written to
+    # internal/dataset/testdata/fuzz/FuzzLoad.
+    echo "== network loader fuzz (30 s) =="
+    go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 30s ./internal/dataset
 fi
 
 if [[ "${1:-}" != "-short" ]]; then

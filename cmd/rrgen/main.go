@@ -60,6 +60,24 @@ func main() {
 	)
 	flag.Parse()
 
+	// Usage errors exit 2 before anything is generated or written.
+	var method rangereach.Method
+	if *indexM != "" {
+		if *out == "" {
+			fmt.Fprintln(os.Stderr, "rrgen: -index requires -o")
+			os.Exit(2)
+		}
+		var err error
+		if method, err = indexMethod(*indexM); err != nil {
+			fmt.Fprintf(os.Stderr, "rrgen: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	if *shards > 0 && *out == "" {
+		fmt.Fprintln(os.Stderr, "rrgen: -shards requires -o")
+		os.Exit(2)
+	}
+
 	var net *dataset.Network
 	switch *preset {
 	case "foursquare-like":
@@ -110,14 +128,6 @@ func main() {
 	}
 
 	if *out == "" {
-		if *indexM != "" {
-			fmt.Fprintln(os.Stderr, "rrgen: -index requires -o")
-			os.Exit(2)
-		}
-		if *shards > 0 {
-			fmt.Fprintln(os.Stderr, "rrgen: -shards requires -o")
-			os.Exit(2)
-		}
 		if err := dataset.Save(os.Stdout, net); err != nil {
 			fmt.Fprintf(os.Stderr, "rrgen: %v\n", err)
 			os.Exit(1)
@@ -129,13 +139,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *indexM != "" {
-		if err := emitIndex(*out, *indexM, *indexO, *buildJ); err != nil {
+		if err := emitIndex(*out, method, *indexO, *buildJ); err != nil {
 			fmt.Fprintf(os.Stderr, "rrgen: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	if *shards > 0 {
-		if err := emitShards(net, *out, *shards, *indexM, *buildJ); err != nil {
+		if err := emitShards(net, *out, *shards, *indexM != "", method, *buildJ); err != nil {
 			fmt.Fprintf(os.Stderr, "rrgen: %v\n", err)
 			os.Exit(1)
 		}
@@ -148,7 +158,7 @@ func main() {
 // describing the topology for rrrouter. With -index, each shard also
 // gets a prebuilt <stem>.shard<i>.gsn.idx so the serving processes
 // skip their startup builds.
-func emitShards(net *dataset.Network, out string, n int, indexM string, buildJ int) error {
+func emitShards(net *dataset.Network, out string, n int, withIndex bool, method rangereach.Method, buildJ int) error {
 	asn, err := shard.Partition(net, n, shard.Spatial)
 	if err != nil {
 		return err
@@ -163,8 +173,8 @@ func emitShards(net *dataset.Network, out string, n int, indexM string, buildJ i
 		if err := dataset.SaveFile(path, snet); err != nil {
 			return err
 		}
-		if indexM != "" {
-			if err := emitIndex(path, indexM, "", buildJ); err != nil {
+		if withIndex {
+			if err := emitIndex(path, method, "", buildJ); err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
 		}
@@ -183,14 +193,7 @@ func emitShards(net *dataset.Network, out string, n int, indexM string, buildJ i
 // file and persists it next to it. Going through the saved file (not
 // the in-memory network) guarantees the index pairs with exactly the
 // bytes rrserve will load.
-func emitIndex(netPath, methodName, indexPath string, parallelism int) error {
-	m, ok := rangereach.ParseMethod(methodName)
-	if !ok {
-		return fmt.Errorf("unknown -index method %q", methodName)
-	}
-	if !m.Persistable() {
-		return fmt.Errorf("-index: %v has no save format (saveable methods: %s)", m, strings.Join(indexMethodNames(), ", "))
-	}
+func emitIndex(netPath string, m rangereach.Method, indexPath string, parallelism int) error {
 	if indexPath == "" {
 		indexPath = netPath + ".idx"
 	}
@@ -212,6 +215,19 @@ func emitIndex(netPath, methodName, indexPath string, parallelism int) error {
 	fmt.Fprintf(os.Stderr, "rrgen: %s index written to %s (build %s)\n",
 		m, indexPath, idx.Stats().BuildTime)
 	return nil
+}
+
+// indexMethod resolves -index to a method that Index.SaveFile has a
+// format for, or says why it cannot.
+func indexMethod(name string) (rangereach.Method, error) {
+	m, ok := rangereach.ParseMethod(name)
+	if !ok {
+		return m, fmt.Errorf("unknown -index method %q", name)
+	}
+	if !m.Persistable() {
+		return m, fmt.Errorf("-index: %v has no save format (saveable methods: %s)", m, strings.Join(indexMethodNames(), ", "))
+	}
+	return m, nil
 }
 
 // indexMethodNames lists the methods -index accepts: the ones

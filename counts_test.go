@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 
 	rangereach "repro"
+	"repro/internal/dataset"
 	"repro/internal/httpjson"
 	"repro/internal/server"
 )
@@ -29,18 +31,19 @@ const countsGolden = "testdata/counts.golden"
 
 // TestWorkCounts holds the work counts that performance claims rest on
 // to a golden file: every indexed method's summed query work over a
-// fixed pool, rrserve's per-request allocations and 3DReach's mapped
-// open and query. A work row is exact and must match. An allocation
-// row (name ending in ".allocs") is an average, so the golden stores it
-// as a ceiling and the test fails above it; allocation rows skip under
-// -race, whose instrumentation allocates.
+// fixed pool, rrserve's per-request allocations, 3DReach's mapped
+// open and query, and the network ingest's Load and Prepare. A work row
+// is exact and must match. An allocation row (name ending in ".allocs")
+// is an average, so the golden stores it as a ceiling and the test
+// fails above it; allocation rows skip under -race, whose
+// instrumentation allocates.
 func TestWorkCounts(t *testing.T) {
 	if raceEnabled && *updateCounts {
 		t.Fatal("-update-counts needs a build without -race")
 	}
 	got := methodWorkRows(t)
 	if !raceEnabled {
-		for _, rows := range []map[string]float64{rrserveAllocRows(t), threeDReachAllocRows(t)} {
+		for _, rows := range []map[string]float64{rrserveAllocRows(t), threeDReachAllocRows(t), ingestAllocRows(t)} {
 			for name, v := range rows {
 				got[name] = v
 			}
@@ -268,6 +271,32 @@ func threeDReachAllocRows(t *testing.T) map[string]float64 {
 	region := rangereach.NewRect(space.MinX+2*w, space.MinY+2*h, space.MinX+3*w, space.MinY+3*h)
 	rows["3dreach.range_reach.allocs"] = testing.AllocsPerRun(200, func() { mapped.RangeReach(1, region) })
 	return rows
+}
+
+// ingestAllocRows are the allocations of the network ingest that every
+// process runs before it builds or opens an index: dataset.Load of the
+// text Save writes for GowallaLike(0.05, 1), and dataset.Prepare of the
+// loaded network. Load reads Save's point and edge lines in place, so
+// its count does not grow with them; Prepare's is mostly its
+// per-component member slices.
+func ingestAllocRows(t *testing.T) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := dataset.Save(&buf, dataset.GowallaLike(0.05, 1)); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.Bytes()
+	net, err := dataset.Load(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun reads a process-wide counter, and a collection set
+	// off by the loads allocates on its own goroutines.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return map[string]float64{
+		"dataset.load.allocs":    testing.AllocsPerRun(5, func() { _, _ = dataset.Load(bytes.NewReader(text)) }),
+		"dataset.prepare.allocs": testing.AllocsPerRun(5, func() { dataset.Prepare(net) }),
+	}
 }
 
 // raceEnabled is true under -race (race_test.go).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -517,5 +518,66 @@ func TestLoadEdgeLines(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader("geosocial 1\ne 0 1\n")); err == nil || err.Error() != "dataset: line 2: e before vertices" {
 		t.Errorf("e before vertices: error %v", err)
+	}
+}
+
+// TestLoadPointLines holds the `p` directive's accept/reject set and
+// error texts where they were before point lines got their own parser,
+// and the rule that a later line for a vertex replaces an earlier one.
+func TestLoadPointLines(t *testing.T) {
+	const head = "geosocial 1\nvertices 3\n"
+	rows := []struct {
+		line    string
+		x, y    float64 // accepted: vertex 0's point
+		wantErr string  // rejected: the error, after the "dataset: line 3: " prefix
+	}{
+		{line: "p 0 1.5 2.5", x: 1.5, y: 2.5},
+		{line: "p 0 -0 1e300", x: math.Copysign(0, -1), y: 1e300},
+		{line: "p 0 +1 2", x: 1, y: 2},
+		{line: "p 0 0x1p-2 3", x: 0.25, y: 3},
+		{line: "p 00 1 2", x: 1, y: 2},
+		{line: "p 0  1\t2", x: 1, y: 2},
+		{line: "  p 0 1 2 \r", x: 1, y: 2},
+		{line: "p 0 inf 2", wantErr: "coordinates (+Inf, 2) are not finite"},
+		{line: "p 0 NaN 2", wantErr: "coordinates (NaN, 2) are not finite"},
+		{line: "p 0 1e999 2", wantErr: "bad coordinates"},
+		{line: "p 0 1_000 2", x: 1000, y: 2},
+		{line: "p 0 a 2", wantErr: "bad coordinates"},
+		{line: "p 0 1 ", wantErr: "want `p id x y`"},
+		{line: "p 0 1", wantErr: "want `p id x y`"},
+		{line: "p 0 1 2 3", wantErr: "want `p id x y`"},
+		{line: "p 0 1 2 # note", wantErr: "want `p id x y`"},
+		{line: "p 3 1 2", wantErr: "vertex 3 out of range"},
+		{line: "p -1 1 2", wantErr: "vertex -1 out of range"},
+		{line: "p x 1 2", wantErr: `"x" is not an integer`},
+		{line: "p0 1 2", wantErr: `unknown directive "p0"`},
+	}
+	for _, row := range rows {
+		net, err := Load(strings.NewReader(head + row.line + "\n"))
+		switch {
+		case row.wantErr == "" && err != nil:
+			t.Errorf("%q: rejected: %v", row.line, err)
+		case row.wantErr == "" && (!net.Spatial[0] ||
+			math.Float64bits(net.Points[0].X) != math.Float64bits(row.x) || net.Points[0].Y != row.y):
+			t.Errorf("%q: vertex 0 spatial %v at %v, want (%v, %v)", row.line, net.Spatial[0], net.Points[0], row.x, row.y)
+		case row.wantErr != "" && err == nil:
+			t.Errorf("%q: accepted, want error %q", row.line, row.wantErr)
+		case row.wantErr != "" && err.Error() != "dataset: line 3: "+row.wantErr:
+			t.Errorf("%q: error %q, want %q", row.line, err, "dataset: line 3: "+row.wantErr)
+		}
+	}
+
+	net, err := Load(strings.NewReader(head + "g 1 0 0 4 4\np 1 9 9\np 2 9 9\ng 2 0 0 2 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Extents[1] != (geom.Rect{}) || net.Points[1] != geom.Pt(9, 9) {
+		t.Errorf("g then p: extent %v, point %v; want the point alone", net.Extents[1], net.Points[1])
+	}
+	if net.Extents[2] != geom.NewRect(0, 0, 2, 2) || net.Points[2] != geom.Pt(1, 1) {
+		t.Errorf("p then g: extent %v, point %v; want the extent and its center", net.Extents[2], net.Points[2])
+	}
+	if _, err := Load(strings.NewReader(head + "vertices 5\n")); err == nil || err.Error() != "dataset: line 3: vertices given twice" {
+		t.Errorf("a second vertices line: error %v", err)
 	}
 }

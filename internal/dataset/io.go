@@ -28,9 +28,12 @@ import (
 // Lines starting with '#' and blank lines are ignored. The header line
 // must come first; `vertices` must precede any p/g/e line.
 
-// Save writes n in the text format.
+// Save writes n in the text format. Numbers are formatted with strconv
+// straight into the writer's buffer: coordinates as %g spells them (the
+// shortest text that reads back to the same float64), and each edge row
+// repeats its `e <u> ` prefix from one copy.
 func Save(w io.Writer, n *Network) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 64<<10)
 	fmt.Fprintln(bw, "geosocial 1")
 	if n.Name != "" {
 		fmt.Fprintf(bw, "name %s\n", n.Name)
@@ -41,32 +44,42 @@ func Save(w io.Writer, n *Network) error {
 		if !s {
 			continue
 		}
+		line := bw.AvailableBuffer()
 		if n.Extents != nil && n.Extents[v] != (geom.Rect{}) {
 			r := n.Extents[v]
-			fmt.Fprintf(bw, "g %d %g %g %g %g\n", v, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
+			line = appendVertex(line, 'g', v, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
+		} else {
+			line = appendVertex(line, 'p', v, n.Points[v].X, n.Points[v].Y)
+		}
+		bw.Write(line)
+	}
+	var prefix []byte
+	for u := 0; u < n.NumVertices(); u++ {
+		out := n.Graph.Out(u)
+		if len(out) == 0 {
 			continue
 		}
-		fmt.Fprintf(bw, "p %d %g %g\n", v, n.Points[v].X, n.Points[v].Y)
-	}
-	// Edge lines are most of the file: format them into one reused
-	// buffer rather than through fmt.
-	var err error
-	line := make([]byte, 0, 32)
-	n.Graph.Edges(func(u, v int) {
-		if err != nil {
-			return
+		prefix = strconv.AppendInt(append(prefix[:0], 'e', ' '), int64(u), 10)
+		prefix = append(prefix, ' ')
+		for _, v := range out {
+			line := append(bw.AvailableBuffer(), prefix...)
+			line = strconv.AppendInt(line, int64(v), 10)
+			if _, err := bw.Write(append(line, '\n')); err != nil {
+				return fmt.Errorf("dataset: writing edges: %w", err)
+			}
 		}
-		line = append(line[:0], 'e', ' ')
-		line = strconv.AppendInt(line, int64(u), 10)
-		line = append(line, ' ')
-		line = strconv.AppendInt(line, int64(v), 10)
-		line = append(line, '\n')
-		_, err = bw.Write(line)
-	})
-	if err != nil {
-		return fmt.Errorf("dataset: writing edges: %w", err)
 	}
 	return bw.Flush()
+}
+
+// appendVertex appends the line `<kind> <v> <c...>` with every
+// coordinate spelled as fmt's %g spells it.
+func appendVertex(line []byte, kind byte, v int, coords ...float64) []byte {
+	line = strconv.AppendInt(append(line, kind, ' '), int64(v), 10)
+	for _, c := range coords {
+		line = strconv.AppendFloat(append(line, ' '), c, 'g', -1, 64)
+	}
+	return append(line, '\n')
 }
 
 // SaveFile writes n to the named file.
@@ -117,13 +130,17 @@ func Load(r io.Reader) (*Network, error) {
 		if !ok {
 			break
 		}
-		// Edge lines are most of the file. One written the way Save
-		// writes it is read in place; any other spelling, and every
+		// Edge and point lines are most of the file. One written the way
+		// Save writes it is read in place; any other spelling, and every
 		// faulty line, takes the general path below, which owns the
 		// accept/reject rules and the error texts.
 		if b != nil {
 			if src, dst, ok := parseEdgeLine(s, b.NumVertices()); ok {
 				b.AddEdge(src, dst)
+				continue
+			}
+			if id, pt, ok := parsePointLine(s, b.NumVertices()); ok {
+				net.setPoint(id, pt)
 				continue
 			}
 		}
@@ -138,6 +155,9 @@ func Load(r io.Reader) (*Network, error) {
 			n, err := atoiField(fields, 1, line)
 			if err != nil {
 				return nil, err
+			}
+			if b != nil {
+				return nil, fmt.Errorf("dataset: line %d: vertices given twice", line)
 			}
 			if n < 0 {
 				return nil, fmt.Errorf("dataset: line %d: negative vertex count", line)
@@ -177,8 +197,7 @@ func Load(r io.Reader) (*Network, error) {
 			if !geom.RectFromPoint(geom.Pt(x, y)).Finite() {
 				return nil, fmt.Errorf("dataset: line %d: coordinates (%v, %v) are not finite", line, x, y)
 			}
-			net.Spatial[id] = true
-			net.Points[id] = geom.Pt(x, y)
+			net.setPoint(id, geom.Pt(x, y))
 		case "g":
 			if b == nil {
 				return nil, fmt.Errorf("dataset: line %d: g before vertices", line)
@@ -266,6 +285,37 @@ func parseEdgeLine(line []byte, n int) (src, dst int, ok bool) {
 	}
 	dst, i = parseID(line, i+1, n)
 	return src, dst, i == len(line)
+}
+
+// setPoint makes id a point vertex at pt. A later line for a vertex
+// replaces an earlier one, so a point drops an extent given before it.
+func (n *Network) setPoint(id int, pt geom.Point) {
+	n.Spatial[id] = true
+	n.Points[id] = pt
+	if n.Extents != nil {
+		n.Extents[id] = geom.Rect{}
+	}
+}
+
+// parsePointLine reads `p <id> <x> <y>` in Save's spelling: single
+// spaces, the id in plain decimal digits inside [0, n), and finite
+// coordinates. It reports !ok for anything else, valid or not.
+func parsePointLine(line []byte, n int) (id int, pt geom.Point, ok bool) {
+	if len(line) < 2 || line[0] != 'p' || line[1] != ' ' {
+		return 0, pt, false
+	}
+	id, i := parseID(line, 2, n)
+	if i < 0 || i == len(line) || line[i] != ' ' {
+		return 0, pt, false
+	}
+	xs, ys, found := bytes.Cut(line[i+1:], []byte{' '})
+	if !found {
+		return 0, pt, false
+	}
+	x, err1 := strconv.ParseFloat(string(xs), 64)
+	y, err2 := strconv.ParseFloat(string(ys), 64)
+	pt = geom.Pt(x, y)
+	return id, pt, err1 == nil && err2 == nil && geom.RectFromPoint(pt).Finite()
 }
 
 // parseID reads the decimal digits at line[i:] and returns their value

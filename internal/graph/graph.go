@@ -33,6 +33,11 @@ func (b *Builder) AddEdge(from, to int) {
 	if from < 0 || from >= b.n || to < 0 || to >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", from, to, b.n))
 	}
+	// Double when full: append grows a large slice by a quarter, which
+	// for a million-edge file copies the list about four times over.
+	if m := len(b.edges); m > 0 && m == cap(b.edges) {
+		b.Grow(m)
+	}
 	b.edges = append(b.edges, [2]int32{int32(from), int32(to)})
 }
 
@@ -47,58 +52,62 @@ func (b *Builder) Grow(m int) {
 
 // Build finalizes the builder into an immutable Graph in compressed
 // sparse row (CSR) form, for both out- and in-adjacency. Duplicate edges
-// and self-loops are discarded.
+// and self-loops are discarded. Build leaves the builder's edges in
+// (source, target) order, so building again skips the sort.
 func (b *Builder) Build() *Graph {
 	edges := b.edges
-	// Order by (source, target) without comparisons: a radix sort whose
-	// two digits are the vertex ids, least significant first. Each pass
-	// is a stable counting sort, so the pass by source keeps equal
-	// sources in target order — O(V+E) where a comparison sort of the
-	// edge list was most of the cost of building a network.
+	if !inOrder(edges) {
+		radixSort(edges, b.n)
+	}
+	g := &Graph{n: b.n, outOff: make([]int32, b.n+1)}
+	// Edges in (source, target) order are the out-rows already: count
+	// each row, then copy its targets. Equal edges sit side by side.
+	kept := func(i int) bool {
+		e := edges[i]
+		return e[0] != e[1] && (i == 0 || edges[i-1] != e)
+	}
+	m := 0
+	for i, e := range edges {
+		if kept(i) {
+			g.outOff[e[0]+1]++
+			m++
+		}
+	}
+	for v := 0; v < b.n; v++ {
+		g.outOff[v+1] += g.outOff[v]
+	}
+	g.outAdj = make([]int32, 0, m)
+	for i, e := range edges {
+		if kept(i) {
+			g.outAdj = append(g.outAdj, e[1])
+		}
+	}
+	g.fillIn()
+	return g
+}
+
+// inOrder reports whether edges ascend by (source, target); equal
+// neighbours are allowed. A file that Save wrote is read in this order.
+func inOrder(edges [][2]int32) bool {
+	for i := 1; i < len(edges); i++ {
+		p, e := edges[i-1], edges[i]
+		if p[0] > e[0] || p[0] == e[0] && p[1] > e[1] {
+			return false
+		}
+	}
+	return true
+}
+
+// radixSort orders edges over n vertices by (source, target) without
+// comparisons: a radix sort whose two digits are the vertex ids, least
+// significant first. Each pass is a stable counting sort, so the pass by
+// source keeps equal sources in target order — O(V+E) where a comparison
+// sort of the edge list was most of the cost of building a network.
+func radixSort(edges [][2]int32, n int) {
 	tmp := make([][2]int32, len(edges))
-	pos := make([]int32, b.n+1)
+	pos := make([]int32, n+1)
 	countingPass(tmp, edges, 1, pos)
 	countingPass(edges, tmp, 0, pos)
-	// Deduplicate and drop self-loops in place.
-	w := 0
-	for _, e := range edges {
-		if e[0] == e[1] {
-			continue
-		}
-		if w > 0 && edges[w-1] == e {
-			continue
-		}
-		edges[w] = e
-		w++
-	}
-	edges = edges[:w]
-
-	g := &Graph{
-		n:      b.n,
-		outOff: make([]int32, b.n+1),
-		outAdj: make([]int32, len(edges)),
-		inOff:  make([]int32, b.n+1),
-		inAdj:  make([]int32, len(edges)),
-	}
-	for _, e := range edges {
-		g.outOff[e[0]+1]++
-		g.inOff[e[1]+1]++
-	}
-	for i := 0; i < b.n; i++ {
-		g.outOff[i+1] += g.outOff[i]
-		g.inOff[i+1] += g.inOff[i]
-	}
-	// The edges are grouped by source already, so the out-adjacency is
-	// their targets in order; the in-adjacency scatters each source to
-	// its target's row, which leaves every row ascending too.
-	inPos := pos[:b.n]
-	copy(inPos, g.inOff)
-	for i, e := range edges {
-		g.outAdj[i] = e[1]
-		g.inAdj[inPos[e[1]]] = e[0]
-		inPos[e[1]]++
-	}
-	return g
 }
 
 // countingPass stably sorts src into dst by endpoint key (0 = source,
@@ -114,6 +123,32 @@ func countingPass(dst, src [][2]int32, key int, pos []int32) {
 	for _, e := range src {
 		dst[pos[e[key]]] = e
 		pos[e[key]]++
+	}
+}
+
+// fillIn derives g's in-rows from its out-rows by one transpose scatter.
+// Sources are visited in ascending order, so every in-row ascends too.
+func (g *Graph) fillIn() {
+	n := g.n
+	g.inOff = make([]int32, n+1)
+	g.inAdj = make([]int32, len(g.outAdj))
+	// Each target is counted two slots up, so that after the prefix sum
+	// inOff[v+1] is where v's row starts. The scatter then uses it as
+	// v's cursor and leaves it where v's row ends, as CSR wants: no
+	// cursor scratch.
+	for _, v := range g.outAdj {
+		if int(v)+2 <= n {
+			g.inOff[v+2]++
+		}
+	}
+	for v := 2; v <= n; v++ {
+		g.inOff[v] += g.inOff[v-1]
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Out(u) {
+			g.inAdj[g.inOff[v+1]] = int32(u)
+			g.inOff[v+1]++
+		}
 	}
 }
 

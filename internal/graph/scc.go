@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // SCCs computes the strongly connected components of g using an iterative
 // version of Tarjan's algorithm (recursion-free so that million-vertex
 // social cores do not overflow the goroutine stack).
@@ -119,15 +121,29 @@ func (g *Graph) Condense() *Condensation {
 		members[c] = append(members[c], int32(v))
 	}
 
-	b := NewBuilder(count)
-	b.Grow(g.NumEdges()) // an upper bound: edges inside a component are dropped
-	g.Edges(func(u, v int) {
-		cu, cv := comp[u], comp[v]
-		if cu != cv {
-			b.AddEdge(int(cu), int(cv))
+	// Each component's DAG row is its members' successors mapped to
+	// components: a stamp drops the component itself and repeats, and
+	// the short row is sorted. The rows fill a scratch of g's edge
+	// count, an upper bound, and are copied out at their own length.
+	dag := &Graph{n: count, outOff: make([]int32, count+1)}
+	adj := make([]int32, 0, g.NumEdges())
+	stamp := make([]int32, count) // stamp[d] == c+1: d is in row c already
+	for c, ms := range members {
+		start, mark := len(adj), int32(c)+1
+		for _, v := range ms {
+			for _, w := range g.Out(int(v)) {
+				if d := comp[w]; d != int32(c) && stamp[d] != mark {
+					stamp[d] = mark
+					adj = append(adj, d)
+				}
+			}
 		}
-	})
-	return &Condensation{DAG: b.Build(), Comp: comp, Members: members}
+		slices.Sort(adj[start:])
+		dag.outOff[c+1] = int32(len(adj))
+	}
+	dag.outAdj = slices.Clone(adj)
+	dag.fillIn()
+	return &Condensation{DAG: dag, Comp: comp, Members: members}
 }
 
 // LargestComponentSize returns the number of vertices in the biggest SCC.
