@@ -157,7 +157,7 @@ func TestOptions(t *testing.T) {
 
 // TestOptionCensus pins the package's build options: the exported
 // functions of its non-test files that return an Option must be
-// exactly these three, each set by a command or the benchmark. An
+// exactly these two, each set by a command or the benchmark. An
 // option added without such a caller, or one the census removed, fails
 // here.
 func TestOptionCensus(t *testing.T) {
@@ -189,7 +189,7 @@ func TestOptionCensus(t *testing.T) {
 		}
 	}
 	slices.Sort(got)
-	if want := []string{"WithFullRebuildUpdates", "WithMBRPolicy", "WithParallelism"}; !slices.Equal(got, want) {
+	if want := []string{"WithMBRPolicy", "WithParallelism"}; !slices.Equal(got, want) {
 		t.Errorf("exported Option constructors = %v, want %v", got, want)
 	}
 }

@@ -29,9 +29,9 @@
 // load and refuses to start if any fail — useful when serving an index
 // file of uncertain provenance. -check-publish extends that to dynamic
 // mode at runtime: every snapshot is validated before it is published,
-// so a patching bug can never become visible to readers. -full-rebuild-updates
-// switches the dynamic index to the full-rebuild reference arm (A/B
-// against incremental patching).
+// so a patching bug can never become visible to readers. The dynamic
+// index chooses between patching and rebuilding by itself (a work budget
+// per published batch); rr_incr_full_rebuilds counts its rebuilds.
 //
 // Observability: -log picks the request-log format (text, json, off)
 // and -slow-query elevates slow requests to warnings. A request with a
@@ -72,7 +72,6 @@ func main() {
 		slowQ    = flag.Duration("slow-query", 250*time.Millisecond, "elevate slower requests to warnings (0 disables)")
 		checkIdx = flag.Bool("check", false, "deep-validate index invariants before serving; refuse to start on failure")
 		checkPub = flag.Bool("check-publish", false, "deep-validate every dynamic snapshot before publishing it (requires -dynamic); failing batches get 500 and readers keep the last good snapshot")
-		fullRB   = flag.Bool("full-rebuild-updates", false, "absorb dynamic updates by full rebuild instead of incremental patching (requires -dynamic); the A/B reference arm")
 		shardID  = flag.Int("shard", -1, "shard id this process serves in a cluster; tags its request log and traced replies (-1 = standalone)")
 	)
 	flag.Parse()
@@ -103,8 +102,8 @@ func main() {
 	if *shardID >= 0 {
 		cfg.ShardID = strconv.Itoa(*shardID)
 	}
-	if (*checkPub || *fullRB) && !*dynamic {
-		fmt.Fprintln(os.Stderr, "rrserve: -check-publish and -full-rebuild-updates require -dynamic")
+	if *checkPub && !*dynamic {
+		fmt.Fprintln(os.Stderr, "rrserve: -check-publish requires -dynamic")
 		os.Exit(2)
 	}
 	if *mmapIdx && *loadIdx == "" {
@@ -116,11 +115,7 @@ func main() {
 	switch {
 	case *dynamic:
 		mode = "dynamic"
-		var opts []rangereach.Option
-		if *fullRB {
-			opts = append(opts, rangereach.WithFullRebuildUpdates())
-		}
-		cfg.Dynamic = net.BuildDynamic(opts...)
+		cfg.Dynamic = net.BuildDynamic()
 	case *loadIdx != "":
 		if *mmapIdx {
 			cfg.Index, err = net.OpenMapped(*loadIdx)

@@ -13,8 +13,11 @@ import (
 // affected strongly-connected components into one super-vertex, a
 // delete splits its component lazily with a bounded recompute
 // frontier, and interval labels are re-derived only over the affected
-// ancestor cone, falling back to a full rebuild when patching would
-// cost more (see WithFullRebuildUpdates for the A/B escape hatch).
+// ancestor cone. The index decides for itself when patching costs more
+// than rebuilding: the updates between two reads (a query or a
+// Snapshot) patch until their counted work passes a fixed multiple of
+// the network's vertices plus edges, and the rest of them wait for one
+// full rebuild at the next read.
 //
 // A DynamicIndex has a single-writer concurrency model: updates and
 // direct queries must be issued from one goroutine (or be externally
@@ -27,9 +30,8 @@ type DynamicIndex struct {
 }
 
 // BuildDynamic constructs an updatable 3DReach index over the
-// network's current state. Two options apply to the dynamic engine:
-// WithParallelism (the workers of its labeling builds) and
-// WithFullRebuildUpdates. WithMBRPolicy is ignored: the dynamic index
+// network's current state. WithParallelism applies to the dynamic
+// engine (the workers of its labeling builds). WithMBRPolicy is ignored: the dynamic index
 // keeps its venues exactly, in the static 3DReach engine's point tiles
 // and a grid-bucketed overlay.
 func (n *Network) BuildDynamic(options ...Option) *DynamicIndex {
@@ -40,14 +42,7 @@ func (n *Network) BuildDynamic(options ...Option) *DynamicIndex {
 	if cfg.opts.Parallelism == 0 {
 		cfg.opts.Parallelism = runtime.NumCPU()
 	}
-	mode := incr.Incremental
-	if cfg.dynFullRebuild {
-		mode = incr.FullRebuild
-	}
-	return &DynamicIndex{engine: incr.New(n.prep, incr.Options{
-		Mode:        mode,
-		Parallelism: cfg.opts.Parallelism,
-	})}
+	return &DynamicIndex{engine: incr.New(n.prep, incr.Options{Parallelism: cfg.opts.Parallelism})}
 }
 
 // NumVertices returns the current number of vertices, including ones
@@ -87,8 +82,9 @@ type UpdateStats struct {
 	// RelabeledComps totals the components those passes touched.
 	ConeRelabels   int
 	RelabeledComps int
-	// FullRebuilds counts dirty-fraction fallbacks (in
-	// WithFullRebuildUpdates mode, every absorbed batch).
+	// FullRebuilds counts the rebuilds the index chose: reads after
+	// updates whose patch work passed the budget, and compactions when
+	// retired components outnumber live ones.
 	FullRebuilds int
 	// Folds counts overlay folds into fresh base tiles.
 	Folds int

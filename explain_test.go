@@ -298,14 +298,22 @@ func TestExplainDynamicParity(t *testing.T) {
 	// Shrink it again: most of those edges go, back edges close cycles
 	// that the deletes then break (merges and splits retire posts, which
 	// is what fragments labels), and venues of the original network move
-	// (tombstones in the base tree).
+	// (tombstones in the base tree). A snapshot every 8 updates, as
+	// rrserve publishes batches, keeps each epoch within the work budget
+	// that would otherwise rebuild, and re-densify, the whole index.
 	for i := 0; i < len(added); i += 2 {
 		_ = idx.AddEdge(added[i][1], added[i][0])
+		if i%16 == 14 {
+			idx.Snapshot()
+		}
 	}
 	rng.Shuffle(len(added), func(i, j int) { added[i], added[j] = added[j], added[i] })
-	for _, e := range added[:len(added)*3/4] {
+	for i, e := range added[:len(added)*3/4] {
 		if err := idx.DeleteEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			idx.Snapshot()
 		}
 	}
 	for v, moved := 0, 0; moved < 30; v++ {

@@ -15,9 +15,6 @@ type Option func(*buildConfig)
 
 type buildConfig struct {
 	opts core.BuildOptions
-	// dynFullRebuild switches BuildDynamic to the old full-rebuild
-	// update path (see WithFullRebuildUpdates).
-	dynFullRebuild bool
 }
 
 // WithMBRPolicy switches the SCC spatial policy from the default
@@ -45,17 +42,6 @@ func WithParallelism(n int) Option {
 		}
 		c.opts.Parallelism = n
 	}
-}
-
-// WithFullRebuildUpdates makes a DynamicIndex absorb updates by
-// rebuilding everything from the accumulated graph before the next
-// query or snapshot, instead of patching the condensation, labels and
-// spatial state incrementally. Queries answer identically either way;
-// the rebuild path exists for A/B comparison (rrbench's update-churn
-// experiment measures both) and as a maximally-simple reference.
-// Static Build ignores it.
-func WithFullRebuildUpdates() Option {
-	return func(c *buildConfig) { c.dynFullRebuild = true }
 }
 
 // Index answers RangeReach queries for one network with one method.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -580,4 +581,52 @@ func TestLoadPointLines(t *testing.T) {
 	if _, err := Load(strings.NewReader(head + "vertices 5\n")); err == nil || err.Error() != "dataset: line 3: vertices given twice" {
 		t.Errorf("a second vertices line: error %v", err)
 	}
+}
+
+// TestLoadVertexCeiling pins what a `vertices` line may cost. Counts
+// above MaxVertices are refused with an error naming the ceiling, before
+// anything is allocated for them, and an accepted count allocates its
+// columns only as far as the lines read name vertices, and in full once
+// every line is read: a file refused on a later line leaves no column
+// of the declared length behind. Every load allocates the scanner's
+// 64 KiB buffer.
+func TestLoadVertexCeiling(t *testing.T) {
+	const scanner = 64 << 10
+	rows := []struct {
+		input   string
+		wantErr string
+		under   uint64 // bytes Load may allocate
+	}{
+		{input: "vertices 1000", under: 1 << 20},
+		{input: "vertices 9223372", wantErr: "dataset: line 2: vertex count 9223372 exceeds the ceiling of 8388608", under: scanner + 4<<10},
+		{input: "vertices 92233720", wantErr: "dataset: line 2: vertex count 92233720 exceeds the ceiling of 8388608", under: scanner + 4<<10},
+		{input: "vertices 8388608\np 1000 1 1\nx", wantErr: `dataset: line 4: unknown directive "x"`, under: scanner + 128<<10},
+	}
+	for _, row := range rows {
+		var err error
+		bytes := allocatedBytes(func() { _, err = Load(strings.NewReader("geosocial 1\n" + row.input + "\n")) })
+		switch {
+		case row.wantErr == "" && err != nil:
+			t.Errorf("%q: rejected: %v", row.input, err)
+		case row.wantErr != "" && (err == nil || err.Error() != row.wantErr):
+			t.Errorf("%q: error %v, want %q", row.input, err, row.wantErr)
+		case bytes >= row.under:
+			t.Errorf("%q: Load allocated %d bytes, want under %d", row.input, bytes, row.under)
+		}
+	}
+	if net, err := load(strings.NewReader("geosocial 1\nvertices 100\n"), 100); err != nil || net.NumVertices() != 100 {
+		t.Errorf("a count at the ceiling: %v", err)
+	}
+	if _, err := load(strings.NewReader("geosocial 1\nvertices 101\n"), 100); err == nil || err.Error() != "dataset: line 2: vertex count 101 exceeds the ceiling of 100" {
+		t.Errorf("a count past the ceiling: error %v", err)
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

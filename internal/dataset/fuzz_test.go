@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +15,10 @@ import (
 // Save writes and Load reads back exactly: name, check-ins, spatial
 // flags, points and extents bit for bit, and every out-row. The seeds
 // reach both of Build's paths: edges in (source, target) order, as Save
-// writes them, and edges out of order, repeated or looping.
+// writes them, and edges out of order, repeated or looping. Inputs load
+// under a ceiling of fuzzCeiling vertices, so that a short input
+// declaring millions goes through the refusal instead of filling the
+// memory.
 func FuzzLoad(f *testing.F) {
 	f.Add("geosocial 1\nvertices 3\np 2 1.5 2.5\ne 0 1\ne 1 2\n")
 	f.Add("geosocial 1\nname x\nvertices 2\ng 1 0 0 4 4\ne 0 1\n")
@@ -25,6 +27,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add("geosocial 2\n")
 	f.Add("geosocial 1\nvertices -1\n")
 	f.Add("geosocial 1\nvertices 9223372036854775807\n")
+	f.Add("geosocial 1\nvertices 65536\n")
+	f.Add("geosocial 1\nvertices 65537\np 65536 1 1\n")
 	f.Add("geosocial 1\nvertices 2\ne 0 9\n")
 	// Sorted, unsorted, duplicate and self-loop edges.
 	f.Add("geosocial 1\nvertices 4\ncheckins 2\np 3 1 2\ne 0 1\ne 0 3\ne 1 2\ne 2 0\ne 2 3\n")
@@ -35,10 +39,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add("geosocial 1\nvertices 2\ng 1 0 0 4 4\np 1 9 9\ng 0 -0 1 2 3\np 0 5 5\ng 0 1 1 2 2\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		if n := claimsVertices(input); n > maxFuzzVertices && n <= math.MaxInt32-1 {
-			return // Load would accept it, and its per-vertex columns would fill the memory
-		}
-		net, err := Load(strings.NewReader(input))
+		net, err := load(strings.NewReader(input), fuzzCeiling)
 		if err != nil {
 			return
 		}
@@ -49,7 +50,7 @@ func FuzzLoad(f *testing.F) {
 		if err := Save(&buf, net); err != nil {
 			t.Fatalf("Save of loaded network failed: %v", err)
 		}
-		again, err := Load(&buf)
+		again, err := load(&buf, fuzzCeiling)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
@@ -59,23 +60,8 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// maxFuzzVertices bounds the vertex count FuzzLoad loads. Load accepts
-// up to math.MaxInt32-1 and allocates its columns up front, which a
-// short input can ask for in gigabytes. Counts Load refuses, negative or
-// larger than that, still go through it.
-const maxFuzzVertices = 1 << 16
-
-// claimsVertices returns the count the first `vertices` line of input
-// names, the only one Load can accept, or 0.
-func claimsVertices(input string) int {
-	for _, line := range strings.Split(input, "\n") {
-		if f := strings.Fields(line); len(f) >= 2 && f[0] == "vertices" {
-			n, _ := strconv.Atoi(f[1])
-			return n
-		}
-	}
-	return 0
-}
+// fuzzCeiling is the vertex-count ceiling FuzzLoad loads under.
+const fuzzCeiling = 1 << 16
 
 // sameNetwork describes the first difference between a and b, or
 // returns "". Floats are compared bit for bit, and an extent equal to

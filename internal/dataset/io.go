@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -26,7 +25,8 @@ import (
 //	e <src> <dst>                      one line per directed edge
 //
 // Lines starting with '#' and blank lines are ignored. The header line
-// must come first; `vertices` must precede any p/g/e line.
+// must come first; `vertices` must precede any p/g/e line, and may not
+// exceed MaxVertices.
 
 // Save writes n in the text format. Numbers are formatted with strconv
 // straight into the writer's buffer: coordinates as %g spells them (the
@@ -95,8 +95,15 @@ func SaveFile(path string, n *Network) error {
 	return f.Close()
 }
 
+// MaxVertices is the largest vertex count Load accepts, about 2.6 times
+// the paper's largest network (3.2M vertices): a count promises columns,
+// which grow with the vertices the lines name until every line is read.
+const MaxVertices = 1 << 23
+
 // Load reads a network in the text format.
-func Load(r io.Reader) (*Network, error) {
+func Load(r io.Reader) (*Network, error) { return load(r, MaxVertices) }
+
+func load(r io.Reader, ceiling int) (*Network, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 
@@ -140,7 +147,7 @@ func Load(r io.Reader) (*Network, error) {
 				continue
 			}
 			if id, pt, ok := parsePointLine(s, b.NumVertices()); ok {
-				net.setPoint(id, pt)
+				net.setPoint(id, b.NumVertices(), pt)
 				continue
 			}
 		}
@@ -162,13 +169,10 @@ func Load(r io.Reader) (*Network, error) {
 			if n < 0 {
 				return nil, fmt.Errorf("dataset: line %d: negative vertex count", line)
 			}
-			// Vertex ids are int32 and the graph's offset column holds n+1.
-			if n > math.MaxInt32-1 {
-				return nil, fmt.Errorf("dataset: line %d: vertex count %d exceeds %d", line, n, math.MaxInt32-1)
+			if n > ceiling {
+				return nil, fmt.Errorf("dataset: line %d: vertex count %d exceeds the ceiling of %d", line, n, ceiling)
 			}
 			b = graph.NewBuilder(n)
-			net.Spatial = make([]bool, n)
-			net.Points = make([]geom.Point, n)
 		case "checkins":
 			n, err := atoiField(fields, 1, line)
 			if err != nil {
@@ -197,7 +201,7 @@ func Load(r io.Reader) (*Network, error) {
 			if !geom.RectFromPoint(geom.Pt(x, y)).Finite() {
 				return nil, fmt.Errorf("dataset: line %d: coordinates (%v, %v) are not finite", line, x, y)
 			}
-			net.setPoint(id, geom.Pt(x, y))
+			net.setPoint(id, b.NumVertices(), geom.Pt(x, y))
 		case "g":
 			if b == nil {
 				return nil, fmt.Errorf("dataset: line %d: g before vertices", line)
@@ -223,8 +227,9 @@ func Load(r io.Reader) (*Network, error) {
 			if !r.Finite() {
 				return nil, fmt.Errorf("dataset: line %d: coordinates %v are not finite", line, c)
 			}
+			net.cover(id, b.NumVertices())
 			if net.Extents == nil {
-				net.Extents = make([]geom.Rect, b.NumVertices())
+				net.Extents = make([]geom.Rect, len(net.Spatial), cap(net.Spatial))
 			}
 			net.Spatial[id] = true
 			net.Points[id] = r.Center()
@@ -258,6 +263,7 @@ func Load(r io.Reader) (*Network, error) {
 	if b == nil {
 		return nil, fmt.Errorf("dataset: missing vertices directive")
 	}
+	net.cover(b.NumVertices()-1, b.NumVertices())
 	net.Graph = b.Build()
 	return net, nil
 }
@@ -287,14 +293,33 @@ func parseEdgeLine(line []byte, n int) (src, dst int, ok bool) {
 	return src, dst, i == len(line)
 }
 
-// setPoint makes id a point vertex at pt. A later line for a vertex
-// replaces an earlier one, so a point drops an extent given before it.
-func (n *Network) setPoint(id int, pt geom.Point) {
-	n.Spatial[id] = true
-	n.Points[id] = pt
-	if n.Extents != nil {
-		n.Extents[id] = geom.Rect{}
+// setPoint makes id, of n, a point vertex at pt. A later line for a
+// vertex replaces an earlier one, so a point drops an extent given before it.
+func (net *Network) setPoint(id, n int, pt geom.Point) {
+	net.cover(id, n)
+	net.Spatial[id] = true
+	net.Points[id] = pt
+	if net.Extents != nil {
+		net.Extents[id] = geom.Rect{}
 	}
+}
+
+// cover lengthens the per-vertex columns to hold vertex id, of n.
+func (net *Network) cover(id, n int) {
+	net.Spatial = grow(net.Spatial, id+1, n)
+	net.Points = grow(net.Points, id+1, n)
+	if net.Extents != nil {
+		net.Extents = grow(net.Extents, id+1, n)
+	}
+}
+
+// grow returns s lengthened to k, moving past its capacity to twice
+// that, or 4096, but never beyond limit.
+func grow[T any](s []T, k, limit int) []T {
+	if k > cap(s) {
+		s = append(make([]T, 0, min(max(2*cap(s), k, 1<<12), limit)), s...)
+	}
+	return s[:max(k, len(s))]
 }
 
 // parsePointLine reads `p <id> <x> <y>` in Save's spelling: single

@@ -15,9 +15,12 @@ import (
 // components are the graph's strongly connected components" and "each
 // label is exact on live posts" — and every vertex must answer a grid
 // of regions as the mirror does, on the live index, the snapshot and
-// the rebuild arm. Every input runs twice: under the default counting
-// rule, which never counts a component of networks this small, and with
-// the threshold at 1, which counts the widest out-row (cover.go).
+// the rebuild arm. Every input runs four times: under the default
+// counting rule, which never counts a component of networks this small,
+// and with the threshold at 1, which counts the widest out-row
+// (cover.go); each under the default work budget, which these networks
+// seldom exhaust, and under smallBudget, which most epochs that insert
+// an edge run out of somewhere mid-patch.
 const (
 	fzAddEdge = iota
 	fzDelEdge
@@ -97,16 +100,40 @@ func FuzzUpdateStream(f *testing.F) {
 		op(fzAddEdge, 3, 0), op(fzPublish, 0, 0), op(fzDelEdge, 3, 0), op(fzPublish, 0, 0), op(fzDelEdge, 4, 8)))
 	f.Add(stream(op(fzPublish, 0, 0), op(fzDelEdge, 1, 6), op(fzAddUser, 0, 0), op(fzAddEdge, 3, 10),
 		op(fzAddEdge, 10, 4), op(fzAddEdge, 3, 0), op(fzPublish, 0, 0), op(fzAddEdge, 0, 6), op(fzDelEdge, 10, 4)))
+	// Under smallBudget each of these runs out of budget at one place:
+	// in propagate, where the second of two inserts pushes a fresh post
+	// up to the first cycle; in the flush's relabelCone, deriving the two
+	// components that lost a venue; in the split after a merge, where the
+	// merged cycles lose 4 → 5 and the split's push runs out; and in the
+	// split probe's certificate, on a ring of twelve stream users.
+	f.Add(stream(op(fzAddVenue, 10, 10), op(fzAddEdge, 5, 10), op(fzAddVenue, 200, 200), op(fzAddEdge, 5, 11), op(fzPublish, 0, 0)))
+	f.Add(stream(op(fzDelEdge, 1, 6), op(fzDelEdge, 4, 8), op(fzPublish, 0, 0)))
+	f.Add(stream(op(fzPublish, 0, 0), op(fzAddEdge, 3, 0), op(fzDelEdge, 4, 5), op(fzPublish, 0, 0)))
+	ring := make([]byte, 0, 3*26)
+	for i := byte(0); i < 12; i++ {
+		ring = append(ring, op(fzAddUser, 0, 0)...)
+	}
+	for i := byte(0); i < 12; i++ {
+		ring = append(ring, op(fzAddEdge, 10+i, 10+(i+1)%12)...)
+	}
+	f.Add(stream(ring, op(fzPublish, 0, 0), op(fzDelEdge, 15, 16), op(fzPublish, 0, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, coverMin := range []int{0, 1} {
-			fuzzStream(t, data, coverMin)
+			for _, budget := range []int{0, smallBudget} {
+				fuzzStream(t, data, coverMin, budget)
+			}
 		}
 	})
 }
 
-// fuzzStream applies one fuzz input with the given counting threshold.
-func fuzzStream(t *testing.T, data []byte, coverMin int) {
+// smallBudget is the work budget the fuzzer and the equivalence harness
+// run every stream under besides the default: a few label merges.
+const smallBudget = 8
+
+// fuzzStream applies one fuzz input with the given counting threshold
+// and work budget (0: the default).
+func fuzzStream(t *testing.T, data []byte, coverMin, budget int) {
 	const maxOps, maxVertices = 256, 96
 	net := fuzzBase()
 	if len(data) >= 3 && data[0]%fzKinds == fzExtents {
@@ -118,7 +145,7 @@ func fuzzStream(t *testing.T, data []byte, coverMin int) {
 		}
 	}
 	prep := dataset.Prepare(net)
-	x := New(prep, Options{OverlayMin: 4, coverMin: coverMin})
+	x := New(prep, Options{overlayMin: 4, coverMin: coverMin, budget: budget})
 	rebuildArm := New(prep, Options{Mode: FullRebuild})
 	m := newMirror(net)
 	both := func(apply func(ix *Index) error) {
@@ -132,11 +159,11 @@ func fuzzStream(t *testing.T, data []byte, coverMin int) {
 	publish := func(step int) {
 		t.Helper()
 		if err := x.Validate(); err != nil {
-			t.Fatalf("coverMin %d, op %d: index: %v", coverMin, step, err)
+			t.Fatalf("coverMin %d, budget %d, op %d: index: %v", coverMin, budget, step, err)
 		}
 		snap := x.Snapshot()
 		if err := snap.Validate(); err != nil {
-			t.Fatalf("coverMin %d, op %d: snapshot: %v", coverMin, step, err)
+			t.Fatalf("coverMin %d, budget %d, op %d: snapshot: %v", coverMin, budget, step, err)
 		}
 		for v := range m.spatial {
 			for cell := 0; cell < 10; cell++ {
@@ -147,7 +174,7 @@ func fuzzStream(t *testing.T, data []byte, coverMin int) {
 				}
 				want := m.reach(v, r)
 				if got, s, rb := x.RangeReach(v, r), snap.RangeReach(v, r), rebuildArm.RangeReach(v, r); got != want || s != want || rb != want {
-					t.Fatalf("coverMin %d, op %d: RangeReach(%d, %v): index %v, snapshot %v, rebuild arm %v, BFS %v", coverMin, step, v, r, got, s, rb, want)
+					t.Fatalf("coverMin %d, budget %d, op %d: RangeReach(%d, %v): index %v, snapshot %v, rebuild arm %v, BFS %v", coverMin, budget, step, v, r, got, s, rb, want)
 				}
 			}
 		}

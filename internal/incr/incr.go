@@ -17,10 +17,12 @@
 // That is safe because no live venue entry ever carries a dead post — a
 // dead post inside a label interval can therefore never produce a
 // false positive — and it is what keeps patches local: live posts stay
-// valid forever, so the base never needs re-keying. When the
-// patch frontier would exceed a dirty fraction of the live components,
-// or retired posts outnumber live ones, the engine falls back to a
-// full rebuild, which re-densifies everything.
+// valid forever, so the base never needs re-keying.
+//
+// An epoch, the updates between two label reads, patches until its
+// counted work passes budgetFactor·(|V|+|E|); its later updates only
+// edit the adjacency and the next read rebuilds, as it does when
+// retired posts outnumber live ones (DESIGN.md §15).
 package incr
 
 import (
@@ -39,46 +41,32 @@ import (
 type Mode int
 
 const (
-	// Incremental patches the condensation, labels and spatial state
-	// locally per mutation. This is the default.
+	// Incremental patches each epoch within its work budget (default).
 	Incremental Mode = iota
-	// FullRebuild marks the index dirty on every mutation and rebuilds
-	// everything from the original graph before the next query or
-	// snapshot — the old behavior, kept for A/B comparison.
+	// FullRebuild gives every epoch a budget of zero, so each read after
+	// an update rebuilds: the reference arm of rrbench and the tests.
 	FullRebuild
 )
 
 // Options configures an incremental index.
 type Options struct {
-	// Mode selects incremental patching (default) or full rebuilds.
 	Mode Mode
 	// Parallelism bounds the workers used by full rebuilds' labeling
 	// (0/1 = sequential).
 	Parallelism int
-	// DirtyFraction is the patch-frontier threshold: when a relabel
-	// cone (or a split's piece count) exceeds this fraction of the
-	// live components, the engine rebuilds instead of patching. The
-	// cone recompute is change-pruned — bounded by the labels that
-	// actually change, which a full rebuild would also recompute along
-	// with the condensation and the spatial index — so patching is
-	// never substantially worse than rebuilding and the default of 1
-	// disables the fallback. Set a lower fraction to force rebuilds on
-	// wide cones (useful as an A/B lever). 0 means the default.
-	DirtyFraction float64
-	// OverlayMin is the count of foldable overlay entries plus
-	// tombstones below which the base is never folded. 0 means the
-	// default of 128.
-	OverlayMin int
 
-	// coverMin, when positive, replaces the counting rule's threshold
-	// (cover.go), so that tests can run the counted path on small
-	// networks.
-	coverMin int
+	// Test hooks, each replacing a default when positive: the counting
+	// rule's threshold (cover.go), defaultOverlayMin and the work budget.
+	coverMin, overlayMin, budget int
 }
 
 const (
-	defaultDirtyFraction = 1
-	defaultOverlayMin    = 128
+	// defaultOverlayMin is the count of foldable overlay entries plus
+	// tombstones below which the base is never folded.
+	defaultOverlayMin = 128
+	// budgetFactor is c in an epoch's work budget c·(|V|+|E|), chosen
+	// from the presets' work per epoch (DESIGN.md §15).
+	budgetFactor = 4
 )
 
 // Stats counts the structural operations the index has performed, for
@@ -89,7 +77,7 @@ type Stats struct {
 	SplitChecks    int // intra-component deletes that ran a local SCC pass
 	ConeRelabels   int // bounded ancestor-cone relabel passes
 	RelabeledComps int // total components relabeled by those passes
-	FullRebuilds   int // dirty-fraction (or mode) fallbacks taken
+	FullRebuilds   int // rebuilds after an epoch passed its work budget, or to compact
 	Folds          int // overlay folds into fresh base tiles
 	LiveComps      int // current live components
 	DeadComps      int // retired component slots since the last rebuild
@@ -140,15 +128,16 @@ type Index struct {
 	marks   flagSet // the venues a flush enters into the overlay afresh
 	grid    *occGrid
 
-	dirty bool // FullRebuild mode: a mutation is pending
+	// edges is |E|; work is the epoch's counted patch work (spend); dirty
+	// says it reached the budget, so the next read rebuilds.
+	edges, work int
+	dirty       bool
 	// pending holds components whose labels may have shrunk after DAG
 	// edge deletions, and pendingSplits the intra-component deletes
 	// whose split probes have not run yet. Both are deferred to the
 	// next label read (query, snapshot, validation, or an insert's
 	// cycle check), so a burst of deletes between publications shares
-	// one structural pass — and when that pass escalates to a full
-	// rebuild, the whole burst costs one rebuild, matching what the
-	// FullRebuild mode amortizes.
+	// one structural pass.
 	pending       map[int32]bool
 	pendingSplits [][2]int
 	stats         Stats
@@ -172,7 +161,7 @@ type Index struct {
 	coneSucc                                   []int32         // relabelCone: a cone member's cone successors not yet done
 	// probeSteps counts the vertices split checks have visited: each
 	// expansion of a probe or certificate search, and each vertex of a
-	// rest SCC pass. The certificates' budget and the cost guard on
+	// rest SCC pass. The certificates' limit and the cost guard on
 	// splitting read it.
 	probeSteps int
 	// relabelReads counts the successor labels relabelCone has gathered
@@ -182,11 +171,8 @@ type Index struct {
 
 // New builds an incremental index over the prepared network.
 func New(prep *dataset.Prepared, opts Options) *Index {
-	if opts.DirtyFraction <= 0 {
-		opts.DirtyFraction = defaultDirtyFraction
-	}
-	if opts.OverlayMin <= 0 {
-		opts.OverlayMin = defaultOverlayMin
+	if opts.overlayMin <= 0 {
+		opts.overlayMin = defaultOverlayMin
 	}
 	n := prep.Net.NumVertices()
 	x := &Index{
@@ -203,6 +189,7 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 	for u := 0; u < n; u++ {
 		if adj := prep.Net.Graph.Out(u); len(adj) > 0 {
 			x.out[u] = append([]int32(nil), adj...)
+			x.edges += len(adj)
 		}
 		if prep.Net.Spatial[u] {
 			x.geo[u] = prep.Net.GeometryOf(u)
@@ -215,7 +202,6 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 		}
 	}
 	x.rebuildDerived()
-	x.stats.FullRebuilds = 0 // the initial build is not a fallback
 	return x
 }
 
@@ -329,10 +315,9 @@ func (x *Index) AddVenue(px, py float64) int {
 	v := x.addVertex(true)
 	x.geo[v] = geom.RectFromPoint(geom.Pt(px, py))
 	x.grid.add(x.geo[v])
-	if x.opts.Mode == FullRebuild {
-		return v
+	if !x.dirty {
+		x.patchVenue(int32(v))
 	}
-	x.patchVenue(int32(v))
 	return v
 }
 
@@ -352,9 +337,8 @@ func (x *Index) addVertex(spatial bool) int {
 	x.spatial.append(spatial)
 	x.geo = append(x.geo, geom.Rect{})
 	x.basePos = append(x.basePos, -1)
-	if x.opts.Mode == FullRebuild {
+	if x.spend(0) {
 		x.comp.append(0) // placeholder; rebuilt before use
-		x.dirty = true
 		return v
 	}
 	c := x.allocComp()
@@ -375,12 +359,6 @@ func (x *Index) AddEdge(u, v int) error {
 	if u == v || x.hasEdge(u, v) {
 		return nil
 	}
-	if x.opts.Mode == FullRebuild {
-		x.out[u] = append(x.out[u], int32(v))
-		x.in[v] = append(x.in[v], int32(u))
-		x.dirty = true
-		return nil
-	}
 	// Deferred relabels leave labels over-approximate (deletes only
 	// shrink them), so a negative cycle check against stale labels is
 	// definitive. A positive may be the staleness talking: make the
@@ -391,17 +369,17 @@ func (x *Index) AddEdge(u, v int) error {
 	// the addDAGEdge below would count it twice.
 	cu, cv := x.comp.at(int32(u)), x.comp.at(int32(v))
 	var region []int32
-	if cu != cv && x.labels.at(cv).ContainsCanonical(x.post.at(cu)) {
-		x.flushSplits()
-		// Splits and rebuilds reassign component ids; neither can
+	if !x.spend(0) && cu != cv && x.labels.at(cv).ContainsCanonical(x.post.at(cu)) {
+		// Splits and compactions reassign component ids; neither can
 		// rejoin u and v, so they are still distinct.
-		cu, cv = x.comp.at(int32(u)), x.comp.at(int32(v))
-		region = x.cycleRegion(cu, cv)
+		if x.flushSplits(); !x.dirty {
+			cu, cv = x.comp.at(int32(u)), x.comp.at(int32(v))
+			region = x.cycleRegion(cu, cv)
+		}
 	}
-	x.out[u] = append(x.out[u], int32(v))
-	x.in[v] = append(x.in[v], int32(u))
-	if cu == cv {
-		return nil // intra-component: the condensation is unchanged
+	x.link(u, v)
+	if x.dirty || cu == cv {
+		return nil // the epoch rebuilds, or the condensation is unchanged
 	}
 	if region != nil {
 		// v really reaches u: the new edge closes a cycle.
@@ -430,8 +408,7 @@ func (x *Index) DeleteEdge(u, v int) error {
 	if !x.removeEdge(u, v) {
 		return fmt.Errorf("incr: no such edge (%d,%d)", u, v)
 	}
-	if x.opts.Mode == FullRebuild {
-		x.dirty = true
+	if x.spend(0) {
 		return nil
 	}
 	cu, cv := x.comp.at(int32(u)), x.comp.at(int32(v))
@@ -441,8 +418,7 @@ func (x *Index) DeleteEdge(u, v int) error {
 		// true reachability — the same safe direction as deferred
 		// relabels. The flush replays the burst's deletes one by one
 		// against an exact condensation, so each probe sees the
-		// single-edge-removed case its correctness argument needs, and
-		// an escalation to a full rebuild is paid once for the burst.
+		// single-edge-removed case its correctness argument needs.
 		x.pendingSplits = append(x.pendingSplits, [2]int{u, v})
 		return nil
 	}
@@ -505,11 +481,9 @@ func (x *Index) MoveVenue(v int, px, py float64) error {
 	x.geo[v] = geom.RectFromPoint(geom.Pt(px, py))
 	x.grid.remove(old)
 	x.grid.add(x.geo[v])
-	if x.opts.Mode == FullRebuild {
-		x.dirty = true
-		return nil
+	if !x.spend(0) {
+		x.patchVenue(int32(v))
 	}
-	x.patchVenue(int32(v))
 	return nil
 }
 
@@ -520,6 +494,13 @@ func (x *Index) hasEdge(u, v int) bool {
 		}
 	}
 	return false
+}
+
+// link adds the edge (u, v) to the adjacency.
+func (x *Index) link(u, v int) {
+	x.out[u] = append(x.out[u], int32(v))
+	x.in[v] = append(x.in[v], int32(u))
+	x.edges++
 }
 
 func (x *Index) removeEdge(u, v int) bool {
@@ -534,6 +515,7 @@ func (x *Index) removeEdge(u, v int) bool {
 	if !found {
 		return false
 	}
+	x.edges--
 	for i, w := range x.in[v] {
 		if w == int32(u) {
 			x.in[v] = append(x.in[v][:i], x.in[v][i+1:]...)
@@ -543,22 +525,43 @@ func (x *Index) removeEdge(u, v int) bool {
 	return true
 }
 
-// ensure applies any pending FullRebuild-mode mutations, then the
-// deferred relabels and the queued venue patches.
+// ensure readies the index for a read and starts a new epoch: it
+// flushes the deferred work, or rebuilds once the epoch is dirty.
 func (x *Index) ensure() {
+	if !x.dirty {
+		x.flushRelabels()
+	}
 	if x.dirty {
 		x.fullRebuild()
-		x.dirty = false
 	}
-	x.flushRelabels()
 	x.flushSpatial()
+	x.work = 0
+}
+
+// budget is the epoch's work budget: the test hook's, zero for the
+// FullRebuild arm, budgetFactor·(|V|+|E|) otherwise.
+func (x *Index) budget() int {
+	if x.opts.Mode == FullRebuild || x.opts.budget > 0 {
+		return x.opts.budget
+	}
+	return budgetFactor * (x.n + x.edges)
+}
+
+// spend counts n units of patch work (label intervals and adjacency
+// entries read, vertices a split check visits) and reports whether the
+// epoch has reached its budget, marking it dirty. A caller told so
+// abandons its patch, leaving rebuildDerived to re-derive whatever it
+// left half done; mutations call spend(0) before patching.
+func (x *Index) spend(n int) bool {
+	if x.work += n; x.work >= x.budget() {
+		x.dirty = true
+	}
+	return x.dirty
 }
 
 // flushRelabels resolves the deferred structural work: queued
 // intra-component deletes first, then the deferred cone relabel over
-// every pending seed. It reports whether the flush escalated to a full
-// rebuild (after which every derived structure is exact, not just the
-// labels).
+// every pending seed.
 //
 // The queued deletes are replayed one at a time: their edges go back
 // into the adjacency (condensation-neutral, since each was inside its
@@ -569,10 +572,9 @@ func (x *Index) ensure() {
 // argument requires — probing against a graph missing several queued
 // edges at once could certify a piece that a still-queued delete has
 // already disconnected internally.
-func (x *Index) flushRelabels() (rebuilt bool) {
-	rebuilt = x.flushSplits()
-	if len(x.pending) == 0 {
-		return rebuilt
+func (x *Index) flushRelabels() {
+	if x.flushSplits(); x.dirty || len(x.pending) == 0 {
+		return
 	}
 	seeds := make([]int32, 0, len(x.pending))
 	for c := range x.pending {
@@ -581,35 +583,32 @@ func (x *Index) flushRelabels() (rebuilt bool) {
 		}
 	}
 	x.pending = nil
-	if len(seeds) == 0 {
-		return rebuilt
+	if len(seeds) > 0 {
+		// Map iteration order is random; sort so that the relabel, and
+		// where it runs out of budget, are deterministic.
+		slices.Sort(seeds)
+		x.relabelCone(seeds)
 	}
-	// Map iteration order is random; sort so the relabel (and its
-	// fallback decision) is deterministic for a given op sequence.
-	slices.Sort(seeds)
-	return !x.relabelCone(seeds) || rebuilt
 }
 
 // flushSplits replays only the queued intra-component deletes, leaving
 // deferred relabels pending. Cycle-closing inserts use it to make the
 // condensation exact — their region discovery is structural, so stale
 // labels are tolerable but a provisionally-unsplit component is not.
-// It reports whether a replayed split escalated to a full rebuild.
-func (x *Index) flushSplits() (rebuilt bool) {
-	if len(x.pendingSplits) == 0 {
-		return false
-	}
+// Out of budget, the rest of the queue only leaves the adjacency.
+func (x *Index) flushSplits() {
 	ps := x.pendingSplits
 	x.pendingSplits = nil
-	before := x.stats.FullRebuilds
 	for _, e := range ps {
-		x.out[e[0]] = append(x.out[e[0]], int32(e[1]))
-		x.in[e[1]] = append(x.in[e[1]], int32(e[0]))
+		x.link(e[0], e[1])
 	}
 	for _, e := range ps {
 		x.removeEdge(e[0], e[1])
+		if x.dirty {
+			continue
+		}
 		if cu, cv := x.comp.at(int32(e[0])), x.comp.at(int32(e[1])); cu == cv {
-			// A mid-replay rebuild keeps the state exact — the
+			// A mid-replay compaction keeps the state exact — the
 			// not-yet-replayed edges were present in the adjacency
 			// it derived from — so the replay just carries on.
 			x.splitCheck(cu, e[0], e[1])
@@ -621,13 +620,13 @@ func (x *Index) flushSplits() (rebuilt bool) {
 			x.interCompDelete(cu, cv)
 		}
 	}
-	return x.stats.FullRebuilds != before
 }
 
 // fullRebuild re-derives the condensation, labels and spatial state
 // from the original graph. Posts become dense again; retired slots and
 // the overlay disappear.
 func (x *Index) fullRebuild() {
+	x.dirty = false
 	x.pending = nil // rebuilt labels are exact; nothing left to heal
 	// Queued split probes are moot too: the rebuild derives the
 	// condensation from an adjacency their deletes already left. (A

@@ -219,31 +219,36 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, x *Index, m *mirror, lockstep *
 // from-scratch build of the same network, and (d) stay in lockstep
 // with a FullRebuild-mode index fed the same ops. Snapshots taken
 // along the way validate and answer identically too. The same trials run
-// twice: under the default counting rule, which never counts a
-// component of networks this small, and with the threshold at 1, which
-// counts the widest out-row (cover.go).
+// under the default counting rule, which never counts a component of
+// networks this small, and with the threshold at 1, which counts the
+// widest out-row (cover.go); each under the default work budget and
+// under smallBudget, which switches many epochs to rebuilding mid-patch.
 func TestEquivalenceRandomized(t *testing.T) {
 	for _, coverMin := range []int{0, 1} {
-		t.Run(fmt.Sprintf("coverMin=%d", coverMin), func(t *testing.T) { equivalenceRandomized(t, coverMin) })
+		t.Run(fmt.Sprintf("coverMin=%d", coverMin), func(t *testing.T) {
+			for _, budget := range []int{0, smallBudget} {
+				equivalenceRandomized(t, coverMin, budget)
+			}
+		})
 	}
 }
 
-func equivalenceRandomized(t *testing.T, coverMin int) {
+func equivalenceRandomized(t *testing.T, coverMin, budget int) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 10; trial++ {
 		net := randomNetwork(rng, 8+rng.Intn(20), 5+rng.Intn(30))
 		prep := dataset.Prepare(net)
-		x := New(prep, Options{coverMin: coverMin})
+		x := New(prep, Options{coverMin: coverMin, budget: budget})
 		rebuildArm := New(prep, Options{Mode: FullRebuild})
 		m := newMirror(net)
 
 		check := func(step int) {
 			if err := x.Validate(); err != nil {
-				t.Fatalf("trial %d step %d: validate: %v", trial, step, err)
+				t.Fatalf("budget %d, trial %d step %d: validate: %v", budget, trial, step, err)
 			}
 			snap := x.Snapshot()
 			if err := snap.Validate(); err != nil {
-				t.Fatalf("trial %d step %d: snapshot validate: %v", trial, step, err)
+				t.Fatalf("budget %d, trial %d step %d: snapshot validate: %v", budget, trial, step, err)
 			}
 			scratch := New(dataset.Prepare(m.network()), Options{})
 			for q := 0; q < 15; q++ {
@@ -251,20 +256,20 @@ func equivalenceRandomized(t *testing.T, coverMin int) {
 				r := randomRegion(rng)
 				want := m.reach(v, r)
 				if got := x.RangeReach(v, r); got != want {
-					t.Fatalf("trial %d step %d: incremental RangeReach(%d, %v) = %v, want %v",
-						trial, step, v, r, got, want)
+					t.Fatalf("budget %d, trial %d step %d: incremental RangeReach(%d, %v) = %v, want %v",
+						budget, trial, step, v, r, got, want)
 				}
 				if got := snap.RangeReach(v, r); got != want {
-					t.Fatalf("trial %d step %d: snapshot RangeReach(%d, %v) = %v, want %v",
-						trial, step, v, r, got, want)
+					t.Fatalf("budget %d, trial %d step %d: snapshot RangeReach(%d, %v) = %v, want %v",
+						budget, trial, step, v, r, got, want)
 				}
 				if got := scratch.RangeReach(v, r); got != want {
-					t.Fatalf("trial %d step %d: from-scratch RangeReach(%d, %v) = %v, want %v",
-						trial, step, v, r, got, want)
+					t.Fatalf("budget %d, trial %d step %d: from-scratch RangeReach(%d, %v) = %v, want %v",
+						budget, trial, step, v, r, got, want)
 				}
 				if got := rebuildArm.RangeReach(v, r); got != want {
-					t.Fatalf("trial %d step %d: rebuild-mode RangeReach(%d, %v) = %v, want %v",
-						trial, step, v, r, got, want)
+					t.Fatalf("budget %d, trial %d step %d: rebuild-mode RangeReach(%d, %v) = %v, want %v",
+						budget, trial, step, v, r, got, want)
 				}
 			}
 		}
@@ -390,7 +395,7 @@ func TestDeleteErrors(t *testing.T) {
 func TestOverlayFoldBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := randomNetwork(rng, 10, 10)
-	x := New(dataset.Prepare(net), Options{OverlayMin: 16})
+	x := New(dataset.Prepare(net), Options{overlayMin: 16})
 	for i := 0; i < 400; i++ {
 		x.AddVenue(rng.Float64()*100, rng.Float64()*100)
 	}
@@ -406,12 +411,12 @@ func TestOverlayFoldBounded(t *testing.T) {
 	}
 }
 
-// TestDirtyFractionFallback pins the cone threshold deterministically
-// on a 60-vertex chain (every vertex its own component): deleting an
-// edge deep in the chain produces a 41-component ancestor cone, which
-// patches under a permissive fraction and falls back to a full rebuild
-// under a strict one. Both arms must stay correct.
-func TestDirtyFractionFallback(t *testing.T) {
+// TestWorkBudgetFallback pins the budget rule deterministically on a
+// 60-vertex chain (every vertex its own component): deleting an edge
+// deep in the chain relabels a 41-component ancestor cone, which patches
+// under the default budget and runs out of a budget of 10 in the middle
+// of the relabel, so the read rebuilds. Both arms must stay correct.
+func TestWorkBudgetFallback(t *testing.T) {
 	chain := func() *dataset.Network {
 		const n = 60
 		var es [][2]int
@@ -428,22 +433,22 @@ func TestDirtyFractionFallback(t *testing.T) {
 
 	// Cone relabels are deferred to the next label read, so the stats
 	// are checked after a query forces the flush.
-	patched := New(dataset.Prepare(chain()), Options{DirtyFraction: 1})
+	patched := New(dataset.Prepare(chain()), Options{})
 	if err := patched.DeleteEdge(40, 41); err != nil {
 		t.Fatal(err)
 	}
 	patched.RangeReach(0, at5)
 	if s := patched.Stats(); s.FullRebuilds != 0 || s.ConeRelabels != 1 {
-		t.Fatalf("permissive fraction should patch, got %+v", s)
+		t.Fatalf("the default budget should patch, got %+v", s)
 	}
 
-	strict := New(dataset.Prepare(chain()), Options{DirtyFraction: 0.01})
+	strict := New(dataset.Prepare(chain()), Options{budget: 10})
 	if err := strict.DeleteEdge(40, 41); err != nil {
 		t.Fatal(err)
 	}
 	strict.RangeReach(0, at5)
-	if s := strict.Stats(); s.FullRebuilds != 1 {
-		t.Fatalf("strict fraction should rebuild, got %+v", s)
+	if s := strict.Stats(); s.FullRebuilds != 1 || s.ConeRelabels != 0 {
+		t.Fatalf("a budget of 10 should rebuild, got %+v", s)
 	}
 
 	for _, x := range []*Index{patched, strict} {

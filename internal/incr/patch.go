@@ -32,7 +32,8 @@ func (x *Index) allocComp() int32 {
 // published snapshots stay intact. Epoch-stamped marks bound the walk to
 // one visit per component: without them a dense ancestor DAG re-enqueues
 // a component once per path, which made core merges quadratic on
-// fragmented networks.
+// fragmented networks. Each visit spends the intervals it compares and
+// the in-row it reads; the walk stops where the epoch's budget runs out.
 func (x *Index) propagate(sources []int32, add intervals.Set) {
 	const seen = 1
 	x.cmark.begin(len(x.alive))
@@ -44,14 +45,19 @@ func (x *Index) propagate(sources []int32, add intervals.Set) {
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		w := queue[qi]
-		if x.labels.at(w).CoversCanonical(add) {
-			continue
-		}
-		x.setLabel(w, intervals.MergeCanonical(x.labels.at(w), add))
-		for _, p := range x.inC[w] {
-			if x.cmark.add(p.to, seen) {
-				queue = append(queue, p.to)
+		lw := x.labels.at(w)
+		cost := len(lw) + len(add)
+		if !lw.CoversCanonical(add) {
+			x.setLabel(w, intervals.MergeCanonical(lw, add))
+			for _, p := range x.inC[w] {
+				if x.cmark.add(p.to, seen) {
+					queue = append(queue, p.to)
+				}
 			}
+			cost += len(x.inC[w])
+		}
+		if x.spend(cost) {
+			return
 		}
 	}
 }
@@ -198,11 +204,13 @@ func (x *Index) mergeCycle(affected []int32) {
 	for _, p := range x.inC[r] {
 		preds = append(preds, p.to)
 	}
-	x.propagate(preds, lbl)
+	x.stats.Merges++
+	if x.propagate(preds, lbl); x.dirty {
+		return
+	}
 	for _, m := range moved {
 		x.patchVenue(m)
 	}
-	x.stats.Merges++
 	x.maybeCompact()
 }
 
@@ -233,8 +241,8 @@ func (x *Index) splitCheck(c int32, u, v int) {
 		return
 	}
 	nR, nB, peeled, meet := x.probeSplit(c, int32(u), int32(v))
-	if meet {
-		return // u still reaches v: still strongly connected
+	if meet || x.dirty {
+		return // u still reaches v: still strongly connected; or out of budget
 	}
 
 	// Decompose the rest — the members no certificate placed — into SCCs
@@ -261,6 +269,9 @@ func (x *Index) splitCheck(c int32, u, v int) {
 		x.restSlot[w] = int32(i)
 	}
 	x.probeSteps += len(rest)
+	if x.spend(len(rest)) {
+		return
+	}
 	b := graph.NewBuilder(len(rest))
 	for i, w := range rest {
 		for _, y := range x.out[w] {
@@ -290,17 +301,6 @@ func (x *Index) splitCheck(c int32, u, v int) {
 		default:
 			return 2
 		}
-	}
-
-	// Piece-count valve: a component shattering into a large fraction of
-	// the live components costs O(pieces × ancestors) in upward label
-	// pushes below; a rebuild is cheaper and exact. Decide before
-	// mutating. The ancestors of c are NOT part of this bound — their
-	// relabel is deferred to the next flush, so a split stays cheap even
-	// under a fragmented core with thousands of ancestor components.
-	if x.tooDirty(cnt) {
-		x.fullRebuild()
-		return
 	}
 
 	// The most populous piece inherits c; the rest get fresh ids.
@@ -437,6 +437,7 @@ func (x *Index) splitCheck(c int32, u, v int) {
 	// older one, so the ones a piece reaches are the top of its label,
 	// typically one interval: one cheap merge per ancestor.
 	lowest := x.maxPost - int32(cnt-1) + 1
+	x.stats.Splits++
 	for _, nc := range pieceID {
 		if nc == c {
 			continue
@@ -445,7 +446,9 @@ func (x *Index) splitCheck(c int32, u, v int) {
 		for _, p := range x.inC[nc] {
 			preds = append(preds, p.to)
 		}
-		x.propagate(preds, atOrAbove(x.labels.at(nc), lowest))
+		if x.propagate(preds, atOrAbove(x.labels.at(nc), lowest)); x.dirty {
+			return
+		}
 	}
 	// Kept members hold their post (and venue z keys); only departed
 	// venues re-key.
@@ -454,7 +457,6 @@ func (x *Index) splitCheck(c int32, u, v int) {
 			x.patchVenue(w)
 		}
 	}
-	x.stats.Splits++
 	x.maybeCompact()
 }
 
@@ -509,11 +511,13 @@ func (s *closure) exhausted() bool { return s.head == len(s.q) }
 // inside component c, less those carrying a skip flag in vmark, join s.
 // It reports whether one of them belongs to other — the two searches
 // have touched. The scan always completes, so s stays a well-formed
-// BFS that can carry on after a touch.
+// BFS that can carry on after a touch. It spends one unit of the
+// epoch's budget.
 func (x *Index) expand(c int32, s, other *closure, skip uint8) (touched bool) {
 	w := s.q[s.head]
 	s.head++
 	x.probeSteps++
+	x.spend(1)
 	for _, y := range s.adj[w] {
 		if x.comp.at(y) != c || s.marks.has(y, s.bit) || x.vmark.has(y, skip) {
 			continue
@@ -542,7 +546,8 @@ func (x *Index) expand(c int32, s, other *closure, skip uint8) (touched bool) {
 // the other endpoint's piece, or both flags, the rest being one more
 // piece. Only when a certificate fails, or gives up, does the other side
 // run to completion as well, leaving R and B both readable from vmark
-// and everything else to the SCC pass.
+// and everything else to the SCC pass. A probe that runs out of the
+// epoch's budget stops wherever it is, with the epoch dirty.
 func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) {
 	x.vmark.begin(x.n)
 	x.loose = x.loose[:0]
@@ -550,7 +555,7 @@ func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) 
 	fwd.start(x.out, &x.vmark, inR, u)
 	bwd.start(x.in, &x.vmark, inB, v)
 	whole, part := fwd, bwd
-	for !fwd.exhausted() {
+	for !fwd.exhausted() && !x.dirty {
 		if x.expand(c, fwd, bwd, 0) {
 			return 0, 0, 0, true // u→y and y→v: no split
 		}
@@ -575,7 +580,7 @@ func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) 
 	case dry && x.pivotCertificate(c, whole, part, limit):
 		return len(fwd.q), len(bwd.q), inR | inB, false
 	}
-	for !part.exhausted() {
+	for !part.exhausted() && !x.dirty {
 		x.expand(c, part, whole, 0)
 	}
 	return len(fwd.q), len(bwd.q), 0, false
@@ -606,9 +611,9 @@ func (x *Index) probeSplit(c, u, v int32) (nR, nB int, peeled uint8, meet bool) 
 // other side, by an earlier call, has no border in this direction:
 // it is closed the other way, so scanning it finds nothing.)
 // It answers false when the searches have expanded past limit
-// (traversing is then no dearer), and false with dry when target runs
-// dry first: the other endpoint's piece is then complete and small, and
-// pivotCertificate takes over. pivotCertificate also calls certify,
+// (traversing is then no dearer) or the epoch's budget has run out, and
+// false with dry when target runs dry first: the other endpoint's piece
+// is then complete and small, and pivotCertificate takes over. pivotCertificate also calls certify,
 // with z₀'s closure as target.
 func (x *Index) certify(c int32, src []int32, search [][]int32, target *closure, closed uint8, limit int) (ok, dry bool) {
 	const asked = 1 // a border vertex a search has started from
@@ -631,7 +636,7 @@ func (x *Index) certify(c int32, src []int32, search [][]int32, target *closure,
 			x.peelMark.begin(x.n)
 			peel.start(search, &x.peelMark, 1, y)
 			for {
-				if x.probeSteps > limit {
+				if x.probeSteps > limit || x.dirty {
 					return false, false
 				}
 				if x.expand(c, peel, target, closed) {
@@ -697,10 +702,9 @@ func (x *Index) pivotCertificate(c int32, whole, part *closure, limit int) bool 
 // relabelCone recomputes the labels of the seed components and every
 // ancestor, successors-first: L(c) = {post(c)} ∪ ⋃ L(d) over DAG
 // successors d. Successors outside the cone keep their (correct)
-// labels and are read as-is. Falls back to a full rebuild — and
-// reports it by returning false — when the cone exceeds the dirty
-// fraction of live components.
-func (x *Index) relabelCone(seeds []int32) bool {
+// labels and are read as-is. Each derive spends what it reads; the pass
+// stops where the epoch's budget runs out.
+func (x *Index) relabelCone(seeds []int32) {
 	// Flags in cmark: cone membership, and whether the member must be
 	// recomputed — it is a seed, or a cone successor's label changed in
 	// this pass.
@@ -730,10 +734,6 @@ func (x *Index) relabelCone(seeds []int32) bool {
 			x.coneSucc[p.to]++
 		}
 	}
-	if x.tooDirty(len(cone)) {
-		x.fullRebuild()
-		return false
-	}
 
 	// Change-pruned recompute in Kahn order over the in-rows: a member is
 	// ready once all of its cone successors are done, and it is only
@@ -753,6 +753,9 @@ func (x *Index) relabelCone(seeds []int32) bool {
 		changed := false
 		if x.cmark.has(c, need) {
 			lbl := x.derive(c)
+			if x.dirty {
+				return
+			}
 			relabeled++
 			if changed = !lbl.Equal(x.labels.at(c)); changed {
 				x.setLabel(c, lbl)
@@ -769,36 +772,28 @@ func (x *Index) relabelCone(seeds []int32) bool {
 	}
 	x.stats.ConeRelabels++
 	x.stats.RelabeledComps += relabeled
-	return true
 }
 
 // derive computes {post(c)} ∪ ⋃ L(d) over c's DAG successors d from
 // their stored labels: by a sweep of the count if c is the counted
-// component, by a merge otherwise.
+// component, by a merge otherwise, and spends the posts swept or the
+// out-row and intervals merged.
 func (x *Index) derive(c int32) intervals.Set {
 	if c == x.cov.c {
+		x.spend(len(x.cov.delta))
 		return x.cov.label()
 	}
 	sets := append(x.sets[:0], intervals.Singleton(x.post.at(c)))
+	cost := 1 + len(x.outC[c])
 	for _, d := range x.outC[c] {
 		sets = append(sets, x.labels.at(d.to))
+		cost += len(x.labels.at(d.to))
 	}
 	x.relabelReads += len(x.outC[c])
+	x.spend(cost)
 	lbl := intervals.MergeManyCanonical(sets)
 	x.releaseSets(sets)
 	return lbl
-}
-
-// minPatchFrontier is an absolute floor under which a patch never
-// falls back: on tiny graphs any frontier exceeds a fraction of the
-// live components, yet patching is trivially cheap.
-const minPatchFrontier = 16
-
-// tooDirty reports whether a patch touching frontier components should
-// fall back to a full rebuild.
-func (x *Index) tooDirty(frontier int) bool {
-	return frontier > minPatchFrontier &&
-		float64(frontier) > x.opts.DirtyFraction*float64(x.liveComps)
 }
 
 // maybeCompact rebuilds when retired component slots outnumber live

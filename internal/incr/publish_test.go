@@ -27,7 +27,7 @@ func pagedNetwork(rng *rand.Rand) *dataset.Network {
 func TestSnapshotsSurviveLaterEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	net := pagedNetwork(rng)
-	x := New(dataset.Prepare(net), Options{OverlayMin: 32})
+	x := New(dataset.Prepare(net), Options{overlayMin: 32})
 	m := newMirror(net)
 
 	type held struct {

@@ -20,10 +20,15 @@ import (
 func fragmentedIndex(t *testing.T) (x *Index, user int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	x = New(dataset.Prepare(randomNetwork(rng, 400, 300)), Options{OverlayMin: 1 << 20})
+	x = New(dataset.Prepare(randomNetwork(rng, 400, 300)), Options{overlayMin: 1 << 20})
 	user = x.AddUser()
 	grow := func(n int) {
 		for i := 0; i < n; i++ {
+			if i%32 == 0 {
+				// Publish as rrserve does, so that every epoch stays
+				// within its work budget and patches.
+				x.Snapshot()
+			}
 			if i%2 == 0 {
 				v := x.AddVenue(rng.Float64()*40, rng.Float64()*100)
 				if err := x.AddEdge(user, v); err != nil {
@@ -139,7 +144,7 @@ func TestOverlayProbeCostIndependentOfOverlaySize(t *testing.T) {
 	}
 	region := geom.NewRect(21, 21, 29, 29) // cells 10..14 on each axis
 	probe := func(far int) trace.Counters {
-		x := New(dataset.Prepare(corners), Options{OverlayMin: 1 << 30})
+		x := New(dataset.Prepare(corners), Options{overlayMin: 1 << 30})
 		user := x.AddUser()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 8+far; i++ {

@@ -21,7 +21,7 @@ func TestConcurrentQueriesDuringPatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	net := pagedNetwork(rng)
 	prep := dataset.Prepare(net)
-	x := New(prep, Options{OverlayMin: 8}) // fold aggressively mid-run
+	x := New(prep, Options{overlayMin: 8}) // fold aggressively mid-run
 	m := newMirror(net)
 
 	type published struct {

@@ -243,11 +243,11 @@ func (x *Index) patchVenue(v int32) {
 }
 
 // flushSpatial moves the queued venues into a new overlay, then folds
-// if the patch structures have grown past an eighth of the base.
-// Below OverlayMin the base is never rebuilt, keeping small-churn
-// workloads allocation-light.
+// if the patch structures have grown past an eighth of the base, and at
+// least defaultOverlayMin, which keeps small-churn workloads
+// allocation-light. A dirty epoch leaves the queue to the rebuild.
 func (x *Index) flushSpatial() {
-	if len(x.patched) == 0 {
+	if len(x.patched) == 0 || x.dirty {
 		return
 	}
 	slices.Sort(x.patched)
@@ -264,7 +264,7 @@ func (x *Index) flushSpatial() {
 	x.ov = x.ov.update(&x.marks, fresh, x.grid)
 	x.patched = x.patched[:0]
 	pending := x.ov.points + x.tombs
-	if pending >= x.opts.OverlayMin && pending*8 >= x.dead.len()+x.ov.points {
+	if pending >= x.opts.overlayMin && pending*8 >= x.dead.len()+x.ov.points {
 		x.foldBase()
 	}
 }

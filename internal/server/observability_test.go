@@ -201,7 +201,7 @@ func TestObservabilityMetricFamilies(t *testing.T) {
 		"rr_cache_hits_total", "rr_cache_misses_total", "rr_cache_hit_ratio",
 		"rr_build_seconds", "rr_generation", "rr_publish_check_failures_total",
 		"rr_incr_overlay_entries", "rr_incr_tombstones",
-		"rr_incr_live_components", "rr_incr_max_label_intervals",
+		"rr_incr_live_components", "rr_incr_max_label_intervals", "rr_incr_full_rebuilds",
 		"go_goroutines", "go_memstats_heap_alloc_bytes",
 	}
 	// The set is exact: a family the census removed, or one added

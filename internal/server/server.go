@@ -199,6 +199,8 @@ func New(cfg Config) (*Server, error) {
 			func(st rangereach.UpdateStats) int { return st.LiveComps })
 		incrGauge("rr_incr_max_label_intervals", "Interval count of the most fragmented reachability label.",
 			func(st rangereach.UpdateStats) int { return st.MaxLabelIntervals })
+		incrGauge("rr_incr_full_rebuilds", "Full rebuilds the index chose over patching: batches whose patch work passed its budget, and compactions.",
+			func(st rangereach.UpdateStats) int { return st.FullRebuilds })
 	}
 
 	s.front = &httpjson.Front{

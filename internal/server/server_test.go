@@ -432,12 +432,15 @@ func TestDynamicMixedTraffic(t *testing.T) {
 		t.Errorf("rr_generation is %v (present %v) after the update stream:\n%s", gen, ok, mbody)
 	}
 	// ... and the state of the index behind the published snapshot: the
-	// stream added venues and never enough to fold them into the base.
+	// stream added venues and never enough to fold them into the base,
+	// and its merges retired more components than stayed live, which
+	// the index answered with a rebuild.
 	for name, atLeast := range map[string]float64{
 		"rr_incr_overlay_entries":     1,
 		"rr_incr_tombstones":          0,
 		"rr_incr_live_components":     1,
 		"rr_incr_max_label_intervals": 1,
+		"rr_incr_full_rebuilds":       1,
 	} {
 		if v, ok := metrics.Value(samples, name, nil); !ok || v < atLeast {
 			t.Errorf("%s = %v (present %v), want at least %v", name, v, ok, atLeast)
