@@ -68,7 +68,12 @@ go test ./...
 # edges (TestBuildAllocsCostIndependent). ./internal/labeling guards
 # 3DReach's rank-keyed labels: chains of users interleaved with the
 # venues leave the stored interval count exactly unchanged
-# (TestRankLabelsCostIndependentOfUsers). ./internal/incr guards the
+# (TestRankLabelsCostIndependentOfUsers); and the mapped open: FromFlat
+# allocates as often and as many bytes at 1k and at 64k vertices, since
+# it keeps the label columns it is given
+# (TestFromFlatAllocsCostIndependent). ./internal/dataset guards the
+# member columns: Prepare allocates as often at 1k and at 64k components
+# (TestPrepareAllocsCostIndependent). ./internal/incr guards the
 # dynamic read path: a fragmented label's probe visits no more tile
 # slabs, cells and points than the label-blind walk of its region and
 # tests no more overlay entries than the region's grid cells hold
@@ -85,7 +90,7 @@ go test ./...
 echo "== count guards =="
 go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
     ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
-    ./internal/labeling -count=1
+    ./internal/labeling ./internal/dataset -count=1
 
 # The example programs are the public API's end-to-end users; each runs
 # once and exits non-zero on an error or on a wrong answer: epidemic

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -32,11 +33,11 @@ const countsGolden = "testdata/counts.golden"
 // TestWorkCounts holds the work counts that performance claims rest on
 // to a golden file: every indexed method's summed query work over a
 // fixed pool, rrserve's per-request allocations, 3DReach's mapped
-// open and query, and the network ingest's Load and Prepare. A work row
-// is exact and must match. An allocation row (name ending in ".allocs")
-// is an average, so the golden stores it as a ceiling and the test
-// fails above it; allocation rows skip under -race, whose
-// instrumentation allocates.
+// open (allocations and bytes) and query, and the network ingest's Load
+// and Prepare. A work row (work.*) is exact and must match. Every other
+// row measures allocation and is an average, so the golden stores it as
+// a ceiling and the test fails above it; allocation rows skip under
+// -race, whose instrumentation allocates.
 func TestWorkCounts(t *testing.T) {
 	if raceEnabled && *updateCounts {
 		t.Fatal("-update-counts needs a build without -race")
@@ -86,7 +87,25 @@ func TestWorkCounts(t *testing.T) {
 	}
 }
 
-func isAllocRow(name string) bool { return strings.HasSuffix(name, ".allocs") }
+// isAllocRow reports whether a row measures allocation, a count or
+// bytes: every row outside work.* does.
+func isAllocRow(name string) bool { return !strings.HasPrefix(name, "work.") }
+
+// allocatedBytesPerRun is testing.AllocsPerRun for bytes: the average
+// heap bytes one call of f allocates, after a warm-up call, on one
+// thread with the collector off.
+func allocatedBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
+}
 
 // workRegionShares are the query-region areas, as a share of the
 // space, of the benchmark's query pool, drawn in equal parts.
@@ -263,6 +282,7 @@ func threeDReachAllocRows(t *testing.T) map[string]float64 {
 	}
 	rows := map[string]float64{
 		"3dreach.open_mapped.allocs": testing.AllocsPerRun(20, func() { _ = open().Close() }),
+		"3dreach.open_mapped.bytes":  allocatedBytesPerRun(20, func() { _ = open().Close() }),
 	}
 	mapped := open()
 	t.Cleanup(func() { _ = mapped.Close() })
@@ -277,8 +297,8 @@ func threeDReachAllocRows(t *testing.T) map[string]float64 {
 // process runs before it builds or opens an index: dataset.Load of the
 // text Save writes for GowallaLike(0.05, 1), and dataset.Prepare of the
 // loaded network. Load reads Save's point and edge lines in place, so
-// its count does not grow with them; Prepare's is mostly its
-// per-component member slices.
+// its count does not grow with them, and Prepare holds its members as
+// columns, so its count does not grow with the components.
 func ingestAllocRows(t *testing.T) map[string]float64 {
 	t.Helper()
 	var buf bytes.Buffer

@@ -112,7 +112,9 @@ type UpdateStats struct {
 	MaxLabelIntervals int
 }
 
-// UpdateStats returns the index's update-absorption counters. Call it
+// UpdateStats returns the index's update-absorption counters and the
+// sizes a query sees. It readies the index as a read does, so it may
+// flush deferred work or run the rebuild an update left due. Call it
 // from the writer, like any other non-snapshot access.
 func (idx *DynamicIndex) UpdateStats() UpdateStats {
 	s := idx.engine.Stats()

@@ -115,7 +115,7 @@ func newPaperThreeD(prep *dataset.Prepared) *paperThreeD {
 	for v, spatial := range prep.Net.Spatial {
 		if spatial {
 			p := prep.Net.Points[v]
-			z := float64(l.PostOf(int(prep.CompOf(v))))
+			z := float64(l.Post[prep.CompOf(v)])
 			entries = append(entries, rtree.Entry[geom.Box3]{Box: geom.Box3FromPoint(geom.Pt3(p.X, p.Y, z)), ID: int32(v)})
 		}
 	}
@@ -124,7 +124,7 @@ func newPaperThreeD(prep *dataset.Prepared) *paperThreeD {
 }
 
 func (e *paperThreeD) RangeReach(v int, r geom.Rect) bool {
-	for _, iv := range e.l.Labels[e.prep.CompOf(v)] {
+	for _, iv := range e.l.Label(int(e.prep.CompOf(v))) {
 		if _, ok := e.tree.SearchAny(geom.Box3FromRect(r, float64(iv.Lo), float64(iv.Hi))); ok {
 			return true
 		}

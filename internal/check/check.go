@@ -99,9 +99,8 @@ func edgeNesting(u, v int, keys []int32, what string, at labelSource) error {
 // contains rank(v) over an edge (u, v) whenever v is spatial.
 func Labeling(g *graph.Graph, l *labeling.Labeling) error {
 	n := g.NumVertices()
-	if len(l.Post) != n || len(l.Order) != n || len(l.Labels) != n {
-		return fmt.Errorf("check: labeling sized %d/%d/%d for a %d-vertex DAG",
-			len(l.Post), len(l.Order), len(l.Labels), n)
+	if len(l.Post) != n || len(l.Order) != n {
+		return fmt.Errorf("check: labeling sized %d/%d for a %d-vertex DAG", len(l.Post), len(l.Order), n)
 	}
 	what := "post"
 	if l.Spatial != nil {
@@ -117,14 +116,13 @@ func Labeling(g *graph.Graph, l *labeling.Labeling) error {
 		return err
 	}
 	keys := l.Keys()
-	at := func(v int) intervals.Set { return l.Labels[v] }
-	if err := labels(keys, what, at); err != nil {
+	if err := labels(keys, what, l.Label); err != nil {
 		return err
 	}
 	var firstErr error
 	g.Edges(func(u, v int) {
 		if firstErr == nil {
-			firstErr = edgeNesting(u, v, keys, what, at)
+			firstErr = edgeNesting(u, v, keys, what, l.Label)
 		}
 	})
 	return firstErr

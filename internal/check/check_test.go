@@ -31,6 +31,26 @@ func wantErr(t *testing.T, err error, substr string) {
 	}
 }
 
+// relabel returns l with L(v) replaced by set, over new columns.
+// FromFlat refuses a malformed set, so the tests of malformed sets damage
+// a built labeling's data in place instead.
+func relabel(t *testing.T, l *labeling.Labeling, v int, set intervals.Set) *labeling.Labeling {
+	t.Helper()
+	post, order, off, data := l.FlatColumns()
+	lo, hi := off[v], off[v+1]
+	data = append(append(append(intervals.Set{}, data[:lo]...), set...), data[hi:]...)
+	off = append([]uint64{}, off...)
+	for u := v + 1; u < len(off); u++ {
+		off[u] = off[u] - (hi - lo) + uint64(len(set))
+	}
+	out, err := labeling.FromFlat(post, order, off, data, l.UncompressedCount, l.CompressedCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Spatial = l.Spatial
+	return out
+}
+
 func TestLabelingValid(t *testing.T) {
 	g := diamond(t)
 	l := labeling.Build(g, labeling.Options{})
@@ -46,15 +66,15 @@ func TestLabelingValid(t *testing.T) {
 func TestLabelingRankKeyed(t *testing.T) {
 	g := diamond(t)
 	l := labeling.Build(g, labeling.Options{Spatial: []bool{false, false, true, false, true, false}})
-	if len(l.Labels[5]) != 0 {
-		t.Fatalf("the isolated user's label is %v, want empty", l.Labels[5])
+	if len(l.Label(5)) != 0 {
+		t.Fatalf("the isolated user's label is %v, want empty", l.Label(5))
 	}
 	if err := check.Labeling(g, l); err != nil {
 		t.Fatalf("valid rank-keyed labeling rejected: %v", err)
 	}
 	// L(0) holds rank(2) and rank(4): dropping rank(2) breaks the edge (0,2).
 	keys := l.Keys()
-	l.Labels[0] = intervals.Set{{Lo: keys[4], Hi: keys[4]}}
+	l = relabel(t, l, 0, intervals.Set{{Lo: keys[4], Hi: keys[4]}})
 	wantErr(t, check.Labeling(g, l), "does not contain rank")
 	l.Spatial = l.Spatial[:5]
 	wantErr(t, check.Labeling(g, l), "spatial slots")
@@ -73,16 +93,16 @@ func TestLabelingSkipCompressionValid(t *testing.T) {
 func TestLabelingSwappedInterval(t *testing.T) {
 	g := diamond(t)
 	l := labeling.Build(g, labeling.Options{})
-	l.Labels[0][0] = intervals.Interval{Lo: 5, Hi: 2}
+	l.Label(0)[0] = intervals.Interval{Lo: 5, Hi: 2}
 	wantErr(t, check.Labeling(g, l), "swapped")
 }
 
 func TestLabelingOverlappingIntervals(t *testing.T) {
 	g := diamond(t)
-	l := labeling.Build(g, labeling.Options{})
-	// Vertex 0 reaches everything, so its set covers 1..post(0); bolt an
-	// overlapping second interval onto whichever vertex has one.
-	l.Labels[0] = intervals.Set{{Lo: 1, Hi: 4}, {Lo: 3, Hi: 6}}
+	// Uncompressed, vertex 0's label is one singleton per descendant:
+	// widen the first over the second.
+	l := labeling.Build(g, labeling.Options{SkipCompression: true})
+	l.Label(0)[0].Hi = l.Label(0)[1].Lo
 	wantErr(t, check.Labeling(g, l), "overlap")
 }
 
@@ -96,7 +116,7 @@ func TestLabelingMissingSelf(t *testing.T) {
 	if other == p {
 		other = p - 1
 	}
-	l.Labels[4] = intervals.Set{{Lo: other, Hi: other}}
+	l = relabel(t, l, 4, intervals.Set{{Lo: other, Hi: other}})
 	wantErr(t, check.Labeling(g, l), "own post")
 }
 
@@ -119,7 +139,7 @@ func TestLabelingNonNestedChild(t *testing.T) {
 	l := labeling.Build(g, labeling.Options{})
 	// Shrink L(0) to its own post only: the edge (0,1) now has a child
 	// label not contained in the parent's.
-	l.Labels[0] = intervals.Set{{Lo: l.Post[0], Hi: l.Post[0]}}
+	l = relabel(t, l, 0, intervals.Set{{Lo: l.Post[0], Hi: l.Post[0]}})
 	wantErr(t, check.Labeling(g, l), "does not contain post")
 }
 
@@ -132,7 +152,7 @@ func TestLabelingPartialCover(t *testing.T) {
 	if l.Post[0] != l.Post[1] {
 		s = s.Add(l.Post[0], l.Post[0])
 	}
-	l.Labels[0] = s.Compress()
+	l = relabel(t, l, 0, s.Compress())
 	wantErr(t, check.Labeling(g, l), "not properly nested")
 }
 

@@ -58,7 +58,7 @@ func (e *SocReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 		if !e.prep.HasSpatial[c] {
 			return false
 		}
-		for _, m := range e.prep.SpatialMembers[c] {
+		for _, m := range e.prep.SpatialMembers(int(c)) {
 			sp.IncMember()
 			if e.prep.Witness(m, r) {
 				return true
@@ -66,7 +66,7 @@ func (e *SocReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 		}
 		return false
 	}
-	sp.AddLabels(len(e.l.Labels[src]))
+	sp.AddLabels(len(e.l.Label(src)))
 	found := false
 	t := sp.Start()
 	e.l.Descendants(src, func(c int32) bool {

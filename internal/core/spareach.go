@@ -112,7 +112,7 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts BuildOptions
 func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, p *pool.Pool) *rtree.Flat[geom.Rect] {
 	var entries []rtree.Entry[geom.Rect]
 	if policy == dataset.MBR {
-		for c := range prep.Members {
+		for c := range prep.NumComponents() {
 			if prep.HasSpatial[c] {
 				entries = append(entries, rtree.Entry[geom.Rect]{
 					Box: prep.CompMBR[c],
@@ -192,7 +192,7 @@ func (e *SpaReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 			if r.ContainsRect(s.candBoxes[i]) {
 				return true
 			}
-			for _, m := range e.prep.SpatialMembers[c] {
+			for _, m := range e.prep.SpatialMembers(c) {
 				sp.IncMember()
 				if e.prep.Witness(m, r) {
 					return true
@@ -238,7 +238,7 @@ func (e *SpaReach) rangeReachStreaming(src int, r geom.Rect, sp *trace.Span) boo
 				found = true
 				return false
 			}
-			for _, m := range e.prep.SpatialMembers[c] {
+			for _, m := range e.prep.SpatialMembers(c) {
 				sp.IncMember()
 				if e.prep.Witness(m, r) {
 					found = true

@@ -111,7 +111,7 @@ func (e *ThreeDReach) RangeReach(v int, r geom.Rect) bool {
 // counts as inspected whole, and the 3D search accumulates index-node
 // work into the spatial stage.
 func (e *ThreeDReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
-	label := e.l.Labels[e.prep.CompOf(v)]
+	label := e.l.Label(int(e.prep.CompOf(v)))
 	sp.AddLabels(len(label))
 	t := sp.Start()
 	hit := e.witness(r, label, sp)

@@ -82,7 +82,7 @@ func fragmentedQueries(rng *rand.Rand, e *ThreeDReach, n, minLabel int) (vs []in
 	w, h := space.Max.X-space.Min.X, space.Max.Y-space.Min.Y
 	for len(vs) < n {
 		v := rng.Intn(net.NumVertices())
-		if len(e.l.Labels[e.prep.CompOf(v)]) < minLabel {
+		if len(e.l.Label(int(e.prep.CompOf(v)))) < minLabel {
 			continue
 		}
 		side := math.Sqrt([]float64{0.0005, 0.01, 0.05, 0.20}[len(vs)%4])
@@ -145,7 +145,7 @@ func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 		vs, rs := fragmentedQueries(rand.New(rand.NewSource(12)), c.built, 200, 16)
 		loopBreaks := 0
 		for i, v := range vs {
-			label := c.built.l.Labels[c.prep.CompOf(v)]
+			label := c.built.l.Label(int(c.prep.CompOf(v)))
 			var blind, loop trace.Span
 			tree.SearchTraced(geom.Box3FromRect(rs[i], math.Inf(-1), math.Inf(1)), &blind, func(rtree.Entry[geom.Box3]) bool { return true })
 			for _, iv := range label {

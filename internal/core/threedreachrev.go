@@ -62,7 +62,7 @@ func revEntries(prep *dataset.Prepared, rev *labeling.Labeling) []rtree.Entry[ge
 		// (paper footnote 1) the segment widens to the box geometry ×
 		// label range, still exact.
 		g := prep.Net.GeometryOf(v)
-		for _, iv := range rev.Labels[prep.CompOf(v)] {
+		for _, iv := range rev.Label(int(prep.CompOf(v))) {
 			entries = append(entries, rtree.Entry[geom.Box3]{
 				Box: geom.Box3FromRect(g, float64(iv.Lo), float64(iv.Hi)),
 				ID:  int32(v),

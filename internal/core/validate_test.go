@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/dataset"
+	"repro/internal/intervals"
+	"repro/internal/labeling"
 )
 
 // TestValidateEngineRejectsCorruptBuiltTree damages the arrays of each
@@ -128,25 +130,22 @@ func TestValidateEngineRejectsCorruptRanks(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("every venue's rank equals its post: the test cannot tell the keys apart")
 	}
-	labels := e.l.Labels
+	l := e.l
 	// A spatial sink (its label is its own rank alone), and an edge from a
 	// user to a component with a non-empty label.
-	sink, user := -1, -1
-	for c := range labels {
+	sink, user, empty := -1, -1, -1
+	for c := range prep.NumComponents() {
 		if sink < 0 && prep.HasSpatial[c] && len(prep.DAG.Out(c)) == 0 {
 			sink = c
 		}
 		if user < 0 && !prep.HasSpatial[c] {
 			for _, d := range prep.DAG.Out(c) {
-				if len(labels[d]) > 0 {
+				if len(l.Label(int(d))) > 0 {
 					user = c
 				}
 			}
 		}
-	}
-	empty := -1
-	for c := range labels {
-		if len(labels[c]) == 0 {
+		if len(l.Label(c)) == 0 {
 			empty = c
 		}
 	}
@@ -159,16 +158,16 @@ func TestValidateEngineRejectsCorruptRanks(t *testing.T) {
 		want   string
 		damage func()
 	}{
-		{"does not contain own rank", func() { labels[sink] = labels[sink][:0] }},
-		{fmt.Sprintf("L(%d) does not", user), func() { labels[user] = nil }},
+		{"does not contain own rank", func() { e.l = relabel(t, l, sink, nil) }},
+		{fmt.Sprintf("L(%d) does not", user), func() { e.l = relabel(t, l, user, nil) }},
 		{"its component's is", func() { tiles.Post[last]++ }},
 	} {
-		savedSink, savedUser, savedKey := labels[sink], labels[user], tiles.Post[last]
+		savedKey := tiles.Post[last]
 		d.damage()
 		if err := ValidateEngine(e); err == nil || !strings.Contains(err.Error(), d.want) {
 			t.Errorf("want an error containing %q, got %v", d.want, err)
 		}
-		labels[sink], labels[user], tiles.Post[last] = savedSink, savedUser, savedKey
+		e.l, tiles.Post[last] = l, savedKey
 	}
 	if err := ValidateEngine(e); err != nil {
 		t.Fatalf("restored engine invalid: %v", err)
@@ -293,4 +292,22 @@ func TestValidateEngineRejectsCorruptRev(t *testing.T) {
 	if err := ValidateEngine(e); err != nil {
 		t.Fatalf("restored engine invalid: %v", err)
 	}
+}
+
+// relabel returns l with L(v) replaced by set, over new columns.
+func relabel(t *testing.T, l *labeling.Labeling, v int, set intervals.Set) *labeling.Labeling {
+	t.Helper()
+	post, order, off, data := l.FlatColumns()
+	lo, hi := off[v], off[v+1]
+	data = append(append(append(intervals.Set{}, data[:lo]...), set...), data[hi:]...)
+	off = append([]uint64{}, off...)
+	for u := v + 1; u < len(off); u++ {
+		off[u] = off[u] - (hi - lo) + uint64(len(set))
+	}
+	out, err := labeling.FromFlat(post, order, off, data, l.UncompressedCount, l.CompressedCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Spatial = l.Spatial
+	return out
 }

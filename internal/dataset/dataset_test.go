@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,25 +103,61 @@ func TestPrepare(t *testing.T) {
 }
 
 func TestPrepareSpatialSCC(t *testing.T) {
-	// A cycle that includes two spatial vertices: the component MBR must
-	// cover both points and list both members.
-	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})
+	// A cycle that includes two spatial vertices among two users: the
+	// component MBR must cover both points, and its member run lists
+	// the spatial members first, each part ascending.
+	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	net := &Network{
 		Name:    "spatial-scc",
 		Graph:   g,
-		Spatial: []bool{false, true, true},
-		Points:  []geom.Point{{}, geom.Pt(0, 0), geom.Pt(4, 2)},
+		Spatial: []bool{false, true, false, true},
+		Points:  []geom.Point{{}, geom.Pt(0, 0), {}, geom.Pt(4, 2)},
 	}
 	p := Prepare(net)
 	if p.NumComponents() != 1 {
 		t.Fatalf("NumComponents = %d", p.NumComponents())
 	}
-	if len(p.SpatialMembers[0]) != 2 {
-		t.Errorf("SpatialMembers = %v", p.SpatialMembers[0])
+	if got := p.SpatialMembers(0); !slices.Equal(got, []int32{1, 3}) {
+		t.Errorf("SpatialMembers = %v, want [1 3]", got)
+	}
+	if got := p.Members(0); !slices.Equal(got, []int32{1, 3, 0, 2}) {
+		t.Errorf("Members = %v, want [1 3 0 2]", got)
 	}
 	if p.CompMBR[0] != geom.NewRect(0, 0, 4, 2) {
 		t.Errorf("CompMBR = %v", p.CompMBR[0])
 	}
+}
+
+// TestPrepareAllocsCostIndependent is the count guard of the member
+// columns: Prepare allocates the same number of times for 1k and for
+// 64k components. Each network is users that each check into one venue
+// of their own, and users on a few cycles of four, two venues each;
+// the DFS stays shallow, so Tarjan's stacks do not grow with it either.
+func TestPrepareAllocsCostIndependent(t *testing.T) {
+	prepareAllocs := func(comps int) float64 {
+		pairs := comps / 2
+		n := 2*pairs + 4*8
+		var edges [][2]int
+		spatial := make([]bool, n)
+		for i := 0; i < pairs; i++ {
+			edges = append(edges, [2]int{2 * i, 2*i + 1})
+			spatial[2*i+1] = true
+		}
+		for k := 0; k < 8; k++ {
+			base := 2*pairs + 4*k
+			for j := 0; j < 4; j++ {
+				edges = append(edges, [2]int{base + j, base + (j+1)%4})
+			}
+			spatial[base+1], spatial[base+2] = true, true
+		}
+		net := &Network{Name: "pairs", Graph: graph.FromEdges(n, edges), Spatial: spatial, Points: make([]geom.Point, n)}
+		return testing.AllocsPerRun(5, func() { Prepare(net) })
+	}
+	small, large := prepareAllocs(1<<10), prepareAllocs(1<<16)
+	if small != large {
+		t.Fatalf("Prepare allocates %v times for 1k components and %v for 64k", small, large)
+	}
+	t.Logf("%v allocations at either size", small)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

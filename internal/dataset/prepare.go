@@ -39,11 +39,12 @@ type Prepared struct {
 	DAG *graph.Graph
 	// Comp maps original vertices to component ids.
 	Comp []int32
-	// Members lists original vertices per component.
-	Members [][]int32
-	// SpatialMembers lists the spatial original vertices per component
-	// (the Replicate policy's per-component point sources).
-	SpatialMembers [][]int32
+	// memberOff, spatialEnd and members list every component's original
+	// vertices in one column: component c's run is
+	// members[memberOff[c]:memberOff[c+1]], its spatial members first and
+	// ending at spatialEnd[c], each part ascending (see Members and
+	// SpatialMembers).
+	memberOff, spatialEnd, members []int32
 	// CompMBR is the MBR of each component's member points; the empty
 	// rectangle for components without spatial members.
 	CompMBR []geom.Rect
@@ -54,40 +55,68 @@ type Prepared struct {
 // Prepare condenses the network's strongly connected components and
 // derives the per-component spatial information (paper §5). Networks
 // that are already DAGs condense to themselves with singleton
-// components.
+// components. It takes the condensation's member column over and moves
+// each run's spatial members to its front, so it allocates nothing per
+// component.
 func Prepare(net *Network) *Prepared {
 	cond := net.Graph.Condense()
+	nc := cond.NumComponents()
+	off, members := cond.MemberColumns()
 	p := &Prepared{
-		Net:            net,
-		DAG:            cond.DAG,
-		Comp:           cond.Comp,
-		Members:        cond.Members,
-		SpatialMembers: make([][]int32, len(cond.Members)),
-		CompMBR:        make([]geom.Rect, len(cond.Members)),
-		HasSpatial:     make([]bool, len(cond.Members)),
+		Net:        net,
+		DAG:        cond.DAG,
+		Comp:       cond.Comp,
+		memberOff:  off,
+		spatialEnd: make([]int32, nc),
+		members:    members,
+		CompMBR:    make([]geom.Rect, nc),
+		HasSpatial: make([]bool, nc),
 	}
-	for c, members := range cond.Members {
+	// A stable partition of each run: spatial members move forward in
+	// place, the others wait in rest and follow them.
+	rest := make([]int32, 0, cond.LargestComponentSize())
+	for c := range nc {
 		mbr := geom.EmptyRect()
-		for _, v := range members {
-			if net.Spatial[v] {
-				p.SpatialMembers[c] = append(p.SpatialMembers[c], v)
-				mbr = mbr.Union(net.GeometryOf(int(v)))
+		end := off[c]
+		rest = rest[:0]
+		for _, v := range members[off[c]:off[c+1]] {
+			if !net.Spatial[v] {
+				rest = append(rest, v)
+				continue
 			}
+			members[end] = v
+			end++
+			mbr = mbr.Union(net.GeometryOf(int(v)))
 		}
+		copy(members[end:off[c+1]], rest)
+		p.spatialEnd[c] = end
 		p.CompMBR[c] = mbr
-		p.HasSpatial[c] = len(p.SpatialMembers[c]) > 0
+		p.HasSpatial[c] = end > off[c]
 	}
 	return p
+}
+
+// Members returns the original vertices of component c, its spatial
+// members first, and SpatialMembers those alone, ascending (the
+// Replicate policy's point sources). Both alias the member column and
+// must not be modified; a slice's capacity is its length, so appending
+// to it copies.
+func (p *Prepared) Members(c int) []int32 {
+	lo, hi := p.memberOff[c], p.memberOff[c+1]
+	return p.members[lo:hi:hi]
+}
+
+// SpatialMembers returns the spatial members of component c; see Members.
+func (p *Prepared) SpatialMembers(c int) []int32 {
+	lo, hi := p.memberOff[c], p.spatialEnd[c]
+	return p.members[lo:hi:hi]
 }
 
 // CompOf returns the component id of the original vertex v.
 func (p *Prepared) CompOf(v int) int32 { return p.Comp[v] }
 
 // NumComponents returns the number of components (DAG vertices).
-func (p *Prepared) NumComponents() int { return len(p.Members) }
-
-// PointOf returns the location of the original spatial vertex v.
-func (p *Prepared) PointOf(v int32) geom.Point { return p.Net.Points[v] }
+func (p *Prepared) NumComponents() int { return len(p.spatialEnd) }
 
 // GeometryOf returns the spatial geometry of the original vertex v.
 func (p *Prepared) GeometryOf(v int32) geom.Rect { return p.Net.GeometryOf(int(v)) }

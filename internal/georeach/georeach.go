@@ -146,7 +146,7 @@ func Build(prep *dataset.Prepared, params Params) *Index {
 		reaches := false
 
 		// Own spatial members (replicated geometries of the SCC).
-		for _, m := range prep.SpatialMembers[v] {
+		for _, m := range prep.SpatialMembers(v) {
 			g := prep.GeometryOf(m)
 			h.CoverRect(g, 0, cells.Add)
 			mbr = mbr.Union(g)
@@ -289,7 +289,7 @@ func (idx *Index) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 		}
 
 		// Partial overlap: test the vertex's own spatial members exactly.
-		for _, m := range prep.SpatialMembers[u] {
+		for _, m := range prep.SpatialMembers(u) {
 			sp.IncMember()
 			if prep.Witness(m, r) {
 				return true

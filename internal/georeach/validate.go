@@ -34,7 +34,7 @@ func (idx *Index) Validate() error {
 	space := idx.h.Space()
 	for v := 0; v < n; v++ {
 		kind, cells := idx.kindOf(v), idx.cells(v)
-		members := idx.prep.SpatialMembers[v]
+		members := idx.prep.SpatialMembers(v)
 		if len(members) > 0 && !idx.reaches(v) {
 			return fmt.Errorf("georeach: component %d has %d spatial members but GeoB unset", v, len(members))
 		}

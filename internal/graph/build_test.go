@@ -92,6 +92,49 @@ func TestBuildMatchesSortedEdgeSet(t *testing.T) {
 
 // TestBuildAllocsCostIndependent pins Build's allocation count to a
 // constant: the scratch and the CSR arrays, however many edges — a
+// TestFromRowsMatchesBuild checks FromRows against Builder.Build over
+// the same edges: random per-vertex rows in arbitrary order with
+// repeats and self-loops, down to the empty graph, and a size hint that
+// is too small, exact or too large. Both must drop the same edges and
+// leave the same sorted out- and in-rows.
+func TestFromRowsMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		rows := make([][]int32, n)
+		b := NewBuilder(n)
+		total := 0
+		for u := range rows {
+			for k := rng.Intn(8); k > 0 && n > 0; k-- {
+				v := int32(rng.Intn(1 + rng.Intn(n)))
+				if rng.Intn(4) == 0 {
+					v = int32(u) // a self-loop
+				}
+				rows[u] = append(rows[u], v)
+				if rng.Intn(3) == 0 {
+					rows[u] = append(rows[u], v) // a repeat
+				}
+			}
+			for _, v := range rows[u] {
+				b.AddEdge(u, int(v))
+			}
+			total += len(rows[u])
+		}
+		want := b.Build()
+		got := FromRows(n, []int{0, total, 2 * total}[trial%3], func(u int, row []int32) []int32 {
+			return append(row, rows[u]...)
+		})
+		if got.NumVertices() != n || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("trial %d: %d vertices / %d edges, want %d / %d", trial, got.NumVertices(), got.NumEdges(), n, want.NumEdges())
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(got.Out(v), want.Out(v)) || !slices.Equal(got.In(v), want.In(v)) {
+				t.Fatalf("trial %d: vertex %d rows out %v in %v, want %v and %v", trial, v, got.Out(v), got.In(v), want.Out(v), want.In(v))
+			}
+		}
+	}
+}
+
 // comparison sort's closures or a per-row slice would make it grow.
 func TestBuildAllocsCostIndependent(t *testing.T) {
 	// AllocsPerRun reads a process-wide counter, and a collection set off

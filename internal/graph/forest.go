@@ -247,16 +247,3 @@ func (f *SpanningForest) NonTreeEdges() [][2]int32 {
 	}
 	return edges
 }
-
-// VertexAt returns the vertex with the given 1-based post-order number.
-func (f *SpanningForest) VertexAt(post int32) int32 {
-	return f.Order[post-1]
-}
-
-// Ancestors calls fn for every proper ancestor of v in the spanning
-// forest, walking the parent chain from v's parent to the root.
-func (f *SpanningForest) Ancestors(v int, fn func(w int)) {
-	for w := f.Parent[v]; w >= 0; w = f.Parent[w] {
-		fn(int(w))
-	}
-}

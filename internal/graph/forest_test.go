@@ -24,9 +24,6 @@ func checkForestInvariants(t *testing.T, g *Graph, f *SpanningForest) {
 		if f.Order[p-1] != int32(v) {
 			t.Fatalf("Order[%d] = %d, want %d", p-1, f.Order[p-1], v)
 		}
-		if f.VertexAt(p) != int32(v) {
-			t.Fatal("VertexAt inconsistent")
-		}
 	}
 	// Parent edges exist in g; a parent has a higher post number than any
 	// vertex in its subtree, and MinPost bounds the subtree.
@@ -133,17 +130,6 @@ func TestSpanningForestPanicsOnCycle(t *testing.T) {
 		}
 	}()
 	NewSpanningForest(FromEdges(2, [][2]int{{0, 1}, {1, 0}}), ForestDFS)
-}
-
-func TestAncestors(t *testing.T) {
-	// Chain 0 -> 1 -> 2.
-	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	f := NewSpanningForest(g, ForestDFS)
-	var anc []int
-	f.Ancestors(2, func(w int) { anc = append(anc, w) })
-	if len(anc) != 2 || anc[0] != 1 || anc[1] != 0 {
-		t.Errorf("Ancestors(2) = %v, want [1 0]", anc)
-	}
 }
 
 func TestForestFromParents(t *testing.T) {

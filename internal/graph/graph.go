@@ -86,6 +86,34 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// FromRows builds the graph on n vertices whose out-row v is what
+// appendRow(v, row) appends to row, sorted, with repeats and self-loops
+// dropped, as Builder.Build would keep them. Rows are appended in
+// vertex order to one column sized for sizeHint entries, so a caller
+// that holds its rows already pays no edge-list sort.
+func FromRows(n, sizeHint int, appendRow func(v int, row []int32) []int32) *Graph {
+	g := &Graph{n: n, outOff: make([]int32, n+1)}
+	adj := make([]int32, 0, sizeHint)
+	for v := range n {
+		start := len(adj)
+		adj = appendRow(v, adj)
+		row := adj[start:]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		if i, self := slices.BinarySearch(row, int32(v)); self {
+			row = slices.Delete(row, i, i+1)
+		}
+		adj = adj[:start+len(row)]
+		g.outOff[v+1] = int32(len(adj))
+	}
+	g.outAdj = adj
+	if len(adj) < cap(adj) {
+		g.outAdj = slices.Clone(adj) // give the hint's slack back
+	}
+	g.fillIn()
+	return g
+}
+
 // inOrder reports whether edges ascend by (source, target); equal
 // neighbours are allowed. A file that Save wrote is read in this order.
 func inOrder(edges [][2]int32) bool {
@@ -153,7 +181,7 @@ func (g *Graph) fillIn() {
 }
 
 // Graph is an immutable directed graph in CSR form. Construct one with a
-// Builder or FromEdges.
+// Builder, FromEdges or FromRows.
 type Graph struct {
 	n      int
 	outOff []int32 // len n+1; outAdj[outOff[v]:outOff[v+1]] are v's successors

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -215,9 +216,13 @@ func TestCondensePreservesReachability(t *testing.T) {
 				}
 			}
 		}
-		// Members partition the vertex set.
+		// Members partition the vertex set, ascending within a component.
 		seen := make([]bool, n)
-		for cid, members := range c.Members {
+		for cid := range c.NumComponents() {
+			members := c.Members(cid)
+			if !slices.IsSorted(members) {
+				t.Fatalf("component %d members %v not ascending", cid, members)
+			}
 			for _, v := range members {
 				if seen[v] {
 					t.Fatal("vertex in two components")

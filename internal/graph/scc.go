@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // SCCs computes the strongly connected components of g using an iterative
 // version of Tarjan's algorithm (recursion-free so that million-vertex
 // social cores do not overflow the goroutine stack).
@@ -102,60 +100,78 @@ type Condensation struct {
 	DAG *Graph
 	// Comp maps each original vertex to its component id.
 	Comp []int32
-	// Members lists the original vertices of every component.
-	Members [][]int32
+	// memberOff and members list the original vertices of every
+	// component, ascending: component c's are
+	// members[memberOff[c]:memberOff[c+1]] (see Members).
+	memberOff []int32
+	members   []int32
 }
 
 // Condense computes the SCC condensation of g.
 func (g *Graph) Condense() *Condensation {
 	comp, count := g.SCCs()
-	members := make([][]int32, count)
-	sizes := make([]int32, count)
+	// Members are scattered by component, as fillIn scatters in-rows:
+	// each vertex is counted two slots up, so that memberOff[c+1] is the
+	// cursor of c's run during the scatter and its end after it.
+	off := make([]int32, count+1)
 	for _, c := range comp {
-		sizes[c]++
+		if int(c)+2 <= count {
+			off[c+2]++
+		}
 	}
-	for c := range members {
-		members[c] = make([]int32, 0, sizes[c])
+	for c := 2; c <= count; c++ {
+		off[c] += off[c-1]
 	}
+	members := make([]int32, len(comp))
 	for v, c := range comp {
-		members[c] = append(members[c], int32(v))
+		members[off[c+1]] = int32(v)
+		off[c+1]++
 	}
+	cond := &Condensation{Comp: comp, memberOff: off, members: members}
 
 	// Each component's DAG row is its members' successors mapped to
-	// components: a stamp drops the component itself and repeats, and
-	// the short row is sorted. The rows fill a scratch of g's edge
-	// count, an upper bound, and are copied out at their own length.
-	dag := &Graph{n: count, outOff: make([]int32, count+1)}
-	adj := make([]int32, 0, g.NumEdges())
+	// components; a stamp drops the component itself and repeats before
+	// FromRows sorts the row. g's edge count bounds the rows' total.
 	stamp := make([]int32, count) // stamp[d] == c+1: d is in row c already
-	for c, ms := range members {
-		start, mark := len(adj), int32(c)+1
-		for _, v := range ms {
+	cond.DAG = FromRows(count, g.NumEdges(), func(c int, row []int32) []int32 {
+		mark := int32(c) + 1
+		for _, v := range cond.Members(c) {
 			for _, w := range g.Out(int(v)) {
 				if d := comp[w]; d != int32(c) && stamp[d] != mark {
 					stamp[d] = mark
-					adj = append(adj, d)
+					row = append(row, d)
 				}
 			}
 		}
-		slices.Sort(adj[start:])
-		dag.outOff[c+1] = int32(len(adj))
-	}
-	dag.outAdj = slices.Clone(adj)
-	dag.fillIn()
-	return &Condensation{DAG: dag, Comp: comp, Members: members}
+		return row
+	})
+	return cond
+}
+
+// Members returns the original vertices of component c in ascending
+// order. The slice aliases the condensation's member column and must
+// not be modified; its capacity is its length, so appending to it
+// copies.
+func (c *Condensation) Members(comp int) []int32 {
+	lo, hi := c.memberOff[comp], c.memberOff[comp+1]
+	return c.members[lo:hi:hi]
+}
+
+// MemberColumns returns the member column and its offsets (see
+// Members) themselves, not copies, for a caller that takes the
+// condensation over.
+func (c *Condensation) MemberColumns() (off, members []int32) {
+	return c.memberOff, c.members
 }
 
 // LargestComponentSize returns the number of vertices in the biggest SCC.
 func (c *Condensation) LargestComponentSize() int {
-	max := 0
-	for _, m := range c.Members {
-		if len(m) > max {
-			max = len(m)
-		}
+	largest := int32(0)
+	for i := range c.NumComponents() {
+		largest = max(largest, c.memberOff[i+1]-c.memberOff[i])
 	}
-	return max
+	return int(largest)
 }
 
 // NumComponents returns the number of strongly connected components.
-func (c *Condensation) NumComponents() int { return len(c.Members) }
+func (c *Condensation) NumComponents() int { return len(c.memberOff) - 1 }

@@ -62,3 +62,43 @@ func TestPatchBudgetCostIndependentOfLabelBloat(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsMidEpochIsWhatAReadSees: once an epoch has run out of
+// budget its patches are abandoned, and Stats must not report the
+// abandoned sizes. It runs the read's own ensure, so the live
+// components, the widest label and the overlay it reports mid-epoch
+// are those a Snapshot then shows.
+func TestStatsMidEpochIsWhatAReadSees(t *testing.T) {
+	const users = 12
+	var edges [][2]int
+	for u := 0; u+1 < users; u++ {
+		edges = append(edges, [2]int{u, u + 1})
+	}
+	edges = append(edges, [2]int{users - 1, users})
+	x := New(dataset.Prepare(&dataset.Network{
+		Name:    "chain",
+		Graph:   graph.FromEdges(users+1, edges),
+		Spatial: append(make([]bool, users), true),
+		Points:  append(make([]geom.Point, users), geom.Pt(50, 50)),
+	}), Options{budget: 1})
+	// Close the chain into one cycle, then check in every other user to
+	// a venue of their own: the epoch runs out of budget on the way.
+	if err := x.AddEdge(users-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < users; u += 2 {
+		if err := x.AddEdge(u, x.AddVenue(float64(u), float64(u))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !x.dirty {
+		t.Fatal("the epoch kept within its budget: the test cannot see abandoned sizes")
+	}
+	mid := x.Stats()
+	x.Snapshot()
+	after := x.Stats()
+	if mid.LiveComps != after.LiveComps || mid.MaxLabelIntervals != after.MaxLabelIntervals || mid.OverlayLen != after.OverlayLen {
+		t.Fatalf("mid-epoch Stats reports %d live components, a widest label of %d intervals and %d overlay entries; a read sees %d, %d and %d",
+			mid.LiveComps, mid.MaxLabelIntervals, mid.OverlayLen, after.LiveComps, after.MaxLabelIntervals, after.OverlayLen)
+	}
+}

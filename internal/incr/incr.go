@@ -213,10 +213,12 @@ func (x *Index) Name() string { return "3DReach-Dynamic" }
 func (x *Index) NumVertices() int { return x.n }
 
 // Stats returns operation counters plus current structural sizes. It
-// flushes the venues patched since the last read, so the sizes are
-// those a query would see.
+// readies the index the way a read does (ensure: the deferred patches,
+// or the rebuild of an epoch that ran out of budget, and the venues
+// patched since the last read), so the sizes are those a query would
+// see, and the next update starts a new epoch.
 func (x *Index) Stats() Stats {
-	x.flushSpatial()
+	x.ensure()
 	s := x.stats
 	s.LiveComps = x.liveComps
 	s.DeadComps = x.deadComps
@@ -637,28 +639,34 @@ func (x *Index) fullRebuild() {
 	x.stats.FullRebuilds++
 }
 
-// liveGraph is the current adjacency as an immutable graph.
+// liveGraph is the current adjacency as an immutable graph: the out
+// rows are copied as they are, each sorted on its own, with no sort of
+// the whole edge list.
 func (x *Index) liveGraph() *graph.Graph {
-	b := graph.NewBuilder(x.n)
-	for u, adj := range x.out {
-		for _, v := range adj {
-			b.AddEdge(u, int(v))
-		}
-	}
-	return b.Build()
+	return graph.FromRows(x.n, x.edges, func(u int, row []int32) []int32 {
+		return append(row, x.out[u]...)
+	})
 }
 
 func (x *Index) rebuildDerived() {
 	cond := x.liveGraph().Condense()
-	nc := len(cond.Members)
+	nc := cond.NumComponents()
 	l := labeling.Build(cond.DAG, labeling.Options{Parallelism: x.opts.Parallelism})
 
 	// Whole columns are swapped, not written page by page: snapshots keep
-	// the old ones.
+	// the old ones. The per-component slices start as views of the
+	// columns Condense and Build made; each is capped at its length, so
+	// a merge's append copies, and a split's kept filter builds a new
+	// slice, rather than writing into a neighbour's run.
+	members := make([][]int32, nc)
+	labels := make([]intervals.Set, nc)
+	for c := range nc {
+		members[c], labels[c] = cond.Members(c), l.Label(c)
+	}
 	x.comp = pagedFrom(cond.Comp)
-	x.members = cond.Members
+	x.members = members
 	x.post = pagedFrom(l.Post)
-	x.labels = pagedFrom(l.Labels)
+	x.labels = pagedFrom(labels)
 	x.labelWidth.reset(x.labels.column)
 	// A full rebuild re-densifies the post space, so the high-water mark
 	// legitimately drops; snapshots pin the old numbering and never mix

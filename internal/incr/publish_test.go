@@ -161,8 +161,8 @@ func measureOnce(t *testing.T, n, touched int) (writes, publish uint64) {
 }
 
 // TestMaxLabelIntervalsMatchesWalk pins Stats' page-wise maximum to the
-// brute-force walk over every label, after every op of a stream that
-// fragments labels, retires components and rebuilds.
+// brute-force walk over every label as Stats leaves them, after every op
+// of a stream that fragments labels, retires components and rebuilds.
 func TestMaxLabelIntervalsMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := pagedNetwork(rng)
@@ -177,11 +177,12 @@ func TestMaxLabelIntervalsMatchesWalk(t *testing.T) {
 		case step == 400:
 			x.fullRebuild()
 		}
+		got := x.Stats().MaxLabelIntervals // readies the labels, as a read does
 		want := 0
 		for c := 0; c < x.labels.len(); c++ {
 			want = max(want, len(x.labels.at(int32(c))))
 		}
-		if got := x.Stats().MaxLabelIntervals; got != want {
+		if got != want {
 			t.Fatalf("step %d: MaxLabelIntervals = %d, the walk over all labels says %d", step, got, want)
 		}
 		widest = max(widest, want)

@@ -1,7 +1,9 @@
 package labeling
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/intervals"
@@ -38,12 +40,7 @@ func BuildAlgorithm1(g *graph.Graph, opts Options) *Labeling {
 // supplied spanning forest; see BuildWithForest.
 func BuildAlgorithm1WithForest(g *graph.Graph, forest *graph.SpanningForest, opts Options) *Labeling {
 	n := g.NumVertices()
-	l := &Labeling{
-		Post:   forest.Post,
-		Order:  forest.Order,
-		Labels: make([]intervals.Set, n),
-		Forest: forest,
-	}
+	sets := make([]intervals.Set, n)
 
 	// Labels are propagated as descendant-post singletons; covered[v]
 	// tracks set membership so that unions follow set semantics.
@@ -54,7 +51,7 @@ func BuildAlgorithm1WithForest(g *graph.Graph, forest *graph.SpanningForest, opt
 			return false
 		}
 		covered[v][p] = struct{}{}
-		l.Labels[v] = append(l.Labels[v], intervals.Interval{Lo: p, Hi: p})
+		sets[v] = append(sets[v], intervals.Interval{Lo: p, Hi: p})
 		stab.Insert(intervals.Interval{Lo: p, Hi: p}, v)
 		return true
 	}
@@ -126,58 +123,25 @@ func BuildAlgorithm1WithForest(g *graph.Graph, forest *graph.SpanningForest, opt
 	}
 
 	// Lines 19–24: non-spanning edges, sorted by source post-order.
+	// The order among one source's edges does not matter: labels are
+	// sets, and the final compression makes them canonical.
 	nonTree := forest.NonTreeEdges()
-	sortBySourcePost(nonTree, forest.Post)
+	slices.SortFunc(nonTree, func(a, b [2]int32) int { return cmp.Compare(forest.Post[a[0]], forest.Post[b[0]]) })
 	for _, e := range nonTree {
 		v, u := e[0], e[1]
 		copyLabels(v, u)
 		propagateToAncestors(v)
 	}
 
-	// Count before compression (Table 6 "uncompressed"), then compress
-	// (lines 25–26).
-	for v := range l.Labels {
-		l.UncompressedCount += int64(len(l.Labels[v]))
-		l.Labels[v] = l.Labels[v].Compress()
-		l.CompressedCount += int64(len(l.Labels[v]))
+	// Compress (lines 25–26). The set semantics keep every descendant
+	// singleton once, so finish counts the "uncompressed" labels of
+	// Table 6 from the compressed sets' cardinalities.
+	for v := range sets {
+		sets[v] = sets[v].Compress()
 	}
-	if opts.SkipCompression {
-		l.CompressedCount = 0
-		l.UncompressedCount = 0
-		l.finishStats(opts)
-	}
+	l := &Labeling{Post: forest.Post, Order: forest.Order}
+	l.finish(sets, opts)
 	return l
-}
-
-// sortBySourcePost sorts edges by the post-order number of their source
-// vertex, ascending (Algorithm 1, line 20).
-func sortBySourcePost(edges [][2]int32, post []int32) {
-	// Simple insertion-friendly sort via sort.Slice would allocate a
-	// closure per call site anyway; keep it direct.
-	quicksortEdges(edges, post)
-}
-
-func quicksortEdges(edges [][2]int32, post []int32) {
-	if len(edges) < 2 {
-		return
-	}
-	pivot := post[edges[len(edges)/2][0]]
-	left, right := 0, len(edges)-1
-	for left <= right {
-		for post[edges[left][0]] < pivot {
-			left++
-		}
-		for post[edges[right][0]] > pivot {
-			right--
-		}
-		if left <= right {
-			edges[left], edges[right] = edges[right], edges[left]
-			left++
-			right--
-		}
-	}
-	quicksortEdges(edges[:right+1], post)
-	quicksortEdges(edges[left:], post)
 }
 
 // vertexQueue is the priority queue of Algorithm 1: vertices ordered by

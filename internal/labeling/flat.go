@@ -6,33 +6,13 @@ import (
 	"repro/internal/intervals"
 )
 
-// Flat form: the labeling as four structure-of-arrays columns that
-// overlay a flat index image with no per-vertex allocation.
-//
-//	post    [n]i32      — 1-based post-order numbers
-//	order   [n]i32      — inverse permutation: order[p-1] has post p
-//	offsets [n+1]u64    — label set v is data[offsets[v]:offsets[v+1]]
-//	data    [Σ|L(v)|]Interval — all intervals, concatenated by vertex
-//
-// order is persisted rather than recomputed so a mapped load allocates
-// nothing per vertex; FromFlat still cross-checks it against post.
-
-// FlatColumns returns the labeling as flat columns. offsets has
-// NumVertices()+1 entries; the returned slices alias internal storage
-// when the labeling itself was loaded from flat columns.
+// FlatColumns returns the four columns a flat index image holds, which
+// are the labeling's own storage, not copies: post, order (order[p-1]
+// has post p; it is persisted so a mapped load need not invert post),
+// offsets (NumVertices()+1 entries) and data, all intervals in vertex
+// order, L(v) being data[offsets[v]:offsets[v+1]].
 func (l *Labeling) FlatColumns() (post, order []int32, offsets []uint64, data intervals.Set) {
-	offsets = make([]uint64, len(l.Labels)+1)
-	total := 0
-	for v, set := range l.Labels {
-		offsets[v] = uint64(total)
-		total += len(set)
-	}
-	offsets[len(l.Labels)] = uint64(total)
-	data = make(intervals.Set, 0, total)
-	for _, set := range l.Labels {
-		data = append(data, set...)
-	}
-	return l.Post, l.Order, offsets, data
+	return l.Post, l.Order, l.off, l.data
 }
 
 // maxVertices caps the vertex count a file may claim.
@@ -42,9 +22,8 @@ const maxVertices = 1 << 30
 // one place outside input is checked, whether the columns were decoded
 // or mapped: post must be a bijection onto [1,n] consistent with order, offsets must
 // tile data monotonically, and every label set must pass validSet. The
-// label sets are subslices of data — one allocation for the whole
-// Labels spine, zero per vertex — so data must stay alive (and
-// unmodified) as long as the labeling does.
+// labeling holds the four columns themselves and allocates nothing per
+// vertex, so they must stay alive (and unmodified) as long as it does.
 func FromFlat(post, order []int32, offsets []uint64, data intervals.Set, uncompressed, compressed int64) (*Labeling, error) {
 	n := len(post)
 	if n > maxVertices {
@@ -56,12 +35,12 @@ func FromFlat(post, order []int32, offsets []uint64, data intervals.Set, uncompr
 	if len(offsets) != n+1 {
 		return nil, fmt.Errorf("labeling: %d offsets for %d vertices", len(offsets), n)
 	}
-	seen := make([]bool, n)
+	// order[post[v]-1] == v for every v makes post injective, so a
+	// bijection onto [1,n]: no marks are needed to find a repeat.
 	for v, p := range post {
-		if p < 1 || p > int32(n) || seen[p-1] {
+		if p < 1 || p > int32(n) {
 			return nil, fmt.Errorf("labeling: corrupt post number %d for vertex %d", p, v)
 		}
-		seen[p-1] = true
 		if order[p-1] != int32(v) {
 			return nil, fmt.Errorf("labeling: order[%d] = %d, post says %d", p-1, order[p-1], v)
 		}
@@ -80,22 +59,20 @@ func FromFlat(post, order []int32, offsets []uint64, data intervals.Set, uncompr
 			return nil, fmt.Errorf("labeling: implausible label count %d", offsets[v+1]-offsets[v])
 		}
 	}
-	l := &Labeling{
-		Post:              post,
-		Order:             order,
-		Labels:            make([]intervals.Set, n),
-		UncompressedCount: uncompressed,
-		CompressedCount:   compressed,
-	}
 	for v := 0; v < n; v++ {
-		if lo, hi := offsets[v], offsets[v+1]; lo < hi {
-			l.Labels[v] = data[lo:hi:hi]
-			if err := validSet(l.Labels[v], n); err != nil {
-				return nil, err
-			}
+		lo, hi := offsets[v], offsets[v+1]
+		if err := validSet(data[lo:hi], n); err != nil {
+			return nil, err
 		}
 	}
-	return l, nil
+	return &Labeling{
+		Post:              post,
+		Order:             order,
+		off:               offsets,
+		data:              data,
+		UncompressedCount: uncompressed,
+		CompressedCount:   compressed,
+	}, nil
 }
 
 // validSet checks a label set read from outside the program: every

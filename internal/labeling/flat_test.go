@@ -2,6 +2,8 @@ package labeling
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/intervals"
@@ -28,8 +30,8 @@ func TestLabelingSerializeRoundTrip(t *testing.T) {
 			if got.Post[v] != l.Post[v] {
 				t.Fatalf("post of %d changed", v)
 			}
-			if !got.Labels[v].Equal(l.Labels[v]) {
-				t.Fatalf("labels of %d changed: %v vs %v", v, got.Labels[v], l.Labels[v])
+			if !got.Label(v).Equal(l.Label(v)) {
+				t.Fatalf("labels of %d changed: %v vs %v", v, got.Label(v), l.Label(v))
 			}
 		}
 		if got.UncompressedCount != l.UncompressedCount || got.CompressedCount != l.CompressedCount {
@@ -66,17 +68,50 @@ func TestLoadRejectsUnorderedLabelSet(t *testing.T) {
 
 	l := Build(g, Options{})
 	v := 0
-	for len(l.Labels[v]) < 2 {
+	for len(l.Label(v)) < 2 {
 		v++
 	}
-	good := l.Labels[v]
+	good := l.Label(v)
 	for name, bad := range map[string]intervals.Set{
 		"swapped":     append(intervals.Set{good[1], good[0]}, good[2:]...),
 		"overlapping": append(intervals.Set{good[0], {Lo: good[0].Hi, Hi: good[1].Hi}}, good[2:]...),
 	} {
-		l.Labels[v] = bad
+		copy(l.Label(v), bad)
 		if load(l) == nil {
 			t.Errorf("%s intervals %v of vertex %d accepted", name, bad, v)
 		}
 	}
+}
+
+// TestFromFlatAllocsCostIndependent is the count guard of the mapped
+// open: FromFlat over the columns of a 1k- and of a 64k-vertex
+// labeling allocates as often, and as many bytes, at either size. It
+// validates every label but keeps the columns it is given, so nothing
+// it allocates is per vertex.
+func TestFromFlatAllocsCostIndependent(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fromFlat := func(n int) (allocs float64, bytes uint64) {
+		l := Build(randomDAG(rand.New(rand.NewSource(int64(n))), n, 2*n), Options{})
+		post, order, offsets, data := l.FlatColumns()
+		load := func() {
+			if _, err := FromFlat(post, order, offsets, data, l.UncompressedCount, l.CompressedCount); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(5, load)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			load()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 5
+	}
+	smallAllocs, smallBytes := fromFlat(1 << 10)
+	largeAllocs, largeBytes := fromFlat(1 << 16)
+	if smallAllocs != largeAllocs || smallBytes != largeBytes {
+		t.Fatalf("FromFlat allocates %v times (%d B) at 1k vertices and %v times (%d B) at 64k",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+	t.Logf("%v allocations, %d B at either size", smallAllocs, smallBytes)
 }

@@ -67,10 +67,11 @@ type Labeling struct {
 	Post []int32
 	// Order lists vertices by post-order number: Order[p-1] has post p.
 	Order []int32
-	// Labels holds the canonical label set L(v) of every vertex.
-	Labels []intervals.Set
-	// Forest is the spanning forest the numbering came from.
-	Forest *graph.SpanningForest
+	// off and data hold the canonical label sets L(v) in vertex order,
+	// the columns a v2 file persists: L(v) is data[off[v]:off[v+1]]
+	// (see Label).
+	off  []uint64
+	data intervals.Set
 	// Spatial, when non-nil, makes the labeling rank-keyed: L(v) holds
 	// the ranks of v's spatial descendants (see Keys) instead of the posts
 	// of all of them. A RangeReach only ever asks a label for a spatial
@@ -90,6 +91,13 @@ type Labeling struct {
 	CompressedCount int64
 }
 
+// Label returns L(v). It aliases the labeling's storage and must not
+// be modified; its capacity is its length, so appending to it copies.
+func (l *Labeling) Label(v int) intervals.Set {
+	lo, hi := l.off[v], l.off[v+1]
+	return l.data[lo:hi:hi]
+}
+
 // Build constructs the labeling for the DAG g using the fast
 // reverse-topological merge. It panics if g is not a DAG; condense
 // strongly connected components first (see graph.Condense and paper §5).
@@ -101,33 +109,26 @@ func Build(g *graph.Graph, opts Options) *Labeling {
 // letting tests reproduce the paper's hand-picked example forest and the
 // ablations compare forest policies on equal footing.
 func BuildWithForest(g *graph.Graph, forest *graph.SpanningForest, opts Options) *Labeling {
-	l := &Labeling{
-		Post:    forest.Post,
-		Order:   forest.Order,
-		Labels:  make([]intervals.Set, g.NumVertices()),
-		Forest:  forest,
-		Spatial: opts.Spatial,
-	}
+	l := &Labeling{Post: forest.Post, Order: forest.Order, Spatial: opts.Spatial}
 	keys := l.Keys()
+	sets := make([]intervals.Set, g.NumVertices())
 
 	if p := pool.New(max(opts.Parallelism, 1)); !p.Sequential() {
-		l.mergeParallel(g, p, keys)
-		l.finishStats(opts)
-		return l
+		mergeParallel(g, p, keys, sets)
+	} else {
+		topo, ok := g.TopoOrder()
+		if !ok {
+			panic("labeling: Build requires a DAG")
+		}
+		// Process children before parents, so every successor's label set
+		// is finished — and canonical — when its predecessors merge it.
+		var m merger
+		for i := len(topo) - 1; i >= 0; i-- {
+			v := topo[i]
+			sets[v] = m.label(sets, g, v, keys[v])
+		}
 	}
-
-	topo, ok := g.TopoOrder()
-	if !ok {
-		panic("labeling: Build requires a DAG")
-	}
-	// Process children before parents, so every successor's label set is
-	// finished — and canonical — when its predecessors merge it.
-	var m merger
-	for i := len(topo) - 1; i >= 0; i-- {
-		v := topo[i]
-		l.Labels[v] = m.label(l, g, v, keys[v])
-	}
-	l.finishStats(opts)
+	l.finish(sets, opts)
 	return l
 }
 
@@ -137,7 +138,7 @@ func BuildWithForest(g *graph.Graph, forest *graph.SpanningForest, opts Options)
 // concurrently. Both variants compute a vertex through merger.label, so
 // the resulting labeling — and anything serialized from it — is
 // identical at any worker count.
-func (l *Labeling) mergeParallel(g *graph.Graph, p *pool.Pool, keys []int32) {
+func mergeParallel(g *graph.Graph, p *pool.Pool, keys []int32, sets []intervals.Set) {
 	levels := graph.LevelsFromSinks(g)
 	if levels == nil {
 		panic("labeling: Build requires a DAG")
@@ -147,7 +148,7 @@ func (l *Labeling) mergeParallel(g *graph.Graph, p *pool.Pool, keys []int32) {
 	scratch := sync.Pool{New: func() any { return new(merger) }}
 	p.Levels(levels, func(v int32) {
 		m := scratch.Get().(*merger)
-		l.Labels[v] = m.label(l, g, v, keys[v])
+		sets[v] = m.label(sets, g, v, keys[v])
 		scratch.Put(m)
 	})
 }
@@ -162,55 +163,63 @@ type merger struct {
 
 // label returns L(v): the vertex's own singleton [key, key] — none when
 // key is 0, a vertex a rank-keyed labeling does not index — united with
-// every successor's label set. The inputs are canonical runs already,
-// so they are merged as such (intervals.MergeManyCanonical: linear for
-// two, one sweep or one key sort for more) instead of being
+// every successor's finished set in sets. The inputs are canonical runs
+// already, so they are merged as such (intervals.MergeManyCanonical:
+// linear for two, one sweep or one key sort for more) instead of being
 // concatenated and comparison-sorted; the canonical form of a union is
 // unique, so the result is the set Compress() of the concatenation
 // would give, interval for interval. It aliases neither the scratch nor
 // a successor's set.
-func (m *merger) label(l *Labeling, g *graph.Graph, v, key int32) intervals.Set {
-	sets := m.sets[:0]
+func (m *merger) label(sets []intervals.Set, g *graph.Graph, v, key int32) intervals.Set {
+	in := m.sets[:0]
 	if key != 0 {
 		m.own[0] = intervals.Interval{Lo: key, Hi: key}
-		sets = append(sets, m.own[:])
+		in = append(in, m.own[:])
 	}
 	for _, u := range g.Out(int(v)) {
-		if len(l.Labels[u]) > 0 {
-			sets = append(sets, l.Labels[u])
+		if len(sets[u]) > 0 {
+			in = append(in, sets[u])
 		}
 	}
-	m.sets = sets
-	set := intervals.MergeManyCanonical(sets)
+	m.sets = in
+	set := intervals.MergeManyCanonical(in)
 	// Keep a right-sized copy: beyond two sets the merge returns a
-	// clipped view of an array sized for its inputs, and storing those
-	// holds 13 MB of dead capacity next to yelp-like's 29 MB of labels.
-	if len(sets) > 2 || cap(set) > len(set) {
+	// clipped view of an array sized for its inputs, and holding those
+	// until finish packs them costs 13 MB of dead capacity next to
+	// yelp-like's 29 MB of labels.
+	if len(in) > 2 || cap(set) > len(set) {
 		set = set.Clone()
 	}
 	return set
 }
 
-// finishStats fills the Table 6 counters and optionally de-canonicalizes
-// for the compression ablation.
-func (l *Labeling) finishStats(opts Options) {
-	for v := range l.Labels {
-		l.UncompressedCount += l.Labels[v].Cardinality()
-		l.CompressedCount += int64(len(l.Labels[v]))
+// finish fills the Table 6 counters from the finished label sets and
+// packs them into the off and data columns, one allocation each. The
+// compression ablation packs what Algorithm 1 holds before its final
+// compression pass instead: one singleton label per descendant, which
+// stay sorted and disjoint, so queries still work.
+func (l *Labeling) finish(sets []intervals.Set, opts Options) {
+	for _, s := range sets {
+		l.UncompressedCount += s.Cardinality()
+		l.CompressedCount += int64(len(s))
 	}
+	total := l.CompressedCount
 	if opts.SkipCompression {
-		// The ablation keeps what Algorithm 1 holds before its final
-		// compression pass: one singleton label per descendant. Queries
-		// still work (the singletons stay sorted and disjoint).
-		for v := range l.Labels {
-			var raw intervals.Set
-			for _, iv := range l.Labels[v] {
+		total = l.UncompressedCount
+	}
+	l.off = make([]uint64, 1, len(sets)+1)
+	l.data = make(intervals.Set, 0, total)
+	for _, s := range sets {
+		if opts.SkipCompression {
+			for _, iv := range s {
 				for p := iv.Lo; p <= iv.Hi; p++ {
-					raw = append(raw, intervals.Interval{Lo: p, Hi: p})
+					l.data = append(l.data, intervals.Interval{Lo: p, Hi: p})
 				}
 			}
-			l.Labels[v] = raw
+		} else {
+			l.data = append(l.data, s...)
 		}
+		l.off = append(l.off, uint64(len(l.data)))
 	}
 }
 
@@ -220,7 +229,7 @@ func (l *Labeling) finishStats(opts Options) {
 // labeling, whose labels hold no post.
 func (l *Labeling) Reach(v, u int) bool {
 	l.mustBePostKeyed("Reach")
-	return l.Labels[v].ContainsCanonical(l.Post[u])
+	return l.Label(v).ContainsCanonical(l.Post[u])
 }
 
 // ReachTraced is Reach with instrumentation: the probed label set L(v)
@@ -228,8 +237,9 @@ func (l *Labeling) Reach(v, u int) bool {
 // whole). A nil sp makes it exactly Reach.
 func (l *Labeling) ReachTraced(v, u int, sp *trace.Span) bool {
 	l.mustBePostKeyed("ReachTraced")
-	sp.AddLabels(len(l.Labels[v]))
-	return l.Labels[v].ContainsCanonical(l.Post[u])
+	label := l.Label(v)
+	sp.AddLabels(len(label))
+	return label.ContainsCanonical(l.Post[u])
 }
 
 func (l *Labeling) mustBePostKeyed(op string) {
@@ -259,12 +269,6 @@ func (l *Labeling) Keys() []int32 {
 	return keys
 }
 
-// PostOf returns the post-order number of v.
-func (l *Labeling) PostOf(v int) int32 { return l.Post[v] }
-
-// VertexAt returns the vertex with the given 1-based post-order number.
-func (l *Labeling) VertexAt(post int32) int32 { return l.Order[post-1] }
-
 // NumVertices returns the number of labeled vertices.
 func (l *Labeling) NumVertices() int { return len(l.Post) }
 
@@ -275,7 +279,7 @@ func (l *Labeling) NumVertices() int { return len(l.Post) }
 // It panics on a rank-keyed labeling, whose labels hold no post.
 func (l *Labeling) Descendants(v int, fn func(u int32) bool) bool {
 	l.mustBePostKeyed("Descendants")
-	for _, iv := range l.Labels[v] {
+	for _, iv := range l.Label(v) {
 		for p := iv.Lo; p <= iv.Hi; p++ {
 			if !fn(l.Order[p-1]) {
 				return false
@@ -285,28 +289,12 @@ func (l *Labeling) Descendants(v int, fn func(u int32) bool) bool {
 	return true
 }
 
-// DescendantCount returns |D(v)| without enumerating.
-func (l *Labeling) DescendantCount(v int) int64 {
-	return l.Labels[v].Cardinality()
-}
-
 // MemoryBytes returns the footprint of the labeling: 8 bytes per interval
 // plus the post-order arrays, matching the index-size accounting of
-// Table 4.
+// Table 4, which does not count the offsets column.
 func (l *Labeling) MemoryBytes() int64 {
-	var total int64
-	for _, s := range l.Labels {
-		total += s.MemoryBytes()
-	}
-	total += int64(4 * (len(l.Post) + len(l.Order)))
-	return total
+	return l.data.MemoryBytes() + int64(4*(len(l.Post)+len(l.Order)))
 }
 
 // TotalLabels returns the current total number of stored intervals.
-func (l *Labeling) TotalLabels() int64 {
-	var total int64
-	for _, s := range l.Labels {
-		total += int64(len(s))
-	}
-	return total
-}
+func (l *Labeling) TotalLabels() int64 { return int64(len(l.data)) }

@@ -53,9 +53,9 @@ func TestAlgorithm1EquivalentToFastBuilder(t *testing.T) {
 		fast := BuildWithForest(g, forest, Options{})
 		slow := BuildAlgorithm1WithForest(g, forest, Options{})
 		for v := 0; v < n; v++ {
-			if !fast.Labels[v].Equal(slow.Labels[v]) {
+			if !fast.Label(v).Equal(slow.Label(v)) {
 				t.Fatalf("trial %d: L(%d) differs: fast %v, algorithm1 %v",
-					trial, v, fast.Labels[v], slow.Labels[v])
+					trial, v, fast.Label(v), slow.Label(v))
 			}
 		}
 		if fast.UncompressedCount != slow.UncompressedCount {
@@ -76,10 +76,10 @@ func TestLabelsAreCanonical(t *testing.T) {
 		g := randomDAG(rng, n, rng.Intn(4*n))
 		l := Build(g, Options{})
 		for v := 0; v < n; v++ {
-			if !l.Labels[v].IsCanonical() {
-				t.Fatalf("trial %d: L(%d) = %v not canonical", trial, v, l.Labels[v])
+			if !l.Label(v).IsCanonical() {
+				t.Fatalf("trial %d: L(%d) = %v not canonical", trial, v, l.Label(v))
 			}
-			if !l.Labels[v].ContainsCanonical(l.Post[v]) {
+			if !l.Label(v).ContainsCanonical(l.Post[v]) {
 				t.Fatalf("trial %d: L(%d) misses own post", trial, v)
 			}
 		}
@@ -110,8 +110,8 @@ func TestDescendantsEnumeration(t *testing.T) {
 						trial, v, u, got[u], want[u])
 				}
 			}
-			if int64(count) != l.DescendantCount(v) {
-				t.Fatalf("DescendantCount mismatch: %d vs %d", count, l.DescendantCount(v))
+			if int64(count) != l.Label(v).Cardinality() {
+				t.Fatalf("|D(v)| mismatch: %d vs %d", count, l.Label(v).Cardinality())
 			}
 		}
 	}
@@ -149,7 +149,7 @@ func TestSkipCompressionAblation(t *testing.T) {
 				}
 			}
 			// All labels are singletons.
-			for _, iv := range l.Labels[u] {
+			for _, iv := range l.Label(u) {
 				if iv.Lo != iv.Hi {
 					t.Fatalf("non-singleton label %v under SkipCompression", iv)
 				}
@@ -168,7 +168,7 @@ func TestSingleVertexAndEmptyEdgeGraph(t *testing.T) {
 	if !l.Reach(0, 0) {
 		t.Error("vertex cannot reach itself")
 	}
-	if l.NumVertices() != 1 || l.PostOf(0) != 1 || l.VertexAt(1) != 0 {
+	if l.NumVertices() != 1 || l.Post[0] != 1 || l.Order[0] != 0 {
 		t.Error("trivial labeling wrong")
 	}
 
@@ -201,8 +201,8 @@ func TestCompressionReducesLabelsOnChains(t *testing.T) {
 	}
 	l := Build(graph.FromEdges(n, edges), Options{})
 	for v := 0; v < n; v++ {
-		if len(l.Labels[v]) != 1 {
-			t.Fatalf("chain vertex %d has %d labels, want 1", v, len(l.Labels[v]))
+		if len(l.Label(v)) != 1 {
+			t.Fatalf("chain vertex %d has %d labels, want 1", v, len(l.Label(v)))
 		}
 	}
 	if l.CompressedCount != int64(n) {

@@ -20,21 +20,16 @@ func compressConcat(post int32, succ []intervals.Set) intervals.Set {
 	return buf.Compress()
 }
 
-// star returns a labeling stub and a graph in which vertex 0 has the
-// given label sets as its successors' (vertices 1..k), so merger.label
-// can be driven with sets no real labeling would produce — duplicates
-// among them.
-func star(post int32, succ []intervals.Set) (*Labeling, *graph.Graph) {
+// star returns the label sets and a graph in which vertex 0 has the
+// given sets as its successors' (vertices 1..k), so merger.label can be
+// driven with sets no real labeling would produce — duplicates among
+// them.
+func star(succ []intervals.Set) ([]intervals.Set, *graph.Graph) {
 	b := graph.NewBuilder(len(succ) + 1)
 	for i := range succ {
 		b.AddEdge(0, i+1)
 	}
-	l := &Labeling{
-		Post:   make([]int32, len(succ)+1),
-		Labels: append([]intervals.Set{nil}, succ...),
-	}
-	l.Post[0] = post
-	return l, b.Build()
+	return append([]intervals.Set{nil}, succ...), b.Build()
 }
 
 // runs builds a set from lo, hi pairs.
@@ -91,12 +86,12 @@ func TestMergeLabelEqualsCompress(t *testing.T) {
 
 	var m merger // one merger for all rows: its scratch must not leak between them
 	for i, row := range rows {
-		l, g := star(row.post, row.succ)
+		sets, g := star(row.succ)
 		before := make([]intervals.Set, len(row.succ))
 		for j, s := range row.succ {
 			before[j] = s.Clone()
 		}
-		got := m.label(l, g, 0, row.post)
+		got := m.label(sets, g, 0, row.post)
 		want := compressConcat(row.post, row.succ)
 		if !got.Equal(want) {
 			t.Fatalf("row %d (%s): post %d, successors %v: merge = %v, Compress = %v", i, row.name, row.post, row.succ, got, want)
@@ -157,9 +152,9 @@ func TestBuildEqualsGatherAndCompress(t *testing.T) {
 					succ = append(succ, want[u])
 				}
 				want[v] = compressConcat(l.Post[v], succ)
-				if !l.Labels[v].Equal(want[v]) {
+				if !l.Label(int(v)).Equal(want[v]) {
 					t.Fatalf("trial %d policy %d vertex %d (%d successors): Build = %v, gather+Compress = %v",
-						trial, policy, v, len(succ), l.Labels[v], want[v])
+						trial, policy, v, len(succ), l.Label(int(v)), want[v])
 				}
 			}
 		}

@@ -98,8 +98,8 @@ func checkPaperLabeling(t *testing.T, l *Labeling, builder string) {
 		}
 	}
 	for v, want := range wantFinalLabels() {
-		if !l.Labels[v].Equal(want) {
-			t.Errorf("%s: L(%c) = %v, want %v", builder, 'a'+v, l.Labels[v], want)
+		if !l.Label(v).Equal(want) {
+			t.Errorf("%s: L(%c) = %v, want %v", builder, 'a'+v, l.Label(v), want)
 		}
 	}
 }
@@ -148,8 +148,8 @@ func TestPaperExample41Descendants(t *testing.T) {
 			t.Errorf("D(c) missing %c", 'a'+v)
 		}
 	}
-	if got := l.DescendantCount(vC); got != 5 {
-		t.Errorf("DescendantCount(c) = %d, want 5", got)
+	if got := l.Label(vC).Cardinality(); got != 5 {
+		t.Errorf("|D(c)| = %d, want 5", got)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestPaperTable1UncompressedCount(t *testing.T) {
 		}
 		var labels int64
 		for v := 0; v < 12; v++ {
-			labels += int64(len(build.l.Labels[v]))
+			labels += int64(len(build.l.Label(v)))
 		}
 		if build.l.CompressedCount != labels {
 			t.Errorf("%s: CompressedCount = %d, stored %d",

@@ -62,7 +62,7 @@ func TestQuickLabelCoverageEqualsDescendants(t *testing.T) {
 					want++
 				}
 			}
-			if l.DescendantCount(v) != want {
+			if l.Label(v).Cardinality() != want {
 				return false
 			}
 		}
@@ -82,7 +82,7 @@ func TestQuickBuildersEquivalent(t *testing.T) {
 		fast := BuildWithForest(g, forest, Options{})
 		slow := BuildAlgorithm1WithForest(g, forest, Options{})
 		for v := 0; v < g.NumVertices(); v++ {
-			if !fast.Labels[v].Equal(slow.Labels[v]) {
+			if !fast.Label(v).Equal(slow.Label(v)) {
 				return false
 			}
 		}

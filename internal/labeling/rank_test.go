@@ -23,8 +23,8 @@ func randomMask(rng *rand.Rand, n int, p float64) []bool {
 // of the spatial vertices whose posts it covers, an empty one is
 // dropped, and neighbours that meet are merged. The map from posts to
 // ranks is monotone, so the result is canonical and equal, set for set,
-// to what Build with Options.Spatial computes directly. Post, Order and
-// Forest are shared with l. It is the reference the rank-keyed Build is
+// to what Build with Options.Spatial computes directly. Post and Order
+// are shared with l. It is the reference the rank-keyed Build is
 // checked against; a build should not take this detour.
 func (l *Labeling) Ranked(spatial []bool) *Labeling {
 	l.mustBePostKeyed("Ranked")
@@ -39,27 +39,27 @@ func (l *Labeling) Ranked(spatial []bool) *Labeling {
 	out := &Labeling{
 		Post:    l.Post,
 		Order:   l.Order,
-		Labels:  make([]intervals.Set, len(l.Labels)),
-		Forest:  l.Forest,
+		off:     make([]uint64, 1, len(l.off)),
+		data:    make(intervals.Set, 0, l.TotalLabels()),
 		Spatial: spatial,
 	}
-	data := make(intervals.Set, 0, l.TotalLabels())
-	for v, set := range l.Labels {
-		start := len(data)
-		for _, iv := range set {
+	for v := range l.NumVertices() {
+		start := len(out.data)
+		for _, iv := range l.Label(v) {
 			lo, hi := below[iv.Lo-1]+1, below[iv.Hi]
 			if lo > hi {
 				continue
 			}
-			if n := len(data); n > start && data[n-1].Hi+1 >= lo {
-				data[n-1].Hi = hi
+			if n := len(out.data); n > start && out.data[n-1].Hi+1 >= lo {
+				out.data[n-1].Hi = hi
 				continue
 			}
-			data = append(data, intervals.Interval{Lo: lo, Hi: hi})
+			out.data = append(out.data, intervals.Interval{Lo: lo, Hi: hi})
 		}
-		out.Labels[v] = data[start:len(data):len(data)]
+		out.off = append(out.off, uint64(len(out.data)))
+		out.UncompressedCount += out.Label(v).Cardinality()
 	}
-	out.finishStats(Options{})
+	out.CompressedCount = out.TotalLabels()
 	return out
 }
 
@@ -88,13 +88,13 @@ func TestRankBuildEqualsProjection(t *testing.T) {
 			}
 			slices.Sort(ranks)
 			var got []int32
-			for _, iv := range want.Labels[v] {
+			for _, iv := range want.Label(v) {
 				for r := iv.Lo; r <= iv.Hi; r++ {
 					got = append(got, r)
 				}
 			}
-			if !want.Labels[v].IsCanonical() || !slices.Equal(got, ranks) {
-				t.Fatalf("trial %d: projected L(%d) = %v, the spatial descendants' ranks are %v", trial, v, want.Labels[v], ranks)
+			if !want.Label(v).IsCanonical() || !slices.Equal(got, ranks) {
+				t.Fatalf("trial %d: projected L(%d) = %v, the spatial descendants' ranks are %v", trial, v, want.Label(v), ranks)
 			}
 		}
 		for _, par := range []int{1, 4} {
@@ -171,8 +171,8 @@ func TestRankLabelsCostIndependentOfUsers(t *testing.T) {
 			t.Fatalf("trial %d: user chains moved the ranked interval count from %d to %d", trial, want, got)
 		}
 		for v := 0; v < n; v++ {
-			if !after.Labels[users+v].Equal(before.Labels[v]) {
-				t.Fatalf("trial %d: user chains changed L(%d) from %v to %v", trial, v, before.Labels[v], after.Labels[users+v])
+			if !after.Label(users + v).Equal(before.Label(v)) {
+				t.Fatalf("trial %d: user chains changed L(%d) from %v to %v", trial, v, before.Label(v), after.Label(users+v))
 			}
 		}
 		posts += Build(base, Options{}).TotalLabels()
