@@ -135,21 +135,6 @@ func TestSaveAndRead(t *testing.T) {
 
 func TestOptions(t *testing.T) {
 	net := figure1(t)
-	for _, m := range []rangereach.Method{rangereach.SpaReachBFL, rangereach.SpaReachINT} {
-		idx, err := net.Build(m, rangereach.WithMBRPolicy())
-		if err != nil {
-			t.Fatalf("%v with MBR: %v", m, err)
-		}
-		if !idx.RangeReach(0, rangereach.NewRect(60, 55, 90, 95)) {
-			t.Errorf("%v/MBR wrong answer", m)
-		}
-	}
-	for _, m := range []rangereach.Method{rangereach.SocReach, rangereach.GeoReach,
-		rangereach.ThreeDReach, rangereach.ThreeDReachRev} {
-		if _, err := net.Build(m, rangereach.WithMBRPolicy()); err == nil {
-			t.Errorf("%v+MBR accepted", m)
-		}
-	}
 	if _, err := net.Build(rangereach.Method(99)); err == nil {
 		t.Error("unknown method accepted")
 	}
@@ -157,7 +142,7 @@ func TestOptions(t *testing.T) {
 
 // TestOptionCensus pins the package's build options: the exported
 // functions of its non-test files that return an Option must be
-// exactly these two, each set by a command or the benchmark. An
+// exactly this one, set by the commands and the benchmark. An
 // option added without such a caller, or one the census removed, fails
 // here.
 func TestOptionCensus(t *testing.T) {
@@ -189,7 +174,7 @@ func TestOptionCensus(t *testing.T) {
 		}
 	}
 	slices.Sort(got)
-	if want := []string{"WithMBRPolicy", "WithParallelism"}; !slices.Equal(got, want) {
+	if want := []string{"WithParallelism"}; !slices.Equal(got, want) {
 		t.Errorf("exported Option constructors = %v, want %v", got, want)
 	}
 }
@@ -318,7 +303,7 @@ func TestMustBuildPanics(t *testing.T) {
 			t.Error("MustBuild did not panic")
 		}
 	}()
-	net.MustBuild(rangereach.SocReach, rangereach.WithMBRPolicy())
+	net.MustBuild(rangereach.Method(99))
 }
 
 func TestRangeReachPanicsOutOfRange(t *testing.T) {

@@ -70,34 +70,27 @@ func TestAutoDefaultIsThreeDReach(t *testing.T) {
 }
 
 // TestAutoRule checks the rule on the benchmark's networks and region
-// shares, under either policy: every query is routed to 3DReach, and
-// the answers are 3DReach's, built alone (it has no MBR variant, so
-// inside Auto it runs Replicate).
+// shares: every query is routed to 3DReach, and the answers are
+// 3DReach's, built alone.
 func TestAutoRule(t *testing.T) {
 	nets := []*rangereach.Network{rangereach.GowallaLike(0.1, 1), rangereach.YelpLike(0.1, 1)}
 	for _, net := range nets {
 		queries := autoRuleQueries(net)
 		alone := net.MustBuild(rangereach.ThreeDReach)
-		for _, mbr := range []bool{false, true} {
-			var opts []rangereach.Option
-			if mbr {
-				opts = append(opts, rangereach.WithMBRPolicy())
+		auto, err := net.Build(rangereach.MethodAuto)
+		if err != nil {
+			t.Fatalf("%s: %v", net.Name(), err)
+		}
+		if got := auto.PlannerMembers(); !slices.Equal(got, []string{"3DReach"}) {
+			t.Errorf("%s: PlannerMembers = %v, want [3DReach]", net.Name(), got)
+		}
+		for _, q := range queries {
+			got, qs := auto.Explain(q.Vertex, q.Region)
+			if qs.Plan == nil || qs.Plan.Method != "3DReach" {
+				t.Fatalf("%s: query %+v routed to %+v, want 3DReach", net.Name(), q, qs.Plan)
 			}
-			auto, err := net.Build(rangereach.MethodAuto, opts...)
-			if err != nil {
-				t.Fatalf("%s mbr=%v: %v", net.Name(), mbr, err)
-			}
-			if got := auto.PlannerMembers(); !slices.Equal(got, []string{"3DReach"}) {
-				t.Errorf("%s mbr=%v: PlannerMembers = %v, want [3DReach]", net.Name(), mbr, got)
-			}
-			for _, q := range queries {
-				got, qs := auto.Explain(q.Vertex, q.Region)
-				if qs.Plan == nil || qs.Plan.Method != "3DReach" {
-					t.Fatalf("%s mbr=%v: query %+v routed to %+v, want 3DReach", net.Name(), mbr, q, qs.Plan)
-				}
-				if want := alone.RangeReach(q.Vertex, q.Region); got != want {
-					t.Fatalf("%s mbr=%v: query %+v = %v, 3DReach alone says %v", net.Name(), mbr, q, got, want)
-				}
+			if want := alone.RangeReach(q.Vertex, q.Region); got != want {
+				t.Fatalf("%s: query %+v = %v, 3DReach alone says %v", net.Name(), q, got, want)
 			}
 		}
 	}

@@ -10,11 +10,12 @@
 #                  update-stream fuzzing
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
-#                  + coverage floor + rrbench smoke (every -exp)
+#                  + coverage floor + mutants (testdata/mutants.json)
+#                  + rrbench smoke (every -exp)
 #                  + live smokes: sharded serving, cluster breaker,
 #                  cluster trace, update churn, rrtop -once
-#   ./ci.sh -short skips the fuzzing, the race passes, coverage
-#                  and the live smokes
+#   ./ci.sh -short skips the fuzzing, the race passes, coverage,
+#                  the mutants and the live smokes
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -224,6 +225,14 @@ if [[ "${1:-}" != "-short" ]]; then
     echo "total coverage: ${total}%"
     awk -v t="$total" -v floor="$COVERAGE_FLOOR" 'BEGIN { exit !(t >= floor) }' \
         || { echo "coverage ${total}% is below the ${COVERAGE_FLOOR}% floor" >&2; exit 1; }
+
+    # Every gate in testdata/mutants.json must still catch its
+    # regression: each entry is applied to a copy of the module and its
+    # gate run there with -count=1, two at a time; a gate that passes
+    # (a survivor) or a mutant that does not build fails the stage. The
+    # tier-1 TestMutantSnippets keeps each snippet present exactly once.
+    echo "== mutants =="
+    go test -run '^TestMutantsKilled$' -mutants -count=1 -timeout 10m .
 fi
 
 # Every -exp table row end to end on a tiny preset, through the
@@ -265,13 +274,6 @@ if [[ "${1:-}" != "-short" ]]; then
     cells=$(grep -c '"cells": \[' "$SMOKE_DIR/smoke.shardmap.json" || true)
     [[ "$cells" -eq 2 ]] \
         || { echo "smoke.shardmap.json carries cells for $cells of 2 shards" >&2; exit 1; }
-    # 3DReach has no MBR policy: the build is refused with an error that
-    # names the methods that have one.
-    if "$SMOKE_DIR/rrquery" -net "$SMOKE_DIR/smoke.gsn" -method 3dreach -mbr \
-        -q "0 0 0 50 50" > /dev/null 2> "$SMOKE_DIR/mbr.err"; then
-        echo "rrquery -method 3dreach -mbr exited 0, want a refusal" >&2; exit 1
-    fi
-    grep -q 'SpaReach-BFL, SpaReach-INT and SpaReach-PLL' "$SMOKE_DIR/mbr.err"
     B1=http://127.0.0.1:18741
     B2=http://127.0.0.1:18742
     # A -backends list that does not give each shard a process of its

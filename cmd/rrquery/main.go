@@ -60,7 +60,6 @@ var method = flag.String("method", "3dreach", strings.Join(rangereach.MethodName
 func main() {
 	var (
 		netPath = flag.String("net", "", "network file in geosocial format (required)")
-		mbr     = flag.Bool("mbr", false, "use the MBR SCC policy (spareach-bfl, spareach-int, spareach-pll and auto only)")
 		query   = flag.String("q", "", "single query: `vertex xmin ymin xmax ymax`")
 		batch   = flag.String("batch", "", "file with one query per line")
 		verbose = flag.Bool("v", false, "print index build stats")
@@ -102,10 +101,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrquery: %v\n", err)
 		os.Exit(1)
 	}
-	var opts []rangereach.Option
-	if *mbr {
-		opts = append(opts, rangereach.WithMBRPolicy())
-	}
 	if *mmapIdx && *loadIdx == "" {
 		fmt.Fprintln(os.Stderr, "rrquery: -mmap requires -load-index")
 		os.Exit(2)
@@ -117,7 +112,7 @@ func main() {
 	case *loadIdx != "":
 		idx, err = net.LoadIndexFile(*loadIdx)
 	default:
-		idx, err = net.Build(m, opts...)
+		idx, err = net.Build(m)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrquery: %v\n", err)

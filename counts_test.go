@@ -140,8 +140,9 @@ func workPool(net *rangereach.Network, n int, seed int64) []rangereach.Query {
 }
 
 // methodWorkRows builds every method of Methods, SpaReach-PLL and
-// MethodAuto over a gowalla-like and a yelp-like network and explains
-// a fixed pool on each. Per method it records the pool's sum of every
+// MethodAuto over a gowalla-like and a yelp-like network, and the
+// gowalla-like one with user points (userPointsNet), and explains a
+// fixed pool on each. Per method it records the pool's sum of every
 // nonzero QueryStats counter, its positive count and Stats().Bytes, as
 // "work.<network>.<method>.<counter>". Every row is exact: the pool,
 // the index and the work each query does are fixed by the seed.
@@ -150,7 +151,7 @@ func methodWorkRows(t *testing.T) map[string]float64 {
 	methods := append(append(slices.Clone(rangereach.Methods), rangereach.ExtendedMethods...), rangereach.MethodAuto)
 	names := rangereach.MethodNames()
 	rows := make(map[string]float64)
-	for _, net := range []*rangereach.Network{rangereach.GowallaLike(0.05, 1), rangereach.YelpLike(0.05, 1)} {
+	for _, net := range []*rangereach.Network{rangereach.GowallaLike(0.05, 1), rangereach.YelpLike(0.05, 1), userPointsNet(t)} {
 		pool := workPool(net, 200, 1)
 		for _, m := range methods {
 			idx, err := net.Build(m)
@@ -191,6 +192,27 @@ func methodWorkRows(t *testing.T) map[string]float64 {
 		}
 	}
 	return rows
+}
+
+// userPointsNet is GowallaLike(0.05, 1) through dataset.WithUserPoints
+// at share 0.1 (seed 1), named gowalla-like-u10: components of users
+// hold points of their own, so 3DReach replicates member points,
+// SocReach tests several members per component and SpaReach meets
+// multi-point components. The pool draws its query vertices from the
+// users without a point.
+func userPointsNet(t *testing.T) *rangereach.Network {
+	t.Helper()
+	un := dataset.WithUserPoints(dataset.GowallaLike(0.05, 1), 0.1, 1)
+	un.Name = "gowalla-like-u10"
+	var buf bytes.Buffer
+	if err := dataset.Save(&buf, un); err != nil {
+		t.Fatal(err)
+	}
+	net, err := rangereach.ReadNetwork(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 // rrserveAllocRows measures allocations per request through rrserve's
@@ -296,9 +318,11 @@ func threeDReachAllocRows(t *testing.T) map[string]float64 {
 // ingestAllocRows are the allocations of the network ingest that every
 // process runs before it builds or opens an index: dataset.Load of the
 // text Save writes for GowallaLike(0.05, 1), and dataset.Prepare of the
-// loaded network. Load reads Save's point and edge lines in place, so
-// its count does not grow with them, and Prepare holds its members as
-// columns, so its count does not grow with the components.
+// loaded network, counted and in bytes. Load reads Save's point and
+// edge lines in place, so its count does not grow with them, and
+// Prepare holds its members as columns, so its count does not grow with
+// the components; its bytes hold no column per component beyond the
+// condensation's and the member partition's.
 func ingestAllocRows(t *testing.T) map[string]float64 {
 	t.Helper()
 	var buf bytes.Buffer
@@ -316,6 +340,7 @@ func ingestAllocRows(t *testing.T) map[string]float64 {
 	return map[string]float64{
 		"dataset.load.allocs":    testing.AllocsPerRun(5, func() { _, _ = dataset.Load(bytes.NewReader(text)) }),
 		"dataset.prepare.allocs": testing.AllocsPerRun(5, func() { dataset.Prepare(net) }),
+		"dataset.prepare.bytes":  allocatedBytesPerRun(5, func() { dataset.Prepare(net) }),
 	}
 }
 

@@ -63,8 +63,7 @@ type QueryStats struct {
 	// Enumerated is the number of descendants SocReach enumerated.
 	Enumerated int64 `json:"enumerated,omitempty"`
 	// Members counts exact geometry tests of individual spatial
-	// vertices (SpaReach's MBR-policy confirmations, SocReach/GeoReach
-	// witness tests).
+	// vertices (SocReach's and GeoReach's witness tests).
 	Members int64 `json:"members,omitempty"`
 
 	// Stages breaks Duration down by pipeline stage. Only stages that

@@ -90,21 +90,6 @@ func TestExplainParityAllMethods(t *testing.T) {
 			}
 		}
 	}
-
-	// MBR policy for the methods that support it.
-	for _, m := range []rangereach.Method{rangereach.SpaReachBFL, rangereach.SpaReachINT} {
-		idx, err := net.Build(m, rangereach.WithMBRPolicy())
-		if err != nil {
-			t.Fatalf("%v/MBR: %v", m, err)
-		}
-		for _, q := range queries {
-			want := idx.RangeReach(q.V, q.R)
-			got, _ := idx.Explain(q.V, q.R)
-			if got != want {
-				t.Fatalf("%v/MBR: Explain(%d, %+v) = %v, RangeReach = %v", m, q.V, q.R, got, want)
-			}
-		}
-	}
 }
 
 // TestExplainParityBackends covers both of 3DReach's spatial indexes:

@@ -7,25 +7,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 )
 
-// Option customizes index construction; see WithMBRPolicy and friends.
+// Option customizes index construction; see WithParallelism.
 type Option func(*buildConfig)
 
 type buildConfig struct {
 	opts core.BuildOptions
-}
-
-// WithMBRPolicy switches the SCC spatial policy from the default
-// Replicate to MBR: every strongly connected component is represented by
-// the bounding rectangle of its member points instead of the points
-// themselves (paper §5, measured in its Figure 5). Only the SpaReach
-// methods support it, and MethodAuto, whose 3DReach runs Replicate
-// under it; Build returns an error otherwise. ThreeDReach and
-// ThreeDReachRev index exact geometries only.
-func WithMBRPolicy() Option {
-	return func(c *buildConfig) { c.opts.Policy = dataset.MBR }
 }
 
 // WithParallelism bounds the number of workers the build pipeline may

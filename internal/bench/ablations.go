@@ -42,7 +42,7 @@ func (s *Suite) AblationSpaReach() {
 		s.printf("\n-- %s --\n", s.nets[ds].Name)
 		s.printf("%-18s %12s %12s %12s\n", "backend", "index", "build", "qtime")
 		for _, m := range methods {
-			res := s.engine(ds, m, dataset.Replicate)
+			res := s.engine(ds, m)
 			s.printf("%-18s %12s %12s %12s\n",
 				m.String(), fmtBytes(res.Bytes), fmtDuration(res.BuildTime),
 				fmtDuration(avgQueryTime(res.Engine, qs)))
@@ -59,7 +59,7 @@ func (s *Suite) AblationStreaming() {
 	s.printf("%-16s %14s %14s %14s %14s\n",
 		"dataset", "5% extent", "(streaming)", "20% extent", "(streaming)")
 	for ds := range s.nets {
-		faithful := s.engine(ds, core.MethodSpaReachBFL, dataset.Replicate).Engine
+		faithful := s.engine(ds, core.MethodSpaReachBFL).Engine
 		streaming := core.NewSpaReachBFL(s.preps[ds], core.BuildOptions{SpaReach: core.SpaReachOptions{Streaming: true}})
 		row := []string{s.nets[ds].Name}
 		for _, extent := range []float64{workload.DefaultExtent, 20} {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/workload"
 )
 
@@ -65,11 +64,9 @@ func TestTable4And5(t *testing.T) {
 		if row.Bytes[m] <= 0 {
 			t.Errorf("%v: bytes %d", m, row.Bytes[m])
 		}
-		if m.SupportsMBR() && row.MBRBytes[m] <= 0 {
-			t.Errorf("%v: MBR bytes missing", m)
-		}
-		if !m.SupportsMBR() && row.MBRBytes[m] != 0 {
-			t.Errorf("%v: unexpected MBR bytes", m)
+		b, ok := row.MBRBytes[m]
+		if _, arm := mbrReach[m]; ok != arm || arm && b <= 0 {
+			t.Errorf("%v: MBR bytes %d (present %v), want an MBR arm %v", m, b, ok, arm)
 		}
 	}
 	out := buf.String()
@@ -125,14 +122,13 @@ func TestFiguresProduceSeries(t *testing.T) {
 
 func TestEngineCaching(t *testing.T) {
 	s, _ := tinySuite(t, "weeplaces-like")
-	a := s.engine(0, core.MethodSpaReachINT, dataset.Replicate)
-	b := s.engine(0, core.MethodSpaReachINT, dataset.Replicate)
+	a := s.engine(0, core.MethodSpaReachINT)
+	b := s.engine(0, core.MethodSpaReachINT)
 	if a.Engine != b.Engine {
 		t.Error("engine not cached")
 	}
-	c := s.engine(0, core.MethodSpaReachINT, dataset.MBR)
-	if a.Engine == c.Engine {
-		t.Error("policies share an engine")
+	if c := s.engine(0, core.MethodSpaReachBFL); a.Engine == c.Engine {
+		t.Error("methods share an engine")
 	}
 }
 
@@ -197,7 +193,7 @@ func TestExperimentsTable(t *testing.T) {
 	// The percentile summary behind -exp negative and update-churn.
 	qs := s.gens[0].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)
 	for _, m := range core.AllMethods {
-		st := measureLatencies(s.engine(0, m, dataset.Replicate).Engine, qs)
+		st := measureLatencies(s.engine(0, m).Engine, qs)
 		if st.Avg <= 0 || st.P50 > st.P95 || st.P95 > st.P99 || st.P99 > st.Max {
 			t.Errorf("%v: latency summary not sane: %+v", m, st)
 		}
@@ -215,14 +211,20 @@ func TestWriteFiguresCSV(t *testing.T) {
 	if lines[0] != "figure,dataset,xaxis,x,method,policy,avg_ns" {
 		t.Errorf("header = %q", lines[0])
 	}
-	// 2 series × (5 extents + 5 degree buckets) = 20 rows + header.
-	if len(lines) != 21 {
-		t.Errorf("csv has %d lines, want 21", len(lines))
+	// 3 shares × 2 series × (5 extents + 5 degree buckets) = 60 rows
+	// + header.
+	if len(lines) != 61 {
+		t.Errorf("csv has %d lines, want 61", len(lines))
 	}
+	policies := map[string]int{}
 	for _, line := range lines[1:] {
-		if !strings.HasPrefix(line, "fig5,weeplaces-like,") {
+		if !strings.HasPrefix(line, "fig5,weeplaces-like@") {
 			t.Errorf("unexpected row %q", line)
 		}
+		policies[strings.Split(line, ",")[5]]++
+	}
+	if policies["replicate"] != 30 || policies["mbr"] != 30 {
+		t.Errorf("policy column counts %v, want 30 replicate and 30 mbr", policies)
 	}
 }
 

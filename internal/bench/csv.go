@@ -28,7 +28,7 @@ func WriteFiguresCSV(w io.Writer, figures map[string][]FigureResult) error {
 				for _, label := range fr.Labels {
 					row := []string{
 						name, fr.Dataset, fr.XAxis, label,
-						series.Method.String(), series.Policy.String(),
+						series.Method.String(), series.Policy,
 						fmt.Sprintf("%d", series.Points[label].Nanoseconds()),
 					}
 					if err := cw.Write(row); err != nil {

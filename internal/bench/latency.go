@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/workload"
 )
 
@@ -58,7 +57,7 @@ func (s *Suite) NegativeProfile() {
 	s.printf("\n== Negative-query profile (answer = FALSE, %d queries, 5%% extent) ==\n",
 		s.cfg.Queries)
 	for ds := range s.nets {
-		oracleEngine := s.engine(ds, core.MethodThreeDReach, dataset.Replicate).Engine
+		oracleEngine := s.engine(ds, core.MethodThreeDReach).Engine
 		oracle := func(q workload.Query) bool {
 			return oracleEngine.RangeReach(q.Vertex, q.Region)
 		}
@@ -68,7 +67,7 @@ func (s *Suite) NegativeProfile() {
 		s.printf("\n-- %s (%d/%d strictly negative) --\n", s.nets[ds].Name, matched, len(qs))
 		s.printf("%-16s %10s %10s %10s\n", "method", "avg", "p95", "max")
 		for _, m := range core.AllMethods {
-			res := s.engine(ds, m, dataset.Replicate)
+			res := s.engine(ds, m)
 			st := measureLatencies(res.Engine, qs)
 			s.printf("%-16s %10s %10s %10s\n",
 				m.String(), fmtDuration(st.Avg), fmtDuration(st.P95), fmtDuration(st.Max))

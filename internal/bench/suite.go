@@ -66,7 +66,6 @@ type Suite struct {
 type engineKey struct {
 	dataset int
 	method  core.Method
-	policy  dataset.SCCPolicy
 }
 
 // NewSuite generates the configured datasets and prepares workloads.
@@ -100,15 +99,16 @@ func contains(xs []string, x string) bool {
 // Datasets returns the networks of the suite.
 func (s *Suite) Datasets() []*dataset.Network { return s.nets }
 
-// engine builds (or returns the cached) engine for a combination.
-func (s *Suite) engine(ds int, m core.Method, p dataset.SCCPolicy) core.BuildResult {
-	key := engineKey{ds, m, p}
+// engine builds (or returns the cached) library engine of method m on
+// dataset ds.
+func (s *Suite) engine(ds int, m core.Method) core.BuildResult {
+	key := engineKey{ds, m}
 	if res, ok := s.engines[key]; ok {
 		return res
 	}
-	res, err := core.BuildMethod(s.preps[ds], m, core.BuildOptions{Policy: p, Parallelism: s.cfg.Parallelism})
+	res, err := core.BuildMethod(s.preps[ds], m, core.BuildOptions{Parallelism: s.cfg.Parallelism})
 	if err != nil {
-		panic(fmt.Sprintf("bench: building %v/%v on %s: %v", m, p, s.nets[ds].Name, err))
+		panic(fmt.Sprintf("bench: building %v on %s: %v", m, s.nets[ds].Name, err))
 	}
 	s.engines[key] = res
 	return res

@@ -29,14 +29,15 @@ func (s *Suite) Table3() []dataset.Stats {
 // MBR-based variant in parentheses where it exists (Tables 4 and 5).
 type IndexCostRow struct {
 	Dataset string
-	// Bytes[method] and MBRBytes[method]; MBRBytes is 0 where the
-	// method has no MBR variant.
+	// Bytes[method] and MBRBytes[method]; MBRBytes holds only the
+	// methods of mbrReach.
 	Bytes, MBRBytes     map[core.Method]int64
 	BuildNS, MBRBuildNS map[core.Method]int64
 }
 
-// Table4And5 builds every engine under both policies and prints the
-// index-size (Table 4) and indexing-time (Table 5) tables.
+// Table4And5 builds every library engine, and the MBR arm of each
+// SpaReach method, and prints the index-size (Table 4) and
+// indexing-time (Table 5) tables.
 func (s *Suite) Table4And5() []IndexCostRow {
 	var rows []IndexCostRow
 	for ds := range s.nets {
@@ -48,13 +49,13 @@ func (s *Suite) Table4And5() []IndexCostRow {
 			MBRBuildNS: make(map[core.Method]int64),
 		}
 		for _, m := range core.AllMethods {
-			res := s.engine(ds, m, dataset.Replicate)
+			res := s.engine(ds, m)
 			row.Bytes[m] = res.Bytes
 			row.BuildNS[m] = res.BuildTime.Nanoseconds()
-			if m.SupportsMBR() {
-				mres := s.engine(ds, m, dataset.MBR)
-				row.MBRBytes[m] = mres.Bytes
-				row.MBRBuildNS[m] = mres.BuildTime.Nanoseconds()
+			if build, ok := mbrReach[m]; ok {
+				arm, t := buildMBRArm(s.preps[ds], build, s.cfg.Parallelism)
+				row.MBRBytes[m] = arm.MemoryBytes()
+				row.MBRBuildNS[m] = t.Nanoseconds()
 			}
 		}
 		rows = append(rows, row)
@@ -66,8 +67,8 @@ func (s *Suite) Table4And5() []IndexCostRow {
 		s.printf("%-16s", row.Dataset)
 		for _, m := range core.AllMethods {
 			cell := fmtBytes(row.Bytes[m])
-			if m.SupportsMBR() {
-				cell += " (" + fmtBytes(row.MBRBytes[m]) + ")"
+			if b, ok := row.MBRBytes[m]; ok {
+				cell += " (" + fmtBytes(b) + ")"
 			}
 			s.printf(" %-22s", cell)
 		}
@@ -80,8 +81,8 @@ func (s *Suite) Table4And5() []IndexCostRow {
 		s.printf("%-16s", row.Dataset)
 		for _, m := range core.AllMethods {
 			cell := fmtDuration(asDuration(row.BuildNS[m]))
-			if m.SupportsMBR() {
-				cell += " (" + fmtDuration(asDuration(row.MBRBuildNS[m])) + ")"
+			if ns, ok := row.MBRBuildNS[m]; ok {
+				cell += " (" + fmtDuration(asDuration(ns)) + ")"
 			}
 			s.printf(" %-22s", cell)
 		}

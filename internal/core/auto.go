@@ -9,8 +9,7 @@ import (
 // Auto is the MethodAuto engine: one 3DReach, the fastest engine on
 // every lib-query region share but one (EXPERIMENTS.md, "MethodAuto is
 // a rule"), named Auto and naming 3DReach as the plan of every traced
-// query. It indexes Replicate under either policy, as 3DReach does.
-// Safe for concurrent queries.
+// query. Safe for concurrent queries.
 type Auto struct {
 	route *ThreeDReach
 }

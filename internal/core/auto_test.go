@@ -12,8 +12,8 @@ import (
 
 // TestAutoParity is Auto's parity suite: it must return exactly the
 // ground-truth answer across synthetic datasets (cyclic, acyclic,
-// spatial-SCC), region sizes from tiny to everything, and both SCC
-// policies, and so must its 3DReach.
+// spatial-SCC) and region sizes from tiny to everything, and so must
+// its 3DReach.
 func TestAutoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 12; trial++ {
@@ -28,25 +28,23 @@ func TestAutoParity(t *testing.T) {
 		}
 		prep := dataset.Prepare(net)
 		truth := NewNaiveBFS(net)
-		for _, policy := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
-			res, err := BuildMethod(prep, MethodAuto, BuildOptions{Policy: policy})
-			if err != nil {
-				t.Fatalf("trial %d policy %v: %v", trial, policy, err)
+		res, err := BuildMethod(prep, MethodAuto, BuildOptions{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		auto := res.Engine.(*Auto)
+		for q := 0; q < 30; q++ {
+			v := rng.Intn(net.NumVertices())
+			r := randomRegion(rng)
+			if q%10 == 0 {
+				r = randomRegion(rng).Union(randomRegion(rng)) // larger sweep point
 			}
-			auto := res.Engine.(*Auto)
-			for q := 0; q < 30; q++ {
-				v := rng.Intn(net.NumVertices())
-				r := randomRegion(rng)
-				if q%10 == 0 {
-					r = randomRegion(rng).Union(randomRegion(rng)) // larger sweep point
-				}
-				want := truth.RangeReach(v, r)
-				if got := auto.RangeReach(v, r); got != want {
-					t.Fatalf("trial %d policy %v: Auto(%d, %v) = %v, want %v", trial, policy, v, r, got, want)
-				}
-				if got := auto.Member().RangeReach(v, r); got != want {
-					t.Fatalf("trial %d: member %s disagrees at (%d, %v)", trial, auto.Member().Name(), v, r)
-				}
+			want := truth.RangeReach(v, r)
+			if got := auto.RangeReach(v, r); got != want {
+				t.Fatalf("trial %d: Auto(%d, %v) = %v, want %v", trial, v, r, got, want)
+			}
+			if got := auto.Member().RangeReach(v, r); got != want {
+				t.Fatalf("trial %d: member %s disagrees at (%d, %v)", trial, auto.Member().Name(), v, r)
 			}
 		}
 	}

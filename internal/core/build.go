@@ -75,28 +75,10 @@ func (m Method) String() string {
 	}
 }
 
-// SupportsMBR reports whether the method accepts the MBR policy: the
-// SpaReach methods, where the paper's Figure 5 measures it, and Auto,
-// whose 3DReach runs Replicate under it. SocReach has no
-// spatial index and GeoReach is non-MBR by design (§6.2); 3DReach and
-// 3DReach-Rev index exact geometries only, because on a network whose
-// spatial components each hold one venue the MBR is that venue's point.
-func (m Method) SupportsMBR() bool {
-	switch m {
-	case MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL, MethodAuto:
-		return true
-	default:
-		return false
-	}
-}
-
 // BuildOptions is the one set of build options every constructor
-// reads: the build-wide policy, parallelism and span, plus the two
+// reads: the build-wide parallelism and span, plus the two
 // ablation switches rrbench runs at both values.
 type BuildOptions struct {
-	// Policy is the SCC spatial policy of the SpaReach methods; the
-	// others index Replicate whatever it says.
-	Policy dataset.SCCPolicy
 	// Parallelism bounds the worker count of the build pipeline: 0 or 1
 	// builds exactly as the sequential code path, n > 1 lets independent
 	// phases (labeling vs. spatial tree) and level-parallel index
@@ -119,7 +101,6 @@ type BuildOptions struct {
 type BuildResult struct {
 	Engine    Engine
 	Method    Method
-	Policy    dataset.SCCPolicy
 	BuildTime time.Duration
 	Bytes     int64
 	// Phases attributes the build wall-clock to named pipeline phases
@@ -134,13 +115,8 @@ type BuildResult struct {
 }
 
 // BuildMethod constructs the engine for a method, timing the build. It
-// returns an error for unsupported (method, policy) combinations instead
-// of silently falling back.
+// returns an error for an unknown method.
 func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResult, error) {
-	if opts.Policy == dataset.MBR && !m.SupportsMBR() {
-		return BuildResult{}, fmt.Errorf("core: %v has no MBR variant; only %v, %v and %v do",
-			m, MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL)
-	}
 	if opts.Span == nil {
 		opts.Span = &trace.BuildSpan{}
 	}
@@ -170,7 +146,6 @@ func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResu
 	return BuildResult{
 		Engine: e,
 		Method: m,
-		Policy: opts.Policy,
 		//lint:ignore hotclock build-time measurement, not the query path
 		BuildTime: time.Since(start),
 		Bytes:     e.MemoryBytes(),

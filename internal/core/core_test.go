@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -50,7 +49,7 @@ func randomNetwork(rng *rand.Rand, users, venues int, cyclic bool) *dataset.Netw
 }
 
 // spatialCycleNetwork puts spatial vertices inside SCCs, exercising the
-// paper's §5 policies where super-vertices own several points.
+// paper's §5 replication where super-vertices own several points.
 func spatialCycleNetwork(rng *rand.Rand, n int) *dataset.Network {
 	b := graph.NewBuilder(n)
 	// A few rings plus random chords.
@@ -90,22 +89,16 @@ func randomRegion(rng *rand.Rand) geom.Rect {
 	return geom.NewRect(x, y, x+rng.Float64()*50, y+rng.Float64()*50)
 }
 
-// buildAll constructs every (method, policy) engine combination.
+// buildAll constructs every method's engine.
 func buildAll(t *testing.T, prep *dataset.Prepared) []Engine {
 	t.Helper()
 	var engines []Engine
 	for _, m := range append(append([]Method(nil), AllMethods...), MethodSpaReachPLL) {
-		policies := []dataset.SCCPolicy{dataset.Replicate}
-		if m.SupportsMBR() {
-			policies = append(policies, dataset.MBR)
+		res, err := BuildMethod(prep, m, BuildOptions{})
+		if err != nil {
+			t.Fatalf("BuildMethod(%v): %v", m, err)
 		}
-		for _, p := range policies {
-			res, err := BuildMethod(prep, m, BuildOptions{Policy: p})
-			if err != nil {
-				t.Fatalf("BuildMethod(%v, %v): %v", m, p, err)
-			}
-			engines = append(engines, res.Engine)
-		}
+		engines = append(engines, res.Engine)
 	}
 	return engines
 }
@@ -202,16 +195,14 @@ func TestStreamingSpaReachAgrees(t *testing.T) {
 		net := randomNetwork(rng, 5+rng.Intn(20), 2+rng.Intn(15), true)
 		prep := dataset.Prepare(net)
 		truth := NewNaiveBFS(net)
-		for _, policy := range []dataset.SCCPolicy{dataset.Replicate, dataset.MBR} {
-			faithful := NewSpaReachBFL(prep, BuildOptions{Policy: policy})
-			streaming := NewSpaReachBFL(prep, BuildOptions{Policy: policy, SpaReach: SpaReachOptions{Streaming: true}})
-			for q := 0; q < 25; q++ {
-				v := rng.Intn(net.NumVertices())
-				r := randomRegion(rng)
-				want := truth.RangeReach(v, r)
-				if faithful.RangeReach(v, r) != want || streaming.RangeReach(v, r) != want {
-					t.Fatalf("trial %d policy %v: variants disagree at v=%d", trial, policy, v)
-				}
+		faithful := NewSpaReachBFL(prep, BuildOptions{})
+		streaming := NewSpaReachBFL(prep, BuildOptions{SpaReach: SpaReachOptions{Streaming: true}})
+		for q := 0; q < 25; q++ {
+			v := rng.Intn(net.NumVertices())
+			r := randomRegion(rng)
+			want := truth.RangeReach(v, r)
+			if faithful.RangeReach(v, r) != want || streaming.RangeReach(v, r) != want {
+				t.Fatalf("trial %d: variants disagree at v=%d", trial, v)
 			}
 		}
 	}
@@ -220,24 +211,6 @@ func TestStreamingSpaReachAgrees(t *testing.T) {
 func TestBuildMethodErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	prep := dataset.Prepare(randomNetwork(rng, 5, 5, false))
-	if _, err := BuildMethod(prep, MethodSocReach, BuildOptions{Policy: dataset.MBR}); err == nil {
-		t.Error("SocReach+MBR accepted")
-	}
-	if _, err := BuildMethod(prep, MethodGeoReach, BuildOptions{Policy: dataset.MBR}); err == nil {
-		t.Error("GeoReach+MBR accepted")
-	}
-	for _, m := range []Method{MethodThreeDReach, MethodThreeDReachRev} {
-		_, err := BuildMethod(prep, m, BuildOptions{Policy: dataset.MBR})
-		if err == nil {
-			t.Errorf("%v+MBR accepted", m)
-			continue
-		}
-		for _, want := range []string{"no MBR variant", "SpaReach-BFL", "SpaReach-INT", "SpaReach-PLL"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%v+MBR: error %q does not name %q", m, err, want)
-			}
-		}
-	}
 	if _, err := BuildMethod(prep, Method(99), BuildOptions{}); err == nil {
 		t.Error("unknown method accepted")
 	}
@@ -263,7 +236,7 @@ func TestBuildResultsPopulated(t *testing.T) {
 	}
 }
 
-func TestMethodStringAndMBRSupport(t *testing.T) {
+func TestMethodString(t *testing.T) {
 	names := map[Method]string{
 		MethodSpaReachBFL:    "SpaReach-BFL",
 		MethodSpaReachINT:    "SpaReach-INT",
@@ -279,38 +252,5 @@ func TestMethodStringAndMBRSupport(t *testing.T) {
 	}
 	if Method(42).String() == "" {
 		t.Error("unknown method String empty")
-	}
-	if MethodSocReach.SupportsMBR() || MethodGeoReach.SupportsMBR() {
-		t.Error("SupportsMBR wrong for SocReach/GeoReach")
-	}
-	if MethodThreeDReach.SupportsMBR() || MethodThreeDReachRev.SupportsMBR() {
-		t.Error("SupportsMBR wrong for 3DReach/3DReach-Rev")
-	}
-	if !MethodSpaReachBFL.SupportsMBR() || !MethodSpaReachINT.SupportsMBR() || !MethodSpaReachPLL.SupportsMBR() {
-		t.Error("SupportsMBR wrong for SpaReach")
-	}
-}
-
-func TestMemoryAccountingMBRCostsMore(t *testing.T) {
-	// Table 4: the MBR-based variant increases space for the spatial
-	// indexes that switch from points to rectangles/boxes. Use a network
-	// whose SCCs contain several spatial vertices.
-	rng := rand.New(rand.NewSource(131))
-	net := spatialCycleNetwork(rng, 200)
-	prep := dataset.Prepare(net)
-	rep, err := BuildMethod(prep, MethodSpaReachINT, BuildOptions{Policy: dataset.Replicate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbr, err := BuildMethod(prep, MethodSpaReachINT, BuildOptions{Policy: dataset.MBR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-entry accounting is richer for boxes; with many replicated
-	// points the MBR variant may store fewer entries, so compare the
-	// per-entry leaf cost instead of absolute totals only when entry
-	// counts match. At minimum both must be positive.
-	if rep.Bytes <= 0 || mbr.Bytes <= 0 {
-		t.Errorf("non-positive index sizes %d / %d", rep.Bytes, mbr.Bytes)
 	}
 }

@@ -16,37 +16,28 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	prep := dataset.Prepare(net)
 	truth := NewNaiveBFS(net)
 
-	persistable := []struct {
-		method Method
-		policy dataset.SCCPolicy
-	}{
-		{MethodThreeDReach, dataset.Replicate},
-		{MethodGeoReach, dataset.Replicate},
-	}
-	for _, tc := range persistable {
-		res, err := BuildMethod(prep, tc.method, BuildOptions{Policy: tc.policy})
+	for _, m := range []Method{MethodThreeDReach, MethodGeoReach} {
+		res, err := BuildMethod(prep, m, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := SaveEngine(&buf, res.Engine); err != nil {
-			t.Fatalf("%v/%v: save: %v", tc.method, tc.policy, err)
+			t.Fatalf("%v: save: %v", m, err)
 		}
 		loaded, err := LoadEngine(&buf, prep)
 		if err != nil {
-			t.Fatalf("%v/%v: load: %v", tc.method, tc.policy, err)
+			t.Fatalf("%v: load: %v", m, err)
 		}
-		if loaded.Method != tc.method || loaded.Policy != tc.policy {
-			t.Fatalf("%v/%v: header round trip lost metadata: %v/%v",
-				tc.method, tc.policy, loaded.Method, loaded.Policy)
+		if loaded.Method != m {
+			t.Fatalf("%v: header round trip lost the method: %v", m, loaded.Method)
 		}
 		for q := 0; q < 40; q++ {
 			v := rng.Intn(net.NumVertices())
 			r := randomRegion(rng)
 			want := truth.RangeReach(v, r)
 			if got := loaded.Engine.RangeReach(v, r); got != want {
-				t.Fatalf("%v/%v: loaded engine wrong at v=%d r=%v: got %v want %v",
-					tc.method, tc.policy, v, r, got, want)
+				t.Fatalf("%v: loaded engine wrong at v=%d r=%v: got %v want %v", m, v, r, got, want)
 			}
 		}
 	}

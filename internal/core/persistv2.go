@@ -63,6 +63,11 @@ const (
 	secTileID         = 26 // [points]i32
 )
 
+// The manifest's policy byte: every record is written with
+// policyReplicate, the one SCC policy the engines index; policyMBR
+// names a retired 3DReach or 3DReach-Rev MBR record.
+const policyReplicate, policyMBR = 0, 1
+
 // 3DReach's manifest flag bits.
 const (
 	// threeDFlagExact: the box tree holds exact geometries. Always
@@ -145,7 +150,7 @@ func appendEngineSections(fw *flatbuf.Writer, e Engine) error {
 		if eng.l.Spatial != nil {
 			flags |= threeDFlagRanks
 		}
-		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: uint8(dataset.Replicate), Flags: flags})
+		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: policyReplicate, Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
 		if eng.boxes != nil {
 			mustWrite(&man, treeMetaOf(eng.boxes))
@@ -165,7 +170,7 @@ func appendEngineSections(fw *flatbuf.Writer, e Engine) error {
 		gm := eng.idx.FlatMeta()
 		space := gm.Space
 		gflags, rmbr, gridOff, gridKeys := eng.idx.FlatColumns()
-		mustWrite(&man, manifestHeader{Method: uint8(MethodGeoReach), Policy: uint8(dataset.Replicate)})
+		mustWrite(&man, manifestHeader{Method: uint8(MethodGeoReach), Policy: policyReplicate})
 		mustWrite(&man, geoMeta{
 			N:      uint32(len(gflags) / 2),
 			Levels: uint8(gm.Levels),
@@ -267,15 +272,13 @@ func loadEngineV2(img *flatbuf.Image, prep *dataset.Prepared) (BuildResult, erro
 		return BuildResult{}, err
 	}
 	m := Method(h.Method)
-	policy := dataset.SCCPolicy(h.Policy)
-	e, err := loadRecordV2(img, mr, m, policy, h.Flags, prep)
+	e, err := loadRecordV2(img, mr, m, h.Policy, h.Flags, prep)
 	if err != nil {
 		return BuildResult{}, err
 	}
 	return BuildResult{
 		Engine: e,
 		Method: m,
-		Policy: policy,
 		Bytes:  e.MemoryBytes(),
 	}, nil
 }
@@ -329,11 +332,11 @@ func castSection[T any](img *flatbuf.Image, kind uint32) ([]T, error) {
 // loadRecordV2 assembles the engine from its sections. A record of a
 // method that no longer saves is refused as retired, after the
 // MBR-policy check that names the older refusal.
-func loadRecordV2(img *flatbuf.Image, mr *bytes.Reader, m Method, policy dataset.SCCPolicy, flags uint16, prep *dataset.Prepared) (Engine, error) {
-	if (m == MethodThreeDReach || m == MethodThreeDReachRev) && policy != dataset.Replicate {
-		if policy == dataset.MBR {
-			return nil, retired(m.String()+" MBR policy", "rebuild from the network with Replicate")
-		}
+func loadRecordV2(img *flatbuf.Image, mr *bytes.Reader, m Method, policy uint8, flags uint16, prep *dataset.Prepared) (Engine, error) {
+	if (m == MethodThreeDReach || m == MethodThreeDReachRev) && policy == policyMBR {
+		return nil, retired(m.String()+" MBR policy", "rebuild from the network with Replicate")
+	}
+	if policy != policyReplicate {
 		return nil, fmt.Errorf("core: %w: %v policy byte %d", flatbuf.ErrFormat, m, policy)
 	}
 	switch m {

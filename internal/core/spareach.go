@@ -21,20 +21,14 @@ import (
 type SpaReach struct {
 	name      string
 	prep      *dataset.Prepared
-	policy    dataset.SCCPolicy
 	reach     reachIndex
 	tree      *rtree.Flat[geom.Rect]
 	streaming bool
 
-	// scratch pools the materialized candidate sets so concurrent
-	// queries each get their own buffers without per-query allocation.
+	// scratch pools the materialized candidate sets (*[]int32) so
+	// concurrent queries each get their own buffer without per-query
+	// allocation.
 	scratch sync.Pool
-}
-
-// spaScratch is one query's candidate buffers.
-type spaScratch struct {
-	candidates []int32
-	candBoxes  []geom.Rect
 }
 
 // SpaReachOptions is the spatial-first engines' ablation switch.
@@ -49,7 +43,7 @@ type SpaReachOptions struct {
 	Streaming bool
 }
 
-// NewSpaReachBFL builds the SpaReach-BFL engine over opts.Policy.
+// NewSpaReachBFL builds the SpaReach-BFL engine.
 func NewSpaReachBFL(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-BFL", prep, opts, "reach", func() reachIndex {
 		return bfl.Build(prep.DAG, bfl.Options{Parallelism: opts.Parallelism})
@@ -91,47 +85,34 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts BuildOptions
 		},
 		func() error {
 			t := opts.Span.Start()
-			tree = buildSpatialTree(prep, opts.Policy, p)
+			tree = buildSpatialTree(prep, p)
 			opts.Span.End("spatial", t)
 			return nil
 		},
 	)
 	e := &SpaReach{
-		name: name, prep: prep, policy: opts.Policy,
-		reach: reach, streaming: opts.SpaReach.Streaming, tree: tree,
+		name: name, prep: prep, reach: reach, streaming: opts.SpaReach.Streaming, tree: tree,
 	}
-	e.scratch.New = func() any { return &spaScratch{} }
+	e.scratch.New = func() any { return new([]int32) }
 	return e
 }
 
 // buildSpatialTree bulk-loads the 2D R-tree over the network's spatial
-// information: one point per spatial vertex under Replicate (entry id =
-// original vertex), or one rectangle per component with spatial members
-// under MBR (entry id = component). A non-sequential pool parallelizes
-// the STR packing; the tree is identical either way.
-func buildSpatialTree(prep *dataset.Prepared, policy dataset.SCCPolicy, p *pool.Pool) *rtree.Flat[geom.Rect] {
+// vertices, one geometry each (entry id = original vertex). A
+// non-sequential pool parallelizes the STR packing; the tree is
+// identical either way.
+func buildSpatialTree(prep *dataset.Prepared, p *pool.Pool) *rtree.Flat[geom.Rect] {
 	var entries []rtree.Entry[geom.Rect]
-	if policy == dataset.MBR {
-		for c := range prep.NumComponents() {
-			if prep.HasSpatial[c] {
-				entries = append(entries, rtree.Entry[geom.Rect]{
-					Box: prep.CompMBR[c],
-					ID:  int32(c),
-				})
-			}
-		}
-	} else {
-		for v, s := range prep.Net.Spatial {
-			if s {
-				entries = append(entries, rtree.Entry[geom.Rect]{
-					Box: prep.Net.GeometryOf(v),
-					ID:  int32(v),
-				})
-			}
+	for v, s := range prep.Net.Spatial {
+		if s {
+			entries = append(entries, rtree.Entry[geom.Rect]{
+				Box: prep.Net.GeometryOf(v),
+				ID:  int32(v),
+			})
 		}
 	}
 	leafBoundBytes := 0
-	if policy == dataset.Replicate && !prep.Net.HasExtents() {
+	if !prep.Net.HasExtents() {
 		leafBoundBytes = 16 // points, not rectangles
 	}
 	return rtree.BulkLoadPool(entries, rtree.DefaultMaxEntries, leafBoundBytes, p)
@@ -153,25 +134,20 @@ func (e *SpaReach) RangeReach(v int, r geom.Rect) bool {
 // RangeReachTraced implements Engine: the phase-1 R-tree search is the
 // spatial stage and every materialized entry a candidate; phase 2 is
 // the reach stage with one counted probe per candidate (traced probes
-// additionally expose the inner label/DFS work of INT and BFL), plus
-// member verifications under the MBR policy.
+// additionally expose the inner label/DFS work of INT and BFL).
 func (e *SpaReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	src := int(e.prep.CompOf(v))
 	if e.streaming {
 		return e.rangeReachStreaming(src, r, sp)
 	}
-	s := e.scratch.Get().(*spaScratch)
-	defer e.scratch.Put(s)
+	candidates := e.scratch.Get().(*[]int32)
+	defer e.scratch.Put(candidates)
 
 	// Phase 1: evaluate SRange(P, R).
-	s.candidates = s.candidates[:0]
-	s.candBoxes = s.candBoxes[:0]
+	*candidates = (*candidates)[:0]
 	t := sp.Start()
 	e.tree.SearchTraced(geom.Rect(r), sp, func(entry rtree.Entry[geom.Rect]) bool {
-		s.candidates = append(s.candidates, entry.ID)
-		if e.policy == dataset.MBR {
-			s.candBoxes = append(s.candBoxes, entry.Box)
-		}
+		*candidates = append(*candidates, entry.ID)
 		return true
 	})
 	sp.End(trace.StageSpatial, t)
@@ -180,26 +156,8 @@ func (e *SpaReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	// positive answer.
 	t = sp.Start()
 	defer sp.End(trace.StageReach, t)
-	for i, id := range s.candidates {
+	for _, id := range *candidates {
 		sp.IncCandidate()
-		if e.policy == dataset.MBR {
-			c := int(id)
-			if !e.probe(src, c, sp) {
-				continue
-			}
-			// The MBR only approximates the component's points; confirm
-			// with the exact members unless it lies fully inside R.
-			if r.ContainsRect(s.candBoxes[i]) {
-				return true
-			}
-			for _, m := range e.prep.SpatialMembers(c) {
-				sp.IncMember()
-				if e.prep.Witness(m, r) {
-					return true
-				}
-			}
-			continue
-		}
 		if e.probe(src, int(e.prep.CompOf(int(id))), sp) {
 			return true
 		}
@@ -222,31 +180,12 @@ func (e *SpaReach) probe(src, dst int, sp *trace.Span) bool {
 // rangeReachStreaming is the optimized single-pass variant: probes run
 // inside the R-tree traversal, so the first witness aborts the spatial
 // search as well. The interleaved pass is timed wholesale as the
-// spatial stage; candidates, probes and member verifications are still
-// counted individually.
+// spatial stage; candidates and probes are still counted individually.
 func (e *SpaReach) rangeReachStreaming(src int, r geom.Rect, sp *trace.Span) bool {
 	found := false
 	t := sp.Start()
 	e.tree.SearchTraced(geom.Rect(r), sp, func(entry rtree.Entry[geom.Rect]) bool {
 		sp.IncCandidate()
-		if e.policy == dataset.MBR {
-			c := int(entry.ID)
-			if !e.probe(src, c, sp) {
-				return true
-			}
-			if r.ContainsRect(entry.Box) {
-				found = true
-				return false
-			}
-			for _, m := range e.prep.SpatialMembers(c) {
-				sp.IncMember()
-				if e.prep.Witness(m, r) {
-					found = true
-					return false
-				}
-			}
-			return true
-		}
 		if e.probe(src, int(e.prep.CompOf(int(entry.ID))), sp) {
 			found = true
 			return false

@@ -43,8 +43,7 @@ type ThreeDReach struct {
 }
 
 // NewThreeDReach builds the point-based 3DReach engine over rank-keyed
-// labels. It indexes the Replicate policy whatever opts.Policy says:
-// the MBR policy is SpaReach's. opts.Parallelism parallelizes the
+// labels. opts.Parallelism parallelizes the
 // labeling and the box tree's bulk load internally; the 3D index
 // depends on the labeling's keys, so the two phases chain rather than
 // overlap.

@@ -26,8 +26,7 @@ type ThreeDReachRev struct {
 	tree *rtree.Flat[geom.Box3]
 }
 
-// NewThreeDReachRev builds the line-based 3DReach-Rev engine. Like
-// 3DReach it indexes the Replicate policy whatever opts.Policy says.
+// NewThreeDReachRev builds the line-based 3DReach-Rev engine.
 func NewThreeDReachRev(prep *dataset.Prepared, opts BuildOptions) *ThreeDReachRev {
 	t := opts.Span.Start()
 	rev := reversedLabeling(prep, opts.Parallelism)

@@ -94,18 +94,48 @@ func TestPrepare(t *testing.T) {
 	if p.HasSpatial[p.CompOf(0)] {
 		t.Error("user SCC has spatial members")
 	}
-	if p.CompMBR[c3] != geom.RectFromPoint(geom.Pt(10, 10)) {
-		t.Errorf("CompMBR = %v", p.CompMBR[c3])
-	}
 	if !p.DAG.IsDAG() {
 		t.Error("prepared graph not a DAG")
 	}
 }
 
+// TestWithUserPoints pins WithUserPoints' rule: share 0 changes no
+// vertex, share 1 places every user who checks in at the point of a
+// venue it checks into and no one else, the same seed draws the same
+// copy, and the input network is left as it was.
+func TestWithUserPoints(t *testing.T) {
+	net := GowallaLike(0.02, 1)
+	before := slices.Clone(net.Spatial)
+	if got := WithUserPoints(net, 0, 1); !slices.Equal(got.Spatial, net.Spatial) || !slices.Equal(got.Points, net.Points) {
+		t.Error("share 0 changed the network")
+	}
+	all := WithUserPoints(net, 1, 1)
+	for u := range net.NumVertices() {
+		if net.Spatial[u] {
+			continue
+		}
+		var venues []geom.Point
+		for _, v := range net.Graph.Out(u) {
+			if net.Spatial[v] {
+				venues = append(venues, net.Points[v])
+			}
+		}
+		if all.Spatial[u] != (len(venues) > 0) || all.Spatial[u] && !slices.Contains(venues, all.Points[u]) {
+			t.Fatalf("user %d: spatial %v at %v, checks into %v", u, all.Spatial[u], all.Points[u], venues)
+		}
+	}
+	a, b := WithUserPoints(net, 0.3, 7), WithUserPoints(net, 0.3, 7)
+	if !slices.Equal(a.Spatial, b.Spatial) || !slices.Equal(a.Points, b.Points) || a.NumSpatial() == net.NumSpatial() || a.NumSpatial() == all.NumSpatial() {
+		t.Errorf("share 0.3: %d and %d spatial vertices, between %d and %d expected", a.NumSpatial(), b.NumSpatial(), net.NumSpatial(), all.NumSpatial())
+	}
+	if !slices.Equal(net.Spatial, before) {
+		t.Error("WithUserPoints modified its input")
+	}
+}
+
 func TestPrepareSpatialSCC(t *testing.T) {
-	// A cycle that includes two spatial vertices among two users: the
-	// component MBR must cover both points, and its member run lists
-	// the spatial members first, each part ascending.
+	// A cycle that includes two spatial vertices among two users: its
+	// member run lists the spatial members first, each part ascending.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	net := &Network{
 		Name:    "spatial-scc",
@@ -122,9 +152,6 @@ func TestPrepareSpatialSCC(t *testing.T) {
 	}
 	if got := p.Members(0); !slices.Equal(got, []int32{1, 3, 0, 2}) {
 		t.Errorf("Members = %v, want [1 3 0 2]", got)
-	}
-	if p.CompMBR[0] != geom.NewRect(0, 0, 4, 2) {
-		t.Errorf("CompMBR = %v", p.CompMBR[0])
 	}
 }
 

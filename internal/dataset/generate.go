@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -285,4 +286,41 @@ func clampPoint(p geom.Point, r geom.Rect) geom.Point {
 		math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	)
+}
+
+// WithUserPoints returns a copy of net in which a share of the users
+// who check in carry a point, the premise of the paper's Figure 5:
+// components of users then hold points of their own. The rule, in
+// vertex order: each non-spatial vertex with a spatial out-neighbor (a
+// venue it checks into) is drawn with probability share, seeded by
+// seed, and placed at the point of one of those venues, chosen
+// uniformly. Its user reaches that point already, so every RangeReach
+// answer is the same as on net. The copy shares net's graph.
+func WithUserPoints(net *Network, share float64, seed int64) *Network {
+	out := *net
+	out.Spatial = slices.Clone(net.Spatial)
+	out.Points = slices.Clone(net.Points)
+	out.Extents = slices.Clone(net.Extents)
+	if share <= 0 {
+		return &out
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var venues []int32
+	for u, spatial := range net.Spatial {
+		if spatial {
+			continue
+		}
+		venues = venues[:0]
+		for _, v := range net.Graph.Out(u) {
+			if net.Spatial[v] {
+				venues = append(venues, v)
+			}
+		}
+		if len(venues) == 0 || rng.Float64() >= share {
+			continue
+		}
+		out.Spatial[u] = true
+		out.Points[u] = net.Points[venues[rng.Intn(len(venues))]]
+	}
+	return &out
 }

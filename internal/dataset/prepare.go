@@ -5,33 +5,12 @@ import (
 	"repro/internal/graph"
 )
 
-// SCCPolicy selects how the spatial extent of a strongly connected
-// component is modeled after condensation (paper §5).
-type SCCPolicy int
-
-const (
-	// Replicate replaces every super-vertex by the spatial vertices it
-	// contains: each member point is indexed individually and inherits
-	// the super-vertex's reachability labels. This is the paper's
-	// non-MBR variant, the winner of Figure 5.
-	Replicate SCCPolicy = iota
-	// MBR gives every super-vertex a single geometry: the minimum
-	// bounding rectangle of its members' points.
-	MBR
-)
-
-// String implements fmt.Stringer.
-func (p SCCPolicy) String() string {
-	if p == MBR {
-		return "mbr"
-	}
-	return "replicate"
-}
-
 // Prepared is a network after SCC condensation: the DAG every
-// reachability index is built on, plus the spatial information of every
-// component under both policies. All RangeReach engines consume a
-// Prepared network.
+// reachability index is built on, plus every component's members, its
+// spatial ones first. Engines index a component's spatial extent by
+// replicating its member geometries at the component (paper §5, the
+// non-MBR policy that wins its Figure 5). All RangeReach engines consume
+// a Prepared network.
 type Prepared struct {
 	// Net is the original network.
 	Net *Network
@@ -45,9 +24,6 @@ type Prepared struct {
 	// ending at spatialEnd[c], each part ascending (see Members and
 	// SpatialMembers).
 	memberOff, spatialEnd, members []int32
-	// CompMBR is the MBR of each component's member points; the empty
-	// rectangle for components without spatial members.
-	CompMBR []geom.Rect
 	// HasSpatial reports whether a component contains a spatial vertex.
 	HasSpatial []bool
 }
@@ -69,14 +45,12 @@ func Prepare(net *Network) *Prepared {
 		memberOff:  off,
 		spatialEnd: make([]int32, nc),
 		members:    members,
-		CompMBR:    make([]geom.Rect, nc),
 		HasSpatial: make([]bool, nc),
 	}
 	// A stable partition of each run: spatial members move forward in
 	// place, the others wait in rest and follow them.
 	rest := make([]int32, 0, cond.LargestComponentSize())
 	for c := range nc {
-		mbr := geom.EmptyRect()
 		end := off[c]
 		rest = rest[:0]
 		for _, v := range members[off[c]:off[c+1]] {
@@ -86,11 +60,9 @@ func Prepare(net *Network) *Prepared {
 			}
 			members[end] = v
 			end++
-			mbr = mbr.Union(net.GeometryOf(int(v)))
 		}
 		copy(members[end:off[c+1]], rest)
 		p.spatialEnd[c] = end
-		p.CompMBR[c] = mbr
 		p.HasSpatial[c] = end > off[c]
 	}
 	return p

@@ -1,7 +1,7 @@
 // Package rtree implements a read-only in-memory R-tree over 2D
 // rectangles or 3D boxes, replacing the Boost R-tree the paper uses
 // (§6.1). It backs the spatial indexes of the library but one: the 2D
-// point index of SpaReach and its MBR-based variant (paper §5), the 3D
+// point index of SpaReach and rrbench's MBR arm (paper §5), the 3D
 // vertical-segment index of 3DReach-Rev, and 3DReach's index of extended
 // geometries. 3DReach's point index is internal/tiles.
 //

@@ -53,8 +53,7 @@ type Counters struct {
 	Enumerated int64
 	// Members is the number of exact member-geometry verifications —
 	// per-vertex point/rect tests performed after an index or label hit
-	// (SpaReach's MBR-policy confirmation, SocReach/GeoReach witness
-	// tests).
+	// (SocReach's and GeoReach's witness tests).
 	Members int64
 }
 

@@ -19,7 +19,7 @@
 //
 // Arbitrary (cyclic) networks are handled transparently: strongly
 // connected components are condensed and their spatial extent modeled
-// under the Replicate policy by default (paper §5).
+// by replicating their members' geometries (paper §5's non-MBR policy).
 package rangereach
 
 import (
