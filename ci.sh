@@ -3,7 +3,10 @@
 #
 #   ./ci.sh        vet + gofmt + rrlint + govulncheck when installed
 #                  + build (all packages and binaries) + full test
-#                  suite + the read paths' count guards + the examples
+#                  suite, which holds the docs gate (TestDocsResolve:
+#                  README.md's, DESIGN.md's and the verify skill's
+#                  backticked names resolve against the tree)
+#                  + the read paths' count guards + the examples
 #                  + the benchmark module's own vet
 #                  and tests + fuzz seed corpora + format compat
 #                  + 30 s each of index-loader, network-loader and

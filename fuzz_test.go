@@ -92,14 +92,19 @@ func FuzzPersistRoundtrip(f *testing.F) {
 }
 
 // FuzzRangeReachParity derives a small random geosocial network, a
-// vertex and a query region from the fuzz input, builds every interval
-// and spatial engine over it, and checks each answer against the
-// NaiveBFS ground truth (and each index against the deep validators).
+// vertex and a query region from the fuzz input, builds every indexed
+// method over it, and checks each answer against the NaiveBFS ground
+// truth (and each index against the deep validators).
 func FuzzRangeReachParity(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 0, 1, 1, 2, 2, 3, 3, 4, 0, 2, 20, 20, 80, 80})
 	f.Add([]byte{9, 7, 0, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0, 10, 5, 90, 95})
 	f.Add([]byte{3, 200, 50, 0, 1, 1, 2, 2, 0, 0, 0, 100, 100})
 	f.Add([]byte{12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26})
+	// A component with two points: the cycle 1 ⇄ 2 holds two spatial
+	// vertices, and the first region holds vertex 2's point only, then
+	// vertex 1's only.
+	f.Add([]byte{1, 1, 0, 3, 1, 0, 1, 1, 2, 2, 1, 3, 2})
+	f.Add([]byte{1, 1, 3, 3, 1, 0, 1, 1, 2, 2, 1, 3, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -137,7 +142,7 @@ func FuzzRangeReachParity(f *testing.F) {
 		}
 
 		naive := net.MustBuild(rangereach.Naive)
-		methods := append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...)
+		methods := append(append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...), rangereach.ExtendedMethods...)
 		for _, m := range methods {
 			idx, err := net.Build(m)
 			if err != nil {

@@ -9,12 +9,11 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/labeling"
-	"repro/internal/pll"
 	"repro/internal/pool"
 	"repro/internal/rtree"
 )
 
-// reachIndex is the MBR arm's probe: BFL, interval labels or PLL.
+// reachIndex is the MBR arm's probe: BFL or interval labels.
 type reachIndex interface {
 	Reach(v, u int) bool
 	MemoryBytes() int64
@@ -38,7 +37,6 @@ type mbrSpaReach struct {
 var mbrReach = map[core.Method]func(*graph.Graph, int) reachIndex{
 	core.MethodSpaReachBFL: func(g *graph.Graph, j int) reachIndex { return bfl.Build(g, bfl.Options{Parallelism: j}) },
 	core.MethodSpaReachINT: func(g *graph.Graph, j int) reachIndex { return labeling.Build(g, labeling.Options{Parallelism: j}) },
-	core.MethodSpaReachPLL: func(g *graph.Graph, _ int) reachIndex { return pll.Build(g, pll.Options{}) },
 }
 
 // buildMBRArm builds the MBR arm over the reach index that build makes,

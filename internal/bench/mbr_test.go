@@ -51,7 +51,7 @@ func TestMBRArmAgreesWithNaive(t *testing.T) {
 		prep := dataset.Prepare(net)
 		truth := core.NewNaiveBFS(net)
 		space := net.Space()
-		for _, m := range []core.Method{core.MethodSpaReachBFL, core.MethodSpaReachINT, core.MethodSpaReachPLL} {
+		for _, m := range []core.Method{core.MethodSpaReachBFL, core.MethodSpaReachINT} {
 			arm, _ := buildMBRArm(prep, mbrReach[m], 2)
 			if arm.MemoryBytes() <= arm.reach.MemoryBytes() {
 				t.Errorf("net %d %v: arm bytes %d do not count its tree", i, m, arm.MemoryBytes())

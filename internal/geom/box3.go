@@ -110,13 +110,5 @@ func (b Box3) String() string {
 		b.Min.X, b.Max.X, b.Min.Y, b.Max.Y, b.Min.Z, b.Max.Z)
 }
 
-// EmptyBox3 returns the identity element for Union.
-func EmptyBox3() Box3 {
-	return Box3{
-		Min: Point3{math.Inf(1), math.Inf(1), math.Inf(1)},
-		Max: Point3{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
-	}
-}
-
 // IsEmpty reports whether b is the empty box (or otherwise inverted).
 func (b Box3) IsEmpty() bool { return !b.Valid() }

@@ -197,17 +197,6 @@ func TestBox3IntersectsSymmetric(t *testing.T) {
 	}
 }
 
-func TestEmptyBox3(t *testing.T) {
-	e := EmptyBox3()
-	if !e.IsEmpty() {
-		t.Fatal("EmptyBox3 not empty")
-	}
-	b := NewBox3(0, 0, 0, 1, 1, 1)
-	if got := e.Union(b); got != b {
-		t.Errorf("EmptyBox3.Union = %v, want identity", got)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	// Smoke-test the Stringer implementations so broken formats fail loudly.
 	for _, s := range []string{

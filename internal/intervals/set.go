@@ -27,11 +27,6 @@ func (iv Interval) Contains(p int32) bool { return iv.Lo <= p && p <= iv.Hi }
 // Len returns the number of integers covered by iv.
 func (iv Interval) Len() int64 { return int64(iv.Hi) - int64(iv.Lo) + 1 }
 
-// Overlaps reports whether iv and other share at least one integer.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
 // String implements fmt.Stringer.
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi) }
 

@@ -177,25 +177,6 @@ func TestSingletonAndString(t *testing.T) {
 	}
 }
 
-func TestIntervalOverlaps(t *testing.T) {
-	tests := []struct {
-		a, b Interval
-		want bool
-	}{
-		{Interval{1, 3}, Interval{3, 5}, true},
-		{Interval{1, 3}, Interval{4, 5}, false},
-		{Interval{1, 9}, Interval{4, 5}, true},
-	}
-	for _, tc := range tests {
-		if got := tc.a.Overlaps(tc.b); got != tc.want {
-			t.Errorf("%v.Overlaps(%v) = %v", tc.a, tc.b, got)
-		}
-		if got := tc.b.Overlaps(tc.a); got != tc.want {
-			t.Errorf("Overlaps not symmetric for %v, %v", tc.a, tc.b)
-		}
-	}
-}
-
 func TestMemoryBytes(t *testing.T) {
 	s := Set{{1, 2}, {3, 4}, {9, 9}}
 	if got := s.MemoryBytes(); got != 24 {

@@ -157,12 +157,3 @@ func (idx *Index) MemoryBytes() int64 {
 	}
 	return total + int64(4*len(idx.rank))
 }
-
-// LabelCount returns the total number of stored landmark entries.
-func (idx *Index) LabelCount() int64 {
-	var total int64
-	for v := range idx.out {
-		total += int64(len(idx.out[v]) + len(idx.in[v]))
-	}
-	return total
-}

@@ -85,11 +85,10 @@ func TestLabelsPrunedBelowTransitiveClosure(t *testing.T) {
 		edges = append(edges, [2]int{i, i + 1})
 	}
 	idx := Build(graph.FromEdges(n, edges), Options{Seed: 1})
-	if idx.LabelCount() > int64(5*n*8) { // 8 ≈ log2(200) + slack
-		t.Errorf("chain labels = %d, want O(n log n)", idx.LabelCount())
-	}
-	if idx.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes not positive")
+	// MemoryBytes counts 4 bytes per landmark entry plus the rank array.
+	labels := (idx.MemoryBytes() - int64(4*n)) / 4
+	if labels <= 0 || labels > int64(5*n*8) { // 8 ≈ log2(200) + slack
+		t.Errorf("chain labels = %d, want O(n log n)", labels)
 	}
 }
 

@@ -128,7 +128,6 @@ type Router struct {
 	mReqQuery  *metrics.Counter
 	mReqBatch  *metrics.Counter
 	mReqUpdate *metrics.Counter
-	mUpdates   *metrics.Counter
 	mReqErrs   *metrics.Counter
 	mEarlyExit *metrics.Counter
 	mPruned    *metrics.Counter
@@ -218,7 +217,6 @@ func New(cfg Config) (*Router, error) {
 	rt.mReqQuery = rt.reg.Counter(`rr_router_requests_total{endpoint="query"}`, "Router HTTP requests by endpoint.")
 	rt.mReqBatch = rt.reg.Counter(`rr_router_requests_total{endpoint="batch"}`, "Router HTTP requests by endpoint.")
 	rt.mReqUpdate = rt.reg.Counter(`rr_router_requests_total{endpoint="update"}`, "Router HTTP requests by endpoint.")
-	rt.mUpdates = rt.reg.Counter("rr_router_updates_total", "Cluster updates applied across the shard set.")
 	rt.mReqErrs = rt.reg.Counter("rr_router_request_errors_total", "Router requests answered with a non-2xx status.")
 	rt.mEarlyExit = rt.reg.Counter("rr_router_early_exits_total", "Scatter-gathers settled by a positive before every shard answered.")
 	rt.mPruned = rt.reg.Counter("rr_router_pruned_shards_total", "Shard calls skipped because the shard holds no venue the query region can meet: its venue bounds, or every occupied cell of its shard-map bitmap, miss the region.")

@@ -207,7 +207,6 @@ func (rt *Router) broadcastUpdate(w http.ResponseWriter, ctx context.Context, re
 		}
 		resp.ID = &ids[0]
 	}
-	rt.mUpdates.Inc()
 	rt.front.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -252,7 +251,6 @@ func (rt *Router) placeVenue(w http.ResponseWriter, ctx context.Context, req htt
 		return
 	}
 	rt.grow(owner, geom.Pt(req.X, req.Y))
-	rt.mUpdates.Inc()
 	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterUpdateReply{ID: &ids[0], Owner: &owner, Gen: maxGen(results)})
 }
 
@@ -286,7 +284,6 @@ func (rt *Router) moveVenue(w http.ResponseWriter, ctx context.Context, req http
 		return
 	}
 	rt.grow(owner, geom.Pt(req.X, req.Y))
-	rt.mUpdates.Inc()
 	rt.front.WriteJSON(w, http.StatusOK, httpjson.RouterUpdateReply{Owner: &owner, Gen: maxGen(results)})
 }
 

@@ -151,18 +151,6 @@ type ClusterTrace struct {
 	Spans []ClusterSpan `json:"spans"`
 }
 
-// ShardSpans returns the spans contributed by shard sid, preserving
-// order. A helper for tests and the parity checks.
-func (t *ClusterTrace) ShardSpans(sid int) []ClusterSpan {
-	var out []ClusterSpan
-	for _, sp := range t.Spans {
-		if sp.Tier == TierShard && sp.Shard == sid {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // Retention reasons for ClusterTrace.Reason.
 const (
 	ReasonForced  = "forced"

@@ -168,7 +168,9 @@ func TestRingConcurrentReadersAndWriters(t *testing.T) {
 		func(i int) { _ = r.Get(fmt.Sprintf("w%d-%d", i%4, i)) },
 		func(int) {
 			for _, tr := range r.Recent(4) {
-				_ = tr.ShardSpans(0)
+				for _, sp := range tr.Spans {
+					_ = sp.Shard
+				}
 			}
 		},
 		func(int) {
@@ -188,20 +190,5 @@ func TestRingConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 	if r.Len() == 0 || r.Len() > 8 {
 		t.Fatalf("ring holds %d traces after churn", r.Len())
-	}
-}
-
-func TestShardSpans(t *testing.T) {
-	tr := &ClusterTrace{Spans: []ClusterSpan{
-		{Name: "placement", Tier: TierRouter, Shard: NoShard},
-		{Name: "shard_call", Tier: TierShard, Shard: 1},
-		{Name: "shard_call", Tier: TierShard, Shard: 0},
-		{Name: "hedge", Tier: TierShard, Shard: 1},
-	}}
-	if got := tr.ShardSpans(1); len(got) != 2 || got[0].Name != "shard_call" || got[1].Name != "hedge" {
-		t.Fatalf("ShardSpans(1) = %+v", got)
-	}
-	if got := tr.ShardSpans(2); got != nil {
-		t.Fatalf("ShardSpans(2) = %+v, want nil", got)
 	}
 }

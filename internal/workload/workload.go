@@ -110,10 +110,6 @@ func NewGenerator(net *dataset.Network, seed int64) *Generator {
 // Space returns the spatial extent queries are drawn from.
 func (g *Generator) Space() geom.Rect { return g.space }
 
-// BucketSize returns how many vertices fall into the bucket; workloads
-// sample with replacement, so small non-zero buckets still work.
-func (g *Generator) BucketSize(b DegreeBucket) int { return len(g.byDegree[b]) }
-
 // Vertex draws a query vertex from the degree bucket. It falls back to
 // the closest non-empty bucket below (and then above) if the requested
 // bucket is empty, returning the bucket actually used.
