@@ -34,8 +34,10 @@ func randomQueries(net *rangereach.Network, n int, seed int64) []rangereach.Quer
 	return qs
 }
 
-// TestBatchMatchesSequential exercises every method concurrently; run
-// with -race to validate thread safety of the engines.
+// TestBatchMatchesSequential exercises every method concurrently, and
+// a dynamic snapshot whose updates left overlay entries and tombstones,
+// at one worker and at eight; run with -race to validate thread safety
+// of the engines.
 func TestBatchMatchesSequential(t *testing.T) {
 	net := batchNetwork(t)
 	qs := randomQueries(net, 300, 5)
@@ -51,6 +53,49 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+
+	snap := updatedSnapshot(t, net)
+	for _, par := range []int{1, 8} {
+		got, err := snap.RangeReachBatchContext(context.Background(), qs, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			if want := snap.RangeReach(q.Vertex, q.Region); got[i] != want {
+				t.Fatalf("snapshot, parallelism %d: batch result %d is %v, the query alone says %v", par, i, got[i], want)
+			}
+		}
+	}
+}
+
+// updatedSnapshot builds the dynamic index over net, moves some venues,
+// adds one and links users to it, and returns a snapshot of the result:
+// one whose answers come from tombstoned base tiles and the overlay.
+func updatedSnapshot(t *testing.T, net *rangereach.Network) *rangereach.DynamicSnapshot {
+	t.Helper()
+	dyn := net.BuildDynamic()
+	sp := net.Space()
+	moved := 0
+	for v := 0; v < net.NumVertices() && moved < 20; v++ {
+		if net.IsSpatial(v) {
+			if err := dyn.MoveVenue(v, sp.MinX+float64(moved)*(sp.MaxX-sp.MinX)/20, sp.MinY); err != nil {
+				t.Fatal(err)
+			}
+			moved++
+		}
+	}
+	venue := dyn.AddVenue((sp.MinX+sp.MaxX)/2, (sp.MinY+sp.MaxY)/2)
+	for u := 0; u < 10; u++ {
+		if !net.IsSpatial(u) {
+			if err := dyn.AddEdge(u, venue); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := dyn.UpdateStats(); st.OverlayLen == 0 || st.StaleLen == 0 {
+		t.Fatalf("the updates left %d overlay entries and %d tombstones; want both", st.OverlayLen, st.StaleLen)
+	}
+	return dyn.Snapshot()
 }
 
 func TestBatchEdgeCases(t *testing.T) {
@@ -71,8 +116,8 @@ func TestBatchEdgeCases(t *testing.T) {
 }
 
 // TestBatchContextCancel pins the cancellation contract: a dead
-// context aborts the batch with its error, a live one yields exactly
-// the RangeReachBatch answers.
+// context aborts the batch, an index's or a snapshot's, with its error;
+// a live one yields exactly the RangeReachBatch answers.
 func TestBatchContextCancel(t *testing.T) {
 	net := batchNetwork(t)
 	idx := net.MustBuild(rangereach.ThreeDReach)
@@ -80,9 +125,13 @@ func TestBatchContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	snap := updatedSnapshot(t, net)
 	for _, par := range []int{1, 4} {
 		if out, err := idx.RangeReachBatchContext(ctx, qs, par); err != context.Canceled || out != nil {
 			t.Fatalf("parallelism %d: canceled batch returned (%v, %v), want (nil, context.Canceled)", par, out, err)
+		}
+		if out, err := snap.RangeReachBatchContext(ctx, qs, par); err != context.Canceled || out != nil {
+			t.Fatalf("parallelism %d: canceled snapshot batch returned (%v, %v), want (nil, context.Canceled)", par, out, err)
 		}
 	}
 

@@ -83,7 +83,10 @@ go test ./...
 # tests no more overlay entries than the region's grid cells hold
 # (TestProbeCostIndependentOfLabelFragmentation), and tests the same
 # overlay entries whether 1k or 16k lie in other cells
-# (TestOverlayProbeCostIndependentOfOverlaySize). It also guards the
+# (TestOverlayProbeCostIndependentOfOverlaySize); and its publish path:
+# Snapshot allocates the same bytes at 4k and at 64k vertices, and under
+# 1 KiB, since it shares every column and structure it captures
+# (TestPublishCostIndependentOfVertexCount). It also guards the
 # split path at 1k and 8k members: the vertices a split visits, for one
 # peel, a second peel and a pivot (TestPeelCostIndependentOfComponentSize),
 # and the components the flush relabels, which leave the giant out

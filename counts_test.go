@@ -32,9 +32,9 @@ const countsGolden = "testdata/counts.golden"
 
 // TestWorkCounts holds the work counts that performance claims rest on
 // to a golden file: every indexed method's summed query work over a
-// fixed pool, rrserve's per-request allocations, 3DReach's mapped
-// open (allocations and bytes) and query, and the network ingest's Load
-// and Prepare. A work row (work.*) is exact and must match. Every other
+// fixed pool, the dynamic index's counters after a fixed update stream,
+// rrserve's per-request allocations, 3DReach's mapped open (allocations
+// and bytes) and query, and the network ingest's Load and Prepare. A work row (work.*) is exact and must match. Every other
 // row measures allocation and is an average, so the golden stores it as
 // a ceiling and the test fails above it; allocation rows skip under
 // -race, whose instrumentation allocates.
@@ -43,6 +43,9 @@ func TestWorkCounts(t *testing.T) {
 		t.Fatal("-update-counts needs a build without -race")
 	}
 	got := methodWorkRows(t)
+	for name, v := range incrWorkRows(t) {
+		got[name] = v
+	}
 	if !raceEnabled {
 		for _, rows := range []map[string]float64{rrserveAllocRows(t), threeDReachAllocRows(t), ingestAllocRows(t)} {
 			for name, v := range rows {
@@ -191,6 +194,100 @@ func methodWorkRows(t *testing.T) map[string]float64 {
 			rows[prefix+"bytes"] = float64(idx.Stats().Bytes)
 		}
 	}
+	return rows
+}
+
+// incrWorkRows runs a fixed update stream over GowallaLike(0.05, 1)
+// through a DynamicIndex, with the churn benchmark's op mix — 46 %
+// add_edge, 40 % del_edge of the oldest stream edge once 256 are live,
+// 10 % move_venue, 2 % add_venue, 2 % add_user — and a Snapshot every
+// 32 ops, as rrserve's updater publishes. It records every UpdateStats
+// counter and MemoryBytes at the stream's end as work.incr.<counter>:
+// the stream and the work the index does for it are fixed by the seed.
+func incrWorkRows(t *testing.T) map[string]float64 {
+	t.Helper()
+	const ops, epoch, keep = 2048, 32, 256
+	base := dataset.GowallaLike(0.05, 1)
+	net := rangereach.GowallaLike(0.05, 1)
+	dyn := net.BuildDynamic()
+	rng := rand.New(rand.NewSource(1))
+	n := base.NumVertices()
+	var users, venues []int
+	for v := 0; v < n; v++ {
+		if base.Spatial[v] {
+			venues = append(venues, v)
+		} else {
+			users = append(users, v)
+		}
+	}
+	baseUsers := len(users)
+	// user draws an edge endpoint, one time in four a user the stream
+	// added: edges at those close and break cycles.
+	user := func() int {
+		if added := len(users) - baseUsers; added > 0 && rng.Intn(4) == 0 {
+			return users[baseUsers+rng.Intn(added)]
+		}
+		return users[rng.Intn(baseUsers)]
+	}
+	sp := net.Space()
+	point := func() (float64, float64) {
+		return sp.MinX + rng.Float64()*(sp.MaxX-sp.MinX), sp.MinY + rng.Float64()*(sp.MaxY-sp.MinY)
+	}
+	live := map[[2]int]bool{}
+	var fifo [][2]int // the live stream edges, oldest first
+	for i := 0; i < ops; i++ {
+		var err error
+		switch k := rng.Intn(100); {
+		case k < 46 || (k < 86 && len(fifo) < keep):
+			var e [2]int
+			for {
+				e = [2]int{user(), rng.Intn(n)}
+				if rng.Intn(2) == 0 {
+					e[1] = user()
+				}
+				inBase := e[0] < base.NumVertices() && e[1] < base.NumVertices() && base.Graph.HasEdge(e[0], e[1])
+				if e[0] != e[1] && !live[e] && !inBase {
+					break
+				}
+			}
+			live[e] = true
+			fifo = append(fifo, e)
+			err = dyn.AddEdge(e[0], e[1])
+		case k < 86:
+			e := fifo[0]
+			fifo = fifo[1:]
+			delete(live, e)
+			err = dyn.DeleteEdge(e[0], e[1])
+		case k < 96:
+			x, y := point()
+			err = dyn.MoveVenue(venues[rng.Intn(len(venues))], x, y)
+		case k < 98:
+			venues = append(venues, dyn.AddVenue(point()))
+			n++
+		default:
+			users = append(users, dyn.AddUser())
+			n++
+		}
+		if err != nil {
+			t.Fatalf("incr stream op %d: %v", i, err)
+		}
+		if (i+1)%epoch == 0 {
+			dyn.Snapshot()
+		}
+	}
+	st := dyn.UpdateStats()
+	rows := make(map[string]float64)
+	for counter, v := range map[string]int{
+		"merges": st.Merges, "splits": st.Splits, "split_checks": st.SplitChecks,
+		"cone_relabels": st.ConeRelabels, "relabeled_comps": st.RelabeledComps,
+		"full_rebuilds": st.FullRebuilds, "folds": st.Folds,
+		"live_comps": st.LiveComps, "dead_comps": st.DeadComps,
+		"overlay_len": st.OverlayLen, "stale_len": st.StaleLen,
+		"max_label_intervals": st.MaxLabelIntervals,
+	} {
+		rows["work.incr."+counter] = float64(v)
+	}
+	rows["work.incr.memory_bytes"] = float64(dyn.MemoryBytes())
 	return rows
 }
 

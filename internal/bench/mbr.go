@@ -46,9 +46,9 @@ func buildMBRArm(prep *dataset.Prepared, build func(*graph.Graph, int) reachInde
 	start := time.Now()
 	p := pool.New(max(parallelism, 1))
 	e := &mbrSpaReach{prep: prep}
-	_ = p.Run(
-		func() error { e.reach = build(prep.DAG, parallelism); return nil },
-		func() error { e.tree = componentTree(prep, p); return nil },
+	p.Run(
+		func() { e.reach = build(prep.DAG, parallelism) },
+		func() { e.tree = componentTree(prep, p) },
 	)
 	return e, time.Since(start)
 }

@@ -76,18 +76,16 @@ func newSpaReachPipelined(name string, prep *dataset.Prepared, opts BuildOptions
 	p := pool.New(max(opts.Parallelism, 1))
 	var reach reachIndex
 	var tree *rtree.Flat[geom.Rect]
-	_ = p.Run(
-		func() error {
+	p.Run(
+		func() {
 			t := opts.Span.Start()
 			reach = build()
 			opts.Span.End(phase, t)
-			return nil
 		},
-		func() error {
+		func() {
 			t := opts.Span.Start()
 			tree = buildSpatialTree(prep, p)
 			opts.Span.End("spatial", t)
-			return nil
 		},
 	)
 	e := &SpaReach{

@@ -12,10 +12,10 @@ const Side = 64
 
 // Uniform is a fixed Side×Side grid over a rectangular space: the
 // coarse occupancy grid GeoReach keeps as its cheapest spatial summary.
-// It is the one coordinate → cell mapping of the repository's occupancy
-// filters (the incremental engine's count grid and the shard map's
-// cells), so a venue is marked with exactly the rule a query region is
-// read with.
+// It is the one coordinate → cell mapping of the repository's cell
+// structures (the incremental engine's overlay buckets and the shard
+// map's occupancy cells), so a venue is placed with exactly the rule a
+// query region is read with.
 //
 // The mapping never decreases along an axis, infinities included, and
 // clamps coordinates outside the space to the border cells. So a point

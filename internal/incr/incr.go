@@ -8,9 +8,10 @@
 // (spatial.go): the base is the static engine's point tiles
 // (internal/tiles) keyed by post, superseded entries are tombstoned in
 // a paged column, and patched venues go to an overlay bucketed by the
-// cells of a coarse occupancy grid (GeoReach-style), which is also a
-// conservative query prefilter. The overlay is periodically folded into
-// fresh tiles.
+// cells of a coarse uniform grid (grid.Uniform). A query walks the base
+// tiles as the static engine does, then the overlay entries of the
+// cells its region meets. The overlay is periodically folded into fresh
+// tiles.
 //
 // The resulting post-order numbering is sparse: merges and splits
 // retire component posts, which are never reused (maxPost only grows).
@@ -32,6 +33,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/grid"
 	"repro/internal/intervals"
 	"repro/internal/labeling"
 	"repro/internal/tiles"
@@ -124,9 +126,9 @@ type Index struct {
 	dead    paged[bool] // per base position: superseded by an overlay entry
 	tombs   int         // dead base entries
 	ov      *overlay
-	patched []int32 // venues patched since the last flush, in patch order
-	marks   flagSet // the venues a flush enters into the overlay afresh
-	grid    *occGrid
+	patched []int32       // venues patched since the last flush, in patch order
+	marks   flagSet       // the venues a flush enters into the overlay afresh
+	grid    *grid.Uniform // the overlay's cells; fixed at New
 
 	// edges is |E|; work is the epoch's counted patch work (spend); dirty
 	// says it reached the budget, so the next read rebuilds.
@@ -175,6 +177,7 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 		opts.overlayMin = defaultOverlayMin
 	}
 	n := prep.Net.NumVertices()
+	cells := grid.NewUniform(prep.Net.Space())
 	x := &Index{
 		opts:    opts,
 		n:       n,
@@ -184,7 +187,7 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 		geo:     make([]geom.Rect, n),
 		basePos: make([]int32, n),
 		ov:      &overlay{},
-		grid:    newOccGrid(prep.Net.Space()),
+		grid:    &cells,
 	}
 	for u := 0; u < n; u++ {
 		if adj := prep.Net.Graph.Out(u); len(adj) > 0 {
@@ -193,7 +196,6 @@ func New(prep *dataset.Prepared, opts Options) *Index {
 		}
 		if prep.Net.Spatial[u] {
 			x.geo[u] = prep.Net.GeometryOf(u)
-			x.grid.add(x.geo[u])
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -296,7 +298,6 @@ func (x *Index) MemoryBytes() int64 {
 	b += x.base.MemoryBytes()
 	b += int64(x.dead.len()) // one byte per tombstone flag
 	b += x.ov.memoryBytes()
-	b += int64(len(x.grid.cells)) * 4
 	return b
 }
 
@@ -316,7 +317,6 @@ func (x *Index) AddVenue(px, py float64) int {
 	}
 	v := x.addVertex(true)
 	x.geo[v] = geom.RectFromPoint(geom.Pt(px, py))
-	x.grid.add(x.geo[v])
 	if !x.dirty {
 		x.patchVenue(int32(v))
 	}
@@ -466,9 +466,9 @@ func (x *Index) coveredElsewhere(cu, cv int32) bool {
 	return false
 }
 
-// MoveVenue relocates venue v to (x, y), patching its spatial entry
-// and the occupancy grid in place. A venue with an extent becomes a
-// point. NaN or infinite coordinates are an error.
+// MoveVenue relocates venue v to (x, y), patching its spatial entry. A
+// venue with an extent becomes a point. NaN or infinite coordinates are
+// an error.
 func (x *Index) MoveVenue(v int, px, py float64) error {
 	if v < 0 || v >= x.n {
 		return fmt.Errorf("incr: vertex %d out of range [0,%d)", v, x.n)
@@ -479,10 +479,7 @@ func (x *Index) MoveVenue(v int, px, py float64) error {
 	if err := checkFinite(px, py); err != nil {
 		return err
 	}
-	old := x.geo[v]
 	x.geo[v] = geom.RectFromPoint(geom.Pt(px, py))
-	x.grid.remove(old)
-	x.grid.add(x.geo[v])
 	if !x.spend(0) {
 		x.patchVenue(int32(v))
 	}

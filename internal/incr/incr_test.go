@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/grid"
 )
 
 // mirror is the ground-truth shadow model: the raw graph and geometry
@@ -568,8 +569,8 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		}
 		return nil
 	}
-	// Spatial corruption — in the base tiles, the tombstones, the
-	// overlay and the occupancy grid — on the index and on a snapshot
+	// Spatial corruption — in the base tiles, the tombstones and the
+	// overlay — on the index and on a snapshot
 	// sharing the damaged structure (the publish check validates both).
 	// The fixture has a fold behind it, a few tombstones, and overlay
 	// entries in several cells.
@@ -598,7 +599,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		{"out of (post, id) order", func(x *Index) {
 			// Two entries of one cell swap places.
 			for _, row := range x.ov.rows {
-				for c := 0; row != nil && c < x.grid.nx; c++ {
+				for c := 0; row != nil && c < grid.Side; c++ {
 					if k := int(row.start[c]); row.start[c+1]-row.start[c] >= 2 {
 						row.post[k], row.post[k+1] = row.post[k+1], row.post[k]
 						row.id[k], row.id[k+1] = row.id[k+1], row.id[k]
@@ -608,8 +609,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			}
 		}},
 		{"outside its cell", func(x *Index) { firstRow(x).box[0] = geom.RectFromPoint(geom.Pt(1e9, 1e9)) }},
-		{"cell offsets", func(x *Index) { firstRow(x).start[x.grid.nx]-- }},
-		{"occupancy grid", func(x *Index) { x.grid.cells[0]++ }},
+		{"cell offsets", func(x *Index) { firstRow(x).start[grid.Side]-- }},
 	} {
 		x = fresh()
 		for v := 0; v < x.n; v++ {
@@ -627,7 +627,6 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		}
 		c.damage(x)
 		s.q.tombs = x.tombs
-		s.q.grid = x.grid
 		for name, err := range map[string]error{"index": x.Validate(), "snapshot": s.Validate()} {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: want an error containing %q, got %v", name, c.want, err)

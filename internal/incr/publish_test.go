@@ -98,8 +98,9 @@ func allocatedBytes(f func()) uint64 {
 
 // TestPublishCostIndependentOfVertexCount is the count guard on the
 // publish path: after the same five label writes, Snapshot allocates
-// the same number of bytes on a 4k-vertex and on a 64k-vertex index —
-// it shares the columns, it does not copy them — and the writes
+// the same number of bytes on a 4k-vertex and on a 64k-vertex index,
+// and under 1 KiB — it shares the columns, the tiles, the overlay and
+// its cell mapping, it copies none of them — and the writes
 // themselves differ by less than the page tables, the only per-vertex
 // thing a written column still copies (8 bytes per 256 entries). The
 // byte counts are process-wide, so a background allocation (the
@@ -119,6 +120,9 @@ func TestPublishCostIndependentOfVertexCount(t *testing.T) {
 	largeWrites, largePublish := measure(64 << 10)
 	if smallPublish != largePublish {
 		t.Errorf("Snapshot allocated %d bytes on the 4k-vertex index and %d on the 64k-vertex one; want equal", smallPublish, largePublish)
+	}
+	if largePublish >= 1<<10 {
+		t.Errorf("Snapshot allocated %d bytes; want under 1 KiB: a snapshot holds headers, not copies", largePublish)
 	}
 	const columns = 4
 	tables := uint64(64<<10-4<<10) / pageSize * 8 * columns

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/intervals"
 	"repro/internal/tiles"
 	"repro/internal/trace"
@@ -20,23 +21,21 @@ type qview struct {
 	dead   column[bool]
 	tombs  int
 	ov     *overlay
-	grid   *occGrid
+	grid   *grid.Uniform // the overlay's cells
 }
 
 // rangeReach evaluates 3DReach over patched state at a cost the
 // region's tiles and grid cells bound, however many intervals the label
-// has and however large the overlay. The occupancy grid goes first (a
-// region with no venues anywhere answers false in a few cell reads).
-// Then the base tiles are walked once for the whole label, as the
-// static engine walks them, with the tombstones as their filter; then
-// the overlay entries of the grid cells r meets.
+// has and however large the overlay: the static engine's walk of the
+// base tiles, once for the whole label, with the tombstones as its
+// filter, then the overlay entries of the grid cells r meets.
 func (q qview) rangeReach(v int, r geom.Rect, sp *trace.Span) bool {
 	if v < 0 || v >= q.n {
 		panic(fmt.Sprintf("incr: vertex %d out of range [0,%d)", v, q.n))
 	}
 	// An inverted or NaN region meets no geometry; the grid's cell
 	// ranges assume neither.
-	if !r.Valid() || !q.grid.maybe(r) {
+	if !r.Valid() {
 		return false
 	}
 	label := q.labels.at(q.comp.at(int32(v)))

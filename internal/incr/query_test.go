@@ -93,7 +93,7 @@ func TestProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 			}
 		}
 	}
-	x0, y0, x1, y1 := x.grid.cellRange(miss)
+	x0, y0, x1, y1 := x.grid.Range(miss)
 	var inCells int64
 	for y := y0; y <= y1; y++ {
 		if row := x.ov.rows[y]; row != nil {

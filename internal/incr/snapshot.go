@@ -10,11 +10,11 @@ import (
 // keeps absorbing updates on its single writer. Taking one costs what
 // the epoch changed, not what the index holds: the per-vertex and
 // per-component columns and the tombstones are shared by page (the
-// writer copies a page before its first write to it afterwards), the
-// base tiles and the overlay are shared by pointer since they are only
-// ever replaced, never mutated, and only the occupancy grid is copied.
-// Nothing writes through a Snapshot once it is returned: readers share
-// it without a lock.
+// writer copies a page before its first write to it afterwards), and
+// the base tiles, the overlay and its cell mapping are shared by
+// pointer since they are only ever replaced, never mutated: Snapshot
+// copies nothing. Nothing writes through a Snapshot once it is
+// returned: readers share it without a lock.
 type Snapshot struct {
 	q       qview
 	spatial column[bool]
@@ -36,7 +36,7 @@ func (x *Index) Snapshot() *Snapshot {
 			dead:   x.dead.freeze(),
 			tombs:  x.tombs,
 			ov:     x.ov,
-			grid:   x.grid.clone(),
+			grid:   x.grid,
 		},
 		spatial: x.spatial.freeze(),
 		post:    x.post.freeze(),

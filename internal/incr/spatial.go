@@ -18,8 +18,8 @@ import (
 //     the paged dead column supersedes it;
 //   - or in the overlay: the venues patched since the last fold, and
 //     every venue with an extent, which never folds. It is bucketed by
-//     occupancy-grid cell, an extent replicated into each cell it
-//     covers.
+//     the cells of a grid.Uniform over the network's space, an extent
+//     replicated into each cell it covers.
 //
 // A patch (patchVenue) only tombstones the base entry and queues the
 // venue; the next flush (flushSpatial, at the next read or snapshot)
@@ -47,7 +47,7 @@ type ovRow struct {
 }
 
 // ovEntry is one overlay entry while an overlay is being built; cell is
-// the grid cell's index, y*nx + x.
+// the grid cell's index, y*grid.Side + x.
 type ovEntry struct {
 	cell, post, id int32
 	box            geom.Rect
@@ -72,13 +72,13 @@ func (o *overlay) memoryBytes() int64 {
 // update returns a new overlay: o without the entries of the venues
 // marks holds, plus fresh, sorted by compareEntries. A row with neither
 // is shared with o.
-func (o *overlay) update(marks *flagSet, fresh []ovEntry, g *occGrid) *overlay {
-	next := &overlay{rows: make([]*ovRow, g.ny), n: o.n, points: o.points}
+func (o *overlay) update(marks *flagSet, fresh []ovEntry) *overlay {
+	next := &overlay{rows: make([]*ovRow, grid.Side), n: o.n, points: o.points}
 	copy(next.rows, o.rows)
 	var drop []int
-	for y, f := 0, 0; y < g.ny; y++ {
+	for y, f := 0, 0; y < grid.Side; y++ {
 		f0 := f
-		for f < len(fresh) && int(fresh[f].cell)/g.nx == y {
+		for f < len(fresh) && int(fresh[f].cell)/grid.Side == y {
 			f++
 		}
 		row := next.rows[y]
@@ -104,7 +104,7 @@ func (o *overlay) update(marks *flagSet, fresh []ovEntry, g *occGrid) *overlay {
 			}
 		}
 		next.n += f - f0 - len(drop)
-		next.rows[y] = row.merge(drop, fresh[f0:f], y, g.nx)
+		next.rows[y] = row.merge(drop, fresh[f0:f], y)
 	}
 	if next.n == 0 {
 		return &overlay{}
@@ -115,7 +115,8 @@ func (o *overlay) update(marks *flagSet, fresh []ovEntry, g *occGrid) *overlay {
 // merge returns a new row y holding r's entries but those at the
 // ascending positions drop, plus fresh, sorted by compareEntries; nil
 // if none remain. r may be nil.
-func (r *ovRow) merge(drop []int, fresh []ovEntry, y, nx int) *ovRow {
+func (r *ovRow) merge(drop []int, fresh []ovEntry, y int) *ovRow {
+	const nx = grid.Side
 	var old ovRow
 	if r != nil {
 		old = *r
@@ -160,15 +161,15 @@ func (r *ovRow) merge(drop []int, fresh []ovEntry, y, nx int) *ovRow {
 	return next
 }
 
-// any reports whether an overlay entry in a grid cell that r meets has
+// any reports whether an overlay entry in a cell of u that r meets has
 // its post in label and its box meeting r. The entries of a cell r
 // contains need no geometry test: an entry in it meets the cell, and so
 // r. sp counts, as overlay entries, the entries whose box it tested.
-func (o *overlay) any(g *occGrid, r geom.Rect, label intervals.Set, sp *trace.Span) bool {
+func (o *overlay) any(u *grid.Uniform, r geom.Rect, label intervals.Set, sp *trace.Span) bool {
 	if o.n == 0 || len(label) == 0 {
 		return false
 	}
-	x0, y0, x1, y1 := g.cellRange(r)
+	x0, y0, x1, y1 := u.Range(r)
 	tested := 0
 	for y := y0; y <= y1; y++ {
 		row := o.rows[y]
@@ -222,10 +223,10 @@ func (row *ovRow) cellAny(a, b int, r geom.Rect, label intervals.Set, inside boo
 func (x *Index) entries(dst []ovEntry, v int32) []ovEntry {
 	box := x.geo[v]
 	p := x.post.at(x.comp.at(v))
-	x0, y0, x1, y1 := x.grid.cellRange(box)
+	x0, y0, x1, y1 := x.grid.Range(box)
 	for y := y0; y <= y1; y++ {
 		for cx := x0; cx <= x1; cx++ {
-			dst = append(dst, ovEntry{int32(y*x.grid.nx + cx), p, v, box})
+			dst = append(dst, ovEntry{int32(y*grid.Side + cx), p, v, box})
 		}
 	}
 	return dst
@@ -261,7 +262,7 @@ func (x *Index) flushSpatial() {
 	for _, v := range queued {
 		x.marks.set(v, 1)
 	}
-	x.ov = x.ov.update(&x.marks, fresh, x.grid)
+	x.ov = x.ov.update(&x.marks, fresh)
 	x.patched = x.patched[:0]
 	pending := x.ov.points + x.tombs
 	if pending >= x.opts.overlayMin && pending*8 >= x.dead.len()+x.ov.points {
@@ -294,85 +295,7 @@ func (x *Index) foldBase() {
 	x.dead = pagedFrom(make([]bool, len(pts)))
 	x.tombs = 0
 	slices.SortFunc(extents, compareEntries)
-	x.ov = (&overlay{}).update(&x.marks, extents, x.grid)
+	x.ov = (&overlay{}).update(&x.marks, extents)
 	x.patched = x.patched[:0]
 	x.stats.Folds++
-}
-
-// occGrid is a coarse fixed-resolution occupancy grid over the venue
-// space — the GeoReach idea reduced to its cheapest useful form. Each
-// cell counts the venues whose geometry intersects it; a query region
-// covering only empty cells cannot contain a venue, so the engine can
-// answer false without touching labels or tiles. The same cells bucket
-// the overlay. Venues outside the initial space clamp to the border
-// cells, which keeps the filter conservative on both sides: such a
-// venue inflates border counts, and a query reaching past the border
-// clamps onto those same cells.
-type occGrid struct {
-	u      grid.Uniform
-	nx, ny int
-	cells  []int32
-	total  int
-}
-
-func newOccGrid(space geom.Rect) *occGrid {
-	return &occGrid{
-		u:     grid.NewUniform(space),
-		nx:    grid.Side,
-		ny:    grid.Side,
-		cells: make([]int32, grid.Side*grid.Side),
-	}
-}
-
-// cellRange returns the clamped cell-index range covered by r, by the
-// mapping the shard map's cells use (grid.Uniform).
-func (g *occGrid) cellRange(r geom.Rect) (x0, y0, x1, y1 int) { return g.u.Range(r) }
-
-func (g *occGrid) add(r geom.Rect) {
-	x0, y0, x1, y1 := g.cellRange(r)
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			g.cells[y*g.nx+x]++
-		}
-	}
-	g.total++
-}
-
-func (g *occGrid) remove(r geom.Rect) {
-	x0, y0, x1, y1 := g.cellRange(r)
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			g.cells[y*g.nx+x]--
-		}
-	}
-	g.total--
-}
-
-// maybe reports whether any venue might intersect r. False is exact:
-// every cell r touches is empty.
-func (g *occGrid) maybe(r geom.Rect) bool {
-	if g.total == 0 {
-		return false
-	}
-	x0, y0, x1, y1 := g.cellRange(r)
-	// A near-whole-space region would scan thousands of cells for a
-	// filter that almost certainly passes; skip the scan.
-	if (x1-x0+1)*(y1-y0+1) > 1024 {
-		return true
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			if g.cells[y*g.nx+x] > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// clone returns a private copy for snapshots.
-func (g *occGrid) clone() *occGrid {
-	c := *g
-	c.cells = append([]int32(nil), g.cells...)
-	return &c
 }

@@ -3,10 +3,10 @@ package incr
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/check"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/intervals"
 )
 
@@ -260,8 +260,7 @@ func (x *Index) validatePartition(comp []int32) error {
 //     replica per such cell;
 //   - every spatial vertex represented by exactly one live entry — a
 //     base entry without a tombstone, or its overlay replicas — keyed by
-//     post(comp(v)), and no other vertex by any;
-//   - the occupancy grid counting exactly the live geometries.
+//     post(comp(v)), and no other vertex by any.
 //
 // With geo (the writer's copy), each live entry's geometry must also be
 // the venue's, which keeps extents out of the base.
@@ -300,8 +299,8 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 	}
 
 	o, g := q.ov, q.grid
-	if len(o.rows) != 0 && len(o.rows) != g.ny {
-		return fmt.Errorf("incr: %d overlay rows for a grid of %d", len(o.rows), g.ny)
+	if len(o.rows) != 0 && len(o.rows) != grid.Side {
+		return fmt.Errorf("incr: %d overlay rows for a grid of %d", len(o.rows), grid.Side)
 	}
 	replicas := make([]int, n)
 	entries, points := 0, 0
@@ -313,11 +312,11 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 		if m == 0 || len(row.id) != m || len(row.box) != m {
 			return fmt.Errorf("incr: overlay row %d has columns of %d posts, %d ids, %d boxes", y, m, len(row.id), len(row.box))
 		}
-		if len(row.start) != g.nx+1 || row.start[0] != 0 || int(row.start[g.nx]) != m {
-			return fmt.Errorf("incr: overlay row %d has %d cell offsets for %d cells and %d entries", y, len(row.start), g.nx, m)
+		if len(row.start) != grid.Side+1 || row.start[0] != 0 || int(row.start[grid.Side]) != m {
+			return fmt.Errorf("incr: overlay row %d has %d cell offsets for %d cells and %d entries", y, len(row.start), grid.Side, m)
 		}
 		entries += m
-		for x := 0; x < g.nx; x++ {
+		for x := 0; x < grid.Side; x++ {
 			a, b := int(row.start[x]), int(row.start[x+1])
 			if a > b {
 				return fmt.Errorf("incr: overlay cell (%d, %d) runs from %d to %d", x, y, a, b)
@@ -330,7 +329,7 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 				if k > a && cmp.Or(cmp.Compare(row.post[k-1], row.post[k]), cmp.Compare(row.id[k-1], id)) >= 0 {
 					return fmt.Errorf("incr: overlay cell (%d, %d) is out of (post, id) order at entry %d", x, y, k)
 				}
-				if x0, y0, x1, y1 := g.cellRange(box); !box.Valid() || x < x0 || x > x1 || y < y0 || y > y1 {
+				if x0, y0, x1, y1 := g.Range(box); !box.Valid() || x < x0 || x > x1 || y < y0 || y > y1 {
 					return fmt.Errorf("incr: venue %d's overlay box %v lies outside its cell (%d, %d)", id, box, x, y)
 				}
 				if want := post[comp[id]]; row.post[k] != want {
@@ -355,8 +354,6 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 		return fmt.Errorf("incr: %d overlay entries, %d of them points, but %d and %d counted", entries, points, o.n, o.points)
 	}
 
-	cells := make([]int32, len(g.cells))
-	total := 0
 	for v := 0; v < n; v++ {
 		if !spatial[v] {
 			continue
@@ -367,19 +364,10 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 		if geo != nil && live[v] != geo[v] {
 			return fmt.Errorf("incr: venue %d's live entry is at %v but the venue at %v", v, live[v], geo[v])
 		}
-		x0, y0, x1, y1 := g.cellRange(live[v])
+		x0, y0, x1, y1 := g.Range(live[v])
 		if replicas[v] > 0 && replicas[v] != (x1-x0+1)*(y1-y0+1) {
 			return fmt.Errorf("incr: venue %d has %d overlay replicas for %d cells", v, replicas[v], (x1-x0+1)*(y1-y0+1))
 		}
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				cells[y*g.nx+x]++
-			}
-		}
-		total++
-	}
-	if total != g.total || !slices.Equal(cells, g.cells) {
-		return fmt.Errorf("incr: the occupancy grid counts %d venues, not the %d live ones cell by cell", g.total, total)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package pool implements the bounded worker pool behind the parallel
 // index-construction pipeline: a fixed number of workers drain an
-// indexed task range with error-first cancellation, panic capture and
-// deterministic result ordering.
+// indexed task range with panic capture and deterministic result
+// ordering. Tasks return nothing: no build step fails.
 //
 // The pool itself never touches results — callers write into slot i of
 // a pre-sized slice from task i, so the output layout is independent of
@@ -69,41 +69,27 @@ func (p *Panic) Error() string {
 }
 
 // ForEach runs fn(i) for every i in [0, n), using up to Size() workers.
-//
-// Cancellation is error-first: after any task returns a non-nil error
-// (or panics), no new task is started; tasks already running complete.
-// Among the errors of the tasks that did run, the one with the lowest
-// index is returned — the same error the sequential order would have
-// surfaced first. A worker panic takes precedence over errors and is
-// re-raised on the calling goroutine as a *Panic.
+// A worker panic stops dispatch — no new task starts, tasks already
+// running complete — and the panic of the lowest such task is re-raised
+// on the calling goroutine as a *Panic.
 //
 // On a sequential pool, ForEach is a plain loop: fn runs in index
 // order on the calling goroutine and panics propagate unwrapped.
-func (p *Pool) ForEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := p.Size()
-	if workers > n {
-		workers = n
-	}
+func (p *Pool) ForEach(n int, fn func(i int)) {
+	workers := min(p.Size(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
+			fn(i)
 		}
-		return nil
+		return
 	}
 
 	var (
 		next atomic.Int64 // next task index to hand out
-		stop atomic.Bool  // set on first error/panic; halts dispatch
+		stop atomic.Bool  // set on the first panic; halts dispatch
 
-		mu       sync.Mutex
-		firstIdx = n // lowest failed task index seen so far
-		firstErr error
-		pan      *Panic
+		mu  sync.Mutex
+		pan *Panic
 
 		wg sync.WaitGroup
 	)
@@ -118,14 +104,7 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 				mu.Unlock()
 			}
 		}()
-		if err := fn(i); err != nil {
-			stop.Store(true)
-			mu.Lock()
-			if i < firstIdx {
-				firstIdx, firstErr = i, err
-			}
-			mu.Unlock()
-		}
+		fn(i)
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -144,15 +123,14 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	if pan != nil {
 		panic(pan)
 	}
-	return firstErr
 }
 
 // Run executes a fixed set of heterogeneous tasks — the nodes of a
 // small build-dependency DAG stage — with ForEach semantics: all tasks
 // of one Run call are independent; sequencing between dependent stages
 // is expressed by consecutive Run calls.
-func (p *Pool) Run(tasks ...func() error) error {
-	return p.ForEach(len(tasks), func(i int) error { return tasks[i]() })
+func (p *Pool) Run(tasks ...func()) {
+	p.ForEach(len(tasks), func(i int) { tasks[i]() })
 }
 
 // Levels runs fn(v) for every vertex of every level, one level at a
@@ -162,31 +140,15 @@ func (p *Pool) Run(tasks ...func() error) error {
 // vertices within a level have no edges between them, so each can read
 // its neighbors' finished state and write only its own.
 func (p *Pool) Levels(levels [][]int32, fn func(v int32)) {
-	if p.Sequential() {
-		for _, level := range levels {
-			for _, v := range level {
-				fn(v)
-			}
-		}
-		return
-	}
 	for _, level := range levels {
-		level := level
 		// Chunk the level so workers grab batches, not single vertices:
 		// levels in real condensation DAGs hold thousands of cheap tasks
 		// and per-task atomics would dominate.
 		const chunk = 256
-		n := (len(level) + chunk - 1) / chunk
-		_ = p.ForEach(n, func(i int) error {
-			lo := i * chunk
-			hi := lo + chunk
-			if hi > len(level) {
-				hi = len(level)
-			}
-			for _, v := range level[lo:hi] {
+		p.ForEach((len(level)+chunk-1)/chunk, func(i int) {
+			for _, v := range level[i*chunk : min((i+1)*chunk, len(level))] {
 				fn(v)
 			}
-			return nil
 		})
 	}
 }

@@ -1,8 +1,6 @@
 package pool
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -12,12 +10,7 @@ func TestForEachRunsEveryTaskOnce(t *testing.T) {
 		p := New(size)
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		if err := p.ForEach(n, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("size %d: unexpected error: %v", size, err)
-		}
+		p.ForEach(n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("size %d: task %d ran %d times", size, i, got)
@@ -37,52 +30,12 @@ func TestForEachDeterministicOrdering(t *testing.T) {
 	}
 	for _, size := range []int{1, 3, 16} {
 		got := make([]int, n)
-		if err := New(size).ForEach(n, func(i int) error {
-			got[i] = i * i
-			return nil
-		}); err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
+		New(size).ForEach(n, func(i int) { got[i] = i * i })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("size %d: slot %d = %d, want %d", size, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestForEachErrorFirstCancellation(t *testing.T) {
-	errBoom := errors.New("boom")
-	for _, size := range []int{1, 4} {
-		p := New(size)
-		const n = 100000
-		var ran atomic.Int64
-		err := p.ForEach(n, func(i int) error {
-			ran.Add(1)
-			if i == 3 {
-				return errBoom
-			}
-			return nil
-		})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("size %d: got error %v, want %v", size, err, errBoom)
-		}
-		// Error-first cancellation: once task 3 fails, dispatch stops. The
-		// in-flight window is at most a few tasks per worker; nothing close
-		// to the full range may run.
-		if got := ran.Load(); got >= n {
-			t.Fatalf("size %d: %d tasks ran after early error, cancellation is broken", size, got)
-		}
-	}
-}
-
-func TestForEachReturnsLowestIndexError(t *testing.T) {
-	// All tasks fail; the reported error must be the sequential-order
-	// first one no matter which worker finished first.
-	p := New(8)
-	err := p.ForEach(64, func(i int) error { return fmt.Errorf("task %d", i) })
-	if err == nil || err.Error() != "task 0" {
-		t.Fatalf("got %v, want error of task 0", err)
 	}
 }
 
@@ -107,11 +60,10 @@ func TestForEachPanicPropagation(t *testing.T) {
 			t.Fatal("panic carries no worker stack")
 		}
 	}()
-	_ = p.ForEach(32, func(i int) error {
+	p.ForEach(32, func(i int) {
 		if i == 7 {
 			panic("kaput")
 		}
-		return nil
 	})
 }
 
@@ -122,40 +74,23 @@ func TestSequentialPanicUnwrapped(t *testing.T) {
 			t.Fatalf("recovered %v, want raw", r)
 		}
 	}()
-	_ = New(1).ForEach(4, func(i int) error {
+	New(1).ForEach(4, func(i int) {
 		if i == 2 {
 			panic("raw")
 		}
-		return nil
 	})
-}
-
-func TestSequentialStopsAtFirstError(t *testing.T) {
-	var ran int
-	err := New(1).ForEach(10, func(i int) error {
-		ran++
-		if i == 2 {
-			return errors.New("stop")
-		}
-		return nil
-	})
-	if err == nil || ran != 3 {
-		t.Fatalf("ran=%d err=%v, want exactly 3 tasks and an error", ran, err)
-	}
 }
 
 func TestRun(t *testing.T) {
 	var a, b atomic.Bool
-	err := New(2).Run(
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
+	New(2).Run(
+		func() { a.Store(true) },
+		func() { b.Store(true) },
 	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("Run: err=%v a=%v b=%v", err, a.Load(), b.Load())
+	if !a.Load() || !b.Load() {
+		t.Fatalf("Run: a=%v b=%v", a.Load(), b.Load())
 	}
-	if err := New(2).Run(); err != nil {
-		t.Fatalf("empty Run: %v", err)
-	}
+	New(2).Run() // no task: returns at once
 }
 
 func TestLevelsSynchronization(t *testing.T) {
@@ -205,7 +140,8 @@ func TestNewDefaultsAndNilPool(t *testing.T) {
 		t.Fatal("nil pool must behave sequentially")
 	}
 	n := 0
-	if err := p.ForEach(3, func(int) error { n++; return nil }); err != nil || n != 3 {
-		t.Fatalf("nil pool ForEach: n=%d err=%v", n, err)
+	p.ForEach(3, func(int) { n++ })
+	if n != 3 {
+		t.Fatalf("nil pool ForEach: n=%d", n)
 	}
 }

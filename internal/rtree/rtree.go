@@ -96,13 +96,7 @@ func BulkLoadPool[B Bound[B]](entries []Entry[B], maxEntries, leafBoundBytes int
 		}
 		leaves[i] = packed[B]{bounds: b, lo: i}
 	}
-	if p.Sequential() {
-		for i := range groups {
-			makeLeaf(i)
-		}
-	} else {
-		_ = p.ForEach(len(groups), func(i int) error { makeLeaf(i); return nil })
-	}
+	p.ForEach(len(groups), makeLeaf)
 	// Pack upper levels until a single root remains. Upper levels hold
 	// ~1/maxEntries of the nodes below; not worth fanning out.
 	levels := [][]packed[B]{leaves}
@@ -159,21 +153,16 @@ func strPack[B Bound[B]](entries []Entry[B], maxEntries int, p *pool.Pool) [][]E
 			}
 			subs = append(subs, es[i:end:end])
 		}
-		if dim == 0 && !p.Sequential() && len(subs) > 1 {
-			results := make([][][]Entry[B], len(subs))
-			_ = p.ForEach(len(subs), func(i int) error {
-				results[i] = tile(subs[i], dim+1)
-				return nil
-			})
-			var out [][]Entry[B]
-			for _, r := range results {
-				out = append(out, r...)
-			}
-			return out
+		// Only the top-level slabs fan out; the nil pool runs inline.
+		var q *pool.Pool
+		if dim == 0 {
+			q = p
 		}
+		results := make([][][]Entry[B], len(subs))
+		q.ForEach(len(subs), func(i int) { results[i] = tile(subs[i], dim+1) })
 		var out [][]Entry[B]
-		for _, sub := range subs {
-			out = append(out, tile(sub, dim+1)...)
+		for _, r := range results {
+			out = append(out, r...)
 		}
 		return out
 	}

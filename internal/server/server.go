@@ -5,7 +5,7 @@
 // Endpoints:
 //
 //	POST /v1/query   one RangeReach query
-//	POST /v1/batch   a batch of at most httpjson.MaxBatch, fanned out over RangeReachBatch
+//	POST /v1/batch   a batch of at most httpjson.MaxBatch, fanned out over RangeReachBatchContext
 //	POST /v1/update  add_user / add_venue / add_edge / del_edge / move_venue (dynamic mode)
 //	GET  /v1/explain one query with its execution profile (EXPLAIN)
 //	GET  /healthz    liveness + mode + index info
@@ -249,43 +249,29 @@ func (s *Server) writeQueryReply(w http.ResponseWriter, sc *httpjson.Scratch, re
 	sc.Reply(w, http.StatusOK)
 }
 
-// view resolves the read path once per request: the engine to query,
-// the vertex-count bound, and the cache generation it belongs to. In
-// dynamic mode the whole request is served from one snapshot, so even a
-// batch sees a consistent point-in-time state.
+// reader is what a request reads: the static *rangereach.Index, or the
+// *rangereach.DynamicSnapshot the updater last published.
+type reader interface {
+	RangeReach(v int, r rangereach.Rect) bool
+	Explain(v int, r rangereach.Rect) (bool, rangereach.QueryStats)
+	RangeReachBatchContext(ctx context.Context, queries []rangereach.Query, parallelism int) ([]bool, error)
+}
+
+// view is the read path a request resolves once: the reader, its
+// vertex count, and the cache generation its answers belong to (0 in
+// static mode). In dynamic mode the whole request is served from one
+// snapshot, so even a batch sees a consistent point-in-time state.
 type view struct {
-	static *rangereach.Index
-	snap   *rangereach.DynamicSnapshot
-	gen    uint64
+	reader
+	vertices int
+	gen      uint64
 }
 
 func (s *Server) currentView() view {
 	if s.dyn != nil {
-		p := s.dyn.current()
-		return view{snap: p.snap, gen: p.gen}
+		return s.dyn.current().view
 	}
-	return view{static: s.cfg.Index}
-}
-
-func (v view) numVertices() int {
-	if v.snap != nil {
-		return v.snap.NumVertices()
-	}
-	return v.static.Network().NumVertices()
-}
-
-func (v view) rangeReach(vertex int, r rangereach.Rect) bool {
-	if v.snap != nil {
-		return v.snap.RangeReach(vertex, r)
-	}
-	return v.static.RangeReach(vertex, r)
-}
-
-func (v view) explain(vertex int, r rangereach.Rect) (bool, rangereach.QueryStats) {
-	if v.snap != nil {
-		return v.snap.Explain(vertex, r)
-	}
-	return v.static.Explain(vertex, r)
+	return view{reader: s.cfg.Index, vertices: s.cfg.Index.Network().NumVertices()}
 }
 
 // rawStats encodes a query's profile for a reply.
@@ -314,8 +300,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	v := s.currentView()
-	if req.Vertex < 0 || req.Vertex >= v.numVertices() {
-		s.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", req.Vertex, v.numVertices())
+	if req.Vertex < 0 || req.Vertex >= v.vertices {
+		s.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", req.Vertex, v.vertices)
 		return
 	}
 	// A valid traceparent (stamped by rrrouter's scatter-gather or a
@@ -352,11 +338,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var stats json.RawMessage
 	if traced {
 		var qs rangereach.QueryStats
-		ans, qs = v.explain(req.Vertex, rect)
+		ans, qs = v.Explain(req.Vertex, rect)
 		httpjson.Annotate(w, slog.String("trace", qs.String()))
 		stats = rawStats(qs)
 	} else {
-		ans = v.rangeReach(req.Vertex, rect)
+		ans = v.RangeReach(req.Vertex, rect)
 	}
 	s.mQueries.Inc()
 	if s.cache != nil {
@@ -397,8 +383,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	v := s.currentView()
-	if vertex < 0 || vertex >= v.numVertices() {
-		s.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", vertex, v.numVertices())
+	if vertex < 0 || vertex >= v.vertices {
+		s.front.WriteError(w, http.StatusBadRequest, "vertex %d out of range [0,%d)", vertex, v.vertices)
 		return
 	}
 	rect := rangereach.NewRect(coords[0], coords[1], coords[2], coords[3])
@@ -415,7 +401,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mMisses.Inc()
 	}
-	ans, qs := v.explain(vertex, rect)
+	ans, qs := v.Explain(vertex, rect)
 	s.mQueries.Inc()
 	if s.cache != nil {
 		s.cache.Put(key, v.gen, ans)
@@ -431,7 +417,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	v := s.currentView()
-	if err := req.Check(v.numVertices()); err != nil {
+	if err := req.Check(v.vertices); err != nil {
 		s.front.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -442,7 +428,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Region: rangereach.NewRect(q.Region[0], q.Region[1], q.Region[2], q.Region[3]),
 		}
 	}
-	results, err := s.evalBatch(r.Context(), v, queries)
+	// The request context reaches the workers, so a client disconnect or
+	// deadline stops the in-flight work at the next chunk boundary
+	// instead of abandoning it to finish unobserved.
+	results, err := v.RangeReachBatchContext(r.Context(), queries, 0) // GOMAXPROCS workers
 	if err != nil {
 		s.front.WriteError(w, httpjson.CancelStatus(err), "batch: %v", err)
 		return
@@ -452,31 +441,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Results: results, Gen: v.gen,
 		Micros: time.Since(start).Microseconds(),
 	})
-}
-
-// evalBatch answers the batch against the resolved view. Both modes
-// thread the request context into the evaluation itself, so a client
-// disconnect or deadline stops the in-flight work (workers exit at the
-// next chunk boundary) instead of abandoning it to finish unobserved.
-func (s *Server) evalBatch(ctx context.Context, v view, queries []rangereach.Query) ([]bool, error) {
-	if v.static != nil {
-		return v.static.RangeReachBatchContext(ctx, queries, 0) // GOMAXPROCS workers
-	}
-	out := make([]bool, len(queries))
-	const chunk = 64
-	for lo := 0; lo < len(queries); lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := lo + chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		for i := lo; i < hi; i++ {
-			out[i] = v.snap.RangeReach(queries[i].Vertex, queries[i].Region)
-		}
-	}
-	return out, nil
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -528,7 +492,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	v := s.currentView()
-	resp := httpjson.ServerHealthz{Status: "ok", Vertices: v.numVertices(), Gen: v.gen}
+	resp := httpjson.ServerHealthz{Status: "ok", Vertices: v.vertices, Gen: v.gen}
 	if s.dyn != nil {
 		resp.Mode, resp.Method = "dynamic", "3DReach-Dynamic"
 	} else {

@@ -644,7 +644,9 @@ func TestCloseDrainsHandlers(t *testing.T) {
 }
 
 // TestBatchConsistentSnapshot verifies a batch in dynamic mode is
-// answered against one snapshot (gen echoes a single generation).
+// answered against one snapshot (gen echoes a single generation), and
+// that a 64-query batch, which runs on the static indexes' parallel
+// loop, answers each query as /v1/query does at that generation.
 func TestBatchConsistentSnapshot(t *testing.T) {
 	net := testNetwork(t)
 	srv, err := New(Config{Dynamic: net.BuildDynamic()})
@@ -669,6 +671,32 @@ func TestBatchConsistentSnapshot(t *testing.T) {
 	}
 	if bresp.Gen != uresp.Gen {
 		t.Errorf("batch gen %d, want %d (latest published)", bresp.Gen, uresp.Gen)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	breq.Queries = breq.Queries[:0]
+	for i := 0; i < 64; i++ {
+		x, y := rng.Float64()*80, rng.Float64()*80
+		breq.Queries = append(breq.Queries, queryRequest{Vertex: rng.Intn(net.NumVertices()), Region: [4]float64{x, y, x + 20, y + 20}})
+	}
+	if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/batch", breq, &bresp); status != http.StatusOK {
+		t.Fatalf("batch status %d: %s", status, body)
+	}
+	positives := 0
+	for i, q := range breq.Queries {
+		var qresp queryResponse
+		if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", q, &qresp); status != http.StatusOK {
+			t.Fatalf("query %d status %d: %s", i, status, body)
+		}
+		if qresp.Gen != bresp.Gen || qresp.Reachable != bresp.Results[i] {
+			t.Fatalf("query %d: /v1/query says %v at gen %d, the batch %v at gen %d", i, qresp.Reachable, qresp.Gen, bresp.Results[i], bresp.Gen)
+		}
+		if qresp.Reachable {
+			positives++
+		}
+	}
+	if positives == 0 || positives == len(breq.Queries) {
+		t.Errorf("%d of %d queries reach; want both answers", positives, len(breq.Queries))
 	}
 }
 

@@ -18,16 +18,20 @@ var errClosed = errors.New("server: closed")
 // produced failed publish-time validation (-check-publish).
 var errPublishCheck = errors.New("snapshot failed publish-time validation")
 
-// publishedSnapshot pairs an immutable index view with the generation
-// it belongs to. Readers load the pair with one atomic pointer load, so
-// a result cached under gen G is always an answer computed against the
-// matching snapshot. stats is the index's state when the snapshot was
-// taken — only the writer may ask the index, so it asks at publish time
-// and the rr_incr_* gauges read the published copy.
+// publishedSnapshot pairs an immutable snapshot with the generation it
+// belongs to, as the view a request reads. Readers load the pair with
+// one atomic pointer load, so a result cached under gen G is always an
+// answer computed against the matching snapshot. stats is the index's
+// state when the snapshot was taken — only the writer may ask the
+// index, so it asks at publish time and the rr_incr_* gauges read the
+// published copy.
 type publishedSnapshot struct {
-	snap  *rangereach.DynamicSnapshot
-	gen   uint64
+	view
 	stats rangereach.UpdateStats
+}
+
+func publish(idx *rangereach.DynamicIndex, snap *rangereach.DynamicSnapshot, gen uint64) *publishedSnapshot {
+	return &publishedSnapshot{view: view{reader: snap, vertices: snap.NumVertices(), gen: gen}, stats: idx.UpdateStats()}
 }
 
 // op kinds for updateOp.
@@ -88,7 +92,7 @@ func newUpdater(idx *rangereach.DynamicIndex, snapTime *metrics.Histogram, check
 		checkPublish: checkPublish,
 		checkFails:   checkFails,
 	}
-	u.snap.Store(&publishedSnapshot{snap: idx.Snapshot(), gen: 0, stats: idx.UpdateStats()})
+	u.snap.Store(publish(idx, idx.Snapshot(), 0))
 	go u.loop()
 	return u
 }
@@ -176,7 +180,7 @@ func (u *updater) loop() {
 			}
 		}
 		gen++
-		u.snap.Store(&publishedSnapshot{snap: snap, gen: gen, stats: u.idx.UpdateStats()})
+		u.snap.Store(publish(u.idx, snap, gen))
 		u.snapTime.Observe(time.Since(start).Seconds())
 		// Reply only after the snapshot is published: a client whose
 		// update returned 200 is guaranteed to observe it in subsequent
