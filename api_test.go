@@ -41,7 +41,6 @@ func TestPublicAPIPaperExample(t *testing.T) {
 	net := figure1(t)
 	region := rangereach.NewRect(60, 55, 90, 95)
 	all := append([]rangereach.Method{rangereach.Naive}, rangereach.Methods...)
-	all = append(all, rangereach.ExtendedMethods...)
 	for _, m := range all {
 		idx, err := net.Build(m)
 		if err != nil {
@@ -193,7 +192,6 @@ func TestSetRectGeometries(t *testing.T) {
 	clip := rangereach.NewRect(58, 58, 70, 70)    // clips the mall corner
 	outside := rangereach.NewRect(61, 61, 70, 70) // misses everything
 	all := append([]rangereach.Method{rangereach.Naive}, rangereach.Methods...)
-	all = append(all, rangereach.ExtendedMethods...)
 	for _, m := range all {
 		idx, err := net.Build(m)
 		if err != nil {
@@ -285,7 +283,7 @@ func TestNonFiniteCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append([]rangereach.Method{rangereach.Naive}, rangereach.Methods...)
-	for _, m := range append(all, rangereach.ExtendedMethods...) {
+	for _, m := range all {
 		idx, err := moved.Build(m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

@@ -41,9 +41,7 @@ func randomQueries(net *rangereach.Network, n int, seed int64) []rangereach.Quer
 func TestBatchMatchesSequential(t *testing.T) {
 	net := batchNetwork(t)
 	qs := randomQueries(net, 300, 5)
-	methods := append(append([]rangereach.Method(nil), rangereach.Methods...),
-		rangereach.ExtendedMethods...)
-	for _, m := range methods {
+	for _, m := range rangereach.Methods {
 		idx := net.MustBuild(m)
 		want := idx.RangeReachBatch(qs, 1)
 		got := idx.RangeReachBatch(qs, 8)

@@ -1,7 +1,7 @@
 // Command rrlint runs the project's static-analysis suite
-// (internal/lint) over the whole module: stdlib-only analyzers for
-// nil-safe trace spans, clock-free hot paths, deterministic randomness,
-// checked errors, locks released on every return, and defers in loops.
+// (internal/lint) over the whole module: five stdlib-only analyzers for
+// clock-free hot paths, deterministic randomness, checked errors, locks
+// released on every return, and defers in loops.
 //
 // Usage:
 //

@@ -32,8 +32,7 @@ func TestConcurrentBatchAndStats(t *testing.T) {
 		}
 	}
 
-	methods := append(append([]rangereach.Method{}, rangereach.Methods...), rangereach.ExtendedMethods...)
-	for _, m := range methods {
+	for _, m := range rangereach.Methods {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()

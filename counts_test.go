@@ -142,16 +142,15 @@ func workPool(net *rangereach.Network, n int, seed int64) []rangereach.Query {
 	return qs
 }
 
-// methodWorkRows builds every method of Methods, SpaReach-PLL and
-// MethodAuto over a gowalla-like and a yelp-like network, and the
-// gowalla-like one with user points (userPointsNet), and explains a
-// fixed pool on each. Per method it records the pool's sum of every
+// methodWorkRows builds every method of Methods and MethodAuto over a
+// gowalla-like and a yelp-like network, and the gowalla-like one with
+// user points (userPointsNet), and explains a fixed pool on each. Per method it records the pool's sum of every
 // nonzero QueryStats counter, its positive count and Stats().Bytes, as
 // "work.<network>.<method>.<counter>". Every row is exact: the pool,
 // the index and the work each query does are fixed by the seed.
 func methodWorkRows(t *testing.T) map[string]float64 {
 	t.Helper()
-	methods := append(append(slices.Clone(rangereach.Methods), rangereach.ExtendedMethods...), rangereach.MethodAuto)
+	methods := append(slices.Clone(rangereach.Methods), rangereach.MethodAuto)
 	names := rangereach.MethodNames()
 	rows := make(map[string]float64)
 	for _, net := range []*rangereach.Network{rangereach.GowallaLike(0.05, 1), rangereach.YelpLike(0.05, 1), userPointsNet(t)} {

@@ -41,10 +41,9 @@ func parallelTestNetwork(t *testing.T, seed int64) *rangereach.Network {
 	return net
 }
 
-// allMethods lists every indexed method: the paper's, the extended
-// SpaReach variant and the composite.
+// allMethods lists every indexed method: the paper's and the composite.
 func allMethods() []rangereach.Method {
-	return append(append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...), rangereach.ExtendedMethods...)
+	return append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...)
 }
 
 // TestParallelBuildByteIdentical is the end-to-end determinism gate for

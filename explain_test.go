@@ -57,15 +57,13 @@ func explainQueries(net *rangereach.Network, n int, seed int64) []struct {
 }
 
 // TestExplainParityAllMethods is Explain's central invariant: it
-// must return exactly the boolean RangeReach returns, for every method
-// (including the extended SpaReach variants) and both SCC policies. It
-// also pins 3DReach-Rev's counters, which count tree nodes, not labels.
+// must return exactly the boolean RangeReach returns, for every method.
+// It also pins 3DReach-Rev's counters, which count tree nodes, not labels.
 func TestExplainParityAllMethods(t *testing.T) {
 	net := explainNetwork(t)
 	queries := explainQueries(net, 60, 7)
 
 	all := append([]rangereach.Method{rangereach.Naive}, rangereach.Methods...)
-	all = append(all, rangereach.ExtendedMethods...)
 	for _, m := range all {
 		idx, err := net.Build(m)
 		if err != nil {

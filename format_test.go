@@ -581,15 +581,16 @@ func savedManifest(t *testing.T, slug string) (v2, manifest []byte) {
 	return v2, manifest
 }
 
-// TestFormatReservedMethodBytes pins method bytes 7 and 8 as reserved:
-// they named SpaReach-Feline and SpaReach-GRAIL, which are gone, and a
-// file carrying one must be a load error on every path — not a panic,
-// and not an index of whatever method is later given the number.
+// TestFormatReservedMethodBytes pins method bytes 6, 7 and 8 as
+// reserved: they named SpaReach-PLL, SpaReach-Feline and
+// SpaReach-GRAIL, which are gone, and a file carrying one must be a
+// load error on every path — not a panic, and not an index of whatever
+// method is later given the number.
 func TestFormatReservedMethodBytes(t *testing.T) {
 	net := fuzzNet()
 	v2, manifest := savedManifest(t, "3dreach")
 	path := filepath.Join(t.TempDir(), "reserved.idx")
-	for _, b := range []byte{7, 8} {
+	for _, b := range []byte{6, 7, 8} {
 		manifest[0] = b
 		_, err := net.LoadIndex(bytes.NewReader(v2))
 		if err == nil || !strings.Contains(err.Error(), ":") {

@@ -142,7 +142,7 @@ func FuzzRangeReachParity(f *testing.F) {
 		}
 
 		naive := net.MustBuild(rangereach.Naive)
-		methods := append(append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...), rangereach.ExtendedMethods...)
+		methods := append([]rangereach.Method{rangereach.MethodAuto}, rangereach.Methods...)
 		for _, m := range methods {
 			idx, err := net.Build(m)
 			if err != nil {

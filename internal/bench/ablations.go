@@ -30,12 +30,12 @@ func (s *Suite) AblationCompression() {
 	}
 }
 
-// AblationSpaReach compares every reachability backend the spatial-first
-// method can probe through: BFL and interval labels (the paper's two),
-// plus PLL (the 2-hop variant of [47], §2.2.1). Reported per backend:
-// index size, build time and average query time on the default workload.
+// AblationSpaReach compares the two reachability backends the
+// spatial-first method probes through (§6.1): BFL and interval labels.
+// Reported per backend: index size, build time and average query time
+// on the default workload.
 func (s *Suite) AblationSpaReach() {
-	methods := []core.Method{core.MethodSpaReachBFL, core.MethodSpaReachINT, core.MethodSpaReachPLL}
+	methods := []core.Method{core.MethodSpaReachBFL, core.MethodSpaReachINT}
 	s.printf("\n== Ablation: SpaReach reachability backends ==\n")
 	for ds := range s.nets {
 		qs := s.gens[ds].Batch(s.cfg.Queries, workload.DefaultExtent, workload.DefaultDegreeBucket)

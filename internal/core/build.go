@@ -28,12 +28,9 @@ const (
 	MethodThreeDReach Method = 4
 	// MethodThreeDReachRev is the line-based variant on reversed labels.
 	MethodThreeDReachRev Method = 5
-	// MethodSpaReachPLL is the spatial-first baseline with 2-hop
-	// (pruned landmark labeling) probes, the first variant of [47].
-	MethodSpaReachPLL Method = 6
-	// 7 and 8 are reserved: they named the removed SpaReach-Feline and
-	// SpaReach-GRAIL variants. Both loaders reject them like any other
-	// byte that names no method.
+	// 6, 7 and 8 are reserved: they named the removed SpaReach-PLL,
+	// SpaReach-Feline and SpaReach-GRAIL variants. Both loaders reject
+	// them like any other byte that names no method.
 
 	// MethodAuto is the planner's method: one 3DReach, named Auto, that
 	// reports 3DReach as the plan of every traced query.
@@ -66,8 +63,6 @@ func (m Method) String() string {
 		return "3DReach"
 	case MethodThreeDReachRev:
 		return "3DReach-Rev"
-	case MethodSpaReachPLL:
-		return "SpaReach-PLL"
 	case MethodAuto:
 		return "Auto"
 	default:
@@ -136,8 +131,6 @@ func BuildMethod(prep *dataset.Prepared, m Method, opts BuildOptions) (BuildResu
 		e = NewThreeDReach(prep, opts)
 	case MethodThreeDReachRev:
 		e = NewThreeDReachRev(prep, opts)
-	case MethodSpaReachPLL:
-		e = NewSpaReachPLL(prep, opts)
 	case MethodAuto:
 		e = NewAuto(prep, opts)
 	default:

@@ -49,17 +49,10 @@ type Engine interface {
 }
 
 // reachIndex is the reachability-index shape shared by bfl.Index and
-// labeling.Labeling.
+// labeling.Labeling. A nil span makes ReachTraced the plain probe.
 type reachIndex interface {
-	Reach(v, u int) bool
-	MemoryBytes() int64
-}
-
-// tracedReach is the optional traced-probe extension of reachIndex;
-// bfl.Index and labeling.Labeling implement it, the PLL probe falls
-// back to plain Reach.
-type tracedReach interface {
 	ReachTraced(v, u int, sp *trace.Span) bool
+	MemoryBytes() int64
 }
 
 // NaiveBFS is the index-free ground truth: breadth-first search over the

@@ -93,7 +93,7 @@ func randomRegion(rng *rand.Rand) geom.Rect {
 func buildAll(t *testing.T, prep *dataset.Prepared) []Engine {
 	t.Helper()
 	var engines []Engine
-	for _, m := range append(append([]Method(nil), AllMethods...), MethodSpaReachPLL) {
+	for _, m := range AllMethods {
 		res, err := BuildMethod(prep, m, BuildOptions{})
 		if err != nil {
 			t.Fatalf("BuildMethod(%v): %v", m, err)

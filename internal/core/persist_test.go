@@ -52,7 +52,7 @@ func TestSaveEngineUnsupported(t *testing.T) {
 	if err := SaveEngine(&buf, NewNaiveBFS(prep.Net)); err == nil {
 		t.Error("naive save accepted")
 	}
-	for _, m := range []Method{MethodThreeDReachRev, MethodSocReach, MethodSpaReachBFL, MethodSpaReachINT, MethodSpaReachPLL, MethodAuto} {
+	for _, m := range []Method{MethodThreeDReachRev, MethodSocReach, MethodSpaReachBFL, MethodSpaReachINT, MethodAuto} {
 		res, err := BuildMethod(prep, m, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)

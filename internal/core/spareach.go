@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/labeling"
-	"repro/internal/pll"
 	"repro/internal/pool"
 	"repro/internal/rtree"
 	"repro/internal/trace"
@@ -55,14 +54,6 @@ func NewSpaReachBFL(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 func NewSpaReachINT(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-INT", prep, opts, "labeling", func() reachIndex {
 		return labeling.Build(prep.DAG, labeling.Options{Parallelism: opts.Parallelism})
-	})
-}
-
-// NewSpaReachPLL builds the SpaReach-PLL engine, the 2-hop-labeled
-// spatial-first variant Sarwat and Sun evaluate in [47] (paper §2.2.1).
-func NewSpaReachPLL(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
-	return newSpaReachPipelined("SpaReach-PLL", prep, opts, "reach", func() reachIndex {
-		return pll.Build(prep.DAG, pll.Options{})
 	})
 }
 
@@ -163,16 +154,11 @@ func (e *SpaReach) RangeReachTraced(v int, r geom.Rect, sp *trace.Span) bool {
 	return false
 }
 
-// probe issues one counted reachability probe, routing through the
-// traced variant when the index supports it (BFL, interval labels).
+// probe counts and runs one reachability probe; a nil sp makes it the
+// index's plain Reach.
 func (e *SpaReach) probe(src, dst int, sp *trace.Span) bool {
 	sp.IncReachProbe()
-	if sp.Enabled() {
-		if tr, ok := e.reach.(tracedReach); ok {
-			return tr.ReachTraced(src, dst, sp)
-		}
-	}
-	return e.reach.Reach(src, dst)
+	return e.reach.ReachTraced(src, dst, sp)
 }
 
 // rangeReachStreaming is the optimized single-pass variant: probes run

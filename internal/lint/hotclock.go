@@ -21,7 +21,6 @@ var hotPackages = []string{
 	"repro/internal/graph",
 	"repro/internal/geom",
 	"repro/internal/bfl",
-	"repro/internal/pll",
 	"repro/internal/georeach",
 	"repro/internal/grid",
 	"repro/internal/tiles",

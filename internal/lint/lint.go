@@ -1,11 +1,11 @@
 // Package lint is a from-scratch static-analysis driver for this
 // module, built on go/parser, go/ast and go/types only (no x/tools
 // dependency). It loads every package of the module (stdlib imports are
-// type-checked from source) and runs a set of project-specific
-// analyzers that guard conventions no test or compiler check pins:
-// nil-safe trace spans, clock-free hot paths, deterministic randomness,
-// checked errors, locks released on every return, and no defers piling
-// up in loops. cmd/rrlint is the CLI front end and a ci.sh gate.
+// type-checked from source) and runs five project-specific analyzers,
+// each kept because a mutant of the shape it reports passes every other
+// test: clock-free hot paths, deterministic randomness, checked errors,
+// locks released on every return, and no defers piling up in loops.
+// cmd/rrlint is the CLI front end and a ci.sh gate.
 //
 // Individual findings can be suppressed with a justified directive on
 // the offending line or the line above:
@@ -71,7 +71,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns every analyzer of the suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		TraceSpan,
 		HotClock,
 		MathRand,
 		ErrCheck,

@@ -109,10 +109,6 @@ func checkFixture(t *testing.T, dir, importPath string, analyzers ...string) {
 	}
 }
 
-func TestTraceSpanFixture(t *testing.T) {
-	checkFixture(t, "tracespan", "repro/internal/lintfixture/tracespan", "tracespan")
-}
-
 func TestHotClockFixture(t *testing.T) {
 	// Checked under a hot-path import path, where clock reads are
 	// findings.

@@ -363,9 +363,8 @@ func (m *Module) typeCheck(pkg *Package) error {
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	tpkg, err := conf.Check(pkg.Path, m.Fset, pkg.Files, info)
 	if len(errs) > 0 {

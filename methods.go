@@ -39,10 +39,6 @@ const (
 	// Naive answers queries by plain BFS with no index; useful as a
 	// correctness oracle and for tiny networks.
 	Naive
-	// SpaReachPLL is the spatial-first baseline with 2-hop (pruned
-	// landmark labeling) reachability probes — the first SpaReach
-	// variant of Sarwat and Sun's original paper.
-	SpaReachPLL
 	// MethodAuto is the planner's method: it builds one ThreeDReach,
 	// which answers every query, and names it as the plan of every
 	// explained one (QueryStats.Plan, Index.PlannerMembers).
@@ -50,12 +46,8 @@ const (
 )
 
 // Methods lists the indexed methods of the paper's evaluation
-// (excluding Naive and the extended SpaReach variant).
+// (excluding Naive).
 var Methods = []Method{ThreeDReach, ThreeDReachRev, SocReach, SpaReachBFL, SpaReachINT, GeoReach}
-
-// ExtendedMethods lists the additional SpaReach reachability backend:
-// PLL, the 2-hop variant of the original GeoReach paper.
-var ExtendedMethods = []Method{SpaReachPLL}
 
 // noCore marks the one method without an internal engine id: Naive is
 // built here, not by core.BuildMethod, and is never the method of a
@@ -80,7 +72,6 @@ var methodTable = [...]struct {
 	SpaReachINT:    {core.MethodSpaReachINT, "SpaReach-INT", "spareach-int", false},
 	GeoReach:       {core.MethodGeoReach, "GeoReach", "georeach", true},
 	Naive:          {noCore, "NaiveBFS", "naive", false},
-	SpaReachPLL:    {core.MethodSpaReachPLL, "SpaReach-PLL", "spareach-pll", false},
 	MethodAuto:     {core.MethodAuto, "Auto", "auto", false},
 }
 

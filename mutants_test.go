@@ -67,11 +67,19 @@ func TestMutantSnippets(t *testing.T) {
 // TestMutantsKilled, under -mutants, applies each entry to a copy of the
 // module and runs its gate there with -count=1, two at a time. A gate
 // that passes (a survivor) and a mutant that does not build both fail.
-// -trimpath lets the copies share the build cache.
+// -trimpath lets the copies share the build cache. A -trimpath binary
+// does not know GOROOT, and internal/lint's TestModuleClean type-checks
+// the standard library from source, so each gate runs with GOROOT set;
+// without it that gate would fail on any copy, mutated or not.
 func TestMutantsKilled(t *testing.T) {
 	if !*runMutants {
 		t.Skip("run with -mutants")
 	}
+	goroot, err := exec.Command("go", "env", "GOROOT").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := append(os.Environ(), "GOROOT="+strings.TrimSpace(string(goroot)))
 	ms := loadMutants(t)
 	sem := make(chan struct{}, 2)
 	var wg sync.WaitGroup
@@ -95,6 +103,7 @@ func TestMutantsKilled(t *testing.T) {
 			defer func() { <-sem }()
 			cmd := exec.Command("go", "test", "-trimpath", "-count=1", "-run", "^("+m.Run+")$", m.Package)
 			cmd.Dir = dir
+			cmd.Env = env
 			out, err := cmd.CombinedOutput()
 			var exit *exec.ExitError
 			switch {

@@ -14,7 +14,6 @@ import (
 func TestValidateAfterBuild(t *testing.T) {
 	net := figure1(t)
 	all := append([]rangereach.Method{rangereach.Naive, rangereach.MethodAuto}, rangereach.Methods...)
-	all = append(all, rangereach.ExtendedMethods...)
 	for _, m := range all {
 		idx, err := net.Build(m)
 		if err != nil {
