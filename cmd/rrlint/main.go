@@ -1,7 +1,7 @@
 // Command rrlint runs the project's static-analysis suite
-// (internal/lint) over the whole module: five stdlib-only analyzers for
-// clock-free hot paths, deterministic randomness, checked errors, locks
-// released on every return, and defers in loops.
+// (internal/lint) over the whole module: four stdlib-only analyzers for
+// clock-free hot paths, checked errors, locks released on every return,
+// and defers in loops.
 //
 // Usage:
 //

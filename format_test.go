@@ -563,6 +563,42 @@ func TestLoadRejectsOutOfOrderLabel(t *testing.T) {
 
 }
 
+// TestOpenMappedRejectsTileIDOutOfRange crafts a 3DReach file, valid
+// in every other byte, whose first tile point names a vertex past the
+// network's last. The mapped path skips deep validation, so the id
+// range check in tiles.FromColumns is all that stands between that
+// file and a point that names no vertex; both load paths must refuse
+// it.
+func TestOpenMappedRejectsTileIDOutOfRange(t *testing.T) {
+	net := fuzzNet()
+	data := savedImage(t, net, rangereach.ThreeDReach)
+	img, err := flatbuf.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Root engine, section kind 26: the tile points' vertex ids.
+	ids, ok := img.Section(0, 26)
+	if !ok || len(ids) < 4 {
+		t.Fatal("the 3DReach image has no tile id section")
+	}
+	// The section aliases data: this edits the image in place.
+	binary.LittleEndian.PutUint32(ids, uint32(net.NumVertices()))
+	if _, err := net.LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("LoadIndex: error %v, want the tile id refused", err)
+	}
+	path := filepath.Join(t.TempDir(), "id.idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := net.OpenMapped(path)
+	if err == nil {
+		_ = mapped.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("OpenMapped: error %v, want the tile id refused", err)
+	}
+}
+
 // savedManifest returns a private copy of a method's v2 fixture, with
 // its root manifest (section kind 1; its first bytes are {method u8,
 // policy u8, flags u16}, DESIGN.md §16) aliasing the image so a test can

@@ -167,9 +167,19 @@ func newChurnOps(net *dataset.Network, seed int64) *churnOps {
 	}
 }
 
+// churnTarget is what the stream drives: the dynamic index's update
+// methods, which a test can wrap to record the ops.
+type churnTarget interface {
+	AddUser() int
+	AddVenue(px, py float64) int
+	DeleteEdge(u, v int) error
+	MoveVenue(v int, px, py float64) error
+	AddEdge(u, v int) error
+}
+
 // apply performs the next op of the stream on x. Ops are constructed to
 // be valid by design; an engine rejection is a harness bug and panics.
-func (g *churnOps) apply(x *incr.Index) {
+func (g *churnOps) apply(x churnTarget) {
 	switch k := g.rng.Intn(10); {
 	case k < 1:
 		id := x.AddUser()

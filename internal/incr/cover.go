@@ -1,6 +1,10 @@
 package incr
 
-import "repro/internal/intervals"
+import (
+	"math/bits"
+
+	"repro/internal/intervals"
+)
 
 // cover keeps the label of one component, the counted one, as a coverage
 // count over posts instead of re-deriving it from its successors. On a
@@ -24,9 +28,13 @@ import "repro/internal/intervals"
 // writer scratch: snapshots never see it and MemoryBytes does not count
 // it.
 type cover struct {
-	c     int32   // the counted component, or -1
-	delta []int32 // per post p in [0, maxPost+1]: coverage starting at p less coverage ending at p−1
-	succ  []bool  // per component: a DAG successor of c, so that its label is in delta
+	c     int32    // the counted component, or -1
+	delta []int32  // per post p in [0, maxPost+1]: coverage starting at p less coverage ending at p−1
+	nz    []uint64 // bit p: delta[p] may be non-zero; set by add, cleared by the sweep that finds it zero
+	succ  []bool   // per component: a DAG successor of c, so that its label is in delta
+	// swept counts the bitmap words and entries label has visited; the
+	// cost guard on relabeling the giant reads it.
+	swept int
 }
 
 // coverMinRow is the floor of the counting rule: rows shorter than this
@@ -62,31 +70,47 @@ func (x *Index) countWidest() {
 func (x *Index) countIfWide(c int32) {
 	v := &x.cov
 	if len(x.outC[c]) < x.coverThreshold() {
-		v.c, v.delta, v.succ = -1, nil, nil
+		v.c, v.delta, v.nz, v.succ = -1, nil, nil, nil
 		return
 	}
 	v.c = c
-	v.delta = make([]int32, x.maxPost+2)
+	v.delta, v.nz = make([]int32, x.maxPost+2), make([]uint64, (x.maxPost+2+63)/64)
 	v.succ = make([]bool, len(x.alive))
 	v.add(intervals.Singleton(x.post.at(c)), 1)
 	for _, e := range x.outC[c] {
 		v.succ[e.to] = true
 		v.add(x.labels.at(e.to), 1)
 	}
+	// Mark only the entries that ended non-zero, so that the first sweep
+	// does not pay for every successor's cancelled bounds.
+	clear(v.nz)
+	for p, d := range v.delta {
+		if d != 0 {
+			v.nz[p>>6] |= 1 << (p & 63)
+		}
+	}
 }
 
 // add enters every interval of s into the count with the given sign.
 func (v *cover) add(s intervals.Set, sign int32) {
 	for _, iv := range s {
-		v.delta[iv.Lo] += sign
-		v.delta[iv.Hi+1] -= sign
+		v.bump(iv.Lo, sign)
+		v.bump(iv.Hi+1, -sign)
 	}
+}
+
+func (v *cover) bump(p, d int32) {
+	v.delta[p] += d
+	v.nz[p>>6] |= 1 << (p & 63)
 }
 
 // grow makes room for a fresh component and its post.
 func (v *cover) grow() {
 	if v.c >= 0 {
 		v.delta = append(v.delta, 0)
+		if len(v.delta) > 64*len(v.nz) {
+			v.nz = append(v.nz, 0)
+		}
 		v.succ = append(v.succ, false)
 	}
 }
@@ -107,19 +131,28 @@ func (x *Index) countEdge(cu, d int32, on bool) {
 	v.add(x.labels.at(d), sign)
 }
 
-// label sweeps the count into the canonical label it represents.
+// label sweeps the count into the canonical label it represents,
+// visiting each bitmap word and each entry whose bit is set.
 func (v *cover) label() intervals.Set {
 	var out intervals.Set
 	cnt, start := int32(0), int32(0)
-	for p, d := range v.delta {
-		if d == 0 {
-			continue
-		}
-		if cnt == 0 {
-			start = int32(p)
-		}
-		if cnt += d; cnt == 0 {
-			out = append(out, intervals.Interval{Lo: start, Hi: int32(p) - 1})
+	for k, w := range v.nz {
+		v.swept++
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			p := int32(k<<6 | b)
+			v.swept++
+			d := v.delta[p]
+			if d == 0 {
+				v.nz[k] &^= 1 << b
+				continue
+			}
+			if cnt == 0 {
+				start = p
+			}
+			if cnt += d; cnt == 0 {
+				out = append(out, intervals.Interval{Lo: start, Hi: p - 1})
+			}
 		}
 	}
 	return out

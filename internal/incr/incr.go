@@ -110,6 +110,7 @@ type Index struct {
 	comp       paged[int32]
 	alive      []bool
 	members    [][]int32
+	memberPos  []int32      // vertex v's position in members[comp[v]]
 	outC, inC  []adjRow     // DAG adjacency, refcounted by original edges
 	post       paged[int32] // sparse 1-based post; 0 = retired
 	labels     paged[intervals.Set]
@@ -162,13 +163,18 @@ type Index struct {
 	sets                                       []intervals.Set // relabel merge inputs
 	coneSucc                                   []int32         // relabelCone: a cone member's cone successors not yet done
 	// probeSteps counts the vertices split checks have visited: each
-	// expansion of a probe or certificate search, and each vertex of a
-	// rest SCC pass. The certificates' limit and the cost guard on
-	// splitting read it.
+	// expansion of a probe or certificate search, each vertex of a rest
+	// SCC pass, and each member the partition reads. The certificates'
+	// limit and the cost guards on splitting read it.
 	probeSteps int
 	// relabelReads counts the successor labels relabelCone has gathered
 	// for merges; the cost guard on relabeling the giant reads it.
 	relabelReads int
+	// back is cycleRegion's backward set, and cycleReads counts the DAG
+	// row entries it has read and the lookups it has made; the cost
+	// guard on cycle-closing inserts reads it.
+	back       []int32
+	cycleReads int
 }
 
 // New builds an incremental index over the prepared network.
@@ -339,6 +345,7 @@ func (x *Index) addVertex(spatial bool) int {
 	x.spatial.append(spatial)
 	x.geo = append(x.geo, geom.Rect{})
 	x.basePos = append(x.basePos, -1)
+	x.memberPos = append(x.memberPos, 0)
 	if x.spend(0) {
 		x.comp.append(0) // placeholder; rebuilt before use
 		return v
@@ -653,12 +660,16 @@ func (x *Index) rebuildDerived() {
 	// Whole columns are swapped, not written page by page: snapshots keep
 	// the old ones. The per-component slices start as views of the
 	// columns Condense and Build made; each is capped at its length, so
-	// a merge's append copies, and a split's kept filter builds a new
-	// slice, rather than writing into a neighbour's run.
+	// a merge's append copies rather than writing into a neighbour's
+	// run, and a split's removals stay inside the component's own.
 	members := make([][]int32, nc)
 	labels := make([]intervals.Set, nc)
+	x.memberPos = slices.Grow(x.memberPos[:0], x.n)[:x.n]
 	for c := range nc {
 		members[c], labels[c] = cond.Members(c), l.Label(c)
+		for i, v := range members[c] {
+			x.memberPos[v] = int32(i)
+		}
 	}
 	x.comp = pagedFrom(cond.Comp)
 	x.members = members

@@ -1,6 +1,8 @@
 package incr
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/intervals"
 )
@@ -70,35 +72,68 @@ func (x *Index) propagate(sources []int32, add intervals.Set) {
 // relabels; a label-guided walk here could absorb a component whose
 // stale label vouches for a reach it no longer has. It does require
 // an exact condensation: callers must replay deferred splits first.
+//
+// The forward pass reads only what the backward pass found. A region
+// member whose out-row is longer than regionSearch times that set —
+// the giant, whose row holds one entry per venue — is not scanned;
+// each unplaced member of the set is looked up in the row instead.
+// Both ways visit the row's hits in ascending id, so the region, and
+// mergeCycle's survivor, are the same either way.
 func (x *Index) cycleRegion(cu, cv int32) []int32 {
 	const toCU, inA = 1, 2
 	x.cmark.begin(len(x.alive))
 	x.cmark.set(cu, toCU)
-	stack := []int32{cu}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range x.inC[c] {
+	back := append(x.back[:0], cu)
+	for i := 0; i < len(back); i++ {
+		in := x.inC[back[i]]
+		x.cycleReads += len(in)
+		for _, p := range in {
 			if x.cmark.add(p.to, toCU) {
-				stack = append(stack, p.to)
+				back = append(back, p.to)
 			}
 		}
 	}
+	x.back = back
 	if !x.cmark.has(cv, toCU) {
 		return nil
 	}
+	sorted := false
 	affected := []int32{cv}
 	x.cmark.set(cv, inA)
 	for qi := 0; qi < len(affected); qi++ {
-		for _, d := range x.outC[affected[qi]] {
-			if f := x.cmark.get(d.to); f&toCU != 0 && f&inA == 0 {
-				x.cmark.set(d.to, inA)
-				affected = append(affected, d.to)
+		row := x.outC[affected[qi]]
+		if len(row) <= regionSearch*len(back) {
+			x.cycleReads += len(row)
+			for _, d := range row {
+				if f := x.cmark.get(d.to); f&toCU != 0 && f&inA == 0 {
+					x.cmark.set(d.to, inA)
+					affected = append(affected, d.to)
+				}
+			}
+			continue
+		}
+		if !sorted {
+			slices.Sort(back)
+			sorted = true
+		}
+		for _, a := range back {
+			if x.cmark.has(a, inA) {
+				continue
+			}
+			x.cycleReads++
+			if _, ok := row.find(a); ok {
+				x.cmark.set(a, inA)
+				affected = append(affected, a)
 			}
 		}
 	}
 	return affected
 }
+
+// regionSearch is the factor past which cycleRegion looks the backward
+// set up in an out-row instead of scanning the row: a lookup is a
+// binary search, a scan reads one entry per step.
+const regionSearch = 8
 
 // mergeCycle collapses the components of a cycleRegion into one
 // super-vertex. The survivor keeps the largest member list; the union
@@ -180,8 +215,10 @@ func (x *Index) mergeCycle(affected []int32) {
 			delete(x.pending, c)
 			x.pending[r] = true
 		}
-		for _, m := range x.members[c] {
+		at := len(x.members[r])
+		for i, m := range x.members[c] {
 			x.comp.set(m, r)
+			x.memberPos[m] = int32(at + i)
 			if x.spatial.at(m) {
 				moved = append(moved, m)
 			}
@@ -326,17 +363,46 @@ func (x *Index) splitCheck(c int32, u, v int) {
 			pieceID[k] = x.allocComp()
 		}
 	}
+	// The departed members. After a certificate whose unlisted piece is
+	// kept — peeling a few vertices off the giant leaves it that piece —
+	// they are the closures the probes listed, and the partition reads
+	// no kept member; otherwise every member is looked at. Each departed
+	// member leaves c's list by a swap with its last entry, through its
+	// position index, so the kept members are neither visited nor copied.
+	unlisted := 2
+	switch peeled {
+	case inR:
+		unlisted = 1
+	case inB:
+		unlisted = 0
+	}
 	gone := make([]int32, 0, len(m)-sizes[keep])
-	kept := m[:0:0]
-	for _, w := range m {
-		nc := pieceID[pieceOf(w)]
-		if nc == c {
-			kept = append(kept, w)
-			continue
+	if peeled != 0 && keep == unlisted {
+		if peeled&inR != 0 {
+			gone = append(gone, x.fwd.q...)
 		}
-		gone = append(gone, w)
+		if peeled&inB != 0 {
+			gone = append(gone, x.bwd.q...)
+		}
+		gone = append(gone, x.loose...)
+	} else {
+		x.probeSteps += len(m)
+		for _, w := range m {
+			if pieceID[pieceOf(w)] != c {
+				gone = append(gone, w)
+			}
+		}
+	}
+	x.probeSteps += len(gone)
+	kept := x.members[c]
+	for _, w := range gone {
+		nc := pieceID[pieceOf(w)]
+		i, last := x.memberPos[w], kept[len(kept)-1]
+		kept[i], x.memberPos[last] = last, i
+		kept = kept[:len(kept)-1]
 		x.vmark.set(w, departed)
 		x.comp.set(w, nc)
+		x.memberPos[w] = int32(len(x.members[nc]))
 		x.members[nc] = append(x.members[nc], w)
 	}
 	x.members[c] = kept

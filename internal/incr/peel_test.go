@@ -2,6 +2,7 @@ package incr
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -254,6 +255,47 @@ func TestPeelCostIndependentOfComponentSize(t *testing.T) {
 				t.Errorf("the split expanded %d vertices in a 1k component and %d in an 8k one; want equal and a handful", small, large)
 			}
 		})
+	}
+}
+
+// TestSplitPartitionCostIndependentOfComponentSize is the count guard
+// on a split's partition: peeling a stream vertex off a giant of 2k
+// members, or of 16k, visits the same members — the probes' and the
+// one that departs — and allocates the same bytes at both sizes. A
+// partition that walks the giant's member list visits one member per
+// vertex, and one that copies the kept members allocates 4 B each. A
+// first peel warms the writer's scratch, which grows with |V| once.
+func TestSplitPartitionCostIndependentOfComponentSize(t *testing.T) {
+	var steps, bytes [2]uint64
+	for i, n := range []int{2000, 16000} {
+		x := socialIndex(n+2, append(giantEdges(n), [2]int{10, n}, [2]int{n, 13}, [2]int{20, n + 1}, [2]int{n + 1, 23}))
+		if err := x.DeleteEdge(n, 13); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.DeleteEdge(n+1, 23); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before, alloc := x.probeSteps, ms.TotalAlloc
+		x.flushRelabels()
+		runtime.ReadMemStats(&ms)
+		steps[i], bytes[i] = uint64(x.probeSteps-before), ms.TotalAlloc-alloc
+		if err := x.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if s := x.Stats(); s.Splits != 2 || s.LiveComps != 3 || len(x.members[x.comp.at(0)]) != n {
+			t.Fatalf("n=%d: want two peels leaving the %d-member giant among 3 components, got %+v", n, n, s)
+		}
+	}
+	if steps[0] != steps[1] || steps[0] > 24 {
+		t.Errorf("the second peel visited %d members of a 2k component and %d of a 16k one; want equal and a handful", steps[0], steps[1])
+	}
+	if bytes[1] > bytes[0]+1024 {
+		t.Errorf("the second peel allocated %d B in a 2k component and %d B in a 16k one; want no growth with the component", bytes[0], bytes[1])
 	}
 }
 

@@ -26,7 +26,8 @@ func (x *Index) Validate() error {
 	comp, post := x.comp.flat(), x.post.flat()
 
 	// Component partition: comp points into live slots, members lists
-	// invert comp, every vertex appears exactly once.
+	// invert comp and the position index inverts them, every vertex
+	// appears exactly once.
 	if len(comp) != x.n {
 		return fmt.Errorf("incr: %d comp slots for %d vertices", len(comp), x.n)
 	}
@@ -43,12 +44,15 @@ func (x *Index) Validate() error {
 		if len(x.members[c]) == 0 {
 			return fmt.Errorf("incr: live component %d has no members", c)
 		}
-		for _, v := range x.members[c] {
+		for i, v := range x.members[c] {
 			if v < 0 || int(v) >= x.n {
 				return fmt.Errorf("incr: component %d member %d out of range", c, v)
 			}
 			if comp[v] != int32(c) {
 				return fmt.Errorf("incr: vertex %d listed in component %d but comp says %d", v, c, comp[v])
+			}
+			if x.memberPos[v] != int32(i) {
+				return fmt.Errorf("incr: vertex %d is member %d of component %d but its position index says %d", v, i, c, x.memberPos[v])
 			}
 			counted++
 		}
@@ -176,8 +180,9 @@ func (x *Index) validateExactLabels(post []int32) error {
 
 // validateCover checks the counted label (cover.go): the successor
 // marks are exactly the counted component's out-row, the count equals
-// one rebuilt from the post and the successors' stored labels, and its
-// sweep equals their merge.
+// one rebuilt from the post and the successors' stored labels, every
+// non-zero entry is marked for the sweep, and the sweep equals their
+// merge.
 func (x *Index) validateCover() error {
 	v := &x.cov
 	if v.c < 0 {
@@ -205,7 +210,10 @@ func (x *Index) validateCover() error {
 	if marks != len(x.outC[c]) {
 		return fmt.Errorf("incr: %d successor marks for the counted component %d's %d successors", marks, c, len(x.outC[c]))
 	}
-	want := cover{delta: make([]int32, len(v.delta))}
+	if len(v.nz) != (len(v.delta)+63)/64 {
+		return fmt.Errorf("incr: the count's bitmap has %d words for %d posts", len(v.nz), len(v.delta)-2)
+	}
+	want := cover{delta: make([]int32, len(v.delta)), nz: make([]uint64, len(v.nz))}
 	sets := []intervals.Set{intervals.Singleton(x.post.at(c))}
 	for _, e := range x.outC[c] {
 		sets = append(sets, x.labels.at(e.to))
@@ -217,6 +225,9 @@ func (x *Index) validateCover() error {
 		if v.delta[p] != want.delta[p] {
 			return fmt.Errorf("incr: the counted component %d's coverage count is %d at post %d, its successors' labels give %d",
 				c, v.delta[p], p, want.delta[p])
+		}
+		if v.delta[p] != 0 && v.nz[p>>6]&(1<<(p&63)) == 0 {
+			return fmt.Errorf("incr: the counted component %d's coverage count is %d at post %d, which its sweep skips", c, v.delta[p], p)
 		}
 	}
 	if got, merged := v.label(), intervals.MergeManyCanonical(sets); !got.Equal(merged) {

@@ -1,10 +1,10 @@
 // Package lint is a from-scratch static-analysis driver for this
 // module, built on go/parser, go/ast and go/types only (no x/tools
 // dependency). It loads every package of the module (stdlib imports are
-// type-checked from source) and runs five project-specific analyzers,
+// type-checked from source) and runs four project-specific analyzers,
 // each kept because a mutant of the shape it reports passes every other
-// test: clock-free hot paths, deterministic randomness, checked errors,
-// locks released on every return, and no defers piling up in loops.
+// test: clock-free hot paths, checked errors, locks released on every
+// return, and no defers piling up in loops.
 // cmd/rrlint is the CLI front end and a ci.sh gate.
 //
 // Individual findings can be suppressed with a justified directive on
@@ -72,7 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotClock,
-		MathRand,
 		ErrCheck,
 		DeferUnlock,
 		DeferInLoop,

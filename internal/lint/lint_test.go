@@ -136,14 +136,6 @@ func TestHotPackagesExist(t *testing.T) {
 	}
 }
 
-func TestMathRandFixture(t *testing.T) {
-	checkFixture(t, "mathrand", "repro/internal/lintfixture/mathrand", "mathrand")
-}
-
-func TestMathRandMainExempt(t *testing.T) {
-	checkFixture(t, "mathrandmain", "repro/cmd/lintfixture", "mathrand")
-}
-
 func TestErrCheckFixture(t *testing.T) {
 	checkFixture(t, "errcheck", "repro/internal/lintfixture/errcheck", "errcheck")
 }

@@ -228,8 +228,11 @@ func TestFromColumnsRejects(t *testing.T) {
 		"cell bounds":       func(c *Columns) { c.CellMBR = c.CellMBR[4:] },
 		"falling offsets":   func(c *Columns) { c.CellPoints[2] = c.CellPoints[1] - 1 },
 		"cell offsets end":  func(c *Columns) { c.CellPoints[len(c.CellPoints)-1]-- },
+		"short y column":    func(c *Columns) { c.Y = c.Y[1:] },
 		"short post column": func(c *Columns) { c.Post = c.Post[1:] },
+		"short id column":   func(c *Columns) { c.ID = c.ID[1:] },
 		"id out of range":   func(c *Columns) { c.ID[3] = int32(len(pts)) },
+		"negative id":       func(c *Columns) { c.ID[3] = -1 },
 	} {
 		c := clone()
 		damage(&c)
