@@ -103,7 +103,7 @@ func TestCycleInsertCostIndependentOfOutDegree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s := x.Stats(); s.Merges != 1 || x.comp.at(int32(w+1)) != x.comp.at(0) {
-			t.Fatalf("%d venues: want the follower merged into the giant, got %+v", venues, s)
+			t.Fatalf("%d venues: want the user the giant follows merged into it, got %+v", venues, s)
 		}
 	}
 	if reads[0] != reads[1] || reads[0] > 4 {
