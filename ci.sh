@@ -9,8 +9,8 @@
 #                  + the read paths' count guards + the examples
 #                  + the benchmark module's own vet
 #                  and tests + fuzz seed corpora + format compat
-#                  + 30 s each of index-loader, network-loader and
-#                  update-stream fuzzing
+#                  + 30 s each of index-loader, network-loader, tiles
+#                  and update-stream fuzzing
 #                  + race-exercised concurrency tests
 #                  + trace-overhead benchmark under -race
 #                  + coverage floor + mutants (testdata/mutants.json)
@@ -132,10 +132,11 @@ go -C benchmark test ./...
 # against a BFS mirror and a rebuild arm, each under the default
 # counting rule and with the counting threshold at 1; every publish runs
 # Validate, label exactness on live posts and the counted label included.
-# ./internal/tiles's FuzzTiles checks 3DReach's point tiles against a
-# scan of their points, with and without a tombstone filter: sizes
-# around one cell and past many, duplicate locations, one shared x,
-# region edges on points and on cell bounds, labels of 1 to 64
+# ./internal/tiles's FuzzTiles checks 3DReach's tiles against a scan
+# of their entries, with and without a tombstone filter: sizes around
+# one cell and past many, duplicate locations, one shared x, extents of
+# zero width or height and one huge extent among small ones, region
+# edges on entry corners and on cell bounds, labels of 1 to 64
 # intervals.
 # ./internal/router's FuzzPruneKeepsHolders checks that the router never
 # prunes a shard holding a venue in the query region: random networks
@@ -192,6 +193,15 @@ if [[ "${1:-}" != "-short" ]]; then
 fi
 
 if [[ "${1:-}" != "-short" ]]; then
+    # The tiles under real fuzzing: arbitrary entry sets, points and
+    # extents, must validate and answer every region and label as a scan
+    # of the entries does, with and without tombstones. A failing input
+    # is written to internal/tiles/testdata/fuzz/FuzzTiles.
+    echo "== tiles fuzz (30 s) =="
+    go test -run '^$' -fuzz '^FuzzTiles$' -fuzztime 30s ./internal/tiles
+fi
+
+if [[ "${1:-}" != "-short" ]]; then
     # The dynamic writer under real fuzzing, not only its seeds: arbitrary
     # update streams must keep the index and every snapshot valid and
     # answering as the BFS mirror does, with and without a counted
@@ -212,11 +222,12 @@ if [[ "${1:-}" != "-short" ]]; then
     # partitioning), and the incremental-maintenance engine
     # (randomized update-stream equivalence against a from-scratch
     # oracle), the R-tree bulk load (parallel STR slabs and leaf bounds,
-    # its only concurrency), the flat format, and the trace package (the
-    # cluster-trace ring, the build-phase span and the sampler, whose
-    # lock discipline only the race detector checks).
+    # its only concurrency), the flat format, the tiles (the kernel every
+    # reader of a built, mapped or dynamic 3DReach shares), and the trace
+    # package (the cluster-trace ring, the build-phase span and the
+    # sampler, whose lock discipline only the race detector checks).
     echo "== go test -race (concurrency surfaces) =="
-    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/router ./internal/shard ./internal/incr ./internal/rtree ./internal/flatbuf ./internal/trace
+    go test -race . ./internal/pool ./internal/server ./internal/metrics ./internal/core ./internal/router ./internal/shard ./internal/incr ./internal/rtree ./internal/flatbuf ./internal/tiles ./internal/trace
 
     # The trace hook sits on every query's hot path; run the overhead
     # benchmark under the race detector so the instrumentation itself is

@@ -32,7 +32,7 @@ type DynamicIndex struct {
 // BuildDynamic constructs an updatable 3DReach index over the
 // network's current state. WithParallelism applies to the dynamic
 // engine (the workers of its labeling builds). The dynamic index keeps
-// its venues exactly, in the static 3DReach engine's point tiles and a
+// its venues exactly, in the static 3DReach engine's tiles and a
 // grid-bucketed overlay.
 func (n *Network) BuildDynamic(options ...Option) *DynamicIndex {
 	var cfg buildConfig

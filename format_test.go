@@ -29,8 +29,9 @@ var updateFormat = flag.Bool("update-format", false, "regenerate the v2 golden f
 
 // fixtureMethods are the persistable methods, each pinned by a v2
 // golden fixture: interval labels + point tiles (3dreach) and the
-// SPA-Graph grid columns (georeach). 3DReach's box tree, the layout of
-// networks with extents, is pinned by TestFormatLayoutPinned.
+// SPA-Graph grid columns (georeach). 3DReach's tiles with extents, the
+// layout of networks with extended geometries, are pinned by
+// TestFormatLayoutPinned.
 var fixtureMethods = []struct {
 	slug string
 	m    rangereach.Method
@@ -172,6 +173,47 @@ func TestFormatV2PostKeys(t *testing.T) {
 	}
 }
 
+// TestFormatV2Boxes pins the previous generation of 3DReach over a
+// network with extents, frozen from commit 85fb026, the last that wrote
+// it: labels plus an R-tree of exact boxes (manifest flag bits 0–2).
+// Its loader reads the labels and rebuilds the tiles from the network
+// with the file's keys, so it must load, map, validate and answer, and
+// re-save as the current layout: byte for byte what a fresh build
+// saves.
+func TestFormatV2Boxes(t *testing.T) {
+	const want = "e11eaf947e544c7833f3d044ffba12ad2d244c5405e631a7b53cd59af73301a3"
+	net := fuzzExtentsNet()
+	path := fixturePath("3dreach", "v2-boxes")
+	frozen := readFixture(t, "3dreach", "v2-boxes")
+	sum := sha256.Sum256(frozen)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("%s hashes to %s, want %s", path, got, want)
+	}
+	current := savedImage(t, net, rangereach.ThreeDReach)
+	loaded, err := net.LoadIndexFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := net.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for name, idx := range map[string]*rangereach.Index{"decode": loaded, "mmap": mapped} {
+		if err := idx.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		fixtureQueries(t, idx, name)
+		var resaved bytes.Buffer
+		if err := idx.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), current) {
+			t.Errorf("%s: save(%s) is %d bytes unlike a fresh build's %d", name, path, resaved.Len(), len(current))
+		}
+	}
+}
+
 // TestSaveLoadV2ByteIdentical pins the no-stale-re-encode property:
 // saving an index loaded (or mapped) from a v2 file reproduces the
 // file byte for byte. Save re-emits the index's own columns — which
@@ -228,7 +270,7 @@ func TestSaveLoadV2ByteIdentical(t *testing.T) {
 
 // TestOpenMappedParity checks full query parity between a built index,
 // its streaming-decoded load and its zero-copy mapped open, across
-// every persistable method and both of 3DReach's spatial indexes.
+// every persistable method and both of 3DReach's tile layouts.
 func TestOpenMappedParity(t *testing.T) {
 	points, extents := fuzzNet(), fuzzExtentsNet()
 	dir := t.TempDir()
@@ -446,14 +488,16 @@ func fuzzExtentsNet() *rangereach.Network {
 
 // layoutInputs are the layouts the loader reads beyond the saves of
 // fixtureMethods: the older 3DReach generation (labels and tiles over
-// posts), which loads over base, a copy of the running example, and the
-// exact boxes of a network with extents.
+// posts), which loads over base, a copy of the running example; the
+// tiles with extents of a network with extended geometries; and that
+// network's previous generation, labels and a box tree.
 func layoutInputs(t testing.TB, base *rangereach.Network) []corruptionInput {
 	t.Helper()
 	extents := fuzzExtentsNet()
 	return []corruptionInput{
 		{"3dreach-v2-posts", base, readFixture(t, "3dreach", "v2-posts")},
 		{"3dreach-extents", extents, savedImage(t, extents, rangereach.ThreeDReach)},
+		{"3dreach-v2-boxes", extents, readFixture(t, "3dreach", "v2-boxes")},
 	}
 }
 
@@ -649,30 +693,36 @@ func TestFormatReservedMethodBytes(t *testing.T) {
 // mapped load: opening a 4× larger index must not allocate
 // meaningfully more than opening the small one, because every column
 // overlays the mapped pages instead of being decoded into fresh
-// slices — GeoReach's ReachGrids included, which the query scans as the
-// key runs they are stored as.
+// slices — 3DReach's tiles with extents and GeoReach's ReachGrids
+// included, which the query scans as they are stored.
 func TestOpenMappedAllocs(t *testing.T) {
 	dir := t.TempDir()
-	build := func(m rangereach.Method, n int) (*rangereach.Network, string) {
+	type row struct {
+		m       rangereach.Method
+		extents bool
+	}
+	build := func(c row, n int) (*rangereach.Network, string) {
 		b := rangereach.NewNetworkBuilder(n)
 		for v := 0; v+1 < n; v++ {
 			b.AddEdge(v, v+1)
 			if v%7 == 0 {
 				b.AddEdge(v, (v*13+5)%n)
 			}
-			if v%3 == 0 {
-				b.SetPoint(v, float64(v%100), float64((v*37)%100))
+			if x, y := float64(v%100), float64((v*37)%100); v%6 == 3 && c.extents {
+				b.SetRect(v, rangereach.NewRect(x, y, x+2, y+1))
+			} else if v%3 == 0 {
+				b.SetPoint(v, x, y)
 			}
 		}
 		net, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := net.Build(m)
+		idx, err := net.Build(c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("alloc-%v-%d.idx", m, n))
+		path := filepath.Join(dir, fmt.Sprintf("alloc-%v-%v-%d.idx", c.m, c.extents, n))
 		if err := idx.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
@@ -687,15 +737,15 @@ func TestOpenMappedAllocs(t *testing.T) {
 			_ = mapped.Close()
 		})
 	}
-	for _, m := range []rangereach.Method{rangereach.ThreeDReach, rangereach.GeoReach} {
-		small := measure(build(m, 400))
-		big := measure(build(m, 1600))
+	for _, c := range []row{{rangereach.ThreeDReach, false}, {rangereach.ThreeDReach, true}, {rangereach.GeoReach, false}} {
+		small := measure(build(c, 400))
+		big := measure(build(c, 1600))
 		// The counts need not be exactly equal (map headers, error paths),
 		// but they must not scale with the index: allow a fixed slack.
 		if big > small+16 {
-			t.Errorf("%v: mapped open allocations scale with index size: %v at n=400, %v at n=1600", m, small, big)
+			t.Errorf("%+v: mapped open allocations scale with index size: %v at n=400, %v at n=1600", c, small, big)
 		}
-		t.Logf("%v mapped open: %.0f allocs at n=400, %.0f at n=1600", m, small, big)
+		t.Logf("%+v mapped open: %.0f allocs at n=400, %.0f at n=1600", c, small, big)
 	}
 }
 
@@ -730,12 +780,12 @@ func withVenueExtents(t testing.TB, net *rangereach.Network) *rangereach.Network
 	return ext
 }
 
-// TestFormatLayoutPinned pins the saved bytes of 3DReach's box tree on
-// a network whose tree has several levels, and of its point tiles on
-// one with 10 slabs; the committed fixtures pin the same thing on a
-// network that fits one leaf or one cell. The "3dreach" hash was
-// recorded again when the point tiles replaced its point R-tree; that
-// layout is now retired (testdata/format/retired/3dreach-v2-rtree.idx).
+// TestFormatLayoutPinned pins the saved bytes of 3DReach's tiles on a
+// network with 10 slabs, over points and over extents; the committed
+// fixtures pin the same thing on a network that fits one cell. The
+// "3dreach" hash was recorded again when the point tiles replaced its
+// point R-tree; that layout is now retired
+// (testdata/format/retired/3dreach-v2-rtree.idx).
 func TestFormatLayoutPinned(t *testing.T) {
 	net := rangereach.GowallaLike(0.1, 7)
 	extents := withVenueExtents(t, net)
@@ -748,10 +798,11 @@ func TestFormatLayoutPinned(t *testing.T) {
 		// posts to spatial ranks (flag bit 4): same sections, new values
 		// (TestFormatV2PostKeys keeps the post-keyed file loading).
 		{"3dreach", net, "e1f123f14bb3ba8c0025e97f53f3bf9493894daf66d64b103d80be33e6005df3"},
-		// The box tree of extended geometries, 3DReach's exact boxes.
-		// Recorded over the code of commit 0ea6a8a, when it replaced the
-		// MBR policy's pin, and unchanged when that policy left 3DReach.
-		{"3dreach-extents", extents, "77e4e3f0862c25d2db55fe9a4cfa20f140760324cda927c2ba092c6304c1da97"},
+		// The tiles with extents (flag bit 5): every entry's max corner
+		// after the min corners in the x and y sections. Recorded again
+		// when they replaced the box tree of exact boxes, whose layout
+		// testdata/format/3dreach-v2-boxes.idx keeps (TestFormatV2Boxes).
+		{"3dreach-extents", extents, "6d830b7d544ba20ca9c8e69f9e7ed48c6c141df240201850b3de9d4791b71ef3"},
 	} {
 		idx, err := c.net.Build(rangereach.ThreeDReach)
 		if err != nil {

@@ -12,9 +12,9 @@ import (
 )
 
 // Engine persistence: SaveEngine (persistv2.go) serializes the index
-// state of a 3DReach (interval labels and the tiles or box tree over
-// them) or a GeoReach (the SPA-Graph) as a v2 flat image; LoadEngine
-// reads it back over the same prepared network. The other engines are
+// state of a 3DReach (interval labels and the tiles over them) or a
+// GeoReach (the SPA-Graph) as a v2 flat image; LoadEngine reads it back
+// over the same prepared network. The other engines are
 // rebuilt from the network wherever they are used, so they have no
 // file.
 //

@@ -12,7 +12,6 @@ import (
 	"repro/internal/georeach"
 	"repro/internal/intervals"
 	"repro/internal/labeling"
-	"repro/internal/rtree"
 	"repro/internal/tiles"
 )
 
@@ -38,29 +37,27 @@ import (
 // slices that alias the map.
 
 // Section kinds of the v2 image. Kinds 6–10 held SpaReach-BFL's
-// filters, whose records are retired.
+// filters, whose records are retired; kinds 11–14 held the R-tree of
+// 3DReach's previous generation, which the loader skips (its tiles are
+// rebuilt from the network).
 const (
 	secManifest       = 1
 	secLabelPost      = 2  // [n]i32 post-order numbers
 	secLabelOrder     = 3  // [n]i32 inverse permutation
 	secLabelOff       = 4  // [n+1]u64 label-set offsets
 	secLabelData      = 5  // [Σ]Interval concatenated label sets
-	secTreeNodeBounds = 11 // [nodes·2d]f64
-	secTreeNodeMeta   = 12 // [nodes·2]u32
-	secTreeEntryBound = 13 // [size·2d]f64
-	secTreeEntryIDs   = 14 // [size]i32
 	secGeoFlags       = 15 // [2n]u8 {kind, geoB}
 	secGeoRMBR        = 16 // [4n]f64
 	secGeoGridOff     = 17 // [n+1]u64
 	secGeoGridKeys    = 18 // [Σ]u64
-	secTileSlabX      = 19 // [2·slabs]f64 {min x, max x}
+	secTileSlabX      = 19 // [2·slabs]f64 {min x, running max x}
 	secTileSlabCells  = 20 // [slabs+1]u32 cell offsets
-	secTileCellMBR    = 21 // [4·cells]f64 {min x, min y, max x, max y}
-	secTileCellPoints = 22 // [cells+1]u32 point offsets
-	secTileX          = 23 // [points]f64
-	secTileY          = 24 // [points]f64
-	secTilePost       = 25 // [points]i32
-	secTileID         = 26 // [points]i32
+	secTileCellMBR    = 21 // [4·cells]f64 {min x, min y, max x, running max y}
+	secTileCellPoints = 22 // [cells+1]u32 entry offsets
+	secTileX          = 23 // [entries]f64 min x, or [2·entries]f64 min x then max x
+	secTileY          = 24 // [entries]f64 min y, or [2·entries]f64 min y then max y
+	secTilePost       = 25 // [entries]i32
+	secTileID         = 26 // [entries]i32
 )
 
 // The manifest's policy byte: every record is written with
@@ -70,20 +67,22 @@ const policyReplicate, policyMBR = 0, 1
 
 // 3DReach's manifest flag bits.
 const (
-	// threeDFlagExact: the box tree holds exact geometries. Always
-	// written with bit 1: the box trees without it held the MBR policy's
-	// component boxes, refused by their policy byte.
-	threeDFlagExact = 1 << 0
-	threeDFlagBoxes = 1 << 1 // spatial index is the box tree
-	// threeDFlagSpatial: R-tree sections are present. Set with bit 1,
-	// they are the box tree; without it, a point tree written before the
-	// tiles, which the loader refuses as retired.
+	// Bits 0–2 mark the previous generation, a network with extents
+	// whose spatial index was a box tree: exact boxes (bit 0), the box
+	// tree (bit 1), R-tree sections present (bit 2). Its loader reads the
+	// labels and rebuilds the tiles from the network. Bit 2 without bit
+	// 1 is the point R-tree written before the tiles, refused as retired.
+	threeDFlagExact   = 1 << 0
+	threeDFlagBoxes   = 1 << 1
 	threeDFlagSpatial = 1 << 2
-	threeDFlagTiles   = 1 << 3 // point tiles sections are present
-	// threeDFlagRanks: the labels, and the tiles' post column or the
-	// boxes' z, hold spatial ranks instead of posts (the layout is the
-	// same). A file without it answers in post space as written.
+	threeDFlagTiles   = 1 << 3 // tiles sections are present
+	// threeDFlagRanks: the labels, and the tiles' post column, hold
+	// spatial ranks instead of posts (the layout is the same). A file
+	// without it answers in post space as written.
 	threeDFlagRanks = 1 << 4
+	// threeDFlagExtents: some venue is not a point, and the tiles' x and
+	// y columns carry every entry's max corner after its min corner.
+	threeDFlagExtents = 1 << 5
 )
 
 // Packed little-endian manifest records (binary.Write lays out fields
@@ -100,6 +99,8 @@ type labelingMeta struct {
 	Compressed   int64
 }
 
+// treeMeta is the previous generation's box tree record, which its
+// loader consumes unread.
 type treeMeta struct {
 	MaxEntries     uint32
 	Height         uint32
@@ -144,26 +145,19 @@ func appendEngineSections(fw *flatbuf.Writer, e Engine) error {
 	switch eng := e.(type) {
 	case *ThreeDReach:
 		flags := uint16(threeDFlagTiles)
-		if eng.boxes != nil {
-			flags = threeDFlagExact | threeDFlagBoxes | threeDFlagSpatial
+		if c := eng.tiles.Columns(); len(c.X) != len(c.Post) {
+			flags |= threeDFlagExtents
 		}
 		if eng.l.Spatial != nil {
 			flags |= threeDFlagRanks
 		}
 		mustWrite(&man, manifestHeader{Method: uint8(MethodThreeDReach), Policy: policyReplicate, Flags: flags})
 		mustWrite(&man, labelingMetaOf(eng.l))
-		if eng.boxes != nil {
-			mustWrite(&man, treeMetaOf(eng.boxes))
-		}
 		fw.Append(0, secManifest, man.Bytes())
 		if err := appendLabelingSections(fw, eng.l); err != nil {
 			return err
 		}
-		if eng.boxes != nil {
-			if err := appendTreeSections(fw, eng.boxes); err != nil {
-				return err
-			}
-		} else if err := appendTileSections(fw, eng.points); err != nil {
+		if err := appendTileSections(fw, eng.tiles); err != nil {
 			return err
 		}
 	case *GeoReach:
@@ -208,34 +202,6 @@ func appendLabelingSections(fw *flatbuf.Writer, l *labeling.Labeling) error {
 		flatbuf.AppendSlice(fw, 0, secLabelOrder, order),
 		flatbuf.AppendSlice(fw, 0, secLabelOff, off),
 		flatbuf.AppendSlice(fw, 0, secLabelData, data),
-	} {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func treeMetaOf[B rtree.Bound[B]](f *rtree.Flat[B]) treeMeta {
-	var zero B
-	m := f.Meta()
-	return treeMeta{
-		MaxEntries:     uint32(m.MaxEntries),
-		Height:         uint32(m.Height),
-		NumNodes:       uint32(f.NumNodes()),
-		Size:           uint32(m.Size),
-		LeafBoundBytes: uint8(m.LeafBoundBytes),
-		Dims:           uint8(zero.Dims()),
-	}
-}
-
-func appendTreeSections[B rtree.Bound[B]](fw *flatbuf.Writer, f *rtree.Flat[B]) error {
-	nodeBounds, nodeMeta, entryBounds, entryIDs := f.Raw()
-	for _, err := range []error{
-		flatbuf.AppendSlice(fw, 0, secTreeNodeBounds, nodeBounds),
-		flatbuf.AppendSlice(fw, 0, secTreeNodeMeta, nodeMeta),
-		flatbuf.AppendSlice(fw, 0, secTreeEntryBound, entryBounds),
-		flatbuf.AppendSlice(fw, 0, secTreeEntryIDs, entryIDs),
 	} {
 		if err != nil {
 			return err
@@ -342,18 +308,19 @@ func loadRecordV2(img *flatbuf.Image, mr *bytes.Reader, m Method, policy uint8, 
 	switch m {
 	case MethodThreeDReach:
 		hasTree, hasBoxes := flags&threeDFlagSpatial != 0, flags&threeDFlagBoxes != 0
-		exact := flags&threeDFlagExact != 0
-		tiled := flags&threeDFlagTiles != 0
+		tiled, extents := flags&threeDFlagTiles != 0, flags&threeDFlagExtents != 0
 		switch {
 		case tiled:
-			if hasTree || hasBoxes || exact || prep.Net.HasExtents() {
-				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with point tiles",
+			if hasTree || hasBoxes || flags&threeDFlagExact != 0 || extents != hasAreas(prep.Net) {
+				return nil, fmt.Errorf("core: %w: 3DReach flags %#x inconsistent with the tiles of this network",
 					flatbuf.ErrFormat, flags)
 			}
 		case !hasTree:
 			return nil, retired("3DReach without spatial sections", upgradeRemedy)
 		case !hasBoxes:
 			return nil, retired("3DReach point R-tree", upgradeRemedy)
+		case extents:
+			return nil, fmt.Errorf("core: %w: 3DReach flags %#x mark a box tree with tiles' extents", flatbuf.ErrFormat, flags)
 		}
 		l, err := loadLabelingV2(img, mr, prep)
 		if err != nil {
@@ -362,24 +329,25 @@ func loadRecordV2(img *flatbuf.Image, mr *bytes.Reader, m Method, policy uint8, 
 		if flags&threeDFlagRanks != 0 {
 			l.Spatial = prep.HasSpatial
 		}
-		if tiled {
-			t, err := loadTilesV2(img, prep)
-			if err != nil {
+		if !tiled {
+			// The previous generation: its box tree's record and sections
+			// are left unread, and the tiles rebuilt over the file's keys.
+			if err := readManifest(mr, &treeMeta{}); err != nil {
 				return nil, err
 			}
 			if err := manifestDone(mr); err != nil {
 				return nil, err
 			}
-			return &ThreeDReach{prep: prep, l: l, points: t}, nil
+			return NewThreeDReachWithLabeling(prep, l, BuildOptions{}), nil
 		}
-		f, err := loadFlatTreeV2[geom.Box3](img, mr, 3, prep.Net.NumVertices())
+		t, err := loadTilesV2(img, prep, extents)
 		if err != nil {
 			return nil, err
 		}
 		if err := manifestDone(mr); err != nil {
 			return nil, err
 		}
-		return &ThreeDReach{prep: prep, l: l, boxes: f}, nil
+		return &ThreeDReach{prep: prep, l: l, tiles: t}, nil
 	case MethodGeoReach:
 		var gm geoMeta
 		if err := readManifest(mr, &gm); err != nil {
@@ -461,60 +429,10 @@ func loadLabelingV2(img *flatbuf.Image, mr *bytes.Reader, prep *dataset.Prepared
 	return l, nil
 }
 
-// loadFlatTreeV2 reads a treeMeta record, overlays the tree columns and
-// range-checks every entry id against limit — ids index SpatialMembers
-// and the network's vertex tables, so an out-of-range id in a corrupt
-// file would otherwise become a query-time panic.
-func loadFlatTreeV2[B rtree.Bound[B]](img *flatbuf.Image, mr *bytes.Reader, wantDims, limit int) (*rtree.Flat[B], error) {
-	var tm treeMeta
-	if err := readManifest(mr, &tm); err != nil {
-		return nil, err
-	}
-	if int(tm.Dims) != wantDims {
-		return nil, fmt.Errorf("core: %w: tree has %d dims, want %d",
-			flatbuf.ErrFormat, tm.Dims, wantDims)
-	}
-	nodeBounds, err := castSection[float64](img, secTreeNodeBounds)
-	if err != nil {
-		return nil, err
-	}
-	nodeMeta, err := castSection[uint32](img, secTreeNodeMeta)
-	if err != nil {
-		return nil, err
-	}
-	entryBounds, err := castSection[float64](img, secTreeEntryBound)
-	if err != nil {
-		return nil, err
-	}
-	entryIDs, err := castSection[int32](img, secTreeEntryIDs)
-	if err != nil {
-		return nil, err
-	}
-	if int(tm.NumNodes)*2 != len(nodeMeta) {
-		return nil, fmt.Errorf("core: %w: manifest says %d nodes, meta column has %d",
-			flatbuf.ErrFormat, tm.NumNodes, len(nodeMeta)/2)
-	}
-	f, err := rtree.NewFlat[B](rtree.FlatMeta{
-		MaxEntries:     int(tm.MaxEntries),
-		Height:         int(tm.Height),
-		Size:           int(tm.Size),
-		LeafBoundBytes: int(tm.LeafBoundBytes),
-	}, nodeBounds, nodeMeta, entryBounds, entryIDs)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w: %v", flatbuf.ErrFormat, err)
-	}
-	for _, id := range entryIDs {
-		if id < 0 || int(id) >= limit {
-			return nil, fmt.Errorf("core: %w: tree entry id %d outside [0,%d)",
-				flatbuf.ErrFormat, id, limit)
-		}
-	}
-	return f, nil
-}
-
-// loadTilesV2 overlays 3DReach's point tiles; tiles.FromColumns checks
-// their offsets and range-checks every id against the network.
-func loadTilesV2(img *flatbuf.Image, prep *dataset.Prepared) (*tiles.Tiles, error) {
+// loadTilesV2 overlays 3DReach's tiles; tiles.FromColumns checks their
+// offsets and range-checks every id against the network, and the x and
+// y columns must carry max corners exactly when the flags say extents.
+func loadTilesV2(img *flatbuf.Image, prep *dataset.Prepared, extents bool) (*tiles.Tiles, error) {
 	var c tiles.Columns
 	var err error
 	if c.SlabX, err = castSection[float64](img, secTileSlabX); err != nil {
@@ -545,7 +463,24 @@ func loadTilesV2(img *flatbuf.Image, prep *dataset.Prepared) (*tiles.Tiles, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: %w: %v", flatbuf.ErrFormat, err)
 	}
+	if (len(c.X) != len(c.Post)) != extents {
+		return nil, fmt.Errorf("core: %w: %d tile x values for %d entries, extents flag %v",
+			flatbuf.ErrFormat, len(c.X), len(c.Post), extents)
+	}
 	return t, nil
+}
+
+// hasAreas reports whether some venue of net is not a point, the
+// networks whose tiles carry max corners.
+func hasAreas(net *dataset.Network) bool {
+	for v, s := range net.Spatial {
+		if s {
+			if g := net.GeometryOf(v); g.Min != g.Max {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // OpenMappedEngine memory-maps a v2 index file and assembles its engine

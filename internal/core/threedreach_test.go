@@ -10,8 +10,9 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/intervals"
 	"repro/internal/labeling"
-	"repro/internal/rtree"
+	"repro/internal/tiles"
 	"repro/internal/trace"
 )
 
@@ -30,8 +31,8 @@ type fragmentedCase struct {
 	built, mapped *ThreeDReach
 }
 
-// fragmentedCases covers the two branches of ThreeDReach.witness:
-// points and extended geometries.
+// fragmentedCases covers the tiles' two layouts: points, and extended
+// geometries with their max corners.
 func fragmentedCases(t *testing.T) []fragmentedCase {
 	t.Helper()
 	points := dataset.Prepare(dataset.YelpLike(0.5, 9))
@@ -124,32 +125,53 @@ func TestStaticFragmentedParity(t *testing.T) {
 	}
 }
 
+// blindWalk counts what the label-blind walk of r visits in t: the
+// slabs and cells r meets, and the entries of the cells it cuts.
+func blindWalk(t *tiles.Tiles, r geom.Rect) (sp trace.Span) {
+	c := t.Columns()
+	for s := 0; s+1 < len(c.SlabCells); s++ {
+		if c.SlabX[2*s+1] < r.Min.X || c.SlabX[2*s] > r.Max.X {
+			continue
+		}
+		sp.IncNode()
+		for cell := c.SlabCells[s]; cell < c.SlabCells[s+1]; cell++ {
+			box := geom.NewRect(c.CellMBR[4*cell], c.CellMBR[4*cell+1], c.CellMBR[4*cell+2], c.CellMBR[4*cell+3])
+			if box.Intersects(r) {
+				sp.IncLeaf()
+				if !r.ContainsRect(box) {
+					sp.AddEntries(int(c.CellPoints[cell+1] - c.CellPoints[cell]))
+				}
+			}
+		}
+	}
+	return sp
+}
+
 // TestStaticProbeCostIndependentOfLabelFragmentation is the count-based
 // guard on the static read path: however many intervals the label has,
-// a query expands each node at most once and only where its rectangle
-// meets the region. The bound is the label-blind search of the region,
-// which expands a superset of the union of what the per-interval cuboid
-// searches do; on a miss the paper's loop of cuboid searches, run here
-// as the reference, is a second bound. That loop expands the root once
-// per interval reaching into the index, so it breaks the first bound on
-// many of the drawn queries. The counts repeat exactly. This covers the
-// box trees over post-keyed labels, the regime of long labels (keyed by
-// rank, no label of this network reaches 16 intervals); the point
-// tiles' guard is internal/tiles' TestAnyCostIndependentOfLabel.
+// a query visits each slab and cell at most once and only where its
+// bounds meet the region. The bound is the label-blind walk of the
+// region (blindWalk); on a miss the paper's loop of cuboid queries, one
+// walk per interval, run here as the reference, is a second bound. That
+// loop visits the region's slabs once per interval, so it breaks the
+// first bound on many of the drawn queries. The counts repeat exactly.
+// This covers post-keyed labels, the regime of long labels (keyed by
+// rank, no label of this network reaches 16 intervals), over points and
+// over extents; the tiles' own guard is internal/tiles'
+// TestAnyCostIndependentOfLabel.
 func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 	for _, c := range fragmentedCases(t) {
-		tree := c.built.boxes
-		if tree == nil || !c.posts {
+		if !c.posts {
 			continue
 		}
 		vs, rs := fragmentedQueries(rand.New(rand.NewSource(12)), c.built, 200, 16)
 		loopBreaks := 0
 		for i, v := range vs {
 			label := c.built.l.Label(int(c.prep.CompOf(v)))
-			var blind, loop trace.Span
-			tree.SearchTraced(geom.Box3FromRect(rs[i], math.Inf(-1), math.Inf(1)), &blind, func(rtree.Entry[geom.Box3]) bool { return true })
+			blind := blindWalk(c.built.tiles, rs[i])
+			var loop trace.Span
 			for _, iv := range label {
-				tree.SearchTraced(geom.Box3FromRect(rs[i], float64(iv.Lo), float64(iv.Hi)), &loop, func(rtree.Entry[geom.Box3]) bool { return true })
+				c.built.tiles.Any(rs[i], intervals.Set{iv}, nil, &loop)
 			}
 			if !c.built.RangeReach(v, rs[i]) && loop.IndexNodes > blind.IndexNodes {
 				loopBreaks++
@@ -157,12 +179,12 @@ func TestStaticProbeCostIndependentOfLabelFragmentation(t *testing.T) {
 			for _, e := range []*ThreeDReach{c.built, c.mapped} {
 				var sp trace.Span
 				hit := e.RangeReachTraced(v, rs[i], &sp)
-				if sp.IndexNodes == 0 || sp.IndexNodes > blind.IndexNodes || sp.IndexLeaves > blind.IndexLeaves || sp.IndexEntries > blind.IndexEntries {
-					t.Fatalf("%s: query (%d, %v) with %d intervals expanded %d nodes + %d leaves and tested %d entries, the label-blind search of the region %d + %d and %d",
+				if sp.IndexNodes > blind.IndexNodes || sp.IndexLeaves > blind.IndexLeaves || sp.IndexEntries > blind.IndexEntries {
+					t.Fatalf("%s: query (%d, %v) with %d intervals visited %d slabs + %d cells and tested %d entries, the label-blind walk of the region %d + %d and %d",
 						c.name, v, rs[i], len(label), sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, blind.IndexNodes, blind.IndexLeaves, blind.IndexEntries)
 				}
 				if !hit && (sp.IndexNodes > loop.IndexNodes || sp.IndexLeaves > loop.IndexLeaves || sp.IndexEntries > loop.IndexEntries) {
-					t.Fatalf("%s: miss (%d, %v) expanded %d nodes + %d leaves and tested %d entries, the per-interval searches together %d + %d and %d",
+					t.Fatalf("%s: miss (%d, %v) visited %d slabs + %d cells and tested %d entries, the per-interval walks together %d + %d and %d",
 						c.name, v, rs[i], sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, loop.IndexNodes, loop.IndexLeaves, loop.IndexEntries)
 				}
 				if sp.Labels != int64(len(label)) {
@@ -210,10 +232,10 @@ func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestThreeDReachBackendsAgree checks 3DReach's two spatial indexes —
-// the point tiles of a point-only network and the box R-tree of one
-// with extents — against BFS on random networks, cyclic and acyclic,
-// some with more venues than one tile holds.
+// TestThreeDReachBackendsAgree checks 3DReach's two tile layouts —
+// points over a point-only network, and rectangles over one with
+// extents — against BFS on random networks, cyclic and acyclic, some
+// with more venues than one tile holds.
 func TestThreeDReachBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	boxed := 0
@@ -224,7 +246,7 @@ func TestThreeDReachBackendsAgree(t *testing.T) {
 			NewThreeDReach(dataset.Prepare(net), BuildOptions{}),
 			NewThreeDReach(dataset.Prepare(withExtents(rng, &withExt)), BuildOptions{}),
 		}
-		if engines[1].boxes != nil {
+		if c := engines[1].tiles.Columns(); len(c.X) != len(c.Post) {
 			boxed++
 		}
 		for q := 0; q < 30; q++ {
@@ -239,28 +261,28 @@ func TestThreeDReachBackendsAgree(t *testing.T) {
 		}
 	}
 	if boxed < 6 {
-		t.Errorf("only %d of 12 trials built the box tree", boxed)
+		t.Errorf("only %d of 12 trials built tiles with extents", boxed)
 	}
 }
 
-// TestThreeDReachIndexPerGeometry pins which index 3DReach builds: the
-// point tiles over a point-only network, and the exact boxes in the
-// R-tree over one with extended geometries.
+// TestThreeDReachIndexPerGeometry pins which tile layout 3DReach
+// builds: one corner per entry over a point-only network, and both
+// corners, the exact boxes, over one with extended geometries.
 func TestThreeDReachIndexPerGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	points := dataset.Prepare(spatialCycleNetwork(rng, 40))
 	extents := dataset.Prepare(withExtents(rng, spatialCycleNetwork(rng, 40)))
 	for _, c := range []struct {
-		name  string
-		prep  *dataset.Prepared
-		tiles bool
+		name    string
+		prep    *dataset.Prepared
+		corners int
 	}{
-		{"points", points, true},
-		{"extents", extents, false},
+		{"points", points, 1},
+		{"extents", extents, 2},
 	} {
 		e := NewThreeDReach(c.prep, BuildOptions{})
-		if (e.points != nil) != c.tiles || (e.boxes != nil) == c.tiles {
-			t.Errorf("%s: tiles %v, box tree %v", c.name, e.points != nil, e.boxes != nil)
+		if tc := e.tiles.Columns(); len(tc.X) != c.corners*len(tc.Post) {
+			t.Errorf("%s: %d x values for %d entries, want %d corners each", c.name, len(tc.X), len(tc.Post), c.corners)
 		}
 		truth := NewNaiveBFS(c.prep.Net)
 		for q := 0; q < 30; q++ {

@@ -16,10 +16,9 @@ import (
 // interval labelings (post-order bijection, well-formed and properly
 // nested label sets over posts or, for 3DReach, spatial ranks — see
 // check.Labeling — acyclic condensation) and spatial indexes (R-tree
-// MBR containment and balance; 3DReach's point tiles, against their own
-// order and bounds and against the network and labeling; 3DReach's
-// boxes, against the network and labeling; 3DReach-Rev's posts and
-// segments, against its reversed labeling rebuilt). It returns
+// MBR containment and balance; 3DReach's tiles, against their own order
+// and bounds and against the network and labeling; 3DReach-Rev's posts
+// and segments, against its reversed labeling rebuilt). It returns
 // nil for a well-formed engine and a descriptive error naming the
 // engine and the first violated invariant otherwise.
 //
@@ -33,15 +32,8 @@ func ValidateEngine(e Engine) error {
 		if err := check.Labeling(eng.prep.DAG, eng.l); err != nil {
 			return fmt.Errorf("core: %s labeling: %w", eng.Name(), err)
 		}
-		if eng.points != nil {
-			if err := validateTiles(eng); err != nil {
-				return fmt.Errorf("core: %s point index: %w", eng.Name(), err)
-			}
-		}
-		if eng.boxes != nil {
-			if err := validateBoxes(eng); err != nil {
-				return fmt.Errorf("core: %s box index: %w", eng.Name(), err)
-			}
+		if err := validateTiles(eng); err != nil {
+			return fmt.Errorf("core: %s tiles: %w", eng.Name(), err)
 		}
 	case *ThreeDReachRev:
 		if err := validateRev(eng); err != nil {
@@ -76,15 +68,16 @@ func ValidateEngine(e Engine) error {
 }
 
 // validateTiles checks the tiles' own invariants, then that they hold
-// every spatial vertex of the network exactly once, at its network
-// point, with its component's key: the post, or the rank when the
+// every spatial vertex of the network exactly once, with its network
+// geometry and its component's key: the post, or the rank when the
 // labels are rank-keyed.
 func validateTiles(e *ThreeDReach) error {
-	if err := e.points.Validate(); err != nil {
+	if err := e.tiles.Validate(); err != nil {
 		return err
 	}
 	net := e.prep.Net
-	c := e.points.Columns()
+	c := e.tiles.Columns()
+	off := len(c.X) - len(c.Post)
 	keys := e.l.Keys()
 	seen := make([]bool, net.NumVertices())
 	for k, id := range c.ID {
@@ -95,8 +88,8 @@ func validateTiles(e *ThreeDReach) error {
 			return fmt.Errorf("vertex %d appears twice", id)
 		}
 		seen[id] = true
-		if p := net.Points[id]; c.X[k] != p.X || c.Y[k] != p.Y {
-			return fmt.Errorf("vertex %d is indexed at (%g, %g), the network has it at %v", id, c.X[k], c.Y[k], p)
+		if g, want := (geom.Rect{Min: geom.Pt(c.X[k], c.Y[k]), Max: geom.Pt(c.X[off+k], c.Y[off+k])}), net.GeometryOf(int(id)); g != want {
+			return fmt.Errorf("vertex %d is indexed at %v, the network has it at %v", id, g, want)
 		}
 		if want := keys[e.prep.CompOf(int(id))]; c.Post[k] != want {
 			return fmt.Errorf("vertex %d is indexed at key %d, its component's is %d", id, c.Post[k], want)
@@ -108,18 +101,6 @@ func validateTiles(e *ThreeDReach) error {
 		}
 	}
 	return nil
-}
-
-// validateBoxes checks the box tree's structure and bounds, then that
-// its leaf entries are the network's: every spatial vertex once, its
-// geometry at its component's key. A box whose z-range is swapped with
-// another inside their node's bound passes the first check and fails
-// the second.
-func validateBoxes(e *ThreeDReach) error {
-	if err := e.boxes.Validate(); err != nil {
-		return err
-	}
-	return sameEntries(e.boxes, boxEntries(e.prep, e.l.Keys()), "box", "the network")
 }
 
 // validateRev checks what a 3DReach-Rev query reads: the tree's
@@ -142,19 +123,18 @@ func validateRev(e *ThreeDReachRev) error {
 			return fmt.Errorf("component %d has post %d, the reversed labeling gives %d", c, e.post[c], p)
 		}
 	}
-	return sameEntries(e.tree, revEntries(e.prep, rev), "segment", "the reversed labeling")
+	return sameSegments(e.tree, revEntries(e.prep, rev))
 }
 
-// sameEntries compares t's leaf entries with want as multisets, because
-// the bulk load reorders them; what names an entry and source what want
-// was derived from, for the error. No two derived entries share an id
-// and a low z (a vertex has one box, and a component's reversed labels
-// are disjoint), so sorted by those two keys equal multisets line up
-// entry for entry. want is derived in that order, so its sort is one
-// pass.
-func sameEntries(t *rtree.Flat[geom.Box3], want []rtree.Entry[geom.Box3], what, source string) error {
+// sameSegments compares t's leaf entries with want, the segments the
+// reversed labeling derives, as multisets, because the bulk load
+// reorders them. No two derived segments share an id and a low z (a
+// component's reversed labels are disjoint), so sorted by those two
+// keys equal multisets line up entry for entry. want is derived in that
+// order, so its sort is one pass.
+func sameSegments(t *rtree.Flat[geom.Box3], want []rtree.Entry[geom.Box3]) error {
 	if t.Len() != len(want) {
-		return fmt.Errorf("tree holds %d %ss, %s gives %d", t.Len(), what, source, len(want))
+		return fmt.Errorf("tree holds %d segments, the reversed labeling gives %d", t.Len(), len(want))
 	}
 	got := make([]rtree.Entry[geom.Box3], 0, len(want))
 	t.All(func(en rtree.Entry[geom.Box3]) bool {
@@ -171,8 +151,8 @@ func sameEntries(t *rtree.Flat[geom.Box3], want []rtree.Entry[geom.Box3], what, 
 	slices.SortFunc(want, byIDThenZ)
 	for i := range want {
 		if got[i] != want[i] {
-			return fmt.Errorf("%s of id %d spans %v, %s gives id %d %v",
-				what, got[i].ID, got[i].Box, source, want[i].ID, want[i].Box)
+			return fmt.Errorf("segment of id %d spans %v, the reversed labeling gives id %d %v",
+				got[i].ID, got[i].Box, want[i].ID, want[i].Box)
 		}
 	}
 	return nil

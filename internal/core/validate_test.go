@@ -10,24 +10,23 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/intervals"
 	"repro/internal/labeling"
+	"repro/internal/rtree"
 )
 
 // TestValidateEngineRejectsCorruptBuiltTree damages the arrays of each
 // built engine's R-tree in place. A built index has no loader in front
 // of it, so ValidateEngine alone stands between such a tree and a query:
 // it must name structural damage as well as a broken containment, and,
-// for the 3D trees, whose entries it derives from the network, two
+// for the 3D tree, whose entries it derives from the network, two
 // entries of one leaf that swapped z-ranges, which keeps every bound.
 func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 	points := dataset.Prepare(dataset.GowallaLike(0.1, 7))
-	extents := dataset.Prepare(withExtents(rand.New(rand.NewSource(4)), dataset.GowallaLike(0.1, 7)))
 	for _, c := range []struct {
 		name   string
 		prep   *dataset.Prepared
 		method Method
 		entry  string // what ValidateEngine calls a 3D entry; "" for 2D
 	}{
-		{"3dreach-extents", extents, MethodThreeDReach, "box"},
 		{"3dreach-rev", points, MethodThreeDReachRev, "segment"},
 		{"spareach-int", points, MethodSpaReachINT, ""},
 	} {
@@ -37,17 +36,11 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 		}
 		var nodeBounds, entryBounds []float64
 		var nodeMeta []uint32
-		var fanout int
 		switch e := res.Engine.(type) {
-		case *ThreeDReach:
-			nodeBounds, nodeMeta, entryBounds, _ = e.boxes.Raw()
-			fanout = e.boxes.Meta().MaxEntries
 		case *ThreeDReachRev:
 			nodeBounds, nodeMeta, entryBounds, _ = e.tree.Raw()
-			fanout = e.tree.Meta().MaxEntries
 		case *SpaReach:
 			nodeBounds, nodeMeta, entryBounds, _ = e.tree.Raw()
-			fanout = e.tree.Meta().MaxEntries
 		}
 		if nodeMeta[1]&1 == 1 {
 			t.Fatalf("%s: one-leaf tree, too shallow for the test", c.name)
@@ -65,7 +58,7 @@ func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
 			{"does not contain child", func() { copy(nodeBounds[:stride], entryBounds) }},
 			{"size says", func() { nodeMeta[last] -= 1 << 1 }},
 			{"not balanced", func() { nodeMeta[last] &^= 1 }},
-			{"fan-out is", func() { nodeMeta[1] = uint32(fanout+1) << 1 }},
+			{"fan-out is", func() { nodeMeta[1] = uint32(rtree.DefaultMaxEntries+1) << 1 }},
 		}
 		if c.entry != "" {
 			// The last node is a leaf; find two of its entries at
@@ -152,7 +145,7 @@ func TestValidateEngineRejectsCorruptRanks(t *testing.T) {
 	if sink < 0 || user < 0 || empty < 0 {
 		t.Fatalf("no spatial sink (%d), user with a labeled successor (%d) or empty label (%d)", sink, user, empty)
 	}
-	tiles := e.points.Columns()
+	tiles := e.tiles.Columns()
 	last := tiles.CellPoints[1] - 1
 	for _, d := range []struct {
 		want   string
@@ -174,70 +167,94 @@ func TestValidateEngineRejectsCorruptRanks(t *testing.T) {
 	}
 }
 
-// TestValidateEngineRejectsCorruptTiles damages 3DReach's point tiles in
-// place, one invariant at a time: those of the tiles alone (post order
-// within a cell, cell bounds, slab and cell order) and those against the
-// network and labeling (post, location, every spatial vertex once).
+// TestValidateEngineRejectsCorruptTiles damages the columns of a built
+// 3DReach's tiles in place, over points and over extents: each damage
+// keeps FromColumns' structure and must be named by ValidateEngine,
+// whether it breaks the tiles' own order and bounds or their agreement
+// with the network and the labeling.
 func TestValidateEngineRejectsCorruptTiles(t *testing.T) {
-	prep := dataset.Prepare(dataset.GowallaLike(0.1, 7))
-	res, err := BuildMethod(prep, MethodThreeDReach, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateEngine(res.Engine); err != nil {
-		t.Fatalf("fresh engine invalid: %v", err)
-	}
-	c := res.Engine.(*ThreeDReach).points.Columns()
-	if len(c.SlabX) < 4 || c.SlabCells[1] < 2 {
-		t.Fatalf("%d slabs, %d cells in the first: too small for the test", len(c.SlabX)/2, c.SlabCells[1])
-	}
-	// The first point of the first cell whose posts are not all equal,
-	// the last point of the first cell, a y in that cell's bounds other
-	// than point 0's, and a vertex that is not spatial.
-	k := 0
-	for c.Post[k] == c.Post[k+1] {
-		k++
-	}
-	last := c.CellPoints[1] - 1
-	y := c.CellMBR[1]
-	if y == c.Y[0] {
-		y = c.CellMBR[3]
-	}
-	user := int32(0)
-	for prep.Net.Spatial[user] {
-		user++
-	}
-	for _, d := range []struct {
-		want   string
-		damage func()
-	}{
-		{"out of order", func() { c.Post[k], c.Post[k+1] = c.Post[k+1], c.Post[k] }},
-		{"outside cell", func() { c.X[0] = c.CellMBR[2] + 1 }},
-		{"before slab 0 ends", func() { c.SlabX[2] = c.SlabX[1] - 1 }},
-		{"before cell 0 ends", func() { c.CellMBR[5] = c.CellMBR[3] - 1 }},
-		{"its component's is", func() { c.Post[last]++ }},
-		{"the network has it", func() { c.Y[0] = y }},
-		{"appears twice", func() { c.ID[1] = c.ID[0] }},
-		{"not a spatial vertex", func() { c.ID[0] = user }},
+	for _, prep := range []*dataset.Prepared{
+		dataset.Prepare(dataset.GowallaLike(0.1, 7)),
+		dataset.Prepare(withExtents(rand.New(rand.NewSource(4)), dataset.GowallaLike(0.1, 7))),
 	} {
-		saved := c
-		saved.SlabX = append([]float64(nil), c.SlabX...)
-		saved.CellMBR = append([]float64(nil), c.CellMBR...)
-		saved.X, saved.Y = append([]float64(nil), c.X...), append([]float64(nil), c.Y...)
-		saved.Post, saved.ID = append([]int32(nil), c.Post...), append([]int32(nil), c.ID...)
-		d.damage()
-		if err := ValidateEngine(res.Engine); err == nil || !strings.Contains(err.Error(), d.want) {
-			t.Errorf("want an error containing %q, got %v", d.want, err)
+		res, err := BuildMethod(prep, MethodThreeDReach, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		copy(c.SlabX, saved.SlabX)
-		copy(c.CellMBR, saved.CellMBR)
-		copy(c.X, saved.X)
-		copy(c.Y, saved.Y)
-		copy(c.Post, saved.Post)
-		copy(c.ID, saved.ID)
-	}
-	if err := ValidateEngine(res.Engine); err != nil {
-		t.Fatalf("restored engine invalid: %v", err)
+		if err := ValidateEngine(res.Engine); err != nil {
+			t.Fatalf("fresh engine invalid: %v", err)
+		}
+		c := res.Engine.(*ThreeDReach).tiles.Columns()
+		off := len(c.X) - len(c.Post)
+		if len(c.SlabX) < 4 || c.SlabCells[1] < 2 || (off == 0) == prep.Net.HasExtents() {
+			t.Fatalf("%d slabs, %d cells in the first, %d corners per entry: unfit for the test", len(c.SlabX)/2, c.SlabCells[1], len(c.X)/len(c.Post))
+		}
+		// The first entry of the first cell whose posts are not all
+		// equal, the last entry of the first cell, a y in that cell's
+		// bounds other than entry 0's, and a vertex that is not spatial.
+		k := 0
+		for c.Post[k] == c.Post[k+1] {
+			k++
+		}
+		last := c.CellPoints[1] - 1
+		y := c.CellMBR[1]
+		if y == c.Y[0] {
+			y = c.CellMBR[3]
+		}
+		user := int32(0)
+		for prep.Net.Spatial[user] {
+			user++
+		}
+		type damage struct {
+			want   string
+			damage func()
+		}
+		damages := []damage{
+			{"out of order", func() { c.Post[k], c.Post[k+1] = c.Post[k+1], c.Post[k] }},
+			{"outside cell", func() { c.X[off] = c.CellMBR[2] + 1 }},
+			{"its component's is", func() { c.Post[last]++ }},
+			{"appears twice", func() { c.ID[1] = c.ID[0] }},
+			{"not a spatial vertex", func() { c.ID[0] = user }},
+		}
+		if off == 0 {
+			damages = append(damages,
+				damage{"the network has it", func() { c.Y[0] = y }},
+				damage{"before slab 0 ends", func() { c.SlabX[2] = c.SlabX[1] - 1 }},
+				damage{"before cell 0 ends", func() { c.CellMBR[5] = c.CellMBR[3] - 1 }})
+		} else {
+			// An extent whose max x shrinks to its min x stays inside its
+			// cell but is no longer the network's; running maxima that
+			// fall, and a minimum that falls, break the walk's order.
+			e := 0
+			for c.X[off+e] == c.X[e] {
+				e++
+			}
+			damages = append(damages,
+				damage{"the network has it", func() { c.X[off+e] = c.X[e] }},
+				damage{"after slab 0's", func() { c.SlabX[2] = c.SlabX[0] - 1 }},
+				damage{"after cell 0's", func() { c.CellMBR[5] = c.CellMBR[1] - 1 }},
+				damage{"cell 1 ", func() { c.CellMBR[7] = c.CellMBR[3] - 1e-9 }})
+		}
+		for _, d := range damages {
+			saved := c
+			saved.SlabX = append([]float64(nil), c.SlabX...)
+			saved.CellMBR = append([]float64(nil), c.CellMBR...)
+			saved.X, saved.Y = append([]float64(nil), c.X...), append([]float64(nil), c.Y...)
+			saved.Post, saved.ID = append([]int32(nil), c.Post...), append([]int32(nil), c.ID...)
+			d.damage()
+			if err := ValidateEngine(res.Engine); err == nil || !strings.Contains(err.Error(), d.want) {
+				t.Errorf("%d corners: want an error containing %q, got %v", len(c.X)/len(c.Post), d.want, err)
+			}
+			copy(c.SlabX, saved.SlabX)
+			copy(c.CellMBR, saved.CellMBR)
+			copy(c.X, saved.X)
+			copy(c.Y, saved.Y)
+			copy(c.Post, saved.Post)
+			copy(c.ID, saved.ID)
+		}
+		if err := ValidateEngine(res.Engine); err != nil {
+			t.Fatalf("restored engine invalid: %v", err)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,7 +20,10 @@ import (
 // writes them, and edges out of order, repeated or looping. Inputs load
 // under a ceiling of fuzzCeiling vertices, so that a short input
 // declaring millions goes through the refusal instead of filling the
-// memory.
+// memory. Whatever the outcome, the bytes a load allocates stay within
+// allocBound: linear in the input, plus linear in the vertices it
+// builds, or, for a refused input, in the vertices its lines name — a
+// count declared by a line it never gets past costs nothing.
 func FuzzLoad(f *testing.F) {
 	f.Add("geosocial 1\nvertices 3\np 2 1.5 2.5\ne 0 1\ne 1 2\n")
 	f.Add("geosocial 1\nname x\nvertices 2\ng 1 0 0 4 4\ne 0 1\n")
@@ -29,6 +34,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add("geosocial 1\nvertices 9223372036854775807\n")
 	f.Add("geosocial 1\nvertices 65536\n")
 	f.Add("geosocial 1\nvertices 65537\np 65536 1 1\n")
+	f.Add("geosocial 1\nvertices 65536\np 3 1 1\nbogus\n")
 	f.Add("geosocial 1\nvertices 2\ne 0 9\n")
 	// Sorted, unsorted, duplicate and self-loop edges.
 	f.Add("geosocial 1\nvertices 4\ncheckins 2\np 3 1 2\ne 0 1\ne 0 3\ne 1 2\ne 2 0\ne 2 3\n")
@@ -39,7 +45,17 @@ func FuzzLoad(f *testing.F) {
 	f.Add("geosocial 1\nvertices 2\ng 1 0 0 4 4\np 1 9 9\ng 0 -0 1 2 3\np 0 5 5\ng 0 1 1 2 2\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		net, err := load(strings.NewReader(input), fuzzCeiling)
+		runtime.ReadMemStats(&after)
+		n := namedVertices(input)
+		if err == nil {
+			n = net.NumVertices()
+		}
+		if got, bound := after.TotalAlloc-before.TotalAlloc, allocBound(len(input), min(n, fuzzCeiling)); got > bound {
+			t.Fatalf("loading %d bytes over %d vertices allocated %d bytes, more than %d", len(input), n, got, bound)
+		}
 		if err != nil {
 			return
 		}
@@ -62,6 +78,30 @@ func FuzzLoad(f *testing.F) {
 
 // fuzzCeiling is the vertex-count ceiling FuzzLoad loads under.
 const fuzzCeiling = 1 << 16
+
+// allocBound is the most a load of size input bytes building, or
+// naming, n vertices may allocate: per input byte, the line copies and
+// the edge list as it grows and sorts; per vertex, the flag, point and
+// extent columns as they grow by doubling and the graph's offsets; and
+// a constant for the scanner's buffer and the columns' first 4,096 rows,
+// the least they grow by.
+func allocBound(size, n int) uint64 {
+	return uint64(64*size + 128*n + 1<<19)
+}
+
+// namedVertices is 1 plus the largest id a p or g line of input names
+// (0 if none): the most vertices a refused load may have paid for.
+func namedVertices(input string) int {
+	n := 0
+	for _, line := range strings.Split(input, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && (f[0] == "p" || f[0] == "g") {
+			if id, err := strconv.Atoi(f[1]); err == nil && id >= n {
+				n = id + 1
+			}
+		}
+	}
+	return n
+}
 
 // sameNetwork describes the first difference between a and b, or
 // returns "". Floats are compared bit for bit, and an extent equal to

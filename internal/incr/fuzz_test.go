@@ -86,8 +86,8 @@ func FuzzUpdateStream(f *testing.F) {
 	// reached from both cycles.
 	f.Add(stream(op(fzAddVenue, 0, 0), op(fzAddVenue, 255, 255), op(fzAddVenue, 0, 255), op(fzAddEdge, 1, 10),
 		op(fzAddEdge, 4, 11), op(fzPublish, 0, 0), op(fzMoveVenue, 5, 0), op(fzAddEdge, 5, 12)))
-	// An extent network: extents stay in the overlay, one replica per
-	// grid cell; a move turns one into a point.
+	// An extent network: extents fold into the base tiles like points,
+	// and a move turns one into a point.
 	f.Add(stream(op(fzExtents, 120, 60), op(fzAddVenue, 128, 128), op(fzAddEdge, 0, 10), op(fzPublish, 0, 0),
 		op(fzMoveVenue, 2, 40), op(fzAddEdge, 9, 3), op(fzPublish, 0, 0), op(fzDelEdge, 9, 3)))
 	// With the threshold at 1 the first cycle, whose out-row is the

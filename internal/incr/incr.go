@@ -5,7 +5,7 @@
 // the affected super-vertices, deletes split lazily with a bounded
 // recompute frontier, and interval labels are re-derived only over the
 // affected ancestor cone. Spatial state follows the same philosophy
-// (spatial.go): the base is the static engine's point tiles
+// (spatial.go): the base is the static engine's tiles
 // (internal/tiles) keyed by post, superseded entries are tombstoned in
 // a paged column, and patched venues go to an overlay bucketed by the
 // cells of a coarse uniform grid (grid.Uniform). A query walks the base

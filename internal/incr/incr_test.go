@@ -404,12 +404,60 @@ func TestOverlayFoldBounded(t *testing.T) {
 	if s.Folds == 0 {
 		t.Fatalf("no folds after 400 venue adds: %+v", s)
 	}
-	if pending := x.ov.points + s.StaleLen; pending >= 16 && pending*8 >= x.dead.len()+x.ov.points {
+	if pending := x.ov.n + s.StaleLen; pending >= 16 && pending*8 >= x.dead.len()+x.ov.n {
 		t.Fatalf("overlay left above the fold threshold: %+v", s)
 	}
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestExtentsFoldIntoBase builds over a network where every other
+// venue has an extent: every venue starts in the base tiles, so the
+// overlay is empty, and a move that the next fold packs leaves it empty
+// again. Each state answers as the BFS oracle does.
+func TestExtentsFoldIntoBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	net := randomNetwork(rng, 60, 80)
+	net.Extents = make([]geom.Rect, net.NumVertices())
+	venues := 0
+	for v, s := range net.Spatial {
+		if s {
+			if venues++; venues%2 == 0 {
+				p := net.Points[v]
+				net.Extents[v] = geom.NewRect(p.X, p.Y, p.X+float64(venues%7), p.Y+3)
+			}
+		}
+	}
+	x := New(dataset.Prepare(net), Options{})
+	m := newMirror(net)
+	check := func(when string) {
+		t.Helper()
+		if err := x.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for q := 0; q < 200; q++ {
+			v, r := rng.Intn(len(m.spatial)), randomRegion(rng)
+			if got, want := x.RangeReach(v, r), m.reach(v, r); got != want {
+				t.Fatalf("%s: RangeReach(%d, %v) = %v, want %v", when, v, r, got, want)
+			}
+		}
+	}
+	if s := x.Stats(); s.OverlayLen != 0 {
+		t.Fatalf("a fresh index over extents has %d overlay entries, want 0", s.OverlayLen)
+	}
+	check("built")
+	v, _ := m.randomVenue(rng)
+	if err := x.MoveVenue(v, 50, 50); err != nil {
+		t.Fatal(err)
+	}
+	m.move(v, geom.Pt(50, 50))
+	check("moved")
+	x.foldBase()
+	if s := x.Stats(); s.OverlayLen != 0 || s.StaleLen != 0 {
+		t.Fatalf("after a fold: %d overlay entries and %d stale, want 0 and 0", s.OverlayLen, s.StaleLen)
+	}
+	check("folded")
 }
 
 // TestWorkBudgetFallback pins the budget rule deterministically on a

@@ -14,12 +14,11 @@ import (
 // Spatial state. Every live venue has exactly one live entry, keyed by
 // post(comp(v)):
 //   - in the base, the tiles the static engine uses (internal/tiles)
-//     over the point venues as of the last fold, unless a tombstone in
-//     the paged dead column supersedes it;
-//   - or in the overlay: the venues patched since the last fold, and
-//     every venue with an extent, which never folds. It is bucketed by
-//     the cells of a grid.Uniform over the network's space, an extent
-//     replicated into each cell it covers.
+//     over the venues as of the last fold, unless a tombstone in the
+//     paged dead column supersedes it;
+//   - or in the overlay: the venues patched since the last fold,
+//     bucketed by the cells of a grid.Uniform over the network's space,
+//     an extent replicated into each cell it covers.
 //
 // A patch (patchVenue) only tombstones the base entry and queues the
 // venue; the next flush (flushSpatial, at the next read or snapshot)
@@ -33,9 +32,8 @@ import (
 // shares every row it did not change, so a flush costs the rows the
 // epoch touched. The empty overlay has no rows.
 type overlay struct {
-	rows   []*ovRow
-	n      int // entries
-	points int // entries whose box is a point: the venues a fold would move
+	rows []*ovRow
+	n    int // entries
 }
 
 // ovRow is one grid row's entries in (cell, post, id) order: the row's
@@ -57,8 +55,6 @@ func compareEntries(a, b ovEntry) int {
 	return cmp.Or(cmp.Compare(a.cell, b.cell), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
 }
 
-func isPoint(r geom.Rect) bool { return r.Min == r.Max }
-
 func (o *overlay) memoryBytes() int64 {
 	b := int64(8 * len(o.rows))
 	for _, row := range o.rows {
@@ -73,7 +69,7 @@ func (o *overlay) memoryBytes() int64 {
 // marks holds, plus fresh, sorted by compareEntries. A row with neither
 // is shared with o.
 func (o *overlay) update(marks *flagSet, fresh []ovEntry) *overlay {
-	next := &overlay{rows: make([]*ovRow, grid.Side), n: o.n, points: o.points}
+	next := &overlay{rows: make([]*ovRow, grid.Side), n: o.n}
 	copy(next.rows, o.rows)
 	var drop []int
 	for y, f := 0, 0; y < grid.Side; y++ {
@@ -92,16 +88,6 @@ func (o *overlay) update(marks *flagSet, fresh []ovEntry) *overlay {
 		}
 		if f0 == f && len(drop) == 0 {
 			continue
-		}
-		for _, i := range drop {
-			if isPoint(row.box[i]) {
-				next.points--
-			}
-		}
-		for _, e := range fresh[f0:f] {
-			if isPoint(e.box) {
-				next.points++
-			}
 		}
 		next.n += f - f0 - len(drop)
 		next.rows[y] = row.merge(drop, fresh[f0:f], y)
@@ -264,38 +250,30 @@ func (x *Index) flushSpatial() {
 	}
 	x.ov = x.ov.update(&x.marks, fresh)
 	x.patched = x.patched[:0]
-	pending := x.ov.points + x.tombs
-	if pending >= x.opts.overlayMin && pending*8 >= x.dead.len()+x.ov.points {
+	pending := x.ov.n + x.tombs
+	if pending >= x.opts.overlayMin && pending*8 >= x.dead.len()+x.ov.n {
 		x.foldBase()
 	}
 }
 
-// foldBase packs every live point venue into fresh base tiles and
-// rebuilds the overlay from the extent venues alone. The old base, dead
-// column and overlay are left as they were, so published snapshots
-// sharing them are unaffected.
+// foldBase packs every live venue into fresh base tiles and empties
+// the overlay. The old base, dead column and overlay are left as they
+// were, so published snapshots sharing them are unaffected.
 func (x *Index) foldBase() {
-	var pts []tiles.Point
-	var extents []ovEntry
+	var es []tiles.Entry
 	for v := int32(0); int(v) < x.n; v++ {
 		x.basePos[v] = -1
-		if !x.spatial.at(v) {
-			continue
-		}
-		if g := x.geo[v]; isPoint(g) {
-			pts = append(pts, tiles.Point{X: g.Min.X, Y: g.Min.Y, Post: x.post.at(x.comp.at(v)), ID: v})
-		} else {
-			extents = x.entries(extents, v)
+		if x.spatial.at(v) {
+			es = append(es, tiles.Entry{Box: x.geo[v], Post: x.post.at(x.comp.at(v)), ID: v})
 		}
 	}
-	x.base = tiles.New(pts)
+	x.base = tiles.New(es)
 	for k, id := range x.base.Columns().ID {
 		x.basePos[id] = int32(k)
 	}
-	x.dead = pagedFrom(make([]bool, len(pts)))
+	x.dead = pagedFrom(make([]bool, len(es)))
 	x.tombs = 0
-	slices.SortFunc(extents, compareEntries)
-	x.ov = (&overlay{}).update(&x.marks, extents)
+	x.ov = &overlay{}
 	x.patched = x.patched[:0]
 	x.stats.Folds++
 }

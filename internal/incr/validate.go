@@ -274,13 +274,15 @@ func (x *Index) validatePartition(comp []int32) error {
 //     post(comp(v)), and no other vertex by any.
 //
 // With geo (the writer's copy), each live entry's geometry must also be
-// the venue's, which keeps extents out of the base.
+// the venue's, exactly: a base entry's rectangle as its two corners
+// hold it, an overlay replica's box.
 func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rect) error {
 	n := q.n
 	if err := q.base.Validate(); err != nil {
 		return err
 	}
 	bc := q.base.Columns()
+	off := len(bc.X) - len(bc.Post)
 	if q.dead.len() != len(bc.ID) {
 		return fmt.Errorf("incr: %d tombstone flags for %d base entries", q.dead.len(), len(bc.ID))
 	}
@@ -303,7 +305,7 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 		if want := post[comp[id]]; bc.Post[k] != want {
 			return fmt.Errorf("incr: venue %d's base entry has post %d but post(comp) = %d", id, bc.Post[k], want)
 		}
-		live[id], has[id] = geom.RectFromPoint(geom.Pt(bc.X[k], bc.Y[k])), true
+		live[id], has[id] = geom.Rect{Min: geom.Pt(bc.X[k], bc.Y[k]), Max: geom.Pt(bc.X[off+k], bc.Y[off+k])}, true
 	}
 	if dead != q.tombs {
 		return fmt.Errorf("incr: %d tombstones set but %d counted", dead, q.tombs)
@@ -314,7 +316,7 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 		return fmt.Errorf("incr: %d overlay rows for a grid of %d", len(o.rows), grid.Side)
 	}
 	replicas := make([]int, n)
-	entries, points := 0, 0
+	entries := 0
 	for y, row := range o.rows {
 		if row == nil {
 			continue
@@ -355,14 +357,11 @@ func validateSpatial(q qview, spatial []bool, comp, post []int32, geo []geom.Rec
 					return fmt.Errorf("incr: venue %d's overlay replicas hold %v and %v", id, live[id], box)
 				}
 				replicas[id]++
-				if isPoint(box) {
-					points++
-				}
 			}
 		}
 	}
-	if entries != o.n || points != o.points {
-		return fmt.Errorf("incr: %d overlay entries, %d of them points, but %d and %d counted", entries, points, o.n, o.points)
+	if entries != o.n {
+		return fmt.Errorf("incr: %d overlay entries, but %d counted", entries, o.n)
 	}
 
 	for v := 0; v < n; v++ {

@@ -9,10 +9,9 @@ import (
 )
 
 // Flat is a read-only R-tree in structure-of-arrays layout, the form
-// BulkLoad produces and the flat index format persists. Nodes are stored
-// in BFS order with node 0 the root; a node's children (or a leaf's
-// entries) occupy one contiguous run, so the whole tree is four flat
-// arrays that overlay a file section without any per-node allocation:
+// BulkLoad produces. Nodes are stored in BFS order with node 0 the root;
+// a node's children (or a leaf's entries) occupy one contiguous run, so
+// the whole tree is four flat arrays without any per-node allocation:
 //
 //	nodeBounds  numNodes × 2d float64 — min corner, max corner
 //	nodeMeta    numNodes × 2 uint32   — {first, count<<1 | leafBit}
@@ -36,59 +35,15 @@ type Flat[B Bound[B]] struct {
 	entryIDs    []int32
 }
 
-// FlatMeta carries the scalar shape of a flat tree through a manifest.
-type FlatMeta struct {
-	MaxEntries     int
-	Height         int
-	Size           int
-	LeafBoundBytes int
-}
-
-// Meta returns the manifest scalars of f.
-func (f *Flat[B]) Meta() FlatMeta {
-	return FlatMeta{
-		MaxEntries:     f.maxEntries,
-		Height:         f.height,
-		Size:           f.size,
-		LeafBoundBytes: f.leafBoundBytes,
-	}
-}
-
-// Raw returns the four flat arrays for persistence. The slices alias
-// the tree's storage and must not be mutated.
+// Raw returns the four flat arrays, for tests that damage a built tree
+// in place. The slices alias the tree's storage.
 func (f *Flat[B]) Raw() (nodeBounds []float64, nodeMeta []uint32, entryBounds []float64, entryIDs []int32) {
 	return f.nodeBounds, f.nodeMeta, f.entryBounds, f.entryIDs
 }
 
-// NewFlat assembles a flat tree from persisted arrays, validating the
-// canonical-BFS structure exhaustively (see checkStructure) so that
-// corrupt data can neither panic nor loop a later query. Bound
-// containment — the geometric invariant — is left to Validate.
-func NewFlat[B Bound[B]](meta FlatMeta, nodeBounds []float64, nodeMeta []uint32, entryBounds []float64, entryIDs []int32) (*Flat[B], error) {
-	var zero B
-	if !coordsInPlace[B]() {
-		return nil, fmt.Errorf("rtree: %T is not laid out as its coordinate array", zero)
-	}
-	f := &Flat[B]{
-		dims:           zero.Dims(),
-		maxEntries:     meta.MaxEntries,
-		height:         meta.Height,
-		size:           meta.Size,
-		leafBoundBytes: meta.LeafBoundBytes,
-		nodeBounds:     nodeBounds,
-		nodeMeta:       nodeMeta,
-		entryBounds:    entryBounds,
-		entryIDs:       entryIDs,
-	}
-	if err := f.checkStructure(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// maxHeight bounds the stored height. A bulk load at fan-out ≥ 4 over
-// fewer than 2³¹ entries stays below 17 levels; the bound keeps a forged
-// chain of one-child nodes from driving anyWhere's recursion deep.
+// maxHeight bounds the stored height: a bulk load at fan-out ≥ 4 over
+// fewer than 2³¹ entries stays below 17 levels, so a taller tree is
+// damage.
 const maxHeight = 32
 
 // checkStructure checks everything about f but the geometry, in one
@@ -315,49 +270,6 @@ func (f *Flat[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok b
 	return found, ok
 }
 
-// SearchAnyWhere reports whether some entry e has meets(&e.Box),
-// descending only into nodes whose bounds pass meets. It generalises
-// SearchAny from one query box to any region the caller can test a
-// bound against — meets must be monotone (true for a bound whenever it
-// is true for something inside it) — so a union of boxes costs one
-// traversal that expands each qualifying node once instead of one
-// search per box. Bounds go to meets as pointers into the arrays: a
-// copy of a 3D box per node is measurable on this path. Node, leaf and
-// entry counts accumulate into sp exactly as in SearchTraced.
-func (f *Flat[B]) SearchAnyWhere(sp *trace.Span, meets func(*B) bool) bool {
-	return len(f.nodeMeta) != 0 && meets(f.boundRef(0)) && f.anyWhere(0, sp, meets)
-}
-
-// anyWhere expands node i, whose bound the caller has already tested.
-// Testing a child before descending, by recursion (at most height deep),
-// measured faster under the dynamic engine's probes than an explicit
-// stack that tests a bound when it is popped; so did slicing a node's
-// run of bounds once instead of indexing f's arrays per child (8 % of
-// churn's query_p50_us).
-func (f *Flat[B]) anyWhere(i uint32, sp *trace.Span, meets func(*B) bool) bool {
-	first, meta := f.nodeMeta[2*i], f.nodeMeta[2*i+1]
-	count, stride := meta>>1, 2*f.dims
-	if meta&1 == 1 {
-		sp.IncLeaf()
-		sp.AddEntries(int(count))
-		bounds := f.entryBounds[int(first)*stride : int(first+count)*stride]
-		for k := range int(count) {
-			if meets((*B)(unsafe.Pointer(&bounds[k*stride]))) {
-				return true
-			}
-		}
-		return false
-	}
-	sp.IncNode()
-	bounds := f.nodeBounds[int(first)*stride : int(first+count)*stride]
-	for k := uint32(0); k < count; k++ {
-		if meets((*B)(unsafe.Pointer(&bounds[int(k)*stride]))) && f.anyWhere(first+k, sp, meets) {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of entries intersecting query.
 func (f *Flat[B]) Count(query B) int {
 	count := 0
@@ -403,11 +315,10 @@ func (f *Flat[B]) MemoryBytes() int64 {
 }
 
 // Validate deep-checks the tree and returns a descriptive error for the
-// first violation: the structure NewFlat admits (checkStructure) and the
-// geometric invariant it defers — every node's bound contains its
-// children's bounds, entry bounds in leaves. It runs in O(size) and
-// exists for tests, rrserve -check and -check-publish, and the
-// post-load validation of persisted indexes.
+// first violation: its structure (checkStructure) and the geometric
+// invariant — every node's bound contains its children's bounds, entry
+// bounds in leaves. It runs in O(size) and exists for tests and for
+// rrserve -check and -check-publish.
 func (f *Flat[B]) Validate() error {
 	if err := f.checkStructure(); err != nil {
 		return err

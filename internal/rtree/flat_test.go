@@ -5,125 +5,61 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/trace"
 )
 
-// TestFlattenRoundTrip checks BulkLoad → Raw/Meta → NewFlat → queries:
-// the tree rebuilt from the arrays — what a loaded or mapped index runs
-// on — must answer every operation like the built one, with the same
-// trace counters, and both must agree with the brute-force scan.
-func TestFlattenRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
-		entries := randomRectEntries(rng, n)
-		built := BulkLoad(append([]Entry[geom.Rect](nil), entries...), 16, 0)
-		nb, nm, eb, ids := built.Raw()
-		rebuilt, err := NewFlat[geom.Rect](built.Meta(), nb, nm, eb, ids)
-		if err != nil {
-			t.Fatalf("n=%d: NewFlat: %v", n, err)
-		}
-		if rebuilt.Len() != n || rebuilt.Height() != built.Height() || rebuilt.MemoryBytes() != built.MemoryBytes() {
-			t.Fatalf("n=%d: len/height/bytes %d/%d/%d, want %d/%d/%d", n,
-				rebuilt.Len(), rebuilt.Height(), rebuilt.MemoryBytes(), n, built.Height(), built.MemoryBytes())
-		}
-		if err := rebuilt.Validate(); err != nil {
-			t.Fatalf("n=%d: Validate: %v", n, err)
-		}
-		rb, rok := rebuilt.Bounds()
-		bb, bok := built.Bounds()
-		if rok != bok || rb != bb {
-			t.Fatalf("n=%d: Bounds %v/%v, want %v/%v", n, rb, rok, bb, bok)
-		}
-		var all []int32
-		rebuilt.All(func(e Entry[geom.Rect]) bool { all = append(all, e.ID); return true })
-		if len(all) != n {
-			t.Fatalf("n=%d: All visited %d entries", n, len(all))
-		}
-		for q := 0; q < 50; q++ {
-			query := randomRect(rng)
-			want := bruteSearch(entries, query)
-			if got := treeSearch(rebuilt, query); !equalIDs(got, want) {
-				t.Fatalf("n=%d query %v: rebuilt %v, brute force %v", n, query, got, want)
-			}
-			if got := rebuilt.Count(query); got != len(want) {
-				t.Fatalf("n=%d query %v: Count %d, want %d", n, query, got, len(want))
-			}
-			if _, ok := rebuilt.SearchAny(query); ok != (len(want) > 0) {
-				t.Fatalf("n=%d query %v: SearchAny %v with %d matches", n, query, ok, len(want))
-			}
-			var rs, bs trace.Span
-			rebuilt.SearchTraced(query, &rs, func(Entry[geom.Rect]) bool { return true })
-			built.SearchTraced(query, &bs, func(Entry[geom.Rect]) bool { return true })
-			if rs.Counters != bs.Counters {
-				t.Fatalf("n=%d query %v: trace counters %+v, want %+v", n, query, rs.Counters, bs.Counters)
-			}
-			// The 2D instantiation of the predicate search: the bounds
-			// handed out in place must be the bounds stored.
-			meets := func(b *geom.Rect) bool { return b.Intersects(query) }
-			var rw, bw trace.Span
-			if got, same := rebuilt.SearchAnyWhere(&rw, meets), built.SearchAnyWhere(&bw, meets); got != (len(want) > 0) || same != got || rw.Counters != bw.Counters {
-				t.Fatalf("n=%d query %v: SearchAnyWhere %v with %+v and %v with %+v, %d matches", n, query, got, rw.Counters, same, bw.Counters, len(want))
-			}
-		}
-	}
-}
-
-// TestNewFlatRejectsCorruption feeds NewFlat systematically damaged
-// arrays; each must produce an error, never a panic or an accepted
-// inconsistent tree.
+// TestNewFlatRejectsCorruption damages the arrays and shape scalars of
+// a newly built flat tree in place, one structural property at a time;
+// Validate must name each, never panic or pass an inconsistent tree.
 func TestNewFlatRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	base := BulkLoad(randomRectEntries(rng, 300), 16, 0)
+	entries := randomRectEntries(rng, 300)
+	build := func() *Flat[geom.Rect] { return BulkLoad(append([]Entry[geom.Rect](nil), entries...), 16, 0) }
 
-	check := func(name string, mutate func(meta *FlatMeta, nodeMeta []uint32)) {
+	check := func(name string, mutate func(f *Flat[geom.Rect])) {
 		t.Run(name, func(t *testing.T) {
-			meta := base.Meta()
-			nb, nm, eb, ids := base.Raw()
-			nm = append([]uint32(nil), nm...)
-			mutate(&meta, nm)
-			if _, err := NewFlat[geom.Rect](meta, nb, nm, eb, ids); err == nil {
+			f := build()
+			mutate(f)
+			if err := f.Validate(); err == nil {
 				t.Fatal("corrupted arrays accepted")
 			}
 		})
 	}
 
-	check("size-mismatch", func(m *FlatMeta, _ []uint32) { m.Size++ })
-	check("height-mismatch", func(m *FlatMeta, _ []uint32) { m.Height++ })
-	check("fanout-too-small", func(m *FlatMeta, _ []uint32) { m.MaxEntries = 2 })
-	check("fanout-huge", func(m *FlatMeta, _ []uint32) { m.MaxEntries = 1 << 24 })
-	check("root-first-nonzero", func(_ *FlatMeta, nm []uint32) { nm[0]++ })
-	check("leaf-bit-flip", func(_ *FlatMeta, nm []uint32) { nm[1] ^= 1 })
-	check("count-zero", func(_ *FlatMeta, nm []uint32) {
+	check("size-mismatch", func(f *Flat[geom.Rect]) { f.size++ })
+	check("height-mismatch", func(f *Flat[geom.Rect]) { f.height++ })
+	check("fanout-too-small", func(f *Flat[geom.Rect]) { f.maxEntries = 2 })
+	check("fanout-huge", func(f *Flat[geom.Rect]) { f.maxEntries = 1 << 24 })
+	check("root-first-nonzero", func(f *Flat[geom.Rect]) { f.nodeMeta[0]++ })
+	check("leaf-bit-flip", func(f *Flat[geom.Rect]) { f.nodeMeta[1] ^= 1 })
+	check("count-zero", func(f *Flat[geom.Rect]) {
 		// Zero out a non-root node's count, breaking the ≥1 rule.
-		nm[3] &^= ^uint32(1)
+		f.nodeMeta[3] &^= ^uint32(1)
 	})
-	check("count-overflow", func(m *FlatMeta, nm []uint32) {
-		nm[1] = (uint32(m.MaxEntries+1) << 1) | (nm[1] & 1)
+	check("count-overflow", func(f *Flat[geom.Rect]) {
+		f.nodeMeta[1] = (uint32(f.maxEntries+1) << 1) | (f.nodeMeta[1] & 1)
 	})
-	check("run-out-of-order", func(_ *FlatMeta, nm []uint32) {
+	check("run-out-of-order", func(f *Flat[geom.Rect]) {
 		// Shift a child run start so runs no longer tile the arrays.
-		nm[2]++
+		f.nodeMeta[2]++
 	})
 
 	t.Run("length-mismatch", func(t *testing.T) {
-		meta := base.Meta()
-		nb, nm, eb, ids := base.Raw()
-		if _, err := NewFlat[geom.Rect](meta, nb[:len(nb)-2], nm, eb, ids); err == nil {
-			t.Fatal("short nodeBounds accepted")
-		}
-		if _, err := NewFlat[geom.Rect](meta, nb, nm, eb, ids[:len(ids)-1]); err == nil {
-			t.Fatal("short entryIDs accepted")
-		}
-		if _, err := NewFlat[geom.Rect](meta, nb, nm[:len(nm)-1], eb, ids); err == nil {
-			t.Fatal("odd nodeMeta accepted")
+		for name, mutate := range map[string]func(f *Flat[geom.Rect]){
+			"short nodeBounds": func(f *Flat[geom.Rect]) { f.nodeBounds = f.nodeBounds[:len(f.nodeBounds)-2] },
+			"short entryIDs":   func(f *Flat[geom.Rect]) { f.entryIDs = f.entryIDs[:len(f.entryIDs)-1] },
+			"odd nodeMeta":     func(f *Flat[geom.Rect]) { f.nodeMeta = f.nodeMeta[:len(f.nodeMeta)-1] },
+		} {
+			f := build()
+			mutate(f)
+			if err := f.Validate(); err == nil {
+				t.Fatalf("%s accepted", name)
+			}
 		}
 	})
 
 	t.Run("empty", func(t *testing.T) {
-		empty := BulkLoad[geom.Rect](nil, 16, 0)
-		nb, nm, eb, ids := empty.Raw()
-		f, err := NewFlat[geom.Rect](empty.Meta(), nb, nm, eb, ids)
-		if err != nil {
+		f := BulkLoad[geom.Rect](nil, 16, 0)
+		if err := f.Validate(); err != nil {
 			t.Fatalf("empty flat tree rejected: %v", err)
 		}
 		if f.Len() != 0 {
@@ -135,8 +71,8 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 	})
 
 	// A chain of one-child nodes is balanced and tiles the arrays, so
-	// only the height bound stands between it and a recursion as deep
-	// as the file is long.
+	// only the height bound stands between it and a tree as deep as its
+	// arrays are long.
 	t.Run("chain", func(t *testing.T) {
 		chain := func(height int) error {
 			nb := make([]float64, 4*height)
@@ -145,8 +81,9 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 				nm = append(nm, uint32(i), 1<<1)
 			}
 			nm = append(nm, 0, 1<<1|1)
-			_, err := NewFlat[geom.Rect](FlatMeta{MaxEntries: 16, Height: height, Size: 1}, nb, nm, make([]float64, 4), []int32{7})
-			return err
+			f := &Flat[geom.Rect]{dims: 2, maxEntries: 16, height: height, size: 1,
+				nodeBounds: nb, nodeMeta: nm, entryBounds: make([]float64, 4), entryIDs: []int32{7}}
+			return f.Validate()
 		}
 		if err := chain(maxHeight); err != nil {
 			t.Fatalf("chain of %d levels rejected: %v", maxHeight, err)
@@ -158,7 +95,8 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 }
 
 // TestBulkLoadClampsFanout pins the one fan-out range builder and
-// loader share: whatever BulkLoad is asked for, NewFlat takes back.
+// validator share: whatever BulkLoad is asked for, it builds a tree
+// Validate accepts.
 func TestBulkLoadClampsFanout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, c := range []struct{ ask, want int }{
@@ -166,12 +104,11 @@ func TestBulkLoadClampsFanout(t *testing.T) {
 		{minFanout, minFanout}, {maxFanout, maxFanout}, {maxFanout + 1, maxFanout}, {1 << 21, maxFanout},
 	} {
 		f := BulkLoad(randomRectEntries(rng, 100), c.ask, 0)
-		if got := f.Meta().MaxEntries; got != c.want {
-			t.Errorf("fan-out %d built as %d, want %d", c.ask, got, c.want)
+		if f.maxEntries != c.want {
+			t.Errorf("fan-out %d built as %d, want %d", c.ask, f.maxEntries, c.want)
 		}
-		nb, nm, eb, ids := f.Raw()
-		if _, err := NewFlat[geom.Rect](f.Meta(), nb, nm, eb, ids); err != nil {
-			t.Errorf("fan-out %d: built tree does not load: %v", c.ask, err)
+		if err := f.Validate(); err != nil {
+			t.Errorf("fan-out %d: built tree does not validate: %v", c.ask, err)
 		}
 	}
 }
@@ -196,12 +133,7 @@ func TestFlattenBox3(t *testing.T) {
 		entries[i] = Entry[geom.Box3]{Box: geom.NewBox3(x, y, z, x+1, y+1, z+1), ID: int32(i)}
 	}
 	built := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 16, 0)
-	nb, nm, eb, ids := built.Raw()
-	rebuilt, err := NewFlat[geom.Box3](built.Meta(), nb, nm, eb, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rebuilt.Validate(); err != nil {
+	if err := built.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < 50; q++ {
@@ -213,7 +145,7 @@ func TestFlattenBox3(t *testing.T) {
 				want++
 			}
 		}
-		if got := rebuilt.Count(query); got != want {
+		if got := built.Count(query); got != want {
 			t.Fatalf("query %d: Count %d, want %d", q, got, want)
 		}
 	}

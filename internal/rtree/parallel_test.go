@@ -12,10 +12,9 @@ import (
 // sameArrays reports whether two trees are the same tree: equal shape
 // scalars and equal arrays, not just equal query answers.
 func sameArrays[B Bound[B]](a, b *Flat[B]) bool {
-	an, am, ae, ai := a.Raw()
-	bn, bm, be, bi := b.Raw()
-	return a.Meta() == b.Meta() && slices.Equal(an, bn) && slices.Equal(am, bm) &&
-		slices.Equal(ae, be) && slices.Equal(ai, bi)
+	return a.maxEntries == b.maxEntries && a.height == b.height && a.size == b.size && a.leafBoundBytes == b.leafBoundBytes &&
+		slices.Equal(a.nodeBounds, b.nodeBounds) && slices.Equal(a.nodeMeta, b.nodeMeta) &&
+		slices.Equal(a.entryBounds, b.entryBounds) && slices.Equal(a.entryIDs, b.entryIDs)
 }
 
 // TestBulkLoadPoolIdentical asserts that parallel STR packing produces

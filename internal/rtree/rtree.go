@@ -1,17 +1,15 @@
 // Package rtree implements a read-only in-memory R-tree over 2D
 // rectangles or 3D boxes, replacing the Boost R-tree the paper uses
-// (§6.1). It backs the spatial indexes of the library but one: the 2D
-// point index of SpaReach and rrbench's MBR arm (paper §5), the 3D
-// vertical-segment index of 3DReach-Rev, and 3DReach's index of extended
-// geometries. 3DReach's point index is internal/tiles.
+// (§6.1). It backs the in-memory spatial indexes that are not tiles:
+// the 2D index of SpaReach and rrbench's MBR arm (paper §5), and the 3D
+// vertical-segment index of 3DReach-Rev. 3DReach indexes every venue,
+// point or extent, in internal/tiles, and no index file holds an
+// R-tree.
 //
-// There is one tree form, Flat: four arrays in canonical BFS order.
-// Sort-Tile-Recursive (STR) bulk loading produces it, the flat index
-// format persists it, and a loaded or memory-mapped index overlays it
-// onto the file, so every serving mode runs the same kernels over the
-// same layout. Nothing is inserted after the load. Search supports
-// early termination, which RangeReach evaluation relies on: a query
-// stops at the first witness.
+// There is one tree form, Flat: four arrays in canonical BFS order,
+// which Sort-Tile-Recursive (STR) bulk loading produces. Nothing is
+// inserted after the load. Search supports early termination, which
+// RangeReach evaluation relies on: a query stops at the first witness.
 package rtree
 
 import (
@@ -26,7 +24,7 @@ import (
 // geom.Rect and geom.Box3 implement it. A bound serializes to a flat
 // float64 coordinate array (2·Dims values; see geom.AppendCoords) which
 // is also its memory layout — checked by coordsInPlace — so a stored
-// bound is read, and handed out by pointer, in place.
+// bound is read in place.
 type Bound[B any] interface {
 	Union(B) B
 	Contains(B) bool
@@ -45,8 +43,8 @@ type Entry[B Bound[B]] struct {
 // DefaultMaxEntries is the default node fan-out.
 const DefaultMaxEntries = 16
 
-// The legal node fan-out. BulkLoad clamps into the range and NewFlat
-// rejects a stored value outside it, so whatever builds also loads.
+// The legal node fan-out. BulkLoad clamps into the range and Validate
+// rejects a tree whose fan-out lies outside it.
 const (
 	minFanout = 4
 	maxFanout = 1 << 20

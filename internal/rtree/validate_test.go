@@ -46,9 +46,8 @@ func TestValidateBulkLoaded(t *testing.T) {
 }
 
 // The corruption cases below damage a built tree's arrays in place:
-// Validate on a built tree (Index.Validate, rrserve -check, the dynamic
-// engine's publish check) has no NewFlat in front of it, so it must
-// catch structural damage as well as geometric.
+// Validate on a built tree (Index.Validate, rrserve -check and
+// -check-publish) must catch structural damage as well as geometric.
 
 func TestValidateMBRExcludesEntry(t *testing.T) {
 	tr := BulkLoad(gridEntries(100), 4, 0)

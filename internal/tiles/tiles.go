@@ -1,7 +1,7 @@
-// Package tiles is 3DReach's point index: STR tiles in the plane, with
-// each tile's points sorted by post-order number. The paper (§4.2)
-// answers a label L(v) with one cuboid query per interval on a 3D
-// R-tree of (x, y, post) points, and notes (§7.2) that any structure
+// Package tiles is 3DReach's spatial index: STR tiles in the plane,
+// with each tile's entries sorted by post-order number. The paper
+// (§4.2) answers a label L(v) with one cuboid query per interval on a 3D
+// R-tree of (x, y, post) objects, and notes (§7.2) that any structure
 // indexing that space will do. This one partitions the plane the way
 // GeoReach does and keeps the third axis inside the cells, so a query
 // prunes by region first and merge-joins each cell's posts with the
@@ -9,9 +9,11 @@
 // bounds check or two binary searches per cell, a fragmented one a
 // merge join, and an empty region never expands the post axis.
 //
-// Layout (Sort-Tile-Recursive in 2D): the points are sorted by x and
+// An entry is a rectangle, a venue's geometry (paper footnote 1); a
+// point is a rectangle whose corners are equal. Layout (Sort-Tile-
+// Recursive in 2D, by min corner): the entries are sorted by min x and
 // cut into ⌈√(P/CellSize)⌉ slabs of equal count; each slab is sorted by
-// y and cut into cells of CellSize points; each cell's points are
+// min y and cut into cells of CellSize entries; each cell's entries are
 // sorted by post. The result is eight flat columns (see Columns), the
 // form the flat index format persists and a mapped index overlays.
 package tiles
@@ -27,26 +29,34 @@ import (
 	"repro/internal/trace"
 )
 
-// CellSize is the number of points in a full cell.
+// CellSize is the number of entries in a full cell.
 const CellSize = 32
 
-// Point is one indexed spatial vertex: its location, its component's
-// key on the label axis — the post-order number, or the spatial rank of
-// a rank-keyed labeling; the tiles only need the labels to agree — and
-// its vertex id.
-type Point struct {
-	X, Y     float64
+// Entry is one indexed spatial vertex: its geometry, a point when
+// Box.Min equals Box.Max; its component's key on the label axis — the
+// post-order number, or the spatial rank of a rank-keyed labeling; the
+// tiles only need the labels to agree — and its vertex id.
+type Entry struct {
+	Box      geom.Rect
 	Post, ID int32
 }
 
-// Columns are the tiles' arrays. With S slabs, C cells and P points:
+// Columns are the tiles' arrays. With S slabs, C cells and P entries:
 //
-//	SlabX      [2S] f64 — per slab {min x, max x}
+//	SlabX      [2S] f64 — per slab {min x, running max x}
 //	SlabCells  [S+1] u32 — cell offsets: slab s holds cells SlabCells[s]..SlabCells[s+1]-1
-//	CellMBR    [4C] f64 — per cell {min x, min y, max x, max y}
-//	CellPoints [C+1] u32 — point offsets, as SlabCells
-//	X, Y       [P] f64 — point coordinates
+//	CellMBR    [4C] f64 — per cell {min x, min y, max x, running max y}
+//	CellPoints [C+1] u32 — entry offsets, as SlabCells
+//	X, Y       [P] or [2P] f64 — entry min corners, then, when some
+//	           entry is not a point, entry max corners
 //	Post, ID   [P] i32 — post-order number and vertex id
+//
+// Entry k's max corner is at k+len(X)-len(Post): at k itself for a
+// point set, whose columns carry no max corners. A slab's max x is the
+// largest max x of its entries and every slab before it, and a cell's
+// max y the largest of its entries and every cell before it in the
+// slab, so both rise along the walk Any binary-searches; over a point
+// set each is just the slab's or the cell's largest coordinate.
 type Columns struct {
 	SlabX      []float64
 	SlabCells  []uint32
@@ -62,79 +72,131 @@ type Tiles struct {
 	c Columns
 }
 
-// New builds the tiles over pts, which it reorders. Every comparison
-// ends in the vertex id, so equal point sets give byte-identical columns
-// whatever their input order; ids must be distinct.
-func New(pts []Point) *Tiles {
+// New builds the tiles over es. Every comparison ends in the vertex id,
+// so equal entry sets give byte-identical columns whatever their input
+// order; ids must be distinct and not negative.
+func New(es []Entry) *Tiles {
+	// The sorts move a min corner, post and id, 24 bytes, not an Entry's
+	// 40; an extent's max corner is looked up by id when it is written.
+	type key struct {
+		x, y     float64
+		post, id int32
+	}
 	// Each order is decided by its first key unless that ties (or is
 	// NaN, which cmp.Compare places first); the fallback is the whole
 	// comparison.
-	byX := func(a, b Point) int {
-		if a.X < b.X {
+	byX := func(a, b key) int {
+		if a.x < b.x {
 			return -1
-		} else if a.X > b.X {
+		} else if a.x > b.x {
 			return 1
 		}
-		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y), cmp.Compare(a.Post, b.Post), cmp.Compare(a.ID, b.ID))
+		return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
 	}
-	byY := func(a, b Point) int {
-		if a.Y < b.Y {
+	byY := func(a, b key) int {
+		if a.y < b.y {
 			return -1
-		} else if a.Y > b.Y {
+		} else if a.y > b.y {
 			return 1
 		}
-		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X), cmp.Compare(a.Post, b.Post), cmp.Compare(a.ID, b.ID))
+		return cmp.Or(cmp.Compare(a.y, b.y), cmp.Compare(a.x, b.x), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
 	}
-	byPost := func(a, b Point) int {
-		return cmp.Or(cmp.Compare(a.Post, b.Post), cmp.Compare(a.ID, b.ID))
+	byPost := func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
 	}
 
-	n := len(pts)
+	n := len(es)
+	keys := make([]key, n)
+	for i, e := range es {
+		keys[i] = key{e.Box.Min.X, e.Box.Min.Y, e.Post, e.ID}
+	}
+	var pos []int32 // pos[id] indexes es, when some entry is an extent
+	if slices.ContainsFunc(es, func(e Entry) bool { return e.Box.Min != e.Box.Max }) {
+		pos = make([]int32, slices.MaxFunc(es, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }).ID+1)
+		for i, e := range es {
+			pos[e.ID] = int32(i)
+		}
+	}
+	maxOf := func(k key) geom.Point {
+		if pos == nil {
+			return geom.Pt(k.x, k.y)
+		}
+		return es[pos[k.id]].Box.Max
+	}
 	cells := (n + CellSize - 1) / CellSize
+	corners := n
+	if pos != nil {
+		corners = 2 * n
+	}
 	c := Columns{
 		SlabCells:  []uint32{0},
 		CellMBR:    make([]float64, 0, 4*cells),
 		CellPoints: make([]uint32, 1, cells+1),
-		X:          make([]float64, 0, n),
-		Y:          make([]float64, 0, n),
+		X:          make([]float64, n, corners),
+		Y:          make([]float64, n, corners),
 		Post:       make([]int32, 0, n),
 		ID:         make([]int32, 0, n),
 	}
 	if n == 0 {
 		return &Tiles{c}
 	}
-	slices.SortFunc(pts, byX)
+	maxX, maxY := c.X[n:corners], c.Y[n:corners]
+	slices.SortFunc(keys, byX)
 	slabs := int(math.Ceil(math.Sqrt(float64(n) / CellSize)))
 	per := (n + slabs - 1) / slabs
+	slabMaxX := math.Inf(-1)
 	for lo := 0; lo < n; lo += per {
-		slab := pts[lo:min(lo+per, n)]
-		c.SlabX = append(c.SlabX, slab[0].X, slab[len(slab)-1].X)
+		slab := keys[lo:min(lo+per, n)]
+		for _, k := range slab {
+			slabMaxX = runningMax(slabMaxX, maxOf(k).X)
+		}
+		c.SlabX = append(c.SlabX, slab[0].x, slabMaxX)
 		slices.SortFunc(slab, byY)
+		cellMaxY := math.Inf(-1)
 		for at := 0; at < len(slab); at += CellSize {
 			cell := slab[at:min(at+CellSize, len(slab))]
-			minX, maxX := cell[0].X, cell[0].X
-			for _, p := range cell[1:] {
-				minX, maxX = min(minX, p.X), max(maxX, p.X)
+			x0, x1 := cell[0].x, maxOf(cell[0]).X
+			for _, k := range cell {
+				m := maxOf(k)
+				x0, x1 = min(x0, k.x), max(x1, m.X)
+				cellMaxY = runningMax(cellMaxY, m.Y)
 			}
-			c.CellMBR = append(c.CellMBR, minX, cell[0].Y, maxX, cell[len(cell)-1].Y)
+			c.CellMBR = append(c.CellMBR, x0, cell[0].y, x1, cellMaxY)
 			slices.SortFunc(cell, byPost)
-			for _, p := range cell {
-				c.X, c.Y = append(c.X, p.X), append(c.Y, p.Y)
-				c.Post, c.ID = append(c.Post, p.Post), append(c.ID, p.ID)
+			for _, k := range cell {
+				i := len(c.Post)
+				c.X[i], c.Y[i] = k.x, k.y
+				if len(maxX) > 0 {
+					m := maxOf(k)
+					maxX[i], maxY[i] = m.X, m.Y
+				}
+				c.Post, c.ID = append(c.Post, k.post), append(c.ID, k.id)
 			}
-			c.CellPoints = append(c.CellPoints, uint32(len(c.X)))
+			c.CellPoints = append(c.CellPoints, uint32(len(c.Post)))
 		}
 		c.SlabCells = append(c.SlabCells, uint32(len(c.CellPoints)-1))
 	}
+	c.X, c.Y = c.X[:corners], c.Y[:corners]
 	return &Tiles{c}
+}
+
+// runningMax is max(m, v) that, on a tie, keeps v: over coordinates
+// sorted ascending it ends at the last one, as the bound of a point set
+// always has.
+func runningMax(m, v float64) float64 {
+	if v >= m {
+		return v
+	}
+	return m
 }
 
 // FromColumns assembles tiles from persisted columns. It checks, in one
 // pass and without allocating, everything a query's indexing relies on:
-// the column lengths agree, both offset columns start at 0, rise
-// strictly (no empty slab or cell) and end at the next level's length,
-// and every id lies in [0, numIDs). Geometry and post order, which only
-// decide answers, are left to Validate.
+// the column lengths agree — x and y hold one corner per entry or two —
+// both offset columns start at 0, rise strictly (no empty slab or cell)
+// and end at the next level's length, and every id lies in [0, numIDs).
+// Geometry and post order, which only decide answers, are left to
+// Validate.
 func FromColumns(c Columns, numIDs int) (*Tiles, error) {
 	if len(c.SlabX)%2 != 0 || len(c.CellMBR)%4 != 0 {
 		return nil, fmt.Errorf("tiles: %d slab bounds, %d cell bounds: not whole records", len(c.SlabX), len(c.CellMBR))
@@ -142,16 +204,16 @@ func FromColumns(c Columns, numIDs int) (*Tiles, error) {
 	if err := checkOffsets("slab cell", c.SlabCells, len(c.SlabX)/2, len(c.CellMBR)/4); err != nil {
 		return nil, err
 	}
-	n := len(c.X)
+	n := len(c.Post)
 	if err := checkOffsets("cell point", c.CellPoints, len(c.CellMBR)/4, n); err != nil {
 		return nil, err
 	}
-	if len(c.Y) != n || len(c.Post) != n || len(c.ID) != n {
-		return nil, fmt.Errorf("tiles: point columns of %d x, %d y, %d post, %d id", n, len(c.Y), len(c.Post), len(c.ID))
+	if len(c.ID) != n || len(c.Y) != len(c.X) || len(c.X) != n && len(c.X) != 2*n {
+		return nil, fmt.Errorf("tiles: entry columns of %d x, %d y, %d post, %d id", len(c.X), len(c.Y), n, len(c.ID))
 	}
 	for k, id := range c.ID {
 		if id < 0 || int(id) >= numIDs {
-			return nil, fmt.Errorf("tiles: point %d has id %d outside [0,%d)", k, id, numIDs)
+			return nil, fmt.Errorf("tiles: entry %d has id %d outside [0,%d)", k, id, numIDs)
 		}
 	}
 	return &Tiles{c}, nil
@@ -185,18 +247,18 @@ func (t *Tiles) MemoryBytes() int64 {
 		4*(len(c.SlabCells)+len(c.CellPoints)+len(c.Post)+len(c.ID)))
 }
 
-// Any reports whether some point lies inside r (boundary inclusive) with
-// its post in label, which must be canonical (sorted, disjoint). Slabs
-// are found by binary search on their max x and walked until one starts
-// past r; cells within a slab likewise on y. A cell r contains is
-// decided by its posts alone; a boundary cell tests x and y for each
-// point whose post is in the label. Per traversal, sp counts a slab
-// visited as a node, a cell whose bounds meet r as a leaf, and each
-// point x/y-tested as an entry.
+// Any reports whether some entry meets r (boundary inclusive) with its
+// post in label, which must be canonical (sorted, disjoint). Slabs are
+// found by binary search on their running max x and walked until one
+// starts past r; cells within a slab likewise on y. A cell r contains
+// is decided by its posts alone; a boundary cell tests the rectangle of
+// each entry whose post is in the label. Per traversal, sp counts a
+// slab visited as a node, a cell whose bounds meet r as a leaf, and
+// each entry tested against r as an entry.
 //
-// dead, when not nil, filters the points by column position: a point k
-// with dead(k) counts as absent. A contained cell then answers with its
-// first live candidate, and a boundary cell tests x and y before
+// dead, when not nil, filters the entries by column position: an entry
+// k with dead(k) counts as absent. A contained cell then answers with
+// its first live candidate, and a boundary cell tests geometry before
 // liveness. The dynamic index passes its tombstones here; a static
 // index passes nil and pays one nil check per candidate run.
 func (t *Tiles) Any(r geom.Rect, label intervals.Set, dead func(k int) bool, sp *trace.Span) bool {
@@ -235,15 +297,16 @@ func (t *Tiles) Any(r geom.Rect, label intervals.Set, dead func(k int) bool, sp 
 	return false
 }
 
-// cellAny merge-joins the sorted posts of points p0..p1-1 with the
+// cellAny merge-joins the sorted posts of entries p0..p1-1 with the
 // label: a monotone cursor on each side, each advanced by binary search,
 // after a shortcut for a cell whose posts all fall in one interval (the
 // giant component's label covers most cells so). When inside, the first
-// live post in the label is the witness; otherwise each run of points
-// whose posts fall in one interval is x/y-tested against r (anyInside,
-// or testLive under a filter).
+// live post in the label is the witness; otherwise each run of entries
+// whose posts fall in one interval is tested against r (anyMeets, or
+// testLive under a filter).
 func (t *Tiles) cellAny(p0, p1 int, r geom.Rect, label intervals.Set, inside bool, dead func(int) bool, sp *trace.Span) bool {
-	posts := t.c.Post[p0:p1]
+	c := &t.c
+	posts := c.Post[p0:p1]
 	j := label.FirstEndingAt(posts[0])
 	if j == len(label) {
 		return false
@@ -259,13 +322,20 @@ func (t *Tiles) cellAny(p0, p1 int, r geom.Rect, label intervals.Set, inside boo
 		if k < end {
 			var tested int
 			var hit bool
+			if dead == nil && inside {
+				return true
+			}
+			// The run's min corners, and its max corners: the same
+			// columns over a point set.
+			a, b := p0+k, p0+end
+			x0, y0, x1, y1 := c.X[a:b], c.Y[a:b], c.X[a:b], c.Y[a:b]
+			if off := len(c.X) - len(c.Post); off != 0 {
+				x1, y1 = c.X[off+a:off+b], c.Y[off+a:off+b]
+			}
 			if dead == nil {
-				if inside {
-					return true
-				}
-				tested, hit = anyInside(t.c.X[p0+k:p0+end], t.c.Y[p0+k:p0+end], r)
+				tested, hit = anyMeets(x0, y0, x1, y1, r)
 			} else {
-				tested, hit = testLive(t.c.X[p0+k:p0+end], t.c.Y[p0+k:p0+end], p0+k, r, inside, dead)
+				tested, hit = testLive(x0, y0, x1, y1, a, r, inside, dead)
 			}
 			if total += tested; hit {
 				sp.AddEntries(total)
@@ -284,43 +354,45 @@ func (t *Tiles) cellAny(p0, p1 int, r geom.Rect, label intervals.Set, inside boo
 	return false
 }
 
-// testLive is anyInside under a filter, for the points (xs[i], ys[i])
-// at column positions p0, p0+1, ..., whose posts are all in the label:
-// the first live point of a contained cell's run is the witness,
-// untested; a boundary cell's point must lie inside r and be live.
-func testLive(xs, ys []float64, p0 int, r geom.Rect, inside bool, dead func(int) bool) (tested int, hit bool) {
+// testLive is anyMeets under a filter, for the entries at column
+// positions p0, p0+1, ..., whose posts are all in the label: the first
+// live entry of a contained cell's run is the witness, untested; a
+// boundary cell's entry must meet r and be live.
+func testLive(x0, y0, x1, y1 []float64, p0 int, r geom.Rect, inside bool, dead func(int) bool) (tested int, hit bool) {
 	if inside {
-		for i := range xs {
+		for i := range x0 {
 			if !dead(p0 + i) {
 				return 0, true
 			}
 		}
 		return 0, false
 	}
-	ys = ys[:len(xs)]
-	for i, x := range xs {
-		if y := ys[i]; r.Min.X <= x && x <= r.Max.X && r.Min.Y <= y && y <= r.Max.Y && !dead(p0+i) {
+	n := len(x0)
+	y0, x1, y1 = y0[:n], x1[:n], y1[:n]
+	for i, x := range x0 {
+		if x <= r.Max.X && r.Min.X <= x1[i] && y0[i] <= r.Max.Y && r.Min.Y <= y1[i] && !dead(p0+i) {
 			return i + 1, true
 		}
 	}
-	return len(xs), false
+	return n, false
 }
 
-// anyInside reports whether some point (xs[i], ys[i]) lies inside r,
-// and how many points it tested to find out. It tests eight at a time
-// without branching on the outcome: in a cell r cuts through, which
-// points fall inside follows no pattern a branch predictor could learn.
-func anyInside(xs, ys []float64, r geom.Rect) (tested int, hit bool) {
-	ys = ys[:len(xs)]
+// anyMeets reports whether some entry [x0[i], x1[i]] × [y0[i], y1[i]]
+// meets r, and how many entries it tested to find out. It tests eight
+// at a time without branching on the outcome: in a cell r cuts through,
+// which entries meet it follows no pattern a branch predictor could
+// learn.
+func anyMeets(x0, y0, x1, y1 []float64, r geom.Rect) (tested int, hit bool) {
+	n := len(x0)
+	y0, x1, y1 = y0[:n], x1[:n], y1[:n]
 	var in uint8
-	for i, x := range xs {
-		y := ys[i]
-		in |= b2u(r.Min.X <= x) & b2u(x <= r.Max.X) & b2u(r.Min.Y <= y) & b2u(y <= r.Max.Y)
+	for i, x := range x0 {
+		in |= b2u(x <= r.Max.X) & b2u(r.Min.X <= x1[i]) & b2u(y0[i] <= r.Max.Y) & b2u(r.Min.Y <= y1[i])
 		if i&7 == 7 && in != 0 {
 			return i + 1, true
 		}
 	}
-	return len(xs), in != 0
+	return n, in != 0
 }
 
 // b2u converts without a branch: the compiler turns the pattern into a
@@ -361,24 +433,39 @@ func upperBound(posts []int32, p int32) int {
 }
 
 // Validate checks what FromColumns leaves out, over every slab and
-// cell: each slab's x range and each cell's bounds are non-empty; slabs
-// are ordered along x and cells within a slab along y, one's range
-// ending where or before the next begins; a slab's x range contains its
-// cells'; a cell holds at most CellSize points, inside its bounds and
-// sorted by post. Those are the invariants the binary searches, the
-// early stops and the contained-cell shortcut of Any rely on.
+// cell: each slab's x range and each cell's bounds are non-empty; slab
+// minima and running maxima never fall along x, nor cell minima and
+// running maxima along y within a slab, and over a point set one's
+// range ends where or before the next begins; a slab's x range contains
+// its cells'; a cell holds at most CellSize entries, each a rectangle
+// inside the cell's bounds, sorted by post. Those are the invariants the
+// binary searches, the early stops and the contained-cell shortcut of
+// Any rely on.
 func (t *Tiles) Validate() error {
 	c := &t.c
 	if _, err := FromColumns(*c, math.MaxInt32); err != nil {
 		return err
 	}
+	points := len(c.X) == len(c.Post)
+	rising := func(what string, i int, prevMin, prevMax, minV, maxV float64) error {
+		if points && !(prevMax <= minV) {
+			return fmt.Errorf("tiles: %s %d starts at %g, before %s %d ends at %g", what, i, minV, what, i-1, prevMax)
+		}
+		if !(prevMin <= minV && prevMax <= maxV) {
+			return fmt.Errorf("tiles: %s %d spans %g..%g, after %s %d's %g..%g", what, i, minV, maxV, what, i-1, prevMin, prevMax)
+		}
+		return nil
+	}
+	off := len(c.X) - len(c.Post)
 	for s := 0; s+1 < len(c.SlabCells); s++ {
 		minX, maxX := c.SlabX[2*s], c.SlabX[2*s+1]
 		if !(minX <= maxX) {
 			return fmt.Errorf("tiles: slab %d spans x %g..%g", s, minX, maxX)
 		}
-		if s > 0 && !(c.SlabX[2*s-1] <= minX) {
-			return fmt.Errorf("tiles: slab %d starts at x %g, before slab %d ends at %g", s, minX, s-1, c.SlabX[2*s-1])
+		if s > 0 {
+			if err := rising("slab", s, c.SlabX[2*s-2], c.SlabX[2*s-1], minX, maxX); err != nil {
+				return err
+			}
 		}
 		for cell := int(c.SlabCells[s]); cell < int(c.SlabCells[s+1]); cell++ {
 			box := c.CellMBR[4*cell : 4*cell+4]
@@ -388,19 +475,22 @@ func (t *Tiles) Validate() error {
 			if !(minX <= box[0] && box[2] <= maxX) {
 				return fmt.Errorf("tiles: cell %d spans x %g..%g outside its slab %d's %g..%g", cell, box[0], box[2], s, minX, maxX)
 			}
-			if cell > int(c.SlabCells[s]) && !(c.CellMBR[4*cell-1] <= box[1]) {
-				return fmt.Errorf("tiles: cell %d starts at y %g, before cell %d ends at %g", cell, box[1], cell-1, c.CellMBR[4*cell-1])
+			if cell > int(c.SlabCells[s]) {
+				if err := rising("cell", cell, c.CellMBR[4*cell-3], c.CellMBR[4*cell-1], box[1], box[3]); err != nil {
+					return err
+				}
 			}
 			p0, p1 := int(c.CellPoints[cell]), int(c.CellPoints[cell+1])
 			if p1-p0 > CellSize {
-				return fmt.Errorf("tiles: cell %d holds %d points, more than %d", cell, p1-p0, CellSize)
+				return fmt.Errorf("tiles: cell %d holds %d entries, more than %d", cell, p1-p0, CellSize)
 			}
 			for k := p0; k < p1; k++ {
-				if x, y := c.X[k], c.Y[k]; !(box[0] <= x && x <= box[2] && box[1] <= y && y <= box[3]) {
-					return fmt.Errorf("tiles: point %d (id %d) at (%g, %g) is outside cell %d's bounds %v", k, c.ID[k], x, y, cell, box)
+				e := geom.Rect{Min: geom.Pt(c.X[k], c.Y[k]), Max: geom.Pt(c.X[off+k], c.Y[off+k])}
+				if !(box[0] <= e.Min.X && e.Min.X <= e.Max.X && e.Max.X <= box[2] && box[1] <= e.Min.Y && e.Min.Y <= e.Max.Y && e.Max.Y <= box[3]) {
+					return fmt.Errorf("tiles: entry %d (id %d) spans %v, outside cell %d's bounds %v", k, c.ID[k], e, cell, box)
 				}
 				if k > p0 && c.Post[k] < c.Post[k-1] {
-					return fmt.Errorf("tiles: cell %d's posts are out of order at point %d: %d after %d", cell, k, c.Post[k], c.Post[k-1])
+					return fmt.Errorf("tiles: cell %d's posts are out of order at entry %d: %d after %d", cell, k, c.Post[k], c.Post[k-1])
 				}
 			}
 		}

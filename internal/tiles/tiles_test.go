@@ -10,33 +10,58 @@ import (
 	"repro/internal/trace"
 )
 
-// Point-set shapes for randomPoints.
+// Entry-set shapes for randomEntries: four point sets, then three with
+// extents.
 const (
-	shapeGrid    = iota // integer coordinates on a 20×20 grid: shared x, y and edges
-	shapeDup            // pairs of identical locations
-	shapeOneX           // every point on x = 7
-	shapeUniform        // continuous coordinates
+	shapeGrid     = iota // integer coordinates on a 20×20 grid: shared x, y and edges
+	shapeDup             // pairs of identical locations
+	shapeOneX            // every point on x = 7
+	shapeUniform         // continuous coordinates
+	shapeBoxes           // every other entry a box up to 4 wide, on the grid
+	shapeSegments        // every other entry of zero width or zero height
+	shapeHuge            // one box over the whole space among small ones
 	numShapes
 )
 
-// randomPoints draws n points with distinct ids and posts in [1, 2n].
-func randomPoints(rng *rand.Rand, n int, shape uint8) []Point {
-	pts := make([]Point, n)
-	for i := range pts {
-		p := Point{X: float64(rng.Intn(20)), Y: float64(rng.Intn(20)), Post: 1 + int32(rng.Intn(2*n)), ID: int32(i)}
+// randomEntries draws n entries with distinct ids and posts in [1, 2n].
+func randomEntries(rng *rand.Rand, n int, shape uint8) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		p := geom.Pt(float64(rng.Intn(20)), float64(rng.Intn(20)))
+		q := p
 		switch shape % numShapes {
 		case shapeDup:
 			if i%2 == 1 {
-				p.X, p.Y = pts[i-1].X, pts[i-1].Y
+				p = es[i-1].Box.Min
+				q = p
 			}
 		case shapeOneX:
-			p.X = 7
+			p.X, q.X = 7, 7
 		case shapeUniform:
-			p.X, p.Y = rng.Float64()*100, rng.Float64()*100
+			p = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+			q = p
+		case shapeBoxes:
+			if i%2 == 1 {
+				q = geom.Pt(p.X+float64(rng.Intn(5)), p.Y+float64(rng.Intn(5)))
+			}
+		case shapeSegments:
+			if i%2 == 1 {
+				if rng.Intn(2) == 0 {
+					q.Y += 1 + float64(rng.Intn(4))
+				} else {
+					q.X += 1 + float64(rng.Intn(4))
+				}
+			}
+		case shapeHuge:
+			p = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+			q = geom.Pt(p.X+rng.Float64(), p.Y+rng.Float64())
+			if i == n/2 {
+				p, q = geom.Pt(-1, -1), geom.Pt(101, 101)
+			}
 		}
-		pts[i] = p
+		es[i] = Entry{Box: geom.Rect{Min: p, Max: q}, Post: 1 + int32(rng.Intn(2*n)), ID: int32(i)}
 	}
-	return pts
+	return es
 }
 
 // randomLabel draws a canonical label of 1..max intervals over posts in
@@ -57,13 +82,21 @@ func randomLabel(rng *rand.Rand, maxIntervals int, maxPost int32) intervals.Set 
 	return label
 }
 
-// randomRegion draws regions whose edges fall exactly on point
-// coordinates and on cell bounds as often as anywhere else.
-func randomRegion(rng *rand.Rand, t *Tiles, pts []Point) geom.Rect {
+// randomRegion draws regions whose edges fall exactly on entry corners,
+// so that they touch entries' edges, and on cell bounds as often as
+// anywhere else.
+func randomRegion(rng *rand.Rand, t *Tiles, es []Entry) geom.Rect {
 	c := t.Columns()
+	corner := func() geom.Point {
+		e := es[rng.Intn(len(es))]
+		if rng.Intn(2) == 0 {
+			return e.Box.Min
+		}
+		return e.Box.Max
+	}
 	switch {
-	case len(pts) > 0 && rng.Intn(3) == 0:
-		a, b := pts[rng.Intn(len(pts))], pts[rng.Intn(len(pts))]
+	case len(es) > 0 && rng.Intn(3) == 0:
+		a, b := corner(), corner()
 		return geom.NewRect(a.X, a.Y, b.X, b.Y)
 	case len(c.CellMBR) > 0 && rng.Intn(2) == 0:
 		a, b := 4*rng.Intn(len(c.CellMBR)/4), 4*rng.Intn(len(c.CellMBR)/4)
@@ -74,23 +107,24 @@ func randomRegion(rng *rand.Rand, t *Tiles, pts []Point) geom.Rect {
 	}
 }
 
-// bruteForce scans the points, skipping those whose id deadID marks
+// bruteForce scans the entries, skipping those whose id deadID marks
 // (nil marks none).
-func bruteForce(pts []Point, r geom.Rect, label intervals.Set, deadID []bool) bool {
-	for _, p := range pts {
-		if r.ContainsPoint(geom.Pt(p.X, p.Y)) && label.ContainsCanonical(p.Post) && (deadID == nil || !deadID[p.ID]) {
+func bruteForce(es []Entry, r geom.Rect, label intervals.Set, deadID []bool) bool {
+	for _, e := range es {
+		if r.Intersects(e.Box) && label.ContainsCanonical(e.Post) && (deadID == nil || !deadID[e.ID]) {
 			return true
 		}
 	}
 	return false
 }
 
-// FuzzTiles checks Any against a scan of the points, without a filter
+// FuzzTiles checks Any against a scan of the entries, without a filter
 // and under tombstones that mark none, half or nearly all of them dead,
 // and the built tiles against Validate and FromColumns. The seeds cover
-// 0, 1, 31, 32, 33 and 5,000 points; duplicate locations and a single
-// shared x; regions edged on point coordinates and on cell bounds;
-// labels of 1 to 64 intervals.
+// 0, 1, 31, 32, 33 and 5,000 entries; duplicate locations and a single
+// shared x; extents of zero width or height, and one huge extent among
+// small ones; regions edged on entry corners and on cell bounds; labels
+// of 1 to 64 intervals.
 func FuzzTiles(f *testing.F) {
 	for _, n := range []uint16{0, 1, 31, 32, 33, 5000} {
 		for shape := uint8(0); shape < numShapes; shape++ {
@@ -100,147 +134,179 @@ func FuzzTiles(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, n uint16, shape, maxIntervals uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		pts := randomPoints(rng, int(n)%6000, shape)
-		tl := New(append([]Point(nil), pts...))
+		es := randomEntries(rng, int(n)%6000, shape)
+		tl := New(append([]Entry(nil), es...))
 		if err := tl.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := FromColumns(tl.Columns(), len(pts)); err != nil {
+		if _, err := FromColumns(tl.Columns(), len(es)); err != nil {
 			t.Fatal(err)
 		}
-		if len(tl.Columns().X) != len(pts) {
-			t.Fatalf("%d points indexed, %d given", len(tl.Columns().X), len(pts))
+		if len(tl.Columns().ID) != len(es) {
+			t.Fatalf("%d entries indexed, %d given", len(tl.Columns().ID), len(es))
 		}
-		deadID := make([]bool, len(pts))
+		deadID := make([]bool, len(es))
 		ids := tl.Columns().ID
 		dead := func(k int) bool { return deadID[ids[k]] }
 		for q := 0; q < 64; q++ {
-			r := randomRegion(rng, tl, pts)
-			label := randomLabel(rng, max(int(maxIntervals)%65, 1), int32(2*len(pts)+1))
-			if got, want := tl.Any(r, label, nil, nil), bruteForce(pts, r, label, nil); got != want {
+			r := randomRegion(rng, tl, es)
+			label := randomLabel(rng, max(int(maxIntervals)%65, 1), int32(2*len(es)+1))
+			if got, want := tl.Any(r, label, nil, nil), bruteForce(es, r, label, nil); got != want {
 				t.Fatalf("Any(%v, %v) = %v, the scan says %v", r, label, got, want)
 			}
 			share := []float64{0, 0.5, 0.95}[q%3]
 			for i := range deadID {
 				deadID[i] = rng.Float64() < share
 			}
-			if got, want := tl.Any(r, label, dead, nil), bruteForce(pts, r, label, deadID); got != want {
+			if got, want := tl.Any(r, label, dead, nil), bruteForce(es, r, label, deadID); got != want {
 				t.Fatalf("Any(%v, %v) over %d%% tombstones = %v, the scan says %v", r, label, int(share*100), got, want)
 			}
 		}
 	})
 }
 
-// TestNewDeterministic builds the same points in shuffled orders: the
+// TestNewDeterministic builds the same entries in shuffled orders: the
 // columns must be identical.
 func TestNewDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for shape := uint8(0); shape < numShapes; shape++ {
-		pts := randomPoints(rng, 3000, shape)
-		want := New(append([]Point(nil), pts...)).Columns()
+		es := randomEntries(rng, 3000, shape)
+		want := New(append([]Entry(nil), es...)).Columns()
 		for trial := 0; trial < 3; trial++ {
-			rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-			if got := New(append([]Point(nil), pts...)).Columns(); !reflect.DeepEqual(got, want) {
+			rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+			if got := New(append([]Entry(nil), es...)).Columns(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("shape %d: shuffled input gives different columns", shape)
 			}
 		}
 	}
 }
 
-// TestAnyCostIndependentOfLabel is the count guard on the point index:
-// a query visits each slab and cell at most once and x/y-tests only the
-// points of cells it cuts through, whatever its label. On a miss the
+// TestAnyCostIndependentOfLabel is the count guard on the tiles: a
+// query visits each slab and cell at most once and tests only the
+// entries of cells it cuts through, whatever its label. On a miss the
 // slabs and cells visited are exactly those r meets, for every label.
 func TestAnyCostIndependentOfLabel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	pts := randomPoints(rng, 5000, shapeUniform)
-	tl := New(append([]Point(nil), pts...))
-	c := tl.Columns()
-	for q := 0; q < 300; q++ {
-		r := randomRegion(rng, tl, pts)
-		var slabs, cells, boundary int64
-		for s := 0; s+1 < len(c.SlabCells); s++ {
-			if c.SlabX[2*s+1] < r.Min.X || c.SlabX[2*s] > r.Max.X {
-				continue
-			}
-			slabs++
-			for cell := c.SlabCells[s]; cell < c.SlabCells[s+1]; cell++ {
-				box := geom.NewRect(c.CellMBR[4*cell], c.CellMBR[4*cell+1], c.CellMBR[4*cell+2], c.CellMBR[4*cell+3])
-				if !box.Intersects(r) {
+	for _, shape := range []uint8{shapeUniform, shapeBoxes, shapeHuge} {
+		es := randomEntries(rng, 5000, shape)
+		tl := New(append([]Entry(nil), es...))
+		c := tl.Columns()
+		for q := 0; q < 300; q++ {
+			r := randomRegion(rng, tl, es)
+			var slabs, cells, boundary int64
+			for s := 0; s+1 < len(c.SlabCells); s++ {
+				if c.SlabX[2*s+1] < r.Min.X || c.SlabX[2*s] > r.Max.X {
 					continue
 				}
-				cells++
-				if !r.ContainsRect(box) {
-					boundary += int64(c.CellPoints[cell+1] - c.CellPoints[cell])
+				slabs++
+				for cell := c.SlabCells[s]; cell < c.SlabCells[s+1]; cell++ {
+					box := geom.NewRect(c.CellMBR[4*cell], c.CellMBR[4*cell+1], c.CellMBR[4*cell+2], c.CellMBR[4*cell+3])
+					if !box.Intersects(r) {
+						continue
+					}
+					cells++
+					if !r.ContainsRect(box) {
+						boundary += int64(c.CellPoints[cell+1] - c.CellPoints[cell])
+					}
 				}
 			}
-		}
-		for _, maxIntervals := range []int{1, 4, 64} {
-			label := randomLabel(rng, maxIntervals, int32(2*len(pts)+1))
-			var sp trace.Span
-			hit := tl.Any(r, label, nil, &sp)
-			if sp.IndexNodes > slabs || sp.IndexLeaves > cells || sp.IndexEntries > boundary {
-				t.Fatalf("Any(%v, %d intervals) visited %d slabs and %d cells and tested %d points; r meets %d and %d, with %d points in cells it cuts",
-					r, len(label), sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, slabs, cells, boundary)
-			}
-			if !hit && (sp.IndexNodes != slabs || sp.IndexLeaves != cells) {
-				t.Fatalf("miss (%v, %d intervals) visited %d slabs and %d cells; r meets %d and %d",
-					r, len(label), sp.IndexNodes, sp.IndexLeaves, slabs, cells)
+			for _, maxIntervals := range []int{1, 4, 64} {
+				label := randomLabel(rng, maxIntervals, int32(2*len(es)+1))
+				var sp trace.Span
+				hit := tl.Any(r, label, nil, &sp)
+				if sp.IndexNodes > slabs || sp.IndexLeaves > cells || sp.IndexEntries > boundary {
+					t.Fatalf("shape %d: Any(%v, %d intervals) visited %d slabs and %d cells and tested %d entries; r meets %d and %d, with %d entries in cells it cuts",
+						shape, r, len(label), sp.IndexNodes, sp.IndexLeaves, sp.IndexEntries, slabs, cells, boundary)
+				}
+				if !hit && (sp.IndexNodes != slabs || sp.IndexLeaves != cells) {
+					t.Fatalf("shape %d: miss (%v, %d intervals) visited %d slabs and %d cells; r meets %d and %d",
+						shape, r, len(label), sp.IndexNodes, sp.IndexLeaves, slabs, cells)
+				}
 			}
 		}
 	}
 }
 
-// TestAnyDoesNotAllocate covers both label regimes.
+// TestAnyDoesNotAllocate covers both label regimes, over points and
+// over extents.
 func TestAnyDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	pts := randomPoints(rng, 5000, shapeUniform)
-	tl := New(append([]Point(nil), pts...))
-	for _, maxIntervals := range []int{1, 64} {
-		label := randomLabel(rng, maxIntervals, int32(2*len(pts)+1))
-		r := geom.NewRect(10, 10, 30, 30)
-		if allocs := testing.AllocsPerRun(100, func() { tl.Any(r, label, nil, nil) }); allocs != 0 {
-			t.Errorf("labels of up to %d intervals: %v allocs per query", maxIntervals, allocs)
+	for _, shape := range []uint8{shapeUniform, shapeBoxes} {
+		es := randomEntries(rng, 5000, shape)
+		tl := New(append([]Entry(nil), es...))
+		for _, maxIntervals := range []int{1, 64} {
+			label := randomLabel(rng, maxIntervals, int32(2*len(es)+1))
+			r := geom.NewRect(10, 10, 30, 30)
+			if allocs := testing.AllocsPerRun(100, func() { tl.Any(r, label, nil, nil) }); allocs != 0 {
+				t.Errorf("shape %d, labels of up to %d intervals: %v allocs per query", shape, maxIntervals, allocs)
+			}
+		}
+	}
+}
+
+// TestPointColumnsHoldOneCorner pins the two layouts: a point set's x
+// and y columns hold one corner per entry, and one extent among points
+// doubles them to carry every entry's max corner after the min corners.
+func TestPointColumnsHoldOneCorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	es := randomEntries(rng, 300, shapeUniform)
+	if c := New(append([]Entry(nil), es...)).Columns(); len(c.X) != len(es) || len(c.Y) != len(es) {
+		t.Fatalf("a point set of %d has %d x and %d y", len(es), len(c.X), len(c.Y))
+	}
+	es[7].Box.Max.X += 1
+	c := New(append([]Entry(nil), es...)).Columns()
+	if len(c.X) != 2*len(es) || len(c.Y) != 2*len(es) {
+		t.Fatalf("an extent among %d entries gives %d x and %d y", len(es), len(c.X), len(c.Y))
+	}
+	for k, id := range c.ID {
+		want := es[id].Box
+		if got := geom.NewRect(c.X[k], c.Y[k], c.X[len(es)+k], c.Y[len(es)+k]); got != want {
+			t.Fatalf("entry %d (id %d) spans %v, want %v", k, id, got, want)
 		}
 	}
 }
 
 // TestFromColumnsRejects damages each structural property FromColumns
-// guards; each must be an error, not a later out-of-range index.
+// guards, over a point set and over extents; each must be an error, not
+// a later out-of-range index.
 func TestFromColumnsRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	pts := randomPoints(rng, 500, shapeUniform)
-	good := New(pts).Columns()
-	clone := func() Columns {
-		c := good
-		c.SlabX = append([]float64(nil), c.SlabX...)
-		c.SlabCells = append([]uint32(nil), c.SlabCells...)
-		c.CellMBR = append([]float64(nil), c.CellMBR...)
-		c.CellPoints = append([]uint32(nil), c.CellPoints...)
-		c.Post, c.ID = append([]int32(nil), c.Post...), append([]int32(nil), c.ID...)
-		return c
-	}
-	for name, damage := range map[string]func(c *Columns){
-		"odd slab bounds":   func(c *Columns) { c.SlabX = c.SlabX[1:] },
-		"slab offsets":      func(c *Columns) { c.SlabCells = c.SlabCells[1:] },
-		"empty slab":        func(c *Columns) { c.SlabCells[1] = 0 },
-		"slab offsets end":  func(c *Columns) { c.SlabCells[len(c.SlabCells)-1]++ },
-		"cell bounds":       func(c *Columns) { c.CellMBR = c.CellMBR[4:] },
-		"falling offsets":   func(c *Columns) { c.CellPoints[2] = c.CellPoints[1] - 1 },
-		"cell offsets end":  func(c *Columns) { c.CellPoints[len(c.CellPoints)-1]-- },
-		"short y column":    func(c *Columns) { c.Y = c.Y[1:] },
-		"short post column": func(c *Columns) { c.Post = c.Post[1:] },
-		"short id column":   func(c *Columns) { c.ID = c.ID[1:] },
-		"id out of range":   func(c *Columns) { c.ID[3] = int32(len(pts)) },
-		"negative id":       func(c *Columns) { c.ID[3] = -1 },
-	} {
-		c := clone()
-		damage(&c)
-		if _, err := FromColumns(c, len(pts)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, shape := range []uint8{shapeUniform, shapeBoxes} {
+		es := randomEntries(rng, 500, shape)
+		good := New(es).Columns()
+		clone := func() Columns {
+			c := good
+			c.SlabX = append([]float64(nil), c.SlabX...)
+			c.SlabCells = append([]uint32(nil), c.SlabCells...)
+			c.CellMBR = append([]float64(nil), c.CellMBR...)
+			c.CellPoints = append([]uint32(nil), c.CellPoints...)
+			c.Post, c.ID = append([]int32(nil), c.Post...), append([]int32(nil), c.ID...)
+			return c
 		}
-	}
-	if _, err := FromColumns(clone(), len(pts)); err != nil {
-		t.Fatal(err)
+		for name, damage := range map[string]func(c *Columns){
+			"odd slab bounds":     func(c *Columns) { c.SlabX = c.SlabX[1:] },
+			"slab offsets":        func(c *Columns) { c.SlabCells = c.SlabCells[1:] },
+			"empty slab":          func(c *Columns) { c.SlabCells[1] = 0 },
+			"slab offsets end":    func(c *Columns) { c.SlabCells[len(c.SlabCells)-1]++ },
+			"cell bounds":         func(c *Columns) { c.CellMBR = c.CellMBR[4:] },
+			"falling offsets":     func(c *Columns) { c.CellPoints[2] = c.CellPoints[1] - 1 },
+			"cell offsets end":    func(c *Columns) { c.CellPoints[len(c.CellPoints)-1]-- },
+			"short y column":      func(c *Columns) { c.Y = c.Y[1:] },
+			"short x and y":       func(c *Columns) { c.X, c.Y = c.X[1:], c.Y[1:] },
+			"one corner too many": func(c *Columns) { c.X, c.Y = append(c.X, 0), append(c.Y, 0) },
+			"short post column":   func(c *Columns) { c.Post = c.Post[1:] },
+			"short id column":     func(c *Columns) { c.ID = c.ID[1:] },
+			"id out of range":     func(c *Columns) { c.ID[3] = int32(len(es)) },
+			"negative id":         func(c *Columns) { c.ID[3] = -1 },
+		} {
+			c := clone()
+			damage(&c)
+			if _, err := FromColumns(c, len(es)); err == nil {
+				t.Errorf("shape %d, %s: accepted", shape, name)
+			}
+		}
+		if _, err := FromColumns(clone(), len(es)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

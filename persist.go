@@ -133,15 +133,14 @@ func (n *Network) LoadIndexFile(path string) (*Index, error) {
 // maps what LoadIndex reads and refuses what LoadIndex refuses.
 //
 // Unlike LoadIndex, OpenMapped skips the deep validation pass, which
-// reads every tile point and tree bound to check containment and checks
-// every label set against the post-order numbers. The open still
-// makes one linear pass over the label and post columns, the trees'
-// structure and id columns and the point tiles' offset and id columns
-// (not their bounds), verifying everything memory safety and the label
-// searches need: section bounds and alignment, offset tiling, the
-// post-order bijection, each label set in range, ascending and
-// disjoint, fan-out and balance, entry-id ranges. A file corrupt in
-// those ways is a load error; one corrupt only in its bounds or in
+// reads every tile entry to check containment and checks every label
+// set against the post-order numbers. The open still makes one linear
+// pass over the label and post columns and the tiles' offset and id
+// columns (not their geometry), verifying everything memory safety
+// and the label searches need: section bounds and alignment, offset
+// tiling, the post-order bijection, each label set in range, ascending
+// and disjoint, corner counts, entry-id ranges. A file corrupt in
+// those ways is a load error; one corrupt only in its geometry or in
 // which posts a label covers can answer wrongly, never panic. Run
 // Index.Validate explicitly (e.g. rrserve -check) to get the full pass.
 func (n *Network) OpenMapped(path string) (*Index, error) {

@@ -10,8 +10,8 @@ import (
 // labeling's post-order bijection onto 1..n, well-formed (lo ≤ hi,
 // sorted, disjoint) and properly nested label sets, acyclicity of the
 // SCC condensation, and the spatial index: R-tree MBR containment, or
-// the order and bounds of 3DReach's point tiles and their agreement
-// with the network. 3DReach-Rev stores no labels, so its posts and
+// the order and bounds of 3DReach's tiles and their agreement with the
+// network. 3DReach-Rev stores no labels, so its posts and
 // segments are checked against its reversed labeling rebuilt from the
 // network. It returns nil for a well-formed index and a descriptive
 // error naming the first violated invariant otherwise.
