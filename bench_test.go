@@ -1,8 +1,9 @@
 // Benchmarks of the build path and the dynamic writer that
-// EXPERIMENTS.md cites: the interval labeling alone, graph.Builder, and
-// one epoch of the benchmark module's churn workload.
+// EXPERIMENTS.md cites: the interval labeling alone, graph.Builder,
+// 3DReach's tile build, the dynamic index's construction, and one epoch
+// of the benchmark module's churn workload.
 //
-//	go test -run '^$' -bench 'BuildLabeling|GraphBuild|ChurnEpoch' -benchmem .
+//	go test -run '^$' -bench 'BuildLabeling|GraphBuild|TilesNew|BuildDynamic|ChurnEpoch' -benchmem .
 //
 // cmd/rrbench regenerates the paper's tables and figures; the benchmark
 // module (benchmark/) measures query latency, index size, cold start and
@@ -13,6 +14,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/incr"
@@ -60,6 +62,35 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(edges)), "edges/op")
 }
+
+// BenchmarkTilesNew times 3DReach's tile build alone on the network
+// churn builds, GowallaLike(2, 1), whose 54,400 venues make it
+// venue-heavy: the entries from the network and the rank-keyed
+// labeling, then tiles.New's sorts and columns.
+func BenchmarkTilesNew(b *testing.B) {
+	prep := dataset.Prepare(dataset.GowallaLike(2, 1))
+	l := labeling.Build(prep.DAG, labeling.Options{Spatial: prep.HasSpatial})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = core.NewThreeDReachWithLabeling(prep, l, core.BuildOptions{})
+	}
+}
+
+// BenchmarkBuildDynamic times incr.New, one worker, over the prepared
+// GowallaLike(2, 1): what churn's setup pays after generation and
+// Prepare.
+func BenchmarkBuildDynamic(b *testing.B) {
+	prep := dataset.Prepare(dataset.GowallaLike(2, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = incr.New(prep, incr.Options{})
+	}
+}
+
+// benchSink keeps the benchmarks' results alive.
+var benchSink any
 
 // BenchmarkChurnEpoch is one epoch of the repository benchmark's churn
 // workload per iteration — 32 updates in its mix (46 % add_edge, 40 %

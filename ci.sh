@@ -61,12 +61,12 @@ go test ./...
 
 # The read paths' zero-tolerance guards, uncached: nodes and entries
 # touched per query (bounded whatever the label's interval count, on the
-# static and the dynamic path), allocations per query (zero, on built,
-# mapped and snapshot indexes), and the label-pruned traversal against
-# the per-interval searches it replaces. They compare counts that repeat
-# exactly, so a loaded runner cannot blur them the way it blurs a timing.
-# ./internal/tiles holds 3DReach's point index, whose guard counts slabs,
-# cells and x/y-tested points against the ones the region meets.
+# static and the dynamic path) and allocations per query (zero, on built,
+# mapped and snapshot indexes). They compare counts that repeat exactly,
+# so a loaded runner cannot blur them the way it blurs a timing.
+# ./internal/tiles holds 3DReach's tiles of venue rectangles, whose guard
+# counts slabs, cells and tested entries against the ones the region
+# meets.
 # ./internal/graph is here for the build path's one such guard:
 # Builder.Build allocates the same number of times at 1k and at 100k
 # edges (TestBuildAllocsCostIndependent). ./internal/labeling guards
@@ -95,8 +95,8 @@ go test ./...
 # re-derived from its coverage count, reading no successor label at
 # either size (TestGiantRelabelCostIndependentOfOutDegree).
 echo "== count guards =="
-go test -run 'CostIndependent|DoesNotAllocate|SearchAnyWhere' \
-    ./internal/rtree ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
+go test -run 'CostIndependent|DoesNotAllocate' \
+    ./internal/core ./internal/incr ./internal/graph ./internal/tiles \
     ./internal/labeling ./internal/dataset -count=1
 
 # The example programs are the public API's end-to-end users; each runs

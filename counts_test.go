@@ -19,6 +19,7 @@ import (
 	rangereach "repro"
 	"repro/internal/dataset"
 	"repro/internal/httpjson"
+	"repro/internal/incr"
 	"repro/internal/server"
 )
 
@@ -34,10 +35,11 @@ const countsGolden = "testdata/counts.golden"
 // to a golden file: every indexed method's summed query work over a
 // fixed pool, the dynamic index's counters after a fixed update stream,
 // rrserve's per-request allocations, 3DReach's mapped open (allocations
-// and bytes) and query, and the network ingest's Load and Prepare. A work row (work.*) is exact and must match. Every other
-// row measures allocation and is an average, so the golden stores it as
-// a ceiling and the test fails above it; allocation rows skip under
-// -race, whose instrumentation allocates.
+// and bytes) and query, the network ingest's Load and Prepare, and the
+// dynamic index's construction. A work row (work.*) is exact and must
+// match. Every other row measures allocation and is an average, so the
+// golden stores it as a ceiling and the test fails above it; allocation
+// rows skip under -race, whose instrumentation allocates.
 func TestWorkCounts(t *testing.T) {
 	if raceEnabled && *updateCounts {
 		t.Fatal("-update-counts needs a build without -race")
@@ -47,7 +49,7 @@ func TestWorkCounts(t *testing.T) {
 		got[name] = v
 	}
 	if !raceEnabled {
-		for _, rows := range []map[string]float64{rrserveAllocRows(t), threeDReachAllocRows(t), ingestAllocRows(t)} {
+		for _, rows := range []map[string]float64{rrserveAllocRows(t), threeDReachAllocRows(t), ingestAllocRows(t), incrAllocRows(t)} {
 			for name, v := range rows {
 				got[name] = v
 			}
@@ -437,6 +439,19 @@ func ingestAllocRows(t *testing.T) map[string]float64 {
 		"dataset.load.allocs":    testing.AllocsPerRun(5, func() { _, _ = dataset.Load(bytes.NewReader(text)) }),
 		"dataset.prepare.allocs": testing.AllocsPerRun(5, func() { dataset.Prepare(net) }),
 		"dataset.prepare.bytes":  allocatedBytesPerRun(5, func() { dataset.Prepare(net) }),
+	}
+}
+
+// incrAllocRows is the allocation count of incr.New over the prepared
+// GowallaLike(0.05, 1), one worker. New starts from Prepare's CSR rows
+// and condensation, so besides the labeling's per-component sets it
+// allocates per column, not per vertex.
+func incrAllocRows(t *testing.T) map[string]float64 {
+	t.Helper()
+	prep := dataset.Prepare(dataset.GowallaLike(0.05, 1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return map[string]float64{
+		"incr.new.allocs": testing.AllocsPerRun(5, func() { incr.New(prep, incr.Options{}) }),
 	}
 }
 

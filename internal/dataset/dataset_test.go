@@ -516,7 +516,7 @@ func TestZipfPickSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	counts := make([]int, 10)
 	for i := 0; i < 10000; i++ {
-		counts[zipfPick(rng, 10)]++
+		counts[zipfPick(rng, 10, harmonic(10))]++
 	}
 	if counts[0] <= counts[9] {
 		t.Errorf("zipf not skewed: first %d, last %d", counts[0], counts[9])

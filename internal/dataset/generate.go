@@ -112,9 +112,10 @@ func Generate(cfg GenConfig) *Network {
 		)
 	}
 	clusterOf := make([]int, nW)
+	h := harmonic(cfg.Clusters)
 	for i := 0; i < nW; i++ {
 		v := nU + i
-		c := zipfPick(rng, cfg.Clusters)
+		c := zipfPick(rng, cfg.Clusters, h)
 		clusterOf[i] = c
 		p := geom.Pt(
 			centers[c].X+rng.NormFloat64()*cfg.ClusterSpread,
@@ -258,10 +259,10 @@ func geometricCount(rng *rand.Rand, mean float64) int {
 	return count
 }
 
-// zipfPick returns an index in [0, n) with probability ∝ 1/(i+1).
-func zipfPick(rng *rand.Rand, n int) int {
+// zipfPick returns an index in [0, n) with probability ∝ 1/(i+1); h
+// must be harmonic(n), which the caller computes once for all its draws.
+func zipfPick(rng *rand.Rand, n int, h float64) int {
 	// Inverse-CDF over harmonic weights; n is small (cluster count).
-	h := harmonic(n)
 	target := rng.Float64() * h
 	sum := 0.0
 	for i := 0; i < n; i++ {

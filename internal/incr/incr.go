@@ -177,40 +177,77 @@ type Index struct {
 	cycleReads int
 }
 
-// New builds an incremental index over the prepared network.
+// New builds an incremental index over the prepared network, starting
+// from Prepare's work: the adjacency is views over one private copy of
+// the network's CSR rows, and the first condensation is Prepare's, its
+// member runs scattered back into ascending order. Nothing is written
+// into prep.
 func New(prep *dataset.Prepared, opts Options) *Index {
 	if opts.overlayMin <= 0 {
 		opts.overlayMin = defaultOverlayMin
 	}
-	n := prep.Net.NumVertices()
-	cells := grid.NewUniform(prep.Net.Space())
+	net := prep.Net
+	n, g := net.NumVertices(), net.Graph
+	cells := grid.NewUniform(net.Space())
 	x := &Index{
 		opts:    opts,
 		n:       n,
-		out:     make([][]int32, n),
-		in:      make([][]int32, n),
-		spatial: pagedFrom(slices.Clone(prep.Net.Spatial)),
+		out:     copyRows(n, g.NumEdges(), g.Out),
+		in:      copyRows(n, g.NumEdges(), g.In),
+		spatial: pagedFrom(slices.Clone(net.Spatial)),
 		geo:     make([]geom.Rect, n),
 		basePos: make([]int32, n),
 		ov:      &overlay{},
 		grid:    &cells,
+		edges:   g.NumEdges(),
 	}
-	for u := 0; u < n; u++ {
-		if adj := prep.Net.Graph.Out(u); len(adj) > 0 {
-			x.out[u] = append([]int32(nil), adj...)
-			x.edges += len(adj)
-		}
-		if prep.Net.Spatial[u] {
-			x.geo[u] = prep.Net.GeometryOf(u)
+	for u, s := range net.Spatial {
+		if s {
+			x.geo[u] = net.GeometryOf(u)
 		}
 	}
-	for u := 0; u < n; u++ {
-		for _, v := range x.out[u] {
-			x.in[v] = append(x.in[v], int32(u))
-		}
-	}
-	x.rebuildDerived()
+	comp := slices.Clone(prep.Comp)
+	off, members := memberRuns(comp, prep.NumComponents())
+	x.rebuildDerived(prep.DAG, comp, off, members)
 	return x
+}
+
+// copyRows copies the n rows row(0), ..., row(n-1), m entries in all,
+// into one array and returns each as a view of it with its capacity
+// clipped to its length: a delete stays inside the row, and an append
+// reallocates it rather than run into the next.
+func copyRows(n, m int, row func(u int) []int32) [][]int32 {
+	back := make([]int32, m)
+	views := make([][]int32, n)
+	for u, off := 0, 0; u < n; u++ {
+		end := off + copy(back[off:], row(u))
+		views[u] = back[off:end:end]
+		off = end
+	}
+	return views
+}
+
+// memberRuns lists every component's vertices in one column, each run
+// ascending, as Condense does: component c's are
+// members[off[c]:off[c+1]]. One counting scatter over comp, with each
+// vertex counted two slots up so that off[c+1] is c's cursor during
+// the scatter and its end after it.
+func memberRuns(comp []int32, nc int) (off, members []int32) {
+	off = make([]int32, nc+1)
+	for _, c := range comp {
+		if int(c)+2 <= nc {
+			off[c+2]++
+		}
+	}
+	for c := 2; c <= nc; c++ {
+		off[c] += off[c-1]
+	}
+	members = make([]int32, len(comp))
+	for v, c := range comp {
+		members[off[c+1]] = int32(v)
+		off[c+1]++
+	}
+	return off, members
 }
 
 // Name implements the engine naming contract; the incremental index
@@ -639,7 +676,9 @@ func (x *Index) fullRebuild() {
 	// rebuild during a flush replay sees the replayed edges re-added,
 	// which is equally exact; the replay loop holds its own copy.)
 	x.pendingSplits = nil
-	x.rebuildDerived()
+	cond := x.liveGraph().Condense()
+	off, members := cond.MemberColumns()
+	x.rebuildDerived(cond.DAG, cond.Comp, off, members)
 	x.stats.FullRebuilds++
 }
 
@@ -652,27 +691,34 @@ func (x *Index) liveGraph() *graph.Graph {
 	})
 }
 
-func (x *Index) rebuildDerived() {
-	cond := x.liveGraph().Condense()
-	nc := cond.NumComponents()
-	l := labeling.Build(cond.DAG, labeling.Options{Parallelism: x.opts.Parallelism})
+// rebuildDerived derives everything but the adjacency from a
+// condensation of it: the DAG, each vertex's component and the
+// components' ascending member runs (memberOff and members, as
+// Condense's MemberColumns). It takes comp and members over and writes
+// into them: New passes a copy of Prepare's Comp and the runs
+// memberRuns scatters from it, fullRebuild a fresh Condense's columns.
+func (x *Index) rebuildDerived(dag *graph.Graph, comp, memberOff, members []int32) {
+	nc := dag.NumVertices()
+	l := labeling.Build(dag, labeling.Options{Parallelism: x.opts.Parallelism})
 
 	// Whole columns are swapped, not written page by page: snapshots keep
 	// the old ones. The per-component slices start as views of the
-	// columns Condense and Build made; each is capped at its length, so
-	// a merge's append copies rather than writing into a neighbour's
-	// run, and a split's removals stay inside the component's own.
-	members := make([][]int32, nc)
+	// member column and of the columns Build made; each is capped at its
+	// length, so a merge's append copies rather than writing into a
+	// neighbour's run, and a split's removals stay inside the component's
+	// own.
+	runs := make([][]int32, nc)
 	labels := make([]intervals.Set, nc)
 	x.memberPos = slices.Grow(x.memberPos[:0], x.n)[:x.n]
 	for c := range nc {
-		members[c], labels[c] = cond.Members(c), l.Label(c)
-		for i, v := range members[c] {
+		lo, hi := memberOff[c], memberOff[c+1]
+		runs[c], labels[c] = members[lo:hi:hi], l.Label(c)
+		for i, v := range runs[c] {
 			x.memberPos[v] = int32(i)
 		}
 	}
-	x.comp = pagedFrom(cond.Comp)
-	x.members = members
+	x.comp = pagedFrom(comp)
+	x.members = runs
 	x.post = pagedFrom(l.Post)
 	x.labels = pagedFrom(labels)
 	x.labelWidth.reset(x.labels.column)
@@ -684,7 +730,7 @@ func (x *Index) rebuildDerived() {
 	for c := range x.alive {
 		x.alive[c] = true
 	}
-	x.buildAdjacency(cond.DAG, cond.Comp)
+	x.buildAdjacency(dag, comp)
 	x.countWidest()
 	x.liveComps = nc
 	x.deadComps = 0

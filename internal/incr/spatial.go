@@ -260,7 +260,13 @@ func (x *Index) flushSpatial() {
 // the overlay. The old base, dead column and overlay are left as they
 // were, so published snapshots sharing them are unaffected.
 func (x *Index) foldBase() {
-	var es []tiles.Entry
+	venues := 0
+	for v := int32(0); int(v) < x.n; v++ {
+		if x.spatial.at(v) {
+			venues++
+		}
+	}
+	es := make([]tiles.Entry, 0, venues)
 	for v := int32(0); int(v) < x.n; v++ {
 		x.basePos[v] = -1
 		if x.spatial.at(v) {

@@ -75,36 +75,12 @@ type Tiles struct {
 // New builds the tiles over es. Every comparison ends in the vertex id,
 // so equal entry sets give byte-identical columns whatever their input
 // order; ids must be distinct and not negative.
+//
+// No order is sorted by comparison closures: the x order and each
+// slab's y order are radix sorts by orderKey, whose runs of equal keys
+// the whole comparison then finishes, and each cell is an insertion
+// sort of postID values.
 func New(es []Entry) *Tiles {
-	// The sorts move a min corner, post and id, 24 bytes, not an Entry's
-	// 40; an extent's max corner is looked up by id when it is written.
-	type key struct {
-		x, y     float64
-		post, id int32
-	}
-	// Each order is decided by its first key unless that ties (or is
-	// NaN, which cmp.Compare places first); the fallback is the whole
-	// comparison.
-	byX := func(a, b key) int {
-		if a.x < b.x {
-			return -1
-		} else if a.x > b.x {
-			return 1
-		}
-		return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
-	}
-	byY := func(a, b key) int {
-		if a.y < b.y {
-			return -1
-		} else if a.y > b.y {
-			return 1
-		}
-		return cmp.Or(cmp.Compare(a.y, b.y), cmp.Compare(a.x, b.x), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
-	}
-	byPost := func(a, b key) int {
-		return cmp.Or(cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
-	}
-
 	n := len(es)
 	keys := make([]key, n)
 	for i, e := range es {
@@ -141,7 +117,8 @@ func New(es []Entry) *Tiles {
 		return &Tiles{c}
 	}
 	maxX, maxY := c.X[n:corners], c.Y[n:corners]
-	slices.SortFunc(keys, byX)
+	s := &sorter{ord: make([]keyed, n), tmp: make([]keyed, n), buf: make([]key, n)}
+	s.sort(keys, func(k key) float64 { return k.x }, byX)
 	slabs := int(math.Ceil(math.Sqrt(float64(n) / CellSize)))
 	per := (n + slabs - 1) / slabs
 	slabMaxX := math.Inf(-1)
@@ -151,7 +128,7 @@ func New(es []Entry) *Tiles {
 			slabMaxX = runningMax(slabMaxX, maxOf(k).X)
 		}
 		c.SlabX = append(c.SlabX, slab[0].x, slabMaxX)
-		slices.SortFunc(slab, byY)
+		s.sort(slab, func(k key) float64 { return k.y }, byY)
 		cellMaxY := math.Inf(-1)
 		for at := 0; at < len(slab); at += CellSize {
 			cell := slab[at:min(at+CellSize, len(slab))]
@@ -162,7 +139,7 @@ func New(es []Entry) *Tiles {
 				cellMaxY = runningMax(cellMaxY, m.Y)
 			}
 			c.CellMBR = append(c.CellMBR, x0, cell[0].y, x1, cellMaxY)
-			slices.SortFunc(cell, byPost)
+			sortCell(cell)
 			for _, k := range cell {
 				i := len(c.Post)
 				c.X[i], c.Y[i] = k.x, k.y
@@ -178,6 +155,136 @@ func New(es []Entry) *Tiles {
 	}
 	c.X, c.Y = c.X[:corners], c.Y[:corners]
 	return &Tiles{c}
+}
+
+// key is what New's sorts move: a min corner, post and id, 24 bytes,
+// not an Entry's 40; an extent's max corner is looked up by id when it
+// is written.
+type key struct {
+	x, y     float64
+	post, id int32
+}
+
+// byX and byY are the whole comparisons of the x and y orders: the
+// coordinate, as cmp.Compare orders it (NaN first, −0 equal to +0), then
+// the other coordinate, the post and the id.
+func byX(a, b key) int {
+	return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
+}
+
+func byY(a, b key) int {
+	return cmp.Or(cmp.Compare(a.y, b.y), cmp.Compare(a.x, b.x), cmp.Compare(a.post, b.post), cmp.Compare(a.id, b.id))
+}
+
+// orderKey maps a coordinate to a uint64 in cmp.Compare's order: every
+// NaN to 0, below −Inf's key, and −0 to +0's key, so that two keys are
+// equal exactly when cmp.Compare calls the coordinates equal.
+func orderKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return 0
+	case f == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// postID packs a key's post and id into a uint64 whose order is the
+// pair's.
+func postID(k key) uint64 {
+	return uint64(uint32(k.post)^1<<31)<<32 | uint64(uint32(k.id)^1<<31)
+}
+
+// sortCell orders a cell's keys by post, then id: an insertion sort
+// over their postID values, at most CellSize of them.
+func sortCell(cell []key) {
+	var pk [CellSize]uint64
+	for i, k := range cell {
+		pk[i] = postID(k)
+	}
+	for i := 1; i < len(cell); i++ {
+		p, k := pk[i], cell[i]
+		j := i
+		for ; j > 0 && pk[j-1] > p; j-- {
+			pk[j], cell[j] = pk[j-1], cell[j-1]
+		}
+		pk[j], cell[j] = p, k
+	}
+}
+
+// keyed is one element of a radix sort: a key and the position in the
+// input of what it orders.
+type keyed struct {
+	key uint64
+	at  int32
+}
+
+// sorter is the scratch of New's radix sorts, sized for the x order and
+// reused by every slab's y order.
+type sorter struct {
+	ord, tmp []keyed
+	buf      []key
+}
+
+// sort orders ks by full, given coord, the coordinate full compares
+// first: a radix sort of (orderKey(coord), position) pairs places the
+// keys, and full then sorts each run of equal orderKeys, which the
+// radix sort leaves in input order.
+func (s *sorter) sort(ks []key, coord func(key) float64, full func(a, b key) int) {
+	ord, tmp := s.ord[:len(ks)], s.tmp[:len(ks)]
+	for i, k := range ks {
+		ord[i] = keyed{orderKey(coord(k)), int32(i)}
+	}
+	ord = radixSort(ord, tmp)
+	buf := s.buf[:len(ks)]
+	for j, o := range ord {
+		buf[j] = ks[o.at]
+	}
+	copy(ks, buf)
+	for lo := 0; lo < len(ord); {
+		hi := lo + 1
+		for hi < len(ord) && ord[hi].key == ord[lo].key {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(ks[lo:hi], full)
+		}
+		lo = hi
+	}
+}
+
+// radixSort sorts a by key, stably, with tmp, as long as a, for
+// scratch: one counting pass per byte of the key, least significant
+// first, skipping a byte that every key shares. It returns whichever of
+// the two slices holds the result.
+func radixSort(a, tmp []keyed) []keyed {
+	var count [8][256]int32
+	for _, e := range a {
+		for d := range count {
+			count[d][byte(e.key>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		if int(c[byte(a[0].key>>(8*d))]) == len(a) {
+			continue
+		}
+		sum := int32(0)
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for _, e := range a {
+			b := byte(e.key >> (8 * d))
+			tmp[c[b]] = e
+			c[b]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // runningMax is max(m, v) that, on a tie, keeps v: over coordinates

@@ -1,6 +1,7 @@
 package tiles
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,8 +11,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Entry-set shapes for randomEntries: four point sets, then three with
-// extents.
+// Entry-set shapes for randomEntries: four point sets, three with
+// extents, then two whose sorts meet ties.
 const (
 	shapeGrid     = iota // integer coordinates on a 20×20 grid: shared x, y and edges
 	shapeDup             // pairs of identical locations
@@ -20,15 +21,19 @@ const (
 	shapeBoxes           // every other entry a box up to 4 wide, on the grid
 	shapeSegments        // every other entry of zero width or zero height
 	shapeHuge            // one box over the whole space among small ones
+	shapeTies            // x and y from {0, 1, 2}, posts from {1, 2, 3}, every third entry a box
+	shapeZeros           // x and y from {−1, −0, +0, 1}: −0 beside +0 on both axes
 	numShapes
 )
 
 // randomEntries draws n entries with distinct ids and posts in [1, 2n].
 func randomEntries(rng *rand.Rand, n int, shape uint8) []Entry {
 	es := make([]Entry, n)
+	signed := []float64{-1, math.Copysign(0, -1), 0, 1}
 	for i := range es {
 		p := geom.Pt(float64(rng.Intn(20)), float64(rng.Intn(20)))
 		q := p
+		post := 1 + int32(rng.Intn(2*n))
 		switch shape % numShapes {
 		case shapeDup:
 			if i%2 == 1 {
@@ -58,8 +63,18 @@ func randomEntries(rng *rand.Rand, n int, shape uint8) []Entry {
 			if i == n/2 {
 				p, q = geom.Pt(-1, -1), geom.Pt(101, 101)
 			}
+		case shapeTies:
+			p = geom.Pt(float64(rng.Intn(3)), float64(rng.Intn(3)))
+			q = p
+			if i%3 == 2 {
+				q = geom.Pt(p.X+float64(rng.Intn(3)), p.Y+float64(rng.Intn(3)))
+			}
+			post = 1 + int32(rng.Intn(3))
+		case shapeZeros:
+			p = geom.Pt(signed[rng.Intn(4)], signed[rng.Intn(4)])
+			q = p
 		}
-		es[i] = Entry{Box: geom.Rect{Min: p, Max: q}, Post: 1 + int32(rng.Intn(2*n)), ID: int32(i)}
+		es[i] = Entry{Box: geom.Rect{Min: p, Max: q}, Post: post, ID: int32(i)}
 	}
 	return es
 }
@@ -118,13 +133,15 @@ func bruteForce(es []Entry, r geom.Rect, label intervals.Set, deadID []bool) boo
 	return false
 }
 
-// FuzzTiles checks Any against a scan of the entries, without a filter
+// FuzzTiles checks the built columns bit for bit against comparisonNew's
+// (oracle_test.go), Any against a scan of the entries, without a filter
 // and under tombstones that mark none, half or nearly all of them dead,
 // and the built tiles against Validate and FromColumns. The seeds cover
 // 0, 1, 31, 32, 33 and 5,000 entries; duplicate locations and a single
 // shared x; extents of zero width or height, and one huge extent among
-// small ones; regions edged on entry corners and on cell bounds; labels
-// of 1 to 64 intervals.
+// small ones; runs of equal x, of equal y and of equal posts, with and
+// without extents; −0 beside +0; regions edged on entry corners and on
+// cell bounds; labels of 1 to 64 intervals.
 func FuzzTiles(f *testing.F) {
 	for _, n := range []uint16{0, 1, 31, 32, 33, 5000} {
 		for shape := uint8(0); shape < numShapes; shape++ {
@@ -136,6 +153,9 @@ func FuzzTiles(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		es := randomEntries(rng, int(n)%6000, shape)
 		tl := New(append([]Entry(nil), es...))
+		if !sameColumns(tl.Columns(), comparisonNew(es).Columns()) {
+			t.Fatal("the columns differ from the comparison sort's")
+		}
 		if err := tl.Validate(); err != nil {
 			t.Fatal(err)
 		}
