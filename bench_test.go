@@ -1,9 +1,10 @@
 // Benchmarks of the build path and the dynamic writer that
 // EXPERIMENTS.md cites: the interval labeling alone, graph.Builder,
-// 3DReach's tile build, the dynamic index's construction, and one epoch
-// of the benchmark module's churn workload.
+// 3DReach's tile build, the dynamic index's construction, one epoch of
+// the benchmark module's churn workload, and 3DReach-Rev's build and
+// queries.
 //
-//	go test -run '^$' -bench 'BuildLabeling|GraphBuild|TilesNew|BuildDynamic|ChurnEpoch' -benchmem .
+//	go test -run '^$' -bench 'BuildLabeling|GraphBuild|TilesNew|BuildDynamic|ChurnEpoch|ThreeDReachRev' -benchmem .
 //
 // cmd/rrbench regenerates the paper's tables and figures; the benchmark
 // module (benchmark/) measures query latency, index size, cold start and
@@ -11,11 +12,14 @@
 package rangereach_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/incr"
 	"repro/internal/labeling"
@@ -87,6 +91,64 @@ func BenchmarkBuildDynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink = incr.New(prep, incr.Options{})
 	}
+}
+
+// BenchmarkThreeDReachRev times 3DReach-Rev, one worker, on the
+// benchmark pools' two presets at scale 2. build is the reversed
+// labeling and the segment index, and reports the engine's MemoryBytes;
+// each query sub-benchmark cycles through 4,096 of lib-query's queries
+// of one region share (a user with an out-edge, a square of that share
+// of the space placed uniformly) and reports the share answered true.
+func BenchmarkThreeDReachRev(b *testing.B) {
+	for _, ds := range []struct {
+		name string
+		net  *dataset.Network
+	}{{"gowalla-like", dataset.GowallaLike(2, 1)}, {"yelp-like", dataset.YelpLike(2, 1)}} {
+		prep := dataset.Prepare(ds.net)
+		opts := core.BuildOptions{Parallelism: 1}
+		b.Run(ds.name+"/build", func(b *testing.B) {
+			var e *core.ThreeDReachRev
+			for i := 0; i < b.N; i++ {
+				e = core.NewThreeDReachRev(prep, opts)
+			}
+			b.ReportMetric(float64(e.MemoryBytes()), "bytes")
+		})
+		e := core.NewThreeDReachRev(prep, opts)
+		for _, share := range []float64{0.0005, 0.01, 0.05, 0.20} {
+			vs, rs := poolQueries(ds.net, share, 4096)
+			b.Run(fmt.Sprintf("%s/query-%g%%", ds.name, 100*share), func(b *testing.B) {
+				positives := 0
+				for i := 0; i < b.N; i++ {
+					if e.RangeReach(vs[i%len(vs)], rs[i%len(vs)]) {
+						positives++
+					}
+				}
+				b.ReportMetric(float64(positives)/float64(b.N), "positive")
+			})
+		}
+	}
+}
+
+// poolQueries draws n queries as the benchmark module's pools do, at one
+// region share: the vertex uniform over users with an out-edge, the
+// region a square of that share of the space placed uniformly inside it.
+func poolQueries(net *dataset.Network, share float64, n int) ([]int, []geom.Rect) {
+	rng := rand.New(rand.NewSource(1))
+	var users []int
+	for v := range net.NumVertices() {
+		if !net.Spatial[v] && net.Graph.OutDegree(v) >= 1 {
+			users = append(users, v)
+		}
+	}
+	sp := net.Space()
+	w, h := sp.Max.X-sp.Min.X, sp.Max.Y-sp.Min.Y
+	side := math.Min(math.Sqrt(share*w*h), math.Min(w, h))
+	vs, rs := make([]int, n), make([]geom.Rect, n)
+	for i := range vs {
+		x, y := sp.Min.X+rng.Float64()*(w-side), sp.Min.Y+rng.Float64()*(h-side)
+		vs[i], rs[i] = users[rng.Intn(len(users))], geom.NewRect(x, y, x+side, y+side)
+	}
+	return vs, rs
 }
 
 // benchSink keeps the benchmarks' results alive.

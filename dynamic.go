@@ -94,11 +94,10 @@ type UpdateStats struct {
 
 	// The rest is current state, not history: what a query pays for.
 	// OverlayLen is the number of venue entries kept beside the base
-	// tiles — venues patched since the last fold, and every venue with
-	// an extent, once per grid cell it covers — and StaleLen the base
-	// entries they supersede (tombstones). A query that misses the base
-	// tests only the overlay entries of the grid cells its region meets.
-	// A fold empties both, extents apart.
+	// tiles — venues patched since the last fold, an extent once per
+	// grid cell it covers — and StaleLen the base entries they supersede
+	// (tombstones). A query that misses the base tests only the overlay
+	// entries of the grid cells its region meets. A fold empties both.
 	OverlayLen int
 	StaleLen   int
 	// LiveComps and DeadComps count strongly connected components in

@@ -36,8 +36,8 @@ type QueryStats struct {
 	Labels int64 `json:"labels,omitempty"`
 	// IndexNodes and IndexLeaves count the internal and leaf nodes of
 	// the spatial index whose bounds met the query and were therefore
-	// expanded: R-tree nodes and leaves, or 3DReach's tile slabs and
-	// cells.
+	// expanded: SpaReach's R-tree nodes and leaves, or the tile slabs
+	// and cells of 3DReach, 3DReach-Rev and the dynamic index.
 	IndexNodes  int64 `json:"index_nodes,omitempty"`
 	IndexLeaves int64 `json:"index_leaves,omitempty"`
 	// IndexEntries counts leaf entries tested against a query box,

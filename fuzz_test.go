@@ -91,10 +91,11 @@ func FuzzPersistRoundtrip(f *testing.F) {
 	})
 }
 
-// FuzzRangeReachParity derives a small random geosocial network, a
-// vertex and a query region from the fuzz input, builds every indexed
-// method over it, and checks each answer against the NaiveBFS ground
-// truth (and each index against the deep validators).
+// FuzzRangeReachParity derives a small random geosocial network, its
+// venues points or extents, a vertex and a query region from the fuzz
+// input, builds every indexed method over it, and checks each answer
+// against the NaiveBFS ground truth (and each index against the deep
+// validators).
 func FuzzRangeReachParity(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 0, 1, 1, 2, 2, 3, 3, 4, 0, 2, 20, 20, 80, 80})
 	f.Add([]byte{9, 7, 0, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0, 10, 5, 90, 95})
@@ -105,6 +106,10 @@ func FuzzRangeReachParity(f *testing.F) {
 	// vertex 1's only.
 	f.Add([]byte{1, 1, 0, 3, 1, 0, 1, 1, 2, 2, 1, 3, 2})
 	f.Add([]byte{1, 1, 3, 3, 1, 0, 1, 1, 2, 2, 1, 3, 2})
+	// Three of the above over extents: the same vertices and edges.
+	f.Add([]byte{135, 1, 2, 0, 1, 1, 2, 2, 3, 3, 4, 0, 2, 20, 20, 80, 80})
+	f.Add([]byte{139, 7, 0, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0, 10, 5, 90, 95})
+	f.Add([]byte{131, 1, 0, 3, 1, 0, 1, 1, 2, 2, 1, 3, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -112,12 +117,20 @@ func FuzzRangeReachParity(f *testing.F) {
 		}
 		n := 3 + int(data[0])%10
 		b := rangereach.NewNetworkBuilder(n)
-		// Geometry: every third control byte marks its vertex spatial.
+		// Geometry: every third control byte marks its vertex spatial. A
+		// first byte of 128 or more makes each venue an extent, its width
+		// and height picked by the bytes that place it.
+		extents := data[0] >= 128
 		spatial := 0
 		for v := 0; v < n && v+1 < len(data); v++ {
-			c := data[v+1]
+			c, d := data[v+1], data[(v+2)%len(data)]
 			if c%3 == 0 {
-				b.SetPoint(v, float64(c%100), float64(data[(v+2)%len(data)]%100))
+				x, y := float64(c%100), float64(d%100)
+				if extents {
+					b.SetRect(v, rangereach.NewRect(x, y, x+float64(c%7), y+float64(d%5)))
+				} else {
+					b.SetPoint(v, x, y)
+				}
 				spatial++
 			}
 		}

@@ -33,9 +33,10 @@ type mbrSpaReach struct {
 }
 
 // mbrReach builds the reach index of each SpaReach method, the methods
-// with an MBR arm, over a DAG with a worker bound.
+// with an MBR arm, over a DAG with a worker bound, which BFL's
+// sequential build does not use.
 var mbrReach = map[core.Method]func(*graph.Graph, int) reachIndex{
-	core.MethodSpaReachBFL: func(g *graph.Graph, j int) reachIndex { return bfl.Build(g, bfl.Options{Parallelism: j}) },
+	core.MethodSpaReachBFL: func(g *graph.Graph, _ int) reachIndex { return bfl.Build(g, bfl.Options{}) },
 	core.MethodSpaReachINT: func(g *graph.Graph, j int) reachIndex { return labeling.Build(g, labeling.Options{Parallelism: j}) },
 }
 

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
-	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -50,14 +49,6 @@ type Options struct {
 	Bits int
 	// Seed fixes the hash assignment for reproducible benchmarks.
 	Seed int64
-	// Parallelism bounds the workers of the filter propagation: 0 or 1
-	// keeps the sequential path, n > 1 propagates each topological
-	// level with up to n workers. The hash assignment (a sequential
-	// RNG) and the interval DFS stay single-threaded — they pin the
-	// serialized bytes — and the level-parallel OR-propagation yields
-	// the identical filters: each vertex ORs the same finished
-	// neighbor filters into its own words.
-	Parallelism int
 }
 
 // Build constructs the BFL index for the DAG g. It panics if g has a
@@ -83,33 +74,6 @@ func Build(g *graph.Graph, opts Options) *Index {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for v := range idx.hash {
 		idx.hash[v] = int32(rng.Intn(bits))
-	}
-
-	if p := pool.New(max(opts.Parallelism, 1)); !p.Sequential() {
-		// Level-synchronous propagation: vertices of one topological
-		// height share no edges, so each ORs its neighbors' finished
-		// filters into its own words concurrently. L_out wants children
-		// before parents (levels from sinks), L_in the reverse.
-		outLevels := graph.LevelsFromSinks(g)
-		if outLevels == nil {
-			panic("bfl: Build requires a DAG; condense SCCs first")
-		}
-		p.Levels(outLevels, func(v int32) {
-			w := idx.filter(idx.out, int(v))
-			w[idx.hash[v]/64] |= 1 << (uint(idx.hash[v]) % 64)
-			for _, u := range g.Out(int(v)) {
-				orInto(w, idx.filter(idx.out, int(u)))
-			}
-		})
-		p.Levels(graph.LevelsFromSinks(g.Reverse()), func(v int32) {
-			w := idx.filter(idx.in, int(v))
-			w[idx.hash[v]/64] |= 1 << (uint(idx.hash[v]) % 64)
-			for _, u := range g.In(int(v)) {
-				orInto(w, idx.filter(idx.in, int(u)))
-			}
-		})
-		idx.buildIntervals()
-		return idx
 	}
 
 	topo, ok := g.TopoOrder()

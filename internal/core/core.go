@@ -16,7 +16,8 @@
 //     ask;
 //   - 3DReach-Rev — the line-based variant (§4.2): spatial vertices become
 //     vertical segments from the reversed labeling and a query is a single
-//     plane-shaped 3D range query at post(v).
+//     plane query at post(v), answered as one walk of the same tiles, a
+//     segment keyed by its low end and filtered by its high end.
 //
 // Every engine answers queries on the SCC-condensed network (paper §5)
 // under the Replicate spatial policy, and is verified against the

@@ -45,7 +45,7 @@ type SpaReachOptions struct {
 // NewSpaReachBFL builds the SpaReach-BFL engine.
 func NewSpaReachBFL(prep *dataset.Prepared, opts BuildOptions) *SpaReach {
 	return newSpaReachPipelined("SpaReach-BFL", prep, opts, "reach", func() reachIndex {
-		return bfl.Build(prep.DAG, bfl.Options{Parallelism: opts.Parallelism})
+		return bfl.Build(prep.DAG, bfl.Options{})
 	})
 }
 

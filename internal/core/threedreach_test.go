@@ -232,6 +232,44 @@ func TestStaticRangeReachDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestThreeDReachRevMatchesBFSAndDoesNotAllocate checks 3DReach-Rev's
+// one walk of the tiles against BFS on the giant-SCC preset, over points
+// and with extents, on square regions of lib-query's four shares (0.05 %
+// to 20 % of the space), and that the walk, its label and its filter
+// allocate nothing.
+func TestThreeDReachRevMatchesBFSAndDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, net := range []*dataset.Network{dataset.GowallaLike(0.05, 1), withExtents(rng, dataset.GowallaLike(0.05, 1))} {
+		e, truth := NewThreeDReachRev(dataset.Prepare(net), BuildOptions{}), NewNaiveBFS(net)
+		sp := net.Space()
+		w, h := sp.Max.X-sp.Min.X, sp.Max.Y-sp.Min.Y
+		vs, rs := make([]int, 200), make([]geom.Rect, 200)
+		positives := 0
+		for i := range vs {
+			side := math.Sqrt([]float64{0.0005, 0.01, 0.05, 0.20}[i%4])
+			x, y := sp.Min.X+rng.Float64()*w*(1-side), sp.Min.Y+rng.Float64()*h*(1-side)
+			vs[i], rs[i] = rng.Intn(net.NumVertices()), geom.NewRect(x, y, x+side*w, y+side*h)
+			want := truth.RangeReach(vs[i], rs[i])
+			if got := e.RangeReach(vs[i], rs[i]); got != want {
+				t.Fatalf("extents %v: RangeReach(%d, %v) = %v, want %v", net.HasExtents(), vs[i], rs[i], got, want)
+			}
+			if want {
+				positives++
+			}
+		}
+		if positives == 0 || positives == len(vs) {
+			t.Fatalf("extents %v: %d of %d queries positive: the pool cannot tell answers apart", net.HasExtents(), positives, len(vs))
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(len(vs), func() {
+			e.RangeReach(vs[i%len(vs)], rs[i%len(vs)])
+			i++
+		}); allocs != 0 {
+			t.Errorf("extents %v: %v allocs per query, want 0", net.HasExtents(), allocs)
+		}
+	}
+}
+
 // TestThreeDReachBackendsAgree checks 3DReach's two tile layouts —
 // points over a point-only network, and rectangles over one with
 // extents — against BFS on random networks, cyclic and acyclic, some

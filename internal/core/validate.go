@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/geom"
 	"repro/internal/labeling"
-	"repro/internal/rtree"
 )
 
 // ValidateEngine deep-checks the structural invariants of an engine:
@@ -103,17 +101,14 @@ func validateTiles(e *ThreeDReach) error {
 	return nil
 }
 
-// validateRev checks what a 3DReach-Rev query reads: the tree's
-// structure and bounds, then, against the reversed labeling rebuilt
-// from the network, every component's post and the tree's leaf entries,
-// compared as a multiset because the bulk load reorders them. A segment
-// whose z-range is damaged inside its node's bound passes the first
-// check and fails the last. The rebuild uses every CPU, as a build does
-// by default.
+// validateRev checks what a 3DReach-Rev query reads against the
+// reversed labeling rebuilt from the network: every component's post,
+// then the tiles' own invariants, then the tiles' columns and the high
+// ends against a rebuild of the segments, column for column, which
+// tiles.New's determinism allows. A lowered high end, or a key raised
+// inside its cell's order, passes tiles.Validate and fails the last
+// check. The rebuild uses every CPU, as a build does by default.
 func validateRev(e *ThreeDReachRev) error {
-	if err := e.tree.Validate(); err != nil {
-		return err
-	}
 	rev := reversedLabeling(e.prep, runtime.NumCPU())
 	if len(e.post) != len(rev.Post) {
 		return fmt.Errorf("%d posts for %d components", len(e.post), len(rev.Post))
@@ -123,36 +118,27 @@ func validateRev(e *ThreeDReachRev) error {
 			return fmt.Errorf("component %d has post %d, the reversed labeling gives %d", c, e.post[c], p)
 		}
 	}
-	return sameSegments(e.tree, revEntries(e.prep, rev))
-}
-
-// sameSegments compares t's leaf entries with want, the segments the
-// reversed labeling derives, as multisets, because the bulk load
-// reorders them. No two derived segments share an id and a low z (a
-// component's reversed labels are disjoint), so sorted by those two
-// keys equal multisets line up entry for entry. want is derived in that
-// order, so its sort is one pass.
-func sameSegments(t *rtree.Flat[geom.Box3], want []rtree.Entry[geom.Box3]) error {
-	if t.Len() != len(want) {
-		return fmt.Errorf("tree holds %d segments, the reversed labeling gives %d", t.Len(), len(want))
+	if err := e.tiles.Validate(); err != nil {
+		return err
 	}
-	got := make([]rtree.Entry[geom.Box3], 0, len(want))
-	t.All(func(en rtree.Entry[geom.Box3]) bool {
-		got = append(got, en)
-		return true
-	})
-	byIDThenZ := func(a, b rtree.Entry[geom.Box3]) int {
-		if a.ID != b.ID {
-			return cmp.Compare(a.ID, b.ID)
-		}
-		return cmp.Compare(a.Box.Min.Z, b.Box.Min.Z)
-	}
-	slices.SortFunc(got, byIDThenZ)
-	slices.SortFunc(want, byIDThenZ)
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("segment of id %d spans %v, the reversed labeling gives id %d %v",
-				got[i].ID, got[i].Box, want[i].ID, want[i].Box)
+	ts, hi := revSegments(e.prep, rev)
+	got, want := e.tiles.Columns(), ts.Columns()
+	for _, col := range []struct {
+		name string
+		same bool
+	}{
+		{"slab bounds", slices.Equal(got.SlabX, want.SlabX)},
+		{"slab offsets", slices.Equal(got.SlabCells, want.SlabCells)},
+		{"cell bounds", slices.Equal(got.CellMBR, want.CellMBR)},
+		{"cell offsets", slices.Equal(got.CellPoints, want.CellPoints)},
+		{"x columns", slices.Equal(got.X, want.X)},
+		{"y columns", slices.Equal(got.Y, want.Y)},
+		{"keys", slices.Equal(got.Post, want.Post)},
+		{"ids", slices.Equal(got.ID, want.ID)},
+		{"high ends", slices.Equal(e.hi, hi)},
+	} {
+		if !col.same {
+			return fmt.Errorf("%s differ from those of the segments the reversed labeling gives", col.name)
 		}
 	}
 	return nil

@@ -13,84 +13,45 @@ import (
 	"repro/internal/rtree"
 )
 
-// TestValidateEngineRejectsCorruptBuiltTree damages the arrays of each
-// built engine's R-tree in place. A built index has no loader in front
+// TestValidateEngineRejectsCorruptBuiltTree damages the arrays of a
+// built SpaReach's R-tree in place. A built index has no loader in front
 // of it, so ValidateEngine alone stands between such a tree and a query:
-// it must name structural damage as well as a broken containment, and,
-// for the 3D tree, whose entries it derives from the network, two
-// entries of one leaf that swapped z-ranges, which keeps every bound.
+// it must name structural damage as well as a broken containment.
 func TestValidateEngineRejectsCorruptBuiltTree(t *testing.T) {
-	points := dataset.Prepare(dataset.GowallaLike(0.1, 7))
-	for _, c := range []struct {
-		name   string
-		prep   *dataset.Prepared
-		method Method
-		entry  string // what ValidateEngine calls a 3D entry; "" for 2D
+	res, err := BuildMethod(dataset.Prepare(dataset.GowallaLike(0.1, 7)), MethodSpaReachINT, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeBounds, nodeMeta, entryBounds, _ := res.Engine.(*SpaReach).tree.Raw()
+	if nodeMeta[1]&1 == 1 {
+		t.Fatal("one-leaf tree, too shallow for the test")
+	}
+	if err := ValidateEngine(res.Engine); err != nil {
+		t.Fatalf("fresh engine invalid: %v", err)
+	}
+	last, stride := len(nodeMeta)-1, len(nodeBounds)/(len(nodeMeta)/2)
+	for _, d := range []struct {
+		want   string
+		damage func()
 	}{
-		{"3dreach-rev", points, MethodThreeDReachRev, "segment"},
-		{"spareach-int", points, MethodSpaReachINT, ""},
+		{"does not contain entry", func() { entryBounds[0] -= 1e9 }},
+		{"does not contain child", func() { copy(nodeBounds[:stride], entryBounds) }},
+		{"size says", func() { nodeMeta[last] -= 1 << 1 }},
+		{"not balanced", func() { nodeMeta[last] &^= 1 }},
+		{"fan-out is", func() { nodeMeta[1] = uint32(rtree.DefaultMaxEntries+1) << 1 }},
 	} {
-		res, err := BuildMethod(c.prep, c.method, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
+		saved := [][]float64{append([]float64(nil), nodeBounds...), append([]float64(nil), entryBounds...)}
+		savedMeta := append([]uint32(nil), nodeMeta...)
+		d.damage()
+		if err := ValidateEngine(res.Engine); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Errorf("want an error containing %q, got %v", d.want, err)
 		}
-		var nodeBounds, entryBounds []float64
-		var nodeMeta []uint32
-		switch e := res.Engine.(type) {
-		case *ThreeDReachRev:
-			nodeBounds, nodeMeta, entryBounds, _ = e.tree.Raw()
-		case *SpaReach:
-			nodeBounds, nodeMeta, entryBounds, _ = e.tree.Raw()
-		}
-		if nodeMeta[1]&1 == 1 {
-			t.Fatalf("%s: one-leaf tree, too shallow for the test", c.name)
-		}
-		if err := ValidateEngine(res.Engine); err != nil {
-			t.Fatalf("%s: fresh engine invalid: %v", c.name, err)
-		}
-		last, stride := len(nodeMeta)-1, len(nodeBounds)/(len(nodeMeta)/2)
-		type damage struct {
-			want   string
-			damage func()
-		}
-		damages := []damage{
-			{"does not contain entry", func() { entryBounds[0] -= 1e9 }},
-			{"does not contain child", func() { copy(nodeBounds[:stride], entryBounds) }},
-			{"size says", func() { nodeMeta[last] -= 1 << 1 }},
-			{"not balanced", func() { nodeMeta[last] &^= 1 }},
-			{"fan-out is", func() { nodeMeta[1] = uint32(rtree.DefaultMaxEntries+1) << 1 }},
-		}
-		if c.entry != "" {
-			// The last node is a leaf; find two of its entries at
-			// different heights. Bounds are {min x, y, z, max x, y, z}.
-			first, n := int(nodeMeta[last-1]), int(nodeMeta[last]>>1)
-			a, b := first, first+1
-			for b < first+n && entryBounds[6*b+2] == entryBounds[6*a+2] {
-				b++
-			}
-			if b == first+n {
-				t.Fatalf("%s: every entry of the last leaf is at one height", c.name)
-			}
-			damages = append(damages, damage{c.entry + " of id", func() {
-				for _, k := range []int{2, 5} {
-					entryBounds[6*a+k], entryBounds[6*b+k] = entryBounds[6*b+k], entryBounds[6*a+k]
-				}
-			}})
-		}
-		for _, d := range damages {
-			saved := [][]float64{append([]float64(nil), nodeBounds...), append([]float64(nil), entryBounds...)}
-			savedMeta := append([]uint32(nil), nodeMeta...)
-			d.damage()
-			if err := ValidateEngine(res.Engine); err == nil || !strings.Contains(err.Error(), d.want) {
-				t.Errorf("%s: want an error containing %q, got %v", c.name, d.want, err)
-			}
-			copy(nodeBounds, saved[0])
-			copy(entryBounds, saved[1])
-			copy(nodeMeta, savedMeta)
-		}
-		if err := ValidateEngine(res.Engine); err != nil {
-			t.Fatalf("%s: restored engine invalid: %v", c.name, err)
-		}
+		copy(nodeBounds, saved[0])
+		copy(entryBounds, saved[1])
+		copy(nodeMeta, savedMeta)
+	}
+	if err := ValidateEngine(res.Engine); err != nil {
+		t.Fatalf("restored engine invalid: %v", err)
 	}
 }
 
@@ -259,11 +220,11 @@ func TestValidateEngineRejectsCorruptTiles(t *testing.T) {
 }
 
 // TestValidateEngineRejectsCorruptRev damages what a built 3DReach-Rev
-// query reads, in place: one segment's z-range shrunk inside its leaf's
-// bound, which the tree's containment check cannot see, and two
-// components' posts swapped, which keeps them a permutation. The
-// reversed labeling ValidateEngine rebuilds to compare against is
-// itself checked first.
+// query reads, in place: a segment's high end lowered, a segment's key
+// raised without breaking its cell's order, both of which tiles.Validate
+// cannot see, and two components' posts swapped, which keeps them a
+// permutation. The reversed labeling ValidateEngine rebuilds to compare
+// against is itself checked first.
 func TestValidateEngineRejectsCorruptRev(t *testing.T) {
 	prep := dataset.Prepare(dataset.GowallaLike(0.1, 7))
 	if err := check.Labeling(prep.DAG.Reverse(), reversedLabeling(prep, 2)); err != nil {
@@ -277,27 +238,30 @@ func TestValidateEngineRejectsCorruptRev(t *testing.T) {
 	if err := ValidateEngine(e); err != nil {
 		t.Fatalf("fresh engine invalid: %v", err)
 	}
-	// Entry bounds are {min x, y, z, max x, y, z}: find a segment over
-	// more than one post.
-	_, _, bounds, _ := e.tree.Raw()
+	// A segment over more than one post, and the last entry of the first
+	// cell, whose key can rise without leaving the cell's order.
+	c := e.tiles.Columns()
 	j := 0
-	for 6*j < len(bounds) && bounds[6*j+2] == bounds[6*j+5] {
+	for j < len(e.hi) && c.Post[j] == e.hi[j] {
 		j++
 	}
-	if 6*j == len(bounds) {
+	if j == len(e.hi) {
 		t.Fatal("every segment spans one post")
 	}
+	last := c.CellPoints[1] - 1
 	for _, d := range []struct {
 		name, want string
 		damage     func()
 	}{
-		{"shrunk-segment", "segment of id", func() { bounds[6*j+2] = bounds[6*j+5] }},
+		{"shrunk-segment", "high ends differ", func() { e.hi[j]-- }},
+		{"raised-key", "keys differ", func() { c.Post[last]++ }},
 		{"swapped-posts", "component 0 has post", func() { e.post[0], e.post[1] = e.post[1], e.post[0] }},
 	} {
 		t.Run(d.name, func(t *testing.T) {
-			savedBounds, savedPost := append([]float64(nil), bounds...), append([]int32(nil), e.post...)
+			savedHi, savedKeys, savedPost := append([]int32(nil), e.hi...), append([]int32(nil), c.Post...), append([]int32(nil), e.post...)
 			defer func() {
-				copy(bounds, savedBounds)
+				copy(e.hi, savedHi)
+				copy(c.Post, savedKeys)
 				copy(e.post, savedPost)
 			}()
 			d.damage()

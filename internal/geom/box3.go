@@ -45,13 +45,6 @@ func Box3FromRect(r Rect, zlo, zhi float64) Box3 {
 	}
 }
 
-// VerticalSegment returns the degenerate box that models a spatial vertex
-// under the reversed labeling of 3DReach-Rev: a vertical line segment at
-// (x, y) spanning [zlo, zhi].
-func VerticalSegment(p Point, zlo, zhi float64) Box3 {
-	return NewBox3(p.X, p.Y, zlo, p.X, p.Y, zhi)
-}
-
 // Valid reports whether b.Min is component-wise no greater than b.Max.
 func (b Box3) Valid() bool {
 	return b.Min.X <= b.Max.X && b.Min.Y <= b.Max.Y && b.Min.Z <= b.Max.Z

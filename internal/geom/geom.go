@@ -1,7 +1,7 @@
 // Package geom provides the geometric primitives used throughout the
 // geosocial reachability library: two-dimensional points and rectangles,
-// and the three-dimensional boxes and vertical segments that back the
-// 3DReach transformation.
+// and the three-dimensional boxes of the paper's 3D R-tree, which
+// internal/bench keeps as 3DReach's reference.
 //
 // All coordinates are float64. Rectangles and boxes are closed on every
 // side: a point on the boundary is contained.
@@ -96,11 +96,6 @@ func (r Rect) Union(s Rect) Rect {
 		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
 		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
 	}
-}
-
-// UnionPoint returns the smallest rectangle covering r and p.
-func (r Rect) UnionPoint(p Point) Rect {
-	return r.Union(RectFromPoint(p))
 }
 
 // Enlargement returns how much r's area grows when extended to cover s.

@@ -90,9 +90,6 @@ func TestEmptyRect(t *testing.T) {
 	if got := e.Union(r); got != r {
 		t.Errorf("EmptyRect.Union(%v) = %v, want identity", r, got)
 	}
-	if got := e.UnionPoint(Pt(3, 4)); got != RectFromPoint(Pt(3, 4)) {
-		t.Errorf("EmptyRect.UnionPoint = %v", got)
-	}
 	if e.ContainsPoint(Pt(0, 0)) {
 		t.Error("empty rect contains a point")
 	}
@@ -155,26 +152,18 @@ func TestBox3FromRect(t *testing.T) {
 	if b.Rect() != r {
 		t.Errorf("base = %v, want %v", b.Rect(), r)
 	}
-}
-
-func TestVerticalSegment(t *testing.T) {
-	s := VerticalSegment(Pt(3, 4), 1, 9)
-	if s.Min != Pt3(3, 4, 1) || s.Max != Pt3(3, 4, 9) {
-		t.Fatalf("segment = %v", s)
-	}
+	// A vertical segment, and planes that cut or miss it.
+	s := Box3FromRect(RectFromPoint(Pt(3, 4)), 1, 9)
 	if s.Volume() != 0 {
 		t.Error("vertical segment should have zero volume")
 	}
-	plane := Box3FromRect(NewRect(0, 0, 10, 10), 5, 5)
-	if !plane.Intersects(s) {
+	if !Box3FromRect(NewRect(0, 0, 10, 10), 5, 5).Intersects(s) {
 		t.Error("plane at z=5 should cut segment [1,9]")
 	}
-	plane = Box3FromRect(NewRect(0, 0, 10, 10), 10, 10)
-	if plane.Intersects(s) {
+	if Box3FromRect(NewRect(0, 0, 10, 10), 10, 10).Intersects(s) {
 		t.Error("plane at z=10 should miss segment [1,9]")
 	}
-	plane = Box3FromRect(NewRect(4, 5, 10, 10), 5, 5)
-	if plane.Intersects(s) {
+	if Box3FromRect(NewRect(4, 5, 10, 10), 5, 5).Intersects(s) {
 		t.Error("plane missing segment in xy should not intersect")
 	}
 }

@@ -106,7 +106,7 @@ func TestCollinearSpace(t *testing.T) {
 	// otherwise a ReachGrid seeded from these points fails to cover
 	// them and GeoReach's G-vertex pruning gives false negatives.
 	pts := []geom.Point{geom.Pt(6, 6), geom.Pt(6, 49)}
-	space := geom.RectFromPoint(pts[0]).UnionPoint(pts[1])
+	space := geom.RectFromPoint(pts[0]).Union(geom.RectFromPoint(pts[1]))
 	for _, levels := range []int{1, 4, 8} {
 		h := NewHierarchy(space, levels)
 		for _, p := range pts {

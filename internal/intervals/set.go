@@ -221,22 +221,6 @@ func (s Set) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
-// OverlapsCanonical reports whether the canonical set s shares an
-// integer with [lo, hi], in O(log |s|) without allocating.
-func (s Set) OverlapsCanonical(lo, hi int32) bool {
-	// Binary search for the first interval ending at or after lo; it is
-	// the only one that can start at or before hi.
-	i, j := 0, len(s)
-	for i < j {
-		if m := int(uint(i+j) >> 1); s[m].Hi < lo {
-			i = m + 1
-		} else {
-			j = m
-		}
-	}
-	return i < len(s) && s[i].Lo <= hi
-}
-
 // CoversCanonical reports whether the canonical set s covers every
 // integer of the canonical set other, in O(|s| + |other|) without
 // allocating. The incremental labeling uses it to prune propagation.

@@ -341,19 +341,3 @@ func TestMergeManyCanonicalNeverAliases(t *testing.T) {
 		}
 	}
 }
-
-func TestOverlapsCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 300; trial++ {
-		s := randomCanonical(rng, 1, 400, rng.Intn(40))
-		lo := int32(rng.Intn(420)) - 10
-		hi := lo + int32(rng.Intn(4)*rng.Intn(60))
-		want := false
-		for p := lo; p <= hi; p++ {
-			want = want || s.ContainsCanonical(p)
-		}
-		if got := s.OverlapsCanonical(lo, hi); got != want {
-			t.Fatalf("trial %d: %v.OverlapsCanonical(%d, %d) = %v, want %v", trial, s, lo, hi, got, want)
-		}
-	}
-}

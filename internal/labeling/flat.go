@@ -78,7 +78,7 @@ func FromFlat(post, order []int32, offsets []uint64, data intervals.Set, uncompr
 // validSet checks a label set read from outside the program: every
 // interval lies in [1,n] with lo ≤ hi, and the intervals ascend without
 // overlap. The queries binary-search a label (ContainsCanonical,
-// OverlapsCanonical), so an out-of-order set would answer wrongly
+// FirstEndingAt), so an out-of-order set would answer wrongly
 // rather than fail. Adjacent intervals left unmerged stay legal, as in
 // check.Set: the compression ablation writes them.
 func validSet(s intervals.Set, n int) error {

@@ -159,11 +159,6 @@ func (f *Flat[B]) entryRef(j uint32) *B {
 	return (*B)(unsafe.Pointer(&f.entryBounds[int(j)*2*f.dims]))
 }
 
-// entryAt returns a copy of leaf entry j.
-func (f *Flat[B]) entryAt(j uint32) Entry[B] {
-	return Entry[B]{Box: *f.entryRef(j), ID: f.entryIDs[j]}
-}
-
 // coordsOf views *b as its coordinate array (see coordsInPlace).
 func (f *Flat[B]) coordsOf(b *B) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(b)), 2*f.dims)
@@ -189,19 +184,6 @@ func (f *Flat[B]) Len() int { return f.size }
 
 // Height returns the number of levels in the tree (0 when empty).
 func (f *Flat[B]) Height() int { return f.height }
-
-// NumNodes returns the number of nodes.
-func (f *Flat[B]) NumNodes() int { return len(f.nodeMeta) / 2 }
-
-// Bounds returns the bounding shape of the whole tree and whether the
-// tree is non-empty.
-func (f *Flat[B]) Bounds() (B, bool) {
-	var zero B
-	if len(f.nodeMeta) == 0 {
-		return zero, false
-	}
-	return *f.boundRef(0), true
-}
 
 // Search calls fn for every entry whose bound intersects query. If fn
 // returns false the search stops immediately and Search returns false;
@@ -255,39 +237,13 @@ func (f *Flat[B]) SearchTraced(query B, sp *trace.Span, fn func(e Entry[B]) bool
 }
 
 // SearchAny returns some entry intersecting query, or ok=false if none
-// exists. It is the primitive RangeReach engines use: the query needs a
-// single witness.
-func (f *Flat[B]) SearchAny(query B) (Entry[B], bool) {
-	return f.SearchAnyTraced(query, nil)
-}
-
-// SearchAnyTraced is SearchAny with instrumentation (see SearchTraced).
-func (f *Flat[B]) SearchAnyTraced(query B, sp *trace.Span) (found Entry[B], ok bool) {
-	f.SearchTraced(query, sp, func(e Entry[B]) bool {
+// exists: a RangeReach query needs a single witness.
+func (f *Flat[B]) SearchAny(query B) (found Entry[B], ok bool) {
+	f.Search(query, func(e Entry[B]) bool {
 		found, ok = e, true
 		return false
 	})
 	return found, ok
-}
-
-// Count returns the number of entries intersecting query.
-func (f *Flat[B]) Count(query B) int {
-	count := 0
-	f.Search(query, func(Entry[B]) bool {
-		count++
-		return true
-	})
-	return count
-}
-
-// All calls fn for every entry in the tree.
-func (f *Flat[B]) All(fn func(e Entry[B]) bool) bool {
-	for j := 0; j < f.size; j++ {
-		if !fn(f.entryAt(uint32(j))) {
-			return false
-		}
-	}
-	return true
 }
 
 // MemoryBytes returns the approximate footprint of the tree, the

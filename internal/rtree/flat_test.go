@@ -65,8 +65,8 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 		if f.Len() != 0 {
 			t.Fatalf("empty flat tree has Len %d", f.Len())
 		}
-		if _, ok := f.Bounds(); ok {
-			t.Fatal("empty flat tree reported bounds")
+		if len(f.nodeMeta) != 0 {
+			t.Fatal("empty flat tree has a root")
 		}
 	})
 
@@ -145,7 +145,7 @@ func TestFlattenBox3(t *testing.T) {
 				want++
 			}
 		}
-		if got := built.Count(query); got != want {
+		if got := count(built, query); got != want {
 			t.Fatalf("query %d: Count %d, want %d", q, got, want)
 		}
 	}

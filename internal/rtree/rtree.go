@@ -1,10 +1,10 @@
 // Package rtree implements a read-only in-memory R-tree over 2D
 // rectangles or 3D boxes, replacing the Boost R-tree the paper uses
-// (§6.1). It backs the in-memory spatial indexes that are not tiles:
-// the 2D index of SpaReach and rrbench's MBR arm (paper §5), and the 3D
-// vertical-segment index of 3DReach-Rev. 3DReach indexes every venue,
-// point or extent, in internal/tiles, and no index file holds an
-// R-tree.
+// (§6.1). In the library it is 2D only: SpaReach's spatial index. In
+// internal/bench it is also rrbench's MBR arm (paper §5) and, in 3D,
+// the paper's point R-tree that ablation-3d measures. 3DReach and
+// 3DReach-Rev index every venue, point or extent, in internal/tiles, and
+// no index file holds an R-tree.
 //
 // There is one tree form, Flat: four arrays in canonical BFS order,
 // which Sort-Tile-Recursive (STR) bulk loading produces. Nothing is

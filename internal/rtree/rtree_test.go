@@ -31,6 +31,16 @@ func randomRectEntries(rng *rand.Rand, n int) []Entry[geom.Rect] {
 	return entries
 }
 
+// count returns the number of entries of tr that meet q, through Search.
+func count[B Bound[B]](tr *Flat[B], q B) int {
+	n := 0
+	tr.Search(q, func(Entry[B]) bool {
+		n++
+		return true
+	})
+	return n
+}
+
 // bruteSearch returns the sorted ids of entries intersecting q.
 func bruteSearch(entries []Entry[geom.Rect], q geom.Rect) []int32 {
 	var ids []int32
@@ -108,8 +118,8 @@ func TestSearchAnyAndCount(t *testing.T) {
 				t.Fatal("SearchAny returned non-matching entry")
 			}
 		}
-		if tr.Count(query) != len(want) {
-			t.Fatalf("Count = %d, want %d", tr.Count(query), len(want))
+		if got := count(tr, query); got != len(want) {
+			t.Fatalf("count = %d, want %d", got, len(want))
 		}
 	}
 }
@@ -122,8 +132,8 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if _, ok := tr.SearchAny(geom.NewRect(0, 0, 1, 1)); ok {
 		t.Error("empty tree found something")
 	}
-	if _, ok := tr.Bounds(); ok {
-		t.Error("empty tree has bounds")
+	if len(tr.nodeMeta) != 0 {
+		t.Error("empty tree has a root")
 	}
 
 	tr = BulkLoad([]Entry[geom.Rect]{{Box: geom.RectFromPoint(geom.Pt(5, 5)), ID: 9}}, 0, 0)
@@ -134,31 +144,8 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if !ok || e.ID != 9 {
 		t.Error("singleton search failed")
 	}
-	b, ok := tr.Bounds()
-	if !ok || b != geom.RectFromPoint(geom.Pt(5, 5)) {
+	if b := *tr.boundRef(0); b != geom.RectFromPoint(geom.Pt(5, 5)) {
 		t.Error("singleton bounds wrong")
-	}
-}
-
-func TestAllVisitsEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	entries := randomPointEntries(rng, 123)
-	tr := BulkLoad(entries, 4, 0)
-	seen := make(map[int32]bool)
-	tr.All(func(e Entry[geom.Rect]) bool {
-		seen[e.ID] = true
-		return true
-	})
-	if len(seen) != 123 {
-		t.Errorf("All visited %d entries, want 123", len(seen))
-	}
-	count := 0
-	tr.All(func(Entry[geom.Rect]) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Errorf("early-stop All visited %d, want 5", count)
 	}
 }
 
@@ -172,7 +159,7 @@ func TestBox3Tree(t *testing.T) {
 	// Vertical segments too.
 	for i := 300; i < 400; i++ {
 		z := float64(rng.Intn(900))
-		seg := geom.VerticalSegment(geom.Pt(rng.Float64()*100, rng.Float64()*100), z, z+float64(rng.Intn(100)))
+		seg := geom.Box3FromRect(geom.RectFromPoint(geom.Pt(rng.Float64()*100, rng.Float64()*100)), z, z+float64(rng.Intn(100)))
 		entries = append(entries, Entry[geom.Box3]{Box: seg, ID: int32(i)})
 	}
 	tr := BulkLoad(append([]Entry[geom.Box3](nil), entries...), 8, 0)
@@ -212,8 +199,8 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Errorf("point accounting %d >= rect accounting %d",
 			asPoints.MemoryBytes(), full.MemoryBytes())
 	}
-	if full.NumNodes() <= 0 {
-		t.Error("NumNodes not positive")
+	if len(full.nodeMeta) == 0 {
+		t.Error("no nodes")
 	}
 }
 
@@ -227,11 +214,11 @@ func TestDuplicatePointsAndDegenerateData(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Count(geom.NewRect(0, 0, 2, 2)); got != 100 {
-		t.Errorf("Count = %d, want 100", got)
+	if got := count(tr, geom.NewRect(0, 0, 2, 2)); got != 100 {
+		t.Errorf("count = %d, want 100", got)
 	}
-	if got := tr.Count(geom.NewRect(2, 2, 3, 3)); got != 0 {
-		t.Errorf("Count = %d, want 0", got)
+	if got := count(tr, geom.NewRect(2, 2, 3, 3)); got != 0 {
+		t.Errorf("count = %d, want 0", got)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestValidateSizeMismatch(t *testing.T) {
 
 	// The arrays agree with the size but a leaf run stops short of them.
 	tr = BulkLoad(gridEntries(50), 4, 0)
-	last := uint32(tr.NumNodes() - 1)
+	last := uint32(len(tr.nodeMeta)/2 - 1)
 	tr.nodeMeta[2*last+1] -= 1 << 1
 	wantValidateErr(t, tr.Validate(), "size")
 }

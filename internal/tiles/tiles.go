@@ -16,6 +16,9 @@
 // min y and cut into cells of CellSize entries; each cell's entries are
 // sorted by post. The result is eight flat columns (see Columns), the
 // form the flat index format persists and a mapped index overlays.
+//
+// 3DReach-Rev's vertical segments sit in the same tiles: a segment is an
+// entry keyed by its low end, and its high end is the filter Any takes.
 package tiles
 
 import (
@@ -366,8 +369,9 @@ func (t *Tiles) MemoryBytes() int64 {
 // dead, when not nil, filters the entries by column position: an entry
 // k with dead(k) counts as absent. A contained cell then answers with
 // its first live candidate, and a boundary cell tests geometry before
-// liveness. The dynamic index passes its tombstones here; a static
-// index passes nil and pays one nil check per candidate run.
+// liveness. The dynamic index passes its tombstones here, 3DReach-Rev
+// the segments whose high end lies below its plane; 3DReach passes nil
+// and pays one nil check per candidate run.
 func (t *Tiles) Any(r geom.Rect, label intervals.Set, dead func(k int) bool, sp *trace.Span) bool {
 	c := &t.c
 	nslabs := len(c.SlabCells) - 1

@@ -32,7 +32,7 @@ type Counters struct {
 	// leaf nodes, tile cells).
 	IndexLeaves int64
 	// IndexEntries is the number of leaf entries tested against the
-	// query box (points, boxes or vertical segments).
+	// query region (points, rectangles, or 3DReach-Rev's segments).
 	IndexEntries int64
 	// Overlay is the part of IndexEntries that the dynamic engine tested
 	// in its overlay — venue entries kept beside the base tiles, bucketed

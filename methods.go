@@ -22,7 +22,7 @@ const (
 	ThreeDReach Method = iota
 	// ThreeDReachRev is the line-based variant: reversed labels turn
 	// spatial vertices into vertical segments and a query into a single
-	// plane-shaped 3D range query.
+	// plane-shaped 3D range query, one walk of the same tiles.
 	ThreeDReachRev
 	// SocReach is the social-first method: enumerate descendants from
 	// the interval labels, then test their points.

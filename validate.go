@@ -11,9 +11,9 @@ import (
 // sorted, disjoint) and properly nested label sets, acyclicity of the
 // SCC condensation, and the spatial index: R-tree MBR containment, or
 // the order and bounds of 3DReach's tiles and their agreement with the
-// network. 3DReach-Rev stores no labels, so its posts and
-// segments are checked against its reversed labeling rebuilt from the
-// network. It returns nil for a well-formed index and a descriptive
+// network. 3DReach-Rev stores no labels, so its posts and its
+// segments' tiles are checked against its reversed labeling rebuilt
+// from the network. It returns nil for a well-formed index and a descriptive
 // error naming the first violated invariant otherwise.
 //
 // Validation runs in time linear in the index size, except for
